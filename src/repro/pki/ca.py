@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
+from repro.crypto.hashing import sha256
 from repro.crypto.signing import KeyPair
 from repro.errors import CertificateError
 from repro.pki.certificate import Certificate, CertificateChain
@@ -43,7 +44,13 @@ class CertificationAuthority:
     ) -> None:
         self.name = name
         self._keys = KeyPair.generate(key_seed if key_seed is not None else name.encode())
-        self._allocator = SerialNumberAllocator(width=serial_width, seed=hash(name) & 0xFFFF)
+        # A stable digest, not ``hash(name)``: Python salts string hashes per
+        # process, which made issued serials (and every report derived from
+        # them) differ between runs of the same configuration.
+        self._allocator = SerialNumberAllocator(
+            width=serial_width,
+            seed=int.from_bytes(sha256(name.encode("utf-8"))[:2], "big"),
+        )
         self._parent = parent
         self._issued: Dict[int, Certificate] = {}
         self._revoked: Dict[int, RevocationRecord] = {}
