@@ -255,9 +255,14 @@ class CADictionary(_DictionaryCore):
         Used by CA key rotation: the dictionary content is unchanged, but a
         fresh root (with a fresh hash chain) is signed by the incoming key so
         replicas can verify it without the outgoing key once its overlap
-        window closes.
+        window closes.  Replicas install a same-content root only when it
+        is strictly newer than the one they hold, so the re-signed root is
+        stamped at least a second past the root it supersedes — a
+        revocation batch and a rotation may be cut in the same instant.
         """
         self._keys = keys
+        if self._signed_root is not None:
+            now = max(now, self._signed_root.timestamp + 1)
         return self._sign_new_root(now)
 
     # -- Fig. 2: prove -------------------------------------------------------

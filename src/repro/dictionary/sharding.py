@@ -57,9 +57,18 @@ def shard_name(ca_name: str, shard_index: int) -> str:
     return f"{shard_prefix(ca_name)}{shard_index}"
 
 
+#: What separates the CA name from the shard index in a shard's name.
+_SHARD_MARKER = "#expiry-"
+
+
 def shard_prefix(ca_name: str) -> str:
     """The common prefix of all of ``ca_name``'s shard names."""
-    return f"{ca_name}#expiry-"
+    return f"{ca_name}{_SHARD_MARKER}"
+
+
+def shard_issuer(dictionary_name: str) -> str:
+    """The CA a shard dictionary name belongs to (any other name: itself)."""
+    return dictionary_name.partition(_SHARD_MARKER)[0]
 
 
 @dataclass(frozen=True)
@@ -120,7 +129,10 @@ class ShardedCADictionary:
                 f"shard width must be a positive number of seconds, got {shard_seconds}"
             )
         self.ca_name = ca_name
-        self._keys = keys
+        #: The key pair *new* shards sign with.  The owner replaces it on key
+        #: rotation (existing shards are re-signed through their own
+        #: ``CADictionary.rotate_keys``).
+        self.keys = keys
         self.delta = delta
         self.chain_length = chain_length
         self.shard_seconds = shard_seconds
@@ -139,24 +151,12 @@ class ShardedCADictionary:
         """A fresh (empty, unregistered) dictionary for ``shard_index``."""
         return CADictionary(
             ca_name=shard_name(self.ca_name, shard_index),
-            keys=self._keys,
+            keys=self.keys,
             delta=self.delta,
             chain_length=chain_length if chain_length is not None else self.chain_length,
             digest_size=self._digest_size,
             engine=self._engine,
         )
-
-    def shard_for_expiry(self, expiry: int) -> Tuple[ShardKey, CADictionary]:
-        """The (possibly newly created) shard covering ``expiry``.
-
-        This is the *write-path* accessor: a missing shard is created and
-        retained.  Read paths must use :meth:`shard_at` / :meth:`prove`,
-        which never register new shards.
-        """
-        key = ShardKey.for_expiry(expiry, self.shard_seconds)
-        if key.index not in self._shards:
-            self._shards[key.index] = self._new_shard(key.index)
-        return key, self._shards[key.index]
 
     def shard_at(self, shard_index: int) -> Optional[CADictionary]:
         """The retained shard with ``shard_index``, or ``None`` (no creation)."""
@@ -294,6 +294,34 @@ class ShardedCADictionary:
                 self._shards[index] = self._new_shard(index)
             issuances.append((keys[index], self._shards[index].insert(serials, now)))
         return issuances
+
+    def cover(
+        self, expiries: Iterable[int], now: int
+    ) -> List[Tuple[ShardKey, CADictionary]]:
+        """Open an empty, signed shard for every live window in ``expiries``
+        that has none yet; returns the shards created.
+
+        A certificate in a window nobody was ever revoked in must still be
+        provably *not* revoked, so a CA covers the windows of its
+        outstanding certificates ahead of their first revocation.  Windows
+        already passed are skipped; one beyond the CA/B Forum lifetime cap
+        is rejected, as in :meth:`validate_expiries` (it would never retire).
+        """
+        horizon = int(now) + MAX_CERTIFICATE_LIFETIME_SECONDS
+        opened: List[Tuple[ShardKey, CADictionary]] = []
+        for expiry in expiries:
+            if expiry > horizon:
+                raise DictionaryError(
+                    f"certificate expiry {expiry} exceeds the maximum lifetime "
+                    f"({MAX_CERTIFICATE_LIFETIME_SECONDS}s past now={int(now)})"
+                )
+            key = ShardKey.for_expiry(expiry, self.shard_seconds)
+            if key.is_expired(now) or key.index in self._shards:
+                continue
+            shard = self._shards[key.index] = self._new_shard(key.index)
+            shard.refresh(int(now))
+            opened.append((key, shard))
+        return opened
 
     def refresh_all(self, now: int) -> Dict[int, object]:
         """Refresh every live shard (freshness statement or re-signed root)."""

@@ -107,6 +107,10 @@ class RevocationAgent(Middlebox):
         #: Expiry-shard width per sharded CA (set by the dissemination layer);
         #: lets the TLS path map (CA, certificate expiry) → shard replica.
         self.shard_widths: Dict[str, int] = {}
+        #: The one verifier (bare key or rotating keyring) all of a sharded
+        #: CA's shard replicas share, so a rotation learned through any
+        #: shard's head is known to every shard at once.
+        self._shard_verifiers: Dict[str, object] = {}
         #: Explicit shard membership: CA name → shard index → replica name.
         #: Kept as a registry (not derived by parsing replica names) so an
         #: unrelated CA whose name merely looks like a shard name can never
@@ -157,11 +161,24 @@ class RevocationAgent(Middlebox):
         return self.replicas.get(ca_name)
 
     def keyring_for(self, ca_name: str) -> Optional[CAKeyring]:
-        """The replica's rotating keyring (None for bare-key or unknown CAs)."""
+        """The rotating keyring ``ca_name``'s replica — or, for a sharded CA,
+        every one of its shard replicas — verifies with (None for bare-key
+        or unknown CAs)."""
         replica = self.replicas.get(ca_name)
-        if replica is None or not isinstance(replica.ca_public_key, CAKeyring):
-            return None
-        return replica.ca_public_key
+        verifier = (
+            replica.ca_public_key
+            if replica is not None
+            else self._shard_verifiers.get(ca_name)
+        )
+        return verifier if isinstance(verifier, CAKeyring) else None
+
+    def issuer_of(self, replica_name: str) -> str:
+        """The CA behind a replica: the owning CA of a registered shard
+        replica, otherwise the replica's own name."""
+        for ca_name, members in self._shard_members.items():
+            if replica_name in members.values():
+                return ca_name
+        return replica_name
 
     def learn_key_announcements(
         self, ca_name: str, announcements: Sequence[KeyAnnouncement]
@@ -177,16 +194,11 @@ class RevocationAgent(Middlebox):
         — at worst it is rejected wholesale with :class:`SignatureError`.
         Returns the number of keys newly enrolled.
         """
-        replica = self.replicas.get(ca_name)
-        if replica is None:
+        keyring = self.keyring_for(ca_name)
+        if keyring is None:
             raise DictionaryError(
-                f"RA {self.name!r} has no replica for CA {ca_name!r}"
-            )
-        keyring = replica.ca_public_key
-        if not isinstance(keyring, CAKeyring):
-            raise DictionaryError(
-                f"replica of {ca_name!r} is pinned to a single key; "
-                f"it cannot learn rotations"
+                f"RA {self.name!r} holds no rotating keyring for CA {ca_name!r} "
+                f"(unknown CA, or pinned to a single key); it cannot learn rotations"
             )
         if not announcements:
             raise SignatureError(f"empty key-announcement chain for {ca_name!r}")
@@ -233,45 +245,48 @@ class RevocationAgent(Middlebox):
 
     # -- sharded CAs (§VIII "Ever-growing dictionaries") -----------------------
 
-    def register_sharded_ca(self, ca_name: str, width_seconds: int) -> None:
+    def register_sharded_ca(
+        self, ca_name: str, width_seconds: int, public_key=None
+    ) -> None:
         """Record that ``ca_name`` runs expiry-split dictionaries.
 
-        The per-shard replicas themselves are registered lazily (via
-        :meth:`register_ca` under each shard's name) as the dissemination
-        layer discovers shards; this only records the width so the TLS path
-        can map a certificate expiry to the right shard replica.
+        The per-shard replicas are registered lazily (via
+        :meth:`register_shard_replica`) as the dissemination layer
+        discovers shards; this records the width, which maps a certificate
+        expiry to its shard replica, and the verifier (``public_key``, as
+        for :meth:`register_ca`) all of them share.  A verifier already
+        registered is kept — it may have learned rotations.
         """
         self.shard_widths[ca_name] = width_seconds
+        if public_key is not None:
+            self._shard_verifiers.setdefault(ca_name, public_key)
 
-    def register_shard_replica(
-        self, ca_name: str, shard_index: int, public_key: PublicKey
-    ) -> ReplicaDictionary:
+    def register_shard_replica(self, ca_name: str, shard_index: int) -> ReplicaDictionary:
         """Create (or return) the replica of one expiry shard of ``ca_name``,
         recording its membership in the explicit shard registry.
 
-        A name collision with a replica registered under a *different* CA
-        key (an unrelated CA whose name happens to look like this shard) is
-        rejected rather than captured — capturing it would stop its own
-        pulls and eventually prune a live CA's replica.
+        A name collision with a replica registered under a *different*
+        verifier (an unrelated CA whose name happens to look like this
+        shard) is rejected rather than captured — capturing it would stop
+        its own pulls and eventually prune a live CA's replica.
         """
         name = shard_name(ca_name, shard_index)
+        verifier = self._shard_verifiers[ca_name]
         existing = self.replicas.get(name)
-        if existing is not None and existing.ca_public_key.key_bytes != public_key.key_bytes:
+        if existing is not None and existing.ca_public_key is not verifier:
             raise DictionaryError(
                 f"replica name {name!r} is already registered for a different "
                 f"CA key; refusing to adopt it as a shard of {ca_name!r}"
             )
-        replica = self.register_ca(name, public_key)
+        replica = self.register_ca(name, verifier)
         self._shard_members.setdefault(ca_name, {})[shard_index] = name
         return replica
 
-    def shard_replica_names(self) -> set:
-        """Replica names registered as shards (of any sharded CA)."""
-        return {
-            name
-            for members in self._shard_members.values()
-            for name in members.values()
-        }
+    def replicas_of(self, ca_name: str) -> List[ReplicaDictionary]:
+        """Every replica holding ``ca_name``'s revocations: the one named
+        after the CA, or each of its shard replicas."""
+        own = self.replicas.get(ca_name)
+        return [own] if own is not None else list(self.shard_replicas(ca_name).values())
 
     def replica_for_certificate(
         self, ca_name: str, expiry: Optional[int] = None
@@ -354,9 +369,10 @@ class RevocationAgent(Middlebox):
             key_bytes = verifier.key_bytes
             if isinstance(verifier, CAKeyring):
                 key_bytes = verifier.genesis.key_bytes
-                chain = self._key_announcements.get(ca_name)
+                issuer = self.issuer_of(ca_name)
+                chain = self._key_announcements.get(issuer)
                 if chain:
-                    keyrings[ca_name] = {
+                    keyrings[issuer] = {
                         "announcements": encode_key_announcements(chain).hex(),
                         "clock": verifier.clock,
                     }
@@ -398,10 +414,26 @@ class RevocationAgent(Middlebox):
         checkpoint = load_checkpoint(directory)
         for ca_name, width in checkpoint.shard_widths.items():
             self.register_sharded_ca(ca_name, width)
+        issuers = {
+            name: ca_name
+            for ca_name, members in checkpoint.shard_members.items()
+            for name in members.values()
+        }
         restored_names = set()
         failed_names = set()
         for entry in checkpoint.replicas:
-            keyring_state = checkpoint.keyrings.get(entry.ca_name)
+            issuer = issuers.get(entry.ca_name, entry.ca_name)
+            keyring_state = checkpoint.keyrings.get(issuer)
+            verifier = (
+                CAKeyring.single(entry.public_key)
+                if keyring_state is not None
+                else entry.public_key
+            )
+            if issuer != entry.ca_name:
+                # Shard replicas share their CA's verifier (the one a prior
+                # attach registered, else this checkpoint's).
+                verifier = self._shard_verifiers.setdefault(issuer, verifier)
+            replica = self.register_ca(entry.ca_name, verifier)
             if keyring_state is not None:
                 # Rebuild the rotating keyring from the persisted chain,
                 # re-validated against the genesis anchor.  A tampered or
@@ -409,21 +441,16 @@ class RevocationAgent(Middlebox):
                 # root re-verification below rejects any state signed by a
                 # rotated key and the replica degrades to cold sync — a
                 # doctored checkpoint never smuggles in an untrusted key.
-                replica = self.register_ca(
-                    entry.ca_name, CAKeyring.single(entry.public_key)
-                )
                 try:
                     chain = decode_key_announcements(
                         bytes.fromhex(str(keyring_state["announcements"]))
                     )
-                    self.learn_key_announcements(entry.ca_name, chain)
-                    keyring = self.keyring_for(entry.ca_name)
+                    self.learn_key_announcements(issuer, chain)
+                    keyring = self.keyring_for(issuer)
                     if keyring is not None:
                         keyring.advance(int(keyring_state["clock"]))
                 except (ReproError, ValueError, KeyError, TypeError):
                     pass
-            else:
-                replica = self.register_ca(entry.ca_name, entry.public_key)
             try:
                 replica.restore_snapshot(entry.items, entry.signed_root, entry.freshness)
             except ReproError:
@@ -433,17 +460,12 @@ class RevocationAgent(Middlebox):
                 failed_names.add(entry.ca_name)
                 continue
             restored_names.add(entry.ca_name)
-        shard_named = {
-            name
-            for members in checkpoint.shard_members.values()
-            for name in members.values()
-        }
         # A shard replica that failed verification must not linger: keeping
-        # it registered (empty) would map TLS-path lookups for its expiry
-        # window onto an unverified replica and make the main pull loop
-        # treat it as a base CA.  Drop it entirely — the next shard-index
-        # pull rediscovers and cold-syncs it.
-        for name in failed_names & shard_named:
+        # it registered (empty) outside the shard registry would leave a
+        # replica no expiry lookup reaches and no prune ever reclaims.  Drop
+        # it entirely — the next shard-index pull rediscovers and cold-syncs
+        # it.
+        for name in failed_names & set(issuers):
             replica = self.replicas.pop(name, None)
             if replica is not None:
                 replica.close()

@@ -1,28 +1,32 @@
 """The RITM-enabled certification authority.
 
 Wraps a :class:`~repro.pki.ca.CertificationAuthority` (issuance half) with
-the RITM half: the CA's master authenticated dictionary, the Δ-periodic
+the RITM half: the CA's master authenticated dictionaries, the Δ-periodic
 refresh duty, and publication of dissemination objects to the CDN.
 
-Published object layout (per CA):
+Everything the CA publishes about one dictionary forms a **stream**
+(:class:`DictionaryStream`), laid out under the dictionary's name:
 
-* ``/ritm/<ca>/head``          — the small polling object: size, signed root,
-  latest freshness statement (pulled by every RA every Δ);
-* ``/ritm/<ca>/issuance/<k>``  — the k-th revocation batch (pulled only by
+* ``/ritm/<name>/head``          — the small polling object: size, signed
+  root, latest freshness statement (pulled by every RA every Δ);
+* ``/ritm/<name>/issuance/<k>``  — the k-th revocation batch (pulled only by
   RAs that detect they are behind);
+* ``/ritm/<name>/segment/<k>``   — the same batch as a signed WAL segment
+  (docs/REPLICATION.md).
+
+An unsharded CA owns exactly one stream, named after the CA.  With
+``RITMConfig.sharded`` (§VIII "Ever-growing dictionaries") it owns one
+stream per live expiry window, named ``shard_name(ca, index)``, and every
+operation — revoke, refresh, key rotation — routes to the streams it
+touches and runs the same publish routine on each.  Per CA (not per
+stream) there are three more objects:
+
 * ``/ritm/<ca>/manifest``      — the bootstrap manifest of §VIII
-  ("/RITM.json"): where the dictionary lives and which Δ the CA uses.
-
-In **sharded mode** (``RITMConfig.sharded``, §VIII "Ever-growing
-dictionaries") the single master dictionary is replaced by a
-:class:`~repro.dictionary.sharding.ShardedCADictionary` and the layout gains
-one level: each expiry shard publishes its *own* head and issuance objects
-under its shard name (``/ritm/<ca>#expiry-<i>/head`` …), and a small
-
-* ``/ritm/<ca>/shards``        — shard index object
-
-lists the live and retired shard indices so RAs can discover new shards and
-delete replicas of retired ones.
+  ("/RITM.json"): where the dictionary lives and which Δ the CA uses;
+* ``/ritm/<ca>/keys``          — the key-rotation announcement chain;
+* ``/ritm/<ca>/shards``        — sharded CAs only: the index of live and
+  recently retired windows, from which RAs discover new streams and learn
+  which replicas to delete.
 """
 
 from __future__ import annotations
@@ -34,9 +38,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.cdn.network import CDNNetwork
 from repro.crypto.signing import CAKeyring, KeyPair
 from repro.dictionary.authdict import CADictionary, RevocationIssuance
-from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.proofs import RevocationStatus
-from repro.dictionary.sharding import ShardKey, ShardedCADictionary, shard_name
+from repro.dictionary.sharding import ShardKey, ShardedCADictionary
 from repro.dictionary.signed_root import SignedRoot
 from repro.dictionary.sync import SyncServer
 from repro.errors import DictionaryError
@@ -44,6 +47,7 @@ from repro.pki.ca import CertificationAuthority
 from repro.pki.serial import SerialNumber
 from repro.ritm.config import RITMConfig
 from repro.ritm.messages import (
+    MAX_ISSUANCE_SERIALS,
     DictionaryHead,
     KeyAnnouncement,
     ShardIndex,
@@ -84,6 +88,36 @@ class PublicationStats:
     heads_published: int = 0
     issuances_published: int = 0
     bytes_uploaded: int = 0
+    #: WAL segments appended across every stream (retired ones included).
+    segments_published: int = 0
+    segment_bytes_published: int = 0
+
+
+@dataclass
+class DictionaryStream:
+    """One master dictionary and everything the CA publishes about it."""
+
+    dictionary: CADictionary
+    #: Desync-recovery endpoint serving this dictionary's full history.
+    sync_server: SyncServer
+    #: The signed WAL segment archive, one segment per issuance batch.
+    replication: ReplicationLog
+    #: Issuance batches (and segments) published so far.
+    batches: int = 0
+    #: Head publications so far, stamped into each head so a replayed copy
+    #: of an earlier one is detectably behind.
+    sequence: int = 0
+    #: The expiry window this stream covers (``None`` = every expiry).
+    window: Optional[ShardKey] = None
+
+    @property
+    def name(self) -> str:
+        """The dictionary's name: every object of the stream lives under it."""
+        return self.dictionary.ca_name
+
+    def covers(self, now: float) -> bool:
+        """Whether a certificate this stream covers can still be unexpired."""
+        return self.window is None or not self.window.is_expired(now)
 
 
 class RITMCertificationAuthority:
@@ -117,40 +151,33 @@ class RITMCertificationAuthority:
         self._announcements: List[KeyAnnouncement] = [
             replace(genesis, signature=self._signing_keys.sign(genesis.payload()))
         ]
-        #: Per-dictionary-name publication counters stamped into heads.
-        self._sequences: Dict[str, int] = {}
         self._index_sequence = 0
         self._refresh_count = 0
-        #: The CA→RA replication stream: one signed WAL segment per batch
-        #: (docs/REPLICATION.md).  Unsharded mode only for now — sharded
-        #: deployments keep the per-shard issuance objects as their stream.
-        self.replication: Optional[ReplicationLog] = None
+        #: Live streams by dictionary name, in creation order.
+        self.streams: Dict[str, DictionaryStream] = {}
+        #: The expiry router of a sharded CA (``None`` when unsharded): it
+        #: creates, validates against, and retires the per-window
+        #: dictionaries the streams publish.
+        self.shards: Optional[ShardedCADictionary] = None
+        dictionary_kwargs = dict(
+            ca_name=authority.name,
+            keys=self._signing_keys,
+            delta=self.config.delta_seconds,
+            chain_length=self.config.chain_length,
+            digest_size=self.config.digest_size,
+            engine=self.config.store_engine,
+        )
         if self.config.sharded:
-            self.dictionary = None
-            self.sync_server = None
             self.shards = ShardedCADictionary(
-                ca_name=authority.name,
-                keys=self._keys_of(authority),
-                delta=self.config.delta_seconds,
-                chain_length=self.config.chain_length,
-                shard_seconds=self.config.shard_width_seconds,
-                digest_size=self.config.digest_size,
-                engine=self.config.store_engine,
+                shard_seconds=self.config.shard_width_seconds, **dictionary_kwargs
             )
-            self._shard_sync: Dict[int, SyncServer] = {}
-            self._shard_batches: Dict[int, int] = {}
         else:
-            self.shards = None
-            self.dictionary = CADictionary(
-                ca_name=authority.name,
-                keys=self._keys_of(authority),
-                delta=self.config.delta_seconds,
-                chain_length=self.config.chain_length,
-                digest_size=self.config.digest_size,
-                engine=self.config.store_engine,
-            )
-            self.sync_server = SyncServer(self.dictionary)
-            self.replication = ReplicationLog(authority.name)
+            self._open_stream(CADictionary(**dictionary_kwargs))
+        # An unsharded CA's one stream, under the names it always had.
+        own = self.streams.get(self.name)
+        self.dictionary = own.dictionary if own else None
+        self.sync_server = own.sync_server if own else None
+        self.replication = own.replication if own else None
 
     @staticmethod
     def _keys_of(authority: CertificationAuthority):
@@ -201,181 +228,149 @@ class RITMCertificationAuthority:
 
     # -- bootstrap ------------------------------------------------------------------
 
-    def bootstrap(self, now: float) -> Optional[SignedRoot]:
-        """Sign the initial (possibly empty) dictionary and publish everything.
+    def bootstrap(self, now: float) -> Dict[str, SignedRoot]:
+        """Sign every stream's initial (possibly empty) dictionary and publish.
 
-        In sharded mode there is no single dictionary to sign up front —
-        shards appear with their first revocation — so bootstrap publishes
-        the manifest and an (empty) shard index and returns ``None``.
+        A sharded CA starts with no stream — windows open with their first
+        revocation or :meth:`cover` — so it publishes only the manifest and
+        an empty shard index.  Returns the signed roots by stream name.
         """
-        if self.sharded:
-            self._publish_manifest(now)
-            self._publish_shard_index(now)
-            return None
-        result = self.dictionary.refresh(int(now))
-        if not isinstance(result, SignedRoot):
-            raise DictionaryError("bootstrap expected a signed root")
+        roots = {
+            name: stream.dictionary.refresh(int(now))
+            for name, stream in self.streams.items()
+        }
         self._publish_manifest(now)
-        self._publish_head(now)
-        return result
+        for stream in self.streams.values():
+            self._publish_head(stream, now)
+        self._publish_shard_index(now)
+        return roots
 
     # -- revocation -----------------------------------------------------------------
 
     def revoke(
         self, serials: Iterable[SerialNumber], now: float, reason: str = "unspecified"
     ) -> RevocationIssuance:
-        """Revoke serials, update the dictionary, and publish the new batch.
-
-        In sharded mode every revocation needs the certificate's expiry to
-        pick a shard; this convenience wrapper looks the expiry up in the
-        issuance CA's records, delegates to :meth:`revoke_with_expiry`, and
-        returns the *last* touched shard's issuance (all batches are still
-        published).  Callers revoking serials that may span several shards
-        should use :meth:`revoke_with_expiry` directly, which returns every
-        per-shard issuance.
-        """
-        if self.sharded:
-            pairs = []
-            for serial in serials:
-                certificate = self.authority.certificate_for(serial)
-                if certificate is None:
-                    raise DictionaryError(
-                        f"sharded CA {self.name!r} cannot derive an expiry for "
-                        f"serial {serial} (not issued here); use revoke_with_expiry"
-                    )
-                pairs.append((serial, certificate.not_after))
-            issuances = self.revoke_with_expiry(pairs, now, reason=reason)
-            return issuances[-1][1]
-        serial_list = list(serials)
-        for serial in serial_list:
-            self.authority.revoke(serial, now=int(now), reason=reason)
-        issuance = self.dictionary.insert(serial_list, int(now))
-        self.sync_server.record_issuance(issuance)
-        self._batch_counter += 1
-        if self.cdn is not None:
-            content = encode_issuance(issuance)
-            self.cdn.publish(
-                issuance_path(self.name, self._batch_counter),
-                content,
-                now,
-                ttl_seconds=self.config.cdn_ttl_seconds,
-            )
-            self.publication_stats.issuances_published += 1
-            self.publication_stats.bytes_uploaded += len(content)
-        # Replication stream: the same batch, framed as a signed WAL
-        # segment.  Segment numbers advance in lockstep with the batch
-        # counter, so RA-side replication cursors and applied-batch cursors
-        # describe the same position in the revocation history.
-        segment = self.replication.append(
-            issuance, self.dictionary.latest_freshness, self._signing_keys
-        )
-        if self.cdn is not None:
-            self.cdn.publish(
-                segment_path(self.name, self._batch_counter),
-                segment,
-                now,
-                ttl_seconds=self.config.cdn_ttl_seconds,
-            )
-        self._publish_head(now)
-        return issuance
+        """:meth:`revoke_with_expiry` with each expiry taken from the issuance
+        CA's records; returns the *last* touched stream's issuance (all
+        batches are published)."""
+        pairs = []
+        for serial in serials:
+            certificate = self.authority.certificate_for(serial)
+            pairs.append((serial, certificate.not_after if certificate else None))
+        return self.revoke_with_expiry(pairs, now, reason=reason)[-1][1]
 
     def revoke_with_expiry(
         self,
-        serials_with_expiry: Iterable[Tuple[SerialNumber, int]],
+        serials_with_expiry: Iterable[Tuple[SerialNumber, Optional[int]]],
         now: float,
         reason: str = "unspecified",
-    ) -> List[Tuple[ShardKey, RevocationIssuance]]:
-        """Revoke (serial, expiry) pairs in sharded mode and publish per shard.
+    ) -> List[Tuple[Optional[ShardKey], RevocationIssuance]]:
+        """Revoke (serial, certificate expiry) pairs and publish per stream.
 
-        Each touched shard gets one issuance batch published under its own
-        shard name plus a refreshed head object; the shard index is
-        republished when a new shard appears so RAs can discover it on their
-        next pull.
+        Serials are routed to the stream covering their expiry (an unsharded
+        CA's one stream covers every expiry, so it ignores them and its
+        window key is ``None``); each touched stream gets one issuance
+        batch, the matching WAL segment, and a refreshed head.  The shard
+        index is republished when a new window opened, so RAs discover it
+        on their next pull.
         """
-        if not self.sharded:
-            raise DictionaryError(
-                f"CA {self.name!r} is not sharded; use revoke() instead"
-            )
         pairs = list(serials_with_expiry)
-        if not pairs:
-            raise DictionaryError("a revocation batch needs at least one serial")
+        if not 0 < len(pairs) <= MAX_ISSUANCE_SERIALS:
+            raise DictionaryError(
+                f"a revocation batch needs at least one serial and at most "
+                f"{MAX_ISSUANCE_SERIALS} (one issuance object), got {len(pairs)}"
+            )
+        streams_before = len(self.streams)
+        issuances = self._insert_routed(pairs, int(now), reason)
+        for key, issuance in issuances:
+            stream = self.streams.get(issuance.ca_name) or self._open_stream(
+                self.shards.shard_at(key.index), key
+            )
+            self._publish_batch(stream, issuance, now)
+        if len(self.streams) != streams_before:
+            self._publish_shard_index(now)
+        return issuances
+
+    def _insert_routed(
+        self, pairs: List[Tuple[SerialNumber, Optional[int]]], now: int, reason: str
+    ) -> List[Tuple[Optional[ShardKey], RevocationIssuance]]:
+        """Record a batch at the issuance CA and insert it where it routes."""
+        serials = [serial for serial, _ in pairs]
+        if not self.sharded:
+            self.authority.revoke_many(serials, now=now, reason=reason)
+            return [(None, self.dictionary.insert(serials, now))]
         # Validate the whole batch — expiries and duplicate serials — before
         # the issuance CA records anything, so a rejected batch leaves both
         # halves untouched and retryable.
-        routed = self.shards.validate_expiries(pairs, int(now))
+        for serial, expiry in pairs:
+            if expiry is None:
+                raise DictionaryError(
+                    f"sharded CA {self.name!r} cannot derive an expiry for "
+                    f"serial {serial} (not issued here); use revoke_with_expiry"
+                )
+        routed = self.shards.validate_expiries(pairs, now)
         seen = set()
-        for serial, _ in pairs:
+        for serial in serials:
             if serial.value in seen or self.authority.is_revoked(serial):
                 raise DictionaryError(
                     f"serial {serial} is already revoked by {self.name!r}"
                 )
             seen.add(serial.value)
-        for serial, _ in pairs:
-            self.authority.revoke(serial, now=int(now), reason=reason)
-        shards_before = self.shards.shard_count
-        issuances = self.shards.revoke(pairs, int(now), routed=routed)
-        for key, issuance in issuances:
-            self._sync_server_for(key.index).record_issuance(issuance)
-            self._shard_batches[key.index] = self._shard_batches.get(key.index, 0) + 1
-            self._batch_counter += 1
-            if self.cdn is not None:
-                content = encode_issuance(issuance)
-                self.cdn.publish(
-                    issuance_path(shard_name(self.name, key.index), self._shard_batches[key.index]),
-                    content,
-                    now,
-                    ttl_seconds=self.config.cdn_ttl_seconds,
-                )
-                self.publication_stats.issuances_published += 1
-                self.publication_stats.bytes_uploaded += len(content)
-            self._publish_shard_head(key.index, now)
-        if self.shards.shard_count != shards_before:
+        self.authority.revoke_many(serials, now=now, reason=reason)
+        return self.shards.revoke(pairs, now, routed=routed)
+
+    def cover(self, expiries: Iterable[int], now: float) -> int:
+        """Open (and publish) a stream for every live expiry window in
+        ``expiries`` lacking one — see :meth:`ShardedCADictionary.cover` for
+        why.  Returns the number opened: always 0 for an unsharded CA, whose
+        one stream covers every expiry."""
+        if not self.sharded:
+            return 0
+        opened = self.shards.cover(expiries, int(now))
+        for key, shard in opened:
+            self._publish_head(self._open_stream(shard, key), now)
+        if opened:
             self._publish_shard_index(now)
-        return issuances
+        return len(opened)
 
     # -- periodic duty -------------------------------------------------------------------
 
-    def refresh(self, now: float):
-        """The CA's every-Δ duty: freshness statement (or a re-signed root).
+    def refresh(self, now: float) -> Dict[str, object]:
+        """The CA's every-Δ duty: a freshness statement (or a re-signed root)
+        for every live stream, by stream name.
 
-        In sharded mode every live shard is refreshed and its head
-        republished; every :attr:`RITMConfig.prune_every_periods` refreshes
-        the CA also retires shards whose expiry window has fully passed
-        (dropping their storage) and republishes the shard index.
+        On the configured schedule the refresh is a key rotation instead,
+        and every :attr:`RITMConfig.prune_every_periods` refreshes streams
+        whose expiry window has fully passed are retired (dropping their
+        storage) and the shard index republished.
         """
-        if self.sharded:
-            self._refresh_count += 1
-            results = self.shards.refresh_all(int(now))
-            for index in results:
-                self._publish_shard_head(index, now)
-            if self._refresh_count % self.config.prune_every_periods == 0:
-                retired = self.retire_expired(now)
-                if retired:
-                    self._publish_shard_index(now)
-            return results
         self._refresh_count += 1
         rotation = self.config.key_rotation_periods
         if rotation and self._refresh_count % rotation == 0:
-            result = self.rotate_keys(now)
+            results = self.rotate_keys(now)
         else:
-            result = self.dictionary.refresh(int(now))
-        self._publish_head(now)
-        return result
+            results = {
+                stream.name: stream.dictionary.refresh(int(now))
+                for stream in self.live_streams(now)
+            }
+        for name in results:
+            self._publish_head(self.streams[name], now)
+        if self._refresh_count % self.config.prune_every_periods == 0:
+            if self.retire_expired(now):
+                self._publish_shard_index(now)
+        return results
 
-    def rotate_keys(self, now: float) -> SignedRoot:
+    def rotate_keys(self, now: float) -> Dict[str, SignedRoot]:
         """Retire the active dictionary-signing key and enroll a fresh one.
 
         The new key is announced in a :class:`KeyAnnouncement` signed by the
         *outgoing* key (extending the chain RAs validate from the genesis
-        anchor), the current dictionary content is immediately re-signed
-        under the new key, and both the announcement chain and the head are
-        republished.  The outgoing key keeps verifying for
-        :attr:`RITMConfig.key_overlap_seconds`.
+        anchor), every live stream's current content is immediately
+        re-signed under the new key, and the announcement chain is
+        republished (the caller republishes the heads).  The outgoing key
+        keeps verifying for :attr:`RITMConfig.key_overlap_seconds`.
+        Returns the re-signed roots by stream name.
         """
-        if self.sharded:
-            raise DictionaryError(
-                f"sharded CA {self.name!r} does not support key rotation yet"
-            )
         epoch = len(self._announcements)
         new_keys = KeyPair.generate(
             rng_seed=f"{self.name}:key-epoch-{epoch}".encode("utf-8")
@@ -398,53 +393,47 @@ class RITMCertificationAuthority:
             activated_at=int(now),
             overlap_seconds=self.config.key_overlap_seconds,
         )
-        result = self.dictionary.rotate_keys(new_keys, int(now))
+        if self.sharded:
+            self.shards.keys = new_keys  # windows opened from now on
+        roots = {
+            stream.name: stream.dictionary.rotate_keys(new_keys, int(now))
+            for stream in self.live_streams(now)
+        }
         self._publish_key_announcements(now)
-        return result
+        return roots
 
     def retire_expired(self, now: float) -> List[ShardKey]:
-        """Drop shards whose window has passed, with their sync state."""
-        if not self.sharded:
-            return []
-        retired = self.shards.retire_expired(now)
-        for key in retired:
-            self._shard_sync.pop(key.index, None)
-        return retired
+        """Drop streams whose expiry window has passed, closing their logs."""
+        retired = [
+            stream for stream in self.streams.values() if not stream.covers(now)
+        ]
+        if retired:
+            self.shards.retire_expired(now)  # releases the same windows' stores
+        for stream in retired:
+            del self.streams[stream.name]
+        return [stream.window for stream in retired]
 
     # -- views -----------------------------------------------------------------------------
 
-    def head(self) -> DictionaryHead:
-        if self.sharded:
+    def head(self, stream_name: Optional[str] = None) -> DictionaryHead:
+        """The polling object of one stream (default: the CA's own name)."""
+        stream = self.streams.get(stream_name or self.name)
+        if (
+            stream is None
+            or stream.dictionary.signed_root is None
+            or stream.dictionary.latest_freshness is None
+        ):
             raise DictionaryError(
-                f"sharded CA {self.name!r} has per-shard heads; use shard_head()"
-            )
-        signed_root = self.dictionary.signed_root
-        freshness = self.dictionary.latest_freshness
-        if signed_root is None or freshness is None:
-            raise DictionaryError(f"CA {self.name!r} has not been bootstrapped yet")
-        return DictionaryHead(
-            ca_name=self.name,
-            size=self.dictionary.size,
-            signed_root=signed_root,
-            freshness=freshness,
-            sequence=self._sequences.get(self.name, 0),
-        )
-
-    def shard_head(self, shard_index: int) -> DictionaryHead:
-        """The polling object of one expiry shard (sharded mode only)."""
-        if not self.sharded:
-            raise DictionaryError(f"CA {self.name!r} is not sharded; use head()")
-        shard = self.shards.shard_at(shard_index)
-        if shard is None or shard.signed_root is None or shard.latest_freshness is None:
-            raise DictionaryError(
-                f"CA {self.name!r} has no published shard {shard_index}"
+                f"CA {self.name!r} has no published dictionary "
+                f"{stream_name or self.name!r} (not bootstrapped, or a shard "
+                f"that was never opened)"
             )
         return DictionaryHead(
-            ca_name=shard.ca_name,
-            size=shard.size,
-            signed_root=shard.signed_root,
-            freshness=shard.latest_freshness,
-            sequence=self._sequences.get(shard.ca_name, 0),
+            ca_name=stream.name,
+            size=stream.dictionary.size,
+            signed_root=stream.dictionary.signed_root,
+            freshness=stream.dictionary.latest_freshness,
+            sequence=stream.sequence,
         )
 
     #: Most recent retired shard indices carried in the published index; the
@@ -453,8 +442,6 @@ class RITMCertificationAuthority:
 
     def shard_index(self, now: float) -> ShardIndex:
         """The shard discovery object: live and recently retired indices."""
-        if not self.sharded:
-            raise DictionaryError(f"CA {self.name!r} is not sharded")
         return ShardIndex(
             ca_name=self.name,
             width_seconds=self.config.shard_width_seconds,
@@ -465,47 +452,48 @@ class RITMCertificationAuthority:
             sequence=self._index_sequence,
         )
 
-    def sync_server_for(self, shard_index: int) -> Optional[SyncServer]:
-        """The per-shard sync endpoint (``None`` for unknown shards)."""
-        if not self.sharded:
-            return self.sync_server
-        if self.shards.shard_at(shard_index) is None:
-            return None
-        return self._sync_server_for(shard_index)
+    def live_streams(self, now: float) -> List[DictionaryStream]:
+        """Streams still owed a publication every Δ (window not yet passed)."""
+        return [stream for stream in self.streams.values() if stream.covers(now)]
+
+    def sync_server_for(self, stream_name: str) -> Optional[SyncServer]:
+        """One stream's sync endpoint (``None`` for unknown or retired streams)."""
+        stream = self.streams.get(stream_name)
+        return stream.sync_server if stream is not None else None
 
     def prove_status(
         self, serial: SerialNumber, expiry: int, now: Optional[int] = None
     ) -> RevocationStatus:
-        """Revocation status from the master copy, expiry-aware in sharded mode."""
-        if self.sharded:
+        """Revocation status from the master copy of the stream covering
+        ``expiry`` (a window no stream covers answers "absent" from a
+        transient dictionary, see :meth:`ShardedCADictionary.prove`)."""
+        stream = self.streams.get(self.config.dictionary_name(self.name, expiry))
+        if stream is None:
             return self.shards.prove(serial, expiry, now=now)
-        return self.dictionary.prove(serial)
+        return stream.dictionary.prove(serial)
 
     def total_revocations(self) -> int:
-        """Entries in the master dictionary (live shards only when sharded)."""
-        if self.sharded:
-            return self.shards.total_revocations()
-        return self.dictionary.size
+        """Entries across the master copies of every live stream."""
+        return sum(stream.dictionary.size for stream in self.streams.values())
 
     def storage_size_bytes(self) -> int:
-        """Per-entry storage of the master copy (live shards when sharded)."""
-        if self.sharded:
-            return self.shards.storage_size_bytes()
-        return self.dictionary.storage_size_bytes()
+        """Per-entry storage across the master copies of every live stream."""
+        return sum(
+            stream.dictionary.storage_size_bytes() for stream in self.streams.values()
+        )
 
     def issuance_count(self) -> int:
+        """Issuance batches published so far, across every stream."""
         return self._batch_counter
 
     def close(self) -> None:
-        """Close the master dictionary's (or every shard's) backing store.
+        """Close every live stream's backing store.
 
         Part of the store-lifecycle contract introduced with the durable
         engine (``docs/STORAGE.md``); in-memory engines treat it as a no-op.
         """
-        if self.sharded:
-            self.shards.close()
-        else:
-            self.dictionary.close()
+        for stream in self.streams.values():
+            stream.dictionary.close()
 
     def manifest(self) -> dict:
         """The §VIII bootstrap manifest (would live at ``/RITM.json``)."""
@@ -523,16 +511,58 @@ class RITMCertificationAuthority:
 
     # -- internals ------------------------------------------------------------------------------
 
-    def _publish_head(self, now: float) -> None:
+    def _open_stream(
+        self, dictionary: CADictionary, window: Optional[ShardKey] = None
+    ) -> DictionaryStream:
+        """Start publishing ``dictionary`` under its own name."""
+        stream = DictionaryStream(
+            dictionary=dictionary,
+            sync_server=SyncServer(dictionary),
+            replication=ReplicationLog(dictionary.ca_name),
+            window=window,
+        )
+        self.streams[stream.name] = stream
+        return stream
+
+
+    def _publish(self, path: str, content: bytes, now: float) -> None:
+        self.cdn.publish(path, content, now, ttl_seconds=self.config.cdn_ttl_seconds)
+
+    def _publish_batch(
+        self, stream: DictionaryStream, issuance: RevocationIssuance, now: float
+    ) -> None:
+        """The one publish routine: issuance object, signed segment, head.
+
+        Segment numbers advance in lockstep with the stream's batch counter,
+        so RA-side replication cursors and applied-batch cursors describe
+        the same position in the stream's revocation history.
+        """
+        stream.sync_server.record_issuance(issuance)
+        stream.batches += 1
+        self._batch_counter += 1
+        stats = self.publication_stats
+        if self.cdn is not None:
+            content = encode_issuance(issuance)
+            self._publish(issuance_path(stream.name, stream.batches), content, now)
+            stats.issuances_published += 1
+            stats.bytes_uploaded += len(content)
+        segment = stream.replication.append(
+            issuance, stream.dictionary.latest_freshness, self._signing_keys
+        )
+        stats.segments_published += 1
+        stats.segment_bytes_published += len(segment)
+        if self.cdn is not None:
+            self._publish(segment_path(stream.name, stream.batches), segment, now)
+        self._publish_head(stream, now)
+
+    def _publish_head(self, stream: DictionaryStream, now: float) -> None:
         if self.cdn is None:
             return
         # The publication sequence advances exactly once per publish, so a
         # replayed copy of an earlier object is detectably behind.
-        self._sequences[self.name] = self._sequences.get(self.name, 0) + 1
-        content = encode_head(self.head())
-        self.cdn.publish(
-            head_path(self.name), content, now, ttl_seconds=self.config.cdn_ttl_seconds
-        )
+        stream.sequence += 1
+        content = encode_head(self.head(stream.name))
+        self._publish(head_path(stream.name), content, now)
         self.publication_stats.heads_published += 1
         self.publication_stats.bytes_uploaded += len(content)
 
@@ -541,12 +571,7 @@ class RITMCertificationAuthority:
         if self.cdn is None:
             return
         content = encode_key_announcements(tuple(self._announcements))
-        self.cdn.publish(
-            keys_path(self.name),
-            content,
-            now,
-            ttl_seconds=self.config.cdn_ttl_seconds,
-        )
+        self._publish(keys_path(self.name), content, now)
         self.publication_stats.bytes_uploaded += len(content)
 
     def _publish_manifest(self, now: float) -> None:
@@ -556,43 +581,11 @@ class RITMCertificationAuthority:
         self.cdn.publish(manifest_path(self.name), content, now, ttl_seconds=86_400.0)
         self.publication_stats.bytes_uploaded += len(content)
 
-    def _sync_server_for(self, shard_index: int) -> SyncServer:
-        """The (possibly newly created) sync server of one shard."""
-        if shard_index not in self._shard_sync:
-            shard = self.shards.shard_at(shard_index)
-            if shard is None:
-                raise DictionaryError(
-                    f"CA {self.name!r} has no shard {shard_index} to sync from"
-                )
-            self._shard_sync[shard_index] = SyncServer(shard)
-        return self._shard_sync[shard_index]
-
-    def _publish_shard_head(self, shard_index: int, now: float) -> None:
-        """Publish one shard's head object under its shard name."""
-        if self.cdn is None:
-            return
-        name = shard_name(self.name, shard_index)
-        self._sequences[name] = self._sequences.get(name, 0) + 1
-        content = encode_head(self.shard_head(shard_index))
-        self.cdn.publish(
-            head_path(shard_name(self.name, shard_index)),
-            content,
-            now,
-            ttl_seconds=self.config.cdn_ttl_seconds,
-        )
-        self.publication_stats.heads_published += 1
-        self.publication_stats.bytes_uploaded += len(content)
-
     def _publish_shard_index(self, now: float) -> None:
-        """Publish the shard discovery object."""
-        if self.cdn is None:
+        """Publish the shard discovery object (sharded CAs only)."""
+        if self.cdn is None or not self.sharded:
             return
         self._index_sequence += 1
         content = encode_shard_index(self.shard_index(now))
-        self.cdn.publish(
-            shard_index_path(self.name),
-            content,
-            now,
-            ttl_seconds=self.config.cdn_ttl_seconds,
-        )
+        self._publish(shard_index_path(self.name), content, now)
         self.publication_stats.bytes_uploaded += len(content)

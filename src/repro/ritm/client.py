@@ -24,6 +24,7 @@ from typing import Dict, List, Optional
 
 from repro.crypto.signing import PublicKey
 from repro.dictionary.proofs import RevocationStatus
+from repro.dictionary.sharding import shard_issuer
 from repro.errors import (
     CertificateError,
     PolicyError,
@@ -171,11 +172,15 @@ class RITMClient(Endpoint):
 
         # Policy: a status delivered alongside the certificate must actually
         # cover that certificate — a valid proof about a *different* serial
-        # (e.g. replayed by a compromised RA) does not count.
+        # (e.g. replayed by a compromised RA), or from a dictionary other
+        # than the one covering the certificate's expiry (another shard of
+        # the same CA, signed by the same key), does not count.
         if statuses_in_packet and self.tls.server_chain is not None:
             leaf = self.tls.server_chain.leaf
+            covering = self.config.dictionary_name(leaf.issuer, leaf.not_after)
             if not any(
-                status.serial == leaf.serial and status.ca_name == leaf.issuer
+                status.serial == leaf.serial
+                and status.ca_name == covering == status.signed_root.ca_name
                 for status in statuses_in_packet
             ):
                 self._reject(
@@ -251,6 +256,9 @@ class RITMClient(Endpoint):
 
     def _validate_status(self, status: RevocationStatus, now: float) -> bool:
         ca_key = self.ca_public_keys.get(status.ca_name)
+        if ca_key is None:
+            # An expiry shard's dictionary is signed with its CA's key.
+            ca_key = self.ca_public_keys.get(shard_issuer(status.ca_name))
         if ca_key is None:
             self.stats.statuses_invalid += 1
             self._reject(

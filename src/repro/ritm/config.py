@@ -15,7 +15,7 @@ from enum import Enum
 
 from repro.crypto.hashing import DEFAULT_DIGEST_SIZE
 from repro.crypto.signing import DEFAULT_BATCH_WIDTH
-from repro.dictionary.sharding import DEFAULT_SHARD_SECONDS
+from repro.dictionary.sharding import DEFAULT_SHARD_SECONDS, shard_name
 from repro.errors import ConfigurationError
 from repro.perf import DEFAULT_PROOF_CACHE_SIZE, DEFAULT_ROOT_CACHE_SIZE
 from repro.store import DEFAULT_ENGINE, ENGINES
@@ -123,10 +123,6 @@ class RITMConfig:
             raise ConfigurationError("key_rotation_periods cannot be negative")
         if self.key_overlap_periods < 0:
             raise ConfigurationError("key_overlap_periods cannot be negative")
-        if self.key_rotation_periods and self.sharded:
-            raise ConfigurationError(
-                "key rotation is not supported for sharded deployments yet"
-            )
         if self.key_rotation_periods and self.key_overlap_periods >= self.key_rotation_periods:
             raise ConfigurationError(
                 "key_overlap_periods must be smaller than key_rotation_periods"
@@ -148,6 +144,13 @@ class RITMConfig:
     def status_refresh_seconds(self) -> int:
         """How often an RA pushes a fresh status on an established connection."""
         return self.delta_seconds
+
+    def dictionary_name(self, ca_name: str, expiry: int) -> str:
+        """The dictionary covering a ``ca_name`` certificate expiring at ``expiry``:
+        the CA's own name, or its expiry shard's in a sharded deployment."""
+        if not self.sharded:
+            return ca_name
+        return shard_name(ca_name, expiry // self.shard_width_seconds)
 
     def with_delta(self, delta_seconds: int) -> "RITMConfig":
         """A copy with a different Δ (used by the parameter sweeps)."""

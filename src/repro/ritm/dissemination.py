@@ -7,16 +7,16 @@ common case whose cost dominates Fig. 7).  If the head's size is larger than
 the replica's, the RA fetches the missing issuance batches (or falls back to
 the sync protocol) and applies them.
 
-For CAs running expiry-split dictionaries (§VIII, ``RITMConfig.sharded``)
-the cycle gains one discovery step: the RA first pulls the CA's small shard
-*index* object, then runs the ordinary head/issuance cycle once per live
-shard (each shard is an independent dictionary under its shard name), and
-every pruning period deletes replicas of shards whose expiry window has
-passed — the storage reclamation the §VIII relaxation is about.  The shard
-index itself is unauthenticated, but it can only direct the RA *towards*
-shards: every shard's content is still verified against that shard's
-CA-signed root, so a forged index can cause wasted fetches, never a false
-revocation status.
+Every replica the agent holds — a whole-CA dictionary or one expiry shard of
+a sharded CA (§VIII, ``RITMConfig.sharded``) — goes through that same
+head/issuance (or WAL-segment) cycle under its own name.  A sharded CA adds
+only a step *before* it: the RA pulls the CA's small shard *index* object to
+register replicas for newly opened shards, and every pruning period deletes
+replicas of shards whose expiry window has passed — the storage reclamation
+the §VIII relaxation is about.  The shard index itself is unauthenticated,
+but it can only direct the RA *towards* shards: every shard's content is
+still verified against that shard's CA-signed root, so a forged index can
+cause wasted fetches, never a false revocation status.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.cdn.geography import GeoLocation, region_distance
 from repro.cdn.network import CDNNetwork
-from repro.crypto.signing import CAKeyring, PublicKey
+from repro.crypto.signing import CAKeyring
 from repro.dictionary.sharding import (
     MAX_CERTIFICATE_LIFETIME_SECONDS,
     ShardKey,
@@ -129,6 +129,11 @@ def _cursor_checksum(cursor_state: Dict[str, Dict[str, int]]) -> int:
     )
 
 
+def _cursor_map(state: dict, key: str) -> Dict[str, int]:
+    """One ``{name: int}`` block of the persisted client state (absent = empty)."""
+    return {str(name): int(value) for name, value in state.get(key, {}).items()}
+
+
 class RADisseminationClient:
     """The piece of an RA that talks to the dissemination network."""
 
@@ -148,8 +153,8 @@ class RADisseminationClient:
         #: Highest issuance batch already applied, per CA.
         self._applied_batches: Dict[str, int] = {}
         self.pull_history: List[PullResult] = []
-        #: Sharded CAs: base CA name → (public key, per-shard sync lookup).
-        self._sharded_cas: Dict[str, tuple] = {}
+        #: Sharded CAs: CA name → sync-endpoint lookup by shard (stream) name.
+        self._sharded_cas: Dict[str, Optional[Callable[[str], Optional[SyncServer]]]] = {}
         #: Pull cycles completed per sharded CA (drives the pruning cadence).
         self._shard_pulls: Dict[str, int] = {}
         #: Replay windows: highest publication sequence observed per head
@@ -239,31 +244,26 @@ class RADisseminationClient:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 state = json.load(handle)
-            cursors = {
-                str(name): int(batch)
-                for name, batch in state.get("applied_batches", {}).items()
-            }
-            shard_pulls = {
-                str(name): int(count)
-                for name, count in state.get("shard_pulls", {}).items()
-            }
+            cursors = _cursor_map(state, "applied_batches")
+            shard_pulls = _cursor_map(state, "shard_pulls")
         except (OSError, ValueError, TypeError, AttributeError):
             return restored
-        for name, batch in cursors.items():
+
+        def warm_started(name: str) -> bool:
+            """A cursor is only meaningful for a replica that actually
+            warm-started — without its content the next pull would skip
+            batches (or segments) the replica never applied."""
             replica = self.agent.replicas.get(name)
-            if replica is not None and replica.signed_root is not None:
-                self._applied_batches[name] = batch
+            return replica is not None and replica.signed_root is not None
+
+        self._applied_batches.update(
+            (name, batch) for name, batch in cursors.items() if warm_started(name)
+        )
         self._shard_pulls.update(shard_pulls)
         try:
             cursor_state = {
-                "head_cursors": {
-                    str(name): int(seq)
-                    for name, seq in state.get("head_cursors", {}).items()
-                },
-                "index_cursors": {
-                    str(name): int(seq)
-                    for name, seq in state.get("index_cursors", {}).items()
-                },
+                "head_cursors": _cursor_map(state, "head_cursors"),
+                "index_cursors": _cursor_map(state, "index_cursors"),
             }
             if state.get("cursor_checksum") == _cursor_checksum(cursor_state):
                 self._head_cursors.update(cursor_state["head_cursors"])
@@ -271,20 +271,13 @@ class RADisseminationClient:
         except (ValueError, TypeError, AttributeError):
             pass  # malformed cursor block: cold replay state, never trust it
         try:
-            segment_state = {
-                "segment_cursors": {
-                    str(name): int(number)
-                    for name, number in state.get("segment_cursors", {}).items()
-                }
-            }
+            segment_state = {"segment_cursors": _cursor_map(state, "segment_cursors")}
             if state.get("segment_cursor_checksum") == _cursor_checksum(segment_state):
-                for name, number in segment_state["segment_cursors"].items():
-                    replica = self.agent.replicas.get(name)
-                    if replica is not None and replica.signed_root is not None:
-                        # Like applied-batch cursors: only meaningful for a
-                        # replica that actually warm-started — a cursor
-                        # without its content would skip segments forever.
-                        self._segment_cursors[name] = number
+                self._segment_cursors.update(
+                    (name, number)
+                    for name, number in segment_state["segment_cursors"].items()
+                    if warm_started(name)
+                )
         except (ValueError, TypeError, AttributeError):
             pass  # malformed segment block: catch up from scratch or a peer
         return restored
@@ -304,19 +297,6 @@ class RADisseminationClient:
         """
         return self._segment_archive.get(ca_name, {}).get(number)
 
-    def _replicated_cas(self):
-        """(CA name, replica) pairs eligible for segment replication.
-
-        Shard replicas are excluded — sharded CAs keep the per-shard
-        issuance objects as their stream for now.
-        """
-        shard_replica_names = self.agent.shard_replica_names()
-        return [
-            (ca_name, replica)
-            for ca_name, replica in list(self.agent.replicas.items())
-            if ca_name not in shard_replica_names
-        ]
-
     def sync_via_segments(self, now: float) -> PullResult:
         """Catch every replica up by walking the CA's segment stream CA-direct.
 
@@ -334,7 +314,7 @@ class RADisseminationClient:
 
     def _sync_segments_into(self, result: PullResult, now: float) -> None:
         """The CA-direct segment walk, accumulating into ``result``."""
-        for ca_name, replica in self._replicated_cas():
+        for ca_name, replica in list(self.agent.replicas.items()):
             while True:
                 path = segment_path(ca_name, self.replication_cursor(ca_name) + 1)
                 if not self.cdn.origin.exists(path):
@@ -357,7 +337,8 @@ class RADisseminationClient:
     def sync_from_peer(self, peer: "RADisseminationClient", now: float) -> PullResult:
         """RA→RA anti-entropy: catch up from a peer's verified segment archive.
 
-        For every replicated CA the cursors are compared and the missing
+        Shards the CA opened while this RA was away are discovered first;
+        then, for every replica, the cursors are compared and the missing
         segments are relayed peer-to-peer — each one re-verified against
         *this* RA's trust anchor before it touches the replica, so the peer
         can withhold progress but never forge it.  When the peer cannot
@@ -369,7 +350,9 @@ class RADisseminationClient:
         """
         result = PullResult(time=now)
         hop_rtt = max(0.001, region_distance(self.location.region, peer.location.region))
-        for ca_name, replica in self._replicated_cas():
+        for ca_name in self._sharded_cas:
+            self._refresh_shard_set(ca_name, now, result)
+        for ca_name, replica in list(self.agent.replicas.items()):
             peer_cursor = peer.replication_cursor(ca_name)
             if peer_cursor <= self.replication_cursor(ca_name):
                 continue
@@ -425,10 +408,10 @@ class RADisseminationClient:
         is a verified no-op.  Returns serials newly applied.
         """
         segment = decode_segment(raw)
-        if segment.ca_name != ca_name or segment.shard:
+        if segment.ca_name != ca_name:
             raise TLSError(
-                f"WAL segment addressed to {segment.ca_name!r}/{segment.shard!r} "
-                f"applied to {ca_name!r}'s replica"
+                f"WAL segment addressed to {segment.ca_name!r} applied to "
+                f"{ca_name!r}'s replica"
             )
         verifier = replica.ca_public_key
         if hasattr(verifier, "advance"):
@@ -475,22 +458,23 @@ class RADisseminationClient:
     def register_sharded_ca(
         self,
         ca_name: str,
-        public_key: PublicKey,
+        public_key,
         width_seconds: int,
-        sync_server_for: Optional[Callable[[int], Optional[SyncServer]]] = None,
+        sync_server_for: Optional[Callable[[str], Optional[SyncServer]]] = None,
     ) -> None:
         """Register a CA running expiry-split dictionaries (§VIII).
 
         The pull cycle will discover this CA's shards through its shard
-        index object and replicate each live shard under its shard name;
-        ``sync_server_for`` (shard index → :class:`SyncServer`) provides the
+        index object and replicate each live shard under its shard name,
+        verifying with ``public_key`` (bare key or keyring);
+        ``sync_server_for`` (shard name → :class:`SyncServer`) provides the
         per-shard desync-recovery endpoints.  ``width_seconds`` comes from
         deployment configuration (the same :class:`RITMConfig` both sides
         share), never from the unauthenticated index object — a published
         index advertising a different width is treated as malformed.
         """
-        self.agent.register_sharded_ca(ca_name, width_seconds)
-        self._sharded_cas[ca_name] = (public_key, sync_server_for)
+        self.agent.register_sharded_ca(ca_name, width_seconds, public_key)
+        self._sharded_cas[ca_name] = sync_server_for
 
     # -- the Δ-periodic pull -------------------------------------------------------
 
@@ -509,30 +493,19 @@ class RADisseminationClient:
         hits_before = root_stats.hits
         misses_before = root_stats.misses
         invalidations_before = proof_stats.invalidations
+        for ca_name in self._sharded_cas:
+            self._refresh_shard_set(ca_name, now, result)
         if self.segment_streaming:
             # Streaming mode: apply the WAL segment stream first, so the
             # head check below finds the replica current and only applies
             # freshness — serials travel as verified segments.
             self._sync_segments_into(result, now)
-        for ca_name in self._sharded_cas:
-            index = None
-            try:
-                index = self._pull_sharded(ca_name, now, result)
-            except (CDNError, DictionaryError, SignatureError, TLSError) as exc:
-                result.errors.append(f"{ca_name}: {exc}")
-            # Pruning depends only on the local clock, so it must not be
-            # suppressible by a missing/forged index object: expired shard
-            # replicas are reclaimed whether or not the index decoded.
-            self._prune_sharded(ca_name, index, now, result)
-        shard_replica_names = self.agent.shard_replica_names()
         for ca_name, replica in list(self.agent.replicas.items()):
-            if ca_name in shard_replica_names:
-                continue  # shard replicas were handled by their CA's index pull
             try:
                 self._pull_one(ca_name, replica, now, result)
-            except (CDNError, DictionaryError, SignatureError) as exc:
-                # One CA's bad objects (or forged signatures) must never
-                # abort the pull cycle for every other healthy CA.
+            except (CDNError, DictionaryError, SignatureError, TLSError) as exc:
+                # One dictionary's bad objects (or forged signatures) must
+                # never abort the pull cycle for every other healthy one.
                 result.errors.append(f"{ca_name}: {exc}")
         result.root_cache_hits = root_stats.hits - hits_before
         result.root_signatures_verified = root_stats.misses - misses_before
@@ -545,9 +518,21 @@ class RADisseminationClient:
         self.pull_history.append(result)
         return result
 
-    def _pull_sharded(self, ca_name: str, now: float, result: PullResult):
-        """Discovery + per-shard pulls for one sharded CA; returns the index."""
-        public_key, sync_server_for = self._sharded_cas[ca_name]
+    def _refresh_shard_set(self, ca_name: str, now: float, result: PullResult) -> None:
+        """Discovery and pruning for one sharded CA: which replicas to hold."""
+        index = None
+        try:
+            index = self._discover_shards(ca_name, now, result)
+        except (CDNError, DictionaryError, TLSError) as exc:
+            result.errors.append(f"{ca_name}: {exc}")
+        # Pruning depends only on the local clock, so it must not be
+        # suppressible by a missing/forged index object: expired shard
+        # replicas are reclaimed whether or not the index decoded.
+        self._prune_sharded(ca_name, index, now, result)
+
+    def _discover_shards(self, ca_name: str, now: float, result: PullResult):
+        """Register a replica for every live shard the index lists; returns it."""
+        sync_server_for = self._sharded_cas[ca_name]
         download = self.cdn.download(shard_index_path(ca_name), self.location, now)
         result.bytes_downloaded += download.bytes_on_wire
         result.latency_seconds += download.latency_seconds
@@ -595,16 +580,14 @@ class RADisseminationClient:
                 continue
             name = shard_name(ca_name, shard_idx)
             try:
-                replica = self.agent.register_shard_replica(
-                    ca_name, shard_idx, public_key
-                )
-                if sync_server_for is not None and name not in self.sync_servers:
-                    server = sync_server_for(shard_idx)
-                    if server is not None:
-                        self.sync_servers[name] = server
-                self._pull_one(name, replica, now, result)
-            except (CDNError, DictionaryError, SignatureError) as exc:
+                self.agent.register_shard_replica(ca_name, shard_idx)
+            except DictionaryError as exc:
                 result.errors.append(f"{name}: {exc}")
+                continue
+            if sync_server_for is not None and name not in self.sync_servers:
+                server = sync_server_for(name)
+                if server is not None:
+                    self.sync_servers[name] = server
         return index
 
     def _prune_sharded(self, ca_name: str, index, now: float, result: PullResult) -> None:
@@ -634,8 +617,15 @@ class RADisseminationClient:
             for name in held:
                 if name not in self.agent.replicas:
                     result.shards_pruned += 1
-                    self._applied_batches.pop(name, None)
-                    self.sync_servers.pop(name, None)
+                    for per_replica in (
+                        self._applied_batches,
+                        self.sync_servers,
+                        self._head_cursors,
+                        self._head_stale_counts,
+                        self._segment_cursors,
+                        self._segment_archive,
+                    ):
+                        per_replica.pop(name, None)
             result.entries_pruned += entries
             result.bytes_reclaimed += bytes_freed
 
@@ -761,12 +751,13 @@ class RADisseminationClient:
         """
         if not isinstance(replica.ca_public_key, CAKeyring):
             return False
+        issuer = self.agent.issuer_of(ca_name)  # a shard's keys are its CA's
         try:
-            download = self.cdn.download(keys_path(ca_name), self.location, now)
+            download = self.cdn.download(keys_path(issuer), self.location, now)
             result.bytes_downloaded += download.bytes_on_wire
             result.latency_seconds += download.latency_seconds
             announcements = decode_key_announcements(download.content)
-            learned = self.agent.learn_key_announcements(ca_name, announcements)
+            learned = self.agent.learn_key_announcements(issuer, announcements)
         except (CDNError, TLSError, SignatureError) as exc:
             result.errors.append(f"{ca_name}: key-announcement fetch failed: {exc}")
             return False
@@ -883,23 +874,22 @@ def attach_agent_to_cas(
 ) -> RADisseminationClient:
     """Wire an RA to a set of RITM CAs: register replicas and sync servers.
 
-    Sharded CAs are registered for shard discovery instead of getting a
-    single base-name replica; their per-shard replicas appear as the pull
-    cycle reads the CA's shard index.  Unsharded CAs are registered under a
-    fresh per-agent :class:`~repro.crypto.signing.CAKeyring` anchored at the
-    CA's genesis key, so each RA independently learns (and time-scopes) any
-    later key rotations from the announcement chain.
+    Each CA is registered under a fresh per-agent
+    :class:`~repro.crypto.signing.CAKeyring` anchored at the CA's genesis
+    key, so each RA independently learns (and time-scopes) any later key
+    rotations from the announcement chain.  An unsharded CA gets its one
+    replica now; a sharded CA is registered for shard discovery, and its
+    per-shard replicas (all sharing the keyring) appear as the pull cycle
+    reads the CA's shard index.
     """
     client = RADisseminationClient(agent, cdn, location)
     for ca in cas:
+        keyring = CAKeyring.single(ca.public_key)
         if ca.sharded:
             client.register_sharded_ca(
-                ca.name,
-                ca.public_key,
-                ca.config.shard_width_seconds,
-                ca.sync_server_for,
+                ca.name, keyring, ca.config.shard_width_seconds, ca.sync_server_for
             )
         else:
-            agent.register_ca(ca.name, CAKeyring.single(ca.public_key))
+            agent.register_ca(ca.name, keyring)
             client.register_sync_server(ca.name, ca.sync_server)
     return client

@@ -44,6 +44,15 @@ def _unpack_bytes(buffer: bytes, offset: int) -> Tuple[bytes, int]:
     return buffer[offset : offset + length], offset + length
 
 
+def _unpack_name(buffer: bytes, offset: int) -> Tuple[str, int]:
+    """A length-prefixed UTF-8 name; undecodable bytes are a malformed field."""
+    raw, offset = _unpack_bytes(buffer, offset)
+    try:
+        return raw.decode("utf-8"), offset
+    except UnicodeDecodeError:
+        raise TLSError("RITM name field is not valid UTF-8") from None
+
+
 # -- signed roots -------------------------------------------------------------
 
 
@@ -60,7 +69,7 @@ def encode_signed_root(root: SignedRoot) -> bytes:
 
 
 def decode_signed_root(data: bytes, offset: int = 0) -> Tuple[SignedRoot, int]:
-    ca_name, offset = _unpack_bytes(data, offset)
+    ca_name, offset = _unpack_name(data, offset)
     root, offset = _unpack_bytes(data, offset)
     if offset + 24 > len(data):
         raise TLSError("truncated signed root")
@@ -70,7 +79,7 @@ def decode_signed_root(data: bytes, offset: int = 0) -> Tuple[SignedRoot, int]:
     signature, offset = _unpack_bytes(data, offset)
     return (
         SignedRoot(
-            ca_name=ca_name.decode("utf-8"),
+            ca_name=ca_name,
             root=root,
             size=size,
             anchor=anchor,
@@ -96,16 +105,14 @@ def encode_freshness(statement: FreshnessStatement) -> bytes:
 
 
 def decode_freshness(data: bytes, offset: int = 0) -> Tuple[FreshnessStatement, int]:
-    ca_name, offset = _unpack_bytes(data, offset)
+    ca_name, offset = _unpack_name(data, offset)
     value, offset = _unpack_bytes(data, offset)
     if offset + 8 > len(data):
         raise TLSError("truncated freshness statement")
     (size,) = struct.unpack_from(">Q", data, offset)
     offset += 8
     return (
-        FreshnessStatement(
-            ca_name=ca_name.decode("utf-8"), value=value, dictionary_size=size
-        ),
+        FreshnessStatement(ca_name=ca_name, value=value, dictionary_size=size),
         offset,
     )
 
@@ -213,7 +220,7 @@ def encode_status(status: RevocationStatus) -> bytes:
 
 
 def decode_status(data: bytes, offset: int = 0) -> Tuple[RevocationStatus, int]:
-    ca_name, offset = _unpack_bytes(data, offset)
+    ca_name, offset = _unpack_name(data, offset)
     serial_bytes, offset = _unpack_bytes(data, offset)
     proof_bytes, offset = _unpack_bytes(data, offset)
     root_bytes, offset = _unpack_bytes(data, offset)
@@ -223,7 +230,7 @@ def decode_status(data: bytes, offset: int = 0) -> Tuple[RevocationStatus, int]:
     freshness, _ = decode_freshness(freshness_bytes)
     return (
         RevocationStatus(
-            ca_name=ca_name.decode("utf-8"),
+            ca_name=ca_name,
             serial=SerialNumber.from_bytes(serial_bytes),
             proof=proof,
             signed_root=signed_root,
@@ -294,7 +301,7 @@ def encode_head(head: DictionaryHead) -> bytes:
 
 def decode_head(data: bytes) -> DictionaryHead:
     offset = 0
-    ca_name, offset = _unpack_bytes(data, offset)
+    ca_name, offset = _unpack_name(data, offset)
     if offset + 8 > len(data):
         raise TLSError("truncated dictionary head")
     (size,) = struct.unpack_from(">Q", data, offset)
@@ -307,7 +314,7 @@ def decode_head(data: bytes) -> DictionaryHead:
     if offset + 8 <= len(data):
         (sequence,) = struct.unpack_from(">Q", data, offset)
     return DictionaryHead(
-        ca_name=ca_name.decode("utf-8"),
+        ca_name=ca_name,
         size=size,
         signed_root=signed_root,
         freshness=freshness,
@@ -315,7 +322,16 @@ def decode_head(data: bytes) -> DictionaryHead:
     )
 
 
+#: Serials one issuance object can carry (its count field is 16 bits).
+MAX_ISSUANCE_SERIALS = 0xFFFF
+
+
 def encode_issuance(issuance: RevocationIssuance) -> bytes:
+    if len(issuance.serials) > MAX_ISSUANCE_SERIALS:
+        raise TLSError(
+            f"an issuance object carries at most {MAX_ISSUANCE_SERIALS} serials, "
+            f"got {len(issuance.serials)}"
+        )
     parts = [
         _pack_bytes(issuance.ca_name.encode("utf-8")),
         struct.pack(">QH", issuance.first_number, len(issuance.serials)),
@@ -474,7 +490,7 @@ def decode_key_announcements(data: bytes) -> Tuple[KeyAnnouncement, ...]:
 
 def decode_issuance(data: bytes) -> RevocationIssuance:
     offset = 0
-    ca_name, offset = _unpack_bytes(data, offset)
+    ca_name, offset = _unpack_name(data, offset)
     if offset + 10 > len(data):
         raise TLSError("truncated issuance header")
     first_number, count = struct.unpack_from(">QH", data, offset)
@@ -486,7 +502,7 @@ def decode_issuance(data: bytes) -> RevocationIssuance:
     root_bytes, offset = _unpack_bytes(data, offset)
     signed_root, _ = decode_signed_root(root_bytes)
     return RevocationIssuance(
-        ca_name=ca_name.decode("utf-8"),
+        ca_name=ca_name,
         serials=tuple(serials),
         first_number=first_number,
         signed_root=signed_root,

@@ -7,7 +7,7 @@ region-wide RA outage ends in N simultaneous cold syncs against one origin.
 This module turns PR 5's durable WAL into the fleet-wide dissemination
 transport instead:
 
-* the CA appends every revocation batch to a :class:`ReplicationLog` as a
+* the CA appends every revocation batch to its stream's :class:`ReplicationLog` as a
   sequence-numbered **WAL segment** — the durable engine's CRC'd record
   frames wrapped in a CA-signed header carrying ``(ca, shard,
   segment_number, first_seq, last_seq, root_after, freshness_after)``;
@@ -44,6 +44,7 @@ from repro.pki.serial import SerialNumber
 from repro.ritm.messages import (
     _pack_bytes,
     _unpack_bytes,
+    _unpack_name,
     decode_freshness,
     decode_signed_root,
     encode_freshness,
@@ -88,7 +89,9 @@ class WALSegment:
     """
 
     ca_name: str
-    #: Shard name for sharded deployments; empty for a whole-CA stream.
+    #: Reserved, always empty: every stream — a whole-CA dictionary or one
+    #: expiry shard — is addressed by its dictionary name in ``ca_name``.
+    #: The field stays in the signed header so format-1 bytes are unchanged.
     shard: str
     #: Position in the CA's segment stream (1-based, gap-free).
     segment_number: int
@@ -229,8 +232,8 @@ def decode_segment(data: bytes) -> WALSegment:
 
     # -- header fields ------------------------------------------------------
     hoff = 0
-    ca_name, hoff = _unpack_bytes(header, hoff)
-    shard, hoff = _unpack_bytes(header, hoff)
+    ca_name, hoff = _unpack_name(header, hoff)
+    shard, hoff = _unpack_name(header, hoff)
     if hoff + 24 > len(header):
         raise TLSError("truncated WAL segment cursor range")
     segment_number, first_seq, last_seq = struct.unpack_from(">QQQ", header, hoff)
@@ -243,8 +246,8 @@ def decode_segment(data: bytes) -> WALSegment:
         raise TLSError("WAL segment header carries an implausible cursor range")
     items = _decode_records(records, first_seq, last_seq)
     return WALSegment(
-        ca_name=ca_name.decode("utf-8"),
-        shard=shard.decode("utf-8"),
+        ca_name=ca_name,
+        shard=shard,
         segment_number=segment_number,
         first_seq=first_seq,
         last_seq=last_seq,
@@ -271,7 +274,6 @@ def build_segment(
     freshness: FreshnessStatement,
     segment_number: int,
     signer: KeyPair,
-    shard: str = "",
 ) -> WALSegment:
     """CA-side: wrap one issuance batch as a signed WAL segment."""
     items = tuple(
@@ -280,7 +282,7 @@ def build_segment(
     )
     segment = WALSegment(
         ca_name=issuance.ca_name,
-        shard=shard,
+        shard="",
         segment_number=segment_number,
         first_seq=issuance.first_number,
         last_seq=issuance.first_number + len(items) - 1,
@@ -321,16 +323,15 @@ def segment_suffix_issuance(
 
 
 class ReplicationLog:
-    """The CA's append-only archive of published WAL segments.
+    """One dictionary stream's append-only archive of published WAL segments.
 
     One segment is appended per revocation batch, numbered to match the
-    CA's issuance batch counter, so a replication cursor and an
+    stream's issuance batch counter, so a replication cursor and an
     applied-batches cursor advance in lockstep on the RA side.
     """
 
-    def __init__(self, ca_name: str, shard: str = "") -> None:
+    def __init__(self, ca_name: str) -> None:
         self.ca_name = ca_name
-        self.shard = shard
         self._segments: Dict[int, bytes] = {}
         #: Total segments appended since the log was created.
         self.segments_published = 0
@@ -345,7 +346,7 @@ class ReplicationLog:
     ) -> bytes:
         """Build, sign, and archive the next segment; returns its raw bytes."""
         number = self.segments_published + 1
-        segment = build_segment(issuance, freshness, number, signer, shard=self.shard)
+        segment = build_segment(issuance, freshness, number, signer)
         raw = encode_segment(segment)
         self._segments[number] = raw
         self.segments_published = number

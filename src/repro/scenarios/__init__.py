@@ -6,8 +6,7 @@ CAs, degraded infrastructure — into registered, runnable configurations:
 
 * :mod:`repro.scenarios.config` — the frozen :class:`ScenarioConfig` family;
 * :mod:`repro.scenarios.engine` — the discrete-event fleet engine that
-  executes a config against the real ``ritm``/``cdn``/``workloads`` layers
-  (:mod:`repro.scenarios.runner` remains as its import shim);
+  executes a config against the real ``ritm``/``cdn``/``workloads`` layers;
 * :mod:`repro.scenarios.report` — the pinned-schema :class:`ScenarioReport`
   (JSON + Markdown);
 * :mod:`repro.scenarios.registry` — named lookup used by the CLI and tests;
@@ -34,7 +33,7 @@ from repro.scenarios.report import (
     ScenarioCheck,
     ScenarioReport,
 )
-from repro.scenarios.runner import ScenarioRunner, run_scenario
+from repro.scenarios.engine.runner import ScenarioRunner, run_scenario
 
 __all__ = [
     "ScenarioConfig",

@@ -23,7 +23,7 @@ from repro.analysis.reporting import format_table, human_bytes
 from repro.errors import ConfigurationError
 from repro.scenarios import registry
 from repro.scenarios.config import PARALLELISM_MODES
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.engine.runner import run_scenario
 from repro.store import ENGINES
 
 

@@ -308,7 +308,7 @@ class ScenarioConfig:
     """A complete scenario: deployment shape, workload, faults, and studies.
 
     Instances are immutable and fully validated at construction; the runner
-    (:mod:`repro.scenarios.runner`) consumes them without further checks.
+    (:mod:`repro.scenarios.engine`) consumes them without further checks.
     """
 
     name: str
@@ -344,6 +344,7 @@ class ScenarioConfig:
     #: revocations are routed into per-expiry-window shards, RAs prune whole
     #: shards once their window passes, and the runner tracks an unsharded
     #: oracle dictionary to compare verdicts and storage growth against.
+    #: Composes with every other knob of a scripted scenario.
     sharded: bool = False
     #: Width of each expiry shard, in Δ periods (sharded mode only).
     shard_width_periods: int = 0
@@ -544,10 +545,6 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     "key_overlap_periods must be smaller than key_rotation_periods"
                 )
-            if self.sharded:
-                raise ConfigurationError(
-                    "key rotation is not supported for sharded scenarios yet"
-                )
         if self.sharded:
             if self.workload.kind != "scripted":
                 raise ConfigurationError(
@@ -561,15 +558,6 @@ class ScenarioConfig:
             if self.cert_lifetime_periods < 1:
                 raise ConfigurationError(
                     "sharded scenarios need cert_lifetime_periods >= 1"
-                )
-            if self.victim_host or self.gossip_audit or self.baseline:
-                raise ConfigurationError(
-                    "sharded scenarios do not support victim/gossip/baseline "
-                    "study phases yet"
-                )
-            if self.faults:
-                raise ConfigurationError(
-                    "sharded scenarios do not support fault injection yet"
                 )
         elif self.shard_width_periods or self.cert_lifetime_periods:
             raise ConfigurationError(
@@ -620,26 +608,10 @@ class ScenarioConfig:
             )
         if self.client_handshakes < 0:
             raise ConfigurationError("client_handshakes cannot be negative")
-        if self.client_handshakes and self.sharded:
+        if self.client_stream is not None and self.client_handshakes:
             raise ConfigurationError(
-                "client handshake load is not supported for sharded "
-                "scenarios yet (status sampling needs the unsharded pool)"
-            )
-        if self.client_stream is not None:
-            if self.client_handshakes:
-                raise ConfigurationError(
-                    "client_stream and client_handshakes are mutually "
-                    "exclusive ways to drive client load; set one"
-                )
-            if self.sharded:
-                raise ConfigurationError(
-                    "streamed client load is not supported for sharded "
-                    "scenarios yet (status sampling needs the unsharded pool)"
-                )
-        if self.segment_streaming and self.sharded:
-            raise ConfigurationError(
-                "segment streaming is not supported for sharded scenarios "
-                "(the CA publishes a replication log only in unsharded mode)"
+                "client_stream and client_handshakes are mutually "
+                "exclusive ways to drive client load; set one"
             )
 
     # -- derived values ------------------------------------------------------------

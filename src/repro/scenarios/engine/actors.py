@@ -26,15 +26,16 @@ from __future__ import annotations
 
 import random
 import tempfile
-from typing import List, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from repro.crypto.signing import PublicKey, verify_batch
 from repro.errors import DesynchronizedError, DictionaryError
 from repro.pki import SerialNumber
 from repro.ritm import RevocationAgent, attach_agent_to_cas
+from repro.ritm.dissemination import PullResult
 from repro.ritm.replication import rank_peers
 from repro.scenarios.engine.mailbox import Message
-from repro.scenarios.engine.state import AgentRuntime, PendingProvability
+from repro.scenarios.engine.state import AgentRuntime
 from repro.workloads.streaming import ClientEvent, uniform_slot_counts
 
 #: Serial space the absent-probe sampler draws from (3-byte serials).
@@ -99,18 +100,12 @@ class CADirector:
         reason: str,
         revoke_victim: bool,
     ) -> None:
-        """Flush any outage backlog, then revoke this period's serials."""
+        """Flush any outage backlog, revoke this period's serials, and make
+        sure every stream published something this period."""
         state = self.engine.state
-        if state.config.sharded:
-            self._issue_sharded(period, now, serials, reason)
-            return
-        victim = state.victim
+        state.ca.cover(state.outstanding_expiries(now), now)
         for intended_time, queued, queued_reason, queued_victim in state.backlog:
-            issuance = state.ca.revoke(queued, now=now, reason=queued_reason)
-            state.record_issuance(issuance, intended_time)
-            if queued_victim and victim is not None:
-                victim.revoked_at = now
-                state.event(period, "victim-revoked", f"serial {victim.serial} revoked")
+            self._revoke(period, now, queued, queued_reason, queued_victim, intended_time)
             state.event(
                 period,
                 "backlog-flush",
@@ -118,46 +113,45 @@ class CADirector:
                 f"{now - intended_time:.0f}s late",
             )
         state.backlog = []
-        if not serials:
+        touched: Set[str] = set()
+        if serials:
+            touched = self._revoke(
+                period, now, serials, reason or "unspecified", revoke_victim, now
+            )
+            if len(serials) > (1 if revoke_victim else 0):
+                state.event(period, "revocation", f"{len(serials)} serial(s) revoked")
+        # Every stream owes the fleet one publication per Δ, and revoke()
+        # made it only for the streams this period's batch touched.  (The
+        # refresh also drives key rotation and shard retirement.)
+        if touched != set(state.ca.streams):
             state.ca.refresh(now=now)
-            return
-        issuance = state.ca.revoke(serials, now=now, reason=reason or "unspecified")
-        state.record_issuance(issuance, now)
-        if revoke_victim and victim is not None:
-            victim.revoked_at = now
-            state.event(period, "victim-revoked", f"serial {victim.serial} revoked")
-        if len(serials) > (1 if revoke_victim else 0):
-            state.event(period, "revocation", f"{len(serials)} serial(s) revoked")
 
-    def _issue_sharded(
-        self, period: int, now: float, serials: List[SerialNumber], reason: str
-    ) -> None:
-        """Sharded-mode issuance: assign expiries, route to shards, refresh.
+    def _revoke(
+        self,
+        period: int,
+        now: float,
+        serials: List[SerialNumber],
+        reason: str,
+        revoke_victim: bool,
+        event_time: float,
+    ) -> Set[str]:
+        """Revoke one batch; returns the names of the streams it touched.
 
-        Every serial gets a deterministic certificate expiry 1..N periods
-        after its revocation (``cert_lifetime_periods``), producing the
-        expiry churn that makes shards fill and retire over a long run.  The
-        same serials are fed to the unsharded oracle dictionary for the
-        verdict/storage comparison.  The CA refreshes every period, which
-        also drives shard retirement at the configured cadence.
+        In a sharded run every serial routes by a certificate expiry
+        (:meth:`RunState.expiry_for`), producing the expiry churn that makes
+        shards fill and retire over a long run.
         """
         state = self.engine.state
-        if serials:
-            pairs = [(serial, state.assign_expiry(serial, now)) for serial in serials]
-            issuances = state.ca.revoke_with_expiry(
-                pairs, now=now, reason=reason or "unspecified"
+        pairs = [(serial, state.expiry_for(serial, now)) for serial in serials]
+        issuances = state.ca.revoke_with_expiry(pairs, now=now, reason=reason)
+        for key, issuance in issuances:
+            state.record_issuance(key, issuance, event_time)
+        if revoke_victim and state.victim is not None:
+            state.victim.revoked_at = now
+            state.event(
+                period, "victim-revoked", f"serial {state.victim.serial} revoked"
             )
-            for _, issuance in issuances:
-                state.batches.append(list(issuance.serials))
-            state.revocations_issued += len(serials)
-            state.pending.append(
-                PendingProvability(
-                    event_time=now, cumulative_size=state.revocations_issued
-                )
-            )
-            state.oracle.insert(serials, int(now))
-            state.event(period, "revocation", f"{len(serials)} serial(s) revoked")
-        state.ca.refresh(now=now)
+        return {issuance.ca_name for _, issuance in issuances}
 
 
 class RAActor:
@@ -222,7 +216,7 @@ class RAActor:
             engine.pull_finished(period)
             return
 
-        self._drain_mailbox()
+        self._drain_mailbox(now)
 
         restored_replicas = None
         peer_result = None
@@ -261,30 +255,21 @@ class RAActor:
                 "completed_at": now + result.latency_seconds,
             }
             if runtime.crashed_mode == "region":
+                peer = peer_result or PullResult(time=now)  # no peer: all zeros
                 runtime.recovery.update(
                     {
                         "peer": peer_name,
-                        "segments_from_peer": (
-                            peer_result.segments_from_peer if peer_result else 0
-                        ),
-                        "peer_bytes": (
-                            peer_result.segment_bytes_downloaded if peer_result else 0
-                        ),
-                        "peer_serials_applied": (
-                            peer_result.serials_applied if peer_result else 0
-                        ),
-                        "cold_sync_fallbacks": (
-                            peer_result.cold_sync_fallbacks if peer_result else 0
-                        ),
+                        "segments_from_peer": peer.segments_from_peer,
+                        "peer_bytes": peer.segment_bytes_downloaded,
+                        "peer_serials_applied": peer.serials_applied,
+                        "cold_sync_fallbacks": peer.cold_sync_fallbacks,
+                        # What the catch-up fetched besides relayed segments:
+                        # shard discovery and any cold-sync fallback.
                         "fallback_bytes": (
-                            peer_result.bytes_downloaded
-                            - peer_result.segment_bytes_downloaded
-                            if peer_result
-                            else 0
+                            peer.bytes_downloaded - peer.segment_bytes_downloaded
                         ),
                         # Origin bytes this RA's catch-up cost the CA
-                        # (peer relays cost 0; a cold-sync fallback's
-                        # bytes are reported separately above).
+                        # (peer relays cost 0).
                         "ca_origin_bytes": recovery_origin_bytes,
                     }
                 )
@@ -381,19 +366,33 @@ class RAActor:
 
     # -- client handshake load -------------------------------------------------------
 
-    def _drain_mailbox(self) -> None:
-        """Process queued messages, serving client batches before the pull."""
-        for message in self.runtime.mailbox.drain():
-            if message.kind == "client-batch":
-                if "start" in message.payload:
-                    self._serve_stream(
-                        int(message.payload["start"]), int(message.payload["count"])
-                    )
-                else:
-                    self._serve_clients(int(message.payload["count"]))
+    def _drain_mailbox(self, now: float) -> None:
+        """Process queued messages, serving client batches before the pull.
 
-    def _serve_clients(self, count: int) -> None:
-        """Serve one batch of status handshakes against the pre-pull replica.
+        A streamed batch carries only a cursor and a count; its events are
+        regenerated here from the run's shared
+        :class:`~repro.workloads.streaming.StreamingWorkload` in
+        ``O(batch_size)`` memory, so a million-client period never
+        materializes its client population.  A legacy batch carries a bare
+        count and draws its serials from the agent's seeded sampler.
+        """
+        state = self.engine.state
+        for message in self.runtime.mailbox.drain():
+            if message.kind != "client-batch":
+                continue
+            count = int(message.payload["count"])
+            if "start" in message.payload:
+                start = int(message.payload["start"])
+                serials = (
+                    self._stream_serial(event)
+                    for event in state.client_stream.events(start, start + count)
+                )
+            else:
+                serials = (self._sample_serial() for _ in range(count))
+            self._serve_clients(serials, now)
+
+    def _serve_clients(self, serials: Iterable[SerialNumber], now: float) -> None:
+        """Serve one batch of status handshakes against the pre-pull replicas.
 
         A sampled fraction of served statuses gets its signed root
         re-verified through :func:`repro.crypto.signing.verify_batch`, which
@@ -402,10 +401,11 @@ class RAActor:
         """
         engine, state, runtime = self.engine, self.engine.state, self.runtime
         triples: List[Tuple[PublicKey, bytes, bytes]] = []
-        for _ in range(count):
-            serial = self._sample_serial()
+        for serial in serials:
             try:
-                status = runtime.agent.build_status(state.ca.name, serial)
+                status = runtime.agent.build_status(
+                    state.ca.name, serial, state.client_expiry(serial, now)
+                )
             except (DictionaryError, DesynchronizedError):
                 continue
             state.handshakes_served += 1
@@ -415,36 +415,9 @@ class RAActor:
                 and engine.handshake_counter % engine.verify_every == 0
             ):
                 root = status.signed_root
-                triples.append((state.ca.public_key, root.payload(), root.signature))
-        if triples:
-            state.handshake_roots_verified += sum(verify_batch(triples))
-
-    def _serve_stream(self, start: int, count: int) -> None:
-        """Serve a contiguous slice of the streamed client-hello trace.
-
-        The message carries only a cursor and a count; the events themselves
-        are regenerated here from the run's shared
-        :class:`~repro.workloads.streaming.StreamingWorkload` in
-        ``O(batch_size)`` memory, so a million-client period never
-        materializes its client population.  Served statuses feed the same
-        counters and sampled batch-verification path as the legacy load.
-        """
-        engine, state, runtime = self.engine, self.engine.state, self.runtime
-        triples: List[Tuple[PublicKey, bytes, bytes]] = []
-        for event in state.client_stream.events(start, start + count):
-            serial = self._stream_serial(event)
-            try:
-                status = runtime.agent.build_status(state.ca.name, serial)
-            except (DictionaryError, DesynchronizedError):
-                continue
-            state.handshakes_served += 1
-            engine.handshake_counter += 1
-            if (
-                engine.verify_every
-                and engine.handshake_counter % engine.verify_every == 0
-            ):
-                root = status.signed_root
-                triples.append((state.ca.public_key, root.payload(), root.signature))
+                # The key that signed it: the CA's newest as of the root.
+                signer = state.ca.keyring.acceptable_keys(root.timestamp)[0]
+                triples.append((signer, root.payload(), root.signature))
         if triples:
             state.handshake_roots_verified += sum(verify_batch(triples))
 

@@ -47,16 +47,7 @@ def build_checks(state: RunState, extras: Dict[str, object]) -> List[ScenarioChe
         if not (cfg.gossip_audit and r is runtimes[-1])
         and r.spec_name not in equivocation_targets
     ]
-    if cfg.sharded:
-        converged = all(
-            studies.shard_replicas_converged(state, r) for r in converged_agents
-        )
-    else:
-        converged = all(
-            (r.agent.replica_for(ca.name).size if r.agent.replica_for(ca.name) else 0)
-            == ca.dictionary.size
-            for r in converged_agents
-        )
+    converged = all(studies.replicas_converged(state, r) for r in converged_agents)
     checks.append(
         ScenarioCheck(
             "replicas-converged",
@@ -64,7 +55,7 @@ def build_checks(state: RunState, extras: Dict[str, object]) -> List[ScenarioChe
             f"CA size {ca.total_revocations()}",
         )
     )
-    if cfg.sharded and "sharded_storage" in extras:
+    if "sharded_storage" in extras:
         checks.extend(sharded_checks(extras["sharded_storage"]))
     if victim is not None:
         checks.append(
@@ -217,23 +208,15 @@ def fleet_checks(state: RunState) -> List[ScenarioCheck]:
     bound = cfg.attack_window_seconds()
     peak = peak_concurrency(state.pull_intervals)
 
-    if cfg.client_handshakes:
+    stream = cfg.client_stream
+    load_total = cfg.client_handshakes or (stream.events_total if stream else 0)
+    if load_total:
         checks.append(
             ScenarioCheck(
                 "client-load-served",
-                state.handshakes_served == cfg.client_handshakes,
-                f"{state.handshakes_served}/{cfg.client_handshakes} handshakes "
-                f"served, {state.handshake_roots_verified} sampled root(s) "
-                f"re-verified",
-            )
-        )
-    if cfg.client_stream is not None:
-        total = cfg.client_stream.events_total
-        checks.append(
-            ScenarioCheck(
-                "client-load-served",
-                state.handshakes_served == total,
-                f"{state.handshakes_served}/{total} streamed handshakes "
+                state.handshakes_served == load_total,
+                f"{state.handshakes_served}/{load_total} "
+                f"{'streamed ' if stream else ''}handshakes "
                 f"served, {state.handshake_roots_verified} sampled root(s) "
                 f"re-verified",
             )

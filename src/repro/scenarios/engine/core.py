@@ -52,7 +52,6 @@ from repro.scenarios.engine.observers import (
     HeadArchiver,
     PeriodContext,
     ReplayIntegrityProbe,
-    ReplaySnapshotter,
     RotationProber,
     RotationRecorder,
     SessionKeeper,
@@ -165,6 +164,7 @@ class FleetEngine:
             counts=counts,
         )
         state.oracle = self._build_oracle(duration)
+        ca.cover(state.outstanding_expiries(setup_time), setup_time)
         if cfg.client_stream is not None:
             spec = cfg.client_stream
             state.client_stream = StreamingWorkload(
@@ -239,31 +239,24 @@ class FleetEngine:
         )
 
     def _build_oracle(self, duration: int) -> Optional[CADictionary]:
-        """The differential oracle for the sharded and crash-recovery studies."""
+        """The differential oracle of the sharded, crash-recovery,
+        region-outage, and soak studies: one always-in-memory dictionary fed
+        the same revocations, so replica verdicts (and an ever-growing
+        storage baseline) can be checked against it after the run."""
         cfg = self.config
-        if cfg.sharded:
-            return CADictionary(
-                ca_name=f"{cfg.ca_name} (unsharded oracle)",
-                keys=KeyPair.generate(f"{cfg.name}-oracle".encode()),
-                delta=cfg.delta_seconds,
-                chain_length=cfg.effective_chain_length(duration),
-                engine=cfg.store_engine,
-            )
-        if (
-            any(fault.crash or fault.kind == "region-outage" for fault in cfg.faults)
+        if not (
+            cfg.sharded
             or cfg.client_stream is not None
+            or any(fault.crash or fault.kind == "region-outage" for fault in cfg.faults)
         ):
-            # Crash-recovery, region-outage, and soak studies: an
-            # always-in-memory oracle fed the same revocations, so replica
-            # verdicts can be differentially checked after the run.
-            return CADictionary(
-                ca_name=cfg.ca_name,
-                keys=KeyPair.generate(f"{cfg.name}-oracle".encode()),
-                delta=cfg.delta_seconds,
-                chain_length=cfg.effective_chain_length(duration),
-                engine="incremental",
-            )
-        return None
+            return None
+        return CADictionary(
+            ca_name=cfg.ca_name,
+            keys=KeyPair.generate(f"{cfg.name}-oracle".encode()),
+            delta=cfg.delta_seconds,
+            chain_length=cfg.effective_chain_length(duration),
+            engine="incremental",
+        )
 
     def _run_event_loop(self, setup_time: float) -> None:
         """Register actors and observers, then drain the scheduler."""
@@ -274,7 +267,6 @@ class FleetEngine:
             RotationRecorder(),
             HeadArchiver(),
             FaultInjector(),
-            ReplaySnapshotter(),
             ReplayIntegrityProbe(),
             GossipRing(gossip_rng),
             RotationProber(),
@@ -307,8 +299,14 @@ class FleetEngine:
             workload=state.counts[period],
             outage=state.active_fault("ca-outage", period),
             prev_epoch=state.ca.key_epoch,
-            prev_root=(
-                state.ca.dictionary.signed_root if not state.config.sharded else None
+            # The last statement the (possibly outgoing) key signed: any
+            # live stream's root — rotation re-signs them all together.
+            prev_root=next(
+                (
+                    stream.dictionary.signed_root
+                    for stream in state.ca.live_streams(bin_start)
+                ),
+                None,
             ),
         )
         self.period_contexts[period] = ctx
@@ -358,15 +356,15 @@ class FleetEngine:
         if cfg.sharded:
             extras["sharded_storage"] = studies.sharded_extras(state, end_time)
         if any(fault.crash for fault in cfg.faults):
-            extras["crash_recovery"] = studies.crash_recovery_extras(state)
+            extras["crash_recovery"] = studies.crash_recovery_extras(state, end_time)
         if any(fault.kind == "region-outage" for fault in cfg.faults):
-            extras["replication"] = studies.region_outage_extras(state)
+            extras["replication"] = studies.region_outage_extras(state, end_time)
         if any(fault.kind == "equivocating-ca" for fault in cfg.faults):
             extras["equivocation"] = studies.equivocation_extras(state)
         if cfg.key_rotation_periods:
             extras["key_rotation"] = studies.key_rotation_extras(state)
         if cfg.client_stream is not None:
-            extras["soak"] = studies.soak_extras(state)
+            extras["soak"] = studies.soak_extras(state, end_time)
 
         return ScenarioReport(
             scenario=cfg.name,

@@ -132,25 +132,14 @@ def collect_metrics(state: RunState) -> Dict[str, object]:
         peer_syncs += sum(pull.peer_syncs for pull in history)
         cold_fallbacks += sum(pull.cold_sync_fallbacks for pull in history)
         segments_rejected += sum(pull.segments_rejected for pull in history)
-        if state.config.sharded:
-            replicas = runtime.agent.shard_replicas(ca.name)
-            per_agent[runtime.spec_name] = {
-                "size": sum(replica.size for replica in replicas.values()),
-                "storage_bytes": sum(
-                    replica.storage_size_bytes() for replica in replicas.values()
-                ),
-                "shard_count": len(replicas),
-                "missed_pulls": runtime.missed_pulls,
-                "max_lag_seconds": round(runtime.max_lag_seconds, 3),
-            }
-        else:
-            replica = runtime.agent.replica_for(ca.name)
-            per_agent[runtime.spec_name] = {
-                "size": replica.size if replica else 0,
-                "storage_bytes": replica.storage_size_bytes() if replica else 0,
-                "missed_pulls": runtime.missed_pulls,
-                "max_lag_seconds": round(runtime.max_lag_seconds, 3),
-            }
+        replicas = runtime.agent.replicas_of(ca.name)
+        per_agent[runtime.spec_name] = {
+            "size": sum(replica.size for replica in replicas),
+            "storage_bytes": sum(replica.storage_size_bytes() for replica in replicas),
+            **({"shard_count": len(replicas)} if state.config.sharded else {}),
+            "missed_pulls": runtime.missed_pulls,
+            "max_lag_seconds": round(runtime.max_lag_seconds, 3),
+        }
     return {
         "dissemination": {
             "pulls": pulls,
@@ -198,7 +187,7 @@ def collect_metrics(state: RunState) -> Dict[str, object]:
         **(
             {
                 "replication": {
-                    "segments_published": ca.replication.segments_published,
+                    "segments_published": ca.publication_stats.segments_published,
                     "segments_applied": segments_applied,
                     "segments_from_peer": segments_from_peer,
                     "segment_bytes_downloaded": segment_bytes,

@@ -89,6 +89,7 @@ class RotationRecorder(EngineObserver):
                 "rotated_at": ctx.bin_start,
                 "overlap_until": ctx.bin_start + overlap,
                 "retired_root": ctx.prev_root,
+                "streams_resigned": len(state.ca.live_streams(ctx.bin_start)),
                 "probed_inside": False,
                 "probed_after": False,
             }
@@ -102,15 +103,16 @@ class RotationRecorder(EngineObserver):
 
 
 class HeadArchiver(EngineObserver):
-    """Keep the raw bytes of every head publication for the replay fault."""
+    """Keep each stream's oldest published head, raw, for the replay fault."""
 
     def after_ca_duty(self, ctx: PeriodContext, state: RunState) -> None:
-        """Archive the current head object when a replay fault is configured."""
+        """Archive first-seen head objects when a replay fault is configured."""
         if not any(f.kind == "replayed-head" for f in state.config.faults):
             return
-        path = head_path(state.ca.name)
-        if state.cdn.origin.exists(path):
-            state.head_archive.append(state.cdn.origin.fetch(path).content)
+        for name in state.ca.streams:
+            path = head_path(name)
+            if name not in state.head_archive and state.cdn.origin.exists(path):
+                state.head_archive[name] = state.cdn.origin.fetch(path).content
 
 
 class FaultInjector(EngineObserver):
@@ -123,21 +125,24 @@ class FaultInjector(EngineObserver):
     def after_ca_duty(self, ctx: PeriodContext, state: RunState) -> None:
         """Run every fault injector whose window opens this period."""
         period, bin_start = ctx.period, ctx.bin_start
+        target = state.fault_stream(ctx.pull_time)
         tamper = state.active_fault("tampered-batch", period)
         if tamper is not None and period == tamper.at_period:
-            detail = tamper_latest_batch(state.ca, state.cdn, bin_start)
+            detail = tamper_latest_batch(state.ca, target, state.cdn, bin_start)
             state.event(
                 period, "tampered-batch", detail or "no published batch to tamper with"
             )
 
         replay = state.active_fault("replayed-head", period)
         ctx.replay_active = (
-            replay is not None and period == replay.at_period and bool(state.head_archive)
+            replay is not None
+            and period == replay.at_period
+            and target in state.head_archive
         )
         if replay is not None and period == replay.at_period:
-            if state.head_archive:
+            if ctx.replay_active:
                 detail = replay_captured_head(
-                    state.ca.name, state.cdn, state.head_archive[0], bin_start
+                    target, state.cdn, state.head_archive[target], bin_start
                 )
                 state.event(period, "replayed-head", detail)
             else:
@@ -146,7 +151,7 @@ class FaultInjector(EngineObserver):
         forgery = state.active_fault("retired-key-forgery", period)
         ctx.forgery = forgery
         if forgery is not None and period == forgery.at_period:
-            detail = forge_head_with_retired_key(state.ca, state.cdn, bin_start)
+            detail = forge_head_with_retired_key(state.ca, target, state.cdn, bin_start)
             if detail is not None:
                 state.forgery_attempts += 1
             state.event(
@@ -188,11 +193,13 @@ class FaultInjector(EngineObserver):
         """Stage the equivocating-CA fault against the targeted agent's region."""
         target_name = fault.agent or state.runtimes[-1].spec_name
         target = next(r for r in state.runtimes if r.spec_name == target_name)
+        stream = state.fault_stream(ctx.pull_time)
         planted = equivocate_at_edges(
             state.ca,
+            stream,
             state.cdn,
             target.location.region,
-            state.batches,
+            [batch for name, batch in state.batches if name == stream],
             ctx.bin_start,
             ttl_seconds=2 * state.config.delta_seconds,
         )
@@ -212,42 +219,37 @@ class FaultInjector(EngineObserver):
         state.event(ctx.period, "equivocating-ca", planted["detail"])
 
 
-class ReplaySnapshotter(EngineObserver):
-    """Snapshot every replica before the pulls of a replay window.
+class ReplayIntegrityProbe(EngineObserver):
+    """Snapshot the targeted replicas before the pulls of a replay window and
+    compare them afterwards.
 
     The zero-mutation property (a rejected replay leaves size and root
-    untouched) is checked directly by :class:`ReplayIntegrityProbe`, not
-    inferred from error counts.
+    untouched) is checked directly, not inferred from error counts.
     """
+
+    @staticmethod
+    def _views(ctx: PeriodContext, state: RunState):
+        """``(agent name, (size, root))`` of every synced targeted replica."""
+        target = state.fault_stream(ctx.pull_time)
+        for runtime in state.runtimes:
+            replica = runtime.agent.replica_for(target)
+            if replica is not None and replica.signed_root is not None:
+                yield runtime.spec_name, (replica.size, replica.signed_root.root)
 
     def after_ca_duty(self, ctx: PeriodContext, state: RunState) -> None:
         """Record ``(size, root)`` per replica when a replay is staged."""
-        if not ctx.replay_active or state.config.sharded:
-            return
-        for runtime in state.runtimes:
-            replica = runtime.agent.replica_for(state.ca.name)
-            if replica is not None and replica.signed_root is not None:
-                ctx.snapshots[runtime.spec_name] = (
-                    replica.size,
-                    replica.signed_root.root,
-                )
-
-
-class ReplayIntegrityProbe(EngineObserver):
-    """Compare post-pull replicas against the pre-pull replay snapshots."""
+        if ctx.replay_active:
+            ctx.snapshots.update(self._views(ctx, state))
 
     def after_pulls(self, ctx: PeriodContext, state: RunState) -> None:
         """Count probed replicas and any that mutated across the replay."""
-        if not ctx.replay_active or state.config.sharded:
+        if not ctx.replay_active:
             return
-        for runtime in state.runtimes:
-            before = ctx.snapshots.get(runtime.spec_name)
-            replica = runtime.agent.replica_for(state.ca.name)
-            if before is None or replica is None or replica.signed_root is None:
-                continue
-            state.replay_probes += 1
-            if (replica.size, replica.signed_root.root) != before:
-                state.replay_mutations += 1
+        for name, view in self._views(ctx, state):
+            if name in ctx.snapshots:
+                state.replay_probes += 1
+                if view != ctx.snapshots[name]:
+                    state.replay_mutations += 1
 
 
 class GossipRing(EngineObserver):
@@ -269,7 +271,7 @@ class GossipRing(EngineObserver):
     def after_pulls(self, ctx: PeriodContext, state: RunState) -> None:
         """Run one ring round and record any misbehavior reports."""
         runtimes = state.runtimes
-        if len(runtimes) < 2 or state.config.sharded:
+        if len(runtimes) < 2:
             return
         pairs = list(zip(runtimes, runtimes[1:]))
         if len(runtimes) > 2:
@@ -308,7 +310,7 @@ class RotationProber(EngineObserver):
 
     def after_pulls(self, ctx: PeriodContext, state: RunState) -> None:
         """Probe each rotation record once per overlap phase."""
-        if not state.config.key_rotation_periods or state.config.sharded:
+        if not state.config.key_rotation_periods:
             return
         runtime = state.runtimes[0]
         keyring = runtime.agent.keyring_for(state.ca.name)
@@ -346,16 +348,15 @@ class ShardedStorageRecorder(EngineObserver):
         """Sample CA/RA/baseline storage at the period's pull time."""
         if not state.config.sharded:
             return
-        runtime = state.runtimes[0]
-        replicas = runtime.agent.shard_replicas(state.ca.name)
+        replicas = state.runtimes[0].agent.replicas_of(state.ca.name)
         state.storage_timeline.append(
             {
                 "period": ctx.period,
                 "time": ctx.pull_time,
                 "ca_storage_bytes": state.ca.storage_size_bytes(),
-                "ca_shard_count": state.ca.shards.shard_count,
+                "ca_shard_count": len(state.ca.streams),
                 "ra_storage_bytes": sum(
-                    replica.storage_size_bytes() for replica in replicas.values()
+                    replica.storage_size_bytes() for replica in replicas
                 ),
                 "ra_shard_count": len(replicas),
                 "baseline_storage_bytes": state.oracle.storage_size_bytes(),
@@ -385,11 +386,11 @@ class SoakRecorder(EngineObserver):
         if self._wall_start is None:
             self._wall_start = time.perf_counter()
         stream = state.client_stream
-        replica_bytes = 0
-        for runtime in state.runtimes:
-            replica = runtime.agent.replica_for(state.ca.name)
-            if replica is not None:
-                replica_bytes += replica.storage_size_bytes()
+        replica_bytes = sum(
+            replica.storage_size_bytes()
+            for runtime in state.runtimes
+            for replica in runtime.agent.replicas_of(state.ca.name)
+        )
         state.soak_timeline.append(
             {
                 "period": ctx.period,

@@ -26,10 +26,16 @@ from repro.scenarios.engine.mailbox import Mailbox
 
 @dataclass
 class PendingProvability:
-    """A revocation waiting to become provable at each agent."""
+    """A revocation batch waiting to become provable at each agent."""
 
     event_time: float
+    #: The dictionary (stream) the batch went into, and that dictionary's
+    #: size once it had.
+    stream: str
     cumulative_size: int
+    #: When the stream's expiry window closes (``None`` = never): past it
+    #: there is no unexpired certificate left to prove anything about.
+    expires_at: Optional[float] = None
 
 
 @dataclass
@@ -134,25 +140,27 @@ class RunState:
     # -- the period loop's accumulators (formerly ScenarioRunner._*) --------------
     events: List[Dict[str, object]] = field(default_factory=list)
     pending: List[PendingProvability] = field(default_factory=list)
-    batches: List[List[SerialNumber]] = field(default_factory=list)
+    #: Every issuance batch of the run, tagged with the stream it went into.
+    batches: List[Tuple[str, List[SerialNumber]]] = field(default_factory=list)
     numbered: List[Tuple[int, SerialNumber]] = field(default_factory=list)
     backlog: List[Tuple[float, List[SerialNumber], str, bool]] = field(
         default_factory=list
     )
     revocations_issued: int = 0
     checkpoint_dirs: List[str] = field(default_factory=list)
-    #: Sharded mode: serial value → assigned certificate expiry, the
-    #: unsharded oracle dictionary, and the per-period storage timeline.
+    #: Sharded mode: serial value → assigned certificate expiry and the
+    #: per-period storage timeline; any differential study: the in-memory
+    #: single-dictionary oracle fed every revocation.
     expiries: Dict[int, int] = field(default_factory=dict)
     expiry_cycle: int = 0
     oracle: Optional[CADictionary] = None
     storage_timeline: List[Dict[str, object]] = field(default_factory=list)
-    #: Adversarial control-plane state: every head publication's raw bytes
-    #: (ammunition for the replay injector), the CA's rotation history with
-    #: the retired epochs' signed roots, the rotation cache probes,
-    #: replay-fault replica-integrity counters, the planted equivocation
-    #: summary, and the gossip ring's detections.
-    head_archive: List[bytes] = field(default_factory=list)
+    #: Adversarial control-plane state: each stream's oldest published
+    #: head, raw (ammunition for the replay injector), the CA's rotation
+    #: history with the retired epochs' signed roots, the rotation cache
+    #: probes, replay-fault replica-integrity counters, the planted
+    #: equivocation summary, and the gossip ring's detections.
+    head_archive: Dict[str, bytes] = field(default_factory=dict)
     rotations: List[Dict[str, object]] = field(default_factory=list)
     rotation_probes: List[Dict[str, object]] = field(default_factory=list)
     replay_probes: int = 0
@@ -225,47 +233,90 @@ class RunState:
                 return fault
         return None
 
-    def record_issuance(self, issuance, event_time: float) -> None:
-        """Track an issuance for provability accounting and replay phases."""
-        self.batches.append(list(issuance.serials))
+    def fault_stream(self, pull_time: float) -> str:
+        """The dictionary a CDN-object fault targets: of the streams RAs
+        will still hold at ``pull_time``, the one revoked into last (an
+        unsharded CA only has the one, named after it)."""
+        live = [stream.name for stream in self.ca.live_streams(pull_time)]
+        for name, _ in reversed(self.batches):
+            if name in live:
+                return name
+        return live[0] if live else self.ca.name
+
+    def expiry_for(self, serial: SerialNumber, now: float) -> Optional[int]:
+        """The certificate expiry a revocation of ``serial`` routes by: the
+        victim's real one, deterministic churn 1..``cert_lifetime_periods``
+        periods out for synthetic serials, ``None`` in an unsharded run."""
+        lifetime = self.config.cert_lifetime_periods
+        if not lifetime:
+            return None
+        if self.victim is not None and serial == self.victim.serial:
+            expiry = self.victim.chain.leaf.not_after
+        else:
+            expiry = int(
+                now + (self.expiry_cycle % lifetime + 1) * self.config.delta_seconds
+            )
+            self.expiry_cycle += 1
+        self.expiries[serial.value] = expiry
+        return expiry
+
+    def client_expiry(self, serial: SerialNumber, now: float) -> Optional[int]:
+        """The expiry of the (modelled) certificate behind a client's query:
+        the one a revoked serial was revoked under while still unexpired,
+        else some live certificate's, 1..``cert_lifetime_periods`` periods
+        from expiring.  ``None`` in an unsharded run."""
+        lifetime = self.config.cert_lifetime_periods
+        if not lifetime:
+            return None
+        expiry = self.expiries.get(serial.value)
+        if expiry is None or expiry <= now:
+            expiry = int(now) + (serial.value % lifetime + 1) * self.config.delta_seconds
+        return expiry
+
+    def outstanding_expiries(self, now: float) -> List[int]:
+        """One expiry per Δ across the horizon the modelled population's
+        certificates can expire in (empty in an unsharded run) — what the
+        CA must :meth:`~repro.ritm.RITMCertificationAuthority.cover`.  It
+        runs three periods past ``cert_lifetime_periods``: an RA serves a
+        period's clients from the state it pulled one period earlier, up to
+        one Δ (plus stagger) after this call's ``now``."""
+        lifetime = self.config.cert_lifetime_periods
+        if not lifetime:
+            return []
+        delta = self.config.delta_seconds
+        return [int(now) + step * delta for step in range(lifetime + 4)]
+
+    def record_issuance(self, key, issuance, event_time: float) -> None:
+        """Track one stream's issuance for provability accounting and replay
+        phases (``key`` is the stream's expiry window, ``None`` = unsharded)."""
+        self.batches.append((issuance.ca_name, list(issuance.serials)))
         self.numbered.extend(issuance.numbered_serials())
         self.revocations_issued += len(issuance.serials)
-        if self.oracle is not None and not self.config.sharded:
-            # Crash-recovery study: mirror every revocation into the
-            # in-memory oracle the recovered replicas are checked against.
+        if self.oracle is not None:
+            # Mirror every revocation into the in-memory oracle the
+            # replicas' verdicts are differentially checked against.
             self.oracle.insert(list(issuance.serials), int(event_time))
         self.pending.append(
             PendingProvability(
                 event_time=event_time,
+                stream=issuance.ca_name,
                 cumulative_size=issuance.first_number + len(issuance.serials) - 1,
+                expires_at=key.window_end if key is not None else None,
             )
         )
-
-    def assign_expiry(self, serial: SerialNumber, now: float) -> int:
-        """Deterministic expiry churn: 1..cert_lifetime_periods periods out."""
-        lifetime = self.config.cert_lifetime_periods
-        offset = (self.expiry_cycle % lifetime) + 1
-        self.expiry_cycle += 1
-        expiry = int(now + offset * self.config.delta_seconds)
-        self.expiries[serial.value] = expiry
-        return expiry
 
     def advance_provability(self, runtime: AgentRuntime, available_at: float) -> None:
         """Record dissemination lag for every batch the agent now covers.
 
-        In sharded mode shard pruning shrinks replica sizes, so coverage is
-        tracked by cumulative serials *applied* (which only grows) instead
-        of the replica's current size.
+        A batch whose stream's window closed before the agent held it is
+        passed over: no unexpired certificate is left for it to matter to.
         """
-        if self.config.sharded:
-            size = sum(pull.serials_applied for pull in runtime.client.pull_history)
-        else:
-            replica = runtime.agent.replica_for(self.ca.name)
-            size = replica.size if replica is not None else 0
         while runtime.provability_cursor < len(self.pending):
             entry = self.pending[runtime.provability_cursor]
-            if entry.cumulative_size > size:
+            replica = runtime.agent.replica_for(entry.stream)
+            if replica is not None and replica.size >= entry.cumulative_size:
+                lag = available_at - entry.event_time
+                runtime.max_lag_seconds = max(runtime.max_lag_seconds, lag)
+            elif entry.expires_at is None or available_at < entry.expires_at:
                 break
-            lag = available_at - entry.event_time
-            runtime.max_lag_seconds = max(runtime.max_lag_seconds, lag)
             runtime.provability_cursor += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.crypto import HashChain, KeyPair
 from repro.crypto.merkle import SortedMerkleTree
@@ -38,6 +38,11 @@ def setup_victim(state: RunState, now: float) -> Optional[VictimRuntime]:
     chain = ca.authority.issue_chain_for(
         cfg.victim_host, server_keys.public, now=int(now)
     )
+    if ca.cover([chain.leaf.not_after], now):
+        # A sharded CA just opened the victim's expiry window; the fleet
+        # needs its (empty) dictionary to prove the victim unrevoked.
+        for runtime in state.runtimes:
+            runtime.client.pull(now=now)
     trust_store = TrustStore()
     trust_store.add(ca.authority)
     victim = VictimRuntime(
@@ -113,15 +118,18 @@ def gossip_audit(state: RunState, now: float) -> Dict[str, object]:
     for runtime in runtimes[:-1]:
         runtime.client.pull(now=now + 1)
 
+    # The forgery shadows the dictionary the victim was revoked in: the same
+    # entries, except the decoy takes the victim's place.
     decoy = SerialNumber(DECOY_SERIAL)
     shadow_tree = SortedMerkleTree()
-    for number, serial in state.numbered:
-        shadow_tree.insert(serial.to_bytes(), number.to_bytes(4, "big"))
+    for key, value in ca.streams[issuance.ca_name].dictionary.leaf_items():
+        if key != victim.serial.to_bytes():
+            shadow_tree.insert(key, value)
     shadow_tree.insert(decoy.to_bytes(), issuance.first_number.to_bytes(4, "big"))
     chain_length = issuance.signed_root.chain_length
     shadow_chain = HashChain(length=chain_length)
     forged_root = SignedRoot(
-        ca_name=ca.name,
+        ca_name=issuance.ca_name,
         root=shadow_tree.root(),
         size=issuance.signed_root.size,
         anchor=shadow_chain.anchor,
@@ -130,7 +138,9 @@ def gossip_audit(state: RunState, now: float) -> Dict[str, object]:
     ).sign(state.authority._keys.private)  # noqa: SLF001 - the CA signs its own forgery
     forged = replace(issuance, serials=(decoy,), signed_root=forged_root)
     targeted.agent.apply_issuance(forged)
-    targeted_blind = not targeted.agent.replica_for(ca.name).contains(victim.serial)
+    targeted_blind = not targeted.agent.replica_for(issuance.ca_name).contains(
+        victim.serial
+    )
 
     reports = GossipExchange().exchange(
         honest.agent.consistency, targeted.agent.consistency
@@ -159,7 +169,7 @@ def compare_engines(state: RunState) -> Dict[str, object]:
         with create_store(engine) as store:
             number = 0
             started = _time.perf_counter()
-            for batch in state.batches:
+            for _, batch in state.batches:
                 items = []
                 for serial in batch:
                     number += 1
@@ -209,7 +219,46 @@ def baseline_comparison(state: RunState) -> Dict[str, object]:
     }
 
 
-def crash_recovery_extras(state: RunState) -> Dict[str, object]:
+def oracle_sweep(state: RunState, agents, end_time: float):
+    """Differential verdicts of the agents' replicas against the oracle.
+
+    From each agent, every revoked serial whose certificate can still be
+    unexpired at ``end_time`` (in an unsharded run: every revoked serial)
+    must get the oracle's verdict from the replica covering it, and five
+    never-revoked serials must prove absent on both.  Returns ``(revoked
+    serials checked, absent serials checked, mismatches)`` summed over the
+    agents; a probe no synced replica covers is a mismatch and is not
+    counted as checked.
+    """
+    ca, oracle = state.ca, state.oracle
+    live = [
+        (serial, state.expiries.get(serial.value)) for _, serial in state.numbered
+    ]
+    live = [(s, expiry) for s, expiry in live if expiry is None or expiry > end_time]
+    absent_base = (
+        max((serial.value for _, serial in state.numbered), default=0) or DECOY_SERIAL
+    ) + 1
+    windows = [expiry for _, expiry in live] or [None]
+    absent = [
+        (SerialNumber(absent_base + offset), windows[offset % len(windows)])
+        for offset in range(5)
+    ]
+    checked = [0, 0]
+    mismatches = 0
+    for agent in agents:
+        for is_absent, probes in enumerate((live, absent)):
+            for serial, expiry in probes:
+                replica = agent.replica_for_certificate(ca.name, expiry)
+                if replica is None or replica.signed_root is None:
+                    mismatches += 1
+                    continue
+                checked[is_absent] += 1
+                if replica.prove(serial).is_revoked != oracle.contains(serial):
+                    mismatches += 1
+    return checked[0], checked[1], mismatches
+
+
+def crash_recovery_extras(state: RunState, end_time: float) -> Dict[str, object]:
     """The warm-vs-cold restart study results (docs/STORAGE.md).
 
     Per crashed agent: its recovery-pull metrics.  Differentially: every
@@ -217,34 +266,16 @@ def crash_recovery_extras(state: RunState) -> Dict[str, object]:
     against the in-memory oracle, plus a handful of absent probes.  When
     both a durable and a cold crash ran, the head-to-head comparison.
     """
-    ca = state.ca
-    agents: Dict[str, object] = {}
-    mismatches = checked = 0
-    probe_values = [serial.value for _, serial in state.numbered]
-    absent_base = (max(probe_values, default=0) or DECOY_SERIAL) + 1
-    for runtime in state.runtimes:
-        if runtime.crashed_mode is None:
-            continue
-        agents[runtime.spec_name] = dict(
-            runtime.recovery or {"mode": runtime.crashed_mode}
-        )
-        replica = runtime.agent.replica_for(ca.name)
-        if replica is None or replica.signed_root is None:
-            mismatches += 1
-            continue
-        for value in probe_values:
-            serial = SerialNumber(value)
-            checked += 1
-            if replica.prove(serial).is_revoked != state.oracle.contains(serial):
-                mismatches += 1
-        for offset in range(5):
-            probe = SerialNumber(absent_base + offset)
-            checked += 1
-            if replica.prove(probe).is_revoked or state.oracle.contains(probe):
-                mismatches += 1
+    crashed = [r for r in state.runtimes if r.crashed_mode is not None]
+    agents: Dict[str, object] = {
+        r.spec_name: dict(r.recovery or {"mode": r.crashed_mode}) for r in crashed
+    }
+    revoked, absent, mismatches = oracle_sweep(
+        state, [r.agent for r in crashed], end_time
+    )
     study: Dict[str, object] = {
         "agents": agents,
-        "verdicts_checked": checked,
+        "verdicts_checked": revoked + absent,
         "verdict_mismatches": mismatches,
     }
     durable = [a for a in agents.values() if a.get("mode") == "durable"]
@@ -263,7 +294,7 @@ def crash_recovery_extras(state: RunState) -> Dict[str, object]:
     return study
 
 
-def region_outage_extras(state: RunState) -> Dict[str, object]:
+def region_outage_extras(state: RunState, end_time: float) -> Dict[str, object]:
     """The region-outage replication study results (docs/REPLICATION.md).
 
     Per restored agent: its anti-entropy recovery record (peer, segments
@@ -276,44 +307,30 @@ def region_outage_extras(state: RunState) -> Dict[str, object]:
     ca = state.ca
     fault = next(f for f in state.config.faults if f.kind == "region-outage")
     region = fault.geo_region()
-    restored: Dict[str, object] = {}
-    survivors: Dict[str, object] = {}
-    mismatches = checked = 0
-    probe_values = [serial.value for _, serial in state.numbered]
-    absent_base = (max(probe_values, default=0) or DECOY_SERIAL) + 1
-    for runtime in state.runtimes:
-        if runtime.crashed_mode != "region":
-            survivors[runtime.spec_name] = {
-                "region": runtime.location.region.value,
-                "max_lag_seconds": runtime.max_lag_seconds,
-                "missed_pulls": runtime.missed_pulls,
-            }
-            continue
-        restored[runtime.spec_name] = dict(
-            runtime.recovery or {"mode": "region"}
-        )
-        replica = runtime.agent.replica_for(ca.name)
-        if replica is None or replica.signed_root is None:
-            mismatches += 1
-            continue
-        for value in probe_values:
-            serial = SerialNumber(value)
-            checked += 1
-            if replica.prove(serial).is_revoked != state.oracle.contains(serial):
-                mismatches += 1
-        for offset in range(5):
-            probe = SerialNumber(absent_base + offset)
-            checked += 1
-            if replica.prove(probe).is_revoked or state.oracle.contains(probe):
-                mismatches += 1
+    down = [r for r in state.runtimes if r.crashed_mode == "region"]
+    restored: Dict[str, object] = {
+        r.spec_name: dict(r.recovery or {"mode": "region"}) for r in down
+    }
+    survivors: Dict[str, object] = {
+        r.spec_name: {
+            "region": r.location.region.value,
+            "max_lag_seconds": r.max_lag_seconds,
+            "missed_pulls": r.missed_pulls,
+        }
+        for r in state.runtimes
+        if r.crashed_mode != "region"
+    }
+    revoked, absent, mismatches = oracle_sweep(state, [r.agent for r in down], end_time)
 
     # What the restored fleet's recovery actually cost the CA origin,
     # versus the counterfactual where each restored RA cold-synced the
-    # full history straight from the CA.
-    request = SyncRequest(ca_name=ca.name, have_count=0)
-    cold_sync_bytes = request.encoded_size() + ca.sync_server.serve(
-        request
-    ).encoded_size()
+    # full history of every live stream straight from the CA.
+    cold_sync_bytes = 0
+    for stream in ca.streams.values():
+        request = SyncRequest(ca_name=stream.name, have_count=0)
+        cold_sync_bytes += (
+            request.encoded_size() + stream.sync_server.serve(request).encoded_size()
+        )
     recovery_origin_bytes = sum(
         int(record.get("ca_origin_bytes", 0))
         + int(record.get("fallback_bytes", 0))
@@ -324,10 +341,10 @@ def region_outage_extras(state: RunState) -> Dict[str, object]:
         "outage_periods": fault.duration_periods,
         "restored_agents": restored,
         "survivors": survivors,
-        "verdicts_checked": checked,
+        "verdicts_checked": revoked + absent,
         "verdict_mismatches": mismatches,
-        "segments_published": ca.replication.segments_published,
-        "segment_bytes_published": ca.replication.bytes_published,
+        "segments_published": ca.publication_stats.segments_published,
+        "segment_bytes_published": ca.publication_stats.segment_bytes_published,
         "cold_sync_bytes_each": cold_sync_bytes,
         "cold_sync_bytes_fleet": cold_sync_bytes * len(restored),
         "recovery_origin_bytes": recovery_origin_bytes,
@@ -358,6 +375,7 @@ def key_rotation_extras(state: RunState) -> Dict[str, object]:
                 "epoch": record["epoch"],
                 "rotated_at": record["rotated_at"],
                 "overlap_until": record["overlap_until"],
+                "streams_resigned": record["streams_resigned"],
             }
             for record in state.rotations
         ],
@@ -377,9 +395,9 @@ def equivocation_extras(state: RunState) -> Dict[str, object]:
     )
     targeted_blind = False
     if target is not None and state.hidden_serial is not None:
-        replica = target.agent.replica_for(ca.name)
-        targeted_blind = replica is not None and not replica.contains(
-            state.hidden_serial
+        replicas = target.agent.replicas_of(ca.name)
+        targeted_blind = bool(replicas) and not any(
+            replica.contains(state.hidden_serial) for replica in replicas
         )
     reports = state.misbehavior_reports
     return {
@@ -399,47 +417,22 @@ def sharded_extras(state: RunState, end_time: float) -> Dict[str, object]:
     read-path purity, and reclaimed storage."""
     cfg, ca = state.config, state.ca
     agent = state.runtimes[0].agent
-    oracle = state.oracle
 
-    # Differential verdicts: every revoked serial whose certificate is
-    # still live must get the same verdict from the sharded replica as
-    # from the unsharded oracle; a few absent serials in live windows
-    # must prove absent on both.
-    live_checked = mismatches = absent_checked = 0
-    live_expiries: List[int] = []
-    for value, expiry in state.expiries.items():
-        if expiry <= end_time:
-            continue
-        live_expiries.append(expiry)
-        serial = SerialNumber(value)
-        replica = agent.replica_for_certificate(ca.name, expiry)
-        if replica is None:
-            mismatches += 1
-            continue
-        live_checked += 1
-        if replica.prove(serial).is_revoked != oracle.contains(serial):
-            mismatches += 1
-    unused_value = max(state.expiries, default=0) + 1
-    for expiry in live_expiries[:5]:
-        probe = SerialNumber(unused_value)
-        unused_value += 1
-        replica = agent.replica_for_certificate(ca.name, expiry)
-        if replica is None:
-            mismatches += 1
-            continue
-        absent_checked += 1
-        if replica.prove(probe).is_revoked or oracle.contains(probe):
-            mismatches += 1
+    live_checked, absent_checked, mismatches = oracle_sweep(state, [agent], end_time)
 
-    # Read-path purity: proving a serial in a window no shard covers
-    # must answer "absent" without creating (and retaining) a shard.
+    # Read-path purity: proving a serial in a window no shard covers (two
+    # shard widths past everything the CA opened) must answer "absent"
+    # without creating (and retaining) a shard.
     shards_before = ca.shards.shard_count
     storage_before = ca.storage_size_bytes()
-    unknown_window_expiry = int(
-        end_time + 2 * cfg.shard_width_periods * cfg.delta_seconds
+    unknown_window_expiry = (
+        max(stream.window.window_end for stream in ca.streams.values())
+        + 2 * cfg.shard_width_periods * cfg.delta_seconds
     )
     probe_status = ca.prove_status(
-        SerialNumber(unused_value), unknown_window_expiry, now=int(end_time)
+        SerialNumber(max(state.expiries, default=0) + 1),
+        unknown_window_expiry,
+        now=int(end_time),
     )
     read_path_pure = (
         ca.shards.shard_count == shards_before
@@ -473,28 +466,24 @@ def sharded_extras(state: RunState, end_time: float) -> Dict[str, object]:
     }
 
 
-def shard_replicas_converged(state: RunState, runtime: AgentRuntime) -> bool:
-    """Does the agent hold an equal-size replica of every live CA shard?
+def replicas_converged(state: RunState, runtime: AgentRuntime) -> bool:
+    """Does the agent hold an equal-size replica of every live CA stream?
 
-    Shards whose window expired by the agent's last pull are skipped:
+    Streams whose window expired by the agent's last pull are skipped:
     the RA prunes at pull time (bin start + Δ) while the CA retires at
     its next refresh (the following bin start), so a window boundary
     inside the final period legitimately leaves the CA one shard ahead.
     """
-    ca = state.ca
-    replicas = runtime.agent.shard_replicas(ca.name)
     history = runtime.client.pull_history
     last_pull = history[-1].time if history else 0.0
-    for key in ca.shards.shard_keys():
-        if key.is_expired(last_pull):
-            continue
-        replica = replicas.get(key.index)
-        shard = ca.shards.shard_at(key.index)
-        if replica is None or shard is None or replica.size != shard.size:
+    for stream in state.ca.live_streams(last_pull):
+        replica = runtime.agent.replica_for(stream.name)
+        if replica is None or replica.size != stream.dictionary.size:
             return False
     return True
 
-def soak_extras(state: RunState) -> Dict[str, object]:
+
+def soak_extras(state: RunState, end_time: float) -> Dict[str, object]:
     """The soak-run study results (docs/WORKLOADS.md).
 
     Three pinned verdict groups feed :func:`..checks.build_checks`:
@@ -516,24 +505,9 @@ def soak_extras(state: RunState) -> Dict[str, object]:
     spec = cfg.client_stream
     stream = state.client_stream
 
-    mismatches = checked = 0
-    probe_values = [serial.value for _, serial in state.numbered]
-    absent_base = (max(probe_values, default=0) or DECOY_SERIAL) + 1
-    for runtime in state.runtimes:
-        replica = runtime.agent.replica_for(ca.name)
-        if replica is None or replica.signed_root is None:
-            mismatches += 1
-            continue
-        for value in probe_values:
-            serial = SerialNumber(value)
-            checked += 1
-            if replica.prove(serial).is_revoked != state.oracle.contains(serial):
-                mismatches += 1
-        for offset in range(5):
-            probe = SerialNumber(absent_base + offset)
-            checked += 1
-            if replica.prove(probe).is_revoked or state.oracle.contains(probe):
-                mismatches += 1
+    revoked, absent, mismatches = oracle_sweep(
+        state, [runtime.agent for runtime in state.runtimes], end_time
+    )
 
     batch_budget = EVENT_BYTES * spec.batch_size
     footprint_budget = 160 * spec.sites + (1 << 20)
@@ -563,7 +537,7 @@ def soak_extras(state: RunState) -> Dict[str, object]:
         "store_engine": cfg.store_engine,
         "durable_wal": cfg.store_engine in ("durable", "durable-compact"),
         "segment_streaming": cfg.segment_streaming,
-        "segments_published": ca.replication.segments_published,
+        "segments_published": ca.publication_stats.segments_published,
         "segments_applied": segments_applied,
         "segment_bytes_downloaded": segment_bytes,
         "proof_cache_hits": proof_hits,
@@ -588,7 +562,7 @@ def soak_extras(state: RunState) -> Dict[str, object]:
         "clients": spec.clients,
         "sites": spec.sites,
         "events_total": spec.events_total,
-        "verdicts_checked": checked,
+        "verdicts_checked": revoked + absent,
         "verdict_mismatches": mismatches,
         "memory": memory,
         "subsystems": subsystems,

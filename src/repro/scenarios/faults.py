@@ -18,6 +18,9 @@ adversary (or plain operational failure) would:
   freshness chain) at one region's CDN edges, so the targeted RA adopts the
   forged state without a single verification error — only cross-RA gossip
   can expose the conflicting roots (docs/THREATS.md);
+Each CDN-object injector aims at one of the CA's dictionary streams, named by
+the caller (an unsharded CA has only the one, under its own name).
+
 * CA outages and RA restarts are *scheduling* faults: the runner implements
   them by skipping the CA's publication duty (queueing its revocations) or
   the RA's pulls for the fault window, using :func:`FaultSpec.covers`.
@@ -50,20 +53,19 @@ DECOY_SERIAL = 0xDEAD
 
 
 def tamper_latest_batch(
-    ca: RITMCertificationAuthority, cdn: CDNNetwork, now: float
+    ca: RITMCertificationAuthority, stream_name: str, cdn: CDNNetwork, now: float
 ) -> Optional[str]:
-    """Replace the latest published issuance batch with a forged copy.
+    """Replace a stream's latest published issuance batch with a forged copy.
 
     The forged batch swaps the first revoked serial for :data:`DECOY_SERIAL`
     but keeps the honest signed root, so the batch decodes cleanly and fails
     only at content verification.  Returns a human-readable description of
     the tampering, or ``None`` when there is no batch to tamper with.
     """
-    batch_number = ca.issuance_count()
-    if batch_number == 0:
-        return None
-    path = issuance_path(ca.name, batch_number)
-    if not cdn.origin.exists(path):
+    stream = ca.streams.get(stream_name)
+    batch_number = stream.batches if stream is not None else 0
+    path = issuance_path(stream_name, batch_number)
+    if batch_number == 0 or not cdn.origin.exists(path):
         return None
     honest = decode_issuance(cdn.origin.fetch(path).content)
     if not honest.serials:
@@ -99,9 +101,9 @@ def replay_captured_head(
 
 
 def forge_head_with_retired_key(
-    ca: RITMCertificationAuthority, cdn: CDNNetwork, now: float
+    ca: RITMCertificationAuthority, stream_name: str, cdn: CDNNetwork, now: float
 ) -> Optional[str]:
-    """Republish the current head re-signed under a retired CA signing key.
+    """Republish a stream's current head re-signed under a retired CA signing key.
 
     Models the attack key rotation exists to stop: an attacker who extracts
     an *old* signing key after the CA rotated away from it.  The forged head
@@ -115,7 +117,7 @@ def forge_head_with_retired_key(
     if not ca._retired_signing_keys:  # noqa: SLF001 - scenario-staged key compromise
         return None
     retired = ca._retired_signing_keys[-1]  # noqa: SLF001
-    path = head_path(ca.name)
+    path = head_path(stream_name)
     if not cdn.origin.exists(path):
         return None
     honest = decode_head(cdn.origin.fetch(path).content)
@@ -127,7 +129,7 @@ def forge_head_with_retired_key(
     )
     cdn.publish(path, encode_head(forged), now)
     return (
-        f"head for {ca.name!r} re-signed with the retired epoch-"
+        f"head for {stream_name!r} re-signed with the retired epoch-"
         f"{ca.key_epoch - 1} key and republished "
         f"(sequence {forged.sequence})"
     )
@@ -135,6 +137,7 @@ def forge_head_with_retired_key(
 
 def equivocate_at_edges(
     ca: RITMCertificationAuthority,
+    stream_name: str,
     cdn: CDNNetwork,
     region: Region,
     batches: List[List[SerialNumber]],
@@ -143,8 +146,8 @@ def equivocate_at_edges(
 ) -> Optional[Dict[str, object]]:
     """Plant a forged parallel dictionary at one region's CDN edges.
 
-    The equivocating CA rebuilds its entire revocation history in a *shadow*
-    dictionary — identical batches, except the most recently revoked serial
+    The equivocating CA rebuilds one stream's entire revocation history
+    (``batches``) in a *shadow* dictionary — identical batches, except the most recently revoked serial
     is silently replaced by :data:`DECOY_SERIAL` — and signs the shadow root
     with its real (active) key.  The shadow head and the shadow copy of the
     latest issuance batch are planted only at the targeted region's edges;
@@ -161,7 +164,7 @@ def equivocate_at_edges(
     """
     if not batches or not batches[-1]:
         return None
-    path = head_path(ca.name)
+    path = head_path(stream_name)
     if not cdn.origin.exists(path):
         return None
     honest_head = decode_head(cdn.origin.fetch(path).content)
@@ -169,7 +172,7 @@ def equivocate_at_edges(
     decoy = SerialNumber(DECOY_SERIAL)
 
     shadow = CADictionary(
-        ca_name=ca.name,
+        ca_name=stream_name,
         keys=ca._signing_keys,  # noqa: SLF001 - the CA signs its own forgery
         delta=ca.config.delta_seconds,
         chain_length=honest_head.signed_root.chain_length,
@@ -183,17 +186,17 @@ def equivocate_at_edges(
         shadow_issuance = shadow.insert(serials, int(now))
 
     forged_head = DictionaryHead(
-        ca_name=ca.name,
+        ca_name=stream_name,
         size=shadow.size,
         signed_root=shadow.signed_root,
         freshness=shadow.latest_freshness,
         sequence=honest_head.sequence,
     )
-    batch_number = ca.issuance_count()
+    batch_number = ca.streams[stream_name].batches
     for edge in cdn.edges_in(region):
         edge.plant_object(path, encode_head(forged_head), now, ttl_seconds)
         edge.plant_object(
-            issuance_path(ca.name, batch_number),
+            issuance_path(stream_name, batch_number),
             encode_issuance(shadow_issuance),
             now,
             ttl_seconds,

@@ -97,13 +97,14 @@ class TestRefresh:
     def test_refresh_returns_freshness_statement_normally(self, world):
         ca = world.cas[0]
         result = ca.refresh(now=EPOCH + 30)
-        assert not isinstance(result, SignedRoot)
+        assert list(result) == [ca.name]
+        assert not isinstance(result[ca.name], SignedRoot)
 
     def test_refresh_resigns_after_chain_exhaustion(self, world):
         ca = world.cas[0]
         horizon = EPOCH + 5 + world.config.chain_length * world.config.delta_seconds + 10
         result = ca.refresh(now=horizon)
-        assert isinstance(result, SignedRoot)
+        assert isinstance(result[ca.name], SignedRoot)
 
     def test_ca_without_cdn_still_works(self, world):
         from repro.pki.ca import CertificationAuthority

@@ -30,6 +30,39 @@ class TestInitialSync:
         assert result.latency_seconds < 2.0
 
 
+class TestOneErrorBoundary:
+    """A malformed head object for CA *A* is recorded, never raised: CA *B*
+    still applies its freshness in the same pull (the RA trusts nothing it
+    relays, so nothing it relays may stop it)."""
+
+    @pytest.mark.parametrize("damage", ["truncated", "invalid-utf8-name"])
+    def test_bad_head_of_one_ca_does_not_abort_the_cycle(self, world, damage):
+        from repro.ritm.ca_service import head_path
+
+        broken, healthy = world.cas[0], world.cas[1:]
+        for ca in world.cas:
+            ca.refresh(now=EPOCH + 20)
+        honest = world.cdn.origin.fetch(head_path(broken.name)).content
+        bad = honest[: len(honest) // 2] if damage == "truncated" else (
+            honest[:2] + b"\xff" + honest[3:]
+        )
+        world.cdn.publish(head_path(broken.name), bad, EPOCH + 20)
+        stale = world.agent.replica_for(broken.name).latest_freshness
+
+        result = world.pull(now=EPOCH + 21)
+
+        assert len(result.errors) == 1 and result.errors[0].startswith(broken.name)
+        assert result.heads_checked == len(world.cas)
+        assert result.freshness_applied == len(healthy)
+        for ca in healthy:
+            replica = world.agent.replica_for(ca.name)
+            assert replica.latest_freshness == ca.dictionary.latest_freshness
+        assert world.agent.replica_for(broken.name).latest_freshness == stale
+        # the next honest publication heals it
+        broken.refresh(now=EPOCH + 30)
+        assert world.pull(now=EPOCH + 31).errors == []
+
+
 class TestRevocationPropagation:
     def test_new_revocation_reaches_replica_on_next_pull(self, world):
         issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)

@@ -161,6 +161,77 @@ class TestHeadAndIssuanceCodec:
         assert replica.root() == dictionary.root()
 
 
+class TestNameFieldsAreTotal:
+    """Every ``ca_name``/``shard`` field decodes to text or raises ``TLSError``
+    — a stray ``UnicodeDecodeError`` would escape the RA's pull boundary and
+    abort the cycle for every healthy CA."""
+
+    @staticmethod
+    def _corrupt_leading_name(data: bytes) -> bytes:
+        # Each object starts with its length-prefixed name: 0xFF never
+        # appears in valid UTF-8.
+        return data[:2] + b"\xff" + data[3:]
+
+    def test_invalid_utf8_name_raises_tls_error(self, master, keys):
+        from repro.ritm.messages import decode_freshness, encode_freshness
+        from repro.ritm.replication import build_segment, decode_segment, encode_segment
+
+        dictionary = CADictionary("Codec-CA-4", keys, delta=10, chain_length=8)
+        issuance = dictionary.insert(make_serials(3), now=2000)
+        head = DictionaryHead(
+            ca_name="Codec-CA",
+            size=master.size,
+            signed_root=master.signed_root,
+            freshness=master.latest_freshness,
+        )
+        cases = [
+            (decode_signed_root, encode_signed_root(master.signed_root)),
+            (decode_freshness, encode_freshness(master.latest_freshness)),
+            (decode_status, encode_status(master.prove(make_serials(1)[0]))),
+            (decode_head, encode_head(head)),
+            (decode_issuance, encode_issuance(issuance)),
+        ]
+        for decode, encoded in cases:
+            decode(encoded)  # the honest object decodes
+            with pytest.raises(TLSError, match="UTF-8"):
+                decode(self._corrupt_leading_name(encoded))
+
+        # A segment's names sit inside its CRC'd frame: rebuild the checksum
+        # so the corruption reaches the header parser.
+        import struct
+        import zlib
+
+        raw = bytearray(
+            encode_segment(
+                build_segment(issuance, dictionary.latest_freshness, 1, keys)
+            )
+        )
+        name_at = len(b"RITMSEG1") + 4 + 2
+        raw[name_at] = 0xFF
+        struct.pack_into(">I", raw, len(raw) - 4, zlib.crc32(bytes(raw[:-4])))
+        with pytest.raises(TLSError, match="UTF-8"):
+            decode_segment(bytes(raw))
+
+    def test_oversized_issuance_is_a_repro_error(self, keys):
+        from repro.dictionary.authdict import RevocationIssuance
+        from repro.errors import ReproError
+        from repro.ritm.messages import MAX_ISSUANCE_SERIALS
+
+        root = CADictionary("Codec-CA-5", keys, delta=10, chain_length=8).refresh(1000)
+        serials = tuple(SerialNumber(n + 1) for n in range(MAX_ISSUANCE_SERIALS + 1))
+        with pytest.raises(ReproError, match="at most 65535"):
+            encode_issuance(
+                RevocationIssuance(
+                    ca_name="Codec-CA-5", serials=serials, first_number=1, signed_root=root
+                )
+            )
+        encode_issuance(
+            RevocationIssuance(
+                ca_name="Codec-CA-5", serials=serials[:-1], first_number=1, signed_root=root
+            )
+        )
+
+
 class TestReplayWindowFieldsCodec:
     """Round-trip and tamper behaviour of the replay-window fields.
 

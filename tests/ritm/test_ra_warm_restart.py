@@ -319,6 +319,38 @@ class TestShardedCheckpoint:
         replica = restored_agent.replica_for_certificate(ca.name, expiry)
         assert replica is not None and replica.contains(serial)
 
+    @pytest.mark.parametrize("attached", [True, False])
+    def test_rotated_shard_replicas_restore_under_one_shared_keyring(
+        self, tmp_path, attached
+    ):
+        """A mid-rotation checkpoint of a sharded CA's replicas warm-starts
+        them all under one keyring rebuilt from the persisted chain — whether
+        or not the restoring process attached to the CA first."""
+        config, ca, cdn, agent, client = build_stack("incremental", sharded=True)
+        pairs = [(SerialNumber(7200 + n), 150 + 600 * n) for n in range(3)]
+        ca.revoke_with_expiry(pairs, now=110)
+        client.pull(now=115)
+        ca.rotate_keys(now=120)
+        ca.refresh(now=120)  # republish the heads under the new key
+        assert client.pull(now=125).key_rotations_applied == 1
+        assert client.checkpoint(tmp_path) == 3
+
+        restored_agent = RevocationAgent("ra-under-test", config)
+        if attached:
+            attach_agent_to_cas(
+                restored_agent, [ca], cdn, GeoLocation(Region.EUROPE)
+            ).restore(tmp_path)
+        else:
+            assert restored_agent.restore(tmp_path) == 3
+        keyring = restored_agent.keyring_for(ca.name)
+        assert keyring is not None and keyring.key_epoch == 1
+        replicas = restored_agent.shard_replicas(ca.name)
+        assert len(replicas) == 3
+        for index, replica in replicas.items():
+            assert replica.ca_public_key is keyring
+            assert replica.root() == agent.shard_replicas(ca.name)[index].root()
+            assert replica.signed_root.verify(ca.signing_public_key)
+
     def test_corrupt_shard_replica_is_dropped_not_registered_empty(self, tmp_path):
         """A shard checkpoint that fails verification must vanish entirely:
         no registry entry mapping its expiry window, no stray base-CA
@@ -346,8 +378,10 @@ class TestShardedCheckpoint:
         )
         restored_client.restore(tmp_path)
         assert target["ca_name"] not in restored_agent.replicas
-        member_names = restored_agent.shard_replica_names()
-        assert target["ca_name"] not in member_names
+        assert not any(
+            replica.ca_name == target["ca_name"]
+            for replica in restored_agent.shard_replicas(ca.name).values()
+        )
         # the next pull rediscovers the dropped shard and cold-syncs it
         restored_client.pull(now=130)
         serial, expiry = pairs[0]

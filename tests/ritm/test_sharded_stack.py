@@ -81,12 +81,20 @@ class TestShardedCAService:
         )
         assert set(index.live) == {key.index for key, _ in issuances}
 
-    def test_head_raises_in_sharded_mode(self, sharded_world):
+    def test_head_names_a_stream(self, sharded_world):
+        """A sharded CA has no stream under its own name, only per-window
+        ones; asking for either before it exists is the same error."""
         _, _, _, ca, _, _ = sharded_world
-        with pytest.raises(DictionaryError, match="per-shard heads"):
+        with pytest.raises(DictionaryError, match="no published dictionary"):
             ca.head()
-        with pytest.raises(DictionaryError, match="no published shard"):
-            ca.shard_head(0)
+        with pytest.raises(DictionaryError, match="no published dictionary"):
+            ca.head(shard_name(ca.name, 0))
+        now = EPOCH + WEEK
+        [(key, issuance)] = ca.revoke_with_expiry(
+            [(SerialNumber(1), now + WEEK)], now=now
+        )
+        head = ca.head(shard_name(ca.name, key.index))
+        assert head.ca_name == issuance.ca_name and head.size == 1
 
     def test_revoke_derives_expiry_from_issued_certificate(self, sharded_world):
         _, authority, _, ca, _, _ = sharded_world
@@ -433,6 +441,125 @@ class TestShardedDissemination:
         assert ca.shards.retired_count == 1
         result = client.pull(now=far + 5)
         assert result.shards_pruned == 1  # 2nd pull of a 5-period cadence
+
+
+class TestShardStreams:
+    """A shard is a stream like any other: key rotation, WAL segments, and
+    the pull cycle's error boundary apply to it unchanged."""
+
+    def test_rotation_resigns_every_live_shard_and_ras_follow(self, sharded_world):
+        _, _, _, ca, agent, client = sharded_world
+        now = EPOCH + WEEK
+        ca.revoke_with_expiry(
+            [(SerialNumber(1), now + WEEK), (SerialNumber(2), now + 6 * WEEK)], now=now
+        )
+        client.pull(now=now + 1)
+        replicas = agent.shard_replicas(ca.name)
+        assert len(replicas) == 2
+        keyring = agent.keyring_for(ca.name)
+        assert all(replica.ca_public_key is keyring for replica in replicas.values())
+
+        roots = ca.rotate_keys(now + 10)
+        assert sorted(roots) == sorted(replica.ca_name for replica in replicas.values())
+        assert ca.key_epoch == 1
+        ca.refresh(now=now + 10)  # republish the heads under the new key
+        result = client.pull(now=now + 11)
+        assert not result.errors
+        # One announcement fetch taught the shared keyring; both shards
+        # installed their re-signed roots.
+        assert result.key_rotations_applied == 1
+        assert keyring.key_epoch == 1
+        for replica in replicas.values():
+            assert replica.signed_root == ca.head(replica.ca_name).signed_root
+            assert replica.signed_root.verify(ca.signing_public_key)
+
+        # A window opened after the rotation is signed by the new key, and
+        # statuses keep proving across it.
+        ca.revoke_with_expiry([(SerialNumber(3), now + 11 * WEEK)], now=now + 20)
+        assert not client.pull(now=now + 21).errors
+        assert len(agent.shard_replicas(ca.name)) == 3
+        status = agent.build_status(ca.name, SerialNumber(3), expiry=now + 11 * WEEK)
+        assert status.is_revoked and status.signed_root.verify(ca.signing_public_key)
+
+    def test_scheduled_rotation_fires_from_refresh(self):
+        config = RITMConfig(
+            delta_seconds=WEEK, chain_length=64, sharded=True,
+            shard_width_seconds=4 * WEEK, key_rotation_periods=2, key_overlap_periods=1,
+        )
+        cdn = CDNNetwork()
+        ca = RITMCertificationAuthority(
+            CertificationAuthority("Rotating Sharded CA", key_seed=b"rot-shard"), config, cdn
+        )
+        ca.bootstrap(now=EPOCH)
+        agent = RevocationAgent("rot-ra", config)
+        client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(Region.EUROPE))
+        now = EPOCH + WEEK
+        ca.revoke_with_expiry([(SerialNumber(1), now + 2 * WEEK)], now=now)
+        for period in range(1, 5):
+            ca.refresh(now=now + period * WEEK // 2)
+            assert not client.pull(now=now + period * WEEK // 2 + 1).errors
+        assert ca.key_epoch == 2
+        assert agent.keyring_for(ca.name).key_epoch == 2
+
+    def test_segment_only_catch_up_of_a_shard_replica(self, sharded_world):
+        """A shard replica reaches the CA's state from WAL segments alone —
+        no issuance object is ever fetched."""
+        _, _, cdn, ca, agent, client = sharded_world
+        now = EPOCH + WEEK
+        expiry = now + 2 * WEEK
+        for offset in range(3):
+            ca.revoke_with_expiry(
+                [(SerialNumber(10 + offset), expiry)], now=now + 10 * offset
+            )
+        [stream] = ca.streams.values()
+        assert stream.replication.latest() == stream.batches == 3
+        client.segment_streaming = True
+        fetched = []
+        download = cdn.download
+        cdn.download = lambda path, *args, **kwargs: (
+            fetched.append(path),
+            download(path, *args, **kwargs),
+        )[1]
+        result = client.pull(now=now + 30)
+        cdn.download = download
+        assert not result.errors
+        assert result.segments_applied == 3 and result.serials_applied == 3
+        assert client.replication_cursor(stream.name) == 3
+        assert sum("/segment/" in path for path in fetched) == 3
+        assert not any("/issuance/" in path for path in fetched)
+        replica = agent.replica_for(stream.name)
+        assert replica.root() == stream.dictionary.root()
+        assert replica.latest_freshness == stream.dictionary.latest_freshness
+
+        # ... and a second RA catches up peer-to-peer from the first.
+        late = RevocationAgent("late-ra", ca.config)
+        late_client = attach_agent_to_cas(late, [ca], cdn, GeoLocation(Region.EUROPE))
+        relayed = late_client.sync_from_peer(client, now + 31)
+        assert relayed.segments_from_peer == 3 and relayed.cold_sync_fallbacks == 0
+        assert late.replica_for(stream.name).root() == stream.dictionary.root()
+
+    @pytest.mark.parametrize("damage", ["truncated", "invalid-utf8-name"])
+    def test_bad_head_of_one_shard_does_not_abort_the_cycle(self, sharded_world, damage):
+        _, _, cdn, ca, agent, client = sharded_world
+        now = EPOCH + WEEK
+        ca.revoke_with_expiry(
+            [(SerialNumber(1), now + WEEK), (SerialNumber(2), now + 6 * WEEK)], now=now
+        )
+        client.pull(now=now + 1)
+        ca.refresh(now=now + 10)
+        broken, healthy = list(ca.streams.values())
+        honest = cdn.origin.fetch(head_path(broken.name)).content
+        bad = honest[: len(honest) // 2] if damage == "truncated" else (
+            honest[:2] + b"\xff" + honest[3:]
+        )
+        cdn.publish(head_path(broken.name), bad, now + 10)
+        result = client.pull(now=now + 11)
+        assert len(result.errors) == 1 and result.errors[0].startswith(broken.name)
+        assert result.freshness_applied == 1
+        assert (
+            agent.replica_for(healthy.name).latest_freshness
+            == healthy.dictionary.latest_freshness
+        )
 
 
 class TestAgentShardLookup:

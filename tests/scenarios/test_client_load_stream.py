@@ -142,27 +142,6 @@ def test_client_stream_and_client_handshakes_are_mutually_exclusive():
         _config(client_stream=stream, client_handshakes=100)
 
 
-def test_client_stream_rejects_sharded_runs():
-    stream = ClientStreamSpec(clients=10, sites=5, events_total=20)
-    with pytest.raises(ConfigurationError):
-        _config(
-            client_stream=stream,
-            sharded=True,
-            shard_width_periods=2,
-            cert_lifetime_periods=2,
-        )
-
-
-def test_segment_streaming_rejects_sharded_runs():
-    with pytest.raises(ConfigurationError):
-        _config(
-            segment_streaming=True,
-            sharded=True,
-            shard_width_periods=2,
-            cert_lifetime_periods=2,
-        )
-
-
 def test_client_stream_spec_validates_positive_fields():
     with pytest.raises(ConfigurationError):
         ClientStreamSpec(clients=0, sites=5, events_total=20)

@@ -116,11 +116,6 @@ def test_parallelism_mode_validates():
         _fleet_config(parallelism="gpu")
 
 
-def test_client_handshakes_rejected_for_sharded_runs():
-    with pytest.raises(ConfigurationError, match="not supported for sharded"):
-        get("sharded-longrun").with_overrides(client_handshakes=100)
-
-
 def test_negative_knobs_rejected():
     with pytest.raises(ConfigurationError):
         _fleet_config(pull_stagger_seconds=-1.0)

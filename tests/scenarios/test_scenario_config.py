@@ -236,15 +236,6 @@ class TestAdversarialFaultValidation:
                 duration_periods=8, key_rotation_periods=2, key_overlap_periods=2
             )
 
-    def test_rotation_forbidden_for_sharded(self):
-        with pytest.raises(ConfigurationError, match="not supported for sharded"):
-            make_config(
-                sharded=True,
-                shard_width_periods=2,
-                cert_lifetime_periods=3,
-                key_rotation_periods=3,
-            )
-
     def _two_region_agents(self):
         return (AgentSpec("honest", region="Europe"), AgentSpec("target", region="Japan"))
 
@@ -289,7 +280,9 @@ class TestAdversarialFaultValidation:
 
 
 class TestShardedValidation:
-    """Sharded mode (§VIII) needs a width, a lifetime, and no study phases."""
+    """Sharded mode (§VIII) validates only its own knobs: a scripted workload,
+    a width, and a lifetime (what it composes with is covered by
+    ``test_sharded_composition.py``)."""
 
     def make_sharded(self, **overrides):
         defaults = dict(sharded=True, shard_width_periods=2, cert_lifetime_periods=3)
@@ -308,16 +301,6 @@ class TestShardedValidation:
     def test_sharded_requires_lifetime(self):
         with pytest.raises(ConfigurationError, match="cert_lifetime_periods"):
             self.make_sharded(cert_lifetime_periods=0)
-
-    def test_sharded_rejects_victim_phases(self):
-        with pytest.raises(ConfigurationError, match="study phases"):
-            self.make_sharded(victim_host="shop.example")
-
-    def test_sharded_rejects_faults(self):
-        with pytest.raises(ConfigurationError, match="fault injection"):
-            self.make_sharded(
-                faults=(FaultSpec(kind="ca-outage", at_period=1),)
-            )
 
     def test_sharded_requires_scripted_workload(self):
         trace = WorkloadSpec(
