@@ -26,25 +26,6 @@ PUBLIC_KEY_SIZE = ed25519.KEY_SIZE
 #: a good trade-off for dissemination pulls (see docs/PERFORMANCE.md).
 DEFAULT_BATCH_WIDTH = 16
 
-#: Optional executor that :func:`verify_batch` farms chunks out to.  ``None``
-#: (the default) keeps verification in-process and single-threaded; the fleet
-#: engine installs a process pool here when a scenario opts into
-#: ``parallelism="process"``.  The executor only needs ``map``.
-_BATCH_EXECUTOR = None
-
-
-def set_batch_executor(executor) -> None:
-    """Install (or with ``None`` remove) the chunk executor for :func:`verify_batch`.
-
-    The executor must expose ``map(fn, iterable)``; both
-    :class:`concurrent.futures.ThreadPoolExecutor` and
-    :class:`~concurrent.futures.ProcessPoolExecutor` qualify.  Verdicts are
-    identical with or without an executor — only wall-clock changes — because
-    chunk results are concatenated in submission order.
-    """
-    global _BATCH_EXECUTOR
-    _BATCH_EXECUTOR = executor
-
 
 @dataclass(frozen=True)
 class PublicKey:
@@ -127,12 +108,7 @@ def verify_batch(
         ]
         for start in range(0, len(items), batch_width)
     ]
-    if _BATCH_EXECUTOR is not None and len(chunks) > 1:
-        results: List[bool] = []
-        for verdicts in _BATCH_EXECUTOR.map(_verify_chunk, chunks):
-            results.extend(verdicts)
-        return results
-    results = []
+    results: List[bool] = []
     for chunk in chunks:
         results.extend(_verify_chunk(chunk))
     return results
@@ -141,10 +117,9 @@ def verify_batch(
 def _verify_chunk(triples: Sequence[Tuple[bytes, bytes, bytes]]) -> List[bool]:
     """Verify one chunk of raw ``(key, message, signature)`` byte triples.
 
-    Top-level (hence picklable) so a :class:`ProcessPoolExecutor` can run
-    chunks in worker processes.  The combined batch equation is tried first;
-    a failing chunk falls back to per-member serial verification so verdicts
-    always match serial verification exactly.
+    The combined batch equation is tried first; a failing chunk falls back
+    to per-member serial verification so verdicts always match serial
+    verification exactly.
     """
     triples = list(triples)
     if len(triples) > 1 and ed25519.verify_batch(triples):

@@ -4,9 +4,8 @@ Verbs:
 
 * ``list`` — one table row per registered scenario;
 * ``describe NAME`` — full description plus the resolved configuration;
-* ``run NAME [NAME ...] [--smoke] [--out DIR] [--delta N] [--engine E]
-  [--parallelism M]`` — execute scenarios and (optionally) write JSON +
-  Markdown reports.
+* ``run NAME [NAME ...] [--smoke] [--out DIR] [--delta N] [--engine E]``
+  — execute scenarios and (optionally) write JSON + Markdown reports.
 
 The exit code is 0 when every executed scenario passed all its checks and
 1 otherwise, so CI can run scenarios directly.
@@ -22,7 +21,6 @@ from typing import List, Optional
 from repro.analysis.reporting import format_table, human_bytes
 from repro.errors import ConfigurationError
 from repro.scenarios import registry
-from repro.scenarios.config import PARALLELISM_MODES
 from repro.scenarios.engine.runner import run_scenario
 from repro.store import ENGINES
 
@@ -57,16 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "override the authenticated-store engine; one of: "
             + ", ".join(sorted(ENGINES))
-        ),
-    )
-    run.add_argument(
-        "--parallelism",
-        default=None,
-        metavar="MODE",
-        choices=PARALLELISM_MODES,
-        help=(
-            "override the run's worker-pool mode (verdicts are unchanged; "
-            "only wall-clock differs); one of: " + ", ".join(PARALLELISM_MODES)
         ),
     )
     return parser
@@ -131,7 +119,6 @@ def _cmd_run(
     out: Optional[Path],
     delta: Optional[int],
     engine: Optional[str],
-    parallelism: Optional[str],
 ) -> int:
     """Run scenarios, print summaries, optionally write report files."""
     exit_code = 0
@@ -144,8 +131,6 @@ def _cmd_run(
             overrides["delta_seconds"] = delta
         if engine is not None:
             overrides["store_engine"] = engine
-        if parallelism is not None:
-            overrides["parallelism"] = parallelism
         if overrides:
             config = config.with_overrides(**overrides)
 
@@ -180,9 +165,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_list()
         if args.verb == "describe":
             return _cmd_describe(args.name)
-        return _cmd_run(
-            args.names, args.smoke, args.out, args.delta, args.engine, args.parallelism
-        )
+        return _cmd_run(args.names, args.smoke, args.out, args.delta, args.engine)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,11 +40,6 @@ BASELINES = ("", "ocsp-stapling")
 #: Workload shapes: a calibrated trace window or an explicit event script.
 WORKLOAD_KINDS = ("trace", "scripted")
 
-#: Executor backends for the fleet engine's embarrassingly parallel work
-#: (Ed25519 batch verification, durable-WAL I/O).  ``serial`` — the default —
-#: keeps every existing scenario's verdicts and report JSON bit-identical.
-PARALLELISM_MODES = ("serial", "thread", "process")
-
 #: Named per-RA link profiles resolvable to :class:`repro.net.Link` shapes.
 #: ``""`` disables link modelling (pull latency stays purely computational),
 #: ``mixed`` cycles lan/metro/wan across the fleet by agent index, and
@@ -383,9 +378,6 @@ class ScenarioConfig:
     #: client-handshake sampling, gossip ring ordering).  Two runs of the
     #: same config and seed produce byte-identical report JSON.
     rng_seed: int = 404
-    #: Executor backend for batch signature verification and WAL I/O
-    #: (one of :data:`PARALLELISM_MODES`).
-    parallelism: str = "serial"
     #: Total client status handshakes served across the run, spread evenly
     #: over periods and the RA fleet (0 disables client load).
     client_handshakes: int = 0
@@ -601,11 +593,6 @@ class ScenarioConfig:
                     f"link override for {agent_name!r} names {profile!r}; "
                     f"expected one of {CONCRETE_LINK_PROFILES}"
                 )
-        if self.parallelism not in PARALLELISM_MODES:
-            raise ConfigurationError(
-                f"unknown parallelism mode {self.parallelism!r}; "
-                f"expected one of {PARALLELISM_MODES}"
-            )
         if self.client_handshakes < 0:
             raise ConfigurationError("client_handshakes cannot be negative")
         if self.client_stream is not None and self.client_handshakes:

@@ -14,8 +14,6 @@ loop that used to live in ``repro.scenarios.runner``.  The moving parts:
   injection as ordered engine hooks instead of inline branches;
 * :mod:`~repro.scenarios.engine.links` — per-RA uplink shapes drawn from
   :class:`repro.net.Link` profiles;
-* :mod:`~repro.scenarios.engine.parallel` — opt-in process/thread pools for
-  Ed25519 batch verification and durable-WAL I/O;
 * :mod:`~repro.scenarios.engine.core` — the :class:`FleetEngine`
   orchestrator; :mod:`~repro.scenarios.engine.runner` — the public
   :class:`ScenarioRunner` facade.
@@ -23,7 +21,7 @@ loop that used to live in ``repro.scenarios.runner``.  The moving parts:
 With every concurrency knob at its default the engine reproduces the
 serial runner's reports verdict-for-verdict; the knobs
 (``fleet_size``, ``pull_stagger_seconds``, ``pull_jitter_seconds``,
-``link_profile``, ``parallelism``, ``client_handshakes``) unlock the
+``link_profile``, ``client_handshakes``) unlock the
 contention scenarios described in docs/SCENARIOS.md.
 """
 

@@ -395,9 +395,7 @@ class RAActor:
         """Serve one batch of status handshakes against the pre-pull replicas.
 
         A sampled fraction of served statuses gets its signed root
-        re-verified through :func:`repro.crypto.signing.verify_batch`, which
-        is where a ``parallelism="process"`` run fans the Ed25519 work out
-        to worker processes.
+        re-verified through :func:`repro.crypto.signing.verify_batch`.
         """
         engine, state, runtime = self.engine, self.engine.state, self.runtime
         triples: List[Tuple[PublicKey, bytes, bytes]] = []

@@ -58,7 +58,6 @@ from repro.scenarios.engine.observers import (
     ShardedStorageRecorder,
     SoakRecorder,
 )
-from repro.scenarios.engine.parallel import ParallelContext
 from repro.scenarios.engine.state import AgentRuntime, RunState, VictimRuntime
 from repro.scenarios.faults import DECOY_SERIAL
 from repro.scenarios.report import ScenarioReport
@@ -124,7 +123,6 @@ class FleetEngine:
         self.config = config
         self.state: Optional[RunState] = None
         self.scheduler: Optional[EventScheduler] = None
-        self.parallel: Optional[ParallelContext] = None
         self.observers: List[EngineObserver] = []
         #: Open periods by index; the director creates an entry at each bin
         #: start, :meth:`pull_finished` closes it out.
@@ -208,15 +206,13 @@ class FleetEngine:
                 )
             )
 
-        with ParallelContext(cfg.parallelism) as parallel:
-            self.parallel = parallel
-            try:
-                state.victim = studies.setup_victim(state, setup_time + 1)
-                state.serial_pool = serial_pool(cfg, counts, state.victim)
-                self._run_event_loop(setup_time)
-                return self._assemble_report(duration)
-            finally:
-                self._cleanup(parallel)
+        try:
+            state.victim = studies.setup_victim(state, setup_time + 1)
+            state.serial_pool = serial_pool(cfg, counts, state.victim)
+            self._run_event_loop(setup_time)
+            return self._assemble_report(duration)
+        finally:
+            self._cleanup()
 
     def _build_ritm_config(self, duration: int) -> RITMConfig:
         """The RITM deployment config derived from the scenario config."""
@@ -377,18 +373,18 @@ class FleetEngine:
             extras=extras,
         )
 
-    def _cleanup(self, parallel: ParallelContext) -> None:
+    def _cleanup(self) -> None:
         """Close every store and drop checkpoint scratch directories.
 
         The durable engine holds open WAL handles (and temp directories
         when no explicit path was configured); a scenario run must not leak
-        them even when a study phase raises.  Agent closes are blocking
-        file I/O, so they ride the I/O pool when one is configured.
+        them even when a study phase raises.
         """
         state = self.state
         if state is None:
             return
-        parallel.run_io([runtime.agent.close for runtime in state.runtimes])
+        for runtime in state.runtimes:
+            runtime.agent.close()
         state.ca.close()
         if state.oracle is not None:
             state.oracle.close()

@@ -3,7 +3,7 @@
 Ports of the serial runner's ``_collect_metrics``/``_hot_path_metrics``/
 ``_config_dict`` over :class:`~repro.scenarios.engine.state.RunState`, plus
 the new ``metrics.fleet`` block every report now carries: fleet size,
-parallelism mode, scheduler throughput, mailbox high-watermarks, and the
+scheduler throughput, mailbox high-watermarks, and the
 pull-overlap measures (overlap factor and peak concurrency) computed by a
 sweep over the recorded pull intervals.
 """
@@ -64,7 +64,6 @@ def fleet_metrics(state: RunState) -> Dict[str, object]:
     }
     return {
         "fleet_size": len(state.runtimes),
-        "parallelism": state.config.parallelism,
         "scheduler_events_processed": state.scheduler_events_processed,
         "mailbox_depth_max": max(per_agent_depth.values(), default=0),
         "per_agent_mailbox_depth": per_agent_depth,
@@ -269,7 +268,6 @@ def config_dict(state: RunState, duration: int) -> Dict[str, object]:
         or cfg.link_overrides
         or cfg.client_handshakes
         or cfg.client_stream is not None
-        or cfg.parallelism != "serial"
     )
     if fleet_active:
         base["fleet"] = {
@@ -279,7 +277,6 @@ def config_dict(state: RunState, duration: int) -> Dict[str, object]:
             "link_profile": cfg.link_profile,
             "link_overrides": dict(cfg.link_overrides),
             "rng_seed": cfg.rng_seed,
-            "parallelism": cfg.parallelism,
             "client_handshakes": cfg.client_handshakes,
         }
         if cfg.client_stream is not None:

@@ -627,8 +627,7 @@ THUNDERING_HERD = register(
             "than a lockstep queue. Mid-period, a client-load actor posts "
             "handshake batches into each RA's mailbox; RAs serve them "
             "against the pre-pull replica state (sampling Ed25519 root "
-            "re-verification through the batch-verify path, where "
-            "parallelism=process fans out to worker processes). The fleet "
+            "re-verification through the batch-verify path). The fleet "
             "block of the report records peak concurrent pulls, the "
             "overlap factor, and mailbox high-watermarks."
         ),

@@ -71,7 +71,6 @@ REPLICATION_METRIC_KEYS = (
 #: concurrency accounting, present in every report.
 FLEET_METRIC_KEYS = (
     "fleet_size",
-    "parallelism",
     "scheduler_events_processed",
     "mailbox_depth_max",
     "per_agent_mailbox_depth",

@@ -1,17 +1,14 @@
-"""Fleet-engine behaviour: determinism, parallelism equivalence, knobs.
+"""Fleet-engine behaviour: determinism and knobs.
 
 These tests pin the properties ISSUE.md demands of the discrete-event
 engine:
 
 * two runs of the same seeded config produce **byte-identical** report
   JSON (all randomness flows from ``ScenarioConfig.rng_seed``);
-* the ``parallelism`` knob changes wall-clock only — verdicts, metrics,
-  and events are unchanged between ``serial`` and the pooled modes;
 * the concurrency knobs validate strictly and the fleet expansion is
   deterministic.
 """
 
-import json
 
 import pytest
 
@@ -62,28 +59,6 @@ def test_different_seed_changes_sampling_not_verdicts():
     )
 
 
-# -- parallelism is perf-only ----------------------------------------------------
-
-
-def _normalised(report):
-    """The report JSON with the parallelism mode labels blanked out."""
-    payload = json.loads(report.to_json())
-    payload["metrics"]["fleet"]["parallelism"] = ""
-    if "fleet" in payload["config"]:
-        payload["config"]["fleet"]["parallelism"] = ""
-    return payload
-
-
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_parallelism_modes_pin_the_serial_report(mode):
-    """Only the executor changes; every verdict, metric, and event is pinned."""
-    config = get("staggered-pulls").smoke()
-    serial = run_scenario(config)
-    pooled = run_scenario(config.with_overrides(parallelism=mode))
-    assert _normalised(serial) == _normalised(pooled)
-    assert pooled.metrics["fleet"]["parallelism"] == mode
-
-
 # -- knob validation -------------------------------------------------------------
 
 
@@ -109,11 +84,6 @@ def test_link_profile_and_overrides_validate():
     with pytest.raises(ConfigurationError, match="expected one of"):
         _fleet_config(link_overrides={"ra-a": "mixed"})
     _fleet_config(link_profile="mixed", link_overrides={"ra-b": "stalled"})
-
-
-def test_parallelism_mode_validates():
-    with pytest.raises(ConfigurationError, match="unknown parallelism"):
-        _fleet_config(parallelism="gpu")
 
 
 def test_negative_knobs_rejected():

@@ -13,6 +13,8 @@ the stable serial-allocator seed (before that fix three rows depended on
 refactor re-pinned one row, ``sharded-longrun``: its CA now publishes a WAL
 segment per shard batch and opens expiry windows ahead of their first
 revocation, and its RA prunes expired shards before (not after) polling them.
+Deleting the never-measured ``parallelism`` knob re-pinned all 17 rows: the
+JSON diff of every report was exactly the removed ``parallelism`` keys.
 """
 
 from __future__ import annotations
@@ -25,23 +27,23 @@ import pytest
 from repro.scenarios import get, names, run_scenario
 
 GOLDEN_DIGESTS = {
-    "ca-audit-gossip": "deb24b31fb0be845b55b1bf577d0ba78972a4c799a88b56403c813081efd521c",
-    "degraded-ra": "e902770b3835faa8bd8cb3c8a3b6c383c25c51244e7c7ed0ddc6852d14ecb6d9",
-    "equivocating-ca": "76921ffbe9890ea4d08f3c83b2b37d2f8c0b7839d7e7a5266e80bbe99c4782fd",
-    "flash-crowd": "f5c5505909cd126e164a9df02d9bdfd4d852145cc3be1aa36134bccf1f98b161",
-    "heartbleed": "1cd393a093b5b43d31afdaf1ce59248dca6b6787f3d015371b25a9c772e9f6d0",
-    "iot-long-lived": "d1fffab347e53dcf7dbf399031da94de996effd1e9e4cedbfc4ed856a5ea19b7",
-    "quickstart": "954f1995b56b930c757147de8fbb86dad1deaae026da7588b562335efb0fcc36",
-    "ra-crash-recovery": "f0db415d3ee68dd6d0a679e5011439c905047c14250441c5097d161b5e7e3da6",
-    "region-outage": "e0bb4c669a625c143367a37d07b8d15a183e72f3d21eff3f8f4d9fa00ad95b88",
-    "replayed-head": "e095c3cb1c1c4c96e724da04d4910860a73be89e3290c3c5773e2daac5052fa8",
-    "rotated-ca-key": "cd71eedbfe4f370e1789c14c458f64ff6fe6e8af9be299c6de55bdc4dbc48e4b",
-    "sharded-longrun": "ae2f50f48c5cedb736f1005b6bdb0015d73cf2937617c0b5d5155548e6dcf5c8",
-    "slow-ra-holb": "4e74cea3ff2b430b3739384c089e2966adb6d74f897b7d7ec3b4744911e0bb51",
-    "soak": "8869f2e78621d82432e0f97557d2828e70c52f73a08ad98db66ec6d6cea1cdc0",
-    "staggered-pulls": "ff0bad29f97b51ed2cdbd78f5cb8bae04f117d1869e9b1f6ae8502f2d0d4be11",
-    "tampered-cdn": "620b4c1127db52945087677b955dc0cc1583e1bcbaf2ae96ee03ec5d00d7cad1",
-    "thundering-herd": "ef768586ff8b6d1cc2d6d30925a31073fff4289510ca7584591a0e5c73a2fe98",
+    "ca-audit-gossip": "c41da7e3aa66b406ba653158338ba06fea583bb3a1ef1a1ae71359fae152afff",
+    "degraded-ra": "0476dd6f731042d585085d7b7ffc4971a0f42243b337fde1efeed66015daa177",
+    "equivocating-ca": "81ee8af79081bee635a6b30cc6868afa495d0b410385e1a61d28ca4c914de3a3",
+    "flash-crowd": "41374057cb1693ced73dfeefe7edbfea269fc46f2395faff93d62e0331dd7dba",
+    "heartbleed": "4e1114f62613fd10a4fe96a48b5fdbfe8144a981fa74ea125aca14290e07750d",
+    "iot-long-lived": "8547dbddf291314c5600eaa823725a577efa8568198843ebc32824d6767806b9",
+    "quickstart": "fd9b9bdd7df97c89d6f3de5d1419ff79f281f556674ae81f0ce5f2b1a4c133af",
+    "ra-crash-recovery": "310c301c38ae93bdf8fca1c1a818a86cec27eec3b06af83093ae7d18926b1443",
+    "region-outage": "d5403e3bf4d29b7e358c97d9e52fb41d385c0b671577c3ec9d8f21040a2e1b0d",
+    "replayed-head": "0b9fe51821bc41d1a4309a1e542f1aabe89052037bc89f13a8f76afc143832cf",
+    "rotated-ca-key": "b4c887b7c29aed2b7de70191b64618f5356fcb1bdd755f294a921609eda5d926",
+    "sharded-longrun": "5ab70a00c43358c0b9f08b32086c9b275aa0e2631c25f7fb6b83946c3f8296fa",
+    "slow-ra-holb": "089d35822d7113168bb4a3198ef202a6e00bdc5dda2137d748d99b7bdf12de56",
+    "soak": "619b04e14dde17279b328c7fb9825be366fe95f382bb7a100370d8c7bb0bbd3a",
+    "staggered-pulls": "814e5b760f4d175e168888a6f828717e2a91fe0bf93a07b28ab27d29b93e068f",
+    "tampered-cdn": "a01a9363adf6c34ef76b0771b019486103584c8a98c29df5bb8c4d9edc31f5ea",
+    "thundering-herd": "6b91839515f9715eaed8d59956d803cd69f000d81354c594e4d7e9cfdc8f0646",
 }
 
 
