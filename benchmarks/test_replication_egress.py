@@ -58,10 +58,11 @@ def _measure(fleet_size: int) -> dict:
         client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(region))
         return agent, client
 
-    # The survivor was disseminating normally before the outage; its segment
-    # walk is steady-state cost, not part of the recovery bill.
+    # The survivor was disseminating normally before the outage; its
+    # segment-streaming pull is steady-state cost, not part of the recovery bill.
     survivor, survivor_client = attach("survivor-ra", Region.UNITED_STATES)
-    survivor_client.sync_via_segments(now=400)
+    survivor_client.segment_streaming = True
+    survivor_client.pull(now=400)
     survivor_root = survivor.replica_for(ca.name).root()
 
     agents = [survivor]

@@ -77,6 +77,28 @@ class AgentStatistics:
     shard_replicas_pruned: int = 0
 
 
+@dataclass
+class Issuer:
+    """What an RA knows about one CA besides its replicas' content."""
+
+    name: str
+    #: The one verifier (bare key or rotating keyring) every replica of this
+    #: CA shares, so a rotation learned through any shard's head is known to
+    #: every shard at once.
+    verifier: object = None
+    #: Expiry-shard width (``None``: one whole dictionary under the CA's own
+    #: name); maps (CA, certificate expiry) → shard replica on the TLS path.
+    shard_width: Optional[int] = None
+    #: Explicit shard membership: shard index → replica name.  Kept as a
+    #: registry (not derived by parsing replica names) so an unrelated CA
+    #: whose name merely looks like a shard name can never be captured,
+    #: prefix-skipped, or pruned.
+    members: Dict[int, str] = field(default_factory=dict)
+    #: The validated key-announcement chain (rotating keyrings only), kept so
+    #: checkpoints can persist and rebuild the keyring.
+    announcements: Tuple[KeyAnnouncement, ...] = ()
+
+
 class RevocationAgent(Middlebox):
     """An on-path middlebox that serves revocation statuses to RITM clients."""
 
@@ -104,18 +126,9 @@ class RevocationAgent(Middlebox):
         #: the certificate identity on abbreviated (resumed) handshakes.
         self._server_cache: Dict[Tuple[str, int], Tuple[str, SerialNumber, int]] = {}
         self._per_packet_processing_seconds = per_packet_processing_seconds
-        #: Expiry-shard width per sharded CA (set by the dissemination layer);
-        #: lets the TLS path map (CA, certificate expiry) → shard replica.
-        self.shard_widths: Dict[str, int] = {}
-        #: The one verifier (bare key or rotating keyring) all of a sharded
-        #: CA's shard replicas share, so a rotation learned through any
-        #: shard's head is known to every shard at once.
-        self._shard_verifiers: Dict[str, object] = {}
-        #: Explicit shard membership: CA name → shard index → replica name.
-        #: Kept as a registry (not derived by parsing replica names) so an
-        #: unrelated CA whose name merely looks like a shard name can never
-        #: be captured, prefix-skipped, or pruned.
-        self._shard_members: Dict[str, Dict[int, str]] = {}
+        #: The CA behind every name this RA knows: each CA's own name and
+        #: each of its shard replicas' names map to the CA's one record.
+        self.issuers: Dict[str, Issuer] = {}
         #: Per-entry storage released by :meth:`prune_shard_replicas`.
         self.reclaimed_storage_bytes = 0
         #: Revocation entries dropped with pruned shard replicas.
@@ -128,9 +141,6 @@ class RevocationAgent(Middlebox):
             maxsize=self.config.root_cache_size,
             batch_width=self.config.signature_batch_width,
         )
-        #: Validated key-announcement chains per CA (rotating keyrings
-        #: only), kept so checkpoints can persist and rebuild the keyring.
-        self._key_announcements: Dict[str, Tuple[KeyAnnouncement, ...]] = {}
 
     # -- dictionary management -------------------------------------------------
 
@@ -145,16 +155,21 @@ class RevocationAgent(Middlebox):
         (``config.store_engine``), so a whole deployment can be switched
         between engines from one knob.
         """
-        if ca_name not in self.replicas:
+        self.issuers.setdefault(ca_name, Issuer(ca_name, public_key))
+        return self._open_replica(ca_name, public_key)
+
+    def _open_replica(self, name: str, verifier) -> ReplicaDictionary:
+        """Create (or return) the replica dictionary named ``name``."""
+        if name not in self.replicas:
             replica = ReplicaDictionary(
-                ca_name,
-                public_key,
+                name,
+                verifier,
                 digest_size=self.config.digest_size,
                 engine=self.config.store_engine,
             )
             replica.root_cache = self.root_cache
-            self.replicas[ca_name] = replica
-        return self.replicas[ca_name]
+            self.replicas[name] = replica
+        return self.replicas[name]
 
     def replica_for(self, ca_name: str) -> Optional[ReplicaDictionary]:
         """The replica registered under ``ca_name`` (None when unknown)."""
@@ -164,21 +179,15 @@ class RevocationAgent(Middlebox):
         """The rotating keyring ``ca_name``'s replica — or, for a sharded CA,
         every one of its shard replicas — verifies with (None for bare-key
         or unknown CAs)."""
-        replica = self.replicas.get(ca_name)
-        verifier = (
-            replica.ca_public_key
-            if replica is not None
-            else self._shard_verifiers.get(ca_name)
-        )
+        issuer = self.issuers.get(ca_name)
+        verifier = issuer.verifier if issuer is not None else None
         return verifier if isinstance(verifier, CAKeyring) else None
 
     def issuer_of(self, replica_name: str) -> str:
         """The CA behind a replica: the owning CA of a registered shard
         replica, otherwise the replica's own name."""
-        for ca_name, members in self._shard_members.items():
-            if replica_name in members.values():
-                return ca_name
-        return replica_name
+        issuer = self.issuers.get(replica_name)
+        return issuer.name if issuer is not None else replica_name
 
     def learn_key_announcements(
         self, ca_name: str, announcements: Sequence[KeyAnnouncement]
@@ -240,7 +249,7 @@ class RevocationAgent(Middlebox):
                 overlap_seconds=announcement.overlap_seconds,
             )
             learned += 1
-        self._key_announcements[ca_name] = tuple(validated)
+        self.issuers[ca_name].announcements = tuple(validated)
         return learned
 
     # -- sharded CAs (§VIII "Ever-growing dictionaries") -----------------------
@@ -257,9 +266,10 @@ class RevocationAgent(Middlebox):
         for :meth:`register_ca`) all of them share.  A verifier already
         registered is kept — it may have learned rotations.
         """
-        self.shard_widths[ca_name] = width_seconds
-        if public_key is not None:
-            self._shard_verifiers.setdefault(ca_name, public_key)
+        issuer = self.issuers.setdefault(ca_name, Issuer(ca_name))
+        issuer.shard_width = width_seconds
+        if issuer.verifier is None:
+            issuer.verifier = public_key
 
     def register_shard_replica(self, ca_name: str, shard_index: int) -> ReplicaDictionary:
         """Create (or return) the replica of one expiry shard of ``ca_name``,
@@ -271,16 +281,25 @@ class RevocationAgent(Middlebox):
         its own pulls and eventually prune a live CA's replica.
         """
         name = shard_name(ca_name, shard_index)
-        verifier = self._shard_verifiers[ca_name]
+        issuer = self.issuers[ca_name]
         existing = self.replicas.get(name)
-        if existing is not None and existing.ca_public_key is not verifier:
+        if existing is not None and existing.ca_public_key is not issuer.verifier:
             raise DictionaryError(
                 f"replica name {name!r} is already registered for a different "
                 f"CA key; refusing to adopt it as a shard of {ca_name!r}"
             )
-        replica = self.register_ca(name, verifier)
-        self._shard_members.setdefault(ca_name, {})[shard_index] = name
-        return replica
+        issuer.members[shard_index] = name
+        self.issuers[name] = issuer
+        return self._open_replica(name, issuer.verifier)
+
+    @property
+    def shard_widths(self) -> Dict[str, int]:
+        """Expiry-shard width of every sharded CA this RA follows."""
+        return {
+            issuer.name: issuer.shard_width
+            for issuer in self.issuers.values()
+            if issuer.shard_width is not None
+        }
 
     def replicas_of(self, ca_name: str) -> List[ReplicaDictionary]:
         """Every replica holding ``ca_name``'s revocations: the one named
@@ -299,19 +318,18 @@ class RevocationAgent(Middlebox):
         replica = self.replicas.get(ca_name)
         if replica is not None:
             return replica
-        width = self.shard_widths.get(ca_name)
-        if width is None or expiry is None or expiry < 0:
+        issuer = self.issuers.get(ca_name)
+        if issuer is None or issuer.shard_width is None or expiry is None or expiry < 0:
             return None
-        key = ShardKey.for_expiry(expiry, width)
-        name = self._shard_members.get(ca_name, {}).get(key.index)
+        name = issuer.members.get(ShardKey.for_expiry(expiry, issuer.shard_width).index)
         return self.replicas.get(name) if name is not None else None
 
     def shard_replicas(self, ca_name: str) -> Dict[int, ReplicaDictionary]:
         """This RA's shard replicas of ``ca_name``, keyed by shard index."""
-        members = self._shard_members.get(ca_name, {})
+        issuer = self.issuers.get(ca_name)
         return {
             index: self.replicas[name]
-            for index, name in members.items()
+            for index, name in (issuer.members.items() if issuer is not None else ())
             if name in self.replicas
         }
 
@@ -322,18 +340,18 @@ class RevocationAgent(Middlebox):
         :attr:`pruned_revocations` / :attr:`reclaimed_storage_bytes` — the
         §VIII storage reclamation the sharded deployment mode is about.
         """
-        width = self.shard_widths.get(ca_name)
-        if width is None:
+        issuer = self.issuers.get(ca_name)
+        if issuer is None or issuer.shard_width is None:
             return (0, 0)
         entries = bytes_freed = 0
-        members = self._shard_members.get(ca_name, {})
         for index, replica in list(self.shard_replicas(ca_name).items()):
-            if ShardKey(index, width).is_expired(now):
+            if ShardKey(index, issuer.shard_width).is_expired(now):
                 entries += replica.size
                 bytes_freed += replica.storage_size_bytes()
-                name = members.pop(index)
+                name = issuer.members.pop(index)
                 replica.close()  # release the pruned store (durable engines)
                 del self.replicas[name]
+                del self.issuers[name]
                 # Shard retirement: evict the retired dictionary's cached
                 # proofs and root verdicts along with its replica.
                 self.proof_cache.invalidate_dictionary(name)
@@ -369,11 +387,12 @@ class RevocationAgent(Middlebox):
             key_bytes = verifier.key_bytes
             if isinstance(verifier, CAKeyring):
                 key_bytes = verifier.genesis.key_bytes
-                issuer = self.issuer_of(ca_name)
-                chain = self._key_announcements.get(issuer)
-                if chain:
-                    keyrings[issuer] = {
-                        "announcements": encode_key_announcements(chain).hex(),
+                issuer = self.issuers[ca_name]
+                if issuer.announcements:
+                    keyrings[issuer.name] = {
+                        "announcements": encode_key_announcements(
+                            issuer.announcements
+                        ).hex(),
                         "clock": verifier.clock,
                     }
             replicas.append(
@@ -388,9 +407,11 @@ class RevocationAgent(Middlebox):
         write_checkpoint(
             AgentCheckpoint(
                 agent_name=self.name,
-                shard_widths=dict(self.shard_widths),
+                shard_widths=self.shard_widths,
                 shard_members={
-                    ca: dict(members) for ca, members in self._shard_members.items()
+                    issuer.name: dict(issuer.members)
+                    for issuer in self.issuers.values()
+                    if issuer.members
                 },
                 replicas=replicas,
                 keyrings=keyrings,
@@ -432,8 +453,12 @@ class RevocationAgent(Middlebox):
             if issuer != entry.ca_name:
                 # Shard replicas share their CA's verifier (the one a prior
                 # attach registered, else this checkpoint's).
-                verifier = self._shard_verifiers.setdefault(issuer, verifier)
-            replica = self.register_ca(entry.ca_name, verifier)
+                record = self.issuers.setdefault(issuer, Issuer(issuer))
+                if record.verifier is None:
+                    record.verifier = verifier
+                replica = self._open_replica(entry.ca_name, record.verifier)
+            else:
+                replica = self.register_ca(entry.ca_name, verifier)
             if keyring_state is not None:
                 # Rebuild the rotating keyring from the persisted chain,
                 # re-validated against the genesis anchor.  A tampered or
@@ -470,13 +495,10 @@ class RevocationAgent(Middlebox):
             if replica is not None:
                 replica.close()
         for ca_name, members in checkpoint.shard_members.items():
-            kept = {
-                index: name
-                for index, name in members.items()
-                if name in restored_names
-            }
-            if kept:
-                self._shard_members.setdefault(ca_name, {}).update(kept)
+            for index, name in members.items():
+                if name in restored_names:
+                    self.issuers[ca_name].members[index] = name
+                    self.issuers[name] = self.issuers[ca_name]
         return len(restored_names)
 
     def close(self) -> None:

@@ -533,9 +533,9 @@ class RITMCertificationAuthority:
     ) -> None:
         """The one publish routine: issuance object, signed segment, head.
 
-        Segment numbers advance in lockstep with the stream's batch counter,
-        so RA-side replication cursors and applied-batch cursors describe
-        the same position in the stream's revocation history.
+        Issuance objects and segments are numbered by the one batch
+        counter, so an RA-side stream position means the same whichever
+        object it was reached through.
         """
         stream.sync_server.record_issuance(issuance)
         stream.batches += 1

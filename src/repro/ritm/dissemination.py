@@ -8,9 +8,12 @@ the replica's, the RA fetches the missing issuance batches (or falls back to
 the sync protocol) and applies them.
 
 Every replica the agent holds — a whole-CA dictionary or one expiry shard of
-a sharded CA (§VIII, ``RITMConfig.sharded``) — goes through that same
-head/issuance (or WAL-segment) cycle under its own name.  A sharded CA adds
-only a step *before* it: the RA pulls the CA's small shard *index* object to
+a sharded CA (§VIII, ``RITMConfig.sharded``) — goes through that same cycle
+under its own name, tracked by one :class:`ReplicaFeed` record: head first,
+then, if the head shows the replica behind, one catch-up walk from the
+feed's position (fetching issuance objects, or WAL segments when
+``segment_streaming`` is set — docs/REPLICATION.md), then freshness.  A
+sharded CA adds only a step *before* it: the RA pulls the CA's small shard *index* object to
 register replicas for newly opened shards, and every pruning period deletes
 replicas of shards whose expiry window has passed — the storage reclamation
 the §VIII relaxation is about.  The shard index itself is unauthenticated,
@@ -30,6 +33,7 @@ from typing import Callable, Dict, List, Optional
 from repro.cdn.geography import GeoLocation, region_distance
 from repro.cdn.network import CDNNetwork
 from repro.crypto.signing import CAKeyring
+from repro.dictionary.authdict import RevocationIssuance
 from repro.dictionary.sharding import (
     MAX_CERTIFICATE_LIFETIME_SECONDS,
     ShardKey,
@@ -38,7 +42,6 @@ from repro.dictionary.sharding import (
 from repro.dictionary.sync import SyncRequest, SyncServer
 from repro.errors import (
     CDNError,
-    DesynchronizedError,
     DictionaryError,
     ReplayError,
     SignatureError,
@@ -58,12 +61,7 @@ from repro.ritm.messages import (
     decode_key_announcements,
     decode_shard_index,
 )
-from repro.ritm.replication import (
-    decode_segment,
-    segment_path,
-    segment_suffix_issuance,
-    verify_segment,
-)
+from repro.ritm.replication import decode_segment, segment_path, verify_segment
 from repro.store.durable import atomic_write
 
 
@@ -134,51 +132,108 @@ def _cursor_map(state: dict, key: str) -> Dict[str, int]:
     return {str(name): int(value) for name, value in state.get(key, {}).items()}
 
 
+@dataclass
+class ReplayWindow:
+    """Replay window over one object's unauthenticated publication sequence."""
+
+    #: Highest publication sequence observed (0 = none yet).
+    cursor: int = 0
+    #: Consecutive out-of-window rejections; lets a forged-high cursor
+    #: self-heal instead of bricking the pull loop forever (docs/THREATS.md).
+    stale: int = 0
+
+    def skips(self, sequence: int, window: int, what: str, result: PullResult) -> bool:
+        """Classify a publication sequence against the cursor.
+
+        Returns ``True`` when the object should be *skipped* as benign CDN
+        staleness (at most ``window`` publications behind the newest
+        sequence this RA has seen).  Raises :class:`ReplayError` when it is
+        further behind — a re-presented old object, the §V replay attack.
+        Returns ``False`` when the object is current.
+
+        Sequences are unauthenticated (a CDN cannot sign), so the cursor
+        self-heals: after more than ``window`` *consecutive* rejections it
+        resets, bounding how long a forged-high sequence can starve an RA
+        of honest updates.  Safety never rests on this counter — replayed
+        signed content is still rejected by hash-chain linkage and
+        monotonic freshness age.
+        """
+        cursor = self.cursor
+        behind = cursor - sequence
+        if behind <= 0:
+            self.stale = 0
+            return False
+        if behind <= window:
+            result.stale_heads_ignored += 1
+            return True
+        self.stale += 1
+        if self.stale > window:
+            self.cursor = self.stale = 0
+        result.replays_rejected += 1
+        raise ReplayError(
+            f"{what} re-presents publication sequence "
+            f"{sequence}, {behind} behind the newest observed ({cursor}) — "
+            f"outside the replay window of {window}"
+        )
+
+
+@dataclass
+class ReplicaFeed:
+    """Where one replica stands in its dictionary's stream (docs/REPLICATION.md)."""
+
+    #: The highest batch whose content the replica holds.  The CA numbers a
+    #: stream's issuance objects and WAL segments with one counter, so this
+    #: is the position in both.
+    position: int = 0
+    #: Replay window over the stream's head publications.
+    head: ReplayWindow = field(default_factory=ReplayWindow)
+    #: Verified raw segments by number, retained so this RA can relay them
+    #: to anti-entropy peers.
+    segments: Dict[int, bytes] = field(default_factory=dict)
+    #: The CA's direct sync endpoint, used when the batch objects cannot
+    #: close the gap — the paper's desynchronization recovery.
+    sync_server: Optional[SyncServer] = None
+
+
+@dataclass
+class ShardDiscovery:
+    """How one sharded CA's live shard set is tracked."""
+
+    #: Shard (stream) name → its sync endpoint.
+    sync_server_for: Optional[Callable[[str], Optional[SyncServer]]] = None
+    #: Pull cycles completed (drives the pruning cadence).
+    pulls: int = 0
+    #: Replay window over the shard index publications.
+    index: ReplayWindow = field(default_factory=ReplayWindow)
+
+
 class RADisseminationClient:
     """The piece of an RA that talks to the dissemination network."""
 
     def __init__(
-        self,
-        agent: RevocationAgent,
-        cdn: CDNNetwork,
-        location: GeoLocation,
-        sync_servers: Optional[Dict[str, SyncServer]] = None,
+        self, agent: RevocationAgent, cdn: CDNNetwork, location: GeoLocation
     ) -> None:
         self.agent = agent
         self.cdn = cdn
         self.location = location
-        #: Direct CA sync endpoints, used when the CDN does not (yet) have the
-        #: needed issuance batches — the paper's desynchronization recovery.
-        self.sync_servers = sync_servers if sync_servers is not None else {}
-        #: Highest issuance batch already applied, per CA.
-        self._applied_batches: Dict[str, int] = {}
+        #: Replication state per replica, by dictionary name.
+        self.feeds: Dict[str, ReplicaFeed] = {}
+        #: Shard discovery state per sharded CA, by CA name.
+        self.sharded: Dict[str, ShardDiscovery] = {}
         self.pull_history: List[PullResult] = []
-        #: Sharded CAs: CA name → sync-endpoint lookup by shard (stream) name.
-        self._sharded_cas: Dict[str, Optional[Callable[[str], Optional[SyncServer]]]] = {}
-        #: Pull cycles completed per sharded CA (drives the pruning cadence).
-        self._shard_pulls: Dict[str, int] = {}
-        #: Replay windows: highest publication sequence observed per head
-        #: (and per shard index), plus consecutive-rejection counters that
-        #: let a forged-high cursor self-heal instead of bricking the pull
-        #: loop forever (docs/THREATS.md).
-        self._head_cursors: Dict[str, int] = {}
-        self._head_stale_counts: Dict[str, int] = {}
-        self._index_cursors: Dict[str, int] = {}
-        self._index_stale_counts: Dict[str, int] = {}
-        #: Streaming replication (docs/REPLICATION.md): highest contiguously
-        #: applied WAL segment per CA, and the verified raw segment bytes
-        #: retained so this RA can relay them to anti-entropy peers.
-        self._segment_cursors: Dict[str, int] = {}
-        self._segment_archive: Dict[str, Dict[int, bytes]] = {}
-        #: Opt-in: when set, every :meth:`pull` walks the CA's WAL segment
-        #: stream *before* the head check, so serials arrive as verified
-        #: segments (and the head then only refreshes freshness).  Off by
-        #: default — the legacy batch-driven pull stays byte-identical.
+        #: Which object the catch-up walk fetches per missing batch from the
+        #: CDN: the compact issuance object (default), or the signed WAL
+        #: segment — which the RA can then relay to peers.  Either way the
+        #: replica ends byte-identical.
         self.segment_streaming = False
+
+    def _feed(self, name: str) -> ReplicaFeed:
+        """The feed record of replica ``name`` (created on first use)."""
+        return self.feeds.setdefault(name, ReplicaFeed())
 
     def register_sync_server(self, ca_name: str, server: SyncServer) -> None:
         """Register the CA's direct sync endpoint for desync recovery."""
-        self.sync_servers[ca_name] = server
+        self._feed(ca_name).sync_server = server
 
     # -- crash recovery (docs/STORAGE.md) ---------------------------------------
 
@@ -186,33 +241,31 @@ class RADisseminationClient:
     STATE_FILENAME = "dissemination.json"
 
     def checkpoint(self, directory) -> int:
-        """Persist the agent plus this client's applied-batch cursors.
+        """Persist the agent plus this client's stream positions.
 
-        The cursors are what turn a warm restart into a *delta* fetch: the
-        restored client resumes from the last issuance batch it committed
-        instead of re-walking (or re-downloading) the CA's whole batch
-        history.  Replay cursors are persisted under their own CRC32 so a
-        restore can tell tampering from an honest pre-replay-window
-        checkpoint.  Returns the number of replicas persisted.
+        The positions are what turn a warm restart into a *delta* fetch: the
+        restored client resumes from the last batch it committed instead of
+        re-walking (or re-downloading) the CA's whole batch history.  Replay
+        cursors are persisted under their own CRC32 so a restore can tell
+        tampering from an honest pre-replay-window checkpoint.  Returns the
+        number of replicas persisted.
         """
         cursor_state = {
-            "head_cursors": dict(self._head_cursors),
-            "index_cursors": dict(self._index_cursors),
+            "head_cursors": {
+                name: feed.head.cursor for name, feed in self.feeds.items()
+            },
+            "index_cursors": {
+                name: record.index.cursor for name, record in self.sharded.items()
+            },
         }
-        # Replication cursors travel as their own CRC'd block (not folded
-        # into the replay-cursor checksum) so pre-replication checkpoints —
-        # and checkpoints written by pre-replication builds — keep restoring
-        # byte-for-byte as before, and a corrupted segment block degrades
-        # only segment catch-up, never the replay windows.
-        segment_state = {"segment_cursors": dict(self._segment_cursors)}
         state = {
             "format": 1,
-            "applied_batches": dict(self._applied_batches),
-            "shard_pulls": dict(self._shard_pulls),
+            "applied_batches": {
+                name: feed.position for name, feed in self.feeds.items()
+            },
+            "shard_pulls": {name: record.pulls for name, record in self.sharded.items()},
             "cursor_checksum": _cursor_checksum(cursor_state),
-            "segment_cursor_checksum": _cursor_checksum(segment_state),
             **cursor_state,
-            **segment_state,
         }
         # Cursors are written first (atomically), the agent manifest last:
         # the manifest is the checkpoint's commit point, so a crash at any
@@ -230,12 +283,14 @@ class RADisseminationClient:
     def restore(self, directory) -> int:
         """Warm-start the agent and this client from a checkpoint.
 
-        Applied-batch cursors are restored only for dictionaries whose
-        replica actually warm-started (holds a verified root): a cursor
-        without its replica state would make the next pull skip batches the
-        replica never applied.  Replay cursors are restored only when their
-        checksum validates — a tampered (or truncated) cursor block degrades
-        the restart to cold replay state, which re-learns sequences from the
+        Stream positions are restored only for dictionaries whose replica
+        actually warm-started (holds a verified root): a position without
+        its replica state would make the next pull skip batches the replica
+        never applied.  Files written before the two cursors merged carry a
+        separate CRC'd ``segment_cursors`` block; the position is the higher
+        of the two.  Replay cursors are restored only when their checksum
+        validates — a tampered (or truncated) cursor block degrades the
+        restart to cold replay state, which re-learns sequences from the
         next pull; it never silently accepts a forged cursor.  Returns the
         number of replicas restored.
         """
@@ -244,216 +299,78 @@ class RADisseminationClient:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 state = json.load(handle)
-            cursors = _cursor_map(state, "applied_batches")
+            positions = _cursor_map(state, "applied_batches")
             shard_pulls = _cursor_map(state, "shard_pulls")
         except (OSError, ValueError, TypeError, AttributeError):
             return restored
-
-        def warm_started(name: str) -> bool:
-            """A cursor is only meaningful for a replica that actually
-            warm-started — without its content the next pull would skip
-            batches (or segments) the replica never applied."""
+        try:
+            segment_state = {"segment_cursors": _cursor_map(state, "segment_cursors")}
+            if state.get("segment_cursor_checksum") == _cursor_checksum(segment_state):
+                for name, number in segment_state["segment_cursors"].items():
+                    positions[name] = max(positions.get(name, 0), number)
+        except (ValueError, TypeError, AttributeError):
+            pass  # malformed segment block: the batch positions stand alone
+        for name, position in positions.items():
             replica = self.agent.replicas.get(name)
-            return replica is not None and replica.signed_root is not None
-
-        self._applied_batches.update(
-            (name, batch) for name, batch in cursors.items() if warm_started(name)
-        )
-        self._shard_pulls.update(shard_pulls)
+            if replica is not None and replica.signed_root is not None:
+                self._feed(name).position = position
+        for name, pulls in shard_pulls.items():
+            if name in self.sharded:
+                self.sharded[name].pulls = pulls
         try:
             cursor_state = {
                 "head_cursors": _cursor_map(state, "head_cursors"),
                 "index_cursors": _cursor_map(state, "index_cursors"),
             }
             if state.get("cursor_checksum") == _cursor_checksum(cursor_state):
-                self._head_cursors.update(cursor_state["head_cursors"])
-                self._index_cursors.update(cursor_state["index_cursors"])
+                for name, cursor in cursor_state["head_cursors"].items():
+                    if name in self.agent.replicas:
+                        self._feed(name).head.cursor = cursor
+                for name, cursor in cursor_state["index_cursors"].items():
+                    if name in self.sharded:
+                        self.sharded[name].index.cursor = cursor
         except (ValueError, TypeError, AttributeError):
             pass  # malformed cursor block: cold replay state, never trust it
-        try:
-            segment_state = {"segment_cursors": _cursor_map(state, "segment_cursors")}
-            if state.get("segment_cursor_checksum") == _cursor_checksum(segment_state):
-                self._segment_cursors.update(
-                    (name, number)
-                    for name, number in segment_state["segment_cursors"].items()
-                    if warm_started(name)
-                )
-        except (ValueError, TypeError, AttributeError):
-            pass  # malformed segment block: catch up from scratch or a peer
         return restored
 
     # -- streaming replication (docs/REPLICATION.md) -----------------------------
 
     def replication_cursor(self, ca_name: str) -> int:
-        """Highest contiguously applied WAL segment for one CA (0 = none)."""
-        return self._segment_cursors.get(ca_name, 0)
+        """The stream position of one replica (0 = nothing applied yet)."""
+        feed = self.feeds.get(ca_name)
+        return feed.position if feed is not None else 0
 
     def archived_segment(self, ca_name: str, number: int) -> Optional[bytes]:
         """Raw bytes of a verified, retained segment (``None`` if unknown).
 
         This is the anti-entropy serving side: peers relay exactly the
         bytes they verified, and every receiver re-verifies against its own
-        trust anchor, so the archive never has to be trusted.
+        trust anchor, so the archive never has to be trusted.  An RA that
+        caught up through issuance objects holds the position but no
+        segments, so it has nothing to offer.
         """
-        return self._segment_archive.get(ca_name, {}).get(number)
-
-    def sync_via_segments(self, now: float) -> PullResult:
-        """Catch every replica up by walking the CA's segment stream CA-direct.
-
-        Fetches ``segment/<cursor+1>`` onward from the CDN until the stream
-        ends, verifying and applying each segment.  A segment that fails
-        verification (or exposes a gap) stops the walk for that CA and is
-        recorded; the next ordinary pull recovers through the batch or sync
-        path.  Returns the recorded :class:`PullResult` (also appended to
-        :attr:`pull_history`).
-        """
-        result = PullResult(time=now)
-        self._sync_segments_into(result, now)
-        self.pull_history.append(result)
-        return result
-
-    def _sync_segments_into(self, result: PullResult, now: float) -> None:
-        """The CA-direct segment walk, accumulating into ``result``."""
-        for ca_name, replica in list(self.agent.replicas.items()):
-            while True:
-                path = segment_path(ca_name, self.replication_cursor(ca_name) + 1)
-                if not self.cdn.origin.exists(path):
-                    break
-                download = self.cdn.download(
-                    path, self.location, now, source=self.agent.name
-                )
-                result.bytes_downloaded += download.bytes_on_wire
-                result.segment_bytes_downloaded += download.bytes_on_wire
-                result.latency_seconds += download.latency_seconds
-                try:
-                    self._apply_segment_bytes(
-                        ca_name, replica, download.content, now, result
-                    )
-                except (TLSError, SignatureError, DictionaryError) as exc:
-                    result.segments_rejected += 1
-                    result.errors.append(f"{ca_name}: {exc}")
-                    break
+        feed = self.feeds.get(ca_name)
+        return feed.segments.get(number) if feed is not None else None
 
     def sync_from_peer(self, peer: "RADisseminationClient", now: float) -> PullResult:
         """RA→RA anti-entropy: catch up from a peer's verified segment archive.
 
-        Shards the CA opened while this RA was away are discovered first;
-        then, for every replica, the cursors are compared and the missing
-        segments are relayed peer-to-peer — each one re-verified against
-        *this* RA's trust anchor before it touches the replica, so the peer
-        can withhold progress but never forge it.  When the peer cannot
-        supply a contiguous run up to its claimed cursor (archive gap,
-        tampered relay, equivocation attempt), the CA's sync protocol is
-        used as the **explicit** cold fallback and counted as such.  The
-        latency model charges one inter-region round trip per relayed
-        segment plus transfer time at this RA's downstream bandwidth.
+        The same cycle as :meth:`pull` — shard discovery, then every replica
+        — except that the peer's position, not a head, says how far behind
+        a replica is, and the catch-up walk asks the peer's archive for the
+        missing segments.  Each one is re-verified against *this* RA's trust
+        anchor before it touches the replica, so the peer can withhold
+        progress but never forge it.  When the peer cannot supply a
+        contiguous run up to its claimed position (archive gap, tampered
+        relay, equivocation attempt), the CA's sync protocol is used as the
+        **explicit** cold fallback and counted as such.  The latency model
+        charges one inter-region round trip per relayed segment plus
+        transfer time at this RA's downstream bandwidth.
         """
         result = PullResult(time=now)
-        hop_rtt = max(0.001, region_distance(self.location.region, peer.location.region))
-        for ca_name in self._sharded_cas:
-            self._refresh_shard_set(ca_name, now, result)
-        for ca_name, replica in list(self.agent.replicas.items()):
-            peer_cursor = peer.replication_cursor(ca_name)
-            if peer_cursor <= self.replication_cursor(ca_name):
-                continue
-            result.peer_syncs += 1
-            degraded = False
-            while self.replication_cursor(ca_name) < peer_cursor:
-                raw = peer.archived_segment(ca_name, self.replication_cursor(ca_name) + 1)
-                if raw is None:
-                    degraded = True
-                    break
-                result.bytes_downloaded += len(raw)
-                result.segment_bytes_downloaded += len(raw)
-                result.latency_seconds += hop_rtt + len(raw) / self.location.bandwidth_to_edge()
-                before = self.replication_cursor(ca_name)
-                try:
-                    self._apply_segment_bytes(
-                        ca_name, replica, raw, now, result, from_peer=True
-                    )
-                except (TLSError, SignatureError, DictionaryError) as exc:
-                    result.segments_rejected += 1
-                    result.errors.append(f"{ca_name}: peer relay rejected: {exc}")
-                    degraded = True
-                    break
-                if self.replication_cursor(ca_name) == before:
-                    # The peer answered the requested number with an
-                    # already-covered segment; re-asking would loop forever.
-                    degraded = True
-                    break
-            if degraded:
-                # Never silent: the peer claimed more history than it could
-                # prove, so fall back to the CA's sync protocol and say so.
-                result.cold_sync_fallbacks += 1
-                self._resync(ca_name, replica, result)
+        self._cycle(now, result, peer)
         self.pull_history.append(result)
         return result
-
-    def _apply_segment_bytes(
-        self,
-        ca_name: str,
-        replica,
-        raw: bytes,
-        now: float,
-        result: PullResult,
-        from_peer: bool = False,
-    ) -> int:
-        """Verify one encoded segment and apply it to its replica.
-
-        Enforces, in order: structural integrity (framing + every CRC), the
-        CA header signature under this RA's own keyring, segment-cursor
-        contiguity, and revocation-number contiguity — then applies the
-        not-yet-covered suffix through the same ``update_many`` transaction
-        as the pull path (rollback on root mismatch).  Duplicate delivery
-        is a verified no-op.  Returns serials newly applied.
-        """
-        segment = decode_segment(raw)
-        if segment.ca_name != ca_name:
-            raise TLSError(
-                f"WAL segment addressed to {segment.ca_name!r} applied to "
-                f"{ca_name!r}'s replica"
-            )
-        verifier = replica.ca_public_key
-        if hasattr(verifier, "advance"):
-            verifier.advance(int(now))
-        if not verify_segment(segment, verifier):
-            raise SignatureError(
-                f"WAL segment {segment.segment_number} for {ca_name!r} is not "
-                f"signed by an acceptable CA key"
-            )
-        cursor = self._segment_cursors.get(ca_name, 0)
-        if segment.segment_number <= cursor:
-            return 0  # duplicate delivery: already covered, idempotent
-        if segment.segment_number != cursor + 1:
-            raise DesynchronizedError(
-                f"WAL segment stream for {ca_name!r} has a gap: expected "
-                f"segment {cursor + 1}, got {segment.segment_number}"
-            )
-        issuance = segment_suffix_issuance(segment, replica.size)
-        applied = 0
-        if issuance is not None:
-            applied = self.agent.apply_issuances(ca_name, [issuance])
-            result.issuances_applied += 1
-            result.serials_applied += applied
-        try:
-            replica.apply_freshness(segment.freshness_after)
-            result.freshness_applied += 1
-        except (ReplayError, DictionaryError):
-            # The replica already holds newer authenticated freshness (it
-            # pulled a head after this segment was cut): keep the newer one.
-            pass
-        self._segment_cursors[ca_name] = segment.segment_number
-        self._segment_archive.setdefault(ca_name, {})[segment.segment_number] = raw
-        # Segment numbers advance in lockstep with the CA's issuance batch
-        # counter, so a later head-driven catch-up must not refetch batches
-        # the segment stream already covered.
-        self._applied_batches[ca_name] = max(
-            self._applied_batches.get(ca_name, 0), segment.segment_number
-        )
-        result.segments_applied += 1
-        if from_peer:
-            result.segments_from_peer += 1
-        return applied
 
     def register_sharded_ca(
         self,
@@ -474,7 +391,7 @@ class RADisseminationClient:
         index advertising a different width is treated as malformed.
         """
         self.agent.register_sharded_ca(ca_name, width_seconds, public_key)
-        self._sharded_cas[ca_name] = sync_server_for
+        self.sharded[ca_name] = ShardDiscovery(sync_server_for)
 
     # -- the Δ-periodic pull -------------------------------------------------------
 
@@ -493,20 +410,7 @@ class RADisseminationClient:
         hits_before = root_stats.hits
         misses_before = root_stats.misses
         invalidations_before = proof_stats.invalidations
-        for ca_name in self._sharded_cas:
-            self._refresh_shard_set(ca_name, now, result)
-        if self.segment_streaming:
-            # Streaming mode: apply the WAL segment stream first, so the
-            # head check below finds the replica current and only applies
-            # freshness — serials travel as verified segments.
-            self._sync_segments_into(result, now)
-        for ca_name, replica in list(self.agent.replicas.items()):
-            try:
-                self._pull_one(ca_name, replica, now, result)
-            except (CDNError, DictionaryError, SignatureError, TLSError) as exc:
-                # One dictionary's bad objects (or forged signatures) must
-                # never abort the pull cycle for every other healthy one.
-                result.errors.append(f"{ca_name}: {exc}")
+        self._cycle(now, result)
         result.root_cache_hits = root_stats.hits - hits_before
         result.root_signatures_verified = root_stats.misses - misses_before
         result.proofs_invalidated = proof_stats.invalidations - invalidations_before
@@ -517,6 +421,18 @@ class RADisseminationClient:
             )
         self.pull_history.append(result)
         return result
+
+    def _cycle(self, now: float, result: PullResult, peer=None) -> None:
+        """Shard discovery, then every replica behind one error boundary."""
+        for ca_name in self.sharded:
+            self._refresh_shard_set(ca_name, now, result)
+        for name, replica in list(self.agent.replicas.items()):
+            try:
+                self._pull_one(name, replica, now, result, peer)
+            except (CDNError, DictionaryError, SignatureError, TLSError) as exc:
+                # One dictionary's bad objects (or forged signatures) must
+                # never abort the cycle for every other healthy one.
+                result.errors.append(f"{name}: {exc}")
 
     def _refresh_shard_set(self, ca_name: str, now: float, result: PullResult) -> None:
         """Discovery and pruning for one sharded CA: which replicas to hold."""
@@ -532,7 +448,7 @@ class RADisseminationClient:
 
     def _discover_shards(self, ca_name: str, now: float, result: PullResult):
         """Register a replica for every live shard the index lists; returns it."""
-        sync_server_for = self._sharded_cas[ca_name]
+        discovery = self.sharded[ca_name]
         download = self.cdn.download(shard_index_path(ca_name), self.location, now)
         result.bytes_downloaded += download.bytes_on_wire
         result.latency_seconds += download.latency_seconds
@@ -545,19 +461,21 @@ class RADisseminationClient:
         # mismatch is treated as a malformed object, like any other
         # undecodable index — checked before the replay window so a forged
         # index can never hide behind "benign staleness".
-        width = self.agent.shard_widths[ca_name]
+        width = self.agent.issuers[ca_name].shard_width
         if index.width_seconds != width:
             raise TLSError(
                 f"shard index for {ca_name!r} advertises width "
                 f"{index.width_seconds}s but the agent is configured with "
                 f"{width}s"
             )
-        if self._replay_window_check(
-            ca_name, index.sequence, self._index_cursors, self._index_stale_counts,
-            "shard index", result,
+        if discovery.index.skips(
+            index.sequence,
+            self.agent.config.replay_window,
+            f"shard index for {ca_name!r}",
+            result,
         ):
             return index
-        self._index_cursors[ca_name] = index.sequence
+        discovery.index.cursor = index.sequence
         plausible_end = now + MAX_CERTIFICATE_LIFETIME_SECONDS + width
         # Dedup before iterating: a forged index repeating one live entry a
         # million times must cost one head fetch, not a million.  Distinct
@@ -584,10 +502,9 @@ class RADisseminationClient:
             except DictionaryError as exc:
                 result.errors.append(f"{name}: {exc}")
                 continue
-            if sync_server_for is not None and name not in self.sync_servers:
-                server = sync_server_for(name)
-                if server is not None:
-                    self.sync_servers[name] = server
+            feed = self._feed(name)
+            if feed.sync_server is None and discovery.sync_server_for is not None:
+                feed.sync_server = discovery.sync_server_for(name)
         return index
 
     def _prune_sharded(self, ca_name: str, index, now: float, result: PullResult) -> None:
@@ -599,97 +516,55 @@ class RADisseminationClient:
         replicas are dropped solely by the local-clock window check, so a
         forged retired list cannot make the RA delete live shards.
         """
-        width = self.agent.shard_widths.get(ca_name)
-        if width is None:
-            return
+        width = self.agent.issuers[ca_name].shard_width
         held_indices = self.agent.shard_replicas(ca_name)
         ca_retired_held = index is not None and any(
             idx in held_indices and ShardKey(idx, width).is_expired(now)
             for idx in index.retired
         )
-        self._shard_pulls[ca_name] = self._shard_pulls.get(ca_name, 0) + 1
+        discovery = self.sharded[ca_name]
+        discovery.pulls += 1
         if (
             ca_retired_held
-            or self._shard_pulls[ca_name] % self.agent.config.prune_every_periods == 0
+            or discovery.pulls % self.agent.config.prune_every_periods == 0
         ):
             held = [shard_name(ca_name, idx) for idx in held_indices]
             entries, bytes_freed = self.agent.prune_shard_replicas(ca_name, now)
             for name in held:
                 if name not in self.agent.replicas:
                     result.shards_pruned += 1
-                    for per_replica in (
-                        self._applied_batches,
-                        self.sync_servers,
-                        self._head_cursors,
-                        self._head_stale_counts,
-                        self._segment_cursors,
-                        self._segment_archive,
-                    ):
-                        per_replica.pop(name, None)
+                    self.feeds.pop(name, None)
             result.entries_pruned += entries
             result.bytes_reclaimed += bytes_freed
 
-    def _replay_window_check(
-        self,
-        name: str,
-        sequence: int,
-        cursors: Dict[str, int],
-        stale_counts: Dict[str, int],
-        kind: str,
-        result: PullResult,
-    ) -> bool:
-        """Classify a publication sequence against its replay cursor.
-
-        Returns ``True`` when the object should be *skipped* as benign CDN
-        staleness (at most ``replay_window`` publications behind the newest
-        sequence this RA has seen).  Raises :class:`ReplayError` when it is
-        further behind — a re-presented old object, the §V replay attack.
-        Returns ``False`` when the object is current.
-
-        Sequences are unauthenticated (a CDN cannot sign), so the cursor
-        self-heals: after more than ``replay_window`` *consecutive*
-        rejections for one name the cursor resets, bounding how long a
-        forged-high sequence can starve an RA of honest updates.  Safety
-        never rests on this counter — replayed signed content is still
-        rejected by hash-chain linkage and monotonic freshness age.
-        """
-        cursor = cursors.get(name, 0)
-        behind = cursor - sequence
-        if behind <= 0:
-            stale_counts.pop(name, None)
-            return False
-        window = self.agent.config.replay_window
-        if behind <= window:
-            result.stale_heads_ignored += 1
-            return True
-        stale = stale_counts.get(name, 0) + 1
-        if stale > window:
-            stale_counts.pop(name, None)
-            cursors.pop(name, None)
-        else:
-            stale_counts[name] = stale
-        result.replays_rejected += 1
-        raise ReplayError(
-            f"{kind} for {name!r} re-presents publication sequence "
-            f"{sequence}, {behind} behind the newest observed ({cursor}) — "
-            f"outside the replay window of {window}"
-        )
-
-    def _pull_one(self, ca_name: str, replica, now: float, result: PullResult) -> None:
+    def _pull_one(
+        self, ca_name: str, replica, now: float, result: PullResult, peer=None
+    ) -> None:
+        """Bring one replica up to what its head (or ``peer``) shows."""
         verifier = replica.ca_public_key
         if hasattr(verifier, "advance"):
             # Keyring verifiers are time-scoped: move the acceptance clock
             # forward so retired keys expire out of their overlap windows.
             verifier.advance(int(now))
+        feed = self._feed(ca_name)
+        if peer is not None:
+            if peer.replication_cursor(ca_name) > feed.position:
+                result.peer_syncs += 1
+                result.serials_applied += self._catch_up(
+                    ca_name, replica, now, result, peer=peer
+                )
+            return
         download = self.cdn.download(head_path(ca_name), self.location, now)
         result.bytes_downloaded += download.bytes_on_wire
         result.latency_seconds += download.latency_seconds
         result.heads_checked += 1
         head = decode_head(download.content)
 
-        if self._replay_window_check(
-            ca_name, head.sequence, self._head_cursors, self._head_stale_counts,
-            "head", result,
+        if feed.head.skips(
+            head.sequence,
+            self.agent.config.replay_window,
+            f"head for {ca_name!r}",
+            result,
         ):
             return
 
@@ -705,13 +580,14 @@ class RADisseminationClient:
             if not self._learn_rotation(ca_name, replica, now, result):
                 raise
             self._apply_head(ca_name, replica, head, now, result)
-        self._head_cursors[ca_name] = head.sequence
+        feed.head.cursor = head.sequence
 
     def _apply_head(self, ca_name: str, replica, head, now: float, result: PullResult) -> None:
         """Apply one decoded, replay-checked head to its replica."""
         if replica.signed_root is None or replica.is_desynchronized(head.size):
-            applied = self._catch_up(ca_name, replica, head, now, result)
-            result.serials_applied += applied
+            result.serials_applied += self._catch_up(
+                ca_name, replica, now, result, head_size=head.size
+            )
             if replica.size == head.size and (
                 replica.signed_root is None
                 or head.signed_root.timestamp > replica.signed_root.timestamp
@@ -766,51 +642,116 @@ class RADisseminationClient:
             return True
         return False
 
-    def _catch_up(self, ca_name, replica, head, now, result: PullResult) -> int:
-        """Fetch the missing issuance batches and apply them in one store
-        transaction (or fall back to sync).
+    def _catch_up(
+        self,
+        ca_name: str,
+        replica,
+        now: float,
+        result: PullResult,
+        head_size: int = 0,
+        peer=None,
+    ) -> int:
+        """The one catch-up walk: fetch the batches past the replica's
+        position, apply them in one store transaction, or fall back to sync.
 
-        All fetchable, contiguous batches are collected first and handed to
-        the replica at once (``RevocationAgent.apply_issuances``), so one
-        pull cycle costs one merge and one suffix rehash regardless of how
-        many batches were queued since the last pull.
+        Batch ``n`` of a stream exists as two objects with the same content:
+        the compact issuance object and the CA-signed WAL segment.  The walk
+        fetches one of them per missing batch — the issuance object from the
+        CDN, the segment from the CDN when :attr:`segment_streaming` is set,
+        or the segment from ``peer``'s archive — until the replica is as
+        large as the head says (or as far along as the peer claims), and
+        hands every fetchable, contiguous batch to the replica at once
+        (``RevocationAgent.apply_issuances``): one merge and one suffix
+        rehash however many batches queued up.  An object that is missing,
+        malformed, mis-signed or out of sequence ends the walk and degrades
+        it to the CA's sync protocol — never silently.  Returns the serials
+        applied.
         """
+        feed = self._feed(ca_name)
+        segments = peer is not None or self.segment_streaming
+        goal = peer.replication_cursor(ca_name) if peer is not None else 0
         # ``committed`` only ever advances over batches whose content is
         # durably in the replica (applied, already present, or covered by a
         # successful resync) — a batch that failed to apply is refetched on
         # the next pull rather than skipped forever.
-        committed = self._applied_batches.get(ca_name, 0)
-        batch = committed
-        pending = []
+        fetched = committed = feed.position
         have = replica.size
+        pending: List[RevocationIssuance] = []
+        relayable: Dict[int, bytes] = {}
+        freshness = None
         needs_resync = False
-        while have < head.size:
-            next_batch = batch + 1
-            path = issuance_path(ca_name, next_batch)
-            if not self.cdn.origin.exists(path):
+        while (fetched < goal) if peer is not None else (have < head_size):
+            number = fetched + 1
+            if peer is not None:
+                raw = peer.archived_segment(ca_name, number)
+                if raw is not None:
+                    size = len(raw)
+                    latency = size / self.location.bandwidth_to_edge() + max(
+                        0.001,
+                        region_distance(self.location.region, peer.location.region),
+                    )
+            else:
+                path = (
+                    segment_path(ca_name, number)
+                    if segments
+                    else issuance_path(ca_name, number)
+                )
+                try:
+                    download = self.cdn.download(
+                        path, self.location, now, source=self.agent.name
+                    )
+                except CDNError:
+                    raw = None  # purged, or not published: only sync can help
+                else:
+                    raw = download.content
+                    size = download.bytes_on_wire
+                    latency = download.latency_seconds
+            if raw is None:
                 needs_resync = True
                 break
-            batch = next_batch
-            download = self.cdn.download(path, self.location, now)
-            result.bytes_downloaded += download.bytes_on_wire
-            result.latency_seconds += download.latency_seconds
-            issuance = decode_issuance(download.content)
+            fetched = number
+            result.bytes_downloaded += size
+            result.latency_seconds += latency
+            try:
+                if segments:
+                    result.segment_bytes_downloaded += size
+                    segment = decode_segment(raw)
+                    if (segment.ca_name, segment.segment_number) != (ca_name, number):
+                        raise TLSError(
+                            f"asked for WAL segment {number} of {ca_name!r}, got "
+                            f"segment {segment.segment_number} of {segment.ca_name!r}"
+                        )
+                    if not verify_segment(segment, replica.ca_public_key):
+                        raise SignatureError(
+                            f"WAL segment {number} for {ca_name!r} is not "
+                            f"signed by an acceptable CA key"
+                        )
+                    issuance = segment.issuance()
+                else:
+                    issuance = decode_issuance(raw)
+            except (TLSError, SignatureError) as exc:
+                if segments:
+                    result.segments_rejected += 1
+                result.errors.append(f"{ca_name}: {exc}")
+                needs_resync = True
+                break
             if issuance.first_number > have + 1:
                 # A gap: earlier batches were purged or missed; full resync.
                 needs_resync = True
                 break
             if issuance.first_number <= have:
                 if not pending:
-                    committed = batch  # old batch, content already in the replica
+                    committed = fetched  # old batch, content already in the replica
                 continue
             pending.append(issuance)
             have += len(issuance.serials)
+            if segments:
+                relayable[number] = raw
+                freshness = segment.freshness_after
         applied_serials = 0
         if pending:
             try:
                 applied_serials += self.agent.apply_issuances(ca_name, pending)
-                result.issuances_applied += len(pending)
-                committed += len(pending)  # pending batches are consecutive
             except (DictionaryError, SignatureError) as exc:
                 # Tampered batch content (update_many rolled the replica back
                 # to its last verified state) or a forged root signature
@@ -818,12 +759,35 @@ class RADisseminationClient:
                 # protocol can recover the honest suffix directly.
                 result.errors.append(f"{ca_name}: {exc}")
                 needs_resync = True
+            else:
+                committed += len(pending)  # pending batches are consecutive
+                result.issuances_applied += len(pending)
+                # Only segments whose content passed the recomputed-root
+                # check are ever offered onward.
+                feed.segments.update(relayable)
+                result.segments_applied += len(relayable)
+                if peer is not None:
+                    result.segments_from_peer += len(relayable)
+                if freshness is not None:
+                    try:
+                        replica.apply_freshness(freshness)
+                        result.freshness_applied += 1
+                    except (ReplayError, DictionaryError):
+                        pass  # the replica already holds newer freshness
         if needs_resync:
+            if peer is not None:
+                # Never silent: the peer claimed more history than it could
+                # prove, so fall back to the CA's sync protocol and say so.
+                result.cold_sync_fallbacks += 1
             resynced = self._resync(ca_name, replica, result)
             if resynced is not None:
                 applied_serials += resynced
-                committed = batch  # everything fetched so far is now covered
-        self._applied_batches[ca_name] = committed
+                if peer is None:
+                    # The signed head vouches that every batch fetched so far
+                    # exists, and the resync covered it; a peer's claim to
+                    # more history vouches for nothing.
+                    committed = fetched
+        feed.position = committed
         return applied_serials
 
     def _resync(self, ca_name: str, replica, result: PullResult) -> Optional[int]:
@@ -833,7 +797,7 @@ class RADisseminationClient:
         server is known (the caller must not mark fetched batches as
         consumed in that case).
         """
-        server = self.sync_servers.get(ca_name)
+        server = self._feed(ca_name).sync_server
         if server is None:
             result.errors.append(f"{ca_name}: desynchronized and no sync server known")
             return None

@@ -53,6 +53,14 @@ def _unpack_name(buffer: bytes, offset: int) -> Tuple[str, int]:
         raise TLSError("RITM name field is not valid UTF-8") from None
 
 
+def parse_serial(raw: bytes) -> SerialNumber:
+    """A serial number off the wire; a bad encoding is a malformed message."""
+    try:
+        return SerialNumber.from_bytes(raw)
+    except ValueError as exc:
+        raise TLSError(f"malformed serial number: {exc}") from None
+
+
 # -- signed roots -------------------------------------------------------------
 
 
@@ -498,7 +506,7 @@ def decode_issuance(data: bytes) -> RevocationIssuance:
     serials = []
     for _ in range(count):
         serial_bytes, offset = _unpack_bytes(data, offset)
-        serials.append(SerialNumber.from_bytes(serial_bytes))
+        serials.append(parse_serial(serial_bytes))
     root_bytes, offset = _unpack_bytes(data, offset)
     signed_root, _ = decode_signed_root(root_bytes)
     return RevocationIssuance(

@@ -39,8 +39,7 @@ from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import RevocationIssuance
 from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.signed_root import SignedRoot
-from repro.errors import DesynchronizedError, TLSError
-from repro.pki.serial import SerialNumber
+from repro.errors import TLSError
 from repro.ritm.messages import (
     _pack_bytes,
     _unpack_bytes,
@@ -49,6 +48,7 @@ from repro.ritm.messages import (
     decode_signed_root,
     encode_freshness,
     encode_signed_root,
+    parse_serial,
 )
 
 # The segment body reuses the durable engine's record framing verbatim
@@ -103,9 +103,19 @@ class WALSegment:
     #: CA signature over :func:`segment_header_payload`.
     signature: bytes = b""
 
-    def serials(self) -> List[SerialNumber]:
-        """The revoked serials this segment carries, in revocation order."""
-        return [SerialNumber.from_bytes(key) for key, _ in self.items]
+    def issuance(self) -> RevocationIssuance:
+        """The batch this segment carries, as the issuance message the
+        replica's ``update_many`` transaction consumes.
+
+        Record keys are only CRC'd, not signed, so a key that is not a
+        serial encoding is a malformed message (:class:`TLSError`).
+        """
+        return RevocationIssuance(
+            ca_name=self.ca_name,
+            serials=tuple(parse_serial(key) for key, _ in self.items),
+            first_number=self.first_seq,
+            signed_root=self.root_after,
+        )
 
 
 def segment_header_payload(segment: WALSegment) -> bytes:
@@ -294,40 +304,12 @@ def build_segment(
     return replace(segment, signature=signer.sign(segment_header_payload(segment)))
 
 
-def segment_suffix_issuance(
-    segment: WALSegment, have: int
-) -> Optional[RevocationIssuance]:
-    """The segment's content beyond ``have`` entries, as an issuance message.
-
-    ``have`` is the applying replica's current size.  Leaves already covered
-    are dropped (idempotence under duplicate delivery); an empty suffix
-    returns ``None``.  A *gap* — the segment starting past ``have + 1`` —
-    raises :class:`~repro.errors.DesynchronizedError`: the caller must fetch
-    the missing predecessors or degrade explicitly to cold sync.
-    """
-    if segment.first_seq > have + 1:
-        raise DesynchronizedError(
-            f"WAL segment for {segment.ca_name!r} starts at revocation "
-            f"{segment.first_seq} but the replica holds only {have}; "
-            f"missing predecessors"
-        )
-    if segment.last_seq <= have:
-        return None
-    fresh = segment.items[have + 1 - segment.first_seq :]
-    return RevocationIssuance(
-        ca_name=segment.ca_name,
-        serials=tuple(SerialNumber.from_bytes(key) for key, _ in fresh),
-        first_number=have + 1,
-        signed_root=segment.root_after,
-    )
-
-
 class ReplicationLog:
     """One dictionary stream's append-only archive of published WAL segments.
 
     One segment is appended per revocation batch, numbered to match the
-    stream's issuance batch counter, so a replication cursor and an
-    applied-batches cursor advance in lockstep on the RA side.
+    stream's issuance batch counter, so an RA tracks one position per
+    stream whichever of the two objects it fetches.
     """
 
     def __init__(self, ca_name: str) -> None:

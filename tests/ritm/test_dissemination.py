@@ -62,6 +62,53 @@ class TestOneErrorBoundary:
         broken.refresh(now=EPOCH + 30)
         assert world.pull(now=EPOCH + 31).errors == []
 
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_malformed_serial_in_one_cas_batch_object(self, world, streaming):
+        """A CDN rewrites one serial of CA A's batch object into bytes that
+        are no serial encoding — a zero-length serial in the issuance
+        object, a 21-byte record key in the segment (record and frame CRCs
+        recomputed, signed header untouched).  That is a malformed message,
+        not a crash: it is recorded, A recovers through the sync protocol,
+        and B is pulled as if nothing happened."""
+        from dataclasses import replace
+
+        from repro.pki.serial import SerialNumber
+        from repro.ritm.ca_service import issuance_path
+        from repro.ritm.replication import decode_segment, encode_segment, segment_path
+
+        broken, healthy = world.cas[0], world.cas[1]
+        broken.revoke([SerialNumber(0x0A0B0C), SerialNumber(0x0A0B0D)], now=EPOCH + 20)
+        healthy.revoke([SerialNumber(0x0B0B0C)], now=EPOCH + 20)
+        if streaming:
+            path = segment_path(broken.name, 1)
+            segment = decode_segment(world.cdn.origin.fetch(path).content)
+            (_, value), rest = segment.items[0], segment.items[1:]
+            bad = encode_segment(replace(segment, items=((b"\x01" * 21, value),) + rest))
+        else:
+            path = issuance_path(broken.name, 1)
+            honest = world.cdn.origin.fetch(path).content
+            first_serial = 2 + len(broken.name.encode("utf-8")) + 10
+            bad = honest[:first_serial] + b"\x00\x00" + honest[first_serial + 2 + 3 :]
+        world.cdn.publish(path, bad, EPOCH + 20)
+
+        fresh = RevocationAgent("fresh-ra", world.config)
+        client = attach_agent_to_cas(
+            fresh, world.cas, world.cdn, GeoLocation(Region.EUROPE)
+        )
+        client.segment_streaming = streaming
+        result = client.pull(now=EPOCH + 25)
+
+        assert len(result.errors) == 1
+        assert result.errors[0].startswith(broken.name)
+        assert "malformed serial" in result.errors[0]
+        assert result.segments_rejected == (1 if streaming else 0)
+        assert result.resyncs == 1
+        for ca in (broken, healthy):
+            replica = fresh.replica_for(ca.name)
+            assert replica.size == ca.dictionary.size > 0
+            assert replica.root() == ca.dictionary.root()
+            assert replica.latest_freshness == ca.dictionary.latest_freshness
+
 
 class TestRevocationPropagation:
     def test_new_revocation_reaches_replica_on_next_pull(self, world):
@@ -155,7 +202,7 @@ class TestRecovery:
         from repro.ritm.dissemination import RADisseminationClient
 
         client = RADisseminationClient(
-            isolated_agent, world.cdn, GeoLocation(Region.EUROPE), sync_servers={}
+            isolated_agent, world.cdn, GeoLocation(Region.EUROPE)
         )
         result = client.pull(now=EPOCH + 40)
         assert any("no sync server" in error for error in result.errors)
@@ -236,7 +283,7 @@ class TestTamperedObjectRecovery:
         lonely_agent = RevocationAgent("lonely-ra", world.config)
         lonely_agent.register_ca(issuing.name, issuing.public_key)
         client = RADisseminationClient(
-            lonely_agent, world.cdn, GeoLocation(Region.EUROPE), sync_servers={}
+            lonely_agent, world.cdn, GeoLocation(Region.EUROPE)
         )
         client.pull(now=EPOCH + 10)  # bootstrap the signed root
 

@@ -183,7 +183,7 @@ class TestTamperedBatchRollback:
         lonely = RevocationAgent("lonely-ra", world.config)
         lonely.register_ca(issuing.name, issuing.public_key)
         client = RADisseminationClient(
-            lonely, world.cdn, GeoLocation(Region.EUROPE), sync_servers={}
+            lonely, world.cdn, GeoLocation(Region.EUROPE)
         )
         client.pull(now=EPOCH + 10)
         probe = SerialNumber(0x00EF03)

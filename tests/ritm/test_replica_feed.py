@@ -1,0 +1,157 @@
+"""The RA's one replica feed: one position, one catch-up walk.
+
+``segment_streaming`` only chooses which object the walk fetches per missing
+batch, so the position a replica reached through issuance objects is the
+position a segment walk resumes from, a backlog costs one store transaction
+whichever object carries it, and a state file written when the RA still kept
+two cursors restores to the one (docs/REPLICATION.md).
+"""
+
+import json
+import zlib
+
+import pytest
+
+from repro.cdn import CDNNetwork, GeoLocation
+from repro.cdn.geography import Region
+from repro.dictionary.authdict import ReplicaDictionary
+from repro.pki import CertificationAuthority, SerialNumber
+from repro.ritm import (
+    RITMCertificationAuthority,
+    RITMConfig,
+    RevocationAgent,
+    attach_agent_to_cas,
+)
+from repro.ritm.replication import segment_path
+
+BATCHES = 5
+PER_BATCH = 3
+#: ``CDNNetwork.download`` charges this much per request on top of the body.
+REQUEST_BYTES = 200
+
+
+def build_stack():
+    """A bootstrapped CA + CDN plus a factory for attached agents."""
+    config = RITMConfig(delta_seconds=10, chain_length=64)
+    authority = CertificationAuthority("Feed CA", key_seed=b"replica-feed")
+    cdn = CDNNetwork()
+    ca = RITMCertificationAuthority(authority, config, cdn)
+    ca.bootstrap(now=100)
+
+    def attach(name, streaming=False):
+        agent = RevocationAgent(name, config)
+        client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(Region.EUROPE))
+        client.segment_streaming = streaming
+        return agent, client
+
+    return ca, cdn, attach
+
+
+def revoke_batch(ca, number, now):
+    """Publish batch ``number`` (1-based) of ``PER_BATCH`` fresh serials."""
+    first = 1000 + (number - 1) * PER_BATCH
+    ca.revoke([SerialNumber(first + offset) for offset in range(PER_BATCH)], now=now)
+
+
+def test_switching_to_streaming_fetches_only_segments_past_the_position():
+    ca, cdn, attach = build_stack()
+    agent, client = attach("switching-ra")
+    for number in range(1, BATCHES):
+        revoke_batch(ca, number, now=110 + 10 * number)
+        client.pull(now=115 + 10 * number)
+    assert client.replication_cursor(ca.name) == BATCHES - 1
+
+    client.segment_streaming = True
+    revoke_batch(ca, BATCHES, now=200)
+    result = client.pull(now=205)
+
+    newest = cdn.origin.fetch(segment_path(ca.name, BATCHES)).content
+    assert result.segments_applied == 1
+    assert result.segment_bytes_downloaded == len(newest) + REQUEST_BYTES
+    assert result.serials_applied == PER_BATCH
+    assert not result.errors and result.resyncs == 0
+    assert agent.replica_for(ca.name).root() == ca.dictionary.root()
+
+
+def test_segment_backlog_is_one_store_transaction(monkeypatch):
+    ca, cdn, attach = build_stack()
+    stepwise, stepwise_client = attach("stepwise-ra", streaming=True)
+    backlog, backlog_client = attach("backlog-ra", streaming=True)
+    for number in range(1, BATCHES + 1):
+        revoke_batch(ca, number, now=110 + 10 * number)
+        stepwise_client.pull(now=115 + 10 * number)
+
+    calls = []
+    update_many = ReplicaDictionary.update_many
+
+    def counting(self, issuances):
+        calls.append(len(issuances))
+        return update_many(self, issuances)
+
+    monkeypatch.setattr(ReplicaDictionary, "update_many", counting)
+    result = backlog_client.pull(now=115 + 10 * BATCHES)
+
+    assert calls == [BATCHES]
+    assert result.segments_applied == BATCHES
+    assert result.serials_applied == BATCHES * PER_BATCH
+    one, five = backlog.replica_for(ca.name), stepwise.replica_for(ca.name)
+    assert one.root() == five.root()
+    assert one.signed_root == five.signed_root
+    assert one.latest_freshness == five.latest_freshness
+    assert one.leaf_items() == five.leaf_items()
+    for number in range(1, BATCHES + 1):
+        assert backlog_client.archived_segment(
+            ca.name, number
+        ) == stepwise_client.archived_segment(ca.name, number)
+
+
+@pytest.mark.parametrize("applied, segment", [(BATCHES, 3), (3, BATCHES)])
+def test_two_cursor_state_file_restores_to_the_one_position(tmp_path, applied, segment):
+    """``dissemination.json`` as written before the cursors merged."""
+    ca, cdn, attach = build_stack()
+    agent, client = attach("old-format-ra")
+    for number in range(1, BATCHES + 1):
+        revoke_batch(ca, number, now=110 + 10 * number)
+    client.pull(now=200)
+    client.checkpoint(tmp_path)
+    state_file = tmp_path / client.STATE_FILENAME
+    state = json.loads(state_file.read_text())
+    segment_block = {"segment_cursors": {ca.name: segment}}
+    state["applied_batches"] = {ca.name: applied}
+    state.update(segment_block)
+    state["segment_cursor_checksum"] = zlib.crc32(
+        json.dumps(segment_block, sort_keys=True).encode("utf-8")
+    )
+    state_file.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n")
+
+    restored_agent, restored_client = attach("old-format-ra", streaming=True)
+    assert restored_client.restore(tmp_path) == 1
+    assert restored_client.replication_cursor(ca.name) == BATCHES
+
+    revoke_batch(ca, BATCHES + 1, now=300)
+    warm = restored_client.pull(now=305)
+    assert warm.segments_applied == 1 and warm.resyncs == 0 and not warm.errors
+    assert restored_agent.replica_for(ca.name).root() == ca.dictionary.root()
+
+
+def test_peer_archive_gap_is_exactly_one_cold_sync_fallback():
+    ca, cdn, attach = build_stack()
+    relay, relay_client = attach("relay-ra", streaming=True)
+    victim, victim_client = attach("victim-ra")
+    for number in range(1, BATCHES + 1):
+        revoke_batch(ca, number, now=110 + 10 * number)
+    relay_client.pull(now=200)
+    del relay_client.feeds[ca.name].segments[3]
+
+    result = victim_client.sync_from_peer(relay_client, now=210)
+
+    assert result.peer_syncs == 1
+    assert result.segments_from_peer == 2
+    assert result.cold_sync_fallbacks == 1
+    assert result.resyncs == 1
+    assert result.segments_rejected == 0
+    # The peer's claim to more history vouches for nothing: the position
+    # stays where the verified run ended, though the resync filled the rest.
+    assert victim_client.replication_cursor(ca.name) == 2
+    assert victim.replica_for(ca.name).root() == ca.dictionary.root()
+    assert result.serials_applied == BATCHES * PER_BATCH

@@ -6,7 +6,8 @@ RA's archive — must end byte-identical to an RA fed by the ordinary pull
 path: same Merkle roots, same signed roots, same freshness statements,
 same proofs for present and absent serials.  Every store engine must agree,
 and a segment-synced replica must survive a checkpoint/restore round trip
-with its segment cursor intact (docs/REPLICATION.md).
+with its stream position intact (docs/REPLICATION.md).  Which object the
+catch-up walk fetches is the client's ``segment_streaming`` attribute.
 """
 
 import pytest
@@ -34,9 +35,10 @@ def build_stack(engine="incremental"):
     ca = RITMCertificationAuthority(authority, config, cdn)
     ca.bootstrap(now=100)
 
-    def attach(name, region=Region.EUROPE):
+    def attach(name, region=Region.EUROPE, streaming=False):
         agent = RevocationAgent(name, config)
         client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(region))
+        client.segment_streaming = streaming
         return agent, client
 
     return config, ca, cdn, attach
@@ -77,13 +79,15 @@ class TestSegmentSyncMatchesPullPath:
         config, ca, cdn, attach = build_stack(engine)
         puller, pull_client = attach("pull-ra")
         pull_client.pull(now=101)
-        segmented, segment_client = attach("segment-ra", Region.UNITED_STATES)
+        segmented, segment_client = attach(
+            "segment-ra", Region.UNITED_STATES, streaming=True
+        )
 
         drive(
             ca,
             steps=[
                 lambda now: pull_client.pull(now=now),
-                lambda now: segment_client.sync_via_segments(now),
+                lambda now: segment_client.pull(now=now),
             ],
         )
 
@@ -101,14 +105,14 @@ class TestSegmentSyncMatchesPullPath:
         config, ca, cdn, attach = build_stack(engine)
         puller, pull_client = attach("pull-ra")
         pull_client.pull(now=101)
-        relay, relay_client = attach("relay-ra", Region.UNITED_STATES)
+        relay, relay_client = attach("relay-ra", Region.UNITED_STATES, streaming=True)
         restored, restored_client = attach("restored-ra", Region.UNITED_STATES)
 
         drive(
             ca,
             steps=[
                 lambda now: pull_client.pull(now=now),
-                lambda now: relay_client.sync_via_segments(now),
+                lambda now: relay_client.pull(now=now),
             ],
         )
         result = restored_client.sync_from_peer(relay_client, now=500)
@@ -127,17 +131,17 @@ class TestSegmentSyncMatchesPullPath:
 
     def test_segment_sync_is_idempotent(self, engine):
         config, ca, cdn, attach = build_stack(engine)
-        segmented, segment_client = attach("segment-ra")
-        drive(ca, steps=[lambda now: segment_client.sync_via_segments(now)])
+        segmented, segment_client = attach("segment-ra", streaming=True)
+        drive(ca, steps=[lambda now: segment_client.pull(now=now)])
 
-        again = segment_client.sync_via_segments(now=600)
+        again = segment_client.pull(now=600)
         assert again.segments_applied == 0
         assert again.serials_applied == 0
         assert segment_client.replication_cursor(ca.name) == PERIODS
 
         # a follow-up peer sync against an equally-caught-up peer is a no-op
-        peer, peer_client = attach("peer-ra")
-        peer_client.sync_via_segments(now=601)
+        peer, peer_client = attach("peer-ra", streaming=True)
+        peer_client.pull(now=601)
         rerun = segment_client.sync_from_peer(peer_client, now=602)
         assert rerun.peer_syncs == 0
         assert rerun.serials_applied == 0
@@ -151,8 +155,9 @@ class TestStreamingPullMode:
         """segment_streaming=True pulls end byte-identical to legacy pulls."""
         config, ca, cdn, attach = build_stack("incremental")
         plain, plain_client = attach("plain-ra")
-        streaming, streaming_client = attach("streaming-ra", Region.JAPAN)
-        streaming_client.segment_streaming = True
+        streaming, streaming_client = attach(
+            "streaming-ra", Region.JAPAN, streaming=True
+        )
         plain_client.pull(now=101)
         streaming_client.pull(now=101)
 
@@ -170,23 +175,28 @@ class TestStreamingPullMode:
             sum(p.segments_applied for p in streaming_client.pull_history)
             == PERIODS
         )
+        # One position, whichever object got the replica there; what differs
+        # is what each RA can offer a peer: the plain one verified no segment.
         assert streaming_client.replication_cursor(ca.name) == PERIODS
-        assert plain_client.replication_cursor(ca.name) == 0
+        assert plain_client.replication_cursor(ca.name) == PERIODS
+        for number in range(1, PERIODS + 1):
+            assert streaming_client.archived_segment(ca.name, number) is not None
+            assert plain_client.archived_segment(ca.name, number) is None
         for a in (plain, streaming):
             a.close()
         ca.close()
 
     def test_segment_cursor_survives_checkpoint_restore(self, tmp_path):
         config, ca, cdn, attach = build_stack("durable")
-        segmented, segment_client = attach("segment-ra")
-        drive(ca, steps=[lambda now: segment_client.sync_via_segments(now)])
+        segmented, segment_client = attach("segment-ra", streaming=True)
+        drive(ca, steps=[lambda now: segment_client.pull(now=now)])
         assert segment_client.checkpoint(tmp_path) == 1
 
-        fresh, fresh_client = attach("segment-ra")
+        fresh, fresh_client = attach("segment-ra", streaming=True)
         assert fresh_client.restore(tmp_path) == 1
         assert fresh_client.replication_cursor(ca.name) == PERIODS
         # nothing new published, so the restored cursor makes syncs no-ops
-        result = fresh_client.sync_via_segments(now=700)
+        result = fresh_client.pull(now=700)
         assert result.segments_applied == 0
         assert_replicas_identical(ca, segmented, fresh)
         for a in (segmented, fresh):

@@ -5,10 +5,11 @@ its invariants must hold for *any* interleaving of loss, reordering,
 duplication, tampering, crash points, and equivocating relays — not just
 the staged sequences in the differential suite:
 
-* the applied segment cursor is monotone, across adversarial syncs and
+* the stream position is monotone, across adversarial syncs and
   crash/restore alike;
-* a tampered or mis-signed segment never mutates the replica, whatever
-  byte was flipped;
+* a tampered or mis-signed segment never reaches the replica, whatever
+  byte was flipped — the walk rejects it and recovers the honest batch
+  through the CA's sync protocol, counted as a resync;
 * anti-entropy either converges to the CA's dictionary or degrades to the
   CA sync protocol **explicitly** (``cold_sync_fallbacks``), never silently
   stalls or loops.
@@ -57,9 +58,10 @@ def build_stack(engine="incremental"):
     ca = RITMCertificationAuthority(authority, config, cdn)
     ca.bootstrap(now=100)
 
-    def attach(name, region=Region.EUROPE):
+    def attach(name, region=Region.EUROPE, streaming=False):
         agent = RevocationAgent(name, config)
         client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(region))
+        client.segment_streaming = streaming
         return agent, client
 
     return config, ca, cdn, attach
@@ -133,12 +135,12 @@ def test_adversarial_peer_converges_or_degrades_explicitly(engine, sizes, data):
     the peer's claimed cursor is flagged as an explicit cold-sync fallback."""
     config, ca, cdn, attach = build_stack(engine)
     reference, reference_client = attach("reference-ra")
-    relay, relay_client = attach("relay-ra", Region.UNITED_STATES)
+    relay, relay_client = attach("relay-ra", Region.UNITED_STATES, streaming=True)
     victim, victim_client = attach("victim-ra", Region.UNITED_STATES)
 
     revoke_batches(ca, sizes)
     reference_client.pull(now=400)
-    relay_client.sync_via_segments(now=400)
+    relay_client.pull(now=400)
     total = len(sizes)
     plan = {
         number: data.draw(actions, label=f"segment {number}")
@@ -167,13 +169,14 @@ def test_adversarial_peer_converges_or_degrades_explicitly(engine, sizes, data):
 
 @settings(max_examples=25, deadline=None)
 @given(engine=engines, sizes=batch_sizes, data=st.data())
-def test_tampered_segment_never_mutates_replica(engine, sizes, data):
-    """Whatever byte is flipped in a published segment, applying it is
-    rejected and leaves cursor, size, root, and signed root untouched."""
+def test_tampered_segment_never_reaches_replica(engine, sizes, data):
+    """Whatever byte is flipped in a published segment, it is rejected and
+    never archived; the same cycle recovers the honest batch through the
+    sync protocol, explicitly."""
     config, ca, cdn, attach = build_stack(engine)
-    segmented, segment_client = attach("segment-ra")
+    segmented, segment_client = attach("segment-ra", streaming=True)
     revoke_batches(ca, sizes)
-    segment_client.sync_via_segments(now=400)
+    segment_client.pull(now=400)
 
     # one more batch, tampered at the origin before the RA sees it
     ca.revoke([SerialNumber(999)], now=500)
@@ -185,23 +188,16 @@ def test_tampered_segment_never_mutates_replica(engine, sizes, data):
     cdn.origin.publish(path, flip_byte(raw, index), now=500)
 
     replica = segmented.replica_for(ca.name)
-    before = (
-        segment_client.replication_cursor(ca.name),
-        replica.size,
-        replica.root(),
-        replica.signed_root,
-    )
-    result = segment_client.sync_via_segments(now=510)
+    result = segment_client.pull(now=510)
     assert result.segments_rejected == 1
     assert result.segments_applied == 0
     assert result.errors
-    after = (
-        segment_client.replication_cursor(ca.name),
-        replica.size,
-        replica.root(),
-        replica.signed_root,
-    )
-    assert after == before
+    assert result.resyncs == 1
+    assert segment_client.archived_segment(ca.name, len(sizes) + 1) is None
+    assert replica.size == ca.dictionary.size
+    assert replica.root() == ca.dictionary.root()
+    assert replica.signed_root == ca.dictionary.signed_root
+    assert segment_client.replication_cursor(ca.name) == len(sizes) + 1
     segmented.close()
     ca.close()
 
@@ -216,10 +212,10 @@ def test_mid_stream_crash_restore_keeps_cursor_monotone(
     converges on the full stream."""
     tmp_path = tmp_path_factory.mktemp("segckpt")
     config, ca, cdn, attach = build_stack(engine)
-    segmented, segment_client = attach("segment-ra")
+    segmented, segment_client = attach("segment-ra", streaming=True)
 
     revoke_batches(ca, before_crash, start=120)
-    segment_client.sync_via_segments(now=300)
+    segment_client.pull(now=300)
     checkpoint_cursor = segment_client.replication_cursor(ca.name)
     assert checkpoint_cursor == len(before_crash)
     assert segment_client.checkpoint(tmp_path) == 1
@@ -227,10 +223,10 @@ def test_mid_stream_crash_restore_keeps_cursor_monotone(
     revoke_batches(ca, after_crash, start=400, base=5000)
     segmented.close()
 
-    restored, restored_client = attach("segment-ra")
+    restored, restored_client = attach("segment-ra", streaming=True)
     assert restored_client.restore(tmp_path) == 1
     assert restored_client.replication_cursor(ca.name) == checkpoint_cursor
-    restored_client.sync_via_segments(now=600)
+    restored_client.pull(now=600)
     total = len(before_crash) + len(after_crash)
     assert restored_client.replication_cursor(ca.name) == total
     assert restored.replica_for(ca.name).size == sum(before_crash) + sum(
@@ -248,12 +244,12 @@ def test_equivocating_relay_is_rejected_and_fallback_is_explicit(engine, sizes, 
     sync and still converges."""
     config, ca, cdn, attach = build_stack(engine)
     reference, reference_client = attach("reference-ra")
-    relay, relay_client = attach("relay-ra", Region.UNITED_STATES)
+    relay, relay_client = attach("relay-ra", Region.UNITED_STATES, streaming=True)
     victim, victim_client = attach("victim-ra", Region.UNITED_STATES)
 
     revoke_batches(ca, sizes)
     reference_client.pull(now=400)
-    relay_client.sync_via_segments(now=400)
+    relay_client.pull(now=400)
     total = len(sizes)
     forge_from = data.draw(
         st.integers(min_value=1, max_value=total), label="forge from"

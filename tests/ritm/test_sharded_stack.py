@@ -241,6 +241,9 @@ class TestShardedDissemination:
         assert list(replicas) == [
             (now + 6 * WEEK) // ca.config.shard_width_seconds
         ]
+        # Nothing outlives a pruned replica: no feed, no issuer alias.
+        assert set(client.feeds) == set(agent.replicas)
+        assert set(agent.issuers) == {ca.name} | set(agent.replicas)
 
     def test_stale_index_entries_are_not_rereplicated(self, sharded_world):
         """A cached index listing an already-expired shard must not make the

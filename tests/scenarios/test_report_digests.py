@@ -15,6 +15,10 @@ segment per shard batch and opens expiry windows ahead of their first
 revocation, and its RA prunes expired shards before (not after) polling them.
 Deleting the never-measured ``parallelism`` knob re-pinned all 17 rows: the
 JSON diff of every report was exactly the removed ``parallelism`` keys.
+Folding the RA's two catch-up walks into one re-pinned ``region-outage``:
+``dissemination.freshness_applied`` 78 → 74, because each of the two restored
+RAs now applies its three-segment peer backlog in one transaction followed by
+one freshness statement instead of three.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ GOLDEN_DIGESTS = {
     "iot-long-lived": "8547dbddf291314c5600eaa823725a577efa8568198843ebc32824d6767806b9",
     "quickstart": "fd9b9bdd7df97c89d6f3de5d1419ff79f281f556674ae81f0ce5f2b1a4c133af",
     "ra-crash-recovery": "310c301c38ae93bdf8fca1c1a818a86cec27eec3b06af83093ae7d18926b1443",
-    "region-outage": "d5403e3bf4d29b7e358c97d9e52fb41d385c0b671577c3ec9d8f21040a2e1b0d",
+    "region-outage": "c02762eb76e6c828ee1a2aa9faa85204ffb56925c97705743efb103bc3a4477b",
     "replayed-head": "0b9fe51821bc41d1a4309a1e542f1aabe89052037bc89f13a8f76afc143832cf",
     "rotated-ca-key": "b4c887b7c29aed2b7de70191b64618f5356fcb1bdd755f294a921609eda5d926",
     "sharded-longrun": "5ab70a00c43358c0b9f08b32086c9b275aa0e2631c25f7fb6b83946c3f8296fa",
