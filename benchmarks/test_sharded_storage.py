@@ -1,9 +1,9 @@
 """§VIII "Ever-growing dictionaries": sharded vs. unsharded RA storage.
 
 Drives a multi-quarter clock through :class:`ShardedCADictionary` /
-:class:`ShardedReplica` (one run per store engine) with certificate expiry
-churn, pruning expired shards each period, and compares the replica's
-storage footprint against an unsharded :class:`CADictionary` fed the same
+an RA's shard registry (``RevocationAgent``; one run per store engine) with
+certificate expiry churn, pruning expired shards each period, and compares
+the RA's storage footprint against an unsharded :class:`CADictionary` fed the same
 revocations.  The quantities of interest:
 
 * the sharded RA footprint **plateaus** (final ≈ peak) while the unsharded
@@ -23,8 +23,10 @@ import pytest
 from repro.crypto.signing import KeyPair
 from repro.analysis.reporting import format_table, human_bytes
 from repro.dictionary.authdict import CADictionary
-from repro.dictionary.sharding import ShardedCADictionary, ShardedReplica
+from repro.dictionary.sharding import ShardedCADictionary
 from repro.pki.serial import SerialNumber
+from repro.ritm.agent import RevocationAgent
+from repro.ritm.config import RITMConfig
 
 from bench_harness import write_json_result, write_result
 
@@ -49,9 +51,8 @@ def _drive_engine(engine: str) -> dict:
         shard_seconds=SHARD_WIDTH_PERIODS * WEEK,
         engine=engine,
     )
-    replica = ShardedReplica(
-        "Bench-CA", keys.public, shard_seconds=SHARD_WIDTH_PERIODS * WEEK, engine=engine
-    )
+    agent = RevocationAgent("bench-ra", config=RITMConfig(store_engine=engine))
+    agent.register_sharded_ca("Bench-CA", SHARD_WIDTH_PERIODS * WEEK, keys.public)
     baseline = CADictionary(
         "Bench-CA-unsharded", keys, delta=WEEK, chain_length=64, engine=engine
     )
@@ -70,16 +71,17 @@ def _drive_engine(engine: str) -> dict:
             pairs.append((serial, expiry))
             expiries[serial_counter] = expiry
         for key, issuance in sharded.revoke(pairs, now=now):
-            replica.apply_issuance(key, issuance)
+            agent.register_shard_replica("Bench-CA", key.index).update(issuance)
         baseline.insert([serial for serial, _ in pairs], now=now)
         sharded.retire_expired(now)
-        replica.prune_expired(now)
+        agent.prune_shard_replicas("Bench-CA", now)
+        held = agent.shard_replicas("Bench-CA").values()
         timeline.append(
             {
                 "period": period,
-                "sharded_ra_bytes": replica.storage_size_bytes(),
+                "sharded_ra_bytes": sum(r.storage_size_bytes() for r in held),
                 "unsharded_bytes": baseline.storage_size_bytes(),
-                "live_shards": replica.shard_count,
+                "live_shards": len(held),
             }
         )
     elapsed = time.perf_counter() - started
@@ -89,7 +91,9 @@ def _drive_engine(engine: str) -> dict:
     mismatches = sum(
         1
         for value, expiry in live
-        if replica.prove(SerialNumber(value), expiry).is_revoked
+        if agent.replica_for_certificate("Bench-CA", expiry)
+        .prove(SerialNumber(value))
+        .is_revoked
         != baseline.contains(SerialNumber(value))
     )
     return {
@@ -101,7 +105,7 @@ def _drive_engine(engine: str) -> dict:
         "sharded_final_bytes": timeline[-1]["sharded_ra_bytes"],
         "sharded_peak_bytes": max(t["sharded_ra_bytes"] for t in timeline),
         "unsharded_final_bytes": timeline[-1]["unsharded_bytes"],
-        "ra_reclaimed_bytes": replica.reclaimed_storage_bytes,
+        "ra_reclaimed_bytes": agent.reclaimed_storage_bytes,
         "ca_reclaimed_bytes": sharded.reclaimed_storage_bytes,
         "shards_retired": sharded.retired_count,
         "live_serials_checked": len(live),

@@ -27,6 +27,7 @@ from repro.baselines.base import (
     RevocationScheme,
     SchemeProperties,
 )
+from repro.crypto.hashing import sha256
 
 #: A signed OCSP response is on the order of half a kilobyte.
 OCSP_RESPONSE_BYTES = 470
@@ -170,7 +171,10 @@ class OCSPStaplingScheme(RevocationScheme):
         """Deterministic partial-deployment decision for one server."""
         if self.deployment_rate >= 1.0:
             return True
-        bucket = hash(server_name) % 1_000
+        # A stable digest, not ``hash(name)``: Python salts string hashes per
+        # process, and which servers staple must not change between runs.
+        digest = sha256(server_name.encode("utf-8"))
+        bucket = int.from_bytes(digest[:4], "big") % 1_000
         return bucket < self.deployment_rate * 1_000
 
     def check(self, context: CheckContext) -> CheckResult:

@@ -19,7 +19,6 @@ from repro.dictionary.sharding import (
     MAX_CERTIFICATE_LIFETIME_SECONDS,
     ShardKey,
     ShardedCADictionary,
-    ShardedReplica,
 )
 from repro.dictionary.signed_root import SignedRoot
 from repro.dictionary.sync import SyncRequest, SyncResponse, SyncServer, resynchronize
@@ -42,7 +41,6 @@ __all__ = [
     "resynchronize",
     "ShardKey",
     "ShardedCADictionary",
-    "ShardedReplica",
     "DEFAULT_SHARD_SECONDS",
     "MAX_CERTIFICATE_LIFETIME_SECONDS",
 ]

@@ -16,8 +16,10 @@ pair:
 * :class:`ShardedCADictionary` — the CA side: routes each revocation to the
   shard covering the certificate's expiry time, refreshes every live shard
   each Δ, and retires shards whose window has passed;
-* :class:`ShardedReplica` — the RA side: one replica per shard, with
-  ``prune_expired`` reclaiming the storage the paper's §VIII is about.
+* the RA side is the agent's shard registry
+  (``RevocationAgent.register_shard_replica`` / ``prune_shard_replicas``):
+  one ordinary replica per shard, pruned as shard windows pass — the
+  storage reclamation the paper's §VIII is about.
 
 Each shard is a fully independent authenticated dictionary (own signed root,
 own freshness chain), so all the security arguments of the base construction
@@ -40,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.crypto.signing import KeyPair, PublicKey
-from repro.dictionary.authdict import CADictionary, ReplicaDictionary, RevocationIssuance
+from repro.crypto.signing import KeyPair
+from repro.dictionary.authdict import CADictionary, RevocationIssuance
 from repro.dictionary.proofs import RevocationStatus
 from repro.errors import DictionaryError
 from repro.pki.serial import SerialNumber
@@ -359,100 +361,3 @@ class ShardedCADictionary:
     def storage_size_bytes(self) -> int:
         """Per-entry storage across all retained shards."""
         return sum(shard.storage_size_bytes() for shard in self._shards.values())
-
-
-class ShardedReplica:
-    """The RA side: one replica per shard, prunable as shards expire."""
-
-    def __init__(
-        self,
-        ca_name: str,
-        ca_public_key: PublicKey,
-        shard_seconds: int = DEFAULT_SHARD_SECONDS,
-        engine: Optional[str] = None,
-    ) -> None:
-        """Create an empty sharded replica of ``ca_name``'s dictionaries."""
-        if shard_seconds <= 0:
-            raise DictionaryError(
-                f"shard width must be a positive number of seconds, got {shard_seconds}"
-            )
-        self.ca_name = ca_name
-        self._ca_public_key = ca_public_key
-        self.shard_seconds = shard_seconds
-        self._engine = engine
-        self._replicas: Dict[int, ReplicaDictionary] = {}
-        #: Bytes of per-entry storage released by :meth:`prune_expired`.
-        self.reclaimed_storage_bytes = 0
-        #: Revocation entries dropped with their pruned shards.
-        self.pruned_revocations = 0
-
-    def _replica_for(self, shard_index: int) -> ReplicaDictionary:
-        """The (possibly newly created) replica for ``shard_index``."""
-        if shard_index not in self._replicas:
-            self._replicas[shard_index] = ReplicaDictionary(
-                shard_name(self.ca_name, shard_index),
-                self._ca_public_key,
-                engine=self._engine,
-            )
-        return self._replicas[shard_index]
-
-    def replica_at(self, shard_index: int) -> Optional[ReplicaDictionary]:
-        """The replica holding ``shard_index``, or ``None`` (no creation)."""
-        return self._replicas.get(shard_index)
-
-    def live_indices(self) -> List[int]:
-        """Indices of every shard this replica currently holds, in order."""
-        return sorted(self._replicas)
-
-    def apply_issuance(self, key: ShardKey, issuance: RevocationIssuance) -> None:
-        """Apply one per-shard issuance message to the matching replica."""
-        self._replica_for(key.index).update(issuance)
-
-    def apply_freshness(self, shard_index: int, statement) -> None:
-        """Apply a per-shard freshness statement."""
-        self._replica_for(shard_index).apply_freshness(statement)
-
-    def prove(self, serial: SerialNumber, expiry: int) -> RevocationStatus:
-        """Status for ``serial`` from the replica of its expiry shard."""
-        key = ShardKey.for_expiry(expiry, self.shard_seconds)
-        replica = self._replicas.get(key.index)
-        if replica is None:
-            raise DictionaryError(
-                f"no replica for shard {key.index} of {self.ca_name!r}; sync required"
-            )
-        return replica.prove(serial)
-
-    def prune_expired(self, now: float) -> int:
-        """Delete replicas whose shard window has fully passed; returns entries freed.
-
-        The released per-entry storage accumulates in
-        :attr:`reclaimed_storage_bytes`.
-        """
-        freed = 0
-        for index in list(self._replicas):
-            if ShardKey(index, self.shard_seconds).is_expired(now):
-                replica = self._replicas[index]
-                freed += replica.size
-                self.reclaimed_storage_bytes += replica.storage_size_bytes()
-                replica.close()  # release the pruned store (durable engines)
-                del self._replicas[index]
-        self.pruned_revocations += freed
-        return freed
-
-    def close(self) -> None:
-        """Close every held shard replica's backing store."""
-        for replica in self._replicas.values():
-            replica.close()
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shard replicas currently held."""
-        return len(self._replicas)
-
-    def total_revocations(self) -> int:
-        """Revocation entries across all held shard replicas."""
-        return sum(replica.size for replica in self._replicas.values())
-
-    def storage_size_bytes(self) -> int:
-        """Per-entry storage across all held shard replicas."""
-        return sum(replica.storage_size_bytes() for replica in self._replicas.values())

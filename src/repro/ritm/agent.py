@@ -266,6 +266,10 @@ class RevocationAgent(Middlebox):
         for :meth:`register_ca`) all of them share.  A verifier already
         registered is kept — it may have learned rotations.
         """
+        if width_seconds <= 0:
+            raise DictionaryError(
+                f"shard width must be a positive number of seconds, got {width_seconds}"
+            )
         issuer = self.issuers.setdefault(ca_name, Issuer(ca_name))
         issuer.shard_width = width_seconds
         if issuer.verifier is None:

@@ -27,8 +27,8 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.cdn.geography import GeoLocation, region_distance
 from repro.cdn.network import CDNNetwork
@@ -111,6 +111,19 @@ class PullResult:
     peer_syncs: int = 0
     cold_sync_fallbacks: int = 0
     segments_rejected: int = 0
+
+
+def total_pulls(history: Iterable[PullResult]) -> PullResult:
+    """The field-wise total of ``history``: every counter summed in order,
+    ``errors`` concatenated, ``time`` the last pull's."""
+    total = PullResult(time=0.0)
+    for pull in history:
+        for spec in fields(PullResult):
+            value = getattr(pull, spec.name)
+            if spec.name != "time":
+                value = getattr(total, spec.name) + value
+            setattr(total, spec.name, value)
+    return total
 
 
 def _cursor_checksum(cursor_state: Dict[str, Dict[str, int]]) -> int:
@@ -816,18 +829,6 @@ class RADisseminationClient:
             replica.apply_freshness(response.freshness)
         result.resyncs += 1
         return len(response.serials)
-
-    # -- bookkeeping ------------------------------------------------------------------
-
-    def total_bytes_downloaded(self) -> int:
-        """Bytes fetched from the CDN across every recorded pull cycle."""
-        return sum(pull.bytes_downloaded for pull in self.pull_history)
-
-    def average_pull_latency(self) -> float:
-        """Mean client-observed latency per pull cycle, in seconds."""
-        if not self.pull_history:
-            return 0.0
-        return sum(pull.latency_seconds for pull in self.pull_history) / len(self.pull_history)
 
 
 def attach_agent_to_cas(

@@ -27,8 +27,9 @@ def build_checks(state: RunState, extras: Dict[str, object]) -> List[ScenarioChe
     """The generic and fault/study-specific pass/fail assertions."""
     cfg, ca, victim, runtimes = state.config, state.ca, state.victim, state.runtimes
     checks: List[ScenarioCheck] = []
+    total = state.pull_totals()
     pulls = sum(len(r.pull_results()) for r in runtimes)
-    bytes_downloaded = sum(r.total_bytes_downloaded() for r in runtimes)
+    bytes_downloaded = total.bytes_downloaded
     checks.append(
         ScenarioCheck(
             "dissemination-active",
@@ -87,9 +88,7 @@ def build_checks(state: RunState, extras: Dict[str, object]) -> List[ScenarioChe
             )
         )
     if any(fault.kind == "tampered-batch" for fault in cfg.faults):
-        resyncs = sum(
-            sum(pull.resyncs for pull in r.pull_results()) for r in runtimes
-        )
+        resyncs = total.resyncs
         checks.append(
             ScenarioCheck(
                 "tamper-detected-and-recovered",
@@ -98,10 +97,7 @@ def build_checks(state: RunState, extras: Dict[str, object]) -> List[ScenarioChe
             )
         )
     if any(fault.kind == "replayed-head" for fault in cfg.faults):
-        replays = sum(
-            sum(pull.replays_rejected for pull in r.pull_results())
-            for r in runtimes
-        )
+        replays = total.replays_rejected
         checks.append(
             ScenarioCheck(
                 "replayed-head-rejected",

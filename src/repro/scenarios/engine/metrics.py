@@ -101,36 +101,10 @@ def collect_metrics(state: RunState) -> Dict[str, object]:
     """Aggregate dissemination, dictionary, hot-path, attack-window, and
     fleet metrics."""
     ca = state.ca
-    pulls = bytes_downloaded = freshness = issuances = serials = resyncs = errors = 0
-    root_cache_hits = root_signatures_verified = 0
-    stale_heads = replays = rotations_learned = 0
-    segments_applied = segments_from_peer = segment_bytes = 0
-    peer_syncs = cold_fallbacks = segments_rejected = 0
-    latencies: List[float] = []
+    total = state.pull_totals()
+    pulls = sum(len(runtime.pull_results()) for runtime in state.runtimes)
     per_agent: Dict[str, Dict[str, object]] = {}
     for runtime in state.runtimes:
-        history = runtime.pull_results()
-        pulls += len(history)
-        bytes_downloaded += runtime.total_bytes_downloaded()
-        latencies.extend(pull.latency_seconds for pull in history)
-        freshness += sum(pull.freshness_applied for pull in history)
-        issuances += sum(pull.issuances_applied for pull in history)
-        serials += sum(pull.serials_applied for pull in history)
-        resyncs += sum(pull.resyncs for pull in history)
-        errors += sum(len(pull.errors) for pull in history)
-        root_cache_hits += sum(pull.root_cache_hits for pull in history)
-        root_signatures_verified += sum(
-            pull.root_signatures_verified for pull in history
-        )
-        stale_heads += sum(pull.stale_heads_ignored for pull in history)
-        replays += sum(pull.replays_rejected for pull in history)
-        rotations_learned += sum(pull.key_rotations_applied for pull in history)
-        segments_applied += sum(pull.segments_applied for pull in history)
-        segments_from_peer += sum(pull.segments_from_peer for pull in history)
-        segment_bytes += sum(pull.segment_bytes_downloaded for pull in history)
-        peer_syncs += sum(pull.peer_syncs for pull in history)
-        cold_fallbacks += sum(pull.cold_sync_fallbacks for pull in history)
-        segments_rejected += sum(pull.segments_rejected for pull in history)
         replicas = runtime.agent.replicas_of(ca.name)
         per_agent[runtime.spec_name] = {
             "size": sum(replica.size for replica in replicas),
@@ -142,20 +116,20 @@ def collect_metrics(state: RunState) -> Dict[str, object]:
     return {
         "dissemination": {
             "pulls": pulls,
-            "bytes_downloaded": bytes_downloaded,
+            "bytes_downloaded": total.bytes_downloaded,
             "average_pull_latency_seconds": (
-                sum(latencies) / len(latencies) if latencies else 0.0
+                total.latency_seconds / pulls if pulls else 0.0
             ),
-            "freshness_applied": freshness,
-            "issuances_applied": issuances,
-            "serials_applied": serials,
-            "resyncs": resyncs,
-            "errors": errors,
-            "root_cache_hits": root_cache_hits,
-            "root_signatures_verified": root_signatures_verified,
-            "stale_heads_ignored": stale_heads,
-            "replays_rejected": replays,
-            "key_rotations_applied": rotations_learned,
+            "freshness_applied": total.freshness_applied,
+            "issuances_applied": total.issuances_applied,
+            "serials_applied": total.serials_applied,
+            "resyncs": total.resyncs,
+            "errors": len(total.errors),
+            "root_cache_hits": total.root_cache_hits,
+            "root_signatures_verified": total.root_signatures_verified,
+            "stale_heads_ignored": total.stale_heads_ignored,
+            "replays_rejected": total.replays_rejected,
+            "key_rotations_applied": total.key_rotations_applied,
         },
         "hot_path": hot_path_metrics(state),
         "dictionary": {
@@ -187,12 +161,12 @@ def collect_metrics(state: RunState) -> Dict[str, object]:
             {
                 "replication": {
                     "segments_published": ca.publication_stats.segments_published,
-                    "segments_applied": segments_applied,
-                    "segments_from_peer": segments_from_peer,
-                    "segment_bytes_downloaded": segment_bytes,
-                    "peer_syncs": peer_syncs,
-                    "cold_sync_fallbacks": cold_fallbacks,
-                    "segments_rejected": segments_rejected,
+                    "segments_applied": total.segments_applied,
+                    "segments_from_peer": total.segments_from_peer,
+                    "segment_bytes_downloaded": total.segment_bytes_downloaded,
+                    "peer_syncs": total.peer_syncs,
+                    "cold_sync_fallbacks": total.cold_sync_fallbacks,
+                    "segments_rejected": total.segments_rejected,
                 }
             }
             if (

@@ -19,7 +19,7 @@ from repro.net import Link
 from repro.net.clock import SimulatedClock
 from repro.pki import CertificationAuthority, SerialNumber, TrustStore
 from repro.ritm import RITMCertificationAuthority, RITMConfig, RevocationAgent
-from repro.ritm.dissemination import PullResult, RADisseminationClient
+from repro.ritm.dissemination import PullResult, RADisseminationClient, total_pulls
 from repro.scenarios.config import FaultSpec, ScenarioConfig
 from repro.scenarios.engine.mailbox import Mailbox
 
@@ -75,9 +75,6 @@ class AgentRuntime:
         """Every pull this agent completed, across crash restarts."""
         return self.archived_pulls + self.client.pull_history
 
-    def total_bytes_downloaded(self) -> int:
-        """Bytes fetched from the CDN across the agent's whole lifetime."""
-        return sum(pull.bytes_downloaded for pull in self.pull_results())
 
 
 @dataclass
@@ -188,6 +185,12 @@ class RunState:
     soak_timeline: List[Dict[str, object]] = field(default_factory=list)
 
     # -- helpers shared by actors and observers --------------------------------------
+
+    def pull_totals(self) -> PullResult:
+        """Every pull of the run, agent by agent, totalled field by field."""
+        return total_pulls(
+            pull for runtime in self.runtimes for pull in runtime.pull_results()
+        )
 
     def event(self, period: int, kind: str, detail: str) -> None:
         """Append one timeline entry (period -1/-2/-3 = setup/closing/audit)."""

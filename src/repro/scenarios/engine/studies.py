@@ -359,10 +359,7 @@ def key_rotation_extras(state: RunState) -> Dict[str, object]:
     :class:`~repro.scenarios.engine.observers.RotationProber`.
     """
     ca = state.ca
-    learned = sum(
-        sum(pull.key_rotations_applied for pull in r.pull_results())
-        for r in state.runtimes
-    )
+    learned = state.pull_totals().key_rotations_applied
     agent_epochs: Dict[str, int] = {}
     for runtime in state.runtimes:
         keyring = runtime.agent.keyring_for(ca.name)
@@ -524,25 +521,21 @@ def soak_extras(state: RunState, end_time: float) -> Dict[str, object]:
     }
 
     proof_hits = root_lookups = 0
-    segments_applied = segment_bytes = resyncs = 0
     for runtime in state.runtimes:
         proof_hits += runtime.agent.proof_cache.stats.hits
         root_stats = runtime.agent.root_cache.stats
         root_lookups += root_stats.hits + root_stats.misses
-        for pull in runtime.pull_results():
-            segments_applied += pull.segments_applied
-            segment_bytes += pull.segment_bytes_downloaded
-            resyncs += pull.resyncs
+    total = state.pull_totals()
     subsystems = {
         "store_engine": cfg.store_engine,
         "durable_wal": cfg.store_engine in ("durable", "durable-compact"),
         "segment_streaming": cfg.segment_streaming,
         "segments_published": ca.publication_stats.segments_published,
-        "segments_applied": segments_applied,
-        "segment_bytes_downloaded": segment_bytes,
+        "segments_applied": total.segments_applied,
+        "segment_bytes_downloaded": total.segment_bytes_downloaded,
         "proof_cache_hits": proof_hits,
         "root_cache_lookups": root_lookups,
-        "resyncs": resyncs,
+        "resyncs": total.resyncs,
         "handshakes_served": state.handshakes_served,
         "handshake_roots_verified": state.handshake_roots_verified,
         "revocations_issued": state.revocations_issued,

@@ -154,6 +154,16 @@ class TestOCSPStapling:
         ]
         assert any(result.revoked is None for result in results)
 
+    def test_deployment_choice_is_stable_across_processes(self, truth):
+        """Pinned: a salted ``hash(name)`` picked different servers each run."""
+        scheme = OCSPStaplingScheme(truth, deployment_rate=0.5)
+        deploying = [
+            index
+            for index in range(12)
+            if scheme.server_deploys(f"site-{index}.example")
+        ]
+        assert deploying == [2, 3, 6, 9, 10, 11]
+
     def test_properties_require_server_changes(self, truth):
         assert "S" in OCSPStaplingScheme(truth).properties().violated_letters()
         assert "S" not in OCSPScheme(truth).properties().violated_letters()

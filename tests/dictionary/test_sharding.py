@@ -10,14 +10,36 @@ from repro.dictionary.sharding import (
     MAX_CERTIFICATE_LIFETIME_SECONDS,
     ShardKey,
     ShardedCADictionary,
-    ShardedReplica,
     shard_name,
     shard_prefix,
 )
 from repro.errors import DictionaryError, RevokedCertificateError
 from repro.pki.serial import SerialNumber
+from repro.ritm.agent import RevocationAgent
+from repro.ritm.config import RITMConfig
 
 QUARTER = DEFAULT_SHARD_SECONDS
+
+
+def sharded_agent(keys, ca_name="Shard-CA", engine="incremental"):
+    """An RA following ``ca_name``'s expiry shards (the RA side of §VIII)."""
+    agent = RevocationAgent("shard-ra", config=RITMConfig(store_engine=engine))
+    agent.register_sharded_ca(ca_name, QUARTER, keys.public)
+    return agent
+
+
+def apply_issuances(agent, ca_name, issuances):
+    """Apply per-shard issuances to the agent's matching shard replicas."""
+    for key, issuance in issuances:
+        agent.register_shard_replica(ca_name, key.index).update(issuance)
+
+
+def held_bytes(agent, ca_name):
+    """Per-entry storage across the agent's shard replicas of ``ca_name``."""
+    return sum(
+        replica.storage_size_bytes()
+        for replica in agent.shard_replicas(ca_name).values()
+    )
 
 
 @pytest.fixture()
@@ -103,47 +125,45 @@ class TestShardedCADictionary:
         assert [key.index for key, _ in live] == [1]
 
 
-class TestShardedReplica:
+class TestAgentShardRegistry:
     def test_replica_tracks_shards_and_proves(self, sharded, keys):
-        replica = ShardedReplica("Shard-CA", keys.public)
+        agent = sharded_agent(keys)
         issuances = sharded.revoke(
             [(SerialNumber(1), 10), (SerialNumber(2), QUARTER + 10)], now=100
         )
-        for key, issuance in issuances:
-            replica.apply_issuance(key, issuance)
-        assert replica.shard_count == 2
-        assert replica.total_revocations() == 2
-        status = replica.prove(SerialNumber(2), expiry=QUARTER + 10)
-        assert status.is_revoked
+        apply_issuances(agent, "Shard-CA", issuances)
+        replicas = agent.shard_replicas("Shard-CA")
+        assert len(replicas) == 2
+        assert sum(replica.size for replica in replicas.values()) == 2
+        replica = agent.replica_for_certificate("Shard-CA", QUARTER + 10)
+        assert replica.prove(SerialNumber(2)).is_revoked
 
-    def test_prove_unknown_shard_requires_sync(self, keys):
-        replica = ShardedReplica("Shard-CA", keys.public)
-        with pytest.raises(DictionaryError):
-            replica.prove(SerialNumber(1), expiry=10)
+    def test_unknown_shard_has_no_replica(self, keys):
+        agent = sharded_agent(keys)
+        assert agent.replica_for_certificate("Shard-CA", 10) is None
 
     def test_prune_expired_reclaims_storage(self, sharded, keys):
-        replica = ShardedReplica("Shard-CA", keys.public)
+        agent = sharded_agent(keys)
         issuances = sharded.revoke(
             [(SerialNumber(i), 10) for i in range(1, 51)]
             + [(SerialNumber(100 + i), QUARTER + 10) for i in range(1, 11)],
             now=100,
         )
-        for key, issuance in issuances:
-            replica.apply_issuance(key, issuance)
-        before = replica.storage_size_bytes()
-        freed = replica.prune_expired(now=QUARTER + 1)
+        apply_issuances(agent, "Shard-CA", issuances)
+        before = held_bytes(agent, "Shard-CA")
+        freed, _ = agent.prune_shard_replicas("Shard-CA", now=QUARTER + 1)
         assert freed == 50
-        assert replica.shard_count == 1
-        assert replica.storage_size_bytes() < before
+        assert len(agent.shard_replicas("Shard-CA")) == 1
+        assert held_bytes(agent, "Shard-CA") < before
 
     def test_freshness_applies_per_shard(self, sharded, keys):
-        replica = ShardedReplica("Shard-CA", keys.public)
+        agent = sharded_agent(keys)
         issuances = sharded.revoke([(SerialNumber(1), QUARTER + 10)], now=100)
-        for key, issuance in issuances:
-            replica.apply_issuance(key, issuance)
+        apply_issuances(agent, "Shard-CA", issuances)
         refreshed = sharded.refresh_all(now=120)
-        replica.apply_freshness(1, refreshed[1])
-        status = replica.prove(SerialNumber(9), expiry=QUARTER + 10)
+        replica = agent.replica_for_certificate("Shard-CA", QUARTER + 10)
+        replica.apply_freshness(refreshed[1])
+        status = replica.prove(SerialNumber(9))
         status.verify(keys.public, now=125, delta=10)
 
 
@@ -243,9 +263,11 @@ class TestValidation:
             ShardedCADictionary("Shard-CA", keys, delta=10, shard_seconds=width)
 
     @pytest.mark.parametrize("width", [0, -1])
-    def test_sharded_replica_rejects_bad_width(self, keys, width):
+    def test_agent_registry_rejects_bad_width(self, keys, width):
         with pytest.raises(DictionaryError, match="positive"):
-            ShardedReplica("Shard-CA", keys.public, shard_seconds=width)
+            RevocationAgent("shard-ra").register_sharded_ca(
+                "Shard-CA", width, keys.public
+            )
 
     def test_shard_prefix_matches_shard_name(self):
         assert shard_name("CA", 3).startswith(shard_prefix("CA"))
@@ -266,16 +288,20 @@ class TestAccounting:
         assert sharded.retired_indices() == [0]
 
     def test_replica_reclaimed_bytes_accumulate(self, sharded, keys):
-        replica = ShardedReplica("Shard-CA", keys.public)
-        for key, issuance in sharded.revoke(
-            [(SerialNumber(1), 10), (SerialNumber(2), QUARTER + 10)], now=100
-        ):
-            replica.apply_issuance(key, issuance)
-        before = replica.storage_size_bytes()
-        freed = replica.prune_expired(now=QUARTER + 1)
+        agent = sharded_agent(keys)
+        apply_issuances(
+            agent,
+            "Shard-CA",
+            sharded.revoke(
+                [(SerialNumber(1), 10), (SerialNumber(2), QUARTER + 10)], now=100
+            ),
+        )
+        before = held_bytes(agent, "Shard-CA")
+        freed, bytes_freed = agent.prune_shard_replicas("Shard-CA", now=QUARTER + 1)
         assert freed == 1
-        assert replica.pruned_revocations == 1
-        assert replica.reclaimed_storage_bytes + replica.storage_size_bytes() == before
+        assert agent.pruned_revocations == 1
+        assert agent.reclaimed_storage_bytes == bytes_freed
+        assert bytes_freed + held_bytes(agent, "Shard-CA") == before
 
 
 class TestDifferentialOracle:
@@ -286,7 +312,7 @@ class TestDifferentialOracle:
         sharded = ShardedCADictionary(
             "Shard-CA", keys, delta=10, chain_length=32, engine=engine
         )
-        replica = ShardedReplica("Shard-CA", keys.public, engine=engine)
+        agent = sharded_agent(keys, engine=engine)
         oracle = CADictionary(
             "Oracle-CA", keys, delta=10, chain_length=32, engine=engine
         )
@@ -295,18 +321,18 @@ class TestDifferentialOracle:
             (SerialNumber(value), now + (value % 7 + 1) * QUARTER // 3)
             for value in range(1, 41)
         ]
-        for key, issuance in sharded.revoke(pairs, now=now):
-            replica.apply_issuance(key, issuance)
+        apply_issuances(agent, "Shard-CA", sharded.revoke(pairs, now=now))
         oracle.insert([serial for serial, _ in pairs], now=now)
         oracle_proofs_absent = SerialNumber(999)
 
         for serial, expiry in pairs:
             ca_status = sharded.prove(serial, expiry, now=now)
-            ra_status = replica.prove(serial, expiry)
+            ra_status = agent.replica_for_certificate("Shard-CA", expiry).prove(serial)
             assert ca_status.is_revoked == ra_status.is_revoked == oracle.contains(serial)
         for _, expiry in pairs[:5]:
             assert not sharded.prove(oracle_proofs_absent, expiry, now=now).is_revoked
-            assert not replica.prove(oracle_proofs_absent, expiry).is_revoked
+            replica = agent.replica_for_certificate("Shard-CA", expiry)
+            assert not replica.prove(oracle_proofs_absent).is_revoked
             assert not oracle.contains(oracle_proofs_absent)
 
 
@@ -331,31 +357,31 @@ def test_prune_retire_round_trip_property(expiry_offsets, retire_after, engine):
     sharded = ShardedCADictionary(
         "Prop-CA", keys, delta=10, chain_length=32, engine=engine
     )
-    replica = ShardedReplica("Prop-CA", keys.public, engine=engine)
+    agent = sharded_agent(keys, "Prop-CA", engine=engine)
     pairs = [
         (SerialNumber(index + 1), now + offset)
         for index, offset in enumerate(expiry_offsets)
     ]
-    for key, issuance in sharded.revoke(pairs, now=now):
-        replica.apply_issuance(key, issuance)
+    apply_issuances(agent, "Prop-CA", sharded.revoke(pairs, now=now))
 
     cutoff = now + retire_after
     retired = sharded.retire_expired(cutoff)
-    replica.prune_expired(cutoff)
+    agent.prune_shard_replicas("Prop-CA", cutoff)
 
+    held = agent.shard_replicas("Prop-CA")
     live_ca = {key.index for key in sharded.shard_keys()}
-    assert live_ca == set(replica.live_indices())
+    assert live_ca == set(held)
     assert all(not key.is_expired(cutoff) for key in sharded.shard_keys())
     assert {key.index for key in retired}.isdisjoint(live_ca)
-    assert sharded.reclaimed_storage_bytes == replica.reclaimed_storage_bytes
+    assert sharded.reclaimed_storage_bytes == agent.reclaimed_storage_bytes
     for index in live_ca:
-        assert sharded.shard_at(index).root() == replica.replica_at(index).root()
-        assert sharded.shard_at(index).size == replica.replica_at(index).size
+        assert sharded.shard_at(index).root() == held[index].root()
+        assert sharded.shard_at(index).size == held[index].size
 
     # The stream keeps flowing into future windows after retirement.
     future_expiry = cutoff + QUARTER
     serial = SerialNumber(10_000)
-    for key, issuance in sharded.revoke([(serial, future_expiry)], now=cutoff):
-        replica.apply_issuance(key, issuance)
-    assert replica.prove(serial, future_expiry).is_revoked
+    apply_issuances(agent, "Prop-CA", sharded.revoke([(serial, future_expiry)], now=cutoff))
+    replica = agent.replica_for_certificate("Prop-CA", future_expiry)
+    assert replica.prove(serial).is_revoked
     assert sharded.prove(serial, future_expiry, now=cutoff).is_revoked

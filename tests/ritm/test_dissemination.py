@@ -4,7 +4,7 @@ import pytest
 
 from repro.cdn.geography import GeoLocation, Region
 from repro.ritm.agent import RevocationAgent
-from repro.ritm.dissemination import attach_agent_to_cas
+from repro.ritm.dissemination import attach_agent_to_cas, total_pulls
 
 from tests.ritm.conftest import EPOCH, build_world
 
@@ -22,7 +22,7 @@ class TestInitialSync:
         assert result.bytes_downloaded > 0
         assert result.heads_checked == len(world.cas)
         assert result.errors == []
-        assert world.dissemination.total_bytes_downloaded() > 0
+        assert total_pulls(world.dissemination.pull_history).bytes_downloaded > 0
 
     def test_pull_latency_is_subsecond(self, world):
         result = world.pull(now=EPOCH + 20)
