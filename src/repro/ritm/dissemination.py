@@ -563,9 +563,7 @@ class RADisseminationClient:
         if peer is not None:
             if peer.replication_cursor(ca_name) > feed.position:
                 result.peer_syncs += 1
-                result.serials_applied += self._catch_up(
-                    ca_name, replica, now, result, peer=peer
-                )
+                self._catch_up(ca_name, replica, now, result, peer=peer)
             return
         download = self.cdn.download(head_path(ca_name), self.location, now)
         result.bytes_downloaded += download.bytes_on_wire
@@ -598,9 +596,7 @@ class RADisseminationClient:
     def _apply_head(self, ca_name: str, replica, head, now: float, result: PullResult) -> None:
         """Apply one decoded, replay-checked head to its replica."""
         if replica.signed_root is None or replica.is_desynchronized(head.size):
-            result.serials_applied += self._catch_up(
-                ca_name, replica, now, result, head_size=head.size
-            )
+            self._catch_up(ca_name, replica, now, result, head_size=head.size)
             if replica.size == head.size and (
                 replica.signed_root is None
                 or head.signed_root.timestamp > replica.signed_root.timestamp
@@ -663,7 +659,7 @@ class RADisseminationClient:
         result: PullResult,
         head_size: int = 0,
         peer=None,
-    ) -> int:
+    ) -> None:
         """The one catch-up walk: fetch the batches past the replica's
         position, apply them in one store transaction, or fall back to sync.
 
@@ -677,8 +673,7 @@ class RADisseminationClient:
         (``RevocationAgent.apply_issuances``): one merge and one suffix
         rehash however many batches queued up.  An object that is missing,
         malformed, mis-signed or out of sequence ends the walk and degrades
-        it to the CA's sync protocol — never silently.  Returns the serials
-        applied.
+        it to the CA's sync protocol — never silently.
         """
         feed = self._feed(ca_name)
         segments = peer is not None or self.segment_streaming
@@ -761,10 +756,9 @@ class RADisseminationClient:
             if segments:
                 relayable[number] = raw
                 freshness = segment.freshness_after
-        applied_serials = 0
         if pending:
             try:
-                applied_serials += self.agent.apply_issuances(ca_name, pending)
+                result.serials_applied += self.agent.apply_issuances(ca_name, pending)
             except (DictionaryError, SignatureError) as exc:
                 # Tampered batch content (update_many rolled the replica back
                 # to its last verified state) or a forged root signature
@@ -792,28 +786,23 @@ class RADisseminationClient:
                 # Never silent: the peer claimed more history than it could
                 # prove, so fall back to the CA's sync protocol and say so.
                 result.cold_sync_fallbacks += 1
-            resynced = self._resync(ca_name, replica, result)
-            if resynced is not None:
-                applied_serials += resynced
-                if peer is None:
-                    # The signed head vouches that every batch fetched so far
-                    # exists, and the resync covered it; a peer's claim to
-                    # more history vouches for nothing.
-                    committed = fetched
+            if self._resync(ca_name, replica, result) and peer is None:
+                # The signed head vouches that every batch fetched so far
+                # exists, and the resync covered it; a peer's claim to more
+                # history vouches for nothing.
+                committed = fetched
         feed.position = committed
-        return applied_serials
 
-    def _resync(self, ca_name: str, replica, result: PullResult) -> Optional[int]:
+    def _resync(self, ca_name: str, replica, result: PullResult) -> bool:
         """Full-state recovery via the CA's sync endpoint.
 
-        Returns the number of serials applied, or ``None`` when no sync
-        server is known (the caller must not mark fetched batches as
-        consumed in that case).
+        Returns ``False`` when no sync server is known (the caller must not
+        mark fetched batches as consumed in that case).
         """
         server = self._feed(ca_name).sync_server
         if server is None:
             result.errors.append(f"{ca_name}: desynchronized and no sync server known")
-            return None
+            return False
         # Resync replaces the replica's verified state wholesale: evict the
         # dictionary's cached proofs and root verdicts up front so the cache
         # only ever holds entries derived from the recovered state.
@@ -828,7 +817,8 @@ class RADisseminationClient:
         if response.freshness is not None:
             replica.apply_freshness(response.freshness)
         result.resyncs += 1
-        return len(response.serials)
+        result.serials_applied += len(response.serials)
+        return True
 
 
 def attach_agent_to_cas(
