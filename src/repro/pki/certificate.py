@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.crypto.signing import SIGNATURE_SIZE, PrivateKey, PublicKey
-from repro.errors import CertificateError
+from repro.errors import CertificateError, SignatureError
 from repro.pki.serial import SerialNumber
 
 
@@ -95,20 +95,29 @@ class Certificate:
         if offset + 17 > len(data):
             raise CertificateError("truncated certificate validity block")
         not_before, not_after, is_ca = struct.unpack_from(">QQB", data, offset)
+        if is_ca > 1:
+            # The signature covers the re-encoded flag, so any other byte
+            # would be a second accepted encoding of the same certificate.
+            raise CertificateError("non-canonical CA flag")
         offset += 17
         signature, offset = _unpack_bytes(data, offset)
         if offset != len(data):
             raise CertificateError("trailing bytes after certificate")
-        return cls(
-            subject=subject.decode("utf-8"),
-            issuer=issuer.decode("utf-8"),
-            serial=SerialNumber.from_bytes(serial_bytes),
-            public_key=PublicKey(key_bytes),
-            not_before=not_before,
-            not_after=not_after,
-            is_ca=bool(is_ca),
-            signature=signature,
-        )
+        try:
+            return cls(
+                subject=subject.decode("utf-8"),
+                issuer=issuer.decode("utf-8"),
+                serial=SerialNumber.from_bytes(serial_bytes),
+                public_key=PublicKey(key_bytes),
+                not_before=not_before,
+                not_after=not_after,
+                is_ca=bool(is_ca),
+                signature=signature,
+            )
+        except (ValueError, SignatureError) as exc:
+            # Bad UTF-8 in a name or an out-of-range serial (ValueError), or a
+            # key of the wrong length (SignatureError).
+            raise CertificateError(f"malformed certificate field: {exc}") from exc
 
     def encoded_size(self) -> int:
         return len(self.to_bytes())

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import List, Optional, Tuple
 
-from repro.errors import TLSError
+from repro.errors import CertificateError, TLSError
 from repro.pki.certificate import CertificateChain
 from repro.tls.extensions import Extension, decode_extensions, encode_extensions
 
@@ -86,13 +86,16 @@ class ClientHello:
         offset += 1
         session_id = body[offset : offset + sid_len]
         offset += sid_len
-        (suites_len,) = struct.unpack_from(">H", body, offset)
-        offset += 2
-        suites = tuple(
-            struct.unpack_from(">H", body, offset + i)[0] for i in range(0, suites_len, 2)
-        )
-        offset += suites_len
-        comp_len = body[offset]
+        try:
+            (suites_len,) = struct.unpack_from(">H", body, offset)
+            offset += 2
+            suites = tuple(
+                struct.unpack_from(">H", body, offset + i)[0] for i in range(0, suites_len, 2)
+            )
+            offset += suites_len
+            comp_len = body[offset]
+        except (struct.error, IndexError) as exc:
+            raise TLSError("truncated ClientHello") from exc
         offset += 1 + comp_len
         extensions, offset = decode_extensions(body, offset)
         return cls(
@@ -130,7 +133,10 @@ class ServerHello:
         offset += 1
         session_id = body[offset : offset + sid_len]
         offset += sid_len
-        cipher_suite, _compression = struct.unpack_from(">HB", body, offset)
+        try:
+            cipher_suite, _compression = struct.unpack_from(">HB", body, offset)
+        except struct.error as exc:
+            raise TLSError("truncated ServerHello") from exc
         offset += 3
         extensions, offset = decode_extensions(body, offset)
         return cls(
@@ -152,7 +158,10 @@ class CertificateMessage:
 
     @classmethod
     def from_body(cls, body: bytes) -> "CertificateMessage":
-        return cls(chain=CertificateChain.from_bytes(body))
+        try:
+            return cls(chain=CertificateChain.from_bytes(body))
+        except CertificateError as exc:
+            raise TLSError(f"malformed Certificate message: {exc}") from exc
 
 
 @dataclass(frozen=True)

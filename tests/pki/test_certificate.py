@@ -77,6 +77,31 @@ class TestCertificate:
         with pytest.raises(CertificateError):
             Certificate.from_bytes(certificate.to_bytes() + b"\x00")
 
+    def test_from_bytes_rejects_malformed_fields_as_certificate_errors(self, certificate):
+        def field(data: bytes) -> bytes:
+            return len(data).to_bytes(2, "big") + data
+
+        good = [
+            b"example.com",
+            b"Test CA",
+            b"\xab\xcd\xef",
+            certificate.public_key.key_bytes,
+        ]
+        tail = certificate.to_bytes()[sum(2 + len(part) for part in good) :]
+        assert Certificate.from_bytes(b"".join(map(field, good)) + tail) == certificate
+        for index, bad in [
+            (0, b"example\xff.com"),  # not UTF-8
+            (1, b"Test \xc3"),  # truncated UTF-8 sequence
+            (2, b""),  # empty serial
+            (2, b"\x00\x00\x00"),  # serial zero
+            (2, b"\x01" * 21),  # serial wider than 20 bytes
+            (3, certificate.public_key.key_bytes[:-1]),  # 31-byte key
+        ]:
+            fields = list(good)
+            fields[index] = bad
+            with pytest.raises(CertificateError):
+                Certificate.from_bytes(b"".join(map(field, fields)) + tail)
+
     def test_encoded_size_is_realistic(self, certificate):
         # Subject + issuer + serial + key (32) + validity + Ed25519 signature (64).
         assert 100 < certificate.encoded_size() < 400

@@ -79,6 +79,24 @@ class TestTransparency:
         out = world.agent.process_packet(packet, now=EPOCH + 10)
         assert out[0].payload == packet.payload
 
+    def test_corrupted_certificate_flight_is_forwarded(self, world):
+        chain = world.corpus.chains[0]
+        world.agent.process_packet(client_hello_packet(), now=EPOCH + 10)
+        flight = server_flight_packet(chain)
+        start = flight.payload.index(CertificateMessage(chain).to_bytes())
+        unparseable = 0
+        for bit in range(8 * start, 8 * len(flight.payload), 3):
+            corrupted = bytearray(flight.payload)
+            corrupted[bit // 8] ^= 1 << (bit % 8)
+            packet = Packet(flow=flight.flow, payload=bytes(corrupted), direction=flight.direction)
+            before = world.agent.dpi.stats.parse_errors
+            out = world.agent.process_packet(packet, now=EPOCH + 11)
+            assert len(out) == 1
+            if world.agent.dpi.stats.parse_errors > before:
+                unparseable += 1
+                assert out == [packet]
+        assert unparseable > 0
+
 
 class TestStatusAttachment:
     def test_state_created_on_ritm_client_hello(self, world):

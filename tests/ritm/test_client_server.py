@@ -119,6 +119,34 @@ class TestClientPolicy:
             RejectionReason.MISSING_STATUS,
         )
 
+    def test_corrupted_certificate_message_is_rejected_not_raised(self, world):
+        from repro.tls.messages import CertificateMessage
+
+        chain = world.corpus.chains[0]
+        now = EPOCH + 20
+        message = CertificateMessage(chain).to_bytes()
+        hello = make_client(world, chain).client_hello_packet(FLOW, now)
+        hello = world.agent.process_packet(hello, now)[0]
+        (flight,) = RITMServer("98.76.54.32", chain).handle_packet(hello, now)
+        (flight,) = world.agent.process_packet(flight, now)
+        start = flight.payload.index(message)
+        reasons = set()
+        # One flipped bit per byte of the Certificate message (every bit
+        # position gets its turn); each attempt is a fresh client.
+        for index in range(len(message)):
+            corrupted = bytearray(flight.payload)
+            corrupted[start + index] ^= 1 << (index % 8)
+            packet = Packet(flow=flight.flow, payload=bytes(corrupted), direction=flight.direction)
+            client = make_client(world, chain)
+            client.client_hello_packet(FLOW, now)
+            assert client.handle_packet(packet, now) == []
+            assert isinstance(client.rejection, RejectionReason), index
+            reasons.add(client.rejection)
+        assert reasons == {
+            RejectionReason.STANDARD_VALIDATION_FAILED,
+            RejectionReason.INVALID_STATUS,
+        }
+
     def test_stale_status_rejected(self, world):
         chain = world.corpus.chains[0]
         client = make_client(world, chain)

@@ -89,3 +89,47 @@ class TestInspection:
         assert result.server_hello is not None
         assert result.certificate_chain is not None
         assert result.has_application_data
+
+
+def single_bit_flips(data: bytes):
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(flipped)
+
+
+class TestCorruptedHandshakeFlights:
+    """One flipped bit in a valid flight is a parse error to count and a
+    packet to forward — never an exception out of the middlebox."""
+
+    def test_no_bit_flip_of_a_server_flight_escapes_inspect(self, dpi, small_corpus):
+        chain = small_corpus.chains[0]
+        payload = handshake_payload(ServerHello(), CertificateMessage(chain), ServerHelloDone())
+        outcomes = {"parsed": 0, "parse_error": 0, "not_tls": 0}
+        for mutated in single_bit_flips(payload):
+            result = dpi.inspect(mutated)
+            if not result.is_tls:
+                outcomes["not_tls"] += 1
+            elif result.parse_error is not None:
+                outcomes["parse_error"] += 1
+                assert result.certificate_chain is None
+            else:
+                outcomes["parsed"] += 1
+        assert all(outcomes.values())
+        assert dpi.stats.parse_errors == outcomes["parse_error"]
+
+    def test_no_bit_flip_of_a_client_hello_escapes_inspect(self, dpi):
+        payload = handshake_payload(ClientHello(extensions=(ritm_support_extension(),)))
+        for mutated in single_bit_flips(payload):
+            dpi.inspect(mutated)
+        assert dpi.stats.parse_errors > 0
+
+    def test_bad_utf8_in_a_certificate_name_is_a_parse_error(self, dpi, small_corpus):
+        chain = small_corpus.chains[0]
+        payload = handshake_payload(CertificateMessage(chain))
+        subject = chain.leaf.subject.encode("utf-8")
+        at = payload.index(subject)
+        mutated = payload[:at] + bytes([payload[at] | 0x80]) + payload[at + 1 :]
+        result = dpi.inspect(mutated)
+        assert result.parse_error is not None
+        assert dpi.stats.parse_errors == 1
