@@ -14,8 +14,8 @@ machine-readable perf baseline, ``benchmarks/results/handshake_hotpath.json``:
   :class:`~repro.perf.root_cache.VerifiedRootCache`;
 * **cold vs warm proof building** — the RA-side Merkle audit path,
   recomputed vs served from the :class:`~repro.perf.proof_cache.ProofCache`;
-* **batch vs serial Ed25519 verification** — ``crypto.signing.verify_batch``
-  against a one-by-one loop, at the configured batch width;
+* **Ed25519 itself** — one signature, and one verification under a
+  never-seen key (its comb table is built) vs under a cached key;
 * **cache hit rates** — per layer, including the CDN edge object cache
   under a same-region RA fleet pulling with a nonzero TTL.
 
@@ -31,8 +31,7 @@ import time
 
 from repro.cdn.geography import GeoLocation, Region
 from repro.cdn.network import CDNNetwork
-from repro.crypto.signing import KeyPair, verify_batch
-from repro.dictionary.signed_root import SignedRoot
+from repro.crypto.signing import KeyPair
 from repro.net.clock import SimulatedClock
 from repro.analysis.reporting import format_table
 from repro.perf import VerifiedRootCache
@@ -54,6 +53,7 @@ COLD_HANDSHAKES = 6
 WARM_HANDSHAKES = 24
 VERIFY_REPS = 12
 PROOF_REPS = 400
+ED25519_KEYS = 12
 
 
 def build_world():
@@ -177,43 +177,24 @@ def bench_proof_build(cas, agent, probes):
     }
 
 
-def bench_batch_verify(config):
-    """Batched vs one-by-one Ed25519 verification of signed roots."""
-    keys = KeyPair.generate(b"hotpath-batch")
-    width = config.signature_batch_width
-    roots = []
-    for index in range(width):
-        unsigned = SignedRoot(
-            ca_name="Batch CA",
-            root=bytes([index]) * 20,
-            size=index + 1,
-            anchor=bytes([index ^ 0xFF]) * 20,
-            timestamp=EPOCH + index,
-            chain_length=64,
-        )
-        roots.append(unsigned.sign(keys.private))
-    items = [(keys.public, root.payload(), root.signature) for root in roots]
-
-    serial_samples = []
-    batch_samples = []
-    for _ in range(5):  # medians keep a CI scheduler hiccup out of the guard
+def bench_ed25519():
+    """Sign, and verify under a never-seen key (table build) vs a cached key."""
+    signers = [KeyPair.generate(b"hotpath-ed25519-%d" % index) for index in range(ED25519_KEYS)]
+    message = b"hot-path signed root payload"
+    sign, miss, hit = [], [], []
+    for keys in signers:
         started = time.perf_counter()
-        serial_ok = [
-            keys.public.verify(message, signature) for _, message, signature in items
-        ]
-        serial_samples.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        batch_ok = verify_batch(items, batch_width=width)
-        batch_samples.append(time.perf_counter() - started)
-        assert all(serial_ok)
-        assert batch_ok == serial_ok
-    serial_seconds = statistics.median(serial_samples)
-    batch_seconds = statistics.median(batch_samples)
+        signature = keys.sign(message)
+        sign.append(time.perf_counter() - started)
+        for samples in (miss, hit):  # first use of a key builds its comb table
+            started = time.perf_counter()
+            assert keys.public.verify(message, signature)
+            samples.append(time.perf_counter() - started)
     return {
-        "width": width,
-        "serial_ms": round(serial_seconds * 1e3, 2),
-        "batch_ms": round(batch_seconds * 1e3, 2),
-        "speedup": round(serial_seconds / batch_seconds, 2),
+        "keys": ED25519_KEYS,
+        "sign_us": round(statistics.median(sign) * 1e6, 1),
+        "verify_hit_us": round(statistics.median(hit) * 1e6, 1),
+        "verify_miss_us": round(statistics.median(miss) * 1e6, 1),
     }
 
 
@@ -239,7 +220,7 @@ def test_handshake_hotpath():
     handshake, root_cache, validation_cache = bench_handshakes(config, corpus, cas, agent)
     status_verify = bench_status_verify(config, cas, agent, probes[-1])
     proof_build = bench_proof_build(cas, agent, probes)
-    batch = bench_batch_verify(config)
+    ed25519 = bench_ed25519()
     edge = bench_edge_cache(config, cas, cdn)
 
     payload = {
@@ -248,14 +229,13 @@ def test_handshake_hotpath():
             "delta_seconds": config.delta_seconds,
             "proof_cache_size": config.proof_cache_size,
             "root_cache_size": config.root_cache_size,
-            "signature_batch_width": config.signature_batch_width,
             "cold_handshakes": COLD_HANDSHAKES,
             "warm_handshakes": WARM_HANDSHAKES,
         },
         "handshake": handshake,
         "status_verify": status_verify,
         "proof_build": proof_build,
-        "batch_verify": batch,
+        "ed25519": ed25519,
         "cache_hit_rates": {
             "agent_proof_cache": round(agent.proof_cache.stats.hit_rate(), 4),
             "client_root_cache": round(root_cache.stats.hit_rate(), 4),
@@ -287,10 +267,10 @@ def test_handshake_hotpath():
                 f"{proof_build['warm_speedup']}x",
             ],
             [
-                f"Ed25519 verify x{batch['width']}",
-                f"{batch['serial_ms']} ms",
-                f"{batch['batch_ms']} ms",
-                f"{batch['speedup']}x",
+                "Ed25519 verify (new key vs cached key)",
+                f"{ed25519['verify_miss_us']} us",
+                f"{ed25519['verify_hit_us']} us",
+                f"{round(ed25519['verify_miss_us'] / ed25519['verify_hit_us'], 2)}x",
             ],
         ],
         title=f"Hot-path verification engine ({DICTIONARY_SIZE}-entry dictionary)",
@@ -302,6 +282,6 @@ def test_handshake_hotpath():
     assert handshake["warm_speedup"] > 1.2, handshake
     assert status_verify["warm_speedup"] > 2.0, status_verify
     assert proof_build["warm_speedup"] > 1.2, proof_build
-    assert batch["speedup"] > 1.2, batch
+    assert ed25519["verify_hit_us"] < ed25519["verify_miss_us"], ed25519
     for layer, rate in payload["cache_hit_rates"].items():
         assert rate > 0.0, (layer, payload["cache_hit_rates"])

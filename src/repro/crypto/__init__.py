@@ -25,7 +25,6 @@ from repro.crypto.merkle import (
     encode_leaf,
 )
 from repro.crypto.signing import (
-    DEFAULT_BATCH_WIDTH,
     PUBLIC_KEY_SIZE,
     SIGNATURE_SIZE,
     KeyPair,
@@ -58,6 +57,5 @@ __all__ = [
     "PublicKey",
     "SIGNATURE_SIZE",
     "PUBLIC_KEY_SIZE",
-    "DEFAULT_BATCH_WIDTH",
     "verify_batch",
 ]

@@ -35,7 +35,6 @@ Python integers are variable time anyway.  RITM signs a root at most once per
 from __future__ import annotations
 
 import hashlib
-import os
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
@@ -281,96 +280,3 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     h = _sha512_int(signature[:32] + public + message) % L
     sb_minus_ha = _comb_mult((s, _BASE_TABLE), (h, key_table))
     return _point_equal(_mul_by_cofactor(sb_minus_ha), _mul_by_cofactor(r_point))
-
-
-# --------------------------------------------------------------------------
-# Batch verification
-# --------------------------------------------------------------------------
-
-#: Bits of the random blinding coefficients; a batch containing an invalid
-#: signature passes the combined check with probability ~2^-128.
-_BLINDING_BITS = 128
-
-
-def _point_add_extended(p: _Point, q: _Point) -> _Point:
-    x1, y1, z1, t1 = p
-    x2, y2, z2, t2 = q
-    a = (y1 - x1) * (y2 - x2) % P
-    b = (y1 + x1) * (y2 + x2) % P
-    c = 2 * t1 * t2 * D % P
-    d = 2 * z1 * z2 % P
-    e, f, g, h = b - a, d - c, d + c, b + a
-    return (e * f % P, g * h % P, f * g % P, e * h % P)
-
-
-def _multi_scalar_mult(pairs: Sequence[Tuple[int, _Point]]) -> _Point:
-    """Straus interleaved multi-scalar multiplication: sum of scalar·point.
-
-    All scalars share one doubling chain (one doubling per bit position for
-    the whole sum instead of per term), which is where batch verification
-    gets its speedup over verifying signatures one at a time.
-    """
-    max_bits = max((scalar.bit_length() for scalar, _ in pairs), default=0)
-    result = _NEUTRAL
-    for bit in range(max_bits - 1, -1, -1):
-        result = _point_double(result)
-        for scalar, point in pairs:
-            if (scalar >> bit) & 1:
-                result = _point_add_extended(result, point)
-    return result
-
-
-def verify_batch(items: Sequence[Tuple[bytes, bytes, bytes]]) -> bool:
-    """Check many ``(public, message, signature)`` triples in one equation.
-
-    Uses the standard random-linear-combination batch equation: with random
-    blinding scalars ``z_i``,
-
-        ``[8][Σ z_i·s_i] B  ==  [8](Σ [z_i] R_i + Σ [z_i·h_i] A_i)``
-
-    holds exactly whenever every individual cofactored equation (the one
-    :func:`verify` checks) holds, and fails with overwhelming probability
-    (≥ 1−2⁻¹²⁸) when any does not.  Multiplying the combined result by the
-    cofactor — and rejecting small-order ``A_i``/``R_i`` up front, exactly
-    as :func:`verify` does — is what keeps the two paths in exact
-    agreement: an 8-torsion defect that a *cofactorless* serial check would
-    reject only cancels out of a blinded sum with probability ~1/8 per
-    attempt, which would let a batch accept signatures the serial path
-    rejects.  With both paths cofactored there is no such gap.
-
-    Returns ``True`` iff the whole batch verifies; ``False`` demands a
-    serial fallback to identify the culprit (see
-    :func:`repro.crypto.signing.verify_batch`).  Malformed keys, points, or
-    out-of-range scalars simply return ``False`` rather than raising, since
-    a batch is an all-or-nothing check.
-    """
-    if not items:
-        return True
-    lhs_scalar = 0
-    terms: List[Tuple[int, _Point]] = []
-    for public, message, signature in items:
-        if len(public) != KEY_SIZE or len(signature) != SIGNATURE_SIZE:
-            return False
-        try:
-            a_point = _point_decompress(public)
-            r_point = _point_decompress(signature[:32])
-        except CryptoError:
-            return False
-        if _is_small_order(a_point) or _is_small_order(r_point):
-            return False
-        s = int.from_bytes(signature[32:], "little")
-        if s >= L:
-            return False
-        h = _sha512_int(signature[:32] + public + message) % L
-        z = int.from_bytes(os.urandom(_BLINDING_BITS // 8), "little") | (
-            1 << (_BLINDING_BITS - 1)
-        )
-        lhs_scalar = (lhs_scalar + z * s) % L
-        terms.append((z, r_point))
-        terms.append((z * h % L, a_point))
-    # Move the base-point term to the right-hand side so the whole equation
-    # becomes one multi-scalar multiplication that must land on the neutral
-    # element (after clearing the cofactor):
-    # [8](Σ z_i R_i + Σ z_i h_i A_i + [L - Σ z_i s_i] B) == 0.
-    terms.append(((L - lhs_scalar) % L, BASE_POINT))
-    return _point_equal(_mul_by_cofactor(_multi_scalar_mult(terms)), _NEUTRAL)

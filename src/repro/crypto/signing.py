@@ -20,12 +20,6 @@ from repro.errors import SignatureError
 SIGNATURE_SIZE = ed25519.SIGNATURE_SIZE
 PUBLIC_KEY_SIZE = ed25519.KEY_SIZE
 
-#: Default number of signatures combined into one batch equation.  Wider
-#: batches amortize the shared doubling chain further but pay a full serial
-#: re-verification of the whole chunk when a single member is invalid; 16 is
-#: a good trade-off for dissemination pulls (see docs/PERFORMANCE.md).
-DEFAULT_BATCH_WIDTH = 16
-
 
 @dataclass(frozen=True)
 class PublicKey:
@@ -84,50 +78,19 @@ class PrivateKey:
         return ed25519.sign(self.seed, message)
 
 
-def verify_batch(
-    items: Sequence[Tuple[PublicKey, bytes, bytes]],
-    batch_width: int = DEFAULT_BATCH_WIDTH,
-) -> List[bool]:
+def verify_batch(items: Sequence[Tuple[PublicKey, bytes, bytes]]) -> List[bool]:
     """Per-item validity of many ``(public key, message, signature)`` triples.
 
-    Semantically identical to ``[key.verify(msg, sig) for key, msg, sig in
-    items]`` (malformed signature lengths count as invalid instead of
-    raising), but chunks of up to ``batch_width`` signatures share one
-    random-linear-combination equation
-    (:func:`repro.crypto.ed25519.verify_batch`), amortizing the doubling
-    chain that dominates pure-Python verification.  A chunk whose combined
-    equation fails falls back to verifying its members one by one, so the
-    returned verdicts always match serial verification exactly.
+    ``[key.verify(msg, sig) for key, msg, sig in items]``, except that a
+    signature of the wrong length counts as invalid instead of raising.
+    Signatures are verified one by one: with per-key comb tables a
+    random-linear-combination batch equation is slower than the serial walk
+    at every width (docs/PERFORMANCE.md).
     """
-    if batch_width < 1:
-        raise SignatureError("batch_width must be at least 1")
-    chunks = [
-        [
-            (public_key.key_bytes, message, signature)
-            for public_key, message, signature in items[start : start + batch_width]
-        ]
-        for start in range(0, len(items), batch_width)
-    ]
-    results: List[bool] = []
-    for chunk in chunks:
-        results.extend(_verify_chunk(chunk))
-    return results
-
-
-def _verify_chunk(triples: Sequence[Tuple[bytes, bytes, bytes]]) -> List[bool]:
-    """Verify one chunk of raw ``(key, message, signature)`` byte triples.
-
-    The combined batch equation is tried first; a failing chunk falls back
-    to per-member serial verification so verdicts always match serial
-    verification exactly.
-    """
-    triples = list(triples)
-    if len(triples) > 1 and ed25519.verify_batch(triples):
-        return [True] * len(triples)
     verdicts: List[bool] = []
-    for public, message, signature in triples:
+    for public_key, message, signature in items:
         try:
-            verdicts.append(ed25519.verify(public, message, signature))
+            verdicts.append(ed25519.verify(public_key.key_bytes, message, signature))
         except SignatureError:
             verdicts.append(False)
     return verdicts

@@ -413,7 +413,7 @@ class ReplicaDictionary(_DictionaryCore):
         return len(serials)
 
     def _verify_root_signatures(self, signed_roots: Sequence[SignedRoot]) -> None:
-        """Batch-verify root signatures, memoized through :attr:`root_cache`."""
+        """Verify root signatures, memoized through :attr:`root_cache`."""
         if self.root_cache is not None:
             verdicts = self.root_cache.verify_many(signed_roots, self._ca_public_key)
         else:

@@ -1,18 +1,16 @@
-"""Hot-path verification engine: caches and batch helpers for the read path.
+"""Hot-path verification engine: caches for the read path.
 
 The paper's pitch (§VII, Table 3 / Fig. 7) is that revocation checking is
-cheap enough to sit on the TLS handshake path at CDN scale.  Three costs
+cheap enough to sit on the TLS handshake path at CDN scale.  Two costs
 dominate the *read* side of this reproduction:
 
 * **Ed25519 signature checks** — the pure-Python implementation takes
-  milliseconds per verification, and a naive client re-verifies the CA's
+  about a millisecond per verification, and a naive client re-verifies the CA's
   signed root on every handshake even though the root changes at most once
   per Δ epoch;
 * **Merkle path construction** — an RA recomputes the audit path for a
   serial on every lookup, although repeat lookups (session resumption,
-  flash crowds) hit the same ``(root, serial)`` pair again and again;
-* **per-signature dispatch overhead** — dissemination pulls and resyncs
-  verify many signed roots one by one.
+  flash crowds) hit the same ``(root, serial)`` pair again and again.
 
 This package provides the shared machinery that removes those costs without
 ever weakening verification:
@@ -29,9 +27,8 @@ ever weakening verification:
   explicit invalidation per dictionary (refresh / resync / shard
   retirement).
 
-Batch signature verification itself lives in :mod:`repro.crypto.signing`
-(``verify_batch``); :class:`VerifiedRootCache` routes its cache misses
-through it.  See ``docs/PERFORMANCE.md`` for the end-to-end architecture,
+:class:`VerifiedRootCache` verifies its cache misses through
+:func:`repro.crypto.signing.verify_batch`.  See ``docs/PERFORMANCE.md`` for the end-to-end architecture,
 invalidation rules, and tuning knobs.
 """
 

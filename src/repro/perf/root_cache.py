@@ -22,12 +22,7 @@ import hashlib
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, List, Sequence, Set
 
-from repro.crypto.signing import (
-    DEFAULT_BATCH_WIDTH,
-    PublicKey,
-    acceptable_verifiers,
-    verify_batch,
-)
+from repro.crypto.signing import PublicKey, acceptable_verifiers, verify_batch
 from repro.errors import SignatureError
 from repro.perf.cache import CacheStats
 
@@ -41,17 +36,10 @@ DEFAULT_ROOT_CACHE_SIZE = 256
 class VerifiedRootCache:
     """Bounded memo of successfully verified signed roots, per verifier."""
 
-    def __init__(
-        self,
-        maxsize: int = DEFAULT_ROOT_CACHE_SIZE,
-        batch_width: int = DEFAULT_BATCH_WIDTH,
-    ) -> None:
+    def __init__(self, maxsize: int = DEFAULT_ROOT_CACHE_SIZE) -> None:
         if maxsize < 0:
             raise ValueError("maxsize must be >= 0 (0 disables the cache)")
-        if batch_width < 1:
-            raise ValueError("batch_width must be at least 1")
         self.maxsize = maxsize
-        self.batch_width = batch_width
         self.stats = CacheStats()
         #: cache key → CA name (the value only serves index cleanup).
         self._entries: "OrderedDict[bytes, str]" = OrderedDict()
@@ -86,12 +74,11 @@ class VerifiedRootCache:
     def verify_many(
         self, signed_roots: Sequence["SignedRoot"], public_key
     ) -> List[bool]:
-        """Per-root validity; cache misses are batch-verified and memoized.
+        """Per-root validity; cache misses are verified and memoized.
 
-        This is the path dissemination pulls and resyncs use: all the roots
-        queued since the last pull share one batched verification
-        (:func:`repro.crypto.signing.verify_batch`) instead of one full
-        scalar-multiplication pair each.
+        This is the path dissemination pulls and resyncs use for all the
+        roots queued since the last pull
+        (:func:`repro.crypto.signing.verify_batch`).
 
         ``public_key`` may be a bare :class:`PublicKey` or a
         :class:`~repro.crypto.signing.CAKeyring`.  With a keyring, a verdict
@@ -126,8 +113,7 @@ class VerifiedRootCache:
                 [
                     (primary, signed_roots[i].payload(), signed_roots[i].signature)
                     for i in missed
-                ],
-                batch_width=self.batch_width,
+                ]
             )
             for index, valid in zip(missed, verdicts):
                 verified_under = primary if valid else None

@@ -137,10 +137,7 @@ class RevocationAgent(Middlebox):
         #: for repeat lookups (session resumption, flash crowds) and a memo
         #: of Ed25519-verified roots shared by every replica of this RA.
         self.proof_cache = ProofCache(maxsize=self.config.proof_cache_size)
-        self.root_cache = VerifiedRootCache(
-            maxsize=self.config.root_cache_size,
-            batch_width=self.config.signature_batch_width,
-        )
+        self.root_cache = VerifiedRootCache(maxsize=self.config.root_cache_size)
 
     # -- dictionary management -------------------------------------------------
 

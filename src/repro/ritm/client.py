@@ -97,10 +97,7 @@ class RITMClient(Endpoint):
         self.root_cache = (
             root_cache
             if root_cache is not None
-            else VerifiedRootCache(
-                maxsize=self.config.root_cache_size,
-                batch_width=self.config.signature_batch_width,
-            )
+            else VerifiedRootCache(maxsize=self.config.root_cache_size)
         )
         self.tls = TLSClientConnection(
             ClientConnectionConfig(

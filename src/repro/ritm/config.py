@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.crypto.hashing import DEFAULT_DIGEST_SIZE
-from repro.crypto.signing import DEFAULT_BATCH_WIDTH
 from repro.dictionary.sharding import DEFAULT_SHARD_SECONDS, shard_name
 from repro.errors import ConfigurationError
 from repro.perf import DEFAULT_PROOF_CACHE_SIZE, DEFAULT_ROOT_CACHE_SIZE
@@ -80,9 +79,6 @@ class RITMConfig:
     #: :class:`~repro.perf.root_cache.VerifiedRootCache` memoizing Ed25519
     #: root verifications (0 disables root-verdict caching).
     root_cache_size: int = DEFAULT_ROOT_CACHE_SIZE
-    #: How many signatures share one batched verification equation in
-    #: dissemination pulls and resyncs.
-    signature_batch_width: int = DEFAULT_BATCH_WIDTH
     #: CA key-rotation schedule in Δ periods (0 = keys never rotate).  Each
     #: rotation publishes a :class:`~repro.ritm.messages.KeyAnnouncement`
     #: signed by the outgoing key and re-signs the current root.
@@ -117,8 +113,6 @@ class RITMConfig:
             raise ConfigurationError("proof_cache_size cannot be negative")
         if self.root_cache_size < 0:
             raise ConfigurationError("root_cache_size cannot be negative")
-        if self.signature_batch_width < 1:
-            raise ConfigurationError("signature_batch_width must be at least 1")
         if self.key_rotation_periods < 0:
             raise ConfigurationError("key_rotation_periods cannot be negative")
         if self.key_overlap_periods < 0:

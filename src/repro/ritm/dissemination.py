@@ -86,7 +86,7 @@ class PullResult:
     #: Hot-path verification engine accounting (docs/PERFORMANCE.md):
     #: root-signature checks answered from the agent's verified-root cache
     #: during this cycle, full Ed25519 verifications actually performed
-    #: (batched through ``crypto.signing.verify_batch``), and proof-cache
+    #: (through ``crypto.signing.verify_batch``), and proof-cache
     #: entries evicted by this cycle's refreshes/resyncs/prunes.
     root_cache_hits: int = 0
     root_signatures_verified: int = 0

@@ -135,7 +135,7 @@ ARTIFACTS: List[Artifact] = [
         "benchmarks/test_handshake_hotpath.py",
         "§VII-D / Table 3",
         "Machine-readable hot-path baseline: cold/warm latency, cache hit "
-        "rates, batch-vs-serial Ed25519 speedup (docs/PERFORMANCE.md).",
+        "rates, Ed25519 sign / verify-hit / verify-miss (docs/PERFORMANCE.md).",
     ),
     Artifact(
         "status_size.txt",
