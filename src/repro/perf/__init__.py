@@ -5,9 +5,9 @@ cheap enough to sit on the TLS handshake path at CDN scale.  Two costs
 dominate the *read* side of this reproduction:
 
 * **Ed25519 signature checks** — the pure-Python implementation takes
-  about a millisecond per verification, and a naive client re-verifies the CA's
-  signed root on every handshake even though the root changes at most once
-  per Δ epoch;
+  about a millisecond per verification, and a naive client re-verifies the
+  CA's signed root on every handshake even though the root changes at most
+  once per Δ epoch;
 * **Merkle path construction** — an RA recomputes the audit path for a
   serial on every lookup, although repeat lookups (session resumption,
   flash crowds) hit the same ``(root, serial)`` pair again and again.
@@ -28,8 +28,8 @@ ever weakening verification:
   retirement).
 
 :class:`VerifiedRootCache` verifies its cache misses through
-:func:`repro.crypto.signing.verify_batch`.  See ``docs/PERFORMANCE.md`` for the end-to-end architecture,
-invalidation rules, and tuning knobs.
+:func:`repro.crypto.signing.verify_batch`.  See ``docs/PERFORMANCE.md`` for
+the end-to-end architecture, invalidation rules, and tuning knobs.
 """
 
 from repro.perf.cache import CacheStats, LRUCache

@@ -219,6 +219,12 @@ def scalar_bytes(value: int) -> bytes:
     return int.to_bytes(value, 32, "little")
 
 
+def flip_bit(data: bytes, bit: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
 class TestStrictness:
     """What `verify` rejects beyond a failing equation, and the one thing it
     deliberately accepts: a torsion component the cofactor clears."""
@@ -362,10 +368,7 @@ class TestAgainstTheLadderOracle:
             "signature": ed25519.sign(secret, message),
         }
         if field != "none":
-            target = bytearray(fields[field])
-            bit %= 8 * len(target)
-            target[bit // 8] ^= 1 << (bit % 8)
-            fields[field] = bytes(target)
+            fields[field] = flip_bit(fields[field], bit % (8 * len(fields[field])))
         verdict = ed25519.verify(fields["key"], fields["message"], fields["signature"])
         assert verdict == oracle.verify(fields["key"], fields["message"], fields["signature"])
         assert verdict == (field == "none")
@@ -414,11 +417,10 @@ class TestKeyTableCache:
         assert ed25519.verify(key, message, signature)
         table = ed25519._key_table(key)
         for bit in range(0, 256, 5):
-            flipped = bytearray(key)
-            flipped[bit // 8] ^= 1 << (bit % 8)
-            other = ed25519._key_table(bytes(flipped))
+            neighbour = flip_bit(key, bit)
+            other = ed25519._key_table(neighbour)
             assert other is None or (other is not table and other != table)
-            assert not ed25519.verify(bytes(flipped), message, signature)
+            assert not ed25519.verify(neighbour, message, signature)
         assert ed25519._key_table(key) is table
         assert ed25519.verify(key, message, signature)
 

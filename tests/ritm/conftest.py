@@ -20,6 +20,13 @@ from repro.workloads.certificates import CertificateCorpus, generate_corpus
 EPOCH = 1_400_000_000
 
 
+def flip_bit(data: bytes, bit: int) -> bytes:
+    """``data`` with one bit inverted (bit 0 = least significant bit of byte 0)."""
+    flipped = bytearray(data)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
 @dataclass
 class RITMWorld:
     """Everything a test needs: CAs, CDN, an RA kept in sync, and TLS chains."""

@@ -10,7 +10,7 @@ from repro.tls.extensions import ritm_support_extension
 from repro.tls.messages import CertificateMessage, ClientHello, Finished, ServerHello, ServerHelloDone
 from repro.tls.records import ContentType, TLSRecord, parse_records
 
-from tests.ritm.conftest import EPOCH
+from tests.ritm.conftest import EPOCH, flip_bit
 
 
 FLOW = make_flow("12.34.56.78", 9012, "98.76.54.32", 443)
@@ -86,9 +86,9 @@ class TestTransparency:
         start = flight.payload.index(CertificateMessage(chain).to_bytes())
         unparseable = 0
         for bit in range(8 * start, 8 * len(flight.payload), 3):
-            corrupted = bytearray(flight.payload)
-            corrupted[bit // 8] ^= 1 << (bit % 8)
-            packet = Packet(flow=flight.flow, payload=bytes(corrupted), direction=flight.direction)
+            packet = Packet(
+                flow=flight.flow, payload=flip_bit(flight.payload, bit), direction=flight.direction
+            )
             before = world.agent.dpi.stats.parse_errors
             out = world.agent.process_packet(packet, now=EPOCH + 11)
             assert len(out) == 1

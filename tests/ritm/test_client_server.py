@@ -7,7 +7,7 @@ from repro.ritm.client import LegacyTLSClient, RejectionReason, RITMClient
 from repro.ritm.server import RITMServer, TLSTerminator
 from repro.tls.records import ContentType, TLSRecord, parse_records
 
-from tests.ritm.conftest import EPOCH
+from tests.ritm.conftest import EPOCH, flip_bit
 
 
 FLOW = make_flow("12.34.56.78", 9012, "98.76.54.32", 443)
@@ -134,9 +134,8 @@ class TestClientPolicy:
         # One flipped bit per byte of the Certificate message (every bit
         # position gets its turn); each attempt is a fresh client.
         for index in range(len(message)):
-            corrupted = bytearray(flight.payload)
-            corrupted[start + index] ^= 1 << (index % 8)
-            packet = Packet(flow=flight.flow, payload=bytes(corrupted), direction=flight.direction)
+            corrupted = flip_bit(flight.payload, 8 * (start + index) + index % 8)
+            packet = Packet(flow=flight.flow, payload=corrupted, direction=flight.direction)
             client = make_client(world, chain)
             client.client_hello_packet(FLOW, now)
             assert client.handle_packet(packet, now) == []

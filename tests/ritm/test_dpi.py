@@ -7,6 +7,8 @@ from repro.tls.extensions import ritm_support_extension
 from repro.tls.messages import CertificateMessage, ClientHello, Finished, ServerHello, ServerHelloDone
 from repro.tls.records import ContentType, TLSRecord
 
+from tests.ritm.conftest import flip_bit
+
 
 @pytest.fixture()
 def dpi():
@@ -92,10 +94,7 @@ class TestInspection:
 
 
 def single_bit_flips(data: bytes):
-    for bit in range(8 * len(data)):
-        flipped = bytearray(data)
-        flipped[bit // 8] ^= 1 << (bit % 8)
-        yield bytes(flipped)
+    return (flip_bit(data, bit) for bit in range(8 * len(data)))
 
 
 class TestCorruptedHandshakeFlights:
