@@ -18,7 +18,13 @@ import bisect
 from abc import ABC, abstractmethod
 from typing import ClassVar, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import DEFAULT_DIGEST_SIZE, hash_leaf
+from repro.crypto.hashing import (
+    DEFAULT_DIGEST_SIZE,
+    FULL_DIGEST_SIZE,
+    LEAF_PREFIX,
+    hash_leaf,
+    raw_sha256,
+)
 from repro.crypto.merkle import (
     AbsenceProof,
     AuditStep,
@@ -27,7 +33,7 @@ from repro.crypto.merkle import (
     empty_root,
     encode_leaf,
 )
-from repro.errors import ProofError
+from repro.errors import ConfigurationError, ProofError
 
 
 class LeafKeysView(Sequence):
@@ -130,6 +136,39 @@ class LeafItemsView(Sequence):
     def __repr__(self) -> str:
         """Debugging representation showing the view length."""
         return f"<LeafItemsView of {len(self)} leaves>"
+
+
+def splice_sorted(old: list, positions: Sequence[int], new: Sequence) -> list:
+    """``old`` with ``new[i]`` spliced in before old index ``positions[i]``.
+
+    ``positions`` is non-decreasing and non-empty; the merged list is
+    assembled from the *gap slices* between consecutive positions, so the
+    per-element work is a ``memcpy`` and the interpreted work is one step
+    per new item.
+    """
+    previous = positions[0]
+    merged = old[:previous]
+    for position, item in zip(positions, new):
+        if position > previous:
+            merged += old[previous:position]
+            previous = position
+        merged.append(item)
+    merged += old[previous:]
+    return merged
+
+
+def kept_runs(positions: Sequence[int], total: int) -> List[Tuple[int, int]]:
+    """Half-open index runs of ``range(total)`` left after dropping the
+    ascending, distinct ``positions``."""
+    runs: List[Tuple[int, int]] = []
+    start = 0
+    for position in positions:
+        if position > start:
+            runs.append((start, position))
+        start = position + 1
+    if start < total:
+        runs.append((start, total))
+    return runs
 
 
 class AuthenticatedStore(ABC):
@@ -237,6 +276,11 @@ class SortedLeafStore(AuthenticatedStore):
     """
 
     def __init__(self, digest_size: int = DEFAULT_DIGEST_SIZE) -> None:
+        if not 1 <= digest_size <= FULL_DIGEST_SIZE:
+            raise ConfigurationError(
+                f"digest_size must be between 1 and {FULL_DIGEST_SIZE} bytes, "
+                f"got {digest_size}"
+            )
         self._digest_size = digest_size
         self._keys: List[bytes] = []
         self._values: List[bytes] = []
@@ -309,15 +353,15 @@ class SortedLeafStore(AuthenticatedStore):
 
     def remove_batch(self, keys: Iterable[bytes]) -> int:
         """Remove ``keys`` in one transaction (rollback support); see the ABC."""
-        targets = sorted(set(keys))
-        if not targets:
-            return 0
-        for key in targets:
-            if self._find(key) is None:
+        positions: List[int] = []
+        for key in sorted(set(keys)):
+            index = self._find(key)
+            if index is None:
                 raise ProofError(f"key {key.hex()} is not in the tree; cannot remove")
-        first_dirty = bisect.bisect_left(self._keys, targets[0])
-        self._prune_leaves(set(targets), first_dirty)
-        return len(targets)
+            positions.append(index)
+        if positions:
+            self._prune_leaves(positions)
+        return len(positions)
 
     # -- engine hooks ------------------------------------------------------
 
@@ -327,10 +371,9 @@ class SortedLeafStore(AuthenticatedStore):
         length one.  Only called when the store is non-empty."""
 
     @abstractmethod
-    def _prune_leaves(self, target_set: set, first_dirty: int) -> None:
-        """Drop every leaf whose key is in ``target_set`` (all present;
-        ``first_dirty`` is the smallest affected leaf index) and repair the
-        engine's hash state."""
+    def _prune_leaves(self, positions: List[int]) -> None:
+        """Drop the leaves at the ascending, distinct, non-empty indices
+        ``positions`` and repair the engine's hash state."""
 
     # -- shared internals --------------------------------------------------
 
@@ -369,50 +412,41 @@ class SortedLeafStore(AuthenticatedStore):
         batch: Sequence[Tuple[bytes, bytes]],
         leaf_hashes: Optional[List[bytes]] = None,
     ) -> int:
-        """One-pass sort-merge of a prepared batch into the leaf arrays.
+        """Merge a prepared (sorted, validated, non-empty) batch into the leaf
+        arrays — and, when given, the cached ``leaf_hashes`` row, in place.
 
-        Replaces ``self._keys`` / ``self._values`` (and, when given, extends
-        the cached ``leaf_hashes`` row in place) without any per-element
-        ``list.insert``.  Returns the index of the first merged element —
-        the leftmost position whose hash ancestry changed.
+        A batch sorting after the stored tail extends the arrays in place,
+        O(B).  Otherwise each batch key is bisected into the old keys
+        (starting from the previous position) and the arrays are rebuilt by
+        :func:`splice_sorted`.  Returns the index of the first merged
+        element — the leftmost position whose hash ancestry changed.
         """
-        old_keys, old_values = self._keys, self._values
-        first_dirty = bisect.bisect_left(old_keys, batch[0][0])
-        merged_keys: List[bytes] = old_keys[:first_dirty]
-        merged_values: List[bytes] = old_values[:first_dirty]
-        merged_hashes: Optional[List[bytes]] = (
-            leaf_hashes[:first_dirty] if leaf_hashes is not None else None
-        )
-        i, j = first_dirty, 0
-        n, m = len(old_keys), len(batch)
-        while i < n and j < m:
-            if old_keys[i] < batch[j][0]:
-                merged_keys.append(old_keys[i])
-                merged_values.append(old_values[i])
-                if merged_hashes is not None:
-                    merged_hashes.append(leaf_hashes[i])
-                i += 1
-            else:
-                key, value = batch[j]
-                merged_keys.append(key)
-                merged_values.append(value)
-                if merged_hashes is not None:
-                    merged_hashes.append(self._leaf_hash(key, value))
-                j += 1
-        merged_keys.extend(old_keys[i:])
-        merged_values.extend(old_values[i:])
-        if merged_hashes is not None:
-            merged_hashes.extend(leaf_hashes[i:])
-        for key, value in batch[j:]:
-            merged_keys.append(key)
-            merged_values.append(value)
-            if merged_hashes is not None:
-                merged_hashes.append(self._leaf_hash(key, value))
-        self._keys = merged_keys
-        self._values = merged_values
+        keys = self._keys
+        new_keys = [key for key, _ in batch]
+        new_values = [value for _, value in batch]
         if leaf_hashes is not None:
-            leaf_hashes[:] = merged_hashes
-        return first_dirty
+            sha, size = raw_sha256, self._digest_size
+            new_hashes = [
+                sha(LEAF_PREFIX + encode_leaf(key, value)).digest()[:size]
+                for key, value in batch
+            ]
+        count = len(keys)
+        if not count or new_keys[0] > keys[-1]:
+            keys.extend(new_keys)
+            self._values.extend(new_values)
+            if leaf_hashes is not None:
+                leaf_hashes.extend(new_hashes)
+            return count
+        positions: List[int] = []
+        low = 0
+        for key in new_keys:
+            low = bisect.bisect_left(keys, key, low)
+            positions.append(low)
+        self._keys = splice_sorted(keys, positions, new_keys)
+        self._values = splice_sorted(self._values, positions, new_values)
+        if leaf_hashes is not None:
+            leaf_hashes[:] = splice_sorted(leaf_hashes, positions, new_hashes)
+        return positions[0]
 
     def _presence_proof_at(self, index: int) -> PresenceProof:
         levels = self._hash_levels()

@@ -42,14 +42,14 @@ from array import array
 from itertools import accumulate, chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-try:  # the raw C constructor skips hashlib's wrapper layer (~20% per call)
-    from _sha256 import sha256 as _sha256
-except ImportError:  # pragma: no cover - platform without the builtin module
-    from hashlib import sha256 as _sha256
-
-from repro.crypto.hashing import DEFAULT_DIGEST_SIZE, LEAF_PREFIX, NODE_PREFIX
-from repro.crypto.merkle import empty_root, encode_leaf
-from repro.store.base import SortedLeafStore
+from repro.crypto.hashing import (
+    DEFAULT_DIGEST_SIZE,
+    LEAF_PREFIX,
+    NODE_PREFIX,
+    raw_sha256 as _sha256,
+)
+from repro.crypto.merkle import AuditStep, PresenceProof, empty_root, encode_leaf
+from repro.store.base import SortedLeafStore, kept_runs
 
 
 class _ByteColumn(Sequence):
@@ -245,38 +245,6 @@ class _ByteColumn(Sequence):
         return self._offs
 
 
-class _PlaneView(Sequence):
-    """Read-only node-digest view over one flat hash-level plane.
-
-    Adapts a ``digest_size``-strided ``bytearray`` to the sequence protocol
-    :meth:`SortedLeafStore._presence_proof_at` walks; every access returns
-    an independent ``bytes`` copy, so proofs never alias the live plane.
-    """
-
-    __slots__ = ("_buf", "_digest_size")
-
-    def __init__(self, buf: bytearray, digest_size: int) -> None:
-        """Wrap ``buf`` (concatenated node digests) with stride ``digest_size``."""
-        self._buf = buf
-        self._digest_size = digest_size
-
-    def __len__(self) -> int:
-        """Number of node digests in the plane."""
-        return len(self._buf) // self._digest_size
-
-    def __getitem__(self, index):
-        """Node digest at ``index`` as an independent ``bytes`` copy."""
-        size = len(self)
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(size)))
-        if index < 0:
-            index += size
-        if not 0 <= index < size:
-            raise IndexError("plane index out of range")
-        offset = index * self._digest_size
-        return bytes(self._buf[offset : offset + self._digest_size])
-
-
 class CompactMerkleStore(SortedLeafStore):
     """A sorted Merkle tree stored as flat byte planes with lazy hashing.
 
@@ -376,24 +344,11 @@ class CompactMerkleStore(SortedLeafStore):
         self._mark_dirty(positions[0])
         return len(batch)
 
-    def _prune_leaves(self, target_set: set, first_dirty: int) -> None:
+    def _prune_leaves(self, positions: List[int]) -> None:
         """Drop the targeted leaves by rebuilding the arenas from kept runs."""
-        keys = self._keys
-        total = len(keys)
-        runs: List[Tuple[int, int]] = [(0, first_dirty)] if first_dirty else []
-        kept = first_dirty
-        run_start: Optional[int] = None
-        for index in range(first_dirty, total):
-            if keys[index] in target_set:
-                if run_start is not None:
-                    runs.append((run_start, index))
-                    kept += index - run_start
-                    run_start = None
-            elif run_start is None:
-                run_start = index
-        if run_start is not None:
-            runs.append((run_start, total))
-            kept += total - run_start
+        total = len(self._keys)
+        runs = kept_runs(positions, total)
+        kept = total - len(positions)
         self._keys.keep_runs(runs, kept)
         self._values.keep_runs(runs, kept)
         digest_size = self._digest_size
@@ -407,7 +362,7 @@ class CompactMerkleStore(SortedLeafStore):
             del self._planes[1:]
             self._dirty_from = None
             return
-        self._mark_dirty(first_dirty)
+        self._mark_dirty(positions[0])
 
     # -- hashing -----------------------------------------------------------
 
@@ -418,11 +373,36 @@ class CompactMerkleStore(SortedLeafStore):
         self._settle()
         return bytes(self._planes[-1])
 
-    def _hash_levels(self) -> List[Sequence[bytes]]:
-        """Settle the planes, then expose them through per-level views."""
+    def _hash_levels(self) -> List[List[bytes]]:
+        """The settled planes as lists of digests (differential tests only:
+        :meth:`root` and :meth:`_presence_proof_at` read the planes)."""
         self._settle()
-        digest_size = self._digest_size
-        return [_PlaneView(plane, digest_size) for plane in self._planes]
+        size = self._digest_size
+        return [
+            [bytes(plane[at : at + size]) for at in range(0, len(plane), size)]
+            for plane in self._planes
+        ]
+
+    def _presence_proof_at(self, index: int) -> PresenceProof:
+        """Audit path read straight off the planes, one slice copy per level
+        (so the proof never aliases a live plane)."""
+        self._settle()
+        size = self._digest_size
+        path: List[AuditStep] = []
+        node = index
+        for plane in self._planes[:-1]:
+            sibling = node ^ 1
+            at = sibling * size
+            if at < len(plane):  # else the promoted odd node: no sibling
+                path.append(AuditStep(bytes(plane[at : at + size]), sibling < node))
+            node >>= 1
+        return PresenceProof(
+            key=self._keys[index],
+            value=self._values[index],
+            leaf_index=index,
+            tree_size=len(self._keys),
+            path=tuple(path),
+        )
 
     def _mark_dirty(self, index: int) -> None:
         """Lower the dirty watermark to ``index``."""

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
-from repro.crypto.hashing import DEFAULT_DIGEST_SIZE, hash_node
-from repro.store.base import SortedLeafStore
+from repro.crypto.hashing import DEFAULT_DIGEST_SIZE, NODE_PREFIX, raw_sha256
+from repro.store.base import SortedLeafStore, kept_runs
 
 
 class IncrementalMerkleStore(SortedLeafStore):
@@ -75,22 +75,19 @@ class IncrementalMerkleStore(SortedLeafStore):
         self._recompute_from(first_dirty)
         return len(batch)
 
-    def _prune_leaves(self, target_set, first_dirty: int) -> None:
-        keys, values, leaf_hashes = self._keys, self._values, self._levels[0]
-        kept_keys = keys[:first_dirty]
-        kept_values = values[:first_dirty]
-        kept_hashes = leaf_hashes[:first_dirty]
-        for index in range(first_dirty, len(keys)):
-            if keys[index] not in target_set:
-                kept_keys.append(keys[index])
-                kept_values.append(values[index])
-                kept_hashes.append(leaf_hashes[index])
-        self._keys, self._values = kept_keys, kept_values
-        if not kept_keys:
-            self._levels = []
+    def _prune_leaves(self, positions) -> None:
+        runs = kept_runs(positions, len(self._keys))
+        if not runs:
+            self._keys, self._values, self._levels = [], [], []
             return
-        self._levels[0] = kept_hashes
-        self._recompute_from(first_dirty)
+        columns = []
+        for column in (self._keys, self._values, self._levels[0]):
+            kept: List[bytes] = []
+            for start, stop in runs:
+                kept += column[start:stop]
+            columns.append(kept)
+        self._keys, self._values, self._levels[0] = columns
+        self._recompute_from(positions[0])
 
     # -- hashing -----------------------------------------------------------
 
@@ -102,28 +99,28 @@ class IncrementalMerkleStore(SortedLeafStore):
 
         ``start`` is the leftmost leaf index whose hash ancestry changed.
         Nodes strictly left of ``start >> l`` at level ``l`` cover only
-        untouched, unshifted leaves and are reused from the cache.
+        untouched, unshifted leaves and are reused from the cache; the rest
+        of the level is one comprehension over its child pairs.
         """
         levels = self._levels
         digest_size = self._digest_size
+        sha, prefix = raw_sha256, NODE_PREFIX
         child = levels[0]
         level_index = 1
         while len(child) > 1:
-            parent_length = (len(child) + 1) // 2
             if level_index == len(levels):
                 levels.append([])
             parent = levels[level_index]
-            first = start >> 1
-            del parent[first:]
-            child_length = len(child)
-            for node in range(first, parent_length):
-                left = node * 2
-                if left + 1 < child_length:
-                    parent.append(hash_node(child[left], child[left + 1], digest_size))
-                else:
-                    # Odd node is promoted unchanged to the next level.
-                    parent.append(child[left])
+            start >>= 1
+            del parent[start:]
+            dirty = iter(child[2 * start :])
+            parent += [
+                sha(prefix + left + right).digest()[:digest_size]
+                for left, right in zip(dirty, dirty)
+            ]
+            if len(child) & 1:
+                # Odd node is promoted unchanged to the next level.
+                parent.append(child[-1])
             child = parent
-            start = first
             level_index += 1
         del levels[level_index:]

@@ -60,14 +60,10 @@ class NaiveMerkleStore(SortedLeafStore):
         self._dirty = True
         return len(batch)
 
-    def _prune_leaves(self, target_set, first_dirty: int) -> None:
-        kept = [
-            (key, value)
-            for key, value in zip(self._keys, self._values)
-            if key not in target_set
-        ]
-        self._keys = [key for key, _ in kept]
-        self._values = [value for _, value in kept]
+    def _prune_leaves(self, positions) -> None:
+        dropped = set(positions)
+        self._keys = [k for i, k in enumerate(self._keys) if i not in dropped]
+        self._values = [v for i, v in enumerate(self._values) if i not in dropped]
         self._dirty = True
 
     # -- hashing -----------------------------------------------------------
