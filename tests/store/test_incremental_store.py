@@ -115,6 +115,20 @@ def test_append_batch_does_not_rebuild_the_leaf_row(node_hashes, monkeypatch):
     assert_levels_fresh(store)
 
 
+@pytest.mark.parametrize("leaves", [1, 2, 7, 64, 333, 1024])
+def test_insert_hashes_exactly_the_positional_suffix(node_hashes, leaves):
+    """The engine does the minimum the tree shape allows, and the perf gates'
+    ``suffix_hash_count`` (their floor's multiplier) counts that minimum."""
+    from repro.analysis.timing import suffix_hash_count
+
+    store = IncrementalMerkleStore()
+    store.insert_batch([(key(2 * v), b"v") for v in range(1, leaves + 1)])
+    for value in sorted({1, leaves | 1, 2 * leaves - 1, 2 * leaves + 1}):  # odd: all new
+        node_hashes["calls"] = 0
+        index = store.insert(key(value), b"v")
+        assert node_hashes["calls"] == suffix_hash_count(len(store), index)
+
+
 def test_batch_recomputes_only_dirty_suffix(node_hashes):
     """A batch landing at the far right must not rehash the left subtrees."""
     store = full_store()

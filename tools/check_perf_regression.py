@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fail CI when the compact engine's measured advantage regresses.
+"""Fail CI when a store engine's write path leaves the SHA-256 floor.
 
 Compares a freshly generated ``dictionary_update_scaling.json`` (from
 ``benchmarks/test_dictionary_update.py::test_dictionary_update_scaling_sweep``)
@@ -7,19 +7,18 @@ against the committed copy in ``benchmarks/baselines/``.
 
 Absolute throughput is machine-dependent — a CI runner and the box that
 produced the baseline share no clock — so the gate is built on
-**machine-relative ratios**: the compact engine's speedups over the
-incremental engine at the store-level points both files share.  Those
-ratios cancel the hardware out.  Each gated metric must satisfy *both*:
+**machine-relative ratios**: each engine's batch-append and random-insert
+time at the store-level points, divided by what the operation's own hash
+count costs at the SHA-256 floor measured in the same process
+(``*_over_floor``; see ``repro.analysis.timing.measure_hash_floor``).  Each
+gated metric must satisfy *both*:
 
-* ``fresh >= (1 - tolerance) * min(baseline, noise_cap)`` — no >30 %
-  regression against the committed expectation (the headline rule from
-  the CI job).  The cap matters: the batch-append ratio swings ~4–7×
-  between healthy runs (allocator/GC state moves both engines' batch
-  timings even with best-of-3 sampling), so a lucky baseline must not
-  ratchet the bar above the healthy envelope's floor; and
-* ``fresh >= floor``                        — an absolute sanity floor
-  mirroring the thresholds the benchmark itself asserts, so this check
-  can never fail a run the benchmark accepted for a different reason.
+* ``fresh <= (1 + tolerance) * baseline`` — no >30 % regression against
+  the committed expectation (the headline rule from the CI job); and
+* ``fresh <= ceiling`` — the absolute envelope the benchmark itself
+  asserts (``OVER_FLOOR_CEILINGS``, imported from the same module), so
+  this check can never fail a run the benchmark accepted for a different
+  reason.
 
 ``bytes_per_leaf`` for the compact engine is additionally gated as an
 absolute (it is machine-independent: pure layout arithmetic).
@@ -42,25 +41,9 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
-#: Gated ratio metrics from ``store_speedups`` and their absolute floors.
-#: Floors match the benchmark's own in-test assertions (batch append
-#: measured ~4–7x, random ~1.3–2x on the reference box), so single-shot
-#: noise cannot trip them without also failing the benchmark step.
-RATIO_FLOORS = {
-    "compact_batch_append_speedup": 3.0,
-    "compact_single_random_speedup": 1.1,
-}
-
-#: Per-metric clamp applied to the *baseline* value before the relative
-#: (>30 %) comparison.  The denominators of these ratios (the incremental
-#: engine's timings) swing widely between healthy runs; clamping keeps a
-#: lucky committed baseline from demanding more than the healthy envelope
-#: can reliably deliver.
-NOISE_CAPS = {
-    "compact_batch_append_speedup": 4.3,
-    "compact_single_random_speedup": 1.6,
-}
+from repro.analysis.timing import OVER_FLOOR_CEILINGS  # noqa: E402
 
 #: Hard ceiling for the compact engine's per-leaf footprint (bytes).  The
 #: measured value is 47.0 for 3-byte keys / 4-byte values; 60 allows for
@@ -81,58 +64,53 @@ def _load(path: Path) -> dict:
         )
 
 
-def _speedups_by_size(sweep: dict) -> dict:
-    """Index a sweep's ``store_speedups`` rows by leaf count."""
-    return {row["existing_entries"]: row for row in sweep.get("store_speedups", [])}
-
-
-def _compact_points_by_size(sweep: dict) -> dict:
-    """Index a sweep's compact-engine ``store_points`` rows by leaf count."""
+def _store_points(sweep: dict) -> dict:
+    """Index a sweep's ``store_points`` rows by ``(leaf count, engine)``."""
     return {
-        row["existing_entries"]: row
+        (row["existing_entries"], row["engine"]): row
         for row in sweep.get("store_points", [])
-        if row.get("engine") == "compact"
     }
 
 
 def check(fresh: dict, baseline: dict, tolerance: float) -> list:
-    """Return a list of ``(metric, size, fresh, required, reason)`` failures."""
+    """Return a list of ``(metric, where, fresh, allowed, reason)`` failures."""
     failures = []
-    fresh_ratios = _speedups_by_size(fresh)
-    base_ratios = _speedups_by_size(baseline)
-    shared_sizes = sorted(set(fresh_ratios) & set(base_ratios))
-    if not shared_sizes:
-        failures.append(
-            ("store_speedups", None, 0.0, 1.0,
-             "no shared store-point sizes between fresh run and baseline")
-        )
-        return failures
+    fresh_points = _store_points(fresh)
+    base_points = _store_points(baseline)
+    shared = sorted(
+        key for key in set(fresh_points) & set(base_points) if key[1] in OVER_FLOOR_CEILINGS
+    )
+    if not shared:
+        return [
+            ("store_points", "", 0.0, 0.0,
+             "no shared gated store points between fresh run and baseline")
+        ]
 
-    for size in shared_sizes:
-        for metric, floor in RATIO_FLOORS.items():
-            fresh_value = fresh_ratios[size].get(metric)
-            base_value = base_ratios[size].get(metric)
+    for size, engine in shared:
+        where = f"{engine} @ {size:,} leaves"
+        for metric, ceiling in OVER_FLOOR_CEILINGS[engine].items():
+            fresh_value = fresh_points[size, engine].get(metric)
+            base_value = base_points[size, engine].get(metric)
             if fresh_value is None or base_value is None:
-                failures.append((metric, size, 0.0, floor, "metric missing"))
+                failures.append((metric, where, 0.0, ceiling, "metric missing"))
                 continue
-            clamped = min(base_value, NOISE_CAPS.get(metric, base_value))
-            relative_bar = (1.0 - tolerance) * clamped
-            if fresh_value < relative_bar:
+            relative_bar = (1.0 + tolerance) * base_value
+            if fresh_value > relative_bar:
                 failures.append(
-                    (metric, size, fresh_value, relative_bar,
-                     f">{tolerance:.0%} regression vs baseline {clamped:.2f}x")
+                    (metric, where, fresh_value, relative_bar,
+                     f">{tolerance:.0%} regression vs baseline {base_value:.2f}")
                 )
-            if fresh_value < floor:
+            if fresh_value > ceiling:
                 failures.append(
-                    (metric, size, fresh_value, floor, "below absolute floor")
+                    (metric, where, fresh_value, ceiling, "above absolute ceiling")
                 )
 
-    for size, point in _compact_points_by_size(fresh).items():
+    for (size, engine), point in fresh_points.items():
         per_leaf = point.get("bytes_per_leaf")
-        if per_leaf is not None and per_leaf > BYTES_PER_LEAF_CEILING:
+        if engine == "compact" and per_leaf is not None and per_leaf > BYTES_PER_LEAF_CEILING:
             failures.append(
-                ("bytes_per_leaf", size, per_leaf, BYTES_PER_LEAF_CEILING,
-                 "compact per-leaf footprint above ceiling")
+                ("bytes_per_leaf", f"compact @ {size:,} leaves", per_leaf,
+                 BYTES_PER_LEAF_CEILING, "compact per-leaf footprint above ceiling")
             )
     return failures
 
@@ -161,28 +139,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     fresh = _load(args.fresh)
-    baseline = _load(args.baseline)
-    failures = check(fresh, baseline, args.tolerance)
+    failures = check(fresh, _load(args.baseline), args.tolerance)
 
-    fresh_ratios = _speedups_by_size(fresh)
-    for size in sorted(fresh_ratios):
-        row = fresh_ratios[size]
-        print(
-            f"{size:,} leaves: "
-            f"batch append {row.get('compact_batch_append_speedup', float('nan')):.2f}x, "
-            f"single random {row.get('compact_single_random_speedup', float('nan')):.2f}x "
-            f"(compact vs incremental)"
-        )
-    for size, point in sorted(_compact_points_by_size(fresh).items()):
+    for (size, engine), point in sorted(_store_points(fresh).items()):
+        line = f"{size:,} leaves, {engine}:"
+        if "batch_append_over_floor" in point:
+            line += (
+                f" batch append {point['batch_append_over_floor']:.2f}x,"
+                f" single random {point['single_random_over_floor']:.2f}x"
+                f" the SHA-256 floor ({point['hash_floor_ns']:.0f} ns/hash)"
+            )
         if "bytes_per_leaf" in point:
-            print(f"{size:,} leaves: compact {point['bytes_per_leaf']:.1f} B/leaf")
+            line += f" {point['bytes_per_leaf']:.1f} B/leaf"
+        print(line)
 
     if failures:
         print("\nPERF REGRESSION GATE FAILED:", file=sys.stderr)
-        for metric, size, fresh_value, required, reason in failures:
-            where = f" @ {size:,} leaves" if size else ""
+        for metric, where, fresh_value, allowed, reason in failures:
             print(
-                f"  {metric}{where}: {fresh_value:.2f} < required {required:.2f} "
+                f"  {metric} ({where}): {fresh_value:.2f} > allowed {allowed:.2f} "
                 f"({reason})",
                 file=sys.stderr,
             )
