@@ -15,14 +15,14 @@ Five engines ship today (see ``docs/STORAGE.md`` for the full guide):
 * :class:`IncrementalMerkleStore` — maintains the hash levels across
   mutations.  Appends (keys sorting after every stored key) rehash only the
   ``O(log N)`` right-edge path; mid-tree inserts rehash only the dirty
-  suffix of each level; batches are applied with one sort-merge pass and a
-  single suffix recomputation.
+  suffix of each level; batches are applied with one slice-spliced merge
+  (or an in-place extend when they append) and a single suffix
+  recomputation, one comprehension per level.
 * :class:`CompactMerkleStore` — the web-scale flat-buffer engine: keys and
   values in contiguous byte arenas, one digest-strided ``bytearray`` per
   hash level, a dirty watermark deferring recomputation until the next
   read settles each level's suffix in one pass, and proofs served as slice
-  reads.  ~47 B/leaf and order-of-magnitude faster batch appends at 10⁶+
-  leaves.
+  reads.  ~47 B/leaf: the engine for dictionaries whose limit is memory.
 * :class:`DurableMerkleStore` — the incremental engine plus crash-safe
   persistence via :class:`WALOverlay`: every mutation is appended to a
   checksummed write-ahead log before it is applied, periodic snapshots

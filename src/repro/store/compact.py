@@ -1,11 +1,10 @@
 """The compact engine: flat-buffer leaf arenas and level-vectorized hashing.
 
 :class:`IncrementalMerkleStore` already does the minimum *hashing* work per
-mutation, but it pays Python-object overhead everywhere else: every leaf key,
-leaf value, and internal node digest is its own ``bytes`` object inside a
-``list``, so a 10M-leaf dictionary costs hundreds of bytes per leaf and every
-level pass runs one interpreted ``hash_node`` call (argument packing, digest
-truncation, bounds checks) per node.
+mutation and runs each level pass as one comprehension, but it pays
+Python-object overhead for storage: every leaf key, leaf value, and internal
+node digest is its own ``bytes`` object inside a ``list``, so a 10M-leaf
+dictionary costs hundreds of bytes per leaf.
 
 This engine removes the objects, not the hashes:
 
@@ -29,9 +28,10 @@ This engine removes the objects, not the hashes:
   never alias live buffers and later mutations cannot corrupt them.
 
 The tree *shape* is untouched: the engine subclasses
-:class:`SortedLeafStore`, whose proof construction, batch validation, and
-bisect-based key index operate on the arenas through the ordinary sequence
-protocol.  Roots and proofs are byte-identical to every other engine
+:class:`SortedLeafStore`, whose batch validation and bisect-based key index
+operate on the arenas through the ordinary sequence protocol (the audit-path
+walk is overridden only to read the planes without a per-level view).  Roots
+and proofs are byte-identical to every other engine
 (``tests/store/test_compact_store.py`` enforces this differentially).
 """
 
@@ -251,10 +251,10 @@ class CompactMerkleStore(SortedLeafStore):
     See the module docstring for the layout.  The engine keeps a *dirty
     watermark* — the leftmost leaf index whose hash ancestry changed since
     the planes were last settled — and recomputes each level's dirty suffix
-    in one vectorized pass on the next read.  All validation, proof
-    construction, and ordering logic is inherited from
-    :class:`SortedLeafStore`, operating on the arenas through the sequence
-    protocol, so the proof format cannot drift from the other engines.
+    in one vectorized pass on the next read.  All validation, absence-proof
+    assembly, and ordering logic is inherited from :class:`SortedLeafStore`,
+    operating on the arenas through the sequence protocol; the differential
+    suites keep the plane-reading audit-path walk identical to the shared one.
     """
 
     engine_name = "compact"

@@ -4,23 +4,28 @@ The tree shape is fixed by the proof format (pair adjacent nodes, promote
 the odd node), which makes internal node hashes *positional*: inserting a
 leaf at index ``i`` shifts every later leaf by one, so every internal node
 covering a shifted leaf re-pairs.  Within that constraint this engine does
-the minimum work per mutation:
+the minimum work per mutation, and does it at C speed:
 
 * the leaf-hash row is cached, so existing leaves are never re-encoded or
   rehashed — only the new leaves are hashed;
 * at every level only the *dirty suffix* (nodes at or right of the
-  insertion point's ancestor) is recomputed; nodes left of it are reused
-  from the cache;
-* an **append** — a key sorting after every stored key, e.g. sequentially
-  allocated serials — dirties a single right-edge path and costs
-  ``O(log N)`` hashes;
-* a **batch** is applied with one sort-merge pass (no per-element
-  ``list.insert``) followed by a single suffix recomputation from the
-  leftmost merged position, so ``B`` new serials cost one pass over the
-  affected suffix instead of ``B`` rebuilds.
+  insertion point's ancestor) is recomputed, as one comprehension over the
+  child pairs calling the builtin SHA-256 constructor directly — no Python
+  function call per node; nodes left of it are reused from the cache;
+* an **append** — keys sorting after every stored key, e.g. sequentially
+  allocated serials — extends the arrays in place (``O(B)``, no copy),
+  dirties a single right-edge path and costs ``O(B + log N)`` hashes;
+* any other **batch** is merged by bisecting each key into the stored keys
+  and copying the *gap slices* between positions
+  (:func:`~repro.store.base.splice_sorted`: ``O(B log N)`` interpreted
+  steps, the ``O(N)`` part is ``memcpy``), followed by a single suffix
+  recomputation from the leftmost merged position; rolling a batch back
+  (``remove_batch``) keeps the surviving gap slices the same way.
 
-Because the levels are always current, roots and proofs are served straight
-from the cache with zero hashing.
+Measured against what the forced hash count alone costs (the SHA-256 floor
+of ``docs/PERFORMANCE.md``), a random insert is 1.0–1.2× and a 1,000-serial
+append at 10⁶ leaves 1.5–1.7×.  Because the levels are always current,
+roots and proofs are served straight from the cache with zero hashing.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ mutation rehashes all ``N`` leaves and rebuilds every level, so a single
 revocation on an ``N``-entry dictionary costs ``Θ(N)`` hashes.
 
 The one thing it does *not* do naively anymore is batching:
-:meth:`insert_batch` merges the batch with one sort-merge pass instead of
-``B`` separate ``O(N)`` ``list.insert`` shifts, and the subsequent rebuild
+:meth:`insert_batch` merges the batch with the shared slice-spliced merge
+instead of ``B`` separate ``O(N)`` ``list.insert`` shifts, and the subsequent rebuild
 is paid once per batch rather than once per element.
 """
 
