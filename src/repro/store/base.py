@@ -449,10 +449,19 @@ class SortedLeafStore(AuthenticatedStore):
         return positions[0]
 
     def _presence_proof_at(self, index: int) -> PresenceProof:
-        levels = self._hash_levels()
+        return PresenceProof(
+            key=self._keys[index],
+            value=self._values[index],
+            leaf_index=index,
+            tree_size=len(self._keys),
+            path=tuple(self._audit_path(index)),
+        )
+
+    def _audit_path(self, index: int) -> List[AuditStep]:
+        """Sibling steps from leaf ``index`` up to (not including) the root."""
         path: List[AuditStep] = []
         node_index = index
-        for level in levels[:-1]:
+        for level in self._hash_levels()[:-1]:
             sibling_index = node_index ^ 1
             if sibling_index < len(level):
                 path.append(
@@ -464,10 +473,4 @@ class SortedLeafStore(AuthenticatedStore):
             # When the node is the promoted odd node it has no sibling at this
             # level; it simply carries up, so no audit step is emitted.
             node_index //= 2
-        return PresenceProof(
-            key=self._keys[index],
-            value=self._values[index],
-            leaf_index=index,
-            tree_size=len(self._keys),
-            path=tuple(path),
-        )
+        return path

@@ -42,13 +42,8 @@ from array import array
 from itertools import accumulate, chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import (
-    DEFAULT_DIGEST_SIZE,
-    LEAF_PREFIX,
-    NODE_PREFIX,
-    raw_sha256 as _sha256,
-)
-from repro.crypto.merkle import AuditStep, PresenceProof, empty_root, encode_leaf
+from repro.crypto.hashing import DEFAULT_DIGEST_SIZE, LEAF_PREFIX, NODE_PREFIX, raw_sha256
+from repro.crypto.merkle import AuditStep, empty_root, encode_leaf
 from repro.store.base import SortedLeafStore, kept_runs
 
 
@@ -277,7 +272,7 @@ class CompactMerkleStore(SortedLeafStore):
         """Insert one leaf: three arena splices and a lowered watermark."""
         index = self._insertion_point(key)
         digest_size = self._digest_size
-        leaf = _sha256(LEAF_PREFIX + encode_leaf(key, value)).digest()[:digest_size]
+        leaf = raw_sha256(LEAF_PREFIX + encode_leaf(key, value)).digest()[:digest_size]
         self._keys.insert_at(index, key)
         self._values.insert_at(index, value)
         offset = index * digest_size
@@ -304,7 +299,7 @@ class CompactMerkleStore(SortedLeafStore):
         digest_size = self._digest_size
         keys = self._keys
         count = len(keys)
-        sha, prefix = _sha256, LEAF_PREFIX
+        sha, prefix = raw_sha256, LEAF_PREFIX
         if count == 0 or batch[0][0] > keys[count - 1]:
             # Every batch key sorts after the stored tail (bootstrap builds
             # and sequentially allocated serials): plain arena appends.
@@ -375,7 +370,7 @@ class CompactMerkleStore(SortedLeafStore):
 
     def _hash_levels(self) -> List[List[bytes]]:
         """The settled planes as lists of digests (differential tests only:
-        :meth:`root` and :meth:`_presence_proof_at` read the planes)."""
+        :meth:`root` and :meth:`_audit_path` read the planes)."""
         self._settle()
         size = self._digest_size
         return [
@@ -383,7 +378,7 @@ class CompactMerkleStore(SortedLeafStore):
             for plane in self._planes
         ]
 
-    def _presence_proof_at(self, index: int) -> PresenceProof:
+    def _audit_path(self, index: int) -> List[AuditStep]:
         """Audit path read straight off the planes, one slice copy per level
         (so the proof never aliases a live plane)."""
         self._settle()
@@ -396,13 +391,7 @@ class CompactMerkleStore(SortedLeafStore):
             if at < len(plane):  # else the promoted odd node: no sibling
                 path.append(AuditStep(bytes(plane[at : at + size]), sibling < node))
             node >>= 1
-        return PresenceProof(
-            key=self._keys[index],
-            value=self._values[index],
-            leaf_index=index,
-            tree_size=len(self._keys),
-            path=tuple(path),
-        )
+        return path
 
     def _mark_dirty(self, index: int) -> None:
         """Lower the dirty watermark to ``index``."""
@@ -429,7 +418,7 @@ class CompactMerkleStore(SortedLeafStore):
             return
         digest_size = self._digest_size
         pair_stride = digest_size * 2
-        sha, prefix = _sha256, NODE_PREFIX
+        sha, prefix = raw_sha256, NODE_PREFIX
         child = planes[0]
         child_count = count
         level = 1

@@ -9,8 +9,8 @@ revocation on an ``N``-entry dictionary costs ``Θ(N)`` hashes.
 
 The one thing it does *not* do naively anymore is batching:
 :meth:`insert_batch` merges the batch with the shared slice-spliced merge
-instead of ``B`` separate ``O(N)`` ``list.insert`` shifts, and the subsequent rebuild
-is paid once per batch rather than once per element.
+instead of ``B`` separate ``O(N)`` ``list.insert`` shifts, and the subsequent
+rebuild is paid once per batch rather than once per element.
 """
 
 from __future__ import annotations

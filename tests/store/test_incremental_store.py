@@ -49,8 +49,8 @@ def node_hashes(monkeypatch):
     """Count the interior-node hashes the incremental engine computes.
 
     The level loop calls the module's ``raw_sha256`` alias directly, so the
-    counter wraps that constructor; leaf hashes go through
-    ``repro.crypto.hashing`` and are not counted.
+    counter wraps that constructor; leaf hashes are computed in
+    ``repro.store.base`` / ``repro.crypto.hashing`` and are not counted.
     """
     import repro.store.incremental as incremental_module
 

@@ -119,7 +119,10 @@ def test_rollback_of_a_1000_serial_batch_restores_every_level():
     """``remove_batch`` of a just-merged 1,000-serial batch out of 100,000."""
     rng = random.Random(11)
     values = rng.sample(range(1, 2**24), 101_000)
-    to_leaf = lambda value: (value.to_bytes(3, "big"), b"\x00\x00\x00\x01")  # noqa: E731
+
+    def to_leaf(value):
+        return value.to_bytes(3, "big"), b"\x00\x00\x00\x01"
+
     store = create_store("incremental")
     store.insert_batch(map(to_leaf, values[:100_000]))
     keys, stored_values, levels = state_of(store)
