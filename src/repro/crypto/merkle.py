@@ -30,9 +30,9 @@ dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
-from repro.crypto.hashing import DEFAULT_DIGEST_SIZE, hash_leaf, hash_node
+from repro.crypto.hashing import DEFAULT_DIGEST_SIZE, NODE_PREFIX, hash_leaf, raw_sha256
 
 
 #: Sentinel digest for the empty tree: the hash of an empty leaf namespace.
@@ -46,8 +46,7 @@ def encode_leaf(key: bytes, value: bytes) -> bytes:
     return len(key).to_bytes(2, "big") + key + value
 
 
-@dataclass(frozen=True)
-class AuditStep:
+class AuditStep(NamedTuple):
     """One step of an audit path: a sibling digest and its side."""
 
     sibling: bytes
@@ -66,12 +65,11 @@ class PresenceProof:
 
     def root(self, digest_size: int = DEFAULT_DIGEST_SIZE) -> bytes:
         """Recompute the root implied by this proof."""
+        # ``hash_leaf`` range-checks ``digest_size`` for the whole walk.
         digest = hash_leaf(encode_leaf(self.key, self.value), digest_size)
-        for step in self.path:
-            if step.sibling_is_left:
-                digest = hash_node(step.sibling, digest, digest_size)
-            else:
-                digest = hash_node(digest, step.sibling, digest_size)
+        for sibling, sibling_is_left in self.path:
+            pair = sibling + digest if sibling_is_left else digest + sibling
+            digest = raw_sha256(NODE_PREFIX + pair).digest()[:digest_size]
         return digest
 
     def verify(self, expected_root: bytes, digest_size: int = DEFAULT_DIGEST_SIZE) -> bool:

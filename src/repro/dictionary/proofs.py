@@ -82,25 +82,17 @@ class RevocationStatus:
             self.signed_root.verify_or_raise(ca_public_key)
 
         expected_key = self.serial.to_bytes()
-        if isinstance(self.proof, PresenceProof):
-            proof_key = self.proof.key
-        else:
-            proof_key = self.proof.key
-        if proof_key != expected_key:
+        if self.proof.key != expected_key:
             raise ProofError(
-                f"revocation status proof covers serial {proof_key.hex()} "
+                f"revocation status proof covers serial {self.proof.key.hex()} "
                 f"but claims to be about {expected_key.hex()}"
             )
         if not self.proof.verify(self.signed_root.root):
             raise ProofError("membership proof does not verify against the signed root")
 
-        if isinstance(self.proof, AbsenceProof) and self.proof.tree_size != self.signed_root.size:
+        if self.proof.tree_size != self.signed_root.size:
             raise ProofError(
-                "absence proof tree size does not match the signed root's dictionary size"
-            )
-        if isinstance(self.proof, PresenceProof) and self.proof.tree_size != self.signed_root.size:
-            raise ProofError(
-                "presence proof tree size does not match the signed root's dictionary size"
+                "proof tree size does not match the signed root's dictionary size"
             )
 
         if not statement_is_fresh(

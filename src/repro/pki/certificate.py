@@ -9,12 +9,22 @@ exactly that structure, signed with the library's Ed25519 keys.
 The encoding is a deliberately simple length-prefixed binary format; its only
 purposes are (a) giving DPI something realistic to parse and (b) making
 certificate sizes realistic for the communication-overhead analysis.
+
+The encoding is *canonical*: every byte string ``from_bytes`` accepts
+re-encodes to itself (strict UTF-8 names, width-preserving serials, a CA flag
+of 0 or 1, no trailing bytes).  Certificates and chains are frozen, so each
+keeps its wire form once it is known — built on first use, or seeded by
+``from_bytes`` with the exact bytes it accepted — in the instance ``__dict__``
+and not in a dataclass field: ``==``, ``hash``, ``repr`` and
+``dataclasses.replace`` never see it, and a ``replace``d copy re-encodes from
+its own fields.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.crypto.signing import SIGNATURE_SIZE, PrivateKey, PublicKey
@@ -69,8 +79,8 @@ class Certificate:
 
     # -- encoding ----------------------------------------------------------
 
-    def tbs_bytes(self) -> bytes:
-        """The to-be-signed portion of the certificate."""
+    @cached_property
+    def _wire(self) -> bytes:
         return b"".join(
             [
                 _pack_bytes(self.subject.encode("utf-8")),
@@ -78,12 +88,17 @@ class Certificate:
                 _pack_bytes(self.serial.to_bytes()),
                 _pack_bytes(self.public_key.key_bytes),
                 struct.pack(">QQB", self.not_before, self.not_after, int(self.is_ca)),
+                _pack_bytes(self.signature),
             ]
         )
 
+    def tbs_bytes(self) -> bytes:
+        """The to-be-signed portion: the encoding minus its signature field."""
+        return self._wire[: -2 - len(self.signature)]
+
     def to_bytes(self) -> bytes:
         """Full wire encoding, including the issuer's signature."""
-        return self.tbs_bytes() + _pack_bytes(self.signature)
+        return self._wire
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Certificate":
@@ -104,7 +119,7 @@ class Certificate:
         if offset != len(data):
             raise CertificateError("trailing bytes after certificate")
         try:
-            return cls(
+            certificate = cls(
                 subject=subject.decode("utf-8"),
                 issuer=issuer.decode("utf-8"),
                 serial=SerialNumber.from_bytes(serial_bytes),
@@ -118,6 +133,8 @@ class Certificate:
             # Bad UTF-8 in a name or an out-of-range serial (ValueError), or a
             # key of the wrong length (SignatureError).
             raise CertificateError(f"malformed certificate field: {exc}") from exc
+        certificate.__dict__["_wire"] = bytes(data)
+        return certificate
 
     def encoded_size(self) -> int:
         return len(self.to_bytes())
@@ -176,11 +193,15 @@ class CertificateChain:
     def __iter__(self):
         return iter(self.certificates)
 
-    def to_bytes(self) -> bytes:
+    @cached_property
+    def _wire(self) -> bytes:
         parts = [struct.pack(">B", len(self.certificates))]
         for certificate in self.certificates:
             parts.append(_pack_bytes(certificate.to_bytes()))
         return b"".join(parts)
+
+    def to_bytes(self) -> bytes:
+        return self._wire
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CertificateChain":
@@ -194,7 +215,9 @@ class CertificateChain:
             certificates.append(Certificate.from_bytes(cert_bytes))
         if offset != len(data):
             raise CertificateError("trailing bytes after certificate chain")
-        return cls(certificates=tuple(certificates))
+        chain = cls(certificates=tuple(certificates))
+        chain.__dict__["_wire"] = bytes(data)
+        return chain
 
     def encoded_size(self) -> int:
         return len(self.to_bytes())

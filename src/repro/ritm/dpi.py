@@ -6,6 +6,13 @@ the ClientHello (to spot the RITM extension), the ServerHello (to catch the
 session identifier), and the Certificate message (to learn the issuing CA and
 serial number).  This module performs that classification on the simulated
 packets' payloads and keeps counters that feed the Table III timing harness.
+
+The engine holds one piece of state besides its counters: a bounded LRU from
+the exact body of a ``Certificate`` message to its parsed form, because a
+flash crowd presents the same chain thousands of times.  What it caches is
+*parsed structure*, never a verdict — nothing in DPI validates a chain — and
+only successful parses are stored, so a body one bit different is a different
+key and pays the full, total parse.
 """
 
 from __future__ import annotations
@@ -14,9 +21,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import TLSError
+from repro.perf import LRUCache
 from repro.pki.certificate import CertificateChain
 from repro.tls.extensions import has_ritm_support
 from repro.tls.messages import (
+    BODY_PARSERS,
     CertificateMessage,
     ClientHello,
     Finished,
@@ -60,11 +69,19 @@ class DPIStatistics:
     parse_errors: int = 0
 
 
+#: Distinct ``Certificate`` message bodies whose parsed chain one engine keeps
+#: (about 1 KB of key and 2 KB of chain each).  Limits are part of the
+#: interface: the bound is fixed here, not a :class:`RITMConfig` field.
+CHAIN_CACHE_CAPACITY = 256
+
+
 class DPIEngine:
-    """Stateless packet classifier used by the RA's data path."""
+    """Packet classifier used by the RA's data path."""
 
     def __init__(self) -> None:
         self.stats = DPIStatistics()
+        self.chain_cache = LRUCache(maxsize=CHAIN_CACHE_CAPACITY)
+        self._parsers = {**BODY_PARSERS, HandshakeType.CERTIFICATE: self._certificate_message}
 
     # -- fast path ------------------------------------------------------------
 
@@ -103,7 +120,7 @@ class DPIEngine:
 
     def _inspect_handshake(self, record: TLSRecord, result: InspectionResult) -> None:
         try:
-            messages = parse_handshake_messages(record.payload)
+            messages = parse_handshake_messages(record.payload, self._parsers)
         except TLSError as exc:
             self.stats.parse_errors += 1
             result.parse_error = str(exc)
@@ -118,3 +135,11 @@ class DPIEngine:
                 result.certificate_chain = message.chain
             elif handshake_type == HandshakeType.FINISHED:
                 result.finished_seen = True
+
+    def _certificate_message(self, body: bytes) -> CertificateMessage:
+        """``CertificateMessage.from_body``, by lookup for a body parsed before."""
+        message = self.chain_cache.get(body)
+        if message is None:
+            message = CertificateMessage.from_body(body)  # a failed parse raises: never stored
+            self.chain_cache.put(body, message)
+        return message

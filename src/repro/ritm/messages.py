@@ -16,6 +16,7 @@ codec is also the source of truth for the analysis module.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -61,9 +62,38 @@ def parse_serial(raw: bytes) -> SerialNumber:
         raise TLSError(f"malformed serial number: {exc}") from None
 
 
+def _wire_once(encoder):
+    """Memoise ``encoder`` on the frozen value object it encodes.
+
+    The bytes ride in the instance ``__dict__``, not in a dataclass field, so
+    ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` never see them and
+    they live exactly as long as the object (a cached proof's encoding is
+    evicted and invalidated with the proof).
+    """
+
+    @functools.wraps(encoder)
+    def encode(value) -> bytes:
+        memo = vars(value)
+        wire = memo.get("_wire")
+        if wire is None:
+            wire = memo["_wire"] = encoder(value)
+        return wire
+
+    return encode
+
+
+def _decode_whole(decoder, frame: bytes):
+    """Decode a framed sub-object that must fill its frame exactly."""
+    value, end = decoder(frame)
+    if end != len(frame):
+        raise TLSError("trailing bytes inside an RITM field")
+    return value
+
+
 # -- signed roots -------------------------------------------------------------
 
 
+@_wire_once
 def encode_signed_root(root: SignedRoot) -> bytes:
     return b"".join(
         [
@@ -102,6 +132,7 @@ def decode_signed_root(data: bytes, offset: int = 0) -> Tuple[SignedRoot, int]:
 # -- freshness statements -------------------------------------------------------
 
 
+@_wire_once
 def encode_freshness(statement: FreshnessStatement) -> bytes:
     return b"".join(
         [
@@ -129,6 +160,7 @@ def decode_freshness(data: bytes, offset: int = 0) -> Tuple[FreshnessStatement, 
 
 _PRESENCE_TAG = 1
 _ABSENCE_TAG = 2
+_STEP_HEADER = struct.Struct(">BH")  # sibling side, sibling length
 
 
 def _encode_presence(proof: PresenceProof) -> bytes:
@@ -151,13 +183,20 @@ def _decode_presence(data: bytes, offset: int) -> Tuple[PresenceProof, int]:
     leaf_index, tree_size, path_len = struct.unpack_from(">QQH", data, offset)
     offset += 18
     steps: List[AuditStep] = []
+    size = len(data)
     for _ in range(path_len):
-        if offset + 1 > len(data):
+        if offset + 3 > size:
             raise TLSError("truncated audit step")
-        is_left = bool(data[offset])
-        offset += 1
-        sibling, offset = _unpack_bytes(data, offset)
-        steps.append(AuditStep(sibling=sibling, sibling_is_left=is_left))
+        side, length = _STEP_HEADER.unpack_from(data, offset)
+        offset += 3
+        if side > 1:
+            # ``bool(side)`` would make every non-zero byte a second
+            # accepted encoding of the same step.
+            raise TLSError("non-canonical audit step side")
+        if offset + length > size:
+            raise TLSError("truncated audit step sibling")
+        steps.append(AuditStep(data[offset : offset + length], side == 1))
+        offset += length
     return (
         PresenceProof(
             key=key,
@@ -170,6 +209,7 @@ def _decode_presence(data: bytes, offset: int) -> Tuple[PresenceProof, int]:
     )
 
 
+@_wire_once
 def encode_proof(proof: Union[PresenceProof, AbsenceProof]) -> bytes:
     if isinstance(proof, PresenceProof):
         return struct.pack(">B", _PRESENCE_TAG) + _encode_presence(proof)
@@ -201,6 +241,8 @@ def decode_proof(data: bytes, offset: int = 0) -> Tuple[Union[PresenceProof, Abs
         offset += 8
         flags = data[offset]
         offset += 1
+        if flags > 3:
+            raise TLSError("non-canonical absence proof flags")
         left: Optional[PresenceProof] = None
         right: Optional[PresenceProof] = None
         if flags & 1:
@@ -233,16 +275,13 @@ def decode_status(data: bytes, offset: int = 0) -> Tuple[RevocationStatus, int]:
     proof_bytes, offset = _unpack_bytes(data, offset)
     root_bytes, offset = _unpack_bytes(data, offset)
     freshness_bytes, offset = _unpack_bytes(data, offset)
-    proof, _ = decode_proof(proof_bytes)
-    signed_root, _ = decode_signed_root(root_bytes)
-    freshness, _ = decode_freshness(freshness_bytes)
     return (
         RevocationStatus(
             ca_name=ca_name,
-            serial=SerialNumber.from_bytes(serial_bytes),
-            proof=proof,
-            signed_root=signed_root,
-            freshness=freshness,
+            serial=parse_serial(serial_bytes),
+            proof=_decode_whole(decode_proof, proof_bytes),
+            signed_root=_decode_whole(decode_signed_root, root_bytes),
+            freshness=_decode_whole(decode_freshness, freshness_bytes),
         ),
         offset,
     )
@@ -264,8 +303,9 @@ def decode_status_bundle(data: bytes) -> List[RevocationStatus]:
     statuses: List[RevocationStatus] = []
     for _ in range(count):
         status_bytes, offset = _unpack_bytes(data, offset)
-        status, _ = decode_status(status_bytes)
-        statuses.append(status)
+        statuses.append(_decode_whole(decode_status, status_bytes))
+    if offset != len(data):
+        raise TLSError("trailing bytes after RITM status bundle")
     return statuses
 
 

@@ -35,6 +35,7 @@ from repro.tls.extensions import (
     SESSION_TICKET_TYPE,
 )
 from repro.tls.messages import (
+    DEFAULT_CIPHER_SUITES,
     CertificateMessage,
     ClientHello,
     Finished,
@@ -89,11 +90,8 @@ class ChainValidationCache:
 
     @staticmethod
     def _chain_fingerprint(chain: CertificateChain) -> bytes:
-        """Digest of the exact certificate bytes being validated."""
-        digest = hashlib.sha256()
-        for certificate in chain:
-            digest.update(certificate.to_bytes())
-        return digest.digest()
+        """Digest of the exact chain bytes being validated."""
+        return hashlib.sha256(chain.to_bytes()).digest()
 
     @staticmethod
     def _trust_fingerprint(trust_store: TrustStore) -> bytes:
@@ -383,7 +381,7 @@ class TLSServerConnection:
         return SessionState(
             session_id=self.session_id,
             server_name=leaf.subject,
-            cipher_suite=ServerHello().cipher_suite,
+            cipher_suite=DEFAULT_CIPHER_SUITES[0],
             established_at=now,
             ca_name=leaf.issuer,
             serial_value=leaf.serial.value,

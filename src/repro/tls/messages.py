@@ -18,7 +18,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CertificateError, TLSError
 from repro.pki.certificate import CertificateChain
@@ -38,6 +38,9 @@ class HandshakeType(IntEnum):
     FINISHED = 20
 
 
+_HANDSHAKE_TYPES = {int(member): member for member in HandshakeType}
+
+
 def _pack_handshake(handshake_type: HandshakeType, body: bytes) -> bytes:
     return struct.pack(">B", int(handshake_type)) + len(body).to_bytes(3, "big") + body
 
@@ -50,10 +53,9 @@ def _unpack_handshake(data: bytes, offset: int) -> Tuple[HandshakeType, bytes, i
     offset += 4
     if offset + length > len(data):
         raise TLSError("truncated handshake body")
-    try:
-        handshake_type = HandshakeType(msg_type)
-    except ValueError as exc:
-        raise TLSError(f"unknown handshake type {msg_type}") from exc
+    handshake_type = _HANDSHAKE_TYPES.get(msg_type)
+    if handshake_type is None:
+        raise TLSError(f"unknown handshake type {msg_type}")
     return handshake_type, data[offset : offset + length], offset + length
 
 
@@ -205,27 +207,29 @@ class NewSessionTicket:
 
 HandshakeMessage = object  # documentation alias; concrete classes above
 
+#: Body parser per inspected handshake type.
+BODY_PARSERS: Dict[HandshakeType, Callable[[bytes], object]] = {
+    HandshakeType.CLIENT_HELLO: ClientHello.from_body,
+    HandshakeType.SERVER_HELLO: ServerHello.from_body,
+    HandshakeType.CERTIFICATE: CertificateMessage.from_body,
+    HandshakeType.FINISHED: Finished.from_body,
+    HandshakeType.NEW_SESSION_TICKET: NewSessionTicket.from_body,
+}
 
-def parse_handshake_messages(payload: bytes) -> List[Tuple[HandshakeType, object]]:
+
+def parse_handshake_messages(
+    payload: bytes, parsers: Dict[HandshakeType, Callable[[bytes], object]] = BODY_PARSERS
+) -> List[Tuple[HandshakeType, object]]:
     """Parse every handshake message in a handshake-record payload.
 
     Returns ``(type, message)`` pairs; messages of types this model does not
-    need to inspect are returned as raw bytes.
+    need to inspect are returned as raw bytes.  ``parsers`` lets the RA's DPI
+    engine answer a Certificate body it has parsed before by lookup.
     """
     messages: List[Tuple[HandshakeType, object]] = []
     offset = 0
     while offset < len(payload):
         handshake_type, body, offset = _unpack_handshake(payload, offset)
-        if handshake_type == HandshakeType.CLIENT_HELLO:
-            messages.append((handshake_type, ClientHello.from_body(body)))
-        elif handshake_type == HandshakeType.SERVER_HELLO:
-            messages.append((handshake_type, ServerHello.from_body(body)))
-        elif handshake_type == HandshakeType.CERTIFICATE:
-            messages.append((handshake_type, CertificateMessage.from_body(body)))
-        elif handshake_type == HandshakeType.FINISHED:
-            messages.append((handshake_type, Finished.from_body(body)))
-        elif handshake_type == HandshakeType.NEW_SESSION_TICKET:
-            messages.append((handshake_type, NewSessionTicket.from_body(body)))
-        else:
-            messages.append((handshake_type, body))
+        parse = parsers.get(handshake_type)
+        messages.append((handshake_type, body if parse is None else parse(body)))
     return messages

@@ -40,6 +40,9 @@ class ContentType(IntEnum):
     RITM_STATUS = 100
 
 
+_CONTENT_TYPES = {int(member): member for member in ContentType}
+
+
 @dataclass(frozen=True)
 class TLSRecord:
     """One TLS record: a content type and an opaque payload."""
@@ -89,10 +92,9 @@ def parse_record(data: bytes, offset: int = 0) -> Tuple[TLSRecord, int]:
     offset += RECORD_HEADER_SIZE
     if offset + length > len(data):
         raise TLSError("truncated TLS record payload")
-    try:
-        ctype = ContentType(content_type)
-    except ValueError as exc:
-        raise TLSError(f"unknown TLS content type {content_type}") from exc
+    ctype = _CONTENT_TYPES.get(content_type)
+    if ctype is None:
+        raise TLSError(f"unknown TLS content type {content_type}")
     record = TLSRecord(
         content_type=ctype,
         payload=data[offset : offset + length],
