@@ -1,0 +1,208 @@
+"""Canonical encodings: every accepted byte string re-encodes to itself.
+
+Certificates, chains, signed roots, freshness statements and Merkle proofs
+keep their wire form once it is known, and ``Certificate.from_bytes`` /
+``CertificateChain.from_bytes`` seed it with the bytes they accepted.  That is
+sound only if no decoder accepts two byte strings for one value, so this
+suite pins it: whatever a decoder accepts — valid encodings and bit flips,
+length-field edits, splices, cuts and extensions of them — re-encodes, from a
+field-for-field copy that retains no bytes, to exactly the bytes consumed.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.crypto.signing import KeyPair
+from repro.dictionary.authdict import CADictionary
+from repro.errors import CertificateError, TLSError
+from repro.pki.certificate import Certificate, CertificateChain
+from repro.pki.serial import SerialNumber
+from repro.ritm.messages import (
+    decode_freshness,
+    decode_proof,
+    decode_signed_root,
+    decode_status_bundle,
+    encode_freshness,
+    encode_proof,
+    encode_signed_root,
+    encode_status_bundle,
+)
+from repro.workloads.certificates import generate_corpus
+
+from tests.ritm.conftest import flip_bit
+
+
+def rebuilt(value):
+    """A field-for-field copy that retains no wire bytes at any depth."""
+    if dataclasses.is_dataclass(value):
+        copy = type(value)(
+            **{f.name: rebuilt(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        )
+        assert "_wire" not in vars(copy)
+        return copy
+    if type(value) in (tuple, list):
+        return type(value)(rebuilt(item) for item in value)
+    return value
+
+
+def _dictionary(serial_count: int) -> CADictionary:
+    dictionary = CADictionary("Canon-CA", KeyPair.generate(b"canonical"), delta=10, chain_length=8)
+    if serial_count:
+        dictionary.insert([SerialNumber(10 * n) for n in range(1, serial_count + 1)], now=1000)
+    else:
+        dictionary.refresh(now=1000)
+    return dictionary
+
+
+FULL = _dictionary(37)
+EMPTY = _dictionary(0)
+#: present, absent between two leaves, absent before the first, after the last.
+STATUSES = [FULL.prove(SerialNumber(value)) for value in (200, 205, 5, 999)]
+STATUSES.append(EMPTY.prove(SerialNumber(7)))
+CORPUS = generate_corpus(ca_count=1, domains_per_ca=2, use_intermediates=True)
+
+
+def _whole(decode):
+    """Adapt a whole-buffer decoder to the ``(value, end)`` shape."""
+    return lambda data: (decode(data), len(data))
+
+
+#: name → (decode to ``(value, end)``, encode, rejection type, valid encodings)
+CODECS = {
+    "certificate": (
+        _whole(Certificate.from_bytes),
+        Certificate.to_bytes,
+        CertificateError,
+        [certificate.to_bytes() for chain in CORPUS.chains for certificate in chain],
+    ),
+    "chain": (
+        _whole(CertificateChain.from_bytes),
+        CertificateChain.to_bytes,
+        CertificateError,
+        [chain.to_bytes() for chain in CORPUS.chains],
+    ),
+    "signed_root": (
+        decode_signed_root,
+        encode_signed_root,
+        TLSError,
+        [encode_signed_root(dictionary.signed_root) for dictionary in (FULL, EMPTY)],
+    ),
+    "freshness": (
+        decode_freshness,
+        encode_freshness,
+        TLSError,
+        [encode_freshness(dictionary.latest_freshness) for dictionary in (FULL, EMPTY)],
+    ),
+    "proof": (
+        decode_proof,
+        encode_proof,
+        TLSError,
+        [encode_proof(status.proof) for status in STATUSES],
+    ),
+    "status_bundle": (
+        _whole(decode_status_bundle),
+        encode_status_bundle,
+        TLSError,
+        [encode_status_bundle([status]) for status in STATUSES]
+        + [encode_status_bundle(STATUSES[:3])],
+    ),
+}
+
+
+def accepted_reencodes_to_itself(codec: str, data: bytes) -> bool:
+    """The property; returns whether ``data`` was accepted at all."""
+    decode, encode, rejection, _ = CODECS[codec]
+    try:
+        value, end = decode(data)
+    except rejection:
+        return False
+    assert encode(rebuilt(value)) == data[:end], (codec, data.hex())
+    assert encode(value) == data[:end]  # and so does whatever the decoder retained
+    return True
+
+
+@pytest.mark.parametrize("codec", sorted(CODECS))
+def test_valid_encodings_are_fixed_points(codec):
+    for data in CODECS[codec][3]:
+        assert accepted_reencodes_to_itself(codec, data)
+
+
+@pytest.mark.parametrize("codec", sorted(CODECS))
+def test_every_single_bit_flip_is_rejected_or_canonical(codec):
+    data = CODECS[codec][3][-1]
+    outcomes = [accepted_reencodes_to_itself(codec, flip_bit(data, bit)) for bit in range(8 * len(data))]
+    assert any(outcomes) and not all(outcomes)
+
+
+@st.composite
+def mutated_encodings(draw):
+    codec = draw(st.sampled_from(sorted(CODECS)))
+    seeds = CODECS[codec][3]
+    data = draw(st.sampled_from(seeds))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "length", "splice", "cut", "extend"]))
+        at = draw(st.integers(0, max(len(data) - 1, 0)))
+        if kind == "flip" and data:
+            data = flip_bit(data, 8 * at + draw(st.integers(0, 7)))
+        elif kind == "length":
+            # Nudge a (would-be) 16-bit length field: the edits most likely
+            # to still parse, with bytes left over or borrowed from a neighbour.
+            field = int.from_bytes(data[at : at + 2], "big") + draw(st.integers(-3, 3))
+            data = data[:at] + (field % 0x10000).to_bytes(2, "big") + data[at + 2 :]
+        elif kind == "splice":
+            donor = draw(st.sampled_from(seeds))
+            low = draw(st.integers(0, len(donor)))
+            high = draw(st.integers(low, len(donor)))
+            data = data[:at] + donor[low:high] + data[at + draw(st.integers(0, high - low)) :]
+        elif kind == "cut":
+            data = data[:at]
+        else:
+            data += draw(st.binary(min_size=1, max_size=4))
+    return codec, data
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_encodings())
+def test_any_accepted_mutation_reencodes_to_itself(case):
+    accepted_reencodes_to_itself(*case)
+
+
+class TestSecondEncodingsClosed:
+    """Byte strings that used to decode to a value some other bytes also give."""
+
+    def test_audit_step_side_byte_above_one(self):
+        proof = STATUSES[0].proof  # presence: tag, key, value, index/size/count, steps
+        data = encode_proof(proof)
+        side_at = 1 + 2 + len(proof.key) + 2 + len(proof.value) + 18
+        assert data[side_at] in (0, 1)
+        for side in (2, 3, 0x80, 0xFF):
+            with pytest.raises(TLSError, match="audit step side"):
+                decode_proof(data[:side_at] + bytes([side]) + data[side_at + 1 :])
+
+    def test_absence_flags_above_three(self):
+        proof = STATUSES[1].proof
+        data = encode_proof(proof)
+        flags_at = 1 + 2 + len(proof.key) + 8
+        assert data[flags_at] == 3
+        with pytest.raises(TLSError, match="absence proof flags"):
+            decode_proof(data[:flags_at] + b"\x07" + data[flags_at + 1 :])
+
+    def test_trailing_bytes_after_a_status_bundle(self):
+        with pytest.raises(TLSError, match="trailing bytes"):
+            decode_status_bundle(encode_status_bundle(STATUSES[:1]) + b"\x00")
+
+    def test_trailing_bytes_inside_a_status_field(self):
+        status = STATUSES[1]
+        padded = dataclasses.replace(status, proof=status.proof)  # no retained bytes
+        data = encode_status_bundle([padded])
+        proof = encode_proof(status.proof)
+        at = data.index(proof) - 2
+        grown = (
+            data[:at] + (len(proof) + 1).to_bytes(2, "big") + proof + b"\x00" + data[at + 2 + len(proof) :]
+        )
+        # Re-frame the one status for its new length; the bundle has one entry.
+        grown = grown[:1] + (len(grown) - 3).to_bytes(2, "big") + grown[3:]
+        with pytest.raises(TLSError, match="trailing bytes"):
+            decode_status_bundle(grown)
