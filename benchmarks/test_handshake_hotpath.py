@@ -16,6 +16,9 @@ machine-readable perf baseline, ``benchmarks/results/handshake_hotpath.json``:
   recomputed vs served from the :class:`~repro.perf.proof_cache.ProofCache`;
 * **Ed25519 itself** — one signature, and one verification under a
   never-seen key (its comb table is built) vs under a cached key;
+* **wire once** — the RA's DPI of a server flight whose chain it has never
+  seen vs one it has parsed before, and the encoding of a status whose proof
+  was just built vs one the proof cache already holds (its bytes retained);
 * **cache hit rates** — per layer, including the CDN edge object cache
   under a same-region RA fleet pulling with a nonzero TTL.
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import statistics
 import time
+from dataclasses import replace
 
 from repro.cdn.geography import GeoLocation, Region
 from repro.cdn.network import CDNNetwork
@@ -35,12 +39,18 @@ from repro.crypto.signing import KeyPair
 from repro.net.clock import SimulatedClock
 from repro.analysis.reporting import format_table
 from repro.perf import VerifiedRootCache
+from repro.pki.certificate import CertificateChain
+from repro.pki.serial import SerialNumber
 from repro.ritm.agent import RevocationAgent
 from repro.ritm.ca_service import RITMCertificationAuthority
 from repro.ritm.config import RITMConfig
 from repro.ritm.deployment import build_close_to_client_deployment
 from repro.ritm.dissemination import attach_agent_to_cas
+from repro.ritm.dpi import DPIEngine
+from repro.ritm.messages import encode_status_bundle
 from repro.tls.connection import ChainValidationCache
+from repro.tls.messages import CertificateMessage, ServerHello, ServerHelloDone
+from repro.tls.records import ContentType, TLSRecord
 from repro.workloads import serials_for_count
 from repro.workloads.certificates import generate_corpus
 
@@ -54,6 +64,7 @@ WARM_HANDSHAKES = 24
 VERIFY_REPS = 12
 PROOF_REPS = 400
 ED25519_KEYS = 12
+DPI_CHAINS = 64
 
 
 def build_world():
@@ -68,8 +79,6 @@ def build_world():
         ca = RITMCertificationAuthority(authority, config, cdn)
         ca.bootstrap(now=EPOCH + 1)
         cas.append(ca)
-    from repro.pki.serial import SerialNumber
-
     pool = [
         SerialNumber(value)
         for value in serials_for_count(DICTIONARY_SIZE + 40, seed=0xBEEF)
@@ -198,6 +207,43 @@ def bench_ed25519():
     }
 
 
+def _timed_us(operation, arguments):
+    samples = []
+    for argument in arguments:
+        started = time.perf_counter()
+        operation(argument)
+        samples.append(time.perf_counter() - started)
+    return round(statistics.median(samples) * 1e6, 2)
+
+
+def bench_wire_once(corpus, cas, agent, probes):
+    """First sight vs seen before: DPI of a server flight, encoding of a status."""
+    chain = corpus.chains[0]
+    flights = []
+    for index in range(DPI_CHAINS):  # distinct chains: every first inspect is a parse
+        leaf = replace(chain.leaf, serial=SerialNumber(index + 1))
+        messages = (
+            ServerHello(),
+            CertificateMessage(CertificateChain((leaf,) + chain.certificates[1:])),
+            ServerHelloDone(),
+        )
+        flight = b"".join(message.to_bytes() for message in messages)
+        flights.append(TLSRecord(ContentType.HANDSHAKE, flight).to_bytes())
+    dpi = DPIEngine()
+    inspect_first = _timed_us(dpi.inspect, flights)
+    inspect_repeat = _timed_us(dpi.inspect, flights)
+
+    agent.proof_cache.clear()  # fresh proof objects: nothing encoded yet
+    bundles = [[agent.build_status(cas[0].name, probe)] for probe in probes]
+    return {
+        "chains": DPI_CHAINS,
+        "inspect_first_us": inspect_first,
+        "inspect_repeat_us": inspect_repeat,
+        "status_encode_first_us": _timed_us(encode_status_bundle, bundles),
+        "status_encode_repeat_us": _timed_us(encode_status_bundle, bundles),
+    }
+
+
 def bench_edge_cache(config, cas, cdn):
     """Edge object-cache hit rate for a same-region fleet pulling each Δ."""
     fleet = []
@@ -221,6 +267,7 @@ def test_handshake_hotpath():
     status_verify = bench_status_verify(config, cas, agent, probes[-1])
     proof_build = bench_proof_build(cas, agent, probes)
     ed25519 = bench_ed25519()
+    dpi = bench_wire_once(corpus, cas, agent, probes)
     edge = bench_edge_cache(config, cas, cdn)
 
     payload = {
@@ -236,6 +283,7 @@ def test_handshake_hotpath():
         "status_verify": status_verify,
         "proof_build": proof_build,
         "ed25519": ed25519,
+        "dpi": dpi,
         "cache_hit_rates": {
             "agent_proof_cache": round(agent.proof_cache.stats.hit_rate(), 4),
             "client_root_cache": round(root_cache.stats.hit_rate(), 4),
@@ -272,6 +320,18 @@ def test_handshake_hotpath():
                 f"{ed25519['verify_hit_us']} us",
                 f"{round(ed25519['verify_miss_us'] / ed25519['verify_hit_us'], 2)}x",
             ],
+            [
+                "DPI of a server flight (new chain vs seen chain)",
+                f"{dpi['inspect_first_us']} us",
+                f"{dpi['inspect_repeat_us']} us",
+                f"{round(dpi['inspect_first_us'] / dpi['inspect_repeat_us'], 2)}x",
+            ],
+            [
+                "status encoding (new proof vs cached proof)",
+                f"{dpi['status_encode_first_us']} us",
+                f"{dpi['status_encode_repeat_us']} us",
+                f"{round(dpi['status_encode_first_us'] / dpi['status_encode_repeat_us'], 2)}x",
+            ],
         ],
         title=f"Hot-path verification engine ({DICTIONARY_SIZE}-entry dictionary)",
     )
@@ -283,5 +343,7 @@ def test_handshake_hotpath():
     assert status_verify["warm_speedup"] > 2.0, status_verify
     assert proof_build["warm_speedup"] > 1.2, proof_build
     assert ed25519["verify_hit_us"] < ed25519["verify_miss_us"], ed25519
+    assert dpi["inspect_repeat_us"] < dpi["inspect_first_us"], dpi
+    assert dpi["status_encode_repeat_us"] < dpi["status_encode_first_us"], dpi
     for layer, rate in payload["cache_hit_rates"].items():
         assert rate > 0.0, (layer, payload["cache_hit_rates"])

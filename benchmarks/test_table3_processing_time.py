@@ -71,6 +71,10 @@ def test_table3_processing_time(benchmark, engine):
         [
             "",
             f"store engine: {engine}",
+            "Certificates parsing (DPI) is first sight of a chain (every repetition a "
+            "distinct chain);",
+            f"  the same flight seen again, answered from the RA's chain cache "
+            f"= {result.dpi_repeat_avg_us:.2f} us",
             f"derived: non-TLS packets/s      = {throughput.non_tls_packets_per_second:,.0f} (paper: >340,000)",
             f"derived: supported handshakes/s = {throughput.handshakes_per_second:,.0f} (paper: >50,000)",
             f"derived: client validations/s   = {throughput.client_validations_per_second:,.0f} (paper: ~4,000)",
@@ -84,6 +88,8 @@ def test_table3_processing_time(benchmark, engine):
         < result.row("Certificates parsing (DPI)").avg_us
         < result.row("Proof construction").avg_us * 5
     )
+    # The first-sight row is a parse, not a lookup: a seen chain is cheaper.
+    assert result.dpi_repeat_avg_us < result.row("Certificates parsing (DPI)").avg_us
     # Signature verification is the most expensive client-side step.
     assert (
         result.row("Sig. and freshness valid.").avg_us > result.row("Proof validation").avg_us

@@ -20,15 +20,17 @@ per-connection overhead is a negligible fraction of a TLS handshake.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import DEFAULT_DIGEST_SIZE, NODE_PREFIX, raw_sha256
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary, ReplicaDictionary
 from repro.dictionary.freshness import statement_is_fresh
+from repro.pki.certificate import Certificate, CertificateChain
 from repro.pki.serial import SerialNumber
 from repro.ritm.dpi import DPIEngine
 from repro.tls.connection import ServerConnectionConfig, TLSServerConnection
@@ -57,6 +59,10 @@ class TimingRow:
 @dataclass
 class Table3Result:
     rows: List[TimingRow]
+    #: ``inspect`` of a flight whose chain the engine has parsed before — a
+    #: lookup in its chain cache; reported beside the first-sight row of the
+    #: table, never in its place.
+    dpi_repeat_avg_us: float = 0.0
 
     def row(self, operation: str) -> TimingRow:
         for row in self.rows:
@@ -80,10 +86,18 @@ class Table3Result:
 
 def _time_operation(operation: Callable[[], object], repetitions: int) -> TimingRow:
     durations: List[float] = []
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        operation()
-        durations.append((time.perf_counter() - start) * 1e6)
+    # As ``timeit`` does: a cycle collection over the fixtures' heap (set off
+    # here by the chains the DPI engine retains) is not the operation's cost.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repetitions):
+            start = time.perf_counter()
+            operation()
+            durations.append((time.perf_counter() - start) * 1e6)
+    finally:
+        if collecting:
+            gc.enable()
     return TimingRow(
         entity="",
         operation="",
@@ -132,9 +146,18 @@ def run_table_3(
         ContentType.HANDSHAKE,
         ClientHello(extensions=(ritm_support_extension(),)).to_bytes(),
     )
-    server = TLSServerConnection(ServerConnectionConfig(chain=chain))
-    server_flight = server.process_record(hello_record, now=1_400_000_000)[0]
-    server_payload = server_flight.to_bytes()
+
+    def server_flight(leaf: Certificate) -> bytes:
+        served = CertificateChain((leaf,) + chain.certificates[1:])
+        server = TLSServerConnection(ServerConnectionConfig(chain=served))
+        return server.process_record(hello_record, now=1_400_000_000)[0].to_bytes()
+
+    server_payload = server_flight(chain.leaf)
+    # The DPI engine answers a Certificate body it has parsed before by
+    # lookup, so the paper's parsing row is timed over distinct chains.
+    first_sights = iter(
+        [server_flight(replace(chain.leaf, serial=SerialNumber(n + 1))) for n in range(repetitions)]
+    )
 
     keys = KeyPair.generate(b"table3")
     dictionary = CADictionary(
@@ -158,11 +181,13 @@ def run_table_3(
     )
     rows.append(
         _with_labels(
-            _time_operation(lambda: dpi.inspect(server_payload), repetitions),
+            _time_operation(lambda: dpi.inspect(next(first_sights)), repetitions),
             "RA",
             "Certificates parsing (DPI)",
         )
     )
+    dpi.inspect(server_payload)
+    dpi_repeat = _time_operation(lambda: dpi.inspect(server_payload), repetitions)
     rows.append(
         _with_labels(
             _time_operation(lambda: dictionary.prove(absent_serial), repetitions),
@@ -190,7 +215,7 @@ def run_table_3(
             "Sig. and freshness valid.",
         )
     )
-    return Table3Result(rows=rows)
+    return Table3Result(rows=rows, dpi_repeat_avg_us=dpi_repeat.avg_us)
 
 
 # -- dictionary update timing (§VII-D "Computation", first paragraph) ---------------------
