@@ -132,7 +132,9 @@ def test_valid_encodings_are_fixed_points(codec):
 @pytest.mark.parametrize("codec", sorted(CODECS))
 def test_every_single_bit_flip_is_rejected_or_canonical(codec):
     data = CODECS[codec][3][-1]
-    outcomes = [accepted_reencodes_to_itself(codec, flip_bit(data, bit)) for bit in range(8 * len(data))]
+    outcomes = [
+        accepted_reencodes_to_itself(codec, flip_bit(data, bit)) for bit in range(8 * len(data))
+    ]
     assert any(outcomes) and not all(outcomes)
 
 
@@ -195,13 +197,11 @@ class TestSecondEncodingsClosed:
 
     def test_trailing_bytes_inside_a_status_field(self):
         status = STATUSES[1]
-        padded = dataclasses.replace(status, proof=status.proof)  # no retained bytes
-        data = encode_status_bundle([padded])
+        data = encode_status_bundle([status])
         proof = encode_proof(status.proof)
         at = data.index(proof) - 2
-        grown = (
-            data[:at] + (len(proof) + 1).to_bytes(2, "big") + proof + b"\x00" + data[at + 2 + len(proof) :]
-        )
+        padded = (len(proof) + 1).to_bytes(2, "big") + proof + b"\x00"
+        grown = data[:at] + padded + data[at + 2 + len(proof) :]
         # Re-frame the one status for its new length; the bundle has one entry.
         grown = grown[:1] + (len(grown) - 3).to_bytes(2, "big") + grown[3:]
         with pytest.raises(TLSError, match="trailing bytes"):

@@ -18,14 +18,14 @@ from repro.pki.certificate import Certificate, CertificateChain
 from repro.pki.serial import SerialNumber
 from repro.ritm.dpi import CHAIN_CACHE_CAPACITY, DPIEngine
 from repro.ritm.messages import (
+    DictionaryHead,
+    decode_head,
     decode_status_bundle,
     encode_freshness,
     encode_head,
     encode_proof,
     encode_signed_root,
     encode_status_bundle,
-    DictionaryHead,
-    decode_head,
 )
 from repro.tls.messages import CertificateMessage, ServerHello, ServerHelloDone
 from repro.tls.records import ContentType, TLSRecord
@@ -138,7 +138,8 @@ class TestDictionaryObjectMemo:
 
         forged_root = dataclasses.replace(root, size=root.size + 1)
         assert encode_signed_root(forged_root) != honest[0]
-        assert encode_signed_root(forged_root.sign(OTHER_KEYS.private)) != encode_signed_root(forged_root)
+        resigned_root = forged_root.sign(OTHER_KEYS.private)
+        assert encode_signed_root(resigned_root) != encode_signed_root(forged_root)
         assert encode_freshness(dataclasses.replace(freshness, value=b"\x01" * 20)) != honest[1]
         forged_proof = dataclasses.replace(proof, key=b"\x00\x00\x10")
         assert encode_proof(forged_proof) != honest[2]
