@@ -14,8 +14,10 @@ machine-readable perf baseline, ``benchmarks/results/handshake_hotpath.json``:
   :class:`~repro.perf.root_cache.VerifiedRootCache`;
 * **cold vs warm proof building** — the RA-side Merkle audit path,
   recomputed vs served from the :class:`~repro.perf.proof_cache.ProofCache`;
-* **Ed25519 itself** — one signature, and one verification under a
-  never-seen key (its comb table is built) vs under a cached key;
+* **Ed25519 itself** — one signature, one verification under a never-seen
+  key (its comb table is built) vs under a cached key, one forged signature,
+  and the cached-key verification in units of a field multiplication timed
+  in the same process (the gate against a lost fast path or a shrunk table);
 * **wire once** — the RA's DPI of a server flight whose chain it has never
   seen vs one it has parsed before, and the encoding of a status whose proof
   was just built vs one the proof cache already holds (its bytes retained);
@@ -35,6 +37,7 @@ from dataclasses import replace
 
 from repro.cdn.geography import GeoLocation, Region
 from repro.cdn.network import CDNNetwork
+from repro.crypto.ed25519 import P as FIELD_PRIME
 from repro.crypto.signing import KeyPair
 from repro.net.clock import SimulatedClock
 from repro.analysis.reporting import format_table
@@ -186,24 +189,52 @@ def bench_proof_build(cas, agent, probes):
     }
 
 
+def _best_us(operation, repeats=5):
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        operation()
+        best = min(best, time.perf_counter() - started)
+    return best * 1e6
+
+
 def bench_ed25519():
-    """Sign, and verify under a never-seen key (table build) vs a cached key."""
+    """Sign; verify under a never-seen key (table build), a cached key, a forgery.
+
+    ``verify_hit_mulmods`` is the cached-key verification in units of one
+    ``a*b % P`` on 255-bit operands, timed beside it so the machine's speed
+    cancels: a gate on it reads the same on a slow box as on a fast one.  The
+    walk's own field multiplications are ~830 of it.
+    """
     signers = [KeyPair.generate(b"hotpath-ed25519-%d" % index) for index in range(ED25519_KEYS)]
     message = b"hot-path signed root payload"
-    sign, miss, hit = [], [], []
+    a, b = FIELD_PRIME - 12345, FIELD_PRIME // 3
+
+    def thousand_mulmods():
+        for _ in range(1000):
+            a * b % FIELD_PRIME
+
+    sign, miss, hit, reject, floor, hit_mulmods = [], [], [], [], [], []
     for keys in signers:
-        started = time.perf_counter()
         signature = keys.sign(message)
-        sign.append(time.perf_counter() - started)
-        for samples in (miss, hit):  # first use of a key builds its comb table
-            started = time.perf_counter()
-            assert keys.public.verify(message, signature)
-            samples.append(time.perf_counter() - started)
+        forged = signature[:-1] + bytes([signature[-1] ^ 1])
+        sign.append(_best_us(lambda: keys.sign(message)))
+        # First use of a key builds its comb table; every later one reads it.
+        miss.append(_best_us(lambda: keys.public.verify(message, signature), repeats=1))
+        hit.append(_best_us(lambda: keys.public.verify(message, signature)))
+        floor.append(_best_us(thousand_mulmods))  # µs per thousand = ns per one
+        hit_mulmods.append(hit[-1] * 1e3 / floor[-1])
+        reject.append(_best_us(lambda: keys.public.verify(message, forged)))
+        assert keys.public.verify(message, signature)
+        assert not keys.public.verify(message, forged)
     return {
         "keys": ED25519_KEYS,
-        "sign_us": round(statistics.median(sign) * 1e6, 1),
-        "verify_hit_us": round(statistics.median(hit) * 1e6, 1),
-        "verify_miss_us": round(statistics.median(miss) * 1e6, 1),
+        "sign_us": round(statistics.median(sign), 1),
+        "verify_hit_us": round(statistics.median(hit), 1),
+        "verify_miss_us": round(statistics.median(miss), 1),
+        "verify_reject_us": round(statistics.median(reject), 1),
+        "mulmod_floor_ns": round(statistics.median(floor), 1),
+        "verify_hit_mulmods": round(statistics.median(hit_mulmods)),
     }
 
 
@@ -343,6 +374,9 @@ def test_handshake_hotpath():
     assert status_verify["warm_speedup"] > 2.0, status_verify
     assert proof_build["warm_speedup"] > 1.2, proof_build
     assert ed25519["verify_hit_us"] < ed25519["verify_miss_us"], ed25519
+    # 1,150–1,230 as built; 1,400–1,480 with the base table back at 5 teeth,
+    # ~1,500 with R decompressed for every signature, ~2,000 before either.
+    assert ed25519["verify_hit_mulmods"] <= 1_320, ed25519
     assert dpi["inspect_repeat_us"] < dpi["inspect_first_us"], dpi
     assert dpi["status_encode_repeat_us"] < dpi["status_encode_first_us"], dpi
     for layer, rate in payload["cache_hit_rates"].items():

@@ -6,33 +6,48 @@ library is assumed to be available, so this module implements the scheme from
 scratch on top of Python integers.
 
 Every scalar multiplication is a *comb* walk.  A point's comb table holds
-the ``2**COMB_TEETH`` sums of its teeth ``[2**(COMB_SPAN*t)]Q``; reading a
-scalar as ``COMB_TEETH`` rows of ``COMB_SPAN`` bits, ``[k]Q`` costs
-``COMB_SPAN`` doublings and one table addition per doubling, and several
-scalars share the doublings (:func:`_comb_mult`).  The base point's table is
-built once at import.  A verification key's table is built from ``−A`` the
-first time the key is seen and kept in a bounded LRU keyed by the exact 32 key
-bytes (:func:`_key_table`) — verifiers in RITM check a small fixed set of CA
-keys over and over — so :func:`verify` is one joint ``[s]B + [h](−A)`` walk.
-The table is a pure function of the key bytes; the only verdict the cache can
-hold is "this key is malformed or small-order", never the acceptance of a
-signature.  Signing memoises the expanded secret and public key per seed
-(:func:`_expand_secret`; seeds stay in process memory, as they already do in
-every ``PrivateKey``), leaving one base-table walk per signature.  On the
-reference sandbox that is about 0.8 ms per verification under a cached key,
-2.1 ms under a new one, and 0.45 ms per signature.
+the ``2**teeth`` sums of its teeth ``[2**(span*t)]Q``, where ``span =
+⌈256 / teeth⌉`` follows from the tooth count; reading a scalar as ``teeth``
+rows of ``span`` bits, ``[k]Q`` costs ``span`` doublings and one table
+addition per doubling, and several scalars share the doublings
+(:func:`_comb_mult`), each joining the walk where its own span starts.  The
+base point's table is built once at import and can afford to be wide: 8 × 32,
+256 entries.  A verification key's table (6 × 43, 64 entries, so that 256 of
+them stay near 4 MB) is built from ``−A`` the first time the key is seen and
+kept in a bounded LRU keyed by the exact 32 key bytes (:func:`_key_table`) —
+verifiers in RITM check a small fixed set of CA keys over and over — so
+:func:`verify` is one joint ``[s]B + [h](−A)`` walk of 43 doublings and 75
+additions.  The table is a pure function of the key bytes; the only verdict
+the cache can hold is "this key is malformed or small-order", never the
+acceptance of a signature.  Signing memoises the expanded secret and public
+key per seed (:func:`_expand_secret`; seeds stay in process memory, as they
+already do in every ``PrivateKey``), leaving one base-table walk (32 + 32) per
+signature.
 
 Verification uses RFC 8032 §5.1.7's *cofactored* equation
 ``[8][s]B == [8]R + [8][h]A`` after rejecting small-order ``A`` and ``R``: it
 is the form the RFC specifies (the cofactorless one is only permitted), and
 it is the only form whose verdict is the same whether signatures are checked
 one at a time or folded into a combined equation, because both ignore the
-same 8-torsion component.  A mixed-order key's signature that differs from
-an honest one only by torsion is therefore accepted, on purpose.
+same 8-torsion component.  A signature that differs from an honest one only
+by torsion, in ``A`` or in ``R``, is therefore accepted, on purpose.
 
-Nothing here is constant time: table lookups are indexed by scalar bits and
-Python integers are variable time anyway.  RITM signs a root at most once per
-Δ; the latency-critical per-connection operations rely on hash-only proofs.
+:func:`verify` does not decompress an honest ``R``: it computes ``Q = [s]B −
+[h]A`` and compares ``Q``'s compressed form with the 32 bytes of ``R``.
+Compression is canonical, so equal bytes mean exactly that ``R`` decodes, to
+``Q``; the equation then holds with nothing to clear and the one check left
+is that ``Q`` is not of small order.  No verdict can change: on equal bytes
+every check of the long path has the answer the long path would give, and on
+unequal bytes the long path itself runs (decompress ``R``, reject small order,
+compare ``[8]Q`` with ``[8]R``), which is where torsion variants are accepted
+and forgeries rejected — at one square root more than an honest signature.
+On the reference sandbox: about 0.45 ms per verification under a cached key,
+0.65 ms for a rejected one, 1.9 ms under a new key, 0.25 ms per signature.
+
+Nothing here is constant time: table lookups are indexed by scalar bits —
+the secret nonce and key when signing — and Python integers are variable time
+anyway.  RITM signs a root at most once per Δ; the latency-critical
+per-connection operations rely on hash-only proofs.
 """
 
 from __future__ import annotations
@@ -60,10 +75,11 @@ SQRT_M1 = pow(2, (P - 1) // 4, P)
 KEY_SIZE = 32
 SIGNATURE_SIZE = 64
 
-#: Comb geometry: a scalar is read as COMB_TEETH rows of COMB_SPAN bits, which
-#: covers every 256-bit scalar; a table holds 2**COMB_TEETH entries.
-COMB_TEETH = 5
-COMB_SPAN = 52
+#: Comb geometry: a table of ``2**teeth`` entries reads a scalar as ``teeth``
+#: rows of ``⌈256 / teeth⌉`` bits (:func:`_comb_span`).  The base point's one
+#: table is 8 × 32; each verification key's is 6 × 43.
+BASE_TEETH = 8
+KEY_TEETH = 6
 #: Verification keys (and signing seeds) whose derived state is kept.
 KEY_TABLE_CAPACITY = 256
 
@@ -172,15 +188,21 @@ def _table_entries(points: Sequence[_Point]) -> _Table:
     return tuple(reversed(entries))
 
 
-def _comb_table(point: _Point) -> _Table:
-    """Entry ``i`` is the sum of ``[2**(COMB_SPAN*t)] point`` over the set bits ``t`` of ``i``."""
-    teeth = [point]
-    while len(teeth) < COMB_TEETH:
-        for _ in range(COMB_SPAN):
+def _comb_span(teeth: int) -> int:
+    """Bits per row of a ``teeth``-row comb that covers every 256-bit scalar."""
+    return -(-256 // teeth)
+
+
+def _comb_table(point: _Point, teeth: int = KEY_TEETH) -> _Table:
+    """Entry ``i`` is the sum of ``[2**(span*t)] point`` over the set bits ``t`` of ``i``."""
+    span = _comb_span(teeth)
+    row = [point]
+    while len(row) < teeth:
+        for _ in range(span):
             point = _point_double(point)
-        teeth.append(point)
+        row.append(point)
     table = [_NEUTRAL]
-    for tooth in _table_entries(teeth):
+    for tooth in _table_entries(row):
         table += [_point_add(entry, tooth) for entry in table]
     return _table_entries(table)
 
@@ -188,26 +210,46 @@ def _comb_table(point: _Point) -> _Table:
 def _comb_mult(*terms: Tuple[int, _Table]) -> _Point:
     """``Σ [scalar] point`` over ``(scalar, comb table of point)`` terms, sharing one doubling chain.
 
-    Column ``c`` of a scalar is its bits ``c, c + COMB_SPAN, …`` read as a
-    table index; columns are walked most significant first.  Scalars must be
-    below ``2**(COMB_TEETH*COMB_SPAN)``.  Not constant time: the lookups are
-    indexed by the scalar, which is secret when signing.
+    A table's geometry is read off its length.  Column ``c`` of a scalar is
+    its bits ``c, c + span, …`` read as a table index; columns are walked
+    most significant first and every term ends at column 0, so a term with a
+    shorter span joins the walk late.  Scalars must be below ``2**256``.
+    The doubling and the addition are :func:`_point_double` and
+    :func:`_point_add` written out, minus the ``T`` a doubling never reads.
+    Not constant time: the lookups are indexed by the scalar, which is secret
+    when signing.
     """
     columns = []
     for scalar, table in terms:
-        bits = format(scalar, f"0{COMB_TEETH * COMB_SPAN}b")
-        columns.append([table[int(bits[c::COMB_SPAN], 2)] for c in range(COMB_SPAN)])
-    result = _NEUTRAL
-    for entries in zip(*columns):
-        result = _point_double(result)
-        for entry in entries:
-            result = _point_add(result, entry)
-    return result
+        teeth = len(table).bit_length() - 1
+        span = _comb_span(teeth)
+        bits = format(scalar, f"0{teeth * span}b")
+        columns.append([table[int(bits[c::span], 2)] for c in range(span)])
+    steps = max(map(len, columns))
+    x, y, z, e, h = 0, 1, 1, 0, 0  # T = e·h, multiplied out only where it is read
+    for step in zip(*[[None] * (steps - len(column)) + column for column in columns]):
+        a = x * x % P
+        b = y * y % P
+        h = a + b
+        e = h - (x + y) * (x + y) % P
+        g = a - b
+        f = 2 * z * z % P + g
+        x, y, z = e * f % P, g * h % P, f * g % P
+        for entry in step:
+            if entry:
+                y_minus_x, y_plus_x, t2d = entry
+                a = (y - x) * y_minus_x % P
+                b = (y + x) * y_plus_x % P
+                c = e * h % P * t2d % P
+                d = 2 * z
+                e, f, g, h = b - a, d - c, d + c, b + a
+                x, y, z = e * f % P, g * h % P, f * g % P
+    return (x, y, z, e * h % P)
 
 
 #: Base point B = (x, 4/5) with x even, and its comb table.
 BASE_POINT: _Point = _point_decompress(int.to_bytes(4 * pow(5, -1, P) % P, KEY_SIZE, "little"))
-_BASE_TABLE = _comb_table(BASE_POINT)
+_BASE_TABLE = _comb_table(BASE_POINT, BASE_TEETH)
 
 
 @lru_cache(maxsize=KEY_TABLE_CAPACITY)
@@ -264,7 +306,8 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
 
     Checks the *cofactored* group equation ``[8]([s]B − [h]A) == [8]R`` (RFC
     8032 §5.1.7) after rejecting malformed or small-order ``A`` and ``R`` and
-    non-canonical ``s``; see the module docstring for why cofactored.
+    non-canonical ``s``; see the module docstring for why cofactored, and for
+    why an honest ``R`` is compared in compressed form and never decompressed.
     """
     if len(public) != KEY_SIZE:
         raise SignatureError(f"public key must be {KEY_SIZE} bytes")
@@ -273,15 +316,20 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     key_table = _key_table(bytes(public))
     if key_table is None:
         return False
-    try:
-        r_point = _point_decompress(signature[:32])
-    except CryptoError:
-        return False
-    if _is_small_order(r_point):
-        return False
+    r_bytes = signature[:32]
     s = int.from_bytes(signature[32:], "little")
     if s >= L:
         return False
-    h = _sha512_int(signature[:32] + public + message) % L
-    sb_minus_ha = _comb_mult((s, _BASE_TABLE), (h, key_table))
-    return _point_equal(_mul_by_cofactor(sb_minus_ha), _mul_by_cofactor(r_point))
+    h = _sha512_int(r_bytes + public + message) % L
+    q_point = _comb_mult((s, _BASE_TABLE), (h, key_table))
+    if _point_compress(q_point) == r_bytes:
+        # R is the canonical encoding of Q = [s]B − [h]A: it decompresses, to
+        # Q, and the equation holds.  Only the small-order check is left.
+        return not _is_small_order(q_point)
+    try:
+        r_cleared = _mul_by_cofactor(_point_decompress(r_bytes))
+    except CryptoError:
+        return False
+    if _point_equal(r_cleared, _NEUTRAL):
+        return False
+    return _point_equal(_mul_by_cofactor(q_point), r_cleared)

@@ -21,6 +21,11 @@ SIGNATURE_SIZE = ed25519.SIGNATURE_SIZE
 PUBLIC_KEY_SIZE = ed25519.KEY_SIZE
 
 
+def _verify(key_bytes: bytes, message: bytes, signature: bytes) -> bool:
+    """``ed25519.verify``; a wrong-length signature (wire decoders admit any) is invalid, not an error."""
+    return len(signature) == SIGNATURE_SIZE and ed25519.verify(key_bytes, message, signature)
+
+
 @dataclass(frozen=True)
 class PublicKey:
     """An Ed25519 verification key."""
@@ -35,7 +40,7 @@ class PublicKey:
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Return ``True`` iff ``signature`` signs ``message`` under this key."""
-        return ed25519.verify(self.key_bytes, message, signature)
+        return _verify(self.key_bytes, message, signature)
 
     def verify_or_raise(self, message: bytes, signature: bytes) -> None:
         """Like :meth:`verify` but raises :class:`SignatureError` on failure."""
@@ -81,19 +86,15 @@ class PrivateKey:
 def verify_batch(items: Sequence[Tuple[PublicKey, bytes, bytes]]) -> List[bool]:
     """Per-item validity of many ``(public key, message, signature)`` triples.
 
-    ``[key.verify(msg, sig) for key, msg, sig in items]``, except that a
-    signature of the wrong length counts as invalid instead of raising.
-    Signatures are verified one by one: with per-key comb tables a
-    random-linear-combination batch equation is slower than the serial walk
-    at every width (docs/PERFORMANCE.md).
+    ``[key.verify(msg, sig) for key, msg, sig in items]``.  Signatures are
+    verified one by one: with per-key comb tables a random-linear-combination
+    batch equation is slower than the serial walk at every width
+    (docs/PERFORMANCE.md).
     """
-    verdicts: List[bool] = []
-    for public_key, message, signature in items:
-        try:
-            verdicts.append(ed25519.verify(public_key.key_bytes, message, signature))
-        except SignatureError:
-            verdicts.append(False)
-    return verdicts
+    return [
+        _verify(public_key.key_bytes, message, signature)
+        for public_key, message, signature in items
+    ]
 
 
 @dataclass(frozen=True)

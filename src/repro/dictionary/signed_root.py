@@ -63,8 +63,6 @@ class SignedRoot:
 
     def verify(self, public_key: PublicKey) -> bool:
         """Check the CA signature."""
-        if len(self.signature) != SIGNATURE_SIZE:
-            return False
         return public_key.verify(self.payload(), self.signature)
 
     def verify_or_raise(self, public_key: PublicKey) -> None:

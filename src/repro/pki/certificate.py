@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from repro.crypto.signing import SIGNATURE_SIZE, PrivateKey, PublicKey
+from repro.crypto.signing import PrivateKey, PublicKey
 from repro.errors import CertificateError, SignatureError
 from repro.pki.serial import SerialNumber
 
@@ -156,8 +156,6 @@ class Certificate:
 
     def verify_signature(self, issuer_public_key: PublicKey) -> bool:
         """Check the issuer signature."""
-        if len(self.signature) != SIGNATURE_SIZE:
-            return False
         return issuer_public_key.verify(self.tbs_bytes(), self.signature)
 
     def is_valid_at(self, timestamp: int) -> bool:

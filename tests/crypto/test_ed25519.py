@@ -1,8 +1,9 @@
 """Tests for the pure-Python Ed25519 implementation.
 
 Fixed vectors first; then the strictness rules (torsion, malleation,
-non-canonical encodings), a Hypothesis differential against the naive
-ladder in ``ed25519_oracle``, and the verification-key table cache.
+non-canonical encodings), the compress-and-compare fast path against its
+fall-through, a Hypothesis differential against the naive ladder in
+``ed25519_oracle``, and the verification-key table cache.
 """
 
 import hashlib
@@ -310,6 +311,93 @@ class TestStrictness:
         assert not ed25519.verify(encoding, b"m", ed25519.sign(seed("k"), b"m"))
 
 
+    @pytest.mark.parametrize("y", [1, ed25519.P - 1])
+    def test_sign_bit_at_x_zero_rejected_as_r(self, y):
+        # Read leniently these are the identity and the order-2 point, for
+        # which s = h·a would satisfy the equation.
+        secret = seed("sign-bit-r")
+        a, _ = oracle.secret_expand(secret)
+        public = ed25519.publickey(secret)
+        encoding = scalar_bytes(y | 1 << 255)
+        h = oracle.hash_int(encoding + public + b"m") % oracle.L
+        assert not ed25519.verify(public, b"m", encoding + scalar_bytes(h * a % oracle.L))
+
+
+def torsioned_r_signature(secret, message, torsion):
+    """``(signature, R', s)`` with ``R' = [r]B + torsion`` and ``s = r + H(R'‖A‖M)·a``."""
+    a, prefix = oracle.secret_expand(secret)
+    public = oracle.compress(oracle.scalar_mult(a, oracle.BASE))
+    r = oracle.hash_int(prefix + message) % oracle.L
+    r_point = oracle.add(oracle.scalar_mult(r, oracle.BASE), torsion)
+    r_bytes = oracle.compress(r_point)
+    s = (r + oracle.hash_int(r_bytes + public + message) * a) % oracle.L
+    return r_bytes + scalar_bytes(s), r_point, s
+
+
+class TestFastPath:
+    """An honest ``R`` is compared compressed and never decompressed; anything
+    else falls through to the decompress-and-clear path.  One verdict."""
+
+    @pytest.fixture()
+    def decompressions(self, monkeypatch):
+        """Every encoding decompressed since the signer's key table was cached."""
+        seen = []
+        real = ed25519._point_decompress
+
+        def spy(data):
+            seen.append(bytes(data))
+            return real(data)
+
+        monkeypatch.setattr(ed25519, "_point_decompress", spy)
+        return seen
+
+    def _cached(self, label, decompressions, message=b"fast path"):
+        secret = seed(label)
+        public = ed25519.publickey(secret)
+        assert ed25519._key_table(public) is not None
+        decompressions.clear()
+        return secret, public, message, ed25519.sign(secret, message)
+
+    def test_honest_signature_never_decompresses_r(self, decompressions):
+        _, public, message, signature = self._cached("honest", decompressions)
+        assert ed25519.verify(public, message, signature)
+        assert decompressions == []
+
+    @pytest.mark.parametrize("bit", [0, 7, 255, 256, 300, 500])
+    def test_bit_flipped_signature_falls_through_and_is_rejected(self, decompressions, bit):
+        _, public, message, signature = self._cached("flipped", decompressions)
+        corrupted = flip_bit(signature, bit)
+        assert not ed25519.verify(public, message, corrupted)
+        assert decompressions == [corrupted[:32]]
+
+    def test_torsioned_r_is_accepted_by_the_fall_through(self, decompressions):
+        # The twin of the mixed-order key: R' = [r]B + T8 and s made over R''s
+        # bytes.  [s]B − [h]A = [r]B is not R', so the comparison misses and
+        # the fall-through decides: [8][r]B == [8]R'.  Cofactorless rejects.
+        secret, public, message, _ = self._cached("torsioned", decompressions)
+        signature, r_point, s = torsioned_r_signature(secret, message, ORDER_8_POINT)
+        a, _ = oracle.secret_expand(secret)
+        h = oracle.hash_int(signature[:32] + public + message) % oracle.L
+        cofactorless_right = oracle.add(r_point, oracle.scalar_mult(h * a, oracle.BASE))
+        assert not oracle.equal(oracle.scalar_mult(s, oracle.BASE), cofactorless_right)
+        assert ed25519.verify(public, message, signature)
+        assert oracle.verify(public, message, signature)
+        assert decompressions == [signature[:32]]
+        assert not ed25519.verify(public, message + b"!", signature)
+
+    @pytest.mark.parametrize("torsion", SMALL_ORDER_POINTS, ids=bytes.hex)
+    def test_small_order_r_forgery_rejected_on_either_branch(self, decompressions, torsion):
+        # s = h·a makes Q the identity.  For R = identity, R *is* compress(Q):
+        # the fast path takes it and its small-order check rejects.  The other
+        # seven miss the comparison and are rejected after decompression.
+        secret, public, message, _ = self._cached("torsion-r", decompressions)
+        a, _ = oracle.secret_expand(secret)
+        h = oracle.hash_int(torsion + public + message) % oracle.L
+        assert not ed25519.verify(public, message, torsion + scalar_bytes(h * a % oracle.L))
+        identity = SMALL_ORDER_POINTS[0]
+        assert decompressions == ([] if torsion == identity else [torsion])
+
+
 EDGE_SCALARS = [0, 1, 2, 8, ed25519.L - 1, ed25519.L, ed25519.L + 1, 2**255 - 1, 2**255, 2**256 - 1]
 scalars = st.one_of(st.sampled_from(EDGE_SCALARS), st.integers(0, 2**256 - 1))
 seeds = st.binary(min_size=32, max_size=32)
@@ -339,6 +427,26 @@ class TestAgainstTheLadderOracle:
             oracle.scalar_mult(h, oracle.negate(point)),
         )
         assert oracle.equal(comb, ladder)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.tuples(scalars, st.integers(5, 8)), min_size=1, max_size=3),
+        st.one_of(st.none(), scalars),
+        curve_points(),
+    )
+    def test_walk_equals_the_ladder_at_every_geometry(self, terms, base_scalar, point):
+        # One-, two- and three-term walks over tables of 5–8 teeth (spans 52,
+        # 43, 37, 32), with or without the 8-tooth base table: terms of
+        # different spans must line up at column 0.
+        tables = {teeth: ed25519._comb_table(point, teeth) for _, teeth in terms}
+        for teeth, table in tables.items():
+            assert len(table) == 2**teeth
+        walk = [(k, tables[teeth]) for k, teeth in terms]
+        ladder = oracle.scalar_mult(sum(k for k, _ in terms), point)
+        if base_scalar is not None:
+            walk.append((base_scalar, ed25519._BASE_TABLE))
+            ladder = oracle.add(ladder, oracle.scalar_mult(base_scalar, oracle.BASE))
+        assert oracle.equal(ed25519._comb_mult(*walk), ladder)
 
     @settings(max_examples=25, deadline=None)
     @given(curve_points())
@@ -374,6 +482,63 @@ class TestAgainstTheLadderOracle:
         assert verdict == (field == "none")
 
 
+SIGNERS = [seed(f"differential-{index}") for index in range(3)]
+
+
+@st.composite
+def signed_triples(draw):
+    """``(key, message, signature, verdict if known)``: honest, or with an
+    8-torsion shift of ``A`` or of ``R`` that the cofactor clears, or under
+    another signer's key; then possibly one flipped bit anywhere."""
+    secret = draw(st.sampled_from(SIGNERS))
+    message = draw(st.binary(max_size=48))
+    kind = draw(st.sampled_from(["honest", "torsion-a", "torsion-r", "swapped-key"]))
+    torsion = oracle.scalar_mult(draw(st.integers(1, 7)), ORDER_8_POINT)
+    a, prefix = oracle.secret_expand(secret)
+    key = oracle.publickey(secret)
+    signature = oracle.sign(secret, message)
+    if kind == "torsion-a":
+        key = oracle.compress(oracle.add(oracle.scalar_mult(a, oracle.BASE), torsion))
+        r = oracle.hash_int(prefix + message) % oracle.L
+        r_bytes = oracle.compress(oracle.scalar_mult(r, oracle.BASE))
+        h = oracle.hash_int(r_bytes + key + message) % oracle.L
+        signature = r_bytes + scalar_bytes((r + h * a) % oracle.L)
+    elif kind == "torsion-r":
+        signature, _, _ = torsioned_r_signature(secret, message, torsion)
+    elif kind == "swapped-key":
+        key = oracle.publickey(draw(st.sampled_from([s for s in SIGNERS if s != secret])))
+    fields = {"key": key, "message": message, "signature": signature}
+    expected = kind != "swapped-key"
+    flipped = draw(st.sampled_from(["none", "none", "key", "message", "signature"]))
+    if flipped != "none" and fields[flipped]:
+        bit = draw(st.integers(0, 8 * len(fields[flipped]) - 1))
+        fields[flipped] = flip_bit(fields[flipped], bit)
+        expected = None  # almost always a reject; the oracle says
+    return fields["key"], fields["message"], fields["signature"], expected
+
+
+def check_verdicts_against_the_oracle(examples):
+    """`verify` — cached key, then fresh key — against the cofactored ladder."""
+
+    @settings(max_examples=examples, deadline=None)
+    @given(signed_triples())
+    def run(case):
+        key, message, signature, expected = case
+        verdict = oracle.verify(key, message, signature)
+        assert expected in (None, verdict)
+        ed25519.verify(key, message, signature)  # the key's table is cached now
+        assert ed25519.verify(key, message, signature) == verdict
+        ed25519._key_table.cache_clear()
+        assert ed25519.verify(key, message, signature) == verdict
+
+    run()
+
+
+def test_verdicts_match_the_cofactored_oracle():
+    # The PR that introduced the fast path ran this at 2,000 examples.
+    check_verdicts_against_the_oracle(150)
+
+
 class TestKeyTableCache:
     """The per-key comb-table LRU is bounded, keyed by exact bytes, and
     invisible in verdicts."""
@@ -400,7 +565,11 @@ class TestKeyTableCache:
         assert ed25519._key_table.cache_info().misses == capacity + 2
         assert ed25519.verify(*triples[-1])
         assert ed25519._key_table.cache_info().misses == capacity + 2
-        assert all(len(ed25519._key_table(key)) <= 32 for key, _, _ in triples[-3:])
+        assert all(
+            len(ed25519._key_table(key)) == 2**ed25519.KEY_TEETH for key, _, _ in triples[-3:]
+        )
+        # A full cache stays near 4 MB of ints: three 32-byte ints an entry.
+        assert capacity * 2**ed25519.KEY_TEETH <= 16_384
 
     def test_rejected_keys_stay_rejected(self):
         _, message, signature = self._signed("victim")

@@ -5,6 +5,7 @@ import pytest
 from repro.crypto.signing import (
     PUBLIC_KEY_SIZE,
     SIGNATURE_SIZE,
+    CAKeyring,
     KeyPair,
     PrivateKey,
     PublicKey,
@@ -48,6 +49,15 @@ class TestPublicKey:
         keys.public.verify_or_raise(b"m", signature)
         with pytest.raises(SignatureError):
             keys.public.verify_or_raise(b"other", signature)
+
+    def test_wrong_length_signature_is_invalid_not_an_error(self):
+        keys = KeyPair.generate(b"k")
+        signature = keys.sign(b"m")
+        for malformed in (b"", signature[:-1], signature + b"\x00"):
+            assert not keys.public.verify(b"m", malformed)
+            assert not CAKeyring.single(keys.public).verify(b"m", malformed)
+            with pytest.raises(SignatureError):
+                keys.public.verify_or_raise(b"m", malformed)
 
     def test_fingerprint_is_short_hex(self):
         fingerprint = KeyPair.generate(b"k").public.fingerprint()

@@ -1,6 +1,6 @@
 """Tests for the verified-root cache: memoization that cannot go stale."""
 
-from repro.crypto.signing import KeyPair
+from repro.crypto.signing import CAKeyring, KeyPair
 from repro.dictionary.signed_root import SignedRoot
 from repro.errors import SignatureError
 from repro.perf import VerifiedRootCache
@@ -70,6 +70,21 @@ class TestVerifiedRootCache:
         assert not cache.verify(bad, keys.public)
         assert len(cache) == 0
         assert cache.stats.misses == 2
+
+    def test_wrong_length_signature_is_invalid_under_a_key_or_a_keyring(self, keys):
+        # Wire decoders admit any signature length.  Under a two-key keyring
+        # the overlap fallback re-verifies what the batch rejected; that path
+        # must say "invalid" too, not raise mid-rotation.
+        root = make_root(keys)
+        fields = {name: getattr(root, name) for name in root.__dataclass_fields__}
+        short = SignedRoot(**{**fields, "signature": root.signature[:-1]})
+        keyring = CAKeyring.single(KeyPair.generate(b"retired").public)
+        keyring.add_key(keys.public, activated_at=10, overlap_seconds=100)
+        assert len(keyring.acceptable_keys()) == 2
+        cache = VerifiedRootCache()
+        assert cache.verify_many([short], keys.public) == [False]
+        assert cache.verify_many([short, root], keyring) == [False, True]
+        assert len(cache) == 1
 
     def test_different_key_is_a_different_entry(self, keys):
         other = KeyPair.generate(b"other")

@@ -110,9 +110,12 @@ def test_evidence_validity_is_bound_to_the_ca_key(size):
     # ...nor pass off two agreeing roots as a conflict.
     agreeing = replace(report, second=report.first)
     assert not agreeing.is_valid_evidence(CA_KEYS.public)
-    # Stripping or replaying the reporter countersignature is detectable.
+    # Stripping, truncating or replaying the reporter countersignature is
+    # detectable (a truncated one is invalid, not an exception).
     unsigned = replace(report, reporter_signature=b"")
     assert not unsigned.verify_reporter()
+    truncated = replace(report, reporter_signature=report.reporter_signature[:-1])
+    assert not truncated.verify_reporter()
     misattributed = replace(report, reporter_key_bytes=ATTACKER.public.key_bytes)
     assert not misattributed.verify_reporter()
 

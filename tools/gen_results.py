@@ -135,7 +135,8 @@ ARTIFACTS: List[Artifact] = [
         "benchmarks/test_handshake_hotpath.py",
         "§VII-D / Table 3",
         "Machine-readable hot-path baseline: cold/warm latency, cache hit "
-        "rates, Ed25519 sign / verify-hit / verify-miss (docs/PERFORMANCE.md).",
+        "rates, Ed25519 sign / verify-hit / verify-miss / reject and the hit in "
+        "field multiplications (docs/PERFORMANCE.md).",
     ),
     Artifact(
         "status_size.txt",
