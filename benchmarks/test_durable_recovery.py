@@ -83,6 +83,7 @@ def _engine_sweep(tmp_root) -> list:
         wal_bytes = durable.wal_size_bytes()
         durable.snapshot()
         snapshot_bytes = durable.snapshot_size_bytes()
+        assert snapshot_bytes > 0
         durable.close()
 
         started = time.perf_counter()

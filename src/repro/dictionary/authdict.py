@@ -21,11 +21,11 @@ the append-only, totally-ordered history that makes equivocation detectable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashchain import HashChain
 from repro.crypto.hashing import DEFAULT_DIGEST_SIZE
-from repro.crypto.signing import KeyPair, PublicKey, acceptable_verifiers, verify_batch
+from repro.crypto.signing import KeyPair, PublicKey
 from repro.store import create_store
 from repro.dictionary.freshness import FreshnessStatement, periods_elapsed
 from repro.dictionary.proofs import RevocationStatus
@@ -33,9 +33,11 @@ from repro.dictionary.signed_root import SignedRoot
 from repro.errors import (
     DesynchronizedError,
     DictionaryError,
+    ProofError,
     ReplayError,
     SignatureError,
 )
+from repro.perf.root_cache import VerifiedRootCache
 from repro.pki.serial import SerialNumber
 
 #: Default hash-chain length: enough freshness statements for one day of
@@ -91,8 +93,9 @@ class _DictionaryCore:
     ) -> None:
         self.ca_name = ca_name
         self._digest_size = digest_size
+        #: The store is the only per-entry structure a dictionary owns: the
+        #: leaf value *is* the revocation number.
         self._tree = create_store(engine, digest_size=digest_size)
-        self._numbers: Dict[int, int] = {}  # serial value -> revocation number
 
     @property
     def store_engine(self) -> str:
@@ -127,7 +130,8 @@ class _DictionaryCore:
         return serial.to_bytes() in self._tree
 
     def revocation_number(self, serial: SerialNumber) -> Optional[int]:
-        return self._numbers.get(serial.value)
+        value = self._tree.get(serial.to_bytes())
+        return None if value is None else _value_to_number(value)
 
     def _append(self, serials: Sequence[SerialNumber], first_number: int) -> None:
         """Append serials with consecutive numbers in one store transaction."""
@@ -136,20 +140,17 @@ class _DictionaryCore:
                 f"dictionary for {self.ca_name!r} has {self.size} revocations but the "
                 f"message numbers its first serial {first_number}"
             )
-        numbered: List[Tuple[int, SerialNumber]] = []
-        seen = set()
-        for offset, serial in enumerate(serials):
-            if serial.value in self._numbers or serial.value in seen:
-                raise DictionaryError(
-                    f"serial {serial} is already revoked in {self.ca_name!r}'s dictionary"
-                )
-            seen.add(serial.value)
-            numbered.append((first_number + offset, serial))
-        self._tree.insert_batch(
-            (serial.to_bytes(), _number_to_value(number)) for number, serial in numbered
-        )
-        for number, serial in numbered:
-            self._numbers[serial.value] = number
+        try:
+            # The store rejects a repeat (within the batch or against itself)
+            # before it mutates or logs anything.
+            self._tree.insert_batch(
+                (serial.to_bytes(), _number_to_value(number))
+                for number, serial in enumerate(serials, first_number)
+            )
+        except ProofError as exc:
+            raise DictionaryError(
+                f"a serial is already revoked in {self.ca_name!r}'s dictionary: {exc}"
+            ) from None
 
     def prove_membership(self, serial: SerialNumber):
         return self._tree.prove(serial.to_bytes())
@@ -331,12 +332,12 @@ class ReplicaDictionary(_DictionaryCore):
         #: Hash-chain period of the current freshness statement under the
         #: current root; freshness never moves backwards (replay defense).
         self._freshness_age = 0
-        #: Optional :class:`~repro.perf.root_cache.VerifiedRootCache` (duck
-        #: typed: anything with ``verify_many``).  Wired by the owning
-        #: :class:`~repro.ritm.agent.RevocationAgent` so every replica of
-        #: one RA shares a single memo of verified roots; ``None`` keeps the
-        #: replica self-contained and verification un-memoized.
-        self.root_cache = None
+        #: Every root signature is checked through this
+        #: :class:`~repro.perf.root_cache.VerifiedRootCache`.  The owning
+        #: :class:`~repro.ritm.agent.RevocationAgent` replaces it so every
+        #: replica of one RA shares a single memo of verified roots; a
+        #: standalone replica's own has capacity 0, i.e. memoizes nothing.
+        self.root_cache = VerifiedRootCache(maxsize=0)
 
     @property
     def ca_public_key(self) -> PublicKey:
@@ -381,10 +382,12 @@ class ReplicaDictionary(_DictionaryCore):
                     f"first number {expected_first}, got {issuance.first_number}"
                 )
             expected_first += len(issuance.serials)
-        # Every queued batch's root signature is checked in one batched
-        # verification (amortized doubling chain; memoized when the owning
-        # agent wired a shared root cache) before anything is staged.
-        self._verify_root_signatures([issuance.signed_root for issuance in issuances])
+        # Every queued batch's root signature is checked (memoized when the
+        # owning agent wired its shared root cache) before anything is staged.
+        if not self._roots_verify([issuance.signed_root for issuance in issuances]):
+            raise SignatureError(
+                f"revocation issuance for {self.ca_name!r} carries an invalid root signature"
+            )
         signed_root = issuances[-1].signed_root
         if self._signed_root is not None and signed_root.timestamp < self._signed_root.timestamp:
             raise DictionaryError("revocation issuance is older than the current signed root")
@@ -398,8 +401,6 @@ class ReplicaDictionary(_DictionaryCore):
             # verified state; the dissemination layer falls back to the sync
             # protocol to recover the honest suffix.
             self._tree.remove_batch(serial.to_bytes() for serial in serials)
-            for serial in serials:
-                del self._numbers[serial.value]
             raise DesynchronizedError(
                 f"replica of {self.ca_name!r} rejected an issuance: locally recomputed "
                 f"root does not match the CA-signed root (batch rolled back; resync "
@@ -412,36 +413,9 @@ class ReplicaDictionary(_DictionaryCore):
         self._freshness_age = 0
         return len(serials)
 
-    def _verify_root_signatures(self, signed_roots: Sequence[SignedRoot]) -> None:
-        """Verify root signatures, memoized through :attr:`root_cache`."""
-        if self.root_cache is not None:
-            verdicts = self.root_cache.verify_many(signed_roots, self._ca_public_key)
-        else:
-            keys = acceptable_verifiers(self._ca_public_key)
-            verdicts = verify_batch(
-                [
-                    (keys[0], signed_root.payload(), signed_root.signature)
-                    for signed_root in signed_roots
-                ]
-            ) if keys else [False] * len(signed_roots)
-            # Overlap fallback for keyrings: retry failures under the older
-            # still-acceptable keys (mid-rotation issuance batches).
-            for index, valid in enumerate(verdicts):
-                if not valid:
-                    verdicts[index] = any(
-                        key.verify(
-                            signed_roots[index].payload(), signed_roots[index].signature
-                        )
-                        for key in keys[1:]
-                    )
-        if not all(verdicts):
-            raise SignatureError(
-                f"revocation issuance for {self.ca_name!r} carries an invalid root signature"
-            )
-
     def install_root(self, signed_root: SignedRoot) -> None:
         """Accept a re-signed root over unchanged content (chain exhaustion)."""
-        if not self._root_signature_valid(signed_root):
+        if not self._roots_verify([signed_root]):
             raise SignatureError("re-signed root failed verification")
         if signed_root.size != self.size or signed_root.root != self.root():
             raise DesynchronizedError(
@@ -482,7 +456,7 @@ class ReplicaDictionary(_DictionaryCore):
                 f"replica of {self.ca_name!r} is not empty; restore_snapshot "
                 f"requires a fresh replica"
             )
-        if not self._root_signature_valid(signed_root):
+        if not self._roots_verify([signed_root]):
             raise SignatureError(
                 f"checkpointed root for {self.ca_name!r} failed verification"
             )
@@ -493,9 +467,6 @@ class ReplicaDictionary(_DictionaryCore):
                 f"checkpointed leaves for {self.ca_name!r} do not reproduce "
                 f"the signed root; checkpoint rejected"
             )
-        for key, value in items:
-            serial = SerialNumber.from_bytes(key)
-            self._numbers[serial.value] = _value_to_number(value)
         self._signed_root = signed_root
         self._freshness_age = 0
         try:
@@ -511,11 +482,9 @@ class ReplicaDictionary(_DictionaryCore):
             )
             self._freshness_age = 0
 
-    def _root_signature_valid(self, signed_root: SignedRoot) -> bool:
-        """One root's signature check, memoized through :attr:`root_cache`."""
-        if self.root_cache is not None:
-            return self.root_cache.verify(signed_root, self._ca_public_key)
-        return signed_root.verify(self._ca_public_key)
+    def _roots_verify(self, signed_roots: Sequence[SignedRoot]) -> bool:
+        """Whether every root's signature verifies under the CA verifier."""
+        return all(self.root_cache.verify_many(signed_roots, self._ca_public_key))
 
     def apply_freshness(self, statement: FreshnessStatement) -> None:
         """Replace the stored freshness statement after linking it to the anchor.

@@ -84,9 +84,10 @@ class SyncServer:
             raise DesynchronizedError(
                 f"sync request for {request.ca_name!r} served by {self._dictionary.ca_name!r}"
             )
-        if request.have_count > len(self._history):
+        if not 0 <= request.have_count <= len(self._history):
             raise DesynchronizedError(
-                "requester claims more revocations than the CA has issued"
+                f"requester claims {request.have_count} revocations; the CA has "
+                f"issued {len(self._history)}"
             )
         signed_root = self._dictionary.signed_root
         if signed_root is None:

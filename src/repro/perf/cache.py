@@ -3,7 +3,9 @@
 Every cache in the hot-path engine (verified roots, Merkle proofs, chain
 validations, CDN edge objects) reports the same :class:`CacheStats` shape,
 so benchmarks, ``PullResult`` metrics, and :class:`ScenarioReport` sections
-can aggregate them uniformly.
+can aggregate them uniformly.  :class:`LRUCache` is the one bounded map:
+the proof, chain-validation and edge-object caches are built on it, and
+none of them keeps an index beside it.
 """
 
 from __future__ import annotations

@@ -13,74 +13,44 @@ and a cached proof is byte-identical to a freshly built one for as long as
 the dictionary still serves that root.  A root change (revocation batch,
 resync) changes the key, so stale entries are unreachable by construction;
 explicit invalidation (:meth:`ProofCache.invalidate_dictionary`) reclaims
-their space on refresh, resync, and shard retirement.  A re-signed root over
+their space on refresh, resync, and shard retirement by one scan of the live
+keys — the dictionary name is already in the key, so the cache keeps no
+second index to maintain on every ``put``.  A re-signed root over
 *unchanged* content (hash-chain exhaustion) keeps the same root hash, so the
 cache deliberately stays warm across that rotation.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional, Set, Tuple
+from typing import Any, Optional
 
-from repro.perf.cache import CacheStats
+from repro.perf.cache import LRUCache
 
 #: Default capacity: roughly one flash crowd's worth of distinct serials.
 DEFAULT_PROOF_CACHE_SIZE = 4096
-
-_Key = Tuple[str, str, bytes, int]
 
 
 class ProofCache:
     """LRU of membership proofs keyed by ``(ca, shard, root hash, serial)``."""
 
     def __init__(self, maxsize: int = DEFAULT_PROOF_CACHE_SIZE) -> None:
-        if maxsize < 0:
-            raise ValueError("maxsize must be >= 0 (0 disables the cache)")
-        self.maxsize = maxsize
-        self.stats = CacheStats()
-        self._entries: "OrderedDict[_Key, Any]" = OrderedDict()
-        #: dictionary name (shard name, or CA name when unsharded) → keys,
-        #: so refresh/resync/retirement can evict exactly one dictionary.
-        self._by_dictionary: Dict[str, Set[_Key]] = {}
+        self._entries = LRUCache(maxsize)
+        self.stats = self._entries.stats
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @staticmethod
-    def _dictionary_name(ca: str, shard: str) -> str:
-        """The replica the entry came from: the shard name, or the CA's."""
-        return shard or ca
 
     def get(
         self, ca: str, shard: str, root: bytes, serial_value: int
     ) -> Optional[Any]:
         """The cached proof for this exact dictionary version, or ``None``."""
-        key: _Key = (ca, shard, root, serial_value)
-        try:
-            proof = self._entries[key]
-        except KeyError:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return proof
+        return self._entries.get((ca, shard, root, serial_value))
 
     def put(
         self, ca: str, shard: str, root: bytes, serial_value: int, proof: Any
     ) -> None:
         """Cache one freshly built proof, evicting the LRU entry when full."""
-        if self.maxsize == 0:
-            return
-        key: _Key = (ca, shard, root, serial_value)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = proof
-        self._by_dictionary.setdefault(self._dictionary_name(ca, shard), set()).add(key)
-        if len(self._entries) > self.maxsize:
-            evicted_key, _ = self._entries.popitem(last=False)
-            self._unindex(evicted_key)
-            self.stats.evictions += 1
+        self._entries.put((ca, shard, root, serial_value), proof)
 
     def invalidate_dictionary(self, name: str) -> int:
         """Drop every proof built from one dictionary (CA or shard name).
@@ -89,27 +59,12 @@ class ProofCache:
         longer matches), so this is purely about keeping the bounded cache
         full of *reachable* proofs after a refresh, resync, or retirement.
         """
-        keys = self._by_dictionary.pop(name, None)
-        if not keys:
-            return 0
-        for key in keys:
-            self._entries.pop(key, None)
-        self.stats.invalidations += len(keys)
-        return len(keys)
+        # An entry came from the shard replica when it names one, else the CA's.
+        dropped = [key for key in self._entries.keys() if (key[1] or key[0]) == name]
+        for key in dropped:
+            self._entries.discard(key)
+        return len(dropped)
 
     def clear(self) -> int:
         """Drop every proof; returns how many entries were invalidated."""
-        dropped = len(self._entries)
-        self._entries.clear()
-        self._by_dictionary.clear()
-        self.stats.invalidations += dropped
-        return dropped
-
-    def _unindex(self, key: _Key) -> None:
-        """Remove one evicted key from the per-dictionary index."""
-        name = self._dictionary_name(key[0], key[1])
-        members = self._by_dictionary.get(name)
-        if members is not None:
-            members.discard(key)
-            if not members:
-                del self._by_dictionary[name]
+        return self._entries.clear()

@@ -13,14 +13,15 @@ takes the full verification path.  Failed verifications are never cached —
 forged roots cannot displace useful entries, and a repeat forgery costs the
 attacker a full verification each time, not the verifier.  Explicit
 invalidation (:meth:`invalidate_ca`) exists purely to keep the bounded cache
-from carrying dead epochs after a refresh, resync, or shard retirement.
+from carrying dead epochs after a refresh, resync, or shard retirement; it is
+one scan of the live entries, each of which records the CA it belongs to.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, List, Sequence, Set
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.crypto.signing import PublicKey, acceptable_verifiers, verify_batch
 from repro.errors import SignatureError
@@ -41,10 +42,8 @@ class VerifiedRootCache:
             raise ValueError("maxsize must be >= 0 (0 disables the cache)")
         self.maxsize = maxsize
         self.stats = CacheStats()
-        #: cache key → CA name (the value only serves index cleanup).
+        #: cache key → CA name (the value only serves per-CA invalidation).
         self._entries: "OrderedDict[bytes, str]" = OrderedDict()
-        #: CA name → cache keys, for explicit per-CA invalidation.
-        self._by_ca: Dict[str, Set[bytes]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -139,11 +138,9 @@ class VerifiedRootCache:
         Called on epoch refresh, resync, and shard retirement so the bounded
         cache does not carry dead epochs; never required for correctness.
         """
-        keys = self._by_ca.pop(ca_name, None)
-        if not keys:
-            return 0
+        keys = [key for key, owner in self._entries.items() if owner == ca_name]
         for key in keys:
-            self._entries.pop(key, None)
+            del self._entries[key]
         self.stats.invalidations += len(keys)
         return len(keys)
 
@@ -151,7 +148,6 @@ class VerifiedRootCache:
         """Drop every cached verdict; returns how many were invalidated."""
         dropped = len(self._entries)
         self._entries.clear()
-        self._by_ca.clear()
         self.stats.invalidations += dropped
         return dropped
 
@@ -159,14 +155,7 @@ class VerifiedRootCache:
         """Memoize one verified root, evicting the LRU entry when full."""
         if self.maxsize == 0:
             return
-        key = self._key(signed_root, public_key)
-        self._entries[key] = signed_root.ca_name
-        self._by_ca.setdefault(signed_root.ca_name, set()).add(key)
+        self._entries[self._key(signed_root, public_key)] = signed_root.ca_name
         if len(self._entries) > self.maxsize:
-            evicted_key, evicted_ca = self._entries.popitem(last=False)
-            members = self._by_ca.get(evicted_ca)
-            if members is not None:
-                members.discard(evicted_key)
-                if not members:
-                    del self._by_ca[evicted_ca]
+            self._entries.popitem(last=False)
             self.stats.evictions += 1

@@ -625,8 +625,6 @@ class RevocationAgent(Middlebox):
             leaf.serial,
             leaf.not_after,
         )
-        if state.session_id:
-            self.connections.remember_session(state.session_id, leaf.issuer, leaf.serial)
         state.chain = chain  # kept for full-chain proving (§VIII)
 
     # -- status attachment -------------------------------------------------------------

@@ -56,7 +56,7 @@ from repro.ritm.messages import (
     encode_key_announcements,
     encode_shard_index,
 )
-from repro.ritm.replication import ReplicationLog, segment_path
+from repro.ritm.replication import build_segment, encode_segment, segment_path
 
 
 def head_path(ca_name: str) -> str:
@@ -100,8 +100,6 @@ class DictionaryStream:
     dictionary: CADictionary
     #: Desync-recovery endpoint serving this dictionary's full history.
     sync_server: SyncServer
-    #: The signed WAL segment archive, one segment per issuance batch.
-    replication: ReplicationLog
     #: Issuance batches (and segments) published so far.
     batches: int = 0
     #: Head publications so far, stamped into each head so a replayed copy
@@ -177,7 +175,6 @@ class RITMCertificationAuthority:
         own = self.streams.get(self.name)
         self.dictionary = own.dictionary if own else None
         self.sync_server = own.sync_server if own else None
-        self.replication = own.replication if own else None
 
     @staticmethod
     def _keys_of(authority: CertificationAuthority):
@@ -296,19 +293,9 @@ class RITMCertificationAuthority:
     ) -> List[Tuple[Optional[ShardKey], RevocationIssuance]]:
         """Record a batch at the issuance CA and insert it where it routes."""
         serials = [serial for serial, _ in pairs]
-        if not self.sharded:
-            self.authority.revoke_many(serials, now=now, reason=reason)
-            return [(None, self.dictionary.insert(serials, now))]
-        # Validate the whole batch — expiries and duplicate serials — before
-        # the issuance CA records anything, so a rejected batch leaves both
-        # halves untouched and retryable.
-        for serial, expiry in pairs:
-            if expiry is None:
-                raise DictionaryError(
-                    f"sharded CA {self.name!r} cannot derive an expiry for "
-                    f"serial {serial} (not issued here); use revoke_with_expiry"
-                )
-        routed = self.shards.validate_expiries(pairs, now)
+        # Validate the whole batch — duplicate serials, then (sharded)
+        # expiries — before the issuance CA records anything, so a rejected
+        # batch leaves both halves untouched and retryable.
         seen = set()
         for serial in serials:
             if serial.value in seen or self.authority.is_revoked(serial):
@@ -316,6 +303,16 @@ class RITMCertificationAuthority:
                     f"serial {serial} is already revoked by {self.name!r}"
                 )
             seen.add(serial.value)
+        if not self.sharded:
+            self.authority.revoke_many(serials, now=now, reason=reason)
+            return [(None, self.dictionary.insert(serials, now))]
+        for serial, expiry in pairs:
+            if expiry is None:
+                raise DictionaryError(
+                    f"sharded CA {self.name!r} cannot derive an expiry for "
+                    f"serial {serial} (not issued here); use revoke_with_expiry"
+                )
+        routed = self.shards.validate_expiries(pairs, now)
         self.authority.revoke_many(serials, now=now, reason=reason)
         return self.shards.revoke(pairs, now, routed=routed)
 
@@ -518,7 +515,6 @@ class RITMCertificationAuthority:
         stream = DictionaryStream(
             dictionary=dictionary,
             sync_server=SyncServer(dictionary),
-            replication=ReplicationLog(dictionary.ca_name),
             window=window,
         )
         self.streams[stream.name] = stream
@@ -546,8 +542,13 @@ class RITMCertificationAuthority:
             self._publish(issuance_path(stream.name, stream.batches), content, now)
             stats.issuances_published += 1
             stats.bytes_uploaded += len(content)
-        segment = stream.replication.append(
-            issuance, stream.dictionary.latest_freshness, self._signing_keys
+        segment = encode_segment(
+            build_segment(
+                issuance,
+                stream.dictionary.latest_freshness,
+                stream.batches,
+                self._signing_keys,
+            )
         )
         stats.segments_published += 1
         stats.segment_bytes_published += len(segment)

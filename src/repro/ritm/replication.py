@@ -7,7 +7,7 @@ region-wide RA outage ends in N simultaneous cold syncs against one origin.
 This module turns PR 5's durable WAL into the fleet-wide dissemination
 transport instead:
 
-* the CA appends every revocation batch to its stream's :class:`ReplicationLog` as a
+* the CA publishes every revocation batch of a stream as a
   sequence-numbered **WAL segment** — the durable engine's CRC'd record
   frames wrapped in a CA-signed header carrying ``(ca, shard,
   segment_number, first_seq, last_seq, root_after, freshness_after)``;
@@ -32,7 +32,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.cdn.geography import GeoLocation, region_distance
 from repro.crypto.signing import KeyPair
@@ -302,46 +302,6 @@ def build_segment(
         signature=b"",
     )
     return replace(segment, signature=signer.sign(segment_header_payload(segment)))
-
-
-class ReplicationLog:
-    """One dictionary stream's append-only archive of published WAL segments.
-
-    One segment is appended per revocation batch, numbered to match the
-    stream's issuance batch counter, so an RA tracks one position per
-    stream whichever of the two objects it fetches.
-    """
-
-    def __init__(self, ca_name: str) -> None:
-        self.ca_name = ca_name
-        self._segments: Dict[int, bytes] = {}
-        #: Total segments appended since the log was created.
-        self.segments_published = 0
-        #: Total encoded segment bytes appended.
-        self.bytes_published = 0
-
-    def append(
-        self,
-        issuance: RevocationIssuance,
-        freshness: FreshnessStatement,
-        signer: KeyPair,
-    ) -> bytes:
-        """Build, sign, and archive the next segment; returns its raw bytes."""
-        number = self.segments_published + 1
-        segment = build_segment(issuance, freshness, number, signer)
-        raw = encode_segment(segment)
-        self._segments[number] = raw
-        self.segments_published = number
-        self.bytes_published += len(raw)
-        return raw
-
-    def segment(self, number: int) -> Optional[bytes]:
-        """The raw bytes of segment ``number`` (``None`` when unknown)."""
-        return self._segments.get(number)
-
-    def latest(self) -> int:
-        """The newest segment number (0 when nothing was appended yet)."""
-        return self.segments_published
 
 
 def rank_peers(

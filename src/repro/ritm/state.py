@@ -57,8 +57,6 @@ class ConnectionTable:
     def __init__(self, idle_timeout_seconds: float = 3600.0) -> None:
         self._connections: Dict[FiveTuple, ConnectionState] = {}
         self.idle_timeout_seconds = idle_timeout_seconds
-        #: Session-ID → (ca_name, serial) memory for abbreviated handshakes.
-        self._session_memory: Dict[bytes, tuple] = {}
 
     def __len__(self) -> int:
         return len(self._connections)
@@ -97,12 +95,3 @@ class ConnectionTable:
 
     def states(self):
         return list(self._connections.values())
-
-    # -- session resumption memory -------------------------------------------
-
-    def remember_session(self, session_id: bytes, ca_name: str, serial: SerialNumber) -> None:
-        if session_id:
-            self._session_memory[session_id] = (ca_name, serial)
-
-    def recall_session(self, session_id: bytes) -> Optional[tuple]:
-        return self._session_memory.get(session_id)

@@ -33,9 +33,8 @@ Five engines ship today (see ``docs/STORAGE.md`` for the full guide):
 
 Engines with real I/O participate in an explicit lifecycle: call
 :meth:`AuthenticatedStore.close` (or use the store as a context manager)
-when done; in-memory engines treat it as a no-op.  Future engines
-(mmap-backed, multi-process sharded, C-accelerated) plug in by subclassing
-:class:`AuthenticatedStore` and registering in :data:`ENGINES`.
+when done; in-memory engines treat it as a no-op.  An engine plugs in by
+subclassing :class:`AuthenticatedStore` and registering in :data:`ENGINES`.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sized
+
 import pytest
 
 from repro.crypto.signing import KeyPair
@@ -50,3 +52,11 @@ def trust_store(root_ca) -> TrustStore:
 def make_serials(count: int, start: int = 1) -> list[SerialNumber]:
     """Consecutive serial numbers, convenient for dictionary tests."""
     return [SerialNumber(value) for value in range(start, start + count)]
+
+
+def sized_attributes(obj) -> dict[str, int]:
+    """``len`` of every sized attribute of ``obj``, by attribute name — what
+    the no-shadow-state tests count to show an object owns one container."""
+    return {
+        name: len(value) for name, value in vars(obj).items() if isinstance(value, Sized)
+    }

@@ -1,15 +1,21 @@
 """Tests for the CA master dictionary and RA replicas (Fig. 2 interface)."""
 
+import gc
+import random
+import tracemalloc
+from dataclasses import replace
+
 import pytest
 
-from repro.crypto.signing import KeyPair
-from repro.dictionary.authdict import CADictionary, ReplicaDictionary
+from repro.crypto.signing import CAKeyring, KeyPair
+from repro.dictionary.authdict import CADictionary, ReplicaDictionary, RevocationIssuance
 from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.signed_root import SignedRoot
 from repro.errors import DesynchronizedError, DictionaryError, SignatureError
 from repro.pki.serial import SerialNumber
+from repro.store import ENGINES, create_store
 
-from tests.conftest import make_serials
+from tests.conftest import make_serials, sized_attributes
 
 
 @pytest.fixture()
@@ -225,8 +231,6 @@ class TestUpdateRollbackAndBatches:
     """The store-transaction semantics added with the repro.store seam."""
 
     def test_tampered_update_rolls_back_replica_state(self, master, replica):
-        from dataclasses import replace
-
         good = master.insert(make_serials(3), now=100)
         replica.update(good)
         root_before, size_before = replica.root(), replica.size
@@ -274,4 +278,153 @@ class TestUpdateRollbackAndBatches:
         assert master.store_engine == replica.store_engine == engine
         issuance = master.insert(make_serials(7), now=100)
         replica.update(issuance)
+        assert replica.root() == master.root()
+
+
+def retained_bytes(build):
+    """Traced bytes still allocated after ``build()`` (its result is dropped)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+class TestStoreIsTheOnlyIndex:
+    """The store is the only per-entry structure a dictionary owns: the
+    revocation number is the leaf value, and duplicates are the store's to
+    reject — on every engine."""
+
+    ENTRIES = 20_000
+
+    @pytest.fixture()
+    def pair(self, keys, engine):
+        # A short chain keeps the hash chain out of the memory comparison.
+        master = CADictionary("CA-X", keys, delta=10, chain_length=4, engine=engine)
+        replica = ReplicaDictionary("CA-X", keys.public, engine=engine)
+        yield master, replica
+        master.close()
+        replica.close()
+
+    @pytest.fixture()
+    def serials(self):
+        shuffled = make_serials(self.ENTRIES)
+        random.Random(18).shuffle(shuffled)
+        return shuffled
+
+    def test_no_container_shadows_the_store(self, pair, serials):
+        master, replica = pair
+        replica.update(master.insert(serials, now=100))
+        for dictionary in pair:
+            sizes = sized_attributes(dictionary)
+            assert sizes.pop("_tree") == self.ENTRIES
+            assert all(size < self.ENTRIES for size in sizes.values()), sizes
+        assert replica.revocation_number(serials[0]) == 1
+        assert replica.revocation_number(serials[-1]) == self.ENTRIES
+
+    def test_a_dictionary_costs_what_its_store_costs(self, pair, serials, engine):
+        master, replica = pair
+        store = create_store(engine)
+
+        def fill_bare_store():
+            store.insert_batch(
+                (serial.to_bytes(), number.to_bytes(4, "big"))
+                for number, serial in enumerate(serials, 1)
+            )
+            store.root()  # settle the hash levels, as signing a root does
+
+        store_bytes = retained_bytes(fill_bare_store)
+        store.close()
+        master_bytes = retained_bytes(lambda: master.insert(serials, now=100))
+        issuance = RevocationIssuance("CA-X", tuple(serials), 1, master.signed_root)
+        replica_bytes = retained_bytes(lambda: replica.update(issuance))
+        assert master_bytes <= 1.05 * store_bytes
+        assert replica_bytes <= 1.05 * store_bytes
+
+    def test_duplicate_within_a_batch_changes_nothing(self, pair):
+        master, _ = pair
+        master.insert(make_serials(3), now=100)
+        root = master.root()
+        with pytest.raises(DictionaryError, match="already revoked"):
+            master.insert([SerialNumber(8), SerialNumber(9), SerialNumber(8)], now=110)
+        assert (master.size, master.root()) == (3, root)
+        assert master.revocation_number(SerialNumber(8)) is None
+        assert master.insert([SerialNumber(8), SerialNumber(9)], now=110).first_number == 4
+
+    def test_duplicate_against_the_store_changes_nothing(self, pair):
+        master, _ = pair
+        master.insert(make_serials(3), now=100)
+        root = master.root()
+        with pytest.raises(DictionaryError, match="already revoked"):
+            master.insert([SerialNumber(9), SerialNumber(2)], now=110)
+        assert (master.size, master.root()) == (3, root)
+        assert master.revocation_number(SerialNumber(2)) == 2
+        assert master.revocation_number(SerialNumber(9)) is None
+
+    def test_rolled_back_batch_leaves_no_numbers_behind(self, pair):
+        master, replica = pair
+        replica.update(master.insert(make_serials(3), now=100))
+        honest = master.insert(make_serials(3, start=10), now=110)
+        forged = make_serials(3, start=900)
+        with pytest.raises(DesynchronizedError):
+            replica.update(replace(honest, serials=tuple(forged)))
+        assert [replica.revocation_number(serial) for serial in forged] == [None] * 3
+        assert replica.revocation_number(SerialNumber(3)) == 3
+        replica.update(honest)
+        assert replica.revocation_number(SerialNumber(10)) == 4
+        assert replica.root() == master.root()
+
+    def test_restore_snapshot_numbers_come_from_the_leaves(self, pair, keys, engine):
+        master, replica = pair
+        serials = [SerialNumber(value) for value in (40, 7, 23)]
+        replica.update(master.insert(serials, now=100))
+        items = replica.leaf_items()
+        restored = ReplicaDictionary("CA-X", keys.public, engine=engine)
+        try:
+            tampered = [(items[0][0], b"\x00\x00\x00\x09")] + items[1:]
+            with pytest.raises(DesynchronizedError):
+                restored.restore_snapshot(
+                    tampered, replica.signed_root, replica.latest_freshness
+                )
+            assert restored.size == 0
+            assert restored.revocation_number(SerialNumber(7)) is None
+            restored.restore_snapshot(items, replica.signed_root, replica.latest_freshness)
+            assert restored.root() == master.root()
+            assert [restored.revocation_number(serial) for serial in serials] == [1, 2, 3]
+        finally:
+            restored.close()
+
+
+class TestStandaloneReplicaKeyRotation:
+    """A replica no agent owns verifies roots through its own (capacity-0)
+    root cache: the one path, keyring overlap included."""
+
+    def test_retired_key_is_accepted_only_inside_its_overlap(self, keys):
+        incoming = KeyPair.generate(b"authdict-tests-rotated")
+        keyring = CAKeyring.single(keys.public)
+        keyring.add_key(incoming.public, activated_at=200, overlap_seconds=50)
+        master = CADictionary("CA-X", keys, delta=10, chain_length=16)
+        replica = ReplicaDictionary("CA-X", keyring)
+
+        # Signed by the retired key at 210: still inside its overlap.
+        replica.update(master.insert(make_serials(2), now=210))
+        assert replica.size == 2
+        assert replica.root_cache.stats.lookups == 1
+
+        keyring.advance(251)  # overlap closed at 250
+        late = master.insert(make_serials(2, start=10), now=251)
+        with pytest.raises(SignatureError):
+            replica.update(late)
+        with pytest.raises(SignatureError):
+            replica.install_root(late.signed_root)
+        assert replica.size == 2
+        assert replica.root_cache.stats.lookups == 3
+
+        # The same batch re-signed under the incoming key goes through.
+        replica.update(replace(late, signed_root=master.rotate_keys(incoming, now=252)))
         assert replica.root() == master.root()

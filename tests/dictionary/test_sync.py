@@ -52,11 +52,12 @@ class TestSyncServer:
         with pytest.raises(DesynchronizedError):
             server.serve(SyncRequest(ca_name="CA-T", have_count=0))
 
-    def test_serve_rejects_impossible_have_count(self, world):
+    @pytest.mark.parametrize("have_count", [5, -2])
+    def test_serve_rejects_impossible_have_count(self, world, have_count):
         master, server, _ = world
-        server.record_issuance(master.insert(make_serials(1), now=100))
+        server.record_issuance(master.insert(make_serials(4), now=100))
         with pytest.raises(DesynchronizedError):
-            server.serve(SyncRequest(ca_name="CA-S", have_count=5))
+            server.serve(SyncRequest(ca_name="CA-S", have_count=have_count))
 
     def test_serve_before_any_root(self, world):
         _, server, _ = world

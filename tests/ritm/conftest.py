@@ -9,7 +9,7 @@ import pytest
 
 from repro.cdn.geography import GeoLocation, Region
 from repro.cdn.network import CDNNetwork
-from repro.pki.ca import TrustStore
+from repro.pki.ca import CertificationAuthority, TrustStore
 from repro.ritm.agent import RevocationAgent
 from repro.ritm.ca_service import RITMCertificationAuthority
 from repro.ritm.config import RITMConfig
@@ -25,6 +25,23 @@ def flip_bit(data: bytes, bit: int) -> bytes:
     flipped = bytearray(data)
     flipped[bit // 8] ^= 1 << (bit % 8)
     return bytes(flipped)
+
+
+def build_stack(engine="incremental", ca_name="Stack CA"):
+    """A bootstrapped CA + CDN plus a factory for attached agents."""
+    config = RITMConfig(delta_seconds=10, chain_length=64, store_engine=engine)
+    authority = CertificationAuthority(ca_name, key_seed=ca_name.encode())
+    cdn = CDNNetwork()
+    ca = RITMCertificationAuthority(authority, config, cdn)
+    ca.bootstrap(now=100)
+
+    def attach(name, region=Region.EUROPE, streaming=False):
+        agent = RevocationAgent(name, config)
+        client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(region))
+        client.segment_streaming = streaming
+        return agent, client
+
+    return config, ca, cdn, attach
 
 
 @dataclass

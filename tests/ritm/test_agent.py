@@ -10,6 +10,7 @@ from repro.tls.extensions import ritm_support_extension
 from repro.tls.messages import CertificateMessage, ClientHello, Finished, ServerHello, ServerHelloDone
 from repro.tls.records import ContentType, TLSRecord, parse_records
 
+from tests.conftest import sized_attributes
 from tests.ritm.conftest import EPOCH, flip_bit
 
 
@@ -184,6 +185,30 @@ class TestStatusAttachment:
         statuses = statuses_in(out[0])
         # Leaf + intermediate + root (all three issuers are replicated).
         assert len(statuses) >= 2
+
+
+class TestFlowTableIsBounded:
+    def test_repeated_handshakes_on_one_flow_grow_nothing(self, world):
+        """The flow table holds per-flow state only: nothing in it may grow
+        with the number of handshakes a flow has carried."""
+        chain = world.corpus.chains[0]
+
+        def handshake(number):
+            session_id = number.to_bytes(8, "big")
+            now = EPOCH + 10 + number
+            world.agent.process_packet(client_hello_packet(), now=now)
+            world.agent.process_packet(server_flight_packet(chain, session_id), now=now)
+            world.agent.process_packet(server_finished_packet(), now=now)
+
+        def entries_held():
+            return sum(sized_attributes(world.agent.connections).values())
+
+        handshake(1)
+        after_first = entries_held()
+        for number in range(2, 301):
+            handshake(number)
+        assert world.agent.stats.statuses_attached == 300
+        assert entries_held() == after_first == 1
 
 
 class TestResumptionAndMultipleRAs:

@@ -85,6 +85,27 @@ class TestRevocation:
         assert issuing.publication_stats.bytes_uploaded > before
         assert issuing.publication_stats.issuances_published == 1
 
+    def test_rejected_batch_records_nothing_and_can_be_retried(self, world):
+        """A repeat inside the batch fails before the issuance CA records
+        anything, so the corrected batch still publishes."""
+        issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)
+        first, second = [
+            chain.leaf.serial for chain in world.corpus.chains_by_ca[issuing.name]
+        ][:2]
+        with pytest.raises(DictionaryError, match="already revoked"):
+            issuing.revoke([first, second, first], now=EPOCH + 20)
+        assert not issuing.authority.is_revoked(first)
+        assert not issuing.authority.is_revoked(second)
+        assert issuing.dictionary.size == 0
+
+        issuing.revoke([first, second], now=EPOCH + 20)
+        assert issuing.issuance_count() == 1
+        world.pull(now=EPOCH + 21)
+        replica = world.agent.replica_for(issuing.name)
+        assert replica.contains(first) and replica.contains(second)
+        with pytest.raises(DictionaryError, match="already revoked"):
+            issuing.revoke([first], now=EPOCH + 30)
+
 
 class TestRefresh:
     def test_refresh_publishes_new_head(self, world):

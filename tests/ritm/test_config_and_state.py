@@ -117,11 +117,3 @@ class TestConnectionTable:
         assert expired == 1
         assert table.lookup(active) is not None
         assert table.lookup(idle) is None
-
-    def test_session_memory(self):
-        table = ConnectionTable()
-        table.remember_session(b"sess-1", "CA1", SerialNumber(99))
-        assert table.recall_session(b"sess-1") == ("CA1", SerialNumber(99))
-        assert table.recall_session(b"other") is None
-        table.remember_session(b"", "CA1", SerialNumber(1))  # empty ids are ignored
-        assert table.recall_session(b"") is None

@@ -12,39 +12,15 @@ import zlib
 
 import pytest
 
-from repro.cdn import CDNNetwork, GeoLocation
-from repro.cdn.geography import Region
 from repro.dictionary.authdict import ReplicaDictionary
-from repro.pki import CertificationAuthority, SerialNumber
-from repro.ritm import (
-    RITMCertificationAuthority,
-    RITMConfig,
-    RevocationAgent,
-    attach_agent_to_cas,
-)
+from repro.pki import SerialNumber
 from repro.ritm.replication import segment_path
+from tests.ritm.conftest import build_stack
 
 BATCHES = 5
 PER_BATCH = 3
 #: ``CDNNetwork.download`` charges this much per request on top of the body.
 REQUEST_BYTES = 200
-
-
-def build_stack():
-    """A bootstrapped CA + CDN plus a factory for attached agents."""
-    config = RITMConfig(delta_seconds=10, chain_length=64)
-    authority = CertificationAuthority("Feed CA", key_seed=b"replica-feed")
-    cdn = CDNNetwork()
-    ca = RITMCertificationAuthority(authority, config, cdn)
-    ca.bootstrap(now=100)
-
-    def attach(name, streaming=False):
-        agent = RevocationAgent(name, config)
-        client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(Region.EUROPE))
-        client.segment_streaming = streaming
-        return agent, client
-
-    return ca, cdn, attach
 
 
 def revoke_batch(ca, number, now):
@@ -54,7 +30,7 @@ def revoke_batch(ca, number, now):
 
 
 def test_switching_to_streaming_fetches_only_segments_past_the_position():
-    ca, cdn, attach = build_stack()
+    _, ca, cdn, attach = build_stack()
     agent, client = attach("switching-ra")
     for number in range(1, BATCHES):
         revoke_batch(ca, number, now=110 + 10 * number)
@@ -74,7 +50,7 @@ def test_switching_to_streaming_fetches_only_segments_past_the_position():
 
 
 def test_segment_backlog_is_one_store_transaction(monkeypatch):
-    ca, cdn, attach = build_stack()
+    _, ca, cdn, attach = build_stack()
     stepwise, stepwise_client = attach("stepwise-ra", streaming=True)
     backlog, backlog_client = attach("backlog-ra", streaming=True)
     for number in range(1, BATCHES + 1):
@@ -108,7 +84,7 @@ def test_segment_backlog_is_one_store_transaction(monkeypatch):
 @pytest.mark.parametrize("applied, segment", [(BATCHES, 3), (3, BATCHES)])
 def test_two_cursor_state_file_restores_to_the_one_position(tmp_path, applied, segment):
     """``dissemination.json`` as written before the cursors merged."""
-    ca, cdn, attach = build_stack()
+    _, ca, cdn, attach = build_stack()
     agent, client = attach("old-format-ra")
     for number in range(1, BATCHES + 1):
         revoke_batch(ca, number, now=110 + 10 * number)
@@ -135,7 +111,7 @@ def test_two_cursor_state_file_restores_to_the_one_position(tmp_path, applied, s
 
 
 def test_peer_archive_gap_is_exactly_one_cold_sync_fallback():
-    ca, cdn, attach = build_stack()
+    _, ca, cdn, attach = build_stack()
     relay, relay_client = attach("relay-ra", streaming=True)
     victim, victim_client = attach("victim-ra")
     for number in range(1, BATCHES + 1):

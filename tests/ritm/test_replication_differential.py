@@ -12,36 +12,13 @@ catch-up walk fetches is the client's ``segment_streaming`` attribute.
 
 import pytest
 
-from repro.cdn import CDNNetwork, GeoLocation
 from repro.cdn.geography import Region
-from repro.pki import CertificationAuthority, SerialNumber
-from repro.ritm import (
-    RITMCertificationAuthority,
-    RITMConfig,
-    RevocationAgent,
-    attach_agent_to_cas,
-)
+from repro.pki import SerialNumber
 from repro.store import ENGINES
+from tests.ritm.conftest import build_stack
 
 PERIODS = 5
 PER_PERIOD = 4
-
-
-def build_stack(engine="incremental"):
-    """A bootstrapped CA + CDN plus a factory for attached agents."""
-    config = RITMConfig(delta_seconds=10, chain_length=64, store_engine=engine)
-    authority = CertificationAuthority("Repl CA", key_seed=b"replication-diff")
-    cdn = CDNNetwork()
-    ca = RITMCertificationAuthority(authority, config, cdn)
-    ca.bootstrap(now=100)
-
-    def attach(name, region=Region.EUROPE, streaming=False):
-        agent = RevocationAgent(name, config)
-        client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(region))
-        client.segment_streaming = streaming
-        return agent, client
-
-    return config, ca, cdn, attach
 
 
 def drive(ca, steps, start=120):

@@ -19,16 +19,9 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cdn import CDNNetwork, GeoLocation
 from repro.cdn.geography import Region
 from repro.crypto.signing import KeyPair
-from repro.pki import CertificationAuthority, SerialNumber
-from repro.ritm import (
-    RITMCertificationAuthority,
-    RITMConfig,
-    RevocationAgent,
-    attach_agent_to_cas,
-)
+from repro.pki import SerialNumber
 from repro.ritm.replication import (
     decode_segment,
     encode_segment,
@@ -36,6 +29,7 @@ from repro.ritm.replication import (
     segment_path,
 )
 from repro.store import ENGINES
+from tests.ritm.conftest import build_stack
 
 ATTACKER = KeyPair.generate(b"replication-prop-attacker")
 
@@ -48,23 +42,6 @@ actions = st.sampled_from(["serve", "drop", "stale", "skip", "tamper"])
 
 #: Invariants must hold under every store engine, so examples draw one.
 engines = st.sampled_from(sorted(ENGINES))
-
-
-def build_stack(engine="incremental"):
-    """A bootstrapped CA + CDN plus a factory for attached agents."""
-    config = RITMConfig(delta_seconds=10, chain_length=64, store_engine=engine)
-    authority = CertificationAuthority("Prop CA", key_seed=b"replication-prop")
-    cdn = CDNNetwork()
-    ca = RITMCertificationAuthority(authority, config, cdn)
-    ca.bootstrap(now=100)
-
-    def attach(name, region=Region.EUROPE, streaming=False):
-        agent = RevocationAgent(name, config)
-        client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(region))
-        client.segment_streaming = streaming
-        return agent, client
-
-    return config, ca, cdn, attach
 
 
 def revoke_batches(ca, sizes, start=120, base=1000):
