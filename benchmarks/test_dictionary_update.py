@@ -20,14 +20,20 @@ is the performance artifact for the `repro.store` engine seam:
 
 The store-level gates judge each engine against the **SHA-256 floor**, not
 against the other engine.  Byte-identical tree semantics fix the hash count
-of every update — a random-position insert must rehash the Θ(N − i)
+of a suffix rehash — a random-position insert rehashes the Θ(N − i)
 positional suffix in *every* engine, an append-ordered batch its own leaves
 plus one right-edge path — so the sweep measures what that many level-loop
-hashes cost in the same process and reports each engine's time over it
-(``single_random_over_floor``, ``batch_append_over_floor``; 1.0 = nothing
-but the forced hashing).  An engine that merges per element, copies O(N)
-on an append or calls a Python function per node leaves that envelope;
-see ``OVER_FLOOR_CEILINGS`` in :mod:`repro.analysis.timing`.
+hashes cost in the same process, right beside each timed trial, and reports
+each engine's time over it (``single_random_over_floor``,
+``batch_append_over_floor``, ``batch_random_over_floor``; 1.0 = nothing but
+a suffix rehash).  An engine that merges per element, copies O(N) on an
+append or calls a Python function per node leaves that envelope.  A
+1,000-serial random batch is also stated over the tree's *own* suffix rehash
+— one single insert just left of it, timed right before it
+(``batch_random_over_suffix``): ``incremental`` reads below 1.0 there
+because the old leaves between two batch keys move as one run and aligned
+subtrees inside it are copied, not hashed, and back above 1.0 if that reuse
+is lost.  See ``OVER_FLOOR_CEILINGS`` in :mod:`repro.analysis.timing`.
 """
 
 import os
@@ -156,9 +162,9 @@ def test_dictionary_update_scaling_sweep(benchmark):
     """10k–1M scaling sweep over every engine, emitted as a JSON artifact.
 
     Dictionary-level points cover all engines at 10k/100k; store-level 10⁶
-    points state the ``incremental`` and ``compact`` engines' batch append
-    and random-position singles over the SHA-256 floor (plus single append
-    and bytes/leaf).  ``RITM_BENCH_FULL=1`` adds the 1M dictionary points
+    points state the ``incremental`` and ``compact`` engines' batch append,
+    random-position singles and random-position batch over the SHA-256 floor
+    (plus single append and bytes/leaf).  ``RITM_BENCH_FULL=1`` adds the 1M dictionary points
     and a 10⁷-leaf store point for ``compact``.
     """
     sizes = [10_000, 100_000]
@@ -197,7 +203,8 @@ def test_dictionary_update_scaling_sweep(benchmark):
     store_table = format_table(
         [
             "leaves", "engine", "build s", "batch app /s", "1-append /s", "1-random /s",
-            "floor ns", "batch/floor", "random/floor", "B/leaf",
+            "floor ns", "batch/floor", "random/floor", "rnd batch/floor", "rnd batch/suffix",
+            "B/leaf",
         ],
         [
             [
@@ -210,6 +217,8 @@ def test_dictionary_update_scaling_sweep(benchmark):
                 f"{point['hash_floor_ns']:.0f}",
                 f"{point['batch_append_over_floor']:.2f}",
                 f"{point['single_random_over_floor']:.2f}",
+                f"{point['batch_random_over_floor']:.2f}",
+                f"{point['batch_random_over_suffix']:.2f}",
                 f"{point['bytes_per_leaf']:.1f}" if "bytes_per_leaf" in point else "-",
             ]
             for point in sweep["store_points"]

@@ -393,9 +393,17 @@ class ReplicaDictionary(_DictionaryCore):
             raise DictionaryError("revocation issuance is older than the current signed root")
 
         serials = [serial for issuance in issuances for serial in issuance.serials]
+        if signed_root.size != self.size + len(serials):
+            # Three integers decide it: no need to stage the batch, recompute
+            # the root and roll the batch back to find the same thing out.
+            raise DesynchronizedError(
+                f"replica of {self.ca_name!r} rejected an issuance: it delivers "
+                f"{len(serials)} serials onto {self.size}, the CA signed size "
+                f"{signed_root.size} (resync required)"
+            )
         self._append(serials, issuances[0].first_number)
 
-        if self.root() != signed_root.root or self.size != signed_root.size:
+        if self.root() != signed_root.root:
             # The paper's update step 3: reject the whole change.  The staged
             # batch is rolled back, so the replica keeps serving its previous
             # verified state; the dissemination layer falls back to the sync

@@ -53,10 +53,10 @@ class NaiveMerkleStore(SortedLeafStore):
 
     def insert_batch(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
         """Merge many leaves in one pass; the hash levels are rebuilt only once."""
-        batch = self._prepare_batch(items)
+        batch, positions = self._place_batch(items)
         if not batch:
             return 0
-        self._merge_into(batch)
+        self._merge_into(batch, positions)
         self._dirty = True
         return len(batch)
 

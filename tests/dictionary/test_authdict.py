@@ -249,6 +249,33 @@ class TestUpdateRollbackAndBatches:
         assert replica.root() == master.root()
         assert replica.size == master.size
 
+    @pytest.mark.parametrize("delivered", [2, 4])
+    def test_wrong_serial_count_is_rejected_before_the_store_is_touched(
+        self, master, replica, monkeypatch, delivered
+    ):
+        """A batch whose serial count contradicts the CA-signed size needs no
+        staging, root recomputation and rollback to be found out."""
+        replica.update(master.insert(make_serials(3), now=100))
+        root_before = replica.root()
+        honest = master.insert(make_serials(3, start=10), now=110)
+        miscounted = replace(honest, serials=tuple(make_serials(delivered, start=10)))
+
+        entered = []
+        real_insert_batch = replica._tree.insert_batch
+        monkeypatch.setattr(
+            replica._tree,
+            "insert_batch",
+            lambda items: entered.append(1) or real_insert_batch(items),
+        )
+        with pytest.raises(DesynchronizedError):
+            replica.update(miscounted)
+        assert entered == []
+        assert (replica.size, replica.root()) == (3, root_before)
+
+        replica.update(honest)
+        assert entered == [1]
+        assert replica.root() == master.root()
+
     def test_update_many_applies_consecutive_batches_in_one_transaction(self, master, replica):
         issuances = [
             master.insert(make_serials(2, start=1 + batch * 10), now=100 + batch)

@@ -155,3 +155,68 @@ def test_height_growth_and_single_leaf():
     assert store.root() == fresh_levels(store)[-1][0]
     store.insert(key(2), b"v")
     assert_levels_fresh(store)
+
+
+def sparse(stored):  # one key a gap, gaps of stored/9 leaves, shifts 1..8
+    return [16 * ((j + 1) * stored // 9) + 1 for j in range(8)]
+
+
+def dense(stored):  # every other gap: no run is long enough to follow
+    return [16 * gap + 1 for gap in range(0, stored, 2)]
+
+
+def aligned(stored):  # clusters of 8 in four gaps: every shift is a multiple of 8
+    return [16 * ((c + 1) * stored // 5) + 1 + j for c in range(4) for j in range(8)]
+
+
+def unaligned(stored):  # shifts 1, 2, 3 over runs that start off node boundaries
+    return [16 * 7 + 3, 16 * 1_001 + 1, 16 * 2_222 + 5]
+
+
+def lone(stored):
+    return [16 * (stored // 3) + 1]
+
+
+@pytest.mark.parametrize("stored", [4_096, 4_999])
+@pytest.mark.parametrize("shape", [sparse, dense, aligned, unaligned, lone])
+def test_batch_hashes_exactly_what_the_reuse_rule_leaves(node_hashes, shape, stored):
+    """A batch hashes the positional suffix less the nodes it can take from
+    the old tree, and ``shifted_hash_count`` states that count."""
+    from bisect import bisect_left
+
+    from repro.analysis.timing import shifted_hash_count, suffix_hash_count
+
+    existing = [16 * (index + 1) for index in range(stored)]
+    store = IncrementalMerkleStore()
+    store.insert_batch([(key(v), b"v") for v in existing])
+    batch = shape(stored)
+    positions = [bisect_left(existing, value) for value in batch]
+    node_hashes["calls"] = 0
+    store.insert_batch([(key(v), b"v") for v in batch])
+    expected = shifted_hash_count(stored, positions)
+    suffix = suffix_hash_count(stored + len(batch), positions[0])
+    assert node_hashes["calls"] == expected
+    if shape in (lone, dense):  # a shift of 1 is odd; gaps of two leaves hold no run
+        assert expected == suffix
+    else:
+        assert expected < suffix
+    assert_levels_fresh(store)
+
+
+def test_thousand_random_into_100k_hash_under_three_quarters_of_the_suffix(node_hashes):
+    import random
+    from bisect import bisect_left
+
+    from repro.analysis.timing import shifted_hash_count, suffix_hash_count
+
+    rng = random.Random(19)
+    values = rng.sample(range(1, 2**24), 101_000)
+    existing = sorted(values[:100_000])
+    batch = sorted(values[100_000:])
+    store = IncrementalMerkleStore()
+    store.insert_batch([(key(v), b"v") for v in existing])
+    positions = [bisect_left(existing, value) for value in batch]
+    node_hashes["calls"] = 0
+    store.insert_batch([(key(v), b"v") for v in batch])
+    assert node_hashes["calls"] == shifted_hash_count(100_000, positions)
+    assert node_hashes["calls"] <= 0.75 * suffix_hash_count(101_000, positions[0])

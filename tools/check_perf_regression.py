@@ -10,8 +10,10 @@ produced the baseline share no clock — so the gate is built on
 **machine-relative ratios**: each engine's batch-append and random-insert
 time at the store-level points, divided by what the operation's own hash
 count costs at the SHA-256 floor measured in the same process
-(``*_over_floor``; see ``repro.analysis.timing.measure_hash_floor``).  Each
-gated metric must satisfy *both*:
+(``*_over_floor``; see ``repro.analysis.timing.measure_hash_floor``), and its
+random-batch time divided by what the tree's own suffix rehash costs, timed
+beside it (``batch_random_over_suffix``).  Each gated metric must satisfy
+*both*:
 
 * ``fresh <= (1 + tolerance) * baseline`` — no >30 % regression against
   the committed expectation (the headline rule from the CI job); and
@@ -143,12 +145,13 @@ def main(argv=None) -> int:
 
     for (size, engine), point in sorted(_store_points(fresh).items()):
         line = f"{size:,} leaves, {engine}:"
-        if "batch_append_over_floor" in point:
-            line += (
-                f" batch append {point['batch_append_over_floor']:.2f}x,"
-                f" single random {point['single_random_over_floor']:.2f}x"
-                f" the SHA-256 floor ({point['hash_floor_ns']:.0f} ns/hash)"
-            )
+        ratios = [
+            f" {metric} {point[metric]:.2f}x"
+            for metric in OVER_FLOOR_CEILINGS.get(engine, {})
+            if metric in point
+        ]
+        if ratios:
+            line += ",".join(ratios) + f" (floor {point['hash_floor_ns']:.0f} ns/hash)"
         if "bytes_per_leaf" in point:
             line += f" {point['bytes_per_leaf']:.1f} B/leaf"
         print(line)
