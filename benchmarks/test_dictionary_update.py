@@ -18,6 +18,11 @@ is the performance artifact for the `repro.store` engine seam:
   ``RITM_BENCH_FULL=1`` to extend the dictionary-level sweep to 1M serials
   and add a store-level 10⁷-leaf ``compact`` point.
 
+The last two are a minute of work, so they carry the ``sweep`` marker that
+``pyproject.toml`` deselects by default (run them with ``-m sweep``); each has
+a ``_smoke`` sibling at 2,000 entries that tier-1 runs and that writes no
+artifact.
+
 The store-level gates judge each engine against the **SHA-256 floor**, not
 against the other engine.  Byte-identical tree semantics fix the hash count
 of a suffix rehash — a random-position insert rehashes the Θ(N − i)
@@ -61,6 +66,9 @@ SINGLE_UPDATE_DICTIONARY_SIZE = 100_000
 REQUIRED_SINGLE_UPDATE_SPEEDUP = 10.0
 #: Store-level scaling point the over-the-floor gates are read at.
 STORE_POINT_ENTRIES = 1_000_000
+#: Dictionary size of the smoke siblings tier-1 runs (the full sizes are
+#: marked ``sweep`` and deselected by default; CI's perf jobs pass ``-m sweep``).
+SMOKE_ENTRIES = 2_000
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -89,28 +97,23 @@ def test_dictionary_update_1000(benchmark, engine):
     assert timing.ra_update_ms < 10 * timing.ca_insert_ms
 
 
-def test_single_serial_update_speedup(benchmark):
-    """Single-serial updates on a 100k dictionary: incremental ≥ 10× naive."""
+def _single_serial_speedups(benchmark, entries):
+    """Time single-serial updates over an ``entries``-entry dictionary on every
+    engine; returns incremental's three speedups over naive and the rendered
+    table."""
 
     def run():
         rows = {}
         for engine in ENGINES:
             rows[engine] = {
                 "store_append": time_store_single_updates(
-                    engine=engine,
-                    existing_entries=SINGLE_UPDATE_DICTIONARY_SIZE,
-                    updates=5,
+                    engine=engine, existing_entries=entries, updates=5
                 ),
                 "store_random": time_store_single_updates(
-                    engine=engine,
-                    existing_entries=SINGLE_UPDATE_DICTIONARY_SIZE,
-                    updates=5,
-                    workload="random",
+                    engine=engine, existing_entries=entries, updates=5, workload="random"
                 ),
                 "dictionary_append": time_dictionary_single_updates(
-                    engine=engine,
-                    existing_entries=SINGLE_UPDATE_DICTIONARY_SIZE,
-                    updates=5,
+                    engine=engine, existing_entries=entries, updates=5
                 ),
             }
         return rows
@@ -138,7 +141,7 @@ def test_single_serial_update_speedup(benchmark):
     table = format_table(
         ["workload", "engine", "ms / update", "updates / s"],
         table_rows,
-        title=f"Single-serial updates over a {SINGLE_UPDATE_DICTIONARY_SIZE:,}-entry dictionary",
+        title=f"Single-serial updates over a {entries:,}-entry dictionary",
     )
     extra = "\n".join(
         [
@@ -148,34 +151,35 @@ def test_single_serial_update_speedup(benchmark):
             f"incremental speedup (end-to-end, append):     {dictionary_append_speedup:,.1f}x",
         ]
     )
-    write_result("dictionary_update_single_serial", table + extra)
+    return (store_append_speedup, store_random_speedup, dictionary_append_speedup), table + extra
 
-    assert store_append_speedup >= REQUIRED_SINGLE_UPDATE_SPEEDUP
-    assert dictionary_append_speedup >= REQUIRED_SINGLE_UPDATE_SPEEDUP
+
+@pytest.mark.sweep
+def test_single_serial_update_speedup(benchmark):
+    """Single-serial updates on a 100k dictionary: incremental ≥ 10× naive."""
+    (store_append, store_random, dictionary_append), text = _single_serial_speedups(
+        benchmark, SINGLE_UPDATE_DICTIONARY_SIZE
+    )
+    write_result("dictionary_update_single_serial", text)
+    assert store_append >= REQUIRED_SINGLE_UPDATE_SPEEDUP
+    assert dictionary_append >= REQUIRED_SINGLE_UPDATE_SPEEDUP
     # Random-position inserts re-pair the dirty suffix (the tree shape is
     # positional), so the win is bounded — but caching the leaf hashes must
     # still beat a full rebuild.
-    assert store_random_speedup > 1.5
+    assert store_random > 1.5
 
 
-def test_dictionary_update_scaling_sweep(benchmark):
-    """10k–1M scaling sweep over every engine, emitted as a JSON artifact.
+def test_single_serial_update_speedup_smoke(benchmark):
+    """The same comparison at tier-1 size: the harness runs on every engine
+    and naive's Θ(N) rebuild already loses on appends at 2,000 entries."""
+    (store_append, _, dictionary_append), text = _single_serial_speedups(benchmark, SMOKE_ENTRIES)
+    assert all(engine in text for engine in ENGINES)
+    assert store_append > 2.0
+    assert dictionary_append > 1.0
 
-    Dictionary-level points cover all engines at 10k/100k; store-level 10⁶
-    points state the ``incremental`` and ``compact`` engines' batch append,
-    random-position singles and random-position batch over the SHA-256 floor
-    (plus single append and bytes/leaf).  ``RITM_BENCH_FULL=1`` adds the 1M dictionary points
-    and a 10⁷-leaf store point for ``compact``.
-    """
-    sizes = [10_000, 100_000]
-    store_points = [
-        (STORE_POINT_ENTRIES, "incremental"),
-        (STORE_POINT_ENTRIES, "compact"),
-    ]
-    if os.environ.get("RITM_BENCH_FULL"):
-        sizes.append(1_000_000)
-        store_points.append((10_000_000, "compact"))
 
+def _scaling_sweep(benchmark, sizes, store_points):
+    """Run the sweep; returns its JSON payload and the rendered tables."""
     sweep = benchmark.pedantic(
         lambda: sweep_dictionary_update(
             sizes, engines=ENGINES, single_updates=4, store_points=store_points
@@ -183,7 +187,6 @@ def test_dictionary_update_scaling_sweep(benchmark):
         rounds=1,
         iterations=1,
     )
-    write_json_result("dictionary_update_scaling", sweep)
 
     table = format_table(
         ["entries", "engine", "batch CA ins ms", "batch RA upd ms", "1-serial append ms", "1-serial random ms"],
@@ -225,7 +228,30 @@ def test_dictionary_update_scaling_sweep(benchmark):
         ],
         title="Store-level scaling points (raw Merkle store, no chain/signing)",
     )
-    write_result("dictionary_update_scaling", "\n\n".join([table, store_table]))
+    return sweep, "\n\n".join([table, store_table])
+
+
+@pytest.mark.sweep
+def test_dictionary_update_scaling_sweep(benchmark):
+    """10k–1M scaling sweep over every engine, emitted as a JSON artifact.
+
+    Dictionary-level points cover all engines at 10k/100k; store-level 10⁶
+    points state the ``incremental`` and ``compact`` engines' batch append,
+    random-position singles and random-position batch over the SHA-256 floor
+    (plus single append and bytes/leaf).  ``RITM_BENCH_FULL=1`` adds the 1M dictionary points
+    and a 10⁷-leaf store point for ``compact``.
+    """
+    sizes = [10_000, 100_000]
+    store_points = [
+        (STORE_POINT_ENTRIES, "incremental"),
+        (STORE_POINT_ENTRIES, "compact"),
+    ]
+    if os.environ.get("RITM_BENCH_FULL"):
+        sizes.append(1_000_000)
+        store_points.append((10_000_000, "compact"))
+    sweep, text = _scaling_sweep(benchmark, sizes, store_points)
+    write_json_result("dictionary_update_scaling", sweep)
+    write_result("dictionary_update_scaling", text)
 
     by_size = {entry["existing_entries"]: entry for entry in sweep["speedups"]}
     assert by_size[100_000]["single_append_speedup"] >= REQUIRED_SINGLE_UPDATE_SPEEDUP
@@ -248,3 +274,20 @@ def test_dictionary_update_scaling_sweep(benchmark):
     # The flat layout's advertised footprint: ~47 B/leaf measured (3 B key +
     # 4 B value + ~40 B of hash planes), versus hundreds for object lists.
     assert compact_point["bytes_per_leaf"] < 60
+
+
+def test_dictionary_update_scaling_sweep_smoke(benchmark):
+    """The sweep at tier-1 size, writing no artifact (the perf gate and
+    ``docs/RESULTS.md`` read only the full run's): every point and every gated
+    ratio is produced for every engine; the ceilings are the full sweep's."""
+    sweep, text = _scaling_sweep(
+        benchmark,
+        [SMOKE_ENTRIES],
+        [(10 * SMOKE_ENTRIES, engine) for engine in sorted(OVER_FLOOR_CEILINGS)],
+    )
+    assert "rnd batch/suffix" in text
+    assert {point["engine"] for point in sweep["points"]} == set(ENGINES)
+    assert sweep["speedups"][0]["single_append_speedup"] > 2.0
+    for point in sweep["store_points"]:
+        for metric in OVER_FLOOR_CEILINGS[point["engine"]]:
+            assert 0.0 < point[metric] < float("inf"), (point["engine"], metric)

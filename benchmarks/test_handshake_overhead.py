@@ -15,6 +15,7 @@ from repro.ritm.ca_service import RITMCertificationAuthority
 from repro.ritm.config import RITMConfig
 from repro.ritm.deployment import build_close_to_client_deployment
 from repro.ritm.dissemination import attach_agent_to_cas
+from repro.ritm.messages import encode_status
 from repro.workloads.certificates import generate_corpus
 
 from bench_harness import write_result
@@ -54,7 +55,7 @@ def test_ritm_supported_handshake(benchmark):
 
     deployment = benchmark(run_one)
 
-    status_bytes = deployment.client.last_status.encoded_size()
+    status_bytes = len(encode_status(deployment.client.last_status))
     # Packets that crossed the RA during this handshake (both directions).
     packets_in_handshake = len(deployment.engine.deliveries)
     processing = packets_in_handshake * agent.processing_delay(None)

@@ -28,6 +28,7 @@ from repro.ritm import (
     RevocationAgent,
     attach_agent_to_cas,
 )
+from repro.ritm.messages import encode_sync_response
 
 #: Restored-fleet sizes, matching the fleet-scaling benchmark's points.
 FLEET_SIZES = (1, 10, 50)
@@ -87,9 +88,7 @@ def _measure(fleet_size: int) -> dict:
         cdn.origin_bytes_by_source.get(name, 0) for name in restored_names
     )
     request = SyncRequest(ca_name=ca.name, have_count=0)
-    cold_sync_bytes_each = (
-        request.encoded_size() + ca.sync_server.serve(request).encoded_size()
-    )
+    cold_sync_bytes_each = len(encode_sync_response(ca.sync_server.serve(request)))
     for agent in agents:
         agent.close()
     ca.close()

@@ -117,11 +117,6 @@ class CheckResult:
     staleness_bound_seconds: float = 0.0
     notes: str = ""
 
-    @property
-    def decision_is_safe(self) -> bool:
-        """Did the client end up with a definite answer?"""
-        return self.revoked is not None
-
 
 class RevocationScheme(ABC):
     """Interface every baseline (and the RITM adapter) implements."""

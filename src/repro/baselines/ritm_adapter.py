@@ -24,6 +24,7 @@ from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary, ReplicaDictionary
 from repro.errors import RevokedCertificateError, StaleStatusError
 from repro.pki.serial import SerialNumber
+from repro.ritm.messages import encode_status
 
 
 class RITMAdapterScheme(RevocationScheme):
@@ -99,7 +100,7 @@ class RITMAdapterScheme(RevocationScheme):
             scheme=self.name,
             revoked=revoked,
             connections_made=0,  # the client makes no extra connection
-            bytes_downloaded=status.encoded_size(),  # piggybacked on TLS traffic
+            bytes_downloaded=len(encode_status(status)),  # piggybacked on TLS traffic
             latency_seconds=0.0,
             privacy_leaked_to=[],
             staleness_bound_seconds=2 * self.delta_seconds,

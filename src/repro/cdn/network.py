@@ -94,10 +94,6 @@ class CDNNetwork:
         """Bring a failed region's edge presence back."""
         self._failed_regions.discard(region)
 
-    def failed_regions(self) -> List[Region]:
-        """Regions currently failed, in deterministic (enum) order."""
-        return [region for region in self._edges if region in self._failed_regions]
-
     def _routed_region(self, region: Region) -> Region:
         """The region a client actually reaches: its own, or failover."""
         if region in self._edges and region not in self._failed_regions:
@@ -170,9 +166,6 @@ class CDNNetwork:
         """Return the accumulated usage and start a fresh billing cycle."""
         usage, self.usage = self.usage, BillingCycleUsage()
         return usage
-
-    def total_bytes_served(self) -> int:
-        return sum(edge.bytes_served for edge in self.all_edges())
 
     def total_origin_bytes(self) -> int:
         return sum(edge.bytes_from_origin for edge in self.all_edges())

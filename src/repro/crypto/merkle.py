@@ -89,11 +89,6 @@ class PresenceProof:
             return False
         return self.root(digest_size) == expected_root
 
-    def encoded_size(self, digest_size: int = DEFAULT_DIGEST_SIZE) -> int:
-        """Approximate wire size in bytes (used by the overhead analysis)."""
-        # key + value + two 4-byte integers + one digest and one side bit per step
-        return len(self.key) + len(self.value) + 8 + len(self.path) * (digest_size + 1)
-
 
 def _expected_sides(leaf_index: int, tree_size: int) -> List[bool]:
     """Sibling sides an honest audit path must have for this position/size."""
@@ -158,14 +153,6 @@ class AbsenceProof:
             if self.left.leaf_index != self.tree_size - 1:
                 return False
         return True
-
-    def encoded_size(self, digest_size: int = DEFAULT_DIGEST_SIZE) -> int:
-        size = len(self.key) + 4
-        if self.left is not None:
-            size += self.left.encoded_size(digest_size)
-        if self.right is not None:
-            size += self.right.encoded_size(digest_size)
-        return size
 
 
 MembershipProof = Union[PresenceProof, AbsenceProof]

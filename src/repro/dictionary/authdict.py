@@ -67,10 +67,6 @@ class RevocationIssuance:
     first_number: int
     signed_root: SignedRoot
 
-    def encoded_size(self) -> int:
-        serial_bytes = sum(len(serial.to_bytes()) for serial in self.serials)
-        return serial_bytes + 4 + self.signed_root.encoded_size()
-
     def numbered_serials(self) -> List[Tuple[int, SerialNumber]]:
         return [
             (self.first_number + offset, serial)

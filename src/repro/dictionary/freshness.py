@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.crypto.hashchain import statement_age, verify_freshness
+from repro.crypto.hashchain import statement_age
 from repro.dictionary.signed_root import SignedRoot
 from repro.errors import StaleStatusError
 
@@ -28,9 +28,6 @@ class FreshnessStatement:
     #: missed a revocation-issuance message (the size advanced) even when no
     #: new root reaches them.
     dictionary_size: int = 0
-
-    def encoded_size(self) -> int:
-        return len(self.ca_name.encode("utf-8")) + len(self.value) + 4
 
 
 def periods_elapsed(root_timestamp: int, now: int, delta: int) -> int:
@@ -84,13 +81,3 @@ def statement_period(signed_root: SignedRoot, statement: FreshnessStatement) -> 
     """How many Δ periods after the root's signing this statement was released."""
     age = statement_age(signed_root.anchor, statement.value, signed_root.chain_length)
     return age
-
-
-def authentic_statement(signed_root: SignedRoot, statement: FreshnessStatement) -> bool:
-    """Does the statement link to the root's anchor at all (regardless of age)?"""
-    return verify_freshness(
-        signed_root.anchor,
-        statement.value,
-        periods_elapsed=0,
-        tolerance=signed_root.chain_length,
-    )

@@ -37,14 +37,6 @@ class RevocationStatus:
         """True when the proof shows the serial *is* in the revocation dictionary."""
         return isinstance(self.proof, PresenceProof)
 
-    def encoded_size(self) -> int:
-        """Wire size in bytes (the paper reports 500–900 B for the largest CRL)."""
-        return (
-            self.proof.encoded_size()
-            + self.signed_root.encoded_size()
-            + self.freshness.encoded_size()
-        )
-
     # -- verification --------------------------------------------------------
 
     def verify(

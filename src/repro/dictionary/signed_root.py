@@ -11,8 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.crypto.hashing import DEFAULT_DIGEST_SIZE
-from repro.crypto.signing import SIGNATURE_SIZE, PrivateKey, PublicKey
+from repro.crypto.signing import PrivateKey, PublicKey
 from repro.errors import SignatureError
 
 
@@ -69,10 +68,6 @@ class SignedRoot:
         if not self.verify(public_key):
             raise SignatureError(f"signed root from {self.ca_name!r} failed verification")
 
-    def encoded_size(self) -> int:
-        """Wire size in bytes, used by the communication-overhead analysis."""
-        return len(self.payload()) + SIGNATURE_SIZE
-
     def conflicts_with(self, other: "SignedRoot") -> bool:
         """Two roots from the same CA with equal size but different roots.
 
@@ -85,8 +80,3 @@ class SignedRoot:
             and self.size == other.size
             and self.root != other.root
         )
-
-
-def default_digest_size() -> int:
-    """Digest size used throughout the dictionary layer."""
-    return DEFAULT_DIGEST_SIZE

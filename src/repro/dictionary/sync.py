@@ -29,9 +29,6 @@ class SyncRequest:
     ca_name: str
     have_count: int
 
-    def encoded_size(self) -> int:
-        return len(self.ca_name.encode("utf-8")) + 4
-
 
 @dataclass(frozen=True)
 class SyncResponse:
@@ -42,13 +39,6 @@ class SyncResponse:
     serials: Tuple[SerialNumber, ...]
     signed_root: SignedRoot
     freshness: Optional[FreshnessStatement] = None
-
-    def encoded_size(self) -> int:
-        size = len(self.ca_name.encode("utf-8")) + 4 + self.signed_root.encoded_size()
-        size += sum(len(serial.to_bytes()) for serial in self.serials)
-        if self.freshness is not None:
-            size += self.freshness.encoded_size()
-        return size
 
     def as_issuance(self) -> RevocationIssuance:
         """Repackage the missing suffix as an ordinary issuance message."""
@@ -102,14 +92,13 @@ class SyncServer:
         )
 
 
-def resynchronize(replica: ReplicaDictionary, server: SyncServer) -> int:
-    """Bring ``replica`` up to date against ``server``; returns entries applied."""
+def resynchronize(replica: ReplicaDictionary, server: SyncServer) -> SyncResponse:
+    """Bring ``replica`` up to date against ``server``; returns the response applied."""
     response = server.serve(SyncRequest(ca_name=replica.ca_name, have_count=replica.size))
-    applied = len(response.serials)
     if response.serials:
         replica.update(response.as_issuance())
     else:
         replica.install_root(response.signed_root)
     if response.freshness is not None:
         replica.apply_freshness(response.freshness)
-    return applied
+    return response

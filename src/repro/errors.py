@@ -76,10 +76,6 @@ class CDNError(ReproError):
     """A CDN request could not be served (unknown object, unknown edge...)."""
 
 
-class PolicyError(ReproError):
-    """An RITM policy violation (e.g. missing status on a supported connection)."""
-
-
 class MisbehaviorDetected(ReproError):
     """Consistency checking produced cryptographic evidence of CA misbehavior.
 

@@ -89,13 +89,6 @@ class PathEngine:
         """Bytes that actually crossed the wire (dropped packets excluded)."""
         return sum(record.wire_bytes for record in self.deliveries if not record.dropped)
 
-    def last_delivery_latency(self) -> float:
-        """Latency of the most recent successful delivery (0.0 if none)."""
-        delivered = [record for record in self.deliveries if not record.dropped]
-        if not delivered:
-            return 0.0
-        return delivered[-1].latency
-
     # -- internals ----------------------------------------------------------------
 
     def _exchange(self, packet: Packet, direction: Direction, max_rounds: int) -> List[Packet]:

@@ -71,10 +71,6 @@ class EventScheduler:
         heapq.heappush(self._queue, event)
         return EventHandle(event)
 
-    def schedule_after(self, delay: float, callback: EventCallback, label: str = "") -> EventHandle:
-        """Run ``callback(now)`` after ``delay`` seconds of simulated time."""
-        return self.schedule(self.clock.now() + delay, callback, label)
-
     def schedule_periodic(
         self,
         period: float,

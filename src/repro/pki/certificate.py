@@ -136,9 +136,6 @@ class Certificate:
         certificate.__dict__["_wire"] = bytes(data)
         return certificate
 
-    def encoded_size(self) -> int:
-        return len(self.to_bytes())
-
     # -- signing / verification --------------------------------------------
 
     def with_signature(self, issuer_key: PrivateKey) -> "Certificate":
@@ -216,9 +213,6 @@ class CertificateChain:
         chain = cls(certificates=tuple(certificates))
         chain.__dict__["_wire"] = bytes(data)
         return chain
-
-    def encoded_size(self) -> int:
-        return len(self.to_bytes())
 
     def issuer_of_leaf(self) -> str:
         return self.leaf.issuer

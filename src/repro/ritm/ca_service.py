@@ -209,11 +209,6 @@ class RITMCertificationAuthority:
         return self._keyring
 
     @property
-    def key_announcements(self) -> Tuple[KeyAnnouncement, ...]:
-        """The signed rotation chain, genesis first."""
-        return tuple(self._announcements)
-
-    @property
     def key_epoch(self) -> int:
         """How many rotations have happened (0 = still on the genesis key)."""
         return len(self._announcements) - 1

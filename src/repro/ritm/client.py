@@ -27,7 +27,6 @@ from repro.dictionary.proofs import RevocationStatus
 from repro.dictionary.sharding import shard_issuer
 from repro.errors import (
     CertificateError,
-    PolicyError,
     ProofError,
     RevokedCertificateError,
     SignatureError,

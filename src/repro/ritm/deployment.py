@@ -59,23 +59,47 @@ class Deployment:
 
 def _client_for(
     client_ip: str,
-    server_name: str,
+    server_chain: CertificateChain,
     trust_store: TrustStore,
     ca_public_keys: Dict[str, object],
     config: RITMConfig,
-    expect_protection: bool,
     root_cache=None,
     validation_cache=None,
 ) -> RITMClient:
     return RITMClient(
         ip_address=client_ip,
-        server_name=server_name,
+        server_name=server_chain.leaf.subject,
         trust_store=trust_store,
         ca_public_keys=ca_public_keys,
         config=config,
-        expect_ritm_protection=expect_protection,
+        expect_ritm_protection=True,
         root_cache=root_cache,
         validation_cache=validation_cache,
+    )
+
+
+def _build(
+    model: DeploymentModel,
+    client: RITMClient,
+    server: RITMServer,
+    agents: List[RevocationAgent],
+    middleboxes: List,
+    links: List[Link],
+    clock: Optional[SimulatedClock],
+) -> Deployment:
+    """The one wiring body: path, engine and flow around the given endpoints.
+
+    The public builders differ only in what they pass here — the model, the
+    kind of server, their RA, and the middlebox and link order of their topology.
+    """
+    path = NetworkPath(client=client, server=server, middleboxes=middleboxes, links=links)
+    return Deployment(
+        model=model,
+        client=client,
+        server=server,
+        agents=agents,
+        engine=PathEngine(path, clock=clock),
+        flow=make_flow(client.ip_address, 9012, server.ip_address, 443),
     )
 
 
@@ -99,34 +123,16 @@ def build_close_to_client_deployment(
     to the same sites — see docs/PERFORMANCE.md); by default every
     deployment's client starts cold.
     """
-    config = config if config is not None else RITMConfig(deployment=DeploymentModel.CLOSE_TO_CLIENT)
+    model = DeploymentModel.CLOSE_TO_CLIENT
+    config = config if config is not None else RITMConfig(deployment=model)
     agent = agent if agent is not None else RevocationAgent("gateway-ra", config)
     client = _client_for(
-        client_ip,
-        server_chain.leaf.subject,
-        trust_store,
-        ca_public_keys,
-        config,
-        True,
-        root_cache=root_cache,
-        validation_cache=validation_cache,
+        client_ip, server_chain, trust_store, ca_public_keys, config, root_cache, validation_cache
     )
+    middleboxes = [agent, *(extra_middleboxes or ())]
+    links = [lan_link()] + [wan_link() for _ in middleboxes]
     server = RITMServer(server_ip, server_chain)
-    middleboxes: List = [agent]
-    if extra_middleboxes:
-        middleboxes.extend(extra_middleboxes)
-    links: List[Link] = [lan_link()] + [wan_link() for _ in range(len(middleboxes))]
-    path = NetworkPath(client=client, server=server, middleboxes=middleboxes, links=links)
-    engine = PathEngine(path, clock=clock)
-    flow = make_flow(client_ip, 9012, server_ip, 443)
-    return Deployment(
-        model=DeploymentModel.CLOSE_TO_CLIENT,
-        client=client,
-        server=server,
-        agents=[agent],
-        engine=engine,
-        flow=flow,
-    )
+    return _build(model, client, server, [agent], middleboxes, links, clock)
 
 
 def build_close_to_server_deployment(
@@ -143,35 +149,17 @@ def build_close_to_server_deployment(
     validation_cache=None,
 ) -> Deployment:
     """RA co-located with a TLS terminator at the data-center ingress."""
-    config = config if config is not None else RITMConfig(deployment=DeploymentModel.CLOSE_TO_SERVER)
+    model = DeploymentModel.CLOSE_TO_SERVER
+    config = config if config is not None else RITMConfig(deployment=model)
     agent = agent if agent is not None else RevocationAgent("terminator-ra", config)
     client = _client_for(
-        client_ip,
-        server_chain.leaf.subject,
-        trust_store,
-        ca_public_keys,
-        config,
-        True,
-        root_cache=root_cache,
-        validation_cache=validation_cache,
+        client_ip, server_chain, trust_store, ca_public_keys, config, root_cache, validation_cache
     )
+    # The RA is the last hop before the terminator.
+    middleboxes = [*(extra_middleboxes or ()), agent]
+    links = [wan_link() for _ in middleboxes] + [lan_link()]
     server = TLSTerminator(server_ip, server_chain)
-    middleboxes: List = []
-    if extra_middleboxes:
-        middleboxes.extend(extra_middleboxes)
-    middleboxes.append(agent)  # the RA is the last hop before the terminator
-    links: List[Link] = [wan_link() for _ in range(len(middleboxes))] + [lan_link()]
-    path = NetworkPath(client=client, server=server, middleboxes=middleboxes, links=links)
-    engine = PathEngine(path, clock=clock)
-    flow = make_flow(client_ip, 9012, server_ip, 443)
-    return Deployment(
-        model=DeploymentModel.CLOSE_TO_SERVER,
-        client=client,
-        server=server,
-        agents=[agent],
-        engine=engine,
-        flow=flow,
-    )
+    return _build(model, client, server, [agent], middleboxes, links, clock)
 
 
 def build_unprotected_path(
@@ -185,18 +173,6 @@ def build_unprotected_path(
 ) -> Deployment:
     """A path with *no* RA — used to demonstrate downgrade detection."""
     config = config if config is not None else RITMConfig()
-    client = _client_for(
-        client_ip, server_chain.leaf.subject, trust_store, ca_public_keys, config, True
-    )
+    client = _client_for(client_ip, server_chain, trust_store, ca_public_keys, config)
     server = RITMServer(server_ip, server_chain)
-    path = NetworkPath(client=client, server=server, middleboxes=[], links=[metro_link()])
-    engine = PathEngine(path, clock=clock)
-    flow = make_flow(client_ip, 9012, server_ip, 443)
-    return Deployment(
-        model=DeploymentModel.CLOSE_TO_CLIENT,
-        client=client,
-        server=server,
-        agents=[],
-        engine=engine,
-        flow=flow,
-    )
+    return _build(DeploymentModel.CLOSE_TO_CLIENT, client, server, [], [], [metro_link()], clock)

@@ -39,7 +39,7 @@ from repro.dictionary.sharding import (
     ShardKey,
     shard_name,
 )
-from repro.dictionary.sync import SyncRequest, SyncServer
+from repro.dictionary.sync import SyncServer, resynchronize
 from repro.errors import (
     CDNError,
     DictionaryError,
@@ -60,6 +60,7 @@ from repro.ritm.messages import (
     decode_issuance,
     decode_key_announcements,
     decode_shard_index,
+    encode_sync_response,
 )
 from repro.ritm.replication import decode_segment, segment_path, verify_segment
 from repro.store.durable import atomic_write
@@ -808,14 +809,8 @@ class RADisseminationClient:
         # only ever holds entries derived from the recovered state.
         self.agent.proof_cache.invalidate_dictionary(ca_name)
         self.agent.root_cache.invalidate_ca(ca_name)
-        response = server.serve(SyncRequest(ca_name=ca_name, have_count=replica.size))
-        result.bytes_downloaded += response.encoded_size()
-        if response.serials:
-            replica.update(response.as_issuance())
-        else:
-            replica.install_root(response.signed_root)
-        if response.freshness is not None:
-            replica.apply_freshness(response.freshness)
+        response = resynchronize(replica, server)
+        result.bytes_downloaded += len(encode_sync_response(response))
         result.resyncs += 1
         result.serials_applied += len(response.serials)
         return True

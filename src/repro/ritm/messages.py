@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple, Union
 
 from repro.crypto.merkle import AbsenceProof, AuditStep, PresenceProof
@@ -27,6 +27,7 @@ from repro.dictionary.authdict import RevocationIssuance
 from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.proofs import RevocationStatus
 from repro.dictionary.signed_root import SignedRoot
+from repro.dictionary.sync import SyncResponse
 from repro.errors import ProofError, TLSError
 from repro.pki.serial import SerialNumber
 
@@ -331,9 +332,6 @@ class DictionaryHead:
     freshness: FreshnessStatement
     sequence: int = 0
 
-    def encoded_size(self) -> int:
-        return len(encode_head(self))
-
 
 def encode_head(head: DictionaryHead) -> bytes:
     return b"".join(
@@ -356,16 +354,17 @@ def decode_head(data: bytes) -> DictionaryHead:
     offset += 8
     root_bytes, offset = _unpack_bytes(data, offset)
     freshness_bytes, offset = _unpack_bytes(data, offset)
-    signed_root, _ = decode_signed_root(root_bytes)
-    freshness, _ = decode_freshness(freshness_bytes)
     sequence = 0
-    if offset + 8 <= len(data):
+    if offset + 8 == len(data):
         (sequence,) = struct.unpack_from(">Q", data, offset)
+    elif offset != len(data):
+        # The sequence is optional; nothing else may follow the freshness.
+        raise TLSError("trailing bytes after dictionary head")
     return DictionaryHead(
         ca_name=ca_name,
         size=size,
-        signed_root=signed_root,
-        freshness=freshness,
+        signed_root=_decode_whole(decode_signed_root, root_bytes),
+        freshness=_decode_whole(decode_freshness, freshness_bytes),
         sequence=sequence,
     )
 
@@ -407,10 +406,6 @@ class ShardIndex:
     retired: Tuple[int, ...] = ()
     #: Per-CA publication counter (unauthenticated, replay detection only).
     sequence: int = 0
-
-    def encoded_size(self) -> int:
-        """Wire size in bytes."""
-        return len(encode_shard_index(self))
 
 
 def encode_shard_index(index: ShardIndex) -> bytes:
@@ -486,10 +481,6 @@ class KeyAnnouncement:
             ]
         )
 
-    def encoded_size(self) -> int:
-        """Wire size in bytes (for the communication-overhead analysis)."""
-        return len(encode_key_announcements((self,)))
-
 
 def encode_key_announcements(announcements: Tuple[KeyAnnouncement, ...]) -> bytes:
     """Serialize a CA's full announcement chain for CDN publication."""
@@ -548,10 +539,27 @@ def decode_issuance(data: bytes) -> RevocationIssuance:
         serial_bytes, offset = _unpack_bytes(data, offset)
         serials.append(parse_serial(serial_bytes))
     root_bytes, offset = _unpack_bytes(data, offset)
-    signed_root, _ = decode_signed_root(root_bytes)
+    if offset != len(data):
+        raise TLSError("trailing bytes after issuance object")
     return RevocationIssuance(
         ca_name=ca_name,
         serials=tuple(serials),
         first_number=first_number,
-        signed_root=signed_root,
+        signed_root=_decode_whole(decode_signed_root, root_bytes),
     )
+
+
+def encode_sync_response(response: SyncResponse) -> bytes:
+    """A sync response on the wire: what :meth:`SyncResponse.as_issuance`
+    says it is — consecutive issuance objects of at most
+    :data:`MAX_ISSUANCE_SERIALS` serials (one, possibly empty, carries the
+    root) — then the freshness statement, if any."""
+    whole = response.as_issuance()
+    parts = []
+    for start in range(0, max(len(whole.serials), 1), MAX_ISSUANCE_SERIALS):
+        serials = whole.serials[start : start + MAX_ISSUANCE_SERIALS]
+        chunk = replace(whole, serials=serials, first_number=whole.first_number + start)
+        parts.append(encode_issuance(chunk))
+    if response.freshness is not None:
+        parts.append(encode_freshness(response.freshness))
+    return b"".join(parts)

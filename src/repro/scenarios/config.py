@@ -22,6 +22,7 @@ from typing import Any, Dict, Mapping, Tuple
 from repro.cdn.geography import Region
 from repro.errors import ConfigurationError
 from repro.store import DEFAULT_ENGINE, ENGINES
+from repro.workloads.streaming import StreamConfig
 
 #: Fault kinds the runner knows how to inject (see :mod:`repro.scenarios.faults`).
 FAULT_KINDS = (
@@ -263,21 +264,15 @@ class ClientStreamSpec:
     seed: int = 404
 
     def __post_init__(self) -> None:
-        """Validate the stream shape eagerly (mirrors ``StreamConfig``)."""
-        if self.clients < 1:
-            raise ConfigurationError("client_stream.clients must be >= 1")
-        if self.sites < 1:
-            raise ConfigurationError("client_stream.sites must be >= 1")
-        if self.events_total < 1:
-            raise ConfigurationError("client_stream.events_total must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigurationError("client_stream.batch_size must be >= 1")
-        if self.zipf_exponent <= 0.0:
-            raise ConfigurationError("client_stream.zipf_exponent must be positive")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ConfigurationError(
-                "client_stream.diurnal_amplitude must be in [0, 1)"
-            )
+        """Validate the stream shape eagerly, by building what it mirrors."""
+        self.stream_config(duration_seconds=1)
+
+    def stream_config(self, duration_seconds: int, start_time: float = 0.0) -> StreamConfig:
+        """The :class:`StreamConfig` this spec declares, over one run window
+        (its ``__post_init__`` is the validation: ``ConfigurationError``)."""
+        return StreamConfig(
+            duration_seconds=duration_seconds, start_time=start_time, **dataclasses.asdict(self)
+        )
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ from repro.scenarios.engine.state import AgentRuntime, RunState, VictimRuntime
 from repro.scenarios.faults import DECOY_SERIAL
 from repro.scenarios.report import ScenarioReport
 from repro.workloads import generate_trace, serials_for_count
-from repro.workloads.streaming import StreamConfig, StreamingWorkload
+from repro.workloads.streaming import StreamingWorkload
 
 
 def build_timeline(
@@ -164,19 +164,8 @@ class FleetEngine:
         state.oracle = self._build_oracle(duration)
         ca.cover(state.outstanding_expiries(setup_time), setup_time)
         if cfg.client_stream is not None:
-            spec = cfg.client_stream
             state.client_stream = StreamingWorkload(
-                StreamConfig(
-                    clients=spec.clients,
-                    sites=spec.sites,
-                    events_total=spec.events_total,
-                    duration_seconds=duration * cfg.delta_seconds,
-                    start_time=periods[0][1],
-                    zipf_exponent=spec.zipf_exponent,
-                    diurnal_amplitude=spec.diurnal_amplitude,
-                    batch_size=spec.batch_size,
-                    seed=spec.seed,
-                )
+                cfg.client_stream.stream_config(duration * cfg.delta_seconds, periods[0][1])
             )
         self.state = state
 

@@ -22,6 +22,7 @@ from repro.dictionary.sync import SyncRequest
 from repro.net.clock import SimulatedClock
 from repro.pki import SerialNumber, TrustStore
 from repro.ritm import GossipExchange, build_close_to_client_deployment
+from repro.ritm.messages import encode_status, encode_sync_response
 from repro.scenarios.faults import DECOY_SERIAL
 from repro.scenarios.engine.state import AgentRuntime, RunState, VictimRuntime
 from repro.store import create_store
@@ -67,7 +68,7 @@ def setup_victim(state: RunState, now: float) -> Optional[VictimRuntime]:
     )
     victim.initial_accepted = deployment.run_handshake()
     status = deployment.client.last_status
-    victim.status_size_bytes = status.encoded_size() if status is not None else 0
+    victim.status_size_bytes = len(encode_status(status)) if status is not None else 0
     state.event(
         -1,
         "handshake",
@@ -328,9 +329,7 @@ def region_outage_extras(state: RunState, end_time: float) -> Dict[str, object]:
     cold_sync_bytes = 0
     for stream in ca.streams.values():
         request = SyncRequest(ca_name=stream.name, have_count=0)
-        cold_sync_bytes += (
-            request.encoded_size() + stream.sync_server.serve(request).encoded_size()
-        )
+        cold_sync_bytes += len(encode_sync_response(stream.sync_server.serve(request)))
     recovery_origin_bytes = sum(
         int(record.get("ca_origin_bytes", 0))
         + int(record.get("fallback_bytes", 0))

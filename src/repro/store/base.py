@@ -371,6 +371,11 @@ class SortedLeafStore(AuthenticatedStore):
         length one.  Only called when the store is non-empty."""
 
     @abstractmethod
+    def _merge_batch(self, batch: List[Tuple[bytes, bytes]], positions: List[int]) -> int:
+        """Apply a placed, non-empty batch (:meth:`_place_batch`) to the leaf
+        arrays and the engine's hash state; returns how many leaves it added."""
+
+    @abstractmethod
     def _prune_leaves(self, positions: List[int]) -> None:
         """Drop the leaves at the ascending, distinct, non-empty indices
         ``positions`` and repair the engine's hash state."""
@@ -393,19 +398,16 @@ class SortedLeafStore(AuthenticatedStore):
             raise ProofError(f"duplicate key {key.hex()} inserted into sorted tree")
         return index
 
-    def _prepare_batch(
-        self, items: Iterable[Tuple[bytes, bytes]]
-    ) -> List[Tuple[bytes, bytes]]:
-        """Sort a batch and reject duplicates (within it or against the store)."""
-        return self._place_batch(items)[0]
-
     def _place_batch(
         self, items: Iterable[Tuple[bytes, bytes]]
     ) -> Tuple[List[Tuple[bytes, bytes]], List[int]]:
-        """:meth:`_prepare_batch`, returning also every key's insertion index:
-        one bisect per key serves the duplicate check and the merge.  (Over
-        the whole column: from the previous key's index on measures slower,
-        the probes stop being the same cached few.)"""
+        """Sort a batch, reject duplicates (within it or against the store)
+        and return it with every key's insertion index: one bisect per key
+        serves the duplicate check and the merge.  (Over the whole column:
+        from the previous key's index on measures slower, the probes stop
+        being the same cached few.)  Nothing is mutated: this is the validate
+        half of every ``insert_batch`` — place → (the WAL overlay logs here)
+        → :meth:`_merge_batch`."""
         batch = sorted(items, key=lambda item: item[0])
         keys = self._keys
         count = len(keys)

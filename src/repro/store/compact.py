@@ -37,7 +37,6 @@ and proofs are byte-identical to every other engine
 
 from __future__ import annotations
 
-import bisect
 from array import array
 from itertools import accumulate, chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -45,6 +44,23 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.crypto.hashing import DEFAULT_DIGEST_SIZE, LEAF_PREFIX, NODE_PREFIX, raw_sha256
 from repro.crypto.merkle import AuditStep, empty_root, encode_leaf
 from repro.store.base import SortedLeafStore, kept_runs
+
+
+def _splice_strided(
+    buf: bytearray, width: int, positions: Sequence[int], items: Sequence[bytes]
+) -> bytearray:
+    """``buf`` (cells of ``width`` bytes) with ``items[i]`` spliced in before
+    cell ``positions[i]`` (non-decreasing): one gap-slice join, no per-item
+    ``memmove``."""
+    parts: List[bytes] = []
+    previous = 0
+    for position, item in zip(positions, items):
+        offset = position * width
+        parts.append(buf[previous:offset])
+        parts.append(item)
+        previous = offset
+    parts.append(buf[previous:])
+    return bytearray(b"".join(parts))
 
 
 class _ByteColumn(Sequence):
@@ -134,19 +150,12 @@ class _ByteColumn(Sequence):
             self._fit(item)
             if self._lens is not None:
                 break
-        buf = self._buf
-        parts: List[bytes] = []
-        previous = 0
         if self._lens is None:
-            width = self._width or 0
-            for position, item in zip(positions, items):
-                offset = position * width
-                parts.append(buf[previous:offset])
-                parts.append(item)
-                previous = offset
-            parts.append(buf[previous:])
-            self._buf = bytearray(b"".join(parts))
+            self._buf = _splice_strided(self._buf, self._width or 0, positions, items)
         else:
+            buf = self._buf
+            parts: List[bytes] = []
+            previous = 0
             offsets = self._offsets()
             new_lens = array("I")
             consumed = 0
@@ -282,60 +291,30 @@ class CompactMerkleStore(SortedLeafStore):
 
     def insert_batch(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
         """Validate a batch, then splice and hash it in bulk."""
-        batch = self._prepare_batch(items)
+        batch, positions = self._place_batch(items)
         if not batch:
             return 0
-        return self._apply_prepared_batch(batch)
+        return self._merge_batch(batch, positions)
 
-    def _apply_prepared_batch(self, batch: List[Tuple[bytes, bytes]]) -> int:
-        """Merge an already-validated, sorted batch into the flat planes.
-
-        Mirrors :meth:`IncrementalMerkleStore._apply_prepared_batch` so WAL
-        overlays can interpose between validation and application.  One
-        bisect pass computes every insertion position against the pre-merge
-        keys; one comprehension hashes all new leaves; each arena is rebuilt
-        with a single gap-slice join.
-        """
+    def _merge_batch(self, batch: List[Tuple[bytes, bytes]], positions: List[int]) -> int:
+        """Merge a placed batch into the flat planes: one comprehension hashes
+        all new leaves; each arena is extended (an append) or rebuilt with a
+        single gap-slice join at ``positions``."""
         digest_size = self._digest_size
-        keys = self._keys
-        count = len(keys)
         sha, prefix = raw_sha256, LEAF_PREFIX
-        if count == 0 or batch[0][0] > keys[count - 1]:
+        digests = [
+            sha(prefix + encode_leaf(key, value)).digest()[:digest_size] for key, value in batch
+        ]
+        if positions[0] == len(self._keys):
             # Every batch key sorts after the stored tail (bootstrap builds
             # and sequentially allocated serials): plain arena appends.
-            self._planes[0] += b"".join(
-                [
-                    sha(prefix + encode_leaf(key, value)).digest()[:digest_size]
-                    for key, value in batch
-                ]
-            )
+            self._planes[0] += b"".join(digests)
             self._keys.append_bulk([key for key, _ in batch])
             self._values.append_bulk([value for _, value in batch])
-            self._mark_dirty(count)
-            return len(batch)
-        positions: List[int] = []
-        low = 0
-        for key, _ in batch:
-            low = bisect.bisect_left(keys, key, low)
-            positions.append(low)
-        digests = b"".join(
-            [
-                sha(prefix + encode_leaf(key, value)).digest()[:digest_size]
-                for key, value in batch
-            ]
-        )
-        plane0 = self._planes[0]
-        parts: List[bytes] = []
-        previous = 0
-        for number, position in enumerate(positions):
-            offset = position * digest_size
-            parts.append(plane0[previous:offset])
-            parts.append(digests[number * digest_size : (number + 1) * digest_size])
-            previous = offset
-        parts.append(plane0[previous:])
-        self._planes[0] = bytearray(b"".join(parts))
-        self._keys.merge(positions, [key for key, _ in batch])
-        self._values.merge(positions, [value for _, value in batch])
+        else:
+            self._planes[0] = _splice_strided(self._planes[0], digest_size, positions, digests)
+            self._keys.merge(positions, [key for key, _ in batch])
+            self._values.merge(positions, [value for _, value in batch])
         self._mark_dirty(positions[0])
         return len(batch)
 

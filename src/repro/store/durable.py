@@ -208,12 +208,13 @@ class WALOverlay:
 
     A cooperative mixin: subclass as ``class Engine(WALOverlay, Core)``
     where ``Core`` is any :class:`~repro.store.base.SortedLeafStore` engine
-    exposing the ``_prepare_batch`` / ``_apply_prepared_batch`` seam (both
-    the incremental and compact engines do).  Every mutator validates its
-    input against the current state, appends a checksummed WAL record, and
-    only then delegates the in-memory mutation to ``Core`` via ``super()``;
-    recovery replays snapshot + WAL through the same seam, so the overlay
-    never re-implements tree semantics and cannot drift from its core.
+    engine.  Every mutator validates its input against the current state,
+    appends a checksummed WAL record, and only then delegates the in-memory
+    mutation to ``Core``.  A batch goes through the two calls every engine's
+    ``insert_batch`` is made of — ``_place_batch`` (validates, mutates
+    nothing) → ``_merge_batch(batch, positions)`` — with the log append in
+    between, and recovery replays snapshot + WAL through the same two, so the
+    overlay never re-implements tree semantics and cannot drift from its core.
     """
 
     def __init__(
@@ -310,11 +311,11 @@ class WALOverlay:
     def insert_batch(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
         """Insert a batch durably: one WAL record per applied transaction."""
         self._check_open()
-        batch = self._prepare_batch(items)
+        batch, positions = self._place_batch(items)
         if not batch:
             return 0
         self._append_record(_RECORD_INSERT, _encode_insert_payload(batch))
-        applied = self._apply_prepared_batch(batch)
+        applied = self._merge_batch(batch, positions)
         self._after_commit()
         return applied
 
@@ -485,13 +486,13 @@ class WALOverlay:
     def _replay_insert(self, items: List[Tuple[bytes, bytes]]) -> None:
         """Insert replayed/snapshot leaves, re-validating against the state."""
         try:
-            batch = self._prepare_batch(items)
+            batch, positions = self._place_batch(items)
         except ProofError as exc:
             raise StorageError(
                 f"WAL/snapshot leaves conflict with the recovered state: {exc}"
             ) from None
         if batch:
-            self._apply_prepared_batch(batch)
+            self._merge_batch(batch, positions)
 
     # -- internals ----------------------------------------------------------
 

@@ -80,14 +80,6 @@ class IncrementalMerkleStore(SortedLeafStore):
             return 0
         return self._merge_batch(batch, positions)
 
-    def _apply_prepared_batch(self, batch: List[Tuple[bytes, bytes]]) -> int:
-        """Merge an already-validated, sorted batch and repair the levels:
-        the seam for engines that interpose between validation and
-        application (the durable engine logs the prepared batch to its WAL
-        first).  The seam carries no positions, so the batch is placed again.
-        """
-        return self._merge_batch(*self._place_batch(batch))
-
     def _merge_batch(self, batch: List[Tuple[bytes, bytes]], positions: List[int]) -> int:
         if not self._levels:
             self._levels = [[]]

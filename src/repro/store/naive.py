@@ -56,6 +56,9 @@ class NaiveMerkleStore(SortedLeafStore):
         batch, positions = self._place_batch(items)
         if not batch:
             return 0
+        return self._merge_batch(batch, positions)
+
+    def _merge_batch(self, batch: List[Tuple[bytes, bytes]], positions: List[int]) -> int:
         self._merge_into(batch, positions)
         self._dirty = True
         return len(batch)

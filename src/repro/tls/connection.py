@@ -142,9 +142,14 @@ class ClientConnectionConfig:
     session_id: bytes = b""
     session_ticket: bytes = b""
     extra_extensions: Tuple[Extension, ...] = ()
-    #: Optional shared :class:`ChainValidationCache`; ``None`` validates the
-    #: server chain from scratch on every full handshake.
+    #: The :class:`ChainValidationCache` every full handshake validates
+    #: through; pass a shared one, or leave ``None`` for a private disabled
+    #: one (``maxsize=0``: counts lookups, memoizes nothing).
     validation_cache: Optional[ChainValidationCache] = None
+
+    def __post_init__(self) -> None:
+        if self.validation_cache is None:
+            self.validation_cache = ChainValidationCache(maxsize=0)
 
 
 class TLSClientConnection:
@@ -222,20 +227,12 @@ class TLSClientConnection:
             if self.stage != HandshakeStage.SERVER_HELLO:
                 raise TLSError("Certificate message out of order")
             self.server_chain = message.chain
-            if self.config.validation_cache is not None:
-                self.validation = self.config.validation_cache.validate(
-                    message.chain,
-                    self.trust_store,
-                    now=now,
-                    expected_subject=self.config.server_name,
-                )
-            else:
-                self.validation = validate_chain(
-                    message.chain,
-                    self.trust_store,
-                    now=now,
-                    expected_subject=self.config.server_name,
-                )
+            self.validation = self.config.validation_cache.validate(
+                message.chain,
+                self.trust_store,
+                now=now,
+                expected_subject=self.config.server_name,
+            )
             if not self.validation:
                 raise CertificateError(
                     f"standard validation failed: {self.validation.reason}"

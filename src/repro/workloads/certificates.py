@@ -38,10 +38,6 @@ class CertificateCorpus:
                 return chain
         return None
 
-    def random_chain(self, seed: int = 0) -> CertificateChain:
-        """A seeded-deterministic pick from the generated chains."""
-        return random.Random(seed).choice(self.chains)
-
     def authority_by_name(self, name: str) -> Optional[CertificationAuthority]:
         """Look up one of the corpus CAs by its issuer name."""
         for authority in self.authorities:

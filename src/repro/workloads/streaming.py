@@ -42,6 +42,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.errors import ConfigurationError
 from repro.pki.ca import DEFAULT_VALIDITY_SECONDS
 
 __all__ = [
@@ -137,24 +138,24 @@ class StreamConfig:
     def __post_init__(self) -> None:
         """Validate every knob eagerly so misconfiguration fails loudly."""
         if self.clients < 1:
-            raise ValueError("clients must be >= 1")
+            raise ConfigurationError("clients must be >= 1")
         if self.sites < 1:
-            raise ValueError("sites must be >= 1")
+            raise ConfigurationError("sites must be >= 1")
         if self.events_total < 1:
-            raise ValueError("events_total must be >= 1")
+            raise ConfigurationError("events_total must be >= 1")
         if self.duration_seconds <= 0:
-            raise ValueError("duration_seconds must be positive")
+            raise ConfigurationError("duration_seconds must be positive")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigurationError("batch_size must be >= 1")
         if self.zipf_exponent <= 0.0:
-            raise ValueError("zipf_exponent must be positive")
+            raise ConfigurationError("zipf_exponent must be positive")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ValueError("diurnal_amplitude must be in [0, 1)")
+            raise ConfigurationError("diurnal_amplitude must be in [0, 1)")
         if not self.lifetime_mix:
-            raise ValueError("lifetime_mix must not be empty")
+            raise ConfigurationError("lifetime_mix must not be empty")
         for seconds, weight in self.lifetime_mix:
             if seconds <= 0 or weight <= 0:
-                raise ValueError("lifetime_mix entries must be positive")
+                raise ConfigurationError("lifetime_mix entries must be positive")
 
 
 def zipf_cumulative_weights(sites: int, exponent: float) -> array:

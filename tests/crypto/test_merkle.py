@@ -102,9 +102,11 @@ class TestPresenceProofs:
         assert len(proof.path) == 10
 
     def test_encoded_size_positive_and_grows_with_depth(self):
+        from repro.ritm.messages import encode_proof
+
         small = build_tree(range(1, 5)).prove_presence(leaf(2))
         large = build_tree(range(1, 257)).prove_presence(leaf(2))
-        assert 0 < small.encoded_size() < large.encoded_size()
+        assert 0 < len(encode_proof(small)) < len(encode_proof(large))
 
 
 class TestAbsenceProofs:

@@ -19,6 +19,7 @@ from repro.errors import (
     StaleStatusError,
 )
 from repro.pki.serial import SerialNumber
+from repro.ritm.messages import encode_signed_root, encode_status
 
 from tests.conftest import make_serials
 
@@ -90,7 +91,7 @@ class TestSignedRoot:
             ca_name="CA-P", root=b"\x01" * 20, size=3, anchor=b"\x02" * 20,
             timestamp=100, chain_length=16,
         ).sign(keys.private)
-        assert 100 < root.encoded_size() < 300
+        assert 100 < len(encode_signed_root(root)) < 300
 
 
 class TestFreshnessPolicy:
@@ -178,4 +179,4 @@ class TestRevocationStatus:
         dictionary.insert(make_serials(4096), now=1000)
         status = dictionary.prove(SerialNumber(1_000_000))
         # Depth 12 tree: the paper quotes 500-900 B for depth ~19.
-        assert 300 < status.encoded_size() < 1200
+        assert 300 < len(encode_status(status)) < 1200

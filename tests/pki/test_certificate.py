@@ -104,7 +104,7 @@ class TestCertificate:
 
     def test_encoded_size_is_realistic(self, certificate):
         # Subject + issuer + serial + key (32) + validity + Ed25519 signature (64).
-        assert 100 < certificate.encoded_size() < 400
+        assert 100 < len(certificate.to_bytes()) < 400
 
 
 class TestCertificateChain:

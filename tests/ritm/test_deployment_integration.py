@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.clock import SimulatedClock
+from repro.net.packet import make_flow
 from repro.ritm.client import RejectionReason
 from repro.ritm.config import DeploymentModel, RITMConfig
 from repro.ritm.deployment import (
@@ -10,6 +11,8 @@ from repro.ritm.deployment import (
     build_close_to_server_deployment,
     build_unprotected_path,
 )
+from repro.ritm.messages import encode_status
+from repro.ritm.server import RITMServer, TLSTerminator
 
 from tests.ritm.conftest import EPOCH, build_world
 
@@ -97,7 +100,7 @@ class TestCloseToClientDeployment:
         deployment = deploy_close_to_client(world)
         assert deployment.run_handshake()
         agent = deployment.agents[0]
-        status_bytes = deployment.client.last_status.encoded_size()
+        status_bytes = len(encode_status(deployment.client.last_status))
         # Processing: every packet of the handshake crosses the RA once.
         processing = agent.stats.packets_seen * agent.processing_delay(None)
         # Transmission of the extra bytes at a 100 Mbit/s access link.
@@ -149,3 +152,53 @@ class TestUnprotectedPath:
         )
         assert not deployment.run_handshake()
         assert deployment.client.rejection == RejectionReason.MISSING_STATUS
+
+
+class TestBuilderTopology:
+    """The three public builders pass one wiring body different parts; what
+    each passes — model, server class, middlebox and link order — is pinned."""
+
+    @pytest.mark.parametrize(
+        "build, model, server_class, boxes, links",
+        [
+            (
+                build_close_to_client_deployment,
+                DeploymentModel.CLOSE_TO_CLIENT,
+                RITMServer,
+                ["ra", "extra"],
+                ["lan", "wan", "wan"],
+            ),
+            (
+                build_close_to_server_deployment,
+                DeploymentModel.CLOSE_TO_SERVER,
+                TLSTerminator,
+                ["extra", "ra"],
+                ["wan", "wan", "lan"],
+            ),
+            (build_unprotected_path, DeploymentModel.CLOSE_TO_CLIENT, RITMServer, [], ["metro"]),
+        ],
+        ids=["close-to-client", "close-to-server", "unprotected"],
+    )
+    def test_order_flow_and_protection(self, world, build, model, server_class, boxes, links):
+        extra = object()
+        named = {"ra": world.agent, "extra": extra}
+        protected = {"agent": world.agent, "extra_middleboxes": [extra]} if boxes else {}
+        deployment = build(
+            server_chain=world.corpus.chains[0],
+            trust_store=world.trust_store,
+            ca_public_keys=world.ca_public_keys(),
+            config=world.config,
+            client_ip="10.0.0.7",
+            server_ip="10.9.9.9",
+            **protected,
+        )
+        path = deployment.engine.path
+        assert deployment.model == model
+        assert type(deployment.server) is server_class
+        assert (path.client, path.server) == (deployment.client, deployment.server)
+        assert path.middleboxes == [named[box] for box in boxes]
+        assert [link.name for link in path.links] == links
+        assert deployment.agents == ([world.agent] if boxes else [])
+        assert deployment.flow == make_flow("10.0.0.7", 9012, "10.9.9.9", 443)
+        assert deployment.client.expect_ritm_protection
+        assert deployment.client.tls.config.server_name == world.corpus.chains[0].leaf.subject

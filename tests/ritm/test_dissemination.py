@@ -245,6 +245,47 @@ class TestTamperedObjectRecovery:
         assert replica.contains(serial)
         assert replica.root() == issuing.dictionary.root()
 
+    @pytest.mark.parametrize("tampered", [False, True], ids=["clean", "forced-resync"])
+    def test_bytes_downloaded_is_exactly_the_bytes_fetched_and_served(
+        self, world, monkeypatch, tampered
+    ):
+        """One currency: every CDN fetch's wire bytes plus every sync
+        response's codec length, nothing estimated."""
+        from dataclasses import replace
+
+        from repro.pki.serial import SerialNumber
+        from repro.ritm.messages import encode_sync_response
+
+        issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)
+        issuing.revoke([SerialNumber(n) for n in range(500, 540)], now=EPOCH + 20)
+        if tampered:
+            self._tamper(
+                world, issuing, lambda iss: replace(iss, serials=iss.serials[:-1])
+            )
+        moved = []
+        download = world.cdn.download
+
+        def counted_download(*args, **kwargs):
+            result = download(*args, **kwargs)
+            moved.append(result.bytes_on_wire)
+            return result
+
+        monkeypatch.setattr(world.cdn, "download", counted_download)
+        for ca in world.cas:
+            serve = ca.sync_server.serve
+
+            def counted_serve(request, serve=serve):
+                response = serve(request)
+                moved.append(len(encode_sync_response(response)))
+                return response
+
+            monkeypatch.setattr(ca.sync_server, "serve", counted_serve)
+
+        result = world.pull(now=EPOCH + 40)
+        assert result.resyncs == (1 if tampered else 0)
+        assert result.serials_applied == 40
+        assert result.bytes_downloaded == sum(moved)
+
     def test_forged_signature_recorded_and_resynced_without_aborting_pull(self, world):
         from dataclasses import replace
 

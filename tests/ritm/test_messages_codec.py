@@ -21,6 +21,7 @@ from repro.ritm.messages import (
     decode_signed_root,
     decode_status,
     decode_status_bundle,
+    encode_freshness,
     encode_head,
     encode_issuance,
     encode_key_announcements,
@@ -112,11 +113,16 @@ class TestStatusCodec:
         with pytest.raises(TLSError):
             decode_status_bundle(b"")
 
-    def test_encoded_size_close_to_estimate(self, master):
+    def test_status_size_is_its_framed_parts(self, master):
         status = master.prove(SerialNumber(700_000))
-        encoded = len(encode_status(status))
-        estimate = status.encoded_size()
-        assert abs(encoded - estimate) < 200
+        parts = [
+            status.ca_name.encode("utf-8"),
+            status.serial.to_bytes(),
+            encode_proof(status.proof),
+            encode_signed_root(status.signed_root),
+            encode_freshness(status.freshness),
+        ]
+        assert len(encode_status(status)) == sum(2 + len(part) for part in parts)
 
 
 class TestHeadAndIssuanceCodec:
@@ -140,7 +146,7 @@ class TestHeadAndIssuanceCodec:
             freshness=master.latest_freshness,
         )
         # The polling object stays a few hundred bytes (it is fetched every Δ).
-        assert head.encoded_size() < 500
+        assert len(encode_head(head)) < 500
 
     def test_issuance_roundtrip(self, keys):
         dictionary = CADictionary("Codec-CA-2", keys, delta=10, chain_length=8)
@@ -159,6 +165,40 @@ class TestHeadAndIssuanceCodec:
         replica = ReplicaDictionary("Codec-CA-3", keys.public)
         replica.update(decode_issuance(encode_issuance(issuance)))
         assert replica.root() == dictionary.root()
+
+    @pytest.mark.parametrize("missing", [0, 3, 0xFFFF, 0xFFFF + 1, 2 * 0xFFFF + 5])
+    def test_sync_response_is_sized_as_consecutive_issuance_objects(self, master, missing):
+        """What ``as_issuance()`` says it is, cut at the issuance object's
+        16-bit count — so a cold sync past 65,535 serials has a size."""
+        from repro.dictionary.sync import SyncResponse
+        from repro.ritm.messages import MAX_ISSUANCE_SERIALS, encode_sync_response
+
+        response = SyncResponse(
+            ca_name="Codec-CA",
+            first_number=11,
+            serials=tuple(SerialNumber(n + 1) for n in range(missing)),
+            signed_root=master.signed_root,
+            freshness=master.latest_freshness,
+        )
+        wire = encode_sync_response(response)
+        counts = []
+        while sum(counts) < missing or not counts:
+            # Each object's 16-bit count sits after its name and first number.
+            count = int.from_bytes(wire[2 + len(b"Codec-CA") + 8 :][:2], "big")
+            expected = replace(
+                response.as_issuance(),
+                serials=response.serials[sum(counts) : sum(counts) + count],
+                first_number=11 + sum(counts),
+            )
+            size = len(encode_issuance(expected))
+            assert decode_issuance(wire[:size]) == expected
+            wire = wire[size:]
+            counts.append(count)
+        full, rest = divmod(missing, MAX_ISSUANCE_SERIALS)
+        assert counts == [MAX_ISSUANCE_SERIALS] * full + ([rest] if rest or not full else [])
+        assert wire == encode_freshness(master.latest_freshness)
+        without = encode_sync_response(replace(response, freshness=None))
+        assert without + wire == encode_sync_response(response)
 
 
 class TestNameFieldsAreTotal:

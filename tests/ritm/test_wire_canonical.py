@@ -20,11 +20,16 @@ from repro.errors import CertificateError, TLSError
 from repro.pki.certificate import Certificate, CertificateChain
 from repro.pki.serial import SerialNumber
 from repro.ritm.messages import (
+    DictionaryHead,
     decode_freshness,
+    decode_head,
+    decode_issuance,
     decode_proof,
     decode_signed_root,
     decode_status_bundle,
     encode_freshness,
+    encode_head,
+    encode_issuance,
     encode_proof,
     encode_signed_root,
     encode_status_bundle,
@@ -62,11 +67,39 @@ EMPTY = _dictionary(0)
 STATUSES = [FULL.prove(SerialNumber(value)) for value in (200, 205, 5, 999)]
 STATUSES.append(EMPTY.prove(SerialNumber(7)))
 CORPUS = generate_corpus(ca_count=1, domains_per_ca=2, use_intermediates=True)
+HEADS = [
+    DictionaryHead(
+        ca_name=dictionary.ca_name,
+        size=dictionary.size,
+        signed_root=dictionary.signed_root,
+        freshness=dictionary.latest_freshness,
+        sequence=sequence,
+    )
+    for dictionary, sequence in ((FULL, 9), (EMPTY, 0))
+]
+_ISSUER = CADictionary("Canon-CA", KeyPair.generate(b"canonical"), delta=10, chain_length=8)
+ISSUANCES = [
+    _ISSUER.insert([SerialNumber(n) for n in serials], now=1000 + 10 * batch)
+    for batch, serials in enumerate([(7,), (300, 2, 70_000), range(1000, 1020)])
+]
 
 
 def _whole(decode):
     """Adapt a whole-buffer decoder to the ``(value, end)`` shape."""
     return lambda data: (decode(data), len(data))
+
+
+def _decode_head(data):
+    """What the head decoder accepts is a head *and* whether its sequence was
+    on the wire: the legacy form stops before it (and reads it as 0), the one
+    second encoding kept on purpose."""
+    head = decode_head(data)
+    return (head, len(data) == len(encode_head(head))), len(data)
+
+
+def _encode_head(accepted):
+    head, with_sequence = accepted
+    return encode_head(head) if with_sequence else encode_head(head)[:-8]
 
 
 #: name → (decode to ``(value, end)``, encode, rejection type, valid encodings)
@@ -107,6 +140,18 @@ CODECS = {
         TLSError,
         [encode_status_bundle([status]) for status in STATUSES]
         + [encode_status_bundle(STATUSES[:3])],
+    ),
+    "head": (
+        _decode_head,
+        _encode_head,
+        TLSError,
+        [encode_head(HEADS[0])[:-8]] + [encode_head(head) for head in HEADS],
+    ),
+    "issuance": (
+        _whole(decode_issuance),
+        encode_issuance,
+        TLSError,
+        [encode_issuance(issuance) for issuance in ISSUANCES],
     ),
 }
 
@@ -194,6 +239,29 @@ class TestSecondEncodingsClosed:
     def test_trailing_bytes_after_a_status_bundle(self):
         with pytest.raises(TLSError, match="trailing bytes"):
             decode_status_bundle(encode_status_bundle(STATUSES[:1]) + b"\x00")
+
+    @pytest.mark.parametrize("junk", [b"x", b"junk", bytes(7), bytes(9), bytes(16)])
+    def test_trailing_bytes_after_a_head_or_an_issuance_object(self, junk):
+        with pytest.raises(TLSError, match="trailing bytes"):
+            decode_head(encode_head(HEADS[0]) + junk)
+        with pytest.raises(TLSError, match="trailing bytes"):
+            decode_issuance(encode_issuance(ISSUANCES[1]) + junk)
+        if len(junk) != 8:  # eight bytes after a legacy head *are* its sequence
+            with pytest.raises(TLSError, match="trailing bytes"):
+                decode_head(encode_head(HEADS[0])[:-8] + junk)
+
+    @pytest.mark.parametrize(
+        "encode, decode, value",
+        [(encode_head, decode_head, HEADS[0]), (encode_issuance, decode_issuance, ISSUANCES[0])],
+        ids=["head", "issuance"],
+    )
+    def test_trailing_bytes_inside_a_dissemination_object_root_frame(self, encode, decode, value):
+        data = encode(value)
+        root = encode_signed_root(value.signed_root)
+        at = data.index(root) - 2
+        padded = (len(root) + 1).to_bytes(2, "big") + root + b"\x00"
+        with pytest.raises(TLSError, match="trailing bytes inside"):
+            decode(data[:at] + padded + data[at + 2 + len(root) :])
 
     def test_trailing_bytes_inside_a_status_field(self):
         status = STATUSES[1]

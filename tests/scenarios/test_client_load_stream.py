@@ -28,6 +28,7 @@ from repro.scenarios.config import (
 )
 from repro.scenarios.engine.actors import Message
 from repro.scenarios.engine import core as engine_core
+from repro.workloads.streaming import StreamConfig
 
 
 class LegacyClientLoadActor:
@@ -147,6 +148,35 @@ def test_client_stream_spec_validates_positive_fields():
         ClientStreamSpec(clients=0, sites=5, events_total=20)
     with pytest.raises(ConfigurationError):
         ClientStreamSpec(clients=10, sites=5, events_total=20, batch_size=0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"clients": 0},
+        {"sites": 0},
+        {"events_total": 0},
+        {"batch_size": 0},
+        {"zipf_exponent": 0.0},
+        {"diurnal_amplitude": 1.0},
+        {"diurnal_amplitude": -0.1},
+    ],
+)
+def test_the_spec_rejects_exactly_what_the_stream_config_it_builds_rejects(bad):
+    """One validation: the spec's is ``StreamConfig``'s, and both raise
+    ``ConfigurationError`` (never a bare ``ValueError``)."""
+    good = {"clients": 10, "sites": 5, "events_total": 20}
+    spec = ClientStreamSpec(**good)
+    assert spec.stream_config(600, start_time=7.0) == StreamConfig(
+        duration_seconds=600, start_time=7.0, **good
+    )
+    with pytest.raises(ConfigurationError):
+        ClientStreamSpec(**{**good, **bad})
+    with pytest.raises(ConfigurationError):
+        StreamConfig(duration_seconds=600, **{**good, **bad})
+    for knob in ({"duration_seconds": 0}, {"lifetime_mix": ()}, {"lifetime_mix": ((0, 1.0),)}):
+        with pytest.raises(ConfigurationError):
+            StreamConfig(**{"duration_seconds": 600, **good, **knob})
 
 
 def test_smoke_overrides_reach_the_stream_spec():

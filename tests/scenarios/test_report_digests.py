@@ -19,6 +19,11 @@ Folding the RA's two catch-up walks into one re-pinned ``region-outage``:
 ``dissemination.freshness_applied`` 78 → 74, because each of the two restored
 RAs now applies its three-segment peer backlog in one transaction followed by
 one freshness statement instead of three.
+Sizing every message by its codec (no hand-estimated ``encoded_size()``)
+re-pinned six rows whose reports print a byte count that used to be an
+estimate: the four with a victim handshake (``status 187 B`` → ``229 B`` in one
+event and one check), ``tampered-cdn`` (its resync's bytes, 6911 → 6981
+downloaded) and ``region-outage`` (the cold-sync counterfactual, 1140 → 1630 B).
 """
 
 from __future__ import annotations
@@ -31,22 +36,22 @@ import pytest
 from repro.scenarios import get, names, run_scenario
 
 GOLDEN_DIGESTS = {
-    "ca-audit-gossip": "c41da7e3aa66b406ba653158338ba06fea583bb3a1ef1a1ae71359fae152afff",
+    "ca-audit-gossip": "a1a7a684311da117737d200155d5e82fc07cdf80f0b9f6eb80bdcab809325599",
     "degraded-ra": "0476dd6f731042d585085d7b7ffc4971a0f42243b337fde1efeed66015daa177",
     "equivocating-ca": "81ee8af79081bee635a6b30cc6868afa495d0b410385e1a61d28ca4c914de3a3",
     "flash-crowd": "41374057cb1693ced73dfeefe7edbfea269fc46f2395faff93d62e0331dd7dba",
     "heartbleed": "4e1114f62613fd10a4fe96a48b5fdbfe8144a981fa74ea125aca14290e07750d",
-    "iot-long-lived": "8547dbddf291314c5600eaa823725a577efa8568198843ebc32824d6767806b9",
-    "quickstart": "fd9b9bdd7df97c89d6f3de5d1419ff79f281f556674ae81f0ce5f2b1a4c133af",
+    "iot-long-lived": "03a08b7341ae944884fa2e7d448907584dcd860710b23facbacc0d83e8166518",
+    "quickstart": "3244dc703a0f0ec158b9831967cafe7424a00d92a0733f5fce6758571849dbb4",
     "ra-crash-recovery": "310c301c38ae93bdf8fca1c1a818a86cec27eec3b06af83093ae7d18926b1443",
-    "region-outage": "c02762eb76e6c828ee1a2aa9faa85204ffb56925c97705743efb103bc3a4477b",
+    "region-outage": "6a4b5cf1d7ef0bb68aa1c21bbfec19f06226462023db9c2a3d82c3d8a0a7088d",
     "replayed-head": "0b9fe51821bc41d1a4309a1e542f1aabe89052037bc89f13a8f76afc143832cf",
-    "rotated-ca-key": "b4c887b7c29aed2b7de70191b64618f5356fcb1bdd755f294a921609eda5d926",
+    "rotated-ca-key": "4299b7e68601da4faeae307b5528c6d51c74a2915ad2290023746fb2de4593c6",
     "sharded-longrun": "5ab70a00c43358c0b9f08b32086c9b275aa0e2631c25f7fb6b83946c3f8296fa",
     "slow-ra-holb": "089d35822d7113168bb4a3198ef202a6e00bdc5dda2137d748d99b7bdf12de56",
     "soak": "619b04e14dde17279b328c7fb9825be366fe95f382bb7a100370d8c7bb0bbd3a",
     "staggered-pulls": "814e5b760f4d175e168888a6f828717e2a91fe0bf93a07b28ab27d29b93e068f",
-    "tampered-cdn": "a01a9363adf6c34ef76b0771b019486103584c8a98c29df5bb8c4d9edc31f5ea",
+    "tampered-cdn": "79737785e6c9c87f7f2d02ccbe182004a60eab5b991c6be404d3ba25db4e74f3",
     "thundering-herd": "6b91839515f9715eaed8d59956d803cd69f000d81354c594e4d7e9cfdc8f0646",
 }
 

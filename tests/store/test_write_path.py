@@ -9,6 +9,7 @@ and the naive engine's from-scratch rebuild — and check that a rejected
 batch and a rolled-back batch leave no trace.
 """
 
+import bisect
 import copy
 import random
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, ProofError
 from repro.store import ENGINES, create_store
+from repro.store.base import SortedLeafStore
 
 #: Variable-width keys: the merge must order by bytes, not by width.
 keys_pools = st.lists(st.binary(min_size=1, max_size=4), unique=True, min_size=2, max_size=80)
@@ -113,6 +115,47 @@ def test_rejected_batch_leaves_no_trace(engine, collision):
     with pytest.raises(ProofError):
         store.insert_batch(leaves(batch))
     assert state_of(store) == before
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_a_batch_is_placed_exactly_once(engine, tmp_path, monkeypatch):
+    """place → (log) → merge: one ``_place_batch`` and one bisect per key for
+    every ``insert_batch`` of every engine, mid-tree or append, and for every
+    record a durable engine replays."""
+    durable = engine.startswith("durable")
+    options = {"directory": tmp_path, "snapshot_every": 0} if durable else {}
+    stored = [bytes([1, value]) for value in range(10, 250, 10)]
+    middle = [bytes([1, value]) for value in range(15, 250, 40)]
+    tail = [bytes([2, value]) for value in range(5)]
+    store = create_store(engine, **options)
+    store.insert_batch(leaves(stored))
+
+    placements, probes = [], []
+    place, probe = SortedLeafStore._place_batch, bisect.bisect_left
+
+    def counted_place(self, items):
+        placements.append(1)
+        return place(self, items)
+
+    def counted_probe(*args):
+        probes.append(1)
+        return probe(*args)
+
+    monkeypatch.setattr(SortedLeafStore, "_place_batch", counted_place)
+    monkeypatch.setattr(bisect, "bisect_left", counted_probe)
+    store.insert_batch(leaves(middle))
+    store.insert_batch(leaves(tail))
+    assert (len(placements), len(probes)) == (2, len(middle) + len(tail))
+    if durable:
+        expected = state_of(store)
+        store.close()
+        placements.clear()
+        probes.clear()
+        reopened = create_store(engine, **options)
+        assert reopened.records_replayed == 3
+        assert (len(placements), len(probes)) == (3, len(stored + middle + tail))
+        assert state_of(reopened) == expected
+        reopened.close()
 
 
 def test_rollback_of_a_1000_serial_batch_restores_every_level():

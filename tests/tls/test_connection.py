@@ -273,3 +273,20 @@ class TestChainValidationCache:
             assert client.validation.valid
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
+
+    def test_standalone_connection_validates_through_a_disabled_cache(self, small_corpus):
+        """No cache passed: the one validation call still goes through a
+        ``ChainValidationCache`` — private, ``maxsize=0``, memoizing nothing."""
+        chain = small_corpus.chains[0]
+        caches = []
+        for _ in range(2):
+            client = TLSClientConnection(
+                ClientConnectionConfig(server_name=chain.leaf.subject),
+                small_corpus.trust_store,
+            )
+            run_handshake(client, TLSServerConnection(ServerConnectionConfig(chain=chain)))
+            assert client.validation.valid
+            caches.append(client.config.validation_cache)
+        assert caches[0] is not caches[1]
+        for cache in caches:
+            assert (cache.stats.misses, cache.stats.hits, len(cache)) == (1, 0, 0)

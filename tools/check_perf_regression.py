@@ -60,7 +60,7 @@ def _load(path: Path) -> dict:
     except FileNotFoundError:
         sys.exit(
             f"error: {path} not found — run the scaling sweep first:\n"
-            "  PYTHONPATH=src:benchmarks python -m pytest "
+            "  PYTHONPATH=src:benchmarks python -m pytest -m sweep "
             "benchmarks/test_dictionary_update.py::"
             "test_dictionary_update_scaling_sweep -q"
         )

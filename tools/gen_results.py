@@ -122,7 +122,8 @@ ARTIFACTS: List[Artifact] = [
         "handshake_overhead.txt",
         "benchmarks/test_handshake_overhead.py",
         "§VII-D",
-        "Latency and byte overhead RITM adds to a TLS handshake.",
+        "Latency and byte overhead RITM adds to a TLS handshake; the status "
+        "row is wire bytes, `len(encode_status(...))`.",
     ),
     Artifact(
         "handshake_hotpath.txt",
@@ -250,14 +251,15 @@ ARTIFACTS: List[Artifact] = [
         "benchmarks/test_replication_egress.py",
         "Replication",
         "Region-outage catch-up: CA-origin egress under peer anti-entropy "
-        "vs N cold syncs at 1/10/50 restored RAs (docs/REPLICATION.md).",
+        "vs N cold syncs at 1/10/50 restored RAs (docs/REPLICATION.md); a cold "
+        "sync is its response's wire bytes, `len(encode_sync_response(...))`.",
     ),
     Artifact(
         "replication_egress.json",
         "benchmarks/test_replication_egress.py",
         "Replication",
         "Machine-readable egress sweep: CA-origin bytes, peer-mesh bytes, "
-        "and the cold-sync counterfactual per fleet size.",
+        "and the cold-sync counterfactual (wire bytes) per fleet size.",
     ),
     Artifact(
         "ablation_delta_sweep.txt",
@@ -350,7 +352,7 @@ def generate() -> str:
         "regeneration.  Regenerate after running the benchmarks with:",
         "",
         "```sh",
-        "PYTHONPATH=src python -m pytest benchmarks/",
+        'PYTHONPATH=src python -m pytest -m "sweep or not sweep" benchmarks/',
         "PYTHONPATH=src python tools/gen_results.py",
         "```",
         "",
