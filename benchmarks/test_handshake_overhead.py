@@ -57,7 +57,7 @@ def test_ritm_supported_handshake(benchmark):
 
     status_bytes = len(encode_status(deployment.client.last_status))
     # Packets that crossed the RA during this handshake (both directions).
-    packets_in_handshake = len(deployment.engine.deliveries)
+    packets_in_handshake = deployment.engine.packets_delivered
     processing = packets_in_handshake * agent.processing_delay(None)
     transmission = status_bytes / 12_500_000.0
     added_ms = (processing + transmission) * 1e3

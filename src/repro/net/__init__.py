@@ -10,7 +10,7 @@ from repro.net.node import (
     TransparentMiddlebox,
 )
 from repro.net.packet import Direction, FiveTuple, Packet, make_flow
-from repro.net.path import DeliveryRecord, NetworkPath, PathEngine
+from repro.net.path import NetworkPath, PathEngine
 from repro.net.simulator import EventHandle, EventScheduler
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "make_flow",
     "NetworkPath",
     "PathEngine",
-    "DeliveryRecord",
     "EventScheduler",
     "EventHandle",
 ]

@@ -10,7 +10,7 @@ payloads (the simulated equivalent of fixing up TCP sequence numbers).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -80,7 +80,9 @@ class Packet:
 
     def with_payload(self, payload: bytes) -> "Packet":
         """A copy with a rewritten payload (what an RA does when appending status)."""
-        return replace(self, payload=payload)
+        return Packet(
+            self.flow, payload, self.direction, self.sequence, self.created_at, self.packet_id
+        )
 
     def reply(self, payload: bytes, created_at: Optional[float] = None) -> "Packet":
         """Build a response packet on the reverse flow."""

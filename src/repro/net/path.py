@@ -8,37 +8,21 @@ path (applying every middlebox in order, accumulating link and processing
 latency), hands it to the destination endpoint, and recursively carries any
 response packets back until no endpoint has anything left to say.
 
-The engine keeps a log of every delivery, which the tests and the overhead
-analysis use to count bytes on the wire and measure added latency.
+The engine counts what crossed the last link into an endpoint (packets and
+bytes) and what a middlebox dropped; the tests and the overhead analysis read
+bytes on the wire from those counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.net.clock import SimulatedClock
 from repro.net.link import Link, lan_link
 from repro.net.node import Endpoint, Middlebox
 from repro.net.packet import Direction, Packet
-
-
-@dataclass
-class DeliveryRecord:
-    """One packet delivered end to end (after middlebox processing)."""
-
-    packet: Packet
-    direction: Direction
-    sent_at: float
-    delivered_at: float
-    wire_bytes: int
-    dropped: bool = False
-
-    @property
-    def latency(self) -> float:
-        """Seconds between send and delivery."""
-        return self.delivered_at - self.sent_at
 
 
 @dataclass
@@ -60,12 +44,6 @@ class NetworkPath:
                 f"{hop_count} links, got {len(self.links)}"
             )
 
-    def hops_for(self, direction: Direction) -> Tuple[Sequence[Middlebox], Endpoint]:
-        """Middleboxes in traversal order and the terminating endpoint."""
-        if direction is Direction.CLIENT_TO_SERVER:
-            return self.middleboxes, self.server
-        return list(reversed(self.middleboxes)), self.client
-
 
 class PathEngine:
     """Delivers packets over a :class:`NetworkPath` and tracks time and bytes."""
@@ -73,7 +51,16 @@ class PathEngine:
     def __init__(self, path: NetworkPath, clock: Optional[SimulatedClock] = None) -> None:
         self.path = path
         self.clock = clock if clock is not None else SimulatedClock()
-        self.deliveries: List[DeliveryRecord] = []
+        #: Bytes and packets that crossed the last link into an endpoint, and
+        #: packets sent whose flight a middlebox emptied.
+        self.wire_bytes = 0
+        self.packets_delivered = 0
+        self.packets_dropped = 0
+        # Both traversal orders, fixed when the engine is built: each middlebox
+        # paired with the link into it, then the link into the destination.
+        links, boxes = path.links, path.middleboxes
+        self._to_server = (tuple(zip(links, boxes)), links[-1], path.server)
+        self._to_client = (tuple(zip(links[::-1], boxes[::-1])), links[0], path.client)
 
     # -- public API -------------------------------------------------------------
 
@@ -87,7 +74,7 @@ class PathEngine:
 
     def total_wire_bytes(self) -> int:
         """Bytes that actually crossed the wire (dropped packets excluded)."""
-        return sum(record.wire_bytes for record in self.deliveries if not record.dropped)
+        return self.wire_bytes
 
     # -- internals ----------------------------------------------------------------
 
@@ -114,52 +101,31 @@ class PathEngine:
         self, packet: Packet, direction: Direction
     ) -> Tuple[List[Packet], Optional[Packet]]:
         """Carry one packet across the path; returns (responses, delivered packet)."""
-        middleboxes, destination = self.path.hops_for(direction)
-        links = self.path.links if direction is Direction.CLIENT_TO_SERVER else list(
-            reversed(self.path.links)
+        hops, last_link, destination = (
+            self._to_server if direction is Direction.CLIENT_TO_SERVER else self._to_client
         )
-        sent_at = self.clock.now()
+        clock = self.clock
         in_flight: List[Packet] = [packet]
-        injected: List[Packet] = []
 
-        for hop_index, middlebox in enumerate(middleboxes):
+        for link, middlebox in hops:
             if not in_flight:
                 break
-            self.clock.advance(links[hop_index].transfer_time(in_flight[0].size))
+            clock.advance(link.transfer_time(in_flight[0].size))
             next_flight: List[Packet] = []
             for transiting in in_flight:
-                self.clock.advance(middlebox.processing_delay(transiting))
-                outputs = middlebox.process_packet(transiting, self.clock.now())
-                next_flight.extend(outputs)
+                now = clock.advance(middlebox.processing_delay(transiting))
+                next_flight.extend(middlebox.process_packet(transiting, now))
             in_flight = next_flight
 
         if not in_flight:
-            self.deliveries.append(
-                DeliveryRecord(
-                    packet=packet,
-                    direction=direction,
-                    sent_at=sent_at,
-                    delivered_at=self.clock.now(),
-                    wire_bytes=0,
-                    dropped=True,
-                )
-            )
+            self.packets_dropped += 1
             return [], None
 
         # Final link into the destination endpoint.
-        self.clock.advance(links[-1].transfer_time(in_flight[0].size))
+        now = clock.advance(last_link.transfer_time(in_flight[0].size))
         responses: List[Packet] = []
-        delivered_packet: Optional[Packet] = None
         for arriving in in_flight:
-            self.deliveries.append(
-                DeliveryRecord(
-                    packet=arriving,
-                    direction=direction,
-                    sent_at=sent_at,
-                    delivered_at=self.clock.now(),
-                    wire_bytes=arriving.size,
-                )
-            )
-            delivered_packet = arriving
-            responses.extend(destination.handle_packet(arriving, self.clock.now()))
-        return responses, delivered_packet
+            self.packets_delivered += 1
+            self.wire_bytes += arriving.size
+            responses.extend(destination.handle_packet(arriving, now))
+        return responses, in_flight[-1]

@@ -550,13 +550,9 @@ class RevocationAgent(Middlebox):
 
     def process_packet(self, packet: Packet, now: float) -> List[Packet]:
         self.stats.packets_seen += 1
-        if not self.dpi.is_tls(packet.payload):
-            self.stats.packets_forwarded_transparently += 1
-            return [packet]
-
         inspection = self.dpi.inspect(packet.payload)
-        if inspection.parse_error is not None:
-            # Malformed TLS: forward untouched, never break the connection.
+        if not inspection.is_tls or inspection.parse_error is not None:
+            # Not TLS, or malformed TLS: forward untouched, never break the connection.
             self.stats.packets_forwarded_transparently += 1
             return [packet]
 

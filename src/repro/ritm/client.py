@@ -139,10 +139,10 @@ class RITMClient(Endpoint):
             return []
 
         tls_records: List[TLSRecord] = []
-        status_seen = False
+        status_seen = server_hello_present = False
         statuses_in_packet: List[RevocationStatus] = []
         for record in records:
-            if record.is_ritm_status():
+            if record.content_type == ContentType.RITM_STATUS:
                 status_seen = True
                 consumed = self._consume_status_record(record, now)
                 if consumed is None:
@@ -150,10 +150,8 @@ class RITMClient(Endpoint):
                 statuses_in_packet.extend(consumed)
             else:
                 tls_records.append(record)
-
-        server_hello_present = any(
-            record.is_handshake() and record.payload[:1] == b"\x02" for record in tls_records
-        )
+                if record.content_type == ContentType.HANDSHAKE and record.payload[:1] == b"\x02":
+                    server_hello_present = True
 
         responses: List[TLSRecord] = []
         for record in tls_records:

@@ -25,12 +25,10 @@ from repro.perf import LRUCache
 from repro.pki.certificate import CertificateChain
 from repro.tls.extensions import has_ritm_support
 from repro.tls.messages import (
-    BODY_PARSERS,
-    CertificateMessage,
     ClientHello,
-    Finished,
     HandshakeType,
     ServerHello,
+    body_parsers_through,
     parse_handshake_messages,
 )
 from repro.tls.records import ContentType, TLSRecord, looks_like_tls, parse_records
@@ -52,9 +50,7 @@ class InspectionResult:
 
     @property
     def client_requests_ritm(self) -> bool:
-        return self.client_hello is not None and has_ritm_support(
-            list(self.client_hello.extensions)
-        )
+        return self.client_hello is not None and has_ritm_support(self.client_hello.extensions)
 
 
 @dataclass
@@ -81,7 +77,7 @@ class DPIEngine:
     def __init__(self) -> None:
         self.stats = DPIStatistics()
         self.chain_cache = LRUCache(maxsize=CHAIN_CACHE_CAPACITY)
-        self._parsers = {**BODY_PARSERS, HandshakeType.CERTIFICATE: self._certificate_message}
+        self._parsers = body_parsers_through(self.chain_cache)
 
     # -- fast path ------------------------------------------------------------
 
@@ -97,8 +93,8 @@ class DPIEngine:
     # -- full inspection ----------------------------------------------------------
 
     def inspect(self, payload: bytes) -> InspectionResult:
-        """Parse a TLS payload into the handshake facts RITM needs."""
-        if not looks_like_tls(payload):
+        """Classify a payload and parse TLS into the handshake facts RITM needs."""
+        if not self.is_tls(payload):
             return InspectionResult(is_tls=False)
         result = InspectionResult(is_tls=True)
         try:
@@ -135,11 +131,3 @@ class DPIEngine:
                 result.certificate_chain = message.chain
             elif handshake_type == HandshakeType.FINISHED:
                 result.finished_seen = True
-
-    def _certificate_message(self, body: bytes) -> CertificateMessage:
-        """``CertificateMessage.from_body``, by lookup for a body parsed before."""
-        message = self.chain_cache.get(body)
-        if message is None:
-            message = CertificateMessage.from_body(body)  # a failed parse raises: never stored
-            self.chain_cache.put(body, message)
-        return message

@@ -32,18 +32,22 @@ from repro.errors import ProofError, TLSError
 from repro.pki.serial import SerialNumber
 
 
+_FIELD_LENGTH = struct.Struct(">H")
+
+
 def _pack_bytes(data: bytes) -> bytes:
-    return struct.pack(">H", len(data)) + data
+    return _FIELD_LENGTH.pack(len(data)) + data
 
 
 def _unpack_bytes(buffer: bytes, offset: int) -> Tuple[bytes, int]:
-    if offset + 2 > len(buffer):
+    size = len(buffer)
+    start = offset + 2
+    if start > size:
         raise TLSError("truncated RITM field")
-    (length,) = struct.unpack_from(">H", buffer, offset)
-    offset += 2
-    if offset + length > len(buffer):
+    end = start + _FIELD_LENGTH.unpack_from(buffer, offset)[0]
+    if end > size:
         raise TLSError("truncated RITM field body")
-    return buffer[offset : offset + length], offset + length
+    return buffer[start:end], end
 
 
 def _unpack_name(buffer: bytes, offset: int) -> Tuple[str, int]:
@@ -162,13 +166,17 @@ def decode_freshness(data: bytes, offset: int = 0) -> Tuple[FreshnessStatement, 
 _PRESENCE_TAG = 1
 _ABSENCE_TAG = 2
 _STEP_HEADER = struct.Struct(">BH")  # sibling side, sibling length
+_PROOF_SHAPE = struct.Struct(">QQH")  # leaf index, tree size, path length
+#: A whole step — side, length, sibling — per sibling width a tree can have
+#: (``digest_size`` is 1–32 bytes).
+_WHOLE_STEP = [struct.Struct(f">BH{width}s") for width in range(33)]
 
 
 def _encode_presence(proof: PresenceProof) -> bytes:
     parts = [
         _pack_bytes(proof.key),
         _pack_bytes(proof.value),
-        struct.pack(">QQH", proof.leaf_index, proof.tree_size, len(proof.path)),
+        _PROOF_SHAPE.pack(proof.leaf_index, proof.tree_size, len(proof.path)),
     ]
     for step in proof.path:
         parts.append(struct.pack(">B", int(step.sibling_is_left)))
@@ -176,28 +184,57 @@ def _encode_presence(proof: PresenceProof) -> bytes:
     return b"".join(parts)
 
 
+def _uniform_steps(data: bytes, offset: int, count: int) -> Optional[List[AuditStep]]:
+    """``count`` canonical steps of one sibling width starting at ``offset``, or ``None``.
+
+    Every digest of one tree has the same width, so an honest path is a
+    fixed-stride array and is read as one.  Anything else — mixed widths, a
+    side byte above 1, a short buffer — is left to the step-by-step walk,
+    which decodes what is decodable and names what is wrong with the rest.
+    """
+    if not count or offset + _STEP_HEADER.size > len(data):
+        return None
+    width = _STEP_HEADER.unpack_from(data, offset)[1]
+    if width >= len(_WHOLE_STEP):
+        return None
+    step = _WHOLE_STEP[width]
+    end = offset + count * step.size
+    if end > len(data):
+        return None
+    steps = [
+        AuditStep(sibling, side == 1)
+        for side, length, sibling in step.iter_unpack(data[offset:end])
+        if length == width and side <= 1
+    ]
+    return steps if len(steps) == count else None
+
+
 def _decode_presence(data: bytes, offset: int) -> Tuple[PresenceProof, int]:
     key, offset = _unpack_bytes(data, offset)
     value, offset = _unpack_bytes(data, offset)
-    if offset + 18 > len(data):
-        raise TLSError("truncated presence proof")
-    leaf_index, tree_size, path_len = struct.unpack_from(">QQH", data, offset)
-    offset += 18
-    steps: List[AuditStep] = []
     size = len(data)
-    for _ in range(path_len):
-        if offset + 3 > size:
-            raise TLSError("truncated audit step")
-        side, length = _STEP_HEADER.unpack_from(data, offset)
-        offset += 3
-        if side > 1:
-            # ``bool(side)`` would make every non-zero byte a second
-            # accepted encoding of the same step.
-            raise TLSError("non-canonical audit step side")
-        if offset + length > size:
-            raise TLSError("truncated audit step sibling")
-        steps.append(AuditStep(data[offset : offset + length], side == 1))
-        offset += length
+    if offset + _PROOF_SHAPE.size > size:
+        raise TLSError("truncated presence proof")
+    leaf_index, tree_size, path_len = _PROOF_SHAPE.unpack_from(data, offset)
+    offset += _PROOF_SHAPE.size
+    steps = _uniform_steps(data, offset, path_len)
+    if steps is not None:
+        offset += path_len * (_STEP_HEADER.size + len(steps[0].sibling))
+    else:
+        steps = []
+        for _ in range(path_len):
+            if offset + 3 > size:
+                raise TLSError("truncated audit step")
+            side, length = _STEP_HEADER.unpack_from(data, offset)
+            offset += 3
+            if side > 1:
+                # ``bool(side)`` would make every non-zero byte a second
+                # accepted encoding of the same step.
+                raise TLSError("non-canonical audit step side")
+            if offset + length > size:
+                raise TLSError("truncated audit step sibling")
+            steps.append(AuditStep(data[offset : offset + length], side == 1))
+            offset += length
     return (
         PresenceProof(
             key=key,

@@ -31,7 +31,6 @@ from repro.tls.records import (
     ContentType,
     TLSRecord,
     looks_like_tls,
-    parse_record,
     parse_records,
     serialize_records,
 )
@@ -40,7 +39,6 @@ from repro.tls.session import SessionCache, SessionState, TicketIssuer
 __all__ = [
     "ContentType",
     "TLSRecord",
-    "parse_record",
     "parse_records",
     "serialize_records",
     "looks_like_tls",

@@ -43,6 +43,7 @@ from repro.tls.messages import (
     NewSessionTicket,
     ServerHello,
     ServerHelloDone,
+    body_parsers_through,
     parse_handshake_messages,
 )
 from repro.tls.records import ContentType, TLSRecord
@@ -73,12 +74,19 @@ class ChainValidationCache:
     validations are never cached, so a forged chain always pays the full
     check and can never displace a useful entry.
 
+    Beside the verdicts it keeps, under the same bound, the parsed form of
+    each ``Certificate`` message body its clients have seen — structure only,
+    as in the RA's DPI: :meth:`validate` still runs on every handshake, and
+    those lookups are not counted in :attr:`stats`.
+
     Share one instance per trust domain — e.g. across the connections of one
     client, or across a fleet behind one gateway (see docs/PERFORMANCE.md).
     """
 
     def __init__(self, maxsize: int = 1024) -> None:
         self._cache = LRUCache(maxsize=maxsize)
+        #: What a client validating through this cache parses handshake bodies with.
+        self.body_parsers = body_parsers_through(LRUCache(maxsize=maxsize))
 
     @property
     def stats(self):
@@ -200,7 +208,8 @@ class TLSClientConnection:
         """Consume one record from the server; returns records to send back."""
         responses: List[TLSRecord] = []
         if record.content_type == ContentType.HANDSHAKE:
-            for handshake_type, message in parse_handshake_messages(record.payload):
+            parsers = self.config.validation_cache.body_parsers
+            for handshake_type, message in parse_handshake_messages(record.payload, parsers):
                 responses.extend(self._process_handshake(handshake_type, message, now))
         elif record.content_type == ContentType.APPLICATION_DATA:
             if self.stage != HandshakeStage.ESTABLISHED:
@@ -220,7 +229,7 @@ class TLSClientConnection:
                 raise TLSError("unexpected ServerHello")
             self.stage = HandshakeStage.SERVER_HELLO
             self.negotiated_session_id = message.session_id
-            self.server_confirmed_ritm = has_ritm_server_confirmation(list(message.extensions))
+            self.server_confirmed_ritm = has_ritm_server_confirmation(message.extensions)
             if self.config.session_id and message.session_id == self.config.session_id:
                 self.resumed = True
         elif handshake_type == HandshakeType.CERTIFICATE:
@@ -331,7 +340,7 @@ class TLSServerConnection:
     def _respond_to_client_hello(self, hello: ClientHello, now: int) -> List[TLSRecord]:
         from repro.tls.extensions import has_ritm_support
 
-        self.client_supports_ritm = has_ritm_support(list(hello.extensions))
+        self.client_supports_ritm = has_ritm_support(hello.extensions)
         extensions: List[Extension] = []
         if self.config.acts_as_ritm_terminator and self.client_supports_ritm:
             extensions.append(ritm_server_confirm_extension())
@@ -368,7 +377,7 @@ class TLSServerConnection:
             state = self.session_cache.lookup(hello.session_id, now)
             if state is not None:
                 return state
-        ticket_extension = find_extension(list(hello.extensions), SESSION_TICKET_TYPE)
+        ticket_extension = find_extension(hello.extensions, SESSION_TICKET_TYPE)
         if ticket_extension is not None and ticket_extension.data:
             return self.ticket_issuer.validate(ticket_extension.data, now)
         return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import TLSError
 
@@ -21,6 +21,9 @@ SESSION_TICKET_TYPE = 35
 RITM_SUPPORT_TYPE = 0xFF01
 RITM_SERVER_CONFIRM_TYPE = 0xFF02
 
+_BLOCK_LENGTH = struct.Struct(">H")
+_EXTENSION_HEADER = struct.Struct(">HH")  # type, data length
+
 
 @dataclass(frozen=True)
 class Extension:
@@ -30,40 +33,41 @@ class Extension:
     data: bytes = b""
 
     def to_bytes(self) -> bytes:
-        return struct.pack(">HH", self.extension_type, len(self.data)) + self.data
+        return _EXTENSION_HEADER.pack(self.extension_type, len(self.data)) + self.data
 
     @property
     def wire_size(self) -> int:
         return 4 + len(self.data)
 
 
-def encode_extensions(extensions: List[Extension]) -> bytes:
-    body = b"".join(extension.to_bytes() for extension in extensions)
-    return struct.pack(">H", len(body)) + body
+def encode_extensions(extensions: Iterable[Extension]) -> bytes:
+    body = b"".join([extension.to_bytes() for extension in extensions])
+    return _BLOCK_LENGTH.pack(len(body)) + body
 
 
 def decode_extensions(data: bytes, offset: int) -> Tuple[List[Extension], int]:
-    if offset + 2 > len(data):
+    size = len(data)
+    if offset + 2 > size:
         raise TLSError("truncated extensions block")
-    (total,) = struct.unpack_from(">H", data, offset)
-    offset += 2
-    end = offset + total
-    if end > len(data):
+    end = offset + 2 + _BLOCK_LENGTH.unpack_from(data, offset)[0]
+    if end > size:
         raise TLSError("extensions block longer than the message")
     extensions: List[Extension] = []
+    unpack_header = _EXTENSION_HEADER.unpack_from
+    offset += 2
     while offset < end:
-        if offset + 4 > end:
+        body_at = offset + 4
+        if body_at > end:
             raise TLSError("truncated extension header")
-        ext_type, length = struct.unpack_from(">HH", data, offset)
-        offset += 4
-        if offset + length > end:
+        ext_type, length = unpack_header(data, offset)
+        offset = body_at + length
+        if offset > end:
             raise TLSError("truncated extension body")
-        extensions.append(Extension(ext_type, data[offset : offset + length]))
-        offset += length
+        extensions.append(Extension(ext_type, data[body_at:offset]))
     return extensions, offset
 
 
-def find_extension(extensions: List[Extension], extension_type: int) -> Optional[Extension]:
+def find_extension(extensions: Iterable[Extension], extension_type: int) -> Optional[Extension]:
     for extension in extensions:
         if extension.extension_type == extension_type:
             return extension
@@ -91,9 +95,9 @@ def session_ticket_extension(ticket: bytes = b"") -> Extension:
     return Extension(SESSION_TICKET_TYPE, ticket)
 
 
-def has_ritm_support(extensions: List[Extension]) -> bool:
+def has_ritm_support(extensions: Iterable[Extension]) -> bool:
     return find_extension(extensions, RITM_SUPPORT_TYPE) is not None
 
 
-def has_ritm_server_confirmation(extensions: List[Extension]) -> bool:
+def has_ritm_server_confirmation(extensions: Iterable[Extension]) -> bool:
     return find_extension(extensions, RITM_SERVER_CONFIRM_TYPE) is not None

@@ -41,22 +41,36 @@ class HandshakeType(IntEnum):
 _HANDSHAKE_TYPES = {int(member): member for member in HandshakeType}
 
 
+#: The 4-byte handshake header read as one integer: type << 24 | body length.
+_HANDSHAKE_HEADER = struct.Struct(">I")
+_MAX_HANDSHAKE_BODY = 0xFFFFFF
+#: What both hellos open with: legacy version, random, session-id length.
+_HELLO_HEAD = struct.Struct(f">2s{RANDOM_SIZE}sB")
+_HELLO_VERSION = b"\x03\x03"
+_U16 = struct.Struct(">H")
+_NULL_COMPRESSION = b"\x01\x00"  # one method, the null one
+_SERVER_CHOICE = struct.Struct(">HB")  # cipher suite, compression method
+_TICKET_HEAD = struct.Struct(">IH")  # lifetime, ticket length
+
+
 def _pack_handshake(handshake_type: HandshakeType, body: bytes) -> bytes:
-    return struct.pack(">B", int(handshake_type)) + len(body).to_bytes(3, "big") + body
+    size = len(body)
+    if size > _MAX_HANDSHAKE_BODY:
+        raise TLSError(f"handshake body of {size} bytes exceeds the 24-bit length field")
+    return _HANDSHAKE_HEADER.pack(handshake_type << 24 | size) + body
 
 
-def _unpack_handshake(data: bytes, offset: int) -> Tuple[HandshakeType, bytes, int]:
-    if offset + 4 > len(data):
-        raise TLSError("truncated handshake header")
-    msg_type = data[offset]
-    length = int.from_bytes(data[offset + 1 : offset + 4], "big")
-    offset += 4
-    if offset + length > len(data):
-        raise TLSError("truncated handshake body")
-    handshake_type = _HANDSHAKE_TYPES.get(msg_type)
-    if handshake_type is None:
-        raise TLSError(f"unknown handshake type {msg_type}")
-    return handshake_type, data[offset : offset + length], offset + length
+def _hello_head(kind: str, body: bytes, size: int) -> Tuple[bytes, bytes, int]:
+    """Random, session id and the offset after it, of either hello's ``size``-byte body."""
+    if size < _HELLO_HEAD.size:
+        raise TLSError(f"{kind} body too short")
+    version, random, sid_len = _HELLO_HEAD.unpack_from(body)
+    if version != _HELLO_VERSION:
+        raise TLSError(f"{kind} version {version.hex()} is not TLS 1.2")
+    offset = _HELLO_HEAD.size + sid_len
+    if offset > size:
+        raise TLSError(f"truncated {kind}")
+    return random, body[_HELLO_HEAD.size : offset], offset
 
 
 @dataclass(frozen=True)
@@ -69,43 +83,40 @@ class ClientHello:
     extensions: Tuple[Extension, ...] = ()
 
     def to_bytes(self) -> bytes:
-        body = b"\x03\x03" + self.random
-        body += struct.pack(">B", len(self.session_id)) + self.session_id
-        body += struct.pack(">H", 2 * len(self.cipher_suites))
-        body += b"".join(struct.pack(">H", suite) for suite in self.cipher_suites)
-        body += b"\x01\x00"  # compression methods: null only
-        body += encode_extensions(list(self.extensions))
+        suites = self.cipher_suites
+        body = b"".join(
+            (
+                _HELLO_VERSION,
+                self.random,
+                bytes((len(self.session_id),)),
+                self.session_id,
+                struct.pack(f">H{len(suites)}H", 2 * len(suites), *suites),
+                _NULL_COMPRESSION,
+                encode_extensions(self.extensions),
+            )
+        )
         return _pack_handshake(HandshakeType.CLIENT_HELLO, body)
 
     @classmethod
     def from_body(cls, body: bytes) -> "ClientHello":
-        if len(body) < 2 + RANDOM_SIZE + 1:
-            raise TLSError("ClientHello body too short")
-        offset = 2
-        random = body[offset : offset + RANDOM_SIZE]
-        offset += RANDOM_SIZE
-        sid_len = body[offset]
-        offset += 1
-        session_id = body[offset : offset + sid_len]
-        offset += sid_len
-        try:
-            (suites_len,) = struct.unpack_from(">H", body, offset)
-            offset += 2
-            suites = tuple(
-                struct.unpack_from(">H", body, offset + i)[0] for i in range(0, suites_len, 2)
-            )
-            offset += suites_len
-            comp_len = body[offset]
-        except (struct.error, IndexError) as exc:
-            raise TLSError("truncated ClientHello") from exc
-        offset += 1 + comp_len
-        extensions, offset = decode_extensions(body, offset)
-        return cls(
-            random=random,
-            session_id=session_id,
-            cipher_suites=suites,
-            extensions=tuple(extensions),
-        )
+        size = len(body)
+        random, session_id, offset = _hello_head("ClientHello", body, size)
+        suites_at = offset + 2
+        if suites_at > size:
+            raise TLSError("truncated ClientHello")
+        (suites_len,) = _U16.unpack_from(body, offset)
+        if suites_len % 2:
+            raise TLSError("odd ClientHello cipher-suites length")
+        offset = suites_at + suites_len
+        if offset + 2 > size:
+            raise TLSError("truncated ClientHello")
+        suites = struct.unpack_from(f">{suites_len // 2}H", body, suites_at)
+        if body[offset : offset + 2] != _NULL_COMPRESSION:
+            raise TLSError("ClientHello compression methods are not null-only")
+        extensions, end = decode_extensions(body, offset + 2)
+        if end != size:
+            raise TLSError("trailing bytes after the ClientHello extensions")
+        return cls(random, session_id, suites, tuple(extensions))
 
 
 @dataclass(frozen=True)
@@ -118,35 +129,31 @@ class ServerHello:
     extensions: Tuple[Extension, ...] = ()
 
     def to_bytes(self) -> bytes:
-        body = b"\x03\x03" + self.random
-        body += struct.pack(">B", len(self.session_id)) + self.session_id
-        body += struct.pack(">HB", self.cipher_suite, 0)
-        body += encode_extensions(list(self.extensions))
+        body = b"".join(
+            (
+                _HELLO_VERSION,
+                self.random,
+                bytes((len(self.session_id),)),
+                self.session_id,
+                _SERVER_CHOICE.pack(self.cipher_suite, 0),
+                encode_extensions(self.extensions),
+            )
+        )
         return _pack_handshake(HandshakeType.SERVER_HELLO, body)
 
     @classmethod
     def from_body(cls, body: bytes) -> "ServerHello":
-        if len(body) < 2 + RANDOM_SIZE + 1:
-            raise TLSError("ServerHello body too short")
-        offset = 2
-        random = body[offset : offset + RANDOM_SIZE]
-        offset += RANDOM_SIZE
-        sid_len = body[offset]
-        offset += 1
-        session_id = body[offset : offset + sid_len]
-        offset += sid_len
-        try:
-            cipher_suite, _compression = struct.unpack_from(">HB", body, offset)
-        except struct.error as exc:
-            raise TLSError("truncated ServerHello") from exc
-        offset += 3
-        extensions, offset = decode_extensions(body, offset)
-        return cls(
-            random=random,
-            session_id=session_id,
-            cipher_suite=cipher_suite,
-            extensions=tuple(extensions),
-        )
+        size = len(body)
+        random, session_id, offset = _hello_head("ServerHello", body, size)
+        if offset + 3 > size:
+            raise TLSError("truncated ServerHello")
+        cipher_suite, compression = _SERVER_CHOICE.unpack_from(body, offset)
+        if compression:
+            raise TLSError("ServerHello compression method is not null")
+        extensions, end = decode_extensions(body, offset + 3)
+        if end != size:
+            raise TLSError("trailing bytes after the ServerHello extensions")
+        return cls(random, session_id, cipher_suite, tuple(extensions))
 
 
 @dataclass(frozen=True)
@@ -194,15 +201,17 @@ class NewSessionTicket:
     ticket: bytes
 
     def to_bytes(self) -> bytes:
-        body = struct.pack(">IH", self.lifetime_seconds, len(self.ticket)) + self.ticket
+        body = _TICKET_HEAD.pack(self.lifetime_seconds, len(self.ticket)) + self.ticket
         return _pack_handshake(HandshakeType.NEW_SESSION_TICKET, body)
 
     @classmethod
     def from_body(cls, body: bytes) -> "NewSessionTicket":
-        if len(body) < 6:
+        if len(body) < _TICKET_HEAD.size:
             raise TLSError("NewSessionTicket body too short")
-        lifetime, length = struct.unpack_from(">IH", body, 0)
-        return cls(lifetime_seconds=lifetime, ticket=body[6 : 6 + length])
+        lifetime, length = _TICKET_HEAD.unpack_from(body)
+        if _TICKET_HEAD.size + length != len(body):
+            raise TLSError("NewSessionTicket length does not match its body")
+        return cls(lifetime_seconds=lifetime, ticket=body[_TICKET_HEAD.size :])
 
 
 HandshakeMessage = object  # documentation alias; concrete classes above
@@ -217,6 +226,24 @@ BODY_PARSERS: Dict[HandshakeType, Callable[[bytes], object]] = {
 }
 
 
+def body_parsers_through(chain_memo) -> Dict[HandshakeType, Callable[[bytes], object]]:
+    """``BODY_PARSERS`` with a ``Certificate`` body parsed before answered by lookup.
+
+    ``chain_memo`` is an :class:`~repro.perf.LRUCache` keyed by the exact body.
+    It holds *parsed structure*, never a verdict, and only successful parses,
+    so a body one bit different is a different key and pays the full parse.
+    """
+
+    def certificate_message(body: bytes) -> CertificateMessage:
+        message = chain_memo.get(body)
+        if message is None:
+            message = CertificateMessage.from_body(body)  # a failed parse raises: never stored
+            chain_memo.put(body, message)
+        return message
+
+    return {**BODY_PARSERS, HandshakeType.CERTIFICATE: certificate_message}
+
+
 def parse_handshake_messages(
     payload: bytes, parsers: Dict[HandshakeType, Callable[[bytes], object]] = BODY_PARSERS
 ) -> List[Tuple[HandshakeType, object]]:
@@ -224,12 +251,24 @@ def parse_handshake_messages(
 
     Returns ``(type, message)`` pairs; messages of types this model does not
     need to inspect are returned as raw bytes.  ``parsers`` lets the RA's DPI
-    engine answer a Certificate body it has parsed before by lookup.
+    engine and a warm client answer a Certificate body parsed before by lookup
+    (:func:`body_parsers_through`).
     """
     messages: List[Tuple[HandshakeType, object]] = []
-    offset = 0
-    while offset < len(payload):
-        handshake_type, body, offset = _unpack_handshake(payload, offset)
+    unpack_header = _HANDSHAKE_HEADER.unpack_from
+    offset, size = 0, len(payload)
+    while offset < size:
+        body_at = offset + 4
+        if body_at > size:
+            raise TLSError("truncated handshake header")
+        (header,) = unpack_header(payload, offset)
+        offset = body_at + (header & _MAX_HANDSHAKE_BODY)
+        if offset > size:
+            raise TLSError("truncated handshake body")
+        handshake_type = _HANDSHAKE_TYPES.get(header >> 24)
+        if handshake_type is None:
+            raise TLSError(f"unknown handshake type {header >> 24}")
         parse = parsers.get(handshake_type)
+        body = payload[body_at:offset]
         messages.append((handshake_type, body if parse is None else parse(body)))
     return messages

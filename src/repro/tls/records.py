@@ -24,7 +24,9 @@ from repro.errors import TLSError
 
 #: TLS 1.2 on the wire.
 PROTOCOL_VERSION = (3, 3)
-RECORD_HEADER_SIZE = 5
+#: Content type, protocol version (major, minor), payload length.
+_RECORD_HEADER = struct.Struct(">BBBH")
+RECORD_HEADER_SIZE = _RECORD_HEADER.size
 #: Maximum record payload (2^14 bytes, RFC 5246 §6.2.1).
 MAX_RECORD_PAYLOAD = 2**14
 
@@ -59,16 +61,8 @@ class TLSRecord:
             )
 
     def to_bytes(self) -> bytes:
-        return (
-            struct.pack(
-                ">BBBH",
-                int(self.content_type),
-                self.version[0],
-                self.version[1],
-                len(self.payload),
-            )
-            + self.payload
-        )
+        payload = self.payload
+        return _RECORD_HEADER.pack(self.content_type, *self.version, len(payload)) + payload
 
     @property
     def wire_size(self) -> int:
@@ -84,38 +78,29 @@ class TLSRecord:
         return self.content_type == ContentType.RITM_STATUS
 
 
-def parse_record(data: bytes, offset: int = 0) -> Tuple[TLSRecord, int]:
-    """Parse one record starting at ``offset``; returns (record, next offset)."""
-    if offset + RECORD_HEADER_SIZE > len(data):
-        raise TLSError("truncated TLS record header")
-    content_type, major, minor, length = struct.unpack_from(">BBBH", data, offset)
-    offset += RECORD_HEADER_SIZE
-    if offset + length > len(data):
-        raise TLSError("truncated TLS record payload")
-    ctype = _CONTENT_TYPES.get(content_type)
-    if ctype is None:
-        raise TLSError(f"unknown TLS content type {content_type}")
-    record = TLSRecord(
-        content_type=ctype,
-        payload=data[offset : offset + length],
-        version=(major, minor),
-    )
-    return record, offset + length
-
-
 def parse_records(data: bytes) -> List[TLSRecord]:
     """Parse a byte stream into consecutive records."""
     records: List[TLSRecord] = []
-    offset = 0
-    while offset < len(data):
-        record, offset = parse_record(data, offset)
-        records.append(record)
+    unpack_header = _RECORD_HEADER.unpack_from
+    offset, size = 0, len(data)
+    while offset < size:
+        payload_at = offset + RECORD_HEADER_SIZE
+        if payload_at > size:
+            raise TLSError("truncated TLS record header")
+        content_type, major, minor, length = unpack_header(data, offset)
+        offset = payload_at + length
+        if offset > size:
+            raise TLSError("truncated TLS record payload")
+        ctype = _CONTENT_TYPES.get(content_type)
+        if ctype is None:
+            raise TLSError(f"unknown TLS content type {content_type}")
+        records.append(TLSRecord(ctype, data[payload_at:offset], (major, minor)))
     return records
 
 
 def serialize_records(records: Iterable[TLSRecord]) -> bytes:
     """Concatenate records back into a stream."""
-    return b"".join(record.to_bytes() for record in records)
+    return b"".join([record.to_bytes() for record in records])
 
 
 def looks_like_tls(data: bytes) -> bool:
@@ -126,8 +111,8 @@ def looks_like_tls(data: bytes) -> bool:
     """
     if len(data) < RECORD_HEADER_SIZE:
         return False
-    content_type, major, minor, length = struct.unpack_from(">BBBH", data, 0)
-    if content_type not in (20, 21, 22, 23, 100):
+    content_type, major, minor, length = _RECORD_HEADER.unpack_from(data)
+    if content_type not in _CONTENT_TYPES:
         return False
     if major != 3 or minor > 4:
         return False

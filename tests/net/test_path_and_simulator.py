@@ -57,7 +57,7 @@ class TestPathEngine:
         # Two links out + two links back: at least 4 * 50 ms.
         assert engine.clock.now() >= 0.2
 
-    def test_delivery_log_tracks_bytes(self, flow):
+    def test_wire_bytes_are_counted(self, flow):
         _, _, engine = build_engine([])
         engine.send_from_client(Packet(flow=flow, payload=b"12345"))
         assert engine.total_wire_bytes() == 2 * (5 + 40)

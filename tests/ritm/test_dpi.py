@@ -35,6 +35,38 @@ class TestFastPath:
         assert dpi.stats.packets_inspected == 2
 
 
+class TestClassifiedOnce:
+    """``inspect`` is the one call the RA makes per packet: it classifies and
+    counts, so nothing is counted twice and nothing is classified twice."""
+
+    def test_inspect_counts_what_is_tls_counted(self, dpi):
+        assert dpi.inspect(handshake_payload(ClientHello())).is_tls
+        assert not dpi.inspect(b"GET / HTTP/1.1\r\n\r\n").is_tls
+        stats = dpi.stats
+        assert (stats.packets_inspected, stats.tls_packets, stats.non_tls_packets) == (2, 1, 1)
+
+    def test_the_agent_inspects_each_packet_once(self, world, monkeypatch):
+        from repro.net.packet import Packet
+        from repro.ritm import dpi as dpi_module
+        from tests.ritm.test_agent import FLOW, client_hello_packet
+
+        classified = []
+        looks_like_tls = dpi_module.looks_like_tls
+        monkeypatch.setattr(
+            dpi_module,
+            "looks_like_tls",
+            lambda payload: classified.append(payload) or looks_like_tls(payload),
+        )
+        hello, plain = client_hello_packet(), Packet(flow=FLOW, payload=b"not TLS at all")
+        assert world.agent.process_packet(hello, now=1.0) == [hello]
+        assert world.agent.process_packet(plain, now=2.0) == [plain]
+        assert classified == [hello.payload, plain.payload]
+        stats = world.agent.dpi.stats
+        assert (stats.packets_inspected, stats.tls_packets, stats.non_tls_packets) == (2, 1, 1)
+        assert world.agent.stats.packets_seen == 2
+        assert world.agent.stats.packets_forwarded_transparently == 1
+
+
 class TestInspection:
     def test_client_hello_with_ritm_extension(self, dpi):
         payload = handshake_payload(ClientHello(extensions=(ritm_support_extension(),)))

@@ -7,6 +7,9 @@ sound only if no decoder accepts two byte strings for one value, so this
 suite pins it: whatever a decoder accepts — valid encodings and bit flips,
 length-field edits, splices, cuts and extensions of them — re-encodes, from a
 field-for-field copy that retains no bytes, to exactly the bytes consumed.
+
+The TLS record, hello, session-ticket and extension parsers are held to the
+same property: the RA's DPI and both endpoints read every flight through them.
 """
 
 import dataclasses
@@ -19,6 +22,7 @@ from repro.dictionary.authdict import CADictionary
 from repro.errors import CertificateError, TLSError
 from repro.pki.certificate import Certificate, CertificateChain
 from repro.pki.serial import SerialNumber
+from repro.store import create_store
 from repro.ritm.messages import (
     DictionaryHead,
     decode_freshness,
@@ -34,6 +38,23 @@ from repro.ritm.messages import (
     encode_signed_root,
     encode_status_bundle,
 )
+from repro.tls.extensions import (
+    decode_extensions,
+    encode_extensions,
+    ritm_server_confirm_extension,
+    ritm_support_extension,
+    server_name_extension,
+    session_ticket_extension,
+)
+from repro.tls.messages import (
+    ClientHello,
+    Finished,
+    NewSessionTicket,
+    ServerHello,
+    ServerHelloDone,
+    parse_handshake_messages,
+)
+from repro.tls.records import ContentType, TLSRecord, parse_records, serialize_records
 from repro.workloads.certificates import generate_corpus
 
 from tests.ritm.conftest import flip_bit
@@ -66,6 +87,13 @@ EMPTY = _dictionary(0)
 #: present, absent between two leaves, absent before the first, after the last.
 STATUSES = [FULL.prove(SerialNumber(value)) for value in (200, 205, 5, 999)]
 STATUSES.append(EMPTY.prove(SerialNumber(7)))
+#: Proofs (one present, one absent) from trees of the narrowest and the widest
+#: digest; the dictionaries above use the default 20 bytes.
+OTHER_WIDTH_PROOFS = []
+for _width in (1, 32):
+    _store = create_store("incremental", digest_size=_width)
+    _store.insert_batch([(bytes([0, 0, n]), b"\x00\x00\x00\x01") for n in range(1, 20)])
+    OTHER_WIDTH_PROOFS += [_store.prove(bytes([0, 0, 7])), _store.prove(bytes([0, 0, 77]))]
 CORPUS = generate_corpus(ca_count=1, domains_per_ca=2, use_intermediates=True)
 HEADS = [
     DictionaryHead(
@@ -82,6 +110,58 @@ ISSUANCES = [
     _ISSUER.insert([SerialNumber(n) for n in serials], now=1000 + 10 * batch)
     for batch, serials in enumerate([(7,), (300, 2, 70_000), range(1000, 1020)])
 ]
+
+
+EXTENSIONS = [
+    (),
+    (ritm_support_extension(),),
+    (
+        server_name_extension("shop.example"),
+        ritm_support_extension(),
+        session_ticket_extension(b"t" * 9),
+    ),
+]
+CLIENT_HELLOS = [
+    ClientHello(random=bytes(range(32)), extensions=EXTENSIONS[0], cipher_suites=()),
+    ClientHello(random=bytes(range(32)), session_id=b"\x11" * 8, extensions=EXTENSIONS[2]),
+]
+SERVER_HELLOS = [
+    ServerHello(random=bytes(range(32))),
+    ServerHello(
+        random=bytes(range(32)),
+        session_id=b"\x22" * 16,
+        extensions=(ritm_server_confirm_extension(),),
+    ),
+]
+HELLOS = [CLIENT_HELLOS[1], SERVER_HELLOS[1]]
+TICKETS = [NewSessionTicket(0, b""), NewSessionTicket(3600, b"ticket-bytes")]
+FLIGHTS = [
+    [TLSRecord(ContentType.ALERT, b"", version=(3, 1))],
+    [
+        TLSRecord(
+            ContentType.HANDSHAKE, SERVER_HELLOS[1].to_bytes() + ServerHelloDone().to_bytes()
+        ),
+        TLSRecord(ContentType.RITM_STATUS, encode_status_bundle(STATUSES[:1])),
+        TLSRecord(ContentType.APPLICATION_DATA, b"body"),
+    ],
+]
+MESSAGE_FLIGHTS = [
+    CLIENT_HELLOS[1].to_bytes(),
+    SERVER_HELLOS[1].to_bytes()
+    + ServerHelloDone().to_bytes()
+    + Finished(verify_data=b"\xaa" * 12).to_bytes()
+    + TICKETS[1].to_bytes(),
+]
+
+
+def _encode_flight(messages) -> bytes:
+    """Handshake messages back to bytes, the header spelt field by field."""
+    return b"".join(
+        message.to_bytes()
+        if hasattr(message, "to_bytes")
+        else bytes([handshake_type]) + len(message).to_bytes(3, "big") + message
+        for handshake_type, message in messages
+    )
 
 
 def _whole(decode):
@@ -132,7 +212,8 @@ CODECS = {
         decode_proof,
         encode_proof,
         TLSError,
-        [encode_proof(status.proof) for status in STATUSES],
+        [encode_proof(proof) for proof in OTHER_WIDTH_PROOFS]
+        + [encode_proof(status.proof) for status in STATUSES],
     ),
     "status_bundle": (
         _whole(decode_status_bundle),
@@ -152,6 +233,42 @@ CODECS = {
         encode_issuance,
         TLSError,
         [encode_issuance(issuance) for issuance in ISSUANCES],
+    ),
+    "tls_records": (
+        _whole(parse_records),
+        serialize_records,
+        TLSError,
+        [serialize_records(flight) for flight in FLIGHTS],
+    ),
+    "handshake_flight": (
+        _whole(parse_handshake_messages),
+        _encode_flight,
+        TLSError,
+        MESSAGE_FLIGHTS,
+    ),
+    "client_hello": (
+        _whole(ClientHello.from_body),
+        lambda hello: hello.to_bytes()[4:],
+        TLSError,
+        [hello.to_bytes()[4:] for hello in CLIENT_HELLOS],
+    ),
+    "server_hello": (
+        _whole(ServerHello.from_body),
+        lambda hello: hello.to_bytes()[4:],
+        TLSError,
+        [hello.to_bytes()[4:] for hello in SERVER_HELLOS],
+    ),
+    "new_session_ticket": (
+        _whole(NewSessionTicket.from_body),
+        lambda ticket: ticket.to_bytes()[4:],
+        TLSError,
+        [ticket.to_bytes()[4:] for ticket in TICKETS],
+    ),
+    "extensions": (
+        lambda data: decode_extensions(data, 0),
+        encode_extensions,
+        TLSError,
+        [encode_extensions(extensions) for extensions in EXTENSIONS],
     ),
 }
 
@@ -228,6 +345,28 @@ class TestSecondEncodingsClosed:
             with pytest.raises(TLSError, match="audit step side"):
                 decode_proof(data[:side_at] + bytes([side]) + data[side_at + 1 :])
 
+    def test_a_path_that_is_not_one_width_decodes_step_by_step(self):
+        """A path is read at a fixed stride when every sibling has the width
+        of the first and that width is a digest's; one short sibling, or a
+        width no tree has, is still a proof (of nothing) decoded byte for byte."""
+        proof = STATUSES[0].proof
+        assert {len(step.sibling) for step in proof.path} == {20} and len(proof.path) > 3
+
+        def with_path(path):
+            return dataclasses.replace(proof, path=tuple(path))
+
+        short = proof.path[2]._replace(sibling=proof.path[2].sibling[:7])
+        variants = [
+            with_path(proof.path[:2] + (short,) + proof.path[3:]),
+            with_path((short,) + proof.path[1:]),
+            with_path(step._replace(sibling=step.sibling * 2) for step in proof.path),  # 40 bytes
+            with_path(step._replace(sibling=b"") for step in proof.path),
+        ]
+        for variant in variants:
+            data = encode_proof(variant)
+            assert decode_proof(data) == (variant, len(data))
+            assert decode_proof(data + bytes(41)) == (variant, len(data))
+
     def test_absence_flags_above_three(self):
         proof = STATUSES[1].proof
         data = encode_proof(proof)
@@ -274,3 +413,40 @@ class TestSecondEncodingsClosed:
         grown = grown[:1] + (len(grown) - 3).to_bytes(2, "big") + grown[3:]
         with pytest.raises(TLSError, match="trailing bytes"):
             decode_status_bundle(grown)
+
+    @pytest.mark.parametrize("hello", HELLOS, ids=["client", "server"])
+    def test_trailing_bytes_after_a_hello_extensions_block(self, hello):
+        body = hello.to_bytes()[4:]
+        assert type(hello).from_body(body) == hello
+        with pytest.raises(TLSError, match="trailing bytes"):
+            type(hello).from_body(body + b"junk")
+
+    def test_odd_client_hello_cipher_suites_length(self):
+        """Used to read its last "suite" across the compression-length byte."""
+        hello = ClientHello(random=bytes(32), cipher_suites=(0xC02F,))
+        body = hello.to_bytes()[4:]
+        suites_at = 2 + 32 + 1
+        assert body[suites_at : suites_at + 4] == b"\x00\x02\xc0\x2f"
+        odd = body[:suites_at] + b"\x00\x01\xc0" + body[suites_at + 4 :]
+        with pytest.raises(TLSError, match="odd"):
+            ClientHello.from_body(odd)
+
+    def test_session_ticket_length_must_match_its_body(self):
+        body = NewSessionTicket(1, b"abc").to_bytes()[4:]
+        assert NewSessionTicket.from_body(body).ticket == b"abc"
+        for declared in (2, 4, 50):
+            with pytest.raises(TLSError, match="length"):
+                NewSessionTicket.from_body(body[:4] + declared.to_bytes(2, "big") + b"abc")
+
+    @pytest.mark.parametrize("hello", HELLOS, ids=["client", "server"])
+    def test_hello_fields_the_model_does_not_carry_have_one_value(self, hello):
+        """Legacy version and compression are not fields of either hello, so
+        any other value on the wire would re-encode to different bytes."""
+        body = hello.to_bytes()[4:]
+        with pytest.raises(TLSError, match="version"):
+            type(hello).from_body(b"\x03\x01" + body[2:])
+        extensions_at = len(body) - len(encode_extensions(hello.extensions))
+        compression_at = extensions_at - 1
+        assert body[compression_at] == 0
+        with pytest.raises(TLSError, match="compression"):
+            type(hello).from_body(body[:compression_at] + b"\x01" + body[extensions_at:])

@@ -4,7 +4,8 @@ A frozen value object keeps its encoding in its instance ``__dict__``.  These
 tests pin what that must not change: a copy with different fields encodes
 from *its* fields, equality and hashing ignore the retained bytes, the bytes
 are dropped with the proof cache entry that holds them — and the DPI engine's
-parsed-chain LRU stores structure only, bounded, keyed by the exact body.
+parsed-chain LRU, like the one a client's ``ChainValidationCache`` keeps,
+stores structure only, bounded, keyed by the exact body.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import pytest
 
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary
-from repro.errors import TLSError
+from repro.errors import CertificateError, TLSError
 from repro.pki.certificate import Certificate, CertificateChain
 from repro.pki.serial import SerialNumber
 from repro.ritm.dpi import CHAIN_CACHE_CAPACITY, DPIEngine
@@ -27,8 +28,13 @@ from repro.ritm.messages import (
     encode_signed_root,
     encode_status_bundle,
 )
+from repro.tls.connection import (
+    ChainValidationCache,
+    ClientConnectionConfig,
+    TLSClientConnection,
+)
 from repro.tls.messages import CertificateMessage, ServerHello, ServerHelloDone
-from repro.tls.records import ContentType, TLSRecord
+from repro.tls.records import ContentType, TLSRecord, parse_records
 
 from tests.ritm.conftest import EPOCH, flip_bit
 from tests.ritm.test_wire_canonical import rebuilt
@@ -315,6 +321,88 @@ class TestDPIChainCache:
         out = world.agent.process_packet(server_flight_packet(chain), now=EPOCH + 15)
         assert world.agent.dpi.chain_cache.stats.hits >= 1
         assert statuses_in(out[0])[0].is_revoked
+
+
+class TestClientChainMemo:
+    """The client answers a ``Certificate`` body it has parsed before by
+    lookup in its ``ChainValidationCache`` — and still validates every time."""
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """Every ``CertificateChain.from_bytes`` call, as the body it was given."""
+        seen = []
+        parse = CertificateChain.from_bytes.__func__
+
+        def counting(cls, data):
+            seen.append(bytes(data))
+            return parse(cls, data)
+
+        monkeypatch.setattr(CertificateChain, "from_bytes", classmethod(counting))
+        return seen
+
+    @staticmethod
+    def handshake(corpus, cache, payload) -> TLSClientConnection:
+        """A fresh connection fed one server flight, validating through ``cache``."""
+        name = corpus.chains[0].leaf.subject
+        client = TLSClientConnection(
+            ClientConnectionConfig(server_name=name, validation_cache=cache), corpus.trust_store
+        )
+        client.client_hello()
+        (record,) = parse_records(payload)
+        client.process_record(record, EPOCH + 10)
+        return client
+
+    def test_a_repeated_body_is_parsed_once_and_validated_every_time(self, small_corpus, parses):
+        cache = ChainValidationCache()
+        payload = server_flight(small_corpus.chains[0])
+        chains = [self.handshake(small_corpus, cache, payload).server_chain for _ in range(3)]
+        assert len(parses) == 1
+        assert chains[0] == chains[1] == chains[2] == small_corpus.chains[0]
+        assert chains[0].to_bytes() == small_corpus.chains[0].to_bytes()
+        # The memo is not a verdict and is not counted as one.
+        assert (cache.stats.misses, cache.stats.hits, len(cache)) == (1, 2, 1)
+
+    def test_a_body_one_bit_different_is_parsed_again(self, small_corpus, parses):
+        cache = ChainValidationCache()
+        chain = small_corpus.chains[0]
+        payload = server_flight(chain)
+        assert self.handshake(small_corpus, cache, payload).server_chain == chain
+        at = payload.index(chain.leaf.signature)
+        with pytest.raises(CertificateError, match="standard validation failed"):
+            self.handshake(small_corpus, cache, flip_bit(payload, 8 * at))
+        assert len(parses) == 2 and parses[0] != parses[1]
+        assert len(cache) == 1  # the forged chain left no verdict behind
+        assert self.handshake(small_corpus, cache, payload).server_chain == chain
+        assert len(parses) == 2
+
+    def test_a_failed_parse_is_never_stored(self, small_corpus, parses):
+        cache = ChainValidationCache()
+        payload = server_flight(small_corpus.chains[0])
+        subject_at = payload.index(small_corpus.chains[0].leaf.subject.encode("utf-8"))
+        broken = payload[:subject_at] + b"\xff" + payload[subject_at + 1 :]
+        for attempt in range(1, 4):
+            with pytest.raises(TLSError, match="malformed Certificate message"):
+                self.handshake(small_corpus, cache, broken)
+            assert len(parses) == attempt
+        assert cache.stats.lookups == 0
+
+    def test_maxsize_zero_parses_every_time(self, small_corpus, parses):
+        payload = server_flight(small_corpus.chains[0])
+        for cache in (ChainValidationCache(maxsize=0), None):  # None: the private disabled one
+            del parses[:]
+            for _ in range(3):
+                client = self.handshake(small_corpus, cache, payload)
+                assert client.server_chain == small_corpus.chains[0]
+            assert len(parses) == 3
+            assert len(client.config.validation_cache) == 0
+
+    def test_the_bound_is_the_caches_own(self, small_corpus, parses):
+        cache = ChainValidationCache(maxsize=2)
+        payloads = [server_flight(distinct_chain(small_corpus.chains[0], n)) for n in range(3)]
+        for payload in payloads + payloads[:1]:
+            with pytest.raises(CertificateError):  # re-serialled leaves do not verify
+                self.handshake(small_corpus, cache, payload)
+        assert len(parses) == 4  # the first was evicted by the third
 
 
 class TestMalformedSerialInAStatusRecord:

@@ -8,7 +8,6 @@ from repro.tls.records import (
     MAX_RECORD_PAYLOAD,
     TLSRecord,
     looks_like_tls,
-    parse_record,
     parse_records,
     serialize_records,
 )
@@ -17,9 +16,7 @@ from repro.tls.records import (
 class TestRecordEncoding:
     def test_roundtrip_single_record(self):
         record = TLSRecord(ContentType.HANDSHAKE, b"\x01\x02\x03")
-        parsed, offset = parse_record(record.to_bytes())
-        assert parsed == record
-        assert offset == record.wire_size
+        assert parse_records(record.to_bytes()) == [record]
 
     def test_roundtrip_multiple_records(self):
         records = [
@@ -40,7 +37,7 @@ class TestRecordEncoding:
 
     def test_truncated_header_rejected(self):
         with pytest.raises(TLSError):
-            parse_record(b"\x16\x03\x03")
+            parse_records(b"\x16\x03\x03")
 
     def test_truncated_payload_rejected(self):
         record = TLSRecord(ContentType.HANDSHAKE, b"\x01" * 20).to_bytes()
