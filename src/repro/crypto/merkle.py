@@ -53,6 +53,14 @@ class AuditStep(NamedTuple):
     sibling_is_left: bool
 
 
+#: ``new_step(AuditStep, (sibling, sibling_is_left))`` is that :class:`AuditStep`
+#: straight from the tuple allocator, without the Python frame of the named
+#: tuple's generated ``__new__`` (or a ``partial``'s argument merge): the one
+#: constructor of the walks that make a step per level — the stores' climb and
+#: the status decoder.
+new_step = tuple.__new__
+
+
 @dataclass(frozen=True)
 class PresenceProof:
     """Proof that ``(key, value)`` is the leaf at ``leaf_index`` of the tree."""

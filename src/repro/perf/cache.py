@@ -15,6 +15,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional
 
 
+#: "No such entry", for the lookup whose cached values may be ``None``.
+_MISSING = object()
+
+
 @dataclass
 class CacheStats:
     """Operational counters for one cache."""
@@ -110,7 +114,7 @@ class LRUCache:
 
     def discard(self, key: Hashable) -> bool:
         """Drop one entry; returns whether it existed (counted as invalidation)."""
-        if self._entries.pop(key, None) is None:
+        if self._entries.pop(key, _MISSING) is _MISSING:
             return False
         self.stats.invalidations += 1
         return True

@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple, Union
 
-from repro.crypto.merkle import AbsenceProof, AuditStep, PresenceProof
+from repro.crypto.merkle import AbsenceProof, AuditStep, PresenceProof, new_step
 from repro.dictionary.authdict import RevocationIssuance
 from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.proofs import RevocationStatus
@@ -202,7 +202,7 @@ def _uniform_steps(data: bytes, offset: int, count: int) -> Optional[List[AuditS
     if end > len(data):
         return None
     steps = [
-        AuditStep(sibling, side == 1)
+        new_step(AuditStep, (sibling, side == 1))
         for side, length, sibling in step.iter_unpack(data[offset:end])
         if length == width and side <= 1
     ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 from abc import ABC, abstractmethod
+from itertools import islice
 from typing import ClassVar, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import (
@@ -32,6 +33,7 @@ from repro.crypto.merkle import (
     PresenceProof,
     empty_root,
     encode_leaf,
+    new_step,
 )
 from repro.errors import ConfigurationError, ProofError
 
@@ -215,9 +217,12 @@ class AuthenticatedStore(ABC):
 
     def prove(self, key: bytes) -> MembershipProof:
         """Return a presence proof if the key is stored, else an absence proof."""
-        if key in self:
-            return self.prove_presence(key)
-        return self.prove_absence(key)
+        return self._prove(key)
+
+    @abstractmethod
+    def _prove(self, key: bytes) -> MembershipProof:
+        """The engine's hook under :meth:`prove` (which instrumentation wraps
+        here, on the interface): decide presence and build the proof."""
 
     @abstractmethod
     def get(self, key: bytes) -> Optional[bytes]:
@@ -291,7 +296,7 @@ class SortedLeafStore(AuthenticatedStore):
         return len(self._keys)
 
     def __contains__(self, key: bytes) -> bool:
-        return self._find(key) is not None
+        return self._search(key)[1]
 
     @property
     def digest_size(self) -> int:
@@ -308,8 +313,8 @@ class SortedLeafStore(AuthenticatedStore):
 
     def get(self, key: bytes) -> Optional[bytes]:
         """The value stored under ``key``, or ``None`` when absent."""
-        index = self._find(key)
-        return None if index is None else self._values[index]
+        index, found = self._search(key)
+        return self._values[index] if found else None
 
     def items(self) -> Sequence[Tuple[bytes, bytes]]:
         """All ``(key, value)`` leaves as a lazy read-only view.
@@ -329,25 +334,25 @@ class SortedLeafStore(AuthenticatedStore):
 
     def prove_presence(self, key: bytes) -> PresenceProof:
         """Audit path for a stored ``key``; raises :class:`ProofError` if absent."""
-        index = self._find(key)
-        if index is None:
+        index, found = self._search(key)
+        if not found:
             raise ProofError(f"key {key.hex()} is not in the tree")
         return self._presence_proof_at(index)
 
     def prove_absence(self, key: bytes) -> AbsenceProof:
-        """Adjacency proof that ``key`` is not stored; raises if it is.
-
-        One bisect serves both the presence check and the neighbour lookup.
-        """
-        size = len(self._keys)
-        index = bisect.bisect_left(self._keys, key)
-        if index < size and self._keys[index] == key:
+        """Adjacency proof that ``key`` is not stored; raises if it is."""
+        index, found = self._search(key)
+        if found:
             raise ProofError(f"key {key.hex()} is present; cannot prove absence")
-        if size == 0:
-            return AbsenceProof(key=key, tree_size=0)
-        left = self._presence_proof_at(index - 1) if index > 0 else None
-        right = self._presence_proof_at(index) if index < size else None
-        return AbsenceProof(key=key, tree_size=size, left=left, right=right)
+        return self._absence_proof_at(key, index)
+
+    def _prove(self, key: bytes) -> MembershipProof:
+        """One search: the index that says whether ``key`` is stored is the
+        index its presence proof, or its two neighbours', is built from."""
+        index, found = self._search(key)
+        if found:
+            return self._presence_proof_at(index)
+        return self._absence_proof_at(key, index)
 
     # -- mutation ----------------------------------------------------------
 
@@ -355,8 +360,8 @@ class SortedLeafStore(AuthenticatedStore):
         """Remove ``keys`` in one transaction (rollback support); see the ABC."""
         positions: List[int] = []
         for key in sorted(set(keys)):
-            index = self._find(key)
-            if index is None:
+            index, found = self._search(key)
+            if not found:
                 raise ProofError(f"key {key.hex()} is not in the tree; cannot remove")
             positions.append(index)
         if positions:
@@ -382,19 +387,23 @@ class SortedLeafStore(AuthenticatedStore):
 
     # -- shared internals --------------------------------------------------
 
+    def _search(self, key: bytes) -> Tuple[int, bool]:
+        """The one key search: ``key``'s sorted index and whether it is stored."""
+        keys = self._keys
+        index = bisect.bisect_left(keys, key)
+        return index, index < len(keys) and keys[index] == key
+
     def _find(self, key: bytes) -> Optional[int]:
-        index = bisect.bisect_left(self._keys, key)
-        if index < len(self._keys) and self._keys[index] == key:
-            return index
-        return None
+        index, found = self._search(key)
+        return index if found else None
 
     def _leaf_hash(self, key: bytes, value: bytes) -> bytes:
         return hash_leaf(encode_leaf(key, value), self._digest_size)
 
     def _insertion_point(self, key: bytes) -> int:
         """Sorted index for a new key; raises :class:`ProofError` on duplicates."""
-        index = bisect.bisect_left(self._keys, key)
-        if index < len(self._keys) and self._keys[index] == key:
+        index, found = self._search(key)
+        if found:
             raise ProofError(f"duplicate key {key.hex()} inserted into sorted tree")
         return index
 
@@ -402,22 +411,21 @@ class SortedLeafStore(AuthenticatedStore):
         self, items: Iterable[Tuple[bytes, bytes]]
     ) -> Tuple[List[Tuple[bytes, bytes]], List[int]]:
         """Sort a batch, reject duplicates (within it or against the store)
-        and return it with every key's insertion index: one bisect per key
+        and return it with every key's insertion index: one search per key
         serves the duplicate check and the merge.  (Over the whole column:
         from the previous key's index on measures slower, the probes stop
         being the same cached few.)  Nothing is mutated: this is the validate
         half of every ``insert_batch`` — place → (the WAL overlay logs here)
         → :meth:`_merge_batch`."""
         batch = sorted(items, key=lambda item: item[0])
-        keys = self._keys
-        count = len(keys)
+        search = self._search
         positions: List[int] = []
         previous: Optional[bytes] = None
         for key, _ in batch:
             if key == previous:
                 raise ProofError(f"duplicate key {key.hex()} within one batch")
-            index = bisect.bisect_left(keys, key)
-            if index < count and keys[index] == key:
+            index, found = search(key)
+            if found:
                 raise ProofError(f"duplicate key {key.hex()} inserted into sorted tree")
             positions.append(index)
             previous = key
@@ -458,29 +466,49 @@ class SortedLeafStore(AuthenticatedStore):
             leaf_hashes = splice_sorted(leaf_hashes, positions, new_hashes)
         return leaf_hashes
 
-    def _presence_proof_at(self, index: int) -> PresenceProof:
+    def _presence_proof_at(
+        self, index: int, path: Optional[Tuple[AuditStep, ...]] = None
+    ) -> PresenceProof:
         return PresenceProof(
             key=self._keys[index],
             value=self._values[index],
             leaf_index=index,
             tree_size=len(self._keys),
-            path=tuple(self._audit_path(index)),
+            path=tuple(self._climb(index)) if path is None else path,
         )
 
-    def _audit_path(self, index: int) -> List[AuditStep]:
-        """Sibling steps from leaf ``index`` up to (not including) the root."""
+    def _absence_proof_at(self, key: bytes, index: int) -> AbsenceProof:
+        """Adjacency proof for a ``key`` missing at sorted position ``index``."""
+        size = len(self._keys)
+        if not 0 < index < size:  # the empty tree, or one neighbour and its whole path
+            left = self._presence_proof_at(index - 1) if index else None
+            right = self._presence_proof_at(index) if index < size else None
+            return AbsenceProof(key=key, tree_size=size, left=left, right=right)
+        # Leaves ``index - 1`` and ``index`` become siblings at the lowest set
+        # bit of ``index``: each climbs to that fork alone (its last step is
+        # the other's ancestor), the parent they share is climbed once, and
+        # both paths end in the same step objects.
+        fork = (index & -index).bit_length()
+        shared = self._climb(index >> fork, fork)
+        return AbsenceProof(
+            key=key,
+            tree_size=size,
+            left=self._presence_proof_at(index - 1, (*self._climb(index - 1, 0, fork), *shared)),
+            right=self._presence_proof_at(index, (*self._climb(index, 0, fork), *shared)),
+        )
+
+    def _climb(self, node: int, start: int = 0, stop: Optional[int] = None) -> List[AuditStep]:
+        """Sibling steps from ``node`` of level ``start`` up to level ``stop``
+        (by default to, and not including, the root)."""
+        levels = self._hash_levels()
         path: List[AuditStep] = []
-        node_index = index
-        for level in self._hash_levels()[:-1]:
-            sibling_index = node_index ^ 1
-            if sibling_index < len(level):
-                path.append(
-                    AuditStep(
-                        sibling=level[sibling_index],
-                        sibling_is_left=sibling_index < node_index,
-                    )
-                )
-            # When the node is the promoted odd node it has no sibling at this
-            # level; it simply carries up, so no audit step is emitted.
-            node_index //= 2
+        append, step = path.append, new_step
+        for level in islice(levels, start, len(levels) - 1 if stop is None else stop):
+            try:
+                append(step(AuditStep, (level[node ^ 1], node & 1 == 1)))
+            except IndexError:
+                # The promoted odd node has no sibling at this level; it
+                # simply carries up, so no audit step is emitted.
+                pass
+            node >>= 1
         return path

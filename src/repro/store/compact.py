@@ -28,21 +28,22 @@ This engine removes the objects, not the hashes:
   never alias live buffers and later mutations cannot corrupt them.
 
 The tree *shape* is untouched: the engine subclasses
-:class:`SortedLeafStore`, whose batch validation and bisect-based key index
-operate on the arenas through the ordinary sequence protocol (the audit-path
-walk is overridden only to read the planes without a per-level view).  Roots
+:class:`SortedLeafStore`, whose batch validation and proof assembly reach the
+arenas through two seams — the key search, which a uniform column runs in
+place over arena slices, and the climb, which reads the planes.  Roots
 and proofs are byte-identical to every other engine
 (``tests/store/test_compact_store.py`` enforces this differentially).
 """
 
 from __future__ import annotations
 
+import bisect
 from array import array
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import DEFAULT_DIGEST_SIZE, LEAF_PREFIX, NODE_PREFIX, raw_sha256
-from repro.crypto.merkle import AuditStep, empty_root, encode_leaf
+from repro.crypto.merkle import AuditStep, empty_root, encode_leaf, new_step
 from repro.store.base import SortedLeafStore, kept_runs
 
 
@@ -72,8 +73,8 @@ class _ByteColumn(Sequence):
     differently-sized entry triggers a one-time conversion to *ragged* mode
     (a parallel ``array('I')`` of lengths plus lazily rebuilt prefix-sum
     offsets), preserving correctness for arbitrary keys at a small per-item
-    cost.  Supports exactly the sequence protocol ``bisect`` and
-    :class:`SortedLeafStore` rely on; ``__getitem__`` always returns
+    cost.  Supports the sequence protocol :class:`SortedLeafStore` relies
+    on plus its own :meth:`search`; ``__getitem__`` always returns
     independent ``bytes`` copies.
     """
 
@@ -123,6 +124,26 @@ class _ByteColumn(Sequence):
         offsets = self._offsets()
         for index in range(self._count):
             yield bytes(buf[offsets[index] : offsets[index + 1]])
+
+    def search(self, probe: bytes) -> Tuple[int, bool]:
+        """``bisect_left`` index of ``probe`` and whether the item there is it.
+
+        A uniform column is searched in place, one arena slice per probe step
+        and no item object; ragged and zero-width columns (and the empty one)
+        go through the sequence protocol.
+        """
+        width = self._width
+        if not width or self._lens is not None:
+            low = bisect.bisect_left(self, probe)
+            return low, low < self._count and self[low] == probe
+        buf, low, high = self._buf, 0, self._count
+        while low < high:
+            middle = (low + high) >> 1
+            if buf[middle * width : (middle + 1) * width] < probe:
+                low = middle + 1
+            else:
+                high = middle
+        return low, low < self._count and buf[low * width : (low + 1) * width] == probe
 
     # -- mutation ----------------------------------------------------------
 
@@ -256,9 +277,9 @@ class CompactMerkleStore(SortedLeafStore):
     watermark* — the leftmost leaf index whose hash ancestry changed since
     the planes were last settled — and recomputes each level's dirty suffix
     in one vectorized pass on the next read.  All validation, absence-proof
-    assembly, and ordering logic is inherited from :class:`SortedLeafStore`,
-    operating on the arenas through the sequence protocol; the differential
-    suites keep the plane-reading audit-path walk identical to the shared one.
+    assembly, and ordering logic is inherited from :class:`SortedLeafStore`;
+    the differential suites keep the column search and the plane-reading
+    climb identical to the shared ones.
     """
 
     engine_name = "compact"
@@ -349,7 +370,7 @@ class CompactMerkleStore(SortedLeafStore):
 
     def _hash_levels(self) -> List[List[bytes]]:
         """The settled planes as lists of digests (differential tests only:
-        :meth:`root` and :meth:`_audit_path` read the planes)."""
+        :meth:`root` and :meth:`_climb` read the planes)."""
         self._settle()
         size = self._digest_size
         return [
@@ -357,18 +378,22 @@ class CompactMerkleStore(SortedLeafStore):
             for plane in self._planes
         ]
 
-    def _audit_path(self, index: int) -> List[AuditStep]:
-        """Audit path read straight off the planes, one slice copy per level
-        (so the proof never aliases a live plane)."""
+    def _search(self, key: bytes) -> Tuple[int, bool]:
+        """The one key search, run by the key column over its own arena."""
+        return self._keys.search(key)
+
+    def _climb(self, node: int, start: int = 0, stop: Optional[int] = None) -> List[AuditStep]:
+        """The shared climb read straight off the planes, one slice copy per
+        level (so the proof never aliases a live plane)."""
         self._settle()
         size = self._digest_size
         path: List[AuditStep] = []
-        node = index
-        for plane in self._planes[:-1]:
-            sibling = node ^ 1
-            at = sibling * size
-            if at < len(plane):  # else the promoted odd node: no sibling
-                path.append(AuditStep(bytes(plane[at : at + size]), sibling < node))
+        append, step = path.append, new_step
+        for plane in islice(self._planes, start, stop):
+            at = (node ^ 1) * size
+            sibling = bytes(plane[at : at + size])
+            if sibling:  # else the promoted odd node (or the root): no sibling
+                append(step(AuditStep, (sibling, node & 1 == 1)))
             node >>= 1
         return path
 

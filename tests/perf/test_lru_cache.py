@@ -90,6 +90,15 @@ class TestLRUCache:
         assert cache.stats.invalidations == 2
         assert len(cache) == 0
 
+    def test_discard_of_an_entry_holding_none_is_counted(self):
+        cache = LRUCache(maxsize=4)
+        cache.put("a", None)
+        assert cache.discard("a")
+        assert cache.stats.invalidations == 1
+        assert "a" not in cache
+        assert not cache.discard("a")
+        assert cache.stats.invalidations == 1
+
     def test_get_with_validity_predicate_treats_dead_entry_as_miss(self):
         cache = LRUCache(maxsize=4)
         cache.put("a", {"expires": 10})

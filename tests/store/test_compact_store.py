@@ -11,6 +11,7 @@ arena fallback, the lazy dirty-watermark settle, and the ``durable-compact``
 WAL composition.
 """
 
+import bisect
 import random
 
 import pytest
@@ -222,6 +223,68 @@ class TestRaggedArenas:
         assert not column.is_uniform
         assert list(column) == [b"aaa", b"bbb", b"cc"]
         assert column[-1] == b"cc"
+
+
+class TestColumnSearch:
+    """The column's own search is ``bisect_left`` over its items, in every mode."""
+
+    @staticmethod
+    def check(column):
+        items = list(column)
+        probes = {b"", b"\x00", b"\xff" * 6}
+        for item in items:
+            # Shorter than, equal to and longer than the item (and so the stride).
+            probes.update((item, item[:-1], item + b"\x00", item[:-1] + b"\xff"))
+        for probe in sorted(probes):
+            index = bisect.bisect_left(items, probe)
+            found = index < len(items) and items[index] == probe
+            assert column.search(probe) == (index, found), probe
+
+    def test_uniform_column_after_every_kind_of_mutation(self):
+        column = _ByteColumn()
+        self.check(column)  # empty, no stride yet
+        rng = random.Random(3)
+        values = sorted(rng.sample(range(1, 2**24), 300))
+        column.append_bulk([to_key(v) for v in values[:200:2]])
+        self.check(column)
+        merged = [to_key(v) for v in values[1:200:2]]
+        column.merge([index + 1 for index in range(len(merged))], merged)
+        self.check(column)
+        column.insert_at(0, to_key(0))
+        column.insert_at(len(column), to_key(2**24 - 1))
+        self.check(column)
+        column.keep_runs([(0, 1), (5, 90), (150, len(column))], 1 + 85 + len(column) - 150)
+        assert column.is_uniform
+        self.check(column)
+        column.keep_runs([], 0)  # a stride, and nothing stored under it
+        self.check(column)
+
+    def test_zero_width_first_key(self):
+        column = _ByteColumn()
+        column.insert_at(0, b"")
+        assert column.is_uniform
+        self.check(column)
+        column.insert_at(1, b"a")
+        self.check(column)
+
+    def test_across_the_uniform_to_ragged_conversion(self):
+        column = _ByteColumn()
+        column.append_bulk([b"aaa", b"bbb", b"ddd"])
+        self.check(column)
+        column.insert_at(2, b"cc")
+        assert not column.is_uniform
+        self.check(column)
+        column.merge([0, 4], [b"a", b"eeee"])
+        self.check(column)
+
+    def test_the_store_seam_is_the_column_search(self):
+        store = create_store("compact")
+        store.insert_batch([(to_key(v), to_value(v)) for v in range(10, 500, 10)])
+        assert store._search(to_key(250)) == (24, True)
+        assert store._search(to_key(255)) == (25, False)
+        assert store._find(to_key(255)) is None and store._find(to_key(10)) == 0
+        with pytest.raises(ProofError, match="duplicate key"):
+            store._insertion_point(to_key(250))
 
 
 class TestLazySettle:

@@ -9,7 +9,6 @@ and the naive engine's from-scratch rebuild — and check that a rejected
 batch and a rolled-back batch leave no trace.
 """
 
-import bisect
 import copy
 import random
 
@@ -119,9 +118,9 @@ def test_rejected_batch_leaves_no_trace(engine, collision):
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_a_batch_is_placed_exactly_once(engine, tmp_path, monkeypatch):
-    """place → (log) → merge: one ``_place_batch`` and one bisect per key for
-    every ``insert_batch`` of every engine, mid-tree or append, and for every
-    record a durable engine replays."""
+    """place → (log) → merge: one ``_place_batch`` and one key search per key
+    for every ``insert_batch`` of every engine, mid-tree or append, and for
+    every record a durable engine replays."""
     durable = engine.startswith("durable")
     options = {"directory": tmp_path, "snapshot_every": 0} if durable else {}
     stored = [bytes([1, value]) for value in range(10, 250, 10)]
@@ -131,18 +130,19 @@ def test_a_batch_is_placed_exactly_once(engine, tmp_path, monkeypatch):
     store.insert_batch(leaves(stored))
 
     placements, probes = [], []
-    place, probe = SortedLeafStore._place_batch, bisect.bisect_left
+    place, owner = SortedLeafStore._place_batch, ENGINES[engine]
+    search = owner._search  # the one search seam, as the engine resolves it
 
     def counted_place(self, items):
         placements.append(1)
         return place(self, items)
 
-    def counted_probe(*args):
+    def counted_search(self, key):
         probes.append(1)
-        return probe(*args)
+        return search(self, key)
 
     monkeypatch.setattr(SortedLeafStore, "_place_batch", counted_place)
-    monkeypatch.setattr(bisect, "bisect_left", counted_probe)
+    monkeypatch.setattr(owner, "_search", counted_search)
     store.insert_batch(leaves(middle))
     store.insert_batch(leaves(tail))
     assert (len(placements), len(probes)) == (2, len(middle) + len(tail))
