@@ -29,10 +29,12 @@ machine-readable perf baseline, ``benchmarks/results/handshake_hotpath.json``:
 * **cache hit rates** — per layer, including the CDN edge object cache
   under a same-region RA fleet pulling with a nonzero TTL.
 
-CI uploads the JSON artifact and fails the perf job unless the warm path
-measurably beats the cold path (a guard against silently disabled caches).
-Every µs figure is reported; what is asserted beside the cold/warm ratios is
-counted, not timed.  See docs/PERFORMANCE.md for how to read the artifact.
+CI uploads the JSON artifact and fails the perf job when a cache is silently
+disabled — which it reads off *counts*: Ed25519 verifications per cold and per
+warm handshake (3 and 0) and per status verification without and with the
+root cache (1 and 0).  Every ms/µs figure and every ``warm_speedup`` is
+reported; nothing timed is asserted.  See docs/PERFORMANCE.md for how to read
+the artifact.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from dataclasses import replace
 
 from repro.cdn.geography import GeoLocation, Region
 from repro.cdn.network import CDNNetwork
+from repro.crypto import ed25519 as ed25519_module  # `ed25519` names a result block below
 from repro.crypto.ed25519 import P as FIELD_PRIME
 from repro.crypto.merkle import AuditStep
 from repro.crypto.signing import KeyPair
@@ -123,6 +126,23 @@ def build_world():
     return config, corpus, cas, cdn, agent, probes
 
 
+def _verifies_while(operation):
+    """Ed25519 verifications ``operation()`` runs: ``ed25519.verify`` (what every
+    key object calls) is wrapped for exactly that long."""
+    real, calls = ed25519_module.verify, []
+
+    def counted(public, message, signature):
+        calls.append(public)
+        return real(public, message, signature)
+
+    ed25519_module.verify = counted
+    try:
+        operation()
+    finally:
+        ed25519_module.verify = real
+    return len(calls)
+
+
 def _median_ms(samples):
     return round(statistics.median(samples) * 1e3, 4)
 
@@ -143,7 +163,15 @@ def _run_handshake(config, corpus, cas, agent, root_cache, validation_cache):
 
 
 def bench_handshakes(config, corpus, cas, agent):
-    """Cold (fresh caches each time) vs warm (shared caches) handshakes."""
+    """Cold (fresh caches each time) vs warm (shared caches) handshakes.
+
+    A cold client checks leaf, intermediate and the signed dictionary root; the
+    world's very first one also verifies the root certificate's self-signature,
+    which the trust store then recognises by its bytes.
+    """
+    first_contact = _verifies_while(
+        lambda: _run_handshake(config, corpus, cas, agent, None, None)
+    )
     cold = []
     for _ in range(COLD_HANDSHAKES):
         agent.proof_cache.clear()
@@ -164,6 +192,13 @@ def bench_handshakes(config, corpus, cas, agent):
         "cold_ms": _median_ms(cold),
         "warm_ms": _median_ms(warm),
         "warm_speedup": round(statistics.median(cold) / statistics.median(warm), 2),
+        "first_contact_handshake_verifies": first_contact,
+        "cold_handshake_verifies": _verifies_while(
+            lambda: _run_handshake(config, corpus, cas, agent, None, None)
+        ),
+        "warm_handshake_verifies": _verifies_while(
+            lambda: _run_handshake(config, corpus, cas, agent, root_cache, validation_cache)
+        ),
     }, root_cache, validation_cache
 
 
@@ -190,6 +225,14 @@ def bench_status_verify(config, cas, agent, probe):
         "cold_ms": _median_ms(cold),
         "warm_ms": _median_ms(warm),
         "warm_speedup": round(statistics.median(cold) / statistics.median(warm), 2),
+        "status_verify_verifies_cold": _verifies_while(
+            lambda: status.is_acceptable(ca.public_key, now, config.delta_seconds)
+        ),
+        "status_verify_verifies_warm": _verifies_while(
+            lambda: status.is_acceptable(
+                ca.public_key, now, config.delta_seconds, root_cache=cache
+            )
+        ),
     }
 
 
@@ -473,10 +516,15 @@ def test_handshake_hotpath():
     )
     write_result("handshake_hotpath", table)
 
-    # The warm path must measurably beat the cold path — this is the guard
-    # CI relies on against silently disabled caches.
-    assert handshake["warm_speedup"] > 1.2, handshake
-    assert status_verify["warm_speedup"] > 2.0, status_verify
+    # The guard CI relies on against silently disabled caches, in signatures:
+    # a fresh client verifies leaf, intermediate and the signed root (the
+    # trust store recognises its own anchor after verifying it once: 4 then,
+    # and 4 every time before the anchor was looked up), a warm one nothing.
+    assert handshake["first_contact_handshake_verifies"] == 4, handshake
+    assert handshake["cold_handshake_verifies"] == 3, handshake
+    assert handshake["warm_handshake_verifies"] == 0, handshake
+    assert status_verify["status_verify_verifies_cold"] == 1, status_verify
+    assert status_verify["status_verify_verifies_warm"] == 0, status_verify
     # A proof-cache hit never reaches the store; a miss is one key search and,
     # for an absent serial (two neighbours), one climb above their fork.
     assert proof_build["store_calls_on_cache_hit"] == 0, proof_build

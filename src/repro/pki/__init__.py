@@ -13,7 +13,7 @@ from repro.pki.serial import (
     SerialNumber,
     SerialNumberAllocator,
 )
-from repro.pki.validation import ValidationResult, parse_certificate, validate_chain
+from repro.pki.validation import ValidationResult, validate_chain
 
 __all__ = [
     "SerialNumber",
@@ -28,5 +28,4 @@ __all__ = [
     "DEFAULT_VALIDITY_SECONDS",
     "ValidationResult",
     "validate_chain",
-    "parse_certificate",
 ]

@@ -60,10 +60,12 @@ class CertificationAuthority:
 
     @property
     def public_key(self):
+        """The key this CA's signatures verify under."""
         return self._keys.public
 
     @property
     def parent(self) -> Optional["CertificationAuthority"]:
+        """The CA that signed this one's certificate, or ``None`` for a root."""
         return self._parent
 
     def certificate(self, now: int = 0) -> Certificate:
@@ -111,7 +113,7 @@ class CertificationAuthority:
     def issue_chain_for(
         self, subject: str, subject_public_key, now: int = 0
     ) -> CertificateChain:
-        """Issue a leaf and return the full chain up to (and including) the root CA."""
+        """Issue a leaf and return its chain, leaf first, up to and including the root's own certificate."""
         leaf = self.issue(subject, subject_public_key, now=now)
         chain: List[Certificate] = [leaf]
         authority: Optional[CertificationAuthority] = self
@@ -121,14 +123,12 @@ class CertificationAuthority:
         return CertificateChain(certificates=tuple(chain))
 
     def issued_certificates(self) -> List[Certificate]:
+        """Every certificate issued so far, in issuance order."""
         return list(self._issued.values())
 
     def certificate_for(self, serial: SerialNumber) -> Optional[Certificate]:
         """The issued certificate with ``serial``, or ``None`` if unknown."""
         return self._issued.get(serial.value)
-
-    def issued_count(self) -> int:
-        return len(self._issued)
 
     # -- revocation --------------------------------------------------------------
 
@@ -143,9 +143,11 @@ class CertificationAuthority:
     def revoke_many(
         self, serials: Iterable[SerialNumber], now: int = 0, reason: str = "unspecified"
     ) -> List[RevocationRecord]:
+        """:meth:`revoke` each of ``serials``, stopping at the first failure."""
         return [self.revoke(serial, now=now, reason=reason) for serial in serials]
 
     def is_revoked(self, serial: SerialNumber) -> bool:
+        """Whether this CA has recorded a revocation of ``serial``."""
         return serial.value in self._revoked
 
     def revocations(self) -> List[RevocationRecord]:
@@ -153,25 +155,49 @@ class CertificationAuthority:
         return sorted(self._revoked.values(), key=lambda record: record.revoked_at)
 
     def revocation_count(self) -> int:
+        """How many revocations have been recorded."""
         return len(self._revoked)
 
 
 @dataclass
 class TrustStore:
-    """The set of root CAs a client (or RA) trusts."""
+    """The set of root CAs a client (or RA) trusts.
+
+    It holds :class:`CertificationAuthority` objects only because the simulation
+    builds both sides in one process: validation reads a name, a public key and
+    the anchor — the name's self-signed certificate, kept by its exact bytes once
+    a chain has presented it and it verified (:meth:`add` would mint it too early).
+    """
 
     roots: Dict[str, "CertificationAuthority"] = field(default_factory=dict)
+    _anchors: Dict[str, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, authority: CertificationAuthority) -> None:
+        """Trust ``authority`` under its name; an anchor verified under another key is no longer one."""
         self.roots[authority.name] = authority
 
+    def anchors(self, certificate: Certificate) -> bool:
+        """Whether the key trusted under ``certificate``'s issuer name signed it: one
+        verification, or a lookup for the very bytes this store verified under that key."""
+        name, wire = certificate.issuer, certificate.to_bytes()
+        key = self.public_key_for(name)
+        if self._anchors.get(name) != (key, wire):
+            if key is None or not certificate.verify_signature(key):
+                return False
+            if certificate.subject == name:
+                self._anchors[name] = (key, wire)
+        return True
+
     def public_key_for(self, name: str):
+        """The key trusted under ``name``, or ``None`` for an unknown name."""
         if name not in self.roots:
             return None
         return self.roots[name].public_key
 
     def trusts(self, name: str) -> bool:
+        """Whether ``name`` is a trusted root."""
         return name in self.roots
 
     def names(self) -> List[str]:
+        """The trusted names, sorted."""
         return sorted(self.roots)

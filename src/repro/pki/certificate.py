@@ -102,6 +102,7 @@ class Certificate:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Certificate":
+        """Decode the canonical wire form; anything else is a :class:`CertificateError`."""
         offset = 0
         subject, offset = _unpack_bytes(data, offset)
         issuer, offset = _unpack_bytes(data, offset)
@@ -170,7 +171,8 @@ class Certificate:
 
 @dataclass(frozen=True)
 class CertificateChain:
-    """A server certificate followed by intermediates up to (but excluding) the root."""
+    """A server certificate followed by its issuers' certificates, leaf first: the corpus
+    sends the root's self-signed one last, and a chain that omits it validates too."""
 
     certificates: tuple[Certificate, ...]
 
@@ -180,6 +182,7 @@ class CertificateChain:
 
     @property
     def leaf(self) -> Certificate:
+        """The server's own certificate: the first of the chain."""
         return self.certificates[0]
 
     def __len__(self) -> int:
@@ -196,10 +199,12 @@ class CertificateChain:
         return b"".join(parts)
 
     def to_bytes(self) -> bytes:
+        """Wire encoding of the whole chain."""
         return self._wire
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CertificateChain":
+        """Decode a count byte and that many length-prefixed certificates, nothing after."""
         if not data:
             raise CertificateError("empty chain encoding")
         count = data[0]
@@ -213,9 +218,6 @@ class CertificateChain:
         chain = cls(certificates=tuple(certificates))
         chain.__dict__["_wire"] = bytes(data)
         return chain
-
-    def issuer_of_leaf(self) -> str:
-        return self.leaf.issuer
 
     def pairs(self) -> list[tuple[Certificate, Optional[Certificate]]]:
         """(certificate, issuer-certificate-or-None) pairs, leaf first."""

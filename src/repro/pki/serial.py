@@ -44,6 +44,7 @@ class SerialNumber:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SerialNumber":
+        """Decode a big-endian serial, keeping the width it was sent with."""
         if not data or len(data) > MAX_SERIAL_BYTES:
             raise ValueError("serial encoding must be 1..20 bytes")
         return cls(value=int.from_bytes(data, "big"), width=len(data))
@@ -67,6 +68,7 @@ class SerialNumberAllocator:
 
     @property
     def width(self) -> int:
+        """Byte width of every serial this allocator returns."""
         return self._width
 
     def allocate(self) -> SerialNumber:
@@ -81,4 +83,5 @@ class SerialNumberAllocator:
                 return SerialNumber(candidate, self._width)
 
     def allocate_many(self, count: int) -> list[SerialNumber]:
+        """``count`` serials, each from :meth:`allocate`."""
         return [self.allocate() for _ in range(count)]

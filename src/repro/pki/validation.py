@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.errors import CertificateError
 from repro.pki.ca import TrustStore
-from repro.pki.certificate import Certificate, CertificateChain
+from repro.pki.certificate import CertificateChain
 
 
 @dataclass
@@ -55,6 +54,9 @@ def validate_chain(
             )
     checks.append("validity-window")
 
+    # Looked up before any signature is spent: an unknown root costs no Ed25519.
+    anchor = chain.certificates[-1]
+    anchored = trust_store.trusts(anchor.issuer)
     for certificate, issuer in chain.pairs():
         if issuer is not None:
             if not issuer.is_ca:
@@ -72,23 +74,21 @@ def validate_chain(
                     ),
                     checks=checks,
                 )
-            if not certificate.verify_signature(issuer.public_key):
+            if anchored and not certificate.verify_signature(issuer.public_key):
                 return ValidationResult(
                     valid=False,
                     reason=f"signature on {certificate.subject!r} does not verify",
                     checks=checks,
                 )
-    checks.append("signatures")
-
-    anchor = chain.certificates[-1]
-    anchor_key = trust_store.public_key_for(anchor.issuer)
-    if anchor_key is None:
+    if not anchored:
         return ValidationResult(
             valid=False,
             reason=f"chain does not terminate at a trusted root ({anchor.issuer!r} unknown)",
             checks=checks,
         )
-    if not anchor.verify_signature(anchor_key):
+    checks.append("signatures")
+
+    if not trust_store.anchors(anchor):
         return ValidationResult(
             valid=False,
             reason=f"root signature on {anchor.subject!r} does not verify",
@@ -97,13 +97,3 @@ def validate_chain(
     checks.append("trust-anchor")
 
     return ValidationResult(valid=True, checks=checks)
-
-
-def parse_certificate(data: bytes) -> Certificate:
-    """Parse a single certificate, re-raising parse failures as CertificateError."""
-    try:
-        return Certificate.from_bytes(data)
-    except CertificateError:
-        raise
-    except Exception as exc:  # defensive: malformed lengths etc.
-        raise CertificateError(f"malformed certificate: {exc}") from exc

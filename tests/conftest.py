@@ -6,6 +6,7 @@ from collections.abc import Sized
 
 import pytest
 
+from repro.crypto import ed25519
 from repro.crypto.signing import KeyPair
 from repro.pki.ca import CertificationAuthority, TrustStore
 from repro.pki.serial import SerialNumber
@@ -47,6 +48,21 @@ def trust_store(root_ca) -> TrustStore:
     store = TrustStore()
     store.add(root_ca)
     return store
+
+
+@pytest.fixture()
+def verifications(monkeypatch) -> list[bytes]:
+    """The key of every ``ed25519.verify`` run during the test, in order: its
+    length is what an operation cost in signatures, whatever the machine."""
+    keys: list[bytes] = []
+    real = ed25519.verify
+
+    def counted(public, message, signature):
+        keys.append(bytes(public))
+        return real(public, message, signature)
+
+    monkeypatch.setattr(ed25519, "verify", counted)
+    return keys
 
 
 def make_serials(count: int, start: int = 1) -> list[SerialNumber]:

@@ -1,7 +1,7 @@
 """Docstring coverage gate for the documented public API surfaces.
 
 Every public class and function in ``repro.store``, ``repro.perf``,
-``repro.net``, ``repro.ritm.dissemination``, ``repro.ritm.persistence``,
+``repro.net``, ``repro.pki``, ``repro.ritm.dissemination``, ``repro.ritm.persistence``,
 ``repro.dictionary.sharding``, ``repro.tls.connection``, ``repro.cdn.edge``,
 ``repro.scenarios``, and ``repro.scenarios.engine`` must carry a docstring.  CI additionally runs
 ``interrogate``; this test is the always-on, stdlib-only enforcement so the
@@ -21,6 +21,7 @@ COVERED_FILES = sorted(
         *(SRC / "store").glob("*.py"),
         *(SRC / "perf").glob("*.py"),
         *(SRC / "net").glob("*.py"),
+        *(SRC / "pki").glob("*.py"),
         SRC / "ritm" / "dissemination.py",
         SRC / "ritm" / "persistence.py",
         SRC / "ritm" / "consistency.py",

@@ -1,10 +1,13 @@
 """Tests for certification authorities and the trust store."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crypto.signing import KeyPair
 from repro.errors import CertificateError
 from repro.pki.ca import CertificationAuthority, TrustStore
+from repro.pki.certificate import Certificate
 from repro.pki.serial import SerialNumber
 
 
@@ -24,7 +27,7 @@ class TestIssuance:
     def test_issued_certificates_are_recorded(self, root_ca):
         keys = KeyPair.generate(b"server-c")
         root_ca.issue("c.example", keys.public)
-        assert root_ca.issued_count() == 1
+        assert len(root_ca.issued_certificates()) == 1
         assert root_ca.issued_certificates()[0].subject == "c.example"
 
     def test_issue_chain_for_includes_ca_certificate(self, root_ca):
@@ -104,3 +107,60 @@ class TestTrustStore:
         store.add(CertificationAuthority("Zeta", key_seed=b"z"))
         store.add(CertificationAuthority("Alpha", key_seed=b"a"))
         assert store.names() == ["Alpha", "Zeta"]
+
+
+class TestTrustStoreAnchors:
+    """``anchors``: a signature under the trusted key — or, for the self-signed
+    certificate already verified, its bytes."""
+
+    def test_an_anchor_is_verified_once(self, root_ca, trust_store, verifications):
+        anchor = root_ca.certificate(now=5)
+        assert [trust_store.anchors(anchor) for _ in range(3)] == [True] * 3
+        assert verifications == [root_ca.public_key.key_bytes]
+
+    def test_an_equal_copy_without_retained_bytes_is_recognised(self, root_ca, trust_store, verifications):
+        anchor = root_ca.certificate(now=5)
+        assert trust_store.anchors(anchor)
+        assert trust_store.anchors(Certificate.from_bytes(anchor.to_bytes()))
+        assert trust_store.anchors(replace(anchor))  # re-encodes from its fields
+        assert len(verifications) == 1
+
+    def test_an_unknown_name_costs_nothing(self, root_ca, verifications):
+        assert not TrustStore().anchors(root_ca.certificate(now=5))
+        assert verifications == []
+
+    def test_issued_certificates_are_verified_every_time(self, root_ca, trust_store, verifications):
+        issued = root_ca.issue("a.example", KeyPair.generate(b"a").public, now=5)
+        assert trust_store.anchors(issued) and trust_store.anchors(issued)
+        assert len(verifications) == 2
+
+    def test_a_rejected_certificate_is_not_remembered(self, root_ca, trust_store, verifications):
+        forged = replace(root_ca.certificate(now=5), signature=bytes(64))
+        assert not trust_store.anchors(forged) and not trust_store.anchors(forged)
+        assert len(verifications) == 2
+
+    def test_add_forgets_the_anchor_of_the_name_it_rebinds(self, root_ca, trust_store, verifications):
+        anchor = root_ca.certificate(now=5)
+        other = CertificationAuthority("Other", key_seed=b"other")
+        trust_store.add(other)
+        assert trust_store.anchors(anchor) and trust_store.anchors(other.certificate(now=5))
+        trust_store.add(CertificationAuthority(root_ca.name, key_seed=b"somebody else"))
+        assert not trust_store.anchors(anchor)
+        assert trust_store.anchors(other.certificate(now=5))
+        assert len(verifications) == 3  # the other name's anchor stayed a lookup
+
+    def test_the_anchor_is_pinned_to_the_key_it_was_verified_under(self, root_ca, trust_store, verifications):
+        anchor = root_ca.certificate(now=5)
+        assert trust_store.anchors(anchor)
+        # The same name and key through another authority object: still a lookup.
+        trust_store.add(CertificationAuthority(root_ca.name, key_seed=b"test-root-ca"))
+        assert trust_store.anchors(anchor) and len(verifications) == 1
+        # Another key, put there without ``add``: the remembered bytes no longer count.
+        trust_store.roots[root_ca.name] = CertificationAuthority(root_ca.name, key_seed=b"x")
+        assert not trust_store.anchors(anchor) and len(verifications) == 2
+
+    def test_the_memory_is_not_part_of_the_stores_identity(self, root_ca, trust_store):
+        fresh = TrustStore()
+        fresh.add(root_ca)
+        assert trust_store.anchors(root_ca.certificate(now=5))
+        assert trust_store == fresh and repr(trust_store) == repr(fresh)

@@ -130,7 +130,7 @@ class TestCertificateChain:
         chain = CertificateChain(certificates=(certificate, ca_cert))
         decoded = CertificateChain.from_bytes(chain.to_bytes())
         assert decoded == chain
-        assert decoded.issuer_of_leaf() == "Test CA"
+        assert decoded.leaf.issuer == "Test CA"
 
     def test_pairs(self, certificate, issuer_keys):
         ca_cert = Certificate(
