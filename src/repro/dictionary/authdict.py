@@ -432,62 +432,20 @@ class ReplicaDictionary(_DictionaryCore):
         )
         self._freshness_age = 0
 
-    def restore_snapshot(
-        self,
-        items: Sequence[Tuple[bytes, bytes]],
-        signed_root: SignedRoot,
-        freshness: FreshnessStatement,
-    ) -> None:
-        """Warm-start an empty replica from checkpointed state, verifying it.
-
-        ``items`` is the leaf dump of a previous replica of the same CA
-        (:meth:`leaf_items`), ``signed_root``/``freshness`` the verified
-        state it was serving.  The checkpoint is *not* trusted: the root
-        signature is re-verified under the CA key, the tree is rebuilt and
-        its recomputed root compared against the signed one, and the
-        freshness statement must link to the root's anchor — so a corrupted
-        or tampered checkpoint can never warm-start a replica into a state
-        the CA did not sign.  On any mismatch the replica is rolled back to
-        empty (cold sync still works) and the error propagates.
-        """
-        if signed_root.ca_name != self.ca_name:
-            raise DictionaryError(
-                f"checkpoint for {signed_root.ca_name!r} restored into "
-                f"{self.ca_name!r}'s replica"
-            )
-        if self.size:
-            raise DictionaryError(
-                f"replica of {self.ca_name!r} is not empty; restore_snapshot "
-                f"requires a fresh replica"
-            )
-        if not self._roots_verify([signed_root]):
-            raise SignatureError(
-                f"checkpointed root for {self.ca_name!r} failed verification"
-            )
-        self._tree.insert_batch(items)
-        if self.root() != signed_root.root or self.size != signed_root.size:
-            self._tree.remove_batch(key for key, _ in items)
-            raise DesynchronizedError(
-                f"checkpointed leaves for {self.ca_name!r} do not reproduce "
-                f"the signed root; checkpoint rejected"
-            )
-        self._signed_root = signed_root
-        self._freshness_age = 0
-        try:
-            self.apply_freshness(freshness)
-        except DictionaryError:
-            # A freshness statement that does not link invalidates only the
-            # *freshness* half; fall back to the root's own anchor (always
-            # linkable) so the replica still warm-starts.
-            self._latest_freshness = FreshnessStatement(
-                ca_name=self.ca_name,
-                value=signed_root.anchor,
-                dictionary_size=self.size,
-            )
-            self._freshness_age = 0
-
     def _roots_verify(self, signed_roots: Sequence[SignedRoot]) -> bool:
-        """Whether every root's signature verifies under the CA verifier."""
+        """Whether every root's signature verifies under the CA verifier.
+
+        A root signed for another dictionary is refused by name before any
+        signature is paid for: every shard of a CA verifies under one
+        keyring, so the signature alone cannot tell shard B's root from
+        shard A's.
+        """
+        for signed_root in signed_roots:
+            if signed_root.ca_name != self.ca_name:
+                raise DictionaryError(
+                    f"signed root for {signed_root.ca_name!r} presented to "
+                    f"{self.ca_name!r}'s replica"
+                )
         return all(self.root_cache.verify_many(signed_roots, self._ca_public_key))
 
     def apply_freshness(self, statement: FreshnessStatement) -> None:

@@ -92,13 +92,39 @@ class SyncServer:
         )
 
 
-def resynchronize(replica: ReplicaDictionary, server: SyncServer) -> SyncResponse:
-    """Bring ``replica`` up to date against ``server``; returns the response applied."""
-    response = server.serve(SyncRequest(ca_name=replica.ca_name, have_count=replica.size))
+def held_state(replica: ReplicaDictionary) -> SyncResponse:
+    """What ``replica`` holds, as the answer to ``have_count = 0``.
+
+    The store's leaf values are the revocation numbers, so sorting the
+    leaves by value is the revocation order.  This is the serve half a
+    replica can do for itself — what an RA checkpoint persists — and
+    :func:`apply_sync_response` onto an empty replica is its inverse.
+    Requires a verified root.
+    """
+    ordered = sorted(replica.leaf_items(), key=lambda item: item[1])
+    return SyncResponse(
+        ca_name=replica.ca_name,
+        first_number=1,
+        serials=tuple(SerialNumber.from_bytes(key) for key, _ in ordered),
+        signed_root=replica.signed_root,
+        freshness=replica.latest_freshness,
+    )
+
+
+def apply_sync_response(replica: ReplicaDictionary, response: SyncResponse) -> None:
+    """Apply a sync response to ``replica`` — from the CA's endpoint or from
+    the RA's own checkpoint, the checks are ``update_many``'s,
+    ``install_root``'s and ``apply_freshness``'s either way."""
     if response.serials:
         replica.update(response.as_issuance())
     else:
         replica.install_root(response.signed_root)
     if response.freshness is not None:
         replica.apply_freshness(response.freshness)
+
+
+def resynchronize(replica: ReplicaDictionary, server: SyncServer) -> SyncResponse:
+    """Bring ``replica`` up to date against ``server``; returns the response applied."""
+    response = server.serve(SyncRequest(ca_name=replica.ca_name, have_count=replica.size))
+    apply_sync_response(replica, response)
     return response

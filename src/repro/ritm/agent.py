@@ -29,6 +29,7 @@ from repro.dictionary.authdict import ReplicaDictionary, RevocationIssuance
 from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.proofs import RevocationStatus
 from repro.dictionary.sharding import ShardKey, shard_name
+from repro.dictionary.sync import apply_sync_response, held_state
 from repro.errors import (
     DesynchronizedError,
     DictionaryError,
@@ -60,6 +61,9 @@ from repro.ritm.messages import (
 from repro.ritm.state import ConnectionState, ConnectionTable
 from repro.tls.connection import HandshakeStage
 from repro.tls.records import ContentType, TLSRecord, parse_records, serialize_records
+
+#: Modelled per-packet processing delay of an RA, in seconds.
+PER_PACKET_PROCESSING_SECONDS = 3e-6
 
 
 @dataclass
@@ -102,12 +106,7 @@ class Issuer:
 class RevocationAgent(Middlebox):
     """An on-path middlebox that serves revocation statuses to RITM clients."""
 
-    def __init__(
-        self,
-        name: str,
-        config: Optional[RITMConfig] = None,
-        per_packet_processing_seconds: float = 3e-6,
-    ) -> None:
+    def __init__(self, name: str, config: Optional[RITMConfig] = None) -> None:
         super().__init__(name)
         self.config = config if config is not None else RITMConfig()
         self.replicas: Dict[str, ReplicaDictionary] = {}
@@ -125,7 +124,6 @@ class RevocationAgent(Middlebox):
         #: Server identity → (CA name, serial, expiry) cache used to recover
         #: the certificate identity on abbreviated (resumed) handshakes.
         self._server_cache: Dict[Tuple[str, int], Tuple[str, SerialNumber, int]] = {}
-        self._per_packet_processing_seconds = per_packet_processing_seconds
         #: The CA behind every name this RA knows: each CA's own name and
         #: each of its shard replicas' names map to the CA's one record.
         self.issuers: Dict[str, Issuer] = {}
@@ -364,22 +362,28 @@ class RevocationAgent(Middlebox):
 
     # -- crash recovery (docs/STORAGE.md) --------------------------------------
 
-    def checkpoint(self, directory) -> int:
-        """Persist this RA's warm-start state under ``directory``.
+    def checkpoint_state(self) -> AgentCheckpoint:
+        """This RA's warm-start state as a value.
 
-        Writes every replica that currently serves verified state (signed
-        root + freshness + exact leaf dump), the shard widths, and the
-        explicit shard registry through :mod:`repro.ritm.persistence`.
-        Replicas that have not completed a first sync are skipped — there is
-        nothing verified to persist, and a restored RA simply cold-syncs
-        them.  Rotating keyrings are persisted as their validated
-        key-announcement chain plus the keyring clock (the per-replica key
-        in the manifest stays the *genesis* key, the trust anchor the chain
-        must re-validate against on restore).  Returns the number of
-        replicas persisted.
+        Every replica that serves verified state goes in as the sync
+        response from position 0 that describes it
+        (:func:`~repro.dictionary.sync.held_state`), beside the shard widths
+        and the explicit shard registry.  Replicas that have not completed a
+        first sync are skipped — there is nothing verified to persist, and a
+        restored RA simply cold-syncs them.  A rotating keyring is persisted
+        as its validated key-announcement chain plus its clock; the key
+        stored with each of its replicas stays the *genesis* key, the anchor
+        the chain must re-validate against on restore.
         """
-        replicas = []
-        keyrings: Dict[str, Dict[str, object]] = {}
+        checkpoint = AgentCheckpoint(
+            agent_name=self.name,
+            shard_widths=self.shard_widths,
+            shard_members={
+                issuer.name: dict(issuer.members)
+                for issuer in self.issuers.values()
+                if issuer.members
+            },
+        )
         for ca_name in sorted(self.replicas):
             replica = self.replicas[ca_name]
             if replica.signed_root is None or replica.latest_freshness is None:
@@ -390,50 +394,39 @@ class RevocationAgent(Middlebox):
                 key_bytes = verifier.genesis.key_bytes
                 issuer = self.issuers[ca_name]
                 if issuer.announcements:
-                    keyrings[issuer.name] = {
-                        "announcements": encode_key_announcements(
-                            issuer.announcements
-                        ).hex(),
-                        "clock": verifier.clock,
-                    }
-            replicas.append(
-                ReplicaCheckpoint(
-                    ca_name=ca_name,
-                    public_key_bytes=key_bytes,
-                    signed_root=replica.signed_root,
-                    freshness=replica.latest_freshness,
-                    items=replica.leaf_items(),
-                )
-            )
-        write_checkpoint(
-            AgentCheckpoint(
-                agent_name=self.name,
-                shard_widths=self.shard_widths,
-                shard_members={
-                    issuer.name: dict(issuer.members)
-                    for issuer in self.issuers.values()
-                    if issuer.members
-                },
-                replicas=replicas,
-                keyrings=keyrings,
-            ),
-            directory,
-        )
-        return len(replicas)
+                    checkpoint.keyrings[issuer.name] = (
+                        encode_key_announcements(issuer.announcements),
+                        verifier.clock,
+                    )
+            checkpoint.replicas.append(ReplicaCheckpoint(key_bytes, held_state(replica)))
+        return checkpoint
+
+    def checkpoint(self, directory) -> int:
+        """Persist :meth:`checkpoint_state` under ``directory`` (one file,
+        replaced atomically — docs/STORAGE.md).  Returns the number of
+        replicas persisted."""
+        checkpoint = self.checkpoint_state()
+        write_checkpoint(checkpoint, directory)
+        return len(checkpoint.replicas)
 
     def restore(self, directory) -> int:
-        """Warm-start this RA from a checkpoint written by :meth:`checkpoint`.
+        """Warm-start this RA from the checkpoint under ``directory``;
+        returns the number of replicas warm-started (:meth:`restore_state`)."""
+        return self.restore_state(load_checkpoint(directory))
 
-        Every persisted replica is rebuilt and *re-verified* (root signature
-        under the checkpointed CA key, recomputed Merkle root against the
-        signed one) before it serves anything; a replica whose checkpoint
-        fails verification is dropped and left to cold-sync on the next
-        pull instead of aborting the whole restore.  Shard widths and the
-        shard registry are restored so the TLS path maps certificate
-        expiries to shard replicas immediately.  Returns the number of
-        replicas warm-started.
+    def restore_state(self, checkpoint: AgentCheckpoint) -> int:
+        """Warm-start this RA from a checkpoint value.
+
+        Every persisted replica is a sync response from position 0 and is
+        applied as one (:func:`~repro.dictionary.sync.apply_sync_response`):
+        the root signature, size, recomputed Merkle root and freshness link
+        are checked exactly as for a response off the network.  A replica
+        whose state fails is dropped and left to cold-sync on the next pull
+        instead of aborting the whole restore.  Shard widths and the shard
+        registry are restored so the TLS path maps certificate expiries to
+        shard replicas immediately.  Returns the number of replicas
+        warm-started.
         """
-        checkpoint = load_checkpoint(directory)
         for ca_name, width in checkpoint.shard_widths.items():
             self.register_sharded_ca(ca_name, width)
         issuers = {
@@ -444,48 +437,48 @@ class RevocationAgent(Middlebox):
         restored_names = set()
         failed_names = set()
         for entry in checkpoint.replicas:
-            issuer = issuers.get(entry.ca_name, entry.ca_name)
+            name = entry.state.ca_name
+            issuer = issuers.get(name, name)
             keyring_state = checkpoint.keyrings.get(issuer)
-            verifier = (
-                CAKeyring.single(entry.public_key)
-                if keyring_state is not None
-                else entry.public_key
-            )
-            if issuer != entry.ca_name:
+            verifier = PublicKey(entry.public_key_bytes)
+            if keyring_state is not None:
+                verifier = CAKeyring.single(verifier)
+            if issuer != name:
                 # Shard replicas share their CA's verifier (the one a prior
                 # attach registered, else this checkpoint's).
                 record = self.issuers.setdefault(issuer, Issuer(issuer))
                 if record.verifier is None:
                     record.verifier = verifier
-                replica = self._open_replica(entry.ca_name, record.verifier)
+                replica = self._open_replica(name, record.verifier)
             else:
-                replica = self.register_ca(entry.ca_name, verifier)
+                replica = self.register_ca(name, verifier)
             if keyring_state is not None:
                 # Rebuild the rotating keyring from the persisted chain,
                 # re-validated against the genesis anchor.  A tampered or
                 # undecodable chain leaves the keyring genesis-only, so the
-                # root re-verification below rejects any state signed by a
+                # root verification below rejects any state signed by a
                 # rotated key and the replica degrades to cold sync — a
                 # doctored checkpoint never smuggles in an untrusted key.
+                chain_bytes, clock = keyring_state
                 try:
-                    chain = decode_key_announcements(
-                        bytes.fromhex(str(keyring_state["announcements"]))
+                    self.learn_key_announcements(
+                        issuer, decode_key_announcements(chain_bytes)
                     )
-                    self.learn_key_announcements(issuer, chain)
-                    keyring = self.keyring_for(issuer)
-                    if keyring is not None:
-                        keyring.advance(int(keyring_state["clock"]))
-                except (ReproError, ValueError, KeyError, TypeError):
+                    self.keyring_for(issuer).advance(clock)
+                except ReproError:
                     pass
             try:
-                replica.restore_snapshot(entry.items, entry.signed_root, entry.freshness)
+                apply_sync_response(replica, entry.state)
             except ReproError:
-                # Corrupt or mismatched state: restore_snapshot rolled the
-                # replica back to empty, so this CA simply cold-syncs on the
-                # next pull instead of aborting the whole restore.
-                failed_names.add(entry.ca_name)
-                continue
-            restored_names.add(entry.ca_name)
+                # The replica serves only what update_many / install_root
+                # verified: the checkpointed root (a freshness statement
+                # that does not link costs only the freshness — the root's
+                # own anchor stands), or nothing it did not hold before.
+                pass
+            if replica.signed_root == entry.state.signed_root:
+                restored_names.add(name)
+            else:
+                failed_names.add(name)
         # A shard replica that failed verification must not linger: keeping
         # it registered (empty) outside the shard registry would leave a
         # replica no expiry lookup reaches and no prune ever reclaims.  Drop
@@ -546,7 +539,7 @@ class RevocationAgent(Middlebox):
     # -- middlebox interface ------------------------------------------------------
 
     def processing_delay(self, packet: Packet) -> float:
-        return self._per_packet_processing_seconds
+        return PER_PACKET_PROCESSING_SECONDS
 
     def process_packet(self, packet: Packet, now: float) -> List[Packet]:
         self.stats.packets_seen += 1

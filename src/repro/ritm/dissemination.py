@@ -24,9 +24,6 @@ cause wasted fetches, never a false revocation status.
 
 from __future__ import annotations
 
-import json
-import os
-import zlib
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -62,8 +59,8 @@ from repro.ritm.messages import (
     decode_shard_index,
     encode_sync_response,
 )
+from repro.ritm.persistence import load_checkpoint, write_checkpoint
 from repro.ritm.replication import decode_segment, segment_path, verify_segment
-from repro.store.durable import atomic_write
 
 
 @dataclass
@@ -125,25 +122,6 @@ def total_pulls(history: Iterable[PullResult]) -> PullResult:
                 value = getattr(total, spec.name) + value
             setattr(total, spec.name, value)
     return total
-
-
-def _cursor_checksum(cursor_state: Dict[str, Dict[str, int]]) -> int:
-    """CRC32 over the canonical JSON of the replay-cursor block.
-
-    Not a MAC — it distinguishes honest old checkpoints (no cursor block)
-    and corruption from a usable block; a deliberately doctored block that
-    also fixes the CRC only costs the restarted RA a cold replay window,
-    because restore never *trusts* cursors for anything but staleness
-    filtering.
-    """
-    return zlib.crc32(
-        json.dumps(cursor_state, sort_keys=True).encode("utf-8")
-    )
-
-
-def _cursor_map(state: dict, key: str) -> Dict[str, int]:
-    """One ``{name: int}`` block of the persisted client state (absent = empty)."""
-    return {str(name): int(value) for name, value in state.get(key, {}).items()}
 
 
 @dataclass
@@ -251,48 +229,25 @@ class RADisseminationClient:
 
     # -- crash recovery (docs/STORAGE.md) ---------------------------------------
 
-    #: File holding the client-side warm-start state inside a checkpoint.
-    STATE_FILENAME = "dissemination.json"
-
     def checkpoint(self, directory) -> int:
-        """Persist the agent plus this client's stream positions.
+        """Persist the agent plus this client's stream positions and replay
+        cursors, as one checkpoint file.
 
         The positions are what turn a warm restart into a *delta* fetch: the
         restored client resumes from the last batch it committed instead of
-        re-walking (or re-downloading) the CA's whole batch history.  Replay
-        cursors are persisted under their own CRC32 so a restore can tell
-        tampering from an honest pre-replay-window checkpoint.  Returns the
-        number of replicas persisted.
+        re-walking (or re-downloading) the CA's whole batch history.
+        Returns the number of replicas persisted.
         """
-        cursor_state = {
-            "head_cursors": {
-                name: feed.head.cursor for name, feed in self.feeds.items()
-            },
-            "index_cursors": {
-                name: record.index.cursor for name, record in self.sharded.items()
-            },
+        checkpoint = self.agent.checkpoint_state()
+        checkpoint.feeds = {
+            name: (feed.position, feed.head.cursor) for name, feed in self.feeds.items()
         }
-        state = {
-            "format": 1,
-            "applied_batches": {
-                name: feed.position for name, feed in self.feeds.items()
-            },
-            "shard_pulls": {name: record.pulls for name, record in self.sharded.items()},
-            "cursor_checksum": _cursor_checksum(cursor_state),
-            **cursor_state,
+        checkpoint.discoveries = {
+            name: (record.pulls, record.index.cursor)
+            for name, record in self.sharded.items()
         }
-        # Cursors are written first (atomically), the agent manifest last:
-        # the manifest is the checkpoint's commit point, so a crash at any
-        # point during checkpointing leaves either no restorable checkpoint
-        # at all or a complete one — never a warm-startable checkpoint
-        # whose missing cursors silently downgrade the next restart to a
-        # full batch-history refetch.
-        os.makedirs(str(directory), exist_ok=True)
-        atomic_write(
-            os.path.join(str(directory), self.STATE_FILENAME),
-            (json.dumps(state, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-        )
-        return self.agent.checkpoint(directory)
+        write_checkpoint(checkpoint, directory)
+        return len(checkpoint.replicas)
 
     def restore(self, directory) -> int:
         """Warm-start the agent and this client from a checkpoint.
@@ -300,51 +255,24 @@ class RADisseminationClient:
         Stream positions are restored only for dictionaries whose replica
         actually warm-started (holds a verified root): a position without
         its replica state would make the next pull skip batches the replica
-        never applied.  Files written before the two cursors merged carry a
-        separate CRC'd ``segment_cursors`` block; the position is the higher
-        of the two.  Replay cursors are restored only when their checksum
-        validates — a tampered (or truncated) cursor block degrades the
-        restart to cold replay state, which re-learns sequences from the
-        next pull; it never silently accepts a forged cursor.  Returns the
-        number of replicas restored.
+        never applied.  Replay cursors are restored for every replica and
+        sharded CA still registered; they are never *trusted* for anything
+        but staleness filtering, so a doctored one costs at most a replay
+        window of self-healing.  Returns the number of replicas restored.
         """
-        restored = self.agent.restore(directory)
-        path = os.path.join(str(directory), self.STATE_FILENAME)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                state = json.load(handle)
-            positions = _cursor_map(state, "applied_batches")
-            shard_pulls = _cursor_map(state, "shard_pulls")
-        except (OSError, ValueError, TypeError, AttributeError):
-            return restored
-        try:
-            segment_state = {"segment_cursors": _cursor_map(state, "segment_cursors")}
-            if state.get("segment_cursor_checksum") == _cursor_checksum(segment_state):
-                for name, number in segment_state["segment_cursors"].items():
-                    positions[name] = max(positions.get(name, 0), number)
-        except (ValueError, TypeError, AttributeError):
-            pass  # malformed segment block: the batch positions stand alone
-        for name, position in positions.items():
+        checkpoint = load_checkpoint(directory)
+        restored = self.agent.restore_state(checkpoint)
+        for name, (position, cursor) in checkpoint.feeds.items():
             replica = self.agent.replicas.get(name)
-            if replica is not None and replica.signed_root is not None:
-                self._feed(name).position = position
-        for name, pulls in shard_pulls.items():
+            if replica is not None:
+                feed = self._feed(name)
+                feed.head.cursor = cursor
+                if replica.signed_root is not None:
+                    feed.position = position
+        for name, (pulls, cursor) in checkpoint.discoveries.items():
             if name in self.sharded:
                 self.sharded[name].pulls = pulls
-        try:
-            cursor_state = {
-                "head_cursors": _cursor_map(state, "head_cursors"),
-                "index_cursors": _cursor_map(state, "index_cursors"),
-            }
-            if state.get("cursor_checksum") == _cursor_checksum(cursor_state):
-                for name, cursor in cursor_state["head_cursors"].items():
-                    if name in self.agent.replicas:
-                        self._feed(name).head.cursor = cursor
-                for name, cursor in cursor_state["index_cursors"].items():
-                    if name in self.sharded:
-                        self.sharded[name].index.cursor = cursor
-        except (ValueError, TypeError, AttributeError):
-            pass  # malformed cursor block: cold replay state, never trust it
+                self.sharded[name].index.cursor = cursor
         return restored
 
     # -- streaming replication (docs/REPLICATION.md) -----------------------------

@@ -391,12 +391,11 @@ def decode_head(data: bytes) -> DictionaryHead:
     offset += 8
     root_bytes, offset = _unpack_bytes(data, offset)
     freshness_bytes, offset = _unpack_bytes(data, offset)
-    sequence = 0
-    if offset + 8 == len(data):
-        (sequence,) = struct.unpack_from(">Q", data, offset)
-    elif offset != len(data):
-        # The sequence is optional; nothing else may follow the freshness.
+    if offset + 8 > len(data):
+        raise TLSError("truncated dictionary head sequence")
+    if offset + 8 != len(data):
         raise TLSError("trailing bytes after dictionary head")
+    (sequence,) = struct.unpack_from(">Q", data, offset)
     return DictionaryHead(
         ca_name=ca_name,
         size=size,
@@ -468,14 +467,14 @@ def decode_shard_index(data: bytes) -> ShardIndex:
             # The index is unauthenticated; a forged zero width must not
             # reach ShardKey arithmetic (or overwrite the agent's width).
             raise ValueError(f"shard width must be positive, got {width_seconds}")
-        sequence = int(payload.get("sequence", 0))
+        sequence = int(payload["sequence"])
         if sequence < 0:
             raise ValueError(f"shard index sequence must be non-negative, got {sequence}")
         return ShardIndex(
             ca_name=payload["ca"],
             width_seconds=width_seconds,
             live=tuple(int(i) for i in payload["live"]),
-            retired=tuple(int(i) for i in payload.get("retired", ())),
+            retired=tuple(int(i) for i in payload["retired"]),
             sequence=sequence,
         )
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
@@ -564,8 +563,8 @@ def decode_key_announcements(data: bytes) -> Tuple[KeyAnnouncement, ...]:
         raise TLSError(f"malformed key announcement chain: {exc}") from None
 
 
-def decode_issuance(data: bytes) -> RevocationIssuance:
-    offset = 0
+def _decode_issuance_at(data: bytes, offset: int) -> Tuple[RevocationIssuance, int]:
+    """One issuance object starting at ``offset``; returns it and where it ends."""
     ca_name, offset = _unpack_name(data, offset)
     if offset + 10 > len(data):
         raise TLSError("truncated issuance header")
@@ -576,21 +575,33 @@ def decode_issuance(data: bytes) -> RevocationIssuance:
         serial_bytes, offset = _unpack_bytes(data, offset)
         serials.append(parse_serial(serial_bytes))
     root_bytes, offset = _unpack_bytes(data, offset)
-    if offset != len(data):
-        raise TLSError("trailing bytes after issuance object")
-    return RevocationIssuance(
+    issuance = RevocationIssuance(
         ca_name=ca_name,
         serials=tuple(serials),
         first_number=first_number,
         signed_root=_decode_whole(decode_signed_root, root_bytes),
     )
+    return issuance, offset
+
+
+def decode_issuance(data: bytes) -> RevocationIssuance:
+    issuance, offset = _decode_issuance_at(data, 0)
+    if offset != len(data):
+        raise TLSError("trailing bytes after issuance object")
+    return issuance
 
 
 def encode_sync_response(response: SyncResponse) -> bytes:
     """A sync response on the wire: what :meth:`SyncResponse.as_issuance`
     says it is — consecutive issuance objects of at most
     :data:`MAX_ISSUANCE_SERIALS` serials (one, possibly empty, carries the
-    root) — then the freshness statement, if any."""
+    root) — then the freshness statement, if any.
+
+    Read back by :func:`decode_sync_response`.  Two things use the bytes:
+    the RA's resync accounting (their length is what a resync downloads)
+    and RA checkpoints (:mod:`repro.ritm.persistence` stores each replica
+    as its sync response from position 0).
+    """
     whole = response.as_issuance()
     parts = []
     for start in range(0, max(len(whole.serials), 1), MAX_ISSUANCE_SERIALS):
@@ -600,3 +611,43 @@ def encode_sync_response(response: SyncResponse) -> bytes:
     if response.freshness is not None:
         parts.append(encode_freshness(response.freshness))
     return b"".join(parts)
+
+
+def decode_sync_response(data: bytes) -> SyncResponse:
+    """Parse what :func:`encode_sync_response` wrote, and nothing else.
+
+    The chunks are not counted on the wire: every one carries the same
+    signed root, and they end where that root's ``size`` says the history
+    does — the chunk whose last serial is number ``size`` is the last.
+    Every earlier chunk must be full and the chunks must be consecutive
+    pieces of one dictionary's history under one root, so no two byte
+    strings decode to the same response.  Whatever follows the last chunk
+    is the freshness statement, whole.
+    """
+    first, offset = _decode_issuance_at(data, 0)
+    size = first.signed_root.size
+    serials = list(first.serials)
+    chunk = first
+    held = first.first_number + len(serials) - 1  # number of the last serial read
+    while held != size:
+        if len(chunk.serials) != MAX_ISSUANCE_SERIALS or held > size:
+            raise TLSError("sync response chunks do not end at the signed dictionary size")
+        chunk, offset = _decode_issuance_at(data, offset)
+        if (chunk.ca_name, chunk.first_number, chunk.signed_root) != (
+            first.ca_name,
+            held + 1,
+            first.signed_root,
+        ):
+            raise TLSError("sync response chunks are not consecutive pieces of one response")
+        serials.extend(chunk.serials)
+        held += len(chunk.serials)
+    freshness = None
+    if offset != len(data):
+        freshness = _decode_whole(decode_freshness, data[offset:])
+    return SyncResponse(
+        ca_name=first.ca_name,
+        first_number=first.first_number,
+        serials=tuple(serials),
+        signed_root=first.signed_root,
+        freshness=freshness,
+    )

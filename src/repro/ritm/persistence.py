@@ -1,293 +1,206 @@
-"""RA checkpoint files: the on-disk format behind warm crash-recovery.
+"""RA checkpoints: one file, replaced atomically (docs/STORAGE.md).
 
-A checkpoint captures everything a :class:`~repro.ritm.agent.RevocationAgent`
-needs to resume serving (and delta-syncing) after a process restart without
-re-downloading its dictionaries from the CA:
+A checkpoint is everything a :class:`~repro.ritm.agent.RevocationAgent` and
+its :class:`~repro.ritm.dissemination.RADisseminationClient` need to resume
+serving and delta-pulling after a process restart.  Each replica is stored as
+what the paper's recovery exchange would hand it — the sync response from
+position 0 (:func:`repro.dictionary.sync.held_state`: its serials in
+revocation order, its signed root, its freshness statement) in the sync
+protocol's own wire form — so a restore *is* a sync answered from local disk
+and goes through the same ``update_many`` / ``install_root`` checks.
 
-* ``agent.json`` — the manifest: format version, agent name, shard widths,
-  the explicit shard-membership registry, and one entry per persisted
-  replica (CA name, public key, file name);
-* ``replica-NNNN.bin`` — one binary file per replica: the CA-signed root and
-  latest freshness statement (reusing the wire codecs from
-  :mod:`repro.ritm.messages`), the exact sorted leaf dump, and a trailing
-  CRC32 over the whole file.
+This module alone lays the file out::
 
-Checkpoints are *not* trusted on restore: CRCs catch corruption here, and
-:meth:`~repro.dictionary.authdict.ReplicaDictionary.restore_snapshot`
-re-verifies the root signature and the recomputed Merkle root, so a doctored
-checkpoint can never warm-start a replica into unsigned state.  The format
-is documented in ``docs/STORAGE.md``.
+    magic "RITMCKPT" | u16 format | name agent
+    u32 n | n × (name ca, u64 shard width)
+    u32 n | n × (name ca, u32 m, m × (i64 shard index, name replica))
+    u32 n | n × (name ca, u32-framed key-announcement chain, u64 keyring clock)
+    u32 n | n × (name replica, u64 feed position, u64 head cursor)
+    u32 n | n × (name ca, u64 shard-discovery pulls, u64 index cursor)
+    u32 n | n × (u16-framed trust-anchor key, u32-framed sync response)
+    u32 CRC32 of everything before it
 
-Format evolution: the replica file carries an explicit format version, and
-from format 2 onward any bytes between the leaf dump and the trailing CRC
-are a sequence of typed extension blocks (``u8 type + u32 length + body``).
-Readers skip blocks they do not understand, so a checkpoint written by a
-newer build (e.g. one that appends replication-cursor blocks) still
-warm-starts an older agent — and a format-1 file from a pre-extension build
-still loads here.  The CRC always covers the whole file, unknown blocks
-included.
+(``name`` is a u16-framed UTF-8 string; integers are big-endian.)  The file
+is written once, through :func:`~repro.store.durable.atomic_write`: a crash
+at any instant of any checkpoint leaves the previous complete file or the new
+complete one.  The CRC catches corruption; it is not a MAC, and nothing read
+here is trusted — replica state is re-verified on restore, keyring chains are
+re-validated against their genesis anchor, and positions and cursors only
+ever decide what the next pull fetches or skips as stale.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
-from repro.crypto.signing import PublicKey
-from repro.dictionary.freshness import FreshnessStatement
-from repro.dictionary.signed_root import SignedRoot
-from repro.errors import StorageError
-from repro.ritm.messages import (
-    decode_freshness,
-    decode_signed_root,
-    encode_freshness,
-    encode_signed_root,
-)
-from repro.store.durable import atomic_write, decode_leaf_pairs, encode_leaf_pairs
+from repro.dictionary.sync import SyncResponse
+from repro.errors import StorageError, TLSError
+from repro.ritm.messages import decode_sync_response, encode_sync_response
+from repro.store.durable import atomic_write
 
-#: Replica-file magic; the manifest's ``format`` field pins the layout.
-REPLICA_MAGIC = b"RITMRACP"
+#: First bytes of a checkpoint file.
+CHECKPOINT_MAGIC = b"RITMCKPT"
 
-#: Checkpoint format version this build writes (manifest + replica files).
-CHECKPOINT_FORMAT = 2
+#: The one layout this build writes and reads.
+CHECKPOINT_FORMAT = 1
 
-#: Every format version this build can read.  Format 1 is the pre-extension
-#: layout (no trailing blocks allowed); format 2 adds the skip-unknown
-#: extension-block rule after the leaf dump.
-SUPPORTED_CHECKPOINT_FORMATS = (1, 2)
-
-#: Manifest file name inside a checkpoint directory.
-MANIFEST_FILENAME = "agent.json"
+#: The one file inside a checkpoint directory.
+CHECKPOINT_FILENAME = "checkpoint.bin"
 
 
 @dataclass
 class ReplicaCheckpoint:
-    """One replica's persisted state: verified root, freshness, leaf dump."""
+    """One replica's persisted state."""
 
-    ca_name: str
+    #: The key the replica's trust is anchored at: its verifier's own bytes,
+    #: or a rotating keyring's *genesis* key (the chain in
+    #: :attr:`AgentCheckpoint.keyrings` must re-validate against it).
     public_key_bytes: bytes
-    signed_root: SignedRoot
-    freshness: FreshnessStatement
-    items: List[Tuple[bytes, bytes]]
-    #: Typed extension blocks (block type → raw body) carried after the leaf
-    #: dump in format ≥ 2 files.  Unknown types are preserved, not rejected.
-    extensions: Dict[int, bytes] = field(default_factory=dict)
-
-    @property
-    def public_key(self) -> PublicKey:
-        """The CA public key the replica verified its state under."""
-        return PublicKey(self.public_key_bytes)
+    #: What the replica held, as a sync response from position 0.
+    state: SyncResponse
 
 
 @dataclass
 class AgentCheckpoint:
-    """Everything :meth:`RevocationAgent.restore` needs, decoded from disk."""
+    """One RA's warm-start state, as handed over by (and back to) the agent
+    and its dissemination client."""
 
     agent_name: str
     shard_widths: Dict[str, int] = field(default_factory=dict)
     #: CA name → shard index → replica name (the explicit shard registry).
     shard_members: Dict[str, Dict[int, str]] = field(default_factory=dict)
+    #: CA name → (encoded validated key-announcement chain, keyring clock),
+    #: for CAs whose keyring has learned a rotation.
+    keyrings: Dict[str, Tuple[bytes, int]] = field(default_factory=dict)
+    #: Replica name → (stream position, head replay cursor).
+    feeds: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+    #: Sharded CA name → (pull cycles completed, shard-index replay cursor).
+    discoveries: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     replicas: List[ReplicaCheckpoint] = field(default_factory=list)
-    #: CA name → rotating-keyring state: the hex-encoded validated
-    #: key-announcement chain plus the keyring clock.  Optional — absent for
-    #: replicas pinned to a single key and in pre-rotation checkpoints.
-    keyrings: Dict[str, Dict[str, object]] = field(default_factory=dict)
 
 
-def _encode_replica(checkpoint: ReplicaCheckpoint) -> bytes:
-    """Serialize one replica file (magic + fields + CRC32)."""
-    root_bytes = encode_signed_root(checkpoint.signed_root)
-    freshness_bytes = encode_freshness(checkpoint.freshness)
-    body = bytearray()
-    body += REPLICA_MAGIC
-    body += struct.pack(">H", CHECKPOINT_FORMAT)
-    body += struct.pack(">H", len(checkpoint.public_key_bytes))
-    body += checkpoint.public_key_bytes
-    body += struct.pack(">I", len(root_bytes))
-    body += root_bytes
-    body += struct.pack(">I", len(freshness_bytes))
-    body += freshness_bytes
-    body += struct.pack(">Q", len(checkpoint.items))
-    body += encode_leaf_pairs(checkpoint.items)
-    for block_type in sorted(checkpoint.extensions):
-        block = checkpoint.extensions[block_type]
-        body += struct.pack(">BI", block_type, len(block))
-        body += block
-    body += struct.pack(">I", zlib.crc32(bytes(body)))
-    return bytes(body)
+_SHORT = struct.Struct(">H")
+_COUNT = struct.Struct(">I")
+_LONG = struct.Struct(">Q")
+_INDEX = struct.Struct(">q")
+_PAIR = struct.Struct(">QQ")
 
 
-def _decode_replica(data: bytes, ca_name: str) -> ReplicaCheckpoint:
-    """Parse one replica file, checking magic, version, and checksum."""
-    floor = len(REPLICA_MAGIC) + 2 + 4
-    if len(data) < floor or not data.startswith(REPLICA_MAGIC):
-        raise StorageError(f"replica checkpoint for {ca_name!r} is not valid")
-    (stored_crc,) = struct.unpack_from(">I", data, len(data) - 4)
-    if zlib.crc32(data[:-4]) != stored_crc:
-        raise StorageError(f"replica checkpoint for {ca_name!r} failed its checksum")
-    try:
-        offset = len(REPLICA_MAGIC)
-        (version,) = struct.unpack_from(">H", data, offset)
-        offset += 2
-        if version not in SUPPORTED_CHECKPOINT_FORMATS:
-            raise StorageError(
-                f"replica checkpoint for {ca_name!r} has format {version}; "
-                f"this build reads formats {SUPPORTED_CHECKPOINT_FORMATS}"
-            )
-        (key_length,) = struct.unpack_from(">H", data, offset)
-        offset += 2
-        public_key_bytes = data[offset : offset + key_length]
-        offset += key_length
-        (root_length,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        signed_root, _ = decode_signed_root(data[offset : offset + root_length])
-        offset += root_length
-        (freshness_length,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        freshness, _ = decode_freshness(data[offset : offset + freshness_length])
-        offset += freshness_length
-        (leaf_count,) = struct.unpack_from(">Q", data, offset)
-        offset += 8
-        items, offset = decode_leaf_pairs(data, offset, leaf_count)
-        extensions: Dict[int, bytes] = {}
-        if version >= 2:
-            # Skip-unknown extension blocks: anything between the leaf dump
-            # and the CRC must parse as (u8 type, u32 length, body) frames.
-            while offset < len(data) - 4:
-                block_type, block_length = struct.unpack_from(">BI", data, offset)
-                offset += 5
-                if offset + block_length > len(data) - 4:
-                    raise StorageError(
-                        f"replica checkpoint for {ca_name!r} has a truncated "
-                        f"extension block"
-                    )
-                extensions[block_type] = data[offset : offset + block_length]
-                offset += block_length
-        if offset != len(data) - 4:
-            raise StorageError(
-                f"replica checkpoint for {ca_name!r} has trailing bytes"
-            )
-    except struct.error as exc:
+def _name(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return _SHORT.pack(len(raw)) + raw
+
+
+def _encode(checkpoint: AgentCheckpoint) -> bytes:
+    """The checkpoint file's bytes, trailing CRC included."""
+    parts = [CHECKPOINT_MAGIC, _SHORT.pack(CHECKPOINT_FORMAT), _name(checkpoint.agent_name)]
+    parts.append(_COUNT.pack(len(checkpoint.shard_widths)))
+    for ca_name, width in checkpoint.shard_widths.items():
+        parts += [_name(ca_name), _LONG.pack(width)]
+    parts.append(_COUNT.pack(len(checkpoint.shard_members)))
+    for ca_name, members in checkpoint.shard_members.items():
+        parts += [_name(ca_name), _COUNT.pack(len(members))]
+        for index, replica_name in members.items():
+            parts += [_INDEX.pack(index), _name(replica_name)]
+    parts.append(_COUNT.pack(len(checkpoint.keyrings)))
+    for ca_name, (chain, clock) in checkpoint.keyrings.items():
+        parts += [_name(ca_name), _COUNT.pack(len(chain)), chain, _LONG.pack(clock)]
+    for table in (checkpoint.feeds, checkpoint.discoveries):
+        parts.append(_COUNT.pack(len(table)))
+        for name, pair in table.items():
+            parts += [_name(name), _PAIR.pack(*pair)]
+    parts.append(_COUNT.pack(len(checkpoint.replicas)))
+    for replica in checkpoint.replicas:
+        state = encode_sync_response(replica.state)
+        parts += [_SHORT.pack(len(replica.public_key_bytes)), replica.public_key_bytes]
+        parts += [_COUNT.pack(len(state)), state]
+    body = b"".join(parts)
+    return body + _COUNT.pack(zlib.crc32(body))
+
+
+def _decode(data: bytes) -> AgentCheckpoint:
+    """Parse a checkpoint file, checking magic, CRC, format and framing."""
+    header = len(CHECKPOINT_MAGIC)
+    if len(data) < header + 2 + _COUNT.size or not data.startswith(CHECKPOINT_MAGIC):
+        raise StorageError("not an RA checkpoint file")
+    end = len(data) - _COUNT.size
+    if zlib.crc32(data[:end]) != _COUNT.unpack_from(data, end)[0]:
+        raise StorageError("RA checkpoint failed its checksum")
+    offset = header
+
+    def take(length: int) -> bytes:
+        nonlocal offset
+        if offset + length > end:
+            raise StorageError("RA checkpoint is truncated")
+        offset += length
+        return data[offset - length : offset]
+
+    def unpack(layout: struct.Struct):
+        values = layout.unpack(take(layout.size))
+        return values[0] if len(values) == 1 else values
+
+    def name() -> str:
+        return take(unpack(_SHORT)).decode("utf-8")
+
+    version = unpack(_SHORT)
+    if version != CHECKPOINT_FORMAT:
         raise StorageError(
-            f"replica checkpoint for {ca_name!r} is truncated: {exc}"
-        ) from None
-    return ReplicaCheckpoint(
-        ca_name=ca_name,
-        public_key_bytes=public_key_bytes,
-        signed_root=signed_root,
-        freshness=freshness,
-        items=items,
-        extensions=extensions,
-    )
+            f"RA checkpoint has format {version}; this build reads format {CHECKPOINT_FORMAT}"
+        )
+    try:
+        checkpoint = AgentCheckpoint(agent_name=name())
+        for _ in range(unpack(_COUNT)):
+            ca_name = name()
+            checkpoint.shard_widths[ca_name] = unpack(_LONG)
+        for _ in range(unpack(_COUNT)):
+            members = checkpoint.shard_members.setdefault(name(), {})
+            for _ in range(unpack(_COUNT)):
+                index = unpack(_INDEX)
+                members[index] = name()
+        for _ in range(unpack(_COUNT)):
+            ca_name = name()
+            chain = take(unpack(_COUNT))
+            checkpoint.keyrings[ca_name] = (chain, unpack(_LONG))
+        for table in (checkpoint.feeds, checkpoint.discoveries):
+            for _ in range(unpack(_COUNT)):
+                entry = name()
+                table[entry] = unpack(_PAIR)
+        for _ in range(unpack(_COUNT)):
+            key_bytes = take(unpack(_SHORT))
+            state = decode_sync_response(take(unpack(_COUNT)))
+            checkpoint.replicas.append(ReplicaCheckpoint(key_bytes, state))
+    except (UnicodeDecodeError, TLSError) as exc:
+        raise StorageError(f"malformed RA checkpoint: {exc}") from None
+    if offset != end:
+        raise StorageError("RA checkpoint has trailing bytes")
+    return checkpoint
 
 
-def write_checkpoint(
-    checkpoint: AgentCheckpoint, directory: Union[str, Path]
-) -> Path:
-    """Write a full agent checkpoint under ``directory``; returns its path.
+def write_checkpoint(checkpoint: AgentCheckpoint, directory: Union[str, Path]) -> None:
+    """Replace the checkpoint under ``directory`` with ``checkpoint``.
 
-    Replica files are written first and the manifest last, so a crash while
-    checkpointing leaves no manifest — an incomplete checkpoint is invisible
-    to :func:`load_checkpoint` rather than half-restorable.
+    One atomic write: whenever the process dies, :func:`load_checkpoint`
+    finds the previous checkpoint or this one, complete.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest_replicas = []
-    for index, replica in enumerate(checkpoint.replicas):
-        filename = f"replica-{index:04d}.bin"
-        (directory / filename).write_bytes(_encode_replica(replica))
-        manifest_replicas.append(
-            {
-                "ca_name": replica.ca_name,
-                "file": filename,
-                "public_key": replica.public_key_bytes.hex(),
-            }
-        )
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "agent": checkpoint.agent_name,
-        "shard_widths": dict(checkpoint.shard_widths),
-        "shard_members": {
-            ca: {str(index): name for index, name in members.items()}
-            for ca, members in checkpoint.shard_members.items()
-        },
-        "replicas": manifest_replicas,
-        "keyrings": {
-            ca: {
-                "announcements": str(state["announcements"]),
-                "clock": int(state["clock"]),
-            }
-            for ca, state in checkpoint.keyrings.items()
-        },
-    }
-    atomic_write(
-        directory / MANIFEST_FILENAME,
-        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-    )
-    return directory
+    atomic_write(directory / CHECKPOINT_FILENAME, _encode(checkpoint))
 
 
 def load_checkpoint(directory: Union[str, Path]) -> AgentCheckpoint:
-    """Read and decode a checkpoint directory written by :func:`write_checkpoint`.
+    """Read the checkpoint :func:`write_checkpoint` left under ``directory``.
 
-    Raises :class:`StorageError` when the manifest is missing/invalid or any
-    replica file fails its structural checks.  (Cryptographic verification —
-    root signature and recomputed root — happens later, in
-    ``ReplicaDictionary.restore_snapshot``.)
+    Raises :class:`StorageError` when there is none or it is structurally
+    corrupt.  Nothing is verified cryptographically here — that is the
+    restore's job, through the sync apply path.
     """
-    directory = Path(directory)
-    manifest_path = directory / MANIFEST_FILENAME
-    if not manifest_path.exists():
-        raise StorageError(f"no RA checkpoint manifest under {directory}")
+    path = Path(directory) / CHECKPOINT_FILENAME
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        if manifest["format"] not in SUPPORTED_CHECKPOINT_FORMATS:
-            raise StorageError(
-                f"checkpoint format {manifest['format']} unsupported; this "
-                f"build reads formats {SUPPORTED_CHECKPOINT_FORMATS}"
-            )
-        agent_name = manifest["agent"]
-        shard_widths = {ca: int(w) for ca, w in manifest["shard_widths"].items()}
-        shard_members = {
-            ca: {int(index): str(name) for index, name in members.items()}
-            for ca, members in manifest["shard_members"].items()
-        }
-        entries = manifest["replicas"]
-        # Optional (absent in pre-rotation checkpoints): rotating-keyring
-        # state, opaque here — the chain is cryptographically re-validated
-        # by RevocationAgent.learn_key_announcements on restore.
-        keyrings = {
-            str(ca): {
-                "announcements": str(state["announcements"]),
-                "clock": int(state["clock"]),
-            }
-            for ca, state in manifest.get("keyrings", {}).items()
-        }
-    except (ValueError, KeyError, TypeError) as exc:
-        raise StorageError(f"malformed checkpoint manifest: {exc}") from None
-    replicas = []
-    for entry in entries:
-        try:
-            ca_name = entry["ca_name"]
-            data = (directory / entry["file"]).read_bytes()
-            expected_key = bytes.fromhex(entry["public_key"])
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise StorageError(f"unreadable checkpoint replica entry: {exc}") from None
-        replica = _decode_replica(data, ca_name)
-        if replica.public_key_bytes != expected_key:
-            raise StorageError(
-                f"replica checkpoint for {ca_name!r} carries a public key "
-                f"that does not match the manifest"
-            )
-        replicas.append(replica)
-    return AgentCheckpoint(
-        agent_name=agent_name,
-        shard_widths=shard_widths,
-        shard_members=shard_members,
-        replicas=replicas,
-        keyrings=keyrings,
-    )
+        data = path.read_bytes()
+    except OSError as exc:
+        raise StorageError(f"no RA checkpoint under {directory}: {exc}") from None
+    return _decode(data)

@@ -114,9 +114,8 @@ def atomic_write(path: Union[str, Path], data: bytes, sync: bool = False) -> Non
 def encode_leaf_pairs(items: Sequence[Tuple[bytes, bytes]]) -> bytes:
     """Length-prefixed ``(key, value)`` frames (u16 key, u32 value).
 
-    The one leaf wire shape shared by WAL insert records, snapshots, and RA
-    replica checkpoints (:mod:`repro.ritm.persistence`) — callers prepend
-    their own item count.
+    The one leaf wire shape shared by WAL insert records, snapshots and
+    replication segments — callers prepend their own item count.
     """
     parts = []
     for key, value in items:

@@ -17,7 +17,7 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import CertificateError, TLSError
 from repro.perf import LRUCache
@@ -48,6 +48,9 @@ from repro.tls.messages import (
 )
 from repro.tls.records import ContentType, TLSRecord
 from repro.tls.session import SessionCache, SessionState, TicketIssuer
+
+#: Lifetime hint on every session ticket a server issues.
+SESSION_LIFETIME_SECONDS = 24 * 3600
 
 
 class HandshakeStage(Enum):
@@ -149,7 +152,6 @@ class ClientConnectionConfig:
     use_ritm_extension: bool = True
     session_id: bytes = b""
     session_ticket: bytes = b""
-    extra_extensions: Tuple[Extension, ...] = ()
     #: The :class:`ChainValidationCache` every full handshake validates
     #: through; pass a shared one, or leave ``None`` for a private disabled
     #: one (``maxsize=0``: counts lookups, memoizes nothing).
@@ -184,7 +186,6 @@ class TLSClientConnection:
             extensions.append(ritm_support_extension())
         if self.config.session_ticket:
             extensions.append(session_ticket_extension(self.config.session_ticket))
-        extensions.extend(self.config.extra_extensions)
         hello = ClientHello(
             session_id=self.config.session_id,
             extensions=tuple(extensions),
@@ -271,8 +272,6 @@ class ServerConnectionConfig:
 
     chain: CertificateChain
     acts_as_ritm_terminator: bool = False
-    issue_session_tickets: bool = True
-    session_lifetime: int = 24 * 3600
 
 
 class TLSServerConnection:
@@ -322,10 +321,10 @@ class TLSServerConnection:
         elif handshake_type == HandshakeType.FINISHED:
             if self.stage == HandshakeStage.SERVER_HELLO:
                 flight = [Finished().to_bytes()]
-                if self.config.issue_session_tickets and not self.resumed:
+                if not self.resumed:
                     state = self._session_state(now)
                     ticket = NewSessionTicket(
-                        lifetime_seconds=self.config.session_lifetime,
+                        lifetime_seconds=SESSION_LIFETIME_SECONDS,
                         ticket=self.ticket_issuer.issue(state),
                     )
                     flight.append(ticket.to_bytes())

@@ -11,6 +11,7 @@ from repro.crypto.signing import CAKeyring, KeyPair
 from repro.dictionary.authdict import CADictionary, ReplicaDictionary, RevocationIssuance
 from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.signed_root import SignedRoot
+from repro.dictionary.sync import apply_sync_response, held_state
 from repro.errors import DesynchronizedError, DictionaryError, SignatureError
 from repro.pki.serial import SerialNumber
 from repro.ritm.messages import encode_status
@@ -407,21 +408,22 @@ class TestStoreIsTheOnlyIndex:
         assert replica.revocation_number(SerialNumber(10)) == 4
         assert replica.root() == master.root()
 
-    def test_restore_snapshot_numbers_come_from_the_leaves(self, pair, keys, engine):
+    def test_held_state_numbers_come_from_the_leaves(self, pair, keys, engine):
+        """The leaf values are the only record of the revocation order, so a
+        replica rebuilt from its own held state gets its numbers from them."""
         master, replica = pair
         serials = [SerialNumber(value) for value in (40, 7, 23)]
         replica.update(master.insert(serials, now=100))
-        items = replica.leaf_items()
+        state = held_state(replica)
+        assert list(state.serials) == serials
         restored = ReplicaDictionary("CA-X", keys.public, engine=engine)
         try:
-            tampered = [(items[0][0], b"\x00\x00\x00\x09")] + items[1:]
+            reordered = replace(state, serials=tuple(sorted(serials)))
             with pytest.raises(DesynchronizedError):
-                restored.restore_snapshot(
-                    tampered, replica.signed_root, replica.latest_freshness
-                )
+                apply_sync_response(restored, reordered)
             assert restored.size == 0
             assert restored.revocation_number(SerialNumber(7)) is None
-            restored.restore_snapshot(items, replica.signed_root, replica.latest_freshness)
+            apply_sync_response(restored, state)
             assert restored.root() == master.root()
             assert [restored.revocation_number(serial) for serial in serials] == [1, 2, 3]
         finally:

@@ -1,12 +1,22 @@
 """Tests for the replica synchronization protocol."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary, ReplicaDictionary
-from repro.dictionary.sync import SyncRequest, SyncServer, resynchronize
-from repro.errors import DesynchronizedError
-from repro.ritm.messages import encode_sync_response
+from repro.dictionary.freshness import FreshnessStatement
+from repro.dictionary.sync import (
+    SyncRequest,
+    SyncServer,
+    apply_sync_response,
+    held_state,
+    resynchronize,
+)
+from repro.errors import DesynchronizedError, DictionaryError, SignatureError
+from repro.pki.serial import SerialNumber
+from repro.ritm.messages import decode_sync_response, encode_sync_response
 
 from tests.conftest import make_serials
 
@@ -105,3 +115,85 @@ class TestResynchronize:
         small = server.serve(SyncRequest(ca_name="CA-S", have_count=9))
         large = server.serve(SyncRequest(ca_name="CA-S", have_count=0))
         assert len(encode_sync_response(large)) > len(encode_sync_response(small))
+
+
+class TestHeldStateRestoresThroughTheSyncApply:
+    """A replica's own answer to ``have_count = 0`` (what a checkpoint
+    stores) rebuilds it through the one apply path — and is refused by that
+    path's checks when it says anything the CA did not sign."""
+
+    @pytest.fixture()
+    def held(self, world):
+        master, server, replica = world
+        server.record_issuance(master.insert([SerialNumber(n) for n in (40, 7, 23)], now=100))
+        server.record_issuance(master.insert(make_serials(4, start=100), now=110))
+        resynchronize(replica, server)
+        replica.apply_freshness(master.refresh(now=125))
+        return master, server, replica
+
+    def test_held_state_is_what_the_server_would_serve(self, held):
+        master, server, replica = held
+        state = held_state(replica)
+        assert state == server.serve(SyncRequest("CA-S", 0))
+        assert state.serials[:3] == tuple(SerialNumber(n) for n in (40, 7, 23))
+        assert state.freshness is replica.latest_freshness is not None
+
+    def test_applying_it_to_an_empty_replica_reproduces_the_replica(self, held, keys):
+        master, _, replica = held
+        restored = ReplicaDictionary("CA-S", keys.public)
+        apply_sync_response(restored, decode_sync_response(encode_sync_response(held_state(replica))))
+        assert restored.leaf_items() == replica.leaf_items()
+        assert restored.signed_root == replica.signed_root
+        assert restored.latest_freshness == replica.latest_freshness
+        assert restored.prove(SerialNumber(23)) == replica.prove(SerialNumber(23))
+        # freshness keeps moving forward from the restored period
+        restored.apply_freshness(master.refresh(now=135))
+
+    def test_tampered_serial_is_rejected_and_rolled_back(self, held, keys):
+        _, _, replica = held
+        state = held_state(replica)
+        restored = ReplicaDictionary("CA-S", keys.public)
+        forged = replace(state, serials=(SerialNumber(41),) + state.serials[1:])
+        with pytest.raises(DesynchronizedError, match="recomputed root"):
+            apply_sync_response(restored, forged)
+        assert restored.size == 0 and restored.signed_root is None
+        assert restored.revocation_number(SerialNumber(7)) is None
+        apply_sync_response(restored, state)  # the honest state still applies
+        assert restored.root() == replica.root()
+
+    def test_wrong_ca_is_rejected(self, held, keys):
+        _, _, replica = held
+        other = ReplicaDictionary("CA-T", keys.public)
+        with pytest.raises(DictionaryError, match="CA-S"):
+            apply_sync_response(other, held_state(replica))
+        # Renaming the response is not enough: the root names its dictionary.
+        with pytest.raises(DictionaryError, match="signed root for 'CA-S'"):
+            apply_sync_response(other, replace(held_state(replica), ca_name="CA-T"))
+        assert other.size == 0 and other.signed_root is None
+
+    def test_wrong_key_is_rejected(self, held):
+        _, _, replica = held
+        stranger = ReplicaDictionary("CA-S", KeyPair.generate(b"someone-else").public)
+        with pytest.raises(SignatureError):
+            apply_sync_response(stranger, held_state(replica))
+        assert stranger.size == 0 and stranger.signed_root is None
+
+    def test_non_empty_replica_is_rejected(self, held, keys):
+        master, _, replica = held
+        occupied = ReplicaDictionary("CA-S", keys.public)
+        apply_sync_response(occupied, held_state(replica))
+        root = occupied.root()
+        with pytest.raises(DesynchronizedError, match="not consecutive"):
+            apply_sync_response(occupied, held_state(replica))
+        assert occupied.root() == root and occupied.size == replica.size
+
+    def test_freshness_that_does_not_link_leaves_the_root_on_its_anchor(self, held, keys):
+        _, _, replica = held
+        state = held_state(replica)
+        restored = ReplicaDictionary("CA-S", keys.public)
+        unlinked = FreshnessStatement("CA-S", bytes(20), state.signed_root.size)
+        with pytest.raises(DictionaryError, match="does not link"):
+            apply_sync_response(restored, replace(state, freshness=unlinked))
+        assert restored.signed_root == state.signed_root
+        assert restored.latest_freshness.value == state.signed_root.anchor
+        restored.prove(SerialNumber(999)).verify(keys.public, now=112, delta=10)

@@ -3,9 +3,11 @@
 Every public class and function in ``repro.store``, ``repro.perf``,
 ``repro.net``, ``repro.pki``, ``repro.ritm.dissemination``, ``repro.ritm.persistence``,
 ``repro.dictionary.sharding``, ``repro.tls.connection``, ``repro.cdn.edge``,
-``repro.scenarios``, and ``repro.scenarios.engine`` must carry a docstring.  CI additionally runs
-``interrogate``; this test is the always-on, stdlib-only enforcement so the
-gate holds wherever the suite runs.
+``repro.scenarios``, ``repro.scenarios.engine``, ``repro.workloads`` and
+``tools/check_perf_regression.py`` must carry a docstring.  CI additionally runs
+``interrogate`` over the same paths (one step, job ``scenario engine + docs``);
+this test is the always-on, stdlib-only enforcement so the gate holds wherever
+the suite runs.
 """
 
 import ast
@@ -32,6 +34,7 @@ COVERED_FILES = sorted(
         *(SRC / "scenarios").glob("*.py"),
         *(SRC / "scenarios" / "engine").glob("*.py"),
         *(SRC / "workloads").glob("*.py"),
+        SRC.parents[1] / "tools" / "check_perf_regression.py",
     ]
 )
 
@@ -85,7 +88,13 @@ def test_covered_files_exist():
     assert len(COVERED_FILES) >= 10
 
 
-@pytest.mark.parametrize("path", COVERED_FILES, ids=lambda p: str(p.relative_to(SRC)))
+def _label(path: Path) -> str:
+    """``path`` relative to the package (files outside it: to the repo root)."""
+    base = SRC if SRC in path.parents else SRC.parents[1]
+    return str(path.relative_to(base))
+
+
+@pytest.mark.parametrize("path", COVERED_FILES, ids=_label)
 def test_public_api_is_documented(path):
     missing = list(_missing_docstrings(path))
     assert not missing, f"undocumented public definitions: {missing}"

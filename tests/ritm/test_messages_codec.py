@@ -4,12 +4,16 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary
+from repro.dictionary.sync import SyncResponse
 from repro.errors import TLSError
 from repro.pki.serial import SerialNumber
+from repro.ritm import messages
 from repro.ritm.messages import (
+    MAX_ISSUANCE_SERIALS,
     DictionaryHead,
     KeyAnnouncement,
     ShardIndex,
@@ -21,6 +25,7 @@ from repro.ritm.messages import (
     decode_signed_root,
     decode_status,
     decode_status_bundle,
+    decode_sync_response,
     encode_freshness,
     encode_head,
     encode_issuance,
@@ -30,6 +35,7 @@ from repro.ritm.messages import (
     encode_signed_root,
     encode_status,
     encode_status_bundle,
+    encode_sync_response,
 )
 
 from tests.conftest import make_serials
@@ -170,9 +176,6 @@ class TestHeadAndIssuanceCodec:
     def test_sync_response_is_sized_as_consecutive_issuance_objects(self, master, missing):
         """What ``as_issuance()`` says it is, cut at the issuance object's
         16-bit count — so a cold sync past 65,535 serials has a size."""
-        from repro.dictionary.sync import SyncResponse
-        from repro.ritm.messages import MAX_ISSUANCE_SERIALS, encode_sync_response
-
         response = SyncResponse(
             ca_name="Codec-CA",
             first_number=11,
@@ -199,6 +202,100 @@ class TestHeadAndIssuanceCodec:
         assert wire == encode_freshness(master.latest_freshness)
         without = encode_sync_response(replace(response, freshness=None))
         assert without + wire == encode_sync_response(response)
+
+
+class TestSyncResponseRoundTrip:
+    """``decode_sync_response`` reads back exactly what ``encode_sync_response``
+    wrote: the chunks are found by the carried root's ``size``, not counted."""
+
+    @staticmethod
+    def _response(master, have, total, freshness=True):
+        """Serials ``have + 1 … total`` of a ``total``-entry dictionary, widths mixed."""
+        return SyncResponse(
+            ca_name="Codec-CA",
+            first_number=have + 1,
+            serials=tuple(
+                SerialNumber(n, width=2 + n % 3 if n < 2**16 else 3 + n % 2)
+                for n in range(have + 1, total + 1)
+            ),
+            signed_root=replace(master.signed_root, size=total),
+            freshness=master.latest_freshness if freshness else None,
+        )
+
+    @pytest.mark.parametrize("freshness", [True, False], ids=["freshness", "bare"])
+    @pytest.mark.parametrize(
+        "have, total",
+        [
+            (0, 0),
+            (9, 9),
+            (0, 1),
+            (4, 50),
+            (0, MAX_ISSUANCE_SERIALS),
+            (0, MAX_ISSUANCE_SERIALS + 1),
+            (7, 70_000),
+            (0, 2 * MAX_ISSUANCE_SERIALS),
+        ],
+    )
+    def test_round_trip(self, master, have, total, freshness):
+        response = self._response(master, have, total, freshness)
+        wire = encode_sync_response(response)
+        decoded = decode_sync_response(wire)
+        assert decoded == response
+        assert {serial.width for serial in decoded.serials} == {
+            serial.width for serial in response.serials
+        }
+        assert encode_sync_response(decoded) == wire
+
+    @given(st.integers(0, 40), st.integers(0, 40), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_with_small_chunks(self, master, have, missing, freshness):
+        """The same property with the chunk size turned down to 7, so the
+        chunk boundaries are exercised at every offset."""
+        response = self._response(master, have, have + missing, freshness)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(messages, "MAX_ISSUANCE_SERIALS", 7)
+            wire = encode_sync_response(response)
+            assert decode_sync_response(wire) == response
+
+    def test_any_other_chunking_of_the_same_response_is_rejected(self, master):
+        response = self._response(master, 0, 5, freshness=False)
+        whole = response.as_issuance()
+        pieces = [
+            replace(whole, serials=whole.serials[:3]),
+            replace(whole, serials=whole.serials[3:], first_number=4),
+        ]
+        assert decode_sync_response(encode_issuance(whole)) == response
+        with pytest.raises(TLSError, match="do not end at the signed dictionary size"):
+            decode_sync_response(b"".join(encode_issuance(piece) for piece in pieces))
+
+    def test_chunks_must_continue_one_response(self, master):
+        response = self._response(master, 0, MAX_ISSUANCE_SERIALS + 2)
+        whole = response.as_issuance()
+        first = encode_issuance(replace(whole, serials=whole.serials[:MAX_ISSUANCE_SERIALS]))
+        tail = replace(
+            whole, serials=whole.serials[MAX_ISSUANCE_SERIALS:], first_number=MAX_ISSUANCE_SERIALS + 1
+        )
+        assert decode_sync_response(
+            first + encode_issuance(tail) + encode_freshness(response.freshness)
+        ) == response
+        for wrong in (
+            replace(tail, ca_name="Other-CA"),
+            replace(tail, first_number=tail.first_number + 1),
+            replace(tail, signed_root=replace(tail.signed_root, timestamp=1)),
+        ):
+            with pytest.raises(TLSError, match="consecutive pieces"):
+                decode_sync_response(first + encode_issuance(wrong))
+        with pytest.raises(TLSError):  # the history stops short of the signed size
+            decode_sync_response(first)
+        with pytest.raises(TLSError, match="do not end"):  # …or runs past it
+            decode_sync_response(first + encode_issuance(replace(tail, serials=tail.serials * 2)))
+
+    def test_what_follows_the_last_chunk_is_one_whole_freshness_statement(self, master):
+        wire = encode_sync_response(self._response(master, 4, 50))
+        with pytest.raises(TLSError, match="trailing bytes"):
+            decode_sync_response(wire + b"\x00")
+        with pytest.raises(TLSError):
+            decode_sync_response(wire[:-1])
 
 
 class TestNameFieldsAreTotal:
@@ -278,9 +375,8 @@ class TestReplayWindowFieldsCodec:
     The publication ``sequence`` on heads and shard indexes is deliberately
     unauthenticated (the replay *backstop* is the signed freshness chain),
     so the codec contract is: the counter survives a round trip exactly,
-    absent counters decode to zero (pre-replay-window objects), and
-    syntactically invalid counters are rejected as malformed rather than
-    silently clamped.
+    and absent or syntactically invalid counters are rejected as malformed
+    rather than silently defaulted or clamped.
     """
 
     def _head(self, master, sequence):
@@ -298,13 +394,15 @@ class TestReplayWindowFieldsCodec:
         assert decoded.sequence == sequence
         assert decoded.signed_root.verify(keys.public)
 
-    def test_legacy_head_without_sequence_decodes_to_zero(self, master):
-        # Heads published before the replay window existed end right after
-        # the freshness statement; decoding must not reject them.
-        encoded = encode_head(self._head(master, sequence=12))
-        decoded = decode_head(encoded[:-8])
-        assert decoded.sequence == 0
-        assert decoded.size == master.size
+    def test_head_without_its_sequence_is_rejected(self, master):
+        # ``encode_head`` always writes the counter; a head that stops after
+        # the freshness statement would be a second encoding of sequence 0.
+        encoded = encode_head(self._head(master, sequence=0))
+        assert decode_head(encoded).sequence == 0
+        with pytest.raises(TLSError, match="truncated"):
+            decode_head(encoded[:-8])
+        with pytest.raises(TLSError, match="truncated"):
+            decode_head(encoded[:-1])
 
     def test_head_sequence_is_outside_the_signature(self, master, keys):
         # A CDN (or attacker) can rewrite the counter without breaking the
@@ -328,10 +426,13 @@ class TestReplayWindowFieldsCodec:
         decoded = decode_shard_index(encode_shard_index(index))
         assert decoded == index
 
-    def test_shard_index_without_sequence_decodes_to_zero(self):
-        payload = {"ca": "Codec-CA", "width_seconds": 600, "live": [1]}
-        decoded = decode_shard_index(json.dumps(payload).encode("utf-8"))
-        assert decoded.sequence == 0
+    @pytest.mark.parametrize("missing", ["sequence", "retired"])
+    def test_shard_index_without_a_written_field_is_rejected(self, missing):
+        index = ShardIndex(ca_name="Codec-CA", width_seconds=600, live=(1,))
+        payload = json.loads(encode_shard_index(index).decode("utf-8"))
+        del payload[missing]
+        with pytest.raises(TLSError, match="malformed shard index"):
+            decode_shard_index(json.dumps(payload).encode("utf-8"))
 
     def test_shard_index_negative_sequence_rejected(self):
         index = ShardIndex(ca_name="Codec-CA", width_seconds=600, live=(1,))

@@ -4,10 +4,13 @@ A restarted RA that warm-starts from a checkpoint must (a) serve exactly
 the verified state it checkpointed, (b) fetch only the delta since its last
 applied epoch on the next pull, and (c) end byte-identical to a cold-synced
 agent.  Tampered checkpoints must be rejected and degrade to a cold sync,
-never into serving unsigned state.
+never into serving unsigned state.  The checkpoint is one file replaced
+atomically, so a crash at any instant of a re-checkpoint leaves the previous
+one or the new one.
 """
 
-import json
+import os
+import shutil
 import struct
 import zlib
 
@@ -24,8 +27,8 @@ from repro.ritm import (
     attach_agent_to_cas,
 )
 from repro.ritm.persistence import (
-    MANIFEST_FILENAME,
-    REPLICA_MAGIC,
+    CHECKPOINT_FILENAME,
+    CHECKPOINT_MAGIC,
     load_checkpoint,
 )
 
@@ -58,6 +61,32 @@ def issue_and_pull(ca, client, start, periods, per_period=4, base=1000):
         client.pull(now=now + 5)
 
 
+def reseal(body: bytes) -> bytes:
+    """``body`` (a checkpoint file sans CRC) with a freshly computed CRC32."""
+    return body + struct.pack(">I", zlib.crc32(body))
+
+
+def tamper(directory, old: bytes, new: bytes) -> None:
+    """Swap the one occurrence of ``old`` in the checkpoint file for ``new``
+    and fix the file's CRC, so only what the bytes *say* can be refused."""
+    path = directory / CHECKPOINT_FILENAME
+    body = path.read_bytes()[:-4]
+    assert body.count(old) == 1
+    path.write_bytes(reseal(body.replace(old, new)))
+
+
+def framed_serial(value: int) -> bytes:
+    """A 3-byte serial as an issuance object frames it."""
+    return b"\x00\x03" + value.to_bytes(3, "big")
+
+
+def restored_stack(config, ca, cdn, directory):
+    """A fresh agent + client attached to ``ca`` and restored from ``directory``."""
+    agent = RevocationAgent("ra-under-test", config)
+    client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(Region.EUROPE))
+    return agent, client, client.restore(directory)
+
+
 class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("engine", ["incremental", "durable"])
     def test_restore_reproduces_checkpointed_state(self, engine, tmp_path):
@@ -66,6 +95,7 @@ class TestCheckpointRoundTrip:
         replica = agent.replica_for(ca.name)
         persisted = client.checkpoint(tmp_path)
         assert persisted == 1
+        assert os.listdir(tmp_path) == [CHECKPOINT_FILENAME]
 
         restored_agent = RevocationAgent("ra-under-test", config)
         restored_client = attach_agent_to_cas(
@@ -93,9 +123,18 @@ class TestCheckpointRoundTrip:
         agent.register_ca("Never Synced CA", KeyPair.generate(b"x").public)
         assert client.checkpoint(tmp_path) == 1  # only the synced replica
 
-    def test_load_checkpoint_requires_manifest(self, tmp_path):
+    def test_load_checkpoint_requires_the_file(self, tmp_path):
         with pytest.raises(StorageError):
             load_checkpoint(tmp_path)
+
+    def test_directory_holds_one_file_after_any_number_of_checkpoints(self, tmp_path):
+        config, ca, cdn, agent, client = build_stack()
+        for round_ in range(4):
+            issue_and_pull(ca, client, 120 + 20 * round_, periods=2, base=1000 + 100 * round_)
+            client.checkpoint(tmp_path)
+            assert os.listdir(tmp_path) == [CHECKPOINT_FILENAME]
+        checkpoint = load_checkpoint(tmp_path)
+        assert len(checkpoint.replicas[0].state.serials) == agent.replica_for(ca.name).size
 
 
 class TestWarmRestartDelta:
@@ -158,31 +197,85 @@ class TestTamperedCheckpoints:
 
     def test_flipped_leaf_is_rejected_and_degrades_to_cold_sync(self, tmp_path):
         config, ca, cdn = self._checkpointed_stack(tmp_path)
-        manifest = json.loads((tmp_path / MANIFEST_FILENAME).read_text())
-        replica_file = tmp_path / manifest["replicas"][0]["file"]
-        data = bytearray(replica_file.read_bytes())
-        # flip a byte in the leaf region, then fix the CRC so the structural
-        # check passes and rejection happens at Merkle-root verification
-        import struct
-        import zlib
-
-        data[-20] ^= 0xFF
-        struct.pack_into(">I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
-        replica_file.write_bytes(bytes(data))
+        # change one serial and fix the CRC, so the structural check passes
+        # and rejection happens at Merkle-root verification
+        tamper(tmp_path, framed_serial(1005), framed_serial(1999))
         agent, restored = self._restore_into_fresh_agent(config, ca, cdn, tmp_path)
         assert restored == 0
         replica = agent.replica_for(ca.name)
         assert replica is not None and replica.size == 0  # empty → cold sync
+        assert replica.signed_root is None
 
-    def test_corrupt_replica_file_fails_structurally(self, tmp_path):
+    def test_reordered_history_is_rejected(self, tmp_path):
+        """The serials are the revocation *order*: the same set numbered
+        differently is a different dictionary."""
         config, ca, cdn = self._checkpointed_stack(tmp_path)
-        manifest = json.loads((tmp_path / MANIFEST_FILENAME).read_text())
-        replica_file = tmp_path / manifest["replicas"][0]["file"]
-        data = bytearray(replica_file.read_bytes())
+        pair = framed_serial(1000) + framed_serial(1001)
+        tamper(tmp_path, pair, framed_serial(1001) + framed_serial(1000))
+        agent, restored = self._restore_into_fresh_agent(config, ca, cdn, tmp_path)
+        assert restored == 0 and agent.replica_for(ca.name).size == 0
+
+    def test_forged_root_signature_is_rejected(self, tmp_path):
+        config, ca, cdn = self._checkpointed_stack(tmp_path)
+        signature = load_checkpoint(tmp_path).replicas[0].state.signed_root.signature
+        tamper(tmp_path, signature, bytes(len(signature)))
+        agent, restored = self._restore_into_fresh_agent(config, ca, cdn, tmp_path)
+        assert restored == 0 and agent.replica_for(ca.name).signed_root is None
+
+    def test_freshness_that_does_not_link_costs_only_the_freshness(self, tmp_path):
+        config, ca, cdn, agent, client = build_stack()
+        issue_and_pull(ca, client, 120, periods=3)
+        ca.refresh(now=165)  # a period later: the statement is past the anchor
+        client.pull(now=166)
+        client.checkpoint(tmp_path)
+        state = load_checkpoint(tmp_path).replicas[0].state
+        assert state.freshness.value != state.signed_root.anchor
+        tamper(
+            tmp_path,
+            b"\x00\x14" + state.freshness.value + struct.pack(">Q", state.signed_root.size),
+            b"\x00\x14" + bytes(20) + struct.pack(">Q", state.signed_root.size),
+        )
+        agent, restored = self._restore_into_fresh_agent(config, ca, cdn, tmp_path)
+        assert restored == 1
+        replica = agent.replica_for(ca.name)
+        assert replica.signed_root == state.signed_root
+        assert replica.latest_freshness.value == state.signed_root.anchor
+
+    def test_corrupt_file_fails_structurally(self, tmp_path):
+        config, ca, cdn = self._checkpointed_stack(tmp_path)
+        path = tmp_path / CHECKPOINT_FILENAME
+        data = bytearray(path.read_bytes())
         data[10] ^= 0xFF  # CRC now fails
-        replica_file.write_bytes(bytes(data))
+        path.write_bytes(bytes(data))
         with pytest.raises(StorageError):
             self._restore_into_fresh_agent(config, ca, cdn, tmp_path)
+
+    def test_a_flipped_byte_anywhere_fails_the_one_crc(self, tmp_path):
+        """Positions, cursors, keyrings and replica state sit under one
+        checksum: there is no block whose corruption goes unnoticed."""
+        self._checkpointed_stack(tmp_path)
+        path = tmp_path / CHECKPOINT_FILENAME
+        data = path.read_bytes()
+        for at in range(len(data)):
+            path.write_bytes(data[:at] + bytes([data[at] ^ 0x40]) + data[at + 1 :])
+            with pytest.raises(StorageError):
+                load_checkpoint(tmp_path)
+
+    def test_framing_errors_under_a_valid_crc_are_storage_errors(self, tmp_path):
+        self._checkpointed_stack(tmp_path)
+        path = tmp_path / CHECKPOINT_FILENAME
+        body = path.read_bytes()[:-4]
+        at = len(CHECKPOINT_MAGIC)
+        for doctored, message in [
+            (body[:at] + b"\x00\x02" + body[at + 2 :], "format 2"),
+            (body + b"\x00", "trailing bytes"),
+            (body[:-1], "malformed|truncated"),
+            (body[: len(body) // 2], "truncated"),
+            (b"RITMRACP" + body[at:], "not an RA checkpoint"),
+        ]:
+            path.write_bytes(reseal(doctored))
+            with pytest.raises(StorageError, match=message):
+                load_checkpoint(tmp_path)
 
 
 class TestRotationAndReplayCursorCheckpoint:
@@ -191,8 +284,7 @@ class TestRotationAndReplayCursorCheckpoint:
     A checkpoint taken mid-rotation must bring back the learned keyring and
     the replay cursors exactly — the restarted RA neither re-learns the
     announcement chain nor rejects the CA's next honest head as a replay.
-    A tampered cursor block must degrade to *cold replay state* (cursors
-    re-learned from the next pull) without ever touching the warm replica.
+    A forged cursor never touches the warm replica.
     """
 
     @staticmethod
@@ -244,53 +336,37 @@ class TestRotationAndReplayCursorCheckpoint:
             a.close()
         ca.close()
 
-    def test_tampered_cursor_block_degrades_to_cold_replay_state(self, tmp_path):
+    def test_forged_cursor_under_a_fixed_crc_costs_a_self_healing_window(self, tmp_path):
+        """Cursors are used for staleness filtering and nothing else: one
+        forged far into the future (CRC fixed, so the file loads) never
+        touches the warm replica, and the replay window heals itself."""
         config, ca, cdn, agent, client = build_stack()
         issue_and_pull(ca, client, 120, periods=3)
         client.checkpoint(tmp_path)
-        state_file = tmp_path / client.STATE_FILENAME
-        state = json.loads(state_file.read_text())
-        assert state["head_cursors"][ca.name] > 0
-        # Forge the cursor far into the future — the attack that would brick
-        # the pull loop if restore trusted it.  The CRC no longer matches.
-        state["head_cursors"][ca.name] += 1_000_000
-        state_file.write_text(json.dumps(state))
+        position, cursor = load_checkpoint(tmp_path).feeds[ca.name]
+        assert position > 0 and cursor > 0
+        tamper(
+            tmp_path,
+            struct.pack(">QQ", position, cursor),
+            struct.pack(">QQ", position, cursor + 1_000_000),
+        )
 
         restored_agent, restored_client = self._restored(config, ca, cdn, tmp_path)
-        # Cursors were dropped wholesale (cold replay state)...
-        assert not any(self._head_cursors(restored_client).values())
-        # ...but the replica and the applied-batch cursor stayed warm.
+        assert self._head_cursors(restored_client)[ca.name] == cursor + 1_000_000
         assert restored_agent.replica_for(ca.name).size == agent.replica_for(ca.name).size
+        assert restored_client.replication_cursor(ca.name) == position
 
         ca.revoke([SerialNumber(9100)], now=300)
-        warm = restored_client.pull(now=305)
-        assert warm.serials_applied == 1  # still a delta fetch, not a cold sync
-        assert warm.replays_rejected == 0
-        assert not warm.errors
-        # The cursor is re-learned from the first post-restart pull.
-        assert self._head_cursors(restored_client)[ca.name] > 0
-        for a in (agent, restored_agent):
-            a.close()
-        ca.close()
-
-    def test_pre_replay_window_checkpoint_restores_without_cursors(self, tmp_path):
-        """An honest old checkpoint (written before replay windows existed)
-        must warm-start normally — missing cursors are not tampering."""
-        config, ca, cdn, agent, client = build_stack()
-        issue_and_pull(ca, client, 120, periods=2)
-        client.checkpoint(tmp_path)
-        state_file = tmp_path / client.STATE_FILENAME
-        state = json.loads(state_file.read_text())
-        for legacy_absent in ("head_cursors", "index_cursors", "cursor_checksum"):
-            state.pop(legacy_absent, None)
-        state_file.write_text(json.dumps(state))
-
-        restored_agent, restored_client = self._restored(config, ca, cdn, tmp_path)
-        assert not any(self._head_cursors(restored_client).values())
-        ca.revoke([SerialNumber(9200)], now=300)
-        warm = restored_client.pull(now=305)
-        assert warm.serials_applied == 1
-        assert warm.resyncs == 0 and not warm.errors
+        rejected = 0
+        while True:
+            result = restored_client.pull(now=305 + rejected)
+            if not result.replays_rejected:
+                break
+            rejected += 1
+        assert rejected == config.replay_window + 1
+        assert result.serials_applied == 1  # still a delta fetch, not a cold sync
+        assert result.resyncs == 0 and not result.errors
+        assert self._head_cursors(restored_client)[ca.name] < 1_000_000
         for a in (agent, restored_agent):
             a.close()
         ca.close()
@@ -359,30 +435,24 @@ class TestShardedCheckpoint:
         no registry entry mapping its expiry window, no stray base-CA
         replica for the pull loop — rediscovery via the shard index
         cold-syncs it instead."""
-        import struct
-        import zlib
-
         config, ca, cdn, agent, client = build_stack("incremental", sharded=True)
         pairs = [(SerialNumber(7100 + n), 150 + 300 * n) for n in range(3)]
         ca.revoke_with_expiry(pairs, now=110)
         client.pull(now=120)
-        client.checkpoint(tmp_path)
-        manifest = json.loads((tmp_path / MANIFEST_FILENAME).read_text())
-        target = manifest["replicas"][0]
-        replica_file = tmp_path / target["file"]
-        data = bytearray(replica_file.read_bytes())
-        data[-20] ^= 0xFF  # flip a leaf byte, keep the CRC valid
-        struct.pack_into(">I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
-        replica_file.write_bytes(bytes(data))
+        assert client.checkpoint(tmp_path) == 2
+        target = agent.replica_for_certificate(ca.name, pairs[0][1]).ca_name
+        # change the shard's one serial, keep the CRC valid
+        tamper(tmp_path, framed_serial(7100), framed_serial(7999))
 
         restored_agent = RevocationAgent("ra-under-test", config)
         restored_client = attach_agent_to_cas(
             restored_agent, [ca], cdn, GeoLocation(Region.EUROPE)
         )
         restored_client.restore(tmp_path)
-        assert target["ca_name"] not in restored_agent.replicas
+        assert target not in restored_agent.replicas
+        assert len(restored_agent.replicas) == 1  # the other shard warm-started
         assert not any(
-            replica.ca_name == target["ca_name"]
+            replica.ca_name == target
             for replica in restored_agent.shard_replicas(ca.name).values()
         )
         # the next pull rediscovers the dropped shard and cold-syncs it
@@ -392,133 +462,66 @@ class TestShardedCheckpoint:
         assert replica is not None and replica.contains(serial)
 
 
-class TestCheckpointFormatEvolution:
-    """The replica-file format version gate (docs/STORAGE.md).
+class TestCrashDuringRecheckpoint:
+    """"Recovery is not impacted by the exact time of the failure": whenever
+    the process dies while replacing a checkpoint, the directory restores to
+    the previous generation or the new one — never an error, never a mix."""
 
-    Format 1 is the pre-extension layout still found in old checkpoints: it
-    must keep warm-starting byte-for-byte.  Format 2 adds skip-unknown typed
-    extension blocks between the leaf dump and the CRC, so a checkpoint
-    written by a *newer* build still restores here.  Anything else — unknown
-    versions, blocks in a format-1 file, truncated blocks — must fail
-    structurally, not half-restore.
-    """
-
-    def _checkpointed_stack(self, tmp_path):
+    def test_crash_at_every_write_boundary_restores_old_or_new(self, tmp_path, monkeypatch):
         config, ca, cdn, agent, client = build_stack()
+        live = tmp_path / "live"
         issue_and_pull(ca, client, 120, periods=3)
-        client.checkpoint(tmp_path)
-        return config, ca, cdn, agent
+        client.checkpoint(live)
+        old_bytes = (live / CHECKPOINT_FILENAME).read_bytes()
+        old = load_checkpoint(live)
+        issue_and_pull(ca, client, 200, periods=3, base=2000)
+        client.checkpoint(tmp_path / "new")
+        new_bytes = (tmp_path / "new" / CHECKPOINT_FILENAME).read_bytes()
+        new = load_checkpoint(tmp_path / "new")
+        assert old != new and len(new.replicas[0].state.serials) == 24
 
-    def _replica_file(self, tmp_path):
-        manifest = json.loads((tmp_path / MANIFEST_FILENAME).read_text())
-        return tmp_path / manifest["replicas"][0]["file"]
+        # What a never-crashed RA holds after the next pull.
+        ca.revoke([SerialNumber(9400)], now=300)
+        client.pull(now=305)
+        reference = agent.replica_for(ca.name)
 
-    @staticmethod
-    def _reseal(body: bytes) -> bytes:
-        """``body`` (sans CRC) with a freshly computed trailing CRC32."""
-        return body + struct.pack(">I", zlib.crc32(body))
+        def assert_recovers(directory, generation):
+            assert load_checkpoint(directory) == generation
+            restored_agent, restored_client, restored = restored_stack(config, ca, cdn, directory)
+            assert restored == 1
+            result = restored_client.pull(now=305)
+            assert result.resyncs == 0 and not result.errors
+            replica = restored_agent.replica_for(ca.name)
+            assert replica.leaf_items() == reference.leaf_items()
+            assert replica.signed_root == reference.signed_root
+            assert replica.latest_freshness == reference.latest_freshness
+            assert restored_client.replication_cursor(ca.name) == client.replication_cursor(ca.name)
+            restored_agent.close()
 
-    def _rewrite_version(self, data: bytes, version: int) -> bytes:
-        body = bytearray(data[:-4])
-        struct.pack_into(">H", body, len(REPLICA_MAGIC), version)
-        return self._reseal(bytes(body))
+        # Died while the temporary file was being written: any prefix of the
+        # new generation lies beside the old file, which nothing has touched.
+        cuts = sorted({0, 1, 8, 10, len(new_bytes) // 3, len(new_bytes) // 2,
+                       len(old_bytes), len(new_bytes) - 4, len(new_bytes) - 1, len(new_bytes)})
+        for cut in cuts:
+            crashed = tmp_path / f"cut-{cut}"
+            shutil.copytree(live, crashed)
+            (crashed / (CHECKPOINT_FILENAME + ".tmp-crash")).write_bytes(new_bytes[:cut])
+            assert_recovers(crashed, old)
 
-    def _restore_into_fresh_agent(self, config, ca, cdn, tmp_path):
-        agent = RevocationAgent("ra-under-test", config)
-        client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(Region.EUROPE))
-        return agent, client, client.restore(tmp_path)
+        # The rename itself failed: the error surfaces, the old generation stands.
+        def failing_replace(source, target):
+            raise OSError("disk detached")
 
-    def test_legacy_format1_checkpoint_warm_restores(self, tmp_path):
-        """A checkpoint downgraded to the exact pre-extension format-1 layout
-        (version field + manifest, no trailing blocks) restores warm."""
-        config, ca, cdn, agent = self._checkpointed_stack(tmp_path)
-        replica_file = self._replica_file(tmp_path)
-        replica_file.write_bytes(
-            self._rewrite_version(replica_file.read_bytes(), 1)
-        )
-        manifest_path = tmp_path / MANIFEST_FILENAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format"] = 1
-        manifest_path.write_text(json.dumps(manifest))
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", failing_replace)
+            with pytest.raises(OSError, match="disk detached"):
+                client.checkpoint(live)
+        assert os.listdir(live) == [CHECKPOINT_FILENAME]
+        assert (live / CHECKPOINT_FILENAME).read_bytes() == old_bytes
+        assert_recovers(live, old)
 
-        legacy = load_checkpoint(tmp_path)
-        assert legacy.replicas[0].extensions == {}
-        restored_agent, restored_client, restored = self._restore_into_fresh_agent(
-            config, ca, cdn, tmp_path
-        )
-        assert restored == 1
-        original = agent.replica_for(ca.name)
-        warm = restored_agent.replica_for(ca.name)
-        assert warm.root() == original.root()
-        assert warm.size == original.size
-        assert warm.signed_root == original.signed_root
-
-        # the warm restart still delta-fetches, exactly like a format-2 one
-        ca.revoke([SerialNumber(9300)], now=300)
-        result = restored_client.pull(now=305)
-        assert result.serials_applied == 1
-        assert result.resyncs == 0 and not result.errors
-        for a in (agent, restored_agent):
-            a.close()
-        ca.close()
-
-    def test_unknown_extension_block_is_skipped_not_fatal(self, tmp_path):
-        """A format-2 file carrying a block type this build has never heard
-        of (a future field) loads, preserves the block, and restores warm."""
-        config, ca, cdn, agent = self._checkpointed_stack(tmp_path)
-        replica_file = self._replica_file(tmp_path)
-        body = bytearray(replica_file.read_bytes()[:-4])
-        future_block = b"from-a-newer-build"
-        body += struct.pack(">BI", 0xEE, len(future_block)) + future_block
-        replica_file.write_bytes(self._reseal(bytes(body)))
-
-        loaded = load_checkpoint(tmp_path)
-        assert loaded.replicas[0].extensions == {0xEE: future_block}
-        restored_agent, _, restored = self._restore_into_fresh_agent(
-            config, ca, cdn, tmp_path
-        )
-        assert restored == 1
-        assert (
-            restored_agent.replica_for(ca.name).root()
-            == agent.replica_for(ca.name).root()
-        )
-        for a in (agent, restored_agent):
-            a.close()
-        ca.close()
-
-    def test_format1_file_rejects_trailing_extension_bytes(self, tmp_path):
-        """Format 1 predates extension blocks: trailing bytes are corruption
-        there, never silently skipped."""
-        config, ca, cdn, agent = self._checkpointed_stack(tmp_path)
-        replica_file = self._replica_file(tmp_path)
-        body = bytearray(self._rewrite_version(replica_file.read_bytes(), 1)[:-4])
-        body += struct.pack(">BI", 0xEE, 4) + b"ext!"
-        replica_file.write_bytes(self._reseal(bytes(body)))
-        with pytest.raises(StorageError, match="trailing bytes"):
-            load_checkpoint(tmp_path)
-        agent.close()
-        ca.close()
-
-    def test_unsupported_replica_version_is_rejected(self, tmp_path):
-        config, ca, cdn, agent = self._checkpointed_stack(tmp_path)
-        replica_file = self._replica_file(tmp_path)
-        replica_file.write_bytes(
-            self._rewrite_version(replica_file.read_bytes(), 3)
-        )
-        with pytest.raises(StorageError, match="format 3"):
-            load_checkpoint(tmp_path)
-        agent.close()
-        ca.close()
-
-    def test_truncated_extension_block_is_rejected(self, tmp_path):
-        """A block header whose declared length runs past the CRC must fail
-        structurally rather than swallow the checksum as block body."""
-        config, ca, cdn, agent = self._checkpointed_stack(tmp_path)
-        replica_file = self._replica_file(tmp_path)
-        body = bytearray(replica_file.read_bytes()[:-4])
-        body += struct.pack(">BI", 0xEE, 1000) + b"short"
-        replica_file.write_bytes(self._reseal(bytes(body)))
-        with pytest.raises(StorageError, match="truncated"):
-            load_checkpoint(tmp_path)
+        # The rename happened: the new generation, whole.
+        shutil.copytree(tmp_path / "new", tmp_path / "renamed")
+        assert_recovers(tmp_path / "renamed", new)
         agent.close()
         ca.close()

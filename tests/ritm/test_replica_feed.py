@@ -2,15 +2,10 @@
 
 ``segment_streaming`` only chooses which object the walk fetches per missing
 batch, so the position a replica reached through issuance objects is the
-position a segment walk resumes from, a backlog costs one store transaction
-whichever object carries it, and a state file written when the RA still kept
-two cursors restores to the one (docs/REPLICATION.md).
+position a segment walk resumes from, and a backlog costs one store
+transaction whichever object carries it (docs/REPLICATION.md).
 """
 
-import json
-import zlib
-
-import pytest
 
 from repro.dictionary.authdict import ReplicaDictionary
 from repro.pki import SerialNumber
@@ -79,35 +74,6 @@ def test_segment_backlog_is_one_store_transaction(monkeypatch):
         assert backlog_client.archived_segment(
             ca.name, number
         ) == stepwise_client.archived_segment(ca.name, number)
-
-
-@pytest.mark.parametrize("applied, segment", [(BATCHES, 3), (3, BATCHES)])
-def test_two_cursor_state_file_restores_to_the_one_position(tmp_path, applied, segment):
-    """``dissemination.json`` as written before the cursors merged."""
-    _, ca, cdn, attach = build_stack()
-    agent, client = attach("old-format-ra")
-    for number in range(1, BATCHES + 1):
-        revoke_batch(ca, number, now=110 + 10 * number)
-    client.pull(now=200)
-    client.checkpoint(tmp_path)
-    state_file = tmp_path / client.STATE_FILENAME
-    state = json.loads(state_file.read_text())
-    segment_block = {"segment_cursors": {ca.name: segment}}
-    state["applied_batches"] = {ca.name: applied}
-    state.update(segment_block)
-    state["segment_cursor_checksum"] = zlib.crc32(
-        json.dumps(segment_block, sort_keys=True).encode("utf-8")
-    )
-    state_file.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n")
-
-    restored_agent, restored_client = attach("old-format-ra", streaming=True)
-    assert restored_client.restore(tmp_path) == 1
-    assert restored_client.replication_cursor(ca.name) == BATCHES
-
-    revoke_batch(ca, BATCHES + 1, now=300)
-    warm = restored_client.pull(now=305)
-    assert warm.segments_applied == 1 and warm.resyncs == 0 and not warm.errors
-    assert restored_agent.replica_for(ca.name).root() == ca.dictionary.root()
 
 
 def test_peer_archive_gap_is_exactly_one_cold_sync_fallback():

@@ -272,7 +272,7 @@ class TestShardedDissemination:
         ca.revoke_with_expiry([(SerialNumber(1), now + WEEK)], now=now)
         client.pull(now=now + 1)
         forged = json.dumps(
-            {"ca": ca.name, "width_seconds": 0, "live": [], "retired": []}
+            {"ca": ca.name, "width_seconds": 0, "live": [], "retired": [], "sequence": 99}
         ).encode("utf-8")
         cdn.publish(shard_index_path(ca.name), forged, now + 2)
         with pytest.raises(TLSError, match="shard index"):
@@ -292,7 +292,7 @@ class TestShardedDissemination:
         client.pull(now=now + 1)
         held_before = dict(agent.shard_replicas(ca.name))
         forged = json.dumps(
-            {"ca": ca.name, "width_seconds": 1, "live": [], "retired": []}
+            {"ca": ca.name, "width_seconds": 1, "live": [], "retired": [], "sequence": 99}
         ).encode("utf-8")
         cdn.publish(shard_index_path(ca.name), forged, now + 2)
         result = client.pull(now=now + 3)
@@ -314,6 +314,7 @@ class TestShardedDissemination:
                 "width_seconds": ca.config.shard_width_seconds,
                 "live": [live] * 500,
                 "retired": [],
+                "sequence": 1,
             }
         ).encode("utf-8")
         cdn.publish(shard_index_path(ca.name), forged, now)
@@ -336,6 +337,7 @@ class TestShardedDissemination:
                 "width_seconds": width,
                 "live": [far_future, far_future + 1],
                 "retired": [],
+                "sequence": 1,
             }
         ).encode("utf-8")
         cdn.publish(shard_index_path(ca.name), forged, now)
@@ -563,6 +565,43 @@ class TestShardStreams:
             agent.replica_for(healthy.name).latest_freshness
             == healthy.dictionary.latest_freshness
         )
+
+    @pytest.mark.parametrize("synced", [False, True], ids=["first-contact", "already-synced"])
+    def test_another_shards_head_served_at_this_shards_path_is_refused(
+        self, sharded_world, synced
+    ):
+        """Every shard of a CA verifies under one keyring and two empty
+        shards have the same root hash, so neither the signature nor the
+        content can tell shard B's root from shard A's: the name must.
+        Whoever controls a CDN path serves B's head at A's path — A installs
+        nothing, says why, recovers on the next honest pull; B is unaffected."""
+        config, _, cdn, ca, agent, client = sharded_world
+        now = EPOCH + WEEK
+        expiry_a, expiry_b = now + WEEK, now + WEEK + config.shard_width_seconds
+        assert ca.cover([expiry_a], now=now) == 1
+        if synced:
+            client.pull(now=now)
+        assert ca.cover([expiry_b], now=now + 1) == 1  # B's root is the newer one
+        a, b = sorted(ca.streams)
+        before = agent.replica_for(a).signed_root if synced else None
+        honest = cdn.origin.fetch(head_path(a)).content
+        cdn.publish(head_path(a), cdn.origin.fetch(head_path(b)).content, now + 1)
+
+        swapped = client.pull(now=now + 2)
+        replica_a, replica_b = agent.replica_for(a), agent.replica_for(b)
+        assert replica_a.signed_root == before
+        assert synced or replica_a.latest_freshness is None
+        assert len(swapped.errors) == 1
+        assert swapped.errors[0].startswith(f"{a}: signed root for {b!r}")
+        assert replica_b.signed_root == ca.streams[b].dictionary.signed_root
+
+        cdn.publish(head_path(a), honest, now + 3)
+        recovered = client.pull(now=now + 4)
+        assert not recovered.errors and recovered.replays_rejected == 0
+        assert replica_a.signed_root == ca.streams[a].dictionary.signed_root
+        status = agent.build_status(ca.name, SerialNumber(77), expiry_a)
+        assert status.signed_root.ca_name == status.freshness.ca_name == status.ca_name == a
+        status.verify(ca.signing_public_key, now=now + 4, delta=config.delta_seconds)
 
 
 class TestAgentShardLookup:

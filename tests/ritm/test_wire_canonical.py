@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary
+from repro.dictionary.sync import SyncRequest, SyncResponse, SyncServer
 from repro.errors import CertificateError, TLSError
 from repro.pki.certificate import Certificate, CertificateChain
 from repro.pki.serial import SerialNumber
@@ -31,12 +32,14 @@ from repro.ritm.messages import (
     decode_proof,
     decode_signed_root,
     decode_status_bundle,
+    decode_sync_response,
     encode_freshness,
     encode_head,
     encode_issuance,
     encode_proof,
     encode_signed_root,
     encode_status_bundle,
+    encode_sync_response,
 )
 from repro.tls.extensions import (
     decode_extensions,
@@ -110,6 +113,17 @@ ISSUANCES = [
     _ISSUER.insert([SerialNumber(n) for n in serials], now=1000 + 10 * batch)
     for batch, serials in enumerate([(7,), (300, 2, 70_000), range(1000, 1020)])
 ]
+_SYNC_SERVER = SyncServer(_ISSUER)
+for _issuance in ISSUANCES:
+    _SYNC_SERVER.record_issuance(_issuance)
+#: Nothing missing (root only), the whole history (what a checkpoint holds), a
+#: suffix without its freshness statement, and a suffix with it.
+SYNC_RESPONSES = [
+    SyncResponse("Canon-CA", 1, (), EMPTY.signed_root, EMPTY.latest_freshness),
+    _SYNC_SERVER.serve(SyncRequest("Canon-CA", 0)),
+    dataclasses.replace(_SYNC_SERVER.serve(SyncRequest("Canon-CA", 4)), freshness=None),
+    _SYNC_SERVER.serve(SyncRequest("Canon-CA", 4)),
+]
 
 
 EXTENSIONS = [
@@ -169,19 +183,6 @@ def _whole(decode):
     return lambda data: (decode(data), len(data))
 
 
-def _decode_head(data):
-    """What the head decoder accepts is a head *and* whether its sequence was
-    on the wire: the legacy form stops before it (and reads it as 0), the one
-    second encoding kept on purpose."""
-    head = decode_head(data)
-    return (head, len(data) == len(encode_head(head))), len(data)
-
-
-def _encode_head(accepted):
-    head, with_sequence = accepted
-    return encode_head(head) if with_sequence else encode_head(head)[:-8]
-
-
 #: name → (decode to ``(value, end)``, encode, rejection type, valid encodings)
 CODECS = {
     "certificate": (
@@ -223,16 +224,22 @@ CODECS = {
         + [encode_status_bundle(STATUSES[:3])],
     ),
     "head": (
-        _decode_head,
-        _encode_head,
+        _whole(decode_head),
+        encode_head,
         TLSError,
-        [encode_head(HEADS[0])[:-8]] + [encode_head(head) for head in HEADS],
+        [encode_head(head) for head in HEADS],
     ),
     "issuance": (
         _whole(decode_issuance),
         encode_issuance,
         TLSError,
         [encode_issuance(issuance) for issuance in ISSUANCES],
+    ),
+    "sync_response": (
+        _whole(decode_sync_response),
+        encode_sync_response,
+        TLSError,
+        [encode_sync_response(response) for response in SYNC_RESPONSES],
     ),
     "tls_records": (
         _whole(parse_records),
@@ -385,9 +392,6 @@ class TestSecondEncodingsClosed:
             decode_head(encode_head(HEADS[0]) + junk)
         with pytest.raises(TLSError, match="trailing bytes"):
             decode_issuance(encode_issuance(ISSUANCES[1]) + junk)
-        if len(junk) != 8:  # eight bytes after a legacy head *are* its sequence
-            with pytest.raises(TLSError, match="trailing bytes"):
-                decode_head(encode_head(HEADS[0])[:-8] + junk)
 
     @pytest.mark.parametrize(
         "encode, decode, value",
