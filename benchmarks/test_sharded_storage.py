@@ -1,10 +1,11 @@
 """§VIII "Ever-growing dictionaries": sharded vs. unsharded RA storage.
 
-Drives a multi-quarter clock through :class:`ShardedCADictionary` /
-an RA's shard registry (``RevocationAgent``; one run per store engine) with
-certificate expiry churn, pruning expired shards each period, and compares
-the RA's storage footprint against an unsharded :class:`CADictionary` fed the same
-revocations.  The quantities of interest:
+Drives a multi-quarter clock through a sharded
+:class:`RITMCertificationAuthority` (no CDN) / an RA's shard registry
+(``RevocationAgent``; one run per store engine) with certificate expiry
+churn, retiring and pruning expired shards each period, and compares the
+RA's storage footprint against an unsharded :class:`CADictionary` fed the
+same revocations.  The quantities of interest:
 
 * the sharded RA footprint **plateaus** (final ≈ peak) while the unsharded
   baseline grows monotonically with every revocation;
@@ -23,9 +24,10 @@ import pytest
 from repro.crypto.signing import KeyPair
 from repro.analysis.reporting import format_table, human_bytes
 from repro.dictionary.authdict import CADictionary
-from repro.dictionary.sharding import ShardedCADictionary
+from repro.pki.ca import CertificationAuthority
 from repro.pki.serial import SerialNumber
 from repro.ritm.agent import RevocationAgent
+from repro.ritm.ca_service import RITMCertificationAuthority
 from repro.ritm.config import RITMConfig
 
 from bench_harness import write_json_result, write_result
@@ -42,17 +44,20 @@ _RESULTS = {}
 
 def _drive_engine(engine: str) -> dict:
     """One multi-quarter sharded run against ``engine``; returns its record."""
-    keys = KeyPair.generate(f"sharded-bench-{engine}".encode())
-    sharded = ShardedCADictionary(
-        "Bench-CA",
-        keys,
-        delta=WEEK,
+    seed = f"sharded-bench-{engine}".encode()
+    keys = KeyPair.generate(seed)
+    config = RITMConfig(
+        delta_seconds=WEEK,
         chain_length=64,
-        shard_seconds=SHARD_WIDTH_PERIODS * WEEK,
-        engine=engine,
+        store_engine=engine,
+        sharded=True,
+        shard_width_seconds=SHARD_WIDTH_PERIODS * WEEK,
+    )
+    sharded = RITMCertificationAuthority(
+        CertificationAuthority("Bench-CA", key_seed=seed), config, cdn=None
     )
     agent = RevocationAgent("bench-ra", config=RITMConfig(store_engine=engine))
-    agent.register_sharded_ca("Bench-CA", SHARD_WIDTH_PERIODS * WEEK, keys.public)
+    agent.register_sharded_ca("Bench-CA", SHARD_WIDTH_PERIODS * WEEK, sharded.public_key)
     baseline = CADictionary(
         "Bench-CA-unsharded", keys, delta=WEEK, chain_length=64, engine=engine
     )
@@ -70,7 +75,7 @@ def _drive_engine(engine: str) -> dict:
             expiry = now + ((offset % CERT_LIFETIME_PERIODS) + 1) * WEEK
             pairs.append((serial, expiry))
             expiries[serial_counter] = expiry
-        for key, issuance in sharded.revoke(pairs, now=now):
+        for key, issuance in sharded.revoke_with_expiry(pairs, now=now):
             agent.register_shard_replica("Bench-CA", key.index).update(issuance)
         baseline.insert([serial for serial, _ in pairs], now=now)
         sharded.retire_expired(now)
@@ -107,7 +112,7 @@ def _drive_engine(engine: str) -> dict:
         "unsharded_final_bytes": timeline[-1]["unsharded_bytes"],
         "ra_reclaimed_bytes": agent.reclaimed_storage_bytes,
         "ca_reclaimed_bytes": sharded.reclaimed_storage_bytes,
-        "shards_retired": sharded.retired_count,
+        "shards_retired": len(sharded.retired_windows),
         "live_serials_checked": len(live),
         "verdict_mismatches": mismatches,
     }

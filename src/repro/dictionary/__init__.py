@@ -18,7 +18,6 @@ from repro.dictionary.sharding import (
     DEFAULT_SHARD_SECONDS,
     MAX_CERTIFICATE_LIFETIME_SECONDS,
     ShardKey,
-    ShardedCADictionary,
 )
 from repro.dictionary.signed_root import SignedRoot
 from repro.dictionary.sync import SyncRequest, SyncResponse, SyncServer, resynchronize
@@ -40,7 +39,6 @@ __all__ = [
     "SyncServer",
     "resynchronize",
     "ShardKey",
-    "ShardedCADictionary",
     "DEFAULT_SHARD_SECONDS",
     "MAX_CERTIFICATE_LIFETIME_SECONDS",
 ]

@@ -270,17 +270,29 @@ class RevocationAgent(Middlebox):
         if issuer.verifier is None:
             issuer.verifier = public_key
 
-    def register_shard_replica(self, ca_name: str, shard_index: int) -> ReplicaDictionary:
+    def register_shard_replica(
+        self, ca_name: str, shard_index: int, verifier=None
+    ) -> ReplicaDictionary:
         """Create (or return) the replica of one expiry shard of ``ca_name``,
-        recording its membership in the explicit shard registry.
+        recording its membership in the explicit shard registry — the one
+        way a shard replica enters this RA, from discovery and from restore.
 
-        A name collision with a replica registered under a *different*
-        verifier (an unrelated CA whose name happens to look like this
-        shard) is rejected rather than captured — capturing it would stop
-        its own pulls and eventually prune a live CA's replica.
+        ``ca_name`` must be a sharded CA this RA follows; ``verifier`` is
+        adopted as the CA's only when none is registered yet (a restore into
+        an agent that never attached).  A name collision with a replica
+        registered under a *different* verifier (an unrelated CA whose name
+        happens to look like this shard) is rejected rather than captured —
+        capturing it would stop its own pulls and eventually prune a live
+        CA's replica.
         """
+        issuer = self.issuers.get(ca_name)
+        if issuer is None or issuer.shard_width is None:
+            raise DictionaryError(
+                f"RA {self.name!r} follows no sharded CA {ca_name!r}"
+            )
+        if issuer.verifier is None:
+            issuer.verifier = verifier
         name = shard_name(ca_name, shard_index)
-        issuer = self.issuers[ca_name]
         existing = self.replicas.get(name)
         if existing is not None and existing.ca_public_key is not issuer.verifier:
             raise DictionaryError(
@@ -290,6 +302,16 @@ class RevocationAgent(Middlebox):
         issuer.members[shard_index] = name
         self.issuers[name] = issuer
         return self._open_replica(name, issuer.verifier)
+
+    def _drop_shard_replica(self, issuer: Issuer, shard_index: int) -> None:
+        """The one way a shard replica leaves this RA (pruned, or failed
+        restore): registry entry, replica, issuer alias and cached proofs
+        and root verdicts go together."""
+        name = issuer.members.pop(shard_index)
+        self.replicas.pop(name).close()  # release the store (durable engines)
+        del self.issuers[name]
+        self.proof_cache.invalidate_dictionary(name)
+        self.root_cache.invalidate_ca(name)
 
     @property
     def shard_widths(self) -> Dict[str, int]:
@@ -347,14 +369,7 @@ class RevocationAgent(Middlebox):
             if ShardKey(index, issuer.shard_width).is_expired(now):
                 entries += replica.size
                 bytes_freed += replica.storage_size_bytes()
-                name = issuer.members.pop(index)
-                replica.close()  # release the pruned store (durable engines)
-                del self.replicas[name]
-                del self.issuers[name]
-                # Shard retirement: evict the retired dictionary's cached
-                # proofs and root verdicts along with its replica.
-                self.proof_cache.invalidate_dictionary(name)
-                self.root_cache.invalidate_ca(name)
+                self._drop_shard_replica(issuer, index)
                 self.stats.shard_replicas_pruned += 1
         self.pruned_revocations += entries
         self.reclaimed_storage_bytes += bytes_freed
@@ -421,37 +436,40 @@ class RevocationAgent(Middlebox):
         applied as one (:func:`~repro.dictionary.sync.apply_sync_response`):
         the root signature, size, recomputed Merkle root and freshness link
         are checked exactly as for a response off the network.  A replica
-        whose state fails is dropped and left to cold-sync on the next pull
-        instead of aborting the whole restore.  Shard widths and the shard
-        registry are restored so the TLS path maps certificate expiries to
-        shard replicas immediately.  Returns the number of replicas
-        warm-started.
+        whose state fails is left to cold-sync on the next pull instead of
+        aborting the whole restore; a shard replica is dropped entirely, and
+        the next shard-index pull rediscovers it.  Shard widths are
+        restored and every shard replica re-enters through
+        :meth:`register_shard_replica`, so the TLS path maps certificate
+        expiries to shard replicas immediately; an entry that registry
+        refuses (a name registered under another CA's key, a CA with no
+        shard width) is skipped — neither adopted nor warm-started.
+        Returns the number of replicas warm-started.
         """
         for ca_name, width in checkpoint.shard_widths.items():
             self.register_sharded_ca(ca_name, width)
-        issuers = {
-            name: ca_name
+        shards = {
+            shard_name(ca_name, index): (ca_name, index)
             for ca_name, members in checkpoint.shard_members.items()
-            for name in members.values()
+            for index in members
         }
-        restored_names = set()
-        failed_names = set()
+        restored = set()
         for entry in checkpoint.replicas:
             name = entry.state.ca_name
-            issuer = issuers.get(name, name)
+            issuer, index = shards.get(name, (name, None))
             keyring_state = checkpoint.keyrings.get(issuer)
             verifier = PublicKey(entry.public_key_bytes)
             if keyring_state is not None:
                 verifier = CAKeyring.single(verifier)
-            if issuer != name:
+            if index is None:
+                replica = self.register_ca(name, verifier)
+            else:
                 # Shard replicas share their CA's verifier (the one a prior
                 # attach registered, else this checkpoint's).
-                record = self.issuers.setdefault(issuer, Issuer(issuer))
-                if record.verifier is None:
-                    record.verifier = verifier
-                replica = self._open_replica(name, record.verifier)
-            else:
-                replica = self.register_ca(name, verifier)
+                try:
+                    replica = self.register_shard_replica(issuer, index, verifier)
+                except DictionaryError:
+                    continue
             if keyring_state is not None:
                 # Rebuild the rotating keyring from the persisted chain,
                 # re-validated against the genesis anchor.  A tampered or
@@ -476,24 +494,10 @@ class RevocationAgent(Middlebox):
                 # own anchor stands), or nothing it did not hold before.
                 pass
             if replica.signed_root == entry.state.signed_root:
-                restored_names.add(name)
-            else:
-                failed_names.add(name)
-        # A shard replica that failed verification must not linger: keeping
-        # it registered (empty) outside the shard registry would leave a
-        # replica no expiry lookup reaches and no prune ever reclaims.  Drop
-        # it entirely — the next shard-index pull rediscovers and cold-syncs
-        # it.
-        for name in failed_names & set(issuers):
-            replica = self.replicas.pop(name, None)
-            if replica is not None:
-                replica.close()
-        for ca_name, members in checkpoint.shard_members.items():
-            for index, name in members.items():
-                if name in restored_names:
-                    self.issuers[ca_name].members[index] = name
-                    self.issuers[name] = self.issuers[ca_name]
-        return len(restored_names)
+                restored.add(name)
+            elif index is not None:
+                self._drop_shard_replica(self.issuers[issuer], index)
+        return len(restored)
 
     def close(self) -> None:
         """Close every replica's backing store (durable engines release I/O)."""

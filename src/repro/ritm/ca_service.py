@@ -39,7 +39,11 @@ from repro.cdn.network import CDNNetwork
 from repro.crypto.signing import CAKeyring, KeyPair
 from repro.dictionary.authdict import CADictionary, RevocationIssuance
 from repro.dictionary.proofs import RevocationStatus
-from repro.dictionary.sharding import ShardKey, ShardedCADictionary
+from repro.dictionary.sharding import (
+    MAX_CERTIFICATE_LIFETIME_SECONDS,
+    ShardKey,
+    shard_name,
+)
 from repro.dictionary.signed_root import SignedRoot
 from repro.dictionary.sync import SyncServer
 from repro.errors import DictionaryError
@@ -151,26 +155,17 @@ class RITMCertificationAuthority:
         ]
         self._index_sequence = 0
         self._refresh_count = 0
-        #: Live streams by dictionary name, in creation order.
+        #: Live streams by dictionary name, in creation order: the one map
+        #: from which this CA reaches its dictionaries.  Unsharded, one stream
+        #: named after the CA (``window=None``); sharded, one per open expiry
+        #: window.
         self.streams: Dict[str, DictionaryStream] = {}
-        #: The expiry router of a sharded CA (``None`` when unsharded): it
-        #: creates, validates against, and retires the per-window
-        #: dictionaries the streams publish.
-        self.shards: Optional[ShardedCADictionary] = None
-        dictionary_kwargs = dict(
-            ca_name=authority.name,
-            keys=self._signing_keys,
-            delta=self.config.delta_seconds,
-            chain_length=self.config.chain_length,
-            digest_size=self.config.digest_size,
-            engine=self.config.store_engine,
-        )
-        if self.config.sharded:
-            self.shards = ShardedCADictionary(
-                shard_seconds=self.config.shard_width_seconds, **dictionary_kwargs
-            )
-        else:
-            self._open_stream(CADictionary(**dictionary_kwargs))
+        #: Indices of every expiry window retired so far, oldest first.
+        self.retired_windows: List[int] = []
+        #: Bytes of per-entry storage released by :meth:`retire_expired`.
+        self.reclaimed_storage_bytes = 0
+        if not self.config.sharded:
+            self._open_stream(self._new_dictionary(self.name))
         # An unsharded CA's one stream, under the names it always had.
         own = self.streams.get(self.name)
         self.dictionary = own.dictionary if own else None
@@ -274,11 +269,8 @@ class RITMCertificationAuthority:
             )
         streams_before = len(self.streams)
         issuances = self._insert_routed(pairs, int(now), reason)
-        for key, issuance in issuances:
-            stream = self.streams.get(issuance.ca_name) or self._open_stream(
-                self.shards.shard_at(key.index), key
-            )
-            self._publish_batch(stream, issuance, now)
+        for _, issuance in issuances:
+            self._publish_batch(self.streams[issuance.ca_name], issuance, now)
         if len(self.streams) != streams_before:
             self._publish_shard_index(now)
         return issuances
@@ -289,8 +281,9 @@ class RITMCertificationAuthority:
         """Record a batch at the issuance CA and insert it where it routes."""
         serials = [serial for serial, _ in pairs]
         # Validate the whole batch — duplicate serials, then (sharded)
-        # expiries — before the issuance CA records anything, so a rejected
-        # batch leaves both halves untouched and retryable.
+        # expiries — before the issuance CA records anything or a window
+        # opens, so a rejected batch leaves both halves untouched and
+        # retryable.
         seen = set()
         for serial in serials:
             if serial.value in seen or self.authority.is_revoked(serial):
@@ -307,23 +300,54 @@ class RITMCertificationAuthority:
                     f"sharded CA {self.name!r} cannot derive an expiry for "
                     f"serial {serial} (not issued here); use revoke_with_expiry"
                 )
-        routed = self.shards.validate_expiries(pairs, now)
+        routed: Dict[int, List[SerialNumber]] = {}
+        for serial, expiry in pairs:
+            key = self._window(expiry, now)
+            if key.is_expired(now):
+                # Born retired: never listed live, never replicated by any
+                # RA — it would break the CA/RA lockstep reclamation.
+                raise DictionaryError(
+                    f"certificate expiry {expiry} falls in shard {key.index}, "
+                    f"whose whole window passed before now={now}"
+                )
+            routed.setdefault(key.index, []).append(serial)
         self.authority.revoke_many(serials, now=now, reason=reason)
-        return self.shards.revoke(pairs, now, routed=routed)
+        issuances = []
+        for index in sorted(routed):
+            key = ShardKey(index, self.config.shard_width_seconds)
+            name = shard_name(self.name, index)
+            stream = self.streams.get(name) or self._open_stream(
+                self._new_dictionary(name), key
+            )
+            issuances.append((key, stream.dictionary.insert(routed[index], now)))
+        return issuances
 
     def cover(self, expiries: Iterable[int], now: float) -> int:
-        """Open (and publish) a stream for every live expiry window in
-        ``expiries`` lacking one — see :meth:`ShardedCADictionary.cover` for
-        why.  Returns the number opened: always 0 for an unsharded CA, whose
-        one stream covers every expiry."""
+        """Open (and publish) an empty, signed stream for every live expiry
+        window in ``expiries`` lacking one.  Returns the number opened:
+        always 0 for an unsharded CA, whose one stream covers every expiry.
+
+        A certificate in a window nobody was ever revoked in must still be
+        provably *not* revoked, so a CA covers the windows of its
+        outstanding certificates ahead of their first revocation.  Windows
+        already passed are skipped; one past the CA/B Forum lifetime cap is
+        rejected before any window opens, as on revocation.
+        """
         if not self.sharded:
             return 0
-        opened = self.shards.cover(expiries, int(now))
-        for key, shard in opened:
-            self._publish_head(self._open_stream(shard, key), now)
+        windows = [self._window(expiry, int(now)) for expiry in expiries]
+        opened = 0
+        for key in windows:
+            name = shard_name(self.name, key.index)
+            if key.is_expired(now) or name in self.streams:
+                continue
+            stream = self._open_stream(self._new_dictionary(name), key)
+            stream.dictionary.refresh(int(now))
+            self._publish_head(stream, now)
+            opened += 1
         if opened:
             self._publish_shard_index(now)
-        return len(opened)
+        return opened
 
     # -- periodic duty -------------------------------------------------------------------
 
@@ -385,8 +409,6 @@ class RITMCertificationAuthority:
             activated_at=int(now),
             overlap_seconds=self.config.key_overlap_seconds,
         )
-        if self.sharded:
-            self.shards.keys = new_keys  # windows opened from now on
         roots = {
             stream.name: stream.dictionary.rotate_keys(new_keys, int(now))
             for stream in self.live_streams(now)
@@ -395,14 +417,22 @@ class RITMCertificationAuthority:
         return roots
 
     def retire_expired(self, now: float) -> List[ShardKey]:
-        """Drop streams whose expiry window has passed, closing their logs."""
-        retired = [
-            stream for stream in self.streams.values() if not stream.covers(now)
-        ]
-        if retired:
-            self.shards.retire_expired(now)  # releases the same windows' stores
+        """Drop streams whose expiry window has passed, oldest window first;
+        returns their windows.
+
+        Each dropped stream's per-entry storage is added to
+        :attr:`reclaimed_storage_bytes` — the quantity §VIII's relaxation is
+        about — and its store is closed (durable engines release their log).
+        """
+        retired = sorted(
+            (stream for stream in self.streams.values() if not stream.covers(now)),
+            key=lambda stream: stream.window.index,
+        )
         for stream in retired:
+            self.reclaimed_storage_bytes += stream.dictionary.storage_size_bytes()
+            stream.dictionary.close()
             del self.streams[stream.name]
+            self.retired_windows.append(stream.window.index)
         return [stream.window for stream in retired]
 
     # -- views -----------------------------------------------------------------------------
@@ -437,10 +467,10 @@ class RITMCertificationAuthority:
         return ShardIndex(
             ca_name=self.name,
             width_seconds=self.config.shard_width_seconds,
-            live=tuple(self.shards.live_shard_indices(now)),
-            retired=tuple(
-                self.shards.retired_indices()[-self.RETIRED_INDICES_PUBLISHED:]
+            live=tuple(
+                sorted(stream.window.index for stream in self.live_streams(now))
             ),
+            retired=tuple(self.retired_windows[-self.RETIRED_INDICES_PUBLISHED:]),
             sequence=self._index_sequence,
         )
 
@@ -457,12 +487,31 @@ class RITMCertificationAuthority:
         self, serial: SerialNumber, expiry: int, now: Optional[int] = None
     ) -> RevocationStatus:
         """Revocation status from the master copy of the stream covering
-        ``expiry`` (a window no stream covers answers "absent" from a
-        transient dictionary, see :meth:`ShardedCADictionary.prove`)."""
+        ``expiry``.
+
+        A window no stream covers answers "absent" from a transient
+        dictionary that is never registered, so the read path leaves
+        :attr:`streams` and storage untouched.  Minting its root signs,
+        which needs a real timestamp: ``now`` is required then, and never
+        defaults to epoch 0 (every later freshness check would see thousands
+        of elapsed Δ periods).
+        """
         stream = self.streams.get(self.config.dictionary_name(self.name, expiry))
-        if stream is None:
-            return self.shards.prove(serial, expiry, now=now)
-        return stream.dictionary.prove(serial)
+        if stream is not None:
+            return stream.dictionary.prove(serial)
+        key = ShardKey.for_expiry(expiry, self.config.shard_width_seconds)
+        if now is None:
+            raise DictionaryError(
+                f"shard {key.index} of {self.name!r} has no signed root yet; "
+                f"prove() needs a real timestamp (now=...) to mint one"
+            )
+        # Never refreshed past its first link: a length-1 hash chain avoids
+        # O(chain_length) hashing per uncovered-window query.
+        transient = self._new_dictionary(
+            shard_name(self.name, key.index), chain_length=1
+        )
+        transient.refresh(int(now))
+        return transient.prove(serial)
 
     def total_revocations(self) -> int:
         """Entries across the master copies of every live stream."""
@@ -503,6 +552,33 @@ class RITMCertificationAuthority:
 
     # -- internals ------------------------------------------------------------------------------
 
+    def _new_dictionary(
+        self, name: str, chain_length: Optional[int] = None
+    ) -> CADictionary:
+        """An empty dictionary named ``name``, signed with the current key."""
+        return CADictionary(
+            ca_name=name,
+            keys=self._signing_keys,
+            delta=self.config.delta_seconds,
+            chain_length=chain_length or self.config.chain_length,
+            digest_size=self.config.digest_size,
+            engine=self.config.store_engine,
+        )
+
+    def _window(self, expiry: int, now: int) -> ShardKey:
+        """The expiry window covering ``expiry``.
+
+        An expiry past the CA/B Forum lifetime cap (``now`` + 39 months) is
+        refused: no real certificate expires there, and its window would
+        never retire.
+        """
+        if expiry > now + MAX_CERTIFICATE_LIFETIME_SECONDS:
+            raise DictionaryError(
+                f"certificate expiry {expiry} exceeds the maximum lifetime "
+                f"({MAX_CERTIFICATE_LIFETIME_SECONDS}s past now={now})"
+            )
+        return ShardKey.for_expiry(expiry, self.config.shard_width_seconds)
+
     def _open_stream(
         self, dictionary: CADictionary, window: Optional[ShardKey] = None
     ) -> DictionaryStream:
@@ -514,7 +590,6 @@ class RITMCertificationAuthority:
         )
         self.streams[stream.name] = stream
         return stream
-
 
     def _publish(self, path: str, content: bytes, now: float) -> None:
         self.cdn.publish(path, content, now, ttl_seconds=self.config.cdn_ttl_seconds)

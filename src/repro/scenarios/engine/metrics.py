@@ -140,9 +140,9 @@ def collect_metrics(state: RunState) -> Dict[str, object]:
         **(
             {
                 "sharding": {
-                    "ca_shard_count": ca.shards.shard_count,
-                    "ca_shards_retired": ca.shards.retired_count,
-                    "ca_reclaimed_bytes": ca.shards.reclaimed_storage_bytes,
+                    "ca_shard_count": len(ca.streams),
+                    "ca_shards_retired": len(ca.retired_windows),
+                    "ca_reclaimed_bytes": ca.reclaimed_storage_bytes,
                     "ra_shards_pruned": sum(
                         r.agent.stats.shard_replicas_pruned for r in state.runtimes
                     ),

@@ -419,7 +419,7 @@ def sharded_extras(state: RunState, end_time: float) -> Dict[str, object]:
     # Read-path purity: proving a serial in a window no shard covers (two
     # shard widths past everything the CA opened) must answer "absent"
     # without creating (and retaining) a shard.
-    shards_before = ca.shards.shard_count
+    shards_before = len(ca.streams)
     storage_before = ca.storage_size_bytes()
     unknown_window_expiry = (
         max(stream.window.window_end for stream in ca.streams.values())
@@ -431,7 +431,7 @@ def sharded_extras(state: RunState, end_time: float) -> Dict[str, object]:
         now=int(end_time),
     )
     read_path_pure = (
-        ca.shards.shard_count == shards_before
+        len(ca.streams) == shards_before
         and ca.storage_size_bytes() == storage_before
         and not probe_status.is_revoked
     )
@@ -448,8 +448,8 @@ def sharded_extras(state: RunState, end_time: float) -> Dict[str, object]:
         "absent_serials_checked": absent_checked,
         "verdict_mismatches": mismatches,
         "read_path_pure": read_path_pure,
-        "ca_shards_retired": ca.shards.retired_count,
-        "ca_reclaimed_bytes": ca.shards.reclaimed_storage_bytes,
+        "ca_shards_retired": len(ca.retired_windows),
+        "ca_reclaimed_bytes": ca.reclaimed_storage_bytes,
         "ra_reclaimed_bytes": agent.reclaimed_storage_bytes,
         "ra_pruned_entries": agent.pruned_revocations,
         "baseline_final_bytes": baseline_series[-1] if baseline_series else 0,

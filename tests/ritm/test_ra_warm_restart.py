@@ -18,6 +18,7 @@ import pytest
 
 from repro.cdn import CDNNetwork, GeoLocation
 from repro.cdn.geography import Region
+from repro.dictionary.sharding import shard_name
 from repro.errors import StorageError
 from repro.pki import CertificationAuthority, SerialNumber
 from repro.ritm import (
@@ -30,6 +31,7 @@ from repro.ritm.persistence import (
     CHECKPOINT_FILENAME,
     CHECKPOINT_MAGIC,
     load_checkpoint,
+    write_checkpoint,
 )
 
 
@@ -460,6 +462,86 @@ class TestShardedCheckpoint:
         serial, expiry = pairs[0]
         replica = restored_agent.replica_for_certificate(ca.name, expiry)
         assert replica is not None and replica.contains(serial)
+
+    @staticmethod
+    def _decoy_checkpoint(tmp_path):
+        """A sharded ``Decoy CA`` beside an unrelated unsharded CA named like
+        its shard 1157, checkpointed by an RA following both — then one
+        ``shard_members`` entry claiming the unrelated replica as that shard,
+        under a valid CRC."""
+        week, epoch = 7 * 86_400, 1_400_000_000
+        sharded_cfg = RITMConfig(
+            delta_seconds=week, chain_length=64, sharded=True,
+            shard_width_seconds=2 * week,
+        )
+        cdn = CDNNetwork()
+        sharded_ca = RITMCertificationAuthority(
+            CertificationAuthority("Decoy CA", key_seed=b"decoy-base"), sharded_cfg, cdn
+        )
+        collision = (epoch + week) // sharded_cfg.shard_width_seconds
+        weird_ca = RITMCertificationAuthority(
+            CertificationAuthority(shard_name("Decoy CA", collision), key_seed=b"decoy-weird"),
+            RITMConfig(delta_seconds=week, chain_length=64),
+            cdn,
+        )
+        sharded_ca.bootstrap(now=epoch)
+        weird_ca.bootstrap(now=epoch)
+
+        def attached():
+            agent = RevocationAgent("decoy-ra", sharded_cfg)
+            cas = [sharded_ca, weird_ca]
+            return agent, attach_agent_to_cas(agent, cas, cdn, GeoLocation(Region.EUROPE))
+
+        agent, client = attached()
+        weird_ca.revoke([SerialNumber(11)], now=epoch + 1)
+        sharded_ca.revoke_with_expiry(  # windows 1158 and 1159
+            [(SerialNumber(20), epoch + 3 * week), (SerialNumber(21), epoch + 5 * week)],
+            now=epoch + 2,
+        )
+        assert not client.pull(now=epoch + 3).errors
+        assert sorted(agent.shard_replicas("Decoy CA")) == [collision + 1, collision + 2]
+        client.checkpoint(tmp_path)
+        checkpoint = load_checkpoint(tmp_path)
+        checkpoint.shard_members["Decoy CA"][collision] = weird_ca.name
+        write_checkpoint(checkpoint, tmp_path)
+        return agent, attached, weird_ca, collision, epoch
+
+    def test_a_checkpoint_entry_cannot_capture_an_unrelated_ca(self, tmp_path):
+        """Restore admits shard replicas through the same registry as
+        discovery, so it refuses the capture discovery refuses: the entry is
+        skipped, the unrelated replica keeps its issuer and is never pruned,
+        and the sharded CA's real shards still warm-start."""
+        agent, attached, weird_ca, collision, epoch = self._decoy_checkpoint(tmp_path)
+        weird = weird_ca.name
+        restored_agent, restored_client = attached()
+        assert restored_client.restore(tmp_path) == 2  # the two real shards
+        assert restored_agent.issuers[weird].name == weird
+        assert restored_agent.replica_for(weird).size == 0  # not warm-started
+        recovered = restored_agent.shard_replicas("Decoy CA")
+        assert sorted(recovered) == [collision + 1, collision + 2]
+        for index, replica in recovered.items():
+            assert replica.root() == agent.shard_replicas("Decoy CA")[index].root()
+
+        assert not restored_client.pull(now=epoch + 4).errors
+        assert restored_agent.replica_for(weird).size == weird_ca.dictionary.size == 1
+        past_window = (collision + 1) * restored_agent.shard_widths["Decoy CA"]
+        restored_agent.prune_shard_replicas("Decoy CA", now=past_window)
+        assert restored_agent.replica_for(weird).size == 1
+        assert restored_agent.issuer_of(weird) == weird
+        assert sorted(restored_agent.shard_replicas("Decoy CA")) == [collision + 1, collision + 2]
+
+    def test_shard_entries_of_a_ca_without_a_width_are_skipped(self, tmp_path):
+        """An agent that never attached learns shard widths only from the
+        checkpoint: a CA the checkpoint gives none has no shard replicas to
+        restore (nothing could map an expiry to them or ever prune them)."""
+        _, _, weird_ca, _, _ = self._decoy_checkpoint(tmp_path)
+        checkpoint = load_checkpoint(tmp_path)
+        del checkpoint.shard_members["Decoy CA"][min(checkpoint.shard_members["Decoy CA"])]
+        checkpoint.shard_widths.clear()
+        restored_agent = RevocationAgent("decoy-ra")
+        assert restored_agent.restore_state(checkpoint) == 1  # the unrelated CA alone
+        assert restored_agent.shard_replicas("Decoy CA") == {}
+        assert set(restored_agent.replicas) == {weird_ca.name}
 
 
 class TestCrashDuringRecheckpoint:

@@ -147,7 +147,7 @@ class TestShardedCAService:
         stale = now - 8 * WEEK  # two full 4-week windows in the past
         with pytest.raises(DictionaryError, match="whole window passed"):
             ca.revoke_with_expiry([(SerialNumber(6), stale)], now=now)
-        assert ca.shards.shard_count == 0
+        assert len(ca.streams) == 0
         assert not authority.is_revoked(SerialNumber(6))
 
     def test_rejected_expiry_leaves_pki_retryable(self, sharded_world):
@@ -158,7 +158,7 @@ class TestShardedCAService:
         with pytest.raises(DictionaryError, match="maximum lifetime"):
             ca.revoke_with_expiry([(SerialNumber(8), bad)], now=now)
         assert not authority.is_revoked(SerialNumber(8))
-        assert ca.shards.shard_count == 0
+        assert len(ca.streams) == 0
         # corrected retry succeeds (no duplicate-revocation error)
         ca.revoke_with_expiry([(SerialNumber(8), now + WEEK)], now=now)
         assert authority.is_revoked(SerialNumber(8))
@@ -169,8 +169,8 @@ class TestShardedCAService:
         ca.revoke_with_expiry([(SerialNumber(1), now + WEEK)], now=now)
         later = now + 10 * WEEK
         ca.refresh(now=later)
-        assert ca.shards.shard_count == 0
-        assert ca.shards.retired_count == 1
+        assert len(ca.streams) == 0
+        assert len(ca.retired_windows) == 1
         index = decode_shard_index(
             cdn.download(shard_index_path(ca.name), GeoLocation(Region.EUROPE), later).content
         )
@@ -443,7 +443,7 @@ class TestShardedDissemination:
         far = now + 6 * WEEK
         for offset in range(5):
             ca.refresh(now=far + offset)
-        assert ca.shards.retired_count == 1
+        assert len(ca.retired_windows) == 1
         result = client.pull(now=far + 5)
         assert result.shards_pruned == 1  # 2nd pull of a 5-period cadence
 

@@ -1,20 +1,17 @@
-"""Streamed client load: soak scenario, legacy parity, config validation.
+"""Streamed client load: soak scenario and config validation.
 
-Three guarantees pinned here:
+Two guarantees pinned here:
 
-* **Legacy parity** — refactoring :class:`ClientLoadActor` onto
-  :func:`uniform_slot_counts` changed zero bytes of output for the
-  pre-existing ``client_handshakes`` scenarios.  A verbatim copy of the
-  pre-refactor bespoke-``divmod`` actor is monkeypatched in and the
-  thundering-herd smoke report must match byte for byte.
 * **Soak pins** — the registered ``soak`` scenario's smoke run passes all
   of its checks (including the three soak verdicts) and is deterministic
   once the wall-clock/RSS observability fields are masked out.
 * **Config validation** — the new ``client_stream`` / ``segment_streaming``
   knobs reject the combinations the engine cannot honour.
+
+The pre-stream ``client_handshakes`` scenarios are pinned byte for byte by
+``GOLDEN_DIGESTS`` (``tests/scenarios/test_report_digests.py``).
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -26,52 +23,7 @@ from repro.scenarios.config import (
     ConfigurationError,
     ScenarioConfig,
 )
-from repro.scenarios.engine.actors import Message
-from repro.scenarios.engine import core as engine_core
 from repro.workloads.streaming import StreamConfig
-
-
-class LegacyClientLoadActor:
-    """Verbatim pre-refactor actor: bespoke divmod spread, bare counts."""
-
-    def __init__(self, engine):
-        self.engine = engine
-        state = engine.state
-        cfg = state.config
-        fleet = len(state.runtimes)
-        slots = len(state.periods) * fleet
-        base, remainder = divmod(cfg.client_handshakes, slots)
-        self._counts = [
-            base + (1 if slot < remainder else 0) for slot in range(slots)
-        ]
-        self._fleet = fleet
-        self._period = 0
-
-    def start(self):
-        state = self.engine.state
-        delta = state.config.delta_seconds
-        self.engine.scheduler.schedule_every(
-            interval=float(delta),
-            callback=self._on_tick,
-            start=state.periods[0][1] + delta / 2.0,
-            count=len(state.periods),
-            label="client-load",
-        )
-
-    def _on_tick(self, now):
-        state = self.engine.state
-        period = self._period
-        self._period += 1
-        for index, runtime in enumerate(state.runtimes):
-            count = self._counts[period * self._fleet + index]
-            if count:
-                runtime.mailbox.post(
-                    Message(
-                        kind="client-batch",
-                        posted_at=now,
-                        payload={"period": period, "count": count},
-                    )
-                )
 
 
 def masked_payload(report):
@@ -85,17 +37,6 @@ def masked_payload(report):
             sample.pop("wall_seconds", None)
             sample.pop("max_rss_kb", None)
     return payload
-
-
-def test_refactored_client_load_is_byte_identical_for_legacy_scenarios(
-    monkeypatch,
-):
-    new_report = run_scenario(get("thundering-herd"), smoke=True)
-    monkeypatch.setattr(engine_core, "ClientLoadActor", LegacyClientLoadActor)
-    old_report = run_scenario(get("thundering-herd"), smoke=True)
-    assert json.dumps(new_report.to_json_dict(), sort_keys=True) == json.dumps(
-        old_report.to_json_dict(), sort_keys=True
-    )
 
 
 def test_soak_smoke_passes_every_check():
