@@ -601,7 +601,8 @@ class RITMCertificationAuthority:
 
         Issuance objects and segments are numbered by the one batch
         counter, so an RA-side stream position means the same whichever
-        object it was reached through.
+        object it was reached through.  The segment embeds the issuance
+        object's bytes, which the batch keeps once encoded.
         """
         stream.sync_server.record_issuance(issuance)
         stream.batches += 1

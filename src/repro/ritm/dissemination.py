@@ -592,8 +592,8 @@ class RADisseminationClient:
         """The one catch-up walk: fetch the batches past the replica's
         position, apply them in one store transaction, or fall back to sync.
 
-        Batch ``n`` of a stream exists as two objects with the same content:
-        the compact issuance object and the CA-signed WAL segment.  The walk
+        Batch ``n`` of a stream exists as two objects: the issuance object,
+        and the CA-signed segment that embeds it byte for byte.  The walk
         fetches one of them per missing batch — the issuance object from the
         CDN, the segment from the CDN when :attr:`segment_streaming` is set,
         or the segment from ``peer``'s archive — until the replica is as
@@ -663,7 +663,7 @@ class RADisseminationClient:
                             f"WAL segment {number} for {ca_name!r} is not "
                             f"signed by an acceptable CA key"
                         )
-                    issuance = segment.issuance()
+                    issuance = segment.issuance
                 else:
                     issuance = decode_issuance(raw)
             except (TLSError, SignatureError) as exc:

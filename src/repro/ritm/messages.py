@@ -409,6 +409,7 @@ def decode_head(data: bytes) -> DictionaryHead:
 MAX_ISSUANCE_SERIALS = 0xFFFF
 
 
+@_wire_once
 def encode_issuance(issuance: RevocationIssuance) -> bytes:
     if len(issuance.serials) > MAX_ISSUANCE_SERIALS:
         raise TLSError(
@@ -588,6 +589,7 @@ def decode_issuance(data: bytes) -> RevocationIssuance:
     issuance, offset = _decode_issuance_at(data, 0)
     if offset != len(data):
         raise TLSError("trailing bytes after issuance object")
+    vars(issuance)["_wire"] = bytes(data)  # canonical: the one encoding
     return issuance
 
 

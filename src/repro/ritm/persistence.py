@@ -21,7 +21,7 @@ This module alone lays the file out::
     u32 CRC32 of everything before it
 
 (``name`` is a u16-framed UTF-8 string; integers are big-endian.)  The file
-is written once, through :func:`~repro.store.durable.atomic_write`: a crash
+is written once, through :func:`~repro.store.base.atomic_write`: a crash
 at any instant of any checkpoint leaves the previous complete file or the new
 complete one.  The CRC catches corruption; it is not a MAC, and nothing read
 here is trusted — replica state is re-verified on restore, keyring chains are
@@ -40,7 +40,7 @@ from typing import Dict, List, Tuple, Union
 from repro.dictionary.sync import SyncResponse
 from repro.errors import StorageError, TLSError
 from repro.ritm.messages import decode_sync_response, encode_sync_response
-from repro.store.durable import atomic_write
+from repro.store.base import atomic_write
 
 #: First bytes of a checkpoint file.
 CHECKPOINT_MAGIC = b"RITMCKPT"

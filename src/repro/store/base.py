@@ -15,9 +15,12 @@ engine for the current hash levels through one hook (:meth:`_hash_levels`).
 from __future__ import annotations
 
 import bisect
+import os
+import tempfile
 from abc import ABC, abstractmethod
 from itertools import islice
-from typing import ClassVar, Iterable, Iterator, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import ClassVar, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.hashing import (
     DEFAULT_DIGEST_SIZE,
@@ -36,6 +39,31 @@ from repro.crypto.merkle import (
     new_step,
 )
 from repro.errors import ConfigurationError, ProofError
+
+
+def atomic_write(path: Union[str, Path], data: bytes, sync: bool = False) -> None:
+    """Write ``data`` to ``path`` via a temp file and atomic rename.
+
+    The crash-ordering primitive shared by store snapshots and RA
+    checkpoint files: a crash at any point leaves either the old file or
+    the complete new one, never a torn write.  ``sync=True`` fsyncs before
+    the rename.
+    """
+    path = Path(path)
+    fd, temp_name = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            if sync:
+                os.fsync(handle.fileno())
+        os.replace(temp_name, path)
+    except OSError:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
 
 
 class LeafKeysView(Sequence):

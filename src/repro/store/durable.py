@@ -51,6 +51,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.hashing import DEFAULT_DIGEST_SIZE
 from repro.errors import ProofError, StorageError
+from repro.store.base import atomic_write
 from repro.store.compact import CompactMerkleStore
 from repro.store.incremental import IncrementalMerkleStore
 
@@ -86,36 +87,11 @@ _RECORD_CRC = struct.Struct(">I")
 _SNAPSHOT_HEADER = struct.Struct(">HBQQ")
 
 
-def atomic_write(path: Union[str, Path], data: bytes, sync: bool = False) -> None:
-    """Write ``data`` to ``path`` via a temp file and atomic rename.
-
-    The crash-ordering primitive shared by store snapshots and RA
-    checkpoint files: a crash at any point leaves either the old file or
-    the complete new one, never a torn write.  ``sync=True`` fsyncs before
-    the rename.
-    """
-    path = Path(path)
-    fd, temp_name = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            if sync:
-                os.fsync(handle.fileno())
-        os.replace(temp_name, path)
-    except OSError:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-
-
 def encode_leaf_pairs(items: Sequence[Tuple[bytes, bytes]]) -> bytes:
     """Length-prefixed ``(key, value)`` frames (u16 key, u32 value).
 
-    The one leaf wire shape shared by WAL insert records, snapshots and
-    replication segments — callers prepend their own item count.
+    The one leaf shape shared by WAL insert records and snapshots —
+    callers prepend their own item count.
     """
     parts = []
     for key, value in items:

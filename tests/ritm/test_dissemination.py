@@ -66,29 +66,41 @@ class TestOneErrorBoundary:
     def test_malformed_serial_in_one_cas_batch_object(self, world, streaming):
         """A CDN rewrites one serial of CA A's batch object into bytes that
         are no serial encoding — a zero-length serial in the issuance
-        object, a 21-byte record key in the segment (record and frame CRCs
-        recomputed, signed header untouched).  That is a malformed message,
-        not a crash: it is recorded, A recovers through the sync protocol,
-        and B is pulled as if nothing happened."""
-        from dataclasses import replace
+        object, or in the issuance object a segment embeds (its length field
+        and the frame CRC recomputed, the signature untouched).  That is a
+        malformed message, not a crash: it is recorded, A recovers through
+        the sync protocol, and B is pulled as if nothing happened."""
+        import struct
+        import zlib
 
         from repro.pki.serial import SerialNumber
         from repro.ritm.ca_service import issuance_path
-        from repro.ritm.replication import decode_segment, encode_segment, segment_path
+        from repro.ritm.replication import SEGMENT_MAGIC, segment_path
 
         broken, healthy = world.cas[0], world.cas[1]
         broken.revoke([SerialNumber(0x0A0B0C), SerialNumber(0x0A0B0D)], now=EPOCH + 20)
         healthy.revoke([SerialNumber(0x0B0B0C)], now=EPOCH + 20)
+
+        def blank_first_serial(issuance: bytes) -> bytes:
+            first_serial = 2 + len(broken.name.encode("utf-8")) + 10
+            return issuance[:first_serial] + b"\x00\x00" + issuance[first_serial + 2 + 3 :]
+
         if streaming:
             path = segment_path(broken.name, 1)
-            segment = decode_segment(world.cdn.origin.fetch(path).content)
-            (_, value), rest = segment.items[0], segment.items[1:]
-            bad = encode_segment(replace(segment, items=((b"\x01" * 21, value),) + rest))
+            honest = world.cdn.origin.fetch(path).content
+            start = len(SEGMENT_MAGIC) + 8 + 4  # segment number, issuance length
+            (length,) = struct.unpack_from(">I", honest, start - 4)
+            issuance = blank_first_serial(honest[start : start + length])
+            body = (
+                honest[: start - 4]
+                + struct.pack(">I", len(issuance))
+                + issuance
+                + honest[start + length : -4]
+            )
+            bad = body + struct.pack(">I", zlib.crc32(body))
         else:
             path = issuance_path(broken.name, 1)
-            honest = world.cdn.origin.fetch(path).content
-            first_serial = 2 + len(broken.name.encode("utf-8")) + 10
-            bad = honest[:first_serial] + b"\x00\x00" + honest[first_serial + 2 + 3 :]
+            bad = blank_first_serial(world.cdn.origin.fetch(path).content)
         world.cdn.publish(path, bad, EPOCH + 20)
 
         fresh = RevocationAgent("fresh-ra", world.config)
@@ -285,6 +297,54 @@ class TestTamperedObjectRecovery:
         assert result.resyncs == (1 if tampered else 0)
         assert result.serials_applied == 40
         assert result.bytes_downloaded == sum(moved)
+
+    def test_segment_with_a_swapped_serial_never_reaches_the_store(self, world, monkeypatch):
+        """A CDN swaps one serial of a segment for another valid serial and
+        fixes the checksum.  The CA's signature covers every serial, so the
+        walk rejects the segment before the replica's store is called: one
+        rejected segment, one resync, and the resync's one ``insert_batch``
+        is the only store mutation — no insert and rollback of the forgery."""
+        from dataclasses import replace
+
+        from repro.pki.serial import SerialNumber
+        from repro.ritm import dissemination
+        from repro.ritm.replication import decode_segment, encode_segment, segment_path
+
+        issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)
+        honest = (SerialNumber(0x0A0B0C), SerialNumber(0x0A0B0D))
+        issuing.revoke(list(honest), now=EPOCH + 20)
+        path = segment_path(issuing.name, issuing.issuance_count())
+        segment = decode_segment(world.cdn.origin.fetch(path).content)
+        swapped = replace(segment.issuance, serials=(SerialNumber(0xEEEEEE),) + honest[1:])
+        world.cdn.publish(path, encode_segment(replace(segment, issuance=swapped)), EPOCH + 20)
+
+        calls = []
+        store = world.agent.replica_for(issuing.name)._tree
+        for method in ("insert_batch", "remove_batch"):
+
+            def logged(*args, _method=method, _original=getattr(store, method)):
+                calls.append(_method)
+                return _original(*args)
+
+            monkeypatch.setattr(store, method, logged)
+        resynchronize = dissemination.resynchronize
+
+        def logged_resync(*args):
+            calls.append("resync")
+            return resynchronize(*args)
+
+        monkeypatch.setattr(dissemination, "resynchronize", logged_resync)
+        world.dissemination.segment_streaming = True
+        result = world.pull(now=EPOCH + 25)
+
+        assert result.segments_rejected == 1
+        assert result.resyncs == 1
+        assert calls == ["resync", "insert_batch"]
+        assert any("not signed by an acceptable CA key" in error for error in result.errors)
+        replica = world.agent.replica_for(issuing.name)
+        assert all(replica.contains(serial) for serial in honest)
+        assert not replica.contains(SerialNumber(0xEEEEEE))
+        assert replica.root() == issuing.dictionary.root()
 
     def test_forged_signature_recorded_and_resynced_without_aborting_pull(self, world):
         from dataclasses import replace

@@ -299,7 +299,7 @@ class TestSyncResponseRoundTrip:
 
 
 class TestNameFieldsAreTotal:
-    """Every ``ca_name``/``shard`` field decodes to text or raises ``TLSError``
+    """Every ``ca_name`` field decodes to text or raises ``TLSError``
     — a stray ``UnicodeDecodeError`` would escape the RA's pull boundary and
     abort the cycle for every healthy CA."""
 
@@ -311,7 +311,12 @@ class TestNameFieldsAreTotal:
 
     def test_invalid_utf8_name_raises_tls_error(self, master, keys):
         from repro.ritm.messages import decode_freshness, encode_freshness
-        from repro.ritm.replication import build_segment, decode_segment, encode_segment
+        from repro.ritm.replication import (
+            SEGMENT_MAGIC,
+            build_segment,
+            decode_segment,
+            encode_segment,
+        )
 
         dictionary = CADictionary("Codec-CA-4", keys, delta=10, chain_length=8)
         issuance = dictionary.insert(make_serials(3), now=2000)
@@ -333,8 +338,9 @@ class TestNameFieldsAreTotal:
             with pytest.raises(TLSError, match="UTF-8"):
                 decode(self._corrupt_leading_name(encoded))
 
-        # A segment's names sit inside its CRC'd frame: rebuild the checksum
-        # so the corruption reaches the header parser.
+        # A segment's name sits in the issuance object it embeds, inside its
+        # CRC'd frame: rebuild the checksum so the corruption reaches the
+        # issuance decoder.
         import struct
         import zlib
 
@@ -343,7 +349,7 @@ class TestNameFieldsAreTotal:
                 build_segment(issuance, dictionary.latest_freshness, 1, keys)
             )
         )
-        name_at = len(b"RITMSEG1") + 4 + 2
+        name_at = len(SEGMENT_MAGIC) + 8 + 4 + 2  # number, issuance length, name length
         raw[name_at] = 0xFF
         struct.pack_into(">I", raw, len(raw) - 4, zlib.crc32(bytes(raw[:-4])))
         with pytest.raises(TLSError, match="UTF-8"):

@@ -44,6 +44,40 @@ def test_switching_to_streaming_fetches_only_segments_past_the_position():
     assert agent.replica_for(ca.name).root() == ca.dictionary.root()
 
 
+def test_segment_n_embeds_issuance_object_n_encoded_once(monkeypatch):
+    """A segment is the issuance object plus its number, freshness and
+    signature: segment ``n`` carries the bytes at ``/issuance/<n>`` verbatim,
+    and the CA encodes each batch once for both objects."""
+    from repro.ritm import ca_service, replication
+    from repro.ritm.ca_service import issuance_path
+    from repro.ritm.messages import encode_issuance
+    from repro.ritm.replication import SEGMENT_MAGIC, decode_segment
+
+    _, ca, cdn, _ = build_stack()
+    encodings = []
+
+    def spy(issuance):
+        encodings.append(encode_issuance(issuance))
+        return encodings[-1]
+
+    for module in (ca_service, replication):
+        monkeypatch.setattr(module, "encode_issuance", spy)
+    issued = [
+        ca.revoke([SerialNumber(1000 + 10 * number + k) for k in range(number)], now=110 + number)
+        for number in range(1, BATCHES + 1)
+    ]
+
+    assert len({id(wire) for wire in encodings}) == BATCHES  # one encoding per batch
+    start = len(SEGMENT_MAGIC) + 8 + 4  # segment number, issuance length
+    for number, issuance in enumerate(issued, 1):
+        wire = encode_issuance(issuance)
+        segment = cdn.origin.fetch(segment_path(ca.name, number)).content
+        assert cdn.origin.fetch(issuance_path(ca.name, number)).content == wire
+        assert segment[start - 4 : start] == len(wire).to_bytes(4, "big")
+        assert segment[start : start + len(wire)] == wire
+        assert decode_segment(segment).issuance == issuance
+
+
 def test_segment_backlog_is_one_store_transaction(monkeypatch):
     _, ca, cdn, attach = build_stack()
     stepwise, stepwise_client = attach("stepwise-ra", streaming=True)

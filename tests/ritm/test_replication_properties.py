@@ -25,8 +25,8 @@ from repro.pki import SerialNumber
 from repro.ritm.replication import (
     decode_segment,
     encode_segment,
-    segment_header_payload,
     segment_path,
+    segment_payload,
 )
 from repro.store import ENGINES
 from tests.ritm.conftest import build_stack
@@ -87,7 +87,8 @@ class AdversarialPeer:
 
 
 class EquivocatingPeer(AdversarialPeer):
-    """A relay that re-signs segment headers under its own (wrong) key."""
+    """A relay that re-signs segments under its own (wrong) key — over
+    exactly the bytes the CA signs, so only the key is wrong."""
 
     def __init__(self, client, ca_name, forge_from):
         super().__init__(client, ca_name, plan={})
@@ -99,7 +100,7 @@ class EquivocatingPeer(AdversarialPeer):
             return raw
         segment = decode_segment(raw)
         forged = replace(
-            segment, signature=ATTACKER.sign(segment_header_payload(segment))
+            segment, signature=ATTACKER.sign(segment_payload(segment))
         )
         return encode_segment(forged)
 

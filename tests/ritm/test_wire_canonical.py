@@ -1,8 +1,9 @@
 """Canonical encodings: every accepted byte string re-encodes to itself.
 
-Certificates, chains, signed roots, freshness statements and Merkle proofs
-keep their wire form once it is known, and ``Certificate.from_bytes`` /
-``CertificateChain.from_bytes`` seed it with the bytes they accepted.  That is
+Certificates, chains, signed roots, freshness statements, Merkle proofs and
+issuance objects keep their wire form once it is known, and
+``Certificate.from_bytes`` / ``CertificateChain.from_bytes`` /
+``decode_issuance`` seed it with the bytes they accepted.  That is
 sound only if no decoder accepts two byte strings for one value, so this
 suite pins it: whatever a decoder accepts — valid encodings and bit flips,
 length-field edits, splices, cuts and extensions of them — re-encodes, from a
@@ -10,9 +11,12 @@ field-for-field copy that retains no bytes, to exactly the bytes consumed.
 
 The TLS record, hello, session-ticket and extension parsers are held to the
 same property: the RA's DPI and both endpoints read every flight through them.
+So is the segment decoder: a receiver verifies a segment's signature over
+the bytes it re-encodes.
 """
 
 import dataclasses
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +45,7 @@ from repro.ritm.messages import (
     encode_status_bundle,
     encode_sync_response,
 )
+from repro.ritm.replication import SEGMENT_MAGIC, build_segment, decode_segment, encode_segment
 from repro.tls.extensions import (
     decode_extensions,
     encode_extensions,
@@ -113,6 +118,10 @@ ISSUANCES = [
     _ISSUER.insert([SerialNumber(n) for n in serials], now=1000 + 10 * batch)
     for batch, serials in enumerate([(7,), (300, 2, 70_000), range(1000, 1020)])
 ]
+SEGMENTS = [
+    build_segment(issuance, _ISSUER.latest_freshness, number, KeyPair.generate(b"canonical"))
+    for number, issuance in enumerate(ISSUANCES, 1)
+]
 _SYNC_SERVER = SyncServer(_ISSUER)
 for _issuance in ISSUANCES:
     _SYNC_SERVER.record_issuance(_issuance)
@@ -183,6 +192,11 @@ def _whole(decode):
     return lambda data: (decode(data), len(data))
 
 
+def _checksummed(body: bytes) -> bytes:
+    """A segment frame without its CRC32, framed again with a correct one."""
+    return body + zlib.crc32(body).to_bytes(4, "big")
+
+
 #: name → (decode to ``(value, end)``, encode, rejection type, valid encodings)
 CODECS = {
     "certificate": (
@@ -234,6 +248,15 @@ CODECS = {
         encode_issuance,
         TLSError,
         [encode_issuance(issuance) for issuance in ISSUANCES],
+    ),
+    # A segment's trailing CRC32 is a function of the bytes before it, so the
+    # harness edits those and re-checksums them: a mutation reaches the parser
+    # instead of stopping at the checksum (which has its own test below).
+    "segment": (
+        lambda body: (decode_segment(_checksummed(body)), len(body)),
+        lambda segment: encode_segment(segment)[:-4],
+        TLSError,
+        [encode_segment(segment)[:-4] for segment in SEGMENTS],
     ),
     "sync_response": (
         _whole(decode_sync_response),
@@ -338,6 +361,14 @@ def mutated_encodings(draw):
 @given(mutated_encodings())
 def test_any_accepted_mutation_reencodes_to_itself(case):
     accepted_reencodes_to_itself(*case)
+
+
+def test_every_single_bit_flip_of_a_segment_fails_its_checksum():
+    data = encode_segment(SEGMENTS[-1])
+    decode_segment(data)
+    for bit in range(8 * len(SEGMENT_MAGIC), 8 * len(data)):
+        with pytest.raises(TLSError, match="checksum"):
+            decode_segment(flip_bit(data, bit))
 
 
 class TestSecondEncodingsClosed:

@@ -24,6 +24,10 @@ re-pinned six rows whose reports print a byte count that used to be an
 estimate: the four with a victim handshake (``status 187 B`` → ``229 B`` in one
 event and one check), ``tampered-cdn`` (its resync's bytes, 6911 → 6981
 downloaded) and ``region-outage`` (the cold-sync counterfactual, 1140 → 1630 B).
+Making a segment its issuance object under one signature re-pinned
+``soak`` and ``region-outage``, the two rows whose RAs fetch segments: only
+byte counts moved (segment bytes 76,680 → 42,960 and 33,800 → 21,400), with
+the pull latency, overlap factor and lag they feed, and every check held.
 """
 
 from __future__ import annotations
@@ -44,12 +48,12 @@ GOLDEN_DIGESTS = {
     "iot-long-lived": "03a08b7341ae944884fa2e7d448907584dcd860710b23facbacc0d83e8166518",
     "quickstart": "3244dc703a0f0ec158b9831967cafe7424a00d92a0733f5fce6758571849dbb4",
     "ra-crash-recovery": "310c301c38ae93bdf8fca1c1a818a86cec27eec3b06af83093ae7d18926b1443",
-    "region-outage": "6a4b5cf1d7ef0bb68aa1c21bbfec19f06226462023db9c2a3d82c3d8a0a7088d",
+    "region-outage": "0a4d91c36156a8f7ba438f9967164f0608a74fc6bd80db7e0e268b32cf749d7e",
     "replayed-head": "0b9fe51821bc41d1a4309a1e542f1aabe89052037bc89f13a8f76afc143832cf",
     "rotated-ca-key": "4299b7e68601da4faeae307b5528c6d51c74a2915ad2290023746fb2de4593c6",
     "sharded-longrun": "5ab70a00c43358c0b9f08b32086c9b275aa0e2631c25f7fb6b83946c3f8296fa",
     "slow-ra-holb": "089d35822d7113168bb4a3198ef202a6e00bdc5dda2137d748d99b7bdf12de56",
-    "soak": "619b04e14dde17279b328c7fb9825be366fe95f382bb7a100370d8c7bb0bbd3a",
+    "soak": "fb89d69b494ce9c72038d81b2f86685329e20b8aacf10734b901b557a289dca6",
     "staggered-pulls": "814e5b760f4d175e168888a6f828717e2a91fe0bf93a07b28ab27d29b93e068f",
     "tampered-cdn": "79737785e6c9c87f7f2d02ccbe182004a60eab5b991c6be404d3ba25db4e74f3",
     "thundering-herd": "6b91839515f9715eaed8d59956d803cd69f000d81354c594e4d7e9cfdc8f0646",
