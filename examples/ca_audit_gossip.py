@@ -5,7 +5,8 @@ RITM keeps CAs accountable (§III "Consistency Checking", §V "Misbehaving
 CA"): a CA that shows different dictionaries to different parts of the
 system must sign two conflicting roots of the same size.  This wrapper runs
 the registered ``ca-audit-gossip`` scenario: the CA revokes a bank's
-certificate honestly for one RA, serves a forged view to another, and one
+certificate, the honest batch reaches one RA from the CDN origin while a
+forged view reaches campus-ra through the US edges, and the same period's
 gossip round produces portable cryptographic evidence of the equivocation.
 
 Run:  python examples/ca_audit_gossip.py

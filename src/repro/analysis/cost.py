@@ -23,9 +23,10 @@ clients-per-RA, and show a visible Heartbleed bump in the April 2014 cycle.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.overhead import FRESHNESS_BYTES, SIGNED_ROOT_BYTES
 from repro.cdn.geography import Region
 from repro.cdn.pricing import BillingCycleUsage, PricingModel
 from repro.ritm.config import PAPER_DELTA_SWEEP
@@ -53,26 +54,22 @@ FIGURE6_DELTAS: Dict[str, int] = {
 #: Clients-per-RA densities of Table II.
 TABLE2_CLIENTS_PER_RA = (30, 250, 1_000)
 
-#: Bytes an RA downloads per poll when nothing changed: the freshness
-#: statement (a truncated hash) for the single CA under study.
-FRESHNESS_BYTES_PER_POLL = 20
-#: Amortised signed-root bytes added to polls that do carry new revocations.
-SIGNED_ROOT_BYTES = 180
+#: The CA under study's share of the global revocation trace: the largest
+#: CRL in the dataset.
+CA_SHARE_OF_TRACE = LARGEST_CRL_ENTRIES / TOTAL_REVOCATIONS
+#: Paper-style accounting bills data transfer only, no per-request fees.
+INCLUDE_REQUEST_FEES = False
 
 
 @dataclass
 class CostModelConfig:
-    """Tunable knobs of the cost model (defaults follow the paper)."""
+    """Tunable knobs of the cost model (defaults follow the paper); the
+    paper's byte sizes are the module's constants."""
 
     clients_per_ra: int = 10
-    freshness_bytes_per_poll: int = FRESHNESS_BYTES_PER_POLL
-    serial_bytes: int = SERIAL_BYTES
-    signed_root_bytes: int = SIGNED_ROOT_BYTES
     #: Per-request HTTP/TCP overhead billed as data transfer (0 = paper-style
     #: pure-payload accounting).
     per_request_overhead_bytes: int = 0
-    include_request_fees: bool = False
-    ca_share_of_trace: float = LARGEST_CRL_ENTRIES / TOTAL_REVOCATIONS
     #: Expiry shards per CA dictionary (§VIII): a sharded RA polls one head
     #: (freshness statement) per live shard each Δ, so freshness traffic
     #: scales with this factor while the reclaimed storage is accounted in
@@ -156,7 +153,7 @@ def simulate_costs(
     trace = trace if trace is not None else generate_trace()
     population = population if population is not None else generate_population()
     pricing = pricing if pricing is not None else PricingModel(
-        include_request_fees=config.include_request_fees
+        include_request_fees=INCLUDE_REQUEST_FEES
     )
 
     ras_by_region = population.ras_by_region(config.clients_per_ra)
@@ -168,7 +165,7 @@ def simulate_costs(
         for cycle_index, window in enumerate(months):
             days_in_cycle = (window[1] - window[0]).days
             polls = days_in_cycle * 86_400 / delta_seconds
-            revocations = _monthly_revocations(trace, window, config.ca_share_of_trace)
+            revocations = _monthly_revocations(trace, window, CA_SHARE_OF_TRACE)
             # Every RA downloads: one freshness statement per poll, the new
             # serials once, and a signed root alongside each batch of new
             # revocations (at most one batch per poll, at least one per day
@@ -185,12 +182,9 @@ def simulate_costs(
             bytes_per_ra = (
                 polls
                 * requests_per_poll
-                * (
-                    config.freshness_bytes_per_poll
-                    + config.per_request_overhead_bytes
-                )
-                + revocations * config.serial_bytes
-                + (config.signed_root_bytes * min(days_in_cycle, batches))
+                * (FRESHNESS_BYTES + config.per_request_overhead_bytes)
+                + revocations * SERIAL_BYTES
+                + (SIGNED_ROOT_BYTES * min(days_in_cycle, batches))
             )
             usage = BillingCycleUsage()
             for region, ra_count in ras_by_region.items():
@@ -198,7 +192,7 @@ def simulate_costs(
                     region,
                     int(bytes_per_ra * ra_count),
                     requests=int(polls * requests_per_poll * ra_count)
-                    if config.include_request_fees
+                    if INCLUDE_REQUEST_FEES
                     else 0,
                 )
             cost = pricing.monthly_bill(usage)

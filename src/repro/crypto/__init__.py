@@ -20,7 +20,6 @@ from repro.crypto.merkle import (
     AuditStep,
     MembershipProof,
     PresenceProof,
-    SortedMerkleTree,
     empty_root,
     encode_leaf,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "chain_apply",
     "verify_freshness",
     "statement_age",
-    "SortedMerkleTree",
     "PresenceProof",
     "AbsenceProof",
     "AuditStep",

@@ -8,8 +8,7 @@ the revocation's sequence number within the CA's dictionary.
 The *construction* of trees and proofs lives behind the pluggable store
 engines of :mod:`repro.store` (``NaiveMerkleStore``, ``IncrementalMerkleStore``,
 ...); this module defines what verifiers see: the leaf encoding, the audit
-path shape, and the proof dataclasses.  ``SortedMerkleTree`` remains
-importable from here as an alias of the naive engine.
+path shape, and the proof dataclasses.
 
 Because the leaves are sorted, the tree can prove two kinds of statements
 about a queried key:
@@ -166,26 +165,11 @@ class AbsenceProof:
 MembershipProof = Union[PresenceProof, AbsenceProof]
 
 
-def __getattr__(name: str):
-    """Lazily resolve ``SortedMerkleTree`` to the naive store engine.
-
-    The tree implementation moved to :mod:`repro.store`; importing it here
-    lazily keeps ``from repro.crypto.merkle import SortedMerkleTree`` working
-    without a circular import at module load time.
-    """
-    if name == "SortedMerkleTree":
-        from repro.store.naive import NaiveMerkleStore
-
-        return NaiveMerkleStore
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AuditStep",
     "PresenceProof",
     "AbsenceProof",
     "MembershipProof",
-    "SortedMerkleTree",
     "empty_root",
     "encode_leaf",
 ]

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.signing import CAKeyring, KeyPair, PublicKey
 from repro.dictionary.authdict import ReplicaDictionary, RevocationIssuance
-from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.proofs import RevocationStatus
 from repro.dictionary.sharding import ShardKey, shard_name
 from repro.dictionary.sync import apply_sync_response, held_state
@@ -44,12 +43,7 @@ from repro.pki.certificate import CertificateChain
 from repro.pki.serial import SerialNumber
 from repro.ritm.config import RITMConfig
 from repro.ritm.consistency import ConsistencyChecker
-from repro.ritm.persistence import (
-    AgentCheckpoint,
-    ReplicaCheckpoint,
-    load_checkpoint,
-    write_checkpoint,
-)
+from repro.ritm.persistence import AgentCheckpoint, ReplicaCheckpoint
 from repro.ritm.dpi import DPIEngine, InspectionResult
 from repro.ritm.messages import (
     KeyAnnouncement,
@@ -416,19 +410,6 @@ class RevocationAgent(Middlebox):
             checkpoint.replicas.append(ReplicaCheckpoint(key_bytes, held_state(replica)))
         return checkpoint
 
-    def checkpoint(self, directory) -> int:
-        """Persist :meth:`checkpoint_state` under ``directory`` (one file,
-        replaced atomically — docs/STORAGE.md).  Returns the number of
-        replicas persisted."""
-        checkpoint = self.checkpoint_state()
-        write_checkpoint(checkpoint, directory)
-        return len(checkpoint.replicas)
-
-    def restore(self, directory) -> int:
-        """Warm-start this RA from the checkpoint under ``directory``;
-        returns the number of replicas warm-started (:meth:`restore_state`)."""
-        return self.restore_state(load_checkpoint(directory))
-
     def restore_state(self, checkpoint: AgentCheckpoint) -> int:
         """Warm-start this RA from a checkpoint value.
 
@@ -504,9 +485,6 @@ class RevocationAgent(Middlebox):
         for replica in self.replicas.values():
             replica.close()
 
-    def apply_issuance(self, issuance: RevocationIssuance) -> None:
-        self.apply_issuances(issuance.ca_name, [issuance])
-
     def apply_issuances(
         self, ca_name: str, issuances: Sequence[RevocationIssuance]
     ) -> int:
@@ -531,14 +509,6 @@ class RevocationAgent(Middlebox):
         for issuance in issuances:
             self.consistency.observe_root(issuance.signed_root)
         return applied
-
-    def apply_freshness(self, statement: FreshnessStatement) -> None:
-        replica = self.replicas.get(statement.ca_name)
-        if replica is None:
-            raise DictionaryError(
-                f"RA {self.name!r} has no replica for CA {statement.ca_name!r}"
-            )
-        replica.apply_freshness(statement)
 
     # -- middlebox interface ------------------------------------------------------
 
@@ -781,10 +751,3 @@ class RevocationAgent(Middlebox):
 
     def dictionary_sizes(self) -> Dict[str, int]:
         return {name: replica.size for name, replica in self.replicas.items()}
-
-    def hot_path_metrics(self) -> Dict[str, Dict[str, object]]:
-        """Counters of the RA's read-path caches (docs/PERFORMANCE.md)."""
-        return {
-            "proof_cache": self.proof_cache.stats.as_dict(),
-            "root_cache": self.root_cache.stats.as_dict(),
-        }

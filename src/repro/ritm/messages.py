@@ -537,30 +537,50 @@ def encode_key_announcements(announcements: Tuple[KeyAnnouncement, ...]) -> byte
     ).encode("utf-8")
 
 
+def _u64(value) -> int:
+    """A JSON integer field that :meth:`KeyAnnouncement.payload` packs as u64."""
+    value = int(value)
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"announcement field {value} does not fit in 64 bits")
+    return value
+
+
+def _field_bytes(hex_text: str) -> bytes:
+    """A hex field that :func:`_pack_bytes` frames with a u16 length."""
+    raw = bytes.fromhex(hex_text)
+    if len(raw) > 0xFFFF:
+        raise ValueError(f"announcement field of {len(raw)} bytes exceeds 65535")
+    return raw
+
+
 def decode_key_announcements(data: bytes) -> Tuple[KeyAnnouncement, ...]:
-    """Parse an announcement chain, rejecting malformed payloads."""
+    """Parse an announcement chain, rejecting malformed payloads.
+
+    Every announcement returned has a :meth:`KeyAnnouncement.payload`: its
+    name is a string of at most 65535 UTF-8 bytes, its integers fit in 64
+    unsigned bits and its key and signature in 65535 bytes each.
+    """
     try:
         payload = json.loads(data.decode("utf-8"))
         if not isinstance(payload, list):
             raise ValueError("announcement chain must be a list")
         announcements = []
         for entry in payload:
-            overlap_seconds = int(entry["overlap_seconds"])
-            activated_at = int(entry["activated_at"])
-            if overlap_seconds < 0 or activated_at < 0:
-                raise ValueError("announcement timestamps must be non-negative")
+            ca_name = entry["ca"]
+            if not isinstance(ca_name, str) or len(ca_name.encode("utf-8")) > 0xFFFF:
+                raise ValueError("announcement CA name must be a short string")
             announcements.append(
                 KeyAnnouncement(
-                    ca_name=entry["ca"],
-                    key_epoch=int(entry["epoch"]),
-                    public_key_bytes=bytes.fromhex(entry["public_key"]),
-                    activated_at=activated_at,
-                    overlap_seconds=overlap_seconds,
-                    signature=bytes.fromhex(entry["signature"]),
+                    ca_name=ca_name,
+                    key_epoch=_u64(entry["epoch"]),
+                    public_key_bytes=_field_bytes(entry["public_key"]),
+                    activated_at=_u64(entry["activated_at"]),
+                    overlap_seconds=_u64(entry["overlap_seconds"]),
+                    signature=_field_bytes(entry["signature"]),
                 )
             )
         return tuple(announcements)
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise TLSError(f"malformed key announcement chain: {exc}") from None
 
 

@@ -94,7 +94,6 @@ def _cmd_describe(name: str) -> int:
         ("faults", ", ".join(f"{f.kind}@{f.at_period}" for f in config.faults) or "none"),
         ("victim_host", config.victim_host or "none"),
         ("long_lived_session", config.long_lived_session),
-        ("gossip_audit", config.gossip_audit),
         ("compare_engines", ", ".join(config.compare_engines) or "none"),
         ("baseline", config.baseline or "none"),
         (

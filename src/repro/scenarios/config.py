@@ -3,8 +3,8 @@
 A :class:`ScenarioConfig` is the complete, validated description of one
 operational scenario: which workload drives the CA, how the deployment is
 shaped (Δ, store engine, RA fleet), which faults are injected when, and which
-optional study phases (victim handshakes, long-lived session, gossip audit,
-engine comparison, baseline comparison) the runner should execute.
+optional study phases (victim handshakes, long-lived session, engine
+comparison, baseline comparison) the runner should execute.
 
 Configs are frozen dataclasses so a registered scenario can never be mutated
 by a run; parameter sweeps go through :meth:`ScenarioConfig.with_overrides`
@@ -322,9 +322,6 @@ class ScenarioConfig:
     #: Keep a TLS session open across the run and measure mid-session
     #: revocation detection (requires ``victim_host``).
     long_lived_session: bool = False
-    #: Stage a CA equivocation against the last agent and run a gossip
-    #: round afterwards (requires ``victim_host`` and at least two agents).
-    gossip_audit: bool = False
     #: Re-run the revocation workload against each named store engine and
     #: record wall-clock timings plus root agreement.
     compare_engines: Tuple[str, ...] = ()
@@ -488,11 +485,6 @@ class ScenarioConfig:
                         "an equivocating-ca fault needs at least two agents "
                         "(one honest view to gossip against)"
                     )
-                if self.gossip_audit:
-                    raise ConfigurationError(
-                        "equivocating-ca faults and gossip_audit stage "
-                        "conflicting forgeries; use one or the other"
-                    )
                 target = fault.agent or self.agents[-1].name
                 target_region = next(
                     a.geo_region() for a in self.agents if a.name == target
@@ -509,16 +501,6 @@ class ScenarioConfig:
                     )
         if self.long_lived_session and not self.victim_host:
             raise ConfigurationError("long_lived_session requires victim_host")
-        if self.gossip_audit:
-            if not self.victim_host:
-                raise ConfigurationError("gossip_audit requires victim_host")
-            if len(self.agents) < 2:
-                raise ConfigurationError("gossip_audit requires at least two agents")
-            if any(event.revoke_victim for event in self.workload.events):
-                raise ConfigurationError(
-                    "gossip_audit revokes the victim in its audit phase; "
-                    "remove revoke_victim workload events"
-                )
         if self.baseline and not self.victim_host:
             raise ConfigurationError("a baseline comparison requires victim_host")
         if self.prune_every_periods < 1:

@@ -42,12 +42,7 @@ def build_checks(state: RunState, extras: Dict[str, object]) -> List[ScenarioChe
         for fault in cfg.faults
         if fault.kind == "equivocating-ca"
     }
-    converged_agents = [
-        r
-        for r in runtimes
-        if not (cfg.gossip_audit and r is runtimes[-1])
-        and r.spec_name not in equivocation_targets
-    ]
+    converged_agents = [r for r in runtimes if r.spec_name not in equivocation_targets]
     converged = all(studies.replicas_converged(state, r) for r in converged_agents)
     checks.append(
         ScenarioCheck(
@@ -164,22 +159,6 @@ def build_checks(state: RunState, extras: Dict[str, object]) -> List[ScenarioChe
     if "replication" in extras:
         checks.extend(
             region_outage_checks(extras["replication"], cfg.attack_window_seconds())
-        )
-    if cfg.gossip_audit and "gossip_audit" in extras:
-        audit = extras["gossip_audit"]
-        checks.append(
-            ScenarioCheck(
-                "equivocation-evidence-valid",
-                bool(audit["evidence_valid_under_ca_key"]),
-                f"{audit['misbehavior_reports']} report(s)",
-            )
-        )
-        checks.append(
-            ScenarioCheck(
-                "targeted-ra-blind-before-gossip",
-                not audit["targeted_believes_victim_revoked"],
-                f"targeted agent {audit['targeted_agent']}",
-            )
         )
     if cfg.compare_engines and "engine_comparison" in extras:
         checks.append(

@@ -326,10 +326,6 @@ class FleetEngine:
         cfg, state = self.config, self.state
         end_time = state.periods[-1][1] + cfg.delta_seconds
         extras: Dict[str, object] = {}
-        if cfg.gossip_audit:
-            # The audit phase revokes the victim, so it must precede the
-            # closing handshake for the rejection check to be meaningful.
-            extras["gossip_audit"] = studies.gossip_audit(state, end_time + 1)
         if state.victim is not None:
             studies.final_handshake(state, end_time + 3)
         if cfg.compare_engines:

@@ -193,7 +193,7 @@ class RunState:
         )
 
     def event(self, period: int, kind: str, detail: str) -> None:
-        """Append one timeline entry (period -1/-2/-3 = setup/closing/audit)."""
+        """Append one timeline entry (period -1/-2 = setup/closing)."""
         self.events.append({"period": period, "kind": kind, "detail": detail})
 
     def active_fault(self, kind: str, period: int) -> Optional[FaultSpec]:

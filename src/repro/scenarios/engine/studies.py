@@ -1,9 +1,9 @@
 """The study phases that bracket the event loop.
 
 Everything here runs *outside* the scheduler: victim setup happens before
-the first event fires, and the closing handshake, gossip audit, engine
-comparison, baseline comparison, and the crash/rotation/equivocation/
-sharded extras all run after the last event drains.  Each function is a
+the first event fires, and the closing handshake, engine comparison,
+baseline comparison, and the crash/rotation/equivocation/sharded extras all
+run after the last event drains.  Each function is a
 direct port of the serial runner's corresponding phase, taking the shared
 :class:`~repro.scenarios.engine.state.RunState` instead of a runner
 instance, so report extras stay byte-identical.
@@ -12,16 +12,13 @@ instance, so report extras stay byte-identical.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import replace
 from typing import Dict, Optional
 
-from repro.crypto import HashChain, KeyPair
-from repro.crypto.merkle import SortedMerkleTree
-from repro.dictionary.signed_root import SignedRoot
+from repro.crypto import KeyPair
 from repro.dictionary.sync import SyncRequest
 from repro.net.clock import SimulatedClock
 from repro.pki import SerialNumber, TrustStore
-from repro.ritm import GossipExchange, build_close_to_client_deployment
+from repro.ritm import build_close_to_client_deployment
 from repro.ritm.messages import encode_status, encode_sync_response
 from repro.scenarios.faults import DECOY_SERIAL
 from repro.scenarios.engine.state import AgentRuntime, RunState, VictimRuntime
@@ -102,64 +99,6 @@ def final_handshake(state: RunState, now: float) -> None:
         f"closing handshake accepted={victim.final_accepted}"
         + (f" ({victim.final_rejection})" if victim.final_rejection else ""),
     )
-
-
-def gossip_audit(state: RunState, now: float) -> Dict[str, object]:
-    """Stage a CA equivocation against the last agent and gossip it out.
-
-    The CA revokes the victim honestly for every RA except the targeted
-    one, which instead receives a forged issuance (a decoy serial and a
-    parallel signed root over the doctored content).  One gossip round
-    between an honest RA and the targeted RA yields portable evidence.
-    """
-    ca, victim, runtimes = state.ca, state.victim, state.runtimes
-    issuance = ca.revoke([victim.serial], now=now, reason="equivocation target")
-    victim.revoked_at = now
-    honest, targeted = runtimes[0], runtimes[-1]
-    for runtime in runtimes[:-1]:
-        runtime.client.pull(now=now + 1)
-
-    # The forgery shadows the dictionary the victim was revoked in: the same
-    # entries, except the decoy takes the victim's place.
-    decoy = SerialNumber(DECOY_SERIAL)
-    shadow_tree = SortedMerkleTree()
-    for key, value in ca.streams[issuance.ca_name].dictionary.leaf_items():
-        if key != victim.serial.to_bytes():
-            shadow_tree.insert(key, value)
-    shadow_tree.insert(decoy.to_bytes(), issuance.first_number.to_bytes(4, "big"))
-    chain_length = issuance.signed_root.chain_length
-    shadow_chain = HashChain(length=chain_length)
-    forged_root = SignedRoot(
-        ca_name=issuance.ca_name,
-        root=shadow_tree.root(),
-        size=issuance.signed_root.size,
-        anchor=shadow_chain.anchor,
-        timestamp=issuance.signed_root.timestamp,
-        chain_length=chain_length,
-    ).sign(state.authority._keys.private)  # noqa: SLF001 - the CA signs its own forgery
-    forged = replace(issuance, serials=(decoy,), signed_root=forged_root)
-    targeted.agent.apply_issuance(forged)
-    targeted_blind = not targeted.agent.replica_for(issuance.ca_name).contains(
-        victim.serial
-    )
-
-    reports = GossipExchange().exchange(
-        honest.agent.consistency, targeted.agent.consistency
-    )
-    evidence_valid = bool(reports) and reports[0].is_valid_evidence(ca.public_key)
-    state.event(
-        -3,
-        "gossip",
-        f"gossip round produced {len(reports)} misbehavior report(s)",
-    )
-    return {
-        "targeted_agent": targeted.spec_name,
-        "honest_agent": honest.spec_name,
-        "targeted_believes_victim_revoked": not targeted_blind,
-        "misbehavior_reports": len(reports),
-        "evidence_valid_under_ca_key": evidence_valid,
-        "conflicting_size": reports[0].first.size if reports else 0,
-    }
 
 
 def compare_engines(state: RunState) -> Dict[str, object]:

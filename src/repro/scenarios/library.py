@@ -12,7 +12,8 @@ full resync on the write-ahead-logged store engine); three form the
 adversarial control-plane matrix of docs/THREATS.md (``replayed-head``
 re-presenting captured signed state, ``rotated-ca-key`` driving scheduled
 key rotation plus a retired-key forgery, and ``equivocating-ca`` planting a
-split-world view at one region's CDN edges for the gossip ring to catch);
+split-world view at one region's CDN edges for the gossip ring to catch —
+the same fault ``ca-audit-gossip`` aims at its victim's revocation);
 three exercise the fleet engine's concurrency model
 (``thundering-herd`` slamming an expanded jittered fleet plus client load
 into one mass-revocation period, ``staggered-pulls`` spreading the fleet's
@@ -161,20 +162,21 @@ CA_AUDIT_GOSSIP = register(
         name="ca-audit-gossip",
         title="CA accountability: catching an equivocating CA",
         summary=(
-            "A CA serves an honest dictionary to one RA and a doctored copy "
-            "(the victim's revocation silently replaced by a decoy) to "
-            "another; one gossip round produces portable cryptographic "
-            "evidence of the equivocation."
+            "A CA revokes the victim for one RA and, through the US CDN "
+            "edges, serves campus-ra a doctored copy (the victim's revocation "
+            "silently replaced by a decoy); the same period's gossip round "
+            "produces portable cryptographic evidence of the equivocation."
         ),
         description=(
             "RITM keeps CAs accountable (§III 'Consistency Checking', §V "
             "'Misbehaving CA'): a CA that shows different dictionaries to "
             "different parts of the system must sign two conflicting roots "
-            "of the same size. The audit phase revokes the victim honestly "
-            "for the first RA, hands the second RA a forged issuance with a "
-            "parallel signed root, and runs a gossip exchange between their "
-            "consistency checkers. The resulting misbehavior report verifies "
-            "under the CA's own public key."
+            "of the same size. In period 1 the CA revokes the victim; the "
+            "honest batch reaches isp-ra from the origin, while a forged "
+            "batch with a parallel signed root reaches campus-ra through the "
+            "US edges. The gossip ring's round between the two consistency "
+            "checkers yields a misbehavior report that verifies under the "
+            "CA's own keyring."
         ),
         delta_seconds=10,
         duration_periods=2,
@@ -182,9 +184,16 @@ CA_AUDIT_GOSSIP = register(
             AgentSpec("isp-ra", "EUROPE"),
             AgentSpec("campus-ra", "UNITED_STATES"),
         ),
-        workload=WorkloadSpec(kind="scripted"),
+        workload=WorkloadSpec(
+            kind="scripted",
+            events=(
+                RevocationEvent(
+                    at_period=1, revoke_victim=True, reason="equivocation target"
+                ),
+            ),
+        ),
+        faults=(FaultSpec(kind="equivocating-ca", at_period=1, agent="campus-ra"),),
         victim_host="bank.example",
-        gossip_audit=True,
         tags=("example", "accountability", "gossip"),
     )
 )
@@ -578,12 +587,11 @@ EQUIVOCATING_CA = register(
             "rebuilt from the honest batches with the victim serial swapped "
             "for a decoy, signed by the CA's real key, with its own valid "
             "freshness chain), so the targeted RA applies it cleanly and is "
-            "blind to the hidden revocation. Unlike the staged ca-audit-"
-            "gossip example, the forgery here travels through the real "
-            "dissemination path — planted at the targeted region's edge "
-            "caches while the origin and every other region stay honest — "
-            "and detection is the always-on consistency layer, not a "
-            "post-run audit: every period each adjacent pair of RAs "
+            "blind to the hidden revocation. The forgery travels through "
+            "the real dissemination path — planted at the targeted region's "
+            "edge caches while the origin and every other region stay "
+            "honest — and detection is the always-on consistency layer: "
+            "every period each adjacent pair of RAs "
             "exchanges observed roots, and two same-size roots with "
             "different hashes are cryptographic proof of equivocation. The "
             "report pins that detection lands in the same period the "

@@ -1,8 +1,7 @@
 """The full-rebuild engine: simple, obviously correct, deliberately slow.
 
-This is the seed implementation of the sorted Merkle tree (formerly
-``repro.crypto.merkle.SortedMerkleTree``), kept as the differential-testing
-oracle for every other engine.  Mutations only touch the sorted leaf arrays
+This is the seed implementation of the sorted Merkle tree, kept as the
+differential-testing oracle for every other engine.  Mutations only touch the sorted leaf arrays
 and mark the hash levels dirty; the first root or proof request after a
 mutation rehashes all ``N`` leaves and rebuilds every level, so a single
 revocation on an ``N``-entry dictionary costs ``Θ(N)`` hashes.

@@ -2,16 +2,17 @@
 
 import pytest
 
-from repro.crypto.merkle import SortedMerkleTree, empty_root
+from repro.crypto.merkle import empty_root
 from repro.errors import ProofError
+from repro.store import NaiveMerkleStore
 
 
 def leaf(value: int, width: int = 3) -> bytes:
     return value.to_bytes(width, "big")
 
 
-def build_tree(values, tree=None) -> SortedMerkleTree:
-    tree = tree if tree is not None else SortedMerkleTree()
+def build_tree(values, tree=None) -> NaiveMerkleStore:
+    tree = tree if tree is not None else NaiveMerkleStore()
     for value in values:
         tree.insert(leaf(value), b"\x00\x00\x00\x01")
     return tree
@@ -19,12 +20,12 @@ def build_tree(values, tree=None) -> SortedMerkleTree:
 
 class TestTreeBasics:
     def test_empty_tree_root_is_sentinel(self):
-        tree = SortedMerkleTree()
+        tree = NaiveMerkleStore()
         assert tree.root() == empty_root()
         assert len(tree) == 0
 
     def test_insert_returns_sorted_position(self):
-        tree = SortedMerkleTree()
+        tree = NaiveMerkleStore()
         assert tree.insert(leaf(10), b"a") == 0
         assert tree.insert(leaf(5), b"b") == 0
         assert tree.insert(leaf(20), b"c") == 2
@@ -55,14 +56,14 @@ class TestTreeBasics:
         assert build_tree([1, 2, 3, 4, 5]).root() == build_tree([5, 3, 1, 4, 2]).root()
 
     def test_value_affects_root(self):
-        a = SortedMerkleTree()
+        a = NaiveMerkleStore()
         a.insert(leaf(1), b"v1")
-        b = SortedMerkleTree()
+        b = NaiveMerkleStore()
         b.insert(leaf(1), b"v2")
         assert a.root() != b.root()
 
     def test_insert_batch(self):
-        tree = SortedMerkleTree()
+        tree = NaiveMerkleStore()
         tree.insert_batch((leaf(i), b"v") for i in range(10))
         assert len(tree) == 10
 
@@ -111,7 +112,7 @@ class TestPresenceProofs:
 
 class TestAbsenceProofs:
     def test_absence_in_empty_tree(self):
-        tree = SortedMerkleTree()
+        tree = NaiveMerkleStore()
         proof = tree.prove_absence(leaf(5))
         assert proof.verify(tree.root())
         assert proof.tree_size == 0

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the sorted Merkle tree.
 
-``SortedMerkleTree`` is the naive full-rebuild store engine; the
+``NaiveMerkleStore`` is the naive full-rebuild store engine; the
 differential properties at the bottom additionally pin the incremental
 engine to it (byte-identical roots and proofs under randomized
 interleavings of single inserts, batches, and proof queries).
@@ -8,7 +8,6 @@ interleavings of single inserts, batches, and proof queries).
 
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.merkle import SortedMerkleTree
 from repro.store import IncrementalMerkleStore, NaiveMerkleStore
 
 serial_values = st.integers(min_value=1, max_value=2**24 - 1)
@@ -24,7 +23,7 @@ def test_every_member_has_valid_presence_proof(values, rng):
     """Any inserted key can always be proven present against the root."""
     ordered = list(values)
     rng.shuffle(ordered)
-    tree = SortedMerkleTree()
+    tree = NaiveMerkleStore()
     for value in ordered:
         tree.insert(to_key(value), b"\x00\x00\x00\x01")
     root = tree.root()
@@ -40,7 +39,7 @@ def test_every_member_has_valid_presence_proof(values, rng):
 )
 def test_membership_and_proofs_are_mutually_exclusive(values, probe):
     """For any probe key, exactly one of presence/absence can be proven, and it verifies."""
-    tree = SortedMerkleTree()
+    tree = NaiveMerkleStore()
     for value in values:
         tree.insert(to_key(value), b"\x00\x00\x00\x01")
     root = tree.root()
@@ -55,10 +54,10 @@ def test_membership_and_proofs_are_mutually_exclusive(values, probe):
 @given(st.lists(serial_values, unique=True, min_size=2, max_size=80))
 def test_root_is_order_independent(values):
     """The tree commits to the *set*, not the insertion order."""
-    forward = SortedMerkleTree()
+    forward = NaiveMerkleStore()
     for value in values:
         forward.insert(to_key(value), b"\x00\x00\x00\x01")
-    backward = SortedMerkleTree()
+    backward = NaiveMerkleStore()
     for value in reversed(values):
         backward.insert(to_key(value), b"\x00\x00\x00\x01")
     assert forward.root() == backward.root()
@@ -69,10 +68,10 @@ def test_root_is_order_independent(values):
 def test_roots_differ_when_any_element_is_removed(values):
     """Removing any single element changes the root (no silent deletions)."""
     values = list(values)
-    full = SortedMerkleTree()
+    full = NaiveMerkleStore()
     for value in values:
         full.insert(to_key(value), b"\x00\x00\x00\x01")
-    partial = SortedMerkleTree()
+    partial = NaiveMerkleStore()
     for value in values[:-1]:
         partial.insert(to_key(value), b"\x00\x00\x00\x01")
     assert full.root() != partial.root()

@@ -14,6 +14,7 @@ from repro.ritm.agent import RevocationAgent
 from repro.ritm.ca_service import RITMCertificationAuthority
 from repro.ritm.config import RITMConfig
 from repro.ritm.dissemination import RADisseminationClient, attach_agent_to_cas
+from repro.ritm.messages import KeyAnnouncement, encode_key_announcements
 from repro.workloads.certificates import CertificateCorpus, generate_corpus
 
 #: Simulation epoch: certificates in the corpus are issued at 1_400_000_000.
@@ -25,6 +26,28 @@ def flip_bit(data: bytes, bit: int) -> bytes:
     flipped = bytearray(data)
     flipped[bit // 8] ^= 1 << (bit % 8)
     return bytes(flipped)
+
+
+def oversized_key_chain(ca) -> bytes:
+    """A key-announcement chain for ``ca``: its genesis key at epoch 0, then
+    a forged rotation link whose ``activated_at`` does not fit the u64 its
+    signed payload packs."""
+    genesis = KeyAnnouncement(
+        ca_name=ca.name,
+        key_epoch=0,
+        public_key_bytes=ca.keyring.genesis.key_bytes,
+        activated_at=0,
+        overlap_seconds=0,
+    )
+    forged = KeyAnnouncement(
+        ca_name=ca.name,
+        key_epoch=1,
+        public_key_bytes=bytes(32),
+        activated_at=2**64,
+        overlap_seconds=0,
+        signature=bytes(64),
+    )
+    return encode_key_announcements((genesis, forged))
 
 
 def build_stack(engine="incremental", ca_name="Stack CA"):

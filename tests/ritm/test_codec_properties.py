@@ -6,16 +6,19 @@ deserialize and verify), so round-tripping must preserve verification for
 cases in the unit tests.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary, ReplicaDictionary
-from repro.errors import RevokedCertificateError
+from repro.errors import RevokedCertificateError, TLSError
 from repro.pki.serial import SerialNumber
 from repro.ritm.messages import (
     decode_head,
     decode_issuance,
+    decode_key_announcements,
     decode_status,
     encode_head,
     encode_issuance,
@@ -81,3 +84,40 @@ def test_head_roundtrip_always_verifies(values):
     assert decoded.size == len(values)
     assert decoded.signed_root.verify(KEYS.public)
     assert decoded.signed_root.root == master.root()
+
+
+#: Integers at and around the edges of the u64 fields a key announcement's
+#: signed payload packs, plus arbitrary ones well outside them.
+announcement_integers = st.one_of(
+    st.sampled_from([-1, 0, 1, 2**63, 2**64 - 1, 2**64]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+#: Hex fields at and around the 65535-byte limit of a u16-framed field.
+announcement_hex = st.sampled_from([0, 1, 32, 64, 0xFFFF, 0x10000]).map(
+    lambda length: "ab" * length
+)
+announcement_entries = st.fixed_dictionaries(
+    {
+        "ca": st.one_of(
+            st.text(max_size=8), st.just("\ud800"), st.just("x" * 0x10000), st.integers()
+        ),
+        "epoch": announcement_integers,
+        "public_key": announcement_hex,
+        "activated_at": announcement_integers,
+        "overlap_seconds": announcement_integers,
+        "signature": announcement_hex,
+    }
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(announcement_entries, max_size=3))
+def test_every_decoded_key_announcement_has_a_payload(entries):
+    """A chain the decoder returns never fails later, inside the keyring's
+    signature check: each announcement's signed payload encodes."""
+    try:
+        chain = decode_key_announcements(json.dumps(entries).encode("utf-8"))
+    except TLSError:
+        return
+    for announcement in chain:
+        assert announcement.payload()

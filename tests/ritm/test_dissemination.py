@@ -6,7 +6,7 @@ from repro.cdn.geography import GeoLocation, Region
 from repro.ritm.agent import RevocationAgent
 from repro.ritm.dissemination import attach_agent_to_cas, total_pulls
 
-from tests.ritm.conftest import EPOCH, build_world
+from tests.ritm.conftest import EPOCH, build_stack, build_world, oversized_key_chain
 
 
 class TestInitialSync:
@@ -120,6 +120,37 @@ class TestOneErrorBoundary:
             assert replica.size == ca.dictionary.size > 0
             assert replica.root() == ca.dictionary.root()
             assert replica.latest_freshness == ca.dictionary.latest_freshness
+
+    def test_oversized_field_in_a_forged_key_chain_is_a_recorded_error(self):
+        """A head whose signature fails sends the RA to the CA's key chain.
+        A chain whose rotation link holds a value its signed payload cannot
+        encode is a malformed object, like any other: the chain's error and
+        the head's are recorded, no rotation is learned, the replica is
+        untouched — the pull loop does not crash."""
+        from dataclasses import replace
+
+        from repro.ritm.ca_service import head_path, keys_path
+        from repro.ritm.messages import decode_head, encode_head
+
+        _, ca, cdn, attach = build_stack()
+        agent, client = attach("forged-keys-ra")
+        client.pull(now=101)
+        replica = agent.replica_for(ca.name)
+        root = replica.signed_root
+        ca.refresh(now=110)
+        head = decode_head(cdn.origin.fetch(head_path(ca.name)).content)
+        restamped = replace(head.signed_root, timestamp=head.signed_root.timestamp + 1)
+        cdn.publish(head_path(ca.name), encode_head(replace(head, signed_root=restamped)), 110)
+        cdn.publish(keys_path(ca.name), oversized_key_chain(ca), 110)
+
+        result = client.pull(now=111)
+
+        chain_error, head_error = result.errors
+        assert "malformed key announcement chain" in chain_error
+        assert "failed verification" in head_error
+        assert result.key_rotations_applied == 0
+        assert replica.signed_root == root
+        assert agent.keyring_for(ca.name).key_epoch == 0
 
 
 class TestRevocationPropagation:

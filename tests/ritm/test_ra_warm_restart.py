@@ -34,6 +34,8 @@ from repro.ritm.persistence import (
     write_checkpoint,
 )
 
+from tests.ritm.conftest import oversized_key_chain
+
 
 def build_stack(engine="incremental", sharded=False, tmp=None):
     """A bootstrapped CA + CDN + one attached, synced agent."""
@@ -338,6 +340,23 @@ class TestRotationAndReplayCursorCheckpoint:
             a.close()
         ca.close()
 
+    def test_oversized_field_in_a_checkpointed_key_chain_leaves_genesis_only(self):
+        """A checkpointed key chain whose rotation link holds a value its
+        signed payload cannot encode is refused like any tampered chain: the
+        keyring stays genesis-only and the replica still warm-starts."""
+        config, ca, cdn, agent, client = build_stack()
+        issue_and_pull(ca, client, 120, periods=2)
+        checkpoint = agent.checkpoint_state()
+        checkpoint.keyrings[ca.name] = (oversized_key_chain(ca), 150)
+
+        restored_agent = RevocationAgent("ra-under-test", config)
+        assert restored_agent.restore_state(checkpoint) == 1
+        assert restored_agent.keyring_for(ca.name).key_epoch == 0
+        assert restored_agent.replica_for(ca.name).root() == agent.replica_for(ca.name).root()
+        for a in (agent, restored_agent):
+            a.close()
+        ca.close()
+
     def test_forged_cursor_under_a_fixed_crc_costs_a_self_healing_window(self, tmp_path):
         """Cursors are used for staleness filtering and nothing else: one
         forged far into the future (CRC fixed, so the file loads) never
@@ -422,7 +441,7 @@ class TestShardedCheckpoint:
                 restored_agent, [ca], cdn, GeoLocation(Region.EUROPE)
             ).restore(tmp_path)
         else:
-            assert restored_agent.restore(tmp_path) == 3
+            assert restored_agent.restore_state(load_checkpoint(tmp_path)) == 3
         keyring = restored_agent.keyring_for(ca.name)
         assert keyring is not None and keyring.key_epoch == 1
         replicas = restored_agent.shard_replicas(ca.name)

@@ -167,10 +167,10 @@ class TestCompromisedInfrastructure:
         replica = world.agent.replica_for(issuing.name)
         # The compromised RA builds an absence proof from a *forged* tree that
         # omits the revocation, but it only has the genuine signed root.
-        from repro.crypto.merkle import SortedMerkleTree
         from repro.dictionary.proofs import RevocationStatus
+        from repro.store import NaiveMerkleStore
 
-        forged_tree = SortedMerkleTree()
+        forged_tree = NaiveMerkleStore()
         forged_proof = forged_tree.prove_absence(chain.leaf.serial.to_bytes())
         forged_status = RevocationStatus(
             ca_name=issuing.name,

@@ -28,6 +28,11 @@ Making a segment its issuance object under one signature re-pinned
 ``soak`` and ``region-outage``, the two rows whose RAs fetch segments: only
 byte counts moved (segment bytes 76,680 → 42,960 and 33,800 → 21,400), with
 the pull latency, overlap factor and lag they feed, and every check held.
+Staging ``ca-audit-gossip``'s equivocation as an ``equivocating-ca`` fault on
+the victim's revocation, in place of a post-run audit that wrote a forgery
+into the agent, re-pinned that row: the forgery now arrives through a pull,
+so the audit's extra pull is gone (7 → 6 pulls) and the gossip ring adds
+``equivocation-detected-within-one-round`` beside the six old checks.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import pytest
 from repro.scenarios import get, names, run_scenario
 
 GOLDEN_DIGESTS = {
-    "ca-audit-gossip": "a1a7a684311da117737d200155d5e82fc07cdf80f0b9f6eb80bdcab809325599",
+    "ca-audit-gossip": "6f37d73591389e5d6541cc8d59713387a92292304c6f29fabe34dab9b4fbc67f",
     "degraded-ra": "0476dd6f731042d585085d7b7ffc4971a0f42243b337fde1efeed66015daa177",
     "equivocating-ca": "81ee8af79081bee635a6b30cc6868afa495d0b410385e1a61d28ca4c914de3a3",
     "flash-crowd": "41374057cb1693ced73dfeefe7edbfea269fc46f2395faff93d62e0331dd7dba",

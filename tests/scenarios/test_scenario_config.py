@@ -49,31 +49,12 @@ def test_valid_config_builds():
         (dict(baseline="crl"), "unknown baseline"),
         (dict(duration_periods=0), "duration_periods must be at least 1"),
         (dict(long_lived_session=True), "requires victim_host"),
-        (dict(gossip_audit=True), "requires victim_host"),
         (dict(baseline="ocsp-stapling"), "requires victim_host"),
     ],
 )
 def test_invalid_configs_rejected(overrides, message):
     with pytest.raises(ConfigurationError, match=message):
         make_config(**overrides)
-
-
-def test_gossip_audit_needs_two_agents():
-    with pytest.raises(ConfigurationError, match="two agents"):
-        make_config(gossip_audit=True, victim_host="bank.example")
-
-
-def test_gossip_audit_forbids_revoke_victim_events():
-    with pytest.raises(ConfigurationError, match="audit phase"):
-        make_config(
-            gossip_audit=True,
-            victim_host="bank.example",
-            agents=(AgentSpec("a"), AgentSpec("b")),
-            workload=WorkloadSpec(
-                kind="scripted",
-                events=(RevocationEvent(at_period=1, revoke_victim=True),),
-            ),
-        )
 
 
 def test_event_after_end_rejected():
@@ -268,16 +249,6 @@ class TestAdversarialFaultValidation:
                 agents=self._two_region_agents(),
                 faults=(FaultSpec(kind="equivocating-ca", at_period=2, agent="ghost"),),
             )
-
-    def test_equivocating_ca_conflicts_with_gossip_audit(self):
-        with pytest.raises(ConfigurationError, match="one or the other"):
-            make_config(
-                agents=self._two_region_agents(),
-                victim_host="bank.example",
-                gossip_audit=True,
-                faults=(FaultSpec(kind="equivocating-ca", at_period=2, agent="target"),),
-            )
-
 
 class TestShardedValidation:
     """Sharded mode (§VIII) validates only its own knobs: a scripted workload,

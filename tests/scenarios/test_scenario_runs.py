@@ -111,11 +111,16 @@ def test_iot_detects_within_bound():
 
 
 def test_gossip_audit_produces_valid_evidence():
+    """The victim's revocation, forged at campus-ra's US edges, is caught by
+    the gossip ring in the period it was planted."""
     report = report_for("ca-audit-gossip")
-    audit = report.extras["gossip_audit"]
-    assert audit["evidence_valid_under_ca_key"] is True
-    assert audit["misbehavior_reports"] >= 1
-    assert audit["targeted_believes_victim_revoked"] is False
+    equivocation = report.extras["equivocation"]
+    assert equivocation["evidence_valid_under_ca_keyring"] is True
+    assert equivocation["misbehavior_reports"] >= 1
+    assert equivocation["hidden_serial"] == report.extras["victim"]["serial"]
+    assert equivocation["targeted_agent"] == "campus-ra"
+    assert equivocation["targeted_blind"] is True
+    assert equivocation["detected_period"] == 1
 
 
 def test_flash_crowd_engines_agree():

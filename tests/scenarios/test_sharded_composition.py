@@ -51,6 +51,21 @@ VARIANTS = {
         **SHARDED,
         "faults": (FaultSpec(kind="retired-key-forgery", at_period=7),),
     },
+    # The victim's revocation is what the equivocating CA hides from
+    # campus-ra; six short-lived revocations give the run shards to retire.
+    "ca-audit-gossip": {
+        **SHARDED,
+        "duration_periods": 8,
+        "workload": {
+            "events": (
+                RevocationEvent(at_period=0, count=6),
+                RevocationEvent(
+                    at_period=2, revoke_victim=True, reason="equivocation target"
+                ),
+            )
+        },
+        "faults": (FaultSpec(kind="equivocating-ca", at_period=2, agent="campus-ra"),),
+    },
     "degraded-ra": SHARDED,
     "equivocating-ca": SHARDED,
     "ra-crash-recovery": SHARDED,
@@ -66,7 +81,10 @@ VARIANTS = {
     [
         {"key_rotation_periods": 3},
         {"victim_host": "shop.example", "baseline": "ocsp-stapling"},
-        {"victim_host": "bank.example", "gossip_audit": True},
+        {
+            "victim_host": "bank.example",
+            "faults": (FaultSpec(kind="equivocating-ca", at_period=1, agent="ra-b"),),
+        },
         {"faults": (FaultSpec(kind="ca-outage", at_period=1),)},
         {"client_handshakes": 100},
         {"client_stream": ClientStreamSpec(clients=10, sites=5, events_total=20)},
