@@ -67,7 +67,7 @@ REQUIRED_SINGLE_UPDATE_SPEEDUP = 10.0
 #: Store-level scaling point the over-the-floor gates are read at.
 STORE_POINT_ENTRIES = 1_000_000
 #: Dictionary size of the smoke siblings tier-1 runs (the full sizes are
-#: marked ``sweep`` and deselected by default; CI's perf jobs pass ``-m sweep``).
+#: marked ``sweep`` and deselected by default; CI's perf-regression job passes ``-m sweep``).
 SMOKE_ENTRIES = 2_000
 
 

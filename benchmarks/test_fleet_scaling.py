@@ -1,8 +1,8 @@
 """Fleet-scaling benchmark: wall-clock and event throughput vs fleet size.
 
-Runs the ``thundering-herd`` scenario at 1, 10, and 50 RAs with the client
-load scaled to 2,000 handshakes per RA — so the 50-RA point is the ISSUE's
-50-RA / 100k-client configuration — and records wall-clock seconds and
+Runs the ``thundering-herd`` scenario at 1, 10, and 50 RAs with its flat
+client stream scaled to 2,000 handshakes per RA — so the 50-RA point serves
+100k client handshakes — and records wall-clock seconds and
 scheduler events per second for each point in
 ``benchmarks/results/fleet_scaling.json`` (plus a rendered ``.txt`` table).
 
@@ -37,9 +37,11 @@ def _variant(fleet_size: int, handshakes: int):
         return config.with_overrides(
             agents=config.agents[:fleet_size],
             fleet_size=0,
-            client_handshakes=handshakes,
+            client_stream={"events_total": handshakes},
         )
-    return config.with_overrides(fleet_size=fleet_size, client_handshakes=handshakes)
+    return config.with_overrides(
+        fleet_size=fleet_size, client_stream={"events_total": handshakes}
+    )
 
 
 def test_fleet_scaling_is_sublinear():

@@ -29,7 +29,7 @@ machine-readable perf baseline, ``benchmarks/results/handshake_hotpath.json``:
 * **cache hit rates** — per layer, including the CDN edge object cache
   under a same-region RA fleet pulling with a nonzero TTL.
 
-CI uploads the JSON artifact and fails the perf job when a cache is silently
+CI uploads the JSON artifact and fails tier-1 when a cache is silently
 disabled — which it reads off *counts*: Ed25519 verifications per cold and per
 warm handshake (3 and 0) and per status verification without and with the
 root cache (1 and 0).  Every ms/µs figure and every ``warm_speedup`` is

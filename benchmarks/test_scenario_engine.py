@@ -2,9 +2,8 @@
 
 One smoke run of the ``quickstart`` scenario measures the fixed overhead of
 the engine (build + bootstrap + pulls + handshakes); the ``flash-crowd``
-smoke run measures a burst workload end to end and records the store-engine
-replay comparison the scenario itself performs.  Results land in
-``benchmarks/results/scenario_engine.txt``.
+smoke run measures a burst workload end to end and records what the burst
+cost each RA.  Results land in ``benchmarks/results/scenario_engine.txt``.
 """
 
 from __future__ import annotations
@@ -23,19 +22,23 @@ def test_scenario_engine_overhead(benchmark):
     assert report.all_checks_passed
 
 
-def test_flash_crowd_engine_comparison():
-    """Run flash-crowd once and persist its engine-comparison artifact."""
+def test_flash_crowd_burst():
+    """Run flash-crowd once and persist what its burst cost each RA."""
     report = run_scenario(get("flash-crowd"), smoke=True)
     assert report.all_checks_passed
-    comparison = report.extras["engine_comparison"]
-    rows = []
-    for engine in ("naive", "incremental", "durable"):
-        entry = comparison[engine]
-        rows.append((engine, entry["serials"], f"{entry['seconds'] * 1e3:.2f} ms"))
+    lags = report.metrics["attack_window"]["per_agent"]
+    rows = [
+        (name, agent["size"], f"{lags[name]:.3f} s")
+        for name, agent in report.metrics["agents"].items()
+    ]
     text = format_table(
-        ["engine", "serials", "replay time"],
+        ["RA", "replica size", "worst provability lag"],
         rows,
-        title="flash-crowd burst replayed per store engine (smoke workload)",
+        title="flash-crowd burst per RA (smoke workload)",
     )
-    text += f"\nroots agree: {comparison['roots_agree']}"
+    dissemination = report.metrics["dissemination"]
+    text += (
+        f"\n{dissemination['bytes_downloaded']} B downloaded in "
+        f"{dissemination['pulls']} pulls, {dissemination['resyncs']} resync(s)"
+    )
     write_result("scenario_engine", text)

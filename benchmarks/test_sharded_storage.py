@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.cdn import CDNNetwork
 from repro.crypto.signing import KeyPair
 from repro.analysis.reporting import format_table, human_bytes
 from repro.dictionary.authdict import CADictionary
@@ -54,7 +55,7 @@ def _drive_engine(engine: str) -> dict:
         shard_width_seconds=SHARD_WIDTH_PERIODS * WEEK,
     )
     sharded = RITMCertificationAuthority(
-        CertificationAuthority("Bench-CA", key_seed=seed), config, cdn=None
+        CertificationAuthority("Bench-CA", key_seed=seed), config, CDNNetwork()
     )
     agent = RevocationAgent("bench-ra", config=RITMConfig(store_engine=engine))
     agent.register_sharded_ca("Bench-CA", SHARD_WIDTH_PERIODS * WEEK, sharded.public_key)

@@ -129,7 +129,6 @@ def run_attack_window_simulation(
                     ritm_ca.public_key,
                     now=int(now),
                     delta=delta_seconds,
-                    tolerance_periods=config.freshness_tolerance_periods,
                 )
             except RevokedCertificateError:
                 member.enforceable_at = now

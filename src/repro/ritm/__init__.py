@@ -11,7 +11,6 @@ from repro.ritm.ca_service import (
 from repro.ritm.client import LegacyTLSClient, RejectionReason, RITMClient
 from repro.ritm.config import (
     PAPER_DELTA_SWEEP,
-    DeploymentModel,
     RITMConfig,
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
@@ -25,6 +24,7 @@ from repro.ritm.consistency import (
 )
 from repro.ritm.deployment import (
     Deployment,
+    DeploymentModel,
     build_close_to_client_deployment,
     build_close_to_server_deployment,
     build_unprotected_path,

@@ -153,7 +153,6 @@ class RevocationAgent(Middlebox):
             replica = ReplicaDictionary(
                 name,
                 verifier,
-                digest_size=self.config.digest_size,
                 engine=self.config.store_engine,
             )
             replica.root_cache = self.root_cache

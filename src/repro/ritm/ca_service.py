@@ -24,9 +24,8 @@ stream) there are three more objects:
 * ``/ritm/<ca>/manifest``      — the bootstrap manifest of §VIII
   ("/RITM.json"): where the dictionary lives and which Δ the CA uses;
 * ``/ritm/<ca>/keys``          — the key-rotation announcement chain;
-* ``/ritm/<ca>/shards``        — sharded CAs only: the index of live and
-  recently retired windows, from which RAs discover new streams and learn
-  which replicas to delete.
+* ``/ritm/<ca>/shards``        — sharded CAs only: the index of live
+  windows, from which RAs discover new streams.
 """
 
 from __future__ import annotations
@@ -128,11 +127,11 @@ class RITMCertificationAuthority:
     def __init__(
         self,
         authority: CertificationAuthority,
-        config: Optional[RITMConfig] = None,
-        cdn: Optional[CDNNetwork] = None,
+        config: RITMConfig,
+        cdn: CDNNetwork,
     ) -> None:
         self.authority = authority
-        self.config = config if config is not None else RITMConfig()
+        self.config = config
         self.cdn = cdn
         self.publication_stats = PublicationStats()
         self._batch_counter = 0
@@ -355,10 +354,9 @@ class RITMCertificationAuthority:
         """The CA's every-Δ duty: a freshness statement (or a re-signed root)
         for every live stream, by stream name.
 
-        On the configured schedule the refresh is a key rotation instead,
-        and every :attr:`RITMConfig.prune_every_periods` refreshes streams
-        whose expiry window has fully passed are retired (dropping their
-        storage) and the shard index republished.
+        On the configured schedule the refresh is a key rotation instead.
+        Streams whose expiry window has fully passed are retired (dropping
+        their storage) and the shard index republished.
         """
         self._refresh_count += 1
         rotation = self.config.key_rotation_periods
@@ -371,9 +369,8 @@ class RITMCertificationAuthority:
             }
         for name in results:
             self._publish_head(self.streams[name], now)
-        if self._refresh_count % self.config.prune_every_periods == 0:
-            if self.retire_expired(now):
-                self._publish_shard_index(now)
+        if self.retire_expired(now):
+            self._publish_shard_index(now)
         return results
 
     def rotate_keys(self, now: float) -> Dict[str, SignedRoot]:
@@ -458,19 +455,14 @@ class RITMCertificationAuthority:
             sequence=stream.sequence,
         )
 
-    #: Most recent retired shard indices carried in the published index; the
-    #: wire object must stay O(live shards), not grow with the CA's history.
-    RETIRED_INDICES_PUBLISHED = 16
-
     def shard_index(self, now: float) -> ShardIndex:
-        """The shard discovery object: live and recently retired indices."""
+        """The shard discovery object: the live window indices."""
         return ShardIndex(
             ca_name=self.name,
             width_seconds=self.config.shard_width_seconds,
             live=tuple(
                 sorted(stream.window.index for stream in self.live_streams(now))
             ),
-            retired=tuple(self.retired_windows[-self.RETIRED_INDICES_PUBLISHED:]),
             sequence=self._index_sequence,
         )
 
@@ -561,7 +553,6 @@ class RITMCertificationAuthority:
             keys=self._signing_keys,
             delta=self.config.delta_seconds,
             chain_length=chain_length or self.config.chain_length,
-            digest_size=self.config.digest_size,
             engine=self.config.store_engine,
         )
 
@@ -608,11 +599,10 @@ class RITMCertificationAuthority:
         stream.batches += 1
         self._batch_counter += 1
         stats = self.publication_stats
-        if self.cdn is not None:
-            content = encode_issuance(issuance)
-            self._publish(issuance_path(stream.name, stream.batches), content, now)
-            stats.issuances_published += 1
-            stats.bytes_uploaded += len(content)
+        content = encode_issuance(issuance)
+        self._publish(issuance_path(stream.name, stream.batches), content, now)
+        stats.issuances_published += 1
+        stats.bytes_uploaded += len(content)
         segment = encode_segment(
             build_segment(
                 issuance,
@@ -623,13 +613,10 @@ class RITMCertificationAuthority:
         )
         stats.segments_published += 1
         stats.segment_bytes_published += len(segment)
-        if self.cdn is not None:
-            self._publish(segment_path(stream.name, stream.batches), segment, now)
+        self._publish(segment_path(stream.name, stream.batches), segment, now)
         self._publish_head(stream, now)
 
     def _publish_head(self, stream: DictionaryStream, now: float) -> None:
-        if self.cdn is None:
-            return
         # The publication sequence advances exactly once per publish, so a
         # replayed copy of an earlier object is detectably behind.
         stream.sequence += 1
@@ -640,22 +627,18 @@ class RITMCertificationAuthority:
 
     def _publish_key_announcements(self, now: float) -> None:
         """Publish the full signed rotation chain at :func:`keys_path`."""
-        if self.cdn is None:
-            return
         content = encode_key_announcements(tuple(self._announcements))
         self._publish(keys_path(self.name), content, now)
         self.publication_stats.bytes_uploaded += len(content)
 
     def _publish_manifest(self, now: float) -> None:
-        if self.cdn is None:
-            return
         content = json.dumps(self.manifest()).encode("utf-8")
         self.cdn.publish(manifest_path(self.name), content, now, ttl_seconds=86_400.0)
         self.publication_stats.bytes_uploaded += len(content)
 
     def _publish_shard_index(self, now: float) -> None:
         """Publish the shard discovery object (sharded CAs only)."""
-        if self.cdn is None or not self.sharded:
+        if not self.sharded:
             return
         self._index_sequence += 1
         content = encode_shard_index(self.shard_index(now))

@@ -265,7 +265,6 @@ class RITMClient(Endpoint):
                 ca_key,
                 now=int(now),
                 delta=self.config.delta_seconds,
-                tolerance_periods=self.config.freshness_tolerance_periods,
                 root_cache=self.root_cache,
             )
         except RevokedCertificateError as exc:

@@ -1,19 +1,23 @@
-"""RITM configuration: the Δ parameter, deployment models, and policy knobs.
+"""RITM configuration: the Δ parameter and the policy knobs callers vary.
 
 Δ (``delta_seconds``) is the central trade-off of the paper: CAs refresh
 their dictionaries at least every Δ, RAs pull every Δ, established
 connections receive a new status every Δ, and clients accept a status that is
 at most 2Δ old.  The paper analyses Δ from 10 seconds to 1 day; the named
 constructors below match the values used in its figures.
+
+What no caller varies is fixed: a client accepts a status at most 2Δ old
+(:attr:`RITMConfig.attack_window_seconds`), hashes are truncated to the
+paper's 20 bytes, an RA tolerates :data:`repro.ritm.dissemination.REPLAY_WINDOW`
+publications of CDN staleness, and a sharded CA retires (and its RAs prune)
+expired shards every Δ.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from enum import Enum
 
-from repro.crypto.hashing import DEFAULT_DIGEST_SIZE
 from repro.dictionary.sharding import DEFAULT_SHARD_SECONDS, shard_name
 from repro.errors import ConfigurationError
 from repro.perf import DEFAULT_PROOF_CACHE_SIZE, DEFAULT_ROOT_CACHE_SIZE
@@ -33,13 +37,6 @@ PAPER_DELTA_SWEEP = {
 }
 
 
-class DeploymentModel(Enum):
-    """Where RAs are placed (paper §IV)."""
-
-    CLOSE_TO_SERVER = "close-to-server"
-    CLOSE_TO_CLIENT = "close-to-client"
-
-
 @dataclass(frozen=True)
 class RITMConfig:
     """Parameters shared by CAs, RAs, and clients in one RITM deployment."""
@@ -49,12 +46,6 @@ class RITMConfig:
     #: How many freshness statements a hash chain provides before a new
     #: signed root is required.
     chain_length: int = 8640
-    #: Client tolerance in Δ periods (1 → the paper's 2Δ acceptance window).
-    freshness_tolerance_periods: int = 1
-    #: Hash truncation (20 bytes in the paper; 32 for the ablation).
-    digest_size: int = DEFAULT_DIGEST_SIZE
-    #: Deployment model, which determines downgrade-attack protection.
-    deployment: DeploymentModel = DeploymentModel.CLOSE_TO_CLIENT
     #: Whether RAs request absence proofs for every certificate in the chain
     #: (§VIII "Certificate chains") or only the leaf.
     prove_full_chain: bool = False
@@ -69,8 +60,6 @@ class RITMConfig:
     sharded: bool = False
     #: Expiry-window width of each shard, in seconds (sharded mode only).
     shard_width_seconds: int = DEFAULT_SHARD_SECONDS
-    #: How often (in Δ periods) CAs retire and RAs prune expired shards.
-    prune_every_periods: int = 1
     #: Hot-path verification engine (see docs/PERFORMANCE.md).  Capacity of
     #: the per-party Merkle :class:`~repro.perf.proof_cache.ProofCache`
     #: (0 disables proof caching).
@@ -87,19 +76,12 @@ class RITMConfig:
     #: just-retired key still verify (so RAs one pull behind the rotation
     #: announcement do not hard-fail).
     key_overlap_periods: int = 1
-    #: How far behind the newest observed publication sequence a head may be
-    #: before the RA treats it as a replay attack rather than CDN staleness.
-    replay_window: int = 2
 
     def __post_init__(self) -> None:
         if self.delta_seconds <= 0:
             raise ConfigurationError("delta_seconds must be positive")
         if self.chain_length < 1:
             raise ConfigurationError("chain_length must be at least 1")
-        if self.freshness_tolerance_periods < 0:
-            raise ConfigurationError("freshness_tolerance_periods cannot be negative")
-        if not 1 <= self.digest_size <= 32:
-            raise ConfigurationError("digest_size must be between 1 and 32 bytes")
         if self.store_engine not in ENGINES:
             raise ConfigurationError(
                 f"unknown store engine {self.store_engine!r}; "
@@ -107,8 +89,6 @@ class RITMConfig:
             )
         if self.shard_width_seconds <= 0:
             raise ConfigurationError("shard_width_seconds must be positive")
-        if self.prune_every_periods < 1:
-            raise ConfigurationError("prune_every_periods must be at least 1")
         if self.proof_cache_size < 0:
             raise ConfigurationError("proof_cache_size cannot be negative")
         if self.root_cache_size < 0:
@@ -121,13 +101,11 @@ class RITMConfig:
             raise ConfigurationError(
                 "key_overlap_periods must be smaller than key_rotation_periods"
             )
-        if self.replay_window < 1:
-            raise ConfigurationError("replay_window must be at least 1")
 
     @property
     def attack_window_seconds(self) -> int:
-        """The effective attack window: (1 + tolerance) * Δ — 2Δ by default (§V)."""
-        return (1 + self.freshness_tolerance_periods) * self.delta_seconds
+        """The attack window a client enforces: a status at most 2Δ old (§V)."""
+        return 2 * self.delta_seconds
 
     @property
     def key_overlap_seconds(self) -> int:

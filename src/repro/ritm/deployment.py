@@ -19,6 +19,7 @@ benchmarks can set up a full RITM conversation in a couple of lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Dict, List, Optional
 
 from repro.net.link import Link, lan_link, metro_link, wan_link
@@ -29,8 +30,15 @@ from repro.pki.ca import TrustStore
 from repro.pki.certificate import CertificateChain
 from repro.ritm.agent import RevocationAgent
 from repro.ritm.client import RITMClient
-from repro.ritm.config import DeploymentModel, RITMConfig
+from repro.ritm.config import RITMConfig
 from repro.ritm.server import RITMServer, TLSTerminator
+
+
+class DeploymentModel(Enum):
+    """Where RAs are placed (paper §IV)."""
+
+    CLOSE_TO_SERVER = "close-to-server"
+    CLOSE_TO_CLIENT = "close-to-client"
 
 
 @dataclass
@@ -124,7 +132,7 @@ def build_close_to_client_deployment(
     deployment's client starts cold.
     """
     model = DeploymentModel.CLOSE_TO_CLIENT
-    config = config if config is not None else RITMConfig(deployment=model)
+    config = config if config is not None else RITMConfig()
     agent = agent if agent is not None else RevocationAgent("gateway-ra", config)
     client = _client_for(
         client_ip, server_chain, trust_store, ca_public_keys, config, root_cache, validation_cache
@@ -150,7 +158,7 @@ def build_close_to_server_deployment(
 ) -> Deployment:
     """RA co-located with a TLS terminator at the data-center ingress."""
     model = DeploymentModel.CLOSE_TO_SERVER
-    config = config if config is not None else RITMConfig(deployment=model)
+    config = config if config is not None else RITMConfig()
     agent = agent if agent is not None else RevocationAgent("terminator-ra", config)
     client = _client_for(
         client_ip, server_chain, trust_store, ca_public_keys, config, root_cache, validation_cache

@@ -14,9 +14,9 @@ then, if the head shows the replica behind, one catch-up walk from the
 feed's position (fetching issuance objects, or WAL segments when
 ``segment_streaming`` is set — docs/REPLICATION.md), then freshness.  A
 sharded CA adds only a step *before* it: the RA pulls the CA's small shard *index* object to
-register replicas for newly opened shards, and every pruning period deletes
-replicas of shards whose expiry window has passed — the storage reclamation
-the §VIII relaxation is about.  The shard index itself is unauthenticated,
+register replicas for newly opened shards, and deletes replicas of shards
+whose expiry window has passed — the storage reclamation the §VIII
+relaxation is about.  The shard index itself is unauthenticated,
 but it can only direct the RA *towards* shards: every shard's content is
 still verified against that shard's CA-signed root, so a forged index can
 cause wasted fetches, never a false revocation status.
@@ -61,6 +61,11 @@ from repro.ritm.messages import (
 )
 from repro.ritm.persistence import load_checkpoint, write_checkpoint
 from repro.ritm.replication import decode_segment, segment_path, verify_segment
+
+#: How many publications behind the newest observed sequence a head (or shard
+#: index) may be before the RA treats it as a replay attack rather than CDN
+#: staleness.
+REPLAY_WINDOW = 2
 
 
 @dataclass
@@ -134,19 +139,19 @@ class ReplayWindow:
     #: self-heal instead of bricking the pull loop forever (docs/THREATS.md).
     stale: int = 0
 
-    def skips(self, sequence: int, window: int, what: str, result: PullResult) -> bool:
+    def skips(self, sequence: int, what: str, result: PullResult) -> bool:
         """Classify a publication sequence against the cursor.
 
         Returns ``True`` when the object should be *skipped* as benign CDN
-        staleness (at most ``window`` publications behind the newest
-        sequence this RA has seen).  Raises :class:`ReplayError` when it is
-        further behind — a re-presented old object, the §V replay attack.
-        Returns ``False`` when the object is current.
+        staleness (at most :data:`REPLAY_WINDOW` publications behind the
+        newest sequence this RA has seen).  Raises :class:`ReplayError`
+        when it is further behind — a re-presented old object, the §V
+        replay attack.  Returns ``False`` when the object is current.
 
         Sequences are unauthenticated (a CDN cannot sign), so the cursor
-        self-heals: after more than ``window`` *consecutive* rejections it
-        resets, bounding how long a forged-high sequence can starve an RA
-        of honest updates.  Safety never rests on this counter — replayed
+        self-heals: after more than :data:`REPLAY_WINDOW` *consecutive*
+        rejections it resets, bounding how long a forged-high sequence can
+        starve an RA of honest updates.  Safety never rests on this counter — replayed
         signed content is still rejected by hash-chain linkage and
         monotonic freshness age.
         """
@@ -155,17 +160,17 @@ class ReplayWindow:
         if behind <= 0:
             self.stale = 0
             return False
-        if behind <= window:
+        if behind <= REPLAY_WINDOW:
             result.stale_heads_ignored += 1
             return True
         self.stale += 1
-        if self.stale > window:
+        if self.stale > REPLAY_WINDOW:
             self.cursor = self.stale = 0
         result.replays_rejected += 1
         raise ReplayError(
             f"{what} re-presents publication sequence "
             f"{sequence}, {behind} behind the newest observed ({cursor}) — "
-            f"outside the replay window of {window}"
+            f"outside the replay window of {REPLAY_WINDOW}"
         )
 
 
@@ -193,8 +198,6 @@ class ShardDiscovery:
 
     #: Shard (stream) name → its sync endpoint.
     sync_server_for: Optional[Callable[[str], Optional[SyncServer]]] = None
-    #: Pull cycles completed (drives the pruning cadence).
-    pulls: int = 0
     #: Replay window over the shard index publications.
     index: ReplayWindow = field(default_factory=ReplayWindow)
 
@@ -243,8 +246,7 @@ class RADisseminationClient:
             name: (feed.position, feed.head.cursor) for name, feed in self.feeds.items()
         }
         checkpoint.discoveries = {
-            name: (record.pulls, record.index.cursor)
-            for name, record in self.sharded.items()
+            name: record.index.cursor for name, record in self.sharded.items()
         }
         write_checkpoint(checkpoint, directory)
         return len(checkpoint.replicas)
@@ -269,9 +271,8 @@ class RADisseminationClient:
                 feed.head.cursor = cursor
                 if replica.signed_root is not None:
                     feed.position = position
-        for name, (pulls, cursor) in checkpoint.discoveries.items():
+        for name, cursor in checkpoint.discoveries.items():
             if name in self.sharded:
-                self.sharded[name].pulls = pulls
                 self.sharded[name].index.cursor = cursor
         return restored
 
@@ -378,18 +379,17 @@ class RADisseminationClient:
 
     def _refresh_shard_set(self, ca_name: str, now: float, result: PullResult) -> None:
         """Discovery and pruning for one sharded CA: which replicas to hold."""
-        index = None
         try:
-            index = self._discover_shards(ca_name, now, result)
+            self._discover_shards(ca_name, now, result)
         except (CDNError, DictionaryError, TLSError) as exc:
             result.errors.append(f"{ca_name}: {exc}")
         # Pruning depends only on the local clock, so it must not be
         # suppressible by a missing/forged index object: expired shard
         # replicas are reclaimed whether or not the index decoded.
-        self._prune_sharded(ca_name, index, now, result)
+        self._prune_sharded(ca_name, now, result)
 
-    def _discover_shards(self, ca_name: str, now: float, result: PullResult):
-        """Register a replica for every live shard the index lists; returns it."""
+    def _discover_shards(self, ca_name: str, now: float, result: PullResult) -> None:
+        """Register a replica for every live shard the index lists."""
         discovery = self.sharded[ca_name]
         download = self.cdn.download(shard_index_path(ca_name), self.location, now)
         result.bytes_downloaded += download.bytes_on_wire
@@ -410,13 +410,8 @@ class RADisseminationClient:
                 f"{index.width_seconds}s but the agent is configured with "
                 f"{width}s"
             )
-        if discovery.index.skips(
-            index.sequence,
-            self.agent.config.replay_window,
-            f"shard index for {ca_name!r}",
-            result,
-        ):
-            return index
+        if discovery.index.skips(index.sequence, f"shard index for {ca_name!r}", result):
+            return
         discovery.index.cursor = index.sequence
         plausible_end = now + MAX_CERTIFICATE_LIFETIME_SECONDS + width
         # Dedup before iterating: a forged index repeating one live entry a
@@ -447,37 +442,22 @@ class RADisseminationClient:
             feed = self._feed(name)
             if feed.sync_server is None and discovery.sync_server_for is not None:
                 feed.sync_server = discovery.sync_server_for(name)
-        return index
 
-    def _prune_sharded(self, ca_name: str, index, now: float, result: PullResult) -> None:
+    def _prune_sharded(self, ca_name: str, now: float, result: PullResult) -> None:
         """Reclaim expired shard replicas of one sharded CA.
 
-        Runs every pull (whether or not the index fetch succeeded) and
-        prunes when the cadence fires — or promptly when the decoded
-        index's retired list names a shard the RA still holds.  Either way
-        replicas are dropped solely by the local-clock window check, so a
-        forged retired list cannot make the RA delete live shards.
+        Runs every pull, whether or not the index fetch succeeded: replicas
+        are dropped solely by the local-clock window check, so nothing the
+        CDN serves can make the RA delete a live shard or keep a dead one.
         """
-        width = self.agent.issuers[ca_name].shard_width
-        held_indices = self.agent.shard_replicas(ca_name)
-        ca_retired_held = index is not None and any(
-            idx in held_indices and ShardKey(idx, width).is_expired(now)
-            for idx in index.retired
-        )
-        discovery = self.sharded[ca_name]
-        discovery.pulls += 1
-        if (
-            ca_retired_held
-            or discovery.pulls % self.agent.config.prune_every_periods == 0
-        ):
-            held = [shard_name(ca_name, idx) for idx in held_indices]
-            entries, bytes_freed = self.agent.prune_shard_replicas(ca_name, now)
-            for name in held:
-                if name not in self.agent.replicas:
-                    result.shards_pruned += 1
-                    self.feeds.pop(name, None)
-            result.entries_pruned += entries
-            result.bytes_reclaimed += bytes_freed
+        held = [shard_name(ca_name, idx) for idx in self.agent.shard_replicas(ca_name)]
+        entries, bytes_freed = self.agent.prune_shard_replicas(ca_name, now)
+        for name in held:
+            if name not in self.agent.replicas:
+                result.shards_pruned += 1
+                self.feeds.pop(name, None)
+        result.entries_pruned += entries
+        result.bytes_reclaimed += bytes_freed
 
     def _pull_one(
         self, ca_name: str, replica, now: float, result: PullResult, peer=None
@@ -500,12 +480,7 @@ class RADisseminationClient:
         result.heads_checked += 1
         head = decode_head(download.content)
 
-        if feed.head.skips(
-            head.sequence,
-            self.agent.config.replay_window,
-            f"head for {ca_name!r}",
-            result,
-        ):
+        if feed.head.skips(head.sequence, f"head for {ca_name!r}", result):
             return
 
         self.agent.consistency.observe_root(head.signed_root)

@@ -431,16 +431,15 @@ class ShardIndex:
     """The per-CA shard discovery object of sharded mode (§VIII).
 
     RAs pull this small object every Δ to learn which expiry shards the CA
-    currently maintains (``live``) and which it has retired (``retired``),
-    then pull one head object per live shard and prune replicas of retired
-    ones.  ``width_seconds`` lets an RA map a certificate expiry to a shard
-    index without further round trips.
+    currently maintains (``live``), then pull one head object per live shard.
+    Replicas of passed windows are pruned by the RA's own clock, so the index
+    names no retired ones.  ``width_seconds`` lets an RA map a certificate
+    expiry to a shard index without further round trips.
     """
 
     ca_name: str
     width_seconds: int
     live: Tuple[int, ...]
-    retired: Tuple[int, ...] = ()
     #: Per-CA publication counter (unauthenticated, replay detection only).
     sequence: int = 0
 
@@ -452,7 +451,6 @@ def encode_shard_index(index: ShardIndex) -> bytes:
             "ca": index.ca_name,
             "width_seconds": index.width_seconds,
             "live": list(index.live),
-            "retired": list(index.retired),
             "sequence": index.sequence,
         },
         sort_keys=True,
@@ -475,7 +473,6 @@ def decode_shard_index(data: bytes) -> ShardIndex:
             ca_name=payload["ca"],
             width_seconds=width_seconds,
             live=tuple(int(i) for i in payload["live"]),
-            retired=tuple(int(i) for i in payload["retired"]),
             sequence=sequence,
         )
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:

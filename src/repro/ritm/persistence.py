@@ -16,7 +16,7 @@ This module alone lays the file out::
     u32 n | n × (name ca, u32 m, m × (i64 shard index, name replica))
     u32 n | n × (name ca, u32-framed key-announcement chain, u64 keyring clock)
     u32 n | n × (name replica, u64 feed position, u64 head cursor)
-    u32 n | n × (name ca, u64 shard-discovery pulls, u64 index cursor)
+    u32 n | n × (name ca, u64 shard-index cursor)
     u32 n | n × (u16-framed trust-anchor key, u32-framed sync response)
     u32 CRC32 of everything before it
 
@@ -78,8 +78,8 @@ class AgentCheckpoint:
     keyrings: Dict[str, Tuple[bytes, int]] = field(default_factory=dict)
     #: Replica name → (stream position, head replay cursor).
     feeds: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    #: Sharded CA name → (pull cycles completed, shard-index replay cursor).
-    discoveries: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+    #: Sharded CA name → shard-index replay cursor.
+    discoveries: Dict[str, int] = field(default_factory=dict)
     replicas: List[ReplicaCheckpoint] = field(default_factory=list)
 
 
@@ -109,10 +109,12 @@ def _encode(checkpoint: AgentCheckpoint) -> bytes:
     parts.append(_COUNT.pack(len(checkpoint.keyrings)))
     for ca_name, (chain, clock) in checkpoint.keyrings.items():
         parts += [_name(ca_name), _COUNT.pack(len(chain)), chain, _LONG.pack(clock)]
-    for table in (checkpoint.feeds, checkpoint.discoveries):
-        parts.append(_COUNT.pack(len(table)))
-        for name, pair in table.items():
-            parts += [_name(name), _PAIR.pack(*pair)]
+    parts.append(_COUNT.pack(len(checkpoint.feeds)))
+    for name, pair in checkpoint.feeds.items():
+        parts += [_name(name), _PAIR.pack(*pair)]
+    parts.append(_COUNT.pack(len(checkpoint.discoveries)))
+    for name, cursor in checkpoint.discoveries.items():
+        parts += [_name(name), _LONG.pack(cursor)]
     parts.append(_COUNT.pack(len(checkpoint.replicas)))
     for replica in checkpoint.replicas:
         state = encode_sync_response(replica.state)
@@ -165,10 +167,12 @@ def _decode(data: bytes) -> AgentCheckpoint:
             ca_name = name()
             chain = take(unpack(_COUNT))
             checkpoint.keyrings[ca_name] = (chain, unpack(_LONG))
-        for table in (checkpoint.feeds, checkpoint.discoveries):
-            for _ in range(unpack(_COUNT)):
-                entry = name()
-                table[entry] = unpack(_PAIR)
+        for _ in range(unpack(_COUNT)):
+            entry = name()
+            checkpoint.feeds[entry] = unpack(_PAIR)
+        for _ in range(unpack(_COUNT)):
+            entry = name()
+            checkpoint.discoveries[entry] = unpack(_LONG)
         for _ in range(unpack(_COUNT)):
             key_bytes = take(unpack(_SHORT))
             state = decode_sync_response(take(unpack(_COUNT)))

@@ -33,7 +33,7 @@ from repro.scenarios.report import (
     ScenarioCheck,
     ScenarioReport,
 )
-from repro.scenarios.engine.runner import ScenarioRunner, run_scenario
+from repro.scenarios.engine.core import run_scenario
 
 __all__ = [
     "ScenarioConfig",
@@ -48,7 +48,6 @@ __all__ = [
     "CACHE_METRIC_KEYS",
     "FLEET_METRIC_KEYS",
     "REPLICATION_METRIC_KEYS",
-    "ScenarioRunner",
     "run_scenario",
     "register",
     "get",

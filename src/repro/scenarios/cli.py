@@ -21,7 +21,7 @@ from typing import List, Optional
 from repro.analysis.reporting import format_table, human_bytes
 from repro.errors import ConfigurationError
 from repro.scenarios import registry
-from repro.scenarios.engine.runner import run_scenario
+from repro.scenarios.engine.core import run_scenario
 from repro.store import ENGINES
 
 
@@ -94,13 +94,11 @@ def _cmd_describe(name: str) -> int:
         ("faults", ", ".join(f"{f.kind}@{f.at_period}" for f in config.faults) or "none"),
         ("victim_host", config.victim_host or "none"),
         ("long_lived_session", config.long_lived_session),
-        ("compare_engines", ", ".join(config.compare_engines) or "none"),
         ("baseline", config.baseline or "none"),
         (
             "sharded",
             f"width {config.shard_width_periods} periods, "
-            f"lifetime {config.cert_lifetime_periods} periods, "
-            f"prune every {config.prune_every_periods}"
+            f"lifetime {config.cert_lifetime_periods} periods"
             if config.sharded
             else False,
         ),

@@ -3,8 +3,8 @@
 A :class:`ScenarioConfig` is the complete, validated description of one
 operational scenario: which workload drives the CA, how the deployment is
 shaped (Δ, store engine, RA fleet), which faults are injected when, and which
-optional study phases (victim handshakes, long-lived session, engine
-comparison, baseline comparison) the runner should execute.
+optional study phases (victim handshakes, long-lived session, baseline
+comparison) the runner should execute.
 
 Configs are frozen dataclasses so a registered scenario can never be mutated
 by a run; parameter sweeps go through :meth:`ScenarioConfig.with_overrides`
@@ -42,14 +42,19 @@ BASELINES = ("", "ocsp-stapling")
 WORKLOAD_KINDS = ("trace", "scripted")
 
 #: Named per-RA link profiles resolvable to :class:`repro.net.Link` shapes.
-#: ``""`` disables link modelling (pull latency stays purely computational),
-#: ``mixed`` cycles lan/metro/wan across the fleet by agent index, and
-#: ``stalled`` models a pathologically slow RA uplink.
-LINK_PROFILES = ("", "lan", "metro", "wan", "stalled", "mixed")
+#: ``""`` disables link modelling (pull latency stays purely computational)
+#: and ``stalled`` models a pathologically slow RA uplink.
+LINK_PROFILES = ("", "lan", "metro", "wan", "stalled")
 
-#: Profiles a ``link_overrides`` entry may name (a concrete shape, not a
-#: fleet-wide policy like ``mixed`` or the empty default).
-CONCRETE_LINK_PROFILES = ("lan", "metro", "wan", "stalled")
+#: Profiles a ``link_overrides`` entry may name (a concrete shape, not the
+#: empty default).
+CONCRETE_LINK_PROFILES = LINK_PROFILES[1:]
+
+#: Simulated Unix time a scripted scenario starts at.
+SCENARIO_EPOCH = 1_400_000_000
+
+#: The name of the one CA every scenario deploys.
+SCENARIO_CA_NAME = "Scenario CA"
 
 
 def _region_for(name: str) -> Region:
@@ -238,13 +243,13 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class ClientStreamSpec:
-    """Streamed client-hello load served by the RA fleet (soak scenarios).
+    """The client-hello load served by the RA fleet.
 
     Declares a :class:`repro.workloads.streaming.StreamConfig`-shaped trace —
     Zipf site popularity, diurnal timing, certificate-lifetime mix — that the
-    engine's ``ClientLoadActor`` walks in ``O(batch_size)`` memory.  Mutually
-    exclusive with the legacy evenly-spread :attr:`ScenarioConfig.client_handshakes`
-    knob.
+    engine's ``ClientLoadActor`` walks in ``O(batch_size)`` memory.  With
+    ``diurnal_amplitude=0.0`` the load is flat: every period gets an equal
+    share of ``events_total``.
     """
 
     #: Distinct clients in the simulated population.
@@ -313,18 +318,12 @@ class ScenarioConfig:
     duration_periods: int = 0
     faults: Tuple[FaultSpec, ...] = ()
     store_engine: str = DEFAULT_ENGINE
-    #: 0 derives a chain long enough for the whole run.
-    chain_length: int = 0
-    ca_name: str = "Scenario CA"
     #: When set, the runner issues a certificate for this host, runs a
     #: handshake before the workload and another after it.
     victim_host: str = ""
     #: Keep a TLS session open across the run and measure mid-session
     #: revocation detection (requires ``victim_host``).
     long_lived_session: bool = False
-    #: Re-run the revocation workload against each named store engine and
-    #: record wall-clock timings plus root agreement.
-    compare_engines: Tuple[str, ...] = ()
     #: Compare the observed attack window against a baseline scheme.
     baseline: str = ""
     #: Run the CA in expiry-split mode (§VIII "Ever-growing dictionaries"):
@@ -338,8 +337,6 @@ class ScenarioConfig:
     #: Certificate-lifetime spread, in Δ periods: each revoked certificate's
     #: expiry falls 1..N periods after its revocation (sharded mode only).
     cert_lifetime_periods: int = 0
-    #: How often (in Δ periods) the CA retires and RAs prune expired shards.
-    prune_every_periods: int = 1
     #: CA key-rotation schedule in Δ refresh periods (0 = keys never
     #: rotate); threaded into :class:`~repro.ritm.config.RITMConfig`.
     key_rotation_periods: int = 0
@@ -347,8 +344,6 @@ class ScenarioConfig:
     #: just-retired key still verify.  Must stay below
     #: ``key_rotation_periods`` when rotation is enabled.
     key_overlap_periods: int = 1
-    #: Simulated Unix time the scenario starts at (scripted workloads).
-    epoch: int = 1_400_000_000
     #: Expand the declared agents into a fleet of this many RAs (0 keeps the
     #: declared agents as-is).  Clones cycle the declared specs and are named
     #: ``<template>-NNN``; see :meth:`effective_agents`.
@@ -366,15 +361,12 @@ class ScenarioConfig:
     #: Per-agent link-profile overrides, keyed by effective agent name; each
     #: value must be a concrete profile (:data:`CONCRETE_LINK_PROFILES`).
     link_overrides: Mapping[str, str] = field(default_factory=dict)
-    #: Master seed for every stochastic draw the engine makes (jitter,
-    #: client-handshake sampling, gossip ring ordering).  Two runs of the
+    #: Master seed for the engine's scheduling draws (pull jitter, gossip
+    #: ring ordering; the client stream has its own seed).  Two runs of the
     #: same config and seed produce byte-identical report JSON.
     rng_seed: int = 404
-    #: Total client status handshakes served across the run, spread evenly
-    #: over periods and the RA fleet (0 disables client load).
-    client_handshakes: int = 0
-    #: Streamed Zipf/diurnal client load (see :class:`ClientStreamSpec`);
-    #: mutually exclusive with :attr:`client_handshakes`.
+    #: The client status handshakes the fleet serves (see
+    #: :class:`ClientStreamSpec`); ``None`` runs without client load.
     client_stream: "ClientStreamSpec | None" = None
     #: Serve steady-state RA pulls from verified WAL segments (the
     #: docs/REPLICATION.md transport) instead of per-pull batch objects,
@@ -382,6 +374,8 @@ class ScenarioConfig:
     segment_streaming: bool = False
     #: Field overrides applied by :meth:`smoke` for fast CI runs.
     smoke_overrides: Mapping[str, Any] = field(default_factory=dict)
+    #: Labels for ``python -m repro list``; ``soak`` also selects the soak
+    #: study (see :attr:`soak_study`).
     tags: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -400,12 +394,6 @@ class ScenarioConfig:
                 f"unknown store engine {self.store_engine!r}; "
                 f"available engines: {sorted(ENGINES)}"
             )
-        for engine in self.compare_engines:
-            if engine not in ENGINES:
-                raise ConfigurationError(
-                    f"unknown comparison engine {engine!r}; "
-                    f"available engines: {sorted(ENGINES)}"
-                )
         if self.baseline not in BASELINES:
             raise ConfigurationError(
                 f"unknown baseline {self.baseline!r}; expected one of {BASELINES}"
@@ -503,8 +491,6 @@ class ScenarioConfig:
             raise ConfigurationError("long_lived_session requires victim_host")
         if self.baseline and not self.victim_host:
             raise ConfigurationError("a baseline comparison requires victim_host")
-        if self.prune_every_periods < 1:
-            raise ConfigurationError("prune_every_periods must be at least 1")
         if self.key_rotation_periods < 0:
             raise ConfigurationError("key_rotation_periods cannot be negative")
         if self.key_rotation_periods:
@@ -570,21 +556,16 @@ class ScenarioConfig:
                     f"link override for {agent_name!r} names {profile!r}; "
                     f"expected one of {CONCRETE_LINK_PROFILES}"
                 )
-        if self.client_handshakes < 0:
-            raise ConfigurationError("client_handshakes cannot be negative")
-        if self.client_stream is not None and self.client_handshakes:
-            raise ConfigurationError(
-                "client_stream and client_handshakes are mutually "
-                "exclusive ways to drive client load; set one"
-            )
 
     # -- derived values ------------------------------------------------------------
 
-    def effective_chain_length(self, duration_periods: int) -> int:
-        """The hash-chain length to deploy: explicit, or derived from duration."""
-        if self.chain_length:
-            return self.chain_length
-        return max(64, duration_periods + 16)
+    @property
+    def soak_study(self) -> bool:
+        """Whether the run closes with the soak study (docs/WORKLOADS.md):
+        differential verdicts of every RA against an in-memory oracle, the
+        stream generator's memory budget, and subsystem coverage.  A
+        client-load scenario tagged ``soak`` gets it."""
+        return self.client_stream is not None and "soak" in self.tags
 
     def attack_window_seconds(self) -> int:
         """The paper's 2Δ bound for this scenario's Δ."""

@@ -15,17 +15,15 @@ loop that used to live in ``repro.scenarios.runner``.  The moving parts:
 * :mod:`~repro.scenarios.engine.links` — per-RA uplink shapes drawn from
   :class:`repro.net.Link` profiles;
 * :mod:`~repro.scenarios.engine.core` — the :class:`FleetEngine`
-  orchestrator; :mod:`~repro.scenarios.engine.runner` — the public
-  :class:`ScenarioRunner` facade.
+  orchestrator and :func:`run_scenario`, the one entry point.
 
 With every concurrency knob at its default the engine reproduces the
 serial runner's reports verdict-for-verdict; the knobs
 (``fleet_size``, ``pull_stagger_seconds``, ``pull_jitter_seconds``,
-``link_profile``, ``client_handshakes``) unlock the
+``link_profile``, ``client_stream``) unlock the
 contention scenarios described in docs/SCENARIOS.md.
 """
 
-from repro.scenarios.engine.core import FleetEngine
-from repro.scenarios.engine.runner import ScenarioRunner, run_scenario
+from repro.scenarios.engine.core import FleetEngine, run_scenario
 
-__all__ = ["FleetEngine", "ScenarioRunner", "run_scenario"]
+__all__ = ["FleetEngine", "run_scenario"]

@@ -38,9 +38,6 @@ from repro.scenarios.engine.mailbox import Message
 from repro.scenarios.engine.state import AgentRuntime
 from repro.workloads.streaming import ClientEvent, uniform_slot_counts
 
-#: Serial space the absent-probe sampler draws from (3-byte serials).
-_SERIAL_SPACE = 256**3 - 1
-
 
 class CADirector:
     """The CA-side actor: one firing per Δ period at the bin start."""
@@ -164,7 +161,6 @@ class RAActor:
         cfg = engine.state.config
         stem = f"{cfg.name}:{cfg.rng_seed}"
         self._jitter_rng = random.Random(f"{stem}:jitter:{runtime.spec_name}")
-        self._client_rng = random.Random(f"{stem}:clients:{runtime.spec_name}")
         self._period = 0
 
     def start(self) -> None:
@@ -369,27 +365,20 @@ class RAActor:
     def _drain_mailbox(self, now: float) -> None:
         """Process queued messages, serving client batches before the pull.
 
-        A streamed batch carries only a cursor and a count; its events are
+        A batch carries only a cursor and a count; its events are
         regenerated here from the run's shared
         :class:`~repro.workloads.streaming.StreamingWorkload` in
         ``O(batch_size)`` memory, so a million-client period never
-        materializes its client population.  A legacy batch carries a bare
-        count and draws its serials from the agent's seeded sampler.
+        materializes its client population.
         """
         state = self.engine.state
         for message in self.runtime.mailbox.drain():
             if message.kind != "client-batch":
                 continue
-            count = int(message.payload["count"])
-            if "start" in message.payload:
-                start = int(message.payload["start"])
-                serials = (
-                    self._stream_serial(event)
-                    for event in state.client_stream.events(start, start + count)
-                )
-            else:
-                serials = (self._sample_serial() for _ in range(count))
-            self._serve_clients(serials, now)
+            start = int(message.payload["start"])
+            end = start + int(message.payload["count"])
+            events = state.client_stream.events(start, end)
+            self._serve_clients((self._stream_serial(event) for event in events), now)
 
     def _serve_clients(self, serials: Iterable[SerialNumber], now: float) -> None:
         """Serve one batch of status handshakes against the pre-pull replicas.
@@ -434,19 +423,6 @@ class RAActor:
             return serial
         return SerialNumber(state.client_stream.site_serial(event.site))
 
-    def _sample_serial(self) -> SerialNumber:
-        """Draw a status-query serial: 80 % issued, 20 % absent probes."""
-        state = self.engine.state
-        rng = self._client_rng
-        if state.numbered and rng.random() < 0.8:
-            _, serial = state.numbered[rng.randrange(len(state.numbered))]
-            return serial
-        issued = self.engine.issued_values()
-        while True:
-            value = rng.randrange(1, _SERIAL_SPACE + 1)
-            if value not in issued:
-                return SerialNumber(value)
-
 
 class ClientLoadActor:
     """Schedules the run's client load over periods and the RA fleet.
@@ -457,45 +433,30 @@ class ClientLoadActor:
     hit the pre-pull replica state — and a restarted RA visibly accumulates
     unserved batches).
 
-    Two load shapes share this actor.  The legacy
-    ``client_handshakes`` knob spreads a flat total evenly over every
-    (period, agent) slot — the original bespoke ``divmod`` loop, now
-    delegated to :func:`repro.workloads.streaming.uniform_slot_counts` and
-    byte-identical to it.  A ``client_stream`` config instead takes its
-    per-period totals from the streaming generator's diurnal schedule and
-    posts *cursors into the trace* rather than bare counts, so the messages
-    stay O(1) no matter how many clients the stream models.
+    Each period's total comes from the client stream's diurnal schedule
+    (flat when its amplitude is 0) and is split evenly over the fleet by
+    :func:`repro.workloads.streaming.uniform_slot_counts`.  The messages
+    carry *cursors into the trace* rather than events, so they stay O(1) no
+    matter how many clients the stream models.
     """
 
     def __init__(self, engine) -> None:
-        """Precompute the per-(period, agent) schedule for the load shape."""
+        """Precompute the per-(period, agent) ``(cursor, count)`` schedule."""
         self.engine = engine
         state = engine.state
-        cfg = state.config
         fleet = len(state.runtimes)
-        periods = len(state.periods)
+        delta = state.config.delta_seconds
+        first = state.periods[0][1]
+        boundaries = [first + p * delta for p in range(len(state.periods) + 1)]
         self._period = 0
-        if state.client_stream is not None:
-            delta = cfg.delta_seconds
-            first = state.periods[0][1]
-            boundaries = [first + p * delta for p in range(periods + 1)]
-            counts = state.client_stream.period_counts(boundaries)
-            self._plan: List[List[Tuple[int, int]]] = []
-            cursor = 0
-            for count in counts:
-                entries = []
-                for share in uniform_slot_counts(count, fleet):
-                    entries.append((cursor, share))
-                    cursor += share
-                self._plan.append(entries)
-            self._streamed = True
-        else:
-            counts = uniform_slot_counts(cfg.client_handshakes, periods * fleet)
-            self._plan = [
-                [(0, counts[period * fleet + index]) for index in range(fleet)]
-                for period in range(periods)
-            ]
-            self._streamed = False
+        self._plan: List[List[Tuple[int, int]]] = []
+        cursor = 0
+        for count in state.client_stream.period_counts(boundaries):
+            entries = []
+            for share in uniform_slot_counts(count, fleet):
+                entries.append((cursor, share))
+                cursor += share
+            self._plan.append(entries)
 
     def start(self) -> None:
         """Schedule one mid-period batch posting per period."""
@@ -518,9 +479,7 @@ class ClientLoadActor:
             start, count = self._plan[period][index]
             if not count:
                 continue
-            payload = {"period": period, "count": count}
-            if self._streamed:
-                payload["start"] = start
+            payload = {"period": period, "count": count, "start": start}
             runtime.mailbox.post(
                 Message(kind="client-batch", posted_at=now, payload=payload)
             )

@@ -17,7 +17,6 @@ from typing import Dict, List
 from repro.ritm.client import RejectionReason
 from repro.scenarios.config import FaultSpec
 from repro.scenarios.engine import studies
-from repro.scenarios.engine.links import profile_name_for_agent
 from repro.scenarios.engine.metrics import peak_concurrency
 from repro.scenarios.engine.state import RunState
 from repro.scenarios.report import ScenarioCheck
@@ -160,14 +159,6 @@ def build_checks(state: RunState, extras: Dict[str, object]) -> List[ScenarioChe
         checks.extend(
             region_outage_checks(extras["replication"], cfg.attack_window_seconds())
         )
-    if cfg.compare_engines and "engine_comparison" in extras:
-        checks.append(
-            ScenarioCheck(
-                "engines-agree-on-root",
-                bool(extras["engine_comparison"]["roots_agree"]),
-                ", ".join(cfg.compare_engines),
-            )
-        )
     checks.extend(fleet_checks(state))
     return checks
 
@@ -184,14 +175,12 @@ def fleet_checks(state: RunState) -> List[ScenarioCheck]:
     peak = peak_concurrency(state.pull_intervals)
 
     stream = cfg.client_stream
-    load_total = cfg.client_handshakes or (stream.events_total if stream else 0)
-    if load_total:
+    if stream is not None:
         checks.append(
             ScenarioCheck(
                 "client-load-served",
-                state.handshakes_served == load_total,
-                f"{state.handshakes_served}/{load_total} "
-                f"{'streamed ' if stream else ''}handshakes "
+                state.handshakes_served == stream.events_total,
+                f"{state.handshakes_served}/{stream.events_total} streamed handshakes "
                 f"served, {state.handshake_roots_verified} sampled root(s) "
                 f"re-verified",
             )
@@ -216,11 +205,7 @@ def fleet_checks(state: RunState) -> List[ScenarioCheck]:
             )
         )
 
-    stalled = [
-        r
-        for index, r in enumerate(state.runtimes)
-        if profile_name_for_agent(cfg, r.spec_name, index) == "stalled"
-    ]
+    stalled = [r for r in state.runtimes if r.link is not None and r.link.name == "stalled"]
     if stalled:
         healthy = [r for r in state.runtimes if r not in stalled]
         worst_healthy = max((r.max_lag_seconds for r in healthy), default=0.0)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 import shutil
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cdn import CDNNetwork, GeoLocation
 from repro.crypto import KeyPair
@@ -38,7 +38,7 @@ from repro.ritm import (
     RevocationAgent,
     attach_agent_to_cas,
 )
-from repro.scenarios.config import ScenarioConfig
+from repro.scenarios.config import SCENARIO_CA_NAME, SCENARIO_EPOCH, ScenarioConfig
 from repro.scenarios.engine import studies
 from repro.scenarios.engine.actors import CADirector, ClientLoadActor, RAActor
 from repro.scenarios.engine.checks import build_checks
@@ -65,6 +65,11 @@ from repro.workloads import generate_trace, serials_for_count
 from repro.workloads.streaming import StreamingWorkload
 
 
+def chain_length_for(duration_periods: int) -> int:
+    """A hash-chain length that outlasts a run of ``duration_periods``."""
+    return max(64, duration_periods + 16)
+
+
 def build_timeline(
     cfg: ScenarioConfig,
 ) -> Tuple[List[Tuple[int, float]], List[Tuple[int, bool, str]]]:
@@ -88,7 +93,7 @@ def build_timeline(
         ]
         return periods, counts
     periods = [
-        (period, float(cfg.epoch + period * cfg.delta_seconds))
+        (period, float(SCENARIO_EPOCH + period * cfg.delta_seconds))
         for period in range(cfg.duration_periods)
     ]
     counts: List[Tuple[int, bool, str]] = [(0, False, "")] * len(periods)
@@ -130,12 +135,8 @@ class FleetEngine:
         #: Running total of handshakes served, driving the sampled root
         #: re-verification (every ``verify_every``-th handshake).
         self.handshake_counter = 0
-        load_total = config.client_handshakes or (
-            config.client_stream.events_total if config.client_stream else 0
-        )
-        self.verify_every = max(1, load_total // 400) if load_total else 0
-        self._issued_set: Set[int] = set()
-        self._issued_synced = 0
+        stream = config.client_stream
+        self.verify_every = max(1, stream.events_total // 400) if stream else 0
 
     # -- run orchestration -----------------------------------------------------------
 
@@ -147,7 +148,7 @@ class FleetEngine:
         ritm_config = self._build_ritm_config(duration)
         setup_time = periods[0][1] - 2
 
-        authority = CertificationAuthority(cfg.ca_name, key_seed=cfg.name.encode())
+        authority = CertificationAuthority(SCENARIO_CA_NAME, key_seed=cfg.name.encode())
         cdn = CDNNetwork()
         ca = RITMCertificationAuthority(authority, ritm_config, cdn)
         ca.bootstrap(now=setup_time)
@@ -190,7 +191,7 @@ class FleetEngine:
                     client=client,
                     location=location,
                     fleet_index=index,
-                    link=link_for_agent(cfg, spec.name, index),
+                    link=link_for_agent(cfg, spec.name),
                     mailbox=Mailbox(spec.name),
                 )
             )
@@ -211,14 +212,13 @@ class FleetEngine:
             ritm_kwargs = {
                 "sharded": True,
                 "shard_width_seconds": cfg.shard_width_periods * cfg.delta_seconds,
-                "prune_every_periods": cfg.prune_every_periods,
             }
         if cfg.key_rotation_periods:
             ritm_kwargs["key_rotation_periods"] = cfg.key_rotation_periods
             ritm_kwargs["key_overlap_periods"] = cfg.key_overlap_periods
         return RITMConfig(
             delta_seconds=cfg.delta_seconds,
-            chain_length=cfg.effective_chain_length(duration),
+            chain_length=chain_length_for(duration),
             store_engine=cfg.store_engine,
             **ritm_kwargs,
         )
@@ -231,15 +231,15 @@ class FleetEngine:
         cfg = self.config
         if not (
             cfg.sharded
-            or cfg.client_stream is not None
+            or cfg.soak_study
             or any(fault.crash or fault.kind == "region-outage" for fault in cfg.faults)
         ):
             return None
         return CADictionary(
-            ca_name=cfg.ca_name,
+            ca_name=SCENARIO_CA_NAME,
             keys=KeyPair.generate(f"{cfg.name}-oracle".encode()),
             delta=cfg.delta_seconds,
-            chain_length=cfg.effective_chain_length(duration),
+            chain_length=chain_length_for(duration),
             engine="incremental",
         )
 
@@ -258,8 +258,7 @@ class FleetEngine:
             ShardedStorageRecorder(),
             SessionKeeper(),
         ]
-        if cfg.client_stream is not None:
-            # Appended last so legacy observer ordering is untouched.
+        if cfg.soak_study:
             self.observers.append(SoakRecorder())
         # Registration order is the same-time tiebreaker: the director's
         # first firing precedes the fleet's first pulls, and the fleet is
@@ -267,7 +266,7 @@ class FleetEngine:
         CADirector(self).start()
         for runtime in state.runtimes:
             RAActor(self, runtime).start()
-        if cfg.client_handshakes or cfg.client_stream is not None:
+        if cfg.client_stream is not None:
             ClientLoadActor(self).start()
         self.scheduler.run_all()
         state.scheduler_events_processed = self.scheduler.processed_events
@@ -311,14 +310,6 @@ class FleetEngine:
             for observer in self.observers:
                 observer.after_pulls(ctx, self.state)
 
-    def issued_values(self) -> Set[int]:
-        """Every issued serial value so far (for absent-probe sampling)."""
-        numbered = self.state.numbered
-        while self._issued_synced < len(numbered):
-            self._issued_set.add(numbered[self._issued_synced][1].value)
-            self._issued_synced += 1
-        return self._issued_set
-
     # -- post-run assembly -----------------------------------------------------------
 
     def _assemble_report(self, duration: int) -> ScenarioReport:
@@ -328,8 +319,6 @@ class FleetEngine:
         extras: Dict[str, object] = {}
         if state.victim is not None:
             studies.final_handshake(state, end_time + 3)
-        if cfg.compare_engines:
-            extras["engine_comparison"] = studies.compare_engines(state)
         if cfg.baseline and state.victim is not None and state.victim.revoked_at is not None:
             extras["baseline"] = studies.baseline_comparison(state)
         if state.victim is not None:
@@ -344,7 +333,7 @@ class FleetEngine:
             extras["equivocation"] = studies.equivocation_extras(state)
         if cfg.key_rotation_periods:
             extras["key_rotation"] = studies.key_rotation_extras(state)
-        if cfg.client_stream is not None:
+        if cfg.soak_study:
             extras["soak"] = studies.soak_extras(state, end_time)
 
         return ScenarioReport(
@@ -375,3 +364,10 @@ class FleetEngine:
             state.oracle.close()
         for directory in state.checkpoint_dirs:
             shutil.rmtree(directory, ignore_errors=True)
+
+
+def run_scenario(config: ScenarioConfig, smoke: bool = False) -> ScenarioReport:
+    """Run ``config`` (optionally its smoke variant) and return the report."""
+    if smoke:
+        config = config.smoke()
+    return FleetEngine(config).run()

@@ -10,7 +10,6 @@ latency.  Profiles:
 * ``stalled`` — a pathologically slow uplink (25 s propagation delay at
   256 kbit/s), used by the ``slow-ra-holb`` scenario to push one RA's
   dissemination lag past the 2Δ bound without delaying anyone else;
-* ``mixed`` — cycles lan → metro → wan across the fleet by agent index;
 * ``""`` — no link modelling (the serial runner's behaviour).
 
 ``link_overrides`` pins individual agents to a concrete profile on top of
@@ -38,10 +37,6 @@ def stalled_link() -> Link:
     )
 
 
-#: The cycle order used by the ``mixed`` fleet-wide profile.
-_MIXED_CYCLE = ("lan", "metro", "wan")
-
-
 def resolve_profile(profile: str) -> Link:
     """The :class:`Link` for one concrete profile name."""
     if profile == "lan":
@@ -55,29 +50,11 @@ def resolve_profile(profile: str) -> Link:
     raise ValueError(f"not a concrete link profile: {profile!r}")
 
 
-def link_for_agent(
-    config: ScenarioConfig, agent_name: str, agent_index: int
-) -> Optional[Link]:
+def link_for_agent(config: ScenarioConfig, agent_name: str) -> Optional[Link]:
     """The uplink to model for one RA, or ``None`` for no link modelling.
 
     An entry in :attr:`~repro.scenarios.config.ScenarioConfig.link_overrides`
-    wins over the fleet-wide profile; the ``mixed`` profile cycles the
-    standard shapes by fleet index so expanded fleets get heterogeneous
-    connectivity deterministically.
+    wins over the fleet-wide profile.
     """
-    override = config.link_overrides.get(agent_name, "")
-    if override:
-        return resolve_profile(override)
-    if not config.link_profile:
-        return None
-    if config.link_profile == "mixed":
-        return resolve_profile(_MIXED_CYCLE[agent_index % len(_MIXED_CYCLE)])
-    return resolve_profile(config.link_profile)
-
-
-def profile_name_for_agent(
-    config: ScenarioConfig, agent_name: str, agent_index: int
-) -> str:
-    """The resolved profile name for one RA (``""`` when unmodelled)."""
-    link = link_for_agent(config, agent_name, agent_index)
-    return link.name if link is not None else ""
+    profile = config.link_overrides.get(agent_name) or config.link_profile
+    return resolve_profile(profile) if profile else None

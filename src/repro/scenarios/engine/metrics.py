@@ -217,7 +217,6 @@ def config_dict(state: RunState, duration: int) -> Dict[str, object]:
             {
                 "shard_width_periods": cfg.shard_width_periods,
                 "cert_lifetime_periods": cfg.cert_lifetime_periods,
-                "prune_every_periods": cfg.prune_every_periods,
             }
             if cfg.sharded
             else {}
@@ -240,7 +239,6 @@ def config_dict(state: RunState, duration: int) -> Dict[str, object]:
         or cfg.pull_jitter_seconds
         or cfg.link_profile
         or cfg.link_overrides
-        or cfg.client_handshakes
         or cfg.client_stream is not None
     )
     if fleet_active:
@@ -251,7 +249,6 @@ def config_dict(state: RunState, duration: int) -> Dict[str, object]:
             "link_profile": cfg.link_profile,
             "link_overrides": dict(cfg.link_overrides),
             "rng_seed": cfg.rng_seed,
-            "client_handshakes": cfg.client_handshakes,
         }
         if cfg.client_stream is not None:
             spec = cfg.client_stream

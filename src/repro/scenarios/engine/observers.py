@@ -367,7 +367,7 @@ class ShardedStorageRecorder(EngineObserver):
 class SoakRecorder(EngineObserver):
     """Append one memory/throughput sample per period of a soak run.
 
-    Registered only for ``client_stream`` scenarios.  Each sample mixes
+    Registered only for runs with the soak study.  Each sample mixes
     deterministic counters (handshakes served, revocations, CA/RA storage,
     the stream generator's own byte accounting) with informational process
     measurements (wall-clock seconds, ``ru_maxrss``).  Verdict checks must

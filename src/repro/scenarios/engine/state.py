@@ -1,6 +1,6 @@
 """The mutable state one scenario run threads through its actors.
 
-:class:`RunState` is the former ``ScenarioRunner`` instance state made
+:class:`RunState` is the serial runner's former instance state made
 explicit: the deployment handles (CA, CDN, fleet runtimes, victim), the
 run's timeline, and every accumulator the period loop used to update
 inline — issuance batches, provability queue, fault bookkeeping, gossip
@@ -46,8 +46,7 @@ class AgentRuntime:
     agent: RevocationAgent
     client: RADisseminationClient
     location: GeoLocation
-    #: The agent's position in the fleet (drives stagger offsets and the
-    #: ``mixed`` link profile's cycle).
+    #: The agent's position in the fleet (drives stagger offsets).
     fleet_index: int = 0
     #: The modelled uplink, or ``None`` for the serial runner's behaviour.
     link: Optional[Link] = None
@@ -134,7 +133,7 @@ class RunState:
     victim: Optional[VictimRuntime] = None
     serial_pool: Optional[object] = None
 
-    # -- the period loop's accumulators (formerly ScenarioRunner._*) --------------
+    # -- the period loop's accumulators ----------------------------------------------
     events: List[Dict[str, object]] = field(default_factory=list)
     pending: List[PendingProvability] = field(default_factory=list)
     #: Every issuance batch of the run, tagged with the stream it went into.
@@ -181,7 +180,7 @@ class RunState:
     #: ``O(batch_size)`` memory.
     client_stream: Optional[object] = None
     #: Per-period soak timeline samples (throughput, storage, memory) the
-    #: ``SoakRecorder`` observer appends for client-stream runs.
+    #: ``SoakRecorder`` observer appends for soak-study runs.
     soak_timeline: List[Dict[str, object]] = field(default_factory=list)
 
     # -- helpers shared by actors and observers --------------------------------------

@@ -1,9 +1,9 @@
 """The study phases that bracket the event loop.
 
 Everything here runs *outside* the scheduler: victim setup happens before
-the first event fires, and the closing handshake, engine comparison,
-baseline comparison, and the crash/rotation/equivocation/sharded extras all
-run after the last event drains.  Each function is a
+the first event fires, and the closing handshake, baseline comparison, and
+the crash/rotation/equivocation/sharded/soak extras all run after the last
+event drains.  Each function is a
 direct port of the serial runner's corresponding phase, taking the shared
 :class:`~repro.scenarios.engine.state.RunState` instead of a runner
 instance, so report extras stay byte-identical.
@@ -11,7 +11,6 @@ instance, so report extras stay byte-identical.
 
 from __future__ import annotations
 
-import time as _time
 from typing import Dict, Optional
 
 from repro.crypto import KeyPair
@@ -20,9 +19,9 @@ from repro.net.clock import SimulatedClock
 from repro.pki import SerialNumber, TrustStore
 from repro.ritm import build_close_to_client_deployment
 from repro.ritm.messages import encode_status, encode_sync_response
+from repro.scenarios.config import SCENARIO_CA_NAME, SCENARIO_EPOCH
 from repro.scenarios.faults import DECOY_SERIAL
 from repro.scenarios.engine.state import AgentRuntime, RunState, VictimRuntime
-from repro.store import create_store
 from repro.workloads.streaming import EVENT_BYTES
 
 
@@ -101,41 +100,14 @@ def final_handshake(state: RunState, now: float) -> None:
     )
 
 
-def compare_engines(state: RunState) -> Dict[str, object]:
-    """Replay the recorded revocation batches against each engine."""
-    comparison: Dict[str, object] = {}
-    roots = set()
-    for engine in state.config.compare_engines:
-        with create_store(engine) as store:
-            number = 0
-            started = _time.perf_counter()
-            for _, batch in state.batches:
-                items = []
-                for serial in batch:
-                    number += 1
-                    items.append((serial.to_bytes(), number.to_bytes(4, "big")))
-                store.insert_batch(items)
-                store.root()
-            elapsed = _time.perf_counter() - started
-            root_hex = store.root().hex()
-        roots.add(root_hex)
-        comparison[engine] = {
-            "seconds": round(elapsed, 6),
-            "serials": number,
-            "root": root_hex[:16],
-        }
-    comparison["roots_agree"] = len(roots) <= 1
-    return comparison
-
-
 def baseline_comparison(state: RunState) -> Dict[str, object]:
     """Replay the victim's timeline against OCSP Stapling."""
     from repro.baselines import CheckContext, GroundTruth, OCSPStaplingScheme
 
     cfg, victim = state.config, state.victim
-    truth = GroundTruth(ca_name=cfg.ca_name)
+    truth = GroundTruth(ca_name=SCENARIO_CA_NAME)
     stapling = OCSPStaplingScheme(truth, response_lifetime=4 * 86_400.0)
-    session_start = float(cfg.epoch)
+    session_start = float(SCENARIO_EPOCH)
     stapling.check(
         CheckContext(
             "scenario-client", cfg.victim_host, victim.serial, now=session_start

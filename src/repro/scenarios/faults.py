@@ -176,7 +176,6 @@ def equivocate_at_edges(
         keys=ca._signing_keys,  # noqa: SLF001 - the CA signs its own forgery
         delta=ca.config.delta_seconds,
         chain_length=honest_head.signed_root.chain_length,
-        digest_size=ca.config.digest_size,
     )
     shadow_issuance = None
     for index, batch in enumerate(batches):

@@ -3,7 +3,8 @@
 Seventeen scenarios ship with the engine.  Four re-express the original
 ``examples/`` scripts (``quickstart``, ``heartbleed``, ``iot-long-lived``,
 ``ca-audit-gossip``); five are new workloads the declarative engine makes
-cheap (``flash-crowd`` with a store-engine comparison, ``degraded-ra``
+cheap (``flash-crowd`` absorbing a burst three orders of magnitude above
+its background, ``degraded-ra``
 probing the attack window under missed pulls, ``tampered-cdn`` combining
 a forged batch with a CA outage, ``sharded-longrun`` driving the §VIII
 expiry-split deployment mode through a multi-quarter clock advance, and
@@ -201,20 +202,22 @@ CA_AUDIT_GOSSIP = register(
 FLASH_CROWD = register(
     ScenarioConfig(
         name="flash-crowd",
-        title="Flash-crowd revocation burst with store-engine comparison",
+        title="Flash-crowd revocation burst",
         summary=(
             "A sudden revocation burst (a compromised intermediate, a "
-            "botched firmware batch) hits the CA; the same batch stream is "
-            "replayed against every store engine to compare update cost and "
-            "confirm byte-identical roots."
+            "botched firmware batch) hits the CA; RAs on two continents "
+            "fetch the burst in one batch and converge on the CA's "
+            "dictionary."
         ),
         description=(
             "Steady background revocations are interrupted by a burst three "
-            "orders of magnitude larger in a single Δ. The main run uses the "
-            "configured engine; afterwards the recorded batch stream is "
-            "replayed against each engine in compare_engines, timing the "
-            "insert+root cycle and asserting that all engines commit to the "
-            "same root (the repro.store contract)."
+            "orders of magnitude larger in a single Δ. The CA publishes the "
+            "burst as one issuance batch; each RA fetches it on its next "
+            "pull and applies it in one store transaction, so the report "
+            "shows the burst's dissemination bytes and the worst "
+            "provability lag it causes. (That every store engine commits to "
+            "the same root is the repro.store contract, pinned by its "
+            "differential tests.)"
         ),
         delta_seconds=60,
         duration_periods=8,
@@ -233,7 +236,6 @@ FLASH_CROWD = register(
                 RevocationEvent(at_period=6, count=50, reason="background"),
             ),
         ),
-        compare_engines=("naive", "incremental", "durable"),
         smoke_overrides={
             "workload": {
                 "events": (
@@ -243,7 +245,7 @@ FLASH_CROWD = register(
                 )
             },
         },
-        tags=("burst", "engines"),
+        tags=("burst",),
     )
 )
 
@@ -460,7 +462,6 @@ SHARDED_LONGRUN = register(
         sharded=True,
         shard_width_periods=6,
         cert_lifetime_periods=10,
-        prune_every_periods=1,
         smoke_overrides={
             "duration_periods": 12,
             "shard_width_periods": 3,
@@ -493,7 +494,7 @@ REPLAYED_HEAD = register(
             "signatures is re-present *old* signed state and freeze clients "
             "in the past. Every head carries a monotonic publication "
             "sequence; the RA keeps a per-CA cursor and treats anything more "
-            "than replay_window publications behind it as an attack "
+            "than two publications behind it as an attack "
             "(ReplayError), not benign staleness. The injector captures the "
             "run's first head publication and republishes those exact bytes "
             "over the current head at period 5. The report pins three "
@@ -633,7 +634,8 @@ THUNDERING_HERD = register(
             "expanded fleet races to fetch it at bin+Δ plus an independent "
             "seeded jitter draw, so the CDN sees a thundering herd rather "
             "than a lockstep queue. Mid-period, a client-load actor posts "
-            "handshake batches into each RA's mailbox; RAs serve them "
+            "a flat client stream's handshake batches into each RA's "
+            "mailbox; RAs serve them "
             "against the pre-pull replica state (sampling Ed25519 root "
             "re-verification through the batch-verify path). The fleet "
             "block of the report records peak concurrent pulls, the "
@@ -658,10 +660,12 @@ THUNDERING_HERD = register(
         fleet_size=12,
         pull_jitter_seconds=0.25,
         link_profile="wan",
-        client_handshakes=18_000,
+        client_stream=ClientStreamSpec(
+            clients=50_000, sites=5_000, events_total=18_000, diurnal_amplitude=0.0
+        ),
         smoke_overrides={
             "fleet_size": 6,
-            "client_handshakes": 3_000,
+            "client_stream": {"events_total": 3_000},
             "workload": {
                 "events": (
                     RevocationEvent(at_period=0, count=30, reason="warmup"),

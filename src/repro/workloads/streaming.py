@@ -482,10 +482,8 @@ def materialize_site_profile(config: StreamConfig, site: int) -> Tuple[int, int]
 def uniform_slot_counts(total: int, slots: int) -> List[int]:
     """Spread ``total`` across ``slots`` as evenly as possible.
 
-    Byte-compatible with the fleet engine's original bespoke
-    ``divmod``-based client-load spread: the first ``total % slots`` slots
-    get one extra unit.  Kept as the legacy scheduling path so pre-existing
-    client-load scenarios keep producing byte-identical reports.
+    The first ``total % slots`` slots get one extra unit; the fleet engine
+    splits each period's client events over its RAs this way.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")

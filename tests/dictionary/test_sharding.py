@@ -8,6 +8,7 @@ shard registry.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cdn import CDNNetwork
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary
 from repro.dictionary.sharding import (
@@ -30,8 +31,8 @@ QUARTER = DEFAULT_SHARD_SECONDS
 
 
 def sharded_ca(ca_name="Shard-CA", engine="incremental"):
-    """A sharded CA service without a CDN: routing, refresh and retirement
-    only, nothing published."""
+    """A sharded CA service publishing to a CDN no RA reads: routing,
+    refresh and retirement only."""
     config = RITMConfig(
         delta_seconds=10,
         chain_length=32,
@@ -40,7 +41,7 @@ def sharded_ca(ca_name="Shard-CA", engine="incremental"):
         shard_width_seconds=QUARTER,
     )
     authority = CertificationAuthority(ca_name, key_seed=b"sharding-tests")
-    return RITMCertificationAuthority(authority, config, cdn=None)
+    return RITMCertificationAuthority(authority, config, CDNNetwork())
 
 
 def sharded_agent(ca, engine="incremental"):
@@ -167,8 +168,7 @@ class TestShardRouting:
         ca.revoke_with_expiry([(SerialNumber(1), QUARTER + 5)], now=100)
         assert windows(ca) == [3, 1]
         assert encode_shard_index(ca.shard_index(100)) == (
-            b'{"ca": "Shard-CA", "live": [1, 3], "retired": [], "sequence": 0, '
-            b'"width_seconds": 7776000}'
+            b'{"ca": "Shard-CA", "live": [1, 3], "sequence": 2, "width_seconds": 7776000}'
         )
 
 

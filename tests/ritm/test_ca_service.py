@@ -28,7 +28,7 @@ class TestBootstrap:
         from repro.pki.ca import CertificationAuthority
 
         bare = RITMCertificationAuthority(
-            CertificationAuthority("Unbootstrapped", key_seed=b"u"), world.config
+            CertificationAuthority("Unbootstrapped", key_seed=b"u"), world.config, world.cdn
         )
         with pytest.raises(DictionaryError):
             bare.head()
@@ -127,12 +127,3 @@ class TestRefresh:
         result = ca.refresh(now=horizon)
         assert isinstance(result[ca.name], SignedRoot)
 
-    def test_ca_without_cdn_still_works(self, world):
-        from repro.pki.ca import CertificationAuthority
-
-        offline = RITMCertificationAuthority(
-            CertificationAuthority("Offline-CA", key_seed=b"off"), world.config, cdn=None
-        )
-        offline.bootstrap(now=EPOCH)
-        offline.refresh(now=EPOCH + 10)
-        assert offline.head().size == 0

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net.packet import make_flow
 from repro.pki.serial import SerialNumber
-from repro.ritm.config import PAPER_DELTA_SWEEP, DeploymentModel, RITMConfig
+from repro.ritm.config import PAPER_DELTA_SWEEP, RITMConfig
 from repro.ritm.state import ConnectionState, ConnectionTable
 from repro.tls.connection import HandshakeStage
 
@@ -15,14 +15,9 @@ class TestRITMConfig:
         config = RITMConfig()
         assert config.delta_seconds == 10
         assert config.attack_window_seconds == 20
-        assert config.deployment == DeploymentModel.CLOSE_TO_CLIENT
 
     def test_attack_window_is_two_delta(self):
         assert RITMConfig(delta_seconds=60).attack_window_seconds == 120
-
-    def test_attack_window_with_custom_tolerance(self):
-        config = RITMConfig(delta_seconds=60, freshness_tolerance_periods=2)
-        assert config.attack_window_seconds == 180
 
     def test_with_delta_preserves_other_fields(self):
         base = RITMConfig(delta_seconds=10, prove_full_chain=True)
@@ -44,12 +39,8 @@ class TestRITMConfig:
             {"delta_seconds": 0},
             {"delta_seconds": -5},
             {"chain_length": 0},
-            {"freshness_tolerance_periods": -1},
-            {"digest_size": 0},
-            {"digest_size": 64},
             {"shard_width_seconds": 0},
             {"shard_width_seconds": -86_400},
-            {"prune_every_periods": 0},
         ],
     )
     def test_invalid_configurations_rejected(self, kwargs):
@@ -59,14 +50,12 @@ class TestRITMConfig:
     def test_sharded_defaults(self):
         config = RITMConfig(sharded=True)
         assert config.shard_width_seconds == 90 * 86_400
-        assert config.prune_every_periods == 1
 
     def test_with_delta_preserves_sharding_fields(self):
-        base = RITMConfig(sharded=True, shard_width_seconds=7 * 86_400, prune_every_periods=2)
+        base = RITMConfig(sharded=True, shard_width_seconds=7 * 86_400)
         changed = base.with_delta(3600)
         assert changed.sharded
         assert changed.shard_width_seconds == 7 * 86_400
-        assert changed.prune_every_periods == 2
 
 
 class TestConnectionState:

@@ -5,8 +5,8 @@ import pytest
 from repro.net.clock import SimulatedClock
 from repro.net.packet import make_flow
 from repro.ritm.client import RejectionReason
-from repro.ritm.config import DeploymentModel, RITMConfig
 from repro.ritm.deployment import (
+    DeploymentModel,
     build_close_to_client_deployment,
     build_close_to_server_deployment,
     build_unprotected_path,

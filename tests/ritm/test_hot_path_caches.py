@@ -217,7 +217,6 @@ class TestShardRetirementEviction:
             chain_length=64,
             sharded=True,
             shard_width_seconds=4 * self.WEEK,
-            prune_every_periods=1,
         )
         authority = CertificationAuthority("Sharded CA", key_seed=b"hot-path-shards")
         cdn = CDNNetwork()

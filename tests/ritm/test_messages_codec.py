@@ -426,13 +426,12 @@ class TestReplayWindowFieldsCodec:
             ca_name="Codec-CA",
             width_seconds=600,
             live=(4, 5, 6),
-            retired=(1, 2),
             sequence=sequence,
         )
         decoded = decode_shard_index(encode_shard_index(index))
         assert decoded == index
 
-    @pytest.mark.parametrize("missing", ["sequence", "retired"])
+    @pytest.mark.parametrize("missing", ["sequence", "live"])
     def test_shard_index_without_a_written_field_is_rejected(self, missing):
         index = ShardIndex(ca_name="Codec-CA", width_seconds=600, live=(1,))
         payload = json.loads(encode_shard_index(index).decode("utf-8"))

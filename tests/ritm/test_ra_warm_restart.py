@@ -27,6 +27,7 @@ from repro.ritm import (
     RevocationAgent,
     attach_agent_to_cas,
 )
+from repro.ritm.dissemination import REPLAY_WINDOW
 from repro.ritm.persistence import (
     CHECKPOINT_FILENAME,
     CHECKPOINT_MAGIC,
@@ -384,7 +385,7 @@ class TestRotationAndReplayCursorCheckpoint:
             if not result.replays_rejected:
                 break
             rejected += 1
-        assert rejected == config.replay_window + 1
+        assert rejected == REPLAY_WINDOW + 1
         assert result.serials_applied == 1  # still a delta fetch, not a cold sync
         assert result.resyncs == 0 and not result.errors
         assert self._head_cursors(restored_client)[ca.name] < 1_000_000

@@ -42,7 +42,6 @@ def sharded_world():
         chain_length=64,
         sharded=True,
         shard_width_seconds=4 * WEEK,
-        prune_every_periods=1,
     )
     authority = CertificationAuthority("Sharded CA", key_seed=b"sharded-stack")
     cdn = CDNNetwork()
@@ -62,7 +61,7 @@ class TestShardedCAService:
         index = decode_shard_index(
             cdn.download(shard_index_path(ca.name), GeoLocation(Region.EUROPE), EPOCH).content
         )
-        assert index.live == () and index.retired == ()
+        assert index.live == ()
         assert index.width_seconds == 4 * WEEK
 
     def test_revoke_with_expiry_publishes_per_shard_objects(self, sharded_world):
@@ -175,7 +174,6 @@ class TestShardedCAService:
             cdn.download(shard_index_path(ca.name), GeoLocation(Region.EUROPE), later).content
         )
         assert index.live == ()
-        assert len(index.retired) == 1
 
 
 class TestShardedDissemination:
@@ -272,7 +270,7 @@ class TestShardedDissemination:
         ca.revoke_with_expiry([(SerialNumber(1), now + WEEK)], now=now)
         client.pull(now=now + 1)
         forged = json.dumps(
-            {"ca": ca.name, "width_seconds": 0, "live": [], "retired": [], "sequence": 99}
+            {"ca": ca.name, "width_seconds": 0, "live": [], "sequence": 99}
         ).encode("utf-8")
         cdn.publish(shard_index_path(ca.name), forged, now + 2)
         with pytest.raises(TLSError, match="shard index"):
@@ -292,7 +290,7 @@ class TestShardedDissemination:
         client.pull(now=now + 1)
         held_before = dict(agent.shard_replicas(ca.name))
         forged = json.dumps(
-            {"ca": ca.name, "width_seconds": 1, "live": [], "retired": [], "sequence": 99}
+            {"ca": ca.name, "width_seconds": 1, "live": [], "sequence": 99}
         ).encode("utf-8")
         cdn.publish(shard_index_path(ca.name), forged, now + 2)
         result = client.pull(now=now + 3)
@@ -313,7 +311,6 @@ class TestShardedDissemination:
                 "ca": ca.name,
                 "width_seconds": ca.config.shard_width_seconds,
                 "live": [live] * 500,
-                "retired": [],
                 "sequence": 1,
             }
         ).encode("utf-8")
@@ -336,7 +333,6 @@ class TestShardedDissemination:
                 "ca": ca.name,
                 "width_seconds": width,
                 "live": [far_future, far_future + 1],
-                "retired": [],
                 "sequence": 1,
             }
         ).encode("utf-8")
@@ -394,58 +390,6 @@ class TestShardedDissemination:
         assert agent.replica_for(weird_name) is not None
         assert agent.replica_for(weird_name).size == 2
         assert result.shards_pruned == 0
-
-    def test_prune_cadence_respects_config(self):
-        config = RITMConfig(
-            delta_seconds=WEEK,
-            chain_length=64,
-            sharded=True,
-            shard_width_seconds=2 * WEEK,
-            prune_every_periods=3,
-        )
-        authority = CertificationAuthority("Cadence CA", key_seed=b"cadence")
-        cdn = CDNNetwork()
-        ca = RITMCertificationAuthority(authority, config, cdn)
-        ca.bootstrap(now=EPOCH)
-        agent = RevocationAgent("cadence-ra", config)
-        client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(Region.EUROPE))
-        now = EPOCH + WEEK
-        ca.revoke_with_expiry([(SerialNumber(1), now + WEEK)], now=now)
-        client.pull(now=now + 1)
-        # The shard window passes, but pruning only fires on the 3rd pull.
-        far = now + 6 * WEEK
-        first = client.pull(now=far)
-        second = client.pull(now=far + 1)
-        assert first.shards_pruned == 0 and second.shards_pruned == 1
-        assert agent.stats.shard_replicas_pruned == 1
-
-    def test_ca_retirement_hint_prunes_ahead_of_cadence(self):
-        """When the published index lists a held shard as retired, the RA
-        prunes it on the next pull instead of waiting out its cadence."""
-        config = RITMConfig(
-            delta_seconds=WEEK,
-            chain_length=64,
-            sharded=True,
-            shard_width_seconds=2 * WEEK,
-            prune_every_periods=5,
-        )
-        authority = CertificationAuthority("Hint CA", key_seed=b"hint")
-        cdn = CDNNetwork()
-        ca = RITMCertificationAuthority(authority, config, cdn)
-        ca.bootstrap(now=EPOCH)
-        agent = RevocationAgent("hint-ra", config)
-        client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(Region.EUROPE))
-        now = EPOCH + WEEK
-        ca.revoke_with_expiry([(SerialNumber(1), now + WEEK)], now=now)
-        client.pull(now=now + 1)
-        # After five refreshes the CA's own cadence fires: the shard is
-        # retired and the index republished with it in `retired`.
-        far = now + 6 * WEEK
-        for offset in range(5):
-            ca.refresh(now=far + offset)
-        assert len(ca.retired_windows) == 1
-        result = client.pull(now=far + 5)
-        assert result.shards_pruned == 1  # 2nd pull of a 5-period cadence
 
 
 class TestShardStreams:

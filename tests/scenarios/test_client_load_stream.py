@@ -5,25 +5,21 @@ Two guarantees pinned here:
 * **Soak pins** — the registered ``soak`` scenario's smoke run passes all
   of its checks (including the three soak verdicts) and is deterministic
   once the wall-clock/RSS observability fields are masked out.
-* **Config validation** — the new ``client_stream`` / ``segment_streaming``
-  knobs reject the combinations the engine cannot honour.
+* **Config validation** — a ``client_stream`` spec rejects exactly what the
+  stream config it builds rejects.
 
-The pre-stream ``client_handshakes`` scenarios are pinned byte for byte by
-``GOLDEN_DIGESTS`` (``tests/scenarios/test_report_digests.py``).
+Client load has one shape, a stream: ``thundering-herd`` declares a flat one
+(``diurnal_amplitude=0.0``), ``soak`` a diurnal one.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.scenarios import get, run_scenario
-from repro.scenarios.config import (
-    AgentSpec,
-    ClientStreamSpec,
-    ConfigurationError,
-    ScenarioConfig,
-)
-from repro.workloads.streaming import StreamConfig
+from repro.scenarios.config import ClientStreamSpec, ConfigurationError
+from repro.workloads.streaming import StreamConfig, StreamingWorkload
 
 
 def masked_payload(report):
@@ -65,23 +61,21 @@ def test_soak_smoke_is_deterministic_modulo_wall_clock():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
-def _config(**overrides):
-    base = dict(
-        name="unit",
-        title="unit",
-        description="unit",
-        delta_seconds=3600,
-        duration_periods=4,
-        agents=(AgentSpec(name="ra", region="us"),),
-    )
-    base.update(overrides)
-    return ScenarioConfig(**base)
-
-
-def test_client_stream_and_client_handshakes_are_mutually_exclusive():
-    stream = ClientStreamSpec(clients=10, sites=5, events_total=20)
-    with pytest.raises(ConfigurationError):
-        _config(client_stream=stream, client_handshakes=100)
+@pytest.mark.parametrize("events_total", [None, 7, 1_001, 100_000])
+@pytest.mark.parametrize("smoke", [False, True])
+def test_a_flat_stream_spreads_its_events_evenly_over_the_periods(smoke, events_total):
+    """``thundering-herd``'s load is a flat stream: every period holds
+    ``events_total / periods`` events, give or take one."""
+    config = get("thundering-herd").smoke() if smoke else get("thundering-herd")
+    spec = config.client_stream
+    assert spec.diurnal_amplitude == 0.0
+    if events_total is not None:
+        spec = dataclasses.replace(spec, events_total=events_total)
+    periods, delta, start = config.duration_periods, config.delta_seconds, 1_400_000_000.0
+    workload = StreamingWorkload(spec.stream_config(periods * delta, start_time=start))
+    counts = workload.period_counts([start + p * delta for p in range(periods + 1)])
+    assert sum(counts) == spec.events_total
+    assert all(abs(count - spec.events_total / periods) <= 1 for count in counts)
 
 
 def test_client_stream_spec_validates_positive_fields():

@@ -55,7 +55,7 @@ def test_different_seed_changes_sampling_not_verdicts():
     assert (
         reseeded.metrics["fleet"]["handshakes_served"]
         == baseline.metrics["fleet"]["handshakes_served"]
-        == config.client_handshakes
+        == config.client_stream.events_total
     )
 
 
@@ -82,8 +82,8 @@ def test_link_profile_and_overrides_validate():
     with pytest.raises(ConfigurationError, match="unknown agent"):
         _fleet_config(link_overrides={"nobody": "wan"})
     with pytest.raises(ConfigurationError, match="expected one of"):
-        _fleet_config(link_overrides={"ra-a": "mixed"})
-    _fleet_config(link_profile="mixed", link_overrides={"ra-b": "stalled"})
+        _fleet_config(link_overrides={"ra-a": ""})
+    _fleet_config(link_profile="wan", link_overrides={"ra-b": "stalled"})
 
 
 def test_negative_knobs_rejected():
@@ -91,8 +91,6 @@ def test_negative_knobs_rejected():
         _fleet_config(pull_stagger_seconds=-1.0)
     with pytest.raises(ConfigurationError):
         _fleet_config(pull_jitter_seconds=-1.0)
-    with pytest.raises(ConfigurationError):
-        _fleet_config(client_handshakes=-5)
 
 
 # -- fleet expansion -------------------------------------------------------------

@@ -33,6 +33,19 @@ the victim's revocation, in place of a post-run audit that wrote a forgery
 into the agent, re-pinned that row: the forgery now arrives through a pull,
 so the audit's extra pull is gone (7 → 6 pulls) and the gossip ring adds
 ``equivocation-detected-within-one-round`` beside the six old checks.
+Making client load one stream and never-varied options constants re-pinned
+six rows, every check still passing.  ``thundering-herd`` declares its load
+as a flat client stream: ``config.fleet.client_handshakes`` became a
+``client_stream`` block, the client-load check now says "streamed", and the
+served serials moved from a seeded issued/absent sampler to the stream's
+site serials (proof-cache hits 158 → 971).  ``flash-crowd`` lost its
+store-engine replay: the ``engines-agree-on-root`` check and the ``engines``
+tag are gone, and its title and summary no longer promise the comparison.
+``sharded-longrun``'s shard index no longer lists retired windows (RAs prune
+by their own clock every pull), so its RA downloaded 285 B less (31,757 →
+31,472 B, with the mean pull latency that bytes feed), and its config lost
+``prune_every_periods``.  ``soak``, ``staggered-pulls`` and ``slow-ra-holb``
+differ only by the removed ``config.fleet.client_handshakes`` key.
 """
 
 from __future__ import annotations
@@ -48,7 +61,7 @@ GOLDEN_DIGESTS = {
     "ca-audit-gossip": "6f37d73591389e5d6541cc8d59713387a92292304c6f29fabe34dab9b4fbc67f",
     "degraded-ra": "0476dd6f731042d585085d7b7ffc4971a0f42243b337fde1efeed66015daa177",
     "equivocating-ca": "81ee8af79081bee635a6b30cc6868afa495d0b410385e1a61d28ca4c914de3a3",
-    "flash-crowd": "41374057cb1693ced73dfeefe7edbfea269fc46f2395faff93d62e0331dd7dba",
+    "flash-crowd": "9f1e12d2e6da1ff5b543a89aad6a47f5fc93f3ccd23b9bfee8744912a3d42720",
     "heartbleed": "4e1114f62613fd10a4fe96a48b5fdbfe8144a981fa74ea125aca14290e07750d",
     "iot-long-lived": "03a08b7341ae944884fa2e7d448907584dcd860710b23facbacc0d83e8166518",
     "quickstart": "3244dc703a0f0ec158b9831967cafe7424a00d92a0733f5fce6758571849dbb4",
@@ -56,12 +69,12 @@ GOLDEN_DIGESTS = {
     "region-outage": "0a4d91c36156a8f7ba438f9967164f0608a74fc6bd80db7e0e268b32cf749d7e",
     "replayed-head": "0b9fe51821bc41d1a4309a1e542f1aabe89052037bc89f13a8f76afc143832cf",
     "rotated-ca-key": "4299b7e68601da4faeae307b5528c6d51c74a2915ad2290023746fb2de4593c6",
-    "sharded-longrun": "5ab70a00c43358c0b9f08b32086c9b275aa0e2631c25f7fb6b83946c3f8296fa",
-    "slow-ra-holb": "089d35822d7113168bb4a3198ef202a6e00bdc5dda2137d748d99b7bdf12de56",
-    "soak": "fb89d69b494ce9c72038d81b2f86685329e20b8aacf10734b901b557a289dca6",
-    "staggered-pulls": "814e5b760f4d175e168888a6f828717e2a91fe0bf93a07b28ab27d29b93e068f",
+    "sharded-longrun": "551acbbbfceaf613d17ce910130600bebafcd3a333d370842e30ee4c7337b97e",
+    "slow-ra-holb": "8097518eebe91e84c293415772c65e13bc270a6131b087d769507cb4bbd56449",
+    "soak": "5671024fa879cf9d4ded029a321bdba580980393f45e457a3c00e7c508ba7f57",
+    "staggered-pulls": "0babc35ece8151ea6618c58e11d18ab4c6c6856e0fe1668d5dc10d9a7c4183bb",
     "tampered-cdn": "79737785e6c9c87f7f2d02ccbe182004a60eab5b991c6be404d3ba25db4e74f3",
-    "thundering-herd": "6b91839515f9715eaed8d59956d803cd69f000d81354c594e4d7e9cfdc8f0646",
+    "thundering-herd": "59ae48fa22728d64ab5709a4a35e30508946b01db839a3f21e5d9aa1762ae65d",
 }
 
 

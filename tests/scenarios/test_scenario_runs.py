@@ -123,15 +123,6 @@ def test_gossip_audit_produces_valid_evidence():
     assert equivocation["detected_period"] == 1
 
 
-def test_flash_crowd_engines_agree():
-    report = report_for("flash-crowd")
-    comparison = report.extras["engine_comparison"]
-    assert comparison["roots_agree"] is True
-    for engine in ("naive", "incremental", "durable"):
-        assert comparison[engine]["serials"] > 0
-        assert comparison[engine]["seconds"] >= 0
-
-
 def test_degraded_ra_attack_window():
     report = report_for("degraded-ra")
     window = report.metrics["attack_window"]

@@ -30,7 +30,7 @@ VARIANTS = {
     "soak": {**SHARDED, "key_rotation_periods": 7},
     # Restored RAs recover every live shard peer-to-peer.
     "region-outage": SHARDED,
-    # client_handshakes served from shard replicas by certificate expiry.
+    # Streamed client handshakes served from shard replicas by certificate expiry.
     "thundering-herd": SHARDED,
     # The victim phase: handshakes proven from the shard covering the
     # victim's expiry.  A few short-lived revocations up front give the run
@@ -86,8 +86,7 @@ VARIANTS = {
             "faults": (FaultSpec(kind="equivocating-ca", at_period=1, agent="ra-b"),),
         },
         {"faults": (FaultSpec(kind="ca-outage", at_period=1),)},
-        {"client_handshakes": 100},
-        {"client_stream": ClientStreamSpec(clients=10, sites=5, events_total=20)},
+        {"client_stream": ClientStreamSpec(clients=10, sites=5, events_total=100)},
         {"segment_streaming": True},
     ],
     ids=lambda overrides: "+".join(overrides),
@@ -168,9 +167,9 @@ def test_region_outage_recovers_live_shards_from_a_peer(reports):
 
 def test_thundering_herd_serves_client_handshakes_from_shards(reports):
     report = reports["thundering-herd"]
-    fleet = report["config"]["fleet"]
-    assert fleet["client_handshakes"] > 0
-    assert report["metrics"]["fleet"]["handshakes_served"] == fleet["client_handshakes"]
+    events_total = report["config"]["fleet"]["client_stream"]["events_total"]
+    assert events_total > 0
+    assert report["metrics"]["fleet"]["handshakes_served"] == events_total
 
 
 def test_quickstart_victim_is_proven_from_its_expiry_shard(reports):
