@@ -45,8 +45,9 @@ from repro.store.base import atomic_write
 #: First bytes of a checkpoint file.
 CHECKPOINT_MAGIC = b"RITMCKPT"
 
-#: The one layout this build writes and reads.
-CHECKPOINT_FORMAT = 1
+#: The one layout this build writes and reads.  Format 1 also stored a
+#: per-CA shard-index pull count; it is rejected as a format mismatch.
+CHECKPOINT_FORMAT = 2
 
 #: The one file inside a checkpoint directory.
 CHECKPOINT_FILENAME = "checkpoint.bin"

@@ -374,8 +374,7 @@ class ScenarioConfig:
     segment_streaming: bool = False
     #: Field overrides applied by :meth:`smoke` for fast CI runs.
     smoke_overrides: Mapping[str, Any] = field(default_factory=dict)
-    #: Labels for ``python -m repro list``; ``soak`` also selects the soak
-    #: study (see :attr:`soak_study`).
+    #: Labels for ``python -m repro list``.
     tags: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -563,9 +562,11 @@ class ScenarioConfig:
     def soak_study(self) -> bool:
         """Whether the run closes with the soak study (docs/WORKLOADS.md):
         differential verdicts of every RA against an in-memory oracle, the
-        stream generator's memory budget, and subsystem coverage.  A
-        client-load scenario tagged ``soak`` gets it."""
-        return self.client_stream is not None and "soak" in self.tags
+        stream generator's memory budget, and subsystem coverage.  It pins
+        the steady-state segment transport under client load (its coverage
+        check requires segments applied), so a run gets it exactly when it
+        streams segments to serve a client stream."""
+        return self.client_stream is not None and self.segment_streaming
 
     def attack_window_seconds(self) -> int:
         """The paper's 2Δ bound for this scenario's Δ."""

@@ -237,13 +237,8 @@ class EventBatch:
 
     def __iter__(self) -> Iterator[ClientEvent]:
         """Yield each event as a :class:`ClientEvent`."""
-        for offset in range(len(self.times)):
-            yield ClientEvent(
-                self.start + offset,
-                self.times[offset],
-                self.clients[offset],
-                self.sites[offset],
-            )
+        indexes = range(self.start, self.start + len(self.times))
+        return map(ClientEvent, indexes, self.times, self.clients, self.sites)
 
     @property
     def nbytes(self) -> int:
@@ -365,7 +360,9 @@ class StreamingWorkload:
         full-trace run regardless of ``start`` or ``batch_size``.
         """
         cfg = self.config
-        end = cfg.events_total if stop is None else min(stop, cfg.events_total)
+        total, population = cfg.events_total, cfg.clients
+        end = total if stop is None else min(stop, total)
+        table, site_cum = self._table, self._site_cum
         index = max(0, start)
         stratum = -1
         rng = random.Random()
@@ -374,25 +371,28 @@ class StreamingWorkload:
             times = array("d")
             clients = array("Q")
             sites = array("I")
-            for event_index in range(index, limit):
+            event_index = index
+            # One run per stratum the batch touches: the stratum RNG is
+            # (re)seeded at most once per run, the per-event loop is bare.
+            while event_index < limit:
                 event_stratum, offset = divmod(event_index, STRATUM_EVENTS)
                 if event_stratum != stratum:
                     stratum = event_stratum
                     rng = random.Random(f"{cfg.seed}:events:{stratum}")
                     for _ in range(DRAWS_PER_EVENT * offset):
                         rng.random()
-                jitter = rng.random()
-                client_draw = rng.random()
-                site_draw = rng.random()
-                quantile = (event_index + jitter) / cfg.events_total
-                times.append(
-                    cfg.start_time
-                    + invert_intensity(quantile, self._table, cfg.duration_seconds)
-                )
-                clients.append(min(cfg.clients - 1, int(client_draw * cfg.clients)))
-                target = site_draw * self._site_cum[-1]
-                site = bisect.bisect_left(self._site_cum, target)
-                sites.append(min(site, cfg.sites - 1))
+                draw = rng.random
+                run_end = min(limit, (stratum + 1) * STRATUM_EVENTS)
+                for event in range(event_index, run_end):
+                    jitter, client_draw, site_draw = draw(), draw(), draw()
+                    offset_seconds = invert_intensity(
+                        (event + jitter) / total, table, cfg.duration_seconds
+                    )
+                    times.append(cfg.start_time + offset_seconds)
+                    clients.append(min(population - 1, int(client_draw * population)))
+                    site = bisect.bisect_left(site_cum, site_draw * site_cum[-1])
+                    sites.append(min(site, cfg.sites - 1))
+                event_index = run_end
             batch = EventBatch(index, times, clients, sites)
             if batch.nbytes > self._peak_batch_bytes:
                 self._peak_batch_bytes = batch.nbytes

@@ -272,7 +272,9 @@ class TestTamperedCheckpoints:
         body = path.read_bytes()[:-4]
         at = len(CHECKPOINT_MAGIC)
         for doctored, message in [
-            (body[:at] + b"\x00\x02" + body[at + 2 :], "format 2"),
+            # Format 1 carried a per-CA shard-index pull count: an old file
+            # is a clear format mismatch, not a framing error.
+            (body[:at] + b"\x00\x01" + body[at + 2 :], "has format 1; this build reads format 2"),
             (body + b"\x00", "trailing bytes"),
             (body[:-1], "malformed|truncated"),
             (body[: len(body) // 2], "truncated"),
