@@ -22,7 +22,9 @@ machine-readable perf baseline, ``benchmarks/results/handshake_hotpath.json``:
   seen vs one it has parsed before, and the encoding of a status whose proof
   was just built vs one the proof cache already holds (its bytes retained);
 * **one pass per packet** — interpreter calls per warm handshake under
-  ``cProfile`` (a count, so it reads the same on a slow box as on a fast one);
+  ``cProfile`` (a count, so it reads the same on a slow box as on a fast one),
+  and among them the status decodes and Merkle checks (none: the client's
+  status memo answers a record it has seen);
 * **one search, one climb** — interpreter calls and key searches per
   ``store.prove`` of an absent and of a revoked serial, and calls into
   ``repro.store`` when the proof cache answers (none);
@@ -48,7 +50,7 @@ from repro.cdn.geography import GeoLocation, Region
 from repro.cdn.network import CDNNetwork
 from repro.crypto import ed25519 as ed25519_module  # `ed25519` names a result block below
 from repro.crypto.ed25519 import P as FIELD_PRIME
-from repro.crypto.merkle import AuditStep
+from repro.crypto.merkle import AbsenceProof, AuditStep, PresenceProof
 from repro.crypto.signing import KeyPair
 from repro.net.clock import SimulatedClock
 from repro.analysis.reporting import format_table
@@ -78,6 +80,9 @@ from bench_harness import write_json_result, write_result
 EPOCH = 1_400_000_000
 #: Revoked serials in the CA's dictionary (a real tree, not a toy).
 DICTIONARY_SIZE = 2_000
+#: Revoked serials under the warm leaf's own issuer, so the status a warm
+#: handshake carries is an absence proof with audit steps, not an empty tree.
+LEAF_ISSUER_REVOKED = 8
 COLD_HANDSHAKES = 6
 WARM_HANDSHAKES = 24
 VERIFY_REPS = 12
@@ -91,12 +96,13 @@ CALL_COUNT_HANDSHAKES = 200
 #: reads +90 to +290.  (``pstats.Stats(...).total_calls`` reads 1,085 and 766–771
 #: for the same runs: it keys rows by (file, line, name), so the generated
 #: dataclass methods sharing ``<string>:2`` overwrite one another, and which
-#: survives follows import order.  In that unit the ceiling would be 820.)
-#: The ceiling is the exact count + 3 %.  The frame-less step constructor left
-#: it at 834: this world's leaf is issued by a CA that has revoked nothing, so
-#: the status a warm handshake decodes is an empty-tree proof with no steps
-#: (``status_decode_step_frames`` watches the constructor instead).
-WARM_HANDSHAKE_CALLS_CEILING = 859
+#: survives follows import order.)
+#: The ceiling is the exact count + 3 %.  Since this world's leaf issuer has
+#: revoked ``LEAF_ISSUER_REVOKED`` serials, the warm status is an absence proof
+#: with audit steps: 911 calls per handshake when the client decodes and
+#: Merkle-checks it every time (one ``decode_status``, three proof
+#: ``verify``), 751 with the status memo answering the repeat by lookup.
+WARM_HANDSHAKE_CALLS_CEILING = 773
 #: Interpreter calls per ``store.prove`` of an absent serial with two
 #: neighbours: 107 in this world (137 at 20,000 entries) with two bisects and
 #: two whole walks, 48 (56) with one search and one climb above the fork.
@@ -104,7 +110,8 @@ PROOF_BUILD_CALLS_CEILING = 70
 
 
 def build_world():
-    """One CA with a populated dictionary, a synced RA, and a TLS corpus."""
+    """A root CA with a populated dictionary, the leaf's issuer with a few
+    revocations, a synced RA, and a TLS corpus."""
     config = RITMConfig(delta_seconds=10, chain_length=64, cdn_ttl_seconds=10.0)
     corpus = generate_corpus(
         ca_count=1, domains_per_ca=1, use_intermediates=True, now=EPOCH
@@ -121,6 +128,10 @@ def build_world():
     ]
     revoked, probes = pool[:DICTIONARY_SIZE], pool[DICTIONARY_SIZE:]
     cas[0].revoke(revoked, now=EPOCH + 2, reason="hotpath-bench")
+    leaf = corpus.chains[0].leaf
+    assert leaf.serial not in probes
+    issuer = next(ca for ca in cas if ca.name == leaf.issuer)
+    issuer.revoke(probes[:LEAF_ISSUER_REVOKED], now=EPOCH + 2, reason="hotpath-bench")
     agent = RevocationAgent("bench-ra", config)
     attach_agent_to_cas(agent, cas, cdn, GeoLocation(Region.EUROPE)).pull(now=EPOCH + 3)
     return config, corpus, cas, cdn, agent, probes
@@ -322,18 +333,24 @@ def _calls_while(operation, arguments):
 
 
 def count_warm_handshake_calls(config, corpus, cas, agent, root_cache, validation_cache):
-    """Interpreter calls (Python and C functions) one warm handshake makes."""
+    """Interpreter calls (Python and C functions) one warm handshake makes, and
+    how many of them decode a status or check a Merkle path."""
     calls = _calls_while(
         lambda _: _run_handshake(config, corpus, cas, agent, root_cache, validation_cache),
         range(CALL_COUNT_HANDSHAKES),
     )
-    return round(sum(calls.values()) / CALL_COUNT_HANDSHAKES, 1)
+    merkle = (PresenceProof.verify.__code__, AbsenceProof.verify.__code__)
+    return {
+        "warm_handshake_calls": round(sum(calls.values()) / CALL_COUNT_HANDSHAKES, 1),
+        "warm_handshake_status_decodes": calls.get(decode_status.__code__, 0),
+        "warm_handshake_merkle_verifies": sum(calls.get(code, 0) for code in merkle),
+    }
 
 
 def count_proof_build_calls(cas, agent, probes):
     """Calls per ``store.prove`` (a proof-cache miss), into the store on a hit,
-    and per decode of a two-neighbour status (the warm handshake's own status
-    is an empty-tree proof: the leaf's issuer has revoked nothing)."""
+    and per decode of a two-neighbour status (the warm handshake decodes none:
+    its client answers a status record seen before from the status memo)."""
     ca = cas[0]
     store = agent.replica_for(ca.name)._tree
     search = type(store)._search.__code__
@@ -439,8 +456,8 @@ def test_handshake_hotpath():
     config, corpus, cas, cdn, agent, probes = build_world()
 
     handshake, root_cache, validation_cache = bench_handshakes(config, corpus, cas, agent)
-    handshake["warm_handshake_calls"] = count_warm_handshake_calls(
-        config, corpus, cas, agent, root_cache, validation_cache
+    handshake.update(
+        count_warm_handshake_calls(config, corpus, cas, agent, root_cache, validation_cache)
     )
     status_verify = bench_status_verify(config, cas, agent, probes[-1])
     proof_build = bench_proof_build(cas, agent, probes)
@@ -543,6 +560,11 @@ def test_handshake_hotpath():
     assert dpi["inspect_repeat_certificate_parses"] == 0, dpi
     assert dpi["status_encode_first_proof_walks"] >= len(probes), dpi
     assert dpi["status_encode_repeat_proof_walks"] == 0, dpi
+    # A status record seen before is answered from the client's status memo:
+    # neither decoded nor Merkle-checked again (its signature, freshness and
+    # verdict still are, above and in tests/ritm/test_wire_memo.py).
+    assert handshake["warm_handshake_status_decodes"] == 0, handshake
+    assert handshake["warm_handshake_merkle_verifies"] == 0, handshake
     assert handshake["warm_handshake_calls"] <= WARM_HANDSHAKE_CALLS_CEILING, handshake
     for layer, rate in payload["cache_hit_rates"].items():
         assert rate > 0.0, (layer, payload["cache_hit_rates"])

@@ -9,9 +9,7 @@ from repro.dictionary.authdict import (
 from repro.dictionary.freshness import (
     FreshnessStatement,
     periods_elapsed,
-    require_fresh,
     statement_is_fresh,
-    statement_period,
 )
 from repro.dictionary.proofs import RevocationStatus
 from repro.dictionary.sharding import (
@@ -32,8 +30,6 @@ __all__ = [
     "RevocationStatus",
     "periods_elapsed",
     "statement_is_fresh",
-    "statement_period",
-    "require_fresh",
     "SyncRequest",
     "SyncResponse",
     "SyncServer",

@@ -11,11 +11,9 @@ since the root's timestamp) — giving the effective 2Δ attack window of §V.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.crypto.hashchain import statement_age
 from repro.dictionary.signed_root import SignedRoot
-from repro.errors import StaleStatusError
 
 
 @dataclass(frozen=True)
@@ -39,45 +37,27 @@ def periods_elapsed(root_timestamp: int, now: int, delta: int) -> int:
     return (now - root_timestamp) // delta
 
 
+#: Δ periods a statement may trail the client's clock: one, for the
+#: pull-based CDN, which yields the paper's 2Δ attack window (§V).
+TOLERANCE_PERIODS = 1
+
+
 def statement_is_fresh(
     signed_root: SignedRoot,
     statement: FreshnessStatement,
     now: int,
     delta: int,
-    tolerance_periods: int = 1,
 ) -> bool:
     """The client acceptance check of §III step 5c.
 
     The statement must hash to the root's anchor within ``p'`` applications,
-    or ``p' + tolerance_periods`` applications (one extra Δ of tolerance for
-    the pull-based CDN, yielding the paper's 2Δ window).
+    or ``p' +`` :data:`TOLERANCE_PERIODS` applications.
     """
     elapsed = periods_elapsed(signed_root.timestamp, now, delta)
     # The statement proves the dictionary was intact at (timestamp + age*Δ);
-    # the client requires that moment to be no older than tolerance periods
+    # the client requires that moment to be no older than the tolerance
     # before now, i.e. age >= elapsed - tolerance.
     age = statement_age(signed_root.anchor, statement.value, signed_root.chain_length)
     if age is None:
         return False
-    return age >= elapsed - tolerance_periods
-
-
-def require_fresh(
-    signed_root: SignedRoot,
-    statement: FreshnessStatement,
-    now: int,
-    delta: int,
-    tolerance_periods: int = 1,
-) -> None:
-    """Raise :class:`StaleStatusError` unless the statement passes the 2Δ check."""
-    if not statement_is_fresh(signed_root, statement, now, delta, tolerance_periods):
-        raise StaleStatusError(
-            f"freshness statement for {signed_root.ca_name!r} is stale or unlinked "
-            f"(root timestamp {signed_root.timestamp}, now {now}, delta {delta})"
-        )
-
-
-def statement_period(signed_root: SignedRoot, statement: FreshnessStatement) -> Optional[int]:
-    """How many Δ periods after the root's signing this statement was released."""
-    age = statement_age(signed_root.anchor, statement.value, signed_root.chain_length)
-    return age
+    return age >= elapsed - TOLERANCE_PERIODS

@@ -44,7 +44,6 @@ class RevocationStatus:
         ca_public_key: PublicKey,
         now: int,
         delta: int,
-        tolerance_periods: int = 1,
         root_cache=None,
     ) -> None:
         """Run the full client-side check of §III step 5 (b) and (c).
@@ -72,7 +71,12 @@ class RevocationStatus:
             root_cache.verify_or_raise(self.signed_root, ca_public_key)
         else:
             self.signed_root.verify_or_raise(ca_public_key)
+        self.check_proof()
+        self.check_verdict(now, delta)
 
+    def check_proof(self) -> None:
+        """Raise :class:`ProofError` unless the proof is about :attr:`serial`,
+        hashes up to the signed root and has its size (the status's bytes alone)."""
         expected_key = self.serial.to_bytes()
         if self.proof.key != expected_key:
             raise ProofError(
@@ -87,9 +91,10 @@ class RevocationStatus:
                 "proof tree size does not match the signed root's dictionary size"
             )
 
-        if not statement_is_fresh(
-            self.signed_root, self.freshness, now, delta, tolerance_periods
-        ):
+    def check_verdict(self, now: int, delta: int) -> None:
+        """Freshness against ``now``, then the revoked verdict (the checks of
+        :meth:`verify` after the signature and :meth:`check_proof`)."""
+        if not statement_is_fresh(self.signed_root, self.freshness, now, delta):
             raise StaleStatusError(
                 f"revocation status for serial {self.serial} is stale "
                 f"(root signed at {self.signed_root.timestamp}, now {now})"
@@ -105,12 +110,11 @@ class RevocationStatus:
         ca_public_key: PublicKey,
         now: int,
         delta: int,
-        tolerance_periods: int = 1,
         root_cache=None,
     ) -> bool:
         """Boolean form of :meth:`verify` (accept = verified *and* not revoked)."""
         try:
-            self.verify(ca_public_key, now, delta, tolerance_periods, root_cache)
+            self.verify(ca_public_key, now, delta, root_cache)
         except (SignatureError, ProofError, StaleStatusError, RevokedCertificateError):
             return False
         return True

@@ -15,6 +15,14 @@ attacker a full verification each time, not the verifier.  Explicit
 invalidation (:meth:`invalidate_ca`) exists purely to keep the bounded cache
 from carrying dead epochs after a refresh, resync, or shard retirement; it is
 one scan of the live entries, each of which records the CA it belongs to.
+
+Beside the verdicts it keeps, under the same bound, a status memo for the
+clients that share it: the exact payload of a ``RITM_STATUS`` record → its
+decoded statuses, stored once every one passed its signature and Merkle
+checks.  That is structure, not a verdict (the
+client still checks the signature under its own key, freshness and the
+revoked flag every time), and its lookups are not counted in
+:attr:`~VerifiedRootCache.stats`.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import TYPE_CHECKING, List, Sequence
 
 from repro.crypto.signing import PublicKey, acceptable_verifiers, verify_batch
 from repro.errors import SignatureError
-from repro.perf.cache import CacheStats
+from repro.perf.cache import CacheStats, LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
     from repro.dictionary.signed_root import SignedRoot
@@ -44,6 +52,8 @@ class VerifiedRootCache:
         self.stats = CacheStats()
         #: cache key → CA name (the value only serves per-CA invalidation).
         self._entries: "OrderedDict[bytes, str]" = OrderedDict()
+        #: status-record payload → its signature- and Merkle-checked statuses.
+        self.statuses = LRUCache(maxsize=maxsize)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -133,7 +143,8 @@ class VerifiedRootCache:
     # -- maintenance ---------------------------------------------------------
 
     def invalidate_ca(self, ca_name: str) -> int:
-        """Drop every cached verdict for one CA (or shard) name.
+        """Drop every cached verdict for one CA (or shard) name, and every
+        memoized status record with a status under it (those are not counted).
 
         Called on epoch refresh, resync, and shard retirement so the bounded
         cache does not carry dead epochs; never required for correctness.
@@ -141,13 +152,18 @@ class VerifiedRootCache:
         keys = [key for key, owner in self._entries.items() if owner == ca_name]
         for key in keys:
             del self._entries[key]
+        for key in self.statuses.keys():
+            if any(s.signed_root.ca_name == ca_name for s in self.statuses.peek(key)):
+                self.statuses.discard(key)
         self.stats.invalidations += len(keys)
         return len(keys)
 
     def clear(self) -> int:
-        """Drop every cached verdict; returns how many were invalidated."""
+        """Drop every cached verdict and memoized status record; returns how
+        many verdicts were invalidated."""
         dropped = len(self._entries)
         self._entries.clear()
+        self.statuses.clear()
         self.stats.invalidations += dropped
         return dropped
 

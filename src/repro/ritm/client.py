@@ -235,20 +235,37 @@ class RITMClient(Endpoint):
     def _consume_status_record(
         self, record: TLSRecord, now: float
     ) -> Optional[List[RevocationStatus]]:
-        """Validate one status record; returns its statuses, or None on failure."""
-        try:
-            statuses = decode_status_bundle(record.payload)
-        except TLSError as exc:
-            self.stats.statuses_invalid += 1
-            self._reject(RejectionReason.INVALID_STATUS, f"malformed status record: {exc}")
-            return None
+        """Validate one status record; returns its statuses, or None on failure.
+
+        A record whose exact bytes passed the signature and Merkle checks
+        before is answered from :attr:`root_cache`'s status memo, which skips
+        the decode and :meth:`RevocationStatus.check_proof` only: the root
+        signature under this client's key, freshness and the revoked verdict
+        run on every call.
+        """
+        statuses = self.root_cache.statuses.get(record.payload)
+        checked = statuses is not None
+        if not checked:
+            try:
+                statuses = decode_status_bundle(record.payload)
+            except TLSError as exc:
+                self.stats.statuses_invalid += 1
+                self._reject(RejectionReason.INVALID_STATUS, f"malformed status record: {exc}")
+                return None
         for status in statuses:
             self.stats.statuses_received += 1
-            if not self._validate_status(status, now):
+            if not self._authenticate_status(status, checked):
+                return None
+        if not checked:
+            self.root_cache.statuses.put(record.payload, statuses)
+        for status in statuses:
+            if not self._judge_status(status, now):
                 return None
         return statuses
 
-    def _validate_status(self, status: RevocationStatus, now: float) -> bool:
+    def _authenticate_status(self, status: RevocationStatus, checked: bool) -> bool:
+        """The root signature under this client's CA key, then (unless the
+        bytes were ``checked`` before) the proof against that root."""
         ca_key = self.ca_public_keys.get(status.ca_name)
         if ca_key is None:
             # An expiry shard's dictionary is signed with its CA's key.
@@ -261,12 +278,19 @@ class RITMClient(Endpoint):
             )
             return False
         try:
-            status.verify(
-                ca_key,
-                now=int(now),
-                delta=self.config.delta_seconds,
-                root_cache=self.root_cache,
-            )
+            self.root_cache.verify_or_raise(status.signed_root, ca_key)
+            if not checked:
+                status.check_proof()
+        except (SignatureError, ProofError) as exc:
+            self.stats.statuses_invalid += 1
+            self._reject(RejectionReason.INVALID_STATUS, str(exc))
+            return False
+        return True
+
+    def _judge_status(self, status: RevocationStatus, now: float) -> bool:
+        """Freshness against ``now`` and the revoked verdict of an authentic status."""
+        try:
+            status.check_verdict(int(now), self.config.delta_seconds)
         except RevokedCertificateError as exc:
             self.stats.statuses_valid += 1
             self._reject(RejectionReason.CERTIFICATE_REVOKED, str(exc))
@@ -274,10 +298,6 @@ class RITMClient(Endpoint):
         except StaleStatusError as exc:
             self.stats.statuses_invalid += 1
             self._reject(RejectionReason.STALE_STATUS, str(exc))
-            return False
-        except (SignatureError, ProofError) as exc:
-            self.stats.statuses_invalid += 1
-            self._reject(RejectionReason.INVALID_STATUS, str(exc))
             return False
         self.stats.statuses_valid += 1
         self.last_status_at = now

@@ -5,11 +5,10 @@ import pytest
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary
 from repro.dictionary.freshness import (
+    TOLERANCE_PERIODS,
     FreshnessStatement,
     periods_elapsed,
-    require_fresh,
     statement_is_fresh,
-    statement_period,
 )
 from repro.dictionary.signed_root import SignedRoot
 from repro.errors import (
@@ -115,15 +114,18 @@ class TestFreshnessPolicy:
         statement = master.refresh(now=1000 + 10)
         assert not statement_is_fresh(master.signed_root, statement, now=1040, delta=10)
 
-    def test_require_fresh_raises(self, master):
-        statement = master.refresh(now=1010)
-        require_fresh(master.signed_root, statement, now=1015, delta=10)
+    def test_check_verdict_raises_when_stale(self, master):
+        master.refresh(now=1010)
+        status = master.prove(SerialNumber(500_000))
+        status.check_verdict(now=1015, delta=10)
         with pytest.raises(StaleStatusError):
-            require_fresh(master.signed_root, statement, now=1100, delta=10)
+            status.check_verdict(now=1100, delta=10)
 
-    def test_statement_period(self, master):
-        statement = master.refresh(now=1000 + 30)
-        assert statement_period(master.signed_root, statement) == 3
+    def test_tolerance_is_one_period(self, master):
+        statement = master.refresh(now=1000 + 30)  # released in period 3
+        assert TOLERANCE_PERIODS == 1
+        assert statement_is_fresh(master.signed_root, statement, now=1049, delta=10)
+        assert not statement_is_fresh(master.signed_root, statement, now=1050, delta=10)
 
     def test_forged_statement_never_fresh(self, master):
         forged = FreshnessStatement(ca_name="CA-P", value=b"\x00" * 20)
@@ -151,6 +153,16 @@ class TestRevocationStatus:
         status = master.prove(SerialNumber(500_000))
         with pytest.raises(StaleStatusError):
             status.verify(keys.public, now=1000 + 500, delta=10)
+
+    def test_check_proof_reads_the_bytes_alone(self, master):
+        from dataclasses import replace
+
+        status = master.prove(SerialNumber(500_000))
+        status.check_proof()  # no key, no clock
+        with pytest.raises(ProofError):
+            replace(status, serial=SerialNumber(400_000)).check_proof()
+        with pytest.raises(ProofError, match="tree size"):
+            replace(status, signed_root=replace(status.signed_root, size=99)).check_proof()
 
     def test_status_for_mismatched_serial_rejected(self, master, keys):
         from dataclasses import replace

@@ -2,6 +2,7 @@
 sequence per cache — and the caches own nothing but their live entries."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 from repro.crypto.signing import KeyPair
 from repro.perf import CacheStats, ProofCache, VerifiedRootCache
@@ -52,12 +53,19 @@ def test_root_cache_scripted_sequence():
     assert cache.verify(a1, keys.public)
     assert cache.verify(b1, keys.public)
     assert cache.verify(a2, keys.public)  # evicts a1
-    assert containers_held(cache) == [2]
+    # The status memo: one record under each CA (all a memo entry's value is
+    # read for is each status's root).
+    cache.statuses.put(b"record-a", [SimpleNamespace(signed_root=a2)])
+    cache.statuses.put(b"record-b", [SimpleNamespace(signed_root=b1)])
+    assert cache.statuses.get(b"record-a") is not None
+    assert containers_held(cache) == [2, 2]
     assert cache.stats == CacheStats(hits=1, misses=3, evictions=1, invalidations=0)
 
-    assert cache.invalidate_ca("CA-A") == 1
+    assert cache.invalidate_ca("CA-A") == 1  # counts verdicts; the memo is not counted
+    assert cache.statuses.keys() == [b"record-b"]
     assert cache.invalidate_ca("CA-A") == 0
     assert not cache.verify(replace(b1, size=9), keys.public)  # forged: never cached
-    assert containers_held(cache) == [1]
+    assert containers_held(cache) == [1, 1]
     assert cache.clear() == 1
+    assert containers_held(cache) == [0, 0]
     assert cache.stats == CacheStats(hits=1, misses=4, evictions=1, invalidations=2)

@@ -4,8 +4,9 @@ A frozen value object keeps its encoding in its instance ``__dict__``.  These
 tests pin what that must not change: a copy with different fields encodes
 from *its* fields, equality and hashing ignore the retained bytes, the bytes
 are dropped with the proof cache entry that holds them — and the DPI engine's
-parsed-chain LRU, like the one a client's ``ChainValidationCache`` keeps,
-stores structure only, bounded, keyed by the exact body.
+parsed-chain LRU, like the one a client's ``ChainValidationCache`` keeps and
+the status memo beside a client's ``VerifiedRootCache``, stores structure
+only, bounded, keyed by the exact bytes.
 """
 
 import dataclasses
@@ -15,8 +16,12 @@ import pytest
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary
 from repro.errors import CertificateError, TLSError
+from repro.net.packet import Direction, Packet
+from repro.perf import VerifiedRootCache
 from repro.pki.certificate import Certificate, CertificateChain
 from repro.pki.serial import SerialNumber
+from repro.ritm import client as client_module
+from repro.ritm.client import RejectionReason, RITMClient
 from repro.ritm.dpi import CHAIN_CACHE_CAPACITY, DPIEngine
 from repro.ritm.messages import (
     DictionaryHead,
@@ -37,6 +42,7 @@ from repro.tls.messages import CertificateMessage, ServerHello, ServerHelloDone
 from repro.tls.records import ContentType, TLSRecord, parse_records
 
 from tests.ritm.conftest import EPOCH, flip_bit
+from tests.ritm.test_agent import FLOW
 from tests.ritm.test_wire_canonical import rebuilt
 
 KEYS = KeyPair.generate(b"wire-memo")
@@ -403,6 +409,153 @@ class TestClientChainMemo:
             with pytest.raises(CertificateError):  # re-serialled leaves do not verify
                 self.handshake(small_corpus, cache, payload)
         assert len(parses) == 4  # the first was evicted by the third
+
+
+def status_handshake(world, root_cache, payload, now, chains, ca_public_keys=None):
+    """A fresh RITM client fed the server flight plus one status record whose
+    payload is ``payload``, checking statuses through ``root_cache``."""
+    chain = world.corpus.chains[0]
+    client = RITMClient(
+        ip_address=FLOW.src_ip,
+        server_name=chain.leaf.subject,
+        trust_store=world.trust_store,
+        ca_public_keys=ca_public_keys or world.ca_public_keys(),
+        config=world.config,
+        root_cache=root_cache,
+        validation_cache=chains,
+    )
+    client.client_hello_packet(FLOW, now=now)
+    record = TLSRecord(ContentType.RITM_STATUS, payload)
+    packet = Packet(
+        flow=FLOW.reversed(),
+        payload=server_flight(chain) + record.to_bytes(),
+        direction=Direction.SERVER_TO_CLIENT,
+    )
+    client.handle_packet(packet, now=now)
+    return client
+
+
+def client_verdict(client):
+    return (
+        client.rejection,
+        client.rejection_detail,
+        client.connection_accepted,
+        dataclasses.astuple(client.stats),
+    )
+
+
+class TestClientStatusMemo:
+    """A client answers a status record whose exact bytes passed the signature
+    and Merkle checks before from its root cache's status memo — skipping the
+    decode and the Merkle check, and nothing else."""
+
+    NOW = EPOCH + 11
+
+    @pytest.fixture()
+    def chains(self):
+        return ChainValidationCache()
+
+    @staticmethod
+    def honest_record(world) -> bytes:
+        leaf = world.corpus.chains[0].leaf
+        return encode_status_bundle([world.agent.build_status(leaf.issuer, leaf.serial)])
+
+    @pytest.fixture()
+    def decodes(self, monkeypatch):
+        """Every status record the client decodes."""
+        seen = []
+
+        def counting(data):
+            seen.append(data)
+            return decode_status_bundle(data)
+
+        monkeypatch.setattr(client_module, "decode_status_bundle", counting)
+        return seen
+
+    def test_a_repeat_is_answered_by_lookup(self, world, chains, decodes):
+        cache = VerifiedRootCache()
+        payload = self.honest_record(world)
+        clients = [status_handshake(world, cache, payload, self.NOW, chains) for _ in range(3)]
+        assert len(decodes) == 1
+        assert (cache.statuses.stats.misses, cache.statuses.stats.hits) == (1, 2)
+        for client in clients:
+            assert client.rejection is None and client.stats.statuses_valid == 1
+        assert clients[0].last_status == clients[2].last_status
+        # The memo is not a verdict and is not counted as one: one root
+        # lookup per status, as without it.
+        assert (cache.stats.misses, cache.stats.hits) == (1, 2)
+
+    def test_every_bit_flip_gets_a_fresh_clients_verdict_and_never_a_hit(self, world, chains):
+        payload = self.honest_record(world)
+        warm = VerifiedRootCache(maxsize=16 * len(payload))  # no flip evicts the honest entry
+        assert status_handshake(world, warm, payload, self.NOW, chains).rejection is None
+        memo = warm.statuses.stats
+        for bit in range(8 * len(payload)):
+            mutated = flip_bit(payload, bit)
+            hits, misses = memo.hits, memo.misses
+            through_warm = status_handshake(world, warm, mutated, self.NOW, chains)
+            fresh = status_handshake(world, None, mutated, self.NOW, chains)
+            assert client_verdict(through_warm) == client_verdict(fresh), bit
+            assert (memo.hits, memo.misses) == (hits, misses + 1), bit
+        hits = memo.hits
+        assert status_handshake(world, warm, payload, self.NOW, chains).rejection is None
+        assert memo.hits == hits + 1
+
+    def test_the_same_bytes_past_two_delta_are_stale_on_a_hit(self, world, chains):
+        cache = VerifiedRootCache()
+        payload = self.honest_record(world)
+        assert status_handshake(world, cache, payload, self.NOW, chains).rejection is None
+        late = self.NOW + 3 * world.config.delta_seconds
+        client = status_handshake(world, cache, payload, late, chains)
+        assert cache.statuses.stats.hits == 1
+        assert client.rejection is RejectionReason.STALE_STATUS
+        assert client_verdict(client) == client_verdict(
+            status_handshake(world, None, payload, late, chains)
+        )
+
+    def test_a_revoked_status_rejects_on_a_hit(self, world, chains):
+        leaf = world.corpus.chains[0].leaf
+        world.ca_by_name(leaf.issuer).revoke([leaf.serial], now=EPOCH + 8)
+        world.pull(now=EPOCH + 9)
+        payload = self.honest_record(world)
+        cache = VerifiedRootCache()
+        for lookups in (1, 2):
+            client = status_handshake(world, cache, payload, self.NOW, chains)
+            assert client.rejection is RejectionReason.CERTIFICATE_REVOKED
+            assert cache.statuses.stats.lookups == lookups
+        assert cache.statuses.stats.hits == 1
+
+    def test_a_client_with_another_key_for_the_ca_rejects_on_a_hit(self, world, chains):
+        cache = VerifiedRootCache()
+        payload = self.honest_record(world)
+        assert status_handshake(world, cache, payload, self.NOW, chains).rejection is None
+        keys = {**world.ca_public_keys(), world.corpus.chains[0].leaf.issuer: OTHER_KEYS.public}
+        client = status_handshake(world, cache, payload, self.NOW, chains, keys)
+        assert cache.statuses.stats.hits == 1  # the structure is shared...
+        assert client.rejection is RejectionReason.INVALID_STATUS  # ...the verdict is not
+        assert "failed verification" in client.rejection_detail
+
+    def test_a_failed_check_is_never_stored(self, world, chains, decodes):
+        cache = VerifiedRootCache()
+        status = world.agent.build_status(
+            world.corpus.chains[0].leaf.issuer, world.corpus.chains[0].leaf.serial
+        )
+        lying = dataclasses.replace(status, serial=SerialNumber(status.serial.value + 1))
+        for payload in (encode_status_bundle([lying]), b"\x01\x00"):
+            for _ in range(2):
+                client = status_handshake(world, cache, payload, self.NOW, chains)
+                assert client.rejection is RejectionReason.INVALID_STATUS
+        assert len(decodes) == 4 and len(cache.statuses) == 0
+
+    def test_maxsize_zero_decodes_every_time(self, world, chains, decodes):
+        payload = self.honest_record(world)
+        for cache in (VerifiedRootCache(maxsize=0), None):  # None: the client's own, per client
+            del decodes[:]
+            for _ in range(3):
+                client = status_handshake(world, cache, payload, self.NOW, chains)
+                assert client.rejection is None
+            assert len(decodes) == 3
+            assert len(client.root_cache.statuses) == (0 if cache is not None else 1)
 
 
 class TestMalformedSerialInAStatusRecord:
