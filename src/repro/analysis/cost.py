@@ -8,9 +8,9 @@ The cost model follows §VII-C of the paper:
 * RAs are distributed around the world proportionally to city population
   (one RA per ``clients_per_ra`` people), which maps them onto CloudFront's
   pricing regions;
-* every RA polls the CA's dictionary head every Δ (downloading the freshness
-  statement) and additionally downloads the serials newly revoked in that
-  period;
+* every RA polls the CA's freshness object every Δ (the freshness statement
+  alone, as ``RADisseminationClient`` does) and additionally downloads the
+  serials newly revoked in that period, with the root signed after them;
 * the CDN bills the CA per GB served per region (tiered list prices), for
   each monthly billing cycle between January 2014 and August 2015.
 
@@ -70,8 +70,8 @@ class CostModelConfig:
     #: Per-request HTTP/TCP overhead billed as data transfer (0 = paper-style
     #: pure-payload accounting).
     per_request_overhead_bytes: int = 0
-    #: Expiry shards per CA dictionary (§VIII): a sharded RA polls one head
-    #: (freshness statement) per live shard each Δ, so freshness traffic
+    #: Expiry shards per CA dictionary (§VIII): a sharded RA polls one
+    #: freshness object per live shard each Δ, so freshness traffic
     #: scales with this factor while the reclaimed storage is accounted in
     #: :func:`repro.analysis.overhead.sharded_storage_overhead`.  1 = the
     #: paper's single ever-growing dictionary.  Size it with
@@ -172,10 +172,10 @@ def simulate_costs(
             # with activity).
             batches = min(polls, max(revocations, 0))
             batches = min(batches, days_in_cycle * 86_400 / delta_seconds)
-            # A sharded RA fetches the shard index plus one head object per
-            # live shard each poll, so the freshness payload, per-request
+            # A sharded RA fetches the shard index plus one freshness object
+            # per live shard each poll, so the freshness payload, per-request
             # overhead, and request fees all scale with the shard count
-            # (the index fetch is charged like one more head object).
+            # (the index fetch is charged like one more freshness object).
             requests_per_poll = config.shards_per_dictionary + (
                 1 if config.shards_per_dictionary > 1 else 0
             )

@@ -149,7 +149,7 @@ def live_shard_count(
     A revocation issued now targets an expiry at most ``max_lifetime``
     ahead, so at most ``ceil(lifetime / width)`` full windows plus the
     currently passing one can hold live certificates.  This is also how
-    many head objects a sharded RA polls per Δ (see
+    many freshness objects a sharded RA polls per Δ (see
     :class:`repro.analysis.cost.CostModelConfig.shards_per_dictionary`).
     """
     if shard_width_seconds <= 0:

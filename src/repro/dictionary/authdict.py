@@ -458,6 +458,25 @@ class ReplicaDictionary(_DictionaryCore):
         the current period is idempotent and accepted, so CDN re-serves of
         the live object are harmless.
         """
+        behind = self.offer_freshness(statement)
+        if behind is None:
+            raise DictionaryError("freshness statement does not link to the current anchor")
+        if behind:
+            raise ReplayError(
+                f"freshness statement for {self.ca_name!r} replays period "
+                f"{self._freshness_age - behind} but the replica already holds "
+                f"period {self._freshness_age}"
+            )
+
+    def offer_freshness(self, statement: FreshnessStatement) -> Optional[int]:
+        """Install ``statement`` unless it is older than the held one.
+
+        Statements under one root are ordered by their hash-chain period.
+        Returns how many periods ``statement`` trails the held statement —
+        0 when it was installed (the held period or a later one), more when
+        it was left alone — or ``None`` when it does not link to the held
+        root's anchor at all (another chain: a newer root, or an older one).
+        """
         if statement.ca_name != self.ca_name:
             raise DictionaryError("freshness statement for a different CA")
         if self._signed_root is None:
@@ -475,14 +494,12 @@ class ReplicaDictionary(_DictionaryCore):
             self._signed_root.anchor, statement.value, self._signed_root.chain_length
         )
         if age is None:
-            raise DictionaryError("freshness statement does not link to the current anchor")
+            return None
         if age < self._freshness_age:
-            raise ReplayError(
-                f"freshness statement for {self.ca_name!r} replays period {age} but the "
-                f"replica already holds period {self._freshness_age}"
-            )
+            return self._freshness_age - age
         self._latest_freshness = statement
         self._freshness_age = age
+        return 0
 
     # -- Fig. 2: prove --------------------------------------------------------
 

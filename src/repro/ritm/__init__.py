@@ -3,6 +3,7 @@
 from repro.ritm.agent import AgentStatistics, RevocationAgent
 from repro.ritm.ca_service import (
     RITMCertificationAuthority,
+    freshness_path,
     head_path,
     issuance_path,
     manifest_path,
@@ -57,6 +58,7 @@ __all__ = [
     "RITMServer",
     "TLSTerminator",
     "RITMCertificationAuthority",
+    "freshness_path",
     "head_path",
     "issuance_path",
     "manifest_path",

@@ -7,8 +7,11 @@ refresh duty, and publication of dissemination objects to the CDN.
 Everything the CA publishes about one dictionary forms a **stream**
 (:class:`DictionaryStream`), laid out under the dictionary's name:
 
-* ``/ritm/<name>/head``          — the small polling object: size, signed
-  root, latest freshness statement (pulled by every RA every Δ);
+* ``/ritm/<name>/freshness``     — the latest freshness statement alone
+  (pulled by every RA every Δ);
+* ``/ritm/<name>/head``          — size, signed root, latest freshness
+  statement (pulled only by RAs whose held root that statement does not
+  extend);
 * ``/ritm/<name>/issuance/<k>``  — the k-th revocation batch (pulled only by
   RAs that detect they are behind);
 * ``/ritm/<name>/segment/<k>``   — the same batch as a signed WAL segment
@@ -54,6 +57,7 @@ from repro.ritm.messages import (
     DictionaryHead,
     KeyAnnouncement,
     ShardIndex,
+    encode_freshness,
     encode_head,
     encode_issuance,
     encode_key_announcements,
@@ -64,6 +68,11 @@ from repro.ritm.replication import build_segment, encode_segment, segment_path
 
 def head_path(ca_name: str) -> str:
     return f"/ritm/{ca_name}/head"
+
+
+def freshness_path(ca_name: str) -> str:
+    """CDN path of a dictionary's per-Δ freshness object."""
+    return f"/ritm/{ca_name}/freshness"
 
 
 def issuance_path(ca_name: str, batch_number: int) -> str:
@@ -534,6 +543,7 @@ class RITMCertificationAuthority:
             "ca": self.name,
             "delta_seconds": self.config.delta_seconds,
             "head": head_path(self.name),
+            "freshness": freshness_path(self.name),
             "issuance_prefix": f"/ritm/{self.name}/issuance/",
         }
         if self.sharded:
@@ -617,13 +627,17 @@ class RITMCertificationAuthority:
         self._publish_head(stream, now)
 
     def _publish_head(self, stream: DictionaryStream, now: float) -> None:
+        """Publish a stream's head and, beside it, its freshness object."""
         # The publication sequence advances exactly once per publish, so a
-        # replayed copy of an earlier object is detectably behind.
+        # replayed copy of an earlier head is detectably behind.
         stream.sequence += 1
-        content = encode_head(self.head(stream.name))
+        head = self.head(stream.name)
+        content = encode_head(head)
         self._publish(head_path(stream.name), content, now)
+        freshness = encode_freshness(head.freshness)
+        self._publish(freshness_path(stream.name), freshness, now)
         self.publication_stats.heads_published += 1
-        self.publication_stats.bytes_uploaded += len(content)
+        self.publication_stats.bytes_uploaded += len(content) + len(freshness)
 
     def _publish_key_announcements(self, now: float) -> None:
         """Publish the full signed rotation chain at :func:`keys_path`."""

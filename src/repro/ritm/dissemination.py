@@ -1,18 +1,24 @@
 """RA-side dissemination: pulling dictionary updates from the CDN every Δ.
 
 Implements the pull loop of §III/§VI: every Δ each RA issues an HTTP GET for
-each CA's small *head* object from its closest edge server.  If the head
-shows the replica is current, only the freshness statement is applied (the
-common case whose cost dominates Fig. 7).  If the head's size is larger than
-the replica's, the RA fetches the missing issuance batches (or falls back to
-the sync protocol) and applies them.
+each dictionary's *freshness object* — the CA's latest freshness statement,
+alone — from its closest edge server.  If the statement hash-links to the
+anchor of the signed root the replica holds, applying it is the whole poll
+(the common case whose cost dominates Fig. 7).  If it reports more
+revocations than the replica holds, the RA fetches the missing batches —
+each carries the root the CA signed after it — or falls back to the sync
+protocol, applies them, and then applies the statement.  Only a statement
+that links to no root the replica holds (a re-signed chain, a key rotation,
+a replayed or forged root) sends the RA to the dictionary's *head* (size,
+signed root, freshness), as does a replica with no root yet.
 
 Every replica the agent holds — a whole-CA dictionary or one expiry shard of
 a sharded CA (§VIII, ``RITMConfig.sharded``) — goes through that same cycle
-under its own name, tracked by one :class:`ReplicaFeed` record: head first,
-then, if the head shows the replica behind, one catch-up walk from the
-feed's position (fetching issuance objects, or WAL segments when
-``segment_streaming`` is set — docs/REPLICATION.md), then freshness.  A
+under its own name, tracked by one :class:`ReplicaFeed` record: freshness
+first, then, if the statement shows the replica behind, one catch-up walk
+from the feed's position (fetching issuance objects, or WAL segments when
+``segment_streaming`` is set — docs/REPLICATION.md), then the head only if
+the statement still does not link.  A
 sharded CA adds only a step *before* it: the RA pulls the CA's small shard *index* object to
 register replicas for newly opened shards, and deletes replicas of shards
 whose expiry window has passed — the storage reclamation the §VIII
@@ -47,12 +53,14 @@ from repro.errors import (
 from repro.ritm.agent import RevocationAgent
 from repro.ritm.ca_service import (
     RITMCertificationAuthority,
+    freshness_path,
     head_path,
     issuance_path,
     keys_path,
     shard_index_path,
 )
 from repro.ritm.messages import (
+    decode_freshness_object,
     decode_head,
     decode_issuance,
     decode_key_announcements,
@@ -62,10 +70,14 @@ from repro.ritm.messages import (
 from repro.ritm.persistence import load_checkpoint, write_checkpoint
 from repro.ritm.replication import decode_segment, segment_path, verify_segment
 
-#: How many publications behind the newest observed sequence a head (or shard
-#: index) may be before the RA treats it as a replay attack rather than CDN
-#: staleness.
+#: How far behind the newest position an RA has seen a polled object may be
+#: before the RA treats it as a replay attack rather than CDN staleness:
+#: publications for a head or shard index, hash-chain periods for a freshness
+#: object.
 REPLAY_WINDOW = 2
+
+#: Request bytes one GET (or sync request) puts on the RA's uplink.
+REQUEST_BYTES = 64
 
 
 @dataclass
@@ -76,6 +88,8 @@ class PullResult:
     bytes_downloaded: int = 0
     latency_seconds: float = 0.0
     heads_checked: int = 0
+    #: CDN GETs and sync requests issued (each is one request on the uplink).
+    requests: int = 0
     freshness_applied: int = 0
     issuances_applied: int = 0
     serials_applied: int = 0
@@ -94,11 +108,11 @@ class PullResult:
     root_cache_hits: int = 0
     root_signatures_verified: int = 0
     proofs_invalidated: int = 0
-    #: Adversarial control-plane accounting (docs/THREATS.md): heads/indexes
-    #: skipped as benign CDN staleness (within the replay window), heads or
-    #: freshness statements rejected as replays (beyond the window or older
-    #: than already-applied authenticated state), and CA key rotations the
-    #: RA learned and validated this cycle.
+    #: Adversarial control-plane accounting (docs/THREATS.md): heads,
+    #: indexes and freshness objects skipped as benign CDN staleness (within
+    #: the replay window), the same rejected as replays (beyond the window
+    #: or older than already-applied authenticated state), and CA key
+    #: rotations the RA learned and validated this cycle.
     stale_heads_ignored: int = 0
     replays_rejected: int = 0
     key_rotations_applied: int = 0
@@ -129,6 +143,26 @@ def total_pulls(history: Iterable[PullResult]) -> PullResult:
     return total
 
 
+def within_window(behind: int, what: str, unit: str, result: PullResult) -> bool:
+    """Classify an object ``behind`` positions behind the newest this RA has seen.
+
+    Returns ``False`` when it is current (``behind <= 0``) and ``True`` when
+    it should be *skipped* as benign CDN staleness — at most
+    :data:`REPLAY_WINDOW` behind.  Raises :class:`ReplayError` when it is
+    further behind: a re-presented old object, the §V replay attack.
+    """
+    if behind <= 0:
+        return False
+    if behind <= REPLAY_WINDOW:
+        result.stale_heads_ignored += 1
+        return True
+    result.replays_rejected += 1
+    raise ReplayError(
+        f"{what} is {behind} {unit} behind the newest observed — outside the "
+        f"replay window of {REPLAY_WINDOW}"
+    )
+
+
 @dataclass
 class ReplayWindow:
     """Replay window over one object's unauthenticated publication sequence."""
@@ -140,13 +174,8 @@ class ReplayWindow:
     stale: int = 0
 
     def skips(self, sequence: int, what: str, result: PullResult) -> bool:
-        """Classify a publication sequence against the cursor.
-
-        Returns ``True`` when the object should be *skipped* as benign CDN
-        staleness (at most :data:`REPLAY_WINDOW` publications behind the
-        newest sequence this RA has seen).  Raises :class:`ReplayError`
-        when it is further behind — a re-presented old object, the §V
-        replay attack.  Returns ``False`` when the object is current.
+        """Classify a publication sequence against the cursor
+        (:func:`within_window`).
 
         Sequences are unauthenticated (a CDN cannot sign), so the cursor
         self-heals: after more than :data:`REPLAY_WINDOW` *consecutive*
@@ -155,23 +184,16 @@ class ReplayWindow:
         signed content is still rejected by hash-chain linkage and
         monotonic freshness age.
         """
-        cursor = self.cursor
-        behind = cursor - sequence
-        if behind <= 0:
+        try:
+            skip = within_window(self.cursor - sequence, what, "publications", result)
+        except ReplayError:
+            self.stale += 1
+            if self.stale > REPLAY_WINDOW:
+                self.cursor = self.stale = 0
+            raise
+        if not skip:
             self.stale = 0
-            return False
-        if behind <= REPLAY_WINDOW:
-            result.stale_heads_ignored += 1
-            return True
-        self.stale += 1
-        if self.stale > REPLAY_WINDOW:
-            self.cursor = self.stale = 0
-        result.replays_rejected += 1
-        raise ReplayError(
-            f"{what} re-presents publication sequence "
-            f"{sequence}, {behind} behind the newest observed ({cursor}) — "
-            f"outside the replay window of {REPLAY_WINDOW}"
-        )
+        return skip
 
 
 @dataclass
@@ -343,9 +365,9 @@ class RADisseminationClient:
 
         ``link`` (a :class:`repro.net.Link`, optional) models the RA's
         uplink: when set, one request/response round trip sized by the
-        cycle's actual head checks and downloaded bytes is added to the
-        recorded latency.  ``None`` (the default) keeps the pre-fleet
-        behaviour where latency is purely the CDN path model's.
+        cycle's requests (:data:`REQUEST_BYTES` each) and downloaded bytes
+        is added to the recorded latency.  ``None`` (the default) keeps the
+        pre-fleet behaviour where latency is purely the CDN path model's.
         """
         result = PullResult(time=now)
         root_stats = self.agent.root_cache.stats
@@ -357,13 +379,21 @@ class RADisseminationClient:
         result.root_cache_hits = root_stats.hits - hits_before
         result.root_signatures_verified = root_stats.misses - misses_before
         result.proofs_invalidated = proof_stats.invalidations - invalidations_before
-        if link is not None:
+        if link is not None and result.requests:
             result.latency_seconds += link.round_trip_time(
-                request_bytes=64 * max(1, result.heads_checked),
+                request_bytes=REQUEST_BYTES * result.requests,
                 response_bytes=result.bytes_downloaded,
             )
         self.pull_history.append(result)
         return result
+
+    def _get(self, path: str, now: float, result: PullResult):
+        """One CDN GET, charged to ``result``."""
+        result.requests += 1
+        download = self.cdn.download(path, self.location, now)
+        result.bytes_downloaded += download.bytes_on_wire
+        result.latency_seconds += download.latency_seconds
+        return download
 
     def _cycle(self, now: float, result: PullResult, peer=None) -> None:
         """Shard discovery, then every replica behind one error boundary."""
@@ -391,9 +421,7 @@ class RADisseminationClient:
     def _discover_shards(self, ca_name: str, now: float, result: PullResult) -> None:
         """Register a replica for every live shard the index lists."""
         discovery = self.sharded[ca_name]
-        download = self.cdn.download(shard_index_path(ca_name), self.location, now)
-        result.bytes_downloaded += download.bytes_on_wire
-        result.latency_seconds += download.latency_seconds
+        download = self._get(shard_index_path(ca_name), now, result)
         result.shard_indexes_checked += 1
         index = decode_shard_index(download.content)
 
@@ -462,7 +490,7 @@ class RADisseminationClient:
     def _pull_one(
         self, ca_name: str, replica, now: float, result: PullResult, peer=None
     ) -> None:
-        """Bring one replica up to what its head (or ``peer``) shows."""
+        """Bring one replica up to what its stream (or ``peer``) shows."""
         verifier = replica.ca_public_key
         if hasattr(verifier, "advance"):
             # Keyring verifiers are time-scoped: move the acceptance clock
@@ -474,9 +502,11 @@ class RADisseminationClient:
                 result.peer_syncs += 1
                 self._catch_up(ca_name, replica, now, result, peer=peer)
             return
-        download = self.cdn.download(head_path(ca_name), self.location, now)
-        result.bytes_downloaded += download.bytes_on_wire
-        result.latency_seconds += download.latency_seconds
+        if replica.signed_root is not None and self._poll_freshness(
+            ca_name, replica, now, result
+        ):
+            return
+        download = self._get(head_path(ca_name), now, result)
         result.heads_checked += 1
         head = decode_head(download.content)
 
@@ -497,10 +527,49 @@ class RADisseminationClient:
             self._apply_head(ca_name, replica, head, now, result)
         feed.head.cursor = head.sequence
 
+    def _poll_freshness(
+        self, ca_name: str, replica, now: float, result: PullResult
+    ) -> bool:
+        """The per-Δ poll of a replica that holds a signed root.
+
+        Fetches the stream's freshness statement.  A statement reporting
+        more revocations than the replica holds first runs the catch-up
+        walk: every batch object embeds the root signed after its batch, so
+        no head is needed.  A statement that then links to the held root's
+        anchor is ranked by its hash-chain period — the held period or a
+        later one is applied, up to :data:`REPLAY_WINDOW` periods behind is
+        benign CDN staleness, further behind a replay.  Returns ``False``
+        when only the head can settle the replica: the statement hashes to
+        no anchor the replica holds (a re-signed chain, a key rotation, a
+        replayed or forged root).
+        """
+        download = self._get(freshness_path(ca_name), now, result)
+        statement = decode_freshness_object(download.content)
+        if statement.ca_name != ca_name:
+            raise TLSError(
+                f"freshness object at {ca_name!r}'s path is for {statement.ca_name!r}"
+            )
+        if statement.dictionary_size > replica.size:
+            self._catch_up(
+                ca_name, replica, now, result, advertised_size=statement.dictionary_size
+            )
+            if replica.size < statement.dictionary_size:
+                return True  # the walk could not close the gap and said why
+        behind = replica.offer_freshness(statement)
+        if behind is None:
+            return False
+        if behind:
+            within_window(
+                behind, f"freshness for {ca_name!r}", "hash-chain periods", result
+            )
+        else:
+            result.freshness_applied += 1
+        return True
+
     def _apply_head(self, ca_name: str, replica, head, now: float, result: PullResult) -> None:
         """Apply one decoded, replay-checked head to its replica."""
         if replica.signed_root is None or replica.is_desynchronized(head.size):
-            self._catch_up(ca_name, replica, now, result, head_size=head.size)
+            self._catch_up(ca_name, replica, now, result, advertised_size=head.size)
             if replica.size == head.size and (
                 replica.signed_root is None
                 or head.signed_root.timestamp > replica.signed_root.timestamp
@@ -508,6 +577,17 @@ class RADisseminationClient:
                 # Bootstrap (empty dictionary) or a re-signed root over the
                 # content we just caught up to.
                 replica.install_root(head.signed_root)
+        elif head.signed_root.size < replica.size:
+            # Signed state the replica has already moved past: the head
+            # publication sequence may not show it, because an RA that
+            # follows a stream through its freshness objects reads heads
+            # only now and then.
+            result.replays_rejected += 1
+            raise ReplayError(
+                f"head for {ca_name!r} re-presents a root over "
+                f"{head.signed_root.size} revocations; the replica holds "
+                f"{replica.size}"
+            )
         elif head.signed_root.root == replica.signed_root.root:
             # Same content; a newer signed root only appears when the CA's
             # hash chain ran out and it re-signed the same dictionary.
@@ -542,9 +622,7 @@ class RADisseminationClient:
             return False
         issuer = self.agent.issuer_of(ca_name)  # a shard's keys are its CA's
         try:
-            download = self.cdn.download(keys_path(issuer), self.location, now)
-            result.bytes_downloaded += download.bytes_on_wire
-            result.latency_seconds += download.latency_seconds
+            download = self._get(keys_path(issuer), now, result)
             announcements = decode_key_announcements(download.content)
             learned = self.agent.learn_key_announcements(issuer, announcements)
         except (CDNError, TLSError, SignatureError) as exc:
@@ -561,7 +639,7 @@ class RADisseminationClient:
         replica,
         now: float,
         result: PullResult,
-        head_size: int = 0,
+        advertised_size: int = 0,
         peer=None,
     ) -> None:
         """The one catch-up walk: fetch the batches past the replica's
@@ -572,7 +650,9 @@ class RADisseminationClient:
         fetches one of them per missing batch — the issuance object from the
         CDN, the segment from the CDN when :attr:`segment_streaming` is set,
         or the segment from ``peer``'s archive — until the replica is as
-        large as the head says (or as far along as the peer claims), and
+        large as the CA advertises (``advertised_size``, read off the
+        freshness statement or the head; or as far along as the peer
+        claims), and
         hands every fetchable, contiguous batch to the replica at once
         (``RevocationAgent.apply_issuances``): one merge and one suffix
         rehash however many batches queued up.  An object that is missing,
@@ -580,6 +660,7 @@ class RADisseminationClient:
         it to the CA's sync protocol — never silently.
         """
         feed = self._feed(ca_name)
+        installed = replica.signed_root
         segments = peer is not None or self.segment_streaming
         goal = peer.replication_cursor(ca_name) if peer is not None else 0
         # ``committed`` only ever advances over batches whose content is
@@ -592,7 +673,7 @@ class RADisseminationClient:
         relayable: Dict[int, bytes] = {}
         freshness = None
         needs_resync = False
-        while (fetched < goal) if peer is not None else (have < head_size):
+        while (fetched < goal) if peer is not None else (have < advertised_size):
             number = fetched + 1
             if peer is not None:
                 raw = peer.archived_segment(ca_name, number)
@@ -608,6 +689,7 @@ class RADisseminationClient:
                     if segments
                     else issuance_path(ca_name, number)
                 )
+                result.requests += 1
                 try:
                     download = self.cdn.download(
                         path, self.location, now, source=self.agent.name
@@ -691,11 +773,15 @@ class RADisseminationClient:
                 # prove, so fall back to the CA's sync protocol and say so.
                 result.cold_sync_fallbacks += 1
             if self._resync(ca_name, replica, result) and peer is None:
-                # The signed head vouches that every batch fetched so far
-                # exists, and the resync covered it; a peer's claim to more
-                # history vouches for nothing.
+                # The CA's own publication vouches that every batch fetched
+                # so far exists, and the resync covered it; a peer's claim to
+                # more history vouches for nothing.
                 committed = fetched
         feed.position = committed
+        if replica.signed_root is not installed:
+            # Gossip's evidence: every root a replica installs is observed,
+            # whichever object brought it.
+            self.agent.consistency.observe_root(replica.signed_root)
 
     def _resync(self, ca_name: str, replica, result: PullResult) -> bool:
         """Full-state recovery via the CA's sync endpoint.
@@ -712,6 +798,7 @@ class RADisseminationClient:
         # only ever holds entries derived from the recovered state.
         self.agent.proof_cache.invalidate_dictionary(ca_name)
         self.agent.root_cache.invalidate_ca(ca_name)
+        result.requests += 1
         response = resynchronize(replica, server)
         result.bytes_downloaded += len(encode_sync_response(response))
         result.resyncs += 1

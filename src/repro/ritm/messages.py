@@ -5,9 +5,12 @@ encoding:
 
 * the *revocation status* (Eq. 3) an RA piggybacks on TLS traffic towards the
   client — carried in a dedicated ``RITM_STATUS`` TLS record;
-* the *dissemination objects* a CA publishes to the CDN and RAs pull every Δ:
-  a small "head" object (dictionary size, signed root, current freshness
-  statement) and per-batch "issuance" objects with the newly revoked serials.
+* the *dissemination objects* a CA publishes to the CDN for RAs to pull: the
+  "freshness" object (the current freshness statement alone, polled every
+  Δ), per-batch "issuance" objects with the newly revoked serials and the
+  root signed after them, and a small "head" object (dictionary size, signed
+  root, current freshness statement) read when a statement links to no root
+  the RA holds.
 
 The encodings are simple length-prefixed structures; their sizes are what the
 paper's communication-overhead numbers (Fig. 7, §VII-D) are about, so the
@@ -159,6 +162,15 @@ def decode_freshness(data: bytes, offset: int = 0) -> Tuple[FreshnessStatement, 
         FreshnessStatement(ca_name=ca_name, value=value, dictionary_size=size),
         offset,
     )
+
+
+def decode_freshness_object(data: bytes) -> FreshnessStatement:
+    """The per-Δ freshness object a CA publishes beside each head: one
+    :func:`encode_freshness`, whole."""
+    statement, end = decode_freshness(data)
+    if end != len(data):
+        raise TLSError("trailing bytes after freshness object")
+    return statement
 
 
 # -- Merkle proofs ----------------------------------------------------------------
@@ -352,11 +364,12 @@ def decode_status_bundle(data: bytes) -> List[RevocationStatus]:
 
 @dataclass(frozen=True)
 class DictionaryHead:
-    """The small per-CA object RAs poll every Δ.
+    """The small per-dictionary object an RA reads when it holds no root yet,
+    or when the polled freshness statement links to no root it holds.
 
-    Contains everything needed to decide whether the replica is current: the
-    dictionary size, the latest signed root, and the latest freshness
-    statement.  ``sequence`` is the CA's per-dictionary publication counter;
+    Contains everything needed to bring the replica current: the dictionary
+    size, the latest signed root, and the latest freshness statement.
+    ``sequence`` is the CA's per-dictionary publication counter;
     it is *not* covered by the root signature (a CDN could not update it
     anyway) but lets RAs detect that an attacker is re-presenting a
     recorded head from many publications ago (see
@@ -431,7 +444,8 @@ class ShardIndex:
     """The per-CA shard discovery object of sharded mode (§VIII).
 
     RAs pull this small object every Δ to learn which expiry shards the CA
-    currently maintains (``live``), then pull one head object per live shard.
+    currently maintains (``live``), then pull one freshness object per live
+    shard.
     Replicas of passed windows are pruned by the RA's own clock, so the index
     names no retired ones.  ``width_seconds`` lets an RA map a certificate
     expiry to a shard index without further round trips.

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.dictionary.signed_root import SignedRoot
 from repro.ritm import GossipExchange
-from repro.ritm.ca_service import head_path
+from repro.ritm.ca_service import freshness_path, head_path
 from repro.scenarios.config import FaultSpec
 from repro.scenarios.engine.state import RunState
 from repro.scenarios.faults import (
@@ -103,16 +103,21 @@ class RotationRecorder(EngineObserver):
 
 
 class HeadArchiver(EngineObserver):
-    """Keep each stream's oldest published head, raw, for the replay fault."""
+    """Keep each stream's oldest published head and freshness object, raw,
+    for the replay fault."""
 
     def after_ca_duty(self, ctx: PeriodContext, state: RunState) -> None:
-        """Archive first-seen head objects when a replay fault is configured."""
+        """Archive first-seen heads when a replay fault is configured."""
         if not any(f.kind == "replayed-head" for f in state.config.faults):
             return
+        origin = state.cdn.origin
         for name in state.ca.streams:
             path = head_path(name)
-            if name not in state.head_archive and state.cdn.origin.exists(path):
-                state.head_archive[name] = state.cdn.origin.fetch(path).content
+            if name not in state.head_archive and origin.exists(path):
+                state.head_archive[name] = (
+                    origin.fetch(path).content,
+                    origin.fetch(freshness_path(name)).content,
+                )
 
 
 class FaultInjector(EngineObserver):
@@ -142,7 +147,7 @@ class FaultInjector(EngineObserver):
         if replay is not None and period == replay.at_period:
             if ctx.replay_active:
                 detail = replay_captured_head(
-                    target, state.cdn, state.head_archive[target], bin_start
+                    target, state.cdn, *state.head_archive[target], bin_start
                 )
                 state.event(period, "replayed-head", detail)
             else:

@@ -152,11 +152,11 @@ class RunState:
     oracle: Optional[CADictionary] = None
     storage_timeline: List[Dict[str, object]] = field(default_factory=list)
     #: Adversarial control-plane state: each stream's oldest published
-    #: head, raw (ammunition for the replay injector), the CA's rotation
-    #: history with the retired epochs' signed roots, the rotation cache
-    #: probes, replay-fault replica-integrity counters, the planted
-    #: equivocation summary, and the gossip ring's detections.
-    head_archive: Dict[str, bytes] = field(default_factory=dict)
+    #: head and freshness object, raw (ammunition for the replay injector),
+    #: the CA's rotation history with the retired epochs' signed roots, the
+    #: rotation cache probes, replay-fault replica-integrity counters, the
+    #: planted equivocation summary, and the gossip ring's detections.
+    head_archive: Dict[str, Tuple[bytes, bytes]] = field(default_factory=dict)
     rotations: List[Dict[str, object]] = field(default_factory=list)
     rotation_probes: List[Dict[str, object]] = field(default_factory=list)
     replay_probes: int = 0

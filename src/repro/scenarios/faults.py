@@ -7,9 +7,9 @@ adversary (or plain operational failure) would:
   object on the CDN, substituting a decoy serial while leaving the honest
   signed root in place — the RA's batch verification must reject it, roll the
   replica back, and recover through the sync protocol;
-* :func:`replay_captured_head` re-presents a head object captured earlier in
-  the run (the §V replay attack) — the RA's replay window must reject it
-  without touching its replica;
+* :func:`replay_captured_head` re-presents a head object and freshness
+  object captured earlier in the run (the §V replay attack) — the RA must
+  reject them without touching its replica;
 * :func:`forge_head_with_retired_key` republishes the current head re-signed
   under a rotated-out CA key whose overlap window has expired — the RA's
   time-scoped keyring must refuse the signature;
@@ -18,6 +18,11 @@ adversary (or plain operational failure) would:
   freshness chain) at one region's CDN edges, so the targeted RA adopts the
   forged state without a single verification error — only cross-RA gossip
   can expose the conflicting roots (docs/THREATS.md);
+
+An RA reads a stream's freshness object every Δ and its head only when that
+statement links to no root it holds, so every injector that forges a head
+also plants the freshness object that sends the RA to it.
+
 Each CDN-object injector aims at one of the CA's dictionary streams, named by
 the caller (an unsharded CA has only the one, under its own name).
 
@@ -33,10 +38,13 @@ from typing import Dict, List, Optional
 
 from repro.cdn.geography import Region
 from repro.cdn.network import CDNNetwork
+from repro.crypto.hashchain import HashChain
 from repro.dictionary.authdict import CADictionary
+from repro.dictionary.freshness import FreshnessStatement
 from repro.pki.serial import SerialNumber
 from repro.ritm.ca_service import (
     RITMCertificationAuthority,
+    freshness_path,
     head_path,
     issuance_path,
 )
@@ -44,6 +52,7 @@ from repro.ritm.messages import (
     DictionaryHead,
     decode_head,
     decode_issuance,
+    encode_freshness,
     encode_head,
     encode_issuance,
 )
@@ -81,19 +90,26 @@ def tamper_latest_batch(
 
 
 def replay_captured_head(
-    ca_name: str, cdn: CDNNetwork, captured: bytes, now: float
+    ca_name: str,
+    cdn: CDNNetwork,
+    captured_head: bytes,
+    captured_freshness: bytes,
+    now: float,
 ) -> str:
-    """Re-present a previously published head object on the CDN (§V replay).
+    """Re-present a previously published head on the CDN (§V replay).
 
-    ``captured`` are the raw bytes of a head the CA published earlier in the
-    run; the injector simply republishes them over the current head object,
-    exactly what a compromised distribution point re-serving stale signed
-    state would do.  The replayed copy carries its original publication
-    sequence, so an RA whose cursor has moved past the replay window must
+    ``captured_head`` and ``captured_freshness`` are the raw bytes of a head
+    and the freshness object the CA published beside it earlier in the run;
+    the injector simply republishes them over the current objects, exactly
+    what a compromised distribution point re-serving stale signed state
+    would do.  The old statement links to no root the RA holds, so the RA
+    reads the head, whose root is over fewer revocations than its replica
+    holds (or whose publication sequence is behind its cursor): it must
     raise :class:`~repro.errors.ReplayError` and leave its replica untouched.
     """
-    stale = decode_head(captured)
-    cdn.publish(head_path(ca_name), captured, now)
+    stale = decode_head(captured_head)
+    cdn.publish(head_path(ca_name), captured_head, now)
+    cdn.publish(freshness_path(ca_name), captured_freshness, now)
     return (
         f"head for {ca_name!r} rolled back to publication sequence "
         f"{stale.sequence} (dictionary size {stale.size}) on the CDN"
@@ -109,7 +125,9 @@ def forge_head_with_retired_key(
     an *old* signing key after the CA rotated away from it.  The forged head
     carries the honest dictionary content (same root bytes — so it can never
     double as equivocation evidence), a bumped timestamp so replicas attempt
-    to install it, and a far-future publication sequence so it sails through
+    to install it, a hash chain of its own whose anchor is published as the
+    freshness object (it links to no root an RA holds, which sends the RA
+    to the head), and a far-future publication sequence so it sails through
     the replay window.  With the retired key's overlap window expired, the
     RA's keyring must reject the signature outright.  Returns ``None`` when
     the CA has not rotated yet (no retired key to forge with).
@@ -121,13 +139,24 @@ def forge_head_with_retired_key(
     if not cdn.origin.exists(path):
         return None
     honest = decode_head(cdn.origin.fetch(path).content)
+    chain = HashChain(
+        length=honest.signed_root.chain_length,
+        seed=f"retired-key forgery of {stream_name}".encode("utf-8"),
+    )
     forged_root = replace(
-        honest.signed_root, timestamp=honest.signed_root.timestamp + 1
+        honest.signed_root,
+        timestamp=honest.signed_root.timestamp + 1,
+        anchor=chain.anchor,
     ).sign(retired.private)
+    freshness = FreshnessStatement(stream_name, chain.anchor, honest.size)
     forged = replace(
-        honest, signed_root=forged_root, sequence=honest.sequence + 64
+        honest,
+        signed_root=forged_root,
+        freshness=freshness,
+        sequence=honest.sequence + 64,
     )
     cdn.publish(path, encode_head(forged), now)
+    cdn.publish(freshness_path(stream_name), encode_freshness(freshness), now)
     return (
         f"head for {stream_name!r} re-signed with the retired epoch-"
         f"{ca.key_epoch - 1} key and republished "
@@ -158,6 +187,8 @@ def equivocate_at_edges(
     signature), the targeted RA adopts it without a single verification
     error: the forgery is invisible to every local check and only the
     cross-RA gossip ring can expose the two conflicting same-size roots.
+    The shadow freshness object is planted too: it reports the new size,
+    which sends the targeted RA down its catch-up walk to the shadow batch.
 
     Returns a summary dict (hidden serial, conflicting size, detail line),
     or ``None`` when nothing has been revoked yet.
@@ -194,6 +225,12 @@ def equivocate_at_edges(
     batch_number = ca.streams[stream_name].batches
     for edge in cdn.edges_in(region):
         edge.plant_object(path, encode_head(forged_head), now, ttl_seconds)
+        edge.plant_object(
+            freshness_path(stream_name),
+            encode_freshness(forged_head.freshness),
+            now,
+            ttl_seconds,
+        )
         edge.plant_object(
             issuance_path(stream_name, batch_number),
             encode_issuance(shadow_issuance),

@@ -482,22 +482,24 @@ REPLAYED_HEAD = register(
         name="replayed-head",
         title="Replay attack: a stale signed head re-presented on the CDN",
         summary=(
-            "A compromised distribution point re-serves a head object "
-            "captured periods earlier; the RA's replay window rejects the "
-            "stale publication sequence outright and its replica is "
-            "bit-for-bit untouched, then converges again on the next honest "
-            "publication."
+            "A compromised distribution point re-serves a head object and "
+            "the freshness object beside it, captured periods earlier; the "
+            "RA rejects the stale signed state as a replay outright and its "
+            "replica is bit-for-bit untouched, then converges again on the "
+            "next honest publication."
         ),
         description=(
             "The paper's §V replay attack: everything the CA publishes is "
             "signed, so the only thing a hostile CDN can do without forging "
             "signatures is re-present *old* signed state and freeze clients "
-            "in the past. Every head carries a monotonic publication "
-            "sequence; the RA keeps a per-CA cursor and treats anything more "
-            "than two publications behind it as an attack "
-            "(ReplayError), not benign staleness. The injector captures the "
-            "run's first head publication and republishes those exact bytes "
-            "over the current head at period 5. The report pins three "
+            "in the past. The RA polls the dictionary's freshness object "
+            "every period; the replayed statement links to no root it holds, "
+            "so it reads the head, whose root covers fewer revocations than "
+            "its replica (as is a head more than two publications behind its "
+            "cursor): an attack (ReplayError), not benign staleness. The "
+            "injector captures the run's first head publication and its "
+            "freshness object and republishes those exact bytes at period 5. "
+            "The report pins three "
             "verdicts: the replay was rejected, the replica's size and root "
             "were not mutated by the rejected pull, and the fleet converged "
             "on the honest dictionary by the end of the run."

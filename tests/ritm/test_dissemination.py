@@ -20,7 +20,9 @@ class TestInitialSync:
     def test_pull_records_history_and_bytes(self, world):
         result = world.pull(now=EPOCH + 20)
         assert result.bytes_downloaded > 0
-        assert result.heads_checked == len(world.cas)
+        # An idle poll reads one freshness object per CA and no head.
+        assert result.heads_checked == 0
+        assert result.requests == len(world.cas)
         assert result.errors == []
         assert total_pulls(world.dissemination.pull_history).bytes_downloaded > 0
 
@@ -31,36 +33,43 @@ class TestInitialSync:
 
 
 class TestOneErrorBoundary:
-    """A malformed head object for CA *A* is recorded, never raised: CA *B*
+    """A malformed polled object for CA *A* is recorded, never raised: CA *B*
     still applies its freshness in the same pull (the RA trusts nothing it
     relays, so nothing it relays may stop it)."""
 
     @pytest.mark.parametrize("damage", ["truncated", "invalid-utf8-name"])
-    def test_bad_head_of_one_ca_does_not_abort_the_cycle(self, world, damage):
-        from repro.ritm.ca_service import head_path
+    @pytest.mark.parametrize("polled", ["freshness", "head"])
+    def test_bad_polled_object_of_one_ca_does_not_abort_the_cycle(self, world, polled, damage):
+        """``freshness``: the every-Δ object is damaged.  ``head``: every
+        CA's hash chain has run out, so every statement links to no root the
+        RA holds and the RA reads each head — one of them damaged."""
+        from repro.ritm.ca_service import freshness_path, head_path
 
         broken, healthy = world.cas[0], world.cas[1:]
+        # The world's roots are signed at EPOCH + 5 with 64-link chains.
+        now = EPOCH + 20 if polled == "freshness" else EPOCH + 5 + 64 * 10
         for ca in world.cas:
-            ca.refresh(now=EPOCH + 20)
-        honest = world.cdn.origin.fetch(head_path(broken.name)).content
+            ca.refresh(now=now)
+        path = (freshness_path if polled == "freshness" else head_path)(broken.name)
+        honest = world.cdn.origin.fetch(path).content
         bad = honest[: len(honest) // 2] if damage == "truncated" else (
             honest[:2] + b"\xff" + honest[3:]
         )
-        world.cdn.publish(head_path(broken.name), bad, EPOCH + 20)
+        world.cdn.publish(path, bad, now)
         stale = world.agent.replica_for(broken.name).latest_freshness
 
-        result = world.pull(now=EPOCH + 21)
+        result = world.pull(now=now + 1)
 
         assert len(result.errors) == 1 and result.errors[0].startswith(broken.name)
-        assert result.heads_checked == len(world.cas)
+        assert result.heads_checked == (0 if polled == "freshness" else len(world.cas))
         assert result.freshness_applied == len(healthy)
         for ca in healthy:
             replica = world.agent.replica_for(ca.name)
             assert replica.latest_freshness == ca.dictionary.latest_freshness
         assert world.agent.replica_for(broken.name).latest_freshness == stale
         # the next honest publication heals it
-        broken.refresh(now=EPOCH + 30)
-        assert world.pull(now=EPOCH + 31).errors == []
+        broken.refresh(now=now + 10)
+        assert world.pull(now=now + 11).errors == []
 
     @pytest.mark.parametrize("streaming", [False, True])
     def test_malformed_serial_in_one_cas_batch_object(self, world, streaming):
@@ -122,15 +131,17 @@ class TestOneErrorBoundary:
             assert replica.latest_freshness == ca.dictionary.latest_freshness
 
     def test_oversized_field_in_a_forged_key_chain_is_a_recorded_error(self):
-        """A head whose signature fails sends the RA to the CA's key chain.
+        """A freshness statement that links to no held root sends the RA to
+        the head; a head whose signature fails sends it to the CA's key chain.
         A chain whose rotation link holds a value its signed payload cannot
         encode is a malformed object, like any other: the chain's error and
         the head's are recorded, no rotation is learned, the replica is
         untouched — the pull loop does not crash."""
         from dataclasses import replace
 
-        from repro.ritm.ca_service import head_path, keys_path
-        from repro.ritm.messages import decode_head, encode_head
+        from repro.dictionary.freshness import FreshnessStatement
+        from repro.ritm.ca_service import freshness_path, head_path, keys_path
+        from repro.ritm.messages import decode_head, encode_freshness, encode_head
 
         _, ca, cdn, attach = build_stack()
         agent, client = attach("forged-keys-ra")
@@ -141,6 +152,8 @@ class TestOneErrorBoundary:
         head = decode_head(cdn.origin.fetch(head_path(ca.name)).content)
         restamped = replace(head.signed_root, timestamp=head.signed_root.timestamp + 1)
         cdn.publish(head_path(ca.name), encode_head(replace(head, signed_root=restamped)), 110)
+        unlinked = FreshnessStatement(ca.name, bytes(20), head.size)
+        cdn.publish(freshness_path(ca.name), encode_freshness(unlinked), 110)
         cdn.publish(keys_path(ca.name), oversized_key_chain(ca), 110)
 
         result = client.pull(now=111)
@@ -394,9 +407,10 @@ class TestTamperedObjectRecovery:
         result = world.pull(now=EPOCH + 40)
         replica = world.agent.replica_for(issuing.name)
         # The forged batch is reported, the replica recovers via sync, and
-        # every other CA's head was still checked in the same cycle.
+        # every CA's freshness statement was still applied in the same cycle.
         assert any("signature" in error for error in result.errors)
-        assert result.heads_checked == len(world.cas)
+        assert result.heads_checked == 0
+        assert result.freshness_applied == len(world.cas)
         assert result.resyncs >= 1
         assert replica.contains(serial)
         assert replica.root() == issuing.dictionary.root()
@@ -438,3 +452,160 @@ class TestTamperedObjectRecovery:
         assert good_pull.serials_applied == 1
         assert replica.contains(serial)
         assert replica.root() == issuing.dictionary.root()
+
+
+def _overhead() -> int:
+    """The CDN's per-request bytes, charged on every GET's ``bytes_on_wire``."""
+    import inspect
+
+    from repro.cdn.network import CDNNetwork
+
+    return inspect.signature(CDNNetwork.download).parameters["request_bytes"].default
+
+
+class TestFreshnessFirstPoll:
+    """Exact counts of the every-Δ poll: the freshness object, then batch
+    objects when it reports new revocations, and the head only when the
+    statement links to no root the replica holds."""
+
+    def _synced(self, streaming=False):
+        _, ca, cdn, attach = build_stack()
+        agent, client = attach("poll-ra", streaming=streaming)
+        bootstrap = client.pull(now=101)
+        return ca, cdn, agent, client, bootstrap
+
+    def test_a_bootstrap_fetches_the_head(self):
+        ca, _, agent, _, bootstrap = self._synced()
+        assert (bootstrap.requests, bootstrap.heads_checked) == (1, 1)
+        assert bootstrap.freshness_applied == 1 and not bootstrap.errors
+        assert agent.replica_for(ca.name).signed_root == ca.dictionary.signed_root
+
+    def test_an_idle_pull_is_one_freshness_get_and_no_head(self):
+        from repro.ritm.messages import encode_freshness
+
+        ca, _, agent, client, _ = self._synced()
+        ca.refresh(now=110)
+        result = client.pull(now=111)
+        statement = ca.dictionary.latest_freshness
+        assert (result.requests, result.heads_checked) == (1, 0)
+        assert result.bytes_downloaded == len(encode_freshness(statement)) + _overhead()
+        assert result.freshness_applied == 1
+        assert result.root_signatures_verified == 0
+        assert agent.replica_for(ca.name).latest_freshness == statement
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+    def test_an_active_pull_is_freshness_plus_k_batch_objects_and_no_head(self, streaming):
+        from repro.pki.serial import SerialNumber
+        from repro.ritm.ca_service import freshness_path, issuance_path
+        from repro.ritm.replication import segment_path
+
+        ca, cdn, agent, client, _ = self._synced(streaming)
+        k = 3
+        for batch in range(k):
+            ca.revoke([SerialNumber(500 + batch)], now=110 + batch)
+        result = client.pull(now=115)
+        batch_path = segment_path if streaming else issuance_path
+        objects = [freshness_path(ca.name)] + [
+            batch_path(ca.name, number) for number in range(1, k + 1)
+        ]
+        sizes = [len(cdn.origin.fetch(path).content) + _overhead() for path in objects]
+        assert (result.requests, result.heads_checked) == (1 + k, 0)
+        assert result.bytes_downloaded == sum(sizes)
+        assert (result.issuances_applied, result.serials_applied) == (k, k)
+        assert result.resyncs == 0 and not result.errors
+        replica = agent.replica_for(ca.name)
+        assert replica.signed_root == ca.dictionary.signed_root
+        assert replica.latest_freshness == ca.dictionary.latest_freshness
+
+    def test_an_exhausted_hash_chain_fetches_the_head_once(self):
+        ca, _, agent, client, _ = self._synced()
+        exhausted = 100 + ca.config.chain_length * ca.config.delta_seconds
+        ca.refresh(now=exhausted)  # the same content, re-signed on a new chain
+        resigned = client.pull(now=exhausted + 1)
+        assert (resigned.requests, resigned.heads_checked) == (2, 1)
+        assert resigned.root_signatures_verified == 1 and not resigned.errors
+        assert agent.replica_for(ca.name).signed_root == ca.dictionary.signed_root
+        ca.refresh(now=exhausted + 10)
+        idle = client.pull(now=exhausted + 11)
+        assert (idle.requests, idle.heads_checked) == (1, 0) and not idle.errors
+
+    def test_a_rotation_is_learned_without_a_resync(self):
+        ca, _, agent, client, _ = self._synced()
+        ca.rotate_keys(now=110)
+        ca.refresh(now=110)  # publishes the re-signed head and its freshness
+        rotated = client.pull(now=111)
+        # freshness (links to no held root), head (unverifiable), key chain
+        assert (rotated.requests, rotated.heads_checked) == (3, 1)
+        assert rotated.key_rotations_applied == 1
+        assert rotated.resyncs == 0 and not rotated.errors
+        assert agent.replica_for(ca.name).signed_root == ca.dictionary.signed_root
+        ca.refresh(now=120)
+        assert client.pull(now=121).heads_checked == 0
+
+    def test_a_stale_statement_is_ignored_within_the_window_and_rejected_beyond(self):
+        from repro.ritm.ca_service import freshness_path
+        from repro.ritm.dissemination import REPLAY_WINDOW
+
+        ca, cdn, agent, client, _ = self._synced()
+        published = {}
+        for period in range(1, 6):
+            ca.refresh(now=100 + 10 * period)
+            published[period] = cdn.origin.fetch(freshness_path(ca.name)).content
+            client.pull(now=101 + 10 * period)
+        replica = agent.replica_for(ca.name)
+        held = replica.latest_freshness
+        for behind, now in ((REPLAY_WINDOW, 160), (REPLAY_WINDOW + 1, 170)):
+            cdn.publish(freshness_path(ca.name), published[5 - behind], now)
+            result = client.pull(now=now + 1)
+            assert (result.requests, result.heads_checked) == (1, 0)
+            assert replica.latest_freshness == held
+            if behind <= REPLAY_WINDOW:
+                assert (result.stale_heads_ignored, result.replays_rejected) == (1, 0)
+                assert not result.errors
+            else:
+                assert (result.stale_heads_ignored, result.replays_rejected) == (0, 1)
+                assert len(result.errors) == 1 and "replay window" in result.errors[0]
+
+
+class TestUplinkAccounting:
+    def test_every_get_of_the_cycle_is_one_request_on_the_link(self):
+        """Two CAs, one of them revoking: the cycle's GETs are two freshness
+        objects and one issuance object, and the link carries one request
+        for each."""
+        from repro.cdn.network import CDNNetwork
+        from repro.net.link import Link
+        from repro.pki.ca import CertificationAuthority
+        from repro.pki.serial import SerialNumber
+        from repro.ritm.ca_service import RITMCertificationAuthority
+        from repro.ritm.config import RITMConfig
+        from repro.ritm.dissemination import REQUEST_BYTES
+
+        config = RITMConfig(delta_seconds=10, chain_length=64)
+        cdn = CDNNetwork()
+        cas = []
+        for name in ("Uplink CA A", "Uplink CA B"):
+            authority = CertificationAuthority(name, key_seed=name.encode())
+            ca = RITMCertificationAuthority(authority, config, cdn)
+            ca.bootstrap(now=100)
+            cas.append(ca)
+        clients = []
+        for name in ("linked-ra", "unlinked-ra"):
+            client = attach_agent_to_cas(
+                RevocationAgent(name, config), cas, cdn, GeoLocation(Region.EUROPE)
+            )
+            client.pull(now=101)
+            clients.append(client)
+        cas[0].revoke([SerialNumber(42)], now=110)
+        cas[1].refresh(now=110)
+        # A slow link, so that every request byte shows in the latency.
+        link = Link(latency_seconds=0.01, bandwidth_bytes_per_second=1_000.0)
+        linked = clients[0].pull(now=111, link=link)
+        unlinked = clients[1].pull(now=111)
+
+        assert linked.requests == unlinked.requests == 3
+        assert linked.bytes_downloaded == unlinked.bytes_downloaded
+        assert linked.latency_seconds - unlinked.latency_seconds == pytest.approx(
+            link.round_trip_time(
+                request_bytes=REQUEST_BYTES * 3, response_bytes=linked.bytes_downloaded
+            )
+        )

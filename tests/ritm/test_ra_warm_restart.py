@@ -27,7 +27,7 @@ from repro.ritm import (
     RevocationAgent,
     attach_agent_to_cas,
 )
-from repro.ritm.dissemination import REPLAY_WINDOW
+from repro.ritm.dissemination import REPLAY_WINDOW, total_pulls
 from repro.ritm.persistence import (
     CHECKPOINT_FILENAME,
     CHECKPOINT_MAGIC,
@@ -363,7 +363,9 @@ class TestRotationAndReplayCursorCheckpoint:
     def test_forged_cursor_under_a_fixed_crc_costs_a_self_healing_window(self, tmp_path):
         """Cursors are used for staleness filtering and nothing else: one
         forged far into the future (CRC fixed, so the file loads) never
-        touches the warm replica, and the replay window heals itself."""
+        touches the warm replica, and the replay window heals itself.  The
+        RA reads the head here because the CA's hash chain ran out: the
+        freshness statement links to no root the batch objects bring."""
         config, ca, cdn, agent, client = build_stack()
         issue_and_pull(ca, client, 120, periods=3)
         client.checkpoint(tmp_path)
@@ -381,16 +383,22 @@ class TestRotationAndReplayCursorCheckpoint:
         assert restored_client.replication_cursor(ca.name) == position
 
         ca.revoke([SerialNumber(9100)], now=300)
+        exhausted = 300 + config.chain_length * config.delta_seconds
+        ca.refresh(now=exhausted)  # re-signs the same content on a new chain
         rejected = 0
+        results = []
         while True:
-            result = restored_client.pull(now=305 + rejected)
-            if not result.replays_rejected:
+            results.append(restored_client.pull(now=exhausted + 5 + rejected))
+            if not results[-1].replays_rejected:
                 break
             rejected += 1
         assert rejected == REPLAY_WINDOW + 1
-        assert result.serials_applied == 1  # still a delta fetch, not a cold sync
-        assert result.resyncs == 0 and not result.errors
+        totals = total_pulls(results)
+        assert totals.serials_applied == 1  # still a delta fetch, not a cold sync
+        assert totals.resyncs == 0 and not results[-1].errors
         assert self._head_cursors(restored_client)[ca.name] < 1_000_000
+        replica = restored_agent.replica_for(ca.name)
+        assert replica.signed_root == ca.dictionary.signed_root
         for a in (agent, restored_agent):
             a.close()
         ca.close()

@@ -23,6 +23,7 @@ from repro.pki.serial import SerialNumber
 from repro.ritm.agent import RevocationAgent
 from repro.ritm.ca_service import (
     RITMCertificationAuthority,
+    freshness_path,
     head_path,
     shard_index_path,
 )
@@ -488,22 +489,31 @@ class TestShardStreams:
         assert late.replica_for(stream.name).root() == stream.dictionary.root()
 
     @pytest.mark.parametrize("damage", ["truncated", "invalid-utf8-name"])
-    def test_bad_head_of_one_shard_does_not_abort_the_cycle(self, sharded_world, damage):
+    @pytest.mark.parametrize("polled", ["freshness", "head"])
+    def test_bad_polled_object_of_one_shard_does_not_abort_the_cycle(
+        self, sharded_world, polled, damage
+    ):
+        """``freshness``: a synced shard's every-Δ object is damaged.
+        ``head``: the shards are new to the RA, so it reads their heads —
+        one of them damaged."""
         _, _, cdn, ca, agent, client = sharded_world
         now = EPOCH + WEEK
         ca.revoke_with_expiry(
             [(SerialNumber(1), now + WEEK), (SerialNumber(2), now + 6 * WEEK)], now=now
         )
-        client.pull(now=now + 1)
+        if polled == "freshness":
+            client.pull(now=now + 1)
         ca.refresh(now=now + 10)
         broken, healthy = list(ca.streams.values())
-        honest = cdn.origin.fetch(head_path(broken.name)).content
+        path = (freshness_path if polled == "freshness" else head_path)(broken.name)
+        honest = cdn.origin.fetch(path).content
         bad = honest[: len(honest) // 2] if damage == "truncated" else (
             honest[:2] + b"\xff" + honest[3:]
         )
-        cdn.publish(head_path(broken.name), bad, now + 10)
+        cdn.publish(path, bad, now + 10)
         result = client.pull(now=now + 11)
         assert len(result.errors) == 1 and result.errors[0].startswith(broken.name)
+        assert result.heads_checked == (0 if polled == "freshness" else 2)
         assert result.freshness_applied == 1
         assert (
             agent.replica_for(healthy.name).latest_freshness
@@ -517,7 +527,9 @@ class TestShardStreams:
         """Every shard of a CA verifies under one keyring and two empty
         shards have the same root hash, so neither the signature nor the
         content can tell shard B's root from shard A's: the name must.
-        Whoever controls a CDN path serves B's head at A's path — A installs
+        Whoever controls a CDN path serves B's object at A's path — B's head
+        to an RA that has never read A (it reads A's head), B's freshness
+        object to one that has (it reads A's freshness object).  A installs
         nothing, says why, recovers on the next honest pull; B is unaffected."""
         config, _, cdn, ca, agent, client = sharded_world
         now = EPOCH + WEEK
@@ -528,18 +540,22 @@ class TestShardStreams:
         assert ca.cover([expiry_b], now=now + 1) == 1  # B's root is the newer one
         a, b = sorted(ca.streams)
         before = agent.replica_for(a).signed_root if synced else None
-        honest = cdn.origin.fetch(head_path(a)).content
-        cdn.publish(head_path(a), cdn.origin.fetch(head_path(b)).content, now + 1)
+        path = freshness_path if synced else head_path
+        honest = cdn.origin.fetch(path(a)).content
+        cdn.publish(path(a), cdn.origin.fetch(path(b)).content, now + 1)
 
         swapped = client.pull(now=now + 2)
         replica_a, replica_b = agent.replica_for(a), agent.replica_for(b)
         assert replica_a.signed_root == before
         assert synced or replica_a.latest_freshness is None
         assert len(swapped.errors) == 1
-        assert swapped.errors[0].startswith(f"{a}: signed root for {b!r}")
+        refusal = f"{a}: freshness object at {a!r}'s path is for {b!r}" if synced else (
+            f"{a}: signed root for {b!r}"
+        )
+        assert swapped.errors[0].startswith(refusal)
         assert replica_b.signed_root == ca.streams[b].dictionary.signed_root
 
-        cdn.publish(head_path(a), honest, now + 3)
+        cdn.publish(path(a), honest, now + 3)
         recovered = client.pull(now=now + 4)
         assert not recovered.errors and recovered.replays_rejected == 0
         assert replica_a.signed_root == ca.streams[a].dictionary.signed_root

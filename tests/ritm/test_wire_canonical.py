@@ -31,6 +31,7 @@ from repro.store import create_store
 from repro.ritm.messages import (
     DictionaryHead,
     decode_freshness,
+    decode_freshness_object,
     decode_head,
     decode_issuance,
     decode_proof,
@@ -219,6 +220,13 @@ CODECS = {
     ),
     "freshness": (
         decode_freshness,
+        encode_freshness,
+        TLSError,
+        [encode_freshness(dictionary.latest_freshness) for dictionary in (FULL, EMPTY)],
+    ),
+    # What an RA reads every Δ: one statement, the whole object.
+    "freshness_object": (
+        _whole(decode_freshness_object),
         encode_freshness,
         TLSError,
         [encode_freshness(dictionary.latest_freshness) for dictionary in (FULL, EMPTY)],
@@ -419,6 +427,8 @@ class TestSecondEncodingsClosed:
 
     @pytest.mark.parametrize("junk", [b"x", b"junk", bytes(7), bytes(9), bytes(16)])
     def test_trailing_bytes_after_a_head_or_an_issuance_object(self, junk):
+        with pytest.raises(TLSError, match="trailing bytes"):
+            decode_freshness_object(encode_freshness(FULL.latest_freshness) + junk)
         with pytest.raises(TLSError, match="trailing bytes"):
             decode_head(encode_head(HEADS[0]) + junk)
         with pytest.raises(TLSError, match="trailing bytes"):

@@ -46,6 +46,24 @@ by their own clock every pull), so its RA downloaded 285 B less (31,757 →
 31,472 B, with the mean pull latency that bytes feed), and its config lost
 ``prune_every_periods``.  ``soak``, ``staggered-pulls`` and ``slow-ra-holb``
 differ only by the removed ``config.fleet.client_handshakes`` key.
+Polling each dictionary's freshness object instead of its head re-pinned all
+17 rows, every check still passing and no resync, error, applied count or
+verification count moved.  In every row ``dissemination.bytes_downloaded``
+fell (the "N pulls, B bytes" check detail with it; ``quickstart`` 2,492 →
+1,772 B, ``soak`` 74,685 → 61,725 B), together with the
+``average_pull_latency_seconds``, ``fleet.overlap_factor`` and
+``hot_path.edge_object_cache`` counts those fetches feed.
+``ra-crash-recovery`` and ``region-outage`` also print their recovery pull's
+bytes in an event (and, for the first, a check): 1,764 → 1,584 B and 988 →
+808 B.  ``slow-ra-holb``'s max lag fell 70.334 → 70.331 s.  Two rows read one
+object more in their attack periods, because a statement that links to no
+held root sends the RA on to the head: in ``rotated-ca-key`` every rotation
+and the retired-key forgery cost one more GET (edge misses 20 → 24, mean pull
+latency 0.131 → 0.157 s, max lag 10.255 → 10.34 s, still inside 2Δ); in
+``replayed-head`` the replay costs one more GET (edge misses 14 → 15), is
+refused because the replayed root covers 10 revocations where the replica
+holds 40 (the event's text says so, where it used to cite the publication
+sequence), and the summary now says a freshness object is replayed too.
 """
 
 from __future__ import annotations
@@ -58,23 +76,23 @@ import pytest
 from repro.scenarios import get, names, run_scenario
 
 GOLDEN_DIGESTS = {
-    "ca-audit-gossip": "6f37d73591389e5d6541cc8d59713387a92292304c6f29fabe34dab9b4fbc67f",
-    "degraded-ra": "0476dd6f731042d585085d7b7ffc4971a0f42243b337fde1efeed66015daa177",
-    "equivocating-ca": "81ee8af79081bee635a6b30cc6868afa495d0b410385e1a61d28ca4c914de3a3",
-    "flash-crowd": "9f1e12d2e6da1ff5b543a89aad6a47f5fc93f3ccd23b9bfee8744912a3d42720",
-    "heartbleed": "4e1114f62613fd10a4fe96a48b5fdbfe8144a981fa74ea125aca14290e07750d",
-    "iot-long-lived": "03a08b7341ae944884fa2e7d448907584dcd860710b23facbacc0d83e8166518",
-    "quickstart": "3244dc703a0f0ec158b9831967cafe7424a00d92a0733f5fce6758571849dbb4",
-    "ra-crash-recovery": "310c301c38ae93bdf8fca1c1a818a86cec27eec3b06af83093ae7d18926b1443",
-    "region-outage": "0a4d91c36156a8f7ba438f9967164f0608a74fc6bd80db7e0e268b32cf749d7e",
-    "replayed-head": "0b9fe51821bc41d1a4309a1e542f1aabe89052037bc89f13a8f76afc143832cf",
-    "rotated-ca-key": "4299b7e68601da4faeae307b5528c6d51c74a2915ad2290023746fb2de4593c6",
-    "sharded-longrun": "551acbbbfceaf613d17ce910130600bebafcd3a333d370842e30ee4c7337b97e",
-    "slow-ra-holb": "8097518eebe91e84c293415772c65e13bc270a6131b087d769507cb4bbd56449",
-    "soak": "5671024fa879cf9d4ded029a321bdba580980393f45e457a3c00e7c508ba7f57",
-    "staggered-pulls": "0babc35ece8151ea6618c58e11d18ab4c6c6856e0fe1668d5dc10d9a7c4183bb",
-    "tampered-cdn": "79737785e6c9c87f7f2d02ccbe182004a60eab5b991c6be404d3ba25db4e74f3",
-    "thundering-herd": "59ae48fa22728d64ab5709a4a35e30508946b01db839a3f21e5d9aa1762ae65d",
+    "ca-audit-gossip": "dbd8b58d5ef941a78ffb80b8d66bc133f9696678d2d592ed77846115ef7ea1e2",
+    "degraded-ra": "fc828c483a59cd89214d756cacd6487c72939a361bd5bee7b5ab75c9b364ef00",
+    "equivocating-ca": "d3380c2f77fe10e2894fe0dee613613fafc0a98f6351e67852a0e63effa6dd65",
+    "flash-crowd": "f16ddbb629d9e7d394698194289a109b55938ee3a16c23a6b0c50993a626d261",
+    "heartbleed": "4f8c10c51a8dfa7566f57a9ce7438f77ca13b00741349cfe1b921f73222b5872",
+    "iot-long-lived": "d5299069ea4e649dfd4d666aec0a92b95f027607f42fb77a3e22327a3537fbc5",
+    "quickstart": "cfe70a1f7dc95c719d7ae06000cbeaba68b9323fce2531c2f2c8487cd756780f",
+    "ra-crash-recovery": "f6bad05b52206ad473b8a115adc27cb3e2060a563064ea513c16255df636b269",
+    "region-outage": "f94cde8027b238aa641f8b0579d2a65a13d2062653b27de976c5147d17ddd848",
+    "replayed-head": "3806620c7ac5887b3cdd1336e0e5c4c1d1d71e43cd6cfaa126eaf65ff3ca14e2",
+    "rotated-ca-key": "e989bd4f2141c165f5be33d5f85b1f8ca420cfb602f79fc5a698ddb67f913f72",
+    "sharded-longrun": "6cf41eae92020dcc9dfb28646b987600b6c494b12acdec23c62ac554425c3baa",
+    "slow-ra-holb": "7eaf1f32746e079ff7494104cb7b69b28155c4812d41254e4fafee101fc9193e",
+    "soak": "9956d3b2e1f35f73f502182f4a996f112e42a1ef47bb7a34099f1e0f2c2fc8dc",
+    "staggered-pulls": "cde8fa4ec0ed006165c0325e7abd141a07999a638ac2104cfb7aa08372679dd1",
+    "tampered-cdn": "5557bcae4d9751fafb79abc6be630445c12d57f3aa52ee16c95f0d78b7e9fb97",
+    "thundering-herd": "a29f5e22be8a76e97e443bcd9f52dc808b46b0a6bff94209990d94f0de836862",
 }
 
 
