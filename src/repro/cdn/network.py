@@ -24,6 +24,10 @@ from repro.cdn.origin import DistributionPoint
 from repro.cdn.pricing import BillingCycleUsage
 from repro.errors import CDNError
 
+#: Bytes every GET adds on the wire beyond the object (request line and
+#: headers, response headers): part of each download's ``bytes_on_wire``.
+REQUEST_OVERHEAD_BYTES = 200
+
 
 @dataclass
 class DownloadResult:
@@ -123,7 +127,7 @@ class CDNNetwork:
         location: GeoLocation,
         now: float,
         edge_index_hint: int = 0,
-        request_bytes: int = 200,
+        request_bytes: int = REQUEST_OVERHEAD_BYTES,
         source: str = "",
     ) -> DownloadResult:
         """Fetch ``path`` as a client at ``location`` would, with timing.

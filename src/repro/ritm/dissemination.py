@@ -42,7 +42,7 @@ from repro.dictionary.sharding import (
     ShardKey,
     shard_name,
 )
-from repro.dictionary.sync import SyncServer, resynchronize
+from repro.dictionary.sync import SyncRequest, SyncServer, apply_sync_response
 from repro.errors import (
     CDNError,
     DictionaryError,
@@ -387,10 +387,11 @@ class RADisseminationClient:
         self.pull_history.append(result)
         return result
 
-    def _get(self, path: str, now: float, result: PullResult):
-        """One CDN GET, charged to ``result``."""
+    def _get(self, path: str, now: float, result: PullResult, source: str = ""):
+        """One CDN GET, charged to ``result``; ``source`` labels its origin
+        bytes (:attr:`CDNNetwork.origin_bytes_by_source`)."""
         result.requests += 1
-        download = self.cdn.download(path, self.location, now)
+        download = self.cdn.download(path, self.location, now, source=source)
         result.bytes_downloaded += download.bytes_on_wire
         result.latency_seconds += download.latency_seconds
         return download
@@ -514,17 +515,13 @@ class RADisseminationClient:
             return
 
         self.agent.consistency.observe_root(head.signed_root)
-        try:
-            self._apply_head(ca_name, replica, head, now, result)
-        except SignatureError:
-            # A head the current keyring cannot verify may simply be signed
-            # by a key the CA rotated in since our last pull: learn the
-            # announcement chain (authenticated back to the genesis key) and
-            # retry once.  A genuinely forged head fails again and the error
-            # propagates like any other signature failure.
-            if not self._learn_rotation(ca_name, replica, now, result):
-                raise
-            self._apply_head(ca_name, replica, head, now, result)
+        self._retry_after_rotation(
+            ca_name,
+            replica,
+            now,
+            result,
+            lambda: self._apply_head(ca_name, replica, head, now, result),
+        )
         feed.head.cursor = head.sequence
 
     def _poll_freshness(
@@ -609,6 +606,25 @@ class RADisseminationClient:
             raise
         result.freshness_applied += 1
 
+    def _retry_after_rotation(
+        self, ca_name: str, replica, now: float, result: PullResult, action
+    ):
+        """``action()``, retried once when it fails a signature check and the
+        CA's key-announcement chain enrolls a key the replica lacked.
+
+        A CA that rotated its key since the replica last verified anything
+        signs every later root under the new key, whichever object carries
+        it: the head, a batch object, a segment or a sync response.  The
+        chain is authenticated back to the genesis key, so a genuine forgery
+        fails again and its :class:`SignatureError` propagates.
+        """
+        try:
+            return action()
+        except SignatureError:
+            if not self._learn_rotation(ca_name, replica, now, result):
+                raise
+            return action()
+
     def _learn_rotation(self, ca_name: str, replica, now: float, result: PullResult) -> bool:
         """Fetch and validate the CA's key-announcement chain from the CDN.
 
@@ -679,9 +695,9 @@ class RADisseminationClient:
                 raw = peer.archived_segment(ca_name, number)
                 if raw is not None:
                     size = len(raw)
-                    latency = size / self.location.bandwidth_to_edge() + max(
-                        0.001,
-                        region_distance(self.location.region, peer.location.region),
+                    result.bytes_downloaded += size
+                    result.latency_seconds += size / self.location.bandwidth_to_edge() + max(
+                        0.001, region_distance(self.location.region, peer.location.region)
                     )
             else:
                 path = (
@@ -689,23 +705,17 @@ class RADisseminationClient:
                     if segments
                     else issuance_path(ca_name, number)
                 )
-                result.requests += 1
                 try:
-                    download = self.cdn.download(
-                        path, self.location, now, source=self.agent.name
-                    )
+                    download = self._get(path, now, result, source=self.agent.name)
                 except CDNError:
                     raw = None  # purged, or not published: only sync can help
                 else:
                     raw = download.content
                     size = download.bytes_on_wire
-                    latency = download.latency_seconds
             if raw is None:
                 needs_resync = True
                 break
             fetched = number
-            result.bytes_downloaded += size
-            result.latency_seconds += latency
             try:
                 if segments:
                     result.segment_bytes_downloaded += size
@@ -715,11 +725,13 @@ class RADisseminationClient:
                             f"asked for WAL segment {number} of {ca_name!r}, got "
                             f"segment {segment.segment_number} of {segment.ca_name!r}"
                         )
-                    if not verify_segment(segment, replica.ca_public_key):
-                        raise SignatureError(
-                            f"WAL segment {number} for {ca_name!r} is not "
-                            f"signed by an acceptable CA key"
-                        )
+                    self._retry_after_rotation(
+                        ca_name,
+                        replica,
+                        now,
+                        result,
+                        lambda: _check_segment_signature(segment, replica.ca_public_key),
+                    )
                     issuance = segment.issuance
                 else:
                     issuance = decode_issuance(raw)
@@ -744,7 +756,13 @@ class RADisseminationClient:
                 freshness = segment.freshness_after
         if pending:
             try:
-                result.serials_applied += self.agent.apply_issuances(ca_name, pending)
+                result.serials_applied += self._retry_after_rotation(
+                    ca_name,
+                    replica,
+                    now,
+                    result,
+                    lambda: self.agent.apply_issuances(ca_name, pending),
+                )
             except (DictionaryError, SignatureError) as exc:
                 # Tampered batch content (update_many rolled the replica back
                 # to its last verified state) or a forged root signature
@@ -772,7 +790,7 @@ class RADisseminationClient:
                 # Never silent: the peer claimed more history than it could
                 # prove, so fall back to the CA's sync protocol and say so.
                 result.cold_sync_fallbacks += 1
-            if self._resync(ca_name, replica, result) and peer is None:
+            if self._resync(ca_name, replica, now, result) and peer is None:
                 # The CA's own publication vouches that every batch fetched
                 # so far exists, and the resync covered it; a peer's claim to
                 # more history vouches for nothing.
@@ -783,7 +801,7 @@ class RADisseminationClient:
             # whichever object brought it.
             self.agent.consistency.observe_root(replica.signed_root)
 
-    def _resync(self, ca_name: str, replica, result: PullResult) -> bool:
+    def _resync(self, ca_name: str, replica, now: float, result: PullResult) -> bool:
         """Full-state recovery via the CA's sync endpoint.
 
         Returns ``False`` when no sync server is known (the caller must not
@@ -799,11 +817,22 @@ class RADisseminationClient:
         self.agent.proof_cache.invalidate_dictionary(ca_name)
         self.agent.root_cache.invalidate_ca(ca_name)
         result.requests += 1
-        response = resynchronize(replica, server)
+        response = server.serve(SyncRequest(replica.ca_name, have_count=replica.size))
+        self._retry_after_rotation(
+            ca_name, replica, now, result, lambda: apply_sync_response(replica, response)
+        )
         result.bytes_downloaded += len(encode_sync_response(response))
         result.resyncs += 1
         result.serials_applied += len(response.serials)
         return True
+
+
+def _check_segment_signature(segment, public_key) -> None:
+    if not verify_segment(segment, public_key):
+        raise SignatureError(
+            f"WAL segment {segment.segment_number} for {segment.ca_name!r} is not "
+            f"signed by an acceptable CA key"
+        )
 
 
 def attach_agent_to_cas(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cdn.geography import GeoLocation, Region
+from repro.cdn.network import REQUEST_OVERHEAD_BYTES
 from repro.ritm.agent import RevocationAgent
 from repro.ritm.dissemination import attach_agent_to_cas, total_pulls
 
@@ -371,13 +372,13 @@ class TestTamperedObjectRecovery:
                 return _original(*args)
 
             monkeypatch.setattr(store, method, logged)
-        resynchronize = dissemination.resynchronize
+        apply_sync_response = dissemination.apply_sync_response
 
         def logged_resync(*args):
             calls.append("resync")
-            return resynchronize(*args)
+            return apply_sync_response(*args)
 
-        monkeypatch.setattr(dissemination, "resynchronize", logged_resync)
+        monkeypatch.setattr(dissemination, "apply_sync_response", logged_resync)
         world.dissemination.segment_streaming = True
         result = world.pull(now=EPOCH + 25)
 
@@ -454,15 +455,6 @@ class TestTamperedObjectRecovery:
         assert replica.root() == issuing.dictionary.root()
 
 
-def _overhead() -> int:
-    """The CDN's per-request bytes, charged on every GET's ``bytes_on_wire``."""
-    import inspect
-
-    from repro.cdn.network import CDNNetwork
-
-    return inspect.signature(CDNNetwork.download).parameters["request_bytes"].default
-
-
 class TestFreshnessFirstPoll:
     """Exact counts of the every-Δ poll: the freshness object, then batch
     objects when it reports new revocations, and the head only when the
@@ -488,7 +480,8 @@ class TestFreshnessFirstPoll:
         result = client.pull(now=111)
         statement = ca.dictionary.latest_freshness
         assert (result.requests, result.heads_checked) == (1, 0)
-        assert result.bytes_downloaded == len(encode_freshness(statement)) + _overhead()
+        wire = len(encode_freshness(statement)) + REQUEST_OVERHEAD_BYTES
+        assert result.bytes_downloaded == wire
         assert result.freshness_applied == 1
         assert result.root_signatures_verified == 0
         assert agent.replica_for(ca.name).latest_freshness == statement
@@ -508,7 +501,9 @@ class TestFreshnessFirstPoll:
         objects = [freshness_path(ca.name)] + [
             batch_path(ca.name, number) for number in range(1, k + 1)
         ]
-        sizes = [len(cdn.origin.fetch(path).content) + _overhead() for path in objects]
+        sizes = [
+            len(cdn.origin.fetch(path).content) + REQUEST_OVERHEAD_BYTES for path in objects
+        ]
         assert (result.requests, result.heads_checked) == (1 + k, 0)
         assert result.bytes_downloaded == sum(sizes)
         assert (result.issuances_applied, result.serials_applied) == (k, k)
@@ -541,6 +536,39 @@ class TestFreshnessFirstPoll:
         assert agent.replica_for(ca.name).signed_root == ca.dictionary.signed_root
         ca.refresh(now=120)
         assert client.pull(now=121).heads_checked == 0
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+    def test_a_revocation_after_a_rotation_is_learned_in_the_walk(self, streaming):
+        """The statement reports a new revocation, so the RA walks the batch
+        objects without a head; the batch's root is signed under the key
+        rotated in since the last pull, and the walk learns it."""
+        from repro.pki.serial import SerialNumber
+
+        ca, _, agent, client, _ = self._synced(streaming)
+        ca.rotate_keys(now=110)
+        ca.revoke([SerialNumber(600)], now=111)
+        result = client.pull(now=112)
+        # freshness, the batch object, the key chain
+        assert (result.requests, result.heads_checked) == (3, 0)
+        assert result.key_rotations_applied == 1
+        assert (result.issuances_applied, result.serials_applied) == (1, 1)
+        assert result.resyncs == 0 and not result.errors
+        replica = agent.replica_for(ca.name)
+        assert replica.signed_root == ca.dictionary.signed_root
+        assert replica.latest_freshness == ca.dictionary.latest_freshness
+
+    def test_a_resync_after_a_rotation_learns_the_key(self):
+        from repro.pki.serial import SerialNumber
+        from repro.ritm.ca_service import issuance_path
+
+        ca, cdn, agent, client, _ = self._synced()
+        ca.rotate_keys(now=110)
+        ca.revoke([SerialNumber(601)], now=111)
+        del cdn.origin._objects[issuance_path(ca.name, 1)]
+        result = client.pull(now=112)
+        assert (result.resyncs, result.key_rotations_applied) == (1, 1)
+        assert not result.errors
+        assert agent.replica_for(ca.name).signed_root == ca.dictionary.signed_root
 
     def test_a_stale_statement_is_ignored_within_the_window_and_rejected_beyond(self):
         from repro.ritm.ca_service import freshness_path
