@@ -288,7 +288,9 @@ def bench_ed25519():
     ``verify_hit_mulmods`` is the cached-key verification in units of one
     ``a*b % P`` on 255-bit operands, timed beside it so the machine's speed
     cancels: a gate on it reads the same on a slow box as on a fast one.  The
-    walk's own field multiplications are ~830 of it.
+    walk's own field multiplications are ~630 of it.  ``verify_miss_mulmods``
+    is the first verification under a key, its comb-table build included, in
+    the same unit.
     """
     signers = [KeyPair.generate(b"hotpath-ed25519-%d" % index) for index in range(ED25519_KEYS)]
     message = b"hot-path signed root payload"
@@ -298,7 +300,7 @@ def bench_ed25519():
         for _ in range(1000):
             a * b % FIELD_PRIME
 
-    sign, miss, hit, reject, floor, hit_mulmods = [], [], [], [], [], []
+    sign, miss, hit, reject, floor, hit_mulmods, miss_mulmods = [], [], [], [], [], [], []
     for keys in signers:
         signature = keys.sign(message)
         forged = signature[:-1] + bytes([signature[-1] ^ 1])
@@ -308,6 +310,7 @@ def bench_ed25519():
         hit.append(_best_us(lambda: keys.public.verify(message, signature)))
         floor.append(_best_us(thousand_mulmods))  # µs per thousand = ns per one
         hit_mulmods.append(hit[-1] * 1e3 / floor[-1])
+        miss_mulmods.append(miss[-1] * 1e3 / floor[-1])
         reject.append(_best_us(lambda: keys.public.verify(message, forged)))
         assert keys.public.verify(message, signature)
         assert not keys.public.verify(message, forged)
@@ -319,6 +322,7 @@ def bench_ed25519():
         "verify_reject_us": round(statistics.median(reject), 1),
         "mulmod_floor_ns": round(statistics.median(floor), 1),
         "verify_hit_mulmods": round(statistics.median(hit_mulmods)),
+        "verify_miss_mulmods": round(statistics.median(miss_mulmods)),
     }
 
 
@@ -550,10 +554,14 @@ def test_handshake_hotpath():
     # ...and the decoder makes its steps the way the store does: no frame each.
     assert proof_build["status_decode_step_frames"] == 0, proof_build
     # A cached key's verification, in field multiplications — which is also
-    # what says the key table was not rebuilt (a rebuild reads ~5,000).
-    # 1,150–1,230 as built; 1,400–1,480 with the base table back at 5 teeth,
-    # ~1,500 with R decompressed for every signature, ~2,000 before either.
-    assert ed25519["verify_hit_mulmods"] <= 1_320, ed25519
+    # what says the key table was not rebuilt (a rebuild reads ~9,000).
+    # 870–925 as built (10-tooth base table, 8-tooth key tables); 950–990
+    # with the base table back at 8 teeth, 1,080–1,100 with the key tables
+    # back at 6, ~1,500 with R decompressed for every signature.
+    assert ed25519["verify_hit_mulmods"] <= 990, ed25519
+    # First sight of a key, its 256-entry table build included: 8,600–10,200
+    # as built; ~5,100 with 6-tooth key tables, ~13,700 with 9-tooth ones.
+    assert ed25519["verify_miss_mulmods"] <= 11_500, ed25519
     # Seen before means looked up: no certificate is parsed and no audit path
     # is walked the second time, where the first time each one is.
     assert dpi["inspect_first_certificate_parses"] == 3 * DPI_CHAINS, dpi

@@ -11,18 +11,21 @@ the ``2**teeth`` sums of its teeth ``[2**(span*t)]Q``, where ``span =
 rows of ``span`` bits, ``[k]Q`` costs ``span`` doublings and one table
 addition per doubling, and several scalars share the doublings
 (:func:`_comb_mult`), each joining the walk where its own span starts.  The
-base point's table is built once at import and can afford to be wide: 8 × 32,
-256 entries.  A verification key's table (6 × 43, 64 entries, so that 256 of
-them stay near 4 MB) is built from ``−A`` the first time the key is seen and
-kept in a bounded LRU keyed by the exact 32 key bytes (:func:`_key_table`) —
-verifiers in RITM check a small fixed set of CA keys over and over — so
-:func:`verify` is one joint ``[s]B + [h](−A)`` walk of 43 doublings and 75
-additions.  The table is a pure function of the key bytes; the only verdict
-the cache can hold is "this key is malformed or small-order", never the
-acceptance of a signature.  Signing memoises the expanded secret and public
-key per seed (:func:`_expand_secret`; seeds stay in process memory, as they
-already do in every ``PrivateKey``), leaving one base-table walk (32 + 32) per
-signature.
+base point's table is built once at import and can afford to be wide: 10 ×
+26, 1,024 entries (~250 KB).  A verification key's table, 8 × 32 with 256
+entries (~63 KB), is built from ``−A`` the first time the key is seen and kept
+in a bounded LRU keyed by the exact 32 key bytes (:func:`_key_table`), so
+:func:`verify` is one joint ``[s]B + [h](−A)`` walk of 32 doublings and 58
+additions.  The LRU holds 64 keys, ~4 MB when full: verifiers in RITM check a
+small fixed set of CA keys over and over — no registered scenario's smoke run
+verifies under more than 4 distinct keys, nor does any benchmark workload —
+so the bound sets the memory, not the hit rate, and the geometry spends that
+memory on fewer doublings per verification instead of on keys never seen.
+The table is a pure function of the key bytes; the only verdict the cache can
+hold is "this key is malformed or small-order", never the acceptance of a
+signature.  Signing memoises the expanded secret and public key per seed
+(:func:`_expand_secret`; seeds stay in process memory, as they already do in
+every ``PrivateKey``), leaving one base-table walk (26 + 26) per signature.
 
 Verification uses RFC 8032 §5.1.7's *cofactored* equation
 ``[8][s]B == [8]R + [8][h]A`` after rejecting small-order ``A`` and ``R``: it
@@ -36,13 +39,16 @@ by torsion, in ``A`` or in ``R``, is therefore accepted, on purpose.
 [h]A`` and compares ``Q``'s compressed form with the 32 bytes of ``R``.
 Compression is canonical, so equal bytes mean exactly that ``R`` decodes, to
 ``Q``; the equation then holds with nothing to clear and the one check left
-is that ``Q`` is not of small order.  No verdict can change: on equal bytes
-every check of the long path has the answer the long path would give, and on
-unequal bytes the long path itself runs (decompress ``R``, reject small order,
-compare ``[8]Q`` with ``[8]R``), which is where torsion variants are accepted
-and forgeries rejected — at one square root more than an honest signature.
-On the reference sandbox: about 0.45 ms per verification under a cached key,
-0.65 ms for a rejected one, 1.9 ms under a new key, 0.25 ms per signature.
+is that ``Q`` is not of small order — a lookup of ``R``'s bytes among the
+eight encodings of the 8-torsion subgroup (:data:`_SMALL_ORDER_ENCODINGS`,
+derived at import).  No verdict can change: on equal bytes every check of the
+long path has the answer the long path would give, and on unequal bytes the
+long path itself runs (decompress ``R``, reject small order, compare ``[8]Q``
+with ``[8]R``), which is where torsion variants are accepted and forgeries
+rejected — at one square root more than an honest signature.  On the
+reference sandbox: about 0.34 ms per verification under a cached key, 0.5 ms
+for a rejected one, 3.4 ms under a new key (the table build), 0.2 ms per
+signature.
 
 Nothing here is constant time: table lookups are indexed by scalar bits —
 the secret nonce and key when signing — and Python integers are variable time
@@ -53,8 +59,9 @@ per-connection operations rely on hash-only proofs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from repro.errors import CryptoError, SignatureError
 
@@ -77,11 +84,11 @@ SIGNATURE_SIZE = 64
 
 #: Comb geometry: a table of ``2**teeth`` entries reads a scalar as ``teeth``
 #: rows of ``⌈256 / teeth⌉`` bits (:func:`_comb_span`).  The base point's one
-#: table is 8 × 32; each verification key's is 6 × 43.
-BASE_TEETH = 8
-KEY_TEETH = 6
+#: table is 10 × 26; each verification key's is 8 × 32.
+BASE_TEETH = 10
+KEY_TEETH = 8
 #: Verification keys (and signing seeds) whose derived state is kept.
-KEY_TABLE_CAPACITY = 256
+KEY_TABLE_CAPACITY = 64
 
 _Point = Tuple[int, int, int, int]  # extended homogeneous coordinates (X, Y, Z, T)
 _TableEntry = Tuple[int, int, int]  # affine point as (y − x, y + x, 2d·x·y)
@@ -162,11 +169,6 @@ def _point_equal(p: _Point, q: _Point) -> bool:
 def _mul_by_cofactor(point: _Point) -> _Point:
     """``[8] point`` (three doublings)."""
     return _point_double(_point_double(_point_double(point)))
-
-
-def _is_small_order(point: _Point) -> bool:
-    """Whether ``point`` lies in the 8-torsion subgroup (``[8]P`` = identity)."""
-    return _point_equal(_mul_by_cofactor(point), _NEUTRAL)
 
 
 # --------------------------------------------------------------------------
@@ -252,6 +254,34 @@ BASE_POINT: _Point = _point_decompress(int.to_bytes(4 * pow(5, -1, P) % P, KEY_S
 _BASE_TABLE = _comb_table(BASE_POINT, BASE_TEETH)
 
 
+def _small_order_encodings() -> FrozenSet[bytes]:
+    """The canonical encodings of the eight multiples of an order-8 point.
+
+    ``[L]Q`` clears a point's prime-order component and keeps its torsion
+    component; the first small ``y`` whose point's torsion has order 8 gives
+    the generator (the one-tooth comb walk is plain double-and-add).
+    """
+    for y in itertools.count(2):
+        try:
+            point = _point_decompress(int.to_bytes(y, KEY_SIZE, "little"))
+        except CryptoError:
+            continue
+        torsion = _comb_mult((L, _comb_table(point, 1)))
+        if not _point_equal(_point_double(_point_double(torsion)), _NEUTRAL):
+            break
+    step = _table_entries([torsion])[0]
+    multiples = [_NEUTRAL]
+    while len(multiples) < 8:
+        multiples.append(_point_add(multiples[-1], step))
+    return frozenset(map(_point_compress, multiples))
+
+
+#: The 8-torsion subgroup, encoded.  Compression is canonical, so a point
+#: that decoded from (or compressed to) ``data`` is of small order exactly
+#: when ``data`` is in this set.
+_SMALL_ORDER_ENCODINGS = _small_order_encodings()
+
+
 @lru_cache(maxsize=KEY_TABLE_CAPACITY)
 def _key_table(public: bytes) -> Optional[_Table]:
     """Comb table of ``−A`` for the key bytes, or ``None`` for a key that is rejected outright.
@@ -259,11 +289,11 @@ def _key_table(public: bytes) -> Optional[_Table]:
     A key is rejected when it does not decompress (non-canonical ``y``, off
     the curve, sign bit set at ``x = 0``) or is of small order.
     """
+    if public in _SMALL_ORDER_ENCODINGS:
+        return None
     try:
         point = _point_decompress(public)
     except CryptoError:
-        return None
-    if _is_small_order(point):
         return None
     x, y, z, t = point
     return _comb_table((-x % P, y, z, -t % P))
@@ -325,11 +355,11 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     if _point_compress(q_point) == r_bytes:
         # R is the canonical encoding of Q = [s]B − [h]A: it decompresses, to
         # Q, and the equation holds.  Only the small-order check is left.
-        return not _is_small_order(q_point)
+        return r_bytes not in _SMALL_ORDER_ENCODINGS
     try:
         r_cleared = _mul_by_cofactor(_point_decompress(r_bytes))
     except CryptoError:
         return False
-    if _point_equal(r_cleared, _NEUTRAL):
+    if r_bytes in _SMALL_ORDER_ENCODINGS:  # R decoded, so its bytes are canonical
         return False
     return _point_equal(_mul_by_cofactor(q_point), r_cleared)

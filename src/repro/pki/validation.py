@@ -54,38 +54,43 @@ def validate_chain(
             )
     checks.append("validity-window")
 
+    links = [(certificate, issuer) for certificate, issuer in chain.pairs() if issuer is not None]
+    for certificate, issuer in links:
+        if not issuer.is_ca:
+            return ValidationResult(
+                valid=False,
+                reason=f"issuer certificate {issuer.subject!r} is not a CA certificate",
+                checks=checks,
+            )
+        if certificate.issuer != issuer.subject:
+            return ValidationResult(
+                valid=False,
+                reason=(
+                    f"chain is out of order: {certificate.subject!r} names issuer "
+                    f"{certificate.issuer!r} but is followed by {issuer.subject!r}"
+                ),
+                checks=checks,
+            )
+
     # Looked up before any signature is spent: an unknown root costs no Ed25519.
     anchor = chain.certificates[-1]
-    anchored = trust_store.trusts(anchor.issuer)
-    for certificate, issuer in chain.pairs():
-        if issuer is not None:
-            if not issuer.is_ca:
-                return ValidationResult(
-                    valid=False,
-                    reason=f"issuer certificate {issuer.subject!r} is not a CA certificate",
-                    checks=checks,
-                )
-            if certificate.issuer != issuer.subject:
-                return ValidationResult(
-                    valid=False,
-                    reason=(
-                        f"chain is out of order: {certificate.subject!r} names issuer "
-                        f"{certificate.issuer!r} but is followed by {issuer.subject!r}"
-                    ),
-                    checks=checks,
-                )
-            if anchored and not certificate.verify_signature(issuer.public_key):
-                return ValidationResult(
-                    valid=False,
-                    reason=f"signature on {certificate.subject!r} does not verify",
-                    checks=checks,
-                )
-    if not anchored:
+    if not trust_store.trusts(anchor.issuer):
         return ValidationResult(
             valid=False,
             reason=f"chain does not terminate at a trusted root ({anchor.issuer!r} unknown)",
             checks=checks,
         )
+    # Top-down from the root certificate's key, which the trust store checks
+    # last: a key below it verifies nothing until its own certificate verified
+    # under the key above, so an intermediate key the root did not sign never
+    # gets an Ed25519 comb table built (docs/THREATS.md).
+    for certificate, issuer in reversed(links):
+        if not certificate.verify_signature(issuer.public_key):
+            return ValidationResult(
+                valid=False,
+                reason=f"signature on {certificate.subject!r} does not verify",
+                checks=checks,
+            )
     checks.append("signatures")
 
     if not trust_store.anchors(anchor):

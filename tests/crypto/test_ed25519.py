@@ -7,6 +7,7 @@ fall-through, a Hypothesis differential against the naive ladder in
 """
 
 import hashlib
+import random
 
 import ed25519_oracle as oracle
 import pytest
@@ -480,6 +481,40 @@ class TestAgainstTheLadderOracle:
         verdict = ed25519.verify(fields["key"], fields["message"], fields["signature"])
         assert verdict == oracle.verify(fields["key"], fields["message"], fields["signature"])
         assert verdict == (field == "none")
+
+
+def mixed_order_key():
+    """``[a]B + T8`` for the seed of the mixed-order-key strictness test."""
+    a, _ = oracle.secret_expand(seed("mixed-order"))
+    return oracle.compress(oracle.add(oracle.scalar_mult(a, oracle.BASE), ORDER_8_POINT))
+
+
+def comb_edge_scalars():
+    """The boundary scalars, then a seeded even and odd one."""
+    rng = random.Random("comb-edges")
+    even = rng.randrange(0, oracle.L) & ~1
+    return [0, 1, oracle.L - 1, 2**252, even, even | 1]
+
+
+class TestProductionGeometry:
+    """The verification walk on the tables `verify` reads: the import-time
+    base table and the cached key table, against the ladder."""
+
+    @pytest.mark.parametrize("key_kind", ["prime-order", "mixed-order"])
+    def test_joint_walk_on_the_key_table_equals_the_ladder(self, key_kind):
+        key = ed25519.publickey(seed("comb-differential")) if key_kind == "prime-order" else mixed_order_key()
+        table = ed25519._key_table(key)
+        assert len(table) == 2**ed25519.KEY_TEETH
+        assert len(ed25519._BASE_TABLE) == 2**ed25519.BASE_TEETH
+        minus_a = oracle.negate(oracle.decompress(key))
+        for s in comb_edge_scalars():
+            s_b = oracle.scalar_mult(s, oracle.BASE)
+            for h in comb_edge_scalars():
+                walk = ed25519._comb_mult((s, ed25519._BASE_TABLE), (h, table))
+                assert oracle.equal(walk, oracle.add(s_b, oracle.scalar_mult(h, minus_a))), (s, h)
+
+    def test_the_derived_small_order_set_is_the_torsion_subgroup(self):
+        assert ed25519._SMALL_ORDER_ENCODINGS == frozenset(SMALL_ORDER_POINTS)
 
 
 SIGNERS = [seed(f"differential-{index}") for index in range(3)]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import ed25519
 from repro.crypto.signing import KeyPair
 from repro.errors import CertificateError
 from repro.pki.ca import CertificationAuthority, TrustStore
@@ -440,3 +441,29 @@ def test_any_interleaving_of_adds_and_chains_gets_the_parents_verdicts(steps):
                 parent_validate_chain(chains[name], oracle_store, now=NOW + 100),
             )
     assert oracle_store._anchors == {}
+
+
+class TestTopDownSignatures:
+    """Links are verified from the root certificate down, so a key gets a comb
+    table only after its own certificate verified under the key above it."""
+
+    def unsigned_intermediate(self, chain):
+        """The honest root certificate above an intermediate (fresh key, same
+        name) that a rogue root signed."""
+        rogue_root = CertificationAuthority("Root", key_seed=b"rogue-root")
+        rogue_mid = CertificationAuthority("Issuing", key_seed=b"rogue-mid", parent=rogue_root)
+        rogue = rogue_mid.issue_chain_for("good.example", KeyPair.generate(b"val-server").public, now=NOW)
+        return with_anchor(rogue, chain.certificates[-1])
+
+    def test_an_intermediate_the_anchor_did_not_sign_builds_no_key_table(self, world, verifications):
+        _, _, chain, store = world
+        ed25519._key_table.cache_clear()
+        assert validate_chain(chain, store, now=NOW + 100).valid  # the root's table is built
+        forged = self.unsigned_intermediate(chain)
+        misses = ed25519._key_table.cache_info().misses
+        before = len(verifications)
+        result = validate_chain(forged, store, now=NOW + 100)
+        assert ed25519._key_table.cache_info().misses == misses
+        assert len(verifications) - before == 1  # one rejection under the cached root key
+        assert result.reason == "signature on 'Issuing' does not verify"
+        assert_agrees(result, parent_validate_chain(forged, store, now=NOW + 100))
