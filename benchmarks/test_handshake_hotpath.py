@@ -23,8 +23,10 @@ machine-readable perf baseline, ``benchmarks/results/handshake_hotpath.json``:
   was just built vs one the proof cache already holds (its bytes retained);
 * **one pass per packet** — interpreter calls per warm handshake under
   ``cProfile`` (a count, so it reads the same on a slow box as on a fast one),
-  and among them the status decodes and Merkle checks (none: the client's
-  status memo answers a record it has seen);
+  the share of them inside the RA's ``process_packet``, and among them the
+  status decodes and Merkle checks (none: the client's status memo answers a
+  record it has seen) and the RA's status encodes (none: it keeps the bytes
+  per signed root);
 * **one search, one climb** — interpreter calls and key searches per
   ``store.prove`` of an absent and of a revoked serial, and calls into
   ``repro.store`` when the proof cache answers (none);
@@ -101,8 +103,17 @@ CALL_COUNT_HANDSHAKES = 200
 #: revoked ``LEAF_ISSUER_REVOKED`` serials, the warm status is an absence proof
 #: with audit steps: 911 calls per handshake when the client decodes and
 #: Merkle-checks it every time (one ``decode_status``, three proof
-#: ``verify``), 751 with the status memo answering the repeat by lookup.
-WARM_HANDSHAKE_CALLS_CEILING = 773
+#: ``verify``), 751 with the status memo answering the repeat by lookup, 628
+#: since the RA reads each packet by offset and encodes a status once per
+#: signed root (``WARM_RA_CALLS_CEILING``), 630 since the endpoints' hello
+#: and ticket parsers go through the offset readers the RA calls (the
+#: ceiling stays, +2.5 %).
+WARM_HANDSHAKE_CALLS_CEILING = 646
+#: Of those, the calls inside ``RevocationAgent.process_packet`` (its four
+#: packets): 238 while DPI built record, hello, extension and Finished objects,
+#: the status was re-encoded on every visit and the flow table hashed a
+#: dataclass per lookup; 115 after.  The exact count + 3 %.
+WARM_RA_CALLS_CEILING = 118
 #: Interpreter calls per ``store.prove`` of an absent serial with two
 #: neighbours: 107 in this world (137 at 20,000 entries) with two bisects and
 #: two whole walks, 48 (56) with one search and one climb above the fork.
@@ -336,18 +347,62 @@ def _calls_while(operation, arguments):
     return {entry.code: entry.callcount for entry in profile.getstats()}
 
 
+def _calls_inside(owner, name, operation, arguments):
+    """``{code object: call count}`` of everything run *inside* ``owner.name``
+    (the method itself included) while ``operation`` runs over ``arguments``."""
+    profile = cProfile.Profile()
+    method = getattr(owner, name)
+
+    def profiled(*args, **kwargs):
+        profile.enable()
+        try:
+            return method(*args, **kwargs)
+        finally:
+            profile.disable()
+
+    setattr(owner, name, profiled)
+    try:
+        for argument in arguments:
+            operation(argument)
+    finally:
+        setattr(owner, name, method)
+    return {
+        entry.code: entry.callcount
+        for entry in profile.getstats()
+        if entry.code != _PROFILER_DISABLE
+    }
+
+
+#: The profiler's own row for the ``disable()`` that ends each profiled call.
+_PROFILER_DISABLE = "<method 'disable' of '_lsprof.Profiler' objects>"
+
+
 def count_warm_handshake_calls(config, corpus, cas, agent, root_cache, validation_cache):
     """Interpreter calls (Python and C functions) one warm handshake makes, and
-    how many of them decode a status or check a Merkle path."""
-    calls = _calls_while(
-        lambda _: _run_handshake(config, corpus, cas, agent, root_cache, validation_cache),
-        range(CALL_COUNT_HANDSHAKES),
-    )
+    how many of them decode a status, check a Merkle path or encode a status;
+    the calls the RA makes in ``process_packet``; and the status encodes of
+    one cold handshake."""
+
+    def warm(_):
+        _run_handshake(config, corpus, cas, agent, root_cache, validation_cache)
+
+    def cold(_):
+        agent.proof_cache.clear()
+        _run_handshake(config, corpus, cas, agent, None, None)
+
+    handshakes = range(CALL_COUNT_HANDSHAKES)
+    calls = _calls_while(warm, handshakes)
+    inside_ra = _calls_inside(RevocationAgent, "process_packet", warm, handshakes)
     merkle = (PresenceProof.verify.__code__, AbsenceProof.verify.__code__)
     return {
         "warm_handshake_calls": round(sum(calls.values()) / CALL_COUNT_HANDSHAKES, 1),
+        "warm_ra_calls": round(sum(inside_ra.values()) / CALL_COUNT_HANDSHAKES, 1),
         "warm_handshake_status_decodes": calls.get(decode_status.__code__, 0),
         "warm_handshake_merkle_verifies": sum(calls.get(code, 0) for code in merkle),
+        "warm_handshake_status_encodes": calls.get(encode_status.__code__, 0),
+        "cold_handshake_status_encodes": _calls_while(cold, range(1)).get(
+            encode_status.__code__, 0
+        ),
     }
 
 
@@ -574,5 +629,11 @@ def test_handshake_hotpath():
     assert handshake["warm_handshake_status_decodes"] == 0, handshake
     assert handshake["warm_handshake_merkle_verifies"] == 0, handshake
     assert handshake["warm_handshake_calls"] <= WARM_HANDSHAKE_CALLS_CEILING, handshake
+    # The RA encodes a status once per signed root: a cold handshake (its
+    # proof cache cleared) encodes one, a repeat warm handshake appends the
+    # live freshness statement to the bytes kept from the first.
+    assert handshake["cold_handshake_status_encodes"] >= 1, handshake
+    assert handshake["warm_handshake_status_encodes"] == 0, handshake
+    assert handshake["warm_ra_calls"] <= WARM_RA_CALLS_CEILING, handshake
     for layer, rate in payload["cache_hit_rates"].items():
         assert rate > 0.0, (layer, payload["cache_hit_rates"])

@@ -25,7 +25,8 @@ ever weakening verification:
 * :class:`~repro.perf.proof_cache.ProofCache` — a bounded LRU of Merkle
   membership proofs keyed by ``(ca, shard, root hash, serial)`` with
   explicit invalidation per dictionary (refresh / resync / shard
-  retirement).
+  retirement); an RA's entries (:class:`~repro.perf.proof_cache.ProofEntry`)
+  also hold the encoded status around each proof, per signed root.
 
 :class:`VerifiedRootCache` verifies its cache misses through
 :func:`repro.crypto.signing.verify_batch`.  See ``docs/PERFORMANCE.md`` for
@@ -33,7 +34,7 @@ the end-to-end architecture, invalidation rules, and tuning knobs.
 """
 
 from repro.perf.cache import CacheStats, LRUCache
-from repro.perf.proof_cache import DEFAULT_PROOF_CACHE_SIZE, ProofCache
+from repro.perf.proof_cache import DEFAULT_PROOF_CACHE_SIZE, ProofCache, ProofEntry
 from repro.perf.root_cache import DEFAULT_ROOT_CACHE_SIZE, VerifiedRootCache
 
 __all__ = [
@@ -42,5 +43,6 @@ __all__ = [
     "DEFAULT_ROOT_CACHE_SIZE",
     "LRUCache",
     "ProofCache",
+    "ProofEntry",
     "VerifiedRootCache",
 ]

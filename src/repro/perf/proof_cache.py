@@ -18,6 +18,15 @@ keys — the dictionary name is already in the key, so the cache keeps no
 second index to maintain on every ``put``.  A re-signed root over
 *unchanged* content (hash-chain exhaustion) keeps the same root hash, so the
 cache deliberately stays warm across that rotation.
+
+The RA stores a :class:`ProofEntry` per key.  Beside the proof it holds the
+first four encoded fields of the status built from it (everything but the
+freshness statement), encoded at the entry's first attach and tagged with
+the signature of the exact signed root they carry.  A re-signed root over
+the same content reuses the proof but not those bytes: a different
+signature re-encodes them.  They live and die with the entry, so
+:meth:`ProofCache.clear` and :meth:`ProofCache.invalidate_dictionary` drop
+them too.
 """
 
 from __future__ import annotations
@@ -28,6 +37,20 @@ from repro.perf.cache import LRUCache
 
 #: Default capacity: roughly one flash crowd's worth of distinct serials.
 DEFAULT_PROOF_CACHE_SIZE = 4096
+
+
+class ProofEntry:
+    """One cached proof, and the status fields encoded around it."""
+
+    __slots__ = ("proof", "signature", "head")
+
+    def __init__(self, proof: Any) -> None:
+        self.proof = proof
+        #: Signature of the signed root ``head`` was encoded under (``None``:
+        #: not encoded yet).
+        self.signature: Optional[bytes] = None
+        #: The encoded status up to its freshness statement.
+        self.head = b""
 
 
 class ProofCache:

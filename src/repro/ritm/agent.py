@@ -37,9 +37,8 @@ from repro.errors import (
     TLSError,
 )
 from repro.net.node import Middlebox
-from repro.net.packet import Direction, Packet
-from repro.perf import ProofCache, VerifiedRootCache
-from repro.pki.certificate import CertificateChain
+from repro.net.packet import Direction, FiveTuple, Packet
+from repro.perf import LRUCache, ProofCache, ProofEntry, VerifiedRootCache
 from repro.pki.serial import SerialNumber
 from repro.ritm.config import RITMConfig
 from repro.ritm.consistency import ConsistencyChecker
@@ -50,14 +49,37 @@ from repro.ritm.messages import (
     decode_key_announcements,
     decode_status_bundle,
     encode_key_announcements,
-    encode_status_bundle,
+    encode_status,
+    frame_status_bundle,
+    freshness_field,
 )
-from repro.ritm.state import ConnectionState, ConnectionTable
+from repro.ritm.state import ConnectionState, ConnectionTable, FlowKey, flow_key
 from repro.tls.connection import HandshakeStage
-from repro.tls.records import ContentType, TLSRecord, parse_records, serialize_records
+from repro.tls.records import (
+    ContentType,
+    TLSRecord,
+    encode_record,
+    parse_records,
+    serialize_records,
+)
 
 #: Modelled per-packet processing delay of an RA, in seconds.
 PER_PACKET_PROCESSING_SECONDS = 3e-6
+
+#: Sessions whose server certificate one RA remembers for abbreviated
+#: handshakes (an LRU; every full handshake adds one).  An entry
+#: is about 270 bytes (CPython 3.11, tracemalloc: key tuple, 32-byte session
+#: id, ordered-dict slot, identity tuple), so the default costs ~0.3 MB per
+#: RA.  It is a memory/horizon trade, not a correctness bound: a session
+#: stays resumable through an RA that completes R full handshakes/s for
+#: capacity / R seconds — ~0.2 s at this model's warm rate (~5k/s), ~20 ms
+#: at the paper's 50k/s (§VII-D) — and a resumption after that gets no status
+#: (``resumptions_unknown``; a RITM client rejects it as missing).  Sized for
+#: a deployment it is R × the resumption window its servers honour
+#: (OpenSSL's default session timeout is 300 s: 15 M entries, ~4 GB here, at
+#: 50k/s).  Limits are part of the interface: the bound is fixed here, not a
+#: :class:`RITMConfig` field.
+RESUMPTION_CACHE_CAPACITY = 1024
 
 
 @dataclass
@@ -72,6 +94,9 @@ class AgentStatistics:
     statuses_deferred_to_peer: int = 0
     unknown_ca: int = 0
     resumptions_recovered: int = 0
+    #: Abbreviated handshakes naming a session this RA has no certificate
+    #: for (never seen, or evicted): no status is attached.
+    resumptions_unknown: int = 0
     shard_replicas_pruned: int = 0
 
 
@@ -115,9 +140,11 @@ class RevocationAgent(Middlebox):
             owner=name, reporter_keys=self.reporter_keys
         )
         self.stats = AgentStatistics()
-        #: Server identity → (CA name, serial, expiry) cache used to recover
-        #: the certificate identity on abbreviated (resumed) handshakes.
-        self._server_cache: Dict[Tuple[str, int], Tuple[str, SerialNumber, int]] = {}
+        #: (server ip, server port, session id) → (issuer, serial, not_after,
+        #: chain — kept only with ``prove_full_chain``) of the certificate the
+        #: session's full handshake presented: what an abbreviated (resumed)
+        #: handshake, which carries no Certificate message, is about.
+        self.resumption_cache = LRUCache(maxsize=RESUMPTION_CACHE_CAPACITY)
         #: The CA behind every name this RA knows: each CA's own name and
         #: each of its shard replicas' names map to the CA's one record.
         self.issuers: Dict[str, Issuer] = {}
@@ -522,72 +549,97 @@ class RevocationAgent(Middlebox):
             self.stats.packets_forwarded_transparently += 1
             return [packet]
 
+        key = flow_key(packet.flow)
         if packet.direction is Direction.CLIENT_TO_SERVER:
-            return [self._handle_client_to_server(packet, inspection, now)]
-        return [self._handle_server_to_client(packet, inspection, now)]
+            self._handle_client_to_server(key, packet, inspection, now)
+            return [packet]
+        return [self._handle_server_to_client(key, packet, inspection, now)]
 
     # -- client → server ------------------------------------------------------------
 
     def _handle_client_to_server(
-        self, packet: Packet, inspection: InspectionResult, now: float
-    ) -> Packet:
-        if inspection.client_hello is not None and inspection.client_requests_ritm:
-            state = self.connections.lookup(packet.flow)
+        self, key: FlowKey, packet: Packet, inspection: InspectionResult, now: float
+    ) -> None:
+        state = self.connections.get(key)
+        if inspection.client_requests_ritm:
             if state is None:
                 state = self.connections.create(packet.flow, now)
                 self.stats.supported_connections += 1
-            state.stage = HandshakeStage.CLIENT_HELLO
-            state.session_id = inspection.client_hello.session_id
+            state.begin_handshake()
             state.last_activity = now
-        else:
-            self.connections.touch(packet.flow, now)
-        return packet
+        elif state is not None:
+            state.last_activity = now
 
     # -- server → client ------------------------------------------------------------
 
     def _handle_server_to_client(
-        self, packet: Packet, inspection: InspectionResult, now: float
+        self, key: FlowKey, packet: Packet, inspection: InspectionResult, now: float
     ) -> Packet:
-        state = self.connections.lookup(packet.flow)
+        state = self.connections.get(key)
         if state is None:
             # Not a supported connection: transparent forwarding.
             self.stats.packets_forwarded_transparently += 1
             return packet
         state.last_activity = now
 
-        if inspection.server_hello is not None:
+        session_id = inspection.server_session_id
+        if session_id is not None:
             state.stage = HandshakeStage.SERVER_HELLO
-            if inspection.server_hello.session_id:
-                state.session_id = inspection.server_hello.session_id
+            state.session_id = session_id
+        chain = inspection.certificate_chain
+        resumed = False
+        if chain is not None:
+            state.adopt(chain)
+            if state.session_id:
+                flow = packet.flow
+                self.resumption_cache.put(
+                    (flow.src_ip, flow.src_port, state.session_id),
+                    (
+                        state.ca_name,
+                        state.serial,
+                        state.certificate_expiry,
+                        chain if self.config.prove_full_chain else None,
+                    ),
+                )
+        elif (
+            inspection.finished_seen
+            and state.serial is None
+            and state.stage is HandshakeStage.SERVER_HELLO
+        ):
+            # The server's Finished after a ServerHello and no Certificate:
+            # the flight of an abbreviated (resumed) handshake ends here.
+            resumed = self._resume(packet.flow, state)
 
-        if inspection.certificate_chain is not None:
-            self._learn_certificate(packet, state, inspection.certificate_chain)
-        elif inspection.server_hello is not None and not state.knows_certificate():
-            # Abbreviated handshake: recover the identity from the server cache.
-            cached = self._server_cache.get((packet.flow.src_ip, packet.flow.src_port))
-            if cached is not None:
-                state.ca_name, state.serial, state.certificate_expiry = cached
-                self.stats.resumptions_recovered += 1
-
-        packet = self._maybe_attach_status(packet, state, inspection, now)
+        # A status rides on the handshake flight, then on the first packet
+        # of the established connection once Δ has passed (§III step 6).
+        if session_id is not None or chain is not None or resumed or (
+            state.stage is HandshakeStage.ESTABLISHED
+            and (inspection.has_application_data or inspection.finished_seen)
+            and state.needs_status(now, self.config.status_refresh_seconds)
+        ):
+            packet = self._maybe_attach_status(packet, state, inspection, now)
 
         if inspection.finished_seen:
             state.stage = HandshakeStage.ESTABLISHED
         return packet
 
-    def _learn_certificate(
-        self, packet: Packet, state: ConnectionState, chain: CertificateChain
-    ) -> None:
-        leaf = chain.leaf
-        state.ca_name = leaf.issuer
-        state.serial = leaf.serial
-        state.certificate_expiry = leaf.not_after
-        self._server_cache[(packet.flow.src_ip, packet.flow.src_port)] = (
-            leaf.issuer,
-            leaf.serial,
-            leaf.not_after,
-        )
-        state.chain = chain  # kept for full-chain proving (§VIII)
+    def _resume(self, server_to_client: FiveTuple, state: ConnectionState) -> bool:
+        """Abbreviated handshake: recover the certificate of the session the
+        ServerHello echoed, keyed by the server's address and that session
+        id.  This model's server echoes, for a ticket too, the id of the
+        session the ticket was minted for; an RFC 5077 §3.4 server echoes the
+        client's own id instead, which this cache does not name."""
+        entry = None
+        if state.session_id:
+            entry = self.resumption_cache.get(
+                (server_to_client.src_ip, server_to_client.src_port, state.session_id)
+            )
+        if entry is None:
+            self.stats.resumptions_unknown += 1
+            return False
+        state.ca_name, state.serial, state.certificate_expiry, state.chain = entry
+        self.stats.resumptions_recovered += 1
+        return True
 
     # -- status attachment -------------------------------------------------------------
 
@@ -598,30 +650,19 @@ class RevocationAgent(Middlebox):
         inspection: InspectionResult,
         now: float,
     ) -> Packet:
-        handshake_moment = (
-            inspection.server_hello is not None or inspection.certificate_chain is not None
-        )
-        refresh_moment = (
-            state.is_established()
-            and (inspection.has_application_data or inspection.finished_seen)
-            and state.needs_status(now, self.config.status_refresh_seconds)
-        )
-        if not handshake_moment and not refresh_moment:
-            return packet
         if not state.knows_certificate():
             return packet
-
-        statuses = self._build_statuses(state, now)
-        if statuses is None:
+        encoded = self._encoded_statuses(state)
+        if encoded is None:
             return packet
+        record = encode_record(ContentType.RITM_STATUS, frame_status_bundle(encoded))
 
         if inspection.has_ritm_status:
-            return self._reconcile_with_existing_status(packet, state, statuses, now)
+            return self._reconcile_with_existing_status(packet, state, record, now)
 
-        new_payload = packet.payload + self._status_record(statuses).to_bytes()
         state.mark_status_sent(now)
         self.stats.statuses_attached += 1
-        return packet.with_payload(new_payload)
+        return packet.with_payload(packet.payload + record)
 
     def build_status(
         self, ca_name: str, serial: SerialNumber, expiry: Optional[int] = None
@@ -646,10 +687,9 @@ class RevocationAgent(Middlebox):
             )
         return self._status_from(ca_name, replica, serial)
 
-    def _status_from(
-        self, ca_name: str, replica: ReplicaDictionary, serial: SerialNumber
-    ) -> RevocationStatus:
-        """Proof-cached status assembly from an already-resolved replica."""
+    def _proof_entry(self, ca_name: str, replica: ReplicaDictionary, serial: SerialNumber):
+        """The proof-cache entry for ``serial`` under the replica's current
+        root, with that signed root and the live freshness statement."""
         signed_root = replica.signed_root
         freshness = replica.latest_freshness
         if signed_root is None or freshness is None:
@@ -657,54 +697,76 @@ class RevocationAgent(Middlebox):
                 f"replica of {replica.ca_name!r} has no signed root / freshness statement yet"
             )
         shard = replica.ca_name if replica.ca_name != ca_name else ""
-        proof = self.proof_cache.get(ca_name, shard, signed_root.root, serial.value)
-        if proof is None:
-            proof = replica.prove_membership(serial)
-            self.proof_cache.put(ca_name, shard, signed_root.root, serial.value, proof)
+        entry = self.proof_cache.get(ca_name, shard, signed_root.root, serial.value)
+        if entry is None:
+            entry = ProofEntry(replica.prove_membership(serial))
+            self.proof_cache.put(ca_name, shard, signed_root.root, serial.value, entry)
+        return entry, signed_root, freshness
+
+    def _status_from(
+        self, ca_name: str, replica: ReplicaDictionary, serial: SerialNumber
+    ) -> RevocationStatus:
+        """Proof-cached status assembly from an already-resolved replica."""
+        entry, signed_root, freshness = self._proof_entry(ca_name, replica, serial)
         return RevocationStatus(
             ca_name=replica.ca_name,
             serial=serial,
-            proof=proof,
+            proof=entry.proof,
             signed_root=signed_root,
             freshness=freshness,
         )
 
+    def _encoded_status(
+        self, ca_name: str, replica: ReplicaDictionary, serial: SerialNumber
+    ) -> bytes:
+        """``encode_status(self._status_from(...))``, encoded once per signed
+        root: later calls append the live freshness statement to the fields
+        the proof-cache entry kept from the first."""
+        entry, signed_root, freshness = self._proof_entry(ca_name, replica, serial)
+        if entry.signature == signed_root.signature:
+            return entry.head + freshness_field(freshness)
+        wire = encode_status(
+            RevocationStatus(replica.ca_name, serial, entry.proof, signed_root, freshness)
+        )
+        entry.head = wire[: len(wire) - len(freshness_field(freshness))]
+        entry.signature = signed_root.signature
+        return wire
+
     def _build_statuses(
         self, state: ConnectionState, now: float
     ) -> Optional[List[RevocationStatus]]:
-        replica = self.replica_for_certificate(
-            state.ca_name or "", state.certificate_expiry
-        )
+        """The statuses this RA attaches for ``state`` (``None``: none)."""
+        return self._covering(state, self._status_from)
+
+    def _encoded_statuses(self, state: ConnectionState) -> Optional[List[bytes]]:
+        """:meth:`_build_statuses`, encoded."""
+        return self._covering(state, self._encoded_status)
+
+    def _covering(self, state: ConnectionState, build) -> Optional[list]:
+        """``build(ca, replica, serial)`` for the server certificate and, with
+        ``prove_full_chain``, every issuer certificate a replica covers."""
+        replica = self.replica_for_certificate(state.ca_name or "", state.certificate_expiry)
         if replica is None or replica.signed_root is None:
             self.stats.unknown_ca += 1
             return None
         try:
-            statuses = [self._status_from(state.ca_name or "", replica, state.serial)]
+            built = [build(state.ca_name or "", replica, state.serial)]
         except DesynchronizedError:
             return None
-        if self.config.prove_full_chain:
-            chain: Optional[CertificateChain] = getattr(state, "chain", None)
-            if chain is not None:
-                for certificate in list(chain)[1:]:
-                    issuer_replica = self.replica_for_certificate(
-                        certificate.issuer, certificate.not_after
-                    )
-                    if issuer_replica is not None and issuer_replica.signed_root is not None:
-                        statuses.append(
-                            self._status_from(
-                                certificate.issuer, issuer_replica, certificate.serial
-                            )
-                        )
-        return statuses
-
-    def _status_record(self, statuses: List[RevocationStatus]) -> TLSRecord:
-        return TLSRecord(ContentType.RITM_STATUS, encode_status_bundle(statuses))
+        if self.config.prove_full_chain and state.chain is not None:
+            for certificate in state.chain.certificates[1:]:
+                issuer_replica = self.replica_for_certificate(
+                    certificate.issuer, certificate.not_after
+                )
+                if issuer_replica is not None and issuer_replica.signed_root is not None:
+                    built.append(build(certificate.issuer, issuer_replica, certificate.serial))
+        return built
 
     def _reconcile_with_existing_status(
         self,
         packet: Packet,
         state: ConnectionState,
-        our_statuses: List[RevocationStatus],
+        our_record: bytes,
         now: float,
     ) -> Packet:
         """Multiple-RA handling (§VIII): keep the most recent status only."""
@@ -726,7 +788,7 @@ class RevocationAgent(Middlebox):
         for status in existing:
             self.consistency.observe_root(status.signed_root)
 
-        ours = our_statuses[0].signed_root
+        ours = self.replica_for_certificate(state.ca_name, state.certificate_expiry).signed_root
         theirs = existing[0].signed_root if existing else None
         our_view_is_newer = theirs is None or (
             ours.size,
@@ -738,10 +800,9 @@ class RevocationAgent(Middlebox):
             state.mark_status_sent(now)
             return packet
 
-        passthrough.append(self._status_record(our_statuses))
         state.mark_status_sent(now)
         self.stats.statuses_replaced += 1
-        return packet.with_payload(serialize_records(passthrough))
+        return packet.with_payload(serialize_records(passthrough) + our_record)
 
     # -- housekeeping ---------------------------------------------------------------------
 

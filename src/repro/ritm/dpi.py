@@ -1,14 +1,31 @@
 """Deep packet inspection for the Revocation Agent.
 
 The paper's implementation (§VI) inspects every packet, decides whether it is
-TLS, and — for handshake traffic — extracts the messages RITM cares about:
-the ClientHello (to spot the RITM extension), the ServerHello (to catch the
-session identifier), and the Certificate message (to learn the issuing CA and
-serial number).  This module performs that classification on the simulated
-packets' payloads and keeps counters that feed the Table III timing harness.
+TLS, and — for handshake traffic — extracts the few facts RITM acts on: does
+a ClientHello carry the RITM extension, which session does a ServerHello
+name, which chain does a Certificate
+message carry, and does the payload hold a Finished message, application
+data or a status another RA attached.  This module reads exactly those facts
+off a packet payload and keeps counters that feed the Table III timing
+harness.
+
+:meth:`DPIEngine.inspect` walks the record headers and the handshake headers
+inside them by offset, in one pass over the payload, and builds no record,
+hello, extension or Finished object.  A message body it reads through the
+offset readers the endpoint parsers are built on
+(:func:`~repro.tls.messages.read_hello`,
+:func:`~repro.tls.extensions.read_extensions`,
+:func:`~repro.tls.messages.read_ticket`), so each layout and its checks exist
+once, in :mod:`repro.tls`.  The framing loop mirrors
+:func:`~repro.tls.records.parse_records` and
+:func:`~repro.tls.messages.parse_handshake_messages` check for check: an
+input they reject is a ``parse_error`` here, which the RA forwards
+untouched.  Those parsers (with :data:`~repro.tls.messages.BODY_PARSERS`)
+are the oracle of ``tests/ritm/test_dpi.py``'s differential test.  Counters
+move only for a payload whose walk succeeded.
 
 The engine holds one piece of state besides its counters: a bounded LRU from
-the exact body of a ``Certificate`` message to its parsed form, because a
+the exact body of a ``Certificate`` message to its parsed chain, because a
 flash crowd presents the same chain thousands of times.  What it caches is
 *parsed structure*, never a verdict — nothing in DPI validates a chain — and
 only successful parses are stored, so a body one bit different is a different
@@ -17,40 +34,48 @@ key and pays the full, total parse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.errors import TLSError
+from repro.errors import CertificateError, TLSError
 from repro.perf import LRUCache
 from repro.pki.certificate import CertificateChain
-from repro.tls.extensions import has_ritm_support
+from repro.tls.extensions import RITM_SUPPORT_TYPE, read_extensions
 from repro.tls.messages import (
-    ClientHello,
+    HANDSHAKE_HEADER,
+    MAX_HANDSHAKE_BODY,
     HandshakeType,
-    ServerHello,
-    body_parsers_through,
-    parse_handshake_messages,
+    read_hello,
+    read_ticket,
 )
-from repro.tls.records import ContentType, TLSRecord, looks_like_tls, parse_records
+from repro.tls.records import (
+    MAX_RECORD_PAYLOAD,
+    RECORD_HEADER,
+    RECORD_HEADER_SIZE,
+    ContentType,
+    looks_like_tls,
+    oversized_record,
+)
 
 
-@dataclass
+@dataclass(slots=True)
 class InspectionResult:
-    """Everything the RA learnt from one packet payload."""
+    """Everything the RA learnt from one packet payload.
+
+    A result with a ``parse_error`` reports no other fact: the RA forwards
+    such a packet untouched.
+    """
 
     is_tls: bool
-    records: List[TLSRecord] = field(default_factory=list)
-    client_hello: Optional[ClientHello] = None
-    server_hello: Optional[ServerHello] = None
+    #: Whether the (last) ClientHello carries the RITM support extension.
+    client_requests_ritm: bool = False
+    #: Session id the (last) ServerHello names; ``None``: no ServerHello.
+    server_session_id: Optional[bytes] = None
     certificate_chain: Optional[CertificateChain] = None
     finished_seen: bool = False
     has_ritm_status: bool = False
     has_application_data: bool = False
     parse_error: Optional[str] = None
-
-    @property
-    def client_requests_ritm(self) -> bool:
-        return self.client_hello is not None and has_ritm_support(self.client_hello.extensions)
 
 
 @dataclass
@@ -62,6 +87,7 @@ class DPIStatistics:
     non_tls_packets: int = 0
     handshake_records: int = 0
     certificates_parsed: int = 0
+    #: Packets whose TLS failed a check (each forwarded untouched).
     parse_errors: int = 0
 
 
@@ -70,6 +96,20 @@ class DPIStatistics:
 #: interface: the bound is fixed here, not a :class:`RITMConfig` field.
 CHAIN_CACHE_CAPACITY = 256
 
+# Module-level aliases: the walk compares against these per record and per
+# message, and reading a member off its enum class is slow (~0.2 µs against
+# ~0.05 µs for a module global, CPython 3.11 on a 2-vCPU x86-64 container).
+_HANDSHAKE = ContentType.HANDSHAKE
+_APPLICATION_DATA = ContentType.APPLICATION_DATA
+_RITM_STATUS = ContentType.RITM_STATUS
+_OTHER_CONTENT = frozenset({ContentType.CHANGE_CIPHER_SPEC, ContentType.ALERT})
+_CLIENT_HELLO = HandshakeType.CLIENT_HELLO
+_SERVER_HELLO = HandshakeType.SERVER_HELLO
+_CERTIFICATE = HandshakeType.CERTIFICATE
+_FINISHED = HandshakeType.FINISHED
+_NEW_SESSION_TICKET = HandshakeType.NEW_SESSION_TICKET
+_SERVER_HELLO_DONE = HandshakeType.SERVER_HELLO_DONE
+
 
 class DPIEngine:
     """Packet classifier used by the RA's data path."""
@@ -77,7 +117,6 @@ class DPIEngine:
     def __init__(self) -> None:
         self.stats = DPIStatistics()
         self.chain_cache = LRUCache(maxsize=CHAIN_CACHE_CAPACITY)
-        self._parsers = body_parsers_through(self.chain_cache)
 
     # -- fast path ------------------------------------------------------------
 
@@ -93,41 +132,79 @@ class DPIEngine:
     # -- full inspection ----------------------------------------------------------
 
     def inspect(self, payload: bytes) -> InspectionResult:
-        """Classify a payload and parse TLS into the handshake facts RITM needs."""
+        """Classify a payload and read the handshake facts RITM needs off it."""
         if not self.is_tls(payload):
-            return InspectionResult(is_tls=False)
-        result = InspectionResult(is_tls=True)
+            return InspectionResult(False)
+        result = InspectionResult(True)
         try:
-            result.records = parse_records(payload)
+            self._walk(payload, result)
         except TLSError as exc:
             self.stats.parse_errors += 1
-            result.parse_error = str(exc)
-            return result
-
-        for record in result.records:
-            if record.content_type == ContentType.HANDSHAKE:
-                self.stats.handshake_records += 1
-                self._inspect_handshake(record, result)
-            elif record.content_type == ContentType.APPLICATION_DATA:
-                result.has_application_data = True
-            elif record.content_type == ContentType.RITM_STATUS:
-                result.has_ritm_status = True
+            return InspectionResult(True, parse_error=str(exc))
         return result
 
-    def _inspect_handshake(self, record: TLSRecord, result: InspectionResult) -> None:
-        try:
-            messages = parse_handshake_messages(record.payload, self._parsers)
-        except TLSError as exc:
-            self.stats.parse_errors += 1
-            result.parse_error = str(exc)
-            return
-        for handshake_type, message in messages:
-            if handshake_type == HandshakeType.CLIENT_HELLO:
-                result.client_hello = message
-            elif handshake_type == HandshakeType.SERVER_HELLO:
-                result.server_hello = message
-            elif handshake_type == HandshakeType.CERTIFICATE:
-                self.stats.certificates_parsed += 1
-                result.certificate_chain = message.chain
-            elif handshake_type == HandshakeType.FINISHED:
-                result.finished_seen = True
+    def _walk(self, data: bytes, result: InspectionResult) -> None:
+        """Every record header, and every handshake header inside a handshake
+        record, by offset; raises :class:`TLSError` where a parser would."""
+        size = len(data)
+        offset = handshake_records = certificates = 0
+        while offset < size:
+            start = offset + RECORD_HEADER_SIZE
+            if start > size:
+                raise TLSError("truncated TLS record header")
+            content_type, _, _, length = RECORD_HEADER.unpack_from(data, offset)
+            offset = start + length
+            if offset > size:
+                raise TLSError("truncated TLS record payload")
+            if length > MAX_RECORD_PAYLOAD:
+                raise oversized_record(length)
+            if content_type == _APPLICATION_DATA:
+                result.has_application_data = True
+            elif content_type == _RITM_STATUS:
+                result.has_ritm_status = True
+            elif content_type != _HANDSHAKE:
+                if content_type not in _OTHER_CONTENT:
+                    raise TLSError(f"unknown TLS content type {content_type}")
+            else:
+                handshake_records += 1
+                while start < offset:
+                    body_at = start + 4
+                    if body_at > offset:
+                        raise TLSError("truncated handshake header")
+                    (header,) = HANDSHAKE_HEADER.unpack_from(data, start)
+                    start = body_at + (header & MAX_HANDSHAKE_BODY)
+                    if start > offset:
+                        raise TLSError("truncated handshake body")
+                    kind = header >> 24
+                    if kind == _FINISHED:
+                        result.finished_seen = True
+                    elif kind == _CERTIFICATE:
+                        result.certificate_chain = self._chain(data[body_at:start])
+                        certificates += 1
+                    elif kind == _SERVER_HELLO:
+                        session_id, at = read_hello(kind, data, body_at, start)
+                        read_extensions(data, at, start)
+                        result.server_session_id = session_id
+                    elif kind == _CLIENT_HELLO:
+                        _, at = read_hello(kind, data, body_at, start)
+                        result.client_requests_ritm = (
+                            read_extensions(data, at, start, RITM_SUPPORT_TYPE) is not None
+                        )
+                    elif kind == _NEW_SESSION_TICKET:
+                        read_ticket(data, body_at, start)
+                    elif kind != _SERVER_HELLO_DONE:
+                        raise TLSError(f"unknown handshake type {kind}")
+        stats = self.stats
+        stats.handshake_records += handshake_records
+        stats.certificates_parsed += certificates
+
+    def _chain(self, body: bytes) -> CertificateChain:
+        """The chain a ``Certificate`` body carries, parsed once per distinct body."""
+        chain = self.chain_cache.get(body)
+        if chain is None:
+            try:
+                chain = CertificateChain.from_bytes(body)
+            except CertificateError as exc:
+                raise TLSError(f"malformed Certificate message: {exc}") from exc
+            self.chain_cache.put(body, chain)  # a failed parse raised: never stored
+        return chain

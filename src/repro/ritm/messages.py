@@ -307,16 +307,26 @@ def decode_proof(data: bytes, offset: int = 0) -> Tuple[Union[PresenceProof, Abs
 
 
 def encode_status(status: RevocationStatus) -> bytes:
-    """Serialize a revocation status for a ``RITM_STATUS`` TLS record."""
+    """Serialize a revocation status for a ``RITM_STATUS`` TLS record.
+
+    The freshness statement is the last field, :func:`freshness_field`: the
+    four before it are fixed by the signed root and the serial, so an RA
+    that keeps them re-encodes only this one as the hash chain advances.
+    """
     return b"".join(
         [
             _pack_bytes(status.ca_name.encode("utf-8")),
             _pack_bytes(status.serial.to_bytes()),
             _pack_bytes(encode_proof(status.proof)),
             _pack_bytes(encode_signed_root(status.signed_root)),
-            _pack_bytes(encode_freshness(status.freshness)),
+            freshness_field(status.freshness),
         ]
     )
+
+
+def freshness_field(freshness: FreshnessStatement) -> bytes:
+    """The last field of :func:`encode_status`: the framed freshness statement."""
+    return _pack_bytes(encode_freshness(freshness))
 
 
 def decode_status(data: bytes, offset: int = 0) -> Tuple[RevocationStatus, int]:
@@ -339,9 +349,14 @@ def decode_status(data: bytes, offset: int = 0) -> Tuple[RevocationStatus, int]:
 
 def encode_status_bundle(statuses: List[RevocationStatus]) -> bytes:
     """Several statuses in one record (certificate-chain proving, §VIII)."""
-    parts = [struct.pack(">B", len(statuses))]
-    for status in statuses:
-        parts.append(_pack_bytes(encode_status(status)))
+    return frame_status_bundle([encode_status(status) for status in statuses])
+
+
+def frame_status_bundle(encoded: List[bytes]) -> bytes:
+    """The bundle of statuses already encoded by :func:`encode_status`."""
+    parts = [struct.pack(">B", len(encoded))]
+    for status in encoded:
+        parts.append(_pack_bytes(status))
     return b"".join(parts)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from repro.errors import TLSError
 
@@ -45,26 +45,47 @@ def encode_extensions(extensions: Iterable[Extension]) -> bytes:
     return _BLOCK_LENGTH.pack(len(body)) + body
 
 
-def decode_extensions(data: bytes, offset: int) -> Tuple[List[Extension], int]:
-    size = len(data)
-    if offset + 2 > size:
+def read_extensions(
+    data: bytes, at: int, stop: int, wanted: int = -1, into: Optional[List[Extension]] = None
+) -> Optional[bytes]:
+    """Check the extensions block at ``data[at:]``, which must end its hello
+    at ``stop``, by offset.
+
+    Returns the data of the block's extension of type ``wanted`` (the last,
+    if it repeats; ``None`` when absent).  ``into``, when given, receives
+    every extension as an :class:`Extension`; without it nothing is built,
+    which is how the RA's DPI reads a hello (:mod:`repro.ritm.dpi`).
+    """
+    block_at = at + 2
+    if block_at > stop:
         raise TLSError("truncated extensions block")
-    end = offset + 2 + _BLOCK_LENGTH.unpack_from(data, offset)[0]
-    if end > size:
+    end = block_at + _BLOCK_LENGTH.unpack_from(data, at)[0]
+    if end > stop:
         raise TLSError("extensions block longer than the message")
-    extensions: List[Extension] = []
-    unpack_header = _EXTENSION_HEADER.unpack_from
-    offset += 2
-    while offset < end:
-        body_at = offset + 4
+    if end != stop:
+        raise TLSError("trailing bytes after the hello extensions")
+    found = None
+    at = block_at
+    while at < end:
+        body_at = at + 4
         if body_at > end:
             raise TLSError("truncated extension header")
-        ext_type, length = unpack_header(data, offset)
-        offset = body_at + length
-        if offset > end:
+        extension_type, length = _EXTENSION_HEADER.unpack_from(data, at)
+        at = body_at + length
+        if at > end:
             raise TLSError("truncated extension body")
-        extensions.append(Extension(ext_type, data[body_at:offset]))
-    return extensions, offset
+        if extension_type == wanted:
+            found = data[body_at:at]
+        if into is not None:
+            into.append(Extension(extension_type, data[body_at:at]))
+    return found
+
+
+def decode_extensions(data: bytes, at: int, stop: int) -> List[Extension]:
+    """The extensions of the block at ``data[at:]``, which must end at ``stop``."""
+    extensions: List[Extension] = []
+    read_extensions(data, at, stop, into=extensions)
+    return extensions
 
 
 def find_extension(extensions: Iterable[Extension], extension_type: int) -> Optional[Extension]:

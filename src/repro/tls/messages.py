@@ -9,7 +9,10 @@ opaque payloads.
 
 Every message encodes to the standard 4-byte handshake header (type +
 24-bit length) followed by a message-specific body, so the DPI engine parses
-exactly what it would parse on a real wire.
+exactly what it would parse on a real wire.  The layouts are read in one
+place: :func:`read_hello` and :func:`read_ticket` check a body by offset and
+build nothing; ``from_body`` builds its message around them, and the RA's DPI
+(:mod:`repro.ritm.dpi`) calls them directly.
 """
 
 from __future__ import annotations
@@ -42,35 +45,73 @@ _HANDSHAKE_TYPES = {int(member): member for member in HandshakeType}
 
 
 #: The 4-byte handshake header read as one integer: type << 24 | body length.
-_HANDSHAKE_HEADER = struct.Struct(">I")
-_MAX_HANDSHAKE_BODY = 0xFFFFFF
+HANDSHAKE_HEADER = struct.Struct(">I")
+MAX_HANDSHAKE_BODY = 0xFFFFFF
 #: What both hellos open with: legacy version, random, session-id length.
-_HELLO_HEAD = struct.Struct(f">2s{RANDOM_SIZE}sB")
+_HELLO_HEAD = struct.Struct(f">2s{RANDOM_SIZE}xB")
+_RANDOM_AT = 2
 _HELLO_VERSION = b"\x03\x03"
 _U16 = struct.Struct(">H")
 _NULL_COMPRESSION = b"\x01\x00"  # one method, the null one
 _SERVER_CHOICE = struct.Struct(">HB")  # cipher suite, compression method
 _TICKET_HEAD = struct.Struct(">IH")  # lifetime, ticket length
+_CLIENT_HELLO = 1  # HandshakeType.CLIENT_HELLO, read per hello as a plain int
+_HELLO_NAMES = {1: "ClientHello", 2: "ServerHello"}
 
 
 def _pack_handshake(handshake_type: HandshakeType, body: bytes) -> bytes:
     size = len(body)
-    if size > _MAX_HANDSHAKE_BODY:
+    if size > MAX_HANDSHAKE_BODY:
         raise TLSError(f"handshake body of {size} bytes exceeds the 24-bit length field")
-    return _HANDSHAKE_HEADER.pack(handshake_type << 24 | size) + body
+    return HANDSHAKE_HEADER.pack(handshake_type << 24 | size) + body
 
 
-def _hello_head(kind: str, body: bytes, size: int) -> Tuple[bytes, bytes, int]:
-    """Random, session id and the offset after it, of either hello's ``size``-byte body."""
-    if size < _HELLO_HEAD.size:
-        raise TLSError(f"{kind} body too short")
-    version, random, sid_len = _HELLO_HEAD.unpack_from(body)
+def read_hello(handshake_type: int, data: bytes, start: int, stop: int) -> Tuple[bytes, int]:
+    """The session id of the hello whose body is ``data[start:stop]`` and the
+    offset of its extensions block (:func:`~repro.tls.extensions.read_extensions`
+    checks that block).
+
+    Applies every check to the fields before the extensions: TLS 1.2, the
+    session id inside the body, and for a ClientHello an even cipher-suites
+    length and null-only compression, for a ServerHello null compression.
+    """
+    at = start + _HELLO_HEAD.size
+    if at > stop:
+        raise TLSError(f"{_HELLO_NAMES[handshake_type]} body too short")
+    version, session_length = _HELLO_HEAD.unpack_from(data, start)
     if version != _HELLO_VERSION:
-        raise TLSError(f"{kind} version {version.hex()} is not TLS 1.2")
-    offset = _HELLO_HEAD.size + sid_len
-    if offset > size:
-        raise TLSError(f"truncated {kind}")
-    return random, body[_HELLO_HEAD.size : offset], offset
+        raise TLSError(f"{_HELLO_NAMES[handshake_type]} version {version.hex()} is not TLS 1.2")
+    end = at + session_length
+    if end > stop:
+        raise TLSError(f"truncated {_HELLO_NAMES[handshake_type]}")
+    if handshake_type == _CLIENT_HELLO:
+        if end + 2 > stop:
+            raise TLSError("truncated ClientHello")
+        (suites_length,) = _U16.unpack_from(data, end)
+        if suites_length % 2:
+            raise TLSError("odd ClientHello cipher-suites length")
+        compression_at = end + 2 + suites_length
+        if compression_at + 2 > stop:
+            raise TLSError("truncated ClientHello")
+        if data[compression_at : compression_at + 2] != _NULL_COMPRESSION:
+            raise TLSError("ClientHello compression methods are not null-only")
+        return data[at:end], compression_at + 2
+    if end + _SERVER_CHOICE.size > stop:
+        raise TLSError("truncated ServerHello")
+    if data[end + 2]:
+        raise TLSError("ServerHello compression method is not null")
+    return data[at:end], end + _SERVER_CHOICE.size
+
+
+def read_ticket(data: bytes, start: int, stop: int) -> int:
+    """The offset of the ticket in the NewSessionTicket body ``data[start:stop]``,
+    once its length field is checked against the body."""
+    at = start + _TICKET_HEAD.size
+    if at > stop:
+        raise TLSError("NewSessionTicket body too short")
+    if at + _U16.unpack_from(data, at - 2)[0] != stop:
+        raise TLSError("NewSessionTicket length does not match its body")
+    return at
 
 
 @dataclass(frozen=True)
@@ -100,23 +141,16 @@ class ClientHello:
     @classmethod
     def from_body(cls, body: bytes) -> "ClientHello":
         size = len(body)
-        random, session_id, offset = _hello_head("ClientHello", body, size)
-        suites_at = offset + 2
-        if suites_at > size:
-            raise TLSError("truncated ClientHello")
-        (suites_len,) = _U16.unpack_from(body, offset)
-        if suites_len % 2:
-            raise TLSError("odd ClientHello cipher-suites length")
-        offset = suites_at + suites_len
-        if offset + 2 > size:
-            raise TLSError("truncated ClientHello")
-        suites = struct.unpack_from(f">{suites_len // 2}H", body, suites_at)
-        if body[offset : offset + 2] != _NULL_COMPRESSION:
-            raise TLSError("ClientHello compression methods are not null-only")
-        extensions, end = decode_extensions(body, offset + 2)
-        if end != size:
-            raise TLSError("trailing bytes after the ClientHello extensions")
-        return cls(random, session_id, suites, tuple(extensions))
+        session_id, extensions_at = read_hello(HandshakeType.CLIENT_HELLO, body, 0, size)
+        # The cipher suites lie between their length field and the compression methods.
+        suites_at = _HELLO_HEAD.size + len(session_id) + 2
+        count = (extensions_at - 2 - suites_at) // 2
+        return cls(
+            body[_RANDOM_AT : _RANDOM_AT + RANDOM_SIZE],
+            session_id,
+            struct.unpack_from(f">{count}H", body, suites_at),
+            tuple(decode_extensions(body, extensions_at, size)),
+        )
 
 
 @dataclass(frozen=True)
@@ -144,16 +178,14 @@ class ServerHello:
     @classmethod
     def from_body(cls, body: bytes) -> "ServerHello":
         size = len(body)
-        random, session_id, offset = _hello_head("ServerHello", body, size)
-        if offset + 3 > size:
-            raise TLSError("truncated ServerHello")
-        cipher_suite, compression = _SERVER_CHOICE.unpack_from(body, offset)
-        if compression:
-            raise TLSError("ServerHello compression method is not null")
-        extensions, end = decode_extensions(body, offset + 3)
-        if end != size:
-            raise TLSError("trailing bytes after the ServerHello extensions")
-        return cls(random, session_id, cipher_suite, tuple(extensions))
+        session_id, extensions_at = read_hello(HandshakeType.SERVER_HELLO, body, 0, size)
+        (cipher_suite,) = _U16.unpack_from(body, extensions_at - _SERVER_CHOICE.size)
+        return cls(
+            body[_RANDOM_AT : _RANDOM_AT + RANDOM_SIZE],
+            session_id,
+            cipher_suite,
+            tuple(decode_extensions(body, extensions_at, size)),
+        )
 
 
 @dataclass(frozen=True)
@@ -206,12 +238,9 @@ class NewSessionTicket:
 
     @classmethod
     def from_body(cls, body: bytes) -> "NewSessionTicket":
-        if len(body) < _TICKET_HEAD.size:
-            raise TLSError("NewSessionTicket body too short")
-        lifetime, length = _TICKET_HEAD.unpack_from(body)
-        if _TICKET_HEAD.size + length != len(body):
-            raise TLSError("NewSessionTicket length does not match its body")
-        return cls(lifetime_seconds=lifetime, ticket=body[_TICKET_HEAD.size :])
+        ticket_at = read_ticket(body, 0, len(body))
+        lifetime, _ = _TICKET_HEAD.unpack_from(body)
+        return cls(lifetime_seconds=lifetime, ticket=body[ticket_at:])
 
 
 HandshakeMessage = object  # documentation alias; concrete classes above
@@ -255,14 +284,14 @@ def parse_handshake_messages(
     (:func:`body_parsers_through`).
     """
     messages: List[Tuple[HandshakeType, object]] = []
-    unpack_header = _HANDSHAKE_HEADER.unpack_from
+    unpack_header = HANDSHAKE_HEADER.unpack_from
     offset, size = 0, len(payload)
     while offset < size:
         body_at = offset + 4
         if body_at > size:
             raise TLSError("truncated handshake header")
         (header,) = unpack_header(payload, offset)
-        offset = body_at + (header & _MAX_HANDSHAKE_BODY)
+        offset = body_at + (header & MAX_HANDSHAKE_BODY)
         if offset > size:
             raise TLSError("truncated handshake body")
         handshake_type = _HANDSHAKE_TYPES.get(header >> 24)

@@ -25,8 +25,8 @@ from repro.errors import TLSError
 #: TLS 1.2 on the wire.
 PROTOCOL_VERSION = (3, 3)
 #: Content type, protocol version (major, minor), payload length.
-_RECORD_HEADER = struct.Struct(">BBBH")
-RECORD_HEADER_SIZE = _RECORD_HEADER.size
+RECORD_HEADER = struct.Struct(">BBBH")
+RECORD_HEADER_SIZE = RECORD_HEADER.size
 #: Maximum record payload (2^14 bytes, RFC 5246 §6.2.1).
 MAX_RECORD_PAYLOAD = 2**14
 
@@ -55,14 +55,11 @@ class TLSRecord:
 
     def __post_init__(self) -> None:
         if len(self.payload) > MAX_RECORD_PAYLOAD:
-            raise TLSError(
-                f"record payload of {len(self.payload)} bytes exceeds the "
-                f"{MAX_RECORD_PAYLOAD}-byte TLS maximum"
-            )
+            raise oversized_record(len(self.payload))
 
     def to_bytes(self) -> bytes:
         payload = self.payload
-        return _RECORD_HEADER.pack(self.content_type, *self.version, len(payload)) + payload
+        return RECORD_HEADER.pack(self.content_type, *self.version, len(payload)) + payload
 
     @property
     def wire_size(self) -> int:
@@ -78,10 +75,25 @@ class TLSRecord:
         return self.content_type == ContentType.RITM_STATUS
 
 
+def oversized_record(length: int) -> TLSError:
+    """The error for a record payload of ``length`` bytes, over the maximum."""
+    return TLSError(
+        f"record payload of {length} bytes exceeds the {MAX_RECORD_PAYLOAD}-byte TLS maximum"
+    )
+
+
+def encode_record(content_type: ContentType, payload: bytes) -> bytes:
+    """``TLSRecord(content_type, payload).to_bytes()``, building no record."""
+    length = len(payload)
+    if length > MAX_RECORD_PAYLOAD:
+        raise oversized_record(length)
+    return RECORD_HEADER.pack(content_type, *PROTOCOL_VERSION, length) + payload
+
+
 def parse_records(data: bytes) -> List[TLSRecord]:
     """Parse a byte stream into consecutive records."""
     records: List[TLSRecord] = []
-    unpack_header = _RECORD_HEADER.unpack_from
+    unpack_header = RECORD_HEADER.unpack_from
     offset, size = 0, len(data)
     while offset < size:
         payload_at = offset + RECORD_HEADER_SIZE
@@ -111,7 +123,7 @@ def looks_like_tls(data: bytes) -> bool:
     """
     if len(data) < RECORD_HEADER_SIZE:
         return False
-    content_type, major, minor, length = _RECORD_HEADER.unpack_from(data)
+    content_type, major, minor, length = RECORD_HEADER.unpack_from(data)
     if content_type not in _CONTENT_TYPES:
         return False
     if major != 3 or minor > 4:

@@ -2,9 +2,14 @@
 
 RITM explicitly supports both resumption mechanisms (§III): abbreviated
 handshakes skip the Certificate message, so the RA must remember which CA and
-serial a resumed session refers to (it does this via the DPI connection state
-keyed by the session).  This module provides the server-side session cache
-and RFC 5077-style tickets the connection state machines use.
+serial a resumed session refers to.  It keys that memory by the session: the
+server's address and the session id the full handshake's ServerHello
+assigned, which the abbreviated ServerHello echoes.  This model's server
+echoes it for a ticket resumption too (the ticket carries the id of the
+session it was minted for); an RFC 5077 §3.4 server echoes the client's own
+id instead, which the RA does not map to a certificate.  This module
+provides the server-side session cache and RFC 5077-style tickets the
+connection state machines use.
 """
 
 from __future__ import annotations

@@ -3,15 +3,19 @@
 import pytest
 
 from repro.net.packet import Direction, Packet, make_flow
-from repro.ritm.agent import RevocationAgent
+from repro.ritm.agent import RESUMPTION_CACHE_CAPACITY, RevocationAgent
+from repro.ritm.client import RejectionReason, RITMClient
 from repro.ritm.messages import decode_status_bundle
+from repro.ritm.server import RITMServer
 from repro.tls.connection import HandshakeStage
 from repro.tls.extensions import ritm_support_extension
 from repro.tls.messages import CertificateMessage, ClientHello, Finished, ServerHello, ServerHelloDone
 from repro.tls.records import ContentType, TLSRecord, parse_records
+from repro.tls.session import SessionCache, TicketIssuer
 
 from tests.conftest import sized_attributes
 from tests.ritm.conftest import EPOCH, flip_bit
+from tests.ritm.test_client_server import run_direct_handshake
 
 
 FLOW = make_flow("12.34.56.78", 9012, "98.76.54.32", 443)
@@ -33,6 +37,13 @@ def server_flight_packet(chain, session_id: bytes = b"\x07" * 8) -> Packet:
         + ServerHelloDone().to_bytes()
     )
     record = TLSRecord(ContentType.HANDSHAKE, flight)
+    return Packet(
+        flow=FLOW.reversed(), payload=record.to_bytes(), direction=Direction.SERVER_TO_CLIENT
+    )
+
+
+def server_packet(*messages) -> Packet:
+    record = TLSRecord(ContentType.HANDSHAKE, b"".join(m.to_bytes() for m in messages))
     return Packet(
         flow=FLOW.reversed(), payload=record.to_bytes(), direction=Direction.SERVER_TO_CLIENT
     )
@@ -185,6 +196,16 @@ class TestStatusAttachment:
         statuses = statuses_in(out[0])
         # Leaf + intermediate + root (all three issuers are replicated).
         assert len(statuses) >= 2
+        # A resumption of the session proves the same chain: the resumption
+        # cache keeps the chain when the RA proves whole chains.
+        chained_world.agent.connections.remove(FLOW)
+        chained_world.agent.process_packet(
+            client_hello_packet(session_id=b"\x07" * 8), now=EPOCH + 30
+        )
+        resumed = chained_world.agent.process_packet(
+            server_packet(ServerHello(session_id=b"\x07" * 8), Finished()), now=EPOCH + 31
+        )
+        assert [s.serial for s in statuses_in(resumed[0])] == [s.serial for s in statuses]
 
 
 class TestFlowTableIsBounded:
@@ -233,6 +254,22 @@ class TestResumptionAndMultipleRAs:
         assert len(statuses) == 1
         assert statuses[0].serial == chain.leaf.serial
         assert world.agent.stats.resumptions_recovered == 1
+
+    def test_an_unknown_session_gets_no_status(self, world):
+        """A ServerHello echoing a session this RA never saw names no
+        certificate: nothing is attached (and the client, expecting RITM,
+        rejects the handshake as missing its status)."""
+        world.agent.process_packet(client_hello_packet(session_id=b"\x09" * 8), now=EPOCH + 30)
+        abbreviated = TLSRecord(
+            ContentType.HANDSHAKE,
+            ServerHello(session_id=b"\x09" * 8).to_bytes() + Finished().to_bytes(),
+        )
+        packet = Packet(
+            flow=FLOW.reversed(), payload=abbreviated.to_bytes(), direction=Direction.SERVER_TO_CLIENT
+        )
+        assert world.agent.process_packet(packet, now=EPOCH + 31) == [packet]
+        assert world.agent.stats.resumptions_unknown == 1
+        assert world.agent.stats.resumptions_recovered == 0
 
     def test_second_ra_does_not_duplicate_fresher_status(self, world):
         chain = world.corpus.chains[0]
@@ -286,3 +323,133 @@ class TestResumptionAndMultipleRAs:
     def test_dictionary_sizes_reporting(self, world):
         sizes = world.agent.dictionary_sizes()
         assert set(sizes) == {ca.name for ca in world.cas}
+
+
+class TestResumptionNamesTheSession:
+    """Two hosts behind one server address: a resumed session gets the status
+    of the certificate its own full handshake presented, never the status of
+    whichever host that address served last."""
+
+    SERVER_IP = FLOW.dst_ip
+
+    @staticmethod
+    def client(world, chain, **resumption) -> RITMClient:
+        return RITMClient(
+            ip_address=FLOW.src_ip,
+            server_name=chain.leaf.subject,
+            trust_store=world.trust_store,
+            ca_public_keys=world.ca_public_keys(),
+            config=world.config,
+            **resumption,
+        )
+
+    def full_handshakes(self, world):
+        """Full handshakes to host A, then to host B, both at ``SERVER_IP``:443."""
+        chain_a, chain_b = world.corpus.chains[0], world.corpus.chains[2]
+        assert chain_a.leaf.issuer != chain_b.leaf.issuer
+        sessions = SessionCache()
+        tickets = TicketIssuer(key=b"\x05" * 32)
+        first = self.client(world, chain_a)
+        server_a = RITMServer(
+            self.SERVER_IP, chain_a, session_cache=sessions, ticket_issuer=tickets
+        )
+        run_direct_handshake(first, server_a, world.agent, now=EPOCH + 20)
+        second = self.client(world, chain_b)
+        server_b = RITMServer(self.SERVER_IP, chain_b)
+        run_direct_handshake(second, server_b, world.agent, now=EPOCH + 21)
+        assert first.is_connection_usable and second.is_connection_usable
+        # A is revoked, and the RA learns it.
+        world.ca_by_name(chain_a.leaf.issuer).revoke([chain_a.leaf.serial], now=EPOCH + 22)
+        assert world.pull(now=EPOCH + 23).serials_applied == 1
+        # A fresh server object for A, holding A's sessions: the resumption.
+        resuming = RITMServer(
+            self.SERVER_IP, chain_a, session_cache=sessions, ticket_issuer=tickets
+        )
+        return chain_a, first, resuming
+
+    @pytest.mark.parametrize("flow", ["same-flow", "new-flow"])
+    @pytest.mark.parametrize("by", ["session_id", "session_ticket"])
+    def test_a_resumed_session_gets_its_own_certificates_status(self, world, by, flow):
+        chain_a, first, server = self.full_handshakes(world)
+        if flow == "new-flow":  # no flow state left from B's handshake
+            world.agent.connections.remove(FLOW)
+        if by == "session_id":
+            resumption = {"session_id": first.tls.negotiated_session_id}
+        else:
+            resumption = {"session_ticket": first.tls.received_ticket.ticket}
+        resumed = self.client(world, chain_a, **resumption)
+        run_direct_handshake(resumed, server, world.agent, now=EPOCH + 24)
+        assert not resumed.is_connection_usable
+        assert resumed.rejection is RejectionReason.CERTIFICATE_REVOKED
+        assert chain_a.leaf.serial.to_bytes().hex().upper() in resumed.rejection_detail
+        # A ticket resumption offers no session id; this model's server
+        # echoes the one the ticket was minted for, which is what the RA
+        # looks up (an RFC 5077 server would echo the client's own id).
+        assert world.agent.stats.resumptions_recovered == 1
+
+    def test_an_evicted_session_attaches_nothing(self, world):
+        chain_a, first, server = self.full_handshakes(world)
+        world.agent.resumption_cache.clear()
+        resumed = self.client(world, chain_a, session_id=first.tls.negotiated_session_id)
+        run_direct_handshake(resumed, server, world.agent, now=EPOCH + 24)
+        assert resumed.rejection is RejectionReason.MISSING_STATUS
+        assert world.agent.stats.resumptions_unknown == 1
+
+    @pytest.mark.parametrize(
+        "between", [RESUMPTION_CACHE_CAPACITY - 1, RESUMPTION_CACHE_CAPACITY]
+    )
+    def test_the_capacity_bounds_how_long_a_session_is_resumable(self, world, between):
+        """``between`` other full handshakes come between A's session and its
+        resumption.  While A's is among the last ``RESUMPTION_CACHE_CAPACITY``
+        sessions the RA recovers A's certificate; after that it knows none
+        and attaches nothing, and the client rejects the missing status —
+        never a status about another certificate."""
+        chain_a, first, server = self.full_handshakes(world)  # B's is one
+        other = world.corpus.chains[3]
+        for number in range(between - 1):
+            world.agent.process_packet(client_hello_packet(), now=EPOCH + 23)
+            session_id = number.to_bytes(8, "big")
+            world.agent.process_packet(server_flight_packet(other, session_id), now=EPOCH + 23)
+        resumed = self.client(world, chain_a, session_id=first.tls.negotiated_session_id)
+        run_direct_handshake(resumed, server, world.agent, now=EPOCH + 24)
+        assert not resumed.is_connection_usable
+        if between < RESUMPTION_CACHE_CAPACITY:
+            assert resumed.rejection is RejectionReason.CERTIFICATE_REVOKED
+            assert world.agent.stats.resumptions_recovered == 1
+        else:
+            assert resumed.rejection is RejectionReason.MISSING_STATUS
+            assert world.agent.stats.resumptions_unknown == 1
+
+    def test_a_full_flight_split_across_packets_is_no_resumption(self, world):
+        """A ServerHello alone is not yet an abbreviated handshake: only the
+        server's Finished with no Certificate before it is."""
+        chain = world.corpus.chains[0]
+        world.agent.process_packet(client_hello_packet(), now=EPOCH + 10)
+        hello = server_packet(ServerHello(session_id=b"\x0b" * 8))
+        assert world.agent.process_packet(hello, now=EPOCH + 11) == [hello]
+        rest = world.agent.process_packet(
+            server_packet(CertificateMessage(chain), ServerHelloDone()), now=EPOCH + 11
+        )
+        assert [s.serial for s in statuses_in(rest[0])] == [chain.leaf.serial]
+        assert world.agent.stats.resumptions_unknown == 0
+        assert world.agent.stats.resumptions_recovered == 0
+
+    def test_an_abbreviated_flight_split_across_packets_is_resumed(self, world):
+        chain = world.corpus.chains[0]
+        world.agent.process_packet(client_hello_packet(), now=EPOCH + 10)
+        world.agent.process_packet(server_flight_packet(chain), now=EPOCH + 11)
+        world.agent.process_packet(client_hello_packet(session_id=b"\x07" * 8), now=EPOCH + 30)
+        hello = server_packet(ServerHello(session_id=b"\x07" * 8))
+        assert world.agent.process_packet(hello, now=EPOCH + 31) == [hello]
+        finished = world.agent.process_packet(server_packet(Finished()), now=EPOCH + 31)
+        assert [s.serial for s in statuses_in(finished[0])] == [chain.leaf.serial]
+        assert world.agent.stats.resumptions_recovered == 1
+
+    def test_the_resumption_cache_is_bounded(self, world):
+        chain = world.corpus.chains[0]
+        for number in range(RESUMPTION_CACHE_CAPACITY + 5):
+            world.agent.process_packet(client_hello_packet(), now=EPOCH + 10)
+            session_id = number.to_bytes(8, "big")
+            world.agent.process_packet(server_flight_packet(chain, session_id), now=EPOCH + 11)
+        assert len(world.agent.resumption_cache) == RESUMPTION_CACHE_CAPACITY
+        assert world.agent.resumption_cache.stats.evictions == 5

@@ -101,7 +101,7 @@ class TestConnectionTable:
         idle = make_flow("1.1.1.1", 2, "2.2.2.2", 443)
         table.create(active, now=0.0)
         table.create(idle, now=0.0)
-        table.touch(active, now=500.0)
+        table.lookup(active).last_activity = 500.0
         expired = table.expire_idle(now=550.0)
         assert expired == 1
         assert table.lookup(active) is not None

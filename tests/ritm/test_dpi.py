@@ -1,11 +1,41 @@
 """Tests for the RA's deep-packet-inspection engine."""
 
-import pytest
+import struct
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import TLSError
 from repro.ritm.dpi import DPIEngine
-from repro.tls.extensions import ritm_support_extension
-from repro.tls.messages import CertificateMessage, ClientHello, Finished, ServerHello, ServerHelloDone
-from repro.tls.records import ContentType, TLSRecord
+from repro.tls.extensions import (
+    RITM_SUPPORT_TYPE,
+    SERVER_NAME_TYPE,
+    SESSION_TICKET_TYPE,
+    has_ritm_support,
+    ritm_support_extension,
+    server_name_extension,
+)
+from repro.tls.messages import (
+    BODY_PARSERS,
+    RANDOM_SIZE,
+    CertificateMessage,
+    ClientHello,
+    Finished,
+    HandshakeType,
+    NewSessionTicket,
+    ServerHello,
+    ServerHelloDone,
+    parse_handshake_messages,
+)
+from repro.tls.records import (
+    MAX_RECORD_PAYLOAD,
+    ContentType,
+    TLSRecord,
+    looks_like_tls,
+    parse_records,
+    serialize_records,
+)
 
 from tests.ritm.conftest import flip_bit
 
@@ -72,19 +102,18 @@ class TestInspection:
         payload = handshake_payload(ClientHello(extensions=(ritm_support_extension(),)))
         result = dpi.inspect(payload)
         assert result.is_tls
-        assert result.client_hello is not None
         assert result.client_requests_ritm
 
     def test_client_hello_without_extension(self, dpi):
         result = dpi.inspect(handshake_payload(ClientHello()))
-        assert result.client_hello is not None
+        assert result.is_tls and result.parse_error is None
         assert not result.client_requests_ritm
 
     def test_server_flight_extracts_certificate_chain(self, dpi, small_corpus):
         chain = small_corpus.chains[0]
         payload = handshake_payload(ServerHello(), CertificateMessage(chain), ServerHelloDone())
         result = dpi.inspect(payload)
-        assert result.server_hello is not None
+        assert result.server_session_id == b""
         assert result.certificate_chain == chain
         assert dpi.stats.certificates_parsed == 1
 
@@ -104,7 +133,7 @@ class TestInspection:
     def test_non_tls_payload_returns_early(self, dpi):
         result = dpi.inspect(b"definitely not TLS")
         assert not result.is_tls
-        assert result.records == []
+        assert result.server_session_id is None
 
     def test_malformed_handshake_reports_parse_error(self, dpi):
         # A handshake record whose body claims more bytes than it carries.
@@ -120,9 +149,20 @@ class TestInspection:
             + TLSRecord(ContentType.APPLICATION_DATA, b"body").to_bytes()
         )
         result = dpi.inspect(payload)
-        assert result.server_hello is not None
+        assert result.server_session_id == b""
         assert result.certificate_chain is not None
         assert result.has_application_data
+
+    def test_a_rejected_payload_moves_only_the_error_counter(self, dpi, small_corpus):
+        """The record and Certificate counters count payloads that parsed:
+        a valid server flight followed by a broken record adds to neither."""
+        flight = handshake_payload(ServerHello(), CertificateMessage(small_corpus.chains[0]))
+        broken = flight + TLSRecord(ContentType.HANDSHAKE, b"\x63\x00\x00\x00").to_bytes()
+        assert dpi.inspect(broken).parse_error is not None
+        assert (dpi.stats.handshake_records, dpi.stats.certificates_parsed) == (0, 0)
+        assert dpi.stats.parse_errors == 1
+        assert dpi.inspect(flight).parse_error is None
+        assert (dpi.stats.handshake_records, dpi.stats.certificates_parsed) == (1, 1)
 
 
 def single_bit_flips(data: bytes):
@@ -164,3 +204,276 @@ class TestCorruptedHandshakeFlights:
         result = dpi.inspect(mutated)
         assert result.parse_error is not None
         assert dpi.stats.parse_errors == 1
+
+
+# -- differential: the offset walk against the endpoint parsers ---------------
+
+
+def parsed_facts(payload: bytes):
+    """What ``inspect`` must report, derived from the endpoint parsers:
+    ``parse_records`` plus ``parse_handshake_messages(BODY_PARSERS)``."""
+    is_tls = looks_like_tls(payload)
+    server_id = chain = None
+    ritm = finished = application_data = status = False
+    if is_tls:
+        try:
+            for record in parse_records(payload):
+                if record.content_type == ContentType.APPLICATION_DATA:
+                    application_data = True
+                elif record.content_type == ContentType.RITM_STATUS:
+                    status = True
+                elif record.content_type == ContentType.HANDSHAKE:
+                    for kind, message in parse_handshake_messages(record.payload, BODY_PARSERS):
+                        if kind == HandshakeType.CLIENT_HELLO:
+                            ritm = has_ritm_support(message.extensions)
+                        elif kind == HandshakeType.SERVER_HELLO:
+                            server_id = message.session_id
+                        elif kind == HandshakeType.CERTIFICATE:
+                            chain = message.chain
+                        elif kind == HandshakeType.FINISHED:
+                            finished = True
+        except TLSError:
+            return (True, True, False, None, None, False, False, False)
+    return (is_tls, False, ritm, server_id, chain, finished, application_data, status)
+
+
+def inspected_facts(dpi: DPIEngine, payload: bytes):
+    result = dpi.inspect(payload)
+    return (
+        result.is_tls,
+        result.parse_error is not None,
+        result.client_requests_ritm,
+        result.server_session_id,
+        result.certificate_chain,
+        result.finished_seen,
+        result.has_application_data,
+        result.has_ritm_status,
+    )
+
+
+def flight_shapes(chain):
+    """The five payloads an RA meets: ClientHello; ServerHello + Certificate
+    + ServerHelloDone; Finished; Finished + NewSessionTicket; and a server
+    flight another RA already appended a status record to — and a flight
+    that ends in a certificate-less ServerHello, so every cut of its body
+    reaches the end of the buffer."""
+    hello = ClientHello(
+        random=b"\x21" * 32,
+        session_id=b"\x5a" * 32,
+        extensions=(server_name_extension("a.example"), ritm_support_extension()),
+    )
+    server_flight = handshake_payload(
+        ServerHello(random=b"\x11" * 32, session_id=b"\x42" * 32),
+        CertificateMessage(chain),
+        ServerHelloDone(),
+    )
+    return {
+        "client-hello": handshake_payload(hello),
+        "server-flight": server_flight,
+        "finished": handshake_payload(Finished(b"\x33" * 12)),
+        "finished-ticket": handshake_payload(
+            Finished(b"\x33" * 12), NewSessionTicket(3600, b"\x77" * 40)
+        ),
+        "with-status": server_flight
+        + TLSRecord(ContentType.RITM_STATUS, b"\x01\x00\x03abc").to_bytes(),
+        "abbreviated": handshake_payload(
+            Finished(b"\x33" * 12), ServerHello(random=b"\x11" * 32, session_id=b"\x42" * 32)
+        ),
+    }
+
+
+def mutations(payload: bytes):
+    """Every single bit flip; every truncation, of the payload and (framed
+    anew) of each handshake message's body; and every big-endian field of
+    one to three bytes grown by one and set to all ones — which covers every
+    length prefix of the payload, oversized."""
+    for bit in range(8 * len(payload)):
+        yield flip_bit(payload, bit)
+    for end in range(len(payload)):
+        yield payload[:end]
+    records = parse_records(payload)
+    for r, record in enumerate(records):
+        if record.content_type != ContentType.HANDSHAKE:
+            continue
+        messages = parse_handshake_messages(record.payload, {})  # bodies unparsed
+        for m, (kind, body) in enumerate(messages):
+            for end in range(len(body)):
+                cut = messages[:m] + [(kind, body[:end])] + messages[m + 1 :]
+                flight = b"".join(bytes((k,)) + len(b).to_bytes(3, "big") + b for k, b in cut)
+                reframed = TLSRecord(ContentType.HANDSHAKE, flight)
+                yield serialize_records(records[:r] + [reframed] + records[r + 1 :])
+    for width in (1, 2, 3):
+        for at in range(len(payload) - width + 1):
+            value = int.from_bytes(payload[at : at + width], "big")
+            for grown in {value + 1, 256**width - 1} - {value}:
+                if grown < 256**width:
+                    yield payload[:at] + grown.to_bytes(width, "big") + payload[at + width :]
+
+
+class TestOffsetWalkMatchesTheParsers:
+    """``inspect`` reads a payload by offset; the endpoint parsers it
+    replaced decide what it must report, for every input."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "client-hello",
+            "server-flight",
+            "finished",
+            "finished-ticket",
+            "with-status",
+            "abbreviated",
+        ],
+    )
+    def test_every_mutation_of_a_flight(self, small_corpus, shape):
+        payload = flight_shapes(small_corpus.chains[0])[shape]
+        dpi = DPIEngine()
+        assert inspected_facts(dpi, payload) == parsed_facts(payload)
+        assert inspected_facts(dpi, payload)[1] is False  # the unmutated flight parses
+        outcomes = set()
+        for mutated in mutations(payload):
+            facts = parsed_facts(mutated)
+            assert inspected_facts(dpi, mutated) == facts, mutated.hex()
+            outcomes.add((facts[0], facts[1]))
+        assert outcomes == {(False, False), (True, True), (True, False)}
+
+    def test_an_oversized_record_after_a_valid_one(self):
+        """``looks_like_tls`` reads only the first header: a later record over
+        2^14 bytes is a parse error, whatever its content type."""
+        first = handshake_payload(Finished(b"\x33" * 12))
+        for content_type in ContentType:
+            for length in (MAX_RECORD_PAYLOAD, MAX_RECORD_PAYLOAD + 1):
+                payload = first + struct.pack(">BBBH", content_type, 3, 3, length) + bytes(length)
+                facts = parsed_facts(payload)
+                # (zero bytes in a handshake record are handshake type 0: unknown)
+                oversized = length > MAX_RECORD_PAYLOAD
+                assert facts[1] is (oversized or content_type == ContentType.HANDSHAKE)
+                assert inspected_facts(DPIEngine(), payload) == facts
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_built_flights(self, small_corpus, data):
+        payload = data.draw(built_flight(small_corpus.chains))
+        assert inspected_facts(DPIEngine(), payload) == parsed_facts(payload)
+
+
+HELLO_FAULTS = (
+    "version", "session", "suites", "compression", "block", "extension", "trailing", "short"
+)
+#: What can be wrong inside one handshake message's body, by handshake type.
+BODY_FAULTS = {
+    1: HELLO_FAULTS,
+    2: HELLO_FAULTS,
+    4: ("length", "short", "trailing"),
+    11: ("short", "trailing"),
+}
+MESSAGE_KINDS = [1, 2, 4, 11, 14, 20]
+RECORD_KINDS = [22, 22, 22, 23, 100, 21, 20]
+
+
+def framed(draw, width: int, body: bytes, wrong: bool = False) -> bytes:
+    """``body`` behind a big-endian length prefix, ``wrong`` by a little."""
+    length = len(body) + (draw(st.sampled_from([-1, 1, 3])) if wrong else 0)
+    return min(max(length, 0), 256**width - 1).to_bytes(width, "big") + body
+
+
+def extensions_block(draw, wrong) -> bytes:
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
+        kinds = [SERVER_NAME_TYPE, SESSION_TICKET_TYPE, RITM_SUPPORT_TYPE, 0xFF02]
+        kind = draw(st.sampled_from(kinds))
+        data = draw(st.binary(max_size=6))
+        parts.append(kind.to_bytes(2, "big") + framed(draw, 2, data, wrong == "extension"))
+    return framed(draw, 2, b"".join(parts), wrong == "block")
+
+
+def hello_body(draw, client: bool, wrong) -> bytes:
+    parts = [
+        b"\x03\x01" if wrong == "version" else b"\x03\x03",
+        bytes(RANDOM_SIZE),
+        framed(draw, 1, draw(st.binary(max_size=32)), wrong == "session"),
+    ]
+    if client:
+        suites = draw(st.lists(st.binary(min_size=2, max_size=2), max_size=4))
+        if wrong == "suites":  # an odd length (the true one, or not)
+            suites.append(b"\x00")
+        parts.append(framed(draw, 2, b"".join(suites), wrong == "suites" and draw(st.booleans())))
+        parts.append(b"\x01\x01" if wrong == "compression" else b"\x01\x00")
+    else:
+        parts.append(b"\xc0\x2f" + (b"\x01" if wrong == "compression" else b"\x00"))
+    parts.append(extensions_block(draw, wrong))
+    if wrong == "trailing":
+        parts.append(draw(st.binary(min_size=1, max_size=4)))
+    return b"".join(parts)
+
+
+def message(draw, chains, kind: int, wrong) -> bytes:
+    if wrong == "header":  # less than a handshake header
+        return draw(st.binary(min_size=1, max_size=3))
+    if kind in (1, 2):
+        body = hello_body(draw, kind == 1, wrong)
+        if wrong == "short":
+            body = body[: draw(st.integers(0, len(body) - 1))]
+    elif kind == 4:
+        if wrong == "short":
+            body = draw(st.binary(max_size=5))
+        else:
+            ticket = framed(draw, 2, draw(st.binary(max_size=12)), wrong == "length")
+            body = b"\x00\x00\x0e\x10" + ticket + (b"\x00" if wrong == "trailing" else b"")
+    elif kind == 11:
+        body = draw(st.sampled_from(chains)).to_bytes()
+        body = {"short": body[:-1], "trailing": body + b"\x00"}.get(wrong, body)
+    else:
+        body = draw(st.binary(max_size=12))
+    if wrong == "type":
+        kind = 3  # no such handshake type
+    return bytes((kind,)) + framed(draw, 3, body, wrong == "frame")
+
+
+#: Every (where, what is wrong) a built flight can carry; ``None``: nothing.
+TARGETS = [
+    (kind, wrong)
+    for kind in MESSAGE_KINDS
+    for wrong in (None, "frame", "type", "header") + BODY_FAULTS.get(kind, ())
+] + [("record", wrong) for wrong in ("length", "type", "version")]
+
+
+@st.composite
+def built_flight(draw, chains) -> bytes:
+    """One to three records of up to three handshake messages each, all well
+    formed but for at most one field of one message or record (the target)."""
+    target, wrong = draw(st.sampled_from(TARGETS))
+    layout = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(RECORD_KINDS),
+                st.lists(st.sampled_from(MESSAGE_KINDS), max_size=2),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    r = draw(st.integers(0, len(layout) - 1))
+    if target != "record":
+        kinds = list(layout[r][1])
+        at = draw(st.integers(0, len(kinds)))
+        layout[r] = (22, kinds[:at] + [target] + kinds[at:])
+        spot = (r, at)
+    else:
+        spot = (r, None)
+    payload = []
+    for index, (kind, kinds) in enumerate(layout):
+        if kind == 22:
+            body = b"".join(
+                message(draw, chains, message_kind, wrong if spot == (index, m) else None)
+                for m, message_kind in enumerate(kinds)
+            )
+        else:
+            body = draw(st.binary(max_size=8))
+        faulty = wrong if spot == (index, None) else None
+        payload.append(
+            bytes((99 if faulty == "type" else kind,))
+            + (b"\x03\x05" if faulty == "version" else b"\x03\x03")
+            + framed(draw, 2, body, faulty == "length")
+        )
+    return b"".join(payload)

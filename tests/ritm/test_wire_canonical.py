@@ -303,7 +303,7 @@ CODECS = {
         [ticket.to_bytes()[4:] for ticket in TICKETS],
     ),
     "extensions": (
-        lambda data: decode_extensions(data, 0),
+        lambda data: (decode_extensions(data, 0, len(data)), len(data)),
         encode_extensions,
         TLSError,
         [encode_extensions(extensions) for extensions in EXTENSIONS],

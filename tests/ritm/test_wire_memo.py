@@ -221,6 +221,132 @@ class TestProofCacheDropsEncodings:
         assert decoded.is_revoked and decoded.signed_root == status.signed_root
 
 
+class TestEncodedStatusMemo:
+    """The RA encodes a status once per signed root: the proof-cache entry
+    keeps its fields up to the freshness statement, and every later attach
+    appends the live statement.  Whatever happened in between, the record it
+    attaches is the one a fresh encoding of the statuses it would build gives
+    — never a stale freshness statement, never a stale signed root."""
+
+    @pytest.fixture()
+    def encodes(self, monkeypatch):
+        """Every status the RA encodes whole (``encode_status`` calls)."""
+        from repro.ritm import agent as agent_module
+
+        seen = []
+        encode = agent_module.encode_status
+
+        def counting(status):
+            seen.append(status)
+            return encode(status)
+
+        monkeypatch.setattr(agent_module, "encode_status", counting)
+        return seen
+
+    @staticmethod
+    def attach(world, now, chain=None):
+        """One full handshake's server flight through the RA: the status
+        record's payload, checked against a fresh encoding and the replicas."""
+        from tests.ritm.test_agent import client_hello_packet, server_flight_packet
+
+        chain = chain if chain is not None else world.corpus.chains[0]
+        world.agent.process_packet(client_hello_packet(), now=now)
+        (out,) = world.agent.process_packet(server_flight_packet(chain), now=now)
+        (record,) = [r for r in parse_records(out.payload) if r.is_ritm_status()]
+        state = world.agent.connections.lookup(FLOW)
+        statuses = world.agent._build_statuses(state, now)
+        assert record.payload == encode_status_bundle(statuses)
+        for status in decode_status_bundle(record.payload):
+            replica = world.agent.replicas[status.ca_name]
+            assert status.signed_root == replica.signed_root
+            assert status.freshness == replica.latest_freshness
+        return record.payload
+
+    def leaf_ca_and_replica(self, world):
+        leaf = world.corpus.chains[0].leaf
+        return world.ca_by_name(leaf.issuer), world.agent.replica_for(leaf.issuer)
+
+    def test_a_repeat_visit_is_not_encoded_again(self, world, encodes):
+        first = self.attach(world, EPOCH + 10)
+        assert self.attach(world, EPOCH + 11) == first
+        assert len(encodes) == 1
+
+    def test_a_freshness_advance_appends_only_the_live_statement(self, world, encodes):
+        ca, replica = self.leaf_ca_and_replica(world)
+        before, statement = self.attach(world, EPOCH + 10), replica.latest_freshness
+        ca.refresh(now=EPOCH + 15)
+        world.pull(now=EPOCH + 16)
+        assert replica.latest_freshness != statement
+        after = self.attach(world, EPOCH + 16)
+        head = len(before) - len(encode_freshness(statement))
+        assert after[:head] == before[:head] and after != before
+        assert after.endswith(encode_freshness(replica.latest_freshness))
+        assert len(encodes) == 1
+
+    def test_a_new_batch_is_a_new_entry(self, world, encodes):
+        ca, replica = self.leaf_ca_and_replica(world)
+        self.attach(world, EPOCH + 10)
+        ca.revoke([SerialNumber(0xC0FFEE)], now=EPOCH + 12)
+        world.pull(now=EPOCH + 13)
+        self.attach(world, EPOCH + 13)
+        assert len(encodes) == 2
+
+    def test_a_root_resigned_over_the_same_content_is_encoded_again(self, world, encodes):
+        """Hash-chain exhaustion re-signs the same root hash: the proof cache
+        stays warm across it, the encoded bytes do not."""
+        ca, replica = self.leaf_ca_and_replica(world)
+        self.attach(world, EPOCH + 10)
+        old = replica.signed_root
+        exhausted = old.timestamp + old.chain_length * world.config.delta_seconds
+        ca.refresh(now=exhausted)
+        world.pull(now=exhausted + 1)
+        new = replica.signed_root
+        assert new.root == old.root and new.signature != old.signature
+        hits = world.agent.proof_cache.stats.hits
+        self.attach(world, exhausted + 2)
+        assert world.agent.proof_cache.stats.hits > hits  # the proof was reused
+        assert len(encodes) == 2 and encodes[-1].signed_root == new
+
+    def test_a_key_rotation_is_encoded_again(self, encodes):
+        from repro.ritm.config import RITMConfig
+        from tests.ritm.conftest import build_world
+
+        config = RITMConfig(delta_seconds=10, chain_length=64, key_rotation_periods=2)
+        world = build_world(config)
+        ca, replica = self.leaf_ca_and_replica(world)
+        self.attach(world, EPOCH + 10)
+        old = replica.signed_root
+        ca.refresh(now=EPOCH + 11)
+        ca.refresh(now=EPOCH + 12)  # every second refresh is a rotation
+        pulled = world.pull(now=EPOCH + 13)
+        assert pulled.key_rotations_applied == 1
+        new = replica.signed_root
+        assert new.root == old.root and new.signature != old.signature
+        self.attach(world, EPOCH + 13)
+        assert len(encodes) == 2 and encodes[-1].signed_root == new
+
+    def test_full_chain_proving(self, encodes):
+        from repro.ritm.config import RITMConfig
+        from tests.ritm.conftest import build_world
+
+        chained = build_world(RITMConfig(delta_seconds=10, chain_length=64, prove_full_chain=True))
+        first = self.attach(chained, EPOCH + 10)
+        assert first[0] >= 2  # the bundle's status count
+        assert self.attach(chained, EPOCH + 11) == first
+        encoded = len(encodes)
+        for ca in chained.cas:
+            ca.refresh(now=EPOCH + 15)
+        chained.pull(now=EPOCH + 16)
+        assert self.attach(chained, EPOCH + 16) != first
+        assert len(encodes) == encoded == first[0]
+
+    def test_a_cleared_proof_cache_encodes_again(self, world, encodes):
+        first = self.attach(world, EPOCH + 10)
+        world.agent.proof_cache.clear()
+        assert self.attach(world, EPOCH + 11) == first
+        assert len(encodes) == 2
+
+
 def server_flight(chain) -> bytes:
     messages = (ServerHello(random=b"\x11" * 32), CertificateMessage(chain), ServerHelloDone())
     return TLSRecord(ContentType.HANDSHAKE, b"".join(m.to_bytes() for m in messages)).to_bytes()
@@ -230,10 +356,9 @@ def verdict(result):
     return (
         result.is_tls,
         result.parse_error,
-        result.server_hello,
+        result.server_session_id,
         result.certificate_chain,
         result.finished_seen,
-        [record.to_bytes() for record in result.records],
     )
 
 

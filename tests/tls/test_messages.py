@@ -30,9 +30,7 @@ class TestExtensions:
     def test_roundtrip(self):
         extensions = [ritm_support_extension(), server_name_extension("example.com")]
         encoded = encode_extensions(extensions)
-        decoded, offset = decode_extensions(encoded, 0)
-        assert decoded == extensions
-        assert offset == len(encoded)
+        assert decode_extensions(encoded, 0, len(encoded)) == extensions
 
     def test_find_extension(self):
         extensions = [ritm_support_extension(), server_name_extension("x.com")]
@@ -50,7 +48,7 @@ class TestExtensions:
     def test_truncated_extension_block_rejected(self):
         encoded = encode_extensions([ritm_support_extension()])
         with pytest.raises(TLSError):
-            decode_extensions(encoded[:-2], 0)
+            decode_extensions(encoded[:-2], 0, len(encoded) - 2)
 
     def test_wire_size(self):
         extension = Extension(5, b"abc")
