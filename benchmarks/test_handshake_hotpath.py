@@ -66,7 +66,7 @@ from repro.ritm.deployment import build_close_to_client_deployment
 from repro.ritm.dissemination import attach_agent_to_cas
 from repro.ritm.dpi import DPIEngine
 from repro.ritm.messages import (
-    _encode_presence,
+    _siblings,
     decode_status,
     encode_status,
     encode_status_bundle,
@@ -118,6 +118,16 @@ WARM_RA_CALLS_CEILING = 118
 #: neighbours: 107 in this world (137 at 20,000 entries) with two bisects and
 #: two whole walks, 48 (56) with one search and one climb above the fork.
 PROOF_BUILD_CALLS_CEILING = 70
+#: Encoded bytes of one status in this world (2,000 entries, 20-byte digests,
+#: 11-step paths) for an absent serial (two neighbours) and a revoked one:
+#: 787 and 491 while every audit step carried a side byte and a length and
+#: each neighbour its own index, size and step count; 514 and 457 with the
+#: siblings alone, the two neighbours' shared steps sent once.  Exact.
+STATUS_BYTES_ABSENT, STATUS_BYTES_PRESENT = 514, 457
+#: Interpreter calls per decode of an absent status (mean over the probes):
+#: 130 while the decoder read a side and a length per step, 119 with the
+#: path's shape derived from its position.
+STATUS_DECODE_CALLS_CEILING = 130
 
 
 def build_world():
@@ -427,7 +437,10 @@ def count_proof_build_calls(cas, agent, probes):
     hits = _calls_while(lambda probe: agent.build_status(ca.name, probe), probes)
     wires = [encode_status(agent.build_status(ca.name, probe)) for probe in probes]
     decodes = _calls_while(decode_status, wires)
+    revoked = SerialNumber.from_bytes(next(iter(store.keys())))
     return {
+        "status_bytes_absent": len(wires[0]),
+        "status_bytes_present": len(encode_status(agent.build_status(ca.name, revoked))),
         "status_decode_calls": round(sum(decodes.values()) / len(wires), 1),
         "status_decode_step_frames": decodes.get(AuditStep.__new__.__code__, 0),
         "proof_build_calls_absent": round(absent, 1),
@@ -479,7 +492,7 @@ def bench_wire_once(corpus, cas, agent, probes):
     encode_first = _timed_us(encode_status_bundle, bundles)
     encode_repeat = _timed_us(encode_status_bundle, bundles)
     bundles = fresh_bundles()
-    walk = _encode_presence.__code__
+    walk = _siblings.__code__
     first_walks = _calls_while(encode_status_bundle, bundles).get(walk, 0)
     repeat_walks = _calls_while(encode_status_bundle, bundles).get(walk, 0)
     return {
@@ -608,6 +621,10 @@ def test_handshake_hotpath():
     assert proof_build["proof_build_calls_absent"] <= PROOF_BUILD_CALLS_CEILING, proof_build
     # ...and the decoder makes its steps the way the store does: no frame each.
     assert proof_build["status_decode_step_frames"] == 0, proof_build
+    assert proof_build["status_decode_calls"] <= STATUS_DECODE_CALLS_CEILING, proof_build
+    # A proof on the wire is its siblings, each sent once.
+    assert proof_build["status_bytes_absent"] == STATUS_BYTES_ABSENT, proof_build
+    assert proof_build["status_bytes_present"] == STATUS_BYTES_PRESENT, proof_build
     # A cached key's verification, in field multiplications — which is also
     # what says the key table was not rebuilt (a rebuild reads ~9,000).
     # 870–925 as built (10-tooth base table, 8-tooth key tables); 950–990

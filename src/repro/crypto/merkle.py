@@ -97,17 +97,29 @@ class PresenceProof:
         return self.root(digest_size) == expected_root
 
 
-def _expected_sides(leaf_index: int, tree_size: int) -> List[bool]:
-    """Sibling sides an honest audit path must have for this position/size."""
-    sides: List[bool] = []
-    node_index, level_size = leaf_index, tree_size
-    while level_size > 1:
-        sibling_index = node_index ^ 1
-        if sibling_index < level_size:
-            sides.append(sibling_index < node_index)
-        node_index //= 2
-        level_size = (level_size + 1) // 2
-    return sides
+def expected_sides(leaf_index: int, tree_size: int) -> List[bool]:
+    """Sibling sides an honest audit path must have for this position/size.
+
+    The one shape function: a path's length and the side of each of its
+    siblings follow from ``(leaf_index, tree_size)`` alone, so
+    :meth:`PresenceProof.verify` checks them against it and the proof codec
+    (:mod:`repro.ritm.messages`) derives them from it instead of sending
+    them.  ``leaf_index`` must lie in ``[0, tree_size)``.
+
+    At ``level`` the node is ``leaf_index >> level`` and the last node of the
+    level is ``last >> level``: a sibling exists unless the node is that last
+    node with an even index (promoted without a hash), and it is on the left
+    exactly when the node's index is odd.
+    """
+    last = tree_size - 1
+    return [
+        leaf_index >> level & 1 == 1
+        for level in range(last.bit_length())
+        if leaf_index >> level ^ 1 <= last >> level
+    ]
+
+
+_expected_sides = expected_sides  # the name PresenceProof.verify reads
 
 
 @dataclass(frozen=True)
@@ -172,4 +184,5 @@ __all__ = [
     "MembershipProof",
     "empty_root",
     "encode_leaf",
+    "expected_sides",
 ]

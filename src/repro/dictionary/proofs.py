@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from repro.crypto.hashing import FULL_DIGEST_SIZE
 from repro.crypto.merkle import AbsenceProof, PresenceProof
 from repro.crypto.signing import PublicKey
 from repro.dictionary.freshness import FreshnessStatement, statement_is_fresh
@@ -83,7 +84,11 @@ class RevocationStatus:
                 f"revocation status proof covers serial {self.proof.key.hex()} "
                 f"but claims to be about {expected_key.hex()}"
             )
-        if not self.proof.verify(self.signed_root.root):
+        # The root's own width is the tree's digest size (1–32 bytes).
+        width = len(self.signed_root.root)
+        if not 1 <= width <= FULL_DIGEST_SIZE:
+            raise ProofError(f"a signed root of {width} bytes is no digest a tree has")
+        if not self.proof.verify(self.signed_root.root, width):
             raise ProofError("membership proof does not verify against the signed root")
 
         if self.proof.tree_size != self.signed_root.size:

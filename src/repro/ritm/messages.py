@@ -23,9 +23,10 @@ import functools
 import json
 import struct
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
-from repro.crypto.merkle import AbsenceProof, AuditStep, PresenceProof, new_step
+from repro.crypto.hashing import FULL_DIGEST_SIZE
+from repro.crypto.merkle import AbsenceProof, AuditStep, PresenceProof, expected_sides, new_step
 from repro.dictionary.authdict import RevocationIssuance
 from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.proofs import RevocationStatus
@@ -103,6 +104,13 @@ def _decode_whole(decoder, frame: bytes):
 
 @_wire_once
 def encode_signed_root(root: SignedRoot) -> bytes:
+    """Serialize a signed root; the bytes are memoized on it.
+
+    Layout: CA name (u16 length + UTF-8), root digest (u16 length + bytes),
+    dictionary size, timestamp and hash-chain length (u64 each), chain anchor
+    (u16 length + bytes), signature (u16 length + bytes).  Each byte field
+    holds at most 65,535 bytes and each integer must fit 64 unsigned bits.
+    """
     return b"".join(
         [
             _pack_bytes(root.ca_name.encode("utf-8")),
@@ -115,6 +123,12 @@ def encode_signed_root(root: SignedRoot) -> bytes:
 
 
 def decode_signed_root(data: bytes, offset: int = 0) -> Tuple[SignedRoot, int]:
+    """Parse one :func:`encode_signed_root` layout at ``offset``; return the
+    root and where it ends (bytes after it are the caller's).
+
+    Raises :class:`TLSError` on a truncated field or a CA name that is not
+    UTF-8.  Checks no signature and no digest width: that is the verifier's.
+    """
     ca_name, offset = _unpack_name(data, offset)
     root, offset = _unpack_bytes(data, offset)
     if offset + 24 > len(data):
@@ -142,6 +156,13 @@ def decode_signed_root(data: bytes, offset: int = 0) -> Tuple[SignedRoot, int]:
 
 @_wire_once
 def encode_freshness(statement: FreshnessStatement) -> bytes:
+    """Serialize a freshness statement; the bytes are memoized on it.
+
+    Layout: CA name (u16 length + UTF-8), hash-chain value (u16 length +
+    bytes), dictionary size (u64).  The value holds at most 65,535 bytes and
+    the size must fit 64 unsigned bits.  This is also the whole per-Δ
+    freshness object (:func:`decode_freshness_object`).
+    """
     return b"".join(
         [
             _pack_bytes(statement.ca_name.encode("utf-8")),
@@ -152,6 +173,12 @@ def encode_freshness(statement: FreshnessStatement) -> bytes:
 
 
 def decode_freshness(data: bytes, offset: int = 0) -> Tuple[FreshnessStatement, int]:
+    """Parse one :func:`encode_freshness` layout at ``offset``; return the
+    statement and where it ends (bytes after it are the caller's).
+
+    Raises :class:`TLSError` on a truncated field or a CA name that is not
+    UTF-8.  Whether the statement links to a root is the verifier's check.
+    """
     ca_name, offset = _unpack_name(data, offset)
     value, offset = _unpack_bytes(data, offset)
     if offset + 8 > len(data):
@@ -174,132 +201,264 @@ def decode_freshness_object(data: bytes) -> FreshnessStatement:
 
 
 # -- Merkle proofs ----------------------------------------------------------------
+#
+# A proof carries only what a verifier cannot compute (the audit paths of RFC
+# 6962 §2.1.1 carry siblings alone).  How many siblings a path has and the side
+# of each follow from (leaf index, tree size) — :func:`expected_sides`, the
+# function ``PresenceProof.verify`` holds every path to — so neither is sent.
+# Every digest of one tree has the same width, sent once.
 
 _PRESENCE_TAG = 1
 _ABSENCE_TAG = 2
-_STEP_HEADER = struct.Struct(">BH")  # sibling side, sibling length
-_PROOF_SHAPE = struct.Struct(">QQH")  # leaf index, tree size, path length
-#: A whole step — side, length, sibling — per sibling width a tree can have
-#: (``digest_size`` is 1–32 bytes).
-_WHOLE_STEP = [struct.Struct(f">BH{width}s") for width in range(33)]
+_U64 = struct.Struct(">Q")
+_POSITION = struct.Struct(">QQ")  # leaf index, tree size
+_ABSENCE_HEAD = struct.Struct(">QB")  # tree size, neighbour flags
+_LEFT, _RIGHT = 1, 2  # neighbour flags
+
+
+def _sibling_width(*paths: Tuple[AuditStep, ...]) -> int:
+    """The one sibling width of ``paths``: 0 when they hold no sibling."""
+    widths = {len(step.sibling) for path in paths for step in path}
+    if not widths:
+        return 0
+    if len(widths) > 1:
+        raise ProofError("an audit path's siblings are not all one digest width")
+    (width,) = widths
+    if not 0 < width <= FULL_DIGEST_SIZE:
+        raise ProofError(f"a sibling of {width} bytes is no digest a tree has (1–32)")
+    return width
+
+
+def _check_shape(proof: PresenceProof) -> None:
+    """Raise :class:`ProofError` unless the path has the shape
+    ``PresenceProof.verify`` requires of its position: nothing else is sent."""
+    if not 0 <= proof.leaf_index < proof.tree_size < 1 << 64:
+        raise ProofError(
+            f"leaf index {proof.leaf_index} lies outside a tree of {proof.tree_size} leaves"
+        )
+    if [step.sibling_is_left for step in proof.path] != expected_sides(
+        proof.leaf_index, proof.tree_size
+    ):
+        raise ProofError("audit path shape does not match its leaf index and tree size")
+
+
+def _leaf(proof: PresenceProof) -> bytes:
+    return _pack_bytes(proof.key) + _pack_bytes(proof.value)
+
+
+def _siblings(path: Tuple[AuditStep, ...]) -> bytes:
+    return b"".join([step.sibling for step in path])
 
 
 def _encode_presence(proof: PresenceProof) -> bytes:
-    parts = [
-        _pack_bytes(proof.key),
-        _pack_bytes(proof.value),
-        _PROOF_SHAPE.pack(proof.leaf_index, proof.tree_size, len(proof.path)),
-    ]
-    for step in proof.path:
-        parts.append(struct.pack(">B", int(step.sibling_is_left)))
-        parts.append(_pack_bytes(step.sibling))
-    return b"".join(parts)
+    _check_shape(proof)
+    return b"".join(
+        [
+            bytes([_PRESENCE_TAG]),
+            _leaf(proof),
+            _POSITION.pack(proof.leaf_index, proof.tree_size),
+            bytes([_sibling_width(proof.path)]),
+            _siblings(proof.path),
+        ]
+    )
 
 
-def _uniform_steps(data: bytes, offset: int, count: int) -> Optional[List[AuditStep]]:
-    """``count`` canonical steps of one sibling width starting at ``offset``, or ``None``.
-
-    Every digest of one tree has the same width, so an honest path is a
-    fixed-stride array and is read as one.  Anything else — mixed widths, a
-    side byte above 1, a short buffer — is left to the step-by-step walk,
-    which decodes what is decodable and names what is wrong with the rest.
-    """
-    if not count or offset + _STEP_HEADER.size > len(data):
-        return None
-    width = _STEP_HEADER.unpack_from(data, offset)[1]
-    if width >= len(_WHOLE_STEP):
-        return None
-    step = _WHOLE_STEP[width]
-    end = offset + count * step.size
-    if end > len(data):
-        return None
-    steps = [
-        new_step(AuditStep, (sibling, side == 1))
-        for side, length, sibling in step.iter_unpack(data[offset:end])
-        if length == width and side <= 1
-    ]
-    return steps if len(steps) == count else None
-
-
-def _decode_presence(data: bytes, offset: int) -> Tuple[PresenceProof, int]:
-    key, offset = _unpack_bytes(data, offset)
-    value, offset = _unpack_bytes(data, offset)
-    size = len(data)
-    if offset + _PROOF_SHAPE.size > size:
-        raise TLSError("truncated presence proof")
-    leaf_index, tree_size, path_len = _PROOF_SHAPE.unpack_from(data, offset)
-    offset += _PROOF_SHAPE.size
-    steps = _uniform_steps(data, offset, path_len)
-    if steps is not None:
-        offset += path_len * (_STEP_HEADER.size + len(steps[0].sibling))
-    else:
-        steps = []
-        for _ in range(path_len):
-            if offset + 3 > size:
-                raise TLSError("truncated audit step")
-            side, length = _STEP_HEADER.unpack_from(data, offset)
-            offset += 3
-            if side > 1:
-                # ``bool(side)`` would make every non-zero byte a second
-                # accepted encoding of the same step.
-                raise TLSError("non-canonical audit step side")
-            if offset + length > size:
-                raise TLSError("truncated audit step sibling")
-            steps.append(AuditStep(data[offset : offset + length], side == 1))
-            offset += length
-    return (
-        PresenceProof(
-            key=key,
-            value=value,
-            leaf_index=leaf_index,
-            tree_size=tree_size,
-            path=tuple(steps),
-        ),
-        offset,
+def _encode_absence(proof: AbsenceProof) -> bytes:
+    left, right, size = proof.left, proof.right, proof.tree_size
+    flags = (_LEFT if left is not None else 0) | (_RIGHT if right is not None else 0)
+    head = [bytes([_ABSENCE_TAG]), _pack_bytes(proof.key)]
+    if not flags:
+        if size != 0:
+            raise ProofError(f"an absence proof in a tree of {size} leaves names no neighbour")
+        return b"".join([*head, _ABSENCE_HEAD.pack(0, 0)])
+    for neighbour in (left, right):
+        if neighbour is not None:
+            if neighbour.tree_size != size:
+                raise ProofError("absence proof neighbours disagree on the tree size")
+            _check_shape(neighbour)
+    head.append(_ABSENCE_HEAD.pack(size, flags))
+    if flags != _LEFT | _RIGHT:
+        lone = left if right is None else right
+        if lone.leaf_index != (size - 1 if right is None else 0):
+            raise ProofError("a lone neighbour must be the last leaf (left) or leaf 0 (right)")
+        width = _sibling_width(lone.path)
+        return b"".join([*head, bytes([width]), _leaf(lone), _siblings(lone.path)])
+    if right.leaf_index != left.leaf_index + 1:
+        raise ProofError("absence proof neighbours are not adjacent leaves")
+    # The leaves become siblings at the fork, the lowest set bit of the right
+    # index: above it both paths are the same steps, sent once, as the end of
+    # the right path.
+    fork = (right.leaf_index & -right.leaf_index).bit_length()
+    above = left.path[fork:]
+    if right.path[len(right.path) - len(above) :] != above:
+        raise ProofError("absence proof neighbours disagree above their fork")
+    return b"".join(
+        [
+            *head,
+            _U64.pack(left.leaf_index),
+            bytes([_sibling_width(left.path, right.path)]),
+            _leaf(left),
+            _leaf(right),
+            _siblings(left.path[:fork]),
+            _siblings(right.path),
+        ]
     )
 
 
 @_wire_once
 def encode_proof(proof: Union[PresenceProof, AbsenceProof]) -> bytes:
+    """Serialize a Merkle proof; the bytes are memoized on the proof.
+
+    Presence (tag 1): key and value (each u16 length + bytes), leaf index
+    (u64), tree size (u64), sibling width (u8), then the path's siblings back
+    to back, leaf first.  Absence (tag 2): key (u16 length + bytes), tree
+    size (u64), flags (u8: 1 = left neighbour, 2 = right neighbour), and for
+    a tree of no leaves nothing more.  Otherwise the left neighbour's index
+    (u64) only when both neighbours are present — the right one's is that
+    plus one, a lone left neighbour is leaf ``size - 1`` and a lone right one
+    leaf 0 — then the sibling width (u8), each neighbour's key and value,
+    and the siblings: a lone neighbour's whole path; for two, the left
+    path's siblings up to and including the fork level, the right path's
+    likewise, then the siblings above the fork they share, once.  Path
+    lengths and sides are :func:`repro.crypto.merkle.expected_sides` of
+    (index, size) and are not sent.
+
+    Raises :class:`ProofError` for a proof its shape alone would fail: a
+    leaf index outside ``[0, size)``, a size of 2⁶⁴ or more, a path whose
+    sides are not its position's, siblings of mixed widths or a width
+    outside 1–32, neighbours that disagree on the size, are not adjacent,
+    are not the first / last leaf when alone, or whose paths differ above
+    their fork; an absence proof in a non-empty tree with no neighbour, or
+    of an empty one with any.  A key or value over 65,535 bytes does not
+    fit its length field.
+    """
     if isinstance(proof, PresenceProof):
-        return struct.pack(">B", _PRESENCE_TAG) + _encode_presence(proof)
+        return _encode_presence(proof)
     if isinstance(proof, AbsenceProof):
-        parts = [struct.pack(">B", _ABSENCE_TAG), _pack_bytes(proof.key)]
-        parts.append(struct.pack(">Q", proof.tree_size))
-        flags = (1 if proof.left is not None else 0) | (2 if proof.right is not None else 0)
-        parts.append(struct.pack(">B", flags))
-        if proof.left is not None:
-            parts.append(_encode_presence(proof.left))
-        if proof.right is not None:
-            parts.append(_encode_presence(proof.right))
-        return b"".join(parts)
+        return _encode_absence(proof)
     raise ProofError(f"cannot encode proof of type {type(proof).__name__}")
 
 
+def _read_leaf(data: bytes, offset: int) -> Tuple[bytes, bytes, int]:
+    key, offset = _unpack_bytes(data, offset)
+    value, offset = _unpack_bytes(data, offset)
+    return key, value, offset
+
+
+def _read_width(data: bytes, offset: int, digests: int) -> int:
+    """The sibling width byte at ``offset``: 0 exactly when no digest follows."""
+    if offset >= len(data):
+        raise TLSError("truncated proof sibling width")
+    width = data[offset]
+    if digests and not 0 < width <= FULL_DIGEST_SIZE:
+        raise TLSError(f"proof sibling width {width} is no digest width (1–32)")
+    if not digests and width:
+        raise TLSError("proof sibling width must be 0 on a proof with no siblings")
+    return width
+
+
+def _read_steps(
+    data: bytes, offset: int, width: int, sides: List[bool]
+) -> Tuple[Tuple[AuditStep, ...], int]:
+    """``len(sides)`` siblings of ``width`` bytes at ``offset``, as steps."""
+    if not sides:
+        return (), offset
+    end = offset + width * len(sides)
+    if end > len(data):
+        raise TLSError("truncated audit path")
+    steps = tuple(
+        [
+            new_step(AuditStep, (data[at : at + width], side))
+            for at, side in zip(range(offset, end, width), sides)
+        ]
+    )
+    return steps, end
+
+
+def _decode_presence(data: bytes, offset: int) -> Tuple[PresenceProof, int]:
+    key, value, offset = _read_leaf(data, offset)
+    if offset + _POSITION.size > len(data):
+        raise TLSError("truncated presence proof")
+    index, size = _POSITION.unpack_from(data, offset)
+    offset += _POSITION.size
+    if index >= size:
+        raise TLSError(f"leaf index {index} lies outside a tree of {size} leaves")
+    sides = expected_sides(index, size)
+    width = _read_width(data, offset, len(sides))
+    path, offset = _read_steps(data, offset + 1, width, sides)
+    return PresenceProof(key, value, index, size, path), offset
+
+
+def _decode_absence(data: bytes, offset: int) -> Tuple[AbsenceProof, int]:
+    key, offset = _unpack_bytes(data, offset)
+    if offset + _ABSENCE_HEAD.size > len(data):
+        raise TLSError("truncated absence proof header")
+    size, flags = _ABSENCE_HEAD.unpack_from(data, offset)
+    offset += _ABSENCE_HEAD.size
+    if flags > _LEFT | _RIGHT:
+        raise TLSError("non-canonical absence proof flags")
+    if (size == 0) != (flags == 0):
+        raise TLSError(f"absence proof flags {flags} do not fit a tree of {size} leaves")
+    if not flags:
+        return AbsenceProof(key=key, tree_size=0), offset
+    if flags != _LEFT | _RIGHT:
+        # One neighbour, whose position the flag implies: no index field.
+        index = size - 1 if flags == _LEFT else 0
+        sides = expected_sides(index, size)
+        width = _read_width(data, offset, len(sides))
+        leaf_key, leaf_value, offset = _read_leaf(data, offset + 1)
+        path, offset = _read_steps(data, offset, width, sides)
+        neighbour = PresenceProof(leaf_key, leaf_value, index, size, path)
+        if flags == _LEFT:
+            return AbsenceProof(key=key, tree_size=size, left=neighbour), offset
+        return AbsenceProof(key=key, tree_size=size, right=neighbour), offset
+    if offset + _U64.size > len(data):
+        raise TLSError("truncated absence proof neighbour index")
+    (index,) = _U64.unpack_from(data, offset)
+    if index >= size - 1:
+        raise TLSError(f"neighbours {index} and {index + 1} lie outside a tree of {size} leaves")
+    left_sides, right_sides = expected_sides(index, size), expected_sides(index + 1, size)
+    # The left path's first ``fork`` steps and the right path's first
+    # ``below`` are their own; the rest of either is the steps they share.
+    fork = ((index + 1) & -(index + 1)).bit_length()
+    below = len(right_sides) - len(left_sides) + fork
+    width = _read_width(data, offset + _U64.size, len(left_sides))
+    left_key, left_value, offset = _read_leaf(data, offset + _U64.size + 1)
+    right_key, right_value, offset = _read_leaf(data, offset)
+    steps, offset = _read_steps(data, offset, width, left_sides[:fork] + right_sides)
+    left_path, right_path = steps[:fork] + steps[fork + below :], steps[fork:]
+    return (
+        AbsenceProof(
+            key=key,
+            tree_size=size,
+            left=PresenceProof(left_key, left_value, index, size, left_path),
+            right=PresenceProof(right_key, right_value, index + 1, size, right_path),
+        ),
+        offset,
+    )
+
+
 def decode_proof(data: bytes, offset: int = 0) -> Tuple[Union[PresenceProof, AbsenceProof], int]:
-    if offset + 1 > len(data):
+    """Parse one :func:`encode_proof` encoding at ``offset``; return it and
+    where it ends (bytes after it are the caller's).
+
+    Rebuilds exactly the proof the store's prover makes: sides from
+    :func:`~repro.crypto.merkle.expected_sides`, and for two neighbours the
+    steps above their fork as the *same* :class:`AuditStep` objects on both
+    paths.  Raises :class:`TLSError` on a truncated field, an unknown tag,
+    flags above 3, flags that do not fit the tree size (none for 0 leaves,
+    some otherwise), a leaf index outside the tree (two neighbours: the left
+    index must be below ``size - 1``), and a sibling width that is 0 when
+    siblings follow, above 32, or not 0 when none do.  So every byte string
+    it accepts is the one :func:`encode_proof` writes for what it returns.
+    """
+    if offset >= len(data):
         raise TLSError("truncated proof tag")
     tag = data[offset]
-    offset += 1
     if tag == _PRESENCE_TAG:
-        return _decode_presence(data, offset)
+        return _decode_presence(data, offset + 1)
     if tag == _ABSENCE_TAG:
-        key, offset = _unpack_bytes(data, offset)
-        if offset + 9 > len(data):
-            raise TLSError("truncated absence proof header")
-        (tree_size,) = struct.unpack_from(">Q", data, offset)
-        offset += 8
-        flags = data[offset]
-        offset += 1
-        if flags > 3:
-            raise TLSError("non-canonical absence proof flags")
-        left: Optional[PresenceProof] = None
-        right: Optional[PresenceProof] = None
-        if flags & 1:
-            left, offset = _decode_presence(data, offset)
-        if flags & 2:
-            right, offset = _decode_presence(data, offset)
-        return AbsenceProof(key=key, tree_size=tree_size, left=left, right=right), offset
+        return _decode_absence(data, offset + 1)
     raise TLSError(f"unknown proof tag {tag}")
 
 
@@ -309,9 +468,12 @@ def decode_proof(data: bytes, offset: int = 0) -> Tuple[Union[PresenceProof, Abs
 def encode_status(status: RevocationStatus) -> bytes:
     """Serialize a revocation status for a ``RITM_STATUS`` TLS record.
 
-    The freshness statement is the last field, :func:`freshness_field`: the
-    four before it are fixed by the signed root and the serial, so an RA
-    that keeps them re-encodes only this one as the hash chain advances.
+    Five u16-framed fields (each at most 65,535 bytes): CA name (UTF-8),
+    serial, proof (:func:`encode_proof`), signed root and freshness
+    statement.  The freshness statement is the last field,
+    :func:`freshness_field`: the four before it are fixed by the signed root
+    and the serial, so an RA that keeps them re-encodes only this one as the
+    hash chain advances.
     """
     return b"".join(
         [
@@ -330,6 +492,16 @@ def freshness_field(freshness: FreshnessStatement) -> bytes:
 
 
 def decode_status(data: bytes, offset: int = 0) -> Tuple[RevocationStatus, int]:
+    """Parse one :func:`encode_status` layout at ``offset``; return the
+    status and where it ends.
+
+    Five u16-framed fields: CA name (UTF-8), serial (1–20 bytes), proof
+    (:func:`decode_proof`), signed root (:func:`decode_signed_root`) and
+    freshness statement (:func:`decode_freshness`); each of the last three
+    must fill its frame exactly.  Raises :class:`TLSError` on a truncated
+    field, trailing bytes inside a frame, or any error of the field decoders.
+    Verifies nothing: :meth:`RevocationStatus.verify` does.
+    """
     ca_name, offset = _unpack_name(data, offset)
     serial_bytes, offset = _unpack_bytes(data, offset)
     proof_bytes, offset = _unpack_bytes(data, offset)
@@ -348,12 +520,15 @@ def decode_status(data: bytes, offset: int = 0) -> Tuple[RevocationStatus, int]:
 
 
 def encode_status_bundle(statuses: List[RevocationStatus]) -> bytes:
-    """Several statuses in one record (certificate-chain proving, §VIII)."""
+    """Several statuses in one record (certificate-chain proving, §VIII), as
+    :func:`frame_status_bundle` lays them out: at most 255."""
     return frame_status_bundle([encode_status(status) for status in statuses])
 
 
 def frame_status_bundle(encoded: List[bytes]) -> bytes:
-    """The bundle of statuses already encoded by :func:`encode_status`."""
+    """The bundle of statuses already encoded by :func:`encode_status`: a
+    count (u8, so at most 255 statuses), then each status u16-framed (at most
+    65,535 bytes each)."""
     parts = [struct.pack(">B", len(encoded))]
     for status in encoded:
         parts.append(_pack_bytes(status))
@@ -361,6 +536,10 @@ def frame_status_bundle(encoded: List[bytes]) -> bytes:
 
 
 def decode_status_bundle(data: bytes) -> List[RevocationStatus]:
+    """Parse a whole ``RITM_STATUS`` record body: a status count (u8), then
+    that many u16-framed :func:`decode_status` layouts, each filling its
+    frame.  Raises :class:`TLSError` on an empty record, a truncated frame,
+    trailing bytes inside a frame, or bytes after the last status."""
     if not data:
         raise TLSError("empty RITM status record")
     count = data[0]
@@ -399,6 +578,13 @@ class DictionaryHead:
 
 
 def encode_head(head: DictionaryHead) -> bytes:
+    """Serialize a dictionary head for the CDN.
+
+    Layout: CA name (u16 length + UTF-8), dictionary size (u64), signed root
+    (u16-framed :func:`encode_signed_root`), freshness statement (u16-framed
+    :func:`encode_freshness`), publication sequence (u64).  Integers must
+    fit 64 unsigned bits.
+    """
     return b"".join(
         [
             _pack_bytes(head.ca_name.encode("utf-8")),
@@ -411,6 +597,12 @@ def encode_head(head: DictionaryHead) -> bytes:
 
 
 def decode_head(data: bytes) -> DictionaryHead:
+    """Parse a whole :func:`encode_head` object.
+
+    Raises :class:`TLSError` on a truncated field, a CA name that is not
+    UTF-8, a signed root or statement that does not fill its frame, or bytes
+    after the sequence number.  Verifies nothing: the replica does.
+    """
     offset = 0
     ca_name, offset = _unpack_name(data, offset)
     if offset + 8 > len(data):
@@ -439,6 +631,13 @@ MAX_ISSUANCE_SERIALS = 0xFFFF
 
 @_wire_once
 def encode_issuance(issuance: RevocationIssuance) -> bytes:
+    """Serialize an issuance object; the bytes are memoized on it.
+
+    Layout: CA name (u16 length + UTF-8), number of the first serial (u64),
+    serial count (u16), each serial (u16 length + 1–20 bytes), the signed
+    root after the batch (u16-framed :func:`encode_signed_root`).  Raises
+    :class:`TLSError` for more than :data:`MAX_ISSUANCE_SERIALS` serials.
+    """
     if len(issuance.serials) > MAX_ISSUANCE_SERIALS:
         raise TLSError(
             f"an issuance object carries at most {MAX_ISSUANCE_SERIALS} serials, "
@@ -632,6 +831,13 @@ def _decode_issuance_at(data: bytes, offset: int) -> Tuple[RevocationIssuance, i
 
 
 def decode_issuance(data: bytes) -> RevocationIssuance:
+    """Parse a whole :func:`encode_issuance` object and seed its memo with
+    ``data`` (the one encoding of what it returns).
+
+    Raises :class:`TLSError` on a truncated field, a CA name that is not
+    UTF-8, a serial of 0 or more than 20 bytes, a signed root that does not
+    fill its frame, or bytes after it.  Verifies nothing: the replica does.
+    """
     issuance, offset = _decode_issuance_at(data, 0)
     if offset != len(data):
         raise TLSError("trailing bytes after issuance object")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.merkle import empty_root
+from repro.crypto.merkle import empty_root, expected_sides
 from repro.errors import ProofError
 from repro.store import NaiveMerkleStore
 
@@ -96,6 +96,24 @@ class TestPresenceProofs:
         proof = tree.prove_presence(leaf(3))
         tampered = replace(proof, leaf_index=proof.leaf_index + 1)
         assert not tampered.verify(tree.root())
+
+    def test_expected_sides_is_the_level_walk(self):
+        """The shape function against the walk it is a closed form of: halve
+        the level, and a node has a sibling unless it is the last and even."""
+
+        def walk(index, size):
+            sides = []
+            while size > 1:
+                if index ^ 1 < size:
+                    sides.append(index & 1 == 1)
+                index, size = index // 2, (size + 1) // 2
+            return sides
+
+        positions = [(i, n) for n in range(1, 300) for i in range(n)]
+        positions += [(i, 2**64 - 1) for i in (0, 1, 2**63, 2**64 - 3, 2**64 - 2)]
+        positions += [(i, 2**40 + 5) for i in (2**40 - 1, 2**40, 2**40 + 4)]
+        for index, size in positions:
+            assert expected_sides(index, size) == walk(index, size), (index, size)
 
     def test_proof_depth_is_logarithmic(self):
         tree = build_tree(range(1, 1025))

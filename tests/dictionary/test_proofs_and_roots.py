@@ -164,6 +164,25 @@ class TestRevocationStatus:
         with pytest.raises(ProofError, match="tree size"):
             replace(status, signed_root=replace(status.signed_root, size=99)).check_proof()
 
+    @pytest.mark.parametrize("digest_size", [16, 20, 32])
+    @pytest.mark.parametrize("serial", [5, 500_000], ids=["present", "absent"])
+    def test_a_status_verifies_at_its_own_digest_width(self, keys, digest_size, serial):
+        dictionary = CADictionary("CA-W", keys, delta=10, chain_length=8, digest_size=digest_size)
+        dictionary.insert(make_serials(20), now=1000)
+        status = dictionary.prove(SerialNumber(serial))
+        assert len(status.signed_root.root) == digest_size
+        status.check_proof()
+        assert status.is_acceptable(keys.public, now=1005, delta=10) is (serial != 5)
+
+    @pytest.mark.parametrize("width", [0, 33])
+    def test_a_root_of_no_digest_width_is_a_proof_error(self, master, width):
+        from dataclasses import replace
+
+        status = master.prove(SerialNumber(500_000))
+        signed_root = replace(status.signed_root, root=bytes(width))
+        with pytest.raises(ProofError, match=f"signed root of {width} bytes"):
+            replace(status, signed_root=signed_root).check_proof()
+
     def test_status_for_mismatched_serial_rejected(self, master, keys):
         from dataclasses import replace
 

@@ -21,10 +21,11 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.merkle import PresenceProof
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary
 from repro.dictionary.sync import SyncRequest, SyncResponse, SyncServer
-from repro.errors import CertificateError, TLSError
+from repro.errors import CertificateError, ProofError, TLSError
 from repro.pki.certificate import Certificate, CertificateChain
 from repro.pki.serial import SerialNumber
 from repro.store import create_store
@@ -311,6 +312,21 @@ CODECS = {
 }
 
 
+def width_at(proof) -> int:
+    """Offset of a proof's sibling-width byte in :func:`encode_proof`'s layout."""
+    if isinstance(proof, PresenceProof):  # tag, key, value, index, size
+        return 1 + 2 + len(proof.key) + 2 + len(proof.value) + 16
+    both = proof.left is not None and proof.right is not None
+    return 1 + 2 + len(proof.key) + 8 + 1 + 8 * both  # tag, key, size, flags[, index]
+
+
+def with_proof_bytes(status, data: bytes) -> bytes:
+    """``status`` as a one-status bundle whose proof field holds ``data``."""
+    proof = dataclasses.replace(status.proof)
+    vars(proof)["_wire"] = data  # encode_proof answers from the memo
+    return encode_status_bundle([dataclasses.replace(status, proof=proof)])
+
+
 def accepted_reencodes_to_itself(codec: str, data: bytes) -> bool:
     """The property; returns whether ``data`` was accepted at all."""
     decode, encode, rejection, _ = CODECS[codec]
@@ -382,36 +398,113 @@ def test_every_single_bit_flip_of_a_segment_fails_its_checksum():
 class TestSecondEncodingsClosed:
     """Byte strings that used to decode to a value some other bytes also give."""
 
-    def test_audit_step_side_byte_above_one(self):
-        proof = STATUSES[0].proof  # presence: tag, key, value, index/size/count, steps
+    def test_a_sibling_width_of_zero_or_above_32(self):
+        """One width byte stands for every sibling: 0 while siblings follow,
+        or a width no tree has, would make the same bytes two proofs."""
+        for proof in (STATUSES[0].proof, STATUSES[1].proof, *OTHER_WIDTH_PROOFS):
+            data = encode_proof(proof)
+            at = width_at(proof)
+            assert 1 <= data[at] <= 32
+            for width in (0, 33, 0x80, 0xFF):
+                with pytest.raises(TLSError, match="sibling width"):
+                    decode_proof(data[:at] + bytes([width]) + data[at + 1 :])
+
+    def test_a_width_byte_that_is_not_zero_on_a_proof_with_no_siblings(self):
+        store = create_store("incremental")
+        store.insert(b"\x05", b"value")
+        # Present, after the only leaf, before it: a one-leaf tree has no sibling.
+        for proof in (store.prove(b"\x05"), store.prove(b"\x09"), store.prove(b"\x01")):
+            data = encode_proof(proof)
+            at = width_at(proof)
+            assert data[at] == 0 and decode_proof(data) == (proof, len(data))
+            for width in (1, 20, 32):
+                with pytest.raises(TLSError, match="sibling width must be 0"):
+                    decode_proof(data[:at] + bytes([width]) + data[at + 1 :])
+
+    @pytest.mark.parametrize(
+        "status", [STATUSES[2], STATUSES[3]], ids=["before-first", "after-last"]
+    )
+    def test_an_index_field_on_a_one_sided_proof(self, status):
+        """A lone neighbour is leaf 0 or the last leaf: its index is not sent."""
+        proof = status.proof
         data = encode_proof(proof)
-        side_at = 1 + 2 + len(proof.key) + 2 + len(proof.value) + 18
-        assert data[side_at] in (0, 1)
-        for side in (2, 3, 0x80, 0xFF):
-            with pytest.raises(TLSError, match="audit step side"):
-                decode_proof(data[:side_at] + bytes([side]) + data[side_at + 1 :])
+        at = width_at(proof)  # right after the flags
+        neighbour = proof.left or proof.right
+        for index in (neighbour.leaf_index, 0, proof.tree_size - 1):
+            grown = data[:at] + index.to_bytes(8, "big") + data[at:]
+            with pytest.raises(TLSError):
+                decode_status_bundle(with_proof_bytes(status, grown))
 
-    def test_a_path_that_is_not_one_width_decodes_step_by_step(self):
-        """A path is read at a fixed stride when every sibling has the width
-        of the first and that width is a digest's; one short sibling, or a
-        width no tree has, is still a proof (of nothing) decoded byte for byte."""
-        proof = STATUSES[0].proof
-        assert {len(step.sibling) for step in proof.path} == {20} and len(proof.path) > 3
+    @pytest.mark.parametrize(
+        "status", STATUSES, ids=["present", "between", "before", "after", "empty"]
+    )
+    def test_every_truncation_and_extension_of_a_valid_encoding(self, status):
+        data = encode_proof(status.proof)
+        for cut in range(len(data)):
+            with pytest.raises(TLSError, match="truncated"):
+                decode_proof(data[:cut])
+        # The proof ends where its layout says; whatever follows is not part
+        # of it, so the status field that frames it refuses the excess.
+        for extra in (b"\x00", b"\x01", b"\xff" * 7, bytes(20), bytes(41)):
+            assert decode_proof(data + extra) == (status.proof, len(data))
+            with pytest.raises(TLSError, match="trailing bytes"):
+                decode_status_bundle(with_proof_bytes(status, data + extra))
 
-        def with_path(path):
-            return dataclasses.replace(proof, path=tuple(path))
+    def test_a_leaf_index_outside_the_tree(self):
+        present, between = STATUSES[0].proof, STATUSES[1].proof
+        data = encode_proof(present)
+        at = width_at(present) - 16  # leaf index, then tree size
+        for index in (present.tree_size, present.tree_size + 1, 2**64 - 1):
+            with pytest.raises(TLSError, match="outside a tree"):
+                decode_proof(data[:at] + index.to_bytes(8, "big") + data[at + 8 :])
+        data = encode_proof(between)
+        at = width_at(between) - 8  # the left neighbour's index
+        for index in (between.tree_size - 1, between.tree_size, 2**64 - 1):
+            with pytest.raises(TLSError, match="outside a tree"):
+                decode_proof(data[:at] + index.to_bytes(8, "big") + data[at + 8 :])
 
-        short = proof.path[2]._replace(sibling=proof.path[2].sibling[:7])
-        variants = [
-            with_path(proof.path[:2] + (short,) + proof.path[3:]),
-            with_path((short,) + proof.path[1:]),
-            with_path(step._replace(sibling=step.sibling * 2) for step in proof.path),  # 40 bytes
-            with_path(step._replace(sibling=b"") for step in proof.path),
+    def test_absence_flags_that_do_not_fit_the_tree_size(self):
+        for status, flags in ((STATUSES[4], 1), (STATUSES[4], 3), (STATUSES[1], 0)):
+            proof = status.proof
+            data = encode_proof(proof)
+            flags_at = 1 + 2 + len(proof.key) + 8
+            with pytest.raises(TLSError, match="do not fit a tree"):
+                decode_proof(data[:flags_at] + bytes([flags]) + data[flags_at + 1 :])
+
+    def test_the_encoder_refuses_what_the_layout_cannot_say(self):
+        """Only what a verifier cannot compute is sent, so a proof whose shape
+        ``verify`` would refuse, or whose siblings are not one digest width,
+        has no encoding: ``ProofError``, never bytes that decode to another proof."""
+        replace = dataclasses.replace
+        present, between = STATUSES[0].proof, STATUSES[1].proof
+        before, after = STATUSES[2].proof, STATUSES[3].proof
+        left, right = between.left, between.right
+        path = present.path
+        flipped = path[0]._replace(sibling_is_left=not path[0].sibling_is_left)
+        other = right.path[-1]._replace(sibling=bytes(20))
+        misshapen = [
+            replace(present, path=(flipped,) + path[1:]),
+            replace(present, path=path[1:]),
+            replace(present, path=path + path[:1]),
+            replace(present, leaf_index=present.tree_size),
+            replace(present, leaf_index=-1),
+            replace(present, tree_size=2**64),
+            replace(between, tree_size=between.tree_size + 1),
+            replace(between, right=before.right),
+            replace(between, right=replace(right, path=right.path[:-1] + (other,))),
+            replace(before, right=left),
+            replace(after, left=right),
+            replace(before, right=None),
+            replace(STATUSES[4].proof, left=left),
         ]
-        for variant in variants:
-            data = encode_proof(variant)
-            assert decode_proof(data) == (variant, len(data))
-            assert decode_proof(data + bytes(41)) == (variant, len(data))
+        for proof in misshapen:
+            assert not proof.verify(FULL.signed_root.root)
+            with pytest.raises(ProofError):
+                encode_proof(proof)
+        for sibling in (b"", bytes(33), bytes(7)):
+            bad = path[1]._replace(sibling=sibling)
+            with pytest.raises(ProofError, match="digest"):
+                encode_proof(replace(present, path=path[:1] + (bad,) + path[2:]))
 
     def test_absence_flags_above_three(self):
         proof = STATUSES[1].proof

@@ -155,10 +155,10 @@ class TestDictionaryObjectMemo:
         assert encode_freshness(dataclasses.replace(freshness, value=b"\x01" * 20)) != honest[1]
         forged_proof = dataclasses.replace(proof, key=b"\x00\x00\x10")
         assert encode_proof(forged_proof) != honest[2]
-        # A presence proof encodes with a tag on its own and without one
-        # inside an absence proof; the retained form is the tagged one only.
-        assert encode_proof(proof.left) not in encode_proof(proof)
-        assert encode_proof(proof.left)[1:] in encode_proof(proof)
+        # An absence proof carries its neighbours' leaves and siblings, not
+        # their encodings, and retains no bytes on them.
+        assert not retains_bytes(proof.left) and not retains_bytes(proof.right)
+        assert encode_proof(proof.left)[1:] not in encode_proof(proof)
 
         forged_status = dataclasses.replace(status, proof=forged_proof, signed_root=forged_root)
         (decoded,) = decode_status_bundle(encode_status_bundle([forged_status]))

@@ -8,6 +8,9 @@ this replaced, written out: one bisect for "is it stored?", another inside the
 proof, and an independent leaf-to-root walk over ``_hash_levels()`` per
 neighbour.  Every engine must return proofs equal to the oracle's, encode them
 to the same bytes, and never hand out a step that aliases live store state.
+The codec is held to the prover here too: every proof decodes back to itself,
+the steps above the fork shared again, in exactly as many bytes as the wire
+layout's formula says — each distinct sibling once.
 """
 
 import bisect
@@ -103,12 +106,38 @@ def assert_shares_above_the_fork_only(proof):
     assert own_left[-1].sibling_is_left is False and own_right[-1].sibling_is_left is True
 
 
+def leaf_bytes(presence):
+    return 2 + len(presence.key) + 2 + len(presence.value)
+
+
+def layout_length(proof, digest_size):
+    """What the wire layout says ``proof`` encodes to (see ``encode_proof``)."""
+    if isinstance(proof, PresenceProof):  # key, value, index, size, width
+        return 1 + leaf_bytes(proof) + 8 + 8 + 1 + digest_size * len(proof.path)
+    head = 1 + 2 + len(proof.key) + 8 + 1  # tag, key, size, flags
+    if proof.left is None or proof.right is None:
+        lone = proof.left or proof.right
+        if lone is None:  # the empty tree
+            return head
+        return head + 1 + leaf_bytes(lone) + digest_size * len(lone.path)
+    # The left index, the width, both leaves; the steps above the fork once.
+    index = proof.right.leaf_index
+    shared = len(proof.left.path) - (index & -index).bit_length()
+    siblings = len(proof.left.path) + len(proof.right.path) - shared
+    return head + 8 + 1 + leaf_bytes(proof.left) + leaf_bytes(proof.right) + digest_size * siblings
+
+
 def check_proof(store, oracle, key, root, digest_size):
     proof = store.prove(key)
     expected = oracle.prove(key)
     assert proof == expected
-    assert encode_proof(proof) == encode_proof(expected)
-    assert decode_proof(encode_proof(proof)) == (expected, len(encode_proof(expected)))
+    wire = encode_proof(proof)
+    assert wire == encode_proof(expected)
+    assert len(wire) == layout_length(proof, digest_size)
+    decoded, end = decode_proof(wire)
+    assert (decoded, end) == (expected, len(wire))
+    if isinstance(decoded, AbsenceProof) and decoded.left and decoded.right:
+        assert_shares_above_the_fork_only(decoded)
     assert proof.verify(root, digest_size)
     if isinstance(proof, PresenceProof):
         assert store.prove_presence(key) == expected
