@@ -169,7 +169,10 @@ def simulate_costs(
             # Every RA downloads: one freshness statement per poll, the new
             # serials once, and a signed root alongside each batch of new
             # revocations (at most one batch per poll, at least one per day
-            # with activity).
+            # with activity).  A poll is one request per dictionary: in a Δ
+            # with a batch the per-Δ object is that batch's segment, so an
+            # RA that was current fetches nothing more
+            # (tests/ritm/test_dissemination.py::TestOneGetPerDelta).
             batches = min(polls, max(revocations, 0))
             batches = min(batches, days_in_cycle * 86_400 / delta_seconds)
             # A sharded RA fetches the shard index plus one freshness object

@@ -7,8 +7,9 @@ refresh duty, and publication of dissemination objects to the CDN.
 Everything the CA publishes about one dictionary forms a **stream**
 (:class:`DictionaryStream`), laid out under the dictionary's name:
 
-* ``/ritm/<name>/freshness``     — the latest freshness statement alone
-  (pulled by every RA every Δ);
+* ``/ritm/<name>/freshness``     — the per-Δ object, pulled by every RA
+  every Δ: the segment of the batch published in this Δ, or else the
+  latest freshness statement alone (the paper's one message per Δ);
 * ``/ritm/<name>/head``          — size, signed root, latest freshness
   statement (pulled only by RAs whose held root that statement does not
   extend);
@@ -67,19 +68,28 @@ from repro.ritm.replication import build_segment, encode_segment, segment_path
 
 
 def head_path(ca_name: str) -> str:
+    """CDN path of a dictionary's head (size, signed root, freshness)."""
     return f"/ritm/{ca_name}/head"
 
 
 def freshness_path(ca_name: str) -> str:
-    """CDN path of a dictionary's per-Δ freshness object."""
+    """CDN path of a dictionary's per-Δ object.
+
+    It holds the segment of the batch the CA published last, byte for byte
+    the object at :func:`~repro.ritm.replication.segment_path`, until the
+    dictionary's next refresh replaces it with the bare freshness statement
+    (:func:`~repro.ritm.replication.decode_delta_object` reads either).
+    """
     return f"/ritm/{ca_name}/freshness"
 
 
 def issuance_path(ca_name: str, batch_number: int) -> str:
+    """CDN path of a dictionary's issuance object ``batch_number`` (from 1)."""
     return f"/ritm/{ca_name}/issuance/{batch_number}"
 
 
 def manifest_path(ca_name: str) -> str:
+    """CDN path of a CA's bootstrap manifest (§VIII "/RITM.json")."""
     return f"/ritm/{ca_name}/manifest"
 
 
@@ -119,6 +129,8 @@ class DictionaryStream:
     sequence: int = 0
     #: The expiry window this stream covers (``None`` = every expiry).
     window: Optional[ShardKey] = None
+    #: When the stream last published a head (``None``: never).
+    published_at: Optional[float] = None
 
     @property
     def name(self) -> str:
@@ -189,6 +201,7 @@ class RITMCertificationAuthority:
 
     @property
     def name(self) -> str:
+        """The CA's name: its issuance authority's, and its one stream's."""
         return self.authority.name
 
     @property
@@ -363,9 +376,12 @@ class RITMCertificationAuthority:
         """The CA's every-Δ duty: a freshness statement (or a re-signed root)
         for every live stream, by stream name.
 
-        On the configured schedule the refresh is a key rotation instead.
-        Streams whose expiry window has fully passed are retired (dropping
-        their storage) and the shard index republished.
+        A stream that already published at ``now`` (a batch, or a window
+        opened) is skipped: it has its publication for this instant, and a
+        second would replace its per-Δ segment.  On the configured schedule
+        the refresh is a key rotation instead, which re-signs every live
+        stream.  Streams whose expiry window has fully passed are retired
+        (dropping their storage) and the shard index republished.
         """
         self._refresh_count += 1
         rotation = self.config.key_rotation_periods
@@ -375,6 +391,7 @@ class RITMCertificationAuthority:
             results = {
                 stream.name: stream.dictionary.refresh(int(now))
                 for stream in self.live_streams(now)
+                if stream.published_at != now
             }
         for name in results:
             self._publish_head(self.streams[name], now)
@@ -603,7 +620,8 @@ class RITMCertificationAuthority:
         Issuance objects and segments are numbered by the one batch
         counter, so an RA-side stream position means the same whichever
         object it was reached through.  The segment embeds the issuance
-        object's bytes, which the batch keeps once encoded.
+        object's bytes, which the batch keeps once encoded, and is also the
+        stream's per-Δ object until the next refresh.
         """
         stream.sync_server.record_issuance(issuance)
         stream.batches += 1
@@ -624,20 +642,26 @@ class RITMCertificationAuthority:
         stats.segments_published += 1
         stats.segment_bytes_published += len(segment)
         self._publish(segment_path(stream.name, stream.batches), segment, now)
-        self._publish_head(stream, now)
+        self._publish_head(stream, now, per_delta=segment)
 
-    def _publish_head(self, stream: DictionaryStream, now: float) -> None:
-        """Publish a stream's head and, beside it, its freshness object."""
+    def _publish_head(
+        self, stream: DictionaryStream, now: float, per_delta: Optional[bytes] = None
+    ) -> None:
+        """Publish a stream's head and, beside it, its per-Δ object:
+        ``per_delta`` (a batch's segment) or else the bare freshness
+        statement."""
         # The publication sequence advances exactly once per publish, so a
         # replayed copy of an earlier head is detectably behind.
         stream.sequence += 1
+        stream.published_at = now
         head = self.head(stream.name)
         content = encode_head(head)
         self._publish(head_path(stream.name), content, now)
-        freshness = encode_freshness(head.freshness)
-        self._publish(freshness_path(stream.name), freshness, now)
+        if per_delta is None:
+            per_delta = encode_freshness(head.freshness)
+        self._publish(freshness_path(stream.name), per_delta, now)
         self.publication_stats.heads_published += 1
-        self.publication_stats.bytes_uploaded += len(content) + len(freshness)
+        self.publication_stats.bytes_uploaded += len(content) + len(per_delta)
 
     def _publish_key_announcements(self, now: float) -> None:
         """Publish the full signed rotation chain at :func:`keys_path`."""

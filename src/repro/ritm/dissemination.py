@@ -1,24 +1,28 @@
 """RA-side dissemination: pulling dictionary updates from the CDN every Δ.
 
-Implements the pull loop of §III/§VI: every Δ each RA issues an HTTP GET for
-each dictionary's *freshness object* — the CA's latest freshness statement,
-alone — from its closest edge server.  If the statement hash-links to the
-anchor of the signed root the replica holds, applying it is the whole poll
-(the common case whose cost dominates Fig. 7).  If it reports more
-revocations than the replica holds, the RA fetches the missing batches —
-each carries the root the CA signed after it — or falls back to the sync
-protocol, applies them, and then applies the statement.  Only a statement
-that links to no root the replica holds (a re-signed chain, a key rotation,
-a replayed or forged root) sends the RA to the dictionary's *head* (size,
-signed root, freshness), as does a replica with no root yet.
+Implements the pull loop of §III/§VI: every Δ each RA issues one HTTP GET
+for each dictionary's *per-Δ object* from its closest edge server — the
+paper's one message per Δ.  In a Δ without a batch that is the CA's latest
+freshness statement, alone; if the statement hash-links to the anchor of the
+signed root the replica holds, applying it is the whole poll (the common
+case whose cost dominates Fig. 7).  In a Δ with a batch it is that batch's
+signed segment, which carries the batch, the root the CA signed after it and
+the statement the CA served next, so an RA that was current catches up with
+that one GET.  An RA further behind fetches the batches in between — or
+falls back to the sync protocol — applies them, and then applies the
+statement.  Only a statement that links to no root the replica holds (a
+re-signed chain, a key rotation, a replayed or forged root) sends the RA to
+the dictionary's *head* (size, signed root, freshness), as does a replica
+with no root yet.
 
 Every replica the agent holds — a whole-CA dictionary or one expiry shard of
 a sharded CA (§VIII, ``RITMConfig.sharded``) — goes through that same cycle
-under its own name, tracked by one :class:`ReplicaFeed` record: freshness
-first, then, if the statement shows the replica behind, one catch-up walk
-from the feed's position (fetching issuance objects, or WAL segments when
-``segment_streaming`` is set — docs/REPLICATION.md), then the head only if
-the statement still does not link.  A
+under its own name, tracked by one :class:`ReplicaFeed` record: the per-Δ
+object first, then, if its statement shows the replica behind, one catch-up
+walk from the feed's position (fetching issuance objects, or WAL segments
+when ``segment_streaming`` is set — docs/REPLICATION.md; a batch the per-Δ
+object carried is not fetched again), then the head only if the statement
+still does not link.  A
 sharded CA adds only a step *before* it: the RA pulls the CA's small shard *index* object to
 register replicas for newly opened shards, and deletes replicas of shards
 whose expiry window has passed — the storage reclamation the §VIII
@@ -60,7 +64,6 @@ from repro.ritm.ca_service import (
     shard_index_path,
 )
 from repro.ritm.messages import (
-    decode_freshness_object,
     decode_head,
     decode_issuance,
     decode_key_announcements,
@@ -68,7 +71,13 @@ from repro.ritm.messages import (
     encode_sync_response,
 )
 from repro.ritm.persistence import load_checkpoint, write_checkpoint
-from repro.ritm.replication import decode_segment, segment_path, verify_segment
+from repro.ritm.replication import (
+    WALSegment,
+    decode_delta_object,
+    decode_segment,
+    segment_path,
+    verify_segment,
+)
 
 #: How far behind the newest position an RA has seen a polled object may be
 #: before the RA treats it as a replay attack rather than CDN staleness:
@@ -529,26 +538,45 @@ class RADisseminationClient:
     ) -> bool:
         """The per-Δ poll of a replica that holds a signed root.
 
-        Fetches the stream's freshness statement.  A statement reporting
-        more revocations than the replica holds first runs the catch-up
-        walk: every batch object embeds the root signed after its batch, so
-        no head is needed.  A statement that then links to the held root's
-        anchor is ranked by its hash-chain period — the held period or a
-        later one is applied, up to :data:`REPLAY_WINDOW` periods behind is
-        benign CDN staleness, further behind a replay.  Returns ``False``
-        when only the head can settle the replica: the statement hashes to
-        no anchor the replica holds (a re-signed chain, a key rotation, a
-        replayed or forged root).
+        Fetches the stream's per-Δ object: a freshness statement, or the
+        segment of the batch published in this Δ, whose ``freshness_after``
+        is then the statement.  A statement reporting more revocations than
+        the replica holds first runs the catch-up walk, which takes that
+        segment as its batch, already fetched: every batch object embeds
+        the root signed after its batch, so no head is needed.  A segment
+        that fails to decode ends the poll as a failed batch ends the walk.
+        A statement that then links to the held root's anchor is ranked by
+        its hash-chain period — the held period or a later one is applied,
+        up to :data:`REPLAY_WINDOW` periods behind is benign CDN staleness,
+        further behind a replay.  Returns ``False`` when only the head can
+        settle the replica: the statement hashes to no anchor the replica
+        holds (a re-signed chain, a key rotation, a replayed or forged
+        root).
         """
         download = self._get(freshness_path(ca_name), now, result)
-        statement = decode_freshness_object(download.content)
+        try:
+            per_delta = decode_delta_object(download.content)
+        except TLSError as exc:
+            if download.content[:1] == b"\x00":
+                raise  # a malformed statement
+            # Anything else is a segment: a batch that failed its checks.
+            self._catch_up(ca_name, replica, now, result, rejected=exc)
+            return True
+        batch, statement = None, per_delta
+        if isinstance(per_delta, WALSegment):
+            batch, statement = (per_delta, download), per_delta.freshness_after
         if statement.ca_name != ca_name:
             raise TLSError(
                 f"freshness object at {ca_name!r}'s path is for {statement.ca_name!r}"
             )
         if statement.dictionary_size > replica.size:
             self._catch_up(
-                ca_name, replica, now, result, advertised_size=statement.dictionary_size
+                ca_name,
+                replica,
+                now,
+                result,
+                advertised_size=statement.dictionary_size,
+                prefetched=batch,
             )
             if replica.size < statement.dictionary_size:
                 return True  # the walk could not close the gap and said why
@@ -657,6 +685,8 @@ class RADisseminationClient:
         result: PullResult,
         advertised_size: int = 0,
         peer=None,
+        prefetched=None,
+        rejected: Optional[TLSError] = None,
     ) -> None:
         """The one catch-up walk: fetch the batches past the replica's
         position, apply them in one store transaction, or fall back to sync.
@@ -674,6 +704,14 @@ class RADisseminationClient:
         rehash however many batches queued up.  An object that is missing,
         malformed, mis-signed or out of sequence ends the walk and degrades
         it to the CA's sync protocol — never silently.
+
+        ``prefetched`` is the per-Δ object's segment, decoded, with its
+        download: the walk takes it as batch ``n`` instead of a GET and
+        checks it as it checks what it fetches in its mode — a segment's
+        number, CA and signature, or (issuance objects) the embedded
+        issuance object alone.  ``rejected`` is a per-Δ segment that failed
+        to decode: the walk ends before it starts, as it ends on any object
+        that fails its checks.
         """
         feed = self._feed(ca_name)
         installed = replica.signed_root
@@ -688,9 +726,14 @@ class RADisseminationClient:
         pending: List[RevocationIssuance] = []
         relayable: Dict[int, bytes] = {}
         freshness = None
-        needs_resync = False
+        needs_resync = rejected is not None
+        if needs_resync:
+            if segments:
+                result.segments_rejected += 1
+            result.errors.append(f"{ca_name}: {rejected}")
         while (fetched < goal) if peer is not None else (have < advertised_size):
             number = fetched + 1
+            segment = None
             if peer is not None:
                 raw = peer.archived_segment(ca_name, number)
                 if raw is not None:
@@ -699,6 +742,9 @@ class RADisseminationClient:
                     result.latency_seconds += size / self.location.bandwidth_to_edge() + max(
                         0.001, region_distance(self.location.region, peer.location.region)
                     )
+            elif prefetched is not None and prefetched[0].segment_number == number:
+                segment, download = prefetched
+                raw, size = download.content, download.bytes_on_wire
             else:
                 path = (
                     segment_path(ca_name, number)
@@ -719,7 +765,8 @@ class RADisseminationClient:
             try:
                 if segments:
                     result.segment_bytes_downloaded += size
-                    segment = decode_segment(raw)
+                    if segment is None:
+                        segment = decode_segment(raw)
                     if (segment.ca_name, segment.segment_number) != (ca_name, number):
                         raise TLSError(
                             f"asked for WAL segment {number} of {ca_name!r}, got "
@@ -733,6 +780,8 @@ class RADisseminationClient:
                         lambda: _check_segment_signature(segment, replica.ca_public_key),
                     )
                     issuance = segment.issuance
+                elif segment is not None:
+                    issuance = segment.issuance  # decoded as decode_issuance would
                 else:
                     issuance = decode_issuance(raw)
             except (TLSError, SignatureError) as exc:

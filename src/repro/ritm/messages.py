@@ -6,15 +6,19 @@ encoding:
 * the *revocation status* (Eq. 3) an RA piggybacks on TLS traffic towards the
   client — carried in a dedicated ``RITM_STATUS`` TLS record;
 * the *dissemination objects* a CA publishes to the CDN for RAs to pull: the
-  "freshness" object (the current freshness statement alone, polled every
-  Δ), per-batch "issuance" objects with the newly revoked serials and the
-  root signed after them, and a small "head" object (dictionary size, signed
-  root, current freshness statement) read when a statement links to no root
-  the RA holds.
+  current freshness statement (what the per-Δ object holds between
+  batches; in a Δ with a batch it holds that batch's segment,
+  :mod:`repro.ritm.replication`), per-batch "issuance" objects with the
+  newly revoked serials and the root signed after them, and a small "head"
+  object (dictionary size, signed root, current freshness statement) read
+  when a statement links to no root the RA holds.
 
 The encodings are simple length-prefixed structures; their sizes are what the
 paper's communication-overhead numbers (Fig. 7, §VII-D) are about, so the
-codec is also the source of truth for the analysis module.
+codec is also the source of truth for the analysis module.  Every CA or
+dictionary name field is a u16 length and at most :data:`MAX_NAME_BYTES`
+UTF-8 bytes: the encoders refuse a longer name and the decoders reject one
+before decoding it.
 """
 
 from __future__ import annotations
@@ -54,8 +58,27 @@ def _unpack_bytes(buffer: bytes, offset: int) -> Tuple[bytes, int]:
     return buffer[start:end], end
 
 
+#: Bytes a RITM name field (a CA or dictionary name) may hold.  Its u16
+#: length prefix then always starts with ``0x00``, so every name-prefixed
+#: object's first byte tells it apart from a segment's ``R``.
+MAX_NAME_BYTES = 255
+
+
+def _pack_name(name: str) -> bytes:
+    """A name field: u16 length + UTF-8, at most :data:`MAX_NAME_BYTES`."""
+    raw = name.encode("utf-8")
+    if len(raw) > MAX_NAME_BYTES:
+        raise TLSError(
+            f"a RITM name holds at most {MAX_NAME_BYTES} UTF-8 bytes, got {len(raw)}"
+        )
+    return _pack_bytes(raw)
+
+
 def _unpack_name(buffer: bytes, offset: int) -> Tuple[str, int]:
-    """A length-prefixed UTF-8 name; undecodable bytes are a malformed field."""
+    """A length-prefixed UTF-8 name; one longer than :data:`MAX_NAME_BYTES`
+    (rejected before it is decoded) or undecodable is a malformed field."""
+    if offset < len(buffer) and buffer[offset]:  # a u16 length of 256 or more
+        raise TLSError(f"RITM name field is longer than {MAX_NAME_BYTES} bytes")
     raw, offset = _unpack_bytes(buffer, offset)
     try:
         return raw.decode("utf-8"), offset
@@ -113,7 +136,7 @@ def encode_signed_root(root: SignedRoot) -> bytes:
     """
     return b"".join(
         [
-            _pack_bytes(root.ca_name.encode("utf-8")),
+            _pack_name(root.ca_name),
             _pack_bytes(root.root),
             struct.pack(">QQQ", root.size, root.timestamp, root.chain_length),
             _pack_bytes(root.anchor),
@@ -160,12 +183,12 @@ def encode_freshness(statement: FreshnessStatement) -> bytes:
 
     Layout: CA name (u16 length + UTF-8), hash-chain value (u16 length +
     bytes), dictionary size (u64).  The value holds at most 65,535 bytes and
-    the size must fit 64 unsigned bits.  This is also the whole per-Δ
-    freshness object (:func:`decode_freshness_object`).
+    the size must fit 64 unsigned bits.  Between batches this is also the
+    whole per-Δ object (:func:`decode_freshness_object`).
     """
     return b"".join(
         [
-            _pack_bytes(statement.ca_name.encode("utf-8")),
+            _pack_name(statement.ca_name),
             _pack_bytes(statement.value),
             struct.pack(">Q", statement.dictionary_size),
         ]
@@ -192,8 +215,9 @@ def decode_freshness(data: bytes, offset: int = 0) -> Tuple[FreshnessStatement, 
 
 
 def decode_freshness_object(data: bytes) -> FreshnessStatement:
-    """The per-Δ freshness object a CA publishes beside each head: one
-    :func:`encode_freshness`, whole."""
+    """The bare form of a stream's per-Δ object, published by every refresh:
+    one :func:`encode_freshness`, whole
+    (:func:`repro.ritm.replication.decode_delta_object` reads both forms)."""
     statement, end = decode_freshness(data)
     if end != len(data):
         raise TLSError("trailing bytes after freshness object")
@@ -477,7 +501,7 @@ def encode_status(status: RevocationStatus) -> bytes:
     """
     return b"".join(
         [
-            _pack_bytes(status.ca_name.encode("utf-8")),
+            _pack_name(status.ca_name),
             _pack_bytes(status.serial.to_bytes()),
             _pack_bytes(encode_proof(status.proof)),
             _pack_bytes(encode_signed_root(status.signed_root)),
@@ -587,7 +611,7 @@ def encode_head(head: DictionaryHead) -> bytes:
     """
     return b"".join(
         [
-            _pack_bytes(head.ca_name.encode("utf-8")),
+            _pack_name(head.ca_name),
             struct.pack(">Q", head.size),
             _pack_bytes(encode_signed_root(head.signed_root)),
             _pack_bytes(encode_freshness(head.freshness)),
@@ -644,7 +668,7 @@ def encode_issuance(issuance: RevocationIssuance) -> bytes:
             f"got {len(issuance.serials)}"
         )
     parts = [
-        _pack_bytes(issuance.ca_name.encode("utf-8")),
+        _pack_name(issuance.ca_name),
         struct.pack(">QH", issuance.first_number, len(issuance.serials)),
     ]
     for serial in issuance.serials:
@@ -731,12 +755,10 @@ class KeyAnnouncement:
 
     def payload(self) -> bytes:
         """The byte string covered by the previous key's signature."""
-        name = self.ca_name.encode("utf-8")
         return b"".join(
             [
                 b"ritm-key-announcement:",
-                struct.pack(">H", len(name)),
-                name,
+                _pack_name(self.ca_name),
                 struct.pack(">Q", self.key_epoch),
                 _pack_bytes(self.public_key_bytes),
                 struct.pack(">QQ", self.activated_at, self.overlap_seconds),
@@ -782,8 +804,9 @@ def decode_key_announcements(data: bytes) -> Tuple[KeyAnnouncement, ...]:
     """Parse an announcement chain, rejecting malformed payloads.
 
     Every announcement returned has a :meth:`KeyAnnouncement.payload`: its
-    name is a string of at most 65535 UTF-8 bytes, its integers fit in 64
-    unsigned bits and its key and signature in 65535 bytes each.
+    name is a string of at most :data:`MAX_NAME_BYTES` UTF-8 bytes, its
+    integers fit in 64 unsigned bits and its key and signature in 65535
+    bytes each.
     """
     try:
         payload = json.loads(data.decode("utf-8"))
@@ -792,8 +815,11 @@ def decode_key_announcements(data: bytes) -> Tuple[KeyAnnouncement, ...]:
         announcements = []
         for entry in payload:
             ca_name = entry["ca"]
-            if not isinstance(ca_name, str) or len(ca_name.encode("utf-8")) > 0xFFFF:
-                raise ValueError("announcement CA name must be a short string")
+            if not isinstance(ca_name, str) or len(ca_name.encode("utf-8")) > MAX_NAME_BYTES:
+                raise ValueError(
+                    f"announcement CA name must be a string of at most "
+                    f"{MAX_NAME_BYTES} UTF-8 bytes"
+                )
             announcements.append(
                 KeyAnnouncement(
                     ca_name=ca_name,

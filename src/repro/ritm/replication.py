@@ -10,7 +10,9 @@ This module lets RAs carry the stream for each other instead:
   sequence-numbered **segment**: the batch's issuance object byte for byte
   (the bytes at ``/issuance/<n>``), its number, the freshness statement the
   dictionary served right after it, and one CA signature over every byte
-  before that signature;
+  before that signature.  Until the stream's next refresh the same bytes
+  are also its per-Δ object (:func:`decode_delta_object`), so an RA that
+  was current reads the batch with its one poll;
 * any RA that verified a segment keeps its raw bytes, so a lagging or
   freshly-restored agent can catch up **peer-to-peer** from a regional
   neighbour (chosen via :mod:`repro.cdn.geography`) instead of hitting the
@@ -32,7 +34,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 from repro.cdn.geography import GeoLocation, region_distance
 from repro.crypto.signing import KeyPair
@@ -43,6 +45,7 @@ from repro.ritm.messages import (
     _pack_bytes,
     _unpack_bytes,
     decode_freshness,
+    decode_freshness_object,
     decode_issuance,
     encode_freshness,
     encode_issuance,
@@ -135,6 +138,24 @@ def decode_segment(data: bytes) -> WALSegment:
     if offset != len(body):
         raise TLSError("segment has trailing bytes before its checksum")
     return WALSegment(segment_number, issuance, freshness_after, signature)
+
+
+def decode_delta_object(data: bytes) -> Union[FreshnessStatement, WALSegment]:
+    """Parse a stream's per-Δ object (``freshness_path``) in either form.
+
+    In a Δ with a batch the CA publishes that batch's segment there, byte
+    for byte the object at :func:`segment_path`; otherwise the bare
+    freshness statement (:func:`~repro.ritm.messages.decode_freshness_object`).
+    The first byte picks the form with no tag: a statement opens with its
+    name's u16 length, whose high byte is ``0x00``
+    (:data:`~repro.ritm.messages.MAX_NAME_BYTES`); anything else is read as
+    a segment, which opens with the ``R`` of :data:`SEGMENT_MAGIC`.  Any
+    failure of the form's decoder is a :class:`~repro.errors.TLSError`.
+    Checks no signature.
+    """
+    if data[:1] == b"\x00":
+        return decode_freshness_object(data)
+    return decode_segment(data)
 
 
 def verify_segment(segment: WALSegment, verifier) -> bool:

@@ -4,9 +4,10 @@ Each injector manipulates the deployment exactly the way the paper's
 adversary (or plain operational failure) would:
 
 * :func:`tamper_latest_batch` rewrites the most recently published issuance
-  object on the CDN, substituting a decoy serial while leaving the honest
-  signed root in place — the RA's batch verification must reject it, roll the
-  replica back, and recover through the sync protocol;
+  object on the CDN, and the per-Δ object while it carries that batch,
+  substituting a decoy serial while leaving the honest signed root in place
+  — the RA's batch verification must reject it, roll the replica back, and
+  recover through the sync protocol;
 * :func:`replay_captured_head` re-presents a head object and freshness
   object captured earlier in the run (the §V replay attack) — the RA must
   reject them without touching its replica;
@@ -56,6 +57,7 @@ from repro.ritm.messages import (
     encode_head,
     encode_issuance,
 )
+from repro.ritm.replication import WALSegment, decode_delta_object, encode_segment
 
 #: The serial substituted into a tampered batch.
 DECOY_SERIAL = 0xDEAD
@@ -68,8 +70,11 @@ def tamper_latest_batch(
 
     The forged batch swaps the first revoked serial for :data:`DECOY_SERIAL`
     but keeps the honest signed root, so the batch decodes cleanly and fails
-    only at content verification.  Returns a human-readable description of
-    the tampering, or ``None`` when there is no batch to tamper with.
+    only at content verification.  While the stream's per-Δ object is that
+    batch's segment, the forged batch replaces the issuance object embedded
+    there too (signature untouched, checksum recomputed): it is the copy an
+    RA that was current reads.  Returns a human-readable description of the
+    tampering, or ``None`` when there is no batch to tamper with.
     """
     stream = ca.streams.get(stream_name)
     batch_number = stream.batches if stream is not None else 0
@@ -83,6 +88,10 @@ def tamper_latest_batch(
     forged_serials = (decoy,) + tuple(honest.serials[1:])
     forged = replace(honest, serials=forged_serials)
     cdn.publish(path, encode_issuance(forged), now)
+    per_delta = decode_delta_object(cdn.origin.fetch(freshness_path(stream_name)).content)
+    if isinstance(per_delta, WALSegment) and per_delta.segment_number == batch_number:
+        tampered = encode_segment(replace(per_delta, issuance=forged))
+        cdn.publish(freshness_path(stream_name), tampered, now)
     return (
         f"batch {batch_number}: serial {honest.serials[0]} replaced with "
         f"decoy {decoy} on the CDN"

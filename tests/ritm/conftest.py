@@ -50,6 +50,32 @@ def oversized_key_chain(ca) -> bytes:
     return encode_key_announcements((genesis, forged))
 
 
+def tamper_batch(cdn: CDNNetwork, stream_name: str, number: int, mutate) -> Dict[str, object]:
+    """Rewrite batch ``number`` of a stream at the origin as ``mutate`` of
+    its issuance: the issuance object, and the per-Δ object while it is that
+    batch's segment (the embedded issuance replaced, the CA signature kept,
+    the checksum recomputed).  Returns the honest stored objects by path, so
+    a test can heal the CDN."""
+    from dataclasses import replace
+
+    from repro.ritm.ca_service import freshness_path, issuance_path
+    from repro.ritm.messages import decode_issuance, encode_issuance
+    from repro.ritm.replication import WALSegment, decode_delta_object, encode_segment
+
+    objects = cdn.origin._objects
+    path = issuance_path(stream_name, number)
+    forged = mutate(decode_issuance(objects[path].content))
+    honest = {path: objects[path]}
+    objects[path] = replace(objects[path], content=encode_issuance(forged))
+    path = freshness_path(stream_name)
+    per_delta = decode_delta_object(objects[path].content)
+    if isinstance(per_delta, WALSegment) and per_delta.segment_number == number:
+        honest[path] = objects[path]
+        tampered = encode_segment(replace(per_delta, issuance=forged))
+        objects[path] = replace(objects[path], content=tampered)
+    return honest
+
+
 def build_stack(engine="incremental", ca_name="Stack CA"):
     """A bootstrapped CA + CDN plus a factory for attached agents."""
     config = RITMConfig(delta_seconds=10, chain_length=64, store_engine=engine)

@@ -121,6 +121,40 @@ class TestRefresh:
         assert list(result) == [ca.name]
         assert not isinstance(result[ca.name], SignedRoot)
 
+    def test_a_stream_publishes_at_most_once_per_instant(self):
+        """A batch touches one of two expiry windows, then the same instant's
+        refresh runs: the touched stream keeps its one head and its per-Δ
+        object stays the batch's segment; only the other stream refreshes."""
+        from repro.cdn.network import CDNNetwork
+        from repro.pki.ca import CertificationAuthority
+        from repro.pki.serial import SerialNumber
+        from repro.ritm.ca_service import freshness_path
+        from repro.ritm.config import RITMConfig
+        from repro.ritm.replication import segment_path
+
+        week = 7 * 86_400
+        config = RITMConfig(
+            delta_seconds=10, chain_length=32, sharded=True, shard_width_seconds=week
+        )
+        authority = CertificationAuthority("Instant CA", key_seed=b"instant")
+        ca = RITMCertificationAuthority(authority, config, CDNNetwork())
+        ca.bootstrap(now=100)
+        opened = ca.revoke_with_expiry(
+            [(SerialNumber(1), week + 5), (SerialNumber(2), 2 * week + 5)], now=100
+        )
+        touched, other = (issuance.ca_name for _, issuance in opened)
+        ca.refresh(now=110)
+        ca.revoke_with_expiry([(SerialNumber(3), week + 6)], now=120)
+        sequence = ca.streams[touched].sequence
+        heads = ca.publication_stats.heads_published
+
+        assert list(ca.refresh(now=120)) == [other]
+        assert ca.streams[touched].sequence == sequence
+        assert ca.publication_stats.heads_published == heads + 1
+        origin = ca.cdn.origin
+        segment = origin.fetch(segment_path(touched, ca.streams[touched].batches)).content
+        assert origin.fetch(freshness_path(touched)).content == segment
+
     def test_refresh_resigns_after_chain_exhaustion(self, world):
         ca = world.cas[0]
         horizon = EPOCH + 5 + world.config.chain_length * world.config.delta_seconds + 10

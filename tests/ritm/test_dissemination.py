@@ -7,7 +7,13 @@ from repro.cdn.network import REQUEST_OVERHEAD_BYTES
 from repro.ritm.agent import RevocationAgent
 from repro.ritm.dissemination import attach_agent_to_cas, total_pulls
 
-from tests.ritm.conftest import EPOCH, build_stack, build_world, oversized_key_chain
+from tests.ritm.conftest import (
+    EPOCH,
+    build_stack,
+    build_world,
+    oversized_key_chain,
+    tamper_batch,
+)
 
 
 class TestInitialSync:
@@ -270,17 +276,8 @@ class TestTamperedObjectRecovery:
 
     @staticmethod
     def _tamper(world, issuing, mutate):
-        from dataclasses import replace
-
-        from repro.ritm.ca_service import issuance_path
-        from repro.ritm.messages import decode_issuance, encode_issuance
-
-        path = issuance_path(issuing.name, issuing.issuance_count())
-        stored = world.cdn.origin._objects[path]
-        issuance = decode_issuance(stored.content)
-        world.cdn.origin._objects[path] = replace(
-            stored, content=encode_issuance(mutate(issuance))
-        )
+        """Tamper the latest batch wherever an RA reads it."""
+        return tamper_batch(world.cdn, issuing.name, issuing.issuance_count(), mutate)
 
     def test_tampered_serials_roll_back_and_resync(self, world):
         from dataclasses import replace
@@ -353,6 +350,7 @@ class TestTamperedObjectRecovery:
 
         from repro.pki.serial import SerialNumber
         from repro.ritm import dissemination
+        from repro.ritm.ca_service import freshness_path
         from repro.ritm.replication import decode_segment, encode_segment, segment_path
 
         issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)
@@ -361,7 +359,9 @@ class TestTamperedObjectRecovery:
         path = segment_path(issuing.name, issuing.issuance_count())
         segment = decode_segment(world.cdn.origin.fetch(path).content)
         swapped = replace(segment.issuance, serials=(SerialNumber(0xEEEEEE),) + honest[1:])
-        world.cdn.publish(path, encode_segment(replace(segment, issuance=swapped)), EPOCH + 20)
+        forged = encode_segment(replace(segment, issuance=swapped))
+        for tampered in (path, freshness_path(issuing.name)):  # the per-Δ object too
+            world.cdn.publish(tampered, forged, EPOCH + 20)
 
         calls = []
         store = world.agent.replica_for(issuing.name)._tree
@@ -421,7 +421,6 @@ class TestTamperedObjectRecovery:
         from dataclasses import replace
 
         from repro.pki.serial import SerialNumber
-        from repro.ritm.ca_service import issuance_path
         from repro.ritm.dissemination import RADisseminationClient
 
         issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)
@@ -435,9 +434,7 @@ class TestTamperedObjectRecovery:
         client.pull(now=EPOCH + 10)  # bootstrap the signed root
 
         issuing.revoke([serial], now=EPOCH + 20)
-        path = issuance_path(issuing.name, issuing.issuance_count())
-        honest_object = world.cdn.origin._objects[path]
-        self._tamper(
+        honest_objects = self._tamper(
             world, issuing, lambda iss: replace(iss, serials=(SerialNumber(0xEEEEEE),))
         )
 
@@ -446,8 +443,8 @@ class TestTamperedObjectRecovery:
         assert any("root does not match" in error for error in bad_pull.errors)
         assert replica.size == 0  # rolled back, nothing bogus retained
 
-        # CDN heals: the same batch object is honest again.
-        world.cdn.origin._objects[path] = honest_object
+        # CDN heals: the same batch objects are honest again.
+        world.cdn.origin._objects.update(honest_objects)
         good_pull = client.pull(now=EPOCH + 50)
         assert good_pull.errors == []
         assert good_pull.serials_applied == 1
@@ -456,9 +453,9 @@ class TestTamperedObjectRecovery:
 
 
 class TestFreshnessFirstPoll:
-    """Exact counts of the every-Δ poll: the freshness object, then batch
-    objects when it reports new revocations, and the head only when the
-    statement links to no root the replica holds."""
+    """Exact counts of the every-Δ poll: the per-Δ object, then the batch
+    objects before the one it carries when it reports new revocations, and
+    the head only when the statement links to no root the replica holds."""
 
     def _synced(self, streaming=False):
         _, ca, cdn, attach = build_stack()
@@ -487,7 +484,11 @@ class TestFreshnessFirstPoll:
         assert agent.replica_for(ca.name).latest_freshness == statement
 
     @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
-    def test_an_active_pull_is_freshness_plus_k_batch_objects_and_no_head(self, streaming):
+    def test_an_active_pull_is_the_per_delta_object_plus_the_batches_before_it(
+        self, streaming
+    ):
+        """k batches since the last pull: the per-Δ object carries the last
+        one, so the walk fetches k − 1 and the pull is k GETs."""
         from repro.pki.serial import SerialNumber
         from repro.ritm.ca_service import freshness_path, issuance_path
         from repro.ritm.replication import segment_path
@@ -499,12 +500,12 @@ class TestFreshnessFirstPoll:
         result = client.pull(now=115)
         batch_path = segment_path if streaming else issuance_path
         objects = [freshness_path(ca.name)] + [
-            batch_path(ca.name, number) for number in range(1, k + 1)
+            batch_path(ca.name, number) for number in range(1, k)
         ]
         sizes = [
             len(cdn.origin.fetch(path).content) + REQUEST_OVERHEAD_BYTES for path in objects
         ]
-        assert (result.requests, result.heads_checked) == (1 + k, 0)
+        assert (result.requests, result.heads_checked) == (k, 0)
         assert result.bytes_downloaded == sum(sizes)
         assert (result.issuances_applied, result.serials_applied) == (k, k)
         assert result.resyncs == 0 and not result.errors
@@ -539,17 +540,17 @@ class TestFreshnessFirstPoll:
 
     @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
     def test_a_revocation_after_a_rotation_is_learned_in_the_walk(self, streaming):
-        """The statement reports a new revocation, so the RA walks the batch
-        objects without a head; the batch's root is signed under the key
-        rotated in since the last pull, and the walk learns it."""
+        """The per-Δ object carries a new batch, so the RA walks it without a
+        head; the batch's root is signed under the key rotated in since the
+        last pull, and the walk learns it."""
         from repro.pki.serial import SerialNumber
 
         ca, _, agent, client, _ = self._synced(streaming)
         ca.rotate_keys(now=110)
         ca.revoke([SerialNumber(600)], now=111)
         result = client.pull(now=112)
-        # freshness, the batch object, the key chain
-        assert (result.requests, result.heads_checked) == (3, 0)
+        # the per-Δ object (the batch's segment), the key chain
+        assert (result.requests, result.heads_checked) == (2, 0)
         assert result.key_rotations_applied == 1
         assert (result.issuances_applied, result.serials_applied) == (1, 1)
         assert result.resyncs == 0 and not result.errors
@@ -564,6 +565,7 @@ class TestFreshnessFirstPoll:
         ca, cdn, agent, client, _ = self._synced()
         ca.rotate_keys(now=110)
         ca.revoke([SerialNumber(601)], now=111)
+        ca.revoke([SerialNumber(602)], now=112)  # the per-Δ object carries batch 2
         del cdn.origin._objects[issuance_path(ca.name, 1)]
         result = client.pull(now=112)
         assert (result.resyncs, result.key_rotations_applied) == (1, 1)
@@ -597,9 +599,9 @@ class TestFreshnessFirstPoll:
 
 class TestUplinkAccounting:
     def test_every_get_of_the_cycle_is_one_request_on_the_link(self):
-        """Two CAs, one of them revoking: the cycle's GETs are two freshness
-        objects and one issuance object, and the link carries one request
-        for each."""
+        """Two CAs, one of them revoking: the cycle's GETs are the two per-Δ
+        objects (a statement, and the revoking CA's batch), and the link
+        carries one request for each."""
         from repro.cdn.network import CDNNetwork
         from repro.net.link import Link
         from repro.pki.ca import CertificationAuthority
@@ -630,10 +632,258 @@ class TestUplinkAccounting:
         linked = clients[0].pull(now=111, link=link)
         unlinked = clients[1].pull(now=111)
 
-        assert linked.requests == unlinked.requests == 3
+        assert linked.requests == unlinked.requests == 2
         assert linked.bytes_downloaded == unlinked.bytes_downloaded
         assert linked.latency_seconds - unlinked.latency_seconds == pytest.approx(
             link.round_trip_time(
-                request_bytes=REQUEST_BYTES * 3, response_bytes=linked.bytes_downloaded
+                request_bytes=REQUEST_BYTES * 2, response_bytes=linked.bytes_downloaded
             )
         )
+
+
+class TestOneGetPerDelta:
+    """The paper's one message per CA per Δ: the per-Δ object is the batch's
+    segment in a Δ with a batch and the bare statement otherwise, so an RA
+    that was current pulls each dictionary with one GET whichever the Δ —
+    the one request per poll per dictionary that ``simulate_costs`` bills
+    (``requests_per_poll`` in ``repro.analysis.cost``)."""
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+    def test_a_current_ra_pays_one_get_per_delta_idle_or_active(self, streaming):
+        from repro.pki.serial import SerialNumber
+        from repro.ritm.ca_service import freshness_path
+
+        _, ca, cdn, attach = build_stack()
+        agent, client = attach("current-ra", streaming=streaming)
+        client.pull(now=101)
+        replica = agent.replica_for(ca.name)
+        active = {1, 2, 4, 7}
+        for period in range(1, 9):
+            now = 100 + 10 * period
+            if period in active:
+                ca.revoke([SerialNumber(700 + period), SerialNumber(800 + period)], now=now)
+            else:
+                ca.refresh(now=now)
+            per_delta = cdn.origin.fetch(freshness_path(ca.name)).content
+            result = client.pull(now=now + 1)
+            assert (result.requests, result.heads_checked) == (1, 0)
+            assert result.bytes_downloaded == len(per_delta) + REQUEST_OVERHEAD_BYTES
+            assert result.serials_applied == (2 if period in active else 0)
+            assert result.segments_applied == (1 if streaming and period in active else 0)
+            assert result.resyncs == 0 and not result.errors
+            assert replica.signed_root == ca.dictionary.signed_root
+            assert replica.latest_freshness == ca.dictionary.latest_freshness
+        if streaming:
+            # what a segment-mode RA read through the per-Δ object it can relay
+            assert sorted(client.feeds[ca.name].segments) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_an_ra_that_missed_k_batches_pays_k_gets(self, streaming, k):
+        """k batches in k Δs without a pull, the last in this Δ: the per-Δ
+        object carries batch k and the walk fetches the k − 1 before it."""
+        from repro.pki.serial import SerialNumber
+
+        _, ca, _, attach = build_stack()
+        agent, client = attach("lagging-ra", streaming=streaming)
+        client.pull(now=101)
+        for batch in range(1, k + 1):
+            ca.revoke([SerialNumber(900 + batch)], now=100 + 10 * batch)
+        result = client.pull(now=101 + 10 * k)
+        assert (result.requests, result.heads_checked) == (k, 0)
+        assert (result.issuances_applied, result.serials_applied) == (k, k)
+        assert result.resyncs == 0 and not result.errors
+        assert client.replication_cursor(ca.name) == k
+        assert agent.replica_for(ca.name).signed_root == ca.dictionary.signed_root
+
+
+#: Counters of a pull that do not depend on which object carried a batch.
+OUTCOME = (
+    "heads_checked",
+    "freshness_applied",
+    "issuances_applied",
+    "serials_applied",
+    "resyncs",
+    "stale_heads_ignored",
+    "replays_rejected",
+    "key_rotations_applied",
+    "segments_applied",
+    "segments_rejected",
+)
+
+
+def _damaged_crc(segment: bytes) -> bytes:
+    """A segment whose body no longer matches its checksum (one bit of the
+    embedded issuance object's first serial flipped)."""
+    at = len(segment) // 3
+    return segment[:at] + bytes([segment[at] ^ 0x01]) + segment[at + 1 :]
+
+
+def _swapped_serial(segment: bytes) -> bytes:
+    """A segment whose first serial is swapped, checksum recomputed and the
+    CA signature left as it was."""
+    from dataclasses import replace
+
+    from repro.pki.serial import SerialNumber
+    from repro.ritm.replication import decode_segment, encode_segment
+
+    decoded = decode_segment(segment)
+    issuance = decoded.issuance
+    swapped = replace(issuance, serials=(SerialNumber(0xEEEEEE),) + issuance.serials[1:])
+    return encode_segment(replace(decoded, issuance=swapped))
+
+
+def _embedded_issuance(segment: bytes) -> bytes:
+    """The issuance object bytes a segment frame embeds, read off its header."""
+    import struct
+
+    from repro.ritm.replication import SEGMENT_MAGIC
+
+    start = len(SEGMENT_MAGIC) + 12  # segment number (u64), issuance length (u32)
+    (length,) = struct.unpack_from(">I", segment, start - 4)
+    return segment[start : start + length]
+
+
+class TestAPerDeltaBatchEndsAsTheWalksObject:
+    """Each abnormal per-Δ segment ends exactly as the same object fetched by
+    the walk ends: two identical stacks, one RA reading the batch through
+    the per-Δ object, the other through the object its walk fetches in its
+    mode — the segment, or the issuance object the segment embeds — after a
+    refresh in the same hash-chain period has made the per-Δ object the
+    bare statement again.  Every outcome counter, the error count and the
+    replica state agree; only the GETs differ."""
+
+    @staticmethod
+    def _pull_both(streaming, stage):
+        """``stage(ca, cdn, via_walk)`` runs on each of two synced stacks,
+        then each RA pulls at 135; returns (result, replica, ca, client)
+        for the per-Δ stack, then the walk's."""
+        outcomes = []
+        for via_walk in (False, True):
+            _, ca, cdn, attach = build_stack()
+            agent, client = attach("differential-ra", streaming=streaming)
+            client.pull(now=101)
+            stage(ca, cdn, via_walk)
+            outcomes.append((client.pull(now=135), agent.replica_for(ca.name), ca, client))
+        return outcomes
+
+    @staticmethod
+    def _assert_same_end(outcomes, counters=OUTCOME):
+        """Equal ``counters`` and error counts; each replica on its own CA's
+        state (each stack's CA seeds its own hash chain)."""
+        (per_delta, *_), (walk, *_) = outcomes
+        assert {name: getattr(per_delta, name) for name in counters} == {
+            name: getattr(walk, name) for name in counters
+        }
+        assert len(per_delta.errors) == len(walk.errors)
+        for _, replica, ca, _ in outcomes:
+            assert replica.root() == ca.dictionary.root()
+            assert replica.signed_root == ca.dictionary.signed_root
+            assert replica.latest_freshness == ca.dictionary.latest_freshness
+        return per_delta, walk
+
+    @staticmethod
+    def _damage_batch(streaming, damage, issuance_object=_embedded_issuance):
+        """A stage: revoke at 130 and damage the batch where the RA reads it.
+
+        The walk's object is the damaged segment in segment mode and
+        ``issuance_object`` of it in issuance mode."""
+        from repro.pki.serial import SerialNumber
+        from repro.ritm.ca_service import freshness_path, issuance_path
+        from repro.ritm.replication import segment_path
+
+        def stage(ca, cdn, via_walk):
+            ca.revoke([SerialNumber(0x0A0B0C), SerialNumber(0x0A0B0D)], now=130)
+            number = ca.streams[ca.name].batches
+            damaged = damage(cdn.origin.fetch(segment_path(ca.name, number)).content)
+            if not via_walk:
+                cdn.publish(freshness_path(ca.name), damaged, 130)
+                return
+            ca.refresh(now=131)  # the same period: the walk fetches the batch
+            if streaming:
+                cdn.publish(segment_path(ca.name, number), damaged, 131)
+            else:
+                cdn.publish(issuance_path(ca.name, number), issuance_object(damaged), 131)
+
+        return stage
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+    def test_a_per_delta_segment_failing_its_checksum(self, streaming):
+        """In issuance mode the walk's object is the same damaged bytes,
+        which are no issuance object either.  The one difference: a damaged
+        per-Δ object carries no statement to offer after the resync (the
+        walk's RA offers the refreshed one); the resync brings both replicas
+        the CA's statement all the same."""
+        same_bytes = self._damage_batch(streaming, _damaged_crc, lambda damaged: damaged)
+        outcomes = self._pull_both(streaming, same_bytes)
+        counters = tuple(name for name in OUTCOME if name != "freshness_applied")
+        per_delta, walk = self._assert_same_end(outcomes, counters)
+        assert (per_delta.freshness_applied, walk.freshness_applied) == (0, 1)
+        assert per_delta.resyncs == 1 and per_delta.issuances_applied == 0
+        assert per_delta.segments_rejected == (1 if streaming else 0)
+        assert "checksum" in per_delta.errors[-1]
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+    def test_a_per_delta_segment_with_a_swapped_serial(self, streaming):
+        """Segment mode: the signature no longer covers the bytes, so the
+        segment is rejected before the store.  Issuance mode: the embedded
+        issuance object is applied as a GET of it would be, and rolled back
+        on the root mismatch."""
+        from repro.pki.serial import SerialNumber
+
+        outcomes = self._pull_both(streaming, self._damage_batch(streaming, _swapped_serial))
+        per_delta, walk = self._assert_same_end(outcomes)
+        assert per_delta.resyncs == 1 and per_delta.issuances_applied == 0
+        assert per_delta.errors == walk.errors
+        # (a failed signature first looks for a rotation: this CA has none)
+        expected = "not signed by an acceptable CA key" if streaming else "root does not match"
+        assert per_delta.segments_rejected == (1 if streaming else 0)
+        assert expected in per_delta.errors[-1]
+        assert not outcomes[0][1].contains(SerialNumber(0xEEEEEE))
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+    def test_a_replayed_older_per_delta_segment(self, streaming):
+        """Batches 1 and 2 are applied; then the CDN serves batch 1's segment
+        again.  The walk-era analog is the statement published with batch 1
+        served again: either links to no root the replica holds, so both
+        RAs read the head, and neither replica moves."""
+        from repro.pki.serial import SerialNumber
+        from repro.ritm.ca_service import freshness_path
+        from repro.ritm.messages import encode_freshness
+        from repro.ritm.replication import decode_segment, segment_path
+
+        outcomes = []
+        for via_walk in (False, True):
+            _, ca, cdn, attach = build_stack()
+            agent, client = attach("replayed-ra", streaming=streaming)
+            client.pull(now=101)
+            for number, now in ((1, 110), (2, 120)):
+                ca.revoke([SerialNumber(0x0A0B00 + number)], now=now)
+                assert client.pull(now=now + 1).errors == []
+            old = cdn.origin.fetch(segment_path(ca.name, 1)).content
+            if via_walk:
+                old = encode_freshness(decode_segment(old).freshness_after)
+            cdn.publish(freshness_path(ca.name), old, 130)
+            outcomes.append((client.pull(now=135), agent.replica_for(ca.name), ca, client))
+        per_delta, walk = self._assert_same_end(outcomes)
+        assert per_delta.heads_checked == 1 and per_delta.issuances_applied == 0
+        assert per_delta.errors == walk.errors
+        _, _, ca, client = outcomes[0]
+        assert client.replication_cursor(ca.name) == 2
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+    def test_a_rotation_then_a_revocation_before_the_next_poll(self, streaming):
+        from repro.pki.serial import SerialNumber
+
+        def stage(ca, cdn, via_walk):
+            ca.rotate_keys(now=120)
+            ca.revoke([SerialNumber(0x0A0B0C)], now=130)
+            if via_walk:
+                ca.refresh(now=131)
+
+        outcomes = self._pull_both(streaming, stage)
+        per_delta, walk = self._assert_same_end(outcomes)
+        assert per_delta.key_rotations_applied == 1 and per_delta.issuances_applied == 1
+        assert per_delta.resyncs == 0 and not per_delta.errors and not walk.errors
+        # the per-Δ object and the key chain; the walk also GETs the batch
+        assert (per_delta.requests, walk.requests) == (2, 3)

@@ -27,13 +27,12 @@ from repro.perf import VerifiedRootCache
 from repro.pki.ca import CertificationAuthority
 from repro.pki.serial import SerialNumber
 from repro.ritm.agent import RevocationAgent
-from repro.ritm.ca_service import RITMCertificationAuthority, issuance_path
+from repro.ritm.ca_service import RITMCertificationAuthority
 from repro.ritm.config import RITMConfig
 from repro.ritm.deployment import build_close_to_client_deployment
 from repro.ritm.dissemination import attach_agent_to_cas
-from repro.ritm.messages import decode_issuance, encode_issuance
 
-from tests.ritm.conftest import EPOCH, build_world
+from tests.ritm.conftest import EPOCH, build_world, tamper_batch
 
 
 class TestProofCachedStatuses:
@@ -152,14 +151,11 @@ class TestTamperedBatchRollback:
         world.agent.build_status(issuing.name, probe)  # prime the proof cache
 
         issuing.revoke([serial], now=EPOCH + 20)
-        path = issuance_path(issuing.name, issuing.issuance_count())
-        stored = world.cdn.origin._objects[path]
-        forged = decode_issuance(stored.content)
-        world.cdn.origin._objects[path] = replace(
-            stored,
-            content=encode_issuance(
-                replace(forged, serials=(SerialNumber(0xEEEEEE),))
-            ),
+        tamper_batch(
+            world.cdn,
+            issuing.name,
+            issuing.issuance_count(),
+            lambda forged: replace(forged, serials=(SerialNumber(0xEEEEEE),)),
         )
 
         result = world.pull(now=EPOCH + 40)
@@ -190,14 +186,11 @@ class TestTamperedBatchRollback:
         primed = lonely.build_status(issuing.name, probe)
 
         issuing.revoke([serial], now=EPOCH + 20)
-        path = issuance_path(issuing.name, issuing.issuance_count())
-        stored = world.cdn.origin._objects[path]
-        tampered = decode_issuance(stored.content)
-        world.cdn.origin._objects[path] = replace(
-            stored,
-            content=encode_issuance(
-                replace(tampered, serials=(SerialNumber(0xEEEEEE),))
-            ),
+        tamper_batch(
+            world.cdn,
+            issuing.name,
+            issuing.issuance_count(),
+            lambda tampered: replace(tampered, serials=(SerialNumber(0xEEEEEE),)),
         )
         bad_pull = client.pull(now=EPOCH + 40)
         assert any("root does not match" in error for error in bad_pull.errors)

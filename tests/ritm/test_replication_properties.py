@@ -156,14 +156,18 @@ def test_tampered_segment_never_reaches_replica(engine, sizes, data):
     revoke_batches(ca, sizes)
     segment_client.pull(now=400)
 
-    # one more batch, tampered at the origin before the RA sees it
+    # one more batch, tampered at the origin before the RA sees it; the
+    # refresh leaves the per-Δ object a bare statement, so the walk fetches
+    # the segment (test_dissemination.py::TestOneGetPerDelta tampers the
+    # per-Δ copy)
     ca.revoke([SerialNumber(999)], now=500)
+    ca.refresh(now=501)
     path = segment_path(ca.name, len(sizes) + 1)
     raw = cdn.origin.fetch(path).content
     index = data.draw(
         st.integers(min_value=0, max_value=len(raw) - 1), label="flip index"
     )
-    cdn.origin.publish(path, flip_byte(raw, index), now=500)
+    cdn.origin.publish(path, flip_byte(raw, index), now=501)
 
     replica = segmented.replica_for(ca.name)
     result = segment_client.pull(now=510)

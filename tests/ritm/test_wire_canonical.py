@@ -30,13 +30,16 @@ from repro.pki.certificate import Certificate, CertificateChain
 from repro.pki.serial import SerialNumber
 from repro.store import create_store
 from repro.ritm.messages import (
+    MAX_NAME_BYTES,
     DictionaryHead,
+    KeyAnnouncement,
     decode_freshness,
     decode_freshness_object,
     decode_head,
     decode_issuance,
     decode_proof,
     decode_signed_root,
+    decode_status,
     decode_status_bundle,
     decode_sync_response,
     encode_freshness,
@@ -44,10 +47,18 @@ from repro.ritm.messages import (
     encode_issuance,
     encode_proof,
     encode_signed_root,
+    encode_status,
     encode_status_bundle,
     encode_sync_response,
 )
-from repro.ritm.replication import SEGMENT_MAGIC, build_segment, decode_segment, encode_segment
+from repro.ritm.replication import (
+    SEGMENT_MAGIC,
+    WALSegment,
+    build_segment,
+    decode_delta_object,
+    decode_segment,
+    encode_segment,
+)
 from repro.tls.extensions import (
     decode_extensions,
     encode_extensions,
@@ -225,12 +236,24 @@ CODECS = {
         TLSError,
         [encode_freshness(dictionary.latest_freshness) for dictionary in (FULL, EMPTY)],
     ),
-    # What an RA reads every Δ: one statement, the whole object.
+    # The per-Δ object between batches: one statement, the whole object.
     "freshness_object": (
         _whole(decode_freshness_object),
         encode_freshness,
         TLSError,
         [encode_freshness(dictionary.latest_freshness) for dictionary in (FULL, EMPTY)],
+    ),
+    # What an RA reads every Δ, either form: a batch's whole segment (CRC
+    # included) or a bare statement, told apart by the first byte.  A
+    # statement is last, so a single bit flip can be accepted.
+    "delta_object": (
+        _whole(decode_delta_object),
+        lambda value: (
+            encode_segment(value) if isinstance(value, WALSegment) else encode_freshness(value)
+        ),
+        TLSError,
+        [encode_segment(segment) for segment in SEGMENTS]
+        + [encode_freshness(dictionary.latest_freshness) for dictionary in (FULL, EMPTY)],
     ),
     "proof": (
         decode_proof,
@@ -540,6 +563,15 @@ class TestSecondEncodingsClosed:
         with pytest.raises(TLSError, match="trailing bytes inside"):
             decode(data[:at] + padded + data[at + 2 + len(root) :])
 
+    def test_a_per_delta_object_opening_with_neither_form_is_rejected(self):
+        statement = encode_freshness(FULL.latest_freshness)
+        assert decode_delta_object(statement) == FULL.latest_freshness
+        for first in (b"\x01", b"Q", b"\xff"):
+            with pytest.raises(TLSError):
+                decode_delta_object(first + statement[1:])
+        with pytest.raises(TLSError):
+            decode_delta_object(b"")
+
     def test_trailing_bytes_inside_a_status_field(self):
         status = STATUSES[1]
         data = encode_status_bundle([status])
@@ -588,3 +620,62 @@ class TestSecondEncodingsClosed:
         assert body[compression_at] == 0
         with pytest.raises(TLSError, match="compression"):
             type(hello).from_body(body[:compression_at] + b"\x01" + body[extensions_at:])
+
+
+def _named(value, name: str):
+    """``value`` (a frozen dataclass) under CA name ``name``, memo-free."""
+    return dataclasses.replace(value, ca_name=name)
+
+
+#: Every RITM object whose first field is a name: (encode, decode, value).
+NAMED = {
+    "signed_root": (encode_signed_root, decode_signed_root, FULL.signed_root),
+    "freshness": (encode_freshness, decode_freshness, FULL.latest_freshness),
+    "status": (encode_status, decode_status, STATUSES[0]),
+    "head": (encode_head, lambda data: (decode_head(data), len(data)), HEADS[0]),
+    "issuance": (
+        encode_issuance,
+        lambda data: (decode_issuance(data), len(data)),
+        ISSUANCES[1],
+    ),
+}
+
+
+class TestNameCap:
+    """A name field holds at most :data:`MAX_NAME_BYTES` (255) UTF-8 bytes, so
+    every name-prefixed object opens with ``0x00``: a longer name is refused
+    by every encoder and rejected by every decoder before it is decoded."""
+
+    @pytest.mark.parametrize("kind", sorted(NAMED))
+    def test_a_name_of_255_bytes_round_trips_and_opens_with_zero(self, kind):
+        encode, decode, value = NAMED[kind]
+        named = _named(value, "n" * MAX_NAME_BYTES)
+        data = encode(named)
+        assert data[:3] == b"\x00\xffn"
+        assert decode(data)[0] == named
+
+    @pytest.mark.parametrize("name", ["n" * 256, "é" * 128], ids=["ascii", "two-byte-utf8"])
+    @pytest.mark.parametrize("kind", sorted(NAMED))
+    def test_a_name_of_256_bytes_is_refused_by_the_encoder(self, kind, name):
+        encode, _, value = NAMED[kind]
+        with pytest.raises(TLSError, match=str(MAX_NAME_BYTES)):
+            encode(_named(value, name))
+
+    @pytest.mark.parametrize("kind", sorted(NAMED))
+    def test_a_name_of_256_bytes_is_rejected_by_the_decoder(self, kind):
+        encode, decode, value = NAMED[kind]
+        data = encode(_named(value, "n" * MAX_NAME_BYTES))
+        longer = (MAX_NAME_BYTES + 1).to_bytes(2, "big") + b"n" + data[2:]
+        with pytest.raises(TLSError, match="longer than"):
+            decode(longer)
+
+    def test_a_key_announcement_name_is_capped_too(self):
+        from repro.ritm.messages import decode_key_announcements, encode_key_announcements
+
+        announcement = KeyAnnouncement("n" * MAX_NAME_BYTES, 0, bytes(32), 0, 0)
+        assert announcement.payload().count(b"n") >= MAX_NAME_BYTES
+        with pytest.raises(TLSError, match=str(MAX_NAME_BYTES)):
+            _named(announcement, "n" * 256).payload()
+        chain = encode_key_announcements((_named(announcement, "n" * 256),))
+        with pytest.raises(TLSError, match="malformed key announcement chain"):
+            decode_key_announcements(chain)

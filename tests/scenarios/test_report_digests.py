@@ -64,6 +64,23 @@ latency 0.131 → 0.157 s, max lag 10.255 → 10.34 s, still inside 2Δ); in
 refused because the replayed root covers 10 revocations where the replica
 holds 40 (the event's text says so, where it used to cite the publication
 sequence), and the summary now says a freshness object is replayed too.
+Making a batch's segment the stream's per-Δ object until the next refresh
+(one GET per dictionary per Δ) re-pinned all 17 rows, every check still
+passing and no resync, error, applied count or verification count moved.
+The keys that moved: ``dissemination.bytes_downloaded`` (and the "N pulls,
+B bytes" check detail), ``average_pull_latency_seconds``, every
+``max_lag_seconds`` (agents and ``attack_window``, with the lag check
+details of ``degraded-ra``, ``region-outage``, ``slow-ra-holb``,
+``staggered-pulls`` and ``thundering-herd``), ``fleet.overlap_factor`` and
+the ``hot_path.edge_object_cache`` counts; ``ra-crash-recovery`` and
+``region-outage`` also print their recovery pull's bytes and time (1,584 →
+1,474 B; 808 → 565 B).  Bytes fell in 16 rows (``quickstart`` 1,772 →
+1,662 B, ``soak`` 61,725 → 44,229 B) and rose in ``staggered-pulls``
+(30,488 → 31,852 B): its run ends with a pull round after the CA's last
+duty, a batch, so seven of that round's pulls re-read the batch's segment
+(505 B) where they used to read its 43-byte statement.  ``sharded-longrun``'s CA no longer republishes a
+stream at the instant a batch published it, which its smoke report does
+not print (the full run: 179 → 130 head publications).
 """
 
 from __future__ import annotations
@@ -76,23 +93,23 @@ import pytest
 from repro.scenarios import get, names, run_scenario
 
 GOLDEN_DIGESTS = {
-    "ca-audit-gossip": "dbd8b58d5ef941a78ffb80b8d66bc133f9696678d2d592ed77846115ef7ea1e2",
-    "degraded-ra": "fc828c483a59cd89214d756cacd6487c72939a361bd5bee7b5ab75c9b364ef00",
-    "equivocating-ca": "d3380c2f77fe10e2894fe0dee613613fafc0a98f6351e67852a0e63effa6dd65",
-    "flash-crowd": "f16ddbb629d9e7d394698194289a109b55938ee3a16c23a6b0c50993a626d261",
-    "heartbleed": "4f8c10c51a8dfa7566f57a9ce7438f77ca13b00741349cfe1b921f73222b5872",
-    "iot-long-lived": "d5299069ea4e649dfd4d666aec0a92b95f027607f42fb77a3e22327a3537fbc5",
-    "quickstart": "cfe70a1f7dc95c719d7ae06000cbeaba68b9323fce2531c2f2c8487cd756780f",
-    "ra-crash-recovery": "f6bad05b52206ad473b8a115adc27cb3e2060a563064ea513c16255df636b269",
-    "region-outage": "f94cde8027b238aa641f8b0579d2a65a13d2062653b27de976c5147d17ddd848",
-    "replayed-head": "3806620c7ac5887b3cdd1336e0e5c4c1d1d71e43cd6cfaa126eaf65ff3ca14e2",
-    "rotated-ca-key": "e989bd4f2141c165f5be33d5f85b1f8ca420cfb602f79fc5a698ddb67f913f72",
-    "sharded-longrun": "6cf41eae92020dcc9dfb28646b987600b6c494b12acdec23c62ac554425c3baa",
-    "slow-ra-holb": "7eaf1f32746e079ff7494104cb7b69b28155c4812d41254e4fafee101fc9193e",
-    "soak": "9956d3b2e1f35f73f502182f4a996f112e42a1ef47bb7a34099f1e0f2c2fc8dc",
-    "staggered-pulls": "cde8fa4ec0ed006165c0325e7abd141a07999a638ac2104cfb7aa08372679dd1",
-    "tampered-cdn": "5557bcae4d9751fafb79abc6be630445c12d57f3aa52ee16c95f0d78b7e9fb97",
-    "thundering-herd": "a29f5e22be8a76e97e443bcd9f52dc808b46b0a6bff94209990d94f0de836862",
+    "ca-audit-gossip": "a07e59122016f01093205587fee4b502a89b31c24d16a06f72411457171727fb",
+    "degraded-ra": "7da563eed2ca9f0851fc5eab4933f886366adad99f8d0a219cf684113555db2f",
+    "equivocating-ca": "1a41a2a00d8d7bc06a6032f7b3bb46b88ce86b48d4ac1c5dfb4758da84646170",
+    "flash-crowd": "8df76e7781905b356a618cac31854b6001c36db3c610548a14fac103dbc7a38e",
+    "heartbleed": "fcc4e47e0fd8e583e9b164b417da4ed5dc342d805d021efb72034be850a26af1",
+    "iot-long-lived": "062e2189d0aa399bf3e203c2a04f4c8da85a27f03d4f9a334967bbd8a12938f2",
+    "quickstart": "05140a088fca2ccfe1ebd9d20c8b4f5a578077f85707974c1b56d1b8946ccb48",
+    "ra-crash-recovery": "8a687cb815db6ada1692c69b8035aa23af2098b72a5fef75c5a48f8bd81ce008",
+    "region-outage": "bdf57bd80388e14d83d94d6c50bf087ba785692331f8a171b9a16ad7c6c6d5af",
+    "replayed-head": "920720ece2660f5decadb5d75975ad6962bb2e39208a168b9b21d48e954a1cda",
+    "rotated-ca-key": "d9d10875a8f0c39d8d8ef23a0a0cbc6a718dfa4c386e790f77e0ef03aa55a41f",
+    "sharded-longrun": "35be1924b4aa9d97585ab5d5ab4b036a3e962e104be51e6fc7a10873c15ab555",
+    "slow-ra-holb": "788b8f2da53e07bf75e6af981ff0a5a865628107d0d08ad89f4d0d6a4b74d9da",
+    "soak": "b0d68b0f02cf2c1ac791b9dbf0e0b6794d7df95482a4dcd899f1cf9d5dd12c0d",
+    "staggered-pulls": "7d670f8e7d42a552d0d65cf0e7716c81f082c294934464bd71a213e000531553",
+    "tampered-cdn": "86c025664296959a8de0651c72474749781421bfeb4a998b7cbfc32c40ed53e6",
+    "thundering-herd": "79404c30c5665c34f5a6ee9bee3616555b54b6d7c50405277a4d23d204b2d714",
 }
 
 

@@ -262,6 +262,14 @@ ARTIFACTS: List[Artifact] = [
         "and the cold-sync counterfactual (wire bytes) per fleet size.",
     ),
     Artifact(
+        "dissemination_requests.txt",
+        "benchmarks/test_dissemination_requests.py",
+        "§VII-C",
+        "RA GETs and bytes by object kind (head, per-Δ, issuance, segment, "
+        "shard index, keys) for every registered scenario's smoke run; an RA "
+        "that was current pulls each dictionary with one GET per Δ.",
+    ),
+    Artifact(
         "ablation_delta_sweep.txt",
         "benchmarks/test_ablations.py",
         "Ablation",
