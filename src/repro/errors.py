@@ -45,11 +45,12 @@ class DesynchronizedError(DictionaryError):
 
 
 class ReplayError(DictionaryError):
-    """A control-plane message re-presented state older than the replay window.
+    """A control-plane message re-presented signed state older than the replica's.
 
-    Raised by the dissemination layer when a signed head, shard index, or
-    freshness statement would roll a replica back past its bounded replay
-    window — the signature may be valid, but the content is a recording."""
+    Raised by the dissemination layer when a head's signed root is older
+    (by size, then timestamp) than the one its replica holds, or a freshness
+    statement is further behind than the replay window — the signature may
+    be valid, but the content is a recording."""
 
 
 class StaleStatusError(ReproError):

@@ -539,9 +539,18 @@ class RevocationAgent(Middlebox):
     # -- middlebox interface ------------------------------------------------------
 
     def processing_delay(self, packet: Packet) -> float:
+        """Simulated seconds this RA holds a packet: one fixed per-packet cost."""
         return PER_PACKET_PROCESSING_SECONDS
 
     def process_packet(self, packet: Packet, now: float) -> List[Packet]:
+        """Inspect one on-path packet and return what to forward.
+
+        Anything that is not well-formed TLS passes untouched.  A client's
+        flight is recorded and forwarded as is.  On a connection that asked
+        for RITM, a server's flight comes back with this RA's revocation
+        status attached — on the handshake, and on an established
+        connection once Δ has passed since the last one.
+        """
         self.stats.packets_seen += 1
         inspection = self.dpi.inspect(packet.payload)
         if not inspection.is_tls or inspection.parse_error is not None:
@@ -807,7 +816,9 @@ class RevocationAgent(Middlebox):
     # -- housekeeping ---------------------------------------------------------------------
 
     def expire_idle_connections(self, now: float) -> int:
+        """Forget connections idle past their timeout; returns how many."""
         return self.connections.expire_idle(now)
 
     def dictionary_sizes(self) -> Dict[str, int]:
+        """Revocations each replica holds, by dictionary name."""
         return {name: replica.size for name, replica in self.replicas.items()}

@@ -124,9 +124,6 @@ class DictionaryStream:
     sync_server: SyncServer
     #: Issuance batches (and segments) published so far.
     batches: int = 0
-    #: Head publications so far, stamped into each head so a replayed copy
-    #: of an earlier one is detectably behind.
-    sequence: int = 0
     #: The expiry window this stream covers (``None`` = every expiry).
     window: Optional[ShardKey] = None
     #: When the stream last published a head (``None``: never).
@@ -173,7 +170,6 @@ class RITMCertificationAuthority:
         self._announcements: List[KeyAnnouncement] = [
             replace(genesis, signature=self._signing_keys.sign(genesis.payload()))
         ]
-        self._index_sequence = 0
         self._refresh_count = 0
         #: Live streams by dictionary name, in creation order: the one map
         #: from which this CA reaches its dictionaries.  Unsharded, one stream
@@ -478,7 +474,6 @@ class RITMCertificationAuthority:
             size=stream.dictionary.size,
             signed_root=stream.dictionary.signed_root,
             freshness=stream.dictionary.latest_freshness,
-            sequence=stream.sequence,
         )
 
     def shard_index(self, now: float) -> ShardIndex:
@@ -489,7 +484,6 @@ class RITMCertificationAuthority:
             live=tuple(
                 sorted(stream.window.index for stream in self.live_streams(now))
             ),
-            sequence=self._index_sequence,
         )
 
     def live_streams(self, now: float) -> List[DictionaryStream]:
@@ -650,9 +644,6 @@ class RITMCertificationAuthority:
         """Publish a stream's head and, beside it, its per-Δ object:
         ``per_delta`` (a batch's segment) or else the bare freshness
         statement."""
-        # The publication sequence advances exactly once per publish, so a
-        # replayed copy of an earlier head is detectably behind.
-        stream.sequence += 1
         stream.published_at = now
         head = self.head(stream.name)
         content = encode_head(head)
@@ -678,7 +669,6 @@ class RITMCertificationAuthority:
         """Publish the shard discovery object (sharded CAs only)."""
         if not self.sharded:
             return
-        self._index_sequence += 1
         content = encode_shard_index(self.shard_index(now))
         self._publish(shard_index_path(self.name), content, now)
         self.publication_stats.bytes_uploaded += len(content)

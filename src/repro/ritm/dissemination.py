@@ -29,7 +29,13 @@ whose expiry window has passed — the storage reclamation the §VIII
 relaxation is about.  The shard index itself is unauthenticated,
 but it can only direct the RA *towards* shards: every shard's content is
 still verified against that shard's CA-signed root, so a forged index can
-cause wasted fetches, never a false revocation status.
+cause wasted fetches, never a false revocation status.  Nothing orders one
+index against another, and nothing needs to: replicas are registered
+idempotently and dropped only by the RA's own clock.
+
+Everything the RA ranks is ranked by what the CA signed: a freshness
+statement by its hash-chain period, a head by its signed root's size and
+then timestamp.  Older signed state is a counted replay (§V).
 """
 
 from __future__ import annotations
@@ -79,10 +85,9 @@ from repro.ritm.replication import (
     verify_segment,
 )
 
-#: How far behind the newest position an RA has seen a polled object may be
-#: before the RA treats it as a replay attack rather than CDN staleness:
-#: publications for a head or shard index, hash-chain periods for a freshness
-#: object.
+#: How many hash-chain periods behind the freshness a replica holds a polled
+#: statement may be before the RA treats it as a replay attack rather than
+#: CDN staleness.
 REPLAY_WINDOW = 2
 
 #: Request bytes one GET (or sync request) puts on the RA's uplink.
@@ -117,12 +122,13 @@ class PullResult:
     root_cache_hits: int = 0
     root_signatures_verified: int = 0
     proofs_invalidated: int = 0
-    #: Adversarial control-plane accounting (docs/THREATS.md): heads,
-    #: indexes and freshness objects skipped as benign CDN staleness (within
-    #: the replay window), the same rejected as replays (beyond the window
-    #: or older than already-applied authenticated state), and CA key
+    #: Adversarial control-plane accounting (docs/THREATS.md): freshness
+    #: statements skipped as benign CDN staleness (within the replay
+    #: window), statements and heads rejected as replays (a statement beyond
+    #: the window, a head whose signed root is older than the held one, or
+    #: signed state older than already-applied freshness), and CA key
     #: rotations the RA learned and validated this cycle.
-    stale_heads_ignored: int = 0
+    stale_statements_ignored: int = 0
     replays_rejected: int = 0
     key_rotations_applied: int = 0
     #: Streaming-replication accounting (docs/REPLICATION.md): WAL segments
@@ -152,59 +158,6 @@ def total_pulls(history: Iterable[PullResult]) -> PullResult:
     return total
 
 
-def within_window(behind: int, what: str, unit: str, result: PullResult) -> bool:
-    """Classify an object ``behind`` positions behind the newest this RA has seen.
-
-    Returns ``False`` when it is current (``behind <= 0``) and ``True`` when
-    it should be *skipped* as benign CDN staleness — at most
-    :data:`REPLAY_WINDOW` behind.  Raises :class:`ReplayError` when it is
-    further behind: a re-presented old object, the §V replay attack.
-    """
-    if behind <= 0:
-        return False
-    if behind <= REPLAY_WINDOW:
-        result.stale_heads_ignored += 1
-        return True
-    result.replays_rejected += 1
-    raise ReplayError(
-        f"{what} is {behind} {unit} behind the newest observed — outside the "
-        f"replay window of {REPLAY_WINDOW}"
-    )
-
-
-@dataclass
-class ReplayWindow:
-    """Replay window over one object's unauthenticated publication sequence."""
-
-    #: Highest publication sequence observed (0 = none yet).
-    cursor: int = 0
-    #: Consecutive out-of-window rejections; lets a forged-high cursor
-    #: self-heal instead of bricking the pull loop forever (docs/THREATS.md).
-    stale: int = 0
-
-    def skips(self, sequence: int, what: str, result: PullResult) -> bool:
-        """Classify a publication sequence against the cursor
-        (:func:`within_window`).
-
-        Sequences are unauthenticated (a CDN cannot sign), so the cursor
-        self-heals: after more than :data:`REPLAY_WINDOW` *consecutive*
-        rejections it resets, bounding how long a forged-high sequence can
-        starve an RA of honest updates.  Safety never rests on this counter — replayed
-        signed content is still rejected by hash-chain linkage and
-        monotonic freshness age.
-        """
-        try:
-            skip = within_window(self.cursor - sequence, what, "publications", result)
-        except ReplayError:
-            self.stale += 1
-            if self.stale > REPLAY_WINDOW:
-                self.cursor = self.stale = 0
-            raise
-        if not skip:
-            self.stale = 0
-        return skip
-
-
 @dataclass
 class ReplicaFeed:
     """Where one replica stands in its dictionary's stream (docs/REPLICATION.md)."""
@@ -213,24 +166,12 @@ class ReplicaFeed:
     #: stream's issuance objects and WAL segments with one counter, so this
     #: is the position in both.
     position: int = 0
-    #: Replay window over the stream's head publications.
-    head: ReplayWindow = field(default_factory=ReplayWindow)
     #: Verified raw segments by number, retained so this RA can relay them
     #: to anti-entropy peers.
     segments: Dict[int, bytes] = field(default_factory=dict)
     #: The CA's direct sync endpoint, used when the batch objects cannot
     #: close the gap — the paper's desynchronization recovery.
     sync_server: Optional[SyncServer] = None
-
-
-@dataclass
-class ShardDiscovery:
-    """How one sharded CA's live shard set is tracked."""
-
-    #: Shard (stream) name → its sync endpoint.
-    sync_server_for: Optional[Callable[[str], Optional[SyncServer]]] = None
-    #: Replay window over the shard index publications.
-    index: ReplayWindow = field(default_factory=ReplayWindow)
 
 
 class RADisseminationClient:
@@ -244,8 +185,9 @@ class RADisseminationClient:
         self.location = location
         #: Replication state per replica, by dictionary name.
         self.feeds: Dict[str, ReplicaFeed] = {}
-        #: Shard discovery state per sharded CA, by CA name.
-        self.sharded: Dict[str, ShardDiscovery] = {}
+        #: Sharded CAs by name, each with its shard name → sync endpoint
+        #: lookup (``None``: no per-shard recovery endpoint).
+        self.sharded: Dict[str, Optional[Callable[[str], Optional[SyncServer]]]] = {}
         self.pull_history: List[PullResult] = []
         #: Which object the catch-up walk fetches per missing batch from the
         #: CDN: the compact issuance object (default), or the signed WAL
@@ -264,8 +206,8 @@ class RADisseminationClient:
     # -- crash recovery (docs/STORAGE.md) ---------------------------------------
 
     def checkpoint(self, directory) -> int:
-        """Persist the agent plus this client's stream positions and replay
-        cursors, as one checkpoint file.
+        """Persist the agent plus this client's stream positions, as one
+        checkpoint file.
 
         The positions are what turn a warm restart into a *delta* fetch: the
         restored client resumes from the last batch it committed instead of
@@ -273,12 +215,7 @@ class RADisseminationClient:
         Returns the number of replicas persisted.
         """
         checkpoint = self.agent.checkpoint_state()
-        checkpoint.feeds = {
-            name: (feed.position, feed.head.cursor) for name, feed in self.feeds.items()
-        }
-        checkpoint.discoveries = {
-            name: record.index.cursor for name, record in self.sharded.items()
-        }
+        checkpoint.positions = {name: feed.position for name, feed in self.feeds.items()}
         write_checkpoint(checkpoint, directory)
         return len(checkpoint.replicas)
 
@@ -288,23 +225,14 @@ class RADisseminationClient:
         Stream positions are restored only for dictionaries whose replica
         actually warm-started (holds a verified root): a position without
         its replica state would make the next pull skip batches the replica
-        never applied.  Replay cursors are restored for every replica and
-        sharded CA still registered; they are never *trusted* for anything
-        but staleness filtering, so a doctored one costs at most a replay
-        window of self-healing.  Returns the number of replicas restored.
+        never applied.  Returns the number of replicas restored.
         """
         checkpoint = load_checkpoint(directory)
         restored = self.agent.restore_state(checkpoint)
-        for name, (position, cursor) in checkpoint.feeds.items():
+        for name, position in checkpoint.positions.items():
             replica = self.agent.replicas.get(name)
-            if replica is not None:
-                feed = self._feed(name)
-                feed.head.cursor = cursor
-                if replica.signed_root is not None:
-                    feed.position = position
-        for name, cursor in checkpoint.discoveries.items():
-            if name in self.sharded:
-                self.sharded[name].index.cursor = cursor
+            if replica is not None and replica.signed_root is not None:
+                self._feed(name).position = position
         return restored
 
     # -- streaming replication (docs/REPLICATION.md) -----------------------------
@@ -365,7 +293,7 @@ class RADisseminationClient:
         index advertising a different width is treated as malformed.
         """
         self.agent.register_sharded_ca(ca_name, width_seconds, public_key)
-        self.sharded[ca_name] = ShardDiscovery(sync_server_for)
+        self.sharded[ca_name] = sync_server_for
 
     # -- the Δ-periodic pull -------------------------------------------------------
 
@@ -429,8 +357,13 @@ class RADisseminationClient:
         self._prune_sharded(ca_name, now, result)
 
     def _discover_shards(self, ca_name: str, now: float, result: PullResult) -> None:
-        """Register a replica for every live shard the index lists."""
-        discovery = self.sharded[ca_name]
+        """Register a replica for every live shard the index lists.
+
+        The index is not ordered against earlier ones: a replayed or stale
+        copy can only omit windows opened since, as withholding it can, and
+        registering a window already held changes nothing.
+        """
+        sync_server_for = self.sharded[ca_name]
         download = self._get(shard_index_path(ca_name), now, result)
         result.shard_indexes_checked += 1
         index = decode_shard_index(download.content)
@@ -439,8 +372,7 @@ class RADisseminationClient:
         # authoritative: the index is unauthenticated, so a forged width
         # must not re-map (or mass-expire) the agent's shard replicas.  A
         # mismatch is treated as a malformed object, like any other
-        # undecodable index — checked before the replay window so a forged
-        # index can never hide behind "benign staleness".
+        # undecodable index.
         width = self.agent.issuers[ca_name].shard_width
         if index.width_seconds != width:
             raise TLSError(
@@ -448,9 +380,6 @@ class RADisseminationClient:
                 f"{index.width_seconds}s but the agent is configured with "
                 f"{width}s"
             )
-        if discovery.index.skips(index.sequence, f"shard index for {ca_name!r}", result):
-            return
-        discovery.index.cursor = index.sequence
         plausible_end = now + MAX_CERTIFICATE_LIFETIME_SECONDS + width
         # Dedup before iterating: a forged index repeating one live entry a
         # million times must cost one head fetch, not a million.  Distinct
@@ -478,8 +407,8 @@ class RADisseminationClient:
                 result.errors.append(f"{name}: {exc}")
                 continue
             feed = self._feed(name)
-            if feed.sync_server is None and discovery.sync_server_for is not None:
-                feed.sync_server = discovery.sync_server_for(name)
+            if feed.sync_server is None and sync_server_for is not None:
+                feed.sync_server = sync_server_for(name)
 
     def _prune_sharded(self, ca_name: str, now: float, result: PullResult) -> None:
         """Reclaim expired shard replicas of one sharded CA.
@@ -519,10 +448,6 @@ class RADisseminationClient:
         download = self._get(head_path(ca_name), now, result)
         result.heads_checked += 1
         head = decode_head(download.content)
-
-        if feed.head.skips(head.sequence, f"head for {ca_name!r}", result):
-            return
-
         self.agent.consistency.observe_root(head.signed_root)
         self._retry_after_rotation(
             ca_name,
@@ -531,7 +456,6 @@ class RADisseminationClient:
             result,
             lambda: self._apply_head(ca_name, replica, head, now, result),
         )
-        feed.head.cursor = head.sequence
 
     def _poll_freshness(
         self, ca_name: str, replica, now: float, result: PullResult
@@ -583,46 +507,52 @@ class RADisseminationClient:
         behind = replica.offer_freshness(statement)
         if behind is None:
             return False
-        if behind:
-            within_window(
-                behind, f"freshness for {ca_name!r}", "hash-chain periods", result
-            )
-        else:
+        if not behind:
             result.freshness_applied += 1
+        elif behind <= REPLAY_WINDOW:
+            result.stale_statements_ignored += 1  # benign CDN staleness
+        else:
+            result.replays_rejected += 1
+            raise ReplayError(
+                f"freshness for {ca_name!r} is {behind} hash-chain periods behind "
+                f"the freshness held — outside the replay window of {REPLAY_WINDOW}"
+            )
         return True
 
     def _apply_head(self, ca_name: str, replica, head, now: float, result: PullResult) -> None:
-        """Apply one decoded, replay-checked head to its replica."""
-        if replica.signed_root is None or replica.is_desynchronized(head.size):
+        """Apply one decoded head to its replica, ordered by its signed root.
+
+        A root older than the held one — by size, then timestamp — is a
+        replay and leaves the replica untouched.  An equal one leaves the
+        root alone; a newer one is caught up to or installed.  Either way
+        the head's statement is then applied.
+        """
+        held, signed = replica.signed_root, head.signed_root
+        if held is not None and (signed.size, signed.timestamp) < (held.size, held.timestamp):
+            result.replays_rejected += 1
+            raise ReplayError(
+                f"head for {ca_name!r} re-presents a root over {signed.size} "
+                f"revocations signed at {signed.timestamp}; the replica holds "
+                f"one over {held.size} signed at {held.timestamp}"
+            )
+        if held is None or replica.is_desynchronized(head.size):
             self._catch_up(ca_name, replica, now, result, advertised_size=head.size)
             if replica.size == head.size and (
                 replica.signed_root is None
-                or head.signed_root.timestamp > replica.signed_root.timestamp
+                or signed.timestamp > replica.signed_root.timestamp
             ):
                 # Bootstrap (empty dictionary) or a re-signed root over the
                 # content we just caught up to.
-                replica.install_root(head.signed_root)
-        elif head.signed_root.size < replica.size:
-            # Signed state the replica has already moved past: the head
-            # publication sequence may not show it, because an RA that
-            # follows a stream through its freshness objects reads heads
-            # only now and then.
-            result.replays_rejected += 1
-            raise ReplayError(
-                f"head for {ca_name!r} re-presents a root over "
-                f"{head.signed_root.size} revocations; the replica holds "
-                f"{replica.size}"
-            )
-        elif head.signed_root.root == replica.signed_root.root:
-            # Same content; a newer signed root only appears when the CA's
-            # hash chain ran out and it re-signed the same dictionary.
-            if head.signed_root.timestamp > replica.signed_root.timestamp:
-                # Epoch refresh: retire the old epoch's cached verdicts, then
-                # install (verifying and memoizing the new root).  Cached
-                # proofs survive — the root *hash* is unchanged, so they are
-                # still byte-identical to freshly built ones.
-                self.agent.root_cache.invalidate_ca(ca_name)
-                replica.install_root(head.signed_root)
+                replica.install_root(signed)
+        elif signed.root == held.root and signed.timestamp > held.timestamp:
+            # Same content under a newer signed root: the CA's hash chain ran
+            # out (or its key rotated) and it re-signed the same dictionary.
+            # Retire the old epoch's cached verdicts, then install (verifying
+            # and memoizing the new root).  Cached proofs survive — the root
+            # *hash* is unchanged, so they are still byte-identical to
+            # freshly built ones.
+            self.agent.root_cache.invalidate_ca(ca_name)
+            replica.install_root(signed)
 
         try:
             replica.apply_freshness(head.freshness)
@@ -702,7 +632,7 @@ class RADisseminationClient:
         hands every fetchable, contiguous batch to the replica at once
         (``RevocationAgent.apply_issuances``): one merge and one suffix
         rehash however many batches queued up.  An object that is missing,
-        malformed, mis-signed or out of sequence ends the walk and degrades
+        malformed, mis-signed or out of order ends the walk and degrades
         it to the CA's sync protocol — never silently.
 
         ``prefetched`` is the per-Δ object's segment, decoded, with its

@@ -586,19 +586,16 @@ class DictionaryHead:
     or when the polled freshness statement links to no root it holds.
 
     Contains everything needed to bring the replica current: the dictionary
-    size, the latest signed root, and the latest freshness statement.
-    ``sequence`` is the CA's per-dictionary publication counter;
-    it is *not* covered by the root signature (a CDN could not update it
-    anyway) but lets RAs detect that an attacker is re-presenting a
-    recorded head from many publications ago (see
-    :class:`repro.ritm.dissemination.RADisseminationClient`).
+    size, the latest signed root, and the latest freshness statement.  It
+    carries nothing unsigned that orders it: an RA ranks a head by its
+    signed root's size and timestamp
+    (:class:`repro.ritm.dissemination.RADisseminationClient`).
     """
 
     ca_name: str
     size: int
     signed_root: SignedRoot
     freshness: FreshnessStatement
-    sequence: int = 0
 
 
 def encode_head(head: DictionaryHead) -> bytes:
@@ -606,8 +603,7 @@ def encode_head(head: DictionaryHead) -> bytes:
 
     Layout: CA name (u16 length + UTF-8), dictionary size (u64), signed root
     (u16-framed :func:`encode_signed_root`), freshness statement (u16-framed
-    :func:`encode_freshness`), publication sequence (u64).  Integers must
-    fit 64 unsigned bits.
+    :func:`encode_freshness`).  Integers must fit 64 unsigned bits.
     """
     return b"".join(
         [
@@ -615,7 +611,6 @@ def encode_head(head: DictionaryHead) -> bytes:
             struct.pack(">Q", head.size),
             _pack_bytes(encode_signed_root(head.signed_root)),
             _pack_bytes(encode_freshness(head.freshness)),
-            struct.pack(">Q", head.sequence),
         ]
     )
 
@@ -625,7 +620,7 @@ def decode_head(data: bytes) -> DictionaryHead:
 
     Raises :class:`TLSError` on a truncated field, a CA name that is not
     UTF-8, a signed root or statement that does not fill its frame, or bytes
-    after the sequence number.  Verifies nothing: the replica does.
+    after the statement.  Verifies nothing: the replica does.
     """
     offset = 0
     ca_name, offset = _unpack_name(data, offset)
@@ -635,17 +630,13 @@ def decode_head(data: bytes) -> DictionaryHead:
     offset += 8
     root_bytes, offset = _unpack_bytes(data, offset)
     freshness_bytes, offset = _unpack_bytes(data, offset)
-    if offset + 8 > len(data):
-        raise TLSError("truncated dictionary head sequence")
-    if offset + 8 != len(data):
+    if offset != len(data):
         raise TLSError("trailing bytes after dictionary head")
-    (sequence,) = struct.unpack_from(">Q", data, offset)
     return DictionaryHead(
         ca_name=ca_name,
         size=size,
         signed_root=_decode_whole(decode_signed_root, root_bytes),
         freshness=_decode_whole(decode_freshness, freshness_bytes),
-        sequence=sequence,
     )
 
 
@@ -686,49 +677,57 @@ class ShardIndex:
     shard.
     Replicas of passed windows are pruned by the RA's own clock, so the index
     names no retired ones.  ``width_seconds`` lets an RA map a certificate
-    expiry to a shard index without further round trips.
+    expiry to a shard index without further round trips.  Nothing orders
+    one index against another: it only directs an RA towards shards.
     """
 
     ca_name: str
     width_seconds: int
     live: Tuple[int, ...]
-    #: Per-CA publication counter (unauthenticated, replay detection only).
-    sequence: int = 0
+
+
+_INDEX_HEADER = struct.Struct(">IH")
 
 
 def encode_shard_index(index: ShardIndex) -> bytes:
-    """Serialize a shard index for publication on the CDN."""
-    return json.dumps(
-        {
-            "ca": index.ca_name,
-            "width_seconds": index.width_seconds,
-            "live": list(index.live),
-            "sequence": index.sequence,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    """Serialize a shard index for publication on the CDN.
+
+    Layout: CA name (u16 length + UTF-8), shard width in seconds (u32),
+    window count (u16), then each window index (i64), in ``live``'s order.
+    """
+    return b"".join(
+        [
+            _pack_name(index.ca_name),
+            _INDEX_HEADER.pack(index.width_seconds, len(index.live)),
+            struct.pack(f">{len(index.live)}q", *index.live),
+        ]
+    )
 
 
 def decode_shard_index(data: bytes) -> ShardIndex:
-    """Parse a shard index object, rejecting malformed payloads."""
-    try:
-        payload = json.loads(data.decode("utf-8"))
-        width_seconds = int(payload["width_seconds"])
-        if width_seconds <= 0:
-            # The index is unauthenticated; a forged zero width must not
-            # reach ShardKey arithmetic (or overwrite the agent's width).
-            raise ValueError(f"shard width must be positive, got {width_seconds}")
-        sequence = int(payload["sequence"])
-        if sequence < 0:
-            raise ValueError(f"shard index sequence must be non-negative, got {sequence}")
-        return ShardIndex(
-            ca_name=payload["ca"],
-            width_seconds=width_seconds,
-            live=tuple(int(i) for i in payload["live"]),
-            sequence=sequence,
-        )
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise TLSError(f"malformed shard index object: {exc}") from None
+    """Parse a whole :func:`encode_shard_index` object.
+
+    Raises :class:`TLSError` on a truncated field, a CA name that is not
+    UTF-8, a zero width (the index is unauthenticated, so a forged one must
+    not reach shard arithmetic), or bytes after the last window index.
+    """
+    ca_name, offset = _unpack_name(data, 0)
+    if offset + _INDEX_HEADER.size > len(data):
+        raise TLSError("truncated shard index")
+    width_seconds, count = _INDEX_HEADER.unpack_from(data, offset)
+    offset += _INDEX_HEADER.size
+    if width_seconds == 0:
+        raise TLSError("shard index advertises a zero shard width")
+    end = offset + 8 * count
+    if end > len(data):
+        raise TLSError("truncated shard index windows")
+    if end != len(data):
+        raise TLSError("trailing bytes after shard index")
+    return ShardIndex(
+        ca_name=ca_name,
+        width_seconds=width_seconds,
+        live=struct.unpack_from(f">{count}q", data, offset),
+    )
 
 
 # -- key-rotation announcements ------------------------------------------------------

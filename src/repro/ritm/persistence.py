@@ -15,8 +15,7 @@ This module alone lays the file out::
     u32 n | n × (name ca, u64 shard width)
     u32 n | n × (name ca, u32 m, m × (i64 shard index, name replica))
     u32 n | n × (name ca, u32-framed key-announcement chain, u64 keyring clock)
-    u32 n | n × (name replica, u64 feed position, u64 head cursor)
-    u32 n | n × (name ca, u64 shard-index cursor)
+    u32 n | n × (name replica, u64 feed position)
     u32 n | n × (u16-framed trust-anchor key, u32-framed sync response)
     u32 CRC32 of everything before it
 
@@ -25,8 +24,8 @@ is written once, through :func:`~repro.store.base.atomic_write`: a crash
 at any instant of any checkpoint leaves the previous complete file or the new
 complete one.  The CRC catches corruption; it is not a MAC, and nothing read
 here is trusted — replica state is re-verified on restore, keyring chains are
-re-validated against their genesis anchor, and positions and cursors only
-ever decide what the next pull fetches or skips as stale.
+re-validated against their genesis anchor, and a position only decides
+where the next pull's catch-up walk starts.
 """
 
 from __future__ import annotations
@@ -46,8 +45,10 @@ from repro.store.base import atomic_write
 CHECKPOINT_MAGIC = b"RITMCKPT"
 
 #: The one layout this build writes and reads.  Format 1 also stored a
-#: per-CA shard-index pull count; it is rejected as a format mismatch.
-CHECKPOINT_FORMAT = 2
+#: per-CA shard-index pull count, format 2 a head replay cursor per replica
+#: and a shard-index replay cursor per sharded CA; both are rejected as a
+#: format mismatch.
+CHECKPOINT_FORMAT = 3
 
 #: The one file inside a checkpoint directory.
 CHECKPOINT_FILENAME = "checkpoint.bin"
@@ -77,10 +78,8 @@ class AgentCheckpoint:
     #: CA name → (encoded validated key-announcement chain, keyring clock),
     #: for CAs whose keyring has learned a rotation.
     keyrings: Dict[str, Tuple[bytes, int]] = field(default_factory=dict)
-    #: Replica name → (stream position, head replay cursor).
-    feeds: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    #: Sharded CA name → shard-index replay cursor.
-    discoveries: Dict[str, int] = field(default_factory=dict)
+    #: Replica name → stream position.
+    positions: Dict[str, int] = field(default_factory=dict)
     replicas: List[ReplicaCheckpoint] = field(default_factory=list)
 
 
@@ -88,7 +87,6 @@ _SHORT = struct.Struct(">H")
 _COUNT = struct.Struct(">I")
 _LONG = struct.Struct(">Q")
 _INDEX = struct.Struct(">q")
-_PAIR = struct.Struct(">QQ")
 
 
 def _name(text: str) -> bytes:
@@ -110,12 +108,9 @@ def _encode(checkpoint: AgentCheckpoint) -> bytes:
     parts.append(_COUNT.pack(len(checkpoint.keyrings)))
     for ca_name, (chain, clock) in checkpoint.keyrings.items():
         parts += [_name(ca_name), _COUNT.pack(len(chain)), chain, _LONG.pack(clock)]
-    parts.append(_COUNT.pack(len(checkpoint.feeds)))
-    for name, pair in checkpoint.feeds.items():
-        parts += [_name(name), _PAIR.pack(*pair)]
-    parts.append(_COUNT.pack(len(checkpoint.discoveries)))
-    for name, cursor in checkpoint.discoveries.items():
-        parts += [_name(name), _LONG.pack(cursor)]
+    parts.append(_COUNT.pack(len(checkpoint.positions)))
+    for name, position in checkpoint.positions.items():
+        parts += [_name(name), _LONG.pack(position)]
     parts.append(_COUNT.pack(len(checkpoint.replicas)))
     for replica in checkpoint.replicas:
         state = encode_sync_response(replica.state)
@@ -170,10 +165,7 @@ def _decode(data: bytes) -> AgentCheckpoint:
             checkpoint.keyrings[ca_name] = (chain, unpack(_LONG))
         for _ in range(unpack(_COUNT)):
             entry = name()
-            checkpoint.feeds[entry] = unpack(_PAIR)
-        for _ in range(unpack(_COUNT)):
-            entry = name()
-            checkpoint.discoveries[entry] = unpack(_LONG)
+            checkpoint.positions[entry] = unpack(_LONG)
         for _ in range(unpack(_COUNT)):
             key_bytes = take(unpack(_SHORT))
             state = decode_sync_response(take(unpack(_COUNT)))

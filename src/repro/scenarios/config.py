@@ -87,8 +87,8 @@ class FaultSpec:
       delta since its last applied epoch (docs/STORAGE.md);
     * ``replayed-head`` — a compromised CDN re-presents the *oldest* head
       object of the run in place of the current one for ``duration_periods``
-      periods; RAs must reject it via the replay window with zero replica
-      mutation (docs/THREATS.md);
+      periods; RAs must reject it as a replay (its signed root is older than
+      theirs) with zero replica mutation (docs/THREATS.md);
     * ``retired-key-forgery`` — an attacker holding a rotated-out CA signing
       key republishes the current head re-signed under that retired key after
       its overlap window has expired; RAs must refuse the signature

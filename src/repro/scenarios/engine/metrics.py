@@ -127,7 +127,7 @@ def collect_metrics(state: RunState) -> Dict[str, object]:
             "errors": len(total.errors),
             "root_cache_hits": total.root_cache_hits,
             "root_signatures_verified": total.root_signatures_verified,
-            "stale_heads_ignored": total.stale_heads_ignored,
+            "stale_statements_ignored": total.stale_statements_ignored,
             "replays_rejected": total.replays_rejected,
             "key_rotations_applied": total.key_rotations_applied,
         },

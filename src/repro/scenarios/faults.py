@@ -112,16 +112,16 @@ def replay_captured_head(
     the injector simply republishes them over the current objects, exactly
     what a compromised distribution point re-serving stale signed state
     would do.  The old statement links to no root the RA holds, so the RA
-    reads the head, whose root is over fewer revocations than its replica
-    holds (or whose publication sequence is behind its cursor): it must
-    raise :class:`~repro.errors.ReplayError` and leave its replica untouched.
+    reads the head, whose signed root is older than its replica's (fewer
+    revocations, or as many signed earlier): it must raise
+    :class:`~repro.errors.ReplayError` and leave its replica untouched.
     """
-    stale = decode_head(captured_head)
+    stale = decode_head(captured_head).signed_root
     cdn.publish(head_path(ca_name), captured_head, now)
     cdn.publish(freshness_path(ca_name), captured_freshness, now)
     return (
-        f"head for {ca_name!r} rolled back to publication sequence "
-        f"{stale.sequence} (dictionary size {stale.size}) on the CDN"
+        f"head for {ca_name!r} rolled back to the root signed at "
+        f"{stale.timestamp} (dictionary size {stale.size}) on the CDN"
     )
 
 
@@ -136,9 +136,8 @@ def forge_head_with_retired_key(
     double as equivocation evidence), a bumped timestamp so replicas attempt
     to install it, a hash chain of its own whose anchor is published as the
     freshness object (it links to no root an RA holds, which sends the RA
-    to the head), and a far-future publication sequence so it sails through
-    the replay window.  With the retired key's overlap window expired, the
-    RA's keyring must reject the signature outright.  Returns ``None`` when
+    to the head).  With the retired key's overlap window expired, the RA's
+    keyring must reject the signature outright.  Returns ``None`` when
     the CA has not rotated yet (no retired key to forge with).
     """
     if not ca._retired_signing_keys:  # noqa: SLF001 - scenario-staged key compromise
@@ -158,18 +157,12 @@ def forge_head_with_retired_key(
         anchor=chain.anchor,
     ).sign(retired.private)
     freshness = FreshnessStatement(stream_name, chain.anchor, honest.size)
-    forged = replace(
-        honest,
-        signed_root=forged_root,
-        freshness=freshness,
-        sequence=honest.sequence + 64,
-    )
+    forged = replace(honest, signed_root=forged_root, freshness=freshness)
     cdn.publish(path, encode_head(forged), now)
     cdn.publish(freshness_path(stream_name), encode_freshness(freshness), now)
     return (
         f"head for {stream_name!r} re-signed with the retired epoch-"
-        f"{ca.key_epoch - 1} key and republished "
-        f"(sequence {forged.sequence})"
+        f"{ca.key_epoch - 1} key and republished"
     )
 
 
@@ -229,7 +222,6 @@ def equivocate_at_edges(
         size=shadow.size,
         signed_root=shadow.signed_root,
         freshness=shadow.latest_freshness,
-        sequence=honest_head.sequence,
     )
     batch_number = ca.streams[stream_name].batches
     for edge in cdn.edges_in(region):

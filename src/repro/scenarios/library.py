@@ -494,9 +494,9 @@ REPLAYED_HEAD = register(
             "signatures is re-present *old* signed state and freeze clients "
             "in the past. The RA polls the dictionary's freshness object "
             "every period; the replayed statement links to no root it holds, "
-            "so it reads the head, whose root covers fewer revocations than "
-            "its replica (as is a head more than two publications behind its "
-            "cursor): an attack (ReplayError), not benign staleness. The "
+            "so it reads the head, whose signed root covers fewer revocations "
+            "than its replica's (as is one over as many signed earlier): an "
+            "attack (ReplayError), not benign staleness. The "
             "injector captures the run's first head publication and its "
             "freshness object and republishes those exact bytes at period 5. "
             "The report pins three "

@@ -40,7 +40,7 @@ DISSEMINATION_METRIC_KEYS = (
     "errors",
     "root_cache_hits",
     "root_signatures_verified",
-    "stale_heads_ignored",
+    "stale_statements_ignored",
     "replays_rejected",
     "key_rotations_applied",
 )

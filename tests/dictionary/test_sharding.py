@@ -168,7 +168,11 @@ class TestShardRouting:
         ca.revoke_with_expiry([(SerialNumber(1), QUARTER + 5)], now=100)
         assert windows(ca) == [3, 1]
         assert encode_shard_index(ca.shard_index(100)) == (
-            b'{"ca": "Shard-CA", "live": [1, 3], "sequence": 2, "width_seconds": 7776000}'
+            b"\x00\x08Shard-CA"  # name
+            + (7_776_000).to_bytes(4, "big")  # width
+            + (2).to_bytes(2, "big")  # window count
+            + (1).to_bytes(8, "big")
+            + (3).to_bytes(8, "big")
         )
 
 

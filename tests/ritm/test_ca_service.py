@@ -145,11 +145,9 @@ class TestRefresh:
         touched, other = (issuance.ca_name for _, issuance in opened)
         ca.refresh(now=110)
         ca.revoke_with_expiry([(SerialNumber(3), week + 6)], now=120)
-        sequence = ca.streams[touched].sequence
         heads = ca.publication_stats.heads_published
 
         assert list(ca.refresh(now=120)) == [other]
-        assert ca.streams[touched].sequence == sequence
         assert ca.publication_stats.heads_published == heads + 1
         origin = ca.cdn.origin
         segment = origin.fetch(segment_path(touched, ca.streams[touched].batches)).content

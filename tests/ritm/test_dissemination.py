@@ -525,6 +525,33 @@ class TestFreshnessFirstPoll:
         idle = client.pull(now=exhausted + 11)
         assert (idle.requests, idle.heads_checked) == (1, 0) and not idle.errors
 
+    def test_a_previous_epoch_head_at_the_same_size_is_a_counted_replay(self):
+        """A head and statement captured before the CA's chain ran out, replayed
+        after it re-signed the same content: the statement links to no held
+        root, and the head's root is as large as the held one but signed
+        earlier, so it is refused as a replay and nothing moves."""
+        from repro.pki.serial import SerialNumber
+        from repro.ritm.ca_service import freshness_path, head_path
+        from repro.scenarios.faults import replay_captured_head
+
+        ca, cdn, agent, client, _ = self._synced()
+        ca.revoke([SerialNumber(700)], now=110)
+        ca.refresh(now=120)
+        client.pull(now=121)
+        captured = [cdn.origin.fetch(path(ca.name)).content for path in (head_path, freshness_path)]
+        exhausted = 110 + ca.config.chain_length * ca.config.delta_seconds
+        ca.refresh(now=exhausted)  # the same content, re-signed on a new chain
+        assert not client.pull(now=exhausted + 1).errors
+        replica = agent.replica_for(ca.name)
+        held = (replica.signed_root, replica.size, replica.latest_freshness)
+        assert held[0].timestamp == exhausted and held[1] == 1
+
+        replay_captured_head(ca.name, cdn, *captured, now=exhausted + 5)
+        result = client.pull(now=exhausted + 6)
+        assert (result.heads_checked, result.replays_rejected) == (1, 1)
+        assert len(result.errors) == 1 and "signed at 110" in result.errors[0]
+        assert (replica.signed_root, replica.size, replica.latest_freshness) == held
+
     def test_a_rotation_is_learned_without_a_resync(self):
         ca, _, agent, client, _ = self._synced()
         ca.rotate_keys(now=110)
@@ -590,10 +617,10 @@ class TestFreshnessFirstPoll:
             assert (result.requests, result.heads_checked) == (1, 0)
             assert replica.latest_freshness == held
             if behind <= REPLAY_WINDOW:
-                assert (result.stale_heads_ignored, result.replays_rejected) == (1, 0)
+                assert (result.stale_statements_ignored, result.replays_rejected) == (1, 0)
                 assert not result.errors
             else:
-                assert (result.stale_heads_ignored, result.replays_rejected) == (0, 1)
+                assert (result.stale_statements_ignored, result.replays_rejected) == (0, 1)
                 assert len(result.errors) == 1 and "replay window" in result.errors[0]
 
 
@@ -704,7 +731,7 @@ OUTCOME = (
     "issuances_applied",
     "serials_applied",
     "resyncs",
-    "stale_heads_ignored",
+    "stale_statements_ignored",
     "replays_rejected",
     "key_rotations_applied",
     "segments_applied",

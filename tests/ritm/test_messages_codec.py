@@ -375,76 +375,21 @@ class TestNameFieldsAreTotal:
         )
 
 
-class TestReplayWindowFieldsCodec:
-    """Round-trip and tamper behaviour of the replay-window fields.
+class TestShardIndexCodec:
+    """Round trips and zero widths are held by ``test_wire_canonical.py`` and
+    ``test_sharded_stack.py``; here, a window count that does not match the
+    bytes is malformed rather than clamped."""
 
-    The publication ``sequence`` on heads and shard indexes is deliberately
-    unauthenticated (the replay *backstop* is the signed freshness chain),
-    so the codec contract is: the counter survives a round trip exactly,
-    and absent or syntactically invalid counters are rejected as malformed
-    rather than silently defaulted or clamped.
-    """
-
-    def _head(self, master, sequence):
-        return DictionaryHead(
-            ca_name="Codec-CA",
-            size=master.size,
-            signed_root=master.signed_root,
-            freshness=master.latest_freshness,
-            sequence=sequence,
-        )
-
-    @pytest.mark.parametrize("sequence", [0, 1, 7, 2**32, 2**63])
-    def test_head_sequence_roundtrips_exactly(self, master, keys, sequence):
-        decoded = decode_head(encode_head(self._head(master, sequence)))
-        assert decoded.sequence == sequence
-        assert decoded.signed_root.verify(keys.public)
-
-    def test_head_without_its_sequence_is_rejected(self, master):
-        # ``encode_head`` always writes the counter; a head that stops after
-        # the freshness statement would be a second encoding of sequence 0.
-        encoded = encode_head(self._head(master, sequence=0))
-        assert decode_head(encoded).sequence == 0
-        with pytest.raises(TLSError, match="truncated"):
-            decode_head(encoded[:-8])
-        with pytest.raises(TLSError, match="truncated"):
-            decode_head(encoded[:-1])
-
-    def test_head_sequence_is_outside_the_signature(self, master, keys):
-        # A CDN (or attacker) can rewrite the counter without breaking the
-        # root signature — exactly why the client also keeps the signed
-        # freshness chain as the authenticated staleness backstop.
-        head = self._head(master, sequence=5)
-        rewound = decode_head(encode_head(replace(head, sequence=1)))
-        assert rewound.sequence == 1
-        assert rewound.signed_root == head.signed_root
-        assert rewound.signed_root.verify(keys.public)
-
-    @pytest.mark.parametrize("sequence", [0, 3, 2**40])
-    def test_shard_index_sequence_roundtrips_exactly(self, sequence):
-        index = ShardIndex(
-            ca_name="Codec-CA",
-            width_seconds=600,
-            live=(4, 5, 6),
-            sequence=sequence,
-        )
-        decoded = decode_shard_index(encode_shard_index(index))
-        assert decoded == index
-
-    @pytest.mark.parametrize("missing", ["sequence", "live"])
-    def test_shard_index_without_a_written_field_is_rejected(self, missing):
-        index = ShardIndex(ca_name="Codec-CA", width_seconds=600, live=(1,))
-        payload = json.loads(encode_shard_index(index).decode("utf-8"))
-        del payload[missing]
-        with pytest.raises(TLSError, match="malformed shard index"):
-            decode_shard_index(json.dumps(payload).encode("utf-8"))
-
-    def test_shard_index_negative_sequence_rejected(self):
-        index = ShardIndex(ca_name="Codec-CA", width_seconds=600, live=(1,))
-        payload = json.loads(encode_shard_index(index).decode("utf-8"))
-        payload["sequence"] = -4
-        with pytest.raises(TLSError):
-            decode_shard_index(json.dumps(payload).encode("utf-8"))
+    def test_every_truncation_and_a_miscounted_window_list_are_rejected(self):
+        encoded = encode_shard_index(ShardIndex("Codec-CA", 600, (1, 2)))
+        for cut in range(len(encoded)):
+            with pytest.raises(TLSError, match="truncated"):
+                decode_shard_index(encoded[:cut])
+        count_at = 2 + len("Codec-CA") + 4
+        for count, message in ((3, "truncated"), (1, "trailing bytes")):
+            miscounted = encoded[:count_at] + count.to_bytes(2, "big") + encoded[count_at + 2 :]
+            with pytest.raises(TLSError, match=message):
+                decode_shard_index(miscounted)
 
 
 class TestKeyAnnouncementCodec:

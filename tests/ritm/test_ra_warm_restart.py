@@ -27,7 +27,6 @@ from repro.ritm import (
     RevocationAgent,
     attach_agent_to_cas,
 )
-from repro.ritm.dissemination import REPLAY_WINDOW, total_pulls
 from repro.ritm.persistence import (
     CHECKPOINT_FILENAME,
     CHECKPOINT_MAGIC,
@@ -256,7 +255,7 @@ class TestTamperedCheckpoints:
             self._restore_into_fresh_agent(config, ca, cdn, tmp_path)
 
     def test_a_flipped_byte_anywhere_fails_the_one_crc(self, tmp_path):
-        """Positions, cursors, keyrings and replica state sit under one
+        """Positions, keyrings and replica state sit under one
         checksum: there is no block whose corruption goes unnoticed."""
         self._checkpointed_stack(tmp_path)
         path = tmp_path / CHECKPOINT_FILENAME
@@ -266,6 +265,18 @@ class TestTamperedCheckpoints:
             with pytest.raises(StorageError):
                 load_checkpoint(tmp_path)
 
+    def test_the_file_is_format_3_and_a_format_2_file_is_refused(self, tmp_path):
+        """Format 2 also carried a head replay cursor per replica and a
+        shard-index cursor per sharded CA; no decoder for it is kept."""
+        self._checkpointed_stack(tmp_path)
+        path = tmp_path / CHECKPOINT_FILENAME
+        body = path.read_bytes()[:-4]
+        at = len(CHECKPOINT_MAGIC)
+        assert body[at : at + 2] == b"\x00\x03"
+        path.write_bytes(reseal(body[:at] + b"\x00\x02" + body[at + 2 :]))
+        with pytest.raises(StorageError, match="has format 2; this build reads format 3"):
+            load_checkpoint(tmp_path)
+
     def test_framing_errors_under_a_valid_crc_are_storage_errors(self, tmp_path):
         self._checkpointed_stack(tmp_path)
         path = tmp_path / CHECKPOINT_FILENAME
@@ -274,7 +285,7 @@ class TestTamperedCheckpoints:
         for doctored, message in [
             # Format 1 carried a per-CA shard-index pull count: an old file
             # is a clear format mismatch, not a framing error.
-            (body[:at] + b"\x00\x01" + body[at + 2 :], "has format 1; this build reads format 2"),
+            (body[:at] + b"\x00\x01" + body[at + 2 :], "has format 1; this build reads format 3"),
             (body + b"\x00", "trailing bytes"),
             (body[:-1], "malformed|truncated"),
             (body[: len(body) // 2], "truncated"),
@@ -285,27 +296,20 @@ class TestTamperedCheckpoints:
                 load_checkpoint(tmp_path)
 
 
-class TestRotationAndReplayCursorCheckpoint:
+class TestRotationCheckpoint:
     """Adversarial control-plane state through a restart (docs/THREATS.md).
 
     A checkpoint taken mid-rotation must bring back the learned keyring and
-    the replay cursors exactly — the restarted RA neither re-learns the
-    announcement chain nor rejects the CA's next honest head as a replay.
-    A forged cursor never touches the warm replica.
+    the stream positions exactly — the restarted RA neither re-learns the
+    announcement chain nor rejects the CA's next honest publication.
     """
 
     @staticmethod
-    def _head_cursors(client):
-        """The replay cursors a client holds, by dictionary name (0 = cold)."""
-        return {name: feed.head.cursor for name, feed in client.feeds.items()}
+    def _positions(client):
+        """The stream positions a client holds, by dictionary name."""
+        return {name: client.replication_cursor(name) for name in client.feeds}
 
-    def _restored(self, config, ca, cdn, tmp_path):
-        agent = RevocationAgent("ra-under-test", config)
-        client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(Region.EUROPE))
-        client.restore(tmp_path)
-        return agent, client
-
-    def test_mid_rotation_checkpoint_restores_keyring_and_cursors(self, tmp_path):
+    def test_mid_rotation_checkpoint_restores_keyring_and_positions(self, tmp_path):
         config, ca, cdn, agent, client = build_stack()
         issue_and_pull(ca, client, 120, periods=3)
         ca.rotate_keys(now=160)
@@ -315,22 +319,22 @@ class TestRotationAndReplayCursorCheckpoint:
         assert not mid.errors
         keyring = agent.keyring_for(ca.name)
         assert keyring is not None and keyring.key_epoch == ca.key_epoch
-        head_cursors = self._head_cursors(client)
-        assert head_cursors[ca.name] > 0
+        positions = self._positions(client)
+        assert positions[ca.name] == 3
         client.checkpoint(tmp_path)
 
-        restored_agent, restored_client = self._restored(config, ca, cdn, tmp_path)
+        restored_agent, restored_client, _ = restored_stack(config, ca, cdn, tmp_path)
         restored_keyring = restored_agent.keyring_for(ca.name)
         assert restored_keyring is not None
         assert restored_keyring.key_epoch == keyring.key_epoch
         assert [
             record.public_key.key_bytes for record in restored_keyring.records
         ] == [record.public_key.key_bytes for record in keyring.records]
-        assert self._head_cursors(restored_client) == head_cursors
+        assert self._positions(restored_client) == positions
 
         # The CA revokes once more while the RA was down; the warm restart
         # applies exactly that delta — no resync, no re-learned rotation,
-        # and crucially no replay rejection of the CA's next honest head.
+        # and no replay rejection of the CA's next honest publication.
         ca.revoke([SerialNumber(9000)], now=300)
         warm = restored_client.pull(now=305)
         assert warm.serials_applied == 1
@@ -356,49 +360,6 @@ class TestRotationAndReplayCursorCheckpoint:
         assert restored_agent.restore_state(checkpoint) == 1
         assert restored_agent.keyring_for(ca.name).key_epoch == 0
         assert restored_agent.replica_for(ca.name).root() == agent.replica_for(ca.name).root()
-        for a in (agent, restored_agent):
-            a.close()
-        ca.close()
-
-    def test_forged_cursor_under_a_fixed_crc_costs_a_self_healing_window(self, tmp_path):
-        """Cursors are used for staleness filtering and nothing else: one
-        forged far into the future (CRC fixed, so the file loads) never
-        touches the warm replica, and the replay window heals itself.  The
-        RA reads the head here because the CA's hash chain ran out: the
-        freshness statement links to no root the batch objects bring."""
-        config, ca, cdn, agent, client = build_stack()
-        issue_and_pull(ca, client, 120, periods=3)
-        client.checkpoint(tmp_path)
-        position, cursor = load_checkpoint(tmp_path).feeds[ca.name]
-        assert position > 0 and cursor > 0
-        tamper(
-            tmp_path,
-            struct.pack(">QQ", position, cursor),
-            struct.pack(">QQ", position, cursor + 1_000_000),
-        )
-
-        restored_agent, restored_client = self._restored(config, ca, cdn, tmp_path)
-        assert self._head_cursors(restored_client)[ca.name] == cursor + 1_000_000
-        assert restored_agent.replica_for(ca.name).size == agent.replica_for(ca.name).size
-        assert restored_client.replication_cursor(ca.name) == position
-
-        ca.revoke([SerialNumber(9100)], now=300)
-        exhausted = 300 + config.chain_length * config.delta_seconds
-        ca.refresh(now=exhausted)  # re-signs the same content on a new chain
-        rejected = 0
-        results = []
-        while True:
-            results.append(restored_client.pull(now=exhausted + 5 + rejected))
-            if not results[-1].replays_rejected:
-                break
-            rejected += 1
-        assert rejected == REPLAY_WINDOW + 1
-        totals = total_pulls(results)
-        assert totals.serials_applied == 1  # still a delta fetch, not a cold sync
-        assert totals.resyncs == 0 and not results[-1].errors
-        assert self._head_cursors(restored_client)[ca.name] < 1_000_000
-        replica = restored_agent.replica_for(ca.name)
-        assert replica.signed_root == ca.dictionary.signed_root
         for a in (agent, restored_agent):
             a.close()
         ca.close()

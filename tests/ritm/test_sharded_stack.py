@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-import json
-
 from repro.cdn.geography import GeoLocation, Region
 from repro.cdn.network import CDNNetwork
 from repro.crypto.signing import KeyPair
@@ -29,7 +27,7 @@ from repro.ritm.ca_service import (
 )
 from repro.ritm.config import RITMConfig
 from repro.ritm.dissemination import attach_agent_to_cas
-from repro.ritm.messages import decode_shard_index
+from repro.ritm.messages import ShardIndex, decode_shard_index, encode_shard_index
 
 EPOCH = 1_400_000_000
 WEEK = 7 * 86_400
@@ -263,6 +261,39 @@ class TestShardedDissemination:
         assert agent.reclaimed_storage_bytes == reclaimed
         assert agent.shard_replicas(ca.name) == {}
 
+    def test_a_replayed_index_only_omits_what_opened_since(self, sharded_world):
+        """An index captured before a window opened, replayed once the RA
+        holds that window: nothing orders one index against another, and
+        nothing needs to.  The replay drops no replica (only the RA's clock
+        prunes), re-registers no window that has since expired, and the next
+        honest index changes nothing."""
+        _, _, cdn, ca, agent, client = sharded_world
+        now = EPOCH + WEEK
+        width = ca.config.shard_width_seconds
+        ca.revoke_with_expiry(
+            [(SerialNumber(1), now + WEEK), (SerialNumber(2), now + 6 * WEEK)], now=now
+        )
+        client.pull(now=now + 1)
+        captured = cdn.origin.fetch(shard_index_path(ca.name)).content
+        ca.revoke_with_expiry([(SerialNumber(3), now + 10 * WEEK)], now=now + 10)
+        client.pull(now=now + 11)
+        expired, opened = (now + WEEK) // width, (now + 10 * WEEK) // width
+        assert opened not in decode_shard_index(captured).live
+        later = now + 5 * WEEK
+        ca.refresh(now=later)
+        assert client.pull(now=later + 1).shards_pruned == 1
+        held = dict(agent.shard_replicas(ca.name))
+        assert expired not in held and opened in held and len(held) == 2
+        honest = cdn.origin.fetch(shard_index_path(ca.name)).content
+
+        for index, at in ((captured, later + 2), (honest, later + 4)):
+            cdn.publish(shard_index_path(ca.name), index, at)
+            result = client.pull(now=at + 1)
+            assert not result.errors
+            assert (result.shards_pruned, result.serials_applied, result.resyncs) == (0, 0, 0)
+            assert agent.shard_replicas(ca.name) == held
+            assert set(client.feeds) == set(agent.replicas)
+
     def test_forged_zero_width_index_is_rejected(self, sharded_world):
         """A forged width must neither crash ShardKey math nor overwrite the
         agent's configured shard width (the index is unauthenticated)."""
@@ -270,9 +301,7 @@ class TestShardedDissemination:
         now = EPOCH + WEEK
         ca.revoke_with_expiry([(SerialNumber(1), now + WEEK)], now=now)
         client.pull(now=now + 1)
-        forged = json.dumps(
-            {"ca": ca.name, "width_seconds": 0, "live": [], "sequence": 99}
-        ).encode("utf-8")
+        forged = encode_shard_index(ShardIndex(ca.name, 0, ()))
         cdn.publish(shard_index_path(ca.name), forged, now + 2)
         with pytest.raises(TLSError, match="shard index"):
             decode_shard_index(forged)
@@ -290,9 +319,7 @@ class TestShardedDissemination:
         ca.revoke_with_expiry([(SerialNumber(1), now + WEEK)], now=now)
         client.pull(now=now + 1)
         held_before = dict(agent.shard_replicas(ca.name))
-        forged = json.dumps(
-            {"ca": ca.name, "width_seconds": 1, "live": [], "sequence": 99}
-        ).encode("utf-8")
+        forged = encode_shard_index(ShardIndex(ca.name, 1, ()))
         cdn.publish(shard_index_path(ca.name), forged, now + 2)
         result = client.pull(now=now + 3)
         assert any("advertises width" in error for error in result.errors)
@@ -307,14 +334,9 @@ class TestShardedDissemination:
         now = EPOCH + WEEK
         ca.revoke_with_expiry([(SerialNumber(1), now + WEEK)], now=now)
         live = (now + WEEK) // ca.config.shard_width_seconds
-        forged = json.dumps(
-            {
-                "ca": ca.name,
-                "width_seconds": ca.config.shard_width_seconds,
-                "live": [live] * 500,
-                "sequence": 1,
-            }
-        ).encode("utf-8")
+        forged = encode_shard_index(
+            ShardIndex(ca.name, ca.config.shard_width_seconds, (live,) * 500)
+        )
         cdn.publish(shard_index_path(ca.name), forged, now)
         result = client.pull(now=now + 1)
         assert not result.errors
@@ -329,14 +351,7 @@ class TestShardedDissemination:
         now = EPOCH + WEEK
         width = ca.config.shard_width_seconds
         far_future = (now + 3 * MAX_CERTIFICATE_LIFETIME_SECONDS) // width
-        forged = json.dumps(
-            {
-                "ca": ca.name,
-                "width_seconds": width,
-                "live": [far_future, far_future + 1],
-                "sequence": 1,
-            }
-        ).encode("utf-8")
+        forged = encode_shard_index(ShardIndex(ca.name, width, (far_future, far_future + 1)))
         cdn.publish(shard_index_path(ca.name), forged, now)
         result = client.pull(now=now + 1)
         assert sum("implausible far-future" in error for error in result.errors) == 2

@@ -12,7 +12,8 @@ field-for-field copy that retains no bytes, to exactly the bytes consumed.
 The TLS record, hello, session-ticket and extension parsers are held to the
 same property: the RA's DPI and both endpoints read every flight through them.
 So is the segment decoder: a receiver verifies a segment's signature over
-the bytes it re-encodes.
+the bytes it re-encodes.  So is the shard index, the one unsigned object an
+RA reads every Δ from a sharded CA.
 """
 
 import dataclasses
@@ -33,11 +34,13 @@ from repro.ritm.messages import (
     MAX_NAME_BYTES,
     DictionaryHead,
     KeyAnnouncement,
+    ShardIndex,
     decode_freshness,
     decode_freshness_object,
     decode_head,
     decode_issuance,
     decode_proof,
+    decode_shard_index,
     decode_signed_root,
     decode_status,
     decode_status_bundle,
@@ -46,6 +49,7 @@ from repro.ritm.messages import (
     encode_head,
     encode_issuance,
     encode_proof,
+    encode_shard_index,
     encode_signed_root,
     encode_status,
     encode_status_bundle,
@@ -122,9 +126,15 @@ HEADS = [
         size=dictionary.size,
         signed_root=dictionary.signed_root,
         freshness=dictionary.latest_freshness,
-        sequence=sequence,
     )
-    for dictionary, sequence in ((FULL, 9), (EMPTY, 0))
+    for dictionary in (FULL, EMPTY)
+]
+#: No window, one, and several out of order with a negative index; the last
+#: one is what the bit-flip test mutates.
+SHARD_INDEXES = [
+    ShardIndex("Canon-CA", 600, ()),
+    ShardIndex("Canon-CA", 7_776_000, (4,)),
+    ShardIndex("Canon-CA", 2**32 - 1, (9, -2, 9, 0)),
 ]
 _ISSUER = CADictionary("Canon-CA", KeyPair.generate(b"canonical"), delta=10, chain_length=8)
 ISSUANCES = [
@@ -280,6 +290,12 @@ CODECS = {
         encode_issuance,
         TLSError,
         [encode_issuance(issuance) for issuance in ISSUANCES],
+    ),
+    "shard_index": (
+        _whole(decode_shard_index),
+        encode_shard_index,
+        TLSError,
+        [encode_shard_index(index) for index in SHARD_INDEXES],
     ),
     # A segment's trailing CRC32 is a function of the bytes before it, so the
     # harness edits those and re-checksums them: a mutation reaches the parser
@@ -637,6 +653,11 @@ NAMED = {
         encode_issuance,
         lambda data: (decode_issuance(data), len(data)),
         ISSUANCES[1],
+    ),
+    "shard_index": (
+        encode_shard_index,
+        lambda data: (decode_shard_index(data), len(data)),
+        SHARD_INDEXES[-1],
     ),
 }
 

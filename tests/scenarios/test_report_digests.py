@@ -81,6 +81,20 @@ duty, a batch, so seven of that round's pulls re-read the batch's segment
 (505 B) where they used to read its 43-byte statement.  ``sharded-longrun``'s CA no longer republishes a
 stream at the instant a batch published it, which its smoke report does
 not print (the full run: 179 → 130 head publications).
+Ordering heads by their signed root and dropping every publication sequence
+re-pinned all 17 rows, every check still passing and no resync, error,
+replay, applied count or verification count moved.  The keys that moved:
+``dissemination.stale_heads_ignored`` became
+``dissemination.stale_statements_ignored`` (0 in every row);
+``dissemination.bytes_downloaded`` fell 8 B per head read (the "N pulls, B
+bytes" check detail with it; ``quickstart`` 1,662 → 1,654 B, ``soak`` 44,229 →
+44,205 B), and in ``sharded-longrun`` also by the binary shard index (22,368 →
+21,751 B); ``average_pull_latency_seconds`` followed the bytes.
+``ra-crash-recovery`` prints its cold recovery's bytes in an event and a
+check (4,446 → 4,438 B).  Two fault events lost their sequence:
+``replayed-head``'s rollback names the replayed root's signing time, and its
+refusal names both roots' sizes and times; ``rotated-ca-key``'s retired-key
+forgery no longer prints "(sequence 71)".
 """
 
 from __future__ import annotations
@@ -93,23 +107,23 @@ import pytest
 from repro.scenarios import get, names, run_scenario
 
 GOLDEN_DIGESTS = {
-    "ca-audit-gossip": "a07e59122016f01093205587fee4b502a89b31c24d16a06f72411457171727fb",
-    "degraded-ra": "7da563eed2ca9f0851fc5eab4933f886366adad99f8d0a219cf684113555db2f",
-    "equivocating-ca": "1a41a2a00d8d7bc06a6032f7b3bb46b88ce86b48d4ac1c5dfb4758da84646170",
-    "flash-crowd": "8df76e7781905b356a618cac31854b6001c36db3c610548a14fac103dbc7a38e",
-    "heartbleed": "fcc4e47e0fd8e583e9b164b417da4ed5dc342d805d021efb72034be850a26af1",
-    "iot-long-lived": "062e2189d0aa399bf3e203c2a04f4c8da85a27f03d4f9a334967bbd8a12938f2",
-    "quickstart": "05140a088fca2ccfe1ebd9d20c8b4f5a578077f85707974c1b56d1b8946ccb48",
-    "ra-crash-recovery": "8a687cb815db6ada1692c69b8035aa23af2098b72a5fef75c5a48f8bd81ce008",
-    "region-outage": "bdf57bd80388e14d83d94d6c50bf087ba785692331f8a171b9a16ad7c6c6d5af",
-    "replayed-head": "920720ece2660f5decadb5d75975ad6962bb2e39208a168b9b21d48e954a1cda",
-    "rotated-ca-key": "d9d10875a8f0c39d8d8ef23a0a0cbc6a718dfa4c386e790f77e0ef03aa55a41f",
-    "sharded-longrun": "35be1924b4aa9d97585ab5d5ab4b036a3e962e104be51e6fc7a10873c15ab555",
-    "slow-ra-holb": "788b8f2da53e07bf75e6af981ff0a5a865628107d0d08ad89f4d0d6a4b74d9da",
-    "soak": "b0d68b0f02cf2c1ac791b9dbf0e0b6794d7df95482a4dcd899f1cf9d5dd12c0d",
-    "staggered-pulls": "7d670f8e7d42a552d0d65cf0e7716c81f082c294934464bd71a213e000531553",
-    "tampered-cdn": "86c025664296959a8de0651c72474749781421bfeb4a998b7cbfc32c40ed53e6",
-    "thundering-herd": "79404c30c5665c34f5a6ee9bee3616555b54b6d7c50405277a4d23d204b2d714",
+    "ca-audit-gossip": "7fb1e1721d821a357059642b150c2fd45dca6ddc45c039b32172b8e46757e953",
+    "degraded-ra": "ee6ceed1e742315bd0c335d42c5fb5dcbc59882b22a361b1740c9168d6e767ba",
+    "equivocating-ca": "17d929f75b9d2d73f33382f27b13f7d965ef857782426655b8418ff468bfbba4",
+    "flash-crowd": "5eb9a83da0b0cdc4e4e8801d55e519fce87777cfccb773864c0d223c113a063b",
+    "heartbleed": "9a809fc660ed2c6577ac4ca0e1f78849aa10da2178c3c405fae5b3aca2fc73af",
+    "iot-long-lived": "6995a5787c226d0a2b38755162d80d04395b3cb8026ee0c9695409b2be918512",
+    "quickstart": "2f5381e874e904a95c0c0d4cf45b24e7777d11665476c8a2ebbbc5c194fdf067",
+    "ra-crash-recovery": "fba12816ff74e7bd01d4b862e4d1e7f5a5391cd4bfde839be0192ea06e7b1a7d",
+    "region-outage": "7b274b33188b06df54591e58c86425cce374feda5465214d818efe09487f79b6",
+    "replayed-head": "32f2215e1a1572640cb8e6545d91e93587418eed6dd572fd90ab04e06e55b2c8",
+    "rotated-ca-key": "0787495e14351cc2e1474cd41ba19fef38083d83749f20499d79873fdab2e510",
+    "sharded-longrun": "314e57afd8887d1632e75116c291540404d50c6263a6f85c055fd9aace5b5c91",
+    "slow-ra-holb": "135c7431e2ad0122753db9f75d48cde2e587d115e8308a7794bbfb4ad9f76634",
+    "soak": "b71acd8127172a67b051d11d18bf93847e38a9559f24778d1f8020449d5d48bf",
+    "staggered-pulls": "cea96884a0f98c1b24c80b122ebc999bc40edd78de4aed053056d65c44532c74",
+    "tampered-cdn": "f5e40208bea99f3883d5d48cf7a8729de10e0cb0c122cb32e7a2c28a3a72cd99",
+    "thundering-herd": "5e3036cb18dca2aaaf5f2c486001dfa2806426ff917d1b30e9d883b8c86042de",
 }
 
 
