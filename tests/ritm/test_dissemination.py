@@ -552,6 +552,53 @@ class TestFreshnessFirstPoll:
         assert len(result.errors) == 1 and "signed at 110" in result.errors[0]
         assert (replica.signed_root, replica.size, replica.latest_freshness) == held
 
+    def test_a_head_over_fewer_revocations_is_a_counted_replay(self):
+        """The head and statement from before a revocation, replayed after the
+        RA applied it: the head's root covers fewer revocations than the held
+        one, so it is refused before any catch-up and nothing moves."""
+        from repro.pki.serial import SerialNumber
+        from repro.ritm.ca_service import freshness_path, head_path
+        from repro.scenarios.faults import replay_captured_head
+
+        ca, cdn, agent, client, _ = self._synced()
+        captured = [cdn.origin.fetch(path(ca.name)).content for path in (head_path, freshness_path)]
+        ca.revoke([SerialNumber(710)], now=110)
+        assert client.pull(now=111).serials_applied == 1
+        replica = agent.replica_for(ca.name)
+        held = (replica.signed_root, replica.size, replica.latest_freshness)
+
+        replay_captured_head(ca.name, cdn, *captured, now=115)
+        result = client.pull(now=116)
+        assert (result.heads_checked, result.replays_rejected) == (1, 1)
+        assert (result.serials_applied, result.resyncs) == (0, 0)
+        assert len(result.errors) == 1 and "over 0 revocations" in result.errors[0]
+        assert (replica.signed_root, replica.size, replica.latest_freshness) == held
+
+    def test_a_head_equal_to_the_held_root_leaves_it_alone(self):
+        """A statement from the CA's previous chain, replayed beside the
+        current head: it links to no held root, so the RA reads the head,
+        whose root is the one it holds.  The root is neither replaced nor
+        re-verified, and the head's own statement is applied."""
+        from repro.ritm.ca_service import freshness_path
+
+        ca, cdn, agent, client, _ = self._synced()
+        ca.refresh(now=110)
+        old_chain = cdn.origin.fetch(freshness_path(ca.name)).content
+        exhausted = 100 + ca.config.chain_length * ca.config.delta_seconds
+        ca.refresh(now=exhausted)  # the same content, re-signed on a new chain
+        assert not client.pull(now=exhausted + 1).errors
+        replica = agent.replica_for(ca.name)
+        held = replica.signed_root
+        assert held == ca.dictionary.signed_root
+
+        cdn.publish(freshness_path(ca.name), old_chain, exhausted + 5)
+        result = client.pull(now=exhausted + 6)
+        assert (result.heads_checked, result.replays_rejected) == (1, 0)
+        assert result.root_signatures_verified == 0 and not result.errors
+        assert result.freshness_applied == 1
+        assert replica.signed_root is held
+        assert replica.latest_freshness == ca.dictionary.latest_freshness
+
     def test_a_rotation_is_learned_without_a_resync(self):
         ca, _, agent, client, _ = self._synced()
         ca.rotate_keys(now=110)

@@ -1,6 +1,7 @@
 """Tests for RITM's binary wire formats (status, head, issuance)."""
 
 import json
+import struct
 from dataclasses import replace
 
 import pytest
@@ -143,6 +144,19 @@ class TestHeadAndIssuanceCodec:
         assert decoded.ca_name == head.ca_name
         assert decoded.size == head.size
         assert decoded.signed_root.verify(keys.public)
+
+    def test_a_head_still_carrying_a_publication_sequence_is_refused(self, master):
+        # Heads once ended with an unsigned 8-byte counter after the
+        # statement; such a head is now a second encoding and is refused.
+        head = DictionaryHead(
+            ca_name="Codec-CA",
+            size=master.size,
+            signed_root=master.signed_root,
+            freshness=master.latest_freshness,
+        )
+        for sequence in (0, 7):
+            with pytest.raises(TLSError, match="trailing bytes"):
+                decode_head(encode_head(head) + sequence.to_bytes(8, "big"))
 
     def test_head_size_is_small(self, master):
         head = DictionaryHead(
@@ -378,7 +392,8 @@ class TestNameFieldsAreTotal:
 class TestShardIndexCodec:
     """Round trips and zero widths are held by ``test_wire_canonical.py`` and
     ``test_sharded_stack.py``; here, a window count that does not match the
-    bytes is malformed rather than clamped."""
+    bytes, or the index's former JSON form, is malformed rather than clamped,
+    and a window index is exactly an i64."""
 
     def test_every_truncation_and_a_miscounted_window_list_are_rejected(self):
         encoded = encode_shard_index(ShardIndex("Codec-CA", 600, (1, 2)))
@@ -390,6 +405,23 @@ class TestShardIndexCodec:
             miscounted = encoded[:count_at] + count.to_bytes(2, "big") + encoded[count_at + 2 :]
             with pytest.raises(TLSError, match=message):
                 decode_shard_index(miscounted)
+
+
+    def test_a_json_index_is_refused_as_malformed(self):
+        # The index was once JSON with a publication sequence; those bytes
+        # are a TLSError, never a leaked JSON or Unicode exception.
+        legacy = json.dumps(
+            {"ca": "Codec-CA", "width_seconds": 600, "live": [1], "sequence": 3}
+        ).encode("utf-8")
+        with pytest.raises(TLSError):
+            decode_shard_index(legacy)
+
+    def test_window_indexes_span_all_of_i64_and_no_further(self):
+        index = ShardIndex("Codec-CA", 1, (-(2**63), 0, 2**63 - 1))
+        assert decode_shard_index(encode_shard_index(index)) == index
+        for live in ((2**63,), (-(2**63) - 1,)):
+            with pytest.raises(struct.error):
+                encode_shard_index(ShardIndex("Codec-CA", 1, live))
 
 
 class TestKeyAnnouncementCodec:
