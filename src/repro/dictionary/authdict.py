@@ -64,10 +64,15 @@ class RevocationIssuance:
 
     ca_name: str
     serials: Tuple[SerialNumber, ...]
+    #: The revocation number of the first serial.  A batch is never empty,
+    #: so this is also the batch's address in its stream: the CA publishes
+    #: both batch objects under it, and a replica holding ``n`` serials
+    #: reads the batch at ``n + 1`` next.
     first_number: int
     signed_root: SignedRoot
 
     def numbered_serials(self) -> List[Tuple[int, SerialNumber]]:
+        """Each serial with its revocation number, in revocation order."""
         return [
             (self.first_number + offset, serial)
             for offset, serial in enumerate(self.serials)
@@ -195,14 +200,17 @@ class CADictionary(_DictionaryCore):
 
     @property
     def public_key(self) -> PublicKey:
+        """The key the dictionary signs its roots with now."""
         return self._keys.public
 
     @property
     def signed_root(self) -> Optional[SignedRoot]:
+        """The latest signed root (``None`` before the first refresh)."""
         return self._signed_root
 
     @property
     def latest_freshness(self) -> Optional[FreshnessStatement]:
+        """The freshness statement the dictionary serves now."""
         return self._latest_freshness
 
     # -- Fig. 2: insert ------------------------------------------------------
@@ -337,14 +345,17 @@ class ReplicaDictionary(_DictionaryCore):
 
     @property
     def ca_public_key(self) -> PublicKey:
+        """The key (or keyring) the replica verifies signed roots with."""
         return self._ca_public_key
 
     @property
     def signed_root(self) -> Optional[SignedRoot]:
+        """The verified root the replica serves (``None`` before its first)."""
         return self._signed_root
 
     @property
     def latest_freshness(self) -> Optional[FreshnessStatement]:
+        """The latest freshness statement the replica accepted."""
         return self._latest_freshness
 
     # -- Fig. 2: update ------------------------------------------------------

@@ -66,6 +66,7 @@ class SyncServer:
         self._history.extend(issuance.serials)
 
     def history_length(self) -> int:
+        """Revocations recorded so far: the CA dictionary's size."""
         return len(self._history)
 
     def serve(self, request: SyncRequest) -> SyncResponse:

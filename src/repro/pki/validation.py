@@ -80,10 +80,18 @@ def validate_chain(
             reason=f"chain does not terminate at a trusted root ({anchor.issuer!r} unknown)",
             checks=checks,
         )
-    # Top-down from the root certificate's key, which the trust store checks
-    # last: a key below it verifies nothing until its own certificate verified
-    # under the key above, so an intermediate key the root did not sign never
+    # Top-down, starting at the trusted key itself: a key verifies nothing
+    # until its own certificate verified under the key above, so neither a
+    # forged root's key nor an intermediate key the root did not sign ever
     # gets an Ed25519 comb table built (docs/THREATS.md).
+    if not trust_store.anchors(anchor):
+        return ValidationResult(
+            valid=False,
+            reason=f"root signature on {anchor.subject!r} does not verify",
+            checks=checks,
+        )
+    checks.append("trust-anchor")
+
     for certificate, issuer in reversed(links):
         if not certificate.verify_signature(issuer.public_key):
             return ValidationResult(
@@ -92,13 +100,5 @@ def validate_chain(
                 checks=checks,
             )
     checks.append("signatures")
-
-    if not trust_store.anchors(anchor):
-        return ValidationResult(
-            valid=False,
-            reason=f"root signature on {anchor.subject!r} does not verify",
-            checks=checks,
-        )
-    checks.append("trust-anchor")
 
     return ValidationResult(valid=True, checks=checks)

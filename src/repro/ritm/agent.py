@@ -401,7 +401,7 @@ class RevocationAgent(Middlebox):
         """This RA's warm-start state as a value.
 
         Every replica that serves verified state goes in as the sync
-        response from position 0 that describes it
+        response to ``have_count = 0`` that describes it
         (:func:`~repro.dictionary.sync.held_state`), beside the shard widths
         and the explicit shard registry.  Replicas that have not completed a
         first sync are skipped — there is nothing verified to persist, and a
@@ -439,8 +439,8 @@ class RevocationAgent(Middlebox):
     def restore_state(self, checkpoint: AgentCheckpoint) -> int:
         """Warm-start this RA from a checkpoint value.
 
-        Every persisted replica is a sync response from position 0 and is
-        applied as one (:func:`~repro.dictionary.sync.apply_sync_response`):
+        Every persisted replica is a sync response to ``have_count = 0`` and
+        is applied as one (:func:`~repro.dictionary.sync.apply_sync_response`):
         the root signature, size, recomputed Merkle root and freshness link
         are checked exactly as for a response off the network.  A replica
         whose state fails is left to cold-sync on the next pull instead of

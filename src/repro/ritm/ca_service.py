@@ -13,10 +13,14 @@ Everything the CA publishes about one dictionary forms a **stream**
 * ``/ritm/<name>/head``          — size, signed root, latest freshness
   statement (pulled only by RAs whose held root that statement does not
   extend);
-* ``/ritm/<name>/issuance/<k>``  — the k-th revocation batch (pulled only by
-  RAs that detect they are behind);
-* ``/ritm/<name>/segment/<k>``   — the same batch as a signed WAL segment
+* ``/ritm/<name>/issuance/<n>``  — the revocation batch whose first serial
+  is number ``n`` (pulled only by RAs that detect they are behind);
+* ``/ritm/<name>/segment/<n>``   — the same batch as a signed WAL segment
   (docs/REPLICATION.md).
+
+A batch is never empty, so its first serial number addresses it: an RA
+whose replica holds ``s`` serials reads the batch at ``s + 1`` next, as an
+RFC 6962 log is read by entry index.
 
 An unsharded CA owns exactly one stream, named after the CA.  With
 ``RITMConfig.sharded`` (§VIII "Ever-growing dictionaries") it owns one
@@ -83,9 +87,10 @@ def freshness_path(ca_name: str) -> str:
     return f"/ritm/{ca_name}/freshness"
 
 
-def issuance_path(ca_name: str, batch_number: int) -> str:
-    """CDN path of a dictionary's issuance object ``batch_number`` (from 1)."""
-    return f"/ritm/{ca_name}/issuance/{batch_number}"
+def issuance_path(ca_name: str, first_number: int) -> str:
+    """CDN path of the issuance object of the batch whose first serial is
+    number ``first_number`` (from 1)."""
+    return f"/ritm/{ca_name}/issuance/{first_number}"
 
 
 def manifest_path(ca_name: str) -> str:
@@ -122,8 +127,6 @@ class DictionaryStream:
     dictionary: CADictionary
     #: Desync-recovery endpoint serving this dictionary's full history.
     sync_server: SyncServer
-    #: Issuance batches (and segments) published so far.
-    batches: int = 0
     #: The expiry window this stream covers (``None`` = every expiry).
     window: Optional[ShardKey] = None
     #: When the stream last published a head (``None``: never).
@@ -611,31 +614,26 @@ class RITMCertificationAuthority:
     ) -> None:
         """The one publish routine: issuance object, signed segment, head.
 
-        Issuance objects and segments are numbered by the one batch
-        counter, so an RA-side stream position means the same whichever
-        object it was reached through.  The segment embeds the issuance
-        object's bytes, which the batch keeps once encoded, and is also the
-        stream's per-Δ object until the next refresh.
+        Both batch objects are addressed by the batch's first serial number,
+        so a replica's size is where it stands in the stream whichever
+        object it read.  The segment embeds the issuance object's bytes,
+        which the batch keeps once encoded, and is also the stream's per-Δ
+        object until the next refresh.
         """
         stream.sync_server.record_issuance(issuance)
-        stream.batches += 1
         self._batch_counter += 1
         stats = self.publication_stats
         content = encode_issuance(issuance)
-        self._publish(issuance_path(stream.name, stream.batches), content, now)
+        address = issuance.first_number
+        self._publish(issuance_path(stream.name, address), content, now)
         stats.issuances_published += 1
         stats.bytes_uploaded += len(content)
         segment = encode_segment(
-            build_segment(
-                issuance,
-                stream.dictionary.latest_freshness,
-                stream.batches,
-                self._signing_keys,
-            )
+            build_segment(issuance, stream.dictionary.latest_freshness, self._signing_keys)
         )
         stats.segments_published += 1
         stats.segment_bytes_published += len(segment)
-        self._publish(segment_path(stream.name, stream.batches), segment, now)
+        self._publish(segment_path(stream.name, address), segment, now)
         self._publish_head(stream, now, per_delta=segment)
 
     def _publish_head(

@@ -19,7 +19,7 @@ Every replica the agent holds — a whole-CA dictionary or one expiry shard of
 a sharded CA (§VIII, ``RITMConfig.sharded``) — goes through that same cycle
 under its own name, tracked by one :class:`ReplicaFeed` record: the per-Δ
 object first, then, if its statement shows the replica behind, one catch-up
-walk from the feed's position (fetching issuance objects, or WAL segments
+walk from the replica's size (fetching issuance objects, or WAL segments
 when ``segment_streaming`` is set — docs/REPLICATION.md; a batch the per-Δ
 object carried is not fetched again), then the head only if the statement
 still does not link.  A
@@ -160,14 +160,12 @@ def total_pulls(history: Iterable[PullResult]) -> PullResult:
 
 @dataclass
 class ReplicaFeed:
-    """Where one replica stands in its dictionary's stream (docs/REPLICATION.md)."""
+    """What one replica's replication needs beside the replica itself
+    (docs/REPLICATION.md).  Where the replica stands in its stream is its
+    size: the batch it reads next is the one at ``size + 1``."""
 
-    #: The highest batch whose content the replica holds.  The CA numbers a
-    #: stream's issuance objects and WAL segments with one counter, so this
-    #: is the position in both.
-    position: int = 0
-    #: Verified raw segments by number, retained so this RA can relay them
-    #: to anti-entropy peers.
+    #: Verified raw segments by address (first serial number), retained so
+    #: this RA can relay them to anti-entropy peers.
     segments: Dict[int, bytes] = field(default_factory=dict)
     #: The CA's direct sync endpoint, used when the batch objects cannot
     #: close the gap — the paper's desynchronization recovery.
@@ -206,49 +204,37 @@ class RADisseminationClient:
     # -- crash recovery (docs/STORAGE.md) ---------------------------------------
 
     def checkpoint(self, directory) -> int:
-        """Persist the agent plus this client's stream positions, as one
-        checkpoint file.
+        """Persist the agent as one checkpoint file.
 
-        The positions are what turn a warm restart into a *delta* fetch: the
-        restored client resumes from the last batch it committed instead of
-        re-walking (or re-downloading) the CA's whole batch history.
+        A restored replica resumes its walk from its own size, so a warm
+        restart is a *delta* fetch with nothing but the replicas persisted.
         Returns the number of replicas persisted.
         """
         checkpoint = self.agent.checkpoint_state()
-        checkpoint.positions = {name: feed.position for name, feed in self.feeds.items()}
         write_checkpoint(checkpoint, directory)
         return len(checkpoint.replicas)
 
     def restore(self, directory) -> int:
-        """Warm-start the agent and this client from a checkpoint.
-
-        Stream positions are restored only for dictionaries whose replica
-        actually warm-started (holds a verified root): a position without
-        its replica state would make the next pull skip batches the replica
-        never applied.  Returns the number of replicas restored.
-        """
-        checkpoint = load_checkpoint(directory)
-        restored = self.agent.restore_state(checkpoint)
-        for name, position in checkpoint.positions.items():
-            replica = self.agent.replicas.get(name)
-            if replica is not None and replica.signed_root is not None:
-                self._feed(name).position = position
-        return restored
+        """Warm-start the agent from a checkpoint; returns the number of
+        replicas restored."""
+        return self.agent.restore_state(load_checkpoint(directory))
 
     # -- streaming replication (docs/REPLICATION.md) -----------------------------
 
     def replication_cursor(self, ca_name: str) -> int:
-        """The stream position of one replica (0 = nothing applied yet)."""
-        feed = self.feeds.get(ca_name)
-        return feed.position if feed is not None else 0
+        """How far one replica reaches in its stream: its size (0 = nothing
+        applied yet, or no such replica)."""
+        replica = self.agent.replicas.get(ca_name)
+        return replica.size if replica is not None else 0
 
     def archived_segment(self, ca_name: str, number: int) -> Optional[bytes]:
-        """Raw bytes of a verified, retained segment (``None`` if unknown).
+        """Raw bytes of the verified, retained segment whose first serial is
+        number ``number`` (``None`` if unknown).
 
         This is the anti-entropy serving side: peers relay exactly the
         bytes they verified, and every receiver re-verifies against its own
         trust anchor, so the archive never has to be trusted.  An RA that
-        caught up through issuance objects holds the position but no
+        caught up through issuance objects holds the content but no
         segments, so it has nothing to offer.
         """
         feed = self.feeds.get(ca_name)
@@ -258,12 +244,12 @@ class RADisseminationClient:
         """RA→RA anti-entropy: catch up from a peer's verified segment archive.
 
         The same cycle as :meth:`pull` — shard discovery, then every replica
-        — except that the peer's position, not a head, says how far behind
-        a replica is, and the catch-up walk asks the peer's archive for the
-        missing segments.  Each one is re-verified against *this* RA's trust
-        anchor before it touches the replica, so the peer can withhold
-        progress but never forge it.  When the peer cannot supply a
-        contiguous run up to its claimed position (archive gap, tampered
+        — except that the peer's replica size, not a head, says how far
+        behind a replica is, and the catch-up walk asks the peer's archive
+        for the missing segments.  Each one is re-verified against *this*
+        RA's trust anchor before it touches the replica, so the peer can
+        withhold progress but never forge it.  When the peer cannot supply a
+        contiguous run up to its claimed size (archive gap, tampered
         relay, equivocation attempt), the CA's sync protocol is used as the
         **explicit** cold fallback and counted as such.  The latency model
         charges one inter-region round trip per relayed segment plus
@@ -435,9 +421,8 @@ class RADisseminationClient:
             # Keyring verifiers are time-scoped: move the acceptance clock
             # forward so retired keys expire out of their overlap windows.
             verifier.advance(int(now))
-        feed = self._feed(ca_name)
         if peer is not None:
-            if peer.replication_cursor(ca_name) > feed.position:
+            if peer.replication_cursor(ca_name) > replica.size:
                 result.peer_syncs += 1
                 self._catch_up(ca_name, replica, now, result, peer=peer)
             return
@@ -618,40 +603,36 @@ class RADisseminationClient:
         prefetched=None,
         rejected: Optional[TLSError] = None,
     ) -> None:
-        """The one catch-up walk: fetch the batches past the replica's
-        position, apply them in one store transaction, or fall back to sync.
+        """The one catch-up walk: fetch the batches past the replica's size,
+        apply them in one store transaction, or fall back to sync.
 
-        Batch ``n`` of a stream exists as two objects: the issuance object,
-        and the CA-signed segment that embeds it byte for byte.  The walk
-        fetches one of them per missing batch — the issuance object from the
-        CDN, the segment from the CDN when :attr:`segment_streaming` is set,
-        or the segment from ``peer``'s archive — until the replica is as
-        large as the CA advertises (``advertised_size``, read off the
-        freshness statement or the head; or as far along as the peer
-        claims), and
-        hands every fetchable, contiguous batch to the replica at once
-        (``RevocationAgent.apply_issuances``): one merge and one suffix
-        rehash however many batches queued up.  An object that is missing,
-        malformed, mis-signed or out of order ends the walk and degrades
-        it to the CA's sync protocol — never silently.
+        A batch is addressed by its first serial number and exists as two
+        objects: the issuance object, and the CA-signed segment that embeds
+        it byte for byte.  The walk fetches one of them per missing batch —
+        the issuance object from the CDN, the segment from the CDN when
+        :attr:`segment_streaming` is set, or the segment from ``peer``'s
+        archive — from the replica's ``size + 1``, advancing by each batch's
+        serial count, until it reaches what the CA advertises
+        (``advertised_size``, read off the freshness statement or the head)
+        or the peer's replica size, and hands every batch to the replica at
+        once (``RevocationAgent.apply_issuances``): one merge and one suffix
+        rehash however many batches queued up.  The path is
+        unauthenticated, so a batch must carry the address it was fetched
+        at.  An object that does not, or is missing, malformed or
+        mis-signed, ends the walk and degrades it to the CA's sync
+        protocol — never silently.
 
         ``prefetched`` is the per-Δ object's segment, decoded, with its
-        download: the walk takes it as batch ``n`` instead of a GET and
-        checks it as it checks what it fetches in its mode — a segment's
-        number, CA and signature, or (issuance objects) the embedded
-        issuance object alone.  ``rejected`` is a per-Δ segment that failed
-        to decode: the walk ends before it starts, as it ends on any object
-        that fails its checks.
+        download: the walk takes it as the batch at its address instead of
+        a GET and checks it as it checks what it fetches in its mode — a
+        segment's address, CA and signature, or (issuance objects) the
+        embedded issuance object's address alone.  ``rejected`` is a per-Δ
+        segment that failed to decode: the walk ends before it starts, as it
+        ends on any object that fails its checks.
         """
-        feed = self._feed(ca_name)
         installed = replica.signed_root
         segments = peer is not None or self.segment_streaming
-        goal = peer.replication_cursor(ca_name) if peer is not None else 0
-        # ``committed`` only ever advances over batches whose content is
-        # durably in the replica (applied, already present, or covered by a
-        # successful resync) — a batch that failed to apply is refetched on
-        # the next pull rather than skipped forever.
-        fetched = committed = feed.position
+        goal = peer.replication_cursor(ca_name) if peer is not None else advertised_size
         have = replica.size
         pending: List[RevocationIssuance] = []
         relayable: Dict[int, bytes] = {}
@@ -661,8 +642,8 @@ class RADisseminationClient:
             if segments:
                 result.segments_rejected += 1
             result.errors.append(f"{ca_name}: {rejected}")
-        while (fetched < goal) if peer is not None else (have < advertised_size):
-            number = fetched + 1
+        while have < goal:
+            number = have + 1
             segment = None
             if peer is not None:
                 raw = peer.archived_segment(ca_name, number)
@@ -672,36 +653,36 @@ class RADisseminationClient:
                     result.latency_seconds += size / self.location.bandwidth_to_edge() + max(
                         0.001, region_distance(self.location.region, peer.location.region)
                     )
-            elif prefetched is not None and prefetched[0].segment_number == number:
+            elif prefetched is not None and prefetched[0].issuance.first_number == number:
                 segment, download = prefetched
                 raw, size = download.content, download.bytes_on_wire
             else:
-                path = (
-                    segment_path(ca_name, number)
-                    if segments
-                    else issuance_path(ca_name, number)
-                )
+                path = (segment_path if segments else issuance_path)(ca_name, number)
                 try:
                     download = self._get(path, now, result, source=self.agent.name)
                 except CDNError:
                     raw = None  # purged, or not published: only sync can help
                 else:
-                    raw = download.content
-                    size = download.bytes_on_wire
+                    raw, size = download.content, download.bytes_on_wire
             if raw is None:
                 needs_resync = True
                 break
-            fetched = number
             try:
                 if segments:
                     result.segment_bytes_downloaded += size
                     if segment is None:
                         segment = decode_segment(raw)
-                    if (segment.ca_name, segment.segment_number) != (ca_name, number):
-                        raise TLSError(
-                            f"asked for WAL segment {number} of {ca_name!r}, got "
-                            f"segment {segment.segment_number} of {segment.ca_name!r}"
-                        )
+                issuance = segment.issuance if segment is not None else decode_issuance(raw)
+                # A batch is never empty, so its first serial number is its
+                # address; an empty one would leave the walk where it stands.
+                address = (issuance.ca_name, issuance.first_number)
+                if address != (ca_name, number) or not issuance.serials:
+                    raise TLSError(
+                        f"asked for the batch of {ca_name!r} at serial {number}, got "
+                        f"{len(issuance.serials)} serial(s) of {issuance.ca_name!r} "
+                        f"at {issuance.first_number}"
+                    )
+                if segments:
                     self._retry_after_rotation(
                         ca_name,
                         replica,
@@ -709,25 +690,12 @@ class RADisseminationClient:
                         result,
                         lambda: _check_segment_signature(segment, replica.ca_public_key),
                     )
-                    issuance = segment.issuance
-                elif segment is not None:
-                    issuance = segment.issuance  # decoded as decode_issuance would
-                else:
-                    issuance = decode_issuance(raw)
             except (TLSError, SignatureError) as exc:
                 if segments:
                     result.segments_rejected += 1
                 result.errors.append(f"{ca_name}: {exc}")
                 needs_resync = True
                 break
-            if issuance.first_number > have + 1:
-                # A gap: earlier batches were purged or missed; full resync.
-                needs_resync = True
-                break
-            if issuance.first_number <= have:
-                if not pending:
-                    committed = fetched  # old batch, content already in the replica
-                continue
             pending.append(issuance)
             have += len(issuance.serials)
             if segments:
@@ -750,11 +718,10 @@ class RADisseminationClient:
                 result.errors.append(f"{ca_name}: {exc}")
                 needs_resync = True
             else:
-                committed += len(pending)  # pending batches are consecutive
                 result.issuances_applied += len(pending)
                 # Only segments whose content passed the recomputed-root
                 # check are ever offered onward.
-                feed.segments.update(relayable)
+                self._feed(ca_name).segments.update(relayable)
                 result.segments_applied += len(relayable)
                 if peer is not None:
                     result.segments_from_peer += len(relayable)
@@ -769,27 +736,19 @@ class RADisseminationClient:
                 # Never silent: the peer claimed more history than it could
                 # prove, so fall back to the CA's sync protocol and say so.
                 result.cold_sync_fallbacks += 1
-            if self._resync(ca_name, replica, now, result) and peer is None:
-                # The CA's own publication vouches that every batch fetched
-                # so far exists, and the resync covered it; a peer's claim to
-                # more history vouches for nothing.
-                committed = fetched
-        feed.position = committed
+            self._resync(ca_name, replica, now, result)
         if replica.signed_root is not installed:
             # Gossip's evidence: every root a replica installs is observed,
             # whichever object brought it.
             self.agent.consistency.observe_root(replica.signed_root)
 
-    def _resync(self, ca_name: str, replica, now: float, result: PullResult) -> bool:
-        """Full-state recovery via the CA's sync endpoint.
-
-        Returns ``False`` when no sync server is known (the caller must not
-        mark fetched batches as consumed in that case).
-        """
+    def _resync(self, ca_name: str, replica, now: float, result: PullResult) -> None:
+        """Full-state recovery via the CA's sync endpoint; with no endpoint
+        known, an error and nothing else."""
         server = self._feed(ca_name).sync_server
         if server is None:
             result.errors.append(f"{ca_name}: desynchronized and no sync server known")
-            return False
+            return
         # Resync replaces the replica's verified state wholesale: evict the
         # dictionary's cached proofs and root verdicts up front so the cache
         # only ever holds entries derived from the recovered state.
@@ -803,14 +762,13 @@ class RADisseminationClient:
         result.bytes_downloaded += len(encode_sync_response(response))
         result.resyncs += 1
         result.serials_applied += len(response.serials)
-        return True
 
 
 def _check_segment_signature(segment, public_key) -> None:
     if not verify_segment(segment, public_key):
         raise SignatureError(
-            f"WAL segment {segment.segment_number} for {segment.ca_name!r} is not "
-            f"signed by an acceptable CA key"
+            f"WAL segment at {segment.issuance.first_number} for {segment.ca_name!r} "
+            f"is not signed by an acceptable CA key"
         )
 
 

@@ -24,7 +24,6 @@ before decoding it.
 from __future__ import annotations
 
 import functools
-import json
 import struct
 from dataclasses import dataclass, replace
 from typing import List, Tuple, Union
@@ -733,6 +732,10 @@ def decode_shard_index(data: bytes) -> ShardIndex:
 # -- key-rotation announcements ------------------------------------------------------
 
 
+_EPOCH = struct.Struct(">Q")
+_KEY_TIMES = struct.Struct(">QQ")
+
+
 @dataclass(frozen=True)
 class KeyAnnouncement:
     """One link of a CA's key-rotation chain, published on the CDN.
@@ -752,86 +755,71 @@ class KeyAnnouncement:
     overlap_seconds: int
     signature: bytes = b""
 
-    def payload(self) -> bytes:
-        """The byte string covered by the previous key's signature."""
+    def fields(self) -> bytes:
+        """Every field but the signature, as the chain carries them: CA name
+        (u16 length + UTF-8), key epoch (u64), public key (u16-framed),
+        activation time and overlap (u64 each)."""
         return b"".join(
             [
-                b"ritm-key-announcement:",
                 _pack_name(self.ca_name),
-                struct.pack(">Q", self.key_epoch),
+                _EPOCH.pack(self.key_epoch),
                 _pack_bytes(self.public_key_bytes),
-                struct.pack(">QQ", self.activated_at, self.overlap_seconds),
+                _KEY_TIMES.pack(self.activated_at, self.overlap_seconds),
             ]
         )
 
+    def payload(self) -> bytes:
+        """The byte string covered by the previous key's signature."""
+        return b"ritm-key-announcement:" + self.fields()
+
+
+def _unpack_fixed(layout: struct.Struct, data: bytes, offset: int) -> Tuple[tuple, int]:
+    """A fixed-width field at ``offset``; returns its values and its end."""
+    end = offset + layout.size
+    if end > len(data):
+        raise TLSError("truncated RITM field")
+    return layout.unpack_from(data, offset), end
+
 
 def encode_key_announcements(announcements: Tuple[KeyAnnouncement, ...]) -> bytes:
-    """Serialize a CA's full announcement chain for CDN publication."""
-    return json.dumps(
-        [
-            {
-                "ca": announcement.ca_name,
-                "epoch": announcement.key_epoch,
-                "public_key": announcement.public_key_bytes.hex(),
-                "activated_at": announcement.activated_at,
-                "overlap_seconds": announcement.overlap_seconds,
-                "signature": announcement.signature.hex(),
-            }
-            for announcement in announcements
-        ],
-        sort_keys=True,
-    ).encode("utf-8")
+    """Serialize a CA's full announcement chain for CDN publication.
 
-
-def _u64(value) -> int:
-    """A JSON integer field that :meth:`KeyAnnouncement.payload` packs as u64."""
-    value = int(value)
-    if not 0 <= value < 1 << 64:
-        raise ValueError(f"announcement field {value} does not fit in 64 bits")
-    return value
-
-
-def _field_bytes(hex_text: str) -> bytes:
-    """A hex field that :func:`_pack_bytes` frames with a u16 length."""
-    raw = bytes.fromhex(hex_text)
-    if len(raw) > 0xFFFF:
-        raise ValueError(f"announcement field of {len(raw)} bytes exceeds 65535")
-    return raw
+    Layout: announcement count (u16), then each announcement's
+    :meth:`KeyAnnouncement.fields` and its signature (u16-framed).
+    """
+    return _FIELD_LENGTH.pack(len(announcements)) + b"".join(
+        announcement.fields() + _pack_bytes(announcement.signature)
+        for announcement in announcements
+    )
 
 
 def decode_key_announcements(data: bytes) -> Tuple[KeyAnnouncement, ...]:
-    """Parse an announcement chain, rejecting malformed payloads.
+    """Parse a whole :func:`encode_key_announcements` chain.
 
-    Every announcement returned has a :meth:`KeyAnnouncement.payload`: its
-    name is a string of at most :data:`MAX_NAME_BYTES` UTF-8 bytes, its
-    integers fit in 64 unsigned bits and its key and signature in 65535
-    bytes each.
+    Raises :class:`TLSError` on a truncated field, a CA name longer than
+    :data:`MAX_NAME_BYTES` or not UTF-8, or bytes after the last
+    announcement.  Verifies nothing: the agent validates the chain from its
+    genesis anchor.
     """
+    announcements = []
     try:
-        payload = json.loads(data.decode("utf-8"))
-        if not isinstance(payload, list):
-            raise ValueError("announcement chain must be a list")
-        announcements = []
-        for entry in payload:
-            ca_name = entry["ca"]
-            if not isinstance(ca_name, str) or len(ca_name.encode("utf-8")) > MAX_NAME_BYTES:
-                raise ValueError(
-                    f"announcement CA name must be a string of at most "
-                    f"{MAX_NAME_BYTES} UTF-8 bytes"
-                )
+        (count,), offset = _unpack_fixed(_FIELD_LENGTH, data, 0)
+        for _ in range(count):
+            ca_name, offset = _unpack_name(data, offset)
+            (key_epoch,), offset = _unpack_fixed(_EPOCH, data, offset)
+            public_key_bytes, offset = _unpack_bytes(data, offset)
+            (activated_at, overlap_seconds), offset = _unpack_fixed(_KEY_TIMES, data, offset)
+            signature, offset = _unpack_bytes(data, offset)
             announcements.append(
                 KeyAnnouncement(
-                    ca_name=ca_name,
-                    key_epoch=_u64(entry["epoch"]),
-                    public_key_bytes=_field_bytes(entry["public_key"]),
-                    activated_at=_u64(entry["activated_at"]),
-                    overlap_seconds=_u64(entry["overlap_seconds"]),
-                    signature=_field_bytes(entry["signature"]),
+                    ca_name, key_epoch, public_key_bytes, activated_at, overlap_seconds, signature
                 )
             )
-        return tuple(announcements)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        if offset != len(data):
+            raise TLSError("trailing bytes after the last announcement")
+    except TLSError as exc:
         raise TLSError(f"malformed key announcement chain: {exc}") from None
+    return tuple(announcements)
 
 
 def _decode_issuance_at(data: bytes, offset: int) -> Tuple[RevocationIssuance, int]:
@@ -879,7 +867,7 @@ def encode_sync_response(response: SyncResponse) -> bytes:
     Read back by :func:`decode_sync_response`.  Two things use the bytes:
     the RA's resync accounting (their length is what a resync downloads)
     and RA checkpoints (:mod:`repro.ritm.persistence` stores each replica
-    as its sync response from position 0).
+    as its sync response to ``have_count = 0``).
     """
     whole = response.as_issuance()
     parts = []

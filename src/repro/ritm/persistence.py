@@ -3,8 +3,8 @@
 A checkpoint is everything a :class:`~repro.ritm.agent.RevocationAgent` and
 its :class:`~repro.ritm.dissemination.RADisseminationClient` need to resume
 serving and delta-pulling after a process restart.  Each replica is stored as
-what the paper's recovery exchange would hand it — the sync response from
-position 0 (:func:`repro.dictionary.sync.held_state`: its serials in
+what the paper's recovery exchange would hand it — the sync response to
+``have_count = 0`` (:func:`repro.dictionary.sync.held_state`: its serials in
 revocation order, its signed root, its freshness statement) in the sync
 protocol's own wire form — so a restore *is* a sync answered from local disk
 and goes through the same ``update_many`` / ``install_root`` checks.
@@ -15,7 +15,6 @@ This module alone lays the file out::
     u32 n | n × (name ca, u64 shard width)
     u32 n | n × (name ca, u32 m, m × (i64 shard index, name replica))
     u32 n | n × (name ca, u32-framed key-announcement chain, u64 keyring clock)
-    u32 n | n × (name replica, u64 feed position)
     u32 n | n × (u16-framed trust-anchor key, u32-framed sync response)
     u32 CRC32 of everything before it
 
@@ -24,8 +23,9 @@ is written once, through :func:`~repro.store.base.atomic_write`: a crash
 at any instant of any checkpoint leaves the previous complete file or the new
 complete one.  The CRC catches corruption; it is not a MAC, and nothing read
 here is trusted — replica state is re-verified on restore, keyring chains are
-re-validated against their genesis anchor, and a position only decides
-where the next pull's catch-up walk starts.
+re-validated against their genesis anchor.  Nothing records where a replica
+stands in its stream: its size is where the next pull's catch-up walk
+starts, so its content and the place it resumes from cannot disagree.
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ CHECKPOINT_MAGIC = b"RITMCKPT"
 
 #: The one layout this build writes and reads.  Format 1 also stored a
 #: per-CA shard-index pull count, format 2 a head replay cursor per replica
-#: and a shard-index replay cursor per sharded CA; both are rejected as a
+#: and a shard-index replay cursor per sharded CA, format 3 a batch
+#: count per replica and its key chains as JSON; all are rejected as a
 #: format mismatch.
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 
 #: The one file inside a checkpoint directory.
 CHECKPOINT_FILENAME = "checkpoint.bin"
@@ -62,7 +63,7 @@ class ReplicaCheckpoint:
     #: or a rotating keyring's *genesis* key (the chain in
     #: :attr:`AgentCheckpoint.keyrings` must re-validate against it).
     public_key_bytes: bytes
-    #: What the replica held, as a sync response from position 0.
+    #: What the replica held, as the sync response to ``have_count = 0``.
     state: SyncResponse
 
 
@@ -78,8 +79,6 @@ class AgentCheckpoint:
     #: CA name → (encoded validated key-announcement chain, keyring clock),
     #: for CAs whose keyring has learned a rotation.
     keyrings: Dict[str, Tuple[bytes, int]] = field(default_factory=dict)
-    #: Replica name → stream position.
-    positions: Dict[str, int] = field(default_factory=dict)
     replicas: List[ReplicaCheckpoint] = field(default_factory=list)
 
 
@@ -108,9 +107,6 @@ def _encode(checkpoint: AgentCheckpoint) -> bytes:
     parts.append(_COUNT.pack(len(checkpoint.keyrings)))
     for ca_name, (chain, clock) in checkpoint.keyrings.items():
         parts += [_name(ca_name), _COUNT.pack(len(chain)), chain, _LONG.pack(clock)]
-    parts.append(_COUNT.pack(len(checkpoint.positions)))
-    for name, position in checkpoint.positions.items():
-        parts += [_name(name), _LONG.pack(position)]
     parts.append(_COUNT.pack(len(checkpoint.replicas)))
     for replica in checkpoint.replicas:
         state = encode_sync_response(replica.state)
@@ -163,9 +159,6 @@ def _decode(data: bytes) -> AgentCheckpoint:
             ca_name = name()
             chain = take(unpack(_COUNT))
             checkpoint.keyrings[ca_name] = (chain, unpack(_LONG))
-        for _ in range(unpack(_COUNT)):
-            entry = name()
-            checkpoint.positions[entry] = unpack(_LONG)
         for _ in range(unpack(_COUNT)):
             key_bytes = take(unpack(_SHORT))
             state = decode_sync_response(take(unpack(_COUNT)))

@@ -6,13 +6,14 @@ distribution point.  That keeps the CA the single egress bottleneck: a
 region-wide RA outage ends in N simultaneous cold syncs against one origin.
 This module lets RAs carry the stream for each other instead:
 
-* the CA publishes every revocation batch of a stream as a
-  sequence-numbered **segment**: the batch's issuance object byte for byte
-  (the bytes at ``/issuance/<n>``), its number, the freshness statement the
-  dictionary served right after it, and one CA signature over every byte
-  before that signature.  Until the stream's next refresh the same bytes
-  are also its per-Δ object (:func:`decode_delta_object`), so an RA that
-  was current reads the batch with its one poll;
+* the CA publishes every revocation batch of a stream as a **segment**
+  addressed, like its issuance object, by the batch's first serial number
+  ``n``: the issuance object byte for byte (the bytes at ``/issuance/<n>``),
+  the freshness statement the dictionary served right after it, and one CA
+  signature over every byte before that signature.  Until the stream's
+  next refresh the same bytes are also its per-Δ object
+  (:func:`decode_delta_object`), so an RA that was current reads the batch
+  with its one poll;
 * any RA that verified a segment keeps its raw bytes, so a lagging or
   freshly-restored agent can catch up **peer-to-peer** from a regional
   neighbour (chosen via :mod:`repro.cdn.geography`) instead of hitting the
@@ -24,9 +25,9 @@ Segments are self-authenticating: the signature covers every serial, so a
 tampered segment is rejected before the replica's store is touched, and
 applying an honest one goes through the same
 ``ReplicaDictionary.update_many`` transaction as the ordinary pull path.
-A sequence gap degrades *explicitly* to the sync protocol rather than
-being papered over.  The wire format, failure matrix, and tuning knobs are
-documented in ``docs/REPLICATION.md``.
+A batch at the wrong address degrades *explicitly* to the sync protocol
+rather than being papered over.  The wire format, failure matrix, and
+tuning knobs are documented in ``docs/REPLICATION.md``.
 """
 
 from __future__ import annotations
@@ -51,32 +52,31 @@ from repro.ritm.messages import (
     encode_issuance,
 )
 
-#: Magic prefix of every encoded segment (format 2).
-SEGMENT_MAGIC = b"RITMSEG2"
+#: Magic prefix of every encoded segment (format 3).
+SEGMENT_MAGIC = b"RITMSEG3"
 
-#: Segment number, then the length of the issuance object that follows.
-_SEGMENT_HEADER = struct.Struct(">QI")
+#: The length of the issuance object that follows the magic.
+_SEGMENT_HEADER = struct.Struct(">I")
 _SEGMENT_CRC = struct.Struct(">I")
 
 
-def segment_path(ca_name: str, segment_number: int) -> str:
-    """CDN path of one published segment (CA-direct replication)."""
-    return f"/ritm/{ca_name}/segment/{segment_number}"
+def segment_path(ca_name: str, first_number: int) -> str:
+    """CDN path of the segment of the batch whose first serial is number
+    ``first_number`` (CA-direct replication)."""
+    return f"/ritm/{ca_name}/segment/{first_number}"
 
 
 @dataclass(frozen=True)
 class WALSegment:
-    """One sequence-numbered, CA-signed revocation batch.
+    """One CA-signed revocation batch.
 
-    ``issuance`` is the batch exactly as issuance object ``segment_number``
-    carries it; ``freshness_after`` is the statement the dictionary served
-    immediately after this batch, so a replica that applies the segment
-    reaches the byte-identical state a head-pulling replica would.
+    ``issuance`` is the batch exactly as its issuance object carries it,
+    and its ``first_number`` is the segment's address; ``freshness_after``
+    is the statement the dictionary served immediately after this batch, so
+    a replica that applies the segment reaches the byte-identical state a
+    head-pulling replica would.
     """
 
-    #: Position in the CA's stream (1-based, gap-free), shared with the
-    #: issuance objects.
-    segment_number: int
     issuance: RevocationIssuance
     freshness_after: FreshnessStatement
     #: CA signature over :func:`segment_payload`.
@@ -99,7 +99,7 @@ def segment_payload(segment: WALSegment) -> bytes:
     return b"".join(
         [
             SEGMENT_MAGIC,
-            _SEGMENT_HEADER.pack(segment.segment_number, len(issuance)),
+            _SEGMENT_HEADER.pack(len(issuance)),
             issuance,
             encode_freshness(segment.freshness_after),
         ]
@@ -127,9 +127,7 @@ def decode_segment(data: bytes) -> WALSegment:
     body = data[: -_SEGMENT_CRC.size]
     if zlib.crc32(body) != _SEGMENT_CRC.unpack_from(data, len(body))[0]:
         raise TLSError("segment failed its checksum")
-    segment_number, length = _SEGMENT_HEADER.unpack_from(body, len(SEGMENT_MAGIC))
-    if segment_number < 1:
-        raise TLSError("segment number 0: the stream is numbered from 1")
+    (length,) = _SEGMENT_HEADER.unpack_from(body, len(SEGMENT_MAGIC))
     if start + length > len(body):
         raise TLSError("truncated segment issuance object")
     issuance = decode_issuance(body[start : start + length])
@@ -137,7 +135,7 @@ def decode_segment(data: bytes) -> WALSegment:
     signature, offset = _unpack_bytes(body, offset)
     if offset != len(body):
         raise TLSError("segment has trailing bytes before its checksum")
-    return WALSegment(segment_number, issuance, freshness_after, signature)
+    return WALSegment(issuance, freshness_after, signature)
 
 
 def decode_delta_object(data: bytes) -> Union[FreshnessStatement, WALSegment]:
@@ -172,11 +170,12 @@ def verify_segment(segment: WALSegment, verifier) -> bool:
 def build_segment(
     issuance: RevocationIssuance,
     freshness: FreshnessStatement,
-    segment_number: int,
     signer: KeyPair,
 ) -> WALSegment:
-    """CA-side: sign one issuance batch as segment ``segment_number``."""
-    segment = WALSegment(segment_number, issuance, freshness)
+    """CA-side: sign one issuance batch as its segment.  The signature
+    binds the address: the embedded issuance carries ``first_number`` and
+    the dictionary's name."""
+    segment = WALSegment(issuance, freshness)
     return replace(segment, signature=signer.sign(segment_payload(segment)))
 
 

@@ -133,7 +133,9 @@ class FaultInjector(EngineObserver):
         target = state.fault_stream(ctx.pull_time)
         tamper = state.active_fault("tampered-batch", period)
         if tamper is not None and period == tamper.at_period:
-            detail = tamper_latest_batch(state.ca, target, state.cdn, bin_start)
+            detail = tamper_latest_batch(
+                target, state.cdn, state.stream_batches(target), bin_start
+            )
             state.event(
                 period, "tampered-batch", detail or "no published batch to tamper with"
             )
@@ -204,7 +206,7 @@ class FaultInjector(EngineObserver):
             stream,
             state.cdn,
             target.location.region,
-            [batch for name, batch in state.batches if name == stream],
+            state.stream_batches(stream),
             ctx.bin_start,
             ttl_seconds=2 * state.config.delta_seconds,
         )

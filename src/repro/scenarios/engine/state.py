@@ -245,6 +245,10 @@ class RunState:
                 return name
         return live[0] if live else self.ca.name
 
+    def stream_batches(self, stream: str) -> List[List[SerialNumber]]:
+        """Every batch revoked into ``stream`` so far, oldest first."""
+        return [batch for name, batch in self.batches if name == stream]
+
     def expiry_for(self, serial: SerialNumber, now: float) -> Optional[int]:
         """The certificate expiry a revocation of ``serial`` routes by: the
         victim's real one, deterministic churn 1..``cert_lifetime_periods``

@@ -64,36 +64,35 @@ DECOY_SERIAL = 0xDEAD
 
 
 def tamper_latest_batch(
-    ca: RITMCertificationAuthority, stream_name: str, cdn: CDNNetwork, now: float
+    stream_name: str, cdn: CDNNetwork, batches: List[List[SerialNumber]], now: float
 ) -> Optional[str]:
     """Replace a stream's latest published issuance batch with a forged copy.
 
-    The forged batch swaps the first revoked serial for :data:`DECOY_SERIAL`
-    but keeps the honest signed root, so the batch decodes cleanly and fails
-    only at content verification.  While the stream's per-Δ object is that
-    batch's segment, the forged batch replaces the issuance object embedded
-    there too (signature untouched, checksum recomputed): it is the copy an
-    RA that was current reads.  Returns a human-readable description of the
+    ``batches`` is the stream's revocation history, oldest first: the last
+    batch's address, its first serial number, follows the ones before.
+    The forged batch swaps the first revoked serial for
+    :data:`DECOY_SERIAL` but keeps the honest signed root, so the batch
+    decodes cleanly and fails only at content verification.  While the stream's per-Δ object is that batch's
+    segment, the forged batch replaces the issuance object embedded there
+    too (signature untouched, checksum recomputed): it is the copy an RA
+    that was current reads.  Returns a human-readable description of the
     tampering, or ``None`` when there is no batch to tamper with.
     """
-    stream = ca.streams.get(stream_name)
-    batch_number = stream.batches if stream is not None else 0
-    path = issuance_path(stream_name, batch_number)
-    if batch_number == 0 or not cdn.origin.exists(path):
+    address = 1 + sum(len(batch) for batch in batches[:-1])
+    path = issuance_path(stream_name, address)
+    if not batches or not cdn.origin.exists(path):
         return None
     honest = decode_issuance(cdn.origin.fetch(path).content)
-    if not honest.serials:
-        return None
     decoy = SerialNumber(DECOY_SERIAL)
     forged_serials = (decoy,) + tuple(honest.serials[1:])
     forged = replace(honest, serials=forged_serials)
     cdn.publish(path, encode_issuance(forged), now)
     per_delta = decode_delta_object(cdn.origin.fetch(freshness_path(stream_name)).content)
-    if isinstance(per_delta, WALSegment) and per_delta.segment_number == batch_number:
+    if isinstance(per_delta, WALSegment) and per_delta.issuance.first_number == address:
         tampered = encode_segment(replace(per_delta, issuance=forged))
         cdn.publish(freshness_path(stream_name), tampered, now)
     return (
-        f"batch {batch_number}: serial {honest.serials[0]} replaced with "
+        f"batch {len(batches)}: serial {honest.serials[0]} replaced with "
         f"decoy {decoy} on the CDN"
     )
 
@@ -223,7 +222,6 @@ def equivocate_at_edges(
         signed_root=shadow.signed_root,
         freshness=shadow.latest_freshness,
     )
-    batch_number = ca.streams[stream_name].batches
     for edge in cdn.edges_in(region):
         edge.plant_object(path, encode_head(forged_head), now, ttl_seconds)
         edge.plant_object(
@@ -233,7 +231,7 @@ def equivocate_at_edges(
             ttl_seconds,
         )
         edge.plant_object(
-            issuance_path(stream_name, batch_number),
+            issuance_path(stream_name, shadow_issuance.first_number),
             encode_issuance(shadow_issuance),
             now,
             ttl_seconds,

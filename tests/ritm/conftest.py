@@ -30,8 +30,8 @@ def flip_bit(data: bytes, bit: int) -> bytes:
 
 def oversized_key_chain(ca) -> bytes:
     """A key-announcement chain for ``ca``: its genesis key at epoch 0, then
-    a forged rotation link whose ``activated_at`` does not fit the u64 its
-    signed payload packs."""
+    a forged rotation link whose key field's length prefix claims more bytes
+    than the chain holds."""
     genesis = KeyAnnouncement(
         ca_name=ca.name,
         key_epoch=0,
@@ -43,17 +43,20 @@ def oversized_key_chain(ca) -> bytes:
         ca_name=ca.name,
         key_epoch=1,
         public_key_bytes=bytes(32),
-        activated_at=2**64,
+        activated_at=0,
         overlap_seconds=0,
         signature=bytes(64),
     )
-    return encode_key_announcements((genesis, forged))
+    chain = encode_key_announcements((genesis, forged))
+    forged_at = len(chain) - len(forged.fields()) - 2 - len(forged.signature)
+    key_at = forged_at + 2 + len(ca.name.encode("utf-8")) + 8  # after name and epoch
+    return chain[:key_at] + b"\xff\xff" + chain[key_at + 2 :]
 
 
 def tamper_batch(cdn: CDNNetwork, stream_name: str, number: int, mutate) -> Dict[str, object]:
-    """Rewrite batch ``number`` of a stream at the origin as ``mutate`` of
-    its issuance: the issuance object, and the per-Δ object while it is that
-    batch's segment (the embedded issuance replaced, the CA signature kept,
+    """Rewrite the batch of a stream whose first serial is number ``number``
+    at the origin as ``mutate`` of its issuance: the issuance object, and
+    the per-Δ object while it is that batch's segment (the embedded issuance replaced, the CA signature kept,
     the checksum recomputed).  Returns the honest stored objects by path, so
     a test can heal the CDN."""
     from dataclasses import replace
@@ -69,7 +72,7 @@ def tamper_batch(cdn: CDNNetwork, stream_name: str, number: int, mutate) -> Dict
     objects[path] = replace(objects[path], content=encode_issuance(forged))
     path = freshness_path(stream_name)
     per_delta = decode_delta_object(objects[path].content)
-    if isinstance(per_delta, WALSegment) and per_delta.segment_number == number:
+    if isinstance(per_delta, WALSegment) and per_delta.issuance.first_number == number:
         honest[path] = objects[path]
         tampered = encode_segment(replace(per_delta, issuance=forged))
         objects[path] = replace(objects[path], content=tampered)

@@ -150,7 +150,7 @@ class TestRefresh:
         assert list(ca.refresh(now=120)) == [other]
         assert ca.publication_stats.heads_published == heads + 1
         origin = ca.cdn.origin
-        segment = origin.fetch(segment_path(touched, ca.streams[touched].batches)).content
+        segment = origin.fetch(segment_path(touched, 2)).content  # serial 3's batch
         assert origin.fetch(freshness_path(touched)).content == segment
 
     def test_refresh_resigns_after_chain_exhaustion(self, world):

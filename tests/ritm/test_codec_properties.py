@@ -6,7 +6,7 @@ deserialize and verify), so round-tripping must preserve verification for
 cases in the unit tests.
 """
 
-import json
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +22,10 @@ from repro.ritm.messages import (
     decode_status,
     encode_head,
     encode_issuance,
+    encode_key_announcements,
     encode_status,
     DictionaryHead,
+    KeyAnnouncement,
 )
 
 KEYS = KeyPair.generate(b"codec-property-tests")
@@ -92,21 +94,18 @@ announcement_integers = st.one_of(
     st.sampled_from([-1, 0, 1, 2**63, 2**64 - 1, 2**64]),
     st.integers(min_value=-(2**70), max_value=2**70),
 )
-#: Hex fields at and around the 65535-byte limit of a u16-framed field.
-announcement_hex = st.sampled_from([0, 1, 32, 64, 0xFFFF, 0x10000]).map(
-    lambda length: "ab" * length
+#: Byte fields at and around the 65535-byte limit of a u16-framed field.
+announcement_bytes = st.sampled_from([0, 1, 32, 64, 0xFFFF, 0x10000]).map(
+    lambda length: b"\xab" * length
 )
-announcement_entries = st.fixed_dictionaries(
-    {
-        "ca": st.one_of(
-            st.text(max_size=8), st.just("\ud800"), st.just("x" * 0x10000), st.integers()
-        ),
-        "epoch": announcement_integers,
-        "public_key": announcement_hex,
-        "activated_at": announcement_integers,
-        "overlap_seconds": announcement_integers,
-        "signature": announcement_hex,
-    }
+announcement_entries = st.builds(
+    KeyAnnouncement,
+    ca_name=st.one_of(st.text(max_size=8), st.just("\ud800"), st.just("x" * 0x10000)),
+    key_epoch=announcement_integers,
+    public_key_bytes=announcement_bytes,
+    activated_at=announcement_integers,
+    overlap_seconds=announcement_integers,
+    signature=announcement_bytes,
 )
 
 
@@ -116,8 +115,10 @@ def test_every_decoded_key_announcement_has_a_payload(entries):
     """A chain the decoder returns never fails later, inside the keyring's
     signature check: each announcement's signed payload encodes."""
     try:
-        chain = decode_key_announcements(json.dumps(entries).encode("utf-8"))
-    except TLSError:
-        return
+        encoded = encode_key_announcements(tuple(entries))
+    except (TLSError, struct.error, UnicodeEncodeError):
+        return  # a value with no wire form never reaches the CDN
+    chain = decode_key_announcements(encoded)
+    assert chain == tuple(entries)
     for announcement in chain:
         assert announcement.payload()

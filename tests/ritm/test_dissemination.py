@@ -104,7 +104,7 @@ class TestOneErrorBoundary:
         if streaming:
             path = segment_path(broken.name, 1)
             honest = world.cdn.origin.fetch(path).content
-            start = len(SEGMENT_MAGIC) + 8 + 4  # segment number, issuance length
+            start = len(SEGMENT_MAGIC) + 4  # issuance length
             (length,) = struct.unpack_from(">I", honest, start - 4)
             issuance = blank_first_serial(honest[start : start + length])
             body = (
@@ -275,9 +275,9 @@ class TestTamperedObjectRecovery:
     """A malicious CDN/edge must cost one resync, never a bricked replica."""
 
     @staticmethod
-    def _tamper(world, issuing, mutate):
-        """Tamper the latest batch wherever an RA reads it."""
-        return tamper_batch(world.cdn, issuing.name, issuing.issuance_count(), mutate)
+    def _tamper(world, issuance, mutate):
+        """Tamper the batch ``issuance`` wherever an RA reads it."""
+        return tamper_batch(world.cdn, issuance.ca_name, issuance.first_number, mutate)
 
     def test_tampered_serials_roll_back_and_resync(self, world):
         from dataclasses import replace
@@ -286,9 +286,9 @@ class TestTamperedObjectRecovery:
 
         issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)
         serial = world.corpus.chains[0].leaf.serial
-        issuing.revoke([serial], now=EPOCH + 20)
+        issuance = issuing.revoke([serial], now=EPOCH + 20)
         self._tamper(
-            world, issuing, lambda iss: replace(iss, serials=(SerialNumber(0xEEEEEE),))
+            world, issuance, lambda iss: replace(iss, serials=(SerialNumber(0xEEEEEE),))
         )
 
         result = world.pull(now=EPOCH + 40)
@@ -311,10 +311,10 @@ class TestTamperedObjectRecovery:
         from repro.ritm.messages import encode_sync_response
 
         issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)
-        issuing.revoke([SerialNumber(n) for n in range(500, 540)], now=EPOCH + 20)
+        issuance = issuing.revoke([SerialNumber(n) for n in range(500, 540)], now=EPOCH + 20)
         if tampered:
             self._tamper(
-                world, issuing, lambda iss: replace(iss, serials=iss.serials[:-1])
+                world, issuance, lambda iss: replace(iss, serials=iss.serials[:-1])
             )
         moved = []
         download = world.cdn.download
@@ -355,8 +355,8 @@ class TestTamperedObjectRecovery:
 
         issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)
         honest = (SerialNumber(0x0A0B0C), SerialNumber(0x0A0B0D))
-        issuing.revoke(list(honest), now=EPOCH + 20)
-        path = segment_path(issuing.name, issuing.issuance_count())
+        issuance = issuing.revoke(list(honest), now=EPOCH + 20)
+        path = segment_path(issuing.name, issuance.first_number)
         segment = decode_segment(world.cdn.origin.fetch(path).content)
         swapped = replace(segment.issuance, serials=(SerialNumber(0xEEEEEE),) + honest[1:])
         forged = encode_segment(replace(segment, issuance=swapped))
@@ -396,10 +396,10 @@ class TestTamperedObjectRecovery:
 
         issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)
         serial = world.corpus.chains[0].leaf.serial
-        issuing.revoke([serial], now=EPOCH + 20)
+        issuance = issuing.revoke([serial], now=EPOCH + 20)
         self._tamper(
             world,
-            issuing,
+            issuance,
             lambda iss: replace(
                 iss, signed_root=replace(iss.signed_root, signature=b"\x00" * 64)
             ),
@@ -433,9 +433,9 @@ class TestTamperedObjectRecovery:
         )
         client.pull(now=EPOCH + 10)  # bootstrap the signed root
 
-        issuing.revoke([serial], now=EPOCH + 20)
+        issuance = issuing.revoke([serial], now=EPOCH + 20)
         honest_objects = self._tamper(
-            world, issuing, lambda iss: replace(iss, serials=(SerialNumber(0xEEEEEE),))
+            world, issuance, lambda iss: replace(iss, serials=(SerialNumber(0xEEEEEE),))
         )
 
         bad_pull = client.pull(now=EPOCH + 40)
@@ -749,7 +749,7 @@ class TestOneGetPerDelta:
             assert replica.latest_freshness == ca.dictionary.latest_freshness
         if streaming:
             # what a segment-mode RA read through the per-Δ object it can relay
-            assert sorted(client.feeds[ca.name].segments) == [1, 2, 3, 4]
+            assert sorted(client.feeds[ca.name].segments) == [1, 3, 5, 7]  # two serials each
 
     @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -813,7 +813,7 @@ def _embedded_issuance(segment: bytes) -> bytes:
 
     from repro.ritm.replication import SEGMENT_MAGIC
 
-    start = len(SEGMENT_MAGIC) + 12  # segment number (u64), issuance length (u32)
+    start = len(SEGMENT_MAGIC) + 4  # issuance length (u32)
     (length,) = struct.unpack_from(">I", segment, start - 4)
     return segment[start : start + length]
 
@@ -867,8 +867,8 @@ class TestAPerDeltaBatchEndsAsTheWalksObject:
         from repro.ritm.replication import segment_path
 
         def stage(ca, cdn, via_walk):
-            ca.revoke([SerialNumber(0x0A0B0C), SerialNumber(0x0A0B0D)], now=130)
-            number = ca.streams[ca.name].batches
+            issuance = ca.revoke([SerialNumber(0x0A0B0C), SerialNumber(0x0A0B0D)], now=130)
+            number = issuance.first_number
             damaged = damage(cdn.origin.fetch(segment_path(ca.name, number)).content)
             if not via_walk:
                 cdn.publish(freshness_path(ca.name), damaged, 130)

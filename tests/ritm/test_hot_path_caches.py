@@ -150,11 +150,11 @@ class TestTamperedBatchRollback:
         probe = SerialNumber(0x00CD02)
         world.agent.build_status(issuing.name, probe)  # prime the proof cache
 
-        issuing.revoke([serial], now=EPOCH + 20)
+        issuance = issuing.revoke([serial], now=EPOCH + 20)
         tamper_batch(
             world.cdn,
             issuing.name,
-            issuing.issuance_count(),
+            issuance.first_number,
             lambda forged: replace(forged, serials=(SerialNumber(0xEEEEEE),)),
         )
 
@@ -185,11 +185,11 @@ class TestTamperedBatchRollback:
         probe = SerialNumber(0x00EF03)
         primed = lonely.build_status(issuing.name, probe)
 
-        issuing.revoke([serial], now=EPOCH + 20)
+        issuance = issuing.revoke([serial], now=EPOCH + 20)
         tamper_batch(
             world.cdn,
             issuing.name,
-            issuing.issuance_count(),
+            issuance.first_number,
             lambda tampered: replace(tampered, serials=(SerialNumber(0xEEEEEE),)),
         )
         bad_pull = client.pull(now=EPOCH + 40)

@@ -360,10 +360,10 @@ class TestNameFieldsAreTotal:
 
         raw = bytearray(
             encode_segment(
-                build_segment(issuance, dictionary.latest_freshness, 1, keys)
+                build_segment(issuance, dictionary.latest_freshness, keys)
             )
         )
-        name_at = len(SEGMENT_MAGIC) + 8 + 4 + 2  # number, issuance length, name length
+        name_at = len(SEGMENT_MAGIC) + 4 + 2  # issuance length, name length
         raw[name_at] = 0xFF
         struct.pack_into(">I", raw, len(raw) - 4, zlib.crc32(bytes(raw[:-4])))
         with pytest.raises(TLSError, match="UTF-8"):
@@ -477,19 +477,18 @@ class TestKeyAnnouncementCodec:
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda entries: entries[1].update(signature="zz-not-hex"),
-            lambda entries: entries[1].update(overlap_seconds=-1),
-            lambda entries: entries[1].update(activated_at=-5),
-            lambda entries: entries[1].pop("epoch"),
+            lambda chain: b"\x00\x03" + chain[2:],  # one announcement more than sent
+            lambda chain: chain[:-1],  # the last signature cut short
+            lambda chain: chain + b"\x00",  # a byte after the last announcement
+            # The genesis key's length prefix (after count, name, epoch) past the end.
+            lambda chain: chain[:20] + b"\xff\xff" + chain[22:],
         ],
     )
     def test_malformed_chain_rejected(self, keys, mutate):
-        entries = json.loads(
-            encode_key_announcements(self._chain(keys)).decode("utf-8")
-        )
-        mutate(entries)
-        with pytest.raises(TLSError):
-            decode_key_announcements(json.dumps(entries).encode("utf-8"))
+        chain = encode_key_announcements(self._chain(keys))
+        assert chain[20:22] == b"\x00\x20"  # count, "Codec-CA" framed, epoch before it
+        with pytest.raises(TLSError, match="malformed key announcement chain"):
+            decode_key_announcements(mutate(chain))
 
     def test_non_list_chain_rejected(self):
         with pytest.raises(TLSError):

@@ -255,7 +255,7 @@ class TestTamperedCheckpoints:
             self._restore_into_fresh_agent(config, ca, cdn, tmp_path)
 
     def test_a_flipped_byte_anywhere_fails_the_one_crc(self, tmp_path):
-        """Positions, keyrings and replica state sit under one
+        """Shard registry, keyrings and replica state sit under one
         checksum: there is no block whose corruption goes unnoticed."""
         self._checkpointed_stack(tmp_path)
         path = tmp_path / CHECKPOINT_FILENAME
@@ -265,16 +265,16 @@ class TestTamperedCheckpoints:
             with pytest.raises(StorageError):
                 load_checkpoint(tmp_path)
 
-    def test_the_file_is_format_3_and_a_format_2_file_is_refused(self, tmp_path):
-        """Format 2 also carried a head replay cursor per replica and a
-        shard-index cursor per sharded CA; no decoder for it is kept."""
+    def test_the_file_is_format_4_and_a_format_3_file_is_refused(self, tmp_path):
+        """Format 3 also carried a stream position per replica and JSON key
+        chains; no decoder for it is kept."""
         self._checkpointed_stack(tmp_path)
         path = tmp_path / CHECKPOINT_FILENAME
         body = path.read_bytes()[:-4]
         at = len(CHECKPOINT_MAGIC)
-        assert body[at : at + 2] == b"\x00\x03"
-        path.write_bytes(reseal(body[:at] + b"\x00\x02" + body[at + 2 :]))
-        with pytest.raises(StorageError, match="has format 2; this build reads format 3"):
+        assert body[at : at + 2] == b"\x00\x04"
+        path.write_bytes(reseal(body[:at] + b"\x00\x03" + body[at + 2 :]))
+        with pytest.raises(StorageError, match="has format 3; this build reads format 4"):
             load_checkpoint(tmp_path)
 
     def test_framing_errors_under_a_valid_crc_are_storage_errors(self, tmp_path):
@@ -285,7 +285,7 @@ class TestTamperedCheckpoints:
         for doctored, message in [
             # Format 1 carried a per-CA shard-index pull count: an old file
             # is a clear format mismatch, not a framing error.
-            (body[:at] + b"\x00\x01" + body[at + 2 :], "has format 1; this build reads format 3"),
+            (body[:at] + b"\x00\x01" + body[at + 2 :], "has format 1; this build reads format 4"),
             (body + b"\x00", "trailing bytes"),
             (body[:-1], "malformed|truncated"),
             (body[: len(body) // 2], "truncated"),
@@ -300,16 +300,16 @@ class TestRotationCheckpoint:
     """Adversarial control-plane state through a restart (docs/THREATS.md).
 
     A checkpoint taken mid-rotation must bring back the learned keyring and
-    the stream positions exactly — the restarted RA neither re-learns the
+    the replicas exactly — the restarted RA neither re-learns the
     announcement chain nor rejects the CA's next honest publication.
     """
 
     @staticmethod
-    def _positions(client):
-        """The stream positions a client holds, by dictionary name."""
-        return {name: client.replication_cursor(name) for name in client.feeds}
+    def _cursors(client):
+        """How far each replica a client holds reaches, by dictionary name."""
+        return {name: client.replication_cursor(name) for name in client.agent.replicas}
 
-    def test_mid_rotation_checkpoint_restores_keyring_and_positions(self, tmp_path):
+    def test_mid_rotation_checkpoint_restores_keyring_and_cursors(self, tmp_path):
         config, ca, cdn, agent, client = build_stack()
         issue_and_pull(ca, client, 120, periods=3)
         ca.rotate_keys(now=160)
@@ -319,8 +319,8 @@ class TestRotationCheckpoint:
         assert not mid.errors
         keyring = agent.keyring_for(ca.name)
         assert keyring is not None and keyring.key_epoch == ca.key_epoch
-        positions = self._positions(client)
-        assert positions[ca.name] == 3
+        cursors = self._cursors(client)
+        assert cursors[ca.name] == 12  # three batches of four serials
         client.checkpoint(tmp_path)
 
         restored_agent, restored_client, _ = restored_stack(config, ca, cdn, tmp_path)
@@ -330,7 +330,7 @@ class TestRotationCheckpoint:
         assert [
             record.public_key.key_bytes for record in restored_keyring.records
         ] == [record.public_key.key_bytes for record in keyring.records]
-        assert self._positions(restored_client) == positions
+        assert self._cursors(restored_client) == cursors
 
         # The CA revokes once more while the RA was down; the warm restart
         # applies exactly that delta — no resync, no re-learned rotation,
@@ -597,4 +597,80 @@ class TestCrashDuringRecheckpoint:
         shutil.copytree(tmp_path / "new", tmp_path / "renamed")
         assert_recovers(tmp_path / "renamed", new)
         agent.close()
+        ca.close()
+
+
+#: One scripted stream, a step per Δ: a batch of two serials, an idle Δ (a
+#: refresh), a key rotation, or the purge of the second batch's issuance
+#: object at the origin.  The RA pulls after every step.
+CRASH_SCHEDULE = ("batch", "idle", "batch", "rotate", "batch", "purge", "idle", "batch", "idle")
+
+
+class TestRecoveryDoesNotDependOnTheCrashStep:
+    """"Recovery is not impacted by the exact time of the failure": an RA
+    checkpointed after any step ``k`` of :data:`CRASH_SCHEDULE`, restored at
+    the end and pulled once, holds the CA's root, having fetched exactly the
+    batches published since step ``k`` — or, when one it needed was purged,
+    those up to that one and a single resync.  A replica's size is where it
+    resumes, so there is no cursor that could lag or lead its content."""
+
+    @pytest.mark.parametrize(
+        "k",
+        range(len(CRASH_SCHEDULE) + 1),
+        ids=["k0-start"] + [f"k{k}-after-{step}" for k, step in enumerate(CRASH_SCHEDULE, 1)],
+    )
+    def test_a_checkpoint_after_step_k_restores_to_the_cas_root(self, k, tmp_path, monkeypatch):
+        from repro.ritm.ca_service import freshness_path, issuance_path, keys_path
+
+        config, ca, cdn, agent, client = build_stack()
+        published = []  # (step, address) of every batch
+        purged = None
+        if k == 0:
+            client.checkpoint(tmp_path)
+        for step, action in enumerate(CRASH_SCHEDULE):
+            now = 110 + 10 * step
+            if action == "batch":
+                serials = [SerialNumber(7000 + 2 * step), SerialNumber(7001 + 2 * step)]
+                published.append((step, ca.revoke(serials, now=now).first_number))
+            elif action == "idle":
+                ca.refresh(now=now)
+            elif action == "rotate":
+                ca.rotate_keys(now=now)
+                ca.refresh(now=now)
+            else:
+                purged = published[1][1]
+                del cdn.origin._objects[issuance_path(ca.name, purged)]
+            assert not client.pull(now=now + 5).errors
+            if step + 1 == k:
+                client.checkpoint(tmp_path)
+
+        since = [address for step, address in published if step >= k]
+        needed = since[: since.index(purged) + 1] if purged in since else since
+        learns_rotation = k <= CRASH_SCHEDULE.index("rotate")
+        restored_agent, restored_client, restored = restored_stack(config, ca, cdn, tmp_path)
+        assert restored == 1
+        fetched = []
+        download = cdn.download
+
+        def logged(path, *args, **kwargs):
+            fetched.append(path)
+            return download(path, *args, **kwargs)
+
+        monkeypatch.setattr(cdn, "download", logged)
+        result = restored_client.pull(now=115 + 10 * len(CRASH_SCHEDULE))
+
+        assert fetched == (
+            [freshness_path(ca.name)]
+            + [issuance_path(ca.name, address) for address in needed]
+            + ([keys_path(ca.name)] if learns_rotation else [])
+        )
+        assert result.resyncs == (1 if needed != since else 0)
+        assert result.key_rotations_applied == (1 if learns_rotation else 0)
+        assert not result.errors
+        replica = restored_agent.replica_for(ca.name)
+        assert replica.signed_root == ca.dictionary.signed_root
+        assert replica.root() == ca.dictionary.root()
+        assert replica.latest_freshness == ca.dictionary.latest_freshness
+        for a in (agent, restored_agent):
+            a.close()
         ca.close()

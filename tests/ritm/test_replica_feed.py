@@ -1,14 +1,21 @@
-"""The RA's one replica feed: one position, one catch-up walk.
+"""The RA's one replica feed: one coordinate, one catch-up walk.
 
+A batch is addressed by its first serial number, so a replica's position in
+its stream is its size and the walk reads the batch at ``size + 1`` next.
 ``segment_streaming`` only chooses which object the walk fetches per missing
 batch, so the position a replica reached through issuance objects is the
 position a segment walk resumes from, and a backlog costs one store
-transaction whichever object carries it (docs/REPLICATION.md).
+transaction whichever object carries it (docs/REPLICATION.md).  The path is
+unauthenticated: a batch that does not carry the address it was fetched at
+is refused before the store, like any other bad batch.
 """
 
+import pytest
 
 from repro.dictionary.authdict import ReplicaDictionary
 from repro.pki import SerialNumber
+from repro.ritm.agent import RevocationAgent
+from repro.ritm.ca_service import issuance_path
 from repro.ritm.replication import segment_path
 from tests.ritm.conftest import build_stack
 
@@ -21,7 +28,12 @@ REQUEST_BYTES = 200
 def revoke_batch(ca, number, now):
     """Publish batch ``number`` (1-based) of ``PER_BATCH`` fresh serials."""
     first = 1000 + (number - 1) * PER_BATCH
-    ca.revoke([SerialNumber(first + offset) for offset in range(PER_BATCH)], now=now)
+    return ca.revoke([SerialNumber(first + offset) for offset in range(PER_BATCH)], now=now)
+
+
+def address(number):
+    """The first serial number of batch ``number`` (1-based) of ``revoke_batch``."""
+    return 1 + (number - 1) * PER_BATCH
 
 
 def test_switching_to_streaming_fetches_only_segments_past_the_position():
@@ -30,13 +42,13 @@ def test_switching_to_streaming_fetches_only_segments_past_the_position():
     for number in range(1, BATCHES):
         revoke_batch(ca, number, now=110 + 10 * number)
         client.pull(now=115 + 10 * number)
-    assert client.replication_cursor(ca.name) == BATCHES - 1
+    assert client.replication_cursor(ca.name) == (BATCHES - 1) * PER_BATCH
 
     client.segment_streaming = True
     revoke_batch(ca, BATCHES, now=200)
     result = client.pull(now=205)
 
-    newest = cdn.origin.fetch(segment_path(ca.name, BATCHES)).content
+    newest = cdn.origin.fetch(segment_path(ca.name, address(BATCHES))).content
     assert result.segments_applied == 1
     assert result.segment_bytes_downloaded == len(newest) + REQUEST_BYTES
     assert result.serials_applied == PER_BATCH
@@ -45,11 +57,11 @@ def test_switching_to_streaming_fetches_only_segments_past_the_position():
 
 
 def test_segment_n_embeds_issuance_object_n_encoded_once(monkeypatch):
-    """A segment is the issuance object plus its number, freshness and
-    signature: segment ``n`` carries the bytes at ``/issuance/<n>`` verbatim,
-    and the CA encodes each batch once for both objects."""
+    """A segment is the issuance object plus its freshness and signature:
+    the segment at address ``n`` carries the bytes at ``/issuance/<n>``
+    verbatim, ``n`` is the batch's first serial number, and the CA encodes
+    each batch once for both objects."""
     from repro.ritm import ca_service, replication
-    from repro.ritm.ca_service import issuance_path
     from repro.ritm.messages import encode_issuance
     from repro.ritm.replication import SEGMENT_MAGIC, decode_segment
 
@@ -68,9 +80,11 @@ def test_segment_n_embeds_issuance_object_n_encoded_once(monkeypatch):
     ]
 
     assert len({id(wire) for wire in encodings}) == BATCHES  # one encoding per batch
-    start = len(SEGMENT_MAGIC) + 8 + 4  # segment number, issuance length
-    for number, issuance in enumerate(issued, 1):
+    start = len(SEGMENT_MAGIC) + 4  # issuance length
+    assert [issuance.first_number for issuance in issued] == [1, 2, 4, 7, 11]
+    for issuance in issued:
         wire = encode_issuance(issuance)
+        number = issuance.first_number
         segment = cdn.origin.fetch(segment_path(ca.name, number)).content
         assert cdn.origin.fetch(issuance_path(ca.name, number)).content == wire
         assert segment[start - 4 : start] == len(wire).to_bytes(4, "big")
@@ -104,10 +118,9 @@ def test_segment_backlog_is_one_store_transaction(monkeypatch):
     assert one.signed_root == five.signed_root
     assert one.latest_freshness == five.latest_freshness
     assert one.leaf_items() == five.leaf_items()
-    for number in range(1, BATCHES + 1):
-        assert backlog_client.archived_segment(
-            ca.name, number
-        ) == stepwise_client.archived_segment(ca.name, number)
+    archive = backlog_client.feeds[ca.name].segments
+    assert sorted(archive) == [address(number) for number in range(1, BATCHES + 1)]
+    assert archive == stepwise_client.feeds[ca.name].segments
 
 
 def test_peer_archive_gap_is_exactly_one_cold_sync_fallback():
@@ -117,7 +130,7 @@ def test_peer_archive_gap_is_exactly_one_cold_sync_fallback():
     for number in range(1, BATCHES + 1):
         revoke_batch(ca, number, now=110 + 10 * number)
     relay_client.pull(now=200)
-    del relay_client.feeds[ca.name].segments[3]
+    del relay_client.feeds[ca.name].segments[address(3)]
 
     result = victim_client.sync_from_peer(relay_client, now=210)
 
@@ -126,8 +139,103 @@ def test_peer_archive_gap_is_exactly_one_cold_sync_fallback():
     assert result.cold_sync_fallbacks == 1
     assert result.resyncs == 1
     assert result.segments_rejected == 0
-    # The peer's claim to more history vouches for nothing: the position
-    # stays where the verified run ended, though the resync filled the rest.
-    assert victim_client.replication_cursor(ca.name) == 2
+    # The resync filled the rest, and the replica's size is where it stands.
+    assert victim_client.replication_cursor(ca.name) == BATCHES * PER_BATCH
     assert victim.replica_for(ca.name).root() == ca.dictionary.root()
     assert result.serials_applied == BATCHES * PER_BATCH
+
+
+def count_store_calls(monkeypatch):
+    """Every batch hand-over to a replica's store, by batch count."""
+    calls = []
+    apply_issuances = RevocationAgent.apply_issuances
+
+    def counting(self, ca_name, issuances):
+        calls.append(len(issuances))
+        return apply_issuances(self, ca_name, issuances)
+
+    monkeypatch.setattr(RevocationAgent, "apply_issuances", counting)
+    return calls
+
+
+@pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+def test_an_edge_serving_batch_k_at_batch_k_plus_1s_path_costs_one_resync(
+    monkeypatch, streaming
+):
+    """The RA holds batch 1 and walks to batches 2 and 3; the CDN serves
+    batch 1's object (honest, CA-signed) at batch 2's address.  It is an
+    error and one resync, and no batch reaches the store."""
+    _, ca, cdn, attach = build_stack()
+    agent, client = attach("addressed-ra", streaming=streaming)
+    revoke_batch(ca, 1, now=110)
+    client.pull(now=115)
+    for number in (2, 3):
+        revoke_batch(ca, number, now=110 + 10 * number)
+    ca.refresh(now=145)  # the per-Δ object is the statement: the walk GETs both
+    path = segment_path if streaming else issuance_path
+    cdn.publish(path(ca.name, address(2)), cdn.origin.fetch(path(ca.name, 1)).content, 145)
+    calls = count_store_calls(monkeypatch)
+
+    result = client.pull(now=146)
+
+    assert len(result.errors) == 1
+    assert f"at serial {address(2)}" in result.errors[0] and "at 1" in result.errors[0]
+    assert result.resyncs == 1
+    assert result.segments_rejected == (1 if streaming else 0)
+    assert calls == []
+    assert agent.replica_for(ca.name).root() == ca.dictionary.root()
+
+
+def test_a_peer_relaying_the_wrong_segment_costs_one_cold_sync_fallback(monkeypatch):
+    """A peer's archive answers the request for batch 2's address with batch
+    1's segment (honest, CA-signed): one error, one explicit fallback to the
+    CA's sync protocol, and no batch reaches the store."""
+    _, ca, _, attach = build_stack()
+    relay, relay_client = attach("relay-ra", streaming=True)
+    victim, victim_client = attach("victim-ra")
+    revoke_batch(ca, 1, now=110)
+    victim_client.pull(now=115)
+    for number in (2, 3):
+        revoke_batch(ca, number, now=110 + 10 * number)
+    relay_client.pull(now=135)
+    archive = relay_client.feeds[ca.name].segments
+    archive[address(2)] = archive[1]
+    calls = count_store_calls(monkeypatch)
+
+    result = victim_client.sync_from_peer(relay_client, now=140)
+
+    assert result.peer_syncs == 1
+    assert len(result.errors) == 1
+    assert result.segments_rejected == 1
+    assert result.cold_sync_fallbacks == 1 and result.resyncs == 1
+    assert result.segments_from_peer == 0
+    assert calls == []
+    assert victim.replica_for(ca.name).root() == ca.dictionary.root()
+
+
+def test_an_empty_batch_at_the_right_address_costs_one_resync(monkeypatch):
+    """A batch is never empty, so an edge serving a zero-serial issuance
+    object at the address the walk asked for cannot hold the walk in place:
+    one error, one resync, no store call."""
+    from dataclasses import replace
+
+    from repro.ritm.messages import decode_issuance, encode_issuance
+
+    _, ca, cdn, attach = build_stack()
+    agent, client = attach("emptied-ra")
+    revoke_batch(ca, 1, now=110)
+    client.pull(now=115)
+    revoke_batch(ca, 2, now=120)
+    ca.refresh(now=125)
+    path = issuance_path(ca.name, address(2))
+    honest = decode_issuance(cdn.origin.fetch(path).content)
+    cdn.publish(path, encode_issuance(replace(honest, serials=())), 125)
+    calls = count_store_calls(monkeypatch)
+
+    result = client.pull(now=126)
+
+    assert result.requests == 3  # the per-Δ object, the emptied batch, the resync
+    assert len(result.errors) == 1 and "0 serial(s)" in result.errors[0]
+    assert result.resyncs == 1
+    assert calls == []
+    assert agent.replica_for(ca.name).root() == ca.dictionary.root()

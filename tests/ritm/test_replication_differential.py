@@ -6,7 +6,7 @@ RA's archive — must end byte-identical to an RA fed by the ordinary pull
 path: same Merkle roots, same signed roots, same freshness statements,
 same proofs for present and absent serials.  Every store engine must agree,
 and a segment-synced replica must survive a checkpoint/restore round trip
-with its stream position intact (docs/REPLICATION.md).  Which object the
+and resume from its size (docs/REPLICATION.md).  Which object the
 catch-up walk fetches is the client's ``segment_streaming`` attribute.
 """
 
@@ -69,7 +69,7 @@ class TestSegmentSyncMatchesPullPath:
         )
 
         assert_replicas_identical(ca, puller, segmented)
-        assert segment_client.replication_cursor(ca.name) == PERIODS
+        assert segment_client.replication_cursor(ca.name) == PERIODS * PER_PERIOD
         applied = sum(
             pull.segments_applied for pull in segment_client.pull_history
         )
@@ -101,7 +101,7 @@ class TestSegmentSyncMatchesPullPath:
         assert result.segment_bytes_downloaded > 0
         # peer relay never touched the CDN origin on the restored RA's behalf
         assert cdn.origin_bytes_by_source.get("restored-ra", 0) == 0
-        assert restored_client.replication_cursor(ca.name) == PERIODS
+        assert restored_client.replication_cursor(ca.name) == PERIODS * PER_PERIOD
         for a in (puller, relay, restored):
             a.close()
         ca.close()
@@ -114,7 +114,7 @@ class TestSegmentSyncMatchesPullPath:
         again = segment_client.pull(now=600)
         assert again.segments_applied == 0
         assert again.serials_applied == 0
-        assert segment_client.replication_cursor(ca.name) == PERIODS
+        assert segment_client.replication_cursor(ca.name) == PERIODS * PER_PERIOD
 
         # a follow-up peer sync against an equally-caught-up peer is a no-op
         peer, peer_client = attach("peer-ra", streaming=True)
@@ -152,11 +152,11 @@ class TestStreamingPullMode:
             sum(p.segments_applied for p in streaming_client.pull_history)
             == PERIODS
         )
-        # One position, whichever object got the replica there; what differs
+        # One coordinate, whichever object got the replica there; what differs
         # is what each RA can offer a peer: the plain one verified no segment.
-        assert streaming_client.replication_cursor(ca.name) == PERIODS
-        assert plain_client.replication_cursor(ca.name) == PERIODS
-        for number in range(1, PERIODS + 1):
+        assert streaming_client.replication_cursor(ca.name) == PERIODS * PER_PERIOD
+        assert plain_client.replication_cursor(ca.name) == PERIODS * PER_PERIOD
+        for number in range(1, PERIODS * PER_PERIOD, PER_PERIOD):
             assert streaming_client.archived_segment(ca.name, number) is not None
             assert plain_client.archived_segment(ca.name, number) is None
         for a in (plain, streaming):
@@ -171,7 +171,7 @@ class TestStreamingPullMode:
 
         fresh, fresh_client = attach("segment-ra", streaming=True)
         assert fresh_client.restore(tmp_path) == 1
-        assert fresh_client.replication_cursor(ca.name) == PERIODS
+        assert fresh_client.replication_cursor(ca.name) == PERIODS * PER_PERIOD
         # nothing new published, so the restored cursor makes syncs no-ops
         result = fresh_client.pull(now=700)
         assert result.segments_applied == 0

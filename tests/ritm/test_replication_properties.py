@@ -5,7 +5,8 @@ its invariants must hold for *any* interleaving of loss, reordering,
 duplication, tampering, crash points, and equivocating relays — not just
 the staged sequences in the differential suite:
 
-* the stream position is monotone, across adversarial syncs and
+* a replica's size — its place in the stream, the address of the batch it
+  reads next less one — is monotone, across adversarial syncs and
   crash/restore alike;
 * a tampered or mis-signed segment never reaches the replica, whatever
   byte was flipped — the walk rejects it and recovers the honest batch
@@ -45,14 +46,18 @@ engines = st.sampled_from(sorted(ENGINES))
 
 
 def revoke_batches(ca, sizes, start=120, base=1000):
-    """One revocation batch (= one WAL segment) per entry of ``sizes``."""
+    """One revocation batch (= one WAL segment) per entry of ``sizes``;
+    returns their addresses (first serial numbers)."""
     serial = base
+    addresses = []
     for period, size in enumerate(sizes):
-        ca.revoke(
+        issuance = ca.revoke(
             [SerialNumber(serial + offset) for offset in range(size)],
             now=start + period * 10,
         )
+        addresses.append(issuance.first_number)
         serial += size
+    return addresses
 
 
 def flip_byte(raw: bytes, index: int) -> bytes:
@@ -61,12 +66,13 @@ def flip_byte(raw: bytes, index: int) -> bytes:
 
 
 class AdversarialPeer:
-    """A peer relay that mangles its archive per a segment-number plan."""
+    """A peer relay that mangles its archive per a plan keyed by address."""
 
-    def __init__(self, client, ca_name, plan):
+    def __init__(self, client, ca_name, plan, addresses=()):
         self._client = client
         self._ca = ca_name
         self._plan = plan
+        self._next = dict(zip(addresses, addresses[1:]))
         self.location = client.location
 
     def replication_cursor(self, ca_name):
@@ -80,7 +86,7 @@ class AdversarialPeer:
         if action == "stale":
             return self._client.archived_segment(ca_name, 1)
         if action == "skip":
-            return self._client.archived_segment(ca_name, number + 1)
+            return self._client.archived_segment(ca_name, self._next.get(number, 0))
         if action == "tamper" and raw is not None:
             return flip_byte(raw, len(raw) // 2)
         return raw
@@ -92,7 +98,7 @@ class EquivocatingPeer(AdversarialPeer):
 
     def __init__(self, client, ca_name, forge_from):
         super().__init__(client, ca_name, plan={})
-        self._forge_from = forge_from
+        self._forge_from = forge_from  # an address
 
     def archived_segment(self, ca_name, number):
         raw = self._client.archived_segment(ca_name, number)
@@ -109,28 +115,27 @@ class EquivocatingPeer(AdversarialPeer):
 @given(engine=engines, sizes=batch_sizes, data=st.data())
 def test_adversarial_peer_converges_or_degrades_explicitly(engine, sizes, data):
     """For any loss/reorder/duplication/tamper plan: the cursor is monotone,
-    the replica converges to the CA's dictionary, and any shortfall against
-    the peer's claimed cursor is flagged as an explicit cold-sync fallback."""
+    the replica converges to the CA's dictionary, and any batch the peer
+    could not relay is flagged as an explicit cold-sync fallback."""
     config, ca, cdn, attach = build_stack(engine)
     reference, reference_client = attach("reference-ra")
     relay, relay_client = attach("relay-ra", Region.UNITED_STATES, streaming=True)
     victim, victim_client = attach("victim-ra", Region.UNITED_STATES)
 
-    revoke_batches(ca, sizes)
+    addresses = revoke_batches(ca, sizes)
     reference_client.pull(now=400)
     relay_client.pull(now=400)
     total = len(sizes)
     plan = {
-        number: data.draw(actions, label=f"segment {number}")
-        for number in range(1, total + 1)
+        number: data.draw(actions, label=f"segment at {number}")
+        for number in addresses
     }
 
-    peer = AdversarialPeer(relay_client, ca.name, plan)
+    peer = AdversarialPeer(relay_client, ca.name, plan, addresses)
     result = victim_client.sync_from_peer(peer, now=410)
 
-    cursor = victim_client.replication_cursor(ca.name)
-    assert 0 <= cursor <= total
-    if cursor < total:
+    assert victim_client.replication_cursor(ca.name) == sum(sizes)
+    if result.segments_from_peer < total:
         # never a silent stall: shortfall must be an explicit fallback
         assert result.cold_sync_fallbacks == 1
     else:
@@ -162,7 +167,8 @@ def test_tampered_segment_never_reaches_replica(engine, sizes, data):
     # per-Δ copy)
     ca.revoke([SerialNumber(999)], now=500)
     ca.refresh(now=501)
-    path = segment_path(ca.name, len(sizes) + 1)
+    address = sum(sizes) + 1
+    path = segment_path(ca.name, address)
     raw = cdn.origin.fetch(path).content
     index = data.draw(
         st.integers(min_value=0, max_value=len(raw) - 1), label="flip index"
@@ -175,11 +181,11 @@ def test_tampered_segment_never_reaches_replica(engine, sizes, data):
     assert result.segments_applied == 0
     assert result.errors
     assert result.resyncs == 1
-    assert segment_client.archived_segment(ca.name, len(sizes) + 1) is None
+    assert segment_client.archived_segment(ca.name, address) is None
     assert replica.size == ca.dictionary.size
     assert replica.root() == ca.dictionary.root()
     assert replica.signed_root == ca.dictionary.signed_root
-    assert segment_client.replication_cursor(ca.name) == len(sizes) + 1
+    assert segment_client.replication_cursor(ca.name) == address
     segmented.close()
     ca.close()
 
@@ -199,7 +205,7 @@ def test_mid_stream_crash_restore_keeps_cursor_monotone(
     revoke_batches(ca, before_crash, start=120)
     segment_client.pull(now=300)
     checkpoint_cursor = segment_client.replication_cursor(ca.name)
-    assert checkpoint_cursor == len(before_crash)
+    assert checkpoint_cursor == sum(before_crash)
     assert segment_client.checkpoint(tmp_path) == 1
 
     revoke_batches(ca, after_crash, start=400, base=5000)
@@ -209,11 +215,9 @@ def test_mid_stream_crash_restore_keeps_cursor_monotone(
     assert restored_client.restore(tmp_path) == 1
     assert restored_client.replication_cursor(ca.name) == checkpoint_cursor
     restored_client.pull(now=600)
-    total = len(before_crash) + len(after_crash)
+    total = sum(before_crash) + sum(after_crash)
     assert restored_client.replication_cursor(ca.name) == total
-    assert restored.replica_for(ca.name).size == sum(before_crash) + sum(
-        after_crash
-    )
+    assert restored.replica_for(ca.name).size == total
     restored.close()
     ca.close()
 
@@ -229,21 +233,18 @@ def test_equivocating_relay_is_rejected_and_fallback_is_explicit(engine, sizes, 
     relay, relay_client = attach("relay-ra", Region.UNITED_STATES, streaming=True)
     victim, victim_client = attach("victim-ra", Region.UNITED_STATES)
 
-    revoke_batches(ca, sizes)
+    addresses = revoke_batches(ca, sizes)
     reference_client.pull(now=400)
     relay_client.pull(now=400)
-    total = len(sizes)
-    forge_from = data.draw(
-        st.integers(min_value=1, max_value=total), label="forge from"
-    )
+    forged = data.draw(st.integers(min_value=0, max_value=len(sizes) - 1), label="forge from")
+    forge_from = addresses[forged]
 
     peer = EquivocatingPeer(relay_client, ca.name, forge_from)
     result = victim_client.sync_from_peer(peer, now=410)
 
     assert result.segments_rejected == 1
     assert result.cold_sync_fallbacks == 1
-    cursor = victim_client.replication_cursor(ca.name)
-    assert cursor == forge_from - 1
+    assert result.segments_from_peer == forged  # the honest run before the forgery
     # the forged segment was never archived for onward relay
     assert victim_client.archived_segment(ca.name, forge_from) is None
     ref = reference.replica_for(ca.name)

@@ -477,7 +477,7 @@ class TestShardStreams:
                 [(SerialNumber(10 + offset), expiry)], now=now + 10 * offset
             )
         [stream] = ca.streams.values()
-        assert stream.batches == 3
+        assert stream.dictionary.size == 3  # three one-serial batches
         client.segment_streaming = True
         fetched = []
         download = cdn.download

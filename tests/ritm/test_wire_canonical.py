@@ -39,6 +39,7 @@ from repro.ritm.messages import (
     decode_freshness_object,
     decode_head,
     decode_issuance,
+    decode_key_announcements,
     decode_proof,
     decode_shard_index,
     decode_signed_root,
@@ -48,6 +49,7 @@ from repro.ritm.messages import (
     encode_freshness,
     encode_head,
     encode_issuance,
+    encode_key_announcements,
     encode_proof,
     encode_shard_index,
     encode_signed_root,
@@ -142,9 +144,18 @@ ISSUANCES = [
     for batch, serials in enumerate([(7,), (300, 2, 70_000), range(1000, 1020)])
 ]
 SEGMENTS = [
-    build_segment(issuance, _ISSUER.latest_freshness, number, KeyPair.generate(b"canonical"))
-    for number, issuance in enumerate(ISSUANCES, 1)
+    build_segment(issuance, _ISSUER.latest_freshness, KeyPair.generate(b"canonical"))
+    for issuance in ISSUANCES
 ]
+#: A CA's key-announcement chain: none, the genesis key, then two rotations.
+_ROTATING = [KeyPair.generate(f"canonical-epoch-{epoch}".encode()) for epoch in range(3)]
+KEY_CHAINS = [()]
+for _epoch, _keys in enumerate(_ROTATING):
+    _link = KeyAnnouncement("Canon-CA", _epoch, _keys.public.key_bytes, 1000 * _epoch, 30 * _epoch)
+    _signer = _ROTATING[max(_epoch - 1, 0)]
+    KEY_CHAINS.append(
+        KEY_CHAINS[-1] + (dataclasses.replace(_link, signature=_signer.sign(_link.payload())),)
+    )
 _SYNC_SERVER = SyncServer(_ISSUER)
 for _issuance in ISSUANCES:
     _SYNC_SERVER.record_issuance(_issuance)
@@ -296,6 +307,12 @@ CODECS = {
         encode_shard_index,
         TLSError,
         [encode_shard_index(index) for index in SHARD_INDEXES],
+    ),
+    "key_announcements": (
+        _whole(decode_key_announcements),
+        encode_key_announcements,
+        TLSError,
+        [encode_key_announcements(chain) for chain in KEY_CHAINS],
     ),
     # A segment's trailing CRC32 is a function of the bytes before it, so the
     # harness edits those and re-checksums them: a mutation reaches the parser
@@ -659,6 +676,12 @@ NAMED = {
         lambda data: (decode_shard_index(data), len(data)),
         SHARD_INDEXES[-1],
     ),
+    # One announcement: a one-link chain without its u16 count.
+    "key_announcement": (
+        lambda announcement: encode_key_announcements((announcement,))[2:],
+        lambda data: (decode_key_announcements(b"\x00\x01" + data)[0], len(data)),
+        KEY_CHAINS[-1][-1],
+    ),
 }
 
 
@@ -691,12 +714,7 @@ class TestNameCap:
             decode(longer)
 
     def test_a_key_announcement_name_is_capped_too(self):
-        from repro.ritm.messages import decode_key_announcements, encode_key_announcements
-
-        announcement = KeyAnnouncement("n" * MAX_NAME_BYTES, 0, bytes(32), 0, 0)
-        assert announcement.payload().count(b"n") >= MAX_NAME_BYTES
+        announcement = KEY_CHAINS[-1][0]
+        assert _named(announcement, "n" * MAX_NAME_BYTES).payload().count(b"n") >= MAX_NAME_BYTES
         with pytest.raises(TLSError, match=str(MAX_NAME_BYTES)):
             _named(announcement, "n" * 256).payload()
-        chain = encode_key_announcements((_named(announcement, "n" * 256),))
-        with pytest.raises(TLSError, match="malformed key announcement chain"):
-            decode_key_announcements(chain)

@@ -95,6 +95,19 @@ check (4,446 → 4,438 B).  Two fault events lost their sequence:
 ``replayed-head``'s rollback names the replayed root's signing time, and its
 refusal names both roots' sizes and times; ``rotated-ca-key``'s retired-key
 forgery no longer prints "(sequence 71)".
+Addressing every batch by its first serial number (no segment number, no
+stream position) re-pinned all 17 rows, every check still passing and no
+resync, error, replay, applied count, peer-relayed segment count or
+verification count moved.  Each segment is 8 B smaller, so every row's
+``dissemination.bytes_downloaded`` fell 8 B per segment read (the "N pulls,
+B bytes" check detail and ``average_pull_latency_seconds`` with it;
+``quickstart`` 1,654 → 1,646 B, ``soak`` 44,205 → 43,629 B and its
+``replication.segment_bytes_downloaded`` 42,960 → 42,384 B,
+``region-outage`` 21,400 → 21,080 B segment bytes and overlap factor
+3.0952 → 3.0951).  ``ra-crash-recovery`` and ``region-outage`` print their
+recovery pull's bytes (1,474 → 1,466 B; 565 → 557 B).  ``rotated-ca-key``
+also reads the binary key-announcement chain in place of the JSON one:
+10,175 → 8,271 B over its four chain reads and its segments.
 """
 
 from __future__ import annotations
@@ -107,23 +120,23 @@ import pytest
 from repro.scenarios import get, names, run_scenario
 
 GOLDEN_DIGESTS = {
-    "ca-audit-gossip": "7fb1e1721d821a357059642b150c2fd45dca6ddc45c039b32172b8e46757e953",
-    "degraded-ra": "ee6ceed1e742315bd0c335d42c5fb5dcbc59882b22a361b1740c9168d6e767ba",
-    "equivocating-ca": "17d929f75b9d2d73f33382f27b13f7d965ef857782426655b8418ff468bfbba4",
-    "flash-crowd": "5eb9a83da0b0cdc4e4e8801d55e519fce87777cfccb773864c0d223c113a063b",
-    "heartbleed": "9a809fc660ed2c6577ac4ca0e1f78849aa10da2178c3c405fae5b3aca2fc73af",
-    "iot-long-lived": "6995a5787c226d0a2b38755162d80d04395b3cb8026ee0c9695409b2be918512",
-    "quickstart": "2f5381e874e904a95c0c0d4cf45b24e7777d11665476c8a2ebbbc5c194fdf067",
-    "ra-crash-recovery": "fba12816ff74e7bd01d4b862e4d1e7f5a5391cd4bfde839be0192ea06e7b1a7d",
-    "region-outage": "7b274b33188b06df54591e58c86425cce374feda5465214d818efe09487f79b6",
-    "replayed-head": "32f2215e1a1572640cb8e6545d91e93587418eed6dd572fd90ab04e06e55b2c8",
-    "rotated-ca-key": "0787495e14351cc2e1474cd41ba19fef38083d83749f20499d79873fdab2e510",
-    "sharded-longrun": "314e57afd8887d1632e75116c291540404d50c6263a6f85c055fd9aace5b5c91",
-    "slow-ra-holb": "135c7431e2ad0122753db9f75d48cde2e587d115e8308a7794bbfb4ad9f76634",
-    "soak": "b71acd8127172a67b051d11d18bf93847e38a9559f24778d1f8020449d5d48bf",
-    "staggered-pulls": "cea96884a0f98c1b24c80b122ebc999bc40edd78de4aed053056d65c44532c74",
-    "tampered-cdn": "f5e40208bea99f3883d5d48cf7a8729de10e0cb0c122cb32e7a2c28a3a72cd99",
-    "thundering-herd": "5e3036cb18dca2aaaf5f2c486001dfa2806426ff917d1b30e9d883b8c86042de",
+    "ca-audit-gossip": "7c2ace3945b3e7ad717b9efa8a362fd69f91eef391d6293fe8b5db8016a5a734",
+    "degraded-ra": "c78c9b31315e0e2e6eedd5948ced028dfd942333e55743c210aa136422cd0325",
+    "equivocating-ca": "e1dc280e182437bd7f42ad237c2f126daeb4973de9e93dd8864199b6e6be097f",
+    "flash-crowd": "bd9badd16a7564b1e2c68f0c1862b85aebecb9178b9cdc15dfb04f0404fcbdc2",
+    "heartbleed": "cfc3185d73d0bb7b2e13f0248d0d603ddae0fcda7665c21fab308b242b26aa8e",
+    "iot-long-lived": "c13b48fdbc501c8a01e9c0188661e68d9f8260fc828a7bd6fb739c9c6bc4c75e",
+    "quickstart": "d0dd632dc9d37aa7edecbae2cd210b2f9839ae569b2d4872f7de55d30ee25de2",
+    "ra-crash-recovery": "3fabf1c4e99bf96e6331a53a0da596e2c495285b9a330b4d0bab41677f3d90dd",
+    "region-outage": "2042edc161b0f6f36bf74d1f095d2fa5b6393b3d9736cf715c6604562e5c725f",
+    "replayed-head": "19e1e95d98bb5f66a81a1280d4f22cc2fb770d1f90567da722c4c7f56df5fef6",
+    "rotated-ca-key": "882ec3d081fdeac8bc6d8e16067c531d9c8ea9c9262fe2f69d379776ab4a381f",
+    "sharded-longrun": "d61f574e34cb0e12e0fc18936d537177d86651c0eb6d196c6044bfd4476382fc",
+    "slow-ra-holb": "e0e64e30a9f54a122dd08fa021ba7ca66180bb8d790ef192f1472ef7cd0fc9e4",
+    "soak": "929ec4995b69ae866983034366bfdaa99e6e36eaae7769f302462bcdb28fe39b",
+    "staggered-pulls": "d2064a23d5c4731850216a8dca109e5438b16ad07c6a283a422a42923c042a02",
+    "tampered-cdn": "f49bc5c5c5b29c64d950870237d8dd610cad1171f9264147a307b91360ea928c",
+    "thundering-herd": "85fe0a362afa8e98a1179c130feef121e6f7b25616d0f34d0e8a9aa82b79b8bb",
 }
 
 
