@@ -33,8 +33,8 @@ KINDS = {
 
 #: (GETs, bytes on the wire) per kind, for the gated scenarios.
 GATED = {
-    "quickstart": {"head": (1, 415), "per-Δ": (4, 1231)},
-    "soak": {"head": (3, 1245), "per-Δ": (72, 42384)},
+    "quickstart": {"head": (1, 367), "per-Δ": (4, 1142)},
+    "soak": {"head": (3, 1101), "per-Δ": (72, 40728)},
 }
 
 

@@ -122,11 +122,14 @@ PROOF_BUILD_CALLS_CEILING = 70
 #: 11-step paths) for an absent serial (two neighbours) and a revoked one:
 #: 787 and 491 while every audit step carried a side byte and a length and
 #: each neighbour its own index, size and step count; 514 and 457 with the
-#: siblings alone, the two neighbours' shared steps sent once.  Exact.
-STATUS_BYTES_ABSENT, STATUS_BYTES_PRESENT = 514, 457
+#: siblings alone, the two neighbours' shared steps sent once; 471 and 414
+#: with the CA name, the serial and the statement's name and size sent only
+#: where the root and the proof already carry them (and no frames).  Exact.
+STATUS_BYTES_ABSENT, STATUS_BYTES_PRESENT = 471, 414
 #: Interpreter calls per decode of an absent status (mean over the probes):
 #: 130 while the decoder read a side and a length per step, 119 with the
-#: path's shape derived from its position.
+#: path's shape derived from its position, 88 with the status's three parts
+#: unframed.
 STATUS_DECODE_CALLS_CEILING = 130
 
 

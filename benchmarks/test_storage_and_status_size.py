@@ -46,7 +46,7 @@ def test_status_size_largest_crl(benchmark):
         ["dictionary size", "absence status", "presence status", "proof depth", "paper"],
         [
             [
-                result.dictionary_size,
+                result.entries,
                 f"{result.absent_status_bytes} B",
                 f"{result.revoked_status_bytes} B",
                 result.proof_depth,

@@ -69,7 +69,7 @@ def test_table3_processing_time(benchmark, engine, counts):
     result = benchmark.pedantic(
         lambda: run_table_3(
             repetitions=REPETITIONS,
-            dictionary_size=20_000,
+            entries=20_000,
             signature_repetitions=SIGNATURE_REPETITIONS,
             engine=engine,
         ),

@@ -71,14 +71,7 @@ def build_revocation_message(revocation_count: int, delta_seconds: int = 60) -> 
         dictionary.refresh(0)
         from repro.ritm.messages import encode_head, DictionaryHead
 
-        return encode_head(
-            DictionaryHead(
-                ca_name="Fig5-CA",
-                size=0,
-                signed_root=dictionary.signed_root,
-                freshness=dictionary.latest_freshness,
-            )
-        )
+        return encode_head(DictionaryHead(dictionary.signed_root, dictionary.latest_freshness))
     serials = [SerialNumber(value) for value in serials_for_count(revocation_count, seed=revocation_count)]
     issuance = dictionary.insert(serials, now=0)
     return encode_issuance(issuance)

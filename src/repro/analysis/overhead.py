@@ -5,7 +5,9 @@ Three quantities are reproduced here:
 * **Fig. 7** — how many bytes a single RA downloads per Δ during the
   Heartbleed week (14–20 April 2014) for Δ ∈ {10 s, 1 min, 5 min, 1 h, 1 day}
   and 254 dictionaries: the per-Δ cost is one freshness statement per
-  dictionary plus the serials revoked in that period;
+  dictionary (:data:`FRESHNESS_BYTES`, 20 B — the statement this wire sends
+  is its 20-byte value and nothing else) plus the serials revoked in that
+  period;
 * **storage** — what an RA stores for 1.38 M (or 10 M) revocations and how
   much memory the materialised dictionaries take;
 * **sharded storage** — how the §VIII expiry-split relaxation bounds RA
@@ -49,7 +51,8 @@ FIGURE7_DELTAS: Dict[str, int] = {
     "1d": PAPER_DELTA_SWEEP["1d"],
 }
 
-#: Per-dictionary freshness statement bytes (truncated hash, §VI).
+#: Per-dictionary freshness statement bytes (truncated hash, §VI): also
+#: what this wire sends, ``len(encode_freshness(...))`` at a 20-byte digest.
 FRESHNESS_BYTES = 20
 #: Amortised signed-root bytes accompanying a batch of new revocations.
 SIGNED_ROOT_BYTES = 180
@@ -219,29 +222,29 @@ def sharded_storage_overhead(
 
 @dataclass
 class StatusSizeResult:
-    dictionary_size: int
+    entries: int
     absent_status_bytes: int
     revoked_status_bytes: int
     proof_depth: int
 
 
 def status_size_for_dictionary(
-    dictionary_size: int = 50_000, delta_seconds: int = 60, seed: int = 9
+    entries: int = 50_000, delta_seconds: int = 60, seed: int = 9
 ) -> StatusSizeResult:
     """Measure the encoded size of a revocation status for a dictionary of
-    ``dictionary_size`` entries (the paper quotes 500–900 B for the largest
+    ``entries`` revocations (the paper quotes 500–900 B for the largest
     CRL's dictionary).
 
     Building the full 339k-entry dictionary takes a few seconds of hashing;
     benchmarks that need the exact largest-CRL figure pass
-    ``dictionary_size=LARGEST_CRL_ENTRIES``.
+    ``entries=LARGEST_CRL_ENTRIES``.
     """
-    keys = KeyPair.generate(f"status-size-{dictionary_size}".encode())
+    keys = KeyPair.generate(f"status-size-{entries}".encode())
     dictionary = CADictionary(
         ca_name="Size-CA", keys=keys, delta=delta_seconds, chain_length=64
     )
-    serial_values = serials_for_count(dictionary_size + 1, seed=seed)
-    revoked = [SerialNumber(value) for value in serial_values[:dictionary_size]]
+    serial_values = serials_for_count(entries + 1, seed=seed)
+    revoked = [SerialNumber(value) for value in serial_values[:entries]]
     absent_serial = SerialNumber(serial_values[-1])
     dictionary.insert(revoked, now=0)
 
@@ -255,7 +258,7 @@ def status_size_for_dictionary(
     if hasattr(revoked_status.proof, "path"):
         depth = len(revoked_status.proof.path)
     return StatusSizeResult(
-        dictionary_size=dictionary_size,
+        entries=entries,
         absent_status_bytes=absent_bytes,
         revoked_status_bytes=revoked_bytes,
         proof_depth=depth,

@@ -124,13 +124,13 @@ def _with_labels(row: TimingRow, entity: str, operation: str) -> TimingRow:
 
 def run_table_3(
     repetitions: int = PAPER_REPETITIONS,
-    dictionary_size: int = 20_000,
+    entries: int = 20_000,
     signature_repetitions: Optional[int] = None,
     engine: Optional[str] = None,
 ) -> Table3Result:
     """Measure every Table III row.
 
-    ``dictionary_size`` controls the dictionary the proofs are built against
+    ``entries`` controls the dictionary the proofs are built against
     (proof cost grows logarithmically, so 20k entries already exercises a
     realistic depth).  ``signature_repetitions`` can be lowered because the
     pure-Python Ed25519 verification is orders of magnitude slower than the
@@ -166,8 +166,8 @@ def run_table_3(
     dictionary = CADictionary(
         ca_name="Timing-CA", keys=keys, delta=10, chain_length=128, engine=engine
     )
-    serial_values = serials_for_count(dictionary_size + 1, seed=3)
-    dictionary.insert([SerialNumber(value) for value in serial_values[:dictionary_size]], now=0)
+    serial_values = serials_for_count(entries + 1, seed=3)
+    dictionary.insert([SerialNumber(value) for value in serial_values[:entries]], now=0)
     absent_serial = SerialNumber(serial_values[-1])
     status = dictionary.prove(absent_serial)
     signed_root = dictionary.signed_root

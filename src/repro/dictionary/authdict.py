@@ -27,7 +27,7 @@ from repro.crypto.hashchain import HashChain
 from repro.crypto.hashing import DEFAULT_DIGEST_SIZE
 from repro.crypto.signing import KeyPair, PublicKey
 from repro.store import create_store
-from repro.dictionary.freshness import FreshnessStatement, periods_elapsed
+from repro.dictionary.freshness import FreshnessStatement, periods_elapsed, statement_period
 from repro.dictionary.proofs import RevocationStatus
 from repro.dictionary.signed_root import SignedRoot
 from repro.errors import (
@@ -246,11 +246,7 @@ class CADictionary(_DictionaryCore):
         period = periods_elapsed(self._signed_root.timestamp, now, self.delta)
         if period >= self.chain_length:
             return self._sign_new_root(now)
-        statement = FreshnessStatement(
-            ca_name=self.ca_name,
-            value=self._chain.statement(period),
-            dictionary_size=self.size,
-        )
+        statement = FreshnessStatement(self._chain.statement(period))
         self._latest_freshness = statement
         return statement
 
@@ -279,8 +275,6 @@ class CADictionary(_DictionaryCore):
                 f"{self.ca_name!r} has not signed a root yet; call refresh() or insert() first"
             )
         return RevocationStatus(
-            ca_name=self.ca_name,
-            serial=serial,
             proof=self.prove_membership(serial),
             signed_root=self._signed_root,
             freshness=self._current_freshness(),
@@ -299,11 +293,7 @@ class CADictionary(_DictionaryCore):
             chain_length=self.chain_length,
         )
         self._signed_root = unsigned.sign(self._keys.private)
-        self._latest_freshness = FreshnessStatement(
-            ca_name=self.ca_name,
-            value=self._chain.anchor,
-            dictionary_size=self.size,
-        )
+        self._latest_freshness = FreshnessStatement(self._chain.anchor)
         return self._signed_root
 
     def _current_freshness(self) -> FreshnessStatement:
@@ -422,9 +412,7 @@ class ReplicaDictionary(_DictionaryCore):
                 f"required)"
             )
         self._signed_root = signed_root
-        self._latest_freshness = FreshnessStatement(
-            ca_name=self.ca_name, value=signed_root.anchor, dictionary_size=self.size
-        )
+        self._latest_freshness = FreshnessStatement(signed_root.anchor)
         self._freshness_age = 0
         return len(serials)
 
@@ -438,9 +426,7 @@ class ReplicaDictionary(_DictionaryCore):
                 f"{signed_root.size}, replica has {self.size}"
             )
         self._signed_root = signed_root
-        self._latest_freshness = FreshnessStatement(
-            ca_name=self.ca_name, value=signed_root.anchor, dictionary_size=self.size
-        )
+        self._latest_freshness = FreshnessStatement(signed_root.anchor)
         self._freshness_age = 0
 
     def _roots_verify(self, signed_roots: Sequence[SignedRoot]) -> bool:
@@ -486,24 +472,14 @@ class ReplicaDictionary(_DictionaryCore):
         Returns how many periods ``statement`` trails the held statement —
         0 when it was installed (the held period or a later one), more when
         it was left alone — or ``None`` when it does not link to the held
-        root's anchor at all (another chain: a newer root, or an older one).
+        root's anchor at all (another chain: a newer root, an older one,
+        another dictionary's) or is not as wide as that anchor.
         """
-        if statement.ca_name != self.ca_name:
-            raise DictionaryError("freshness statement for a different CA")
         if self._signed_root is None:
             raise DesynchronizedError(
                 f"replica of {self.ca_name!r} has no signed root yet; sync required"
             )
-        from repro.crypto.hashchain import statement_age
-
-        if statement.dictionary_size > self.size:
-            raise DesynchronizedError(
-                f"replica of {self.ca_name!r} has {self.size} revocations but the CA "
-                f"reports {statement.dictionary_size}; sync required"
-            )
-        age = statement_age(
-            self._signed_root.anchor, statement.value, self._signed_root.chain_length
-        )
+        age = statement_period(self._signed_root, statement)
         if age is None:
             return None
         if age < self._freshness_age:
@@ -521,8 +497,6 @@ class ReplicaDictionary(_DictionaryCore):
                 f"replica of {self.ca_name!r} has no signed root / freshness statement yet"
             )
         return RevocationStatus(
-            ca_name=self.ca_name,
-            serial=serial,
             proof=self.prove_membership(serial),
             signed_root=self._signed_root,
             freshness=self._latest_freshness,

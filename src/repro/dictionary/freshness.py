@@ -11,6 +11,7 @@ since the root's timestamp) — giving the effective 2Δ attack window of §V.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.crypto.hashchain import statement_age
 from repro.dictionary.signed_root import SignedRoot
@@ -18,14 +19,14 @@ from repro.dictionary.signed_root import SignedRoot
 
 @dataclass(frozen=True)
 class FreshnessStatement:
-    """A released hash-chain pre-image ``H^(m-p)(v)`` for one CA dictionary."""
+    """A released hash-chain pre-image ``H^(m-p)(v)`` for one CA dictionary.
 
-    ca_name: str
+    The value is the whole statement.  Which dictionary and which root it
+    speaks for is what it hashes to: the anchor of the signed root it is
+    checked against, which a new root replaces with a new chain's.
+    """
+
     value: bytes
-    #: The dictionary size the statement refers to; lets RAs detect that they
-    #: missed a revocation-issuance message (the size advanced) even when no
-    #: new root reaches them.
-    dictionary_size: int = 0
 
 
 def periods_elapsed(root_timestamp: int, now: int, delta: int) -> int:
@@ -35,6 +36,18 @@ def periods_elapsed(root_timestamp: int, now: int, delta: int) -> int:
     if now < root_timestamp:
         return 0
     return (now - root_timestamp) // delta
+
+
+def statement_period(signed_root: SignedRoot, statement: FreshnessStatement) -> Optional[int]:
+    """The Δ period after ``signed_root`` in which the CA released
+    ``statement``: the applications of the chain hash, truncated to the
+    anchor's width, that take its value to the anchor.  ``None`` when the
+    value is not as wide as the anchor or reaches it in no ``chain_length``
+    applications."""
+    anchor = signed_root.anchor
+    if len(statement.value) != len(anchor):
+        return None
+    return statement_age(anchor, statement.value, signed_root.chain_length, len(anchor))
 
 
 #: Δ periods a statement may trail the client's clock: one, for the
@@ -50,14 +63,15 @@ def statement_is_fresh(
 ) -> bool:
     """The client acceptance check of §III step 5c.
 
-    The statement must hash to the root's anchor within ``p'`` applications,
-    or ``p' +`` :data:`TOLERANCE_PERIODS` applications.
+    The statement's :func:`statement_period` must be at least ``p' -``
+    :data:`TOLERANCE_PERIODS`: the statement of period ``p'``, or one
+    period older.
     """
     elapsed = periods_elapsed(signed_root.timestamp, now, delta)
     # The statement proves the dictionary was intact at (timestamp + age*Δ);
     # the client requires that moment to be no older than the tolerance
     # before now, i.e. age >= elapsed - tolerance.
-    age = statement_age(signed_root.anchor, statement.value, signed_root.chain_length)
+    age = statement_period(signed_root, statement)
     if age is None:
         return False
     return age >= elapsed - TOLERANCE_PERIODS

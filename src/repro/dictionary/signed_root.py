@@ -65,6 +65,7 @@ class SignedRoot:
         return public_key.verify(self.payload(), self.signature)
 
     def verify_or_raise(self, public_key: PublicKey) -> None:
+        """:meth:`verify`, raising :class:`SignatureError` when it fails."""
         if not self.verify(public_key):
             raise SignatureError(f"signed root from {self.ca_name!r} failed verification")
 

@@ -20,8 +20,8 @@ second index to maintain on every ``put``.  A re-signed root over
 cache deliberately stays warm across that rotation.
 
 The RA stores a :class:`ProofEntry` per key.  Beside the proof it holds the
-first four encoded fields of the status built from it (everything but the
-freshness statement), encoded at the entry's first attach and tagged with
+encoded status built from it up to its freshness value (the proof and the
+signed root), encoded at the entry's first attach and tagged with
 the signature of the exact signed root they carry.  A re-signed root over
 the same content reuses the proof but not those bytes: a different
 signature re-encodes them.  They live and die with the entry, so

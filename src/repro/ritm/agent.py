@@ -48,10 +48,10 @@ from repro.ritm.messages import (
     KeyAnnouncement,
     decode_key_announcements,
     decode_status_bundle,
+    encode_freshness,
     encode_key_announcements,
     encode_status,
     frame_status_bundle,
-    freshness_field,
 )
 from repro.ritm.state import ConnectionState, ConnectionTable, FlowKey, flow_key
 from repro.tls.connection import HandshakeStage
@@ -717,27 +717,19 @@ class RevocationAgent(Middlebox):
     ) -> RevocationStatus:
         """Proof-cached status assembly from an already-resolved replica."""
         entry, signed_root, freshness = self._proof_entry(ca_name, replica, serial)
-        return RevocationStatus(
-            ca_name=replica.ca_name,
-            serial=serial,
-            proof=entry.proof,
-            signed_root=signed_root,
-            freshness=freshness,
-        )
+        return RevocationStatus(entry.proof, signed_root, freshness)
 
     def _encoded_status(
         self, ca_name: str, replica: ReplicaDictionary, serial: SerialNumber
     ) -> bytes:
         """``encode_status(self._status_from(...))``, encoded once per signed
-        root: later calls append the live freshness statement to the fields
-        the proof-cache entry kept from the first."""
+        root: later calls append the live freshness value to the proof and
+        root the proof-cache entry kept encoded from the first."""
         entry, signed_root, freshness = self._proof_entry(ca_name, replica, serial)
         if entry.signature == signed_root.signature:
-            return entry.head + freshness_field(freshness)
-        wire = encode_status(
-            RevocationStatus(replica.ca_name, serial, entry.proof, signed_root, freshness)
-        )
-        entry.head = wire[: len(wire) - len(freshness_field(freshness))]
+            return entry.head + encode_freshness(freshness)
+        wire = encode_status(RevocationStatus(entry.proof, signed_root, freshness))
+        entry.head = wire[: len(wire) - len(freshness.value)]
         entry.signature = signed_root.signature
         return wire
 

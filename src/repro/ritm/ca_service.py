@@ -10,7 +10,7 @@ Everything the CA publishes about one dictionary forms a **stream**
 * ``/ritm/<name>/freshness``     — the per-Δ object, pulled by every RA
   every Δ: the segment of the batch published in this Δ, or else the
   latest freshness statement alone (the paper's one message per Δ);
-* ``/ritm/<name>/head``          — size, signed root, latest freshness
+* ``/ritm/<name>/head``          — signed root, latest freshness
   statement (pulled only by RAs whose held root that statement does not
   extend);
 * ``/ritm/<name>/issuance/<n>``  — the revocation batch whose first serial
@@ -62,7 +62,7 @@ from repro.ritm.messages import (
     DictionaryHead,
     KeyAnnouncement,
     ShardIndex,
-    encode_freshness,
+    encode_freshness_object,
     encode_head,
     encode_issuance,
     encode_key_announcements,
@@ -72,7 +72,7 @@ from repro.ritm.replication import build_segment, encode_segment, segment_path
 
 
 def head_path(ca_name: str) -> str:
-    """CDN path of a dictionary's head (size, signed root, freshness)."""
+    """CDN path of a dictionary's head (signed root, freshness)."""
     return f"/ritm/{ca_name}/head"
 
 
@@ -472,12 +472,7 @@ class RITMCertificationAuthority:
                 f"{stream_name or self.name!r} (not bootstrapped, or a shard "
                 f"that was never opened)"
             )
-        return DictionaryHead(
-            ca_name=stream.name,
-            size=stream.dictionary.size,
-            signed_root=stream.dictionary.signed_root,
-            freshness=stream.dictionary.latest_freshness,
-        )
+        return DictionaryHead(stream.dictionary.signed_root, stream.dictionary.latest_freshness)
 
     def shard_index(self, now: float) -> ShardIndex:
         """The shard discovery object: the live window indices."""
@@ -647,7 +642,7 @@ class RITMCertificationAuthority:
         content = encode_head(head)
         self._publish(head_path(stream.name), content, now)
         if per_delta is None:
-            per_delta = encode_freshness(head.freshness)
+            per_delta = encode_freshness_object(head.freshness)
         self._publish(freshness_path(stream.name), per_delta, now)
         self.publication_stats.heads_published += 1
         self.publication_stats.bytes_uploaded += len(content) + len(per_delta)

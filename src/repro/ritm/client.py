@@ -173,8 +173,7 @@ class RITMClient(Endpoint):
             leaf = self.tls.server_chain.leaf
             covering = self.config.dictionary_name(leaf.issuer, leaf.not_after)
             if not any(
-                status.serial == leaf.serial
-                and status.ca_name == covering == status.signed_root.ca_name
+                status.serial == leaf.serial and status.ca_name == covering
                 for status in statuses_in_packet
             ):
                 self._reject(

@@ -11,18 +11,18 @@ the statement the CA served next, so an RA that was current catches up with
 that one GET.  An RA further behind fetches the batches in between — or
 falls back to the sync protocol — applies them, and then applies the
 statement.  Only a statement that links to no root the replica holds (a
-re-signed chain, a key rotation, a replayed or forged root) sends the RA to
-the dictionary's *head* (size, signed root, freshness), as does a replica
-with no root yet.
+batch the RA missed, a re-signed chain, a key rotation, a replayed or forged
+root) sends the RA to the dictionary's *head* (signed root, freshness), as
+does a replica with no root yet.
 
 Every replica the agent holds — a whole-CA dictionary or one expiry shard of
 a sharded CA (§VIII, ``RITMConfig.sharded``) — goes through that same cycle
 under its own name, tracked by one :class:`ReplicaFeed` record: the per-Δ
-object first, then, if its statement shows the replica behind, one catch-up
-walk from the replica's size (fetching issuance objects, or WAL segments
-when ``segment_streaming`` is set — docs/REPLICATION.md; a batch the per-Δ
-object carried is not fetched again), then the head only if the statement
-still does not link.  A
+object first, then, if it is a segment whose batch ends past the replica,
+one catch-up walk from the replica's size (fetching issuance objects, or WAL
+segments when ``segment_streaming`` is set — docs/REPLICATION.md; a batch
+the per-Δ object carried is not fetched again), then the head only if the
+statement still does not link.  A
 sharded CA adds only a step *before* it: the RA pulls the CA's small shard *index* object to
 register replicas for newly opened shards, and deletes replicas of shards
 whose expiry window has passed — the storage reclamation the §VIII
@@ -70,6 +70,7 @@ from repro.ritm.ca_service import (
     shard_index_path,
 )
 from repro.ritm.messages import (
+    FRESHNESS_OBJECT_TAG,
     decode_head,
     decode_issuance,
     decode_key_announcements,
@@ -449,46 +450,41 @@ class RADisseminationClient:
 
         Fetches the stream's per-Δ object: a freshness statement, or the
         segment of the batch published in this Δ, whose ``freshness_after``
-        is then the statement.  A statement reporting more revocations than
-        the replica holds first runs the catch-up walk, which takes that
-        segment as its batch, already fetched: every batch object embeds
-        the root signed after its batch, so no head is needed.  A segment
-        that fails to decode ends the poll as a failed batch ends the walk.
-        A statement that then links to the held root's anchor is ranked by
-        its hash-chain period — the held period or a later one is applied,
-        up to :data:`REPLAY_WINDOW` periods behind is benign CDN staleness,
+        is then the statement.  A segment whose batch ends past the
+        replica's size (at ``first_number + len(serials) - 1``) first runs
+        the catch-up walk to there, which takes that segment as its batch,
+        already fetched: every batch object embeds the root signed after its
+        batch, so no head is needed.  A segment that fails to decode ends
+        the poll as a failed batch ends the walk.  A statement that then
+        links to the held root's anchor is ranked by its hash-chain period —
+        the held period or a later one is applied, up to
+        :data:`REPLAY_WINDOW` periods behind is benign CDN staleness,
         further behind a replay.  Returns ``False`` when only the head can
         settle the replica: the statement hashes to no anchor the replica
-        holds (a re-signed chain, a key rotation, a replayed or forged
-        root).
+        holds (a batch the replica missed, a re-signed chain, a key
+        rotation, a replayed or forged root, another stream's statement).
         """
         download = self._get(freshness_path(ca_name), now, result)
         try:
             per_delta = decode_delta_object(download.content)
         except TLSError as exc:
-            if download.content[:1] == b"\x00":
+            if download.content[:1] == FRESHNESS_OBJECT_TAG:
                 raise  # a malformed statement
             # Anything else is a segment: a batch that failed its checks.
             self._catch_up(ca_name, replica, now, result, rejected=exc)
             return True
-        batch, statement = None, per_delta
+        statement = per_delta
         if isinstance(per_delta, WALSegment):
-            batch, statement = (per_delta, download), per_delta.freshness_after
-        if statement.ca_name != ca_name:
-            raise TLSError(
-                f"freshness object at {ca_name!r}'s path is for {statement.ca_name!r}"
-            )
-        if statement.dictionary_size > replica.size:
-            self._catch_up(
-                ca_name,
-                replica,
-                now,
-                result,
-                advertised_size=statement.dictionary_size,
-                prefetched=batch,
-            )
-            if replica.size < statement.dictionary_size:
-                return True  # the walk could not close the gap and said why
+            issuance = per_delta.issuance
+            goal = issuance.first_number + len(issuance.serials) - 1
+            if goal > replica.size:
+                prefetched = (per_delta, download)
+                self._catch_up(
+                    ca_name, replica, now, result, advertised_size=goal, prefetched=prefetched
+                )
+                if replica.size < goal:
+                    return True  # the walk could not close the gap and said why
+            statement = per_delta.freshness_after
         behind = replica.offer_freshness(statement)
         if behind is None:
             return False
@@ -520,9 +516,9 @@ class RADisseminationClient:
                 f"revocations signed at {signed.timestamp}; the replica holds "
                 f"one over {held.size} signed at {held.timestamp}"
             )
-        if held is None or replica.is_desynchronized(head.size):
-            self._catch_up(ca_name, replica, now, result, advertised_size=head.size)
-            if replica.size == head.size and (
+        if held is None or replica.is_desynchronized(signed.size):
+            self._catch_up(ca_name, replica, now, result, advertised_size=signed.size)
+            if replica.size == signed.size and (
                 replica.signed_root is None
                 or signed.timestamp > replica.signed_root.timestamp
             ):
@@ -613,7 +609,8 @@ class RADisseminationClient:
         :attr:`segment_streaming` is set, or the segment from ``peer``'s
         archive — from the replica's ``size + 1``, advancing by each batch's
         serial count, until it reaches what the CA advertises
-        (``advertised_size``, read off the freshness statement or the head)
+        (``advertised_size``: where the per-Δ segment's batch ends, or the
+        head's signed size)
         or the peer's replica size, and hands every batch to the replica at
         once (``RevocationAgent.apply_issuances``): one merge and one suffix
         rehash however many batches queued up.  The path is

@@ -10,15 +10,22 @@ encoding:
   batches; in a Δ with a batch it holds that batch's segment,
   :mod:`repro.ritm.replication`), per-batch "issuance" objects with the
   newly revoked serials and the root signed after them, and a small "head"
-  object (dictionary size, signed root, current freshness statement) read
-  when a statement links to no root the RA holds.
+  object (signed root, current freshness statement) read when a statement
+  links to no root the RA holds.
 
 The encodings are simple length-prefixed structures; their sizes are what the
 paper's communication-overhead numbers (Fig. 7, §VII-D) are about, so the
-codec is also the source of truth for the analysis module.  Every CA or
-dictionary name field is a u16 length and at most :data:`MAX_NAME_BYTES`
-UTF-8 bytes: the encoders refuse a longer name and the decoders reject one
-before decoding it.
+codec is also the source of truth for the analysis module.  Each fact is
+sent once, and only what a verifier cannot compute (RFC 6962 §2.1.1): a
+freshness statement is its hash-chain value, as wide as the anchor of the
+root it follows and so unframed; a status is proof ‖ signed root ‖ value
+(its serial is the proof's key, its CA the root's); a head is signed root ‖
+value; the bare per-Δ object is ``0x00`` ‖ value.  Every CA or dictionary
+name field is a u16 length and at most :data:`MAX_NAME_BYTES` UTF-8 bytes:
+the encoders refuse a longer name and the decoders reject one before
+decoding it.  Every encoder is total: a value with no wire form (a name
+that is not UTF-8, an integer outside its field, a byte field over 65,535
+bytes) is a :class:`TLSError`.
 """
 
 from __future__ import annotations
@@ -46,6 +53,20 @@ def _pack_bytes(data: bytes) -> bytes:
     return _FIELD_LENGTH.pack(len(data)) + data
 
 
+def _total(encoder):
+    """``encoder``, raising :class:`TLSError` for a value with no wire form
+    where ``struct`` or the UTF-8 codec would raise their own errors."""
+
+    @functools.wraps(encoder)
+    def encode(value):
+        try:
+            return encoder(value)
+        except (struct.error, UnicodeEncodeError) as exc:
+            raise TLSError(f"{encoder.__name__}: a field has no wire form: {exc}") from None
+
+    return encode
+
+
 def _unpack_bytes(buffer: bytes, offset: int) -> Tuple[bytes, int]:
     size = len(buffer)
     start = offset + 2
@@ -57,15 +78,17 @@ def _unpack_bytes(buffer: bytes, offset: int) -> Tuple[bytes, int]:
     return buffer[start:end], end
 
 
-#: Bytes a RITM name field (a CA or dictionary name) may hold.  Its u16
-#: length prefix then always starts with ``0x00``, so every name-prefixed
-#: object's first byte tells it apart from a segment's ``R``.
+#: Bytes a RITM name field (a CA or dictionary name) may hold; its u16
+#: length prefix then always starts with ``0x00``.
 MAX_NAME_BYTES = 255
 
 
 def _pack_name(name: str) -> bytes:
     """A name field: u16 length + UTF-8, at most :data:`MAX_NAME_BYTES`."""
-    raw = name.encode("utf-8")
+    try:
+        raw = name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise TLSError(f"RITM name {name!r} has no UTF-8 encoding") from None
     if len(raw) > MAX_NAME_BYTES:
         raise TLSError(
             f"a RITM name holds at most {MAX_NAME_BYTES} UTF-8 bytes, got {len(raw)}"
@@ -94,20 +117,22 @@ def parse_serial(raw: bytes) -> SerialNumber:
 
 
 def _wire_once(encoder):
-    """Memoise ``encoder`` on the frozen value object it encodes.
+    """Memoise ``encoder`` (made :func:`_total`) on the frozen value object
+    it encodes.
 
     The bytes ride in the instance ``__dict__``, not in a dataclass field, so
     ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` never see them and
     they live exactly as long as the object (a cached proof's encoding is
     evicted and invalidated with the proof).
     """
+    total = _total(encoder)
 
     @functools.wraps(encoder)
     def encode(value) -> bytes:
         memo = vars(value)
         wire = memo.get("_wire")
         if wire is None:
-            wire = memo["_wire"] = encoder(value)
+            wire = memo["_wire"] = total(value)
         return wire
 
     return encode
@@ -176,51 +201,64 @@ def decode_signed_root(data: bytes, offset: int = 0) -> Tuple[SignedRoot, int]:
 # -- freshness statements -------------------------------------------------------
 
 
-@_wire_once
 def encode_freshness(statement: FreshnessStatement) -> bytes:
-    """Serialize a freshness statement; the bytes are memoized on it.
+    """Serialize a freshness statement: its hash-chain value, 1–32 bytes,
+    and nothing else (Eq. 2).
 
-    Layout: CA name (u16 length + UTF-8), hash-chain value (u16 length +
-    bytes), dictionary size (u64).  The value holds at most 65,535 bytes and
-    the size must fit 64 unsigned bits.  Between batches this is also the
-    whole per-Δ object (:func:`decode_freshness_object`).
+    The value is as wide as the anchor of the root it links to, so every
+    object that carries a statement after a signed root sends no length
+    (:func:`_statement_under`); the per-Δ object, which carries none, is
+    :func:`encode_freshness_object`.
     """
-    return b"".join(
-        [
-            _pack_name(statement.ca_name),
-            _pack_bytes(statement.value),
-            struct.pack(">Q", statement.dictionary_size),
-        ]
-    )
+    value = statement.value
+    if not 1 <= len(value) <= FULL_DIGEST_SIZE:
+        raise TLSError(f"a freshness value of {len(value)} bytes is no chain link (1–32)")
+    return value
 
 
-def decode_freshness(data: bytes, offset: int = 0) -> Tuple[FreshnessStatement, int]:
-    """Parse one :func:`encode_freshness` layout at ``offset``; return the
-    statement and where it ends (bytes after it are the caller's).
-
-    Raises :class:`TLSError` on a truncated field or a CA name that is not
-    UTF-8.  Whether the statement links to a root is the verifier's check.
-    """
-    ca_name, offset = _unpack_name(data, offset)
-    value, offset = _unpack_bytes(data, offset)
-    if offset + 8 > len(data):
+def decode_freshness(data: bytes, offset: int, width: int) -> Tuple[FreshnessStatement, int]:
+    """Parse one :func:`encode_freshness` value of ``width`` bytes at
+    ``offset``; return the statement and where it ends.  Raises
+    :class:`TLSError` for a width outside 1–32 or fewer bytes than it;
+    whether the statement links to a root is the verifier's check."""
+    if not 1 <= width <= FULL_DIGEST_SIZE:
+        raise TLSError(f"a freshness value of {width} bytes is no chain link (1–32)")
+    end = offset + width
+    if end > len(data):
         raise TLSError("truncated freshness statement")
-    (size,) = struct.unpack_from(">Q", data, offset)
-    offset += 8
-    return (
-        FreshnessStatement(ca_name=ca_name, value=value, dictionary_size=size),
-        offset,
-    )
+    return FreshnessStatement(data[offset:end]), end
+
+
+def _statement_under(root: SignedRoot, statement: FreshnessStatement) -> bytes:
+    """:func:`encode_freshness` of a statement sent right after ``root``,
+    whose reader takes the value's width from the root's anchor."""
+    value = encode_freshness(statement)
+    if len(value) != len(root.anchor):
+        raise TLSError(
+            f"a freshness value of {len(value)} bytes under an anchor of {len(root.anchor)}"
+        )
+    return value
+
+
+#: First byte of a per-Δ object that is a bare statement; a segment, the
+#: other form, opens with the ``R`` of its magic.
+FRESHNESS_OBJECT_TAG = b"\x00"
+
+
+def encode_freshness_object(statement: FreshnessStatement) -> bytes:
+    """The bare form of a stream's per-Δ object, published by every
+    refresh: ``0x00`` ‖ :func:`encode_freshness`
+    (:func:`repro.ritm.replication.decode_delta_object` reads both forms)."""
+    return FRESHNESS_OBJECT_TAG + encode_freshness(statement)
 
 
 def decode_freshness_object(data: bytes) -> FreshnessStatement:
-    """The bare form of a stream's per-Δ object, published by every refresh:
-    one :func:`encode_freshness`, whole
-    (:func:`repro.ritm.replication.decode_delta_object` reads both forms)."""
-    statement, end = decode_freshness(data)
-    if end != len(data):
-        raise TLSError("trailing bytes after freshness object")
-    return statement
+    """Parse a whole :func:`encode_freshness_object`; a first byte other
+    than the tag, or a value of no chain link's width, is a
+    :class:`TLSError`."""
+    if data[:1] != FRESHNESS_OBJECT_TAG:
+        raise TLSError("not a freshness object")
+    return decode_freshness(data, 1, len(data) - 1)[0]
 
 
 # -- Merkle proofs ----------------------------------------------------------------
@@ -491,55 +529,39 @@ def decode_proof(data: bytes, offset: int = 0) -> Tuple[Union[PresenceProof, Abs
 def encode_status(status: RevocationStatus) -> bytes:
     """Serialize a revocation status for a ``RITM_STATUS`` TLS record.
 
-    Five u16-framed fields (each at most 65,535 bytes): CA name (UTF-8),
-    serial, proof (:func:`encode_proof`), signed root and freshness
-    statement.  The freshness statement is the last field,
-    :func:`freshness_field`: the four before it are fixed by the signed root
-    and the serial, so an RA that keeps them re-encodes only this one as the
-    hash chain advances.
+    Layout: proof (:func:`encode_proof`), signed root
+    (:func:`encode_signed_root`), freshness value (:func:`encode_freshness`,
+    as wide as the root's anchor).  Each part ends where its own layout
+    says, so none is framed; the serial is the proof's key and the CA is the
+    root's, so neither is sent again.  The statement is last: the parts
+    before it are fixed by the signed root and the serial, so an RA that
+    keeps them re-encodes only the value as the hash chain advances.
     """
     return b"".join(
         [
-            _pack_name(status.ca_name),
-            _pack_bytes(status.serial.to_bytes()),
-            _pack_bytes(encode_proof(status.proof)),
-            _pack_bytes(encode_signed_root(status.signed_root)),
-            freshness_field(status.freshness),
+            encode_proof(status.proof),
+            encode_signed_root(status.signed_root),
+            _statement_under(status.signed_root, status.freshness),
         ]
     )
-
-
-def freshness_field(freshness: FreshnessStatement) -> bytes:
-    """The last field of :func:`encode_status`: the framed freshness statement."""
-    return _pack_bytes(encode_freshness(freshness))
 
 
 def decode_status(data: bytes, offset: int = 0) -> Tuple[RevocationStatus, int]:
     """Parse one :func:`encode_status` layout at ``offset``; return the
     status and where it ends.
 
-    Five u16-framed fields: CA name (UTF-8), serial (1–20 bytes), proof
-    (:func:`decode_proof`), signed root (:func:`decode_signed_root`) and
-    freshness statement (:func:`decode_freshness`); each of the last three
-    must fill its frame exactly.  Raises :class:`TLSError` on a truncated
-    field, trailing bytes inside a frame, or any error of the field decoders.
-    Verifies nothing: :meth:`RevocationStatus.verify` does.
+    Reads the proof (:func:`decode_proof`), whose key must be a serial
+    encoding (1–20 bytes, not zero), the signed root
+    (:func:`decode_signed_root`), then as many value bytes as the root's
+    anchor holds.  Raises :class:`TLSError` on a truncated part or any error
+    of the part decoders.  Verifies nothing: :meth:`RevocationStatus.verify`
+    does.
     """
-    ca_name, offset = _unpack_name(data, offset)
-    serial_bytes, offset = _unpack_bytes(data, offset)
-    proof_bytes, offset = _unpack_bytes(data, offset)
-    root_bytes, offset = _unpack_bytes(data, offset)
-    freshness_bytes, offset = _unpack_bytes(data, offset)
-    return (
-        RevocationStatus(
-            ca_name=ca_name,
-            serial=parse_serial(serial_bytes),
-            proof=_decode_whole(decode_proof, proof_bytes),
-            signed_root=_decode_whole(decode_signed_root, root_bytes),
-            freshness=_decode_whole(decode_freshness, freshness_bytes),
-        ),
-        offset,
-    )
+    proof, offset = decode_proof(data, offset)
+    parse_serial(proof.key)
+    signed_root, offset = decode_signed_root(data, offset)
+    freshness, offset = decode_freshness(data, offset, len(signed_root.anchor))
+    return RevocationStatus(proof, signed_root, freshness), offset
 
 
 def encode_status_bundle(statuses: List[RevocationStatus]) -> bytes:
@@ -548,6 +570,7 @@ def encode_status_bundle(statuses: List[RevocationStatus]) -> bytes:
     return frame_status_bundle([encode_status(status) for status in statuses])
 
 
+@_total
 def frame_status_bundle(encoded: List[bytes]) -> bytes:
     """The bundle of statuses already encoded by :func:`encode_status`: a
     count (u8, so at most 255 statuses), then each status u16-framed (at most
@@ -584,33 +607,23 @@ class DictionaryHead:
     """The small per-dictionary object an RA reads when it holds no root yet,
     or when the polled freshness statement links to no root it holds.
 
-    Contains everything needed to bring the replica current: the dictionary
-    size, the latest signed root, and the latest freshness statement.  It
-    carries nothing unsigned that orders it: an RA ranks a head by its
-    signed root's size and timestamp
+    Contains everything needed to bring the replica current: the latest
+    signed root (whose size says how far to walk) and the latest freshness
+    statement.  It carries nothing unsigned that orders it: an RA ranks a
+    head by its signed root's size and timestamp
     (:class:`repro.ritm.dissemination.RADisseminationClient`).
     """
 
-    ca_name: str
-    size: int
     signed_root: SignedRoot
     freshness: FreshnessStatement
 
 
 def encode_head(head: DictionaryHead) -> bytes:
-    """Serialize a dictionary head for the CDN.
-
-    Layout: CA name (u16 length + UTF-8), dictionary size (u64), signed root
-    (u16-framed :func:`encode_signed_root`), freshness statement (u16-framed
-    :func:`encode_freshness`).  Integers must fit 64 unsigned bits.
-    """
-    return b"".join(
-        [
-            _pack_name(head.ca_name),
-            struct.pack(">Q", head.size),
-            _pack_bytes(encode_signed_root(head.signed_root)),
-            _pack_bytes(encode_freshness(head.freshness)),
-        ]
+    """Serialize a dictionary head for the CDN: signed root
+    (:func:`encode_signed_root`), then the freshness value, as wide as the
+    root's anchor.  The dictionary's name and size are the root's."""
+    return encode_signed_root(head.signed_root) + _statement_under(
+        head.signed_root, head.freshness
     )
 
 
@@ -618,25 +631,14 @@ def decode_head(data: bytes) -> DictionaryHead:
     """Parse a whole :func:`encode_head` object.
 
     Raises :class:`TLSError` on a truncated field, a CA name that is not
-    UTF-8, a signed root or statement that does not fill its frame, or bytes
-    after the statement.  Verifies nothing: the replica does.
+    UTF-8, a value of other than the anchor's width, or bytes after it.
+    Verifies nothing: the replica does.
     """
-    offset = 0
-    ca_name, offset = _unpack_name(data, offset)
-    if offset + 8 > len(data):
-        raise TLSError("truncated dictionary head")
-    (size,) = struct.unpack_from(">Q", data, offset)
-    offset += 8
-    root_bytes, offset = _unpack_bytes(data, offset)
-    freshness_bytes, offset = _unpack_bytes(data, offset)
+    signed_root, offset = decode_signed_root(data)
+    freshness, offset = decode_freshness(data, offset, len(signed_root.anchor))
     if offset != len(data):
         raise TLSError("trailing bytes after dictionary head")
-    return DictionaryHead(
-        ca_name=ca_name,
-        size=size,
-        signed_root=_decode_whole(decode_signed_root, root_bytes),
-        freshness=_decode_whole(decode_freshness, freshness_bytes),
-    )
+    return DictionaryHead(signed_root, freshness)
 
 
 #: Serials one issuance object can carry (its count field is 16 bits).
@@ -688,6 +690,7 @@ class ShardIndex:
 _INDEX_HEADER = struct.Struct(">IH")
 
 
+@_total
 def encode_shard_index(index: ShardIndex) -> bytes:
     """Serialize a shard index for publication on the CDN.
 
@@ -755,6 +758,7 @@ class KeyAnnouncement:
     overlap_seconds: int
     signature: bytes = b""
 
+    @_total
     def fields(self) -> bytes:
         """Every field but the signature, as the chain carries them: CA name
         (u16 length + UTF-8), key epoch (u64), public key (u16-framed),
@@ -781,6 +785,7 @@ def _unpack_fixed(layout: struct.Struct, data: bytes, offset: int) -> Tuple[tupl
     return layout.unpack_from(data, offset), end
 
 
+@_total
 def encode_key_announcements(announcements: Tuple[KeyAnnouncement, ...]) -> bytes:
     """Serialize a CA's full announcement chain for CDN publication.
 
@@ -862,7 +867,7 @@ def encode_sync_response(response: SyncResponse) -> bytes:
     """A sync response on the wire: what :meth:`SyncResponse.as_issuance`
     says it is — consecutive issuance objects of at most
     :data:`MAX_ISSUANCE_SERIALS` serials (one, possibly empty, carries the
-    root) — then the freshness statement, if any.
+    root) — then the freshness value, if any, as wide as the root's anchor.
 
     Read back by :func:`decode_sync_response`.  Two things use the bytes:
     the RA's resync accounting (their length is what a resync downloads)
@@ -876,7 +881,7 @@ def encode_sync_response(response: SyncResponse) -> bytes:
         chunk = replace(whole, serials=serials, first_number=whole.first_number + start)
         parts.append(encode_issuance(chunk))
     if response.freshness is not None:
-        parts.append(encode_freshness(response.freshness))
+        parts.append(_statement_under(response.signed_root, response.freshness))
     return b"".join(parts)
 
 
@@ -889,7 +894,8 @@ def decode_sync_response(data: bytes) -> SyncResponse:
     Every earlier chunk must be full and the chunks must be consecutive
     pieces of one dictionary's history under one root, so no two byte
     strings decode to the same response.  Whatever follows the last chunk
-    is the freshness statement, whole.
+    is the freshness value, which must be exactly as wide as the root's
+    anchor.
     """
     first, offset = _decode_issuance_at(data, 0)
     size = first.signed_root.size
@@ -910,7 +916,9 @@ def decode_sync_response(data: bytes) -> SyncResponse:
         held += len(chunk.serials)
     freshness = None
     if offset != len(data):
-        freshness = _decode_whole(decode_freshness, data[offset:])
+        freshness, offset = decode_freshness(data, offset, len(first.signed_root.anchor))
+        if offset != len(data):
+            raise TLSError("trailing bytes after sync response")
     return SyncResponse(
         ca_name=first.ca_name,
         first_number=first.first_number,

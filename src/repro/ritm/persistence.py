@@ -47,9 +47,10 @@ CHECKPOINT_MAGIC = b"RITMCKPT"
 #: The one layout this build writes and reads.  Format 1 also stored a
 #: per-CA shard-index pull count, format 2 a head replay cursor per replica
 #: and a shard-index replay cursor per sharded CA, format 3 a batch
-#: count per replica and its key chains as JSON; all are rejected as a
-#: format mismatch.
-CHECKPOINT_FORMAT = 4
+#: count per replica and its key chains as JSON, format 4 each replica's
+#: freshness statement with its CA name and dictionary size (format 5: the
+#: bare value); all are rejected as a format mismatch.
+CHECKPOINT_FORMAT = 5
 
 #: The one file inside a checkpoint directory.
 CHECKPOINT_FILENAME = "checkpoint.bin"

@@ -9,8 +9,9 @@ This module lets RAs carry the stream for each other instead:
 * the CA publishes every revocation batch of a stream as a **segment**
   addressed, like its issuance object, by the batch's first serial number
   ``n``: the issuance object byte for byte (the bytes at ``/issuance/<n>``),
-  the freshness statement the dictionary served right after it, and one CA
-  signature over every byte before that signature.  Until the stream's
+  the freshness value the dictionary served right after it (as wide as
+  the batch root's anchor, so unframed), and one CA signature over every
+  byte before that signature.  Until the stream's
   next refresh the same bytes are also its per-Δ object
   (:func:`decode_delta_object`), so an RA that was current reads the batch
   with its one poll;
@@ -43,12 +44,14 @@ from repro.dictionary.authdict import RevocationIssuance
 from repro.dictionary.freshness import FreshnessStatement
 from repro.errors import TLSError
 from repro.ritm.messages import (
+    FRESHNESS_OBJECT_TAG,
     _pack_bytes,
+    _statement_under,
+    _total,
     _unpack_bytes,
     decode_freshness,
     decode_freshness_object,
     decode_issuance,
-    encode_freshness,
     encode_issuance,
 )
 
@@ -72,9 +75,10 @@ class WALSegment:
 
     ``issuance`` is the batch exactly as its issuance object carries it,
     and its ``first_number`` is the segment's address; ``freshness_after``
-    is the statement the dictionary served immediately after this batch, so
-    a replica that applies the segment reaches the byte-identical state a
-    head-pulling replica would.
+    is the statement the dictionary served immediately after this batch
+    (a link of the chain the batch's root anchors), so a replica that
+    applies the segment reaches the byte-identical state a head-pulling
+    replica would.
     """
 
     issuance: RevocationIssuance
@@ -88,12 +92,16 @@ class WALSegment:
         return self.issuance.ca_name
 
 
+@_total
 def segment_payload(segment: WALSegment) -> bytes:
     """The exact bytes the CA signs: every frame byte before the signature.
 
-    The issuance object is :func:`~repro.ritm.messages.encode_issuance`'s,
-    which a batch keeps once encoded, so the CA encodes each batch once for
-    both objects and a receiver re-reads the bytes it decoded.
+    Layout: :data:`SEGMENT_MAGIC`, the issuance object's length (u32), the
+    issuance object, then ``freshness_after``'s bare value, as wide as the
+    anchor of the root the issuance object carries.  The issuance object is
+    :func:`~repro.ritm.messages.encode_issuance`'s, which a batch keeps once
+    encoded, so the CA encodes each batch once for both objects and a
+    receiver re-reads the bytes it decoded.
     """
     issuance = encode_issuance(segment.issuance)
     return b"".join(
@@ -101,13 +109,15 @@ def segment_payload(segment: WALSegment) -> bytes:
             SEGMENT_MAGIC,
             _SEGMENT_HEADER.pack(len(issuance)),
             issuance,
-            encode_freshness(segment.freshness_after),
+            _statement_under(segment.issuance.signed_root, segment.freshness_after),
         ]
     )
 
 
+@_total
 def encode_segment(segment: WALSegment) -> bytes:
-    """Serialize one segment: the signed payload, signature, trailing CRC32."""
+    """Serialize one segment: the signed payload, signature (u16-framed),
+    trailing CRC32."""
     body = segment_payload(segment) + _pack_bytes(segment.signature)
     return body + _SEGMENT_CRC.pack(zlib.crc32(body))
 
@@ -131,7 +141,8 @@ def decode_segment(data: bytes) -> WALSegment:
     if start + length > len(body):
         raise TLSError("truncated segment issuance object")
     issuance = decode_issuance(body[start : start + length])
-    freshness_after, offset = decode_freshness(body, start + length)
+    width = len(issuance.signed_root.anchor)  # the statement's, unframed
+    freshness_after, offset = decode_freshness(body, start + length, width)
     signature, offset = _unpack_bytes(body, offset)
     if offset != len(body):
         raise TLSError("segment has trailing bytes before its checksum")
@@ -143,15 +154,14 @@ def decode_delta_object(data: bytes) -> Union[FreshnessStatement, WALSegment]:
 
     In a Δ with a batch the CA publishes that batch's segment there, byte
     for byte the object at :func:`segment_path`; otherwise the bare
-    freshness statement (:func:`~repro.ritm.messages.decode_freshness_object`).
-    The first byte picks the form with no tag: a statement opens with its
-    name's u16 length, whose high byte is ``0x00``
-    (:data:`~repro.ritm.messages.MAX_NAME_BYTES`); anything else is read as
-    a segment, which opens with the ``R`` of :data:`SEGMENT_MAGIC`.  Any
-    failure of the form's decoder is a :class:`~repro.errors.TLSError`.
-    Checks no signature.
+    freshness statement (:func:`~repro.ritm.messages.decode_freshness_object`:
+    ``0x00`` ‖ value).  The first byte picks the form: the tag
+    :data:`~repro.ritm.messages.FRESHNESS_OBJECT_TAG` is a statement;
+    anything else is read as a segment, which opens with the ``R`` of
+    :data:`SEGMENT_MAGIC`.  Any failure of the form's decoder is a
+    :class:`~repro.errors.TLSError`.  Checks no signature.
     """
-    if data[:1] == b"\x00":
+    if data[:1] == FRESHNESS_OBJECT_TAG:
         return decode_freshness_object(data)
     return decode_segment(data)
 

@@ -53,7 +53,7 @@ from repro.ritm.messages import (
     DictionaryHead,
     decode_head,
     decode_issuance,
-    encode_freshness,
+    encode_freshness_object,
     encode_head,
     encode_issuance,
 )
@@ -155,10 +155,9 @@ def forge_head_with_retired_key(
         timestamp=honest.signed_root.timestamp + 1,
         anchor=chain.anchor,
     ).sign(retired.private)
-    freshness = FreshnessStatement(stream_name, chain.anchor, honest.size)
-    forged = replace(honest, signed_root=forged_root, freshness=freshness)
+    forged = DictionaryHead(forged_root, FreshnessStatement(chain.anchor))
     cdn.publish(path, encode_head(forged), now)
-    cdn.publish(freshness_path(stream_name), encode_freshness(freshness), now)
+    cdn.publish(freshness_path(stream_name), encode_freshness_object(forged.freshness), now)
     return (
         f"head for {stream_name!r} re-signed with the retired epoch-"
         f"{ca.key_epoch - 1} key and republished"
@@ -188,8 +187,9 @@ def equivocate_at_edges(
     signature), the targeted RA adopts it without a single verification
     error: the forgery is invisible to every local check and only the
     cross-RA gossip ring can expose the two conflicting same-size roots.
-    The shadow freshness object is planted too: it reports the new size,
-    which sends the targeted RA down its catch-up walk to the shadow batch.
+    The shadow freshness object is planted too: it links to no root the
+    targeted RA holds, which sends the RA to the shadow head and from there
+    down its catch-up walk to the shadow batch.
 
     Returns a summary dict (hidden serial, conflicting size, detail line),
     or ``None`` when nothing has been revoked yet.
@@ -216,17 +216,12 @@ def equivocate_at_edges(
             serials[-1] = decoy
         shadow_issuance = shadow.insert(serials, int(now))
 
-    forged_head = DictionaryHead(
-        ca_name=stream_name,
-        size=shadow.size,
-        signed_root=shadow.signed_root,
-        freshness=shadow.latest_freshness,
-    )
+    forged_head = DictionaryHead(shadow.signed_root, shadow.latest_freshness)
     for edge in cdn.edges_in(region):
         edge.plant_object(path, encode_head(forged_head), now, ttl_seconds)
         edge.plant_object(
             freshness_path(stream_name),
-            encode_freshness(forged_head.freshness),
+            encode_freshness_object(forged_head.freshness),
             now,
             ttl_seconds,
         )

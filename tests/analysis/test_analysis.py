@@ -6,6 +6,7 @@ from repro.analysis.cost import CostModelConfig, simulate_costs, table_2
 from repro.analysis.dissemination_speed import build_revocation_message, run_figure_5
 from repro.analysis.overhead import (
     FIGURE7_DELTAS,
+    FRESHNESS_BYTES,
     figure_7,
     live_shard_count,
     sharded_storage_overhead,
@@ -22,6 +23,10 @@ from repro.analysis.reporting import (
 )
 from repro.analysis.timing import run_table_3, throughput_from_table3, time_dictionary_update
 from repro.analysis.trace_figures import figure_4
+from repro.crypto.signing import KeyPair
+from repro.dictionary.authdict import CADictionary
+from repro.pki.serial import SerialNumber
+from repro.ritm.messages import encode_freshness
 from repro.workloads.population import generate_population
 from repro.workloads.revocation_trace import generate_trace
 
@@ -222,11 +227,20 @@ class TestOverhead:
         assert 400 < result.absent_status_bytes < 1_100
         assert result.proof_depth >= 14
 
+    def test_the_freshness_constant_is_the_statement_this_wire_sends(self):
+        """Eq. 2's statement, priced at :data:`FRESHNESS_BYTES`, is what the
+        codec writes at a 20-byte digest: the hash-chain value alone."""
+        keys = KeyPair.generate(b"freshness-bytes")
+        dictionary = CADictionary("Const-CA", keys, delta=10, chain_length=8, digest_size=20)
+        dictionary.insert([SerialNumber(7)], now=0)
+        for statement in (dictionary.latest_freshness, dictionary.refresh(now=30)):
+            assert len(encode_freshness(statement)) == FRESHNESS_BYTES
+
 
 class TestTiming:
     @pytest.fixture(scope="class")
     def table3(self):
-        return run_table_3(repetitions=40, dictionary_size=2_000, signature_repetitions=3)
+        return run_table_3(repetitions=40, entries=2_000, signature_repetitions=3)
 
     def test_all_rows_present(self, table3):
         operations = {row.operation for row in table3.rows}

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.crypto.hashchain import statement_age
 from repro.crypto.signing import CAKeyring, KeyPair
 from repro.dictionary.authdict import CADictionary, ReplicaDictionary, RevocationIssuance
 from repro.dictionary.freshness import FreshnessStatement
@@ -81,7 +82,10 @@ class TestRefresh:
         master.insert(make_serials(2), now=100)
         statement = master.refresh(now=125)
         assert isinstance(statement, FreshnessStatement)
-        assert statement.dictionary_size == 2
+        # Two periods after the root: two links below its anchor, as wide.
+        anchor = master.signed_root.anchor
+        assert statement_age(anchor, statement.value, master.chain_length) == 2
+        assert len(statement.value) == len(anchor)
 
     def test_refresh_resigns_root_when_chain_exhausted(self, master):
         master.insert(make_serials(1), now=100)
@@ -182,17 +186,34 @@ class TestReplicaFreshnessAndRoots:
     def test_apply_freshness_rejects_unlinked_value(self, master, replica):
         issuance = master.insert(make_serials(1), now=100)
         replica.update(issuance)
-        bogus = FreshnessStatement(ca_name="CA-X", value=b"\x01" * 20, dictionary_size=1)
+        bogus = FreshnessStatement(b"\x01" * 20)
         with pytest.raises(DictionaryError):
             replica.apply_freshness(bogus)
 
-    def test_freshness_with_larger_size_flags_desync(self, master, replica):
+    def test_freshness_of_a_larger_dictionary_does_not_link(self, master, replica):
+        """A batch the replica missed started a new chain: its statement
+        links to no anchor the replica holds, and changes nothing."""
         issuance = master.insert(make_serials(1), now=100)
         replica.update(issuance)
+        held = replica.latest_freshness
         master.insert(make_serials(1, start=50), now=105)
         statement = master.refresh(now=115)
-        with pytest.raises(DesynchronizedError):
+        assert replica.offer_freshness(statement) is None
+        with pytest.raises(DictionaryError, match="does not link"):
             replica.apply_freshness(statement)
+        assert replica.latest_freshness == held
+
+    def test_a_statement_wider_than_the_anchor_does_not_link(self, master, replica):
+        """A value is as wide as the held root's anchor.  The chain's seed
+        hashes to the anchor in ``chain_length`` links but is 32 bytes wide,
+        so it is no statement of that root (the CA never releases it)."""
+        issuance = master.insert(make_serials(1), now=100)
+        replica.update(issuance)
+        anchor = replica.signed_root.anchor
+        seed = master._chain.statement(master.chain_length)  # noqa: SLF001
+        assert len(seed) == 32 != len(anchor)
+        assert statement_age(anchor, seed, master.chain_length) == master.chain_length
+        assert replica.offer_freshness(FreshnessStatement(seed)) is None
 
     def test_install_root_requires_matching_content(self, master, replica):
         issuance = master.insert(make_serials(2), now=100)

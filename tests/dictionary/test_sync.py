@@ -191,7 +191,7 @@ class TestHeldStateRestoresThroughTheSyncApply:
         _, _, replica = held
         state = held_state(replica)
         restored = ReplicaDictionary("CA-S", keys.public)
-        unlinked = FreshnessStatement("CA-S", bytes(20), state.signed_root.size)
+        unlinked = FreshnessStatement(bytes(20))
         with pytest.raises(DictionaryError, match="does not link"):
             apply_sync_response(restored, replace(state, freshness=unlinked))
         assert restored.signed_root == state.signed_root

@@ -194,15 +194,15 @@ class TestTraversalOrder:
 HANDSHAKE_ARRIVALS = {
     "build_close_to_client_deployment": [
         (0.04051351547241211, "server", 119),
-        (0.0810689926147461, "client", 815),
-        (0.12157750129699707, "server", 61),
-        (0.16209650039672852, "client", 180),
+        (0.08106875419616699, "client", 766),
+        (0.12157726287841797, "server", 61),
+        (0.16209626197814941, "client", 180),
     ],
     "build_close_to_server_deployment": [
         (0.04051351547241211, "server", 119),
-        (0.08108687400817871, "client", 820),
-        (0.12159538269042969, "server", 61),
-        (0.16211438179016113, "client", 180),
+        (0.08108305931091309, "client", 771),
+        (0.12159156799316406, "server", 61),
+        (0.1621105670928955, "client", 180),
     ],
     "build_unprotected_path": [
         (0.005001068115234375, "server", 119),

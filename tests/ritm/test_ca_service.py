@@ -21,7 +21,7 @@ class TestBootstrap:
     def test_bootstrap_signs_empty_dictionary(self, world):
         ca = world.cas[0]
         head = ca.head()
-        assert head.size == 0
+        assert head.signed_root.size == 0
         assert head.signed_root.verify(ca.public_key)
 
     def test_head_before_bootstrap_rejected(self, world):
@@ -58,7 +58,7 @@ class TestRevocation:
         issuing.revoke([serial], now=EPOCH + 20)
         assert world.cdn.origin.exists(issuance_path(issuing.name, 1))
         head = decode_head(world.cdn.origin.fetch(head_path(issuing.name)).content)
-        assert head.size == 1
+        assert head.signed_root.size == 1
 
     def test_published_issuance_decodes_and_verifies(self, world):
         issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)

@@ -6,7 +6,6 @@ deserialize and verify), so round-tripping must preserve verification for
 cases in the unit tests.
 """
 
-import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,14 +75,10 @@ def test_issuance_roundtrip_reconstructs_replica_for_any_batching(raw_batches):
 def test_head_roundtrip_always_verifies(values):
     master = CADictionary("Prop-CA", KEYS, delta=10, chain_length=8)
     master.insert([SerialNumber(value) for value in sorted(values)], now=1000)
-    head = DictionaryHead(
-        ca_name="Prop-CA",
-        size=master.size,
-        signed_root=master.signed_root,
-        freshness=master.latest_freshness,
-    )
+    head = DictionaryHead(master.signed_root, master.latest_freshness)
     decoded = decode_head(encode_head(head))
-    assert decoded.size == len(values)
+    assert decoded == head
+    assert decoded.signed_root.size == len(values)
     assert decoded.signed_root.verify(KEYS.public)
     assert decoded.signed_root.root == master.root()
 
@@ -116,7 +111,7 @@ def test_every_decoded_key_announcement_has_a_payload(entries):
     signature check: each announcement's signed payload encodes."""
     try:
         encoded = encode_key_announcements(tuple(entries))
-    except (TLSError, struct.error, UnicodeEncodeError):
+    except TLSError:
         return  # a value with no wire form never reaches the CDN
     chain = decode_key_announcements(encoded)
     assert chain == tuple(entries)

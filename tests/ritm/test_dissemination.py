@@ -44,12 +44,20 @@ class TestOneErrorBoundary:
     still applies its freshness in the same pull (the RA trusts nothing it
     relays, so nothing it relays may stop it)."""
 
-    @pytest.mark.parametrize("damage", ["truncated", "invalid-utf8-name"])
-    @pytest.mark.parametrize("polled", ["freshness", "head"])
+    @pytest.mark.parametrize(
+        "polled, damage",
+        [
+            ("freshness", "truncated"),
+            ("freshness", "overlong-value"),
+            ("head", "truncated"),
+            ("head", "invalid-utf8-name"),
+        ],
+    )
     def test_bad_polled_object_of_one_ca_does_not_abort_the_cycle(self, world, polled, damage):
-        """``freshness``: the every-Δ object is damaged.  ``head``: every
-        CA's hash chain has run out, so every statement links to no root the
-        RA holds and the RA reads each head — one of them damaged."""
+        """``freshness``: the every-Δ object is damaged — its tag alone, or a
+        value wider than any chain link.  ``head``: every CA's hash chain
+        has run out, so every statement links to no root the RA holds and
+        the RA reads each head — one of them damaged."""
         from repro.ritm.ca_service import freshness_path, head_path
 
         broken, healthy = world.cas[0], world.cas[1:]
@@ -59,9 +67,11 @@ class TestOneErrorBoundary:
             ca.refresh(now=now)
         path = (freshness_path if polled == "freshness" else head_path)(broken.name)
         honest = world.cdn.origin.fetch(path).content
-        bad = honest[: len(honest) // 2] if damage == "truncated" else (
-            honest[:2] + b"\xff" + honest[3:]
-        )
+        bad = {
+            "truncated": honest[: 1 if polled == "freshness" else len(honest) // 2],
+            "overlong-value": honest + bytes(13),  # a 33-byte value
+            "invalid-utf8-name": honest[:2] + b"\xff" + honest[3:],
+        }[damage]
         world.cdn.publish(path, bad, now)
         stale = world.agent.replica_for(broken.name).latest_freshness
 
@@ -148,7 +158,7 @@ class TestOneErrorBoundary:
 
         from repro.dictionary.freshness import FreshnessStatement
         from repro.ritm.ca_service import freshness_path, head_path, keys_path
-        from repro.ritm.messages import decode_head, encode_freshness, encode_head
+        from repro.ritm.messages import decode_head, encode_freshness_object, encode_head
 
         _, ca, cdn, attach = build_stack()
         agent, client = attach("forged-keys-ra")
@@ -159,8 +169,8 @@ class TestOneErrorBoundary:
         head = decode_head(cdn.origin.fetch(head_path(ca.name)).content)
         restamped = replace(head.signed_root, timestamp=head.signed_root.timestamp + 1)
         cdn.publish(head_path(ca.name), encode_head(replace(head, signed_root=restamped)), 110)
-        unlinked = FreshnessStatement(ca.name, bytes(20), head.size)
-        cdn.publish(freshness_path(ca.name), encode_freshness(unlinked), 110)
+        unlinked = FreshnessStatement(bytes(20))
+        cdn.publish(freshness_path(ca.name), encode_freshness_object(unlinked), 110)
         cdn.publish(keys_path(ca.name), oversized_key_chain(ca), 110)
 
         result = client.pull(now=111)
@@ -470,14 +480,15 @@ class TestFreshnessFirstPoll:
         assert agent.replica_for(ca.name).signed_root == ca.dictionary.signed_root
 
     def test_an_idle_pull_is_one_freshness_get_and_no_head(self):
-        from repro.ritm.messages import encode_freshness
+        from repro.ritm.messages import encode_freshness_object
 
         ca, _, agent, client, _ = self._synced()
         ca.refresh(now=110)
         result = client.pull(now=111)
         statement = ca.dictionary.latest_freshness
         assert (result.requests, result.heads_checked) == (1, 0)
-        wire = len(encode_freshness(statement)) + REQUEST_OVERHEAD_BYTES
+        wire = len(encode_freshness_object(statement)) + REQUEST_OVERHEAD_BYTES
+        assert wire == 1 + 20 + REQUEST_OVERHEAD_BYTES
         assert result.bytes_downloaded == wire
         assert result.freshness_applied == 1
         assert result.root_signatures_verified == 0
@@ -512,6 +523,102 @@ class TestFreshnessFirstPoll:
         replica = agent.replica_for(ca.name)
         assert replica.signed_root == ca.dictionary.signed_root
         assert replica.latest_freshness == ca.dictionary.latest_freshness
+
+    @staticmethod
+    def _logged_gets(cdn, monkeypatch):
+        """Every path the CDN serves from now on, in order."""
+        fetched = []
+        download = cdn.download
+
+        def logged(path, *args, **kwargs):
+            fetched.append(path)
+            return download(path, *args, **kwargs)
+
+        monkeypatch.setattr(cdn, "download", logged)
+        return fetched
+
+    @pytest.mark.parametrize("serials", [1, 3])
+    def test_a_per_delta_segment_walks_straight_away_with_no_head(self, monkeypatch, serials):
+        """The walk's goal is where the segment's batch ends, ``first_number
+        + len(serials) - 1``: the one GET brings the replica to the CA's
+        root, with no head read and nothing fetched past the batch."""
+        from repro.pki.serial import SerialNumber
+        from repro.ritm.ca_service import freshness_path
+
+        ca, cdn, agent, client, _ = self._synced()
+        ca.revoke([SerialNumber(700)], now=105)
+        client.pull(now=106)
+        issuance = ca.revoke([SerialNumber(800 + n) for n in range(serials)], now=110)
+        fetched = self._logged_gets(cdn, monkeypatch)
+        result = client.pull(now=111)
+        assert fetched == [freshness_path(ca.name)]
+        assert (result.requests, result.heads_checked, result.resyncs) == (1, 0, 0)
+        assert (result.issuances_applied, result.serials_applied) == (1, serials)
+        replica = agent.replica_for(ca.name)
+        assert replica.size == issuance.first_number + serials - 1 == 1 + serials
+        assert replica.signed_root == ca.dictionary.signed_root
+        assert replica.latest_freshness == ca.dictionary.latest_freshness
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+    def test_an_idle_statement_after_a_missed_batch_reads_the_head_then_walks(
+        self, monkeypatch, streaming
+    ):
+        """The RA missed the batch Δ; a period later the per-Δ object is a
+        bare statement of the root signed after the batch, which links to no
+        anchor the replica holds.  So the RA reads the head — one GET — and
+        walks from there to the CA's root."""
+        from repro.pki.serial import SerialNumber
+        from repro.ritm.ca_service import freshness_path, head_path, issuance_path
+        from repro.ritm.replication import segment_path
+
+        ca, cdn, agent, client, _ = self._synced(streaming)
+        issuance = ca.revoke([SerialNumber(600), SerialNumber(601)], now=110)
+        ca.refresh(now=121)  # the next period: the batch's segment is replaced
+        fetched = self._logged_gets(cdn, monkeypatch)
+        result = client.pull(now=122)
+        batch_path = segment_path if streaming else issuance_path
+        assert fetched == [
+            freshness_path(ca.name),
+            head_path(ca.name),
+            batch_path(ca.name, issuance.first_number),
+        ]
+        assert (result.requests, result.heads_checked) == (3, 1)
+        assert (result.issuances_applied, result.serials_applied) == (1, 2)
+        assert result.resyncs == 0 and not result.errors
+        replica = agent.replica_for(ca.name)
+        assert replica.signed_root == ca.dictionary.signed_root
+        assert replica.latest_freshness == ca.dictionary.latest_freshness
+
+    def test_another_cas_statement_at_this_cas_path_costs_one_head_get(
+        self, world, monkeypatch
+    ):
+        """A statement names no CA: CA B's, served at CA A's per-Δ path,
+        links to no anchor A's replica holds.  The RA reads A's head, which
+        leaves A's replica as A's CA left it: one head GET, no store call,
+        no error, and no verdict drawn from B's chain."""
+        from repro.ritm.ca_service import freshness_path, head_path
+
+        from tests.ritm.test_replica_feed import count_store_calls
+
+        a, b = world.cas[0], world.cas[1]
+        now = EPOCH + 20
+        for ca in world.cas:
+            ca.refresh(now=now)
+        foreign = world.cdn.origin.fetch(freshness_path(b.name)).content
+        world.cdn.publish(freshness_path(a.name), foreign, now)
+        held = world.agent.replica_for(a.name).signed_root
+        calls = count_store_calls(monkeypatch)
+        fetched = self._logged_gets(world.cdn, monkeypatch)
+
+        result = world.pull(now=now + 1)
+
+        assert [path for path in fetched if "/head" in path] == [head_path(a.name)]
+        assert (result.requests, result.heads_checked) == (len(world.cas) + 1, 1)
+        assert calls == [] and not result.errors and result.replays_rejected == 0
+        replica = world.agent.replica_for(a.name)
+        assert replica.signed_root == held == a.dictionary.signed_root
+        assert replica.latest_freshness == a.dictionary.latest_freshness
+        assert result.freshness_applied == len(world.cas)
 
     def test_an_exhausted_hash_chain_fetches_the_head_once(self):
         ca, _, agent, client, _ = self._synced()
@@ -824,8 +931,10 @@ class TestAPerDeltaBatchEndsAsTheWalksObject:
     the per-Δ object, the other through the object its walk fetches in its
     mode — the segment, or the issuance object the segment embeds — after a
     refresh in the same hash-chain period has made the per-Δ object the
-    bare statement again.  Every outcome counter, the error count and the
-    replica state agree; only the GETs differ."""
+    bare statement again.  That statement links to no root the walk's RA
+    holds, so it reads the head first, then walks.  Every other outcome
+    counter, the error count and the replica state agree; only the GETs
+    differ."""
 
     @staticmethod
     def _pull_both(streaming, stage):
@@ -842,10 +951,13 @@ class TestAPerDeltaBatchEndsAsTheWalksObject:
         return outcomes
 
     @staticmethod
-    def _assert_same_end(outcomes, counters=OUTCOME):
-        """Equal ``counters`` and error counts; each replica on its own CA's
+    def _assert_same_end(outcomes, counters=OUTCOME, heads=(0, 1)):
+        """``heads`` heads checked by the per-Δ RA and the walk's; equal
+        other ``counters`` and error counts; each replica on its own CA's
         state (each stack's CA seeds its own hash chain)."""
         (per_delta, *_), (walk, *_) = outcomes
+        assert (per_delta.heads_checked, walk.heads_checked) == heads
+        counters = [name for name in counters if name != "heads_checked"]
         assert {name: getattr(per_delta, name) for name in counters} == {
             name: getattr(walk, name) for name in counters
         }
@@ -923,7 +1035,7 @@ class TestAPerDeltaBatchEndsAsTheWalksObject:
         RAs read the head, and neither replica moves."""
         from repro.pki.serial import SerialNumber
         from repro.ritm.ca_service import freshness_path
-        from repro.ritm.messages import encode_freshness
+        from repro.ritm.messages import encode_freshness_object
         from repro.ritm.replication import decode_segment, segment_path
 
         outcomes = []
@@ -936,11 +1048,11 @@ class TestAPerDeltaBatchEndsAsTheWalksObject:
                 assert client.pull(now=now + 1).errors == []
             old = cdn.origin.fetch(segment_path(ca.name, 1)).content
             if via_walk:
-                old = encode_freshness(decode_segment(old).freshness_after)
+                old = encode_freshness_object(decode_segment(old).freshness_after)
             cdn.publish(freshness_path(ca.name), old, 130)
             outcomes.append((client.pull(now=135), agent.replica_for(ca.name), ca, client))
-        per_delta, walk = self._assert_same_end(outcomes)
-        assert per_delta.heads_checked == 1 and per_delta.issuances_applied == 0
+        per_delta, walk = self._assert_same_end(outcomes, heads=(1, 1))
+        assert per_delta.issuances_applied == 0
         assert per_delta.errors == walk.errors
         _, _, ca, client = outcomes[0]
         assert client.replication_cursor(ca.name) == 2
@@ -959,5 +1071,7 @@ class TestAPerDeltaBatchEndsAsTheWalksObject:
         per_delta, walk = self._assert_same_end(outcomes)
         assert per_delta.key_rotations_applied == 1 and per_delta.issuances_applied == 1
         assert per_delta.resyncs == 0 and not per_delta.errors and not walk.errors
-        # the per-Δ object and the key chain; the walk also GETs the batch
-        assert (per_delta.requests, walk.requests) == (2, 3)
+        # the per-Δ object and the key chain; the walk's RA also GETs the
+        # head (whose root, under the new key, costs it the key chain) and
+        # the batch
+        assert (per_delta.requests, walk.requests) == (2, 4)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary
+from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.sync import SyncResponse
 from repro.errors import TLSError
 from repro.pki.serial import SerialNumber
@@ -18,6 +19,7 @@ from repro.ritm.messages import (
     DictionaryHead,
     KeyAnnouncement,
     ShardIndex,
+    decode_freshness_object,
     decode_head,
     decode_issuance,
     decode_key_announcements,
@@ -28,6 +30,7 @@ from repro.ritm.messages import (
     decode_status_bundle,
     decode_sync_response,
     encode_freshness,
+    encode_freshness_object,
     encode_head,
     encode_issuance,
     encode_key_announcements,
@@ -38,6 +41,7 @@ from repro.ritm.messages import (
     encode_status_bundle,
     encode_sync_response,
 )
+from repro.ritm.replication import decode_delta_object
 
 from tests.conftest import make_serials
 
@@ -92,6 +96,43 @@ class TestProofCodec:
             decode_proof(b"\x07garbage")
 
 
+class TestFreshnessCodec:
+    """A statement is its hash-chain value (Eq. 2), the 20 bytes the paper
+    prices; the per-Δ object adds one tag byte in front of it."""
+
+    def test_a_statement_is_its_value(self, master):
+        statement = master.latest_freshness
+        assert encode_freshness(statement) == statement.value
+        assert len(statement.value) == 20
+        assert encode_freshness_object(statement) == b"\x00" + statement.value
+        assert decode_freshness_object(encode_freshness_object(statement)) == statement
+        assert decode_delta_object(encode_freshness_object(statement)) == statement
+
+    def test_the_retired_44_byte_statement_is_refused(self, master):
+        """CA name, framed value, u64 size: it opens with ``0x00`` (the name's
+        length) but leaves 43 bytes for a value, which no chain link is."""
+        statement = master.latest_freshness
+        name = b"Codec-CA"
+        retired = (
+            struct.pack(">H", len(name))
+            + name
+            + struct.pack(">H", 20)
+            + statement.value
+            + struct.pack(">Q", master.size)
+        )
+        assert len(retired) == 2 + len(name) + 22 + 8
+        for decode in (decode_freshness_object, decode_delta_object):
+            with pytest.raises(TLSError, match="no chain link"):
+                decode(retired)
+
+    @pytest.mark.parametrize("width", [0, 33, 64])
+    def test_a_value_no_chain_link_has_is_refused_both_ways(self, width):
+        with pytest.raises(TLSError, match="no chain link"):
+            encode_freshness(FreshnessStatement(bytes(width)))
+        with pytest.raises(TLSError, match="no chain link"):
+            decode_freshness_object(b"\x00" + bytes(width))
+
+
 class TestStatusCodec:
     def test_status_roundtrip_still_verifies(self, master, keys):
         status = master.prove(SerialNumber(700_000))
@@ -120,51 +161,81 @@ class TestStatusCodec:
         with pytest.raises(TLSError):
             decode_status_bundle(b"")
 
-    def test_status_size_is_its_framed_parts(self, master):
+    def test_status_is_its_three_parts_unframed(self, master):
+        """Proof, signed root, value: each ends where its own layout says, and
+        the serial and CA are the proof's key and the root's name."""
         status = master.prove(SerialNumber(700_000))
         parts = [
-            status.ca_name.encode("utf-8"),
-            status.serial.to_bytes(),
             encode_proof(status.proof),
             encode_signed_root(status.signed_root),
             encode_freshness(status.freshness),
         ]
-        assert len(encode_status(status)) == sum(2 + len(part) for part in parts)
+        assert encode_status(status) == b"".join(parts)
+        assert len(parts[2]) == len(status.signed_root.anchor) == 20
+
+    @staticmethod
+    def _retired_status(status) -> bytes:
+        """The layout before statuses named each fact once: five u16-framed
+        fields (CA name, serial, proof, signed root, 44-byte statement)."""
+        statement = (
+            struct.pack(">H", len(status.ca_name))
+            + status.ca_name.encode("utf-8")
+            + struct.pack(">H", 20)
+            + status.freshness.value
+            + struct.pack(">Q", status.signed_root.size)
+        )
+        fields = [
+            status.ca_name.encode("utf-8"),
+            status.serial.to_bytes(),
+            encode_proof(status.proof),
+            encode_signed_root(status.signed_root),
+            statement,
+        ]
+        return b"".join(struct.pack(">H", len(field)) + field for field in fields)
+
+    @pytest.mark.parametrize("serial", [700_000, 7], ids=["absent", "present"])
+    def test_the_retired_status_layout_is_refused(self, master, serial):
+        status = master.prove(SerialNumber(serial))
+        retired = self._retired_status(status)
+        with pytest.raises(TLSError):
+            decode_status_bundle(b"\x01" + struct.pack(">H", len(retired)) + retired)
+
+    @pytest.mark.parametrize("width", [19, 21, 32])
+    def test_a_value_of_another_width_than_the_anchor_is_refused(self, master, width):
+        """The reader takes the value's width from the root's anchor, so a
+        status carrying a narrower or wider value has no encoding and no
+        decoding."""
+        status = master.prove(SerialNumber(700_000))
+        head = encode_proof(status.proof) + encode_signed_root(status.signed_root)
+        value = (status.freshness.value * 2)[:width]
+        with pytest.raises(TLSError):
+            decode_status_bundle(encode_status_bundle([status])[:3] + head + value)
+        framed = b"\x01" + struct.pack(">H", len(head) + width) + head + value
+        with pytest.raises(TLSError):
+            decode_status_bundle(framed)
+        with pytest.raises(TLSError, match="under an anchor of 20"):
+            encode_status(replace(status, freshness=FreshnessStatement(value)))
 
 
 class TestHeadAndIssuanceCodec:
     def test_head_roundtrip(self, master, keys):
-        head = DictionaryHead(
-            ca_name="Codec-CA",
-            size=master.size,
-            signed_root=master.signed_root,
-            freshness=master.latest_freshness,
-        )
-        decoded = decode_head(encode_head(head))
-        assert decoded.ca_name == head.ca_name
-        assert decoded.size == head.size
+        head = DictionaryHead(master.signed_root, master.latest_freshness)
+        encoded = encode_head(head)
+        assert encoded == encode_signed_root(master.signed_root) + master.latest_freshness.value
+        decoded = decode_head(encoded)
+        assert decoded == head
         assert decoded.signed_root.verify(keys.public)
 
     def test_a_head_still_carrying_a_publication_sequence_is_refused(self, master):
         # Heads once ended with an unsigned 8-byte counter after the
         # statement; such a head is now a second encoding and is refused.
-        head = DictionaryHead(
-            ca_name="Codec-CA",
-            size=master.size,
-            signed_root=master.signed_root,
-            freshness=master.latest_freshness,
-        )
+        head = DictionaryHead(master.signed_root, master.latest_freshness)
         for sequence in (0, 7):
             with pytest.raises(TLSError, match="trailing bytes"):
                 decode_head(encode_head(head) + sequence.to_bytes(8, "big"))
 
     def test_head_size_is_small(self, master):
-        head = DictionaryHead(
-            ca_name="Codec-CA",
-            size=master.size,
-            signed_root=master.signed_root,
-            freshness=master.latest_freshness,
-        )
+        head = DictionaryHead(master.signed_root, master.latest_freshness)
         # The polling object stays a few hundred bytes (it is fetched every Δ).
         assert len(encode_head(head)) < 500
 
@@ -324,7 +395,6 @@ class TestNameFieldsAreTotal:
         return data[:2] + b"\xff" + data[3:]
 
     def test_invalid_utf8_name_raises_tls_error(self, master, keys):
-        from repro.ritm.messages import decode_freshness, encode_freshness
         from repro.ritm.replication import (
             SEGMENT_MAGIC,
             build_segment,
@@ -334,16 +404,9 @@ class TestNameFieldsAreTotal:
 
         dictionary = CADictionary("Codec-CA-4", keys, delta=10, chain_length=8)
         issuance = dictionary.insert(make_serials(3), now=2000)
-        head = DictionaryHead(
-            ca_name="Codec-CA",
-            size=master.size,
-            signed_root=master.signed_root,
-            freshness=master.latest_freshness,
-        )
+        head = DictionaryHead(master.signed_root, master.latest_freshness)
         cases = [
             (decode_signed_root, encode_signed_root(master.signed_root)),
-            (decode_freshness, encode_freshness(master.latest_freshness)),
-            (decode_status, encode_status(master.prove(make_serials(1)[0]))),
             (decode_head, encode_head(head)),
             (decode_issuance, encode_issuance(issuance)),
         ]
@@ -420,7 +483,7 @@ class TestShardIndexCodec:
         index = ShardIndex("Codec-CA", 1, (-(2**63), 0, 2**63 - 1))
         assert decode_shard_index(encode_shard_index(index)) == index
         for live in ((2**63,), (-(2**63) - 1,)):
-            with pytest.raises(struct.error):
+            with pytest.raises(TLSError, match="no wire form"):
                 encode_shard_index(ShardIndex("Codec-CA", 1, live))
 
 

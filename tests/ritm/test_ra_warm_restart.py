@@ -234,11 +234,7 @@ class TestTamperedCheckpoints:
         client.checkpoint(tmp_path)
         state = load_checkpoint(tmp_path).replicas[0].state
         assert state.freshness.value != state.signed_root.anchor
-        tamper(
-            tmp_path,
-            b"\x00\x14" + state.freshness.value + struct.pack(">Q", state.signed_root.size),
-            b"\x00\x14" + bytes(20) + struct.pack(">Q", state.signed_root.size),
-        )
+        tamper(tmp_path, state.freshness.value, bytes(20))
         agent, restored = self._restore_into_fresh_agent(config, ca, cdn, tmp_path)
         assert restored == 1
         replica = agent.replica_for(ca.name)
@@ -265,16 +261,16 @@ class TestTamperedCheckpoints:
             with pytest.raises(StorageError):
                 load_checkpoint(tmp_path)
 
-    def test_the_file_is_format_4_and_a_format_3_file_is_refused(self, tmp_path):
-        """Format 3 also carried a stream position per replica and JSON key
-        chains; no decoder for it is kept."""
+    def test_the_file_is_format_5_and_a_format_4_file_is_refused(self, tmp_path):
+        """Format 4 carried each replica's freshness statement with its CA
+        name and dictionary size; no decoder for it is kept."""
         self._checkpointed_stack(tmp_path)
         path = tmp_path / CHECKPOINT_FILENAME
         body = path.read_bytes()[:-4]
         at = len(CHECKPOINT_MAGIC)
-        assert body[at : at + 2] == b"\x00\x04"
-        path.write_bytes(reseal(body[:at] + b"\x00\x03" + body[at + 2 :]))
-        with pytest.raises(StorageError, match="has format 3; this build reads format 4"):
+        assert body[at : at + 2] == b"\x00\x05"
+        path.write_bytes(reseal(body[:at] + b"\x00\x04" + body[at + 2 :]))
+        with pytest.raises(StorageError, match="has format 4; this build reads format 5"):
             load_checkpoint(tmp_path)
 
     def test_framing_errors_under_a_valid_crc_are_storage_errors(self, tmp_path):
@@ -285,7 +281,7 @@ class TestTamperedCheckpoints:
         for doctored, message in [
             # Format 1 carried a per-CA shard-index pull count: an old file
             # is a clear format mismatch, not a framing error.
-            (body[:at] + b"\x00\x01" + body[at + 2 :], "has format 1; this build reads format 4"),
+            (body[:at] + b"\x00\x01" + body[at + 2 :], "has format 1; this build reads format 5"),
             (body + b"\x00", "trailing bytes"),
             (body[:-1], "malformed|truncated"),
             (body[: len(body) // 2], "truncated"),
@@ -611,8 +607,10 @@ class TestRecoveryDoesNotDependOnTheCrashStep:
     checkpointed after any step ``k`` of :data:`CRASH_SCHEDULE`, restored at
     the end and pulled once, holds the CA's root, having fetched exactly the
     batches published since step ``k`` — or, when one it needed was purged,
-    those up to that one and a single resync.  A replica's size is where it
-    resumes, so there is no cursor that could lag or lead its content."""
+    those up to that one and a single resync.  When there are any, the head
+    comes first: the schedule ends idle, so the per-Δ object is a statement
+    of a root the restored replica has not seen.  A replica's size is where
+    it resumes, so there is no cursor that could lag or lead its content."""
 
     @pytest.mark.parametrize(
         "k",
@@ -620,7 +618,7 @@ class TestRecoveryDoesNotDependOnTheCrashStep:
         ids=["k0-start"] + [f"k{k}-after-{step}" for k, step in enumerate(CRASH_SCHEDULE, 1)],
     )
     def test_a_checkpoint_after_step_k_restores_to_the_cas_root(self, k, tmp_path, monkeypatch):
-        from repro.ritm.ca_service import freshness_path, issuance_path, keys_path
+        from repro.ritm.ca_service import freshness_path, head_path, issuance_path, keys_path
 
         config, ca, cdn, agent, client = build_stack()
         published = []  # (step, address) of every batch
@@ -659,8 +657,10 @@ class TestRecoveryDoesNotDependOnTheCrashStep:
         monkeypatch.setattr(cdn, "download", logged)
         result = restored_client.pull(now=115 + 10 * len(CRASH_SCHEDULE))
 
+        assert CRASH_SCHEDULE[-1] == "idle"
         assert fetched == (
             [freshness_path(ca.name)]
+            + ([head_path(ca.name)] if since else [])
             + [issuance_path(ca.name, address) for address in needed]
             + ([keys_path(ca.name)] if learns_rotation else [])
         )

@@ -234,7 +234,9 @@ def test_an_empty_batch_at_the_right_address_costs_one_resync(monkeypatch):
 
     result = client.pull(now=126)
 
-    assert result.requests == 3  # the per-Δ object, the emptied batch, the resync
+    # the per-Δ object (a statement of the root the RA has not seen), the
+    # head, the emptied batch, the resync
+    assert (result.requests, result.heads_checked) == (4, 1)
     assert len(result.errors) == 1 and "0 serial(s)" in result.errors[0]
     assert result.resyncs == 1
     assert calls == []

@@ -173,12 +173,11 @@ class TestCompromisedInfrastructure:
         forged_tree = NaiveMerkleStore()
         forged_proof = forged_tree.prove_absence(chain.leaf.serial.to_bytes())
         forged_status = RevocationStatus(
-            ca_name=issuing.name,
-            serial=chain.leaf.serial,
             proof=forged_proof,
             signed_root=replica.signed_root,
             freshness=replica.latest_freshness,
         )
+        assert forged_status.serial == chain.leaf.serial
         assert not forged_status.is_acceptable(
             issuing.public_key, now=EPOCH + 12, delta=world.config.delta_seconds
         )

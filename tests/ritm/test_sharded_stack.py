@@ -92,7 +92,7 @@ class TestShardedCAService:
             [(SerialNumber(1), now + WEEK)], now=now
         )
         head = ca.head(shard_name(ca.name, key.index))
-        assert head.ca_name == issuance.ca_name and head.size == 1
+        assert head.signed_root.ca_name == issuance.ca_name and head.signed_root.size == 1
 
     def test_revoke_derives_expiry_from_issued_certificate(self, sharded_world):
         _, authority, _, ca, _, _ = sharded_world
@@ -503,14 +503,23 @@ class TestShardStreams:
         assert relayed.segments_from_peer == 3 and relayed.cold_sync_fallbacks == 0
         assert late.replica_for(stream.name).root() == stream.dictionary.root()
 
-    @pytest.mark.parametrize("damage", ["truncated", "invalid-utf8-name"])
-    @pytest.mark.parametrize("polled", ["freshness", "head"])
+    @pytest.mark.parametrize(
+        "polled, damage",
+        [
+            ("freshness", "truncated"),
+            ("freshness", "overlong-value"),
+            ("head", "truncated"),
+            ("head", "invalid-utf8-name"),
+        ],
+    )
     def test_bad_polled_object_of_one_shard_does_not_abort_the_cycle(
         self, sharded_world, polled, damage
     ):
-        """``freshness``: a synced shard's every-Δ object is damaged.
-        ``head``: the shards are new to the RA, so it reads their heads —
-        one of them damaged."""
+        """``freshness``: a synced shard's every-Δ object is damaged — its
+        tag alone, or a value wider than any chain link (a value of a link's
+        width is a statement that links nowhere, which sends the RA to the
+        head).  ``head``: the shards are new to the RA, so it reads their
+        heads — one of them damaged."""
         _, _, cdn, ca, agent, client = sharded_world
         now = EPOCH + WEEK
         ca.revoke_with_expiry(
@@ -522,9 +531,11 @@ class TestShardStreams:
         broken, healthy = list(ca.streams.values())
         path = (freshness_path if polled == "freshness" else head_path)(broken.name)
         honest = cdn.origin.fetch(path).content
-        bad = honest[: len(honest) // 2] if damage == "truncated" else (
-            honest[:2] + b"\xff" + honest[3:]
-        )
+        bad = {
+            "truncated": honest[: 1 if polled == "freshness" else len(honest) // 2],
+            "overlong-value": honest + bytes(13),  # a 33-byte value
+            "invalid-utf8-name": honest[:2] + b"\xff" + honest[3:],
+        }[damage]
         cdn.publish(path, bad, now + 10)
         result = client.pull(now=now + 11)
         assert len(result.errors) == 1 and result.errors[0].startswith(broken.name)
@@ -543,9 +554,11 @@ class TestShardStreams:
         shards have the same root hash, so neither the signature nor the
         content can tell shard B's root from shard A's: the name must.
         Whoever controls a CDN path serves B's object at A's path — B's head
-        to an RA that has never read A (it reads A's head), B's freshness
-        object to one that has (it reads A's freshness object).  A installs
-        nothing, says why, recovers on the next honest pull; B is unaffected."""
+        to an RA that has never read A (it reads A's head): A installs
+        nothing and says why.  B's freshness object to one that has read A:
+        it links to no anchor A holds, so the RA reads A's head, which
+        leaves A as it was.  A recovers on the next honest pull; B is
+        unaffected."""
         config, _, cdn, ca, agent, client = sharded_world
         now = EPOCH + WEEK
         expiry_a, expiry_b = now + WEEK, now + WEEK + config.shard_width_seconds
@@ -562,12 +575,14 @@ class TestShardStreams:
         swapped = client.pull(now=now + 2)
         replica_a, replica_b = agent.replica_for(a), agent.replica_for(b)
         assert replica_a.signed_root == before
-        assert synced or replica_a.latest_freshness is None
-        assert len(swapped.errors) == 1
-        refusal = f"{a}: freshness object at {a!r}'s path is for {b!r}" if synced else (
-            f"{a}: signed root for {b!r}"
-        )
-        assert swapped.errors[0].startswith(refusal)
+        if synced:
+            # A's head, after B's statement; B's own, the RA's first of B.
+            assert not swapped.errors and swapped.heads_checked == 2
+            assert replica_a.latest_freshness == ca.streams[a].dictionary.latest_freshness
+        else:
+            assert replica_a.latest_freshness is None
+            assert len(swapped.errors) == 1
+            assert swapped.errors[0].startswith(f"{a}: signed root for {b!r}")
         assert replica_b.signed_root == ca.streams[b].dictionary.signed_root
 
         cdn.publish(path(a), honest, now + 3)
@@ -575,7 +590,7 @@ class TestShardStreams:
         assert not recovered.errors and recovered.replays_rejected == 0
         assert replica_a.signed_root == ca.streams[a].dictionary.signed_root
         status = agent.build_status(ca.name, SerialNumber(77), expiry_a)
-        assert status.signed_root.ca_name == status.freshness.ca_name == status.ca_name == a
+        assert status.signed_root.ca_name == status.ca_name == a
         status.verify(ca.signing_public_key, now=now + 4, delta=config.delta_seconds)
 
 

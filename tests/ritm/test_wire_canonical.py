@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.merkle import PresenceProof
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary
+from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.sync import SyncRequest, SyncResponse, SyncServer
 from repro.errors import CertificateError, ProofError, TLSError
 from repro.pki.certificate import Certificate, CertificateChain
@@ -35,7 +36,6 @@ from repro.ritm.messages import (
     DictionaryHead,
     KeyAnnouncement,
     ShardIndex,
-    decode_freshness,
     decode_freshness_object,
     decode_head,
     decode_issuance,
@@ -47,6 +47,7 @@ from repro.ritm.messages import (
     decode_status_bundle,
     decode_sync_response,
     encode_freshness,
+    encode_freshness_object,
     encode_head,
     encode_issuance,
     encode_key_announcements,
@@ -123,12 +124,7 @@ for _width in (1, 32):
     OTHER_WIDTH_PROOFS += [_store.prove(bytes([0, 0, 7])), _store.prove(bytes([0, 0, 77]))]
 CORPUS = generate_corpus(ca_count=1, domains_per_ca=2, use_intermediates=True)
 HEADS = [
-    DictionaryHead(
-        ca_name=dictionary.ca_name,
-        size=dictionary.size,
-        signed_root=dictionary.signed_root,
-        freshness=dictionary.latest_freshness,
-    )
+    DictionaryHead(dictionary.signed_root, dictionary.latest_freshness)
     for dictionary in (FULL, EMPTY)
 ]
 #: No window, one, and several out of order with a negative index; the last
@@ -251,18 +247,14 @@ CODECS = {
         TLSError,
         [encode_signed_root(dictionary.signed_root) for dictionary in (FULL, EMPTY)],
     ),
-    "freshness": (
-        decode_freshness,
-        encode_freshness,
-        TLSError,
-        [encode_freshness(dictionary.latest_freshness) for dictionary in (FULL, EMPTY)],
-    ),
-    # The per-Δ object between batches: one statement, the whole object.
+    # The per-Δ object between batches: its tag, then one statement's value.
+    # (A bare value has no row: every 1–32 bytes are one, so no bytes are
+    # refused; the objects below carry it where a root fixes its width.)
     "freshness_object": (
         _whole(decode_freshness_object),
-        encode_freshness,
+        encode_freshness_object,
         TLSError,
-        [encode_freshness(dictionary.latest_freshness) for dictionary in (FULL, EMPTY)],
+        [encode_freshness_object(dictionary.latest_freshness) for dictionary in (FULL, EMPTY)],
     ),
     # What an RA reads every Δ, either form: a batch's whole segment (CRC
     # included) or a bare statement, told apart by the first byte.  A
@@ -270,11 +262,13 @@ CODECS = {
     "delta_object": (
         _whole(decode_delta_object),
         lambda value: (
-            encode_segment(value) if isinstance(value, WALSegment) else encode_freshness(value)
+            encode_segment(value)
+            if isinstance(value, WALSegment)
+            else encode_freshness_object(value)
         ),
         TLSError,
         [encode_segment(segment) for segment in SEGMENTS]
-        + [encode_freshness(dictionary.latest_freshness) for dictionary in (FULL, EMPTY)],
+        + [encode_freshness_object(dictionary.latest_freshness) for dictionary in (FULL, EMPTY)],
     ),
     "proof": (
         decode_proof,
@@ -500,10 +494,11 @@ class TestSecondEncodingsClosed:
             with pytest.raises(TLSError, match="truncated"):
                 decode_proof(data[:cut])
         # The proof ends where its layout says; whatever follows is not part
-        # of it, so the status field that frames it refuses the excess.
+        # of it: in a status it is read as the signed root's first bytes,
+        # and the status no longer decodes.
         for extra in (b"\x00", b"\x01", b"\xff" * 7, bytes(20), bytes(41)):
             assert decode_proof(data + extra) == (status.proof, len(data))
-            with pytest.raises(TLSError, match="trailing bytes"):
+            with pytest.raises(TLSError):
                 decode_status_bundle(with_proof_bytes(status, data + extra))
 
     def test_a_leaf_index_outside_the_tree(self):
@@ -577,27 +572,20 @@ class TestSecondEncodingsClosed:
     @pytest.mark.parametrize("junk", [b"x", b"junk", bytes(7), bytes(9), bytes(16)])
     def test_trailing_bytes_after_a_head_or_an_issuance_object(self, junk):
         with pytest.raises(TLSError, match="trailing bytes"):
-            decode_freshness_object(encode_freshness(FULL.latest_freshness) + junk)
-        with pytest.raises(TLSError, match="trailing bytes"):
             decode_head(encode_head(HEADS[0]) + junk)
         with pytest.raises(TLSError, match="trailing bytes"):
             decode_issuance(encode_issuance(ISSUANCES[1]) + junk)
 
-    @pytest.mark.parametrize(
-        "encode, decode, value",
-        [(encode_head, decode_head, HEADS[0]), (encode_issuance, decode_issuance, ISSUANCES[0])],
-        ids=["head", "issuance"],
-    )
-    def test_trailing_bytes_inside_a_dissemination_object_root_frame(self, encode, decode, value):
-        data = encode(value)
-        root = encode_signed_root(value.signed_root)
+    def test_trailing_bytes_inside_an_issuance_object_root_frame(self):
+        data = encode_issuance(ISSUANCES[0])
+        root = encode_signed_root(ISSUANCES[0].signed_root)
         at = data.index(root) - 2
         padded = (len(root) + 1).to_bytes(2, "big") + root + b"\x00"
         with pytest.raises(TLSError, match="trailing bytes inside"):
-            decode(data[:at] + padded + data[at + 2 + len(root) :])
+            decode_issuance(data[:at] + padded + data[at + 2 + len(root) :])
 
     def test_a_per_delta_object_opening_with_neither_form_is_rejected(self):
-        statement = encode_freshness(FULL.latest_freshness)
+        statement = encode_freshness_object(FULL.latest_freshness)
         assert decode_delta_object(statement) == FULL.latest_freshness
         for first in (b"\x01", b"Q", b"\xff"):
             with pytest.raises(TLSError):
@@ -605,17 +593,15 @@ class TestSecondEncodingsClosed:
         with pytest.raises(TLSError):
             decode_delta_object(b"")
 
-    def test_trailing_bytes_inside_a_status_field(self):
-        status = STATUSES[1]
-        data = encode_status_bundle([status])
-        proof = encode_proof(status.proof)
-        at = data.index(proof) - 2
-        padded = (len(proof) + 1).to_bytes(2, "big") + proof + b"\x00"
-        grown = data[:at] + padded + data[at + 2 + len(proof) :]
-        # Re-frame the one status for its new length; the bundle has one entry.
-        grown = grown[:1] + (len(grown) - 3).to_bytes(2, "big") + grown[3:]
+    @pytest.mark.parametrize(
+        "junk", [b"\x00", bytes(12), b"\xff" * 20], ids=["1-byte", "12-bytes", "20-bytes"]
+    )
+    def test_trailing_bytes_inside_a_status_frame(self, junk):
+        """The value ends where the root's anchor width says, so bytes after
+        it inside the status's frame are refused, not read as a wider value."""
+        grown = encode_status(STATUSES[1]) + junk
         with pytest.raises(TLSError, match="trailing bytes"):
-            decode_status_bundle(grown)
+            decode_status_bundle(b"\x01" + len(grown).to_bytes(2, "big") + grown)
 
     @pytest.mark.parametrize("hello", HELLOS, ids=["client", "server"])
     def test_trailing_bytes_after_a_hello_extensions_block(self, hello):
@@ -656,15 +642,17 @@ class TestSecondEncodingsClosed:
 
 
 def _named(value, name: str):
-    """``value`` (a frozen dataclass) under CA name ``name``, memo-free."""
-    return dataclasses.replace(value, ca_name=name)
+    """``value`` (a frozen dataclass) under CA name ``name``, memo-free: its
+    own name field, or else its signed root's."""
+    if any(spec.name == "ca_name" for spec in dataclasses.fields(value)):
+        return dataclasses.replace(value, ca_name=name)
+    return dataclasses.replace(value, signed_root=_named(value.signed_root, name))
 
 
 #: Every RITM object whose first field is a name: (encode, decode, value).
+#: A head opens with its signed root, and so with the root's name.
 NAMED = {
     "signed_root": (encode_signed_root, decode_signed_root, FULL.signed_root),
-    "freshness": (encode_freshness, decode_freshness, FULL.latest_freshness),
-    "status": (encode_status, decode_status, STATUSES[0]),
     "head": (encode_head, lambda data: (decode_head(data), len(data)), HEADS[0]),
     "issuance": (
         encode_issuance,
@@ -718,3 +706,100 @@ class TestNameCap:
         assert _named(announcement, "n" * MAX_NAME_BYTES).payload().count(b"n") >= MAX_NAME_BYTES
         with pytest.raises(TLSError, match=str(MAX_NAME_BYTES)):
             _named(announcement, "n" * 256).payload()
+
+
+#: A name with no UTF-8 form: a lone surrogate.
+NO_UTF8 = "\ud800"
+
+
+def _segment_with(**issuance_fields):
+    """``SEGMENTS[0]`` whose embedded issuance object has ``issuance_fields``."""
+    segment = SEGMENTS[0]
+    return dataclasses.replace(
+        segment, issuance=dataclasses.replace(segment.issuance, **issuance_fields)
+    )
+
+
+def _status_with_root(**root_fields):
+    status = STATUSES[0]
+    return dataclasses.replace(
+        status, signed_root=dataclasses.replace(status.signed_root, **root_fields)
+    )
+
+
+#: For every RITM codec in :data:`CODECS`, a value it would encode but for a
+#: name with no UTF-8 form (``None``: the layout holds no name), and one but
+#: for a value out of its field's range: an integer, or where the layout
+#: holds none of its own (a statement; a proof, whose position is a shape
+#: error, ``ProofError``), a byte field longer than the layout allows.
+UNENCODABLE = {
+    "signed_root": (
+        _named(FULL.signed_root, NO_UTF8),
+        dataclasses.replace(FULL.signed_root, size=2**64),
+    ),
+    "freshness_object": (None, FreshnessStatement(bytes(33))),
+    "delta_object": (
+        _segment_with(ca_name=NO_UTF8),
+        _segment_with(first_number=2**64),
+    ),
+    "proof": (None, dataclasses.replace(STATUSES[0].proof, key=bytes(0x10000))),
+    "status_bundle": (
+        [_status_with_root(ca_name=NO_UTF8)],
+        [_status_with_root(timestamp=-1)],
+    ),
+    "head": (
+        _named(HEADS[0], NO_UTF8),
+        dataclasses.replace(
+            HEADS[0], signed_root=dataclasses.replace(HEADS[0].signed_root, size=2**64)
+        ),
+    ),
+    "issuance": (
+        _named(ISSUANCES[0], NO_UTF8),
+        dataclasses.replace(ISSUANCES[0], first_number=-1),
+    ),
+    "shard_index": (
+        _named(SHARD_INDEXES[1], NO_UTF8),
+        dataclasses.replace(SHARD_INDEXES[1], width_seconds=2**32),
+    ),
+    "key_announcements": (
+        (_named(KEY_CHAINS[1][0], NO_UTF8),),
+        (dataclasses.replace(KEY_CHAINS[1][0], key_epoch=-1),),
+    ),
+    "segment": (_segment_with(ca_name=NO_UTF8), _segment_with(first_number=2**64)),
+    "sync_response": (
+        _named(SYNC_RESPONSES[1], NO_UTF8),
+        dataclasses.replace(SYNC_RESPONSES[1], first_number=2**64),
+    ),
+}
+#: The X.509 and TLS codecs in :data:`CODECS`, which carry no RITM object.
+NOT_RITM = {
+    "certificate",
+    "chain",
+    "tls_records",
+    "handshake_flight",
+    "client_hello",
+    "server_hello",
+    "new_session_ticket",
+    "extensions",
+}
+
+
+def test_every_ritm_codec_has_an_unencodable_case():
+    assert set(UNENCODABLE) == set(CODECS) - NOT_RITM
+
+
+@pytest.mark.parametrize(
+    "codec, value",
+    [
+        pytest.param(codec, value, id=f"{codec}-{case}")
+        for codec, values in sorted(UNENCODABLE.items())
+        for case, value in zip(("name", "out-of-range"), values)
+        if value is not None
+    ],
+)
+def test_a_value_with_no_wire_form_is_a_tls_error(codec, value):
+    """Every encoder is total: a value its layout cannot say is refused as a
+    malformed message, never a bare ``struct.error`` or
+    ``UnicodeEncodeError``."""
+    with pytest.raises(TLSError):
+        CODECS[codec][1](value)

@@ -33,6 +33,7 @@ from repro.ritm.messages import (
     encode_signed_root,
     encode_status_bundle,
 )
+from repro.store import create_store
 from repro.tls.connection import (
     ChainValidationCache,
     ClientConnectionConfig,
@@ -173,12 +174,7 @@ class TestDictionaryObjectMemo:
 
     def test_a_forged_head_carries_the_forged_root(self, dictionary):
         """The shape of ``scenarios.faults.forge_head_with_retired_key``."""
-        honest = DictionaryHead(
-            ca_name="Memo-CA",
-            size=dictionary.size,
-            signed_root=dictionary.signed_root,
-            freshness=dictionary.latest_freshness,
-        )
+        honest = DictionaryHead(dictionary.signed_root, dictionary.latest_freshness)
         encode_head(honest)
         forged_root = dataclasses.replace(
             honest.signed_root, timestamp=honest.signed_root.timestamp + 1
@@ -665,7 +661,13 @@ class TestClientStatusMemo:
         status = world.agent.build_status(
             world.corpus.chains[0].leaf.issuer, world.corpus.chains[0].leaf.serial
         )
-        lying = dataclasses.replace(status, serial=SerialNumber(status.serial.value + 1))
+        # An absence proof of the right serial from a tree the root does not
+        # commit to: the Merkle check fails.
+        forged_tree = create_store("incremental")
+        forged_tree.insert(SerialNumber(status.serial.value + 1).to_bytes(), b"\x00\x00\x00\x01")
+        lying = dataclasses.replace(
+            status, proof=forged_tree.prove_absence(status.serial.to_bytes())
+        )
         for payload in (encode_status_bundle([lying]), b"\x01\x00"):
             for _ in range(2):
                 client = status_handshake(world, cache, payload, self.NOW, chains)
@@ -684,14 +686,14 @@ class TestClientStatusMemo:
 
 
 class TestMalformedSerialInAStatusRecord:
-    """ROADMAP item 2-i: a zero-length or 21-byte serial field inside a
-    ``RITM_STATUS`` record is a malformed message, not a ``ValueError``."""
+    """ROADMAP item 2-i: a zero-length or 21-byte serial — the proof's key,
+    which is the status's one serial field — inside a ``RITM_STATUS`` record
+    is a malformed message, not a ``ValueError``."""
 
     @staticmethod
     def bundle_with_serial_field(status, serial_field: bytes) -> bytes:
         data = encode_status_bundle([status])
-        name = status.ca_name.encode("utf-8")
-        serial_at = 1 + 2 + 2 + len(name)  # count, status frame, name frame
+        serial_at = 1 + 2 + 1  # count, status frame, proof tag
         old = status.serial.to_bytes()
         assert data[serial_at : serial_at + 2 + len(old)] == len(old).to_bytes(2, "big") + old
         body = (

@@ -108,6 +108,29 @@ B bytes" check detail and ``average_pull_latency_seconds`` with it;
 recovery pull's bytes (1,474 → 1,466 B; 565 → 557 B).  ``rotated-ca-key``
 also reads the binary key-announcement chain in place of the JSON one:
 10,175 → 8,271 B over its four chain reads and its segments.
+Sending every fact once — a freshness statement is its 20-byte value, a
+status is proof ‖ signed root ‖ value, a head is signed root ‖ value —
+re-pinned all 17 rows, every check still passing and no resync, error,
+replay, applied count, peer-relayed segment count or verification count
+moved.  The keys that moved: ``dissemination.bytes_downloaded`` (the "N
+pulls, B bytes" check detail and ``average_pull_latency_seconds`` with it)
+fell in 15 rows (``quickstart`` 1,646 → 1,509 B, ``soak`` 43,629 → 41,829 B
+and its ``replication.segment_bytes_downloaded`` 42,384 → 40,728 B,
+``region-outage``'s 21,080 → 20,160 B) and rose in the two whose idle Δ
+follows a batch the RA missed, so its statement links to no held root and
+the RA reads the head before walking: ``ca-audit-gossip`` 2,438 → 2,620 B
+and ``equivocating-ca`` 2,986 → 3,166 B, each with one more head GET (its
+``hot_path.edge_object_cache`` hits 2 → 3), a max lag 0.02 s and 0.01 s
+longer, and ``fleet.overlap_factor`` 1.7059 → 1.8236 and 1.8611 → 1.8501.
+``rotated-ca-key`` has the same case once, but its RA read the head in
+that Δ anyway (a rotation re-signed the root): it now reads it before the
+walk instead of after, the same GETs.
+The four rows with a victim handshake print ``status 229 B`` → ``182 B``;
+``ra-crash-recovery`` and ``region-outage`` print their recovery bytes
+(warm 1,466 → 1,443 B, cold 4,438 → 4,390 B; 557 → 534 B and the cold-sync
+counterfactual 1,630 → 1,584 B); ``slow-ra-holb``'s max lag 70.195 →
+70.194 s; ``degraded-ra`` and ``thundering-herd``'s overlap factor moved in
+the fourth decimal.
 """
 
 from __future__ import annotations
@@ -120,23 +143,23 @@ import pytest
 from repro.scenarios import get, names, run_scenario
 
 GOLDEN_DIGESTS = {
-    "ca-audit-gossip": "7c2ace3945b3e7ad717b9efa8a362fd69f91eef391d6293fe8b5db8016a5a734",
-    "degraded-ra": "c78c9b31315e0e2e6eedd5948ced028dfd942333e55743c210aa136422cd0325",
-    "equivocating-ca": "e1dc280e182437bd7f42ad237c2f126daeb4973de9e93dd8864199b6e6be097f",
-    "flash-crowd": "bd9badd16a7564b1e2c68f0c1862b85aebecb9178b9cdc15dfb04f0404fcbdc2",
-    "heartbleed": "cfc3185d73d0bb7b2e13f0248d0d603ddae0fcda7665c21fab308b242b26aa8e",
-    "iot-long-lived": "c13b48fdbc501c8a01e9c0188661e68d9f8260fc828a7bd6fb739c9c6bc4c75e",
-    "quickstart": "d0dd632dc9d37aa7edecbae2cd210b2f9839ae569b2d4872f7de55d30ee25de2",
-    "ra-crash-recovery": "3fabf1c4e99bf96e6331a53a0da596e2c495285b9a330b4d0bab41677f3d90dd",
-    "region-outage": "2042edc161b0f6f36bf74d1f095d2fa5b6393b3d9736cf715c6604562e5c725f",
-    "replayed-head": "19e1e95d98bb5f66a81a1280d4f22cc2fb770d1f90567da722c4c7f56df5fef6",
-    "rotated-ca-key": "882ec3d081fdeac8bc6d8e16067c531d9c8ea9c9262fe2f69d379776ab4a381f",
-    "sharded-longrun": "d61f574e34cb0e12e0fc18936d537177d86651c0eb6d196c6044bfd4476382fc",
-    "slow-ra-holb": "e0e64e30a9f54a122dd08fa021ba7ca66180bb8d790ef192f1472ef7cd0fc9e4",
-    "soak": "929ec4995b69ae866983034366bfdaa99e6e36eaae7769f302462bcdb28fe39b",
-    "staggered-pulls": "d2064a23d5c4731850216a8dca109e5438b16ad07c6a283a422a42923c042a02",
-    "tampered-cdn": "f49bc5c5c5b29c64d950870237d8dd610cad1171f9264147a307b91360ea928c",
-    "thundering-herd": "85fe0a362afa8e98a1179c130feef121e6f7b25616d0f34d0e8a9aa82b79b8bb",
+    "ca-audit-gossip": "c24422c27599ea54318770c5ff2df83c616bbc347f726eced3713de3432a9030",
+    "degraded-ra": "fe244cf1c90352e571c68b0c9bf99da3317a4053aeea921674239560b87b3837",
+    "equivocating-ca": "2c2902b71ad17f862c1ba95cd646e8d422a3410a782af890135a68748280d6cc",
+    "flash-crowd": "d2494dacd6d051f43703cb68eda6fe69fdece23307bf8a450790168aa6747d5c",
+    "heartbleed": "f68bc1c10ef1e6531aa2e66af403b4e95055f57f76d3c21ebbc0abbe82ec8375",
+    "iot-long-lived": "556890096260fd68133e5b7108b4af6f784f9b7070487e73a76140f29817e3ba",
+    "quickstart": "21329ac48f7676f8fc2dd4ae74dc1fbf844fb32b1d90ee815865ed5a0be6f53e",
+    "ra-crash-recovery": "f0a55d6ee27ab0ccba002c7a40237ea9d3465b16ada72b6859ff60a937c367bc",
+    "region-outage": "dcbf7e0b8f505ecd5d0ddac3f4c68f5692feda8eb06f6e3625044d205cca67d5",
+    "replayed-head": "8481c1e71ce4db4d1931da5c65376bee366d9ecf0f346f46e27208cc60868b19",
+    "rotated-ca-key": "58215d03ee5e342cee47c69a07990022dbe01264093ced999102af80ecce68d0",
+    "sharded-longrun": "4b1e9d0c5fc6d77980e0133462a4d5e69b9975c923e131661c44360c2ce292e5",
+    "slow-ra-holb": "123ca70681b9fd85cbce4a0acba0c65544b7142a2e50acb58e780b504ace0086",
+    "soak": "d5a97e8116b74707ad3f75e069d575e6ef643bbeef57233e1bead2952892b913",
+    "staggered-pulls": "0b2c5af1228a47b3f9f5e925e1af94ce0015833ec7a8f7769ddfa215b1ce8049",
+    "tampered-cdn": "4cf40b85665fbfa3942a8800b740864808a0acd5ee29c7316d5ed17edac20650",
+    "thundering-herd": "34c2e49efb46c2a401d7a9a9b4176ab2f90698d934586cdfb7cbc4746b6dd7d7",
 }
 
 
