@@ -2,9 +2,9 @@
 
 Every CDN GET an RA makes goes through ``CDNNetwork.download``; its path
 names the object it fetches: a dictionary's head, its per-Δ object (a
-freshness statement, or in a Δ with a batch that batch's segment), an
-issuance object or a segment the catch-up walk fetches, a sharded CA's
-shard index, or a CA's key-announcement chain.  Sync requests and peer
+freshness statement, or in a Δ with a batch that batch's object), a batch
+object the catch-up walk fetches, a sharded CA's shard index, or a CA's
+key-announcement chain.  Sync requests and peer
 relays are not GETs and are not counted.  The table lands in
 ``benchmarks/results/dissemination_requests.txt``; the exact counts of
 ``quickstart`` and ``soak`` are gated, so a change to what an RA fetches
@@ -25,16 +25,15 @@ from repro.scenarios import get, names, run_scenario
 KINDS = {
     "head": "head",
     "freshness": "per-Δ",
-    "issuance": "issuance",
-    "segment": "segment",
+    "issuance": "batch",
     "shards": "shard index",
     "keys": "keys",
 }
 
 #: (GETs, bytes on the wire) per kind, for the gated scenarios.
 GATED = {
-    "quickstart": {"head": (1, 367), "per-Δ": (4, 1142)},
-    "soak": {"head": (3, 1101), "per-Δ": (72, 40728)},
+    "quickstart": {"head": (1, 367), "per-Δ": (4, 1035)},
+    "soak": {"head": (3, 1101), "per-Δ": (72, 31992)},
 }
 
 

@@ -1,14 +1,14 @@
 """CA egress under peer anti-entropy vs the cold-sync counterfactual.
 
 Models the region-outage recovery (docs/REPLICATION.md) at fleet sizes 1,
-10, and 50: N restored RAs catch up on a 20-segment WAL backlog by syncing
+10, and 50: N restored RAs catch up on a backlog of 20 batches by syncing
 peer-to-peer from an already-caught-up survivor (each newly synced RA joins
 the relay pool), while the counterfactual fleet would have each RA cold-sync
 the full history straight from the CA's sync endpoint.
 
 The headline assertion: at **every** fleet size the CA-origin bytes spent on
 the replicated catch-up stay strictly below ``N x cold_sync_bytes`` — the
-segment stream moves the catch-up traffic onto the RA mesh, so the origin
+batch archives move the catch-up traffic onto the RA mesh, so the origin
 cost of a mass restart no longer scales with the fleet.  Results land in
 ``benchmarks/results/replication_egress.json`` (plus a rendered ``.txt``).
 """
@@ -33,7 +33,7 @@ from repro.ritm.messages import encode_sync_response
 #: Restored-fleet sizes, matching the fleet-scaling benchmark's points.
 FLEET_SIZES = (1, 10, 50)
 
-#: The backlog the restored RAs must catch up on: 20 WAL segments of 5.
+#: The backlog the restored RAs must catch up on: 20 batches of 5.
 HISTORY_PERIODS = 20
 PER_BATCH = 5
 
@@ -59,8 +59,8 @@ def _measure(fleet_size: int) -> dict:
         client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(region))
         return agent, client
 
-    # The survivor was disseminating normally before the outage; its
-    # segment-streaming pull is steady-state cost, not part of the recovery bill.
+    # The survivor was disseminating normally before the outage, archiving
+    # batch objects; its pull is steady-state cost, not part of the recovery bill.
     survivor, survivor_client = attach("survivor-ra", Region.UNITED_STATES)
     survivor_client.segment_streaming = True
     survivor_client.pull(now=400)
@@ -78,9 +78,9 @@ def _measure(fleet_size: int) -> dict:
         # each restored RA pulls from the pool round-robin and then relays
         result = client.sync_from_peer(relay_pool[index % len(relay_pool)], now=500)
         assert result.cold_sync_fallbacks == 0
-        assert result.segments_from_peer == HISTORY_PERIODS
+        assert result.batches_from_peer == HISTORY_PERIODS
         assert agent.replica_for(ca.name).root() == survivor_root
-        peer_bytes += result.segment_bytes_downloaded
+        peer_bytes += result.batch_bytes_downloaded
         serials_relayed += result.serials_applied
         relay_pool.append(client)
 
@@ -94,7 +94,7 @@ def _measure(fleet_size: int) -> dict:
     ca.close()
     return {
         "fleet_size": fleet_size,
-        "segments_per_ra": HISTORY_PERIODS,
+        "batches_per_ra": HISTORY_PERIODS,
         "serials_per_ra": serials_relayed // fleet_size,
         "ca_origin_bytes": replication_origin_bytes,
         "peer_bytes": peer_bytes,
@@ -126,7 +126,7 @@ def test_replication_egress_beats_cold_sync_at_every_fleet_size():
         ["restored RAs", "CA origin B (replication)", "CA origin B (N cold syncs)", "peer B"],
         rows,
         title=(
-            f"region-outage catch-up egress ({HISTORY_PERIODS} WAL segments, "
+            f"region-outage catch-up egress ({HISTORY_PERIODS} batches, "
             f"{HISTORY_PERIODS * PER_BATCH} serials)"
         ),
     )

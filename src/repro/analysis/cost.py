@@ -170,7 +170,7 @@ def simulate_costs(
             # serials once, and a signed root alongside each batch of new
             # revocations (at most one batch per poll, at least one per day
             # with activity).  A poll is one request per dictionary: in a Δ
-            # with a batch the per-Δ object is that batch's segment, so an
+            # with a batch the per-Δ object is that batch's object, so an
             # RA that was current fetches nothing more
             # (tests/ritm/test_dissemination.py::TestOneGetPerDelta).
             batches = min(polls, max(revocations, 0))

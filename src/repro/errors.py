@@ -65,6 +65,11 @@ class CertificateError(ReproError):
     """A certificate or certificate chain failed standard validation."""
 
 
+class SerialNumberError(CertificateError, ValueError):
+    """A serial number is not a positive integer of 1–20 bytes (RFC 5280
+    §4.1.2.2).  Also a :class:`ValueError`, for callers that catch one."""
+
+
 class TLSError(ReproError):
     """A TLS message could not be parsed or violates the handshake state machine."""
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from repro.crypto.signing import PrivateKey, PublicKey
-from repro.errors import CertificateError, SignatureError
+from repro.crypto.signing import PUBLIC_KEY_SIZE, PrivateKey, PublicKey
+from repro.errors import CertificateError
 from repro.pki.serial import SerialNumber
 
 
@@ -44,6 +44,14 @@ def _unpack_bytes(buffer: bytes, offset: int) -> tuple[bytes, int]:
     if offset + length > len(buffer):
         raise CertificateError("truncated certificate field body")
     return buffer[offset : offset + length], offset + length
+
+
+def _name(raw: bytes) -> str:
+    """A certificate name field; strict UTF-8 or a :class:`CertificateError`."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CertificateError("a certificate name is not UTF-8") from None
 
 
 @dataclass(frozen=True)
@@ -119,21 +127,18 @@ class Certificate:
         signature, offset = _unpack_bytes(data, offset)
         if offset != len(data):
             raise CertificateError("trailing bytes after certificate")
-        try:
-            certificate = cls(
-                subject=subject.decode("utf-8"),
-                issuer=issuer.decode("utf-8"),
-                serial=SerialNumber.from_bytes(serial_bytes),
-                public_key=PublicKey(key_bytes),
-                not_before=not_before,
-                not_after=not_after,
-                is_ca=bool(is_ca),
-                signature=signature,
-            )
-        except (ValueError, SignatureError) as exc:
-            # Bad UTF-8 in a name or an out-of-range serial (ValueError), or a
-            # key of the wrong length (SignatureError).
-            raise CertificateError(f"malformed certificate field: {exc}") from exc
+        if len(key_bytes) != PUBLIC_KEY_SIZE:
+            raise CertificateError(f"a certificate key of {len(key_bytes)} bytes")
+        certificate = cls(
+            subject=_name(subject),
+            issuer=_name(issuer),
+            serial=SerialNumber.from_bytes(serial_bytes),  # a SerialNumberError is one
+            public_key=PublicKey(key_bytes),
+            not_before=not_before,
+            not_after=not_after,
+            is_ca=bool(is_ca),
+            signature=signature,
+        )
         certificate.__dict__["_wire"] = bytes(data)
         return certificate
 

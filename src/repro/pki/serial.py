@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.errors import SerialNumberError
+
 MAX_SERIAL_BYTES = 20
 #: Serial size used by the paper's evaluation (§VII-A).
 DEFAULT_SERIAL_BYTES = 3
@@ -22,7 +24,8 @@ class SerialNumber:
 
     Ordering and equality are defined on the integer value, which also makes
     lexicographic ordering of the fixed-width encoding consistent with
-    numeric ordering (the property the sorted Merkle tree relies on).
+    numeric ordering (the property the sorted Merkle tree relies on).  A
+    value or width out of range is a :class:`~repro.errors.SerialNumberError`.
     """
 
     value: int
@@ -30,11 +33,11 @@ class SerialNumber:
 
     def __post_init__(self) -> None:
         if self.value <= 0:
-            raise ValueError("serial numbers are positive integers")
+            raise SerialNumberError("serial numbers are positive integers")
         if not 1 <= self.width <= MAX_SERIAL_BYTES:
-            raise ValueError(f"serial width must be in [1, {MAX_SERIAL_BYTES}]")
+            raise SerialNumberError(f"serial width must be in [1, {MAX_SERIAL_BYTES}]")
         if self.value >= 256**self.width:
-            raise ValueError(
+            raise SerialNumberError(
                 f"serial {self.value} does not fit in {self.width} bytes"
             )
 
@@ -46,7 +49,7 @@ class SerialNumber:
     def from_bytes(cls, data: bytes) -> "SerialNumber":
         """Decode a big-endian serial, keeping the width it was sent with."""
         if not data or len(data) > MAX_SERIAL_BYTES:
-            raise ValueError("serial encoding must be 1..20 bytes")
+            raise SerialNumberError("serial encoding must be 1..20 bytes")
         return cls(value=int.from_bytes(data, "big"), width=len(data))
 
     def __str__(self) -> str:  # e.g. "73E10A5"-style display as in Fig. 3

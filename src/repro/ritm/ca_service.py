@@ -8,15 +8,15 @@ Everything the CA publishes about one dictionary forms a **stream**
 (:class:`DictionaryStream`), laid out under the dictionary's name:
 
 * ``/ritm/<name>/freshness``     — the per-Δ object, pulled by every RA
-  every Δ: the segment of the batch published in this Δ, or else the
+  every Δ: the batch object of the batch published in this Δ, or else the
   latest freshness statement alone (the paper's one message per Δ);
 * ``/ritm/<name>/head``          — signed root, latest freshness
   statement (pulled only by RAs whose held root that statement does not
   extend);
-* ``/ritm/<name>/issuance/<n>``  — the revocation batch whose first serial
-  is number ``n`` (pulled only by RAs that detect they are behind);
-* ``/ritm/<name>/segment/<n>``   — the same batch as a signed WAL segment
-  (docs/REPLICATION.md).
+* ``/ritm/<name>/issuance/<n>``  — the batch object of the revocation batch
+  whose first serial is number ``n``: the root signed after it, its
+  serials, the statement served after it (pulled only by RAs that detect
+  they are behind; docs/REPLICATION.md).
 
 A batch is never empty, so its first serial number addresses it: an RA
 whose replica holds ``s`` serials reads the batch at ``s + 1`` next, as an
@@ -62,13 +62,12 @@ from repro.ritm.messages import (
     DictionaryHead,
     KeyAnnouncement,
     ShardIndex,
-    encode_freshness_object,
+    encode_freshness,
     encode_head,
-    encode_issuance,
     encode_key_announcements,
     encode_shard_index,
 )
-from repro.ritm.replication import build_segment, encode_segment, segment_path
+from repro.ritm.replication import BatchObject, encode_segment
 
 
 def head_path(ca_name: str) -> str:
@@ -79,16 +78,16 @@ def head_path(ca_name: str) -> str:
 def freshness_path(ca_name: str) -> str:
     """CDN path of a dictionary's per-Δ object.
 
-    It holds the segment of the batch the CA published last, byte for byte
-    the object at :func:`~repro.ritm.replication.segment_path`, until the
-    dictionary's next refresh replaces it with the bare freshness statement
+    It holds the batch object of the batch the CA published last, byte for
+    byte the object at :func:`issuance_path`, until the dictionary's next
+    refresh replaces it with the bare freshness value
     (:func:`~repro.ritm.replication.decode_delta_object` reads either).
     """
     return f"/ritm/{ca_name}/freshness"
 
 
 def issuance_path(ca_name: str, first_number: int) -> str:
-    """CDN path of the issuance object of the batch whose first serial is
+    """CDN path of the batch object of the batch whose first serial is
     number ``first_number`` (from 1)."""
     return f"/ritm/{ca_name}/issuance/{first_number}"
 
@@ -113,11 +112,10 @@ class PublicationStats:
     """Bytes and object counts the CA has pushed to the distribution point."""
 
     heads_published: int = 0
-    issuances_published: int = 0
+    #: Batch objects published across every stream (retired ones included).
+    batches_published: int = 0
+    batch_bytes_published: int = 0
     bytes_uploaded: int = 0
-    #: WAL segments appended across every stream (retired ones included).
-    segments_published: int = 0
-    segment_bytes_published: int = 0
 
 
 @dataclass
@@ -155,7 +153,6 @@ class RITMCertificationAuthority:
         self.config = config
         self.cdn = cdn
         self.publication_stats = PublicationStats()
-        self._batch_counter = 0
         # Dictionary-signing keys start as the authority's long-term keys
         # (epoch 0, the out-of-band trust anchor) and rotate on the
         # configured schedule; retired pairs are retained so the attack
@@ -276,8 +273,8 @@ class RITMCertificationAuthority:
 
         Serials are routed to the stream covering their expiry (an unsharded
         CA's one stream covers every expiry, so it ignores them and its
-        window key is ``None``); each touched stream gets one issuance
-        batch, the matching WAL segment, and a refreshed head.  The shard
+        window key is ``None``); each touched stream gets one batch object
+        and a refreshed head.  The shard
         index is republished when a new window opened, so RAs discover it
         on their next pull.
         """
@@ -285,7 +282,7 @@ class RITMCertificationAuthority:
         if not 0 < len(pairs) <= MAX_ISSUANCE_SERIALS:
             raise DictionaryError(
                 f"a revocation batch needs at least one serial and at most "
-                f"{MAX_ISSUANCE_SERIALS} (one issuance object), got {len(pairs)}"
+                f"{MAX_ISSUANCE_SERIALS}, got {len(pairs)}"
             )
         streams_before = len(self.streams)
         issuances = self._insert_routed(pairs, int(now), reason)
@@ -377,7 +374,7 @@ class RITMCertificationAuthority:
 
         A stream that already published at ``now`` (a batch, or a window
         opened) is skipped: it has its publication for this instant, and a
-        second would replace its per-Δ segment.  On the configured schedule
+        second would replace its per-Δ batch object.  On the configured schedule
         the refresh is a key rotation instead, which re-signs every live
         stream.  Streams whose expiry window has fully passed are retired
         (dropping their storage) and the shard index republished.
@@ -534,8 +531,8 @@ class RITMCertificationAuthority:
         )
 
     def issuance_count(self) -> int:
-        """Issuance batches published so far, across every stream."""
-        return self._batch_counter
+        """Revocation batches published so far, across every stream."""
+        return self.publication_stats.batches_published
 
     def close(self) -> None:
         """Close every live stream's backing store.
@@ -607,42 +604,33 @@ class RITMCertificationAuthority:
     def _publish_batch(
         self, stream: DictionaryStream, issuance: RevocationIssuance, now: float
     ) -> None:
-        """The one publish routine: issuance object, signed segment, head.
+        """The one publish routine: the batch object, then the head.
 
-        Both batch objects are addressed by the batch's first serial number,
-        so a replica's size is where it stands in the stream whichever
-        object it read.  The segment embeds the issuance object's bytes,
-        which the batch keeps once encoded, and is also the stream's per-Δ
-        object until the next refresh.
+        The batch object is addressed by the batch's first serial number, so
+        a replica's size is where it stands in the stream, and is also the
+        stream's per-Δ object until the next refresh.  It carries the root
+        the dictionary signed for the batch and nothing signed of its own.
         """
         stream.sync_server.record_issuance(issuance)
-        self._batch_counter += 1
+        content = encode_segment(BatchObject(issuance, stream.dictionary.latest_freshness))
+        self._publish(issuance_path(stream.name, issuance.first_number), content, now)
         stats = self.publication_stats
-        content = encode_issuance(issuance)
-        address = issuance.first_number
-        self._publish(issuance_path(stream.name, address), content, now)
-        stats.issuances_published += 1
+        stats.batches_published += 1
+        stats.batch_bytes_published += len(content)
         stats.bytes_uploaded += len(content)
-        segment = encode_segment(
-            build_segment(issuance, stream.dictionary.latest_freshness, self._signing_keys)
-        )
-        stats.segments_published += 1
-        stats.segment_bytes_published += len(segment)
-        self._publish(segment_path(stream.name, address), segment, now)
-        self._publish_head(stream, now, per_delta=segment)
+        self._publish_head(stream, now, per_delta=content)
 
     def _publish_head(
         self, stream: DictionaryStream, now: float, per_delta: Optional[bytes] = None
     ) -> None:
         """Publish a stream's head and, beside it, its per-Δ object:
-        ``per_delta`` (a batch's segment) or else the bare freshness
-        statement."""
+        ``per_delta`` (a batch object) or else the bare freshness value."""
         stream.published_at = now
         head = self.head(stream.name)
         content = encode_head(head)
         self._publish(head_path(stream.name), content, now)
         if per_delta is None:
-            per_delta = encode_freshness_object(head.freshness)
+            per_delta = encode_freshness(head.freshness)
         self._publish(freshness_path(stream.name), per_delta, now)
         self.publication_stats.heads_published += 1
         self.publication_stats.bytes_uploaded += len(content) + len(per_delta)

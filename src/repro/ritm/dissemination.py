@@ -6,8 +6,8 @@ paper's one message per Δ.  In a Δ without a batch that is the CA's latest
 freshness statement, alone; if the statement hash-links to the anchor of the
 signed root the replica holds, applying it is the whole poll (the common
 case whose cost dominates Fig. 7).  In a Δ with a batch it is that batch's
-signed segment, which carries the batch, the root the CA signed after it and
-the statement the CA served next, so an RA that was current catches up with
+object, which carries the batch, the root the CA signed after it and the
+statement the CA served next, so an RA that was current catches up with
 that one GET.  An RA further behind fetches the batches in between — or
 falls back to the sync protocol — applies them, and then applies the
 statement.  Only a statement that links to no root the replica holds (a
@@ -18,12 +18,11 @@ does a replica with no root yet.
 Every replica the agent holds — a whole-CA dictionary or one expiry shard of
 a sharded CA (§VIII, ``RITMConfig.sharded``) — goes through that same cycle
 under its own name, tracked by one :class:`ReplicaFeed` record: the per-Δ
-object first, then, if it is a segment whose batch ends past the replica,
-one catch-up walk from the replica's size (fetching issuance objects, or WAL
-segments when ``segment_streaming`` is set — docs/REPLICATION.md; a batch
-the per-Δ object carried is not fetched again), then the head only if the
-statement still does not link.  A
-sharded CA adds only a step *before* it: the RA pulls the CA's small shard *index* object to
+object first, then, if it is a batch object whose batch ends past the
+replica, one catch-up walk from the replica's size (fetching batch objects —
+docs/REPLICATION.md; a batch the per-Δ object carried is not fetched again),
+then the head only if the statement still does not link.  A sharded CA adds
+only a step *before* it: the RA pulls the CA's small shard *index* object to
 register replicas for newly opened shards, and deletes replicas of shards
 whose expiry window has passed — the storage reclamation the §VIII
 relaxation is about.  The shard index itself is unauthenticated,
@@ -70,20 +69,17 @@ from repro.ritm.ca_service import (
     shard_index_path,
 )
 from repro.ritm.messages import (
-    FRESHNESS_OBJECT_TAG,
     decode_head,
-    decode_issuance,
     decode_key_announcements,
     decode_shard_index,
     encode_sync_response,
 )
 from repro.ritm.persistence import load_checkpoint, write_checkpoint
 from repro.ritm.replication import (
-    WALSegment,
+    BatchObject,
     decode_delta_object,
     decode_segment,
-    segment_path,
-    verify_segment,
+    is_batch_object,
 )
 
 #: How many hash-chain periods behind the freshness a replica holds a polled
@@ -132,18 +128,18 @@ class PullResult:
     stale_statements_ignored: int = 0
     replays_rejected: int = 0
     key_rotations_applied: int = 0
-    #: Streaming-replication accounting (docs/REPLICATION.md): WAL segments
-    #: verified and applied this cycle, the subset relayed by a peer rather
-    #: than fetched CA-direct, raw segment bytes transferred, per-CA
-    #: anti-entropy exchanges attempted against a peer, explicit
-    #: degradations to the cold sync protocol, and segments rejected for
-    #: failing structural or signature verification.
-    segments_applied: int = 0
-    segments_from_peer: int = 0
-    segment_bytes_downloaded: int = 0
+    #: Replication accounting (docs/REPLICATION.md): the batches of
+    #: ``issuances_applied`` a peer relayed rather than the CDN served, the
+    #: batch-object bytes the catch-up walk read (the per-Δ object's
+    #: included), per-CA anti-entropy exchanges attempted against a peer,
+    #: explicit degradations to the cold sync protocol, and batch objects
+    #: rejected: undecodable, at the wrong address, or failing the root
+    #: check (each rejection ends the walk).
+    batches_from_peer: int = 0
+    batch_bytes_downloaded: int = 0
     peer_syncs: int = 0
     cold_sync_fallbacks: int = 0
-    segments_rejected: int = 0
+    batches_rejected: int = 0
 
 
 def total_pulls(history: Iterable[PullResult]) -> PullResult:
@@ -165,9 +161,10 @@ class ReplicaFeed:
     (docs/REPLICATION.md).  Where the replica stands in its stream is its
     size: the batch it reads next is the one at ``size + 1``."""
 
-    #: Verified raw segments by address (first serial number), retained so
-    #: this RA can relay them to anti-entropy peers.
-    segments: Dict[int, bytes] = field(default_factory=dict)
+    #: Raw batch objects by address (first serial number) whose batches
+    #: passed the root check, retained so this RA can relay them to
+    #: anti-entropy peers.
+    batches: Dict[int, bytes] = field(default_factory=dict)
     #: The CA's direct sync endpoint, used when the batch objects cannot
     #: close the gap — the paper's desynchronization recovery.
     sync_server: Optional[SyncServer] = None
@@ -188,10 +185,9 @@ class RADisseminationClient:
         #: lookup (``None``: no per-shard recovery endpoint).
         self.sharded: Dict[str, Optional[Callable[[str], Optional[SyncServer]]]] = {}
         self.pull_history: List[PullResult] = []
-        #: Which object the catch-up walk fetches per missing batch from the
-        #: CDN: the compact issuance object (default), or the signed WAL
-        #: segment — which the RA can then relay to peers.  Either way the
-        #: replica ends byte-identical.
+        #: Whether this RA archives the batch objects it applies, so that
+        #: peers can catch up from it (:meth:`sync_from_peer`).  The replica
+        #: ends byte-identical either way.
         self.segment_streaming = False
 
     def _feed(self, name: str) -> ReplicaFeed:
@@ -228,33 +224,33 @@ class RADisseminationClient:
         replica = self.agent.replicas.get(ca_name)
         return replica.size if replica is not None else 0
 
-    def archived_segment(self, ca_name: str, number: int) -> Optional[bytes]:
-        """Raw bytes of the verified, retained segment whose first serial is
+    def archived_batch(self, ca_name: str, number: int) -> Optional[bytes]:
+        """Raw bytes of the archived batch object whose first serial is
         number ``number`` (``None`` if unknown).
 
         This is the anti-entropy serving side: peers relay exactly the
-        bytes they verified, and every receiver re-verifies against its own
-        trust anchor, so the archive never has to be trusted.  An RA that
-        caught up through issuance objects holds the content but no
-        segments, so it has nothing to offer.
+        bytes whose batch they applied, and every receiver checks the batch
+        against the CA-signed root it carries, so the archive never has to
+        be trusted.  An RA that does not archive (``segment_streaming``
+        off) holds the content but no objects, so it has nothing to offer.
         """
         feed = self.feeds.get(ca_name)
-        return feed.segments.get(number) if feed is not None else None
+        return feed.batches.get(number) if feed is not None else None
 
     def sync_from_peer(self, peer: "RADisseminationClient", now: float) -> PullResult:
-        """RA→RA anti-entropy: catch up from a peer's verified segment archive.
+        """RA→RA anti-entropy: catch up from a peer's batch archive.
 
         The same cycle as :meth:`pull` — shard discovery, then every replica
         — except that the peer's replica size, not a head, says how far
         behind a replica is, and the catch-up walk asks the peer's archive
-        for the missing segments.  Each one is re-verified against *this*
-        RA's trust anchor before it touches the replica, so the peer can
-        withhold progress but never forge it.  When the peer cannot supply a
-        contiguous run up to its claimed size (archive gap, tampered
-        relay, equivocation attempt), the CA's sync protocol is used as the
-        **explicit** cold fallback and counted as such.  The latency model
-        charges one inter-region round trip per relayed segment plus
-        transfer time at this RA's downstream bandwidth.
+        for the missing batch objects.  Each batch is checked against the
+        CA-signed root it carries, under *this* RA's trust anchor, so the
+        peer can withhold progress but never forge it.  When the peer cannot
+        supply a contiguous run up to its claimed size (archive gap,
+        tampered relay, equivocation attempt), the CA's sync protocol is
+        used as the **explicit** cold fallback and counted as such.  The
+        latency model charges one inter-region round trip per relayed batch
+        plus transfer time at this RA's downstream bandwidth.
         """
         result = PullResult(time=now)
         self._cycle(now, result, peer)
@@ -449,15 +445,15 @@ class RADisseminationClient:
         """The per-Δ poll of a replica that holds a signed root.
 
         Fetches the stream's per-Δ object: a freshness statement, or the
-        segment of the batch published in this Δ, whose ``freshness_after``
-        is then the statement.  A segment whose batch ends past the
-        replica's size (at ``first_number + len(serials) - 1``) first runs
-        the catch-up walk to there, which takes that segment as its batch,
-        already fetched: every batch object embeds the root signed after its
-        batch, so no head is needed.  A segment that fails to decode ends
-        the poll as a failed batch ends the walk.  A statement that then
-        links to the held root's anchor is ranked by its hash-chain period —
-        the held period or a later one is applied, up to
+        batch object of the batch published in this Δ, whose
+        ``freshness_after`` is then the statement.  A batch that ends past
+        the replica's size (at ``first_number + len(serials) - 1``) first
+        runs the catch-up walk to there, which takes that object as its
+        batch, already fetched: every batch object embeds the root signed
+        after its batch, so no head is needed.  A batch object that fails to
+        decode ends the poll as a failed batch ends the walk.  A statement
+        that then links to the held root's anchor is ranked by its
+        hash-chain period — the held period or a later one is applied, up to
         :data:`REPLAY_WINDOW` periods behind is benign CDN staleness,
         further behind a replay.  Returns ``False`` when only the head can
         settle the replica: the statement hashes to no anchor the replica
@@ -468,13 +464,13 @@ class RADisseminationClient:
         try:
             per_delta = decode_delta_object(download.content)
         except TLSError as exc:
-            if download.content[:1] == FRESHNESS_OBJECT_TAG:
-                raise  # a malformed statement
-            # Anything else is a segment: a batch that failed its checks.
+            if not is_batch_object(download.content):
+                raise  # an empty object: no statement
+            # A batch that failed its checks.
             self._catch_up(ca_name, replica, now, result, rejected=exc)
             return True
         statement = per_delta
-        if isinstance(per_delta, WALSegment):
+        if isinstance(per_delta, BatchObject):
             issuance = per_delta.issuance
             goal = issuance.first_number + len(issuance.serials) - 1
             if goal > replica.size:
@@ -553,7 +549,7 @@ class RADisseminationClient:
 
         A CA that rotated its key since the replica last verified anything
         signs every later root under the new key, whichever object carries
-        it: the head, a batch object, a segment or a sync response.  The
+        it: the head, a batch object or a sync response.  The
         chain is authenticated back to the genesis key, so a genuine forgery
         fails again and its :class:`SignatureError` propagates.
         """
@@ -602,33 +598,28 @@ class RADisseminationClient:
         """The one catch-up walk: fetch the batches past the replica's size,
         apply them in one store transaction, or fall back to sync.
 
-        A batch is addressed by its first serial number and exists as two
-        objects: the issuance object, and the CA-signed segment that embeds
-        it byte for byte.  The walk fetches one of them per missing batch —
-        the issuance object from the CDN, the segment from the CDN when
-        :attr:`segment_streaming` is set, or the segment from ``peer``'s
+        A batch is one object addressed by its first serial number.  The
+        walk reads one per missing batch — from the CDN, or from ``peer``'s
         archive — from the replica's ``size + 1``, advancing by each batch's
         serial count, until it reaches what the CA advertises
-        (``advertised_size``: where the per-Δ segment's batch ends, or the
-        head's signed size)
-        or the peer's replica size, and hands every batch to the replica at
-        once (``RevocationAgent.apply_issuances``): one merge and one suffix
-        rehash however many batches queued up.  The path is
-        unauthenticated, so a batch must carry the address it was fetched
-        at.  An object that does not, or is missing, malformed or
-        mis-signed, ends the walk and degrades it to the CA's sync
-        protocol — never silently.
+        (``advertised_size``: where the per-Δ object's batch ends, or the
+        head's signed size) or the peer's replica size, and hands every
+        batch to the replica at once (``RevocationAgent.apply_issuances``):
+        one signature check per root, one merge and one suffix rehash
+        however many batches queued up, rolled back unless the recomputed
+        root is the signed one.  The path is unauthenticated, so a batch
+        must carry the address it was fetched at.  An object that does not,
+        or is missing or malformed, ends the walk, and a batch that fails
+        the root check undoes it; either degrades to the CA's sync protocol
+        — never silently.
 
-        ``prefetched`` is the per-Δ object's segment, decoded, with its
+        ``prefetched`` is the per-Δ object's batch, decoded, with its
         download: the walk takes it as the batch at its address instead of
-        a GET and checks it as it checks what it fetches in its mode — a
-        segment's address, CA and signature, or (issuance objects) the
-        embedded issuance object's address alone.  ``rejected`` is a per-Δ
-        segment that failed to decode: the walk ends before it starts, as it
-        ends on any object that fails its checks.
+        a GET.  ``rejected`` is a per-Δ batch object that failed to decode:
+        the walk ends before it starts, as it ends on any object that fails
+        its checks.
         """
         installed = replica.signed_root
-        segments = peer is not None or self.segment_streaming
         goal = peer.replication_cursor(ca_name) if peer is not None else advertised_size
         have = replica.size
         pending: List[RevocationIssuance] = []
@@ -636,14 +627,13 @@ class RADisseminationClient:
         freshness = None
         needs_resync = rejected is not None
         if needs_resync:
-            if segments:
-                result.segments_rejected += 1
+            result.batches_rejected += 1
             result.errors.append(f"{ca_name}: {rejected}")
         while have < goal:
             number = have + 1
-            segment = None
+            batch = None
             if peer is not None:
-                raw = peer.archived_segment(ca_name, number)
+                raw = peer.archived_batch(ca_name, number)
                 if raw is not None:
                     size = len(raw)
                     result.bytes_downloaded += size
@@ -651,12 +641,13 @@ class RADisseminationClient:
                         0.001, region_distance(self.location.region, peer.location.region)
                     )
             elif prefetched is not None and prefetched[0].issuance.first_number == number:
-                segment, download = prefetched
+                batch, download = prefetched
                 raw, size = download.content, download.bytes_on_wire
             else:
-                path = (segment_path if segments else issuance_path)(ca_name, number)
                 try:
-                    download = self._get(path, now, result, source=self.agent.name)
+                    download = self._get(
+                        issuance_path(ca_name, number), now, result, source=self.agent.name
+                    )
                 except CDNError:
                     raw = None  # purged, or not published: only sync can help
                 else:
@@ -664,12 +655,11 @@ class RADisseminationClient:
             if raw is None:
                 needs_resync = True
                 break
+            result.batch_bytes_downloaded += size
             try:
-                if segments:
-                    result.segment_bytes_downloaded += size
-                    if segment is None:
-                        segment = decode_segment(raw)
-                issuance = segment.issuance if segment is not None else decode_issuance(raw)
+                if batch is None:
+                    batch = decode_segment(raw)
+                issuance = batch.issuance
                 # A batch is never empty, so its first serial number is its
                 # address; an empty one would leave the walk where it stands.
                 address = (issuance.ca_name, issuance.first_number)
@@ -679,25 +669,15 @@ class RADisseminationClient:
                         f"{len(issuance.serials)} serial(s) of {issuance.ca_name!r} "
                         f"at {issuance.first_number}"
                     )
-                if segments:
-                    self._retry_after_rotation(
-                        ca_name,
-                        replica,
-                        now,
-                        result,
-                        lambda: _check_segment_signature(segment, replica.ca_public_key),
-                    )
-            except (TLSError, SignatureError) as exc:
-                if segments:
-                    result.segments_rejected += 1
+            except TLSError as exc:
+                result.batches_rejected += 1
                 result.errors.append(f"{ca_name}: {exc}")
                 needs_resync = True
                 break
             pending.append(issuance)
             have += len(issuance.serials)
-            if segments:
-                relayable[number] = raw
-                freshness = segment.freshness_after
+            relayable[number] = raw
+            freshness = batch.freshness_after
         if pending:
             try:
                 result.serials_applied += self._retry_after_rotation(
@@ -712,17 +692,18 @@ class RADisseminationClient:
                 # to its last verified state) or a forged root signature
                 # (rejected before anything was staged): either way the sync
                 # protocol can recover the honest suffix directly.
+                result.batches_rejected += 1
                 result.errors.append(f"{ca_name}: {exc}")
                 needs_resync = True
             else:
                 result.issuances_applied += len(pending)
-                # Only segments whose content passed the recomputed-root
-                # check are ever offered onward.
-                self._feed(ca_name).segments.update(relayable)
-                result.segments_applied += len(relayable)
+                if peer is not None or self.segment_streaming:
+                    # Only batches that passed the root check are offered onward.
+                    self._feed(ca_name).batches.update(relayable)
                 if peer is not None:
-                    result.segments_from_peer += len(relayable)
-                if freshness is not None:
+                    # A pull applies the statement it polled or the head's
+                    # after the walk; a peer sync has only the last batch's.
+                    result.batches_from_peer += len(pending)
                     try:
                         replica.apply_freshness(freshness)
                         result.freshness_applied += 1
@@ -759,14 +740,6 @@ class RADisseminationClient:
         result.bytes_downloaded += len(encode_sync_response(response))
         result.resyncs += 1
         result.serials_applied += len(response.serials)
-
-
-def _check_segment_signature(segment, public_key) -> None:
-    if not verify_segment(segment, public_key):
-        raise SignatureError(
-            f"WAL segment at {segment.issuance.first_number} for {segment.ca_name!r} "
-            f"is not signed by an acceptable CA key"
-        )
 
 
 def attach_agent_to_cas(

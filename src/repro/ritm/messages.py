@@ -7,11 +7,11 @@ encoding:
   client — carried in a dedicated ``RITM_STATUS`` TLS record;
 * the *dissemination objects* a CA publishes to the CDN for RAs to pull: the
   current freshness statement (what the per-Δ object holds between
-  batches; in a Δ with a batch it holds that batch's segment,
-  :mod:`repro.ritm.replication`), per-batch "issuance" objects with the
-  newly revoked serials and the root signed after them, and a small "head"
-  object (signed root, current freshness statement) read when a statement
-  links to no root the RA holds.
+  batches), one *batch object* per revocation batch — the root signed
+  after the batch, its serials, and the statement served after it, which
+  is also the per-Δ object in the batch's Δ (:mod:`repro.ritm.replication`)
+  — and a small "head" object (signed root, current freshness statement)
+  read when a statement links to no root the RA holds.
 
 The encodings are simple length-prefixed structures; their sizes are what the
 paper's communication-overhead numbers (Fig. 7, §VII-D) are about, so the
@@ -20,7 +20,9 @@ sent once, and only what a verifier cannot compute (RFC 6962 §2.1.1): a
 freshness statement is its hash-chain value, as wide as the anchor of the
 root it follows and so unframed; a status is proof ‖ signed root ‖ value
 (its serial is the proof's key, its CA the root's); a head is signed root ‖
-value; the bare per-Δ object is ``0x00`` ‖ value.  Every CA or dictionary
+value; a batch object is signed root ‖ serials ‖ value, and the per-Δ
+object between batches is the bare value (at most 32 bytes, so shorter
+than any batch object).  Every CA or dictionary
 name field is a u16 length and at most :data:`MAX_NAME_BYTES` UTF-8 bytes:
 the encoders refuse a longer name and the decoders reject one before
 decoding it.  Every encoder is total: a value with no wire form (a name
@@ -32,8 +34,8 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, replace
-from typing import List, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
 from repro.crypto.hashing import FULL_DIGEST_SIZE
 from repro.crypto.merkle import AbsenceProof, AuditStep, PresenceProof, expected_sides, new_step
@@ -43,7 +45,7 @@ from repro.dictionary.proofs import RevocationStatus
 from repro.dictionary.signed_root import SignedRoot
 from repro.dictionary.sync import SyncResponse
 from repro.errors import ProofError, TLSError
-from repro.pki.serial import SerialNumber
+from repro.pki.serial import MAX_SERIAL_BYTES, SerialNumber
 
 
 _FIELD_LENGTH = struct.Struct(">H")
@@ -108,12 +110,10 @@ def _unpack_name(buffer: bytes, offset: int) -> Tuple[str, int]:
         raise TLSError("RITM name field is not valid UTF-8") from None
 
 
-def parse_serial(raw: bytes) -> SerialNumber:
-    """A serial number off the wire; a bad encoding is a malformed message."""
-    try:
-        return SerialNumber.from_bytes(raw)
-    except ValueError as exc:
-        raise TLSError(f"malformed serial number: {exc}") from None
+def _is_serial(raw: bytes) -> bool:
+    """Whether ``raw`` is a serial number's encoding: 1–20 bytes, not all
+    zero (what :meth:`SerialNumber.from_bytes` accepts)."""
+    return 1 <= len(raw) <= MAX_SERIAL_BYTES and any(raw)
 
 
 def _wire_once(encoder):
@@ -207,8 +207,8 @@ def encode_freshness(statement: FreshnessStatement) -> bytes:
 
     The value is as wide as the anchor of the root it links to, so every
     object that carries a statement after a signed root sends no length
-    (:func:`_statement_under`); the per-Δ object, which carries none, is
-    :func:`encode_freshness_object`.
+    (:func:`_statement_under`); the per-Δ object between batches is this
+    value alone.
     """
     value = statement.value
     if not 1 <= len(value) <= FULL_DIGEST_SIZE:
@@ -238,27 +238,6 @@ def _statement_under(root: SignedRoot, statement: FreshnessStatement) -> bytes:
             f"a freshness value of {len(value)} bytes under an anchor of {len(root.anchor)}"
         )
     return value
-
-
-#: First byte of a per-Δ object that is a bare statement; a segment, the
-#: other form, opens with the ``R`` of its magic.
-FRESHNESS_OBJECT_TAG = b"\x00"
-
-
-def encode_freshness_object(statement: FreshnessStatement) -> bytes:
-    """The bare form of a stream's per-Δ object, published by every
-    refresh: ``0x00`` ‖ :func:`encode_freshness`
-    (:func:`repro.ritm.replication.decode_delta_object` reads both forms)."""
-    return FRESHNESS_OBJECT_TAG + encode_freshness(statement)
-
-
-def decode_freshness_object(data: bytes) -> FreshnessStatement:
-    """Parse a whole :func:`encode_freshness_object`; a first byte other
-    than the tag, or a value of no chain link's width, is a
-    :class:`TLSError`."""
-    if data[:1] != FRESHNESS_OBJECT_TAG:
-        raise TLSError("not a freshness object")
-    return decode_freshness(data, 1, len(data) - 1)[0]
 
 
 # -- Merkle proofs ----------------------------------------------------------------
@@ -558,7 +537,8 @@ def decode_status(data: bytes, offset: int = 0) -> Tuple[RevocationStatus, int]:
     does.
     """
     proof, offset = decode_proof(data, offset)
-    parse_serial(proof.key)
+    if not _is_serial(proof.key):
+        raise TLSError("malformed serial number: a status's proof key is not one")
     signed_root, offset = decode_signed_root(data, offset)
     freshness, offset = decode_freshness(data, offset, len(signed_root.anchor))
     return RevocationStatus(proof, signed_root, freshness), offset
@@ -639,34 +619,6 @@ def decode_head(data: bytes) -> DictionaryHead:
     if offset != len(data):
         raise TLSError("trailing bytes after dictionary head")
     return DictionaryHead(signed_root, freshness)
-
-
-#: Serials one issuance object can carry (its count field is 16 bits).
-MAX_ISSUANCE_SERIALS = 0xFFFF
-
-
-@_wire_once
-def encode_issuance(issuance: RevocationIssuance) -> bytes:
-    """Serialize an issuance object; the bytes are memoized on it.
-
-    Layout: CA name (u16 length + UTF-8), number of the first serial (u64),
-    serial count (u16), each serial (u16 length + 1–20 bytes), the signed
-    root after the batch (u16-framed :func:`encode_signed_root`).  Raises
-    :class:`TLSError` for more than :data:`MAX_ISSUANCE_SERIALS` serials.
-    """
-    if len(issuance.serials) > MAX_ISSUANCE_SERIALS:
-        raise TLSError(
-            f"an issuance object carries at most {MAX_ISSUANCE_SERIALS} serials, "
-            f"got {len(issuance.serials)}"
-        )
-    parts = [
-        _pack_name(issuance.ca_name),
-        struct.pack(">QH", issuance.first_number, len(issuance.serials)),
-    ]
-    for serial in issuance.serials:
-        parts.append(_pack_bytes(serial.to_bytes()))
-    parts.append(_pack_bytes(encode_signed_root(issuance.signed_root)))
-    return b"".join(parts)
 
 
 @dataclass(frozen=True)
@@ -827,102 +779,125 @@ def decode_key_announcements(data: bytes) -> Tuple[KeyAnnouncement, ...]:
     return tuple(announcements)
 
 
-def _decode_issuance_at(data: bytes, offset: int) -> Tuple[RevocationIssuance, int]:
-    """One issuance object starting at ``offset``; returns it and where it ends."""
-    ca_name, offset = _unpack_name(data, offset)
-    if offset + 10 > len(data):
-        raise TLSError("truncated issuance header")
-    first_number, count = struct.unpack_from(">QH", data, offset)
-    offset += 10
+# -- batch objects ------------------------------------------------------------------
+#
+# A revocation batch crosses the wire as one object wherever it goes: at its
+# CDN path, as its stream's per-Δ object, from a peer's relay archive
+# (:mod:`repro.ritm.replication`), as a sync response and as a checkpoint's
+# replica record.  The root the CA signed after the batch names the
+# dictionary and gives its size, so the batch's first serial number is
+# ``size - count + 1``; the object sends neither.
+
+#: Serials one revocation batch may carry: the CA's cap on one ``revoke``.
+#: The count field is 32 bits wide, so a sync response — one batch object
+#: however much history it holds — is not bound by this cap.
+MAX_ISSUANCE_SERIALS = 0xFFFF
+
+_SERIAL_COUNT = struct.Struct(">I")
+
+
+@_wire_once
+def encode_issuance(issuance: RevocationIssuance) -> bytes:
+    """Serialize a batch's body; the bytes are memoized on it.
+
+    Layout: the signed root after the batch (:func:`encode_signed_root`),
+    the serial count (u32), then each serial as a u8 length (1–20) and its
+    bytes.  An issuance whose dictionary name is not its root's, or whose
+    first number is not ``root.size - count + 1``, has no encoding: the
+    decoder reads both off the root.
+    """
+    root, count = issuance.signed_root, len(issuance.serials)
+    if (issuance.ca_name, issuance.first_number) != (root.ca_name, root.size - count + 1):
+        raise TLSError(
+            f"a batch of {count} serials of {issuance.ca_name!r} from number "
+            f"{issuance.first_number} is not the batch its root over {root.size} "
+            f"serials of {root.ca_name!r} ends"
+        )
+    wire = bytearray(encode_signed_root(root))
+    wire += _SERIAL_COUNT.pack(count)
+    for serial in issuance.serials:
+        raw = serial.to_bytes()
+        wire.append(len(raw))
+        wire += raw
+    return bytes(wire)
+
+
+def decode_issuance(data: bytes, offset: int = 0) -> Tuple[RevocationIssuance, int]:
+    """Parse one :func:`encode_issuance` layout at ``offset``; return the
+    batch, its memo seeded with the bytes read, and where it ends.
+
+    Raises :class:`TLSError` on any error of :func:`decode_signed_root`, a
+    count above the root's size or above what the remaining bytes could hold
+    (refused before anything is allocated), and a serial of 0 or of a length
+    outside 1–20.  Verifies nothing: the replica does.
+    """
+    start = offset
+    signed_root, offset = decode_signed_root(data, offset)
+    (count,), offset = _unpack_fixed(_SERIAL_COUNT, data, offset)
+    if count > signed_root.size:
+        raise TLSError(f"a batch of {count} serials under a root over {signed_root.size}")
+    if 2 * count > len(data) - offset:  # each serial takes two bytes or more
+        raise TLSError(f"truncated batch: {count} serials cannot fit its bytes")
     serials = []
     for _ in range(count):
-        serial_bytes, offset = _unpack_bytes(data, offset)
-        serials.append(parse_serial(serial_bytes))
-    root_bytes, offset = _unpack_bytes(data, offset)
+        end = offset + 1 + (data[offset] if offset < len(data) else 0)
+        raw = data[offset + 1 : end]
+        if end > len(data) or not _is_serial(raw):
+            raise TLSError("malformed serial number: not 1–20 bytes of a positive number")
+        serials.append(SerialNumber(int.from_bytes(raw, "big"), len(raw)))
+        offset = end
     issuance = RevocationIssuance(
-        ca_name=ca_name,
+        ca_name=signed_root.ca_name,
         serials=tuple(serials),
-        first_number=first_number,
-        signed_root=_decode_whole(decode_signed_root, root_bytes),
+        first_number=signed_root.size - count + 1,
+        signed_root=signed_root,
     )
+    vars(issuance)["_wire"] = bytes(data[start:offset])  # canonical: the one encoding
     return issuance, offset
 
 
-def decode_issuance(data: bytes) -> RevocationIssuance:
-    """Parse a whole :func:`encode_issuance` object and seed its memo with
-    ``data`` (the one encoding of what it returns).
+def encode_batch(issuance: RevocationIssuance, freshness: Optional[FreshnessStatement]) -> bytes:
+    """The one batch object: :func:`encode_issuance`, then the freshness
+    value served after the batch, if any, as wide as the root's anchor."""
+    body = encode_issuance(issuance)
+    if freshness is None:
+        return body
+    return body + _statement_under(issuance.signed_root, freshness)
 
-    Raises :class:`TLSError` on a truncated field, a CA name that is not
-    UTF-8, a serial of 0 or more than 20 bytes, a signed root that does not
-    fill its frame, or bytes after it.  Verifies nothing: the replica does.
-    """
-    issuance, offset = _decode_issuance_at(data, 0)
+
+def decode_batch(data: bytes) -> Tuple[RevocationIssuance, Optional[FreshnessStatement]]:
+    """Parse a whole :func:`encode_batch` object: the batch, and its
+    statement (``None`` when the body fills the bytes).  Whatever follows
+    the body must be exactly one value of the root's anchor width."""
+    issuance, offset = decode_issuance(data)
+    if offset == len(data):
+        return issuance, None
+    freshness, offset = decode_freshness(data, offset, len(issuance.signed_root.anchor))
     if offset != len(data):
-        raise TLSError("trailing bytes after issuance object")
-    vars(issuance)["_wire"] = bytes(data)  # canonical: the one encoding
-    return issuance
+        raise TLSError("trailing bytes after batch object")
+    return issuance, freshness
 
 
 def encode_sync_response(response: SyncResponse) -> bytes:
-    """A sync response on the wire: what :meth:`SyncResponse.as_issuance`
-    says it is — consecutive issuance objects of at most
-    :data:`MAX_ISSUANCE_SERIALS` serials (one, possibly empty, carries the
-    root) — then the freshness value, if any, as wide as the root's anchor.
+    """A sync response on the wire: one batch object
+    (:func:`encode_batch`) of :meth:`SyncResponse.as_issuance` and its
+    statement, if any.
 
-    Read back by :func:`decode_sync_response`.  Two things use the bytes:
-    the RA's resync accounting (their length is what a resync downloads)
-    and RA checkpoints (:mod:`repro.ritm.persistence` stores each replica
-    as its sync response to ``have_count = 0``).
+    Two things use the bytes: the RA's resync accounting (their length is
+    what a resync downloads) and RA checkpoints
+    (:mod:`repro.ritm.persistence` stores each replica as its sync response
+    to ``have_count = 0``).
     """
-    whole = response.as_issuance()
-    parts = []
-    for start in range(0, max(len(whole.serials), 1), MAX_ISSUANCE_SERIALS):
-        serials = whole.serials[start : start + MAX_ISSUANCE_SERIALS]
-        chunk = replace(whole, serials=serials, first_number=whole.first_number + start)
-        parts.append(encode_issuance(chunk))
-    if response.freshness is not None:
-        parts.append(_statement_under(response.signed_root, response.freshness))
-    return b"".join(parts)
+    return encode_batch(response.as_issuance(), response.freshness)
 
 
 def decode_sync_response(data: bytes) -> SyncResponse:
-    """Parse what :func:`encode_sync_response` wrote, and nothing else.
-
-    The chunks are not counted on the wire: every one carries the same
-    signed root, and they end where that root's ``size`` says the history
-    does — the chunk whose last serial is number ``size`` is the last.
-    Every earlier chunk must be full and the chunks must be consecutive
-    pieces of one dictionary's history under one root, so no two byte
-    strings decode to the same response.  Whatever follows the last chunk
-    is the freshness value, which must be exactly as wide as the root's
-    anchor.
-    """
-    first, offset = _decode_issuance_at(data, 0)
-    size = first.signed_root.size
-    serials = list(first.serials)
-    chunk = first
-    held = first.first_number + len(serials) - 1  # number of the last serial read
-    while held != size:
-        if len(chunk.serials) != MAX_ISSUANCE_SERIALS or held > size:
-            raise TLSError("sync response chunks do not end at the signed dictionary size")
-        chunk, offset = _decode_issuance_at(data, offset)
-        if (chunk.ca_name, chunk.first_number, chunk.signed_root) != (
-            first.ca_name,
-            held + 1,
-            first.signed_root,
-        ):
-            raise TLSError("sync response chunks are not consecutive pieces of one response")
-        serials.extend(chunk.serials)
-        held += len(chunk.serials)
-    freshness = None
-    if offset != len(data):
-        freshness, offset = decode_freshness(data, offset, len(first.signed_root.anchor))
-        if offset != len(data):
-            raise TLSError("trailing bytes after sync response")
+    """Parse what :func:`encode_sync_response` wrote (:func:`decode_batch`)."""
+    issuance, freshness = decode_batch(data)
     return SyncResponse(
-        ca_name=first.ca_name,
-        first_number=first.first_number,
-        serials=tuple(serials),
-        signed_root=first.signed_root,
+        ca_name=issuance.ca_name,
+        first_number=issuance.first_number,
+        serials=issuance.serials,
+        signed_root=issuance.signed_root,
         freshness=freshness,
     )

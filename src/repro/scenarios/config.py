@@ -368,9 +368,8 @@ class ScenarioConfig:
     #: The client status handshakes the fleet serves (see
     #: :class:`ClientStreamSpec`); ``None`` runs without client load.
     client_stream: "ClientStreamSpec | None" = None
-    #: Serve steady-state RA pulls from verified WAL segments (the
-    #: docs/REPLICATION.md transport) instead of per-pull batch objects,
-    #: exercising segment replication without needing a region-outage fault.
+    #: Every RA archives the batch objects it applies for peer relay
+    #: (docs/REPLICATION.md), as a region-outage fault makes it do.
     segment_streaming: bool = False
     #: Field overrides applied by :meth:`smoke` for fast CI runs.
     smoke_overrides: Mapping[str, Any] = field(default_factory=dict)
@@ -563,9 +562,8 @@ class ScenarioConfig:
         """Whether the run closes with the soak study (docs/WORKLOADS.md):
         differential verdicts of every RA against an in-memory oracle, the
         stream generator's memory budget, and subsystem coverage.  It pins
-        the steady-state segment transport under client load (its coverage
-        check requires segments applied), so a run gets it exactly when it
-        streams segments to serve a client stream."""
+        the batch archive under client load, so a run gets it exactly when
+        its RAs archive batches while serving a client stream."""
         return self.client_stream is not None and self.segment_streaming
 
     def attack_window_seconds(self) -> int:

@@ -255,14 +255,14 @@ class RAActor:
                 runtime.recovery.update(
                     {
                         "peer": peer_name,
-                        "segments_from_peer": peer.segments_from_peer,
-                        "peer_bytes": peer.segment_bytes_downloaded,
+                        "batches_from_peer": peer.batches_from_peer,
+                        "peer_bytes": peer.batch_bytes_downloaded,
                         "peer_serials_applied": peer.serials_applied,
                         "cold_sync_fallbacks": peer.cold_sync_fallbacks,
-                        # What the catch-up fetched besides relayed segments:
+                        # What the catch-up fetched besides relayed batches:
                         # shard discovery and any cold-sync fallback.
                         "fallback_bytes": (
-                            peer.bytes_downloaded - peer.segment_bytes_downloaded
+                            peer.bytes_downloaded - peer.batch_bytes_downloaded
                         ),
                         # Origin bytes this RA's catch-up cost the CA
                         # (peer relays cost 0).
@@ -354,7 +354,7 @@ class RAActor:
             period,
             "anti-entropy",
             f"{runtime.spec_name} caught up from {peer.spec_name}: "
-            f"{peer_result.segments_from_peer} segment(s), "
+            f"{peer_result.batches_from_peer} batch(es), "
             f"{peer_result.serials_applied} serial(s), "
             f"{peer_result.cold_sync_fallbacks} cold-sync fallback(s)",
         )

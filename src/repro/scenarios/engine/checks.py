@@ -293,8 +293,7 @@ def soak_checks(study: Dict[str, object]) -> List[ScenarioCheck]:
     subsystems = study["subsystems"]
     exercised = (
         bool(subsystems["durable_wal"])
-        and bool(subsystems["segment_streaming"])
-        and subsystems["segments_applied"] > 0
+        and subsystems["batches_applied"] > 0
         and subsystems["proof_cache_hits"] > 0
         and subsystems["root_cache_lookups"] > 0
         and subsystems["handshakes_served"] == study["events_total"]
@@ -322,7 +321,7 @@ def soak_checks(study: Dict[str, object]) -> List[ScenarioCheck]:
             "all-subsystems-exercised",
             exercised,
             f"{subsystems['store_engine']} engine, "
-            f"{subsystems['segments_applied']} WAL segment(s) applied, "
+            f"{subsystems['batches_applied']} batch(es) applied, "
             f"{subsystems['proof_cache_hits']} proof-cache hit(s), "
             f"{subsystems['root_cache_lookups']} root-cache lookup(s), "
             f"{subsystems['handshakes_served']} handshake(s), "
@@ -359,12 +358,12 @@ def region_outage_checks(
             "restored-ra-syncs-from-peer",
             bool(restored)
             and all(
-                agent.get("segments_from_peer", 0) >= 1
+                agent.get("batches_from_peer", 0) >= 1
                 and agent.get("cold_sync_fallbacks", 0) == 0
                 for agent in restored.values()
             ),
             ", ".join(
-                f"{name}: {agent.get('segments_from_peer', 0)} segment(s) "
+                f"{name}: {agent.get('batches_from_peer', 0)} batch(es) "
                 f"from {agent.get('peer', '?')}"
                 for name, agent in restored.items()
             )

@@ -170,10 +170,10 @@ class FleetEngine:
             )
         self.state = state
 
-        # A region-outage run streams WAL segments fleet-wide: every RA's
-        # normal pulls then build the segment cursors and archives that
-        # peer anti-entropy serves from after the outage.  A scenario can
-        # also opt in directly (the soak scenario's steady-state transport).
+        # A region-outage run archives batch objects fleet-wide: every RA's
+        # normal pulls then build the archives that peer anti-entropy
+        # serves from after the outage.  A scenario can also opt in
+        # directly (the soak scenario).
         streaming = (
             any(fault.kind == "region-outage" for fault in cfg.faults)
             or cfg.segment_streaming

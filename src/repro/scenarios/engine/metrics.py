@@ -160,13 +160,13 @@ def collect_metrics(state: RunState) -> Dict[str, object]:
         **(
             {
                 "replication": {
-                    "segments_published": ca.publication_stats.segments_published,
-                    "segments_applied": total.segments_applied,
-                    "segments_from_peer": total.segments_from_peer,
-                    "segment_bytes_downloaded": total.segment_bytes_downloaded,
+                    "batches_published": ca.publication_stats.batches_published,
+                    "batches_applied": total.issuances_applied,
+                    "batches_from_peer": total.batches_from_peer,
+                    "batch_bytes_downloaded": total.batch_bytes_downloaded,
                     "peer_syncs": total.peer_syncs,
                     "cold_sync_fallbacks": total.cold_sync_fallbacks,
-                    "segments_rejected": total.segments_rejected,
+                    "batches_rejected": total.batches_rejected,
                 }
             }
             if (

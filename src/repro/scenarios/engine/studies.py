@@ -209,7 +209,7 @@ def crash_recovery_extras(state: RunState, end_time: float) -> Dict[str, object]
 def region_outage_extras(state: RunState, end_time: float) -> Dict[str, object]:
     """The region-outage replication study results (docs/REPLICATION.md).
 
-    Per restored agent: its anti-entropy recovery record (peer, segments
+    Per restored agent: its anti-entropy recovery record (peer, batches
     relayed, bytes, CA-origin delta).  Fleet-wide: the survivors' worst
     dissemination lag through the outage, the CA-origin cost of the whole
     recovery versus what the same fleet would have paid in cold syncs, and
@@ -253,8 +253,8 @@ def region_outage_extras(state: RunState, end_time: float) -> Dict[str, object]:
         "survivors": survivors,
         "verdicts_checked": revoked + absent,
         "verdict_mismatches": mismatches,
-        "segments_published": ca.publication_stats.segments_published,
-        "segment_bytes_published": ca.publication_stats.segment_bytes_published,
+        "batches_published": ca.publication_stats.batches_published,
+        "batch_bytes_published": ca.publication_stats.batch_bytes_published,
         "cold_sync_bytes_each": cold_sync_bytes,
         "cold_sync_bytes_fleet": cold_sync_bytes * len(restored),
         "recovery_origin_bytes": recovery_origin_bytes,
@@ -403,8 +403,8 @@ def soak_extras(state: RunState, end_time: float) -> Dict[str, object]:
       ``memory-bounded`` check; process RSS stays informational in the
       timeline because it is not deterministic);
     * **subsystem coverage** — proof the run actually exercised the durable
-      WAL engine, segment streaming, both hot-path caches, the batch
-      verifier, and the full configured client load (the
+      WAL engine, batches applied from batch objects, both hot-path
+      caches, the batch verifier, and the full configured client load (the
       ``all-subsystems-exercised`` check).
     """
     cfg = state.config
@@ -439,10 +439,9 @@ def soak_extras(state: RunState, end_time: float) -> Dict[str, object]:
     subsystems = {
         "store_engine": cfg.store_engine,
         "durable_wal": cfg.store_engine in ("durable", "durable-compact"),
-        "segment_streaming": cfg.segment_streaming,
-        "segments_published": ca.publication_stats.segments_published,
-        "segments_applied": total.segments_applied,
-        "segment_bytes_downloaded": total.segment_bytes_downloaded,
+        "batches_published": ca.publication_stats.batches_published,
+        "batches_applied": total.issuances_applied,
+        "batch_bytes_downloaded": total.batch_bytes_downloaded,
         "proof_cache_hits": proof_hits,
         "root_cache_lookups": root_lookups,
         "resyncs": total.resyncs,

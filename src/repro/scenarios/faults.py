@@ -52,12 +52,10 @@ from repro.ritm.ca_service import (
 from repro.ritm.messages import (
     DictionaryHead,
     decode_head,
-    decode_issuance,
-    encode_freshness_object,
+    encode_freshness,
     encode_head,
-    encode_issuance,
 )
-from repro.ritm.replication import WALSegment, decode_delta_object, encode_segment
+from repro.ritm.replication import BatchObject, decode_segment, encode_segment
 
 #: The serial substituted into a tampered batch.
 DECOY_SERIAL = 0xDEAD
@@ -72,24 +70,24 @@ def tamper_latest_batch(
     batch's address, its first serial number, follows the ones before.
     The forged batch swaps the first revoked serial for
     :data:`DECOY_SERIAL` but keeps the honest signed root, so the batch
-    decodes cleanly and fails only at content verification.  While the stream's per-Δ object is that batch's
-    segment, the forged batch replaces the issuance object embedded there
-    too (signature untouched, checksum recomputed): it is the copy an RA
-    that was current reads.  Returns a human-readable description of the
-    tampering, or ``None`` when there is no batch to tamper with.
+    decodes cleanly and fails only at content verification.  While the
+    stream's per-Δ object is that batch's object, the forgery replaces it
+    there too: it is the copy an RA that was current reads.  Returns a
+    human-readable description of the tampering, or ``None`` when there is
+    no batch to tamper with.
     """
     address = 1 + sum(len(batch) for batch in batches[:-1])
     path = issuance_path(stream_name, address)
     if not batches or not cdn.origin.exists(path):
         return None
-    honest = decode_issuance(cdn.origin.fetch(path).content)
+    content = cdn.origin.fetch(path).content
+    batch = decode_segment(content)
+    honest = batch.issuance
     decoy = SerialNumber(DECOY_SERIAL)
-    forged_serials = (decoy,) + tuple(honest.serials[1:])
-    forged = replace(honest, serials=forged_serials)
-    cdn.publish(path, encode_issuance(forged), now)
-    per_delta = decode_delta_object(cdn.origin.fetch(freshness_path(stream_name)).content)
-    if isinstance(per_delta, WALSegment) and per_delta.issuance.first_number == address:
-        tampered = encode_segment(replace(per_delta, issuance=forged))
+    forged = replace(honest, serials=(decoy,) + tuple(honest.serials[1:]))
+    tampered = encode_segment(replace(batch, issuance=forged))
+    cdn.publish(path, tampered, now)
+    if cdn.origin.fetch(freshness_path(stream_name)).content == content:
         cdn.publish(freshness_path(stream_name), tampered, now)
     return (
         f"batch {len(batches)}: serial {honest.serials[0]} replaced with "
@@ -157,7 +155,7 @@ def forge_head_with_retired_key(
     ).sign(retired.private)
     forged = DictionaryHead(forged_root, FreshnessStatement(chain.anchor))
     cdn.publish(path, encode_head(forged), now)
-    cdn.publish(freshness_path(stream_name), encode_freshness_object(forged.freshness), now)
+    cdn.publish(freshness_path(stream_name), encode_freshness(forged.freshness), now)
     return (
         f"head for {stream_name!r} re-signed with the retired epoch-"
         f"{ca.key_epoch - 1} key and republished"
@@ -221,13 +219,13 @@ def equivocate_at_edges(
         edge.plant_object(path, encode_head(forged_head), now, ttl_seconds)
         edge.plant_object(
             freshness_path(stream_name),
-            encode_freshness_object(forged_head.freshness),
+            encode_freshness(forged_head.freshness),
             now,
             ttl_seconds,
         )
         edge.plant_object(
             issuance_path(stream_name, shadow_issuance.first_number),
-            encode_issuance(shadow_issuance),
+            encode_segment(BatchObject(shadow_issuance, shadow.latest_freshness)),
             now,
             ttl_seconds,
         )

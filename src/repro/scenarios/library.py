@@ -21,12 +21,12 @@ into one mass-revocation period, ``staggered-pulls`` spreading the fleet's
 pull offsets across the period to flatten the CDN peak, and
 ``slow-ra-holb`` pinning one RA behind a stalled uplink to show the event
 loop has no head-of-line blocking); and ``region-outage`` kills a whole
-region mid-run — CDN edges and RAs alike — to prove the WAL-segment
+region mid-run — CDN edges and RAs alike — to prove the batch-object
 replication stream and RA→RA anti-entropy recover the fleet without a
 cold-sync storm at the CA origin (docs/REPLICATION.md).  Finally, ``soak``
 streams a million-client Zipf/diurnal handshake trace through the fleet for
-thirty simulated days on the durable-compact engine with steady-state
-segment streaming, pinning differential verdicts against an in-memory
+thirty simulated days on the durable-compact engine with every RA archiving
+batch objects, pinning differential verdicts against an in-memory
 oracle and the generator's bounded-memory contract (docs/WORKLOADS.md).
 
 Each scenario is a plain :class:`~repro.scenarios.config.ScenarioConfig`;
@@ -688,8 +688,8 @@ SOAK = register(
         summary=(
             "A six-RA fleet on the durable-compact engine serves a "
             "million-client Zipf/diurnal handshake stream for 30 simulated "
-            "days of steady revocation churn, with RA pulls riding the WAL "
-            "segment-replication transport; the report pins differential "
+            "days of steady revocation churn, with every RA archiving the "
+            "batch objects it applies; the report pins differential "
             "verdicts against an in-memory oracle, the generator's "
             "bounded-memory contract, and that every shipped subsystem was "
             "genuinely exercised."
@@ -703,8 +703,8 @@ SOAK = register(
             "O(batch_size) memory — the fleet never materializes its "
             "client population. The CA revokes certificates every 3-hour Δ "
             "period (plus a mid-run mass-revocation burst) on the "
-            "durable-compact store engine, and every RA pull streams "
-            "verified WAL segments instead of bespoke batch objects. A "
+            "durable-compact store engine, and every RA archives the batch "
+            "objects it applies for peer relay. A "
             "per-period observer emits a memory/throughput timeline, and "
             "the closing study sweeps every revoked serial across every "
             "replica against an in-memory oracle. CI smoke-runs a "
@@ -821,19 +821,19 @@ STAGGERED_PULLS = register(
 REGION_OUTAGE = register(
     ScenarioConfig(
         name="region-outage",
-        title="Region outage: WAL-segment replication and RA→RA anti-entropy",
+        title="Region outage: batch-object replication and RA→RA anti-entropy",
         summary=(
             "An entire region — CDN edges and both of its RAs — goes dark "
             "for four periods while revocations keep flowing; surviving "
             "regions absorb the failed-over traffic inside the 2Δ bound, "
-            "and the restored RAs catch up peer-to-peer from archived WAL "
-            "segments instead of cold-syncing from the CA origin."
+            "and the restored RAs catch up peer-to-peer from archived batch "
+            "objects instead of cold-syncing from the CA origin."
         ),
         description=(
             "The replication story of docs/REPLICATION.md end to end: every "
-            "RA runs in segment-streaming mode, so each pull ships the CA's "
-            "signed, sequence-numbered WAL segments and leaves a verified "
-            "segment archive behind. At the fault period the European "
+            "RA archives the batch objects it applies, each the CA-signed "
+            "root over its batch, the batch's serials and the statement "
+            "after it. At the fault period the European "
             "region fails wholesale — its CDN presence is withdrawn (DNS "
             "fails surviving traffic over to the nearest healthy region) "
             "and every RA in the region crashes with its checkpoint on "
@@ -841,7 +841,7 @@ REGION_OUTAGE = register(
             "inside the 2Δ provability bound. When the region returns, "
             "each restored RA warm-starts from its checkpoint, ranks the "
             "survivors by regional proximity, and replays the missed "
-            "segments from its nearest peer's archive — the CA origin "
+            "batches from its nearest peer's archive — the CA origin "
             "never serves a full cold sync. The report differentially "
             "checks every restored verdict against an in-memory oracle and "
             "pins the CA-egress saving against the N-cold-syncs "

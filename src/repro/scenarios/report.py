@@ -55,16 +55,17 @@ CACHE_METRIC_KEYS = (
     "hit_rate",
 )
 
-#: The pinned keys of ``metrics["replication"]`` — the WAL-segment
-#: streaming accounting, present only in region-outage reports.
+#: The pinned keys of ``metrics["replication"]`` — the batch-object
+#: accounting of a fleet that archives batches for peer relay, present only
+#: in region-outage and batch-archiving reports.
 REPLICATION_METRIC_KEYS = (
-    "segments_published",
-    "segments_applied",
-    "segments_from_peer",
-    "segment_bytes_downloaded",
+    "batches_published",
+    "batches_applied",
+    "batches_from_peer",
+    "batch_bytes_downloaded",
     "peer_syncs",
     "cold_sync_fallbacks",
-    "segments_rejected",
+    "batches_rejected",
 )
 
 #: The pinned keys of ``metrics["fleet"]`` — the event engine's per-run

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from repro.errors import TLSError
+from repro.tls.records import no_wire_form
 
 #: IANA-style extension type numbers.  SNI and the session-ticket extension
 #: use their real values; RITM's are from the private-use range.
@@ -33,7 +34,10 @@ class Extension:
     data: bytes = b""
 
     def to_bytes(self) -> bytes:
-        return _EXTENSION_HEADER.pack(self.extension_type, len(self.data)) + self.data
+        try:
+            return _EXTENSION_HEADER.pack(self.extension_type, len(self.data)) + self.data
+        except struct.error as exc:
+            raise no_wire_form(self, exc) from None
 
     @property
     def wire_size(self) -> int:
@@ -42,7 +46,10 @@ class Extension:
 
 def encode_extensions(extensions: Iterable[Extension]) -> bytes:
     body = b"".join([extension.to_bytes() for extension in extensions])
-    return _BLOCK_LENGTH.pack(len(body)) + body
+    try:
+        return _BLOCK_LENGTH.pack(len(body)) + body
+    except struct.error as exc:
+        raise no_wire_form(extensions, exc) from None
 
 
 def read_extensions(

@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import CertificateError, TLSError
 from repro.pki.certificate import CertificateChain
 from repro.tls.extensions import Extension, decode_extensions, encode_extensions
+from repro.tls.records import no_wire_form
 
 RANDOM_SIZE = 32
 #: A plausible default cipher-suite list (only carried for realistic sizes).
@@ -33,6 +34,9 @@ DEFAULT_CIPHER_SUITES = (0xC02F, 0xC030, 0x009E, 0x009F, 0x00FF)
 
 
 class HandshakeType(IntEnum):
+    """The handshake message types this model carries (RFC 5246 §7.4, RFC
+    5077 §3.3), by their one-byte wire values."""
+
     CLIENT_HELLO = 1
     SERVER_HELLO = 2
     NEW_SESSION_TICKET = 4
@@ -124,22 +128,30 @@ class ClientHello:
     extensions: Tuple[Extension, ...] = ()
 
     def to_bytes(self) -> bytes:
+        """The message with its handshake header: TLS 1.2, the random, the
+        session id (u8-framed), the cipher suites (u16-framed), null
+        compression, the extensions block.  A field its layout cannot hold
+        is a :class:`TLSError`."""
         suites = self.cipher_suites
-        body = b"".join(
-            (
-                _HELLO_VERSION,
-                self.random,
-                bytes((len(self.session_id),)),
-                self.session_id,
-                struct.pack(f">H{len(suites)}H", 2 * len(suites), *suites),
-                _NULL_COMPRESSION,
-                encode_extensions(self.extensions),
+        try:
+            body = b"".join(
+                (
+                    _HELLO_VERSION,
+                    self.random,
+                    bytes((len(self.session_id),)),
+                    self.session_id,
+                    struct.pack(f">H{len(suites)}H", 2 * len(suites), *suites),
+                    _NULL_COMPRESSION,
+                    encode_extensions(self.extensions),
+                )
             )
-        )
+        except (struct.error, ValueError) as exc:
+            raise no_wire_form(self, exc) from None
         return _pack_handshake(HandshakeType.CLIENT_HELLO, body)
 
     @classmethod
     def from_body(cls, body: bytes) -> "ClientHello":
+        """Parse a ClientHello body (no header), checked by :func:`read_hello`."""
         size = len(body)
         session_id, extensions_at = read_hello(HandshakeType.CLIENT_HELLO, body, 0, size)
         # The cipher suites lie between their length field and the compression methods.
@@ -163,20 +175,28 @@ class ServerHello:
     extensions: Tuple[Extension, ...] = ()
 
     def to_bytes(self) -> bytes:
-        body = b"".join(
-            (
-                _HELLO_VERSION,
-                self.random,
-                bytes((len(self.session_id),)),
-                self.session_id,
-                _SERVER_CHOICE.pack(self.cipher_suite, 0),
-                encode_extensions(self.extensions),
+        """The message with its handshake header: TLS 1.2, the random, the
+        session id (u8-framed), the cipher suite, null compression, the
+        extensions block.  A field its layout cannot hold is a
+        :class:`TLSError`."""
+        try:
+            body = b"".join(
+                (
+                    _HELLO_VERSION,
+                    self.random,
+                    bytes((len(self.session_id),)),
+                    self.session_id,
+                    _SERVER_CHOICE.pack(self.cipher_suite, 0),
+                    encode_extensions(self.extensions),
+                )
             )
-        )
+        except (struct.error, ValueError) as exc:
+            raise no_wire_form(self, exc) from None
         return _pack_handshake(HandshakeType.SERVER_HELLO, body)
 
     @classmethod
     def from_body(cls, body: bytes) -> "ServerHello":
+        """Parse a ServerHello body (no header), checked by :func:`read_hello`."""
         size = len(body)
         session_id, extensions_at = read_hello(HandshakeType.SERVER_HELLO, body, 0, size)
         (cipher_suite,) = _U16.unpack_from(body, extensions_at - _SERVER_CHOICE.size)
@@ -195,10 +215,12 @@ class CertificateMessage:
     chain: CertificateChain
 
     def to_bytes(self) -> bytes:
+        """The message with its handshake header; the body is the chain's encoding."""
         return _pack_handshake(HandshakeType.CERTIFICATE, self.chain.to_bytes())
 
     @classmethod
     def from_body(cls, body: bytes) -> "CertificateMessage":
+        """Parse a Certificate body; a malformed chain is a :class:`TLSError`."""
         try:
             return cls(chain=CertificateChain.from_bytes(body))
         except CertificateError as exc:
@@ -207,7 +229,10 @@ class CertificateMessage:
 
 @dataclass(frozen=True)
 class ServerHelloDone:
+    """The ServerHelloDone message, whose body is empty."""
+
     def to_bytes(self) -> bytes:
+        """The bare handshake header."""
         return _pack_handshake(HandshakeType.SERVER_HELLO_DONE, b"")
 
 
@@ -218,10 +243,12 @@ class Finished:
     verify_data: bytes = field(default_factory=lambda: os.urandom(12))
 
     def to_bytes(self) -> bytes:
+        """The message with its handshake header; the body is the verify data."""
         return _pack_handshake(HandshakeType.FINISHED, self.verify_data)
 
     @classmethod
     def from_body(cls, body: bytes) -> "Finished":
+        """A Finished whose verify data is the whole body."""
         return cls(verify_data=body)
 
 
@@ -233,11 +260,18 @@ class NewSessionTicket:
     ticket: bytes
 
     def to_bytes(self) -> bytes:
-        body = _TICKET_HEAD.pack(self.lifetime_seconds, len(self.ticket)) + self.ticket
-        return _pack_handshake(HandshakeType.NEW_SESSION_TICKET, body)
+        """The message with its handshake header: lifetime (u32), then the
+        ticket (u16-framed).  A lifetime or ticket its field cannot hold is
+        a :class:`TLSError`."""
+        try:
+            head = _TICKET_HEAD.pack(self.lifetime_seconds, len(self.ticket))
+        except struct.error as exc:
+            raise no_wire_form(self, exc) from None
+        return _pack_handshake(HandshakeType.NEW_SESSION_TICKET, head + self.ticket)
 
     @classmethod
     def from_body(cls, body: bytes) -> "NewSessionTicket":
+        """Parse a NewSessionTicket body, checked by :func:`read_ticket`."""
         ticket_at = read_ticket(body, 0, len(body))
         lifetime, _ = _TICKET_HEAD.unpack_from(body)
         return cls(lifetime_seconds=lifetime, ticket=body[ticket_at:])
@@ -264,6 +298,7 @@ def body_parsers_through(chain_memo) -> Dict[HandshakeType, Callable[[bytes], ob
     """
 
     def certificate_message(body: bytes) -> CertificateMessage:
+        """:meth:`CertificateMessage.from_body`, answered by ``chain_memo``."""
         message = chain_memo.get(body)
         if message is None:
             message = CertificateMessage.from_body(body)  # a failed parse raises: never stored

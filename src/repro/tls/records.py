@@ -59,7 +59,10 @@ class TLSRecord:
 
     def to_bytes(self) -> bytes:
         payload = self.payload
-        return RECORD_HEADER.pack(self.content_type, *self.version, len(payload)) + payload
+        try:
+            return RECORD_HEADER.pack(self.content_type, *self.version, len(payload)) + payload
+        except struct.error as exc:
+            raise no_wire_form(self, exc) from None
 
     @property
     def wire_size(self) -> int:
@@ -73,6 +76,13 @@ class TLSRecord:
 
     def is_ritm_status(self) -> bool:
         return self.content_type == ContentType.RITM_STATUS
+
+
+def no_wire_form(value: object, exc: Exception) -> TLSError:
+    """The error for a TLS ``value`` whose layout cannot hold one of its
+    fields: ``exc`` is how ``struct`` or ``bytes()`` refused it (an integer
+    outside its field, a length over its prefix)."""
+    return TLSError(f"{type(value).__name__} has no wire form: {exc}")
 
 
 def oversized_record(length: int) -> TLSError:

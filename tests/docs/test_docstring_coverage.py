@@ -2,7 +2,8 @@
 
 Every public class and function in ``repro.store``, ``repro.perf``,
 ``repro.net``, ``repro.pki``, ``repro.ritm.dissemination``, ``repro.ritm.persistence``,
-``repro.dictionary.sharding``, ``repro.tls.connection``, ``repro.cdn.edge``,
+``repro.dictionary.sharding``, ``repro.tls.connection``, ``repro.tls.messages``,
+``repro.crypto.hashchain``, ``repro.crypto.hashing``, ``repro.cdn.edge``,
 ``repro.scenarios``, ``repro.scenarios.engine``, ``repro.workloads`` and
 ``tools/check_perf_regression.py`` must carry a docstring.  CI additionally runs
 ``interrogate`` over the same paths (one step, job ``scenario engine + docs``);
@@ -30,6 +31,9 @@ COVERED_FILES = sorted(
         SRC / "ritm" / "replication.py",
         SRC / "dictionary" / "sharding.py",
         SRC / "tls" / "connection.py",
+        SRC / "tls" / "messages.py",
+        SRC / "crypto" / "hashchain.py",
+        SRC / "crypto" / "hashing.py",
         SRC / "cdn" / "edge.py",
         *(SRC / "scenarios").glob("*.py"),
         *(SRC / "scenarios" / "engine").glob("*.py"),

@@ -55,27 +55,24 @@ def oversized_key_chain(ca) -> bytes:
 
 def tamper_batch(cdn: CDNNetwork, stream_name: str, number: int, mutate) -> Dict[str, object]:
     """Rewrite the batch of a stream whose first serial is number ``number``
-    at the origin as ``mutate`` of its issuance: the issuance object, and
-    the per-Δ object while it is that batch's segment (the embedded issuance replaced, the CA signature kept,
-    the checksum recomputed).  Returns the honest stored objects by path, so
-    a test can heal the CDN."""
+    at the origin as ``mutate`` of its issuance: the batch object, and the
+    per-Δ object while it is that batch's object (the same bytes).  Returns
+    the honest stored objects by path, so a test can heal the CDN."""
     from dataclasses import replace
 
     from repro.ritm.ca_service import freshness_path, issuance_path
-    from repro.ritm.messages import decode_issuance, encode_issuance
-    from repro.ritm.replication import WALSegment, decode_delta_object, encode_segment
+    from repro.ritm.replication import decode_segment, encode_segment
 
     objects = cdn.origin._objects
     path = issuance_path(stream_name, number)
-    forged = mutate(decode_issuance(objects[path].content))
-    honest = {path: objects[path]}
-    objects[path] = replace(objects[path], content=encode_issuance(forged))
-    path = freshness_path(stream_name)
-    per_delta = decode_delta_object(objects[path].content)
-    if isinstance(per_delta, WALSegment) and per_delta.issuance.first_number == number:
-        honest[path] = objects[path]
-        tampered = encode_segment(replace(per_delta, issuance=forged))
-        objects[path] = replace(objects[path], content=tampered)
+    content = objects[path].content
+    batch = decode_segment(content)
+    tampered = encode_segment(replace(batch, issuance=mutate(batch.issuance)))
+    honest = {}
+    for path in (path, freshness_path(stream_name)):
+        if objects[path].content == content:
+            honest[path] = objects[path]
+            objects[path] = replace(objects[path], content=tampered)
     return honest
 
 

@@ -7,7 +7,8 @@ import pytest
 from repro.dictionary.signed_root import SignedRoot
 from repro.errors import DictionaryError
 from repro.ritm.ca_service import RITMCertificationAuthority, head_path, issuance_path, manifest_path
-from repro.ritm.messages import decode_head, decode_issuance
+from repro.ritm.messages import decode_head
+from repro.ritm.replication import decode_segment
 
 from tests.ritm.conftest import EPOCH
 
@@ -64,9 +65,9 @@ class TestRevocation:
         issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)
         serial = world.corpus.chains[0].leaf.serial
         issuing.revoke([serial], now=EPOCH + 20)
-        issuance = decode_issuance(
+        issuance = decode_segment(
             world.cdn.origin.fetch(issuance_path(issuing.name, 1)).content
-        )
+        ).issuance
         assert issuance.serials == (serial,)
         assert issuance.signed_root.verify(issuing.public_key)
 
@@ -83,7 +84,7 @@ class TestRevocation:
         before = issuing.publication_stats.bytes_uploaded
         issuing.revoke([world.corpus.chains[0].leaf.serial], now=EPOCH + 20)
         assert issuing.publication_stats.bytes_uploaded > before
-        assert issuing.publication_stats.issuances_published == 1
+        assert issuing.publication_stats.batches_published == 1
 
     def test_rejected_batch_records_nothing_and_can_be_retried(self, world):
         """A repeat inside the batch fails before the issuance CA records
@@ -124,13 +125,12 @@ class TestRefresh:
     def test_a_stream_publishes_at_most_once_per_instant(self):
         """A batch touches one of two expiry windows, then the same instant's
         refresh runs: the touched stream keeps its one head and its per-Δ
-        object stays the batch's segment; only the other stream refreshes."""
+        object stays the batch's object; only the other stream refreshes."""
         from repro.cdn.network import CDNNetwork
         from repro.pki.ca import CertificationAuthority
         from repro.pki.serial import SerialNumber
         from repro.ritm.ca_service import freshness_path
         from repro.ritm.config import RITMConfig
-        from repro.ritm.replication import segment_path
 
         week = 7 * 86_400
         config = RITMConfig(
@@ -150,8 +150,8 @@ class TestRefresh:
         assert list(ca.refresh(now=120)) == [other]
         assert ca.publication_stats.heads_published == heads + 1
         origin = ca.cdn.origin
-        segment = origin.fetch(segment_path(touched, 2)).content  # serial 3's batch
-        assert origin.fetch(freshness_path(touched)).content == segment
+        batch = origin.fetch(issuance_path(touched, 2)).content  # serial 3's batch
+        assert origin.fetch(freshness_path(touched)).content == batch
 
     def test_refresh_resigns_after_chain_exhaustion(self, world):
         ca = world.cas[0]

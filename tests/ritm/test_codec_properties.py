@@ -64,7 +64,7 @@ def test_issuance_roundtrip_reconstructs_replica_for_any_batching(raw_batches):
     now = 1000
     for batch in batches:
         issuance = master.insert([SerialNumber(value) for value in batch], now=now)
-        replica.update(decode_issuance(encode_issuance(issuance)))
+        replica.update(decode_issuance(encode_issuance(issuance))[0])
         now += 10
     assert replica.root() == master.root()
     assert replica.size == master.size

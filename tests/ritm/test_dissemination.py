@@ -47,17 +47,16 @@ class TestOneErrorBoundary:
     @pytest.mark.parametrize(
         "polled, damage",
         [
-            ("freshness", "truncated"),
-            ("freshness", "overlong-value"),
+            ("freshness", "empty"),
             ("head", "truncated"),
             ("head", "invalid-utf8-name"),
         ],
     )
     def test_bad_polled_object_of_one_ca_does_not_abort_the_cycle(self, world, polled, damage):
-        """``freshness``: the every-Δ object is damaged — its tag alone, or a
-        value wider than any chain link.  ``head``: every CA's hash chain
-        has run out, so every statement links to no root the RA holds and
-        the RA reads each head — one of them damaged."""
+        """``freshness``: the every-Δ object is empty, which no value is.
+        ``head``: every CA's hash chain has run out, so every statement
+        links to no root the RA holds and the RA reads each head — one of
+        them damaged."""
         from repro.ritm.ca_service import freshness_path, head_path
 
         broken, healthy = world.cas[0], world.cas[1:]
@@ -68,8 +67,8 @@ class TestOneErrorBoundary:
         path = (freshness_path if polled == "freshness" else head_path)(broken.name)
         honest = world.cdn.origin.fetch(path).content
         bad = {
-            "truncated": honest[: 1 if polled == "freshness" else len(honest) // 2],
-            "overlong-value": honest + bytes(13),  # a 33-byte value
+            "empty": b"",
+            "truncated": honest[: len(honest) // 2],
             "invalid-utf8-name": honest[:2] + b"\xff" + honest[3:],
         }[damage]
         world.cdn.publish(path, bad, now)
@@ -88,45 +87,47 @@ class TestOneErrorBoundary:
         broken.refresh(now=now + 10)
         assert world.pull(now=now + 11).errors == []
 
+    def test_a_per_delta_object_past_32_bytes_that_is_no_batch_costs_one_resync(self, world):
+        """Longer than any value, so read as a batch object: one that fails
+        to decode ends the poll as a failed batch ends the walk — recorded,
+        counted as a rejected batch, and one resync — and the other CA is
+        pulled as if nothing happened."""
+        from repro.ritm.ca_service import freshness_path
+
+        broken, healthy = world.cas[0], world.cas[1:]
+        for ca in world.cas:
+            ca.refresh(now=EPOCH + 20)
+        path = freshness_path(broken.name)
+        world.cdn.publish(path, world.cdn.origin.fetch(path).content + bytes(13), EPOCH + 20)
+
+        result = world.pull(now=EPOCH + 21)
+
+        assert len(result.errors) == 1 and result.errors[0].startswith(broken.name)
+        assert (result.batches_rejected, result.resyncs, result.heads_checked) == (1, 1, 0)
+        assert result.freshness_applied == len(healthy)
+        replica = world.agent.replica_for(broken.name)
+        assert replica.latest_freshness == broken.dictionary.latest_freshness
+
     @pytest.mark.parametrize("streaming", [False, True])
     def test_malformed_serial_in_one_cas_batch_object(self, world, streaming):
         """A CDN rewrites one serial of CA A's batch object into bytes that
-        are no serial encoding — a zero-length serial in the issuance
-        object, or in the issuance object a segment embeds (its length field
-        and the frame CRC recomputed, the signature untouched).  That is a
-        malformed message, not a crash: it is recorded, A recovers through
-        the sync protocol, and B is pulled as if nothing happened."""
-        import struct
-        import zlib
-
+        are no serial encoding: a zero-length serial.  That is a malformed
+        message, not a crash: it is recorded, A recovers through the sync
+        protocol, and B is pulled as if nothing happened, whether or not
+        the RA archives batches."""
         from repro.pki.serial import SerialNumber
         from repro.ritm.ca_service import issuance_path
-        from repro.ritm.replication import SEGMENT_MAGIC, segment_path
+        from repro.ritm.messages import encode_signed_root
 
         broken, healthy = world.cas[0], world.cas[1]
-        broken.revoke([SerialNumber(0x0A0B0C), SerialNumber(0x0A0B0D)], now=EPOCH + 20)
+        issuance = broken.revoke([SerialNumber(0x0A0B0C), SerialNumber(0x0A0B0D)], now=EPOCH + 20)
         healthy.revoke([SerialNumber(0x0B0B0C)], now=EPOCH + 20)
 
-        def blank_first_serial(issuance: bytes) -> bytes:
-            first_serial = 2 + len(broken.name.encode("utf-8")) + 10
-            return issuance[:first_serial] + b"\x00\x00" + issuance[first_serial + 2 + 3 :]
-
-        if streaming:
-            path = segment_path(broken.name, 1)
-            honest = world.cdn.origin.fetch(path).content
-            start = len(SEGMENT_MAGIC) + 4  # issuance length
-            (length,) = struct.unpack_from(">I", honest, start - 4)
-            issuance = blank_first_serial(honest[start : start + length])
-            body = (
-                honest[: start - 4]
-                + struct.pack(">I", len(issuance))
-                + issuance
-                + honest[start + length : -4]
-            )
-            bad = body + struct.pack(">I", zlib.crc32(body))
-        else:
-            path = issuance_path(broken.name, 1)
-            bad = blank_first_serial(world.cdn.origin.fetch(path).content)
+        path = issuance_path(broken.name, 1)
+        honest = world.cdn.origin.fetch(path).content
+        first_serial = len(encode_signed_root(issuance.signed_root)) + 4  # after the count
+        assert honest[first_serial] == 3
+        bad = honest[:first_serial] + b"\x00" + honest[first_serial + 1 + 3 :]
         world.cdn.publish(path, bad, EPOCH + 20)
 
         fresh = RevocationAgent("fresh-ra", world.config)
@@ -139,7 +140,7 @@ class TestOneErrorBoundary:
         assert len(result.errors) == 1
         assert result.errors[0].startswith(broken.name)
         assert "malformed serial" in result.errors[0]
-        assert result.segments_rejected == (1 if streaming else 0)
+        assert result.batches_rejected == 1
         assert result.resyncs == 1
         for ca in (broken, healthy):
             replica = fresh.replica_for(ca.name)
@@ -158,7 +159,7 @@ class TestOneErrorBoundary:
 
         from repro.dictionary.freshness import FreshnessStatement
         from repro.ritm.ca_service import freshness_path, head_path, keys_path
-        from repro.ritm.messages import decode_head, encode_freshness_object, encode_head
+        from repro.ritm.messages import decode_head, encode_freshness, encode_head
 
         _, ca, cdn, attach = build_stack()
         agent, client = attach("forged-keys-ra")
@@ -170,7 +171,7 @@ class TestOneErrorBoundary:
         restamped = replace(head.signed_root, timestamp=head.signed_root.timestamp + 1)
         cdn.publish(head_path(ca.name), encode_head(replace(head, signed_root=restamped)), 110)
         unlinked = FreshnessStatement(bytes(20))
-        cdn.publish(freshness_path(ca.name), encode_freshness_object(unlinked), 110)
+        cdn.publish(freshness_path(ca.name), encode_freshness(unlinked), 110)
         cdn.publish(keys_path(ca.name), oversized_key_chain(ca), 110)
 
         result = client.pull(now=111)
@@ -323,8 +324,14 @@ class TestTamperedObjectRecovery:
         issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)
         issuance = issuing.revoke([SerialNumber(n) for n in range(500, 540)], now=EPOCH + 20)
         if tampered:
+            # one serial short, so its first number is one more: the walk
+            # finds it at the wrong address
             self._tamper(
-                world, issuance, lambda iss: replace(iss, serials=iss.serials[:-1])
+                world,
+                issuance,
+                lambda iss: replace(
+                    iss, serials=iss.serials[:-1], first_number=iss.first_number + 1
+                ),
             )
         moved = []
         download = world.cdn.download
@@ -350,28 +357,28 @@ class TestTamperedObjectRecovery:
         assert result.serials_applied == 40
         assert result.bytes_downloaded == sum(moved)
 
-    def test_segment_with_a_swapped_serial_never_reaches_the_store(self, world, monkeypatch):
-        """A CDN swaps one serial of a segment for another valid serial and
-        fixes the checksum.  The CA's signature covers every serial, so the
-        walk rejects the segment before the replica's store is called: one
-        rejected segment, one resync, and the resync's one ``insert_batch``
-        is the only store mutation — no insert and rollback of the forgery."""
+    def test_a_swapped_serial_costs_one_insert_one_rollback_and_one_resync(
+        self, world, monkeypatch
+    ):
+        """A CDN swaps one serial of a batch object for another valid serial.
+        The object carries nothing signed but its root, so the replica
+        stages the batch, finds the recomputed root is not the signed one
+        and rolls it back, then the walk resyncs: one ``insert_batch``, one
+        ``remove_batch``, one resync and its one ``insert_batch`` — the
+        bounded cost of docs/THREATS.md, never a wrong state."""
         from dataclasses import replace
 
         from repro.pki.serial import SerialNumber
         from repro.ritm import dissemination
-        from repro.ritm.ca_service import freshness_path
-        from repro.ritm.replication import decode_segment, encode_segment, segment_path
 
         issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)
         honest = (SerialNumber(0x0A0B0C), SerialNumber(0x0A0B0D))
         issuance = issuing.revoke(list(honest), now=EPOCH + 20)
-        path = segment_path(issuing.name, issuance.first_number)
-        segment = decode_segment(world.cdn.origin.fetch(path).content)
-        swapped = replace(segment.issuance, serials=(SerialNumber(0xEEEEEE),) + honest[1:])
-        forged = encode_segment(replace(segment, issuance=swapped))
-        for tampered in (path, freshness_path(issuing.name)):  # the per-Δ object too
-            world.cdn.publish(tampered, forged, EPOCH + 20)
+        self._tamper(  # the per-Δ object too
+            world,
+            issuance,
+            lambda iss: replace(iss, serials=(SerialNumber(0xEEEEEE),) + honest[1:]),
+        )
 
         calls = []
         store = world.agent.replica_for(issuing.name)._tree
@@ -389,13 +396,12 @@ class TestTamperedObjectRecovery:
             return apply_sync_response(*args)
 
         monkeypatch.setattr(dissemination, "apply_sync_response", logged_resync)
-        world.dissemination.segment_streaming = True
         result = world.pull(now=EPOCH + 25)
 
-        assert result.segments_rejected == 1
+        assert result.batches_rejected == 1
         assert result.resyncs == 1
-        assert calls == ["resync", "insert_batch"]
-        assert any("not signed by an acceptable CA key" in error for error in result.errors)
+        assert calls == ["insert_batch", "remove_batch", "resync", "insert_batch"]
+        assert any("root does not match" in error for error in result.errors)
         replica = world.agent.replica_for(issuing.name)
         assert all(replica.contains(serial) for serial in honest)
         assert not replica.contains(SerialNumber(0xEEEEEE))
@@ -480,21 +486,21 @@ class TestFreshnessFirstPoll:
         assert agent.replica_for(ca.name).signed_root == ca.dictionary.signed_root
 
     def test_an_idle_pull_is_one_freshness_get_and_no_head(self):
-        from repro.ritm.messages import encode_freshness_object
+        from repro.ritm.messages import encode_freshness
 
         ca, _, agent, client, _ = self._synced()
         ca.refresh(now=110)
         result = client.pull(now=111)
         statement = ca.dictionary.latest_freshness
         assert (result.requests, result.heads_checked) == (1, 0)
-        wire = len(encode_freshness_object(statement)) + REQUEST_OVERHEAD_BYTES
-        assert wire == 1 + 20 + REQUEST_OVERHEAD_BYTES
+        wire = len(encode_freshness(statement)) + REQUEST_OVERHEAD_BYTES
+        assert wire == 20 + REQUEST_OVERHEAD_BYTES
         assert result.bytes_downloaded == wire
         assert result.freshness_applied == 1
         assert result.root_signatures_verified == 0
         assert agent.replica_for(ca.name).latest_freshness == statement
 
-    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+    @pytest.mark.parametrize("streaming", [False, True], ids=["plain", "archiving"])
     def test_an_active_pull_is_the_per_delta_object_plus_the_batches_before_it(
         self, streaming
     ):
@@ -502,16 +508,14 @@ class TestFreshnessFirstPoll:
         one, so the walk fetches k − 1 and the pull is k GETs."""
         from repro.pki.serial import SerialNumber
         from repro.ritm.ca_service import freshness_path, issuance_path
-        from repro.ritm.replication import segment_path
 
         ca, cdn, agent, client, _ = self._synced(streaming)
         k = 3
         for batch in range(k):
             ca.revoke([SerialNumber(500 + batch)], now=110 + batch)
         result = client.pull(now=115)
-        batch_path = segment_path if streaming else issuance_path
         objects = [freshness_path(ca.name)] + [
-            batch_path(ca.name, number) for number in range(1, k)
+            issuance_path(ca.name, number) for number in range(1, k)
         ]
         sizes = [
             len(cdn.origin.fetch(path).content) + REQUEST_OVERHEAD_BYTES for path in objects
@@ -538,8 +542,8 @@ class TestFreshnessFirstPoll:
         return fetched
 
     @pytest.mark.parametrize("serials", [1, 3])
-    def test_a_per_delta_segment_walks_straight_away_with_no_head(self, monkeypatch, serials):
-        """The walk's goal is where the segment's batch ends, ``first_number
+    def test_a_per_delta_batch_walks_straight_away_with_no_head(self, monkeypatch, serials):
+        """The walk's goal is where the per-Δ batch ends, ``first_number
         + len(serials) - 1``: the one GET brings the replica to the CA's
         root, with no head read and nothing fetched past the batch."""
         from repro.pki.serial import SerialNumber
@@ -559,7 +563,7 @@ class TestFreshnessFirstPoll:
         assert replica.signed_root == ca.dictionary.signed_root
         assert replica.latest_freshness == ca.dictionary.latest_freshness
 
-    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+    @pytest.mark.parametrize("streaming", [False, True], ids=["plain", "archiving"])
     def test_an_idle_statement_after_a_missed_batch_reads_the_head_then_walks(
         self, monkeypatch, streaming
     ):
@@ -569,18 +573,16 @@ class TestFreshnessFirstPoll:
         walks from there to the CA's root."""
         from repro.pki.serial import SerialNumber
         from repro.ritm.ca_service import freshness_path, head_path, issuance_path
-        from repro.ritm.replication import segment_path
 
         ca, cdn, agent, client, _ = self._synced(streaming)
         issuance = ca.revoke([SerialNumber(600), SerialNumber(601)], now=110)
-        ca.refresh(now=121)  # the next period: the batch's segment is replaced
+        ca.refresh(now=121)  # the next period: the batch's object is replaced
         fetched = self._logged_gets(cdn, monkeypatch)
         result = client.pull(now=122)
-        batch_path = segment_path if streaming else issuance_path
         assert fetched == [
             freshness_path(ca.name),
             head_path(ca.name),
-            batch_path(ca.name, issuance.first_number),
+            issuance_path(ca.name, issuance.first_number),
         ]
         assert (result.requests, result.heads_checked) == (3, 1)
         assert (result.issuances_applied, result.serials_applied) == (1, 2)
@@ -719,7 +721,7 @@ class TestFreshnessFirstPoll:
         ca.refresh(now=120)
         assert client.pull(now=121).heads_checked == 0
 
-    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+    @pytest.mark.parametrize("streaming", [False, True], ids=["plain", "archiving"])
     def test_a_revocation_after_a_rotation_is_learned_in_the_walk(self, streaming):
         """The per-Δ object carries a new batch, so the RA walks it without a
         head; the batch's root is signed under the key rotated in since the
@@ -730,7 +732,7 @@ class TestFreshnessFirstPoll:
         ca.rotate_keys(now=110)
         ca.revoke([SerialNumber(600)], now=111)
         result = client.pull(now=112)
-        # the per-Δ object (the batch's segment), the key chain
+        # the per-Δ object (the batch's object), the key chain
         assert (result.requests, result.heads_checked) == (2, 0)
         assert result.key_rotations_applied == 1
         assert (result.issuances_applied, result.serials_applied) == (1, 1)
@@ -824,12 +826,12 @@ class TestUplinkAccounting:
 
 class TestOneGetPerDelta:
     """The paper's one message per CA per Δ: the per-Δ object is the batch's
-    segment in a Δ with a batch and the bare statement otherwise, so an RA
+    object in a Δ with a batch and the bare statement otherwise, so an RA
     that was current pulls each dictionary with one GET whichever the Δ —
     the one request per poll per dictionary that ``simulate_costs`` bills
     (``requests_per_poll`` in ``repro.analysis.cost``)."""
 
-    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+    @pytest.mark.parametrize("streaming", [False, True], ids=["plain", "archiving"])
     def test_a_current_ra_pays_one_get_per_delta_idle_or_active(self, streaming):
         from repro.pki.serial import SerialNumber
         from repro.ritm.ca_service import freshness_path
@@ -850,15 +852,15 @@ class TestOneGetPerDelta:
             assert (result.requests, result.heads_checked) == (1, 0)
             assert result.bytes_downloaded == len(per_delta) + REQUEST_OVERHEAD_BYTES
             assert result.serials_applied == (2 if period in active else 0)
-            assert result.segments_applied == (1 if streaming and period in active else 0)
+            assert result.issuances_applied == (1 if period in active else 0)
             assert result.resyncs == 0 and not result.errors
             assert replica.signed_root == ca.dictionary.signed_root
             assert replica.latest_freshness == ca.dictionary.latest_freshness
-        if streaming:
-            # what a segment-mode RA read through the per-Δ object it can relay
-            assert sorted(client.feeds[ca.name].segments) == [1, 3, 5, 7]  # two serials each
+        # what an archiving RA read through the per-Δ object it can relay
+        archived = [1, 3, 5, 7] if streaming else []  # two serials each
+        assert sorted(client.feeds[ca.name].batches) == archived
 
-    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+    @pytest.mark.parametrize("streaming", [False, True], ids=["plain", "archiving"])
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_an_ra_that_missed_k_batches_pays_k_gets(self, streaming, k):
         """k batches in k Δs without a pull, the last in this Δ: the per-Δ
@@ -888,50 +890,35 @@ OUTCOME = (
     "stale_statements_ignored",
     "replays_rejected",
     "key_rotations_applied",
-    "segments_applied",
-    "segments_rejected",
+    "batches_rejected",
 )
 
 
-def _damaged_crc(segment: bytes) -> bytes:
-    """A segment whose body no longer matches its checksum (one bit of the
-    embedded issuance object's first serial flipped)."""
-    at = len(segment) // 3
-    return segment[:at] + bytes([segment[at] ^ 0x01]) + segment[at + 1 :]
+def _truncated(batch: bytes) -> bytes:
+    """A batch object cut short in its serials: longer than any value, so
+    still read as a batch object, and no batch object."""
+    return batch[: len(batch) - 25]
 
 
-def _swapped_serial(segment: bytes) -> bytes:
-    """A segment whose first serial is swapped, checksum recomputed and the
-    CA signature left as it was."""
+def _swapped_serial(batch: bytes) -> bytes:
+    """A batch object whose first serial is swapped, its root left as it was."""
     from dataclasses import replace
 
     from repro.pki.serial import SerialNumber
     from repro.ritm.replication import decode_segment, encode_segment
 
-    decoded = decode_segment(segment)
+    decoded = decode_segment(batch)
     issuance = decoded.issuance
     swapped = replace(issuance, serials=(SerialNumber(0xEEEEEE),) + issuance.serials[1:])
     return encode_segment(replace(decoded, issuance=swapped))
 
 
-def _embedded_issuance(segment: bytes) -> bytes:
-    """The issuance object bytes a segment frame embeds, read off its header."""
-    import struct
-
-    from repro.ritm.replication import SEGMENT_MAGIC
-
-    start = len(SEGMENT_MAGIC) + 4  # issuance length (u32)
-    (length,) = struct.unpack_from(">I", segment, start - 4)
-    return segment[start : start + length]
-
-
 class TestAPerDeltaBatchEndsAsTheWalksObject:
-    """Each abnormal per-Δ segment ends exactly as the same object fetched by
-    the walk ends: two identical stacks, one RA reading the batch through
-    the per-Δ object, the other through the object its walk fetches in its
-    mode — the segment, or the issuance object the segment embeds — after a
-    refresh in the same hash-chain period has made the per-Δ object the
-    bare statement again.  That statement links to no root the walk's RA
+    """Each abnormal per-Δ batch object ends exactly as the same object
+    fetched by the walk ends: two identical stacks, one RA reading the batch
+    through the per-Δ object, the other through its walk's GET of the same
+    bytes at the batch's path, after a refresh in the same hash-chain period
+    has made the per-Δ object the bare statement again.  That statement links to no root the walk's RA
     holds, so it reads the head first, then walks.  Every other outcome
     counter, the error count and the replica state agree; only the GETs
     differ."""
@@ -969,74 +956,61 @@ class TestAPerDeltaBatchEndsAsTheWalksObject:
         return per_delta, walk
 
     @staticmethod
-    def _damage_batch(streaming, damage, issuance_object=_embedded_issuance):
-        """A stage: revoke at 130 and damage the batch where the RA reads it.
-
-        The walk's object is the damaged segment in segment mode and
-        ``issuance_object`` of it in issuance mode."""
+    def _damage_batch(damage):
+        """A stage: revoke at 130 and damage the batch where the RA reads it."""
         from repro.pki.serial import SerialNumber
         from repro.ritm.ca_service import freshness_path, issuance_path
-        from repro.ritm.replication import segment_path
 
         def stage(ca, cdn, via_walk):
             issuance = ca.revoke([SerialNumber(0x0A0B0C), SerialNumber(0x0A0B0D)], now=130)
-            number = issuance.first_number
-            damaged = damage(cdn.origin.fetch(segment_path(ca.name, number)).content)
+            path = issuance_path(ca.name, issuance.first_number)
+            damaged = damage(cdn.origin.fetch(path).content)
             if not via_walk:
                 cdn.publish(freshness_path(ca.name), damaged, 130)
                 return
             ca.refresh(now=131)  # the same period: the walk fetches the batch
-            if streaming:
-                cdn.publish(segment_path(ca.name, number), damaged, 131)
-            else:
-                cdn.publish(issuance_path(ca.name, number), issuance_object(damaged), 131)
+            cdn.publish(path, damaged, 131)
 
         return stage
 
-    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
-    def test_a_per_delta_segment_failing_its_checksum(self, streaming):
-        """In issuance mode the walk's object is the same damaged bytes,
-        which are no issuance object either.  The one difference: a damaged
-        per-Δ object carries no statement to offer after the resync (the
-        walk's RA offers the refreshed one); the resync brings both replicas
-        the CA's statement all the same."""
-        same_bytes = self._damage_batch(streaming, _damaged_crc, lambda damaged: damaged)
-        outcomes = self._pull_both(streaming, same_bytes)
+    @pytest.mark.parametrize("streaming", [False, True], ids=["plain", "archiving"])
+    def test_a_per_delta_batch_object_that_fails_to_decode(self, streaming):
+        """The walk's object is the same damaged bytes.  The one difference:
+        a damaged per-Δ object carries no statement to offer after the
+        resync (the walk's RA offers the refreshed one); the resync brings
+        both replicas the CA's statement all the same."""
+        outcomes = self._pull_both(streaming, self._damage_batch(_truncated))
         counters = tuple(name for name in OUTCOME if name != "freshness_applied")
         per_delta, walk = self._assert_same_end(outcomes, counters)
         assert (per_delta.freshness_applied, walk.freshness_applied) == (0, 1)
         assert per_delta.resyncs == 1 and per_delta.issuances_applied == 0
-        assert per_delta.segments_rejected == (1 if streaming else 0)
-        assert "checksum" in per_delta.errors[-1]
+        assert per_delta.batches_rejected == 1
+        assert per_delta.errors == walk.errors
 
-    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
-    def test_a_per_delta_segment_with_a_swapped_serial(self, streaming):
-        """Segment mode: the signature no longer covers the bytes, so the
-        segment is rejected before the store.  Issuance mode: the embedded
-        issuance object is applied as a GET of it would be, and rolled back
-        on the root mismatch."""
+    @pytest.mark.parametrize("streaming", [False, True], ids=["plain", "archiving"])
+    def test_a_per_delta_batch_with_a_swapped_serial(self, streaming):
+        """The batch is applied as a GET of it would be, and rolled back on
+        the root mismatch: one rejected batch and one resync either way."""
         from repro.pki.serial import SerialNumber
 
-        outcomes = self._pull_both(streaming, self._damage_batch(streaming, _swapped_serial))
+        outcomes = self._pull_both(streaming, self._damage_batch(_swapped_serial))
         per_delta, walk = self._assert_same_end(outcomes)
         assert per_delta.resyncs == 1 and per_delta.issuances_applied == 0
         assert per_delta.errors == walk.errors
-        # (a failed signature first looks for a rotation: this CA has none)
-        expected = "not signed by an acceptable CA key" if streaming else "root does not match"
-        assert per_delta.segments_rejected == (1 if streaming else 0)
-        assert expected in per_delta.errors[-1]
+        assert per_delta.batches_rejected == 1
+        assert "root does not match" in per_delta.errors[-1]
         assert not outcomes[0][1].contains(SerialNumber(0xEEEEEE))
 
-    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
-    def test_a_replayed_older_per_delta_segment(self, streaming):
-        """Batches 1 and 2 are applied; then the CDN serves batch 1's segment
+    @pytest.mark.parametrize("streaming", [False, True], ids=["plain", "archiving"])
+    def test_a_replayed_older_per_delta_batch_object(self, streaming):
+        """Batches 1 and 2 are applied; then the CDN serves batch 1's object
         again.  The walk-era analog is the statement published with batch 1
         served again: either links to no root the replica holds, so both
         RAs read the head, and neither replica moves."""
         from repro.pki.serial import SerialNumber
-        from repro.ritm.ca_service import freshness_path
-        from repro.ritm.messages import encode_freshness_object
-        from repro.ritm.replication import decode_segment, segment_path
+        from repro.ritm.ca_service import freshness_path, issuance_path
+        from repro.ritm.messages import encode_freshness
+        from repro.ritm.replication import decode_segment
 
         outcomes = []
         for via_walk in (False, True):
@@ -1046,9 +1020,9 @@ class TestAPerDeltaBatchEndsAsTheWalksObject:
             for number, now in ((1, 110), (2, 120)):
                 ca.revoke([SerialNumber(0x0A0B00 + number)], now=now)
                 assert client.pull(now=now + 1).errors == []
-            old = cdn.origin.fetch(segment_path(ca.name, 1)).content
+            old = cdn.origin.fetch(issuance_path(ca.name, 1)).content
             if via_walk:
-                old = encode_freshness_object(decode_segment(old).freshness_after)
+                old = encode_freshness(decode_segment(old).freshness_after)
             cdn.publish(freshness_path(ca.name), old, 130)
             outcomes.append((client.pull(now=135), agent.replica_for(ca.name), ca, client))
         per_delta, walk = self._assert_same_end(outcomes, heads=(1, 1))
@@ -1057,7 +1031,7 @@ class TestAPerDeltaBatchEndsAsTheWalksObject:
         _, _, ca, client = outcomes[0]
         assert client.replication_cursor(ca.name) == 2
 
-    @pytest.mark.parametrize("streaming", [False, True], ids=["issuance", "segment"])
+    @pytest.mark.parametrize("streaming", [False, True], ids=["plain", "archiving"])
     def test_a_rotation_then_a_revocation_before_the_next_poll(self, streaming):
         from repro.pki.serial import SerialNumber
 

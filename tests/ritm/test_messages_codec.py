@@ -1,4 +1,4 @@
-"""Tests for RITM's binary wire formats (status, head, issuance)."""
+"""Tests for RITM's binary wire formats (status, head, batch object)."""
 
 import json
 import struct
@@ -13,13 +13,13 @@ from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.sync import SyncResponse
 from repro.errors import TLSError
 from repro.pki.serial import SerialNumber
-from repro.ritm import messages
 from repro.ritm.messages import (
     MAX_ISSUANCE_SERIALS,
     DictionaryHead,
     KeyAnnouncement,
     ShardIndex,
-    decode_freshness_object,
+    decode_batch,
+    decode_freshness,
     decode_head,
     decode_issuance,
     decode_key_announcements,
@@ -29,8 +29,8 @@ from repro.ritm.messages import (
     decode_status,
     decode_status_bundle,
     decode_sync_response,
+    encode_batch,
     encode_freshness,
-    encode_freshness_object,
     encode_head,
     encode_issuance,
     encode_key_announcements,
@@ -98,19 +98,19 @@ class TestProofCodec:
 
 class TestFreshnessCodec:
     """A statement is its hash-chain value (Eq. 2), the 20 bytes the paper
-    prices; the per-Δ object adds one tag byte in front of it."""
+    prices, and the per-Δ object between batches is that value alone."""
 
     def test_a_statement_is_its_value(self, master):
         statement = master.latest_freshness
         assert encode_freshness(statement) == statement.value
         assert len(statement.value) == 20
-        assert encode_freshness_object(statement) == b"\x00" + statement.value
-        assert decode_freshness_object(encode_freshness_object(statement)) == statement
-        assert decode_delta_object(encode_freshness_object(statement)) == statement
+        assert decode_delta_object(statement.value) == statement
 
-    def test_the_retired_44_byte_statement_is_refused(self, master):
-        """CA name, framed value, u64 size: it opens with ``0x00`` (the name's
-        length) but leaves 43 bytes for a value, which no chain link is."""
+    def test_the_retired_statements_are_refused_or_link_nowhere(self, master):
+        """The 44-byte statement (CA name, framed value, u64 size) is longer
+        than any value, so it is read as a batch object and refused.  The
+        tagged ``0x00`` ‖ value object is a 21-byte value, which links to no
+        root of a 20-byte dictionary."""
         statement = master.latest_freshness
         name = b"Codec-CA"
         retired = (
@@ -121,16 +121,21 @@ class TestFreshnessCodec:
             + struct.pack(">Q", master.size)
         )
         assert len(retired) == 2 + len(name) + 22 + 8
-        for decode in (decode_freshness_object, decode_delta_object):
-            with pytest.raises(TLSError, match="no chain link"):
-                decode(retired)
+        with pytest.raises(TLSError):
+            decode_delta_object(retired)
+        tagged = decode_delta_object(b"\x00" + statement.value)
+        assert len(tagged.value) == 21 and tagged != statement
 
     @pytest.mark.parametrize("width", [0, 33, 64])
     def test_a_value_no_chain_link_has_is_refused_both_ways(self, width):
         with pytest.raises(TLSError, match="no chain link"):
             encode_freshness(FreshnessStatement(bytes(width)))
         with pytest.raises(TLSError, match="no chain link"):
-            decode_freshness_object(b"\x00" + bytes(width))
+            decode_freshness(bytes(width), 0, width)
+
+    def test_an_empty_per_delta_object_is_refused(self):
+        with pytest.raises(TLSError, match="no chain link"):
+            decode_delta_object(b"")
 
 
 class TestStatusCodec:
@@ -242,7 +247,9 @@ class TestHeadAndIssuanceCodec:
     def test_issuance_roundtrip(self, keys):
         dictionary = CADictionary("Codec-CA-2", keys, delta=10, chain_length=8)
         issuance = dictionary.insert(make_serials(7), now=2000)
-        decoded = decode_issuance(encode_issuance(issuance))
+        encoded = encode_issuance(issuance)
+        decoded, end = decode_issuance(encoded)
+        assert end == len(encoded)
         assert decoded.ca_name == issuance.ca_name
         assert decoded.first_number == 1
         assert decoded.serials == issuance.serials
@@ -254,44 +261,66 @@ class TestHeadAndIssuanceCodec:
         dictionary = CADictionary("Codec-CA-3", keys, delta=10, chain_length=8)
         issuance = dictionary.insert(make_serials(5), now=2000)
         replica = ReplicaDictionary("Codec-CA-3", keys.public)
-        replica.update(decode_issuance(encode_issuance(issuance)))
+        replica.update(decode_issuance(encode_issuance(issuance))[0])
         assert replica.root() == dictionary.root()
 
+    def test_a_batch_object_is_root_count_serials_value(self, keys):
+        """Only what a verifier cannot compute: the name is the root's and
+        the first number ``root.size - count + 1``, so neither is sent, and
+        each serial costs one length byte."""
+        dictionary = CADictionary("Codec-CA-6", keys, delta=10, chain_length=8)
+        dictionary.insert(make_serials(4), now=2000)
+        issuance = dictionary.insert([SerialNumber(9_000_001), SerialNumber(70)], now=2010)
+        statement = dictionary.latest_freshness
+        wire = encode_batch(issuance, statement)
+        assert wire == b"".join(
+            [
+                encode_signed_root(issuance.signed_root),
+                (2).to_bytes(4, "big"),
+                b"\x03" + SerialNumber(9_000_001).to_bytes(),
+                b"\x03" + SerialNumber(70).to_bytes(),
+                statement.value,
+            ]
+        )
+        decoded, freshness = decode_batch(wire)
+        assert (decoded, freshness) == (issuance, statement)
+        assert decoded.first_number == 5 == issuance.signed_root.size - 2 + 1
+        assert decode_batch(encode_batch(issuance, None)) == (issuance, None)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ca_name", "Other-CA"), ("first_number", 4), ("first_number", 6)],
+    )
+    def test_a_batch_its_root_does_not_end_has_no_encoding(self, keys, field, value):
+        dictionary = CADictionary("Codec-CA-7", keys, delta=10, chain_length=8)
+        dictionary.insert(make_serials(4), now=2000)
+        issuance = dictionary.insert(make_serials(2, start=500), now=2010)
+        with pytest.raises(TLSError, match="is not the batch its root"):
+            encode_issuance(replace(issuance, **{field: value}))
+
     @pytest.mark.parametrize("missing", [0, 3, 0xFFFF, 0xFFFF + 1, 2 * 0xFFFF + 5])
-    def test_sync_response_is_sized_as_consecutive_issuance_objects(self, master, missing):
-        """What ``as_issuance()`` says it is, cut at the issuance object's
-        16-bit count — so a cold sync past 65,535 serials has a size."""
+    def test_sync_response_is_one_batch_object(self, master, missing):
+        """A cold sync is one batch object however long its history: the
+        count is 32 bits, not cut at the CA's per-batch cap."""
         response = SyncResponse(
             ca_name="Codec-CA",
             first_number=11,
             serials=tuple(SerialNumber(n + 1) for n in range(missing)),
-            signed_root=master.signed_root,
+            signed_root=replace(master.signed_root, size=10 + missing),
             freshness=master.latest_freshness,
         )
         wire = encode_sync_response(response)
-        counts = []
-        while sum(counts) < missing or not counts:
-            # Each object's 16-bit count sits after its name and first number.
-            count = int.from_bytes(wire[2 + len(b"Codec-CA") + 8 :][:2], "big")
-            expected = replace(
-                response.as_issuance(),
-                serials=response.serials[sum(counts) : sum(counts) + count],
-                first_number=11 + sum(counts),
-            )
-            size = len(encode_issuance(expected))
-            assert decode_issuance(wire[:size]) == expected
-            wire = wire[size:]
-            counts.append(count)
-        full, rest = divmod(missing, MAX_ISSUANCE_SERIALS)
-        assert counts == [MAX_ISSUANCE_SERIALS] * full + ([rest] if rest or not full else [])
-        assert wire == encode_freshness(master.latest_freshness)
-        without = encode_sync_response(replace(response, freshness=None))
-        assert without + wire == encode_sync_response(response)
+        body = encode_issuance(response.as_issuance())
+        assert wire == body + encode_freshness(master.latest_freshness)
+        count_at = len(encode_signed_root(response.signed_root))
+        assert int.from_bytes(body[count_at : count_at + 4], "big") == missing
+        assert len(body) == count_at + 4 + 4 * missing  # 3-byte serials, one length byte each
+        assert encode_sync_response(replace(response, freshness=None)) == body
 
 
 class TestSyncResponseRoundTrip:
     """``decode_sync_response`` reads back exactly what ``encode_sync_response``
-    wrote: the chunks are found by the carried root's ``size``, not counted."""
+    wrote: one batch object, the statement optional."""
 
     @staticmethod
     def _response(master, have, total, freshness=True):
@@ -333,49 +362,41 @@ class TestSyncResponseRoundTrip:
 
     @given(st.integers(0, 40), st.integers(0, 40), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_round_trip_with_small_chunks(self, master, have, missing, freshness):
-        """The same property with the chunk size turned down to 7, so the
-        chunk boundaries are exercised at every offset."""
+    def test_round_trip_of_small_responses(self, master, have, missing, freshness):
         response = self._response(master, have, have + missing, freshness)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(messages, "MAX_ISSUANCE_SERIALS", 7)
-            wire = encode_sync_response(response)
-            assert decode_sync_response(wire) == response
+        assert decode_sync_response(encode_sync_response(response)) == response
 
-    def test_any_other_chunking_of_the_same_response_is_rejected(self, master):
-        response = self._response(master, 0, 5, freshness=False)
-        whole = response.as_issuance()
-        pieces = [
-            replace(whole, serials=whole.serials[:3]),
-            replace(whole, serials=whole.serials[3:], first_number=4),
-        ]
-        assert decode_sync_response(encode_issuance(whole)) == response
-        with pytest.raises(TLSError, match="do not end at the signed dictionary size"):
-            decode_sync_response(b"".join(encode_issuance(piece) for piece in pieces))
+    def test_two_batch_objects_back_to_back_are_refused(self, master):
+        """The retired chunked layout: a second object after the first is
+        neither a statement nor nothing."""
+        head = self._response(master, 0, 3, freshness=False)
+        tail = self._response(master, 3, 5, freshness=False)
+        with pytest.raises(TLSError):
+            decode_sync_response(encode_sync_response(head) + encode_sync_response(tail))
 
-    def test_chunks_must_continue_one_response(self, master):
-        response = self._response(master, 0, MAX_ISSUANCE_SERIALS + 2)
-        whole = response.as_issuance()
-        first = encode_issuance(replace(whole, serials=whole.serials[:MAX_ISSUANCE_SERIALS]))
-        tail = replace(
-            whole, serials=whole.serials[MAX_ISSUANCE_SERIALS:], first_number=MAX_ISSUANCE_SERIALS + 1
+    @pytest.mark.parametrize("count", [2, 2**32 - 1], ids=["one-more", "u32-max"])
+    def test_a_count_the_bytes_cannot_hold_is_refused_before_allocation(self, master, count):
+        """Every serial takes two bytes or more, so a count above half the
+        bytes left is refused before a serial is read."""
+        root = encode_signed_root(replace(master.signed_root, size=2**40))
+        one_serial = b"\x01\x07"
+        assert decode_sync_response(root + (1).to_bytes(4, "big") + one_serial).serials == (
+            SerialNumber(7, width=1),
         )
-        assert decode_sync_response(
-            first + encode_issuance(tail) + encode_freshness(response.freshness)
-        ) == response
-        for wrong in (
-            replace(tail, ca_name="Other-CA"),
-            replace(tail, first_number=tail.first_number + 1),
-            replace(tail, signed_root=replace(tail.signed_root, timestamp=1)),
-        ):
-            with pytest.raises(TLSError, match="consecutive pieces"):
-                decode_sync_response(first + encode_issuance(wrong))
-        with pytest.raises(TLSError):  # the history stops short of the signed size
-            decode_sync_response(first)
-        with pytest.raises(TLSError, match="do not end"):  # …or runs past it
-            decode_sync_response(first + encode_issuance(replace(tail, serials=tail.serials * 2)))
+        with pytest.raises(TLSError, match="cannot fit"):
+            decode_sync_response(root + count.to_bytes(4, "big") + one_serial)
 
-    def test_what_follows_the_last_chunk_is_one_whole_freshness_statement(self, master):
+    def test_a_count_above_the_root_size_is_refused(self, master):
+        """The first number would be below 1."""
+        response = self._response(master, 0, 3, freshness=False)
+        wire = encode_sync_response(response)
+        count_at = len(encode_signed_root(response.signed_root))
+        extra = SerialNumber(999).to_bytes()
+        grown = wire[:count_at] + (4).to_bytes(4, "big") + wire[count_at + 4 :] + b"\x03" + extra
+        with pytest.raises(TLSError, match="under a root over 3"):
+            decode_sync_response(grown)
+
+    def test_what_follows_the_batch_is_one_whole_freshness_statement(self, master):
         wire = encode_sync_response(self._response(master, 4, 50))
         with pytest.raises(TLSError, match="trailing bytes"):
             decode_sync_response(wire + b"\x00")
@@ -395,13 +416,6 @@ class TestNameFieldsAreTotal:
         return data[:2] + b"\xff" + data[3:]
 
     def test_invalid_utf8_name_raises_tls_error(self, master, keys):
-        from repro.ritm.replication import (
-            SEGMENT_MAGIC,
-            build_segment,
-            decode_segment,
-            encode_segment,
-        )
-
         dictionary = CADictionary("Codec-CA-4", keys, delta=10, chain_length=8)
         issuance = dictionary.insert(make_serials(3), now=2000)
         head = DictionaryHead(master.signed_root, master.latest_freshness)
@@ -415,41 +429,26 @@ class TestNameFieldsAreTotal:
             with pytest.raises(TLSError, match="UTF-8"):
                 decode(self._corrupt_leading_name(encoded))
 
-        # A segment's name sits in the issuance object it embeds, inside its
-        # CRC'd frame: rebuild the checksum so the corruption reaches the
-        # issuance decoder.
-        import struct
-        import zlib
+        # A batch object opens with its root, and so with the root's name.
+        from repro.ritm.replication import BatchObject, decode_segment, encode_segment
 
-        raw = bytearray(
-            encode_segment(
-                build_segment(issuance, dictionary.latest_freshness, keys)
-            )
-        )
-        name_at = len(SEGMENT_MAGIC) + 4 + 2  # issuance length, name length
-        raw[name_at] = 0xFF
-        struct.pack_into(">I", raw, len(raw) - 4, zlib.crc32(bytes(raw[:-4])))
+        raw = encode_segment(BatchObject(issuance, dictionary.latest_freshness))
+        decode_segment(raw)
         with pytest.raises(TLSError, match="UTF-8"):
-            decode_segment(bytes(raw))
+            decode_segment(self._corrupt_leading_name(raw))
 
-    def test_oversized_issuance_is_a_repro_error(self, keys):
+    def test_a_batch_over_the_ca_cap_still_encodes(self, keys):
+        """``MAX_ISSUANCE_SERIALS`` caps one ``revoke``, not the wire: a sync
+        response carries any history as one object."""
         from repro.dictionary.authdict import RevocationIssuance
-        from repro.errors import ReproError
-        from repro.ritm.messages import MAX_ISSUANCE_SERIALS
 
-        root = CADictionary("Codec-CA-5", keys, delta=10, chain_length=8).refresh(1000)
         serials = tuple(SerialNumber(n + 1) for n in range(MAX_ISSUANCE_SERIALS + 1))
-        with pytest.raises(ReproError, match="at most 65535"):
-            encode_issuance(
-                RevocationIssuance(
-                    ca_name="Codec-CA-5", serials=serials, first_number=1, signed_root=root
-                )
-            )
-        encode_issuance(
-            RevocationIssuance(
-                ca_name="Codec-CA-5", serials=serials[:-1], first_number=1, signed_root=root
-            )
+        root = CADictionary("Codec-CA-5", keys, delta=10, chain_length=8).refresh(1000)
+        root = replace(root, size=len(serials))
+        issuance = RevocationIssuance(
+            ca_name="Codec-CA-5", serials=serials, first_number=1, signed_root=root
         )
+        assert decode_issuance(encode_issuance(issuance))[0] == issuance
 
 
 class TestShardIndexCodec:

@@ -80,8 +80,8 @@ def tamper(directory, old: bytes, new: bytes) -> None:
 
 
 def framed_serial(value: int) -> bytes:
-    """A 3-byte serial as an issuance object frames it."""
-    return b"\x00\x03" + value.to_bytes(3, "big")
+    """A 3-byte serial as a batch object frames it: one length byte."""
+    return b"\x03" + value.to_bytes(3, "big")
 
 
 def restored_stack(config, ca, cdn, directory):
@@ -261,16 +261,16 @@ class TestTamperedCheckpoints:
             with pytest.raises(StorageError):
                 load_checkpoint(tmp_path)
 
-    def test_the_file_is_format_5_and_a_format_4_file_is_refused(self, tmp_path):
-        """Format 4 carried each replica's freshness statement with its CA
-        name and dictionary size; no decoder for it is kept."""
+    def test_the_file_is_format_6_and_a_format_5_file_is_refused(self, tmp_path):
+        """Format 5 carried each replica's sync response as issuance-object
+        chunks; no decoder for it is kept."""
         self._checkpointed_stack(tmp_path)
         path = tmp_path / CHECKPOINT_FILENAME
         body = path.read_bytes()[:-4]
         at = len(CHECKPOINT_MAGIC)
-        assert body[at : at + 2] == b"\x00\x05"
-        path.write_bytes(reseal(body[:at] + b"\x00\x04" + body[at + 2 :]))
-        with pytest.raises(StorageError, match="has format 4; this build reads format 5"):
+        assert body[at : at + 2] == b"\x00\x06"
+        path.write_bytes(reseal(body[:at] + b"\x00\x05" + body[at + 2 :]))
+        with pytest.raises(StorageError, match="has format 5; this build reads format 6"):
             load_checkpoint(tmp_path)
 
     def test_framing_errors_under_a_valid_crc_are_storage_errors(self, tmp_path):
@@ -281,7 +281,7 @@ class TestTamperedCheckpoints:
         for doctored, message in [
             # Format 1 carried a per-CA shard-index pull count: an old file
             # is a clear format mismatch, not a framing error.
-            (body[:at] + b"\x00\x01" + body[at + 2 :], "has format 1; this build reads format 5"),
+            (body[:at] + b"\x00\x01" + body[at + 2 :], "has format 1; this build reads format 6"),
             (body + b"\x00", "trailing bytes"),
             (body[:-1], "malformed|truncated"),
             (body[: len(body) // 2], "truncated"),

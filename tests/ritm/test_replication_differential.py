@@ -1,13 +1,13 @@
-"""Differential oracle for the WAL-segment replication stream.
+"""Differential oracle for the batch-object replication stream.
 
-An RA that learns revocations *only* from the CA's signed WAL segments —
-whether fetched CA-direct from the CDN or relayed peer-to-peer by another
-RA's archive — must end byte-identical to an RA fed by the ordinary pull
-path: same Merkle roots, same signed roots, same freshness statements,
-same proofs for present and absent serials.  Every store engine must agree,
-and a segment-synced replica must survive a checkpoint/restore round trip
-and resume from its size (docs/REPLICATION.md).  Which object the
-catch-up walk fetches is the client's ``segment_streaming`` attribute.
+An RA that archives the batch objects it applies, and an RA that learns
+revocations *only* from another RA's archive, relayed peer-to-peer, must
+end byte-identical to an RA fed by the ordinary pull path: same Merkle
+roots, same signed roots, same freshness statements, same proofs for
+present and absent serials.  Every store engine must agree, and an
+archiving replica must survive a checkpoint/restore round trip and resume
+from its size (docs/REPLICATION.md).  Whether an RA archives is the
+client's ``segment_streaming`` attribute.
 """
 
 import pytest
@@ -51,8 +51,8 @@ def assert_replicas_identical(ca, reference, candidate):
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
-class TestSegmentSyncMatchesPullPath:
-    def test_ca_direct_segments_reach_pull_state(self, engine):
+class TestArchivedBatchesMatchThePullPath:
+    def test_an_archiving_ra_reaches_pull_state(self, engine):
         config, ca, cdn, attach = build_stack(engine)
         puller, pull_client = attach("pull-ra")
         pull_client.pull(now=101)
@@ -71,14 +71,14 @@ class TestSegmentSyncMatchesPullPath:
         assert_replicas_identical(ca, puller, segmented)
         assert segment_client.replication_cursor(ca.name) == PERIODS * PER_PERIOD
         applied = sum(
-            pull.segments_applied for pull in segment_client.pull_history
+            pull.issuances_applied for pull in segment_client.pull_history
         )
-        assert applied == PERIODS
+        assert applied == PERIODS == len(segment_client.feeds[ca.name].batches)
         for a in (puller, segmented):
             a.close()
         ca.close()
 
-    def test_peer_relayed_segments_reach_pull_state(self, engine):
+    def test_peer_relayed_batches_reach_pull_state(self, engine):
         config, ca, cdn, attach = build_stack(engine)
         puller, pull_client = attach("pull-ra")
         pull_client.pull(now=101)
@@ -96,9 +96,9 @@ class TestSegmentSyncMatchesPullPath:
 
         assert_replicas_identical(ca, puller, restored)
         assert result.peer_syncs == 1
-        assert result.segments_from_peer == PERIODS
+        assert result.batches_from_peer == PERIODS
         assert result.cold_sync_fallbacks == 0
-        assert result.segment_bytes_downloaded > 0
+        assert result.batch_bytes_downloaded > 0
         # peer relay never touched the CDN origin on the restored RA's behalf
         assert cdn.origin_bytes_by_source.get("restored-ra", 0) == 0
         assert restored_client.replication_cursor(ca.name) == PERIODS * PER_PERIOD
@@ -106,13 +106,13 @@ class TestSegmentSyncMatchesPullPath:
             a.close()
         ca.close()
 
-    def test_segment_sync_is_idempotent(self, engine):
+    def test_a_batch_sync_is_idempotent(self, engine):
         config, ca, cdn, attach = build_stack(engine)
         segmented, segment_client = attach("segment-ra", streaming=True)
         drive(ca, steps=[lambda now: segment_client.pull(now=now)])
 
         again = segment_client.pull(now=600)
-        assert again.segments_applied == 0
+        assert again.issuances_applied == 0
         assert again.serials_applied == 0
         assert segment_client.replication_cursor(ca.name) == PERIODS * PER_PERIOD
 
@@ -129,7 +129,7 @@ class TestSegmentSyncMatchesPullPath:
 
 class TestStreamingPullMode:
     def test_streaming_pull_matches_plain_pull(self):
-        """segment_streaming=True pulls end byte-identical to legacy pulls."""
+        """An archiving RA's pulls end byte-identical to a plain RA's."""
         config, ca, cdn, attach = build_stack("incremental")
         plain, plain_client = attach("plain-ra")
         streaming, streaming_client = attach(
@@ -147,23 +147,24 @@ class TestStreamingPullMode:
         )
 
         assert_replicas_identical(ca, plain, streaming)
-        # the streaming client learned its serials via segments, not batches
-        assert (
-            sum(p.segments_applied for p in streaming_client.pull_history)
-            == PERIODS
-        )
-        # One coordinate, whichever object got the replica there; what differs
-        # is what each RA can offer a peer: the plain one verified no segment.
+        # the same batch objects, the same GETs
+        for client in (plain_client, streaming_client):
+            assert sum(p.issuances_applied for p in client.pull_history) == PERIODS
+        assert [p.requests for p in plain_client.pull_history] == [
+            p.requests for p in streaming_client.pull_history
+        ]
+        # One coordinate; what differs is what each RA can offer a peer: the
+        # plain one archived no batch object.
         assert streaming_client.replication_cursor(ca.name) == PERIODS * PER_PERIOD
         assert plain_client.replication_cursor(ca.name) == PERIODS * PER_PERIOD
         for number in range(1, PERIODS * PER_PERIOD, PER_PERIOD):
-            assert streaming_client.archived_segment(ca.name, number) is not None
-            assert plain_client.archived_segment(ca.name, number) is None
+            assert streaming_client.archived_batch(ca.name, number) is not None
+            assert plain_client.archived_batch(ca.name, number) is None
         for a in (plain, streaming):
             a.close()
         ca.close()
 
-    def test_segment_cursor_survives_checkpoint_restore(self, tmp_path):
+    def test_an_archiving_cursor_survives_checkpoint_restore(self, tmp_path):
         config, ca, cdn, attach = build_stack("durable")
         segmented, segment_client = attach("segment-ra", streaming=True)
         drive(ca, steps=[lambda now: segment_client.pull(now=now)])
@@ -174,7 +175,7 @@ class TestStreamingPullMode:
         assert fresh_client.replication_cursor(ca.name) == PERIODS * PER_PERIOD
         # nothing new published, so the restored cursor makes syncs no-ops
         result = fresh_client.pull(now=700)
-        assert result.segments_applied == 0
+        assert result.issuances_applied == 0
         assert_replicas_identical(ca, segmented, fresh)
         for a in (segmented, fresh):
             a.close()

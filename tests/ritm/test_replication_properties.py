@@ -1,4 +1,4 @@
-"""Property-based tests for the WAL-segment replication layer.
+"""Property-based tests for the batch-object replication layer.
 
 The replication stream faces an untrusted network and untrusted peers, so
 its invariants must hold for *any* interleaving of loss, reordering,
@@ -8,9 +8,10 @@ the staged sequences in the differential suite:
 * a replica's size — its place in the stream, the address of the batch it
   reads next less one — is monotone, across adversarial syncs and
   crash/restore alike;
-* a tampered or mis-signed segment never reaches the replica, whatever
-  byte was flipped — the walk rejects it and recovers the honest batch
-  through the CA's sync protocol, counted as a resync;
+* a tampered batch object never changes the replica's verified state,
+  whatever byte was flipped — the decoder, the address check or the root
+  check in ``update_many`` rejects it, and the walk recovers the honest
+  batch through the CA's sync protocol, counted as a resync;
 * anti-entropy either converges to the CA's dictionary or degrades to the
   CA sync protocol **explicitly** (``cold_sync_fallbacks``), never silently
   stalls or loops.
@@ -23,22 +24,18 @@ from hypothesis import given, settings, strategies as st
 from repro.cdn.geography import Region
 from repro.crypto.signing import KeyPair
 from repro.pki import SerialNumber
-from repro.ritm.replication import (
-    decode_segment,
-    encode_segment,
-    segment_path,
-    segment_payload,
-)
+from repro.ritm.ca_service import issuance_path
+from repro.ritm.replication import decode_segment, encode_segment
 from repro.store import ENGINES
 from tests.ritm.conftest import build_stack
 
 ATTACKER = KeyPair.generate(b"replication-prop-attacker")
 
 #: Small batch counts keep examples fast while still exercising multi-leaf
-#: segments and multi-segment streams.
+#: batches and multi-batch streams.
 batch_sizes = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5)
 
-#: What an adversarial peer may do to one relayed segment.
+#: What an adversarial peer may do to one relayed batch object.
 actions = st.sampled_from(["serve", "drop", "stale", "skip", "tamper"])
 
 #: Invariants must hold under every store engine, so examples draw one.
@@ -46,7 +43,7 @@ engines = st.sampled_from(sorted(ENGINES))
 
 
 def revoke_batches(ca, sizes, start=120, base=1000):
-    """One revocation batch (= one WAL segment) per entry of ``sizes``;
+    """One revocation batch (= one batch object) per entry of ``sizes``;
     returns their addresses (first serial numbers)."""
     serial = base
     addresses = []
@@ -78,37 +75,35 @@ class AdversarialPeer:
     def replication_cursor(self, ca_name):
         return self._client.replication_cursor(ca_name)
 
-    def archived_segment(self, ca_name, number):
-        raw = self._client.archived_segment(ca_name, number)
+    def archived_batch(self, ca_name, number):
+        raw = self._client.archived_batch(ca_name, number)
         action = self._plan.get(number, "serve")
         if action == "drop":
             return None
         if action == "stale":
-            return self._client.archived_segment(ca_name, 1)
+            return self._client.archived_batch(ca_name, 1)
         if action == "skip":
-            return self._client.archived_segment(ca_name, self._next.get(number, 0))
+            return self._client.archived_batch(ca_name, self._next.get(number, 0))
         if action == "tamper" and raw is not None:
             return flip_byte(raw, len(raw) // 2)
         return raw
 
 
 class EquivocatingPeer(AdversarialPeer):
-    """A relay that re-signs segments under its own (wrong) key — over
-    exactly the bytes the CA signs, so only the key is wrong."""
+    """A relay that re-signs each batch's root under its own (wrong) key —
+    over exactly the fields the CA signs, so only the key is wrong."""
 
     def __init__(self, client, ca_name, forge_from):
         super().__init__(client, ca_name, plan={})
         self._forge_from = forge_from  # an address
 
-    def archived_segment(self, ca_name, number):
-        raw = self._client.archived_segment(ca_name, number)
+    def archived_batch(self, ca_name, number):
+        raw = self._client.archived_batch(ca_name, number)
         if raw is None or number < self._forge_from:
             return raw
-        segment = decode_segment(raw)
-        forged = replace(
-            segment, signature=ATTACKER.sign(segment_payload(segment))
-        )
-        return encode_segment(forged)
+        batch = decode_segment(raw)
+        root = batch.issuance.signed_root.sign(ATTACKER.private)
+        return encode_segment(replace(batch, issuance=replace(batch.issuance, signed_root=root)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -127,7 +122,7 @@ def test_adversarial_peer_converges_or_degrades_explicitly(engine, sizes, data):
     relay_client.pull(now=400)
     total = len(sizes)
     plan = {
-        number: data.draw(actions, label=f"segment at {number}")
+        number: data.draw(actions, label=f"batch at {number}")
         for number in addresses
     }
 
@@ -135,7 +130,7 @@ def test_adversarial_peer_converges_or_degrades_explicitly(engine, sizes, data):
     result = victim_client.sync_from_peer(peer, now=410)
 
     assert victim_client.replication_cursor(ca.name) == sum(sizes)
-    if result.segments_from_peer < total:
+    if result.batches_from_peer < total:
         # never a silent stall: shortfall must be an explicit fallback
         assert result.cold_sync_fallbacks == 1
     else:
@@ -152,41 +147,49 @@ def test_adversarial_peer_converges_or_degrades_explicitly(engine, sizes, data):
 
 @settings(max_examples=25, deadline=None)
 @given(engine=engines, sizes=batch_sizes, data=st.data())
-def test_tampered_segment_never_reaches_replica(engine, sizes, data):
-    """Whatever byte is flipped in a published segment, it is rejected and
-    never archived; the same cycle recovers the honest batch through the
-    sync protocol, explicitly."""
+def test_tampered_batch_object_never_reaches_replica(engine, sizes, data):
+    """Whatever byte is flipped in a published batch object, a changed batch
+    is rejected and never archived, and the same cycle recovers the honest
+    batch through the sync protocol, explicitly.  A flip in the statement
+    after the batch changes no batch: the batch applies, and the bogus
+    statement links to nothing, so the replica keeps its root's anchor."""
     config, ca, cdn, attach = build_stack(engine)
-    segmented, segment_client = attach("segment-ra", streaming=True)
+    archiving, archive_client = attach("archive-ra", streaming=True)
     revoke_batches(ca, sizes)
-    segment_client.pull(now=400)
+    archive_client.pull(now=400)
 
     # one more batch, tampered at the origin before the RA sees it; the
     # refresh leaves the per-Δ object a bare statement, so the walk fetches
-    # the segment (test_dissemination.py::TestOneGetPerDelta tampers the
-    # per-Δ copy)
+    # the batch object (test_dissemination.py::TestOneGetPerDelta tampers
+    # the per-Δ copy)
     ca.revoke([SerialNumber(999)], now=500)
     ca.refresh(now=501)
     address = sum(sizes) + 1
-    path = segment_path(ca.name, address)
+    path = issuance_path(ca.name, address)
     raw = cdn.origin.fetch(path).content
     index = data.draw(
         st.integers(min_value=0, max_value=len(raw) - 1), label="flip index"
     )
-    cdn.origin.publish(path, flip_byte(raw, index), now=501)
+    tampered = flip_byte(raw, index)
+    cdn.origin.publish(path, tampered, now=501)
 
-    replica = segmented.replica_for(ca.name)
-    result = segment_client.pull(now=510)
-    assert result.segments_rejected == 1
-    assert result.segments_applied == 0
-    assert result.errors
-    assert result.resyncs == 1
-    assert segment_client.archived_segment(ca.name, address) is None
+    replica = archiving.replica_for(ca.name)
+    result = archive_client.pull(now=510)
+    statement_at = len(raw) - len(ca.dictionary.signed_root.anchor)
+    if index >= statement_at:
+        assert result.batches_rejected == 0 and result.resyncs == 0
+        assert archive_client.archived_batch(ca.name, address) == tampered
+    else:
+        assert result.batches_rejected == 1
+        assert result.issuances_applied == 0
+        assert result.errors
+        assert result.resyncs == 1
+        assert archive_client.archived_batch(ca.name, address) is None
     assert replica.size == ca.dictionary.size
     assert replica.root() == ca.dictionary.root()
     assert replica.signed_root == ca.dictionary.signed_root
-    assert segment_client.replication_cursor(ca.name) == address
-    segmented.close()
+    assert archive_client.replication_cursor(ca.name) == address
+    archiving.close()
     ca.close()
 
 
@@ -198,20 +201,20 @@ def test_mid_stream_crash_restore_keeps_cursor_monotone(
     """Checkpoint mid-stream, lose the process, restore, keep syncing: the
     cursor resumes exactly where the checkpoint left it and the replica
     converges on the full stream."""
-    tmp_path = tmp_path_factory.mktemp("segckpt")
+    tmp_path = tmp_path_factory.mktemp("batchckpt")
     config, ca, cdn, attach = build_stack(engine)
-    segmented, segment_client = attach("segment-ra", streaming=True)
+    archiving, archive_client = attach("archive-ra", streaming=True)
 
     revoke_batches(ca, before_crash, start=120)
-    segment_client.pull(now=300)
-    checkpoint_cursor = segment_client.replication_cursor(ca.name)
+    archive_client.pull(now=300)
+    checkpoint_cursor = archive_client.replication_cursor(ca.name)
     assert checkpoint_cursor == sum(before_crash)
-    assert segment_client.checkpoint(tmp_path) == 1
+    assert archive_client.checkpoint(tmp_path) == 1
 
     revoke_batches(ca, after_crash, start=400, base=5000)
-    segmented.close()
+    archiving.close()
 
-    restored, restored_client = attach("segment-ra", streaming=True)
+    restored, restored_client = attach("archive-ra", streaming=True)
     assert restored_client.restore(tmp_path) == 1
     assert restored_client.replication_cursor(ca.name) == checkpoint_cursor
     restored_client.pull(now=600)
@@ -225,9 +228,10 @@ def test_mid_stream_crash_restore_keeps_cursor_monotone(
 @settings(max_examples=20, deadline=None)
 @given(engine=engines, sizes=batch_sizes, data=st.data())
 def test_equivocating_relay_is_rejected_and_fallback_is_explicit(engine, sizes, data):
-    """A peer re-signing segments under its own key never gets a forged
-    segment applied or archived; the victim degrades to an explicit CA cold
-    sync and still converges."""
+    """A peer re-signing batch roots under its own key never gets a forged
+    batch applied or archived: the walk's batches are one transaction, so
+    the forgery rejects the whole run and the victim degrades to an
+    explicit CA cold sync, and still converges."""
     config, ca, cdn, attach = build_stack(engine)
     reference, reference_client = attach("reference-ra")
     relay, relay_client = attach("relay-ra", Region.UNITED_STATES, streaming=True)
@@ -242,11 +246,11 @@ def test_equivocating_relay_is_rejected_and_fallback_is_explicit(engine, sizes, 
     peer = EquivocatingPeer(relay_client, ca.name, forge_from)
     result = victim_client.sync_from_peer(peer, now=410)
 
-    assert result.segments_rejected == 1
+    assert result.batches_rejected == 1
     assert result.cold_sync_fallbacks == 1
-    assert result.segments_from_peer == forged  # the honest run before the forgery
-    # the forged segment was never archived for onward relay
-    assert victim_client.archived_segment(ca.name, forge_from) is None
+    assert result.batches_from_peer == 0
+    # no relayed batch was archived for onward relay: the resync carried them
+    assert victim_client.feeds[ca.name].batches == {}
     ref = reference.replica_for(ca.name)
     got = victim.replica_for(ca.name)
     assert got.size == ref.size

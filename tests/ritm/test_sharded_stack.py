@@ -466,9 +466,9 @@ class TestShardStreams:
         assert ca.key_epoch == 2
         assert agent.keyring_for(ca.name).key_epoch == 2
 
-    def test_segment_only_catch_up_of_a_shard_replica(self, sharded_world):
-        """A shard replica reaches the CA's state from WAL segments alone —
-        no issuance object is ever fetched."""
+    def test_batch_object_catch_up_of_a_shard_replica(self, sharded_world):
+        """A shard replica reaches the CA's state from its batch objects, one
+        GET each, and archives them for a peer."""
         _, _, cdn, ca, agent, client = sharded_world
         now = EPOCH + WEEK
         expiry = now + 2 * WEEK
@@ -488,10 +488,11 @@ class TestShardStreams:
         result = client.pull(now=now + 30)
         cdn.download = download
         assert not result.errors
-        assert result.segments_applied == 3 and result.serials_applied == 3
+        assert result.issuances_applied == 3 and result.serials_applied == 3
         assert client.replication_cursor(stream.name) == 3
-        assert sum("/segment/" in path for path in fetched) == 3
-        assert not any("/issuance/" in path for path in fetched)
+        # the shard is new to the RA: its head, then a walk over all three
+        assert sum("/issuance/" in path for path in fetched) == 3
+        assert sorted(client.feeds[stream.name].batches) == [1, 2, 3]
         replica = agent.replica_for(stream.name)
         assert replica.root() == stream.dictionary.root()
         assert replica.latest_freshness == stream.dictionary.latest_freshness
@@ -500,14 +501,13 @@ class TestShardStreams:
         late = RevocationAgent("late-ra", ca.config)
         late_client = attach_agent_to_cas(late, [ca], cdn, GeoLocation(Region.EUROPE))
         relayed = late_client.sync_from_peer(client, now + 31)
-        assert relayed.segments_from_peer == 3 and relayed.cold_sync_fallbacks == 0
+        assert relayed.batches_from_peer == 3 and relayed.cold_sync_fallbacks == 0
         assert late.replica_for(stream.name).root() == stream.dictionary.root()
 
     @pytest.mark.parametrize(
         "polled, damage",
         [
-            ("freshness", "truncated"),
-            ("freshness", "overlong-value"),
+            ("freshness", "empty"),
             ("head", "truncated"),
             ("head", "invalid-utf8-name"),
         ],
@@ -515,11 +515,11 @@ class TestShardStreams:
     def test_bad_polled_object_of_one_shard_does_not_abort_the_cycle(
         self, sharded_world, polled, damage
     ):
-        """``freshness``: a synced shard's every-Δ object is damaged — its
-        tag alone, or a value wider than any chain link (a value of a link's
-        width is a statement that links nowhere, which sends the RA to the
-        head).  ``head``: the shards are new to the RA, so it reads their
-        heads — one of them damaged."""
+        """``freshness``: a synced shard's every-Δ object is empty, which no
+        value is (a value of another width is a statement that links nowhere,
+        which sends the RA to the head; one over 32 bytes is a batch object).
+        ``head``: the shards are new to the RA, so it reads their heads —
+        one of them damaged."""
         _, _, cdn, ca, agent, client = sharded_world
         now = EPOCH + WEEK
         ca.revoke_with_expiry(
@@ -532,8 +532,8 @@ class TestShardStreams:
         path = (freshness_path if polled == "freshness" else head_path)(broken.name)
         honest = cdn.origin.fetch(path).content
         bad = {
-            "truncated": honest[: 1 if polled == "freshness" else len(honest) // 2],
-            "overlong-value": honest + bytes(13),  # a 33-byte value
+            "empty": b"",
+            "truncated": honest[: len(honest) // 2],
             "invalid-utf8-name": honest[:2] + b"\xff" + honest[3:],
         }[damage]
         cdn.publish(path, bad, now + 10)

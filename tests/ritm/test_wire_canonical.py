@@ -1,7 +1,7 @@
 """Canonical encodings: every accepted byte string re-encodes to itself.
 
 Certificates, chains, signed roots, freshness statements, Merkle proofs and
-issuance objects keep their wire form once it is known, and
+batches keep their wire form once it is known, and
 ``Certificate.from_bytes`` / ``CertificateChain.from_bytes`` /
 ``decode_issuance`` seed it with the bytes they accepted.  That is
 sound only if no decoder accepts two byte strings for one value, so this
@@ -11,23 +11,27 @@ field-for-field copy that retains no bytes, to exactly the bytes consumed.
 
 The TLS record, hello, session-ticket and extension parsers are held to the
 same property: the RA's DPI and both endpoints read every flight through them.
-So is the segment decoder: a receiver verifies a segment's signature over
-the bytes it re-encodes.  So is the shard index, the one unsigned object an
+So is the batch object, which peers relay byte for byte.  So is the shard index, the one unsigned object an
 RA reads every Δ from a sharded CA.
 """
 
 import dataclasses
-import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.merkle import PresenceProof
 from repro.crypto.signing import KeyPair
-from repro.dictionary.authdict import CADictionary
+from repro.dictionary.authdict import CADictionary, ReplicaDictionary
 from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.sync import SyncRequest, SyncResponse, SyncServer
-from repro.errors import CertificateError, ProofError, TLSError
+from repro.errors import (
+    CertificateError,
+    DictionaryError,
+    ProofError,
+    SignatureError,
+    TLSError,
+)
 from repro.pki.certificate import Certificate, CertificateChain
 from repro.pki.serial import SerialNumber
 from repro.store import create_store
@@ -36,7 +40,6 @@ from repro.ritm.messages import (
     DictionaryHead,
     KeyAnnouncement,
     ShardIndex,
-    decode_freshness_object,
     decode_head,
     decode_issuance,
     decode_key_announcements,
@@ -47,7 +50,6 @@ from repro.ritm.messages import (
     decode_status_bundle,
     decode_sync_response,
     encode_freshness,
-    encode_freshness_object,
     encode_head,
     encode_issuance,
     encode_key_announcements,
@@ -59,14 +61,13 @@ from repro.ritm.messages import (
     encode_sync_response,
 )
 from repro.ritm.replication import (
-    SEGMENT_MAGIC,
-    WALSegment,
-    build_segment,
+    BatchObject,
     decode_delta_object,
     decode_segment,
     encode_segment,
 )
 from repro.tls.extensions import (
+    Extension,
     decode_extensions,
     encode_extensions,
     ritm_server_confirm_extension,
@@ -77,6 +78,7 @@ from repro.tls.extensions import (
 from repro.tls.messages import (
     ClientHello,
     Finished,
+    HandshakeType,
     NewSessionTicket,
     ServerHello,
     ServerHelloDone,
@@ -139,10 +141,7 @@ ISSUANCES = [
     _ISSUER.insert([SerialNumber(n) for n in serials], now=1000 + 10 * batch)
     for batch, serials in enumerate([(7,), (300, 2, 70_000), range(1000, 1020)])
 ]
-SEGMENTS = [
-    build_segment(issuance, _ISSUER.latest_freshness, KeyPair.generate(b"canonical"))
-    for issuance in ISSUANCES
-]
+BATCHES = [BatchObject(issuance, _ISSUER.latest_freshness) for issuance in ISSUANCES]
 #: A CA's key-announcement chain: none, the genesis key, then two rotations.
 _ROTATING = [KeyPair.generate(f"canonical-epoch-{epoch}".encode()) for epoch in range(3)]
 KEY_CHAINS = [()]
@@ -222,11 +221,6 @@ def _whole(decode):
     return lambda data: (decode(data), len(data))
 
 
-def _checksummed(body: bytes) -> bytes:
-    """A segment frame without its CRC32, framed again with a correct one."""
-    return body + zlib.crc32(body).to_bytes(4, "big")
-
-
 #: name → (decode to ``(value, end)``, encode, rejection type, valid encodings)
 CODECS = {
     "certificate": (
@@ -247,28 +241,17 @@ CODECS = {
         TLSError,
         [encode_signed_root(dictionary.signed_root) for dictionary in (FULL, EMPTY)],
     ),
-    # The per-Δ object between batches: its tag, then one statement's value.
-    # (A bare value has no row: every 1–32 bytes are one, so no bytes are
-    # refused; the objects below carry it where a root fixes its width.)
-    "freshness_object": (
-        _whole(decode_freshness_object),
-        encode_freshness_object,
-        TLSError,
-        [encode_freshness_object(dictionary.latest_freshness) for dictionary in (FULL, EMPTY)],
-    ),
-    # What an RA reads every Δ, either form: a batch's whole segment (CRC
-    # included) or a bare statement, told apart by the first byte.  A
-    # statement is last, so a single bit flip can be accepted.
+    # What an RA reads every Δ, either form: a bare value (every 1–32 bytes
+    # are one) or a batch object, told apart by the length.  A batch object
+    # is last, so a single bit flip can be refused.
     "delta_object": (
         _whole(decode_delta_object),
         lambda value: (
-            encode_segment(value)
-            if isinstance(value, WALSegment)
-            else encode_freshness_object(value)
+            encode_segment(value) if isinstance(value, BatchObject) else encode_freshness(value)
         ),
         TLSError,
-        [encode_segment(segment) for segment in SEGMENTS]
-        + [encode_freshness_object(dictionary.latest_freshness) for dictionary in (FULL, EMPTY)],
+        [encode_freshness(dictionary.latest_freshness) for dictionary in (FULL, EMPTY)]
+        + [encode_segment(batch) for batch in BATCHES],
     ),
     "proof": (
         decode_proof,
@@ -291,7 +274,7 @@ CODECS = {
         [encode_head(head) for head in HEADS],
     ),
     "issuance": (
-        _whole(decode_issuance),
+        decode_issuance,
         encode_issuance,
         TLSError,
         [encode_issuance(issuance) for issuance in ISSUANCES],
@@ -308,14 +291,11 @@ CODECS = {
         TLSError,
         [encode_key_announcements(chain) for chain in KEY_CHAINS],
     ),
-    # A segment's trailing CRC32 is a function of the bytes before it, so the
-    # harness edits those and re-checksums them: a mutation reaches the parser
-    # instead of stopping at the checksum (which has its own test below).
     "segment": (
-        lambda body: (decode_segment(_checksummed(body)), len(body)),
-        lambda segment: encode_segment(segment)[:-4],
+        _whole(decode_segment),
+        encode_segment,
         TLSError,
-        [encode_segment(segment)[:-4] for segment in SEGMENTS],
+        [encode_segment(batch) for batch in BATCHES],
     ),
     "sync_response": (
         _whole(decode_sync_response),
@@ -437,12 +417,30 @@ def test_any_accepted_mutation_reencodes_to_itself(case):
     accepted_reencodes_to_itself(*case)
 
 
-def test_every_single_bit_flip_of_a_segment_fails_its_checksum():
-    data = encode_segment(SEGMENTS[-1])
-    decode_segment(data)
-    for bit in range(8 * len(SEGMENT_MAGIC), 8 * len(data)):
-        with pytest.raises(TLSError, match="checksum"):
-            decode_segment(flip_bit(data, bit))
+def test_every_accepted_bit_flip_of_a_batch_object_fails_the_replica():
+    """A batch object carries no signature and no checksum of its own: a flip
+    the decoder accepts changes a serial, the root or the statement.  The
+    replica's ``update_many`` refuses a changed batch with its store
+    untouched, and a changed statement links to no anchor."""
+    first = ISSUANCES[0]
+    data = encode_segment(BatchObject(first, FreshnessStatement(first.signed_root.anchor)))
+    accepted = 0
+    for bit in range(8 * len(data)):
+        try:
+            batch = decode_segment(flip_bit(data, bit))
+        except TLSError:
+            continue
+        accepted += 1
+        replica = ReplicaDictionary("Canon-CA", _ISSUER.public_key)
+        if batch.issuance == first:
+            replica.update_many([batch.issuance])
+            with pytest.raises(DictionaryError, match="does not link"):
+                replica.apply_freshness(batch.freshness_after)
+        else:
+            with pytest.raises((DictionaryError, SignatureError)):
+                replica.update_many([batch.issuance])
+            assert replica.size == 0
+    assert accepted
 
 
 class TestSecondEncodingsClosed:
@@ -570,26 +568,37 @@ class TestSecondEncodingsClosed:
             decode_status_bundle(encode_status_bundle(STATUSES[:1]) + b"\x00")
 
     @pytest.mark.parametrize("junk", [b"x", b"junk", bytes(7), bytes(9), bytes(16)])
-    def test_trailing_bytes_after_a_head_or_an_issuance_object(self, junk):
+    def test_trailing_bytes_after_a_head_or_a_batch_object(self, junk):
         with pytest.raises(TLSError, match="trailing bytes"):
             decode_head(encode_head(HEADS[0]) + junk)
         with pytest.raises(TLSError, match="trailing bytes"):
-            decode_issuance(encode_issuance(ISSUANCES[1]) + junk)
+            decode_segment(encode_segment(BATCHES[1]) + junk)
+        with pytest.raises(TLSError, match="trailing bytes"):
+            decode_sync_response(encode_sync_response(SYNC_RESPONSES[-1]) + junk)
 
-    def test_trailing_bytes_inside_an_issuance_object_root_frame(self):
-        data = encode_issuance(ISSUANCES[0])
-        root = encode_signed_root(ISSUANCES[0].signed_root)
-        at = data.index(root) - 2
-        padded = (len(root) + 1).to_bytes(2, "big") + root + b"\x00"
-        with pytest.raises(TLSError, match="trailing bytes inside"):
-            decode_issuance(data[:at] + padded + data[at + 2 + len(root) :])
+    @pytest.mark.parametrize("length", [0, 21, 0xFF])
+    def test_a_serial_length_byte_outside_1_to_20(self, length):
+        """Each serial is a u8 length and its bytes; no length outside a
+        serial's 1–20 bytes is read as one."""
+        data = encode_issuance(ISSUANCES[1])
+        at = len(encode_signed_root(ISSUANCES[1].signed_root)) + 4
+        assert data[at] == 3  # the serial 300, in the default three bytes
+        with pytest.raises(TLSError, match="1–20 bytes"):
+            decode_issuance(data[:at] + bytes([length]) + data[at + 1 :])
 
-    def test_a_per_delta_object_opening_with_neither_form_is_rejected(self):
-        statement = encode_freshness_object(FULL.latest_freshness)
-        assert decode_delta_object(statement) == FULL.latest_freshness
-        for first in (b"\x01", b"Q", b"\xff"):
+    def test_a_serial_of_zero(self):
+        data = encode_issuance(ISSUANCES[1])
+        at = len(encode_signed_root(ISSUANCES[1].signed_root)) + 4
+        with pytest.raises(TLSError, match="positive"):
+            decode_issuance(data[: at + 1] + bytes(3) + data[at + 4 :])
+
+    def test_a_per_delta_object_is_a_value_up_to_32_bytes_and_a_batch_beyond(self):
+        value = FULL.latest_freshness.value
+        assert decode_delta_object(value) == FULL.latest_freshness
+        assert decode_delta_object(bytes(32)).value == bytes(32)
+        for junk in (bytes(33), b"\xff" * 40, value * 2):
             with pytest.raises(TLSError):
-                decode_delta_object(first + statement[1:])
+                decode_delta_object(junk)
         with pytest.raises(TLSError):
             decode_delta_object(b"")
 
@@ -643,22 +652,21 @@ class TestSecondEncodingsClosed:
 
 def _named(value, name: str):
     """``value`` (a frozen dataclass) under CA name ``name``, memo-free: its
-    own name field, or else its signed root's."""
-    if any(spec.name == "ca_name" for spec in dataclasses.fields(value)):
-        return dataclasses.replace(value, ca_name=name)
-    return dataclasses.replace(value, signed_root=_named(value.signed_root, name))
+    own name field and its signed root's, whichever it has."""
+    names = {spec.name for spec in dataclasses.fields(value)}
+    changes = {"ca_name": name} if "ca_name" in names else {}
+    if "signed_root" in names:
+        changes["signed_root"] = _named(value.signed_root, name)
+    return dataclasses.replace(value, **changes)
 
 
 #: Every RITM object whose first field is a name: (encode, decode, value).
-#: A head opens with its signed root, and so with the root's name.
+#: A head and a batch open with their signed root, and so with the root's
+#: name.
 NAMED = {
     "signed_root": (encode_signed_root, decode_signed_root, FULL.signed_root),
     "head": (encode_head, lambda data: (decode_head(data), len(data)), HEADS[0]),
-    "issuance": (
-        encode_issuance,
-        lambda data: (decode_issuance(data), len(data)),
-        ISSUANCES[1],
-    ),
+    "issuance": (encode_issuance, decode_issuance, ISSUANCES[1]),
     "shard_index": (
         encode_shard_index,
         lambda data: (decode_shard_index(data), len(data)),
@@ -712,12 +720,11 @@ class TestNameCap:
 NO_UTF8 = "\ud800"
 
 
-def _segment_with(**issuance_fields):
-    """``SEGMENTS[0]`` whose embedded issuance object has ``issuance_fields``."""
-    segment = SEGMENTS[0]
-    return dataclasses.replace(
-        segment, issuance=dataclasses.replace(segment.issuance, **issuance_fields)
-    )
+def _beyond_u64(value):
+    """``value`` (a batch or a sync response) as the last batch of a
+    dictionary of 2⁶⁴ serials, a size no u64 holds."""
+    root = dataclasses.replace(value.signed_root, size=2**64)
+    return dataclasses.replace(value, signed_root=root, first_number=2**64 - len(value.serials) + 1)
 
 
 def _status_with_root(**root_fields):
@@ -737,10 +744,9 @@ UNENCODABLE = {
         _named(FULL.signed_root, NO_UTF8),
         dataclasses.replace(FULL.signed_root, size=2**64),
     ),
-    "freshness_object": (None, FreshnessStatement(bytes(33))),
     "delta_object": (
-        _segment_with(ca_name=NO_UTF8),
-        _segment_with(first_number=2**64),
+        BatchObject(_named(ISSUANCES[0], NO_UTF8), _ISSUER.latest_freshness),
+        FreshnessStatement(bytes(33)),
     ),
     "proof": (None, dataclasses.replace(STATUSES[0].proof, key=bytes(0x10000))),
     "status_bundle": (
@@ -753,10 +759,7 @@ UNENCODABLE = {
             HEADS[0], signed_root=dataclasses.replace(HEADS[0].signed_root, size=2**64)
         ),
     ),
-    "issuance": (
-        _named(ISSUANCES[0], NO_UTF8),
-        dataclasses.replace(ISSUANCES[0], first_number=-1),
-    ),
+    "issuance": (_named(ISSUANCES[0], NO_UTF8), _beyond_u64(ISSUANCES[0])),
     "shard_index": (
         _named(SHARD_INDEXES[1], NO_UTF8),
         dataclasses.replace(SHARD_INDEXES[1], width_seconds=2**32),
@@ -765,27 +768,29 @@ UNENCODABLE = {
         (_named(KEY_CHAINS[1][0], NO_UTF8),),
         (dataclasses.replace(KEY_CHAINS[1][0], key_epoch=-1),),
     ),
-    "segment": (_segment_with(ca_name=NO_UTF8), _segment_with(first_number=2**64)),
-    "sync_response": (
-        _named(SYNC_RESPONSES[1], NO_UTF8),
-        dataclasses.replace(SYNC_RESPONSES[1], first_number=2**64),
+    "segment": (
+        BatchObject(_named(ISSUANCES[0], NO_UTF8), _ISSUER.latest_freshness),
+        BatchObject(_beyond_u64(ISSUANCES[0]), _ISSUER.latest_freshness),
     ),
+    "sync_response": (_named(SYNC_RESPONSES[1], NO_UTF8), _beyond_u64(SYNC_RESPONSES[1])),
+    # The TLS layouts hold no name: a u8 session-id length, a u16 field, a
+    # protocol version byte.
+    "tls_records": (None, [TLSRecord(ContentType.ALERT, b"", version=(3, 256))]),
+    "handshake_flight": (
+        None,
+        [(HandshakeType.CLIENT_HELLO, ClientHello(random=bytes(32), session_id=bytes(256)))],
+    ),
+    "client_hello": (None, ClientHello(random=bytes(32), session_id=bytes(256))),
+    "server_hello": (None, ServerHello(random=bytes(32), cipher_suite=2**16)),
+    "new_session_ticket": (None, NewSessionTicket(2**32, b"")),
+    "extensions": (None, (Extension(2**16),)),
 }
-#: The X.509 and TLS codecs in :data:`CODECS`, which carry no RITM object.
-NOT_RITM = {
-    "certificate",
-    "chain",
-    "tls_records",
-    "handshake_flight",
-    "client_hello",
-    "server_hello",
-    "new_session_ticket",
-    "extensions",
-}
+#: The X.509 codecs in :data:`CODECS`, whose rejection is a ``CertificateError``.
+CERTIFICATE_CODECS = {"certificate", "chain"}
 
 
-def test_every_ritm_codec_has_an_unencodable_case():
-    assert set(UNENCODABLE) == set(CODECS) - NOT_RITM
+def test_every_ritm_and_tls_codec_has_an_unencodable_case():
+    assert set(UNENCODABLE) == set(CODECS) - CERTIFICATE_CODECS
 
 
 @pytest.mark.parametrize(
@@ -799,7 +804,22 @@ def test_every_ritm_codec_has_an_unencodable_case():
 )
 def test_a_value_with_no_wire_form_is_a_tls_error(codec, value):
     """Every encoder is total: a value its layout cannot say is refused as a
-    malformed message, never a bare ``struct.error`` or
+    malformed message, never a bare ``struct.error``, ``ValueError`` or
     ``UnicodeEncodeError``."""
     with pytest.raises(TLSError):
         CODECS[codec][1](value)
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        NewSessionTicket(2**32, b""),
+        NewSessionTicket(1, bytes(0x10000)),
+        ClientHello(session_id=b"x" * 300),
+        ServerHello(session_id=b"x" * 300),
+    ],
+    ids=["ticket-lifetime", "ticket-length", "client-session-id", "server-session-id"],
+)
+def test_a_tls_message_whose_field_overflows_is_a_tls_error(message):
+    with pytest.raises(TLSError, match="no wire form"):
+        message.to_bytes()

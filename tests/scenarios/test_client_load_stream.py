@@ -51,8 +51,8 @@ def test_soak_smoke_passes_every_check():
     assert soak["memory"]["bounded"] is True
     assert soak["subsystems"]["handshakes_served"] == soak["events_total"]
     assert len(soak["timeline"]) > 0
-    # replication metrics surface because the soak opts into segment streaming
-    assert report.metrics["replication"]["segments_applied"] > 0
+    # replication metrics surface because the soak's RAs archive batches
+    assert report.metrics["replication"]["batches_applied"] > 0
 
 
 def test_soak_smoke_is_deterministic_modulo_wall_clock():

@@ -131,6 +131,28 @@ The four rows with a victim handshake print ``status 229 B`` → ``182 B``;
 counterfactual 1,630 → 1,584 B); ``slow-ra-holb``'s max lag 70.195 →
 70.194 s; ``degraded-ra`` and ``thundering-herd``'s overlap factor moved in
 the fourth decimal.
+Publishing each batch as one unsigned batch object (signed root ‖ count ‖
+serials ‖ statement, no second signature, checksum, name or number)
+re-pinned all 17 rows, every check still passing and no resync, error,
+replay, applied count, peer-relayed batch count or verification count
+moved.  ``dissemination.bytes_downloaded`` (the "N pulls, B bytes" check
+detail and ``average_pull_latency_seconds`` with it) fell in every row
+(``quickstart`` 1,509 → 1,402 B, ``soak`` 41,829 → 33,093 B,
+``region-outage`` 21,628 → 17,028 B, ``thundering-herd`` 39,444 →
+33,066 B); ``fleet.overlap_factor`` moved in the fourth decimal in seven
+rows and ``slow-ra-holb``'s and ``thundering-herd``'s max lag by at most
+12 ms.  ``ra-crash-recovery`` prints its recovery bytes (warm 1,443 →
+1,293 B, cold 4,390 → 4,246 B) and ``region-outage`` its (534 → 419 B)
+and the cold-sync counterfactual (1,584 → 1,302 B).  The two rows whose
+RAs archive batches, ``soak`` and ``region-outage``, renamed their
+``metrics.replication`` keys (``segments_*`` → ``batches_*``;
+``batches_applied`` is the applied batch count, 72 and 40 as before;
+``batch_bytes_downloaded`` 40,728 → 31,992 B and 20,160 → 15,560 B) and
+their descriptions, and their ``dissemination.freshness_applied`` fell
+147 → 75 and 74 → 40: the walk no longer applies the last batch's
+statement before the poll applies the same one, so a statement is
+counted once (a peer sync, which has no other, still applies it).
+``soak``'s ``all-subsystems-exercised`` detail counts batches applied.
 """
 
 from __future__ import annotations
@@ -143,23 +165,23 @@ import pytest
 from repro.scenarios import get, names, run_scenario
 
 GOLDEN_DIGESTS = {
-    "ca-audit-gossip": "c24422c27599ea54318770c5ff2df83c616bbc347f726eced3713de3432a9030",
-    "degraded-ra": "fe244cf1c90352e571c68b0c9bf99da3317a4053aeea921674239560b87b3837",
-    "equivocating-ca": "2c2902b71ad17f862c1ba95cd646e8d422a3410a782af890135a68748280d6cc",
-    "flash-crowd": "d2494dacd6d051f43703cb68eda6fe69fdece23307bf8a450790168aa6747d5c",
-    "heartbleed": "f68bc1c10ef1e6531aa2e66af403b4e95055f57f76d3c21ebbc0abbe82ec8375",
-    "iot-long-lived": "556890096260fd68133e5b7108b4af6f784f9b7070487e73a76140f29817e3ba",
-    "quickstart": "21329ac48f7676f8fc2dd4ae74dc1fbf844fb32b1d90ee815865ed5a0be6f53e",
-    "ra-crash-recovery": "f0a55d6ee27ab0ccba002c7a40237ea9d3465b16ada72b6859ff60a937c367bc",
-    "region-outage": "dcbf7e0b8f505ecd5d0ddac3f4c68f5692feda8eb06f6e3625044d205cca67d5",
-    "replayed-head": "8481c1e71ce4db4d1931da5c65376bee366d9ecf0f346f46e27208cc60868b19",
-    "rotated-ca-key": "58215d03ee5e342cee47c69a07990022dbe01264093ced999102af80ecce68d0",
-    "sharded-longrun": "4b1e9d0c5fc6d77980e0133462a4d5e69b9975c923e131661c44360c2ce292e5",
-    "slow-ra-holb": "123ca70681b9fd85cbce4a0acba0c65544b7142a2e50acb58e780b504ace0086",
-    "soak": "d5a97e8116b74707ad3f75e069d575e6ef643bbeef57233e1bead2952892b913",
-    "staggered-pulls": "0b2c5af1228a47b3f9f5e925e1af94ce0015833ec7a8f7769ddfa215b1ce8049",
-    "tampered-cdn": "4cf40b85665fbfa3942a8800b740864808a0acd5ee29c7316d5ed17edac20650",
-    "thundering-herd": "34c2e49efb46c2a401d7a9a9b4176ab2f90698d934586cdfb7cbc4746b6dd7d7",
+    "ca-audit-gossip": "d71f31b7b1e91b913a40d1c94bb4f841efdf0f9d164e72646179a923b64a3434",
+    "degraded-ra": "ffc35718536da002cbc677ebfe78af02540fb17a7412568d48cf942ca9113d24",
+    "equivocating-ca": "77bc5cf600bd989d3ec8e58de7d753f66fa0ad9153cadc5f51d2c8d79625abd9",
+    "flash-crowd": "44c785597828cfa1f897b5b98d4d885241a0039dd001e8bafede444141d6a7b5",
+    "heartbleed": "a4e94bbb21daa0479e43106c22fe604776732b58ed34be67b8df87fdfdda16e3",
+    "iot-long-lived": "a23f471f53519118f4cc40af45ec2b4c34588e8f99ffe0d52572822395e59756",
+    "quickstart": "a5a7102fac69eba71e75305c07c23b6e35fa5bd00555a949e338c5eaf8aa0df5",
+    "ra-crash-recovery": "3b8665a526de841347fb87a2043eeacb7a6cdc4d0a57dfa24a1d4b92f9fa7960",
+    "region-outage": "acac241b9e90e99336dffbbc169fea1a68bff2089fe584d87ba6fd7cedecacc3",
+    "replayed-head": "9c7ca7c8627837fb0db23d78e0e2d7fc321760f7ee5b0054d25f1e42d070382b",
+    "rotated-ca-key": "8498a4c7d720df302c41427caa44b98604c883f2d5de31a6e5f433fc1e0f5225",
+    "sharded-longrun": "723e67879e897b48aae6cdce584dfc7fad8e4d6c9be7bc98b7948f4aaa825e5e",
+    "slow-ra-holb": "90ec5cdb4cede3fadb6906881966ea989b93eae35aaa4ffb92e145256dcef731",
+    "soak": "d9c2e19349d34c3ec832aa2f3f32ccbfcfe4c47157eae84e79b5f34687424776",
+    "staggered-pulls": "c024335aed8b128b0f290c4122a46d71df77a4e601d56a12ec8f300c48a6e100",
+    "tampered-cdn": "d0ed6bf3aeb8e7dc7990a24573bbeaeddce1a183a8a0cf6069b82b4dc312c8bd",
+    "thundering-herd": "c650ee3251665af68e4cbf6077467ecd4cca607960400a529c73f862ceecc286",
 }
 
 

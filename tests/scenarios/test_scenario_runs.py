@@ -43,7 +43,7 @@ def test_report_schema_is_pinned(name):
     fleet = payload["metrics"]["fleet"]
     assert tuple(sorted(fleet)) == tuple(sorted(FLEET_METRIC_KEYS))
     # the replication block appears iff the scenario injects a region outage
-    # or opts into always-on WAL segment streaming
+    # or has every RA archive batch objects (``segment_streaming``)
     if any(
         fault.startswith("region-outage") for fault in payload["config"]["faults"]
     ) or payload["config"].get("segment_streaming"):
@@ -222,14 +222,14 @@ def test_region_outage_restores_via_peer_anti_entropy():
     assert study["restored_agents"]
     for record in study["restored_agents"].values():
         assert record["peer"]  # caught up from a named healthy peer
-        assert record["segments_from_peer"] >= 1
+        assert record["batches_from_peer"] >= 1
         assert record["cold_sync_fallbacks"] == 0
     for survivor in study["survivors"].values():
         assert survivor["region"] != study["failed_region"]
 
     replication = report.metrics["replication"]
-    assert replication["segments_published"] >= 1
-    assert replication["segments_from_peer"] >= 1
+    assert replication["batches_published"] >= 1
+    assert replication["batches_from_peer"] >= 1
     assert replication["cold_sync_fallbacks"] == 0
     kinds = {event["kind"] for event in report.events}
     assert {"region-failed", "region-restored", "anti-entropy"} <= kinds

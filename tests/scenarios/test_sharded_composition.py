@@ -2,7 +2,7 @@
 
 Expiry-split dictionaries (§VIII) used to be a fork beside the unsharded
 path, and ``ScenarioConfig`` rejected ``sharded ×`` key rotation, study
-phases, fault injection, client load, and segment streaming.  With every
+phases, fault injection, client load, and batch archiving.  With every
 dictionary a *stream*, sharding is plain configuration: each test here takes
 a registered scenario's smoke config, flips ``sharded=True`` through
 ``with_overrides`` (plus the sharding knobs, and where a fault's timing
@@ -25,7 +25,7 @@ from repro.scenarios.config import ClientStreamSpec
 SHARDED = {"sharded": True, "shard_width_periods": 2, "cert_lifetime_periods": 4}
 
 VARIANTS = {
-    # durable-compact + per-shard WAL segments + streamed clients + key
+    # durable-compact + per-shard batch archives + streamed clients + key
     # rotation mid-trace + shard retirement under load.
     "soak": {**SHARDED, "key_rotation_periods": 7},
     # Restored RAs recover every live shard peer-to-peer.
@@ -141,10 +141,10 @@ def test_soak_rotates_keys_across_live_shards(reports):
     assert max(rotation["streams_resigned"] for rotation in rotations) >= 2
     epochs = set(report["extras"]["key_rotation"]["agent_key_epochs"].values())
     assert epochs == {report["extras"]["key_rotation"]["ca_key_epoch"]}
-    # Per-shard WAL segments were the steady-state transport, rotation never
+    # Per-shard batch objects were the steady-state transport, rotation never
     # forced a cold resync, and no pull cycle recorded an error.
-    assert report["metrics"]["replication"]["segments_applied"] > 0
-    assert report["metrics"]["replication"]["segments_rejected"] == 0
+    assert report["metrics"]["replication"]["batches_applied"] > 0
+    assert report["metrics"]["replication"]["batches_rejected"] == 0
     assert report["metrics"]["dissemination"]["resyncs"] == 0
     assert report["metrics"]["dissemination"]["errors"] == 0
     soak = report["extras"]["soak"]
@@ -157,7 +157,7 @@ def test_region_outage_recovers_live_shards_from_a_peer(reports):
     assert restored
     for record in restored.values():
         assert record["restored_replicas"] >= 2  # several shards warm-started
-        assert record["segments_from_peer"] >= 1
+        assert record["batches_from_peer"] >= 1
         assert record["peer_serials_applied"] > 0
         assert record["cold_sync_fallbacks"] == 0
         assert record["ca_origin_bytes"] == 0

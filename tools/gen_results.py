@@ -262,10 +262,19 @@ ARTIFACTS: List[Artifact] = [
         "and the cold-sync counterfactual (wire bytes) per fleet size.",
     ),
     Artifact(
+        "reject_cost.json",
+        "benchmarks/test_reject_cost.py",
+        "Replication",
+        "Reject costs in exact counts: SHA-256 calls, Ed25519 verifications, "
+        "store mutations and CA-origin requests of an honest 65,535-serial batch "
+        "into a 10⁵-leaf replica, the same batch with a swapped serial, a forged "
+        "root and one serial short, each split at its resync (docs/THREATS.md).",
+    ),
+    Artifact(
         "dissemination_requests.txt",
         "benchmarks/test_dissemination_requests.py",
         "§VII-C",
-        "RA GETs and bytes by object kind (head, per-Δ, issuance, segment, "
+        "RA GETs and bytes by object kind (head, per-Δ, batch, "
         "shard index, keys) for every registered scenario's smoke run; an RA "
         "that was current pulls each dictionary with one GET per Δ.",
     ),
