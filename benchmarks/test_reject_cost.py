@@ -27,8 +27,13 @@ request and its apply — is reported beside it.  The cases, each on a replica o
   implies is not the address the walk asked for, so no hash and no
   verification before the resync.
 
-The counts land in ``benchmarks/results/reject_cost.json`` and in
-docs/THREATS.md.
+Beside them, under the default chain length of 8,640, a freshness value as
+wide as the anchor that links to no chain: an RA polling it at the per-Δ
+path, and a client checking a status that carries it, each against the
+CA's honest period-1 value.
+
+The counts land in ``benchmarks/results/reject_cost.json`` and
+``reject_cost_freshness.json``, and in docs/THREATS.md.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ from bench_harness import write_json_result
 from repro.cdn import CDNNetwork, GeoLocation
 from repro.cdn.geography import Region
 from repro.crypto import ed25519
+from repro.dictionary.freshness import FreshnessStatement
+from repro.perf import VerifiedRootCache
 from repro.pki import CertificationAuthority, SerialNumber
 from repro.ritm import RITMCertificationAuthority, RITMConfig, RevocationAgent, attach_agent_to_cas
 from repro.ritm.ca_service import freshness_path, issuance_path
@@ -253,3 +260,94 @@ def test_a_wrong_size_batch_costs_no_hash(costs):
     assert wrong["batches_rejected"] == wrong["resyncs"] == 1
     # the per-Δ object is not the batch at its address, so the walk GETs it
     assert (wrong["requests"], reject["origin_requests"]) == (3, 2)
+
+
+#: The value planted at the per-Δ path: as wide as the anchor, linked to no
+#: chain (the cheaper case, a value of another width, is refused unhashed).
+UNLINKED_VALUE = bytes(range(40, 60))
+#: The default ``RITMConfig.chain_length``: a value that links to no anchor
+#: is hashed this many times plus one before it is refused.
+CHAIN_LENGTH = RITMConfig().chain_length
+#: SHA-256 calls, as built: an RA's poll of the unlinked value (then its
+#: head, whose statement links in one), and a client's check of a status
+#: carrying it, against each one's honest twin (the period-1 value).
+POLL_UNLINKED_SHA256, POLL_HONEST_SHA256 = 8_642, 1
+STATUS_UNLINKED_SHA256, STATUS_HONEST_SHA256 = 8_663, 23
+
+
+@pytest.fixture(scope="module")
+def freshness_costs():
+    """Two RAs on a 1,000-serial replica under the default chain length:
+    one polls the CA's period-1 value, the other an anchor-wide value that
+    links to no chain; then a client checks a status carrying each."""
+    config = RITMConfig(delta_seconds=10)
+    cdn = CDNNetwork()
+    authority = CertificationAuthority("Freshness CA", key_seed=b"freshness-cost")
+    ca = RITMCertificationAuthority(authority, config, cdn)
+    ca.bootstrap(now=100)
+    ca.revoke(_serials(1, 1_000), now=110)
+    clients = {}
+    for case in ("honest", "unlinked"):
+        client = attach_agent_to_cas(
+            RevocationAgent(f"{case}-ra", config), [ca], cdn, GeoLocation(Region.EUROPE)
+        )
+        assert client.pull(now=111).serials_applied == 1_000
+        clients[case] = client
+    ca.refresh(now=120)  # the root's period-1 value at the per-Δ path
+    results = {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for case, client in clients.items():
+            if case == "unlinked":
+                cdn.publish(freshness_path(ca.name), UNLINKED_VALUE, 120)
+            cdn.invalidate()
+            with counting(monkeypatch, client, ca) as ledger:
+                pull = client.pull(now=121)
+            assert pull.errors == [] and pull.freshness_applied == 1
+            results[f"poll-{case}"] = dict(ledger.counts, requests=pull.requests)
+        client = clients["honest"]
+        # between revoked serials 499 and 501: an absence proof with two neighbours
+        honest = client.agent.build_status(ca.name, SerialNumber(500))
+        unlinked = replace(honest, freshness=FreshnessStatement(UNLINKED_VALUE))
+        root_cache = VerifiedRootCache()
+        assert honest.is_acceptable(ca.public_key, 121, config.delta_seconds, root_cache)
+        for case, status in (("honest", honest), ("unlinked", unlinked)):
+            with counting(monkeypatch, client, ca) as ledger:
+                accepted = status.is_acceptable(
+                    ca.public_key, 121, config.delta_seconds, root_cache
+                )
+            results[f"status-{case}"] = dict(ledger.counts, accepted=accepted)
+    for client in clients.values():
+        client.agent.close()
+    ca.close()
+    write_json_result(
+        "reject_cost_freshness", {"chain_length": CHAIN_LENGTH, "cases": results}
+    )
+    return results
+
+
+def test_an_unlinked_per_delta_value_costs_a_chain_walk_and_one_head_get(freshness_costs):
+    """The RA hashes the value ``chain_length + 1`` times looking for its
+    anchor before it gives up and reads the head: 8,642 SHA-256 calls
+    against 1 for the period-1 value, and one more GET, with no signature
+    checked and no store touched."""
+    assert CHAIN_LENGTH == 8_640
+    honest, unlinked = freshness_costs["poll-honest"], freshness_costs["poll-unlinked"]
+    assert honest["sha256"] == POLL_HONEST_SHA256
+    assert (honest["requests"], honest["origin_requests"]) == (1, 1)
+    assert unlinked["sha256"] == POLL_UNLINKED_SHA256 == CHAIN_LENGTH + 1 + POLL_HONEST_SHA256
+    assert (unlinked["requests"], unlinked["origin_requests"]) == (2, 2)  # per-Δ, head
+    for counts in (honest, unlinked):
+        assert counts["verifications"] == counts["insert_batch"] == counts["remove_batch"] == 0
+
+
+def test_a_status_carrying_an_unlinked_value_costs_a_chain_walk(freshness_costs):
+    """A client checks the proof (22 hashes here) before the statement, so a
+    status with an unlinked value costs that plus ``chain_length + 1`` hashes
+    and is refused, against one more for the honest value: 376 times its
+    honest twin.  Bounding the walk would change which clock-skewed
+    statements are accepted, so it stays."""
+    honest, unlinked = freshness_costs["status-honest"], freshness_costs["status-unlinked"]
+    assert (honest["accepted"], unlinked["accepted"]) == (True, False)
+    assert honest["sha256"] == STATUS_HONEST_SHA256
+    assert unlinked["sha256"] == STATUS_UNLINKED_SHA256 == STATUS_HONEST_SHA256 + CHAIN_LENGTH
+    assert honest["verifications"] == unlinked["verifications"] == 0

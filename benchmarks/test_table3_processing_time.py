@@ -105,9 +105,9 @@ def test_table3_processing_time(benchmark, engine, counts):
             f"  the same flight seen again, answered from the RA's chain cache "
             f"= {result.dpi_repeat_avg_us:.2f} us",
             "Proof construction is for an *absent* serial, i.e. two neighbours: one key "
-            "search, each leaf's",
-            "  climb to their fork and one shared climb above it.  This reproduction builds "
-            "a proof faster",
+            "search, the left",
+            "  leaf's climb to the root and the right one's to their fork.  This reproduction "
+            "builds a proof faster",
             "  than it parses a chain (paper: 67 vs 20 us), so the paper's parsing < proving "
             "order is not asserted.",
             f"{signature} stays pure Python: the remaining {signature_over_paper:.1f}x over the paper is interpreter cost",

@@ -17,7 +17,6 @@ from repro.crypto.hashing import (
 )
 from repro.crypto.merkle import (
     AbsenceProof,
-    AuditStep,
     MembershipProof,
     PresenceProof,
     empty_root,
@@ -46,7 +45,6 @@ __all__ = [
     "statement_age",
     "PresenceProof",
     "AbsenceProof",
-    "AuditStep",
     "MembershipProof",
     "empty_root",
     "encode_leaf",

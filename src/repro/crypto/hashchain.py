@@ -56,9 +56,11 @@ class HashChain:
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError("hash chain length must be at least 1")
-        # Pre-compute every link once; the chain is short (m is typically the
-        # number of Δ periods the CA expects between revocations) and CAs
-        # release links in reverse order, so caching them avoids O(m^2) work.
+        # Pre-compute every link once: CAs release links in reverse order, so
+        # caching them avoids O(m^2) work.  The chain is not short: m is
+        # ``RITMConfig.chain_length`` (8,640 by default, a day of 10 s
+        # periods) and every signed root builds one, m SHA-256 calls on the
+        # CA's write path (docs/PERFORMANCE.md).
         links = [self.seed]
         for _ in range(self.length):
             links.append(hash_chain_link(links[-1], self.digest_size))

@@ -8,7 +8,10 @@ the revocation's sequence number within the CA's dictionary.
 The *construction* of trees and proofs lives behind the pluggable store
 engines of :mod:`repro.store` (``NaiveMerkleStore``, ``IncrementalMerkleStore``,
 ...); this module defines what verifiers see: the leaf encoding, the audit
-path shape, and the proof dataclasses.
+path shape, and the proof dataclasses.  An audit path is its sibling digests
+alone, leaf first, as in RFC 6962 §2.1.1: how many there are and which side
+each sits on follow from the leaf's index and the tree's size
+(:func:`expected_sides`), so no path stores or sends them.
 
 Because the leaves are sorted, the tree can prove two kinds of statements
 about a queried key:
@@ -29,7 +32,7 @@ dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.crypto.hashing import DEFAULT_DIGEST_SIZE, NODE_PREFIX, hash_leaf, raw_sha256
 
@@ -45,66 +48,51 @@ def encode_leaf(key: bytes, value: bytes) -> bytes:
     return len(key).to_bytes(2, "big") + key + value
 
 
-class AuditStep(NamedTuple):
-    """One step of an audit path: a sibling digest and its side."""
-
-    sibling: bytes
-    sibling_is_left: bool
-
-
-#: ``new_step(AuditStep, (sibling, sibling_is_left))`` is that :class:`AuditStep`
-#: straight from the tuple allocator, without the Python frame of the named
-#: tuple's generated ``__new__`` (or a ``partial``'s argument merge): the one
-#: constructor of the walks that make a step per level — the stores' climb and
-#: the status decoder.
-new_step = tuple.__new__
-
-
 @dataclass(frozen=True)
 class PresenceProof:
-    """Proof that ``(key, value)`` is the leaf at ``leaf_index`` of the tree."""
+    """Proof that ``(key, value)`` is the leaf at ``leaf_index`` of the tree.
+
+    ``path`` is the audit path's sibling digests, leaf first; the side of
+    each is :func:`expected_sides` of ``(leaf_index, tree_size)``.
+    """
 
     key: bytes
     value: bytes
     leaf_index: int
     tree_size: int
-    path: Tuple[AuditStep, ...]
-
-    def root(self, digest_size: int = DEFAULT_DIGEST_SIZE) -> bytes:
-        """Recompute the root implied by this proof."""
-        # ``hash_leaf`` range-checks ``digest_size`` for the whole walk.
-        digest = hash_leaf(encode_leaf(self.key, self.value), digest_size)
-        for sibling, sibling_is_left in self.path:
-            pair = sibling + digest if sibling_is_left else digest + sibling
-            digest = raw_sha256(NODE_PREFIX + pair).digest()[:digest_size]
-        return digest
+    path: Tuple[bytes, ...]
 
     def verify(self, expected_root: bytes, digest_size: int = DEFAULT_DIGEST_SIZE) -> bool:
-        """Check the proof against ``expected_root``.
+        """Recompute the root from the leaf and its path; compare it with
+        ``expected_root``.
 
-        Besides recomputing the root, the verifier checks that the *shape* of
-        the audit path (number of steps and the side of each sibling) is the
-        one implied by ``leaf_index`` and ``tree_size``.  This binds the
-        claimed leaf position to the root, which the absence proof's
-        adjacency check depends on.
+        The path must hold exactly one sibling per side :func:`expected_sides`
+        gives the claimed position, and it is hashed on those sides.  This
+        binds ``leaf_index`` to the root, which the absence proof's adjacency
+        check depends on.
         """
         if self.leaf_index < 0 or self.leaf_index >= self.tree_size:
             return False
-        if [s.sibling_is_left for s in self.path] != _expected_sides(
-            self.leaf_index, self.tree_size
-        ):
+        sides = expected_sides(self.leaf_index, self.tree_size)
+        if len(self.path) != len(sides):
             return False
-        return self.root(digest_size) == expected_root
+        # ``hash_leaf`` range-checks ``digest_size`` for the whole walk.
+        digest = hash_leaf(encode_leaf(self.key, self.value), digest_size)
+        for sibling, sibling_is_left in zip(self.path, sides):
+            pair = sibling + digest if sibling_is_left else digest + sibling
+            digest = raw_sha256(NODE_PREFIX + pair).digest()[:digest_size]
+        return digest == expected_root
 
 
 def expected_sides(leaf_index: int, tree_size: int) -> List[bool]:
-    """Sibling sides an honest audit path must have for this position/size.
+    """Sibling sides an honest audit path has at this position and size.
 
-    The one shape function: a path's length and the side of each of its
-    siblings follow from ``(leaf_index, tree_size)`` alone, so
-    :meth:`PresenceProof.verify` checks them against it and the proof codec
-    (:mod:`repro.ritm.messages`) derives them from it instead of sending
-    them.  ``leaf_index`` must lie in ``[0, tree_size)``.
+    The one place a side exists: a path's length and the side of each of its
+    siblings follow from ``(leaf_index, tree_size)`` alone, so paths hold
+    digests only, :meth:`PresenceProof.verify` hashes them on these sides
+    and refuses any other count, and the proof codec
+    (:mod:`repro.ritm.messages`) sends neither.  ``leaf_index`` must lie in
+    ``[0, tree_size)``.
 
     At ``level`` the node is ``leaf_index >> level`` and the last node of the
     level is ``last >> level``: a sibling exists unless the node is that last
@@ -117,9 +105,6 @@ def expected_sides(leaf_index: int, tree_size: int) -> List[bool]:
         for level in range(last.bit_length())
         if leaf_index >> level ^ 1 <= last >> level
     ]
-
-
-_expected_sides = expected_sides  # the name PresenceProof.verify reads
 
 
 @dataclass(frozen=True)
@@ -178,7 +163,6 @@ MembershipProof = Union[PresenceProof, AbsenceProof]
 
 
 __all__ = [
-    "AuditStep",
     "PresenceProof",
     "AbsenceProof",
     "MembershipProof",

@@ -76,6 +76,7 @@ class PrivateKey:
         return cls(hashlib.sha256(b"repro-key:" + rng_seed).digest())
 
     def public_key(self) -> PublicKey:
+        """The verification key of this seed."""
         return PublicKey(ed25519.publickey(self.seed))
 
     def sign(self, message: bytes) -> bytes:
@@ -106,13 +107,16 @@ class KeyPair:
 
     @classmethod
     def generate(cls, rng_seed: bytes | None = None) -> "KeyPair":
+        """A fresh pair, or one derived from ``rng_seed`` (:meth:`PrivateKey.generate`)."""
         private = PrivateKey.generate(rng_seed)
         return cls(private=private, public=private.public_key())
 
     def sign(self, message: bytes) -> bytes:
+        """Sign ``message`` with the private key."""
         return self.private.sign(message)
 
     def verify(self, message: bytes, signature: bytes) -> bool:
+        """Return ``True`` iff ``signature`` signs ``message`` under the public key."""
         return self.public.verify(message, signature)
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from repro.crypto.hashing import FULL_DIGEST_SIZE
-from repro.crypto.merkle import AbsenceProof, AuditStep, PresenceProof, expected_sides, new_step
+from repro.crypto.merkle import AbsenceProof, PresenceProof, expected_sides
 from repro.dictionary.authdict import RevocationIssuance
 from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.proofs import RevocationStatus
@@ -256,9 +256,9 @@ _ABSENCE_HEAD = struct.Struct(">QB")  # tree size, neighbour flags
 _LEFT, _RIGHT = 1, 2  # neighbour flags
 
 
-def _sibling_width(*paths: Tuple[AuditStep, ...]) -> int:
+def _sibling_width(*paths: Tuple[bytes, ...]) -> int:
     """The one sibling width of ``paths``: 0 when they hold no sibling."""
-    widths = {len(step.sibling) for path in paths for step in path}
+    widths = {len(sibling) for path in paths for sibling in path}
     if not widths:
         return 0
     if len(widths) > 1:
@@ -270,24 +270,23 @@ def _sibling_width(*paths: Tuple[AuditStep, ...]) -> int:
 
 
 def _check_shape(proof: PresenceProof) -> None:
-    """Raise :class:`ProofError` unless the path has the shape
-    ``PresenceProof.verify`` requires of its position: nothing else is sent."""
+    """Raise :class:`ProofError` unless the proof's position lies in its tree
+    and its path holds one sibling per side of that position, as
+    ``PresenceProof.verify`` requires: nothing else is sent."""
     if not 0 <= proof.leaf_index < proof.tree_size < 1 << 64:
         raise ProofError(
             f"leaf index {proof.leaf_index} lies outside a tree of {proof.tree_size} leaves"
         )
-    if [step.sibling_is_left for step in proof.path] != expected_sides(
-        proof.leaf_index, proof.tree_size
-    ):
-        raise ProofError("audit path shape does not match its leaf index and tree size")
+    if len(proof.path) != len(expected_sides(proof.leaf_index, proof.tree_size)):
+        raise ProofError("audit path length does not match its leaf index and tree size")
 
 
 def _leaf(proof: PresenceProof) -> bytes:
     return _pack_bytes(proof.key) + _pack_bytes(proof.value)
 
 
-def _siblings(path: Tuple[AuditStep, ...]) -> bytes:
-    return b"".join([step.sibling for step in path])
+def _siblings(path: Tuple[bytes, ...]) -> bytes:
+    return b"".join(path)
 
 
 def _encode_presence(proof: PresenceProof) -> bytes:
@@ -326,8 +325,8 @@ def _encode_absence(proof: AbsenceProof) -> bytes:
     if right.leaf_index != left.leaf_index + 1:
         raise ProofError("absence proof neighbours are not adjacent leaves")
     # The leaves become siblings at the fork, the lowest set bit of the right
-    # index: above it both paths are the same steps, sent once, as the end of
-    # the right path.
+    # index: above it both paths are the same siblings, sent once, as the end
+    # of the right path.
     fork = (right.leaf_index & -right.leaf_index).bit_length()
     above = left.path[fork:]
     if right.path[len(right.path) - len(above) :] != above:
@@ -364,13 +363,13 @@ def encode_proof(proof: Union[PresenceProof, AbsenceProof]) -> bytes:
     (index, size) and are not sent.
 
     Raises :class:`ProofError` for a proof its shape alone would fail: a
-    leaf index outside ``[0, size)``, a size of 2⁶⁴ or more, a path whose
-    sides are not its position's, siblings of mixed widths or a width
-    outside 1–32, neighbours that disagree on the size, are not adjacent,
-    are not the first / last leaf when alone, or whose paths differ above
-    their fork; an absence proof in a non-empty tree with no neighbour, or
-    of an empty one with any.  A key or value over 65,535 bytes does not
-    fit its length field.
+    leaf index outside ``[0, size)``, a size of 2⁶⁴ or more, a path with
+    more or fewer siblings than its position has sides, siblings of mixed
+    widths or a width outside 1–32, neighbours that disagree on the size,
+    are not adjacent, are not the first / last leaf when alone, or whose
+    paths differ above their fork; an absence proof in a non-empty tree
+    with no neighbour, or of an empty one with any.  A key or value over
+    65,535 bytes does not fit its length field.
     """
     if isinstance(proof, PresenceProof):
         return _encode_presence(proof)
@@ -397,22 +396,14 @@ def _read_width(data: bytes, offset: int, digests: int) -> int:
     return width
 
 
-def _read_steps(
-    data: bytes, offset: int, width: int, sides: List[bool]
-) -> Tuple[Tuple[AuditStep, ...], int]:
-    """``len(sides)`` siblings of ``width`` bytes at ``offset``, as steps."""
-    if not sides:
+def _read_steps(data: bytes, offset: int, width: int, count: int) -> Tuple[Tuple[bytes, ...], int]:
+    """``count`` siblings of ``width`` bytes at ``offset``."""
+    if not count:  # ``width`` is 0 too
         return (), offset
-    end = offset + width * len(sides)
+    end = offset + width * count
     if end > len(data):
         raise TLSError("truncated audit path")
-    steps = tuple(
-        [
-            new_step(AuditStep, (data[at : at + width], side))
-            for at, side in zip(range(offset, end, width), sides)
-        ]
-    )
-    return steps, end
+    return tuple([data[at : at + width] for at in range(offset, end, width)]), end
 
 
 def _decode_presence(data: bytes, offset: int) -> Tuple[PresenceProof, int]:
@@ -423,9 +414,9 @@ def _decode_presence(data: bytes, offset: int) -> Tuple[PresenceProof, int]:
     offset += _POSITION.size
     if index >= size:
         raise TLSError(f"leaf index {index} lies outside a tree of {size} leaves")
-    sides = expected_sides(index, size)
-    width = _read_width(data, offset, len(sides))
-    path, offset = _read_steps(data, offset + 1, width, sides)
+    count = len(expected_sides(index, size))
+    width = _read_width(data, offset, count)
+    path, offset = _read_steps(data, offset + 1, width, count)
     return PresenceProof(key, value, index, size, path), offset
 
 
@@ -444,10 +435,10 @@ def _decode_absence(data: bytes, offset: int) -> Tuple[AbsenceProof, int]:
     if flags != _LEFT | _RIGHT:
         # One neighbour, whose position the flag implies: no index field.
         index = size - 1 if flags == _LEFT else 0
-        sides = expected_sides(index, size)
-        width = _read_width(data, offset, len(sides))
+        count = len(expected_sides(index, size))
+        width = _read_width(data, offset, count)
         leaf_key, leaf_value, offset = _read_leaf(data, offset + 1)
-        path, offset = _read_steps(data, offset, width, sides)
+        path, offset = _read_steps(data, offset, width, count)
         neighbour = PresenceProof(leaf_key, leaf_value, index, size, path)
         if flags == _LEFT:
             return AbsenceProof(key=key, tree_size=size, left=neighbour), offset
@@ -457,15 +448,16 @@ def _decode_absence(data: bytes, offset: int) -> Tuple[AbsenceProof, int]:
     (index,) = _U64.unpack_from(data, offset)
     if index >= size - 1:
         raise TLSError(f"neighbours {index} and {index + 1} lie outside a tree of {size} leaves")
-    left_sides, right_sides = expected_sides(index, size), expected_sides(index + 1, size)
-    # The left path's first ``fork`` steps and the right path's first
-    # ``below`` are their own; the rest of either is the steps they share.
+    left_count = len(expected_sides(index, size))
+    right_count = len(expected_sides(index + 1, size))
+    # The left path's first ``fork`` siblings and the right path's first
+    # ``below`` are their own; the rest of either is the siblings they share.
     fork = ((index + 1) & -(index + 1)).bit_length()
-    below = len(right_sides) - len(left_sides) + fork
-    width = _read_width(data, offset + _U64.size, len(left_sides))
+    below = right_count - left_count + fork
+    width = _read_width(data, offset + _U64.size, left_count)
     left_key, left_value, offset = _read_leaf(data, offset + _U64.size + 1)
     right_key, right_value, offset = _read_leaf(data, offset)
-    steps, offset = _read_steps(data, offset, width, left_sides[:fork] + right_sides)
+    steps, offset = _read_steps(data, offset, width, fork + right_count)
     left_path, right_path = steps[:fork] + steps[fork + below :], steps[fork:]
     return (
         AbsenceProof(
@@ -482,12 +474,13 @@ def decode_proof(data: bytes, offset: int = 0) -> Tuple[Union[PresenceProof, Abs
     """Parse one :func:`encode_proof` encoding at ``offset``; return it and
     where it ends (bytes after it are the caller's).
 
-    Rebuilds exactly the proof the store's prover makes: sides from
-    :func:`~repro.crypto.merkle.expected_sides`, and for two neighbours the
-    steps above their fork as the *same* :class:`AuditStep` objects on both
-    paths.  Raises :class:`TLSError` on a truncated field, an unknown tag,
-    flags above 3, flags that do not fit the tree size (none for 0 leaves,
-    some otherwise), a leaf index outside the tree (two neighbours: the left
+    Rebuilds exactly the proof the store's prover makes: each path is its
+    sibling digests, as many as :func:`~repro.crypto.merkle.expected_sides`
+    gives the position sides, and for two neighbours the siblings above
+    their fork are the *same* ``bytes`` objects on both paths.  Raises
+    :class:`TLSError` on a truncated field, an unknown tag, flags above 3,
+    flags that do not fit the tree size (none for 0 leaves, some
+    otherwise), a leaf index outside the tree (two neighbours: the left
     index must be below ``size - 1``), and a sibling width that is 0 when
     siblings follow, above 32, or not 0 when none do.  So every byte string
     it accepts is the one :func:`encode_proof` writes for what it returns.

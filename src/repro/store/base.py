@@ -31,12 +31,10 @@ from repro.crypto.hashing import (
 )
 from repro.crypto.merkle import (
     AbsenceProof,
-    AuditStep,
     MembershipProof,
     PresenceProof,
     empty_root,
     encode_leaf,
-    new_step,
 )
 from repro.errors import ConfigurationError, ProofError
 
@@ -495,7 +493,7 @@ class SortedLeafStore(AuthenticatedStore):
         return leaf_hashes
 
     def _presence_proof_at(
-        self, index: int, path: Optional[Tuple[AuditStep, ...]] = None
+        self, index: int, path: Optional[Tuple[bytes, ...]] = None
     ) -> PresenceProof:
         return PresenceProof(
             key=self._keys[index],
@@ -513,30 +511,31 @@ class SortedLeafStore(AuthenticatedStore):
             right = self._presence_proof_at(index) if index < size else None
             return AbsenceProof(key=key, tree_size=size, left=left, right=right)
         # Leaves ``index - 1`` and ``index`` become siblings at the lowest set
-        # bit of ``index``: each climbs to that fork alone (its last step is
-        # the other's ancestor), the parent they share is climbed once, and
-        # both paths end in the same step objects.
+        # bit of ``index``: above that fork their paths are the same, so the
+        # left one is climbed to the root, the right one only to the fork (its
+        # last sibling is the left one's ancestor), and both paths end in the
+        # same digest objects.
         fork = (index & -index).bit_length()
-        shared = self._climb(index >> fork, fork)
+        left = self._climb(index - 1)
         return AbsenceProof(
             key=key,
             tree_size=size,
-            left=self._presence_proof_at(index - 1, (*self._climb(index - 1, 0, fork), *shared)),
-            right=self._presence_proof_at(index, (*self._climb(index, 0, fork), *shared)),
+            left=self._presence_proof_at(index - 1, tuple(left)),
+            right=self._presence_proof_at(index, (*self._climb(index, 0, fork), *left[fork:])),
         )
 
-    def _climb(self, node: int, start: int = 0, stop: Optional[int] = None) -> List[AuditStep]:
-        """Sibling steps from ``node`` of level ``start`` up to level ``stop``
+    def _climb(self, node: int, start: int = 0, stop: Optional[int] = None) -> List[bytes]:
+        """Sibling digests from ``node`` of level ``start`` up to level ``stop``
         (by default to, and not including, the root)."""
         levels = self._hash_levels()
-        path: List[AuditStep] = []
-        append, step = path.append, new_step
+        path: List[bytes] = []
+        append = path.append
         for level in islice(levels, start, len(levels) - 1 if stop is None else stop):
             try:
-                append(step(AuditStep, (level[node ^ 1], node & 1 == 1)))
+                append(level[node ^ 1])
             except IndexError:
                 # The promoted odd node has no sibling at this level; it
-                # simply carries up, so no audit step is emitted.
+                # simply carries up.
                 pass
             node >>= 1
         return path

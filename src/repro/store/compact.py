@@ -43,7 +43,7 @@ from itertools import accumulate, chain, islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import DEFAULT_DIGEST_SIZE, LEAF_PREFIX, NODE_PREFIX, raw_sha256
-from repro.crypto.merkle import AuditStep, empty_root, encode_leaf, new_step
+from repro.crypto.merkle import empty_root, encode_leaf
 from repro.store.base import SortedLeafStore, kept_runs
 
 
@@ -382,18 +382,18 @@ class CompactMerkleStore(SortedLeafStore):
         """The one key search, run by the key column over its own arena."""
         return self._keys.search(key)
 
-    def _climb(self, node: int, start: int = 0, stop: Optional[int] = None) -> List[AuditStep]:
+    def _climb(self, node: int, start: int = 0, stop: Optional[int] = None) -> List[bytes]:
         """The shared climb read straight off the planes, one slice copy per
         level (so the proof never aliases a live plane)."""
         self._settle()
         size = self._digest_size
-        path: List[AuditStep] = []
-        append, step = path.append, new_step
+        path: List[bytes] = []
+        append = path.append
         for plane in islice(self._planes, start, stop):
             at = (node ^ 1) * size
             sibling = bytes(plane[at : at + size])
             if sibling:  # else the promoted odd node (or the root): no sibling
-                append(step(AuditStep, (sibling, node & 1 == 1)))
+                append(sibling)
             node >>= 1
         return path
 

@@ -1,10 +1,12 @@
 """Tests for the sorted Merkle tree and its presence/absence proofs."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.crypto.merkle import empty_root, expected_sides
+from repro.crypto.merkle import PresenceProof, empty_root, expected_sides
 from repro.errors import ProofError
-from repro.store import NaiveMerkleStore
+from repro.store import ENGINES, NaiveMerkleStore, create_store
 
 
 def leaf(value: int, width: int = 3) -> bytes:
@@ -114,6 +116,38 @@ class TestPresenceProofs:
         positions += [(i, 2**40 + 5) for i in (2**40 - 1, 2**40, 2**40 + 4)]
         for index, size in positions:
             assert expected_sides(index, size) == walk(index, size), (index, size)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_every_leaf_of_trees_up_to_70_proves_with_siblings_alone(self, engine):
+        """A path is sibling digests only; every leaf of every tree of 1–70
+        leaves proves on every engine, and its path one sibling short or one
+        long is refused."""
+        with create_store(engine) as tree:
+            for size in range(1, 71):
+                tree.insert(leaf(size), b"\x00\x00\x00\x01")
+                root = tree.root()
+                for index in range(size):
+                    proof = tree.prove_presence(leaf(index + 1))
+                    assert proof.leaf_index == index and proof.verify(root), (size, index)
+                    assert all(type(sibling) is bytes for sibling in proof.path)
+                    assert not replace(proof, path=proof.path + (root,)).verify(root)
+                    if proof.path:
+                        assert not replace(proof, path=proof.path[:-1]).verify(root)
+
+    def test_siblings_claimed_for_any_other_leaf_are_refused(self):
+        """The sides are derived from ``leaf_index``, so moving a proof to any
+        other leaf of its tree (1–70 leaves) fails: fewer or more sides than
+        siblings, or the same number hashed on other sides.  Every engine
+        proves the same bytes, so one engine's proofs stand for all."""
+        tree = NaiveMerkleStore()
+        for size in range(1, 71):
+            tree.insert(leaf(size), b"\x00\x00\x00\x01")
+            root = tree.root()
+            for index in range(size):
+                proof = tree.prove_presence(leaf(index + 1))
+                for other in range(size):
+                    moved = PresenceProof(proof.key, proof.value, other, size, proof.path)
+                    assert moved.verify(root) is (other == index), (size, index, other)
 
     def test_proof_depth_is_logarithmic(self):
         tree = build_tree(range(1, 1025))

@@ -1,14 +1,15 @@
 """Docstring coverage gate for the documented public API surfaces.
 
 Every public class and function in ``repro.store``, ``repro.perf``,
-``repro.net``, ``repro.pki``, ``repro.ritm.dissemination``, ``repro.ritm.persistence``,
-``repro.dictionary.sharding``, ``repro.tls.connection``, ``repro.tls.messages``,
-``repro.crypto.hashchain``, ``repro.crypto.hashing``, ``repro.cdn.edge``,
-``repro.scenarios``, ``repro.scenarios.engine``, ``repro.workloads`` and
-``tools/check_perf_regression.py`` must carry a docstring.  CI additionally runs
-``interrogate`` over the same paths (one step, job ``scenario engine + docs``);
-this test is the always-on, stdlib-only enforcement so the gate holds wherever
-the suite runs.
+``repro.net``, ``repro.pki``, ``repro.ritm.{agent, ca_service, consistency,
+dissemination, messages, persistence, replication}``, ``repro.dictionary.{authdict,
+freshness, proofs, sharding, signed_root, sync}``, ``repro.tls.connection``,
+``repro.tls.messages``, ``repro.crypto.{hashchain, hashing, merkle, signing}``,
+``repro.cdn.edge``, ``repro.scenarios``, ``repro.scenarios.engine``,
+``repro.workloads`` and ``tools/check_perf_regression.py`` must carry a
+docstring.  CI additionally runs ``interrogate`` over the same paths (one step,
+job ``scenario engine + docs``); this test is the always-on, stdlib-only
+enforcement so the gate holds wherever the suite runs.
 """
 
 import ast
@@ -25,15 +26,30 @@ COVERED_FILES = sorted(
         *(SRC / "perf").glob("*.py"),
         *(SRC / "net").glob("*.py"),
         *(SRC / "pki").glob("*.py"),
+        SRC / "ritm" / "agent.py",
+        SRC / "ritm" / "ca_service.py",
         SRC / "ritm" / "dissemination.py",
+        SRC / "ritm" / "messages.py",
         SRC / "ritm" / "persistence.py",
         SRC / "ritm" / "consistency.py",
         SRC / "ritm" / "replication.py",
-        SRC / "dictionary" / "sharding.py",
+        *(
+            SRC / "dictionary" / name
+            for name in (
+                "authdict.py",
+                "freshness.py",
+                "proofs.py",
+                "sharding.py",
+                "signed_root.py",
+                "sync.py",
+            )
+        ),
         SRC / "tls" / "connection.py",
         SRC / "tls" / "messages.py",
         SRC / "crypto" / "hashchain.py",
         SRC / "crypto" / "hashing.py",
+        SRC / "crypto" / "merkle.py",
+        SRC / "crypto" / "signing.py",
         SRC / "cdn" / "edge.py",
         *(SRC / "scenarios").glob("*.py"),
         *(SRC / "scenarios" / "engine").glob("*.py"),

@@ -529,18 +529,16 @@ class TestSecondEncodingsClosed:
         before, after = STATUSES[2].proof, STATUSES[3].proof
         left, right = between.left, between.right
         path = present.path
-        flipped = path[0]._replace(sibling_is_left=not path[0].sibling_is_left)
-        other = right.path[-1]._replace(sibling=bytes(20))
         misshapen = [
-            replace(present, path=(flipped,) + path[1:]),
             replace(present, path=path[1:]),
+            replace(present, path=path[:-1]),
             replace(present, path=path + path[:1]),
             replace(present, leaf_index=present.tree_size),
             replace(present, leaf_index=-1),
             replace(present, tree_size=2**64),
             replace(between, tree_size=between.tree_size + 1),
             replace(between, right=before.right),
-            replace(between, right=replace(right, path=right.path[:-1] + (other,))),
+            replace(between, right=replace(right, path=right.path[:-1] + (bytes(20),))),
             replace(before, right=left),
             replace(after, left=right),
             replace(before, right=None),
@@ -550,10 +548,28 @@ class TestSecondEncodingsClosed:
             assert not proof.verify(FULL.signed_root.root)
             with pytest.raises(ProofError):
                 encode_proof(proof)
-        for sibling in (b"", bytes(33), bytes(7)):
-            bad = path[1]._replace(sibling=sibling)
+        for bad in (b"", bytes(33), bytes(7)):
             with pytest.raises(ProofError, match="digest"):
                 encode_proof(replace(present, path=path[:1] + (bad,) + path[2:]))
+
+    def test_a_path_one_sibling_short_or_long_has_no_encoding(self):
+        """Sides are derived, so the one shape a path can get wrong is its
+        length: ``verify`` refuses it and so does the encoder, on a presence
+        proof and on either neighbour of an absence proof."""
+        replace = dataclasses.replace
+        present, between = STATUSES[0].proof, STATUSES[1].proof
+        for path in (present.path[:-1], present.path + (bytes(20),)):
+            proof = replace(present, path=path)
+            assert not proof.verify(FULL.signed_root.root)
+            with pytest.raises(ProofError, match="audit path length"):
+                encode_proof(proof)
+        for side in ("left", "right"):
+            neighbour = getattr(between, side)
+            for path in (neighbour.path[:-1], neighbour.path + (bytes(20),)):
+                proof = replace(between, **{side: replace(neighbour, path=path)})
+                assert not proof.verify(FULL.signed_root.root)
+                with pytest.raises(ProofError, match="audit path length"):
+                    encode_proof(proof)
 
     def test_absence_flags_above_three(self):
         proof = STATUSES[1].proof

@@ -1,15 +1,16 @@
 """One search, one climb and a fork — against the two-bisect, two-walk oracle.
 
 ``prove`` decides presence and builds the proof from a single key search, and
-an absence proof between two stored leaves climbs each neighbour only to the
-fork where they become siblings, then climbs their common ancestor once and
-puts the *same* step objects on both paths.  The oracle below is the algorithm
-this replaced, written out: one bisect for "is it stored?", another inside the
-proof, and an independent leaf-to-root walk over ``_hash_levels()`` per
-neighbour.  Every engine must return proofs equal to the oracle's, encode them
-to the same bytes, and never hand out a step that aliases live store state.
+an absence proof between two stored leaves climbs the left neighbour to the
+root and the right one only to the fork where they become siblings, so the
+path above the fork is climbed once and both paths end in the *same* digest
+objects.  The oracle below is the algorithm this replaced, written out: one
+bisect for "is it stored?", another inside the proof, and an independent
+leaf-to-root walk over ``_hash_levels()`` per neighbour, each a path of
+sibling digests (their sides follow from ``(leaf_index, tree_size)``).  Every engine must return proofs equal to the oracle's, encode them
+to the same bytes, and never hand out a sibling that aliases live store state.
 The codec is held to the prover here too: every proof decodes back to itself,
-the steps above the fork shared again, in exactly as many bytes as the wire
+the siblings above the fork shared again, in exactly as many bytes as the wire
 layout's formula says — each distinct sibling once.
 """
 
@@ -20,7 +21,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.merkle import AbsenceProof, AuditStep, PresenceProof
+from repro.crypto.merkle import AbsenceProof, PresenceProof, expected_sides
 from repro.errors import ProofError
 from repro.ritm.messages import decode_proof, encode_proof
 from repro.store import ENGINES, create_store
@@ -56,17 +57,13 @@ class Oracle:
         return None
 
     def audit_path(self, index):
+        """The sibling digests from leaf ``index`` to the root, leaf first."""
         path = []
         node_index = index
         for level in self.levels[:-1]:
             sibling_index = node_index ^ 1
             if sibling_index < len(level):
-                path.append(
-                    AuditStep(
-                        sibling=level[sibling_index],
-                        sibling_is_left=sibling_index < node_index,
-                    )
-                )
+                path.append(level[sibling_index])
             node_index //= 2
         return path
 
@@ -92,18 +89,21 @@ class Oracle:
 
 
 def assert_shares_above_the_fork_only(proof):
-    """Both neighbours' paths end in the *same* step objects from the fork's
-    parent up; at and below the fork every step is the path's own."""
+    """Both neighbours' paths end in the *same* digest objects from the fork's
+    parent up; at and below the fork every sibling is the path's own."""
     left, right = proof.left.path, proof.right.path
-    index = proof.right.leaf_index
+    index, size = proof.right.leaf_index, proof.tree_size
     fork = (index & -index).bit_length()  # the left neighbour has a sibling at each of these
     shared = len(left) - fork
     assert shared >= 0 and len(right) >= shared
     own_left, own_right = left[:fork], right[: len(right) - shared]
     assert all(a is b for a, b in zip(left[fork:], right[len(right) - shared :]))
-    assert not any(a is b for a in own_left for b in own_right)
-    # The fork's two steps mirror each other: each is the other's ancestor's side.
-    assert own_left[-1].sibling_is_left is False and own_right[-1].sibling_is_left is True
+    if len(left[0]) > 1:  # CPython hands out one object per 1-byte ``bytes`` value
+        assert not any(a is b for a in own_left for b in own_right)
+    # At the fork each neighbour's sibling is the other's ancestor: the left
+    # neighbour's sits on the right, the right neighbour's on the left.
+    assert expected_sides(index - 1, size)[fork - 1] is False
+    assert expected_sides(index, size)[len(own_right) - 1] is True
 
 
 def leaf_bytes(presence):

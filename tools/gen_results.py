@@ -271,6 +271,15 @@ ARTIFACTS: List[Artifact] = [
         "root and one serial short, each split at its resync (docs/THREATS.md).",
     ),
     Artifact(
+        "reject_cost_freshness.json",
+        "benchmarks/test_reject_cost.py",
+        "Replication",
+        "Reject cost of a freshness value that links to no chain, in exact counts: "
+        "an RA's per-Δ poll of it (SHA-256 calls of the `chain_length` walk, then "
+        "one head GET) and a client's check of a status carrying it, each beside "
+        "the honest period-1 value (docs/THREATS.md).",
+    ),
+    Artifact(
         "dissemination_requests.txt",
         "benchmarks/test_dissemination_requests.py",
         "§VII-C",
