@@ -32,8 +32,8 @@ KINDS = {
 
 #: (GETs, bytes on the wire) per kind, for the gated scenarios.
 GATED = {
-    "quickstart": {"head": (1, 367), "per-Δ": (4, 1035)},
-    "soak": {"head": (3, 1101), "per-Δ": (72, 31992)},
+    "quickstart": {"head": (1, 367), "per-Δ": (4, 1015)},
+    "soak": {"head": (3, 1101), "per-Δ": (72, 30552)},
 }
 
 

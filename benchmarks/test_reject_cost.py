@@ -25,7 +25,11 @@ request and its apply — is reported beside it.  The cases, each on a replica o
   hash and no mutation before the resync;
 * the same batch one serial short of its root's size: the first number it
   implies is not the address the walk asked for, so no hash and no
-  verification before the resync.
+  verification before the resync;
+* the honest batch at its path, but its per-Δ copy cut one byte short, as
+  a broken edge would serve it: the object fails to decode, so the RA
+  records one error and reads the head, whose walk GETs the honest batch —
+  the honest batch's counts plus two GETs, and no sync request.
 
 Beside them, under the default chain length of 8,640, a freshness value as
 wide as the anchor that links to no chain: an RA polling it at the per-Δ
@@ -66,6 +70,9 @@ ABSENT = 16_000_000
 #: resync (1.28×), as built; the resync costs the honest batch again.
 HONEST_SHA256 = 231_069
 SWAPPED_SHA256 = 296_602
+#: The SHA-256 calls of the honest batch read behind a per-Δ copy that fails
+#: to decode: the head's statement is its root's anchor, so no more.
+GARBLED_SHA256 = HONEST_SHA256
 #: Every module that builds a SHA-256 object under its own name.
 SHA256_MODULES = (
     "repro.crypto.hashing",
@@ -152,8 +159,9 @@ def _serials(first: int, count: int):
 
 @pytest.fixture(scope="module")
 def costs():
-    """Four RAs on one 10⁵-serial replica each; each reads the 65,535-serial
-    batch once: honest, swapped, under a forged root, one serial short."""
+    """Five RAs on one 10⁵-serial replica each; each reads the 65,535-serial
+    batch once: honest, swapped, under a forged root, one serial short, and
+    honest at its path behind a per-Δ copy that does not decode."""
     config = RITMConfig(delta_seconds=10, chain_length=64)
     cdn = CDNNetwork()
     authority = CertificationAuthority("Reject CA", key_seed=b"reject-cost")
@@ -162,7 +170,7 @@ def costs():
     for start in range(0, REPLICA_SERIALS, 50_000):
         ca.revoke(_serials(1 + 2 * start, 50_000), now=110)
     clients = {}
-    for case in ("honest", "swapped", "forged-root", "wrong-size"):
+    for case in ("honest", "swapped", "forged-root", "wrong-size", "garbled-per-delta"):
         client = attach_agent_to_cas(
             RevocationAgent(f"{case}-ra", config), [ca], cdn, GeoLocation(Region.EUROPE)
         )
@@ -173,27 +181,26 @@ def costs():
     paths = [issuance_path(ca.name, issuance.first_number), freshness_path(ca.name)]
     honest = cdn.origin.fetch(paths[0]).content
     batch = decode_segment(honest)
-    root = batch.issuance.signed_root
     forgeries = {
-        "honest": batch.issuance,
+        "honest": batch,
         # a serial revoked nowhere, so the merge goes through and only the
         # recomputed root can tell
-        "swapped": replace(
-            batch.issuance, serials=(SerialNumber(ABSENT),) + batch.issuance.serials[1:]
+        "swapped": replace(batch, serials=(SerialNumber(ABSENT),) + batch.serials[1:]),
+        "forged-root": replace(
+            batch, signed_root=replace(batch.signed_root, signature=bytes(64))
         ),
-        "forged-root": replace(batch.issuance, signed_root=replace(root, signature=bytes(64))),
         "wrong-size": replace(
-            batch.issuance,
-            serials=batch.issuance.serials[1:],
-            first_number=batch.issuance.first_number + 1,
+            batch, serials=batch.serials[1:], first_number=batch.first_number + 1
         ),
+        "garbled-per-delta": batch,
     }
     results = {}
     with pytest.MonkeyPatch.context() as monkeypatch:
         for case, client in clients.items():
-            content = encode_segment(replace(batch, issuance=forgeries[case]))
-            for path in paths:  # the batch's path and the per-Δ object
-                cdn.publish(path, content, 120)
+            content = encode_segment(forgeries[case])
+            cdn.publish(paths[0], content, 120)
+            per_delta = content[:-1] if case == "garbled-per-delta" else content
+            cdn.publish(paths[1], per_delta, 120)
             cdn.invalidate()  # every case's GETs reach the origin alike
             with counting(monkeypatch, client, ca) as ledger:
                 pull = client.pull(now=121)
@@ -204,6 +211,8 @@ def costs():
                 "reject": reject,
                 "resync": recovery if ledger.before_resync is not None else None,
                 "requests": pull.requests,
+                "heads_checked": pull.heads_checked,
+                "errors": len(pull.errors),
                 "resyncs": pull.resyncs,
                 "batches_rejected": pull.batches_rejected,
             }
@@ -260,6 +269,21 @@ def test_a_wrong_size_batch_costs_no_hash(costs):
     assert wrong["batches_rejected"] == wrong["resyncs"] == 1
     # the per-Δ object is not the batch at its address, so the walk GETs it
     assert (wrong["requests"], reject["origin_requests"]) == (3, 2)
+
+
+def test_a_per_delta_object_that_fails_to_decode_costs_two_gets_and_no_sync(costs):
+    """One recorded error, then the head, whose walk GETs the honest batch at
+    its path: the honest batch's hashes, verification and merge, two GETs
+    more than the honest pull, and no sync request.  An edge serving
+    garbage costs one head GET per Δ and never reaches the sync endpoint."""
+    honest, garbled = costs["honest"]["reject"], costs["garbled-per-delta"]
+    reject = garbled["reject"]
+    assert garbled["resync"] is None and garbled["resyncs"] == 0
+    assert (garbled["errors"], garbled["batches_rejected"], garbled["heads_checked"]) == (1, 0, 1)
+    assert reject["sha256"] == GARBLED_SHA256 == honest["sha256"]
+    assert (reject["verifications"], reject["insert_batch"], reject["remove_batch"]) == (1, 1, 0)
+    # the per-Δ object, the head, the batch at its path
+    assert (garbled["requests"], reject["origin_requests"]) == (3, 3)
 
 
 #: The value planted at the per-Δ path: as wide as the anchor, linked to no

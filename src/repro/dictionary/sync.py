@@ -13,11 +13,10 @@ is a slice operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.dictionary.authdict import CADictionary, ReplicaDictionary, RevocationIssuance
 from repro.dictionary.freshness import FreshnessStatement
-from repro.dictionary.signed_root import SignedRoot
 from repro.errors import DesynchronizedError
 from repro.pki.serial import SerialNumber
 
@@ -32,22 +31,12 @@ class SyncRequest:
 
 @dataclass(frozen=True)
 class SyncResponse:
-    """The missing suffix of the revocation history plus the current root."""
+    """The missing suffix of the revocation history, as one batch under the
+    current root, plus the statement the dictionary serves now (``None``
+    when the sender holds none)."""
 
-    ca_name: str
-    first_number: int
-    serials: Tuple[SerialNumber, ...]
-    signed_root: SignedRoot
+    batch: RevocationIssuance
     freshness: Optional[FreshnessStatement] = None
-
-    def as_issuance(self) -> RevocationIssuance:
-        """Repackage the missing suffix as an ordinary issuance message."""
-        return RevocationIssuance(
-            ca_name=self.ca_name,
-            serials=self.serials,
-            first_number=self.first_number,
-            signed_root=self.signed_root,
-        )
 
 
 class SyncServer:
@@ -83,14 +72,13 @@ class SyncServer:
         signed_root = self._dictionary.signed_root
         if signed_root is None:
             raise DesynchronizedError("CA has not signed a root yet; nothing to sync")
-        missing = tuple(self._history[request.have_count :])
-        return SyncResponse(
+        missing = RevocationIssuance(
             ca_name=request.ca_name,
+            serials=tuple(self._history[request.have_count :]),
             first_number=request.have_count + 1,
-            serials=missing,
             signed_root=signed_root,
-            freshness=self._dictionary.latest_freshness,
         )
+        return SyncResponse(missing, self._dictionary.latest_freshness)
 
 
 def held_state(replica: ReplicaDictionary) -> SyncResponse:
@@ -103,23 +91,23 @@ def held_state(replica: ReplicaDictionary) -> SyncResponse:
     Requires a verified root.
     """
     ordered = sorted(replica.leaf_items(), key=lambda item: item[1])
-    return SyncResponse(
+    held = RevocationIssuance(
         ca_name=replica.ca_name,
-        first_number=1,
         serials=tuple(SerialNumber.from_bytes(key) for key, _ in ordered),
+        first_number=1,
         signed_root=replica.signed_root,
-        freshness=replica.latest_freshness,
     )
+    return SyncResponse(held, replica.latest_freshness)
 
 
 def apply_sync_response(replica: ReplicaDictionary, response: SyncResponse) -> None:
     """Apply a sync response to ``replica`` — from the CA's endpoint or from
     the RA's own checkpoint, the checks are ``update_many``'s,
     ``install_root``'s and ``apply_freshness``'s either way."""
-    if response.serials:
-        replica.update(response.as_issuance())
+    if response.batch.serials:
+        replica.update(response.batch)
     else:
-        replica.install_root(response.signed_root)
+        replica.install_root(response.batch.signed_root)
     if response.freshness is not None:
         replica.apply_freshness(response.freshness)
 

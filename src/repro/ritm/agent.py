@@ -462,7 +462,7 @@ class RevocationAgent(Middlebox):
         }
         restored = set()
         for entry in checkpoint.replicas:
-            name = entry.state.ca_name
+            name = entry.state.batch.ca_name
             issuer, index = shards.get(name, (name, None))
             keyring_state = checkpoint.keyrings.get(issuer)
             verifier = PublicKey(entry.public_key_bytes)
@@ -500,7 +500,7 @@ class RevocationAgent(Middlebox):
                 # that does not link costs only the freshness — the root's
                 # own anchor stands), or nothing it did not hold before.
                 pass
-            if replica.signed_root == entry.state.signed_root:
+            if replica.signed_root == entry.state.batch.signed_root:
                 restored.add(name)
             elif index is not None:
                 self._drop_shard_replica(self.issuers[issuer], index)

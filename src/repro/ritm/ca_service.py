@@ -14,9 +14,10 @@ Everything the CA publishes about one dictionary forms a **stream**
   statement (pulled only by RAs whose held root that statement does not
   extend);
 * ``/ritm/<name>/issuance/<n>``  — the batch object of the revocation batch
-  whose first serial is number ``n``: the root signed after it, its
-  serials, the statement served after it (pulled only by RAs that detect
-  they are behind; docs/REPLICATION.md).
+  whose first serial is number ``n``: the root signed after it, then its
+  serials (pulled only by RAs that detect they are behind;
+  docs/REPLICATION.md).  The statement served right after the batch is
+  that root's anchor, so the object does not carry it.
 
 A batch is never empty, so its first serial number addresses it: an RA
 whose replica holds ``s`` serials reads the batch at ``s + 1`` next, as an
@@ -67,7 +68,7 @@ from repro.ritm.messages import (
     encode_key_announcements,
     encode_shard_index,
 )
-from repro.ritm.replication import BatchObject, encode_segment
+from repro.ritm.replication import encode_segment
 
 
 def head_path(ca_name: str) -> str:
@@ -608,11 +609,13 @@ class RITMCertificationAuthority:
 
         The batch object is addressed by the batch's first serial number, so
         a replica's size is where it stands in the stream, and is also the
-        stream's per-Δ object until the next refresh.  It carries the root
-        the dictionary signed for the batch and nothing signed of its own.
+        stream's per-Δ object until the next refresh.  It is the issuance
+        alone: the root the dictionary signed for the batch, whose anchor is
+        the statement served next, and the serials; nothing signed of its
+        own.
         """
         stream.sync_server.record_issuance(issuance)
-        content = encode_segment(BatchObject(issuance, stream.dictionary.latest_freshness))
+        content = encode_segment(issuance)
         self._publish(issuance_path(stream.name, issuance.first_number), content, now)
         stats = self.publication_stats
         stats.batches_published += 1

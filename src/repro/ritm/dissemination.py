@@ -6,14 +6,15 @@ paper's one message per Δ.  In a Δ without a batch that is the CA's latest
 freshness statement, alone; if the statement hash-links to the anchor of the
 signed root the replica holds, applying it is the whole poll (the common
 case whose cost dominates Fig. 7).  In a Δ with a batch it is that batch's
-object, which carries the batch, the root the CA signed after it and the
-statement the CA served next, so an RA that was current catches up with
-that one GET.  An RA further behind fetches the batches in between — or
-falls back to the sync protocol — applies them, and then applies the
-statement.  Only a statement that links to no root the replica holds (a
-batch the RA missed, a re-signed chain, a key rotation, a replayed or forged
-root) sends the RA to the dictionary's *head* (signed root, freshness), as
-does a replica with no root yet.
+object, which carries the batch and the root the CA signed after it; that
+root's anchor is the statement the CA serves next, so an RA that was
+current catches up with that one GET.  An RA further behind fetches the
+batches in between — or falls back to the sync protocol — applies them,
+and then applies the statement.  Only a statement that links to no root the
+replica holds (a batch the RA missed, a re-signed chain, a key rotation, a
+replayed or forged root) or a per-Δ object that fails to decode sends the
+RA to the dictionary's *head* (signed root, freshness), as does a replica
+with no root yet.
 
 Every replica the agent holds — a whole-CA dictionary or one expiry shard of
 a sharded CA (§VIII, ``RITMConfig.sharded``) — goes through that same cycle
@@ -46,6 +47,7 @@ from repro.cdn.geography import GeoLocation, region_distance
 from repro.cdn.network import CDNNetwork
 from repro.crypto.signing import CAKeyring
 from repro.dictionary.authdict import RevocationIssuance
+from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.sharding import (
     MAX_CERTIFICATE_LIFETIME_SECONDS,
     ShardKey,
@@ -75,12 +77,7 @@ from repro.ritm.messages import (
     encode_sync_response,
 )
 from repro.ritm.persistence import load_checkpoint, write_checkpoint
-from repro.ritm.replication import (
-    BatchObject,
-    decode_delta_object,
-    decode_segment,
-    is_batch_object,
-)
+from repro.ritm.replication import decode_delta_object, decode_segment
 
 #: How many hash-chain periods behind the freshness a replica holds a polled
 #: statement may be before the RA treats it as a replay attack rather than
@@ -445,18 +442,19 @@ class RADisseminationClient:
         """The per-Δ poll of a replica that holds a signed root.
 
         Fetches the stream's per-Δ object: a freshness statement, or the
-        batch object of the batch published in this Δ, whose
-        ``freshness_after`` is then the statement.  A batch that ends past
-        the replica's size (at ``first_number + len(serials) - 1``) first
-        runs the catch-up walk to there, which takes that object as its
-        batch, already fetched: every batch object embeds the root signed
-        after its batch, so no head is needed.  A batch object that fails to
-        decode ends the poll as a failed batch ends the walk.  A statement
-        that then links to the held root's anchor is ranked by its
-        hash-chain period — the held period or a later one is applied, up to
+        batch object of the batch published in this Δ, whose root's anchor
+        (period 0 of its hash chain) is then the statement.  A batch that
+        ends past the replica's size (at ``first_number + len(serials) - 1``)
+        first runs the catch-up walk to there, which takes that object as
+        its batch, already fetched: every batch object embeds the root
+        signed after its batch, so no head is needed.  A statement that then
+        links to the held root's anchor is ranked by its hash-chain period —
+        the held period or a later one is applied, up to
         :data:`REPLAY_WINDOW` periods behind is benign CDN staleness,
         further behind a replay.  Returns ``False`` when only the head can
-        settle the replica: the statement hashes to no anchor the replica
+        settle the replica: the object fails to decode (one recorded error;
+        an RA that is behind then recovers through the head's walk, never a
+        sync request), or the statement hashes to no anchor the replica
         holds (a batch the replica missed, a re-signed chain, a key
         rotation, a replayed or forged root, another stream's statement).
         """
@@ -464,15 +462,11 @@ class RADisseminationClient:
         try:
             per_delta = decode_delta_object(download.content)
         except TLSError as exc:
-            if not is_batch_object(download.content):
-                raise  # an empty object: no statement
-            # A batch that failed its checks.
-            self._catch_up(ca_name, replica, now, result, rejected=exc)
-            return True
+            result.errors.append(f"{ca_name}: {exc}")
+            return False
         statement = per_delta
-        if isinstance(per_delta, BatchObject):
-            issuance = per_delta.issuance
-            goal = issuance.first_number + len(issuance.serials) - 1
+        if isinstance(per_delta, RevocationIssuance):
+            goal = per_delta.first_number + len(per_delta.serials) - 1
             if goal > replica.size:
                 prefetched = (per_delta, download)
                 self._catch_up(
@@ -480,7 +474,7 @@ class RADisseminationClient:
                 )
                 if replica.size < goal:
                     return True  # the walk could not close the gap and said why
-            statement = per_delta.freshness_after
+            statement = FreshnessStatement(per_delta.signed_root.anchor)
         behind = replica.offer_freshness(statement)
         if behind is None:
             return False
@@ -593,7 +587,6 @@ class RADisseminationClient:
         advertised_size: int = 0,
         peer=None,
         prefetched=None,
-        rejected: Optional[TLSError] = None,
     ) -> None:
         """The one catch-up walk: fetch the batches past the replica's size,
         apply them in one store transaction, or fall back to sync.
@@ -615,20 +608,14 @@ class RADisseminationClient:
 
         ``prefetched`` is the per-Δ object's batch, decoded, with its
         download: the walk takes it as the batch at its address instead of
-        a GET.  ``rejected`` is a per-Δ batch object that failed to decode:
-        the walk ends before it starts, as it ends on any object that fails
-        its checks.
+        a GET.
         """
         installed = replica.signed_root
         goal = peer.replication_cursor(ca_name) if peer is not None else advertised_size
         have = replica.size
         pending: List[RevocationIssuance] = []
         relayable: Dict[int, bytes] = {}
-        freshness = None
-        needs_resync = rejected is not None
-        if needs_resync:
-            result.batches_rejected += 1
-            result.errors.append(f"{ca_name}: {rejected}")
+        needs_resync = False
         while have < goal:
             number = have + 1
             batch = None
@@ -640,7 +627,7 @@ class RADisseminationClient:
                     result.latency_seconds += size / self.location.bandwidth_to_edge() + max(
                         0.001, region_distance(self.location.region, peer.location.region)
                     )
-            elif prefetched is not None and prefetched[0].issuance.first_number == number:
+            elif prefetched is not None and prefetched[0].first_number == number:
                 batch, download = prefetched
                 raw, size = download.content, download.bytes_on_wire
             else:
@@ -659,25 +646,23 @@ class RADisseminationClient:
             try:
                 if batch is None:
                     batch = decode_segment(raw)
-                issuance = batch.issuance
                 # A batch is never empty, so its first serial number is its
                 # address; an empty one would leave the walk where it stands.
-                address = (issuance.ca_name, issuance.first_number)
-                if address != (ca_name, number) or not issuance.serials:
+                address = (batch.ca_name, batch.first_number)
+                if address != (ca_name, number) or not batch.serials:
                     raise TLSError(
                         f"asked for the batch of {ca_name!r} at serial {number}, got "
-                        f"{len(issuance.serials)} serial(s) of {issuance.ca_name!r} "
-                        f"at {issuance.first_number}"
+                        f"{len(batch.serials)} serial(s) of {batch.ca_name!r} "
+                        f"at {batch.first_number}"
                     )
             except TLSError as exc:
                 result.batches_rejected += 1
                 result.errors.append(f"{ca_name}: {exc}")
                 needs_resync = True
                 break
-            pending.append(issuance)
-            have += len(issuance.serials)
+            pending.append(batch)
+            have += len(batch.serials)
             relayable[number] = raw
-            freshness = batch.freshness_after
         if pending:
             try:
                 result.serials_applied += self._retry_after_rotation(
@@ -701,14 +686,7 @@ class RADisseminationClient:
                     # Only batches that passed the root check are offered onward.
                     self._feed(ca_name).batches.update(relayable)
                 if peer is not None:
-                    # A pull applies the statement it polled or the head's
-                    # after the walk; a peer sync has only the last batch's.
                     result.batches_from_peer += len(pending)
-                    try:
-                        replica.apply_freshness(freshness)
-                        result.freshness_applied += 1
-                    except (ReplayError, DictionaryError):
-                        pass  # the replica already holds newer freshness
         if needs_resync:
             if peer is not None:
                 # Never silent: the peer claimed more history than it could
@@ -739,7 +717,7 @@ class RADisseminationClient:
         )
         result.bytes_downloaded += len(encode_sync_response(response))
         result.resyncs += 1
-        result.serials_applied += len(response.serials)
+        result.serials_applied += len(response.batch.serials)
 
 
 def attach_agent_to_cas(

@@ -8,10 +8,10 @@ encoding:
 * the *dissemination objects* a CA publishes to the CDN for RAs to pull: the
   current freshness statement (what the per-Δ object holds between
   batches), one *batch object* per revocation batch — the root signed
-  after the batch, its serials, and the statement served after it, which
-  is also the per-Δ object in the batch's Δ (:mod:`repro.ritm.replication`)
-  — and a small "head" object (signed root, current freshness statement)
-  read when a statement links to no root the RA holds.
+  after the batch and its serials, which is also the per-Δ object in the
+  batch's Δ (:mod:`repro.ritm.replication`) — and a small "head" object
+  (signed root, current freshness statement) read when a statement links
+  to no root the RA holds.
 
 The encodings are simple length-prefixed structures; their sizes are what the
 paper's communication-overhead numbers (Fig. 7, §VII-D) are about, so the
@@ -20,9 +20,10 @@ sent once, and only what a verifier cannot compute (RFC 6962 §2.1.1): a
 freshness statement is its hash-chain value, as wide as the anchor of the
 root it follows and so unframed; a status is proof ‖ signed root ‖ value
 (its serial is the proof's key, its CA the root's); a head is signed root ‖
-value; a batch object is signed root ‖ serials ‖ value, and the per-Δ
-object between batches is the bare value (at most 32 bytes, so shorter
-than any batch object).  Every CA or dictionary
+value; a batch object is signed root ‖ serials (the statement served
+right after it is its root's anchor, period 0 of Eq. 2, so it is not
+sent), and the per-Δ object between batches is the bare value (at most 32
+bytes, so shorter than any batch object).  Every CA or dictionary
 name field is a u16 length and at most :data:`MAX_NAME_BYTES` UTF-8 bytes:
 the encoders refuse a longer name and the decoders reject one before
 decoding it.  Every encoder is total: a value with no wire form (a name
@@ -35,7 +36,7 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.crypto.hashing import FULL_DIGEST_SIZE
 from repro.crypto.merkle import AbsenceProof, PresenceProof, expected_sides
@@ -774,16 +775,16 @@ def decode_key_announcements(data: bytes) -> Tuple[KeyAnnouncement, ...]:
 
 # -- batch objects ------------------------------------------------------------------
 #
-# A revocation batch crosses the wire as one object wherever it goes: at its
+# A revocation batch crosses the wire as one layout wherever it goes: at its
 # CDN path, as its stream's per-Δ object, from a peer's relay archive
-# (:mod:`repro.ritm.replication`), as a sync response and as a checkpoint's
-# replica record.  The root the CA signed after the batch names the
-# dictionary and gives its size, so the batch's first serial number is
-# ``size - count + 1``; the object sends neither.
+# (:mod:`repro.ritm.replication`), and as the body of a sync response and of
+# a checkpoint's replica record.  The root the CA signed after the batch
+# names the dictionary and gives its size, so the batch's first serial
+# number is ``size - count + 1``; the object sends neither.
 
 #: Serials one revocation batch may carry: the CA's cap on one ``revoke``.
-#: The count field is 32 bits wide, so a sync response — one batch object
-#: however much history it holds — is not bound by this cap.
+#: The count field is 32 bits wide, so a sync response — one batch however
+#: much history it holds — is not bound by this cap.
 MAX_ISSUANCE_SERIALS = 0xFFFF
 
 _SERIAL_COUNT = struct.Struct(">I")
@@ -849,48 +850,29 @@ def decode_issuance(data: bytes, offset: int = 0) -> Tuple[RevocationIssuance, i
     return issuance, offset
 
 
-def encode_batch(issuance: RevocationIssuance, freshness: Optional[FreshnessStatement]) -> bytes:
-    """The one batch object: :func:`encode_issuance`, then the freshness
-    value served after the batch, if any, as wide as the root's anchor."""
-    body = encode_issuance(issuance)
-    if freshness is None:
-        return body
-    return body + _statement_under(issuance.signed_root, freshness)
-
-
-def decode_batch(data: bytes) -> Tuple[RevocationIssuance, Optional[FreshnessStatement]]:
-    """Parse a whole :func:`encode_batch` object: the batch, and its
-    statement (``None`` when the body fills the bytes).  Whatever follows
-    the body must be exactly one value of the root's anchor width."""
-    issuance, offset = decode_issuance(data)
-    if offset == len(data):
-        return issuance, None
-    freshness, offset = decode_freshness(data, offset, len(issuance.signed_root.anchor))
-    if offset != len(data):
-        raise TLSError("trailing bytes after batch object")
-    return issuance, freshness
-
-
 def encode_sync_response(response: SyncResponse) -> bytes:
-    """A sync response on the wire: one batch object
-    (:func:`encode_batch`) of :meth:`SyncResponse.as_issuance` and its
-    statement, if any.
+    """A sync response on the wire: :func:`encode_issuance` of its batch,
+    then its statement, if any, as wide as the root's anchor.
 
     Two things use the bytes: the RA's resync accounting (their length is
     what a resync downloads) and RA checkpoints
     (:mod:`repro.ritm.persistence` stores each replica as its sync response
     to ``have_count = 0``).
     """
-    return encode_batch(response.as_issuance(), response.freshness)
+    body = encode_issuance(response.batch)
+    if response.freshness is None:
+        return body
+    return body + _statement_under(response.batch.signed_root, response.freshness)
 
 
 def decode_sync_response(data: bytes) -> SyncResponse:
-    """Parse what :func:`encode_sync_response` wrote (:func:`decode_batch`)."""
-    issuance, freshness = decode_batch(data)
-    return SyncResponse(
-        ca_name=issuance.ca_name,
-        first_number=issuance.first_number,
-        serials=issuance.serials,
-        signed_root=issuance.signed_root,
-        freshness=freshness,
-    )
+    """Parse what :func:`encode_sync_response` wrote: the batch, and its
+    statement (``None`` when the batch fills the bytes).  Whatever follows
+    the batch must be exactly one value of the root's anchor width."""
+    batch, offset = decode_issuance(data)
+    if offset == len(data):
+        return SyncResponse(batch, None)
+    freshness, offset = decode_freshness(data, offset, len(batch.signed_root.anchor))
+    if offset != len(data):
+        raise TLSError("trailing bytes after sync response")
+    return SyncResponse(batch, freshness)

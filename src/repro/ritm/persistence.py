@@ -5,10 +5,12 @@ its :class:`~repro.ritm.dissemination.RADisseminationClient` need to resume
 serving and delta-pulling after a process restart.  Each replica is stored as
 what the paper's recovery exchange would hand it — the sync response to
 ``have_count = 0`` (:func:`repro.dictionary.sync.held_state`: its serials in
-revocation order, its signed root, its freshness statement) in the sync
-protocol's own wire form, one batch object
-(:func:`~repro.ritm.messages.encode_batch`) — so a restore *is* a sync answered from local disk
-and goes through the same ``update_many`` / ``install_root`` checks.
+revocation order under its signed root, as one
+:class:`~repro.dictionary.authdict.RevocationIssuance`, and its freshness
+statement) in the sync protocol's own wire form
+(:func:`~repro.ritm.messages.encode_sync_response`: the issuance, then the
+statement) — so a restore *is* a sync answered from local disk and goes
+through the same ``update_many`` / ``install_root`` checks.
 
 This module alone lays the file out::
 
@@ -50,8 +52,8 @@ CHECKPOINT_MAGIC = b"RITMCKPT"
 #: and a shard-index replay cursor per sharded CA, format 3 a batch
 #: count per replica and its key chains as JSON, format 4 each replica's
 #: freshness statement with its CA name and dictionary size, format 5 each
-#: replica's sync response in issuance-object chunks (format 6: one batch
-#: object); all are rejected as a format mismatch.
+#: replica's sync response in issuance-object chunks (format 6: one
+#: issuance and its statement); all are rejected as a format mismatch.
 CHECKPOINT_FORMAT = 6
 
 #: The one file inside a checkpoint directory.

@@ -7,11 +7,13 @@ region-wide RA outage ends in N simultaneous cold syncs against one origin.
 This module lets RAs carry the stream for each other instead:
 
 * the CA publishes every revocation batch of a stream as one **batch
-  object** (:class:`BatchObject`), addressed by the batch's first serial
-  number ``n``: the root the CA signed after the batch, the batch's
-  serials, and the freshness value the dictionary served right after it
-  (:func:`~repro.ritm.messages.encode_batch`).  Until the stream's next
-  refresh the same bytes are also its per-Δ object
+  object**, addressed by the batch's first serial number ``n``: the
+  :class:`~repro.dictionary.authdict.RevocationIssuance` in its one wire
+  form (:func:`~repro.ritm.messages.encode_issuance`) — the root the CA
+  signed after the batch, then the batch's serials.  The statement the
+  dictionary serves right after the batch is that root's anchor (period 0
+  of the hash chain), so the object does not repeat it.  Until the
+  stream's next refresh the same bytes are also its per-Δ object
   (:func:`decode_delta_object`), so an RA that was current reads the batch
   with its one poll;
 * an RA that archives batches (``segment_streaming``) keeps the raw bytes
@@ -34,7 +36,6 @@ names of the signed segments this object replaced.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 from repro.cdn.geography import GeoLocation, region_distance
@@ -42,60 +43,45 @@ from repro.crypto.hashing import FULL_DIGEST_SIZE
 from repro.dictionary.authdict import RevocationIssuance
 from repro.dictionary.freshness import FreshnessStatement
 from repro.errors import TLSError
-from repro.ritm.messages import decode_batch, decode_freshness, encode_batch
+from repro.ritm.messages import decode_freshness, decode_issuance, encode_issuance
 
 
-@dataclass(frozen=True)
-class BatchObject:
-    """One revocation batch as the CA publishes it.
+def encode_segment(batch: RevocationIssuance) -> bytes:
+    """Serialize one whole batch object: :func:`~repro.ritm.messages.encode_issuance`.
 
-    ``issuance`` is the batch, whose ``first_number`` is its address;
-    ``freshness_after`` is the statement the dictionary served immediately
-    after it (a link of the chain the batch's root anchors), so a replica
-    that applies the object reaches the byte-identical state a
-    head-pulling replica would.
+    A whole-object view of the issuance codec, kept under this name because
+    ``bench/trace.py``'s ``SPAN_TABLE`` traces it.
     """
-
-    issuance: RevocationIssuance
-    freshness_after: FreshnessStatement
+    return encode_issuance(batch)
 
 
-def encode_segment(batch: BatchObject) -> bytes:
-    """Serialize one batch object (:func:`~repro.ritm.messages.encode_batch`)."""
-    return encode_batch(batch.issuance, batch.freshness_after)
+def decode_segment(data: bytes) -> RevocationIssuance:
+    """Parse one whole batch object: :func:`~repro.ritm.messages.decode_issuance`,
+    which must fill ``data``.  A whole-object view of the issuance codec,
+    kept under this name because ``bench/trace.py``'s ``SPAN_TABLE`` traces
+    it.
 
-
-def decode_segment(data: bytes) -> BatchObject:
-    """Parse one whole batch object, statement included.
-
-    Raises :class:`~repro.errors.TLSError` on any error of
-    :func:`~repro.ritm.messages.decode_batch` and on an object that ends
-    without its statement.  Verifies nothing: the replica's ``update_many``
-    checks the root's signature and the batch against it.
+    Raises :class:`~repro.errors.TLSError` on any error of the issuance
+    decoder and on trailing bytes.  Verifies nothing: the replica's
+    ``update_many`` checks the root's signature and the batch against it.
     """
-    issuance, freshness = decode_batch(data)
-    if freshness is None:
-        raise TLSError("batch object ends without the statement served after its batch")
-    return BatchObject(issuance, freshness)
+    batch, end = decode_issuance(data)
+    if end != len(data):
+        raise TLSError("trailing bytes after batch object")
+    return batch
 
 
-def is_batch_object(data: bytes) -> bool:
-    """Whether a per-Δ object is read as a batch object: a freshness value
-    is at most 32 bytes, and a batch object, which opens with a signed
-    root, is longer."""
-    return len(data) > FULL_DIGEST_SIZE
-
-
-def decode_delta_object(data: bytes) -> Union[FreshnessStatement, BatchObject]:
+def decode_delta_object(data: bytes) -> Union[FreshnessStatement, RevocationIssuance]:
     """Parse a stream's per-Δ object (``freshness_path``) in either form.
 
     In a Δ with a batch the CA publishes that batch's object there, byte for
     byte the object at its batch path; otherwise the bare freshness value.
-    :func:`is_batch_object` picks the form.  Any failure of the form's
-    decoder (an empty object included) is a
+    A freshness value is at most 32 bytes and a batch object, which opens
+    with a signed root, is longer, so the length picks the form.  Any
+    failure of the form's decoder (an empty object included) is a
     :class:`~repro.errors.TLSError`.  Verifies nothing.
     """
-    if is_batch_object(data):
+    if len(data) > FULL_DIGEST_SIZE:
         return decode_segment(data)
     return decode_freshness(data, 0, len(data))[0]
 

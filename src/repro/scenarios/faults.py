@@ -55,7 +55,7 @@ from repro.ritm.messages import (
     encode_freshness,
     encode_head,
 )
-from repro.ritm.replication import BatchObject, decode_segment, encode_segment
+from repro.ritm.replication import decode_segment, encode_segment
 
 #: The serial substituted into a tampered batch.
 DECOY_SERIAL = 0xDEAD
@@ -81,11 +81,9 @@ def tamper_latest_batch(
     if not batches or not cdn.origin.exists(path):
         return None
     content = cdn.origin.fetch(path).content
-    batch = decode_segment(content)
-    honest = batch.issuance
+    honest = decode_segment(content)
     decoy = SerialNumber(DECOY_SERIAL)
-    forged = replace(honest, serials=(decoy,) + tuple(honest.serials[1:]))
-    tampered = encode_segment(replace(batch, issuance=forged))
+    tampered = encode_segment(replace(honest, serials=(decoy,) + tuple(honest.serials[1:])))
     cdn.publish(path, tampered, now)
     if cdn.origin.fetch(freshness_path(stream_name)).content == content:
         cdn.publish(freshness_path(stream_name), tampered, now)
@@ -225,7 +223,7 @@ def equivocate_at_edges(
         )
         edge.plant_object(
             issuance_path(stream_name, shadow_issuance.first_number),
-            encode_segment(BatchObject(shadow_issuance, shadow.latest_freshness)),
+            encode_segment(shadow_issuance),
             now,
             ttl_seconds,
         )

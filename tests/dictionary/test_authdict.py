@@ -436,10 +436,10 @@ class TestStoreIsTheOnlyIndex:
         serials = [SerialNumber(value) for value in (40, 7, 23)]
         replica.update(master.insert(serials, now=100))
         state = held_state(replica)
-        assert list(state.serials) == serials
+        assert list(state.batch.serials) == serials
         restored = ReplicaDictionary("CA-X", keys.public, engine=engine)
         try:
-            reordered = replace(state, serials=tuple(sorted(serials)))
+            reordered = replace(state, batch=replace(state.batch, serials=tuple(sorted(serials))))
             with pytest.raises(DesynchronizedError):
                 apply_sync_response(restored, reordered)
             assert restored.size == 0

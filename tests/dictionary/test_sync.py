@@ -52,10 +52,10 @@ class TestSyncServer:
         master, server, _ = world
         server.record_issuance(master.insert(make_serials(3), now=100))
         server.record_issuance(master.insert(make_serials(2, start=10), now=110))
-        response = server.serve(SyncRequest(ca_name="CA-S", have_count=3))
-        assert response.first_number == 4
-        assert len(response.serials) == 2
-        assert response.signed_root == master.signed_root
+        batch = server.serve(SyncRequest(ca_name="CA-S", have_count=3)).batch
+        assert batch.first_number == 4
+        assert len(batch.serials) == 2
+        assert batch.signed_root == master.signed_root
 
     def test_serve_rejects_wrong_ca(self, world):
         master, server, _ = world
@@ -81,7 +81,7 @@ class TestResynchronize:
         master, server, replica = world
         server.record_issuance(master.insert(make_serials(4), now=100))
         server.record_issuance(master.insert(make_serials(3, start=20), now=110))
-        applied = len(resynchronize(replica, server).serials)
+        applied = len(resynchronize(replica, server).batch.serials)
         assert applied == 7
         assert replica.size == master.size
         assert replica.root() == master.root()
@@ -96,7 +96,7 @@ class TestResynchronize:
         server.record_issuance(first)
         replica.update(first)
         server.record_issuance(master.insert(make_serials(3, start=20), now=110))
-        applied = len(resynchronize(replica, server).serials)
+        applied = len(resynchronize(replica, server).batch.serials)
         assert applied == 3
         assert replica.size == 7
 
@@ -105,7 +105,7 @@ class TestResynchronize:
         issuance = master.insert(make_serials(2), now=100)
         server.record_issuance(issuance)
         replica.update(issuance)
-        applied = len(resynchronize(replica, server).serials)
+        applied = len(resynchronize(replica, server).batch.serials)
         assert applied == 0
         assert replica.signed_root == master.signed_root
 
@@ -135,7 +135,7 @@ class TestHeldStateRestoresThroughTheSyncApply:
         master, server, replica = held
         state = held_state(replica)
         assert state == server.serve(SyncRequest("CA-S", 0))
-        assert state.serials[:3] == tuple(SerialNumber(n) for n in (40, 7, 23))
+        assert state.batch.serials[:3] == tuple(SerialNumber(n) for n in (40, 7, 23))
         assert state.freshness is replica.latest_freshness is not None
 
     def test_applying_it_to_an_empty_replica_reproduces_the_replica(self, held, keys):
@@ -153,7 +153,8 @@ class TestHeldStateRestoresThroughTheSyncApply:
         _, _, replica = held
         state = held_state(replica)
         restored = ReplicaDictionary("CA-S", keys.public)
-        forged = replace(state, serials=(SerialNumber(41),) + state.serials[1:])
+        batch = state.batch
+        forged = replace(state, batch=replace(batch, serials=(SerialNumber(41),) + batch.serials[1:]))
         with pytest.raises(DesynchronizedError, match="recomputed root"):
             apply_sync_response(restored, forged)
         assert restored.size == 0 and restored.signed_root is None
@@ -168,7 +169,8 @@ class TestHeldStateRestoresThroughTheSyncApply:
             apply_sync_response(other, held_state(replica))
         # Renaming the response is not enough: the root names its dictionary.
         with pytest.raises(DictionaryError, match="signed root for 'CA-S'"):
-            apply_sync_response(other, replace(held_state(replica), ca_name="CA-T"))
+            state = held_state(replica)
+            apply_sync_response(other, replace(state, batch=replace(state.batch, ca_name="CA-T")))
         assert other.size == 0 and other.signed_root is None
 
     def test_wrong_key_is_rejected(self, held):
@@ -194,6 +196,6 @@ class TestHeldStateRestoresThroughTheSyncApply:
         unlinked = FreshnessStatement(bytes(20))
         with pytest.raises(DictionaryError, match="does not link"):
             apply_sync_response(restored, replace(state, freshness=unlinked))
-        assert restored.signed_root == state.signed_root
-        assert restored.latest_freshness.value == state.signed_root.anchor
+        assert restored.signed_root == state.batch.signed_root
+        assert restored.latest_freshness.value == state.batch.signed_root.anchor
         restored.prove(SerialNumber(999)).verify(keys.public, now=112, delta=10)

@@ -66,8 +66,7 @@ def tamper_batch(cdn: CDNNetwork, stream_name: str, number: int, mutate) -> Dict
     objects = cdn.origin._objects
     path = issuance_path(stream_name, number)
     content = objects[path].content
-    batch = decode_segment(content)
-    tampered = encode_segment(replace(batch, issuance=mutate(batch.issuance)))
+    tampered = encode_segment(mutate(decode_segment(content)))
     honest = {}
     for path in (path, freshness_path(stream_name)):
         if objects[path].content == content:

@@ -65,9 +65,7 @@ class TestRevocation:
         issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)
         serial = world.corpus.chains[0].leaf.serial
         issuing.revoke([serial], now=EPOCH + 20)
-        issuance = decode_segment(
-            world.cdn.origin.fetch(issuance_path(issuing.name, 1)).content
-        ).issuance
+        issuance = decode_segment(world.cdn.origin.fetch(issuance_path(issuing.name, 1)).content)
         assert issuance.serials == (serial,)
         assert issuance.signed_root.verify(issuing.public_key)
 

@@ -53,7 +53,8 @@ class TestOneErrorBoundary:
         ],
     )
     def test_bad_polled_object_of_one_ca_does_not_abort_the_cycle(self, world, polled, damage):
-        """``freshness``: the every-Δ object is empty, which no value is.
+        """``freshness``: the every-Δ object is empty, which no value is, so
+        the RA records it and reads that CA's head, whose statement it takes.
         ``head``: every CA's hash chain has run out, so every statement
         links to no root the RA holds and the RA reads each head — one of
         them damaged."""
@@ -77,21 +78,27 @@ class TestOneErrorBoundary:
         result = world.pull(now=now + 1)
 
         assert len(result.errors) == 1 and result.errors[0].startswith(broken.name)
-        assert result.heads_checked == (0 if polled == "freshness" else len(world.cas))
-        assert result.freshness_applied == len(healthy)
+        assert result.heads_checked == (1 if polled == "freshness" else len(world.cas))
+        assert result.resyncs == 0
         for ca in healthy:
             replica = world.agent.replica_for(ca.name)
             assert replica.latest_freshness == ca.dictionary.latest_freshness
-        assert world.agent.replica_for(broken.name).latest_freshness == stale
+        broken_replica = world.agent.replica_for(broken.name)
+        if polled == "freshness":
+            assert result.freshness_applied == len(world.cas)
+            assert broken_replica.latest_freshness == broken.dictionary.latest_freshness
+        else:
+            assert result.freshness_applied == len(healthy)
+            assert broken_replica.latest_freshness == stale
         # the next honest publication heals it
         broken.refresh(now=now + 10)
         assert world.pull(now=now + 11).errors == []
 
-    def test_a_per_delta_object_past_32_bytes_that_is_no_batch_costs_one_resync(self, world):
+    def test_a_per_delta_object_past_32_bytes_that_is_no_batch_costs_one_head_get(self, world):
         """Longer than any value, so read as a batch object: one that fails
-        to decode ends the poll as a failed batch ends the walk — recorded,
-        counted as a rejected batch, and one resync — and the other CA is
-        pulled as if nothing happened."""
+        to decode is one recorded error and sends the RA to the head, whose
+        statement it takes — no rejected batch, no resync — and the other
+        CA is pulled as if nothing happened."""
         from repro.ritm.ca_service import freshness_path
 
         broken, healthy = world.cas[0], world.cas[1:]
@@ -103,8 +110,9 @@ class TestOneErrorBoundary:
         result = world.pull(now=EPOCH + 21)
 
         assert len(result.errors) == 1 and result.errors[0].startswith(broken.name)
-        assert (result.batches_rejected, result.resyncs, result.heads_checked) == (1, 1, 0)
-        assert result.freshness_applied == len(healthy)
+        assert (result.batches_rejected, result.resyncs, result.heads_checked) == (0, 0, 1)
+        assert result.requests == len(world.cas) + 1
+        assert result.freshness_applied == len(world.cas)
         replica = world.agent.replica_for(broken.name)
         assert replica.latest_freshness == broken.dictionary.latest_freshness
 
@@ -755,20 +763,30 @@ class TestFreshnessFirstPoll:
         assert not result.errors
         assert agent.replica_for(ca.name).signed_root == ca.dictionary.signed_root
 
-    def test_a_stale_statement_is_ignored_within_the_window_and_rejected_beyond(self):
+    @pytest.mark.parametrize("served", ["statement", "batch object"])
+    def test_a_stale_statement_is_ignored_within_the_window_and_rejected_beyond(self, served):
+        """A statement re-served ``behind`` periods late is benign CDN
+        staleness up to :data:`REPLAY_WINDOW` periods and a replay beyond.
+        So is batch 1's object re-served ``behind`` periods after its root:
+        the statement it carries is that root's anchor, period 0."""
+        from repro.pki.serial import SerialNumber
         from repro.ritm.ca_service import freshness_path
         from repro.ritm.dissemination import REPLAY_WINDOW
 
         ca, cdn, agent, client, _ = self._synced()
-        published = {}
-        for period in range(1, 6):
-            ca.refresh(now=100 + 10 * period)
-            published[period] = cdn.origin.fetch(freshness_path(ca.name)).content
-            client.pull(now=101 + 10 * period)
+        ca.revoke([SerialNumber(700)], now=110)  # period p begins at 110 + 10p
+        published = {0: cdn.origin.fetch(freshness_path(ca.name)).content}  # batch 1's object
+        assert client.pull(now=111).issuances_applied == 1
         replica = agent.replica_for(ca.name)
-        held = replica.latest_freshness
-        for behind, now in ((REPLAY_WINDOW, 160), (REPLAY_WINDOW + 1, 170)):
-            cdn.publish(freshness_path(ca.name), published[5 - behind], now)
+        for behind in (REPLAY_WINDOW, REPLAY_WINDOW + 1):
+            held_period = 5 if served == "statement" else behind
+            for period in range(len(published), held_period + 1):
+                ca.refresh(now=110 + 10 * period)
+                published[period] = cdn.origin.fetch(freshness_path(ca.name)).content
+                client.pull(now=111 + 10 * period)
+            held = replica.latest_freshness
+            now = 112 + 10 * held_period + behind
+            cdn.publish(freshness_path(ca.name), published[held_period - behind], now)
             result = client.pull(now=now + 1)
             assert (result.requests, result.heads_checked) == (1, 0)
             assert replica.latest_freshness == held
@@ -907,15 +925,16 @@ def _swapped_serial(batch: bytes) -> bytes:
     from repro.pki.serial import SerialNumber
     from repro.ritm.replication import decode_segment, encode_segment
 
-    decoded = decode_segment(batch)
-    issuance = decoded.issuance
-    swapped = replace(issuance, serials=(SerialNumber(0xEEEEEE),) + issuance.serials[1:])
-    return encode_segment(replace(decoded, issuance=swapped))
+    issuance = decode_segment(batch)
+    return encode_segment(
+        replace(issuance, serials=(SerialNumber(0xEEEEEE),) + issuance.serials[1:])
+    )
 
 
 class TestAPerDeltaBatchEndsAsTheWalksObject:
-    """Each abnormal per-Δ batch object ends exactly as the same object
-    fetched by the walk ends: two identical stacks, one RA reading the batch
+    """Each abnormal per-Δ batch object that decodes ends exactly as the
+    same object fetched by the walk ends (one that does not decode sends
+    the RA to the head instead): two identical stacks, one RA reading the batch
     through the per-Δ object, the other through its walk's GET of the same
     bytes at the batch's path, after a refresh in the same hash-chain period
     has made the per-Δ object the bare statement again.  That statement links to no root the walk's RA
@@ -975,16 +994,20 @@ class TestAPerDeltaBatchEndsAsTheWalksObject:
 
     @pytest.mark.parametrize("streaming", [False, True], ids=["plain", "archiving"])
     def test_a_per_delta_batch_object_that_fails_to_decode(self, streaming):
-        """The walk's object is the same damaged bytes.  The one difference:
-        a damaged per-Δ object carries no statement to offer after the
-        resync (the walk's RA offers the refreshed one); the resync brings
-        both replicas the CA's statement all the same."""
+        """The one case that does not end as the walk's: a per-Δ object that
+        fails to decode is one recorded error and sends the RA to the head,
+        whose walk GETs the honest batch at its path — no rejected batch,
+        no resync.  The walk's RA GETs the damaged bytes there itself: one
+        rejected batch and one resync.  Both end on the CA's state."""
         outcomes = self._pull_both(streaming, self._damage_batch(_truncated))
-        counters = tuple(name for name in OUTCOME if name != "freshness_applied")
-        per_delta, walk = self._assert_same_end(outcomes, counters)
-        assert (per_delta.freshness_applied, walk.freshness_applied) == (0, 1)
-        assert per_delta.resyncs == 1 and per_delta.issuances_applied == 0
-        assert per_delta.batches_rejected == 1
+        counters = ("heads_checked", "freshness_applied", "key_rotations_applied")
+        per_delta, walk = self._assert_same_end(outcomes, counters, heads=(1, 1))
+        assert (per_delta.resyncs, per_delta.batches_rejected) == (0, 0)
+        assert (per_delta.issuances_applied, per_delta.serials_applied) == (1, 2)
+        assert (walk.resyncs, walk.batches_rejected, walk.issuances_applied) == (1, 1, 0)
+        # the per-Δ object, the head, the batch; the walk's adds the resync
+        assert (per_delta.requests, walk.requests) == (3, 4)
+        assert len(per_delta.errors) == 1 and "truncated" in per_delta.errors[0]
         assert per_delta.errors == walk.errors
 
     @pytest.mark.parametrize("streaming", [False, True], ids=["plain", "archiving"])
@@ -1009,6 +1032,7 @@ class TestAPerDeltaBatchEndsAsTheWalksObject:
         RAs read the head, and neither replica moves."""
         from repro.pki.serial import SerialNumber
         from repro.ritm.ca_service import freshness_path, issuance_path
+        from repro.dictionary.freshness import FreshnessStatement
         from repro.ritm.messages import encode_freshness
         from repro.ritm.replication import decode_segment
 
@@ -1022,7 +1046,7 @@ class TestAPerDeltaBatchEndsAsTheWalksObject:
                 assert client.pull(now=now + 1).errors == []
             old = cdn.origin.fetch(issuance_path(ca.name, 1)).content
             if via_walk:
-                old = encode_freshness(decode_segment(old).freshness_after)
+                old = encode_freshness(FreshnessStatement(decode_segment(old).signed_root.anchor))
             cdn.publish(freshness_path(ca.name), old, 130)
             outcomes.append((client.pull(now=135), agent.replica_for(ca.name), ca, client))
         per_delta, walk = self._assert_same_end(outcomes, heads=(1, 1))

@@ -1,4 +1,4 @@
-"""Tests for RITM's binary wire formats (status, head, batch object)."""
+"""Tests for RITM's binary wire formats (status, head, batch object, sync response)."""
 
 import json
 import struct
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.signing import KeyPair
-from repro.dictionary.authdict import CADictionary
+from repro.dictionary.authdict import CADictionary, RevocationIssuance
 from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.sync import SyncResponse
 from repro.errors import TLSError
@@ -18,7 +18,6 @@ from repro.ritm.messages import (
     DictionaryHead,
     KeyAnnouncement,
     ShardIndex,
-    decode_batch,
     decode_freshness,
     decode_head,
     decode_issuance,
@@ -29,7 +28,6 @@ from repro.ritm.messages import (
     decode_status,
     decode_status_bundle,
     decode_sync_response,
-    encode_batch,
     encode_freshness,
     encode_head,
     encode_issuance,
@@ -41,7 +39,7 @@ from repro.ritm.messages import (
     encode_status_bundle,
     encode_sync_response,
 )
-from repro.ritm.replication import decode_delta_object
+from repro.ritm.replication import decode_delta_object, decode_segment, encode_segment
 
 from tests.conftest import make_serials
 
@@ -264,28 +262,27 @@ class TestHeadAndIssuanceCodec:
         replica.update(decode_issuance(encode_issuance(issuance))[0])
         assert replica.root() == dictionary.root()
 
-    def test_a_batch_object_is_root_count_serials_value(self, keys):
-        """Only what a verifier cannot compute: the name is the root's and
-        the first number ``root.size - count + 1``, so neither is sent, and
-        each serial costs one length byte."""
+    def test_a_batch_object_is_root_count_serials(self, keys):
+        """Only what a verifier cannot compute: the name is the root's, the
+        first number ``root.size - count + 1`` and the statement served
+        right after the batch the root's anchor, so none is sent, and each
+        serial costs one length byte."""
         dictionary = CADictionary("Codec-CA-6", keys, delta=10, chain_length=8)
         dictionary.insert(make_serials(4), now=2000)
         issuance = dictionary.insert([SerialNumber(9_000_001), SerialNumber(70)], now=2010)
-        statement = dictionary.latest_freshness
-        wire = encode_batch(issuance, statement)
-        assert wire == b"".join(
+        wire = encode_segment(issuance)
+        assert wire == encode_issuance(issuance) == b"".join(
             [
                 encode_signed_root(issuance.signed_root),
                 (2).to_bytes(4, "big"),
                 b"\x03" + SerialNumber(9_000_001).to_bytes(),
                 b"\x03" + SerialNumber(70).to_bytes(),
-                statement.value,
             ]
         )
-        decoded, freshness = decode_batch(wire)
-        assert (decoded, freshness) == (issuance, statement)
+        decoded = decode_segment(wire)
+        assert decoded == issuance
         assert decoded.first_number == 5 == issuance.signed_root.size - 2 + 1
-        assert decode_batch(encode_batch(issuance, None)) == (issuance, None)
+        assert dictionary.latest_freshness == FreshnessStatement(issuance.signed_root.anchor)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -302,17 +299,17 @@ class TestHeadAndIssuanceCodec:
     def test_sync_response_is_one_batch_object(self, master, missing):
         """A cold sync is one batch object however long its history: the
         count is 32 bits, not cut at the CA's per-batch cap."""
-        response = SyncResponse(
+        batch = RevocationIssuance(
             ca_name="Codec-CA",
-            first_number=11,
             serials=tuple(SerialNumber(n + 1) for n in range(missing)),
+            first_number=11,
             signed_root=replace(master.signed_root, size=10 + missing),
-            freshness=master.latest_freshness,
         )
+        response = SyncResponse(batch, master.latest_freshness)
         wire = encode_sync_response(response)
-        body = encode_issuance(response.as_issuance())
+        body = encode_issuance(batch)
         assert wire == body + encode_freshness(master.latest_freshness)
-        count_at = len(encode_signed_root(response.signed_root))
+        count_at = len(encode_signed_root(batch.signed_root))
         assert int.from_bytes(body[count_at : count_at + 4], "big") == missing
         assert len(body) == count_at + 4 + 4 * missing  # 3-byte serials, one length byte each
         assert encode_sync_response(replace(response, freshness=None)) == body
@@ -325,16 +322,16 @@ class TestSyncResponseRoundTrip:
     @staticmethod
     def _response(master, have, total, freshness=True):
         """Serials ``have + 1 … total`` of a ``total``-entry dictionary, widths mixed."""
-        return SyncResponse(
+        batch = RevocationIssuance(
             ca_name="Codec-CA",
-            first_number=have + 1,
             serials=tuple(
                 SerialNumber(n, width=2 + n % 3 if n < 2**16 else 3 + n % 2)
                 for n in range(have + 1, total + 1)
             ),
+            first_number=have + 1,
             signed_root=replace(master.signed_root, size=total),
-            freshness=master.latest_freshness if freshness else None,
         )
+        return SyncResponse(batch, master.latest_freshness if freshness else None)
 
     @pytest.mark.parametrize("freshness", [True, False], ids=["freshness", "bare"])
     @pytest.mark.parametrize(
@@ -355,8 +352,8 @@ class TestSyncResponseRoundTrip:
         wire = encode_sync_response(response)
         decoded = decode_sync_response(wire)
         assert decoded == response
-        assert {serial.width for serial in decoded.serials} == {
-            serial.width for serial in response.serials
+        assert {serial.width for serial in decoded.batch.serials} == {
+            serial.width for serial in response.batch.serials
         }
         assert encode_sync_response(decoded) == wire
 
@@ -380,7 +377,7 @@ class TestSyncResponseRoundTrip:
         bytes left is refused before a serial is read."""
         root = encode_signed_root(replace(master.signed_root, size=2**40))
         one_serial = b"\x01\x07"
-        assert decode_sync_response(root + (1).to_bytes(4, "big") + one_serial).serials == (
+        assert decode_sync_response(root + (1).to_bytes(4, "big") + one_serial).batch.serials == (
             SerialNumber(7, width=1),
         )
         with pytest.raises(TLSError, match="cannot fit"):
@@ -390,7 +387,7 @@ class TestSyncResponseRoundTrip:
         """The first number would be below 1."""
         response = self._response(master, 0, 3, freshness=False)
         wire = encode_sync_response(response)
-        count_at = len(encode_signed_root(response.signed_root))
+        count_at = len(encode_signed_root(response.batch.signed_root))
         extra = SerialNumber(999).to_bytes()
         grown = wire[:count_at] + (4).to_bytes(4, "big") + wire[count_at + 4 :] + b"\x03" + extra
         with pytest.raises(TLSError, match="under a root over 3"):
@@ -430,9 +427,7 @@ class TestNameFieldsAreTotal:
                 decode(self._corrupt_leading_name(encoded))
 
         # A batch object opens with its root, and so with the root's name.
-        from repro.ritm.replication import BatchObject, decode_segment, encode_segment
-
-        raw = encode_segment(BatchObject(issuance, dictionary.latest_freshness))
+        raw = encode_segment(issuance)
         decode_segment(raw)
         with pytest.raises(TLSError, match="UTF-8"):
             decode_segment(self._corrupt_leading_name(raw))
@@ -440,8 +435,6 @@ class TestNameFieldsAreTotal:
     def test_a_batch_over_the_ca_cap_still_encodes(self, keys):
         """``MAX_ISSUANCE_SERIALS`` caps one ``revoke``, not the wire: a sync
         response carries any history as one object."""
-        from repro.dictionary.authdict import RevocationIssuance
-
         serials = tuple(SerialNumber(n + 1) for n in range(MAX_ISSUANCE_SERIALS + 1))
         root = CADictionary("Codec-CA-5", keys, delta=10, chain_length=8).refresh(1000)
         root = replace(root, size=len(serials))

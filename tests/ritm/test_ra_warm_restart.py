@@ -92,6 +92,49 @@ def restored_stack(config, ca, cdn, directory):
 
 
 class TestCheckpointRoundTrip:
+    def test_sync_response_and_checkpoint_bytes_are_pinned(self, tmp_path, monkeypatch):
+        """A batch object on the CDN no longer ends with the statement served
+        after its batch (its root's anchor), but a sync response still ends
+        with the replica's statement, and a checkpoint stores one per
+        replica: for this replica — two batches, then a period-1 statement —
+        both are byte for byte what they were when every batch object ended
+        with that statement, under ``CHECKPOINT_FORMAT`` 6.  The hash
+        chains' seeds are made deterministic for the pin."""
+        import hashlib
+        import itertools
+
+        from repro.dictionary.sync import SyncRequest, held_state
+        from repro.ritm.messages import encode_sync_response
+        from repro.ritm.persistence import CHECKPOINT_FORMAT
+        from tests.ritm.conftest import build_stack as build_publishing_stack
+
+        seeds = itertools.count()
+        monkeypatch.setattr(
+            os, "urandom", lambda n: hashlib.sha256(b"pinned-%d" % next(seeds)).digest()[:n]
+        )
+        _, ca, _, attach = build_publishing_stack()
+        agent, client = attach("pinned-ra")
+        client.pull(now=101)
+        for number, now in ((1, 110), (2, 120)):
+            ca.revoke([SerialNumber(0x0A0B00 + 4 * number + k) for k in range(3)], now=now)
+            client.pull(now=now + 1)
+        ca.refresh(now=135)
+        client.pull(now=136)
+        sync = encode_sync_response(held_state(agent.replica_for(ca.name)))
+        assert sync == encode_sync_response(ca.sync_server.serve(SyncRequest(ca.name, 0)))
+        client.checkpoint(tmp_path)
+        checkpoint = (tmp_path / CHECKPOINT_FILENAME).read_bytes()
+
+        assert CHECKPOINT_FORMAT == 6
+        assert (len(sync), hashlib.sha256(sync).hexdigest()) == (
+            192,
+            "946cd60760a2b7d2ed761bb9e6403f0fb68d7c74c07247d0a8a162f20a5a223b",
+        )
+        assert (len(checkpoint), hashlib.sha256(checkpoint).hexdigest()) == (
+            271,
+            "3cb700c9730f9f4a0127c3d97fee1ec3d2344f67ff536c946fc3c681ec9e22ec",
+        )
+
     @pytest.mark.parametrize("engine", ["incremental", "durable"])
     def test_restore_reproduces_checkpointed_state(self, engine, tmp_path):
         config, ca, cdn, agent, client = build_stack(engine)
@@ -138,7 +181,7 @@ class TestCheckpointRoundTrip:
             client.checkpoint(tmp_path)
             assert os.listdir(tmp_path) == [CHECKPOINT_FILENAME]
         checkpoint = load_checkpoint(tmp_path)
-        assert len(checkpoint.replicas[0].state.serials) == agent.replica_for(ca.name).size
+        assert len(checkpoint.replicas[0].state.batch.serials) == agent.replica_for(ca.name).size
 
 
 class TestWarmRestartDelta:
@@ -221,7 +264,7 @@ class TestTamperedCheckpoints:
 
     def test_forged_root_signature_is_rejected(self, tmp_path):
         config, ca, cdn = self._checkpointed_stack(tmp_path)
-        signature = load_checkpoint(tmp_path).replicas[0].state.signed_root.signature
+        signature = load_checkpoint(tmp_path).replicas[0].state.batch.signed_root.signature
         tamper(tmp_path, signature, bytes(len(signature)))
         agent, restored = self._restore_into_fresh_agent(config, ca, cdn, tmp_path)
         assert restored == 0 and agent.replica_for(ca.name).signed_root is None
@@ -233,13 +276,13 @@ class TestTamperedCheckpoints:
         client.pull(now=166)
         client.checkpoint(tmp_path)
         state = load_checkpoint(tmp_path).replicas[0].state
-        assert state.freshness.value != state.signed_root.anchor
+        assert state.freshness.value != state.batch.signed_root.anchor
         tamper(tmp_path, state.freshness.value, bytes(20))
         agent, restored = self._restore_into_fresh_agent(config, ca, cdn, tmp_path)
         assert restored == 1
         replica = agent.replica_for(ca.name)
-        assert replica.signed_root == state.signed_root
-        assert replica.latest_freshness.value == state.signed_root.anchor
+        assert replica.signed_root == state.batch.signed_root
+        assert replica.latest_freshness.value == state.batch.signed_root.anchor
 
     def test_corrupt_file_fails_structurally(self, tmp_path):
         config, ca, cdn = self._checkpointed_stack(tmp_path)
@@ -547,7 +590,7 @@ class TestCrashDuringRecheckpoint:
         client.checkpoint(tmp_path / "new")
         new_bytes = (tmp_path / "new" / CHECKPOINT_FILENAME).read_bytes()
         new = load_checkpoint(tmp_path / "new")
-        assert old != new and len(new.replicas[0].state.serials) == 24
+        assert old != new and len(new.replicas[0].state.batch.serials) == 24
 
         # What a never-crashed RA holds after the next pull.
         ca.revoke([SerialNumber(9400)], now=300)

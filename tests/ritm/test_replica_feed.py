@@ -58,10 +58,11 @@ def test_switching_on_the_archive_keeps_only_batches_past_the_position():
 
 
 def test_batch_n_is_one_object_encoded_once(monkeypatch):
-    """The object at address ``n`` is the batch body, encoded once by the
-    CA, then the statement served after it; ``n`` is the batch's first
-    serial number, and nothing else is published for the batch."""
-    from repro.ritm import messages
+    """The object at address ``n`` is the batch's issuance encoding alone,
+    made once by the CA — the statement served after it is its root's
+    anchor, so it is not sent again; ``n`` is the batch's first serial
+    number, and nothing else is published for the batch."""
+    from repro.ritm import replication
     from repro.ritm.messages import encode_issuance
     from repro.ritm.replication import decode_segment
 
@@ -72,7 +73,7 @@ def test_batch_n_is_one_object_encoded_once(monkeypatch):
         encodings.append(encode_issuance(issuance))
         return encodings[-1]
 
-    monkeypatch.setattr(messages, "encode_issuance", spy)
+    monkeypatch.setattr(replication, "encode_issuance", spy)
     issued = []
     for number in range(1, BATCHES + 1):
         objects_before = len(cdn.origin._objects)
@@ -88,9 +89,8 @@ def test_batch_n_is_one_object_encoded_once(monkeypatch):
     for issuance in issued:
         wire = encode_issuance(issuance)
         content = cdn.origin.fetch(issuance_path(ca.name, issuance.first_number)).content
-        # served right after the batch: the first link of its root's chain
-        assert content == wire + issuance.signed_root.anchor
-        assert decode_segment(content).issuance == issuance
+        assert content == wire
+        assert decode_segment(content) == issuance
 
 
 def test_a_backlog_is_one_store_transaction(monkeypatch):
@@ -230,8 +230,8 @@ def test_an_empty_batch_at_the_right_address_costs_one_resync(monkeypatch):
     revoke_batch(ca, 2, now=120)
     ca.refresh(now=125)
     batch_1 = decode_segment(cdn.origin.fetch(issuance_path(ca.name, 1)).content)
-    emptied = replace(batch_1.issuance, serials=(), first_number=address(2))
-    cdn.publish(issuance_path(ca.name, address(2)), encode_segment(replace(batch_1, issuance=emptied)), 125)
+    emptied = replace(batch_1, serials=(), first_number=address(2))
+    cdn.publish(issuance_path(ca.name, address(2)), encode_segment(emptied), 125)
     calls = count_store_calls(monkeypatch)
 
     result = client.pull(now=126)
@@ -243,3 +243,38 @@ def test_an_empty_batch_at_the_right_address_costs_one_resync(monkeypatch):
     assert result.resyncs == 1
     assert calls == []
     assert agent.replica_for(ca.name).root() == ca.dictionary.root()
+
+
+@pytest.mark.parametrize("where", ["batch path", "per-delta path"])
+def test_the_retired_layout_is_refused_as_trailing_bytes(monkeypatch, where):
+    """The object once published for a batch — its issuance, then its
+    root's anchor — is no batch object: the anchor is trailing bytes.  At
+    the batch path the walk rejects it (one resync, no store call); as the
+    per-Δ object it is one error and the head, whose walk GETs the honest
+    batch (no resync)."""
+    from repro.ritm.ca_service import freshness_path
+    from repro.ritm.messages import encode_issuance
+
+    _, ca, cdn, attach = build_stack()
+    agent, client = attach("retired-layout-ra")
+    client.pull(now=101)
+    issuance = revoke_batch(ca, 1, now=110)
+    retired = encode_issuance(issuance) + issuance.signed_root.anchor
+    if where == "batch path":
+        ca.refresh(now=111)  # the per-Δ object is the statement: the walk GETs the batch
+        cdn.publish(issuance_path(ca.name, 1), retired, 111)
+    else:
+        cdn.publish(freshness_path(ca.name), retired, 111)
+    calls = count_store_calls(monkeypatch)
+
+    result = client.pull(now=115)
+
+    assert len(result.errors) == 1 and "trailing bytes" in result.errors[0]
+    assert result.heads_checked == 1
+    if where == "batch path":
+        assert (result.batches_rejected, result.resyncs, calls) == (1, 1, [])
+    else:
+        assert (result.batches_rejected, result.resyncs, calls) == (0, 0, [1])
+    replica = agent.replica_for(ca.name)
+    assert replica.root() == ca.dictionary.root()
+    assert replica.latest_freshness == ca.dictionary.latest_freshness

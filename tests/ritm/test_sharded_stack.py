@@ -516,10 +516,11 @@ class TestShardStreams:
         self, sharded_world, polled, damage
     ):
         """``freshness``: a synced shard's every-Δ object is empty, which no
-        value is (a value of another width is a statement that links nowhere,
-        which sends the RA to the head; one over 32 bytes is a batch object).
-        ``head``: the shards are new to the RA, so it reads their heads —
-        one of them damaged."""
+        value is, so the RA records it and reads that shard's head, whose
+        statement it takes (a value of another width is a statement that
+        links nowhere, which sends the RA to the head too; one over 32 bytes
+        is a batch object).  ``head``: the shards are new to the RA, so it
+        reads their heads — one of them damaged."""
         _, _, cdn, ca, agent, client = sharded_world
         now = EPOCH + WEEK
         ca.revoke_with_expiry(
@@ -539,12 +540,17 @@ class TestShardStreams:
         cdn.publish(path, bad, now + 10)
         result = client.pull(now=now + 11)
         assert len(result.errors) == 1 and result.errors[0].startswith(broken.name)
-        assert result.heads_checked == (0 if polled == "freshness" else 2)
-        assert result.freshness_applied == 1
+        assert result.heads_checked == (1 if polled == "freshness" else 2)
+        assert result.freshness_applied == (2 if polled == "freshness" else 1)
         assert (
             agent.replica_for(healthy.name).latest_freshness
             == healthy.dictionary.latest_freshness
         )
+        if polled == "freshness":
+            assert (
+                agent.replica_for(broken.name).latest_freshness
+                == broken.dictionary.latest_freshness
+            )
 
     @pytest.mark.parametrize("synced", [False, True], ids=["first-contact", "already-synced"])
     def test_another_shards_head_served_at_this_shards_path_is_refused(

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.merkle import PresenceProof
 from repro.crypto.signing import KeyPair
-from repro.dictionary.authdict import CADictionary, ReplicaDictionary
+from repro.dictionary.authdict import CADictionary, ReplicaDictionary, RevocationIssuance
 from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.sync import SyncRequest, SyncResponse, SyncServer
 from repro.errors import (
@@ -60,12 +60,7 @@ from repro.ritm.messages import (
     encode_status_bundle,
     encode_sync_response,
 )
-from repro.ritm.replication import (
-    BatchObject,
-    decode_delta_object,
-    decode_segment,
-    encode_segment,
-)
+from repro.ritm.replication import decode_delta_object, decode_segment, encode_segment
 from repro.tls.extensions import (
     Extension,
     decode_extensions,
@@ -141,7 +136,6 @@ ISSUANCES = [
     _ISSUER.insert([SerialNumber(n) for n in serials], now=1000 + 10 * batch)
     for batch, serials in enumerate([(7,), (300, 2, 70_000), range(1000, 1020)])
 ]
-BATCHES = [BatchObject(issuance, _ISSUER.latest_freshness) for issuance in ISSUANCES]
 #: A CA's key-announcement chain: none, the genesis key, then two rotations.
 _ROTATING = [KeyPair.generate(f"canonical-epoch-{epoch}".encode()) for epoch in range(3)]
 KEY_CHAINS = [()]
@@ -157,7 +151,7 @@ for _issuance in ISSUANCES:
 #: Nothing missing (root only), the whole history (what a checkpoint holds), a
 #: suffix without its freshness statement, and a suffix with it.
 SYNC_RESPONSES = [
-    SyncResponse("Canon-CA", 1, (), EMPTY.signed_root, EMPTY.latest_freshness),
+    SyncResponse(RevocationIssuance("Canon-CA", (), 1, EMPTY.signed_root), EMPTY.latest_freshness),
     _SYNC_SERVER.serve(SyncRequest("Canon-CA", 0)),
     dataclasses.replace(_SYNC_SERVER.serve(SyncRequest("Canon-CA", 4)), freshness=None),
     _SYNC_SERVER.serve(SyncRequest("Canon-CA", 4)),
@@ -247,11 +241,13 @@ CODECS = {
     "delta_object": (
         _whole(decode_delta_object),
         lambda value: (
-            encode_segment(value) if isinstance(value, BatchObject) else encode_freshness(value)
+            encode_segment(value)
+            if isinstance(value, RevocationIssuance)
+            else encode_freshness(value)
         ),
         TLSError,
         [encode_freshness(dictionary.latest_freshness) for dictionary in (FULL, EMPTY)]
-        + [encode_segment(batch) for batch in BATCHES],
+        + [encode_segment(issuance) for issuance in ISSUANCES],
     ),
     "proof": (
         decode_proof,
@@ -273,6 +269,7 @@ CODECS = {
         TLSError,
         [encode_head(head) for head in HEADS],
     ),
+    # Also every batch object: ``encode_segment`` is this encoding whole.
     "issuance": (
         decode_issuance,
         encode_issuance,
@@ -290,12 +287,6 @@ CODECS = {
         encode_key_announcements,
         TLSError,
         [encode_key_announcements(chain) for chain in KEY_CHAINS],
-    ),
-    "segment": (
-        _whole(decode_segment),
-        encode_segment,
-        TLSError,
-        [encode_segment(batch) for batch in BATCHES],
     ),
     "sync_response": (
         _whole(decode_sync_response),
@@ -419,11 +410,10 @@ def test_any_accepted_mutation_reencodes_to_itself(case):
 
 def test_every_accepted_bit_flip_of_a_batch_object_fails_the_replica():
     """A batch object carries no signature and no checksum of its own: a flip
-    the decoder accepts changes a serial, the root or the statement.  The
-    replica's ``update_many`` refuses a changed batch with its store
-    untouched, and a changed statement links to no anchor."""
+    the decoder accepts changes a serial or the root, and the replica's
+    ``update_many`` refuses the changed batch with its store untouched."""
     first = ISSUANCES[0]
-    data = encode_segment(BatchObject(first, FreshnessStatement(first.signed_root.anchor)))
+    data = encode_segment(first)
     accepted = 0
     for bit in range(8 * len(data)):
         try:
@@ -431,15 +421,11 @@ def test_every_accepted_bit_flip_of_a_batch_object_fails_the_replica():
         except TLSError:
             continue
         accepted += 1
+        assert batch != first
         replica = ReplicaDictionary("Canon-CA", _ISSUER.public_key)
-        if batch.issuance == first:
-            replica.update_many([batch.issuance])
-            with pytest.raises(DictionaryError, match="does not link"):
-                replica.apply_freshness(batch.freshness_after)
-        else:
-            with pytest.raises((DictionaryError, SignatureError)):
-                replica.update_many([batch.issuance])
-            assert replica.size == 0
+        with pytest.raises((DictionaryError, SignatureError)):
+            replica.update_many([batch])
+        assert replica.size == 0
     assert accepted
 
 
@@ -588,7 +574,7 @@ class TestSecondEncodingsClosed:
         with pytest.raises(TLSError, match="trailing bytes"):
             decode_head(encode_head(HEADS[0]) + junk)
         with pytest.raises(TLSError, match="trailing bytes"):
-            decode_segment(encode_segment(BATCHES[1]) + junk)
+            decode_segment(encode_segment(ISSUANCES[1]) + junk)
         with pytest.raises(TLSError, match="trailing bytes"):
             decode_sync_response(encode_sync_response(SYNC_RESPONSES[-1]) + junk)
 
@@ -607,6 +593,17 @@ class TestSecondEncodingsClosed:
         at = len(encode_signed_root(ISSUANCES[1].signed_root)) + 4
         with pytest.raises(TLSError, match="positive"):
             decode_issuance(data[: at + 1] + bytes(3) + data[at + 4 :])
+
+    @pytest.mark.parametrize("decode", [decode_segment, decode_delta_object])
+    def test_the_retired_layout_body_then_anchor_is_trailing_bytes(self, decode):
+        """A batch object once ended with the statement served after it, its
+        root's anchor; that statement is the anchor itself, so the layout
+        no longer sends it and those bytes are refused wherever a batch
+        object is read."""
+        for issuance in ISSUANCES:
+            retired = encode_issuance(issuance) + issuance.signed_root.anchor
+            with pytest.raises(TLSError, match="trailing bytes"):
+                decode(retired)
 
     def test_a_per_delta_object_is_a_value_up_to_32_bytes_and_a_batch_beyond(self):
         value = FULL.latest_freshness.value
@@ -668,11 +665,12 @@ class TestSecondEncodingsClosed:
 
 def _named(value, name: str):
     """``value`` (a frozen dataclass) under CA name ``name``, memo-free: its
-    own name field and its signed root's, whichever it has."""
+    own name field, its signed root's and its batch's, whichever it has."""
     names = {spec.name for spec in dataclasses.fields(value)}
     changes = {"ca_name": name} if "ca_name" in names else {}
-    if "signed_root" in names:
-        changes["signed_root"] = _named(value.signed_root, name)
+    for field in ("signed_root", "batch"):
+        if field in names:
+            changes[field] = _named(getattr(value, field), name)
     return dataclasses.replace(value, **changes)
 
 
@@ -737,8 +735,8 @@ NO_UTF8 = "\ud800"
 
 
 def _beyond_u64(value):
-    """``value`` (a batch or a sync response) as the last batch of a
-    dictionary of 2⁶⁴ serials, a size no u64 holds."""
+    """``value`` (a batch) as the last batch of a dictionary of 2⁶⁴ serials,
+    a size no u64 holds."""
     root = dataclasses.replace(value.signed_root, size=2**64)
     return dataclasses.replace(value, signed_root=root, first_number=2**64 - len(value.serials) + 1)
 
@@ -760,10 +758,7 @@ UNENCODABLE = {
         _named(FULL.signed_root, NO_UTF8),
         dataclasses.replace(FULL.signed_root, size=2**64),
     ),
-    "delta_object": (
-        BatchObject(_named(ISSUANCES[0], NO_UTF8), _ISSUER.latest_freshness),
-        FreshnessStatement(bytes(33)),
-    ),
+    "delta_object": (_named(ISSUANCES[0], NO_UTF8), FreshnessStatement(bytes(33))),
     "proof": (None, dataclasses.replace(STATUSES[0].proof, key=bytes(0x10000))),
     "status_bundle": (
         [_status_with_root(ca_name=NO_UTF8)],
@@ -784,11 +779,10 @@ UNENCODABLE = {
         (_named(KEY_CHAINS[1][0], NO_UTF8),),
         (dataclasses.replace(KEY_CHAINS[1][0], key_epoch=-1),),
     ),
-    "segment": (
-        BatchObject(_named(ISSUANCES[0], NO_UTF8), _ISSUER.latest_freshness),
-        BatchObject(_beyond_u64(ISSUANCES[0]), _ISSUER.latest_freshness),
+    "sync_response": (
+        _named(SYNC_RESPONSES[1], NO_UTF8),
+        SyncResponse(_beyond_u64(SYNC_RESPONSES[1].batch), SYNC_RESPONSES[1].freshness),
     ),
-    "sync_response": (_named(SYNC_RESPONSES[1], NO_UTF8), _beyond_u64(SYNC_RESPONSES[1])),
     # The TLS layouts hold no name: a u8 session-id length, a u16 field, a
     # protocol version byte.
     "tls_records": (None, [TLSRecord(ContentType.ALERT, b"", version=(3, 256))]),

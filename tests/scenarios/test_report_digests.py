@@ -153,6 +153,18 @@ their descriptions, and their ``dissemination.freshness_applied`` fell
 statement before the poll applies the same one, so a statement is
 counted once (a peer sync, which has no other, still applies it).
 ``soak``'s ``all-subsystems-exercised`` detail counts batches applied.
+Publishing each batch object as its issuance alone (the statement served
+after a batch is its root's anchor, so it is no longer sent twice)
+re-pinned all 17 rows, every check still passing: every batch object an RA
+fetched is 20 B shorter, so ``dissemination.bytes_downloaded`` fell
+(``quickstart`` 1,402 → 1,382 B, ``soak`` 33,093 → 31,653 B) with the check
+details, pull latencies, ``replication.batch_bytes_downloaded``,
+``fleet.overlap_factor`` (``thundering-herd`` 3.1813 → 3.1812) and
+``slow-ra-holb``'s max lag (70.182 → 70.181 s) they feed, and the recovery
+byte counts ``ra-crash-recovery`` and ``region-outage`` print.
+``region-outage``'s ``dissemination.freshness_applied`` fell 40 → 38: a
+peer sync no longer re-applies its last batch's statement, which the
+batch's own root had just installed.
 """
 
 from __future__ import annotations
@@ -165,23 +177,23 @@ import pytest
 from repro.scenarios import get, names, run_scenario
 
 GOLDEN_DIGESTS = {
-    "ca-audit-gossip": "d71f31b7b1e91b913a40d1c94bb4f841efdf0f9d164e72646179a923b64a3434",
-    "degraded-ra": "ffc35718536da002cbc677ebfe78af02540fb17a7412568d48cf942ca9113d24",
-    "equivocating-ca": "77bc5cf600bd989d3ec8e58de7d753f66fa0ad9153cadc5f51d2c8d79625abd9",
-    "flash-crowd": "44c785597828cfa1f897b5b98d4d885241a0039dd001e8bafede444141d6a7b5",
-    "heartbleed": "a4e94bbb21daa0479e43106c22fe604776732b58ed34be67b8df87fdfdda16e3",
-    "iot-long-lived": "a23f471f53519118f4cc40af45ec2b4c34588e8f99ffe0d52572822395e59756",
-    "quickstart": "a5a7102fac69eba71e75305c07c23b6e35fa5bd00555a949e338c5eaf8aa0df5",
-    "ra-crash-recovery": "3b8665a526de841347fb87a2043eeacb7a6cdc4d0a57dfa24a1d4b92f9fa7960",
-    "region-outage": "acac241b9e90e99336dffbbc169fea1a68bff2089fe584d87ba6fd7cedecacc3",
-    "replayed-head": "9c7ca7c8627837fb0db23d78e0e2d7fc321760f7ee5b0054d25f1e42d070382b",
-    "rotated-ca-key": "8498a4c7d720df302c41427caa44b98604c883f2d5de31a6e5f433fc1e0f5225",
-    "sharded-longrun": "723e67879e897b48aae6cdce584dfc7fad8e4d6c9be7bc98b7948f4aaa825e5e",
-    "slow-ra-holb": "90ec5cdb4cede3fadb6906881966ea989b93eae35aaa4ffb92e145256dcef731",
-    "soak": "d9c2e19349d34c3ec832aa2f3f32ccbfcfe4c47157eae84e79b5f34687424776",
-    "staggered-pulls": "c024335aed8b128b0f290c4122a46d71df77a4e601d56a12ec8f300c48a6e100",
-    "tampered-cdn": "d0ed6bf3aeb8e7dc7990a24573bbeaeddce1a183a8a0cf6069b82b4dc312c8bd",
-    "thundering-herd": "c650ee3251665af68e4cbf6077467ecd4cca607960400a529c73f862ceecc286",
+    "ca-audit-gossip": "78e08edfb93d2bee7eef514a1fafbd437f80d7eba41581e8c04ccc8e966dabff",
+    "degraded-ra": "8e480f5de3d95440015be223854f4a608f81fc42ebf0c671b177ac502d544872",
+    "equivocating-ca": "0b0258649843a81d1cefadf9a5b11d49baa69e91dd2b8cd0526573f6b50ef2cb",
+    "flash-crowd": "9b5a71960c660cf6ef9a02c9feb308347510941b6c8d95833fdc5432fc9b6b58",
+    "heartbleed": "c533aa888984b2a7950f98739b640c678f588d2c83a95c2e26901294424ed3dc",
+    "iot-long-lived": "0cff06cff2c407f2c7226ed5944113712c23418c2ee5d2cca42d898d1f6463d2",
+    "quickstart": "b117b379d16fadb03bcb529ce664b84818c0a3c125d49a648baef68f17946e3d",
+    "ra-crash-recovery": "a543276a0c4ee01ed620465318c046489a0f12f678a7e159a49243a96d128f17",
+    "region-outage": "a3a54ffba9ae4833ae3287e19aad0b45b7ee7307898507abf9c51547b6232a65",
+    "replayed-head": "41d5b4a2da5967ab4250ba5520dc3aad71582b42477845d98fd966dfde024c42",
+    "rotated-ca-key": "5f4ed48caf0a61a6316f4cfb944e0a7e4b5f8e4de2caa9faa5c00bed8c1f6bfa",
+    "sharded-longrun": "afaeff9e0bcea764390ac5a4f149e2ebf0383c72ba9af76eb535aa2bd0d43154",
+    "slow-ra-holb": "b40a5320df89a2db316d0a8bfc60e58159d19036c1e1027110e46fb2ebf3db3d",
+    "soak": "a6883fab5cbef93edae1d541099d1b6f95ed2efbd9fa84871bf8712a7b1558ba",
+    "staggered-pulls": "282d52f8518243ec7e67d5d935aa061f6849607c1e83f46a9e2fb18ecefa4c92",
+    "tampered-cdn": "bd951ddb0bb6d34802f5ce7d6bd3ba57ee8b1a52a15564122a5e7b0fa47857e8",
+    "thundering-herd": "87d0864cc76a3f6dd6de972b0a28e134034ca8c779aba357f9c8858cdf96ab06",
 }
 
 

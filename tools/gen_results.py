@@ -268,7 +268,8 @@ ARTIFACTS: List[Artifact] = [
         "Reject costs in exact counts: SHA-256 calls, Ed25519 verifications, "
         "store mutations and CA-origin requests of an honest 65,535-serial batch "
         "into a 10⁵-leaf replica, the same batch with a swapped serial, a forged "
-        "root and one serial short, each split at its resync (docs/THREATS.md).",
+        "root and one serial short, each split at its resync, and the honest "
+        "batch behind a per-Δ copy that does not decode (docs/THREATS.md).",
     ),
     Artifact(
         "reject_cost_freshness.json",
