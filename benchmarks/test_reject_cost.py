@@ -9,6 +9,8 @@ honest twin in exact counts, never in wall time, so no gate can flake:
 
 * SHA-256 calls — every ``raw_sha256`` construction, whichever module makes
   it (leaf and node hashes, hash-chain links);
+* chain-hash calls — ``hash_chain_link`` as the freshness walks make them
+  (each one of the SHA-256 calls);
 * Ed25519 verifications (``repro.crypto.ed25519.verify``);
 * store mutations — ``insert_batch`` and ``remove_batch`` on the replica;
 * CA-origin requests — CDN GETs an edge forwards to the origin, plus sync
@@ -31,10 +33,13 @@ request and its apply — is reported beside it.  The cases, each on a replica o
   records one error and reads the head, whose walk GETs the honest batch —
   the honest batch's counts plus two GETs, and no sync request.
 
-Beside them, under the default chain length of 8,640, a freshness value as
-wide as the anchor that links to no chain: an RA polling it at the per-Δ
-path, and a client checking a status that carries it, each against the
-CA's honest period-1 value.
+Beside them, the freshness walks, also in chain-hash calls, under the
+default chain length of 8,640 and under 64, at the root's periods 1, m/2
+and m − 1: an RA's poll of the CA's next value and of a value as wide as
+the anchor that links to no chain, and a client's check of a status
+carrying each (and of the honest one at clocks one and two periods behind
+it).  Every walk is bounded by a clock, so an RA's counts do not depend on
+the chain's length, and a client's depend only on its clock's period.
 
 The counts land in ``benchmarks/results/reject_cost.json`` and
 ``reject_cost_freshness.json``, and in docs/THREATS.md.
@@ -51,8 +56,8 @@ from bench_harness import write_json_result
 
 from repro.cdn import CDNNetwork, GeoLocation
 from repro.cdn.geography import Region
-from repro.crypto import ed25519
-from repro.dictionary.freshness import FreshnessStatement
+from repro.crypto import ed25519, hashchain
+from repro.dictionary.freshness import REPLAY_WINDOW, TOLERANCE_PERIODS, FreshnessStatement
 from repro.perf import VerifiedRootCache
 from repro.pki import CertificationAuthority, SerialNumber
 from repro.ritm import RITMCertificationAuthority, RITMConfig, RevocationAgent, attach_agent_to_cas
@@ -86,7 +91,14 @@ SHA256_MODULES = (
 class Ledger:
     """The counts one pull makes, split at its sync request."""
 
-    FIELDS = ("sha256", "verifications", "insert_batch", "remove_batch", "origin_requests")
+    FIELDS = (
+        "sha256",
+        "chain",
+        "verifications",
+        "insert_batch",
+        "remove_batch",
+        "origin_requests",
+    )
 
     def __init__(self) -> None:
         self.counts = dict.fromkeys(self.FIELDS, 0)
@@ -118,6 +130,13 @@ def counting(monkeypatch, client, ca):
                 return _real(*data)
 
             patch.setattr(module, "raw_sha256", sha)
+        link = hashchain.hash_chain_link
+
+        def chain_link(*args):
+            ledger.add("chain")
+            return link(*args)
+
+        patch.setattr(hashchain, "hash_chain_link", chain_link)
         verify = ed25519.verify
 
         def counted_verify(*args):
@@ -289,27 +308,35 @@ def test_a_per_delta_object_that_fails_to_decode_costs_two_gets_and_no_sync(cost
 #: The value planted at the per-Δ path: as wide as the anchor, linked to no
 #: chain (the cheaper case, a value of another width, is refused unhashed).
 UNLINKED_VALUE = bytes(range(40, 60))
-#: The default ``RITMConfig.chain_length``: a value that links to no anchor
-#: is hashed this many times plus one before it is refused.
-CHAIN_LENGTH = RITMConfig().chain_length
-#: SHA-256 calls, as built: an RA's poll of the unlinked value (then its
-#: head, whose statement links in one), and a client's check of a status
-#: carrying it, against each one's honest twin (the period-1 value).
-POLL_UNLINKED_SHA256, POLL_HONEST_SHA256 = 8_642, 1
-STATUS_UNLINKED_SHA256, STATUS_HONEST_SHA256 = 8_663, 23
+#: The chain lengths the freshness costs are priced under: the default
+#: ``RITMConfig.chain_length`` (a day of 10 s periods) and a short chain.
+#: Every walk is bounded by a clock, so both read the same counts.
+CHAIN_LENGTHS = (RITMConfig().chain_length, 64)
+#: Chain hashes of an RA's poll of the unlinked value, by the period its
+#: root has reached, as built: the forward walk the clock allows (2 — the
+#: elapsed Δ plus the one period of tolerance), the held statement hashed
+#: back toward it (``REPLAY_WINDOW``, never past the anchor: 0 at period 1),
+#: then the head's own statement, which links in 1 as an honest poll does.
+POLL_UNLINKED_CHAIN = {"p=1": 3, "p=m/2": 5, "p=m-1": 5}
 
 
-@pytest.fixture(scope="module")
-def freshness_costs():
-    """Two RAs on a 1,000-serial replica under the default chain length:
-    one polls the CA's period-1 value, the other an anchor-wide value that
-    links to no chain; then a client checks a status carrying each."""
-    config = RITMConfig(delta_seconds=10)
+def _periods(chain_length: int):
+    """The root's periods the costs are priced at, by label."""
+    return {"p=1": 1, "p=m/2": chain_length // 2, "p=m-1": chain_length - 1}
+
+
+def _freshness_costs(chain_length: int):
+    """Two RAs on a 1,000-serial replica, polling in step through one
+    root's chain: at each priced period one polls the CA's value, the
+    other an anchor-wide value that links to no chain; then a client
+    checks a status carrying each, and the honest one at clocks one and
+    two periods behind its statement."""
+    config = RITMConfig(delta_seconds=10, chain_length=chain_length)
     cdn = CDNNetwork()
     authority = CertificationAuthority("Freshness CA", key_seed=b"freshness-cost")
     ca = RITMCertificationAuthority(authority, config, cdn)
     ca.bootstrap(now=100)
-    ca.revoke(_serials(1, 1_000), now=110)
+    ca.revoke(_serials(1, 1_000), now=110)  # the root; period p begins at 110 + 10p
     clients = {}
     for case in ("honest", "unlinked"):
         client = attach_agent_to_cas(
@@ -317,61 +344,131 @@ def freshness_costs():
         )
         assert client.pull(now=111).serials_applied == 1_000
         clients[case] = client
-    ca.refresh(now=120)  # the root's period-1 value at the per-Δ path
+    root_cache = VerifiedRootCache()
     results = {}
     with pytest.MonkeyPatch.context() as monkeypatch:
-        for case, client in clients.items():
-            if case == "unlinked":
-                cdn.publish(freshness_path(ca.name), UNLINKED_VALUE, 120)
-            cdn.invalidate()
-            with counting(monkeypatch, client, ca) as ledger:
-                pull = client.pull(now=121)
-            assert pull.errors == [] and pull.freshness_applied == 1
-            results[f"poll-{case}"] = dict(ledger.counts, requests=pull.requests)
-        client = clients["honest"]
-        # between revoked serials 499 and 501: an absence proof with two neighbours
-        honest = client.agent.build_status(ca.name, SerialNumber(500))
-        unlinked = replace(honest, freshness=FreshnessStatement(UNLINKED_VALUE))
-        root_cache = VerifiedRootCache()
-        assert honest.is_acceptable(ca.public_key, 121, config.delta_seconds, root_cache)
-        for case, status in (("honest", honest), ("unlinked", unlinked)):
-            with counting(monkeypatch, client, ca) as ledger:
-                accepted = status.is_acceptable(
-                    ca.public_key, 121, config.delta_seconds, root_cache
+        for label, period in _periods(chain_length).items():
+            if period > 1:
+                ca.refresh(now=110 + 10 * (period - 1))  # both RAs hold the Δ before
+                for client in clients.values():
+                    assert not client.pull(now=111 + 10 * (period - 1)).errors
+            ca.refresh(now=110 + 10 * period)
+            now = 111 + 10 * period
+            row = results[label] = {"period": period}
+            for case, client in clients.items():
+                if case == "unlinked":
+                    cdn.publish(freshness_path(ca.name), UNLINKED_VALUE, now - 1)
+                cdn.invalidate()
+                with counting(monkeypatch, client, ca) as ledger:
+                    pull = client.pull(now=now)
+                assert pull.errors == [] and pull.freshness_applied == 1
+                row[f"poll-{case}"] = dict(
+                    ledger.counts, requests=pull.requests, heads_checked=pull.heads_checked
                 )
-            results[f"status-{case}"] = dict(ledger.counts, accepted=accepted)
+            client = clients["honest"]
+            # between revoked serials 499 and 501: an absence proof with two neighbours
+            honest = client.agent.build_status(ca.name, SerialNumber(500))
+            unlinked = replace(honest, freshness=FreshnessStatement(UNLINKED_VALUE))
+            checks = [("status-honest", honest, now), ("status-unlinked", unlinked, now)]
+            if period >= 2:  # a clock before the root's own period reads period 0
+                checks += [
+                    ("status-one-ahead", honest, now - 10),
+                    ("status-two-ahead", honest, now - 20),
+                ]
+            for case, status, clock in checks:
+                # the root's verdict memoized first: only freshness and the proof are counted
+                assert root_cache.verify_many([status.signed_root], ca.public_key) == [True]
+                with counting(monkeypatch, client, ca) as ledger:
+                    accepted = status.is_acceptable(
+                        ca.public_key, clock, config.delta_seconds, root_cache
+                    )
+                row[case] = dict(
+                    ledger.counts,
+                    accepted=accepted,
+                    clock_period=(clock - 110) // config.delta_seconds,
+                )
     for client in clients.values():
         client.agent.close()
     ca.close()
+    return results
+
+
+@pytest.fixture(scope="module")
+def freshness_costs():
+    """:func:`_freshness_costs` under each of :data:`CHAIN_LENGTHS`."""
+    results = {f"m={length}": _freshness_costs(length) for length in CHAIN_LENGTHS}
     write_json_result(
-        "reject_cost_freshness", {"chain_length": CHAIN_LENGTH, "cases": results}
+        "reject_cost_freshness",
+        {"chain_lengths": list(CHAIN_LENGTHS), "replay_window": REPLAY_WINDOW, "cases": results},
     )
     return results
 
 
-def test_an_unlinked_per_delta_value_costs_a_chain_walk_and_one_head_get(freshness_costs):
-    """The RA hashes the value ``chain_length + 1`` times looking for its
-    anchor before it gives up and reads the head: 8,642 SHA-256 calls
-    against 1 for the period-1 value, and one more GET, with no signature
-    checked and no store touched."""
-    assert CHAIN_LENGTH == 8_640
-    honest, unlinked = freshness_costs["poll-honest"], freshness_costs["poll-unlinked"]
-    assert honest["sha256"] == POLL_HONEST_SHA256
-    assert (honest["requests"], honest["origin_requests"]) == (1, 1)
-    assert unlinked["sha256"] == POLL_UNLINKED_SHA256 == CHAIN_LENGTH + 1 + POLL_HONEST_SHA256
-    assert (unlinked["requests"], unlinked["origin_requests"]) == (2, 2)  # per-Δ, head
-    for counts in (honest, unlinked):
-        assert counts["verifications"] == counts["insert_batch"] == counts["remove_batch"] == 0
+def _rows(freshness_costs):
+    for chain in freshness_costs.values():
+        yield from chain.items()
 
 
-def test_a_status_carrying_an_unlinked_value_costs_a_chain_walk(freshness_costs):
-    """A client checks the proof (22 hashes here) before the statement, so a
-    status with an unlinked value costs that plus ``chain_length + 1`` hashes
-    and is refused, against one more for the honest value: 376 times its
-    honest twin.  Bounding the walk would change which clock-skewed
-    statements are accepted, so it stays."""
-    honest, unlinked = freshness_costs["status-honest"], freshness_costs["status-unlinked"]
-    assert (honest["accepted"], unlinked["accepted"]) == (True, False)
-    assert honest["sha256"] == STATUS_HONEST_SHA256
-    assert unlinked["sha256"] == STATUS_UNLINKED_SHA256 == STATUS_HONEST_SHA256 + CHAIN_LENGTH
-    assert honest["verifications"] == unlinked["verifications"] == 0
+def test_an_honest_poll_costs_one_chain_hash_at_every_period(freshness_costs):
+    """An RA that polled last Δ links the next value to the one it holds,
+    not to the root's anchor: one chain hash and one GET at period 1, at
+    m/2 and at m − 1, under either chain length."""
+    for _, row in _rows(freshness_costs):
+        honest = row["poll-honest"]
+        assert honest["sha256"] == honest["chain"] == 1
+        assert (honest["requests"], honest["origin_requests"], honest["heads_checked"]) == (1, 1, 0)
+
+
+def test_an_unlinked_per_delta_value_costs_a_bounded_walk_and_one_head_get(freshness_costs):
+    """The RA hashes the value only as far as its clock allows past the held
+    statement, and the held statement back ``REPLAY_WINDOW`` periods: at
+    most ``REPLAY_WINDOW + 2`` chain hashes before it reads the head (whose
+    statement then links in 1), with no signature checked and no store
+    touched — the same counts at m = 8,640 and at m = 64."""
+    assert CHAIN_LENGTHS[0] == 8_640
+    long_chain, short_chain = (
+        {label: (row["poll-honest"], row["poll-unlinked"]) for label, row in chain.items()}
+        for chain in freshness_costs.values()
+    )
+    assert long_chain == short_chain
+    for label, row in _rows(freshness_costs):
+        honest, unlinked = row["poll-honest"], row["poll-unlinked"]
+        assert unlinked["sha256"] == unlinked["chain"] == POLL_UNLINKED_CHAIN[label]
+        assert unlinked["chain"] - honest["chain"] <= REPLAY_WINDOW + 2
+        assert (unlinked["requests"], unlinked["origin_requests"]) == (2, 2)  # per-Δ, head
+        assert unlinked["heads_checked"] == 1
+        for counts in (honest, unlinked):
+            assert counts["verifications"] == counts["insert_batch"] == counts["remove_batch"] == 0
+
+
+def test_a_status_carrying_an_unlinked_value_costs_at_most_p_plus_two_chain_hashes(
+    freshness_costs,
+):
+    """A client hashes a statement at most p′ + ``TOLERANCE_PERIODS`` times
+    toward the anchor (p′ its clock's period under the root), so a value
+    that links nowhere costs no more chain hashes than p′ + 2 and is
+    refused; the honest value of period p′ costs p′.  The proof's own
+    hashes come first, the same for both, and no signature is checked
+    (the root's verdict is memoized)."""
+    for _, row in _rows(freshness_costs):
+        honest, unlinked = row["status-honest"], row["status-unlinked"]
+        period = row["period"]
+        assert (honest["accepted"], unlinked["accepted"]) == (True, False)
+        assert honest["clock_period"] == unlinked["clock_period"] == period
+        assert honest["chain"] == period
+        assert unlinked["chain"] <= period + 2
+        assert honest["sha256"] - honest["chain"] == unlinked["sha256"] - unlinked["chain"]
+        assert honest["verifications"] == unlinked["verifications"] == 0
+
+
+def test_a_statement_two_periods_ahead_of_the_client_is_refused(freshness_costs):
+    """The CA's clock may lead the client's by the one period of tolerance:
+    the statement of period p is accepted at p′ = p − 1 and refused at
+    p′ = p − 2, after at most p′ + 1 chain hashes."""
+    for label, row in _rows(freshness_costs):
+        if label == "p=1":
+            continue  # no clock period precedes the root's
+        one, two = row["status-one-ahead"], row["status-two-ahead"]
+        assert (one["clock_period"], two["clock_period"]) == (row["period"] - 1, row["period"] - 2)
+        assert (one["accepted"], two["accepted"]) == (True, False)
+        assert two["chain"] <= two["clock_period"] + TOLERANCE_PERIODS

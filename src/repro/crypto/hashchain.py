@@ -12,6 +12,13 @@ Anyone holding the anchor can verify a freshness statement by re-hashing it
 skew, paper §III step 5c) and comparing against the anchor.  Nobody but the
 CA can produce the next statement, because doing so would require inverting
 the hash function.
+
+Linking costs one hash per period between two values of one chain, and
+:func:`statement_age` hashes no further than the bound its caller passes: a
+value that links to nothing costs exactly that bound.  The client and the
+RA bound it by their clocks (``repro.dictionary.freshness``), so a forged
+value costs them what an honest value of the latest period their clock
+allows would, whatever the chain's length.
 """
 
 from __future__ import annotations
@@ -121,13 +128,16 @@ def statement_age(
 ) -> Optional[int]:
     """Return how many periods old ``statement`` is, or ``None`` if unlinked.
 
-    Used by RAs when comparing freshness statements received from peers: the
-    statement linked to the anchor by the *fewest* hash applications is the
-    most recent one.
+    The age is the number of chain-hash applications that take
+    ``statement`` to ``anchor`` — any earlier value of the same chain, not
+    only a root's anchor — looked for up to ``max_periods``: at most that
+    many hashes, exactly that many when the value links nowhere.
     """
     current = statement
-    for age in range(max_periods + 1):
+    if current == anchor:
+        return 0
+    for age in range(1, max_periods + 1):
+        current = hash_chain_link(current, digest_size)
         if current == anchor:
             return age
-        current = hash_chain_link(current, digest_size)
     return None

@@ -23,11 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.crypto.hashchain import HashChain
+from repro.crypto.hashchain import HashChain, statement_age
 from repro.crypto.hashing import DEFAULT_DIGEST_SIZE
 from repro.crypto.signing import KeyPair, PublicKey
 from repro.store import create_store
-from repro.dictionary.freshness import FreshnessStatement, periods_elapsed, statement_period
+from repro.dictionary.freshness import (
+    REPLAY_WINDOW,
+    TOLERANCE_PERIODS,
+    FreshnessStatement,
+    periods_elapsed,
+)
 from repro.dictionary.proofs import RevocationStatus
 from repro.dictionary.signed_root import SignedRoot
 from repro.errors import (
@@ -445,17 +450,21 @@ class ReplicaDictionary(_DictionaryCore):
                 )
         return all(self.root_cache.verify_many(signed_roots, self._ca_public_key))
 
-    def apply_freshness(self, statement: FreshnessStatement) -> None:
-        """Replace the stored freshness statement after linking it to the anchor.
+    def apply_freshness(
+        self, statement: FreshnessStatement, clock_period: Optional[int] = None
+    ) -> None:
+        """Replace the stored freshness statement after linking it to the held one.
 
         Freshness is monotonic under one root: a statement for an *older*
-        hash-chain period than the one currently held is a replay (a
-        recorded pre-image re-presented to roll the replica's notion of
-        "fresh" backwards) and raises :class:`ReplayError`.  Re-presenting
-        the current period is idempotent and accepted, so CDN re-serves of
-        the live object are harmless.
+        hash-chain period than the one currently held (up to
+        :data:`~repro.dictionary.freshness.REPLAY_WINDOW` periods older) is
+        a replay (a recorded pre-image re-presented to roll the replica's
+        notion of "fresh" backwards) and raises :class:`ReplayError`.
+        Re-presenting the current period is idempotent and accepted, so CDN
+        re-serves of the live object are harmless.  ``clock_period`` bounds
+        the walk as in :meth:`offer_freshness`.
         """
-        behind = self.offer_freshness(statement)
+        behind = self.offer_freshness(statement, clock_period)
         if behind is None:
             raise DictionaryError("freshness statement does not link to the current anchor")
         if behind:
@@ -465,28 +474,51 @@ class ReplicaDictionary(_DictionaryCore):
                 f"period {self._freshness_age}"
             )
 
-    def offer_freshness(self, statement: FreshnessStatement) -> Optional[int]:
+    def offer_freshness(
+        self, statement: FreshnessStatement, clock_period: Optional[int] = None
+    ) -> Optional[int]:
         """Install ``statement`` unless it is older than the held one.
 
-        Statements under one root are ordered by their hash-chain period.
-        Returns how many periods ``statement`` trails the held statement —
-        0 when it was installed (the held period or a later one), more when
-        it was left alone — or ``None`` when it does not link to the held
-        root's anchor at all (another chain: a newer root, an older one,
-        another dictionary's) or is not as wide as that anchor.
+        Statements under one root are ordered by their hash-chain period,
+        found by linking ``statement`` to the statement held, of period *q*:
+
+        * hashing ``statement`` toward it, at most the periods the caller's
+          clock allows since *q* — ``clock_period``, the Δ period the clock
+          reads under the held root, plus
+          :data:`~repro.dictionary.freshness.TOLERANCE_PERIODS`, minus *q*;
+          with no clock, up to the chain's last period;
+        * else hashing the held statement toward ``statement``, at most
+          :data:`~repro.dictionary.freshness.REPLAY_WINDOW` times (never
+          past the anchor).
+
+        So a poll every Δ costs one hash per elapsed period, and a value
+        that links nowhere costs at most ``clock_period + 1 - q`` plus the
+        window, whatever the chain's length.  Returns how many periods
+        ``statement`` trails the held statement — 0 when it was installed
+        (the held period or a later one), more when it was left alone — or
+        ``None`` when neither walk reaches it: another chain (a newer root,
+        an older one, another dictionary's), a value further ahead than the
+        clock allows or staler than the window, or one not as wide as the
+        anchor.
         """
-        if self._signed_root is None:
+        if self._signed_root is None or self._latest_freshness is None:
             raise DesynchronizedError(
                 f"replica of {self.ca_name!r} has no signed root yet; sync required"
             )
-        age = statement_period(self._signed_root, statement)
-        if age is None:
+        root, held = self._signed_root, self._latest_freshness.value
+        width = len(root.anchor)
+        if len(statement.value) != width:
             return None
-        if age < self._freshness_age:
-            return self._freshness_age - age
-        self._latest_freshness = statement
-        self._freshness_age = age
-        return 0
+        latest = root.chain_length
+        if clock_period is not None:
+            latest = min(latest, clock_period + TOLERANCE_PERIODS)
+        ahead = statement_age(held, statement.value, max(0, latest - self._freshness_age), width)
+        if ahead is not None:
+            self._latest_freshness = statement
+            self._freshness_age += ahead
+            return 0
+        window = min(REPLAY_WINDOW, self._freshness_age)
+        return statement_age(statement.value, held, window, width)
 
     # -- Fig. 2: prove --------------------------------------------------------
 

@@ -1,17 +1,29 @@
-"""Freshness statements (Eq. 2 of the paper) and the client acceptance policy.
+"""Freshness statements (Eq. 2 of the paper) and the acceptance policies.
 
 Every Δ seconds in which no new revocation is issued, a CA releases the next
 pre-image of the hash chain whose anchor is embedded in its latest signed
 root.  Holding the signed root, anyone can check that a statement is both
-authentic (it links to the anchor) and recent (it links in at most
-``p' + 1`` hash applications, where ``p'`` is the number of Δ periods elapsed
-since the root's timestamp) — giving the effective 2Δ attack window of §V.
+authentic (it links to the anchor) and recent (it links in ``p' - 1``, ``p'``
+or ``p' + 1`` hash applications, where ``p'`` is the number of Δ periods
+elapsed since the root's timestamp) — giving the effective 2Δ attack window
+of §V.
+
+Each verifier hashes only as far as its own clock lets a statement be
+(NOVOMODO's one hash per elapsed period):
+
+* a client (:func:`statement_is_fresh`) hashes a statement at most
+  ``p' +`` :data:`TOLERANCE_PERIODS` times toward the anchor, and refuses a
+  statement from further in its future than that;
+* an RA's replica (``ReplicaDictionary.offer_freshness``) hashes a new
+  statement toward the one it holds, at most the periods its clock allows
+  since then plus :data:`TOLERANCE_PERIODS`, and the held one at most
+  :data:`REPLAY_WINDOW` times toward a stale one.  A statement found by
+  neither walk links to nothing the replica holds, however it was made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.crypto.hashchain import statement_age
 from repro.dictionary.signed_root import SignedRoot
@@ -38,21 +50,17 @@ def periods_elapsed(root_timestamp: int, now: int, delta: int) -> int:
     return (now - root_timestamp) // delta
 
 
-def statement_period(signed_root: SignedRoot, statement: FreshnessStatement) -> Optional[int]:
-    """The Δ period after ``signed_root`` in which the CA released
-    ``statement``: the applications of the chain hash, truncated to the
-    anchor's width, that take its value to the anchor.  ``None`` when the
-    value is not as wide as the anchor or reaches it in no ``chain_length``
-    applications."""
-    anchor = signed_root.anchor
-    if len(statement.value) != len(anchor):
-        return None
-    return statement_age(anchor, statement.value, signed_root.chain_length, len(anchor))
-
-
 #: Δ periods a statement may trail the client's clock: one, for the
-#: pull-based CDN, which yields the paper's 2Δ attack window (§V).
+#: pull-based CDN, which yields the paper's 2Δ attack window (§V).  It is
+#: also how far a statement may lead the verifier's clock (the CA's clock
+#: may run ahead of it); a statement further ahead is refused.
 TOLERANCE_PERIODS = 1
+
+#: How many hash-chain periods behind the statement a replica holds a polled
+#: statement may be and still be recognised as that chain's (benign CDN
+#: staleness, skipped).  The replica hashes its statement this many times at
+#: most looking for it; an older statement links to nothing it holds.
+REPLAY_WINDOW = 2
 
 
 def statement_is_fresh(
@@ -63,15 +71,22 @@ def statement_is_fresh(
 ) -> bool:
     """The client acceptance check of §III step 5c.
 
-    The statement's :func:`statement_period` must be at least ``p' -``
-    :data:`TOLERANCE_PERIODS`: the statement of period ``p'``, or one
-    period older.
+    The statement's period — the applications of the chain hash, truncated
+    to the anchor's width, that take its value to the anchor — must be
+    within :data:`TOLERANCE_PERIODS` of ``p'``: the statement of period
+    ``p'``, one period older, or one period newer (the CA's clock ahead of
+    the client's).  The value is hashed at most ``p' +``
+    :data:`TOLERANCE_PERIODS` times (and never past the chain's length), so
+    a forged one costs no more than an honest one of the newest period
+    accepted; a value not as wide as the anchor is refused unhashed.
     """
+    anchor = signed_root.anchor
+    if len(statement.value) != len(anchor):
+        return False
     elapsed = periods_elapsed(signed_root.timestamp, now, delta)
+    latest = min(elapsed + TOLERANCE_PERIODS, signed_root.chain_length)
     # The statement proves the dictionary was intact at (timestamp + age*Δ);
     # the client requires that moment to be no older than the tolerance
     # before now, i.e. age >= elapsed - tolerance.
-    age = statement_period(signed_root, statement)
-    if age is None:
-        return False
-    return age >= elapsed - TOLERANCE_PERIODS
+    age = statement_age(anchor, statement.value, latest, len(anchor))
+    return age is not None and age >= elapsed - TOLERANCE_PERIODS

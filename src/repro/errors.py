@@ -48,9 +48,10 @@ class ReplayError(DictionaryError):
     """A control-plane message re-presented signed state older than the replica's.
 
     Raised by the dissemination layer when a head's signed root is older
-    (by size, then timestamp) than the one its replica holds, or a freshness
-    statement is further behind than the replay window — the signature may
-    be valid, but the content is a recording."""
+    (by size, then timestamp) than the one its replica holds, and by a
+    replica handed a freshness statement up to the replay window behind the
+    one it holds — the signature may be valid, but the content is a
+    recording."""
 
 
 class StaleStatusError(ReproError):

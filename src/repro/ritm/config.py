@@ -8,7 +8,7 @@ constructors below match the values used in its figures.
 
 What no caller varies is fixed: a client accepts a status at most 2Δ old
 (:attr:`RITMConfig.attack_window_seconds`), hashes are truncated to the
-paper's 20 bytes, an RA tolerates :data:`repro.ritm.dissemination.REPLAY_WINDOW`
+paper's 20 bytes, an RA tolerates :data:`repro.dictionary.freshness.REPLAY_WINDOW`
 hash-chain periods of CDN staleness in a freshness statement, and a sharded CA retires (and its RAs prune)
 expired shards every Δ.
 """

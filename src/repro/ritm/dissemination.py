@@ -47,7 +47,7 @@ from repro.cdn.geography import GeoLocation, region_distance
 from repro.cdn.network import CDNNetwork
 from repro.crypto.signing import CAKeyring
 from repro.dictionary.authdict import RevocationIssuance
-from repro.dictionary.freshness import FreshnessStatement
+from repro.dictionary.freshness import FreshnessStatement, periods_elapsed
 from repro.dictionary.sharding import (
     MAX_CERTIFICATE_LIFETIME_SECONDS,
     ShardKey,
@@ -78,11 +78,6 @@ from repro.ritm.messages import (
 )
 from repro.ritm.persistence import load_checkpoint, write_checkpoint
 from repro.ritm.replication import decode_delta_object, decode_segment
-
-#: How many hash-chain periods behind the freshness a replica holds a polled
-#: statement may be before the RA treats it as a replay attack rather than
-#: CDN staleness.
-REPLAY_WINDOW = 2
 
 #: Request bytes one GET (or sync request) puts on the RA's uplink.
 REQUEST_BYTES = 64
@@ -118,10 +113,10 @@ class PullResult:
     proofs_invalidated: int = 0
     #: Adversarial control-plane accounting (docs/THREATS.md): freshness
     #: statements skipped as benign CDN staleness (within the replay
-    #: window), statements and heads rejected as replays (a statement beyond
-    #: the window, a head whose signed root is older than the held one, or
-    #: signed state older than already-applied freshness), and CA key
-    #: rotations the RA learned and validated this cycle.
+    #: window), heads rejected as replays (a head whose signed root is older
+    #: than the held one, or whose statement is older than the freshness
+    #: already applied), and CA key rotations the RA learned and validated
+    #: this cycle.
     stale_statements_ignored: int = 0
     replays_rejected: int = 0
     key_rotations_applied: int = 0
@@ -448,15 +443,16 @@ class RADisseminationClient:
         first runs the catch-up walk to there, which takes that object as
         its batch, already fetched: every batch object embeds the root
         signed after its batch, so no head is needed.  A statement that then
-        links to the held root's anchor is ranked by its hash-chain period —
-        the held period or a later one is applied, up to
-        :data:`REPLAY_WINDOW` periods behind is benign CDN staleness,
-        further behind a replay.  Returns ``False`` when only the head can
-        settle the replica: the object fails to decode (one recorded error;
-        an RA that is behind then recovers through the head's walk, never a
-        sync request), or the statement hashes to no anchor the replica
-        holds (a batch the replica missed, a re-signed chain, a key
-        rotation, a replayed or forged root, another stream's statement).
+        links to the statement the replica holds is ranked by its hash-chain
+        period — the held period or a later one the RA's clock allows is
+        applied, up to :data:`~repro.dictionary.freshness.REPLAY_WINDOW`
+        periods behind is benign CDN staleness.  Returns ``False`` when only
+        the head can settle the replica: the object fails to decode (one
+        recorded error; an RA that is behind then recovers through the
+        head's walk, never a sync request), or the statement links to
+        nothing the replica holds within those bounds (a batch the replica missed, a re-signed chain,
+        a key rotation, a replayed or forged root, another stream's
+        statement, a value older than the window or newer than the clock).
         """
         download = self._get(freshness_path(ca_name), now, result)
         try:
@@ -475,20 +471,23 @@ class RADisseminationClient:
                 if replica.size < goal:
                     return True  # the walk could not close the gap and said why
             statement = FreshnessStatement(per_delta.signed_root.anchor)
-        behind = replica.offer_freshness(statement)
+        behind = replica.offer_freshness(statement, self._clock_period(replica, now))
         if behind is None:
             return False
-        if not behind:
-            result.freshness_applied += 1
-        elif behind <= REPLAY_WINDOW:
+        if behind:
             result.stale_statements_ignored += 1  # benign CDN staleness
         else:
-            result.replays_rejected += 1
-            raise ReplayError(
-                f"freshness for {ca_name!r} is {behind} hash-chain periods behind "
-                f"the freshness held — outside the replay window of {REPLAY_WINDOW}"
-            )
+            result.freshness_applied += 1
         return True
+
+    def _clock_period(self, replica, now: float) -> Optional[int]:
+        """The Δ period this RA's clock reads under ``replica``'s root: how
+        far a statement of that root's chain can have got by ``now``
+        (``None`` while the replica holds no root)."""
+        if replica.signed_root is None:
+            return None
+        delta = self.agent.config.delta_seconds
+        return int(periods_elapsed(replica.signed_root.timestamp, now, delta))
 
     def _apply_head(self, ca_name: str, replica, head, now: float, result: PullResult) -> None:
         """Apply one decoded head to its replica, ordered by its signed root.
@@ -526,7 +525,7 @@ class RADisseminationClient:
             replica.install_root(signed)
 
         try:
-            replica.apply_freshness(head.freshness)
+            replica.apply_freshness(head.freshness, self._clock_period(replica, now))
         except ReplayError:
             # The authenticated backstop fired: this statement is older than
             # freshness already applied to the replica, so something (a

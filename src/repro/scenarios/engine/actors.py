@@ -383,8 +383,13 @@ class RAActor:
     def _serve_clients(self, serials: Iterable[SerialNumber], now: float) -> None:
         """Serve one batch of status handshakes against the pre-pull replicas.
 
-        A sampled fraction of served statuses gets its signed root
-        re-verified through :func:`repro.crypto.signing.verify_batch`.
+        Every ``engine.verify_every``-th served status (counted across the
+        fleet) has its signed root re-verified, as its client would, through
+        one :func:`repro.crypto.signing.verify_batch` call per batch.  Every
+        status of one batch is served from one replica state, so the sampled
+        roots are mostly copies of one ``(key, root, signature)`` triple,
+        which that call verifies once; ``handshake_roots_verified`` counts
+        every copy that verified.
         """
         engine, state, runtime = self.engine, self.engine.state, self.runtime
         triples: List[Tuple[PublicKey, bytes, bytes]] = []

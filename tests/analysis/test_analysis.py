@@ -21,7 +21,12 @@ from repro.analysis.reporting import (
     human_bytes,
     human_usd,
 )
-from repro.analysis.timing import run_table_3, throughput_from_table3, time_dictionary_update
+from repro.analysis.timing import (
+    MID_CHAIN_ROW,
+    run_table_3,
+    throughput_from_table3,
+    time_dictionary_update,
+)
 from repro.analysis.trace_figures import figure_4
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary
@@ -250,6 +255,7 @@ class TestTiming:
             "Proof construction",
             "Proof validation",
             "Sig. and freshness valid.",
+            MID_CHAIN_ROW,
         }
 
     def test_min_avg_max_ordering(self, table3):

@@ -83,7 +83,8 @@ class TestPrivateKey:
 
 
 class TestVerifyBatch:
-    """``verify_batch`` is the serial map, with bad lengths as ``False``."""
+    """``verify_batch`` is the serial map, with bad lengths as ``False``, and
+    verifies each distinct triple once per call."""
 
     def _items(self, count, seed=b"batch"):
         keys = [KeyPair.generate(seed + bytes([index])) for index in range(count)]
@@ -127,6 +128,31 @@ class TestVerifyBatch:
         items = self._items(2)
         items[1] = (items[1][0], items[1][1], b"short")
         assert verify_batch(items) == [True, False]
+
+    def test_identical_honest_triples_cost_one_verification(self, verifications):
+        items = self._items(1) * 5
+        assert verify_batch(items) == [True] * 5
+        assert len(verifications) == 1
+
+    def test_identical_forged_triples_cost_one_verification(self, verifications):
+        public, message, signature = self._items(1)[0]
+        forged = (public, message, bytes([signature[0] ^ 1]) + signature[1:])
+        assert verify_batch([forged] * 3) == [False] * 3
+        assert len(verifications) == 1
+
+    def test_a_mixed_batch_keeps_each_positions_verdict(self, verifications):
+        """Copies need not be adjacent: each position gets its own triple's
+        verdict, in order, and each distinct triple is verified once."""
+        honest, other = self._items(2)
+        forged = (honest[0], honest[1] + b"!", honest[2])
+        items = [honest, forged, other, honest, forged, honest, other]
+        assert verify_batch(items) == [True, False, True, True, False, True, True]
+        assert len(verifications) == 3
+
+    def test_a_wrong_length_signature_is_false_without_a_verification(self, verifications):
+        public, message, _ = self._items(1)[0]
+        assert verify_batch([(public, message, b"short")] * 2) == [False, False]
+        assert verifications == []
 
     def test_matches_serial_verification_on_random_corruptions(self):
         from hypothesis import given, settings, strategies as st

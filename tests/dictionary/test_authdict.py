@@ -215,6 +215,36 @@ class TestReplicaFreshnessAndRoots:
         assert statement_age(anchor, seed, master.chain_length) == master.chain_length
         assert replica.offer_freshness(FreshnessStatement(seed)) is None
 
+    def test_a_statement_links_within_the_periods_the_clock_allows(self, master, replica):
+        """The replica hashes a new statement toward the one it holds, at
+        most the periods its clock allows since then plus one: period 5's
+        links at clock period 4 (one period ahead of the clock) but not at
+        3, and linking costs one chain hash per period past the held one."""
+        replica.update(master.insert(make_serials(1), now=100))
+        statement = master.refresh(now=150)
+        assert replica.offer_freshness(statement, clock_period=3) is None
+        assert replica.latest_freshness.value == replica.signed_root.anchor
+        assert replica.offer_freshness(statement, clock_period=4) == 0
+        assert replica.latest_freshness == statement
+        following = master.refresh(now=160)
+        assert statement_age(statement.value, following.value, 1) == 1
+        assert replica.offer_freshness(following, clock_period=6) == 0
+
+    def test_a_stale_statement_links_within_the_replay_window_only(self, master, replica):
+        """The held statement is hashed back at most ``REPLAY_WINDOW``
+        periods: a statement that many periods stale is found (and left
+        alone), an older one links to nothing the replica holds."""
+        from repro.dictionary.freshness import REPLAY_WINDOW
+
+        replica.update(master.insert(make_serials(1), now=100))
+        statements = {period: master.refresh(now=100 + 10 * period) for period in range(1, 6)}
+        replica.apply_freshness(statements[5], clock_period=5)
+        assert replica.offer_freshness(statements[5 - REPLAY_WINDOW], 5) == REPLAY_WINDOW
+        assert replica.offer_freshness(statements[4 - REPLAY_WINDOW], 5) is None
+        with pytest.raises(DictionaryError, match="does not link"):
+            replica.apply_freshness(statements[4 - REPLAY_WINDOW], clock_period=5)
+        assert replica.latest_freshness == statements[5]
+
     def test_install_root_requires_matching_content(self, master, replica):
         issuance = master.insert(make_serials(2), now=100)
         replica.update(issuance)

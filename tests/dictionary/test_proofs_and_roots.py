@@ -127,6 +127,14 @@ class TestFreshnessPolicy:
         assert statement_is_fresh(master.signed_root, statement, now=1049, delta=10)
         assert not statement_is_fresh(master.signed_root, statement, now=1050, delta=10)
 
+    def test_a_statement_more_than_one_period_ahead_is_refused(self, master):
+        """The CA's clock may lead the client's by the one period of
+        tolerance, no more: the statement of period 3 is fresh from the
+        client's period 2 on, and refused at period 1."""
+        statement = master.refresh(now=1000 + 30)
+        assert statement_is_fresh(master.signed_root, statement, now=1020, delta=10)
+        assert not statement_is_fresh(master.signed_root, statement, now=1019, delta=10)
+
     def test_forged_statement_never_fresh(self, master):
         forged = FreshnessStatement(b"\x00" * 20)
         assert not statement_is_fresh(master.signed_root, forged, now=1005, delta=10)

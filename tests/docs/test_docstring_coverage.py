@@ -4,7 +4,8 @@ Every public class and function in ``repro.store``, ``repro.perf``,
 ``repro.net``, ``repro.pki``, ``repro.ritm.{agent, ca_service, consistency,
 dissemination, messages, persistence, replication}``, ``repro.dictionary.{authdict,
 freshness, proofs, sharding, signed_root, sync}``, ``repro.tls.connection``,
-``repro.tls.messages``, ``repro.crypto.{hashchain, hashing, merkle, signing}``,
+``repro.tls.messages``, ``repro.crypto.{ed25519, hashchain, hashing, merkle,
+signing}``,
 ``repro.cdn.edge``, ``repro.scenarios``, ``repro.scenarios.engine``,
 ``repro.workloads`` and ``tools/check_perf_regression.py`` must carry a
 docstring.  CI additionally runs ``interrogate`` over the same paths (one step,
@@ -46,6 +47,7 @@ COVERED_FILES = sorted(
         ),
         SRC / "tls" / "connection.py",
         SRC / "tls" / "messages.py",
+        SRC / "crypto" / "ed25519.py",
         SRC / "crypto" / "hashchain.py",
         SRC / "crypto" / "hashing.py",
         SRC / "crypto" / "merkle.py",

@@ -764,14 +764,19 @@ class TestFreshnessFirstPoll:
         assert agent.replica_for(ca.name).signed_root == ca.dictionary.signed_root
 
     @pytest.mark.parametrize("served", ["statement", "batch object"])
-    def test_a_stale_statement_is_ignored_within_the_window_and_rejected_beyond(self, served):
+    def test_a_stale_statement_is_ignored_within_the_window_and_reads_the_head_beyond(
+        self, served
+    ):
         """A statement re-served ``behind`` periods late is benign CDN
-        staleness up to :data:`REPLAY_WINDOW` periods and a replay beyond.
-        So is batch 1's object re-served ``behind`` periods after its root:
-        the statement it carries is that root's anchor, period 0."""
+        staleness up to :data:`REPLAY_WINDOW` periods: the replica finds it
+        by hashing the statement it holds that many times at most.  Further
+        behind it links to nothing the replica holds, so the RA reads the
+        head, which is current, and nothing moves backwards: no replay is
+        counted.  So is batch 1's object re-served ``behind`` periods after
+        its root: the statement it carries is that root's anchor, period 0."""
         from repro.pki.serial import SerialNumber
         from repro.ritm.ca_service import freshness_path
-        from repro.ritm.dissemination import REPLAY_WINDOW
+        from repro.dictionary.freshness import REPLAY_WINDOW
 
         ca, cdn, agent, client, _ = self._synced()
         ca.revoke([SerialNumber(700)], now=110)  # period p begins at 110 + 10p
@@ -788,14 +793,14 @@ class TestFreshnessFirstPoll:
             now = 112 + 10 * held_period + behind
             cdn.publish(freshness_path(ca.name), published[held_period - behind], now)
             result = client.pull(now=now + 1)
-            assert (result.requests, result.heads_checked) == (1, 0)
             assert replica.latest_freshness == held
+            assert result.replays_rejected == 0 and not result.errors
             if behind <= REPLAY_WINDOW:
-                assert (result.stale_statements_ignored, result.replays_rejected) == (1, 0)
-                assert not result.errors
+                assert (result.requests, result.heads_checked) == (1, 0)
+                assert (result.stale_statements_ignored, result.freshness_applied) == (1, 0)
             else:
-                assert (result.stale_statements_ignored, result.replays_rejected) == (0, 1)
-                assert len(result.errors) == 1 and "replay window" in result.errors[0]
+                assert (result.requests, result.heads_checked) == (2, 1)
+                assert (result.stale_statements_ignored, result.freshness_applied) == (0, 1)
 
 
 class TestUplinkAccounting:

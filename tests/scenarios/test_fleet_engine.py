@@ -59,6 +59,19 @@ def test_different_seed_changes_sampling_not_verdicts():
     )
 
 
+def test_soak_verifies_each_sampled_root_once_per_client_batch(verifications):
+    """The soak smoke samples 400 of its 2,400 client handshakes for a root
+    check.  Each client batch is served from one replica state, so its
+    samples are copies of one signed root: ``verify_batch`` runs Ed25519
+    once per batch (147 verifications in the whole run, pulls included,
+    where verifying every copy took 475), and every copy still counts as
+    a verified root."""
+    report = run_scenario(get("soak"), smoke=True)
+    assert len(verifications) == 147
+    subsystems = report.extras["soak"]["subsystems"]
+    assert (subsystems["handshakes_served"], subsystems["handshake_roots_verified"]) == (2_400, 400)
+
+
 # -- knob validation -------------------------------------------------------------
 
 
