@@ -16,9 +16,9 @@ the hash function.
 Linking costs one hash per period between two values of one chain, and
 :func:`statement_age` hashes no further than the bound its caller passes: a
 value that links to nothing costs exactly that bound.  The client and the
-RA bound it by their clocks (``repro.dictionary.freshness``), so a forged
-value costs them what an honest value of the latest period their clock
-allows would, whatever the chain's length.
+RA's per-Δ poll bound it by their clocks (``repro.dictionary.freshness``),
+so a forged value costs them what an honest value of the latest period
+their clock allows would, whatever the chain's length.
 """
 
 from __future__ import annotations

@@ -450,21 +450,27 @@ class ReplicaDictionary(_DictionaryCore):
                 )
         return all(self.root_cache.verify_many(signed_roots, self._ca_public_key))
 
-    def apply_freshness(
-        self, statement: FreshnessStatement, clock_period: Optional[int] = None
-    ) -> None:
+    def apply_freshness(self, statement: FreshnessStatement) -> None:
         """Replace the stored freshness statement after linking it to the held one.
 
+        The link is looked for over the held root's whole chain: up to its
+        last period ahead of the held statement, back to its anchor behind.
+        This is the replica's authenticated recovery path — a head, a sync
+        response, a checkpoint — so it must take every honest statement of
+        the chain whatever the CA's Δ and clock, which the replica cannot
+        know (a signed root carries no Δ); a forged value costs it up to the
+        chain's length in hashes.  The per-Δ poll, which an edge can feed
+        every cycle, uses the clock-bounded :meth:`offer_freshness` instead.
+
         Freshness is monotonic under one root: a statement for an *older*
-        hash-chain period than the one currently held (up to
-        :data:`~repro.dictionary.freshness.REPLAY_WINDOW` periods older) is
-        a replay (a recorded pre-image re-presented to roll the replica's
-        notion of "fresh" backwards) and raises :class:`ReplayError`.
-        Re-presenting the current period is idempotent and accepted, so CDN
-        re-serves of the live object are harmless.  ``clock_period`` bounds
-        the walk as in :meth:`offer_freshness`.
+        hash-chain period than the one currently held is a replay (a
+        recorded pre-image re-presented to roll the replica's notion of
+        "fresh" backwards) and raises :class:`ReplayError`.  Re-presenting
+        the current period is idempotent and accepted, so CDN re-serves of
+        the live object are harmless.
         """
-        behind = self.offer_freshness(statement, clock_period)
+        root = self._held_root()
+        behind = self._link(statement, root.chain_length, self._freshness_age)
         if behind is None:
             raise DictionaryError("freshness statement does not link to the current anchor")
         if behind:
@@ -474,50 +480,53 @@ class ReplicaDictionary(_DictionaryCore):
                 f"period {self._freshness_age}"
             )
 
-    def offer_freshness(
-        self, statement: FreshnessStatement, clock_period: Optional[int] = None
-    ) -> Optional[int]:
-        """Install ``statement`` unless it is older than the held one.
+    def offer_freshness(self, statement: FreshnessStatement, clock_period: int) -> Optional[int]:
+        """Install ``statement`` unless it is older than the held one, hashing
+        only as far as the caller's clock lets it be (the per-Δ poll).
 
-        Statements under one root are ordered by their hash-chain period,
-        found by linking ``statement`` to the statement held, of period *q*:
+        ``clock_period`` is the Δ period the caller's clock reads under the
+        held root.  With the held statement of period *q*, ``statement`` is
+        hashed toward it at most ``clock_period +``
+        :data:`~repro.dictionary.freshness.TOLERANCE_PERIODS` ``- q`` times
+        (never past the chain's last period), else the held statement toward
+        ``statement`` at most
+        :data:`~repro.dictionary.freshness.REPLAY_WINDOW` times (never past
+        the anchor).  So a poll every Δ costs one hash per elapsed period,
+        and a value that links nowhere costs at most ``clock_period + 1 - q``
+        plus the window, whatever the chain's length.
 
-        * hashing ``statement`` toward it, at most the periods the caller's
-          clock allows since *q* — ``clock_period``, the Δ period the clock
-          reads under the held root, plus
-          :data:`~repro.dictionary.freshness.TOLERANCE_PERIODS`, minus *q*;
-          with no clock, up to the chain's last period;
-        * else hashing the held statement toward ``statement``, at most
-          :data:`~repro.dictionary.freshness.REPLAY_WINDOW` times (never
-          past the anchor).
-
-        So a poll every Δ costs one hash per elapsed period, and a value
-        that links nowhere costs at most ``clock_period + 1 - q`` plus the
-        window, whatever the chain's length.  Returns how many periods
-        ``statement`` trails the held statement — 0 when it was installed
-        (the held period or a later one), more when it was left alone — or
-        ``None`` when neither walk reaches it: another chain (a newer root,
-        an older one, another dictionary's), a value further ahead than the
-        clock allows or staler than the window, or one not as wide as the
-        anchor.
+        Returns how many periods ``statement`` trails the held statement —
+        0 when it was installed (the held period or a later one), more when
+        it was left alone — or ``None`` when neither walk reaches it:
+        another chain (a newer root, an older one, another dictionary's), a
+        value further ahead than the clock allows or staler than the window,
+        or one not as wide as the anchor.  The caller then settles the
+        replica through :meth:`apply_freshness`'s whole-chain walk.
         """
+        root = self._held_root()
+        latest = min(root.chain_length, clock_period + TOLERANCE_PERIODS)
+        return self._link(statement, latest, min(REPLAY_WINDOW, self._freshness_age))
+
+    def _held_root(self) -> SignedRoot:
+        """The held signed root; :class:`DesynchronizedError` before the first."""
         if self._signed_root is None or self._latest_freshness is None:
             raise DesynchronizedError(
                 f"replica of {self.ca_name!r} has no signed root yet; sync required"
             )
-        root, held = self._signed_root, self._latest_freshness.value
-        width = len(root.anchor)
+        return self._signed_root
+
+    def _link(self, statement: FreshnessStatement, latest: int, window: int) -> Optional[int]:
+        """Install ``statement`` and return 0 if it is of the held period or
+        a later one up to period ``latest``; else how many periods, up to
+        ``window``, it trails the held statement; else ``None``."""
+        held, width = self._latest_freshness.value, len(self._signed_root.anchor)
         if len(statement.value) != width:
             return None
-        latest = root.chain_length
-        if clock_period is not None:
-            latest = min(latest, clock_period + TOLERANCE_PERIODS)
         ahead = statement_age(held, statement.value, max(0, latest - self._freshness_age), width)
         if ahead is not None:
             self._latest_freshness = statement
             self._freshness_age += ahead
             return 0
-        window = min(REPLAY_WINDOW, self._freshness_age)
         return statement_age(statement.value, held, window, width)
 
     # -- Fig. 2: prove --------------------------------------------------------

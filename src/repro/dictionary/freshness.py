@@ -19,6 +19,9 @@ Each verifier hashes only as far as its own clock lets a statement be
   since then plus :data:`TOLERANCE_PERIODS`, and the held one at most
   :data:`REPLAY_WINDOW` times toward a stale one.  A statement found by
   neither walk links to nothing the replica holds, however it was made.
+  That bounds the per-Δ poll only: a head, a sync response or a checkpoint
+  (``ReplicaDictionary.apply_freshness``) links over the root's whole
+  chain, so an honest statement is never refused for the CA's Δ or clock.
 """
 
 from __future__ import annotations

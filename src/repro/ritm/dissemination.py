@@ -480,12 +480,12 @@ class RADisseminationClient:
             result.freshness_applied += 1
         return True
 
-    def _clock_period(self, replica, now: float) -> Optional[int]:
+    def _clock_period(self, replica, now: float) -> int:
         """The Δ period this RA's clock reads under ``replica``'s root: how
-        far a statement of that root's chain can have got by ``now``
-        (``None`` while the replica holds no root)."""
-        if replica.signed_root is None:
-            return None
+        far a statement of that root's chain can have got by ``now``, with
+        the CA's Δ taken to be this RA's.  A CA whose Δ is shorter, or whose
+        clock leads by more than a period, only costs the poll its head GET:
+        the head's statement links over the whole chain."""
         delta = self.agent.config.delta_seconds
         return int(periods_elapsed(replica.signed_root.timestamp, now, delta))
 
@@ -495,7 +495,10 @@ class RADisseminationClient:
         A root older than the held one — by size, then timestamp — is a
         replay and leaves the replica untouched.  An equal one leaves the
         root alone; a newer one is caught up to or installed.  Either way
-        the head's statement is then applied.
+        the head's statement is then linked over the root's whole chain
+        (``ReplicaDictionary.apply_freshness``): an honest one always links,
+        whatever the CA's Δ and clock, and one older than the freshness held
+        is a counted replay.
         """
         held, signed = replica.signed_root, head.signed_root
         if held is not None and (signed.size, signed.timestamp) < (held.size, held.timestamp):
@@ -525,7 +528,7 @@ class RADisseminationClient:
             replica.install_root(signed)
 
         try:
-            replica.apply_freshness(head.freshness, self._clock_period(replica, now))
+            replica.apply_freshness(head.freshness)
         except ReplayError:
             # The authenticated backstop fired: this statement is older than
             # freshness already applied to the replica, so something (a

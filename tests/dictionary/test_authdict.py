@@ -13,7 +13,7 @@ from repro.dictionary.authdict import CADictionary, ReplicaDictionary, Revocatio
 from repro.dictionary.freshness import FreshnessStatement
 from repro.dictionary.signed_root import SignedRoot
 from repro.dictionary.sync import apply_sync_response, held_state
-from repro.errors import DesynchronizedError, DictionaryError, SignatureError
+from repro.errors import DesynchronizedError, DictionaryError, ReplayError, SignatureError
 from repro.pki.serial import SerialNumber
 from repro.ritm.messages import encode_status
 from repro.store import ENGINES, create_store
@@ -198,7 +198,7 @@ class TestReplicaFreshnessAndRoots:
         held = replica.latest_freshness
         master.insert(make_serials(1, start=50), now=105)
         statement = master.refresh(now=115)
-        assert replica.offer_freshness(statement) is None
+        assert replica.offer_freshness(statement, clock_period=master.chain_length) is None
         with pytest.raises(DictionaryError, match="does not link"):
             replica.apply_freshness(statement)
         assert replica.latest_freshness == held
@@ -213,7 +213,7 @@ class TestReplicaFreshnessAndRoots:
         seed = master._chain.statement(master.chain_length)  # noqa: SLF001
         assert len(seed) == 32 != len(anchor)
         assert statement_age(anchor, seed, master.chain_length) == master.chain_length
-        assert replica.offer_freshness(FreshnessStatement(seed)) is None
+        assert replica.offer_freshness(FreshnessStatement(seed), master.chain_length) is None
 
     def test_a_statement_links_within_the_periods_the_clock_allows(self, master, replica):
         """The replica hashes a new statement toward the one it holds, at
@@ -231,19 +231,30 @@ class TestReplicaFreshnessAndRoots:
         assert replica.offer_freshness(following, clock_period=6) == 0
 
     def test_a_stale_statement_links_within_the_replay_window_only(self, master, replica):
-        """The held statement is hashed back at most ``REPLAY_WINDOW``
+        """The poll hashes the held statement back at most ``REPLAY_WINDOW``
         periods: a statement that many periods stale is found (and left
-        alone), an older one links to nothing the replica holds."""
+        alone), an older one links to nothing the replica holds.  The
+        whole-chain walk of ``apply_freshness`` still finds that one, as a
+        replay."""
         from repro.dictionary.freshness import REPLAY_WINDOW
 
         replica.update(master.insert(make_serials(1), now=100))
         statements = {period: master.refresh(now=100 + 10 * period) for period in range(1, 6)}
-        replica.apply_freshness(statements[5], clock_period=5)
+        replica.apply_freshness(statements[5])
         assert replica.offer_freshness(statements[5 - REPLAY_WINDOW], 5) == REPLAY_WINDOW
         assert replica.offer_freshness(statements[4 - REPLAY_WINDOW], 5) is None
-        with pytest.raises(DictionaryError, match="does not link"):
-            replica.apply_freshness(statements[4 - REPLAY_WINDOW], clock_period=5)
+        with pytest.raises(ReplayError, match=f"replays period {4 - REPLAY_WINDOW}"):
+            replica.apply_freshness(statements[4 - REPLAY_WINDOW])
         assert replica.latest_freshness == statements[5]
+
+    def test_apply_freshness_links_over_the_whole_chain(self, master, replica):
+        """No clock bounds the recovery walk: a statement from the chain's
+        last period links, from the anchor or from any held period."""
+        replica.update(master.insert(make_serials(1), now=100))
+        last = master._chain.statement(master.chain_length - 1)  # noqa: SLF001
+        assert replica.offer_freshness(FreshnessStatement(last), clock_period=1) is None
+        replica.apply_freshness(FreshnessStatement(last))
+        assert replica.latest_freshness.value == last
 
     def test_install_root_requires_matching_content(self, master, replica):
         issuance = master.insert(make_serials(2), now=100)

@@ -802,6 +802,44 @@ class TestFreshnessFirstPoll:
                 assert (result.requests, result.heads_checked) == (2, 1)
                 assert (result.stale_statements_ignored, result.freshness_applied) == (0, 1)
 
+    @pytest.mark.parametrize("lead", [1, 2])
+    def test_a_ca_clock_ahead_of_the_ra_is_followed(self, lead):
+        """The CA's clock leads the RA's by ``lead`` periods.  One period is
+        within the poll's tolerance: the per-Δ statement links.  Two are
+        not: the statement is further ahead than the poll hashes, so the RA
+        reads the head, whose statement links over the whole chain and is
+        applied.  An honest CA is never refused for its clock."""
+        ca, _, agent, client, _ = self._synced()
+        replica = agent.replica_for(ca.name)
+        for period in range(1, 5):
+            ca.refresh(now=100 + 10 * (period + lead))
+            result = client.pull(now=101 + 10 * period)
+            assert replica.latest_freshness == ca.dictionary.latest_freshness
+            assert result.freshness_applied == 1 and not result.errors
+            assert (result.requests, result.heads_checked) == ((1, 0) if lead == 1 else (2, 1))
+
+    def test_an_ra_whose_delta_is_longer_than_the_cas_is_followed(self):
+        """The RA takes Δ = 20 s for a CA that releases a statement every
+        10 s, so its clock reads half the CA's periods.  Once the CA's
+        statement is further ahead than the poll hashes, the RA reads the
+        head and applies its statement: the mismatch costs a GET, never the
+        freshness."""
+        from dataclasses import replace
+
+        config, ca, cdn, _ = build_stack()
+        agent = RevocationAgent("slow-ra", replace(config, delta_seconds=20))
+        client = attach_agent_to_cas(agent, [ca], cdn, GeoLocation(Region.EUROPE))
+        client.pull(now=101)
+        replica = agent.replica_for(ca.name)
+        heads = []
+        for period in range(1, 5):
+            ca.refresh(now=100 + 10 * period)
+            result = client.pull(now=101 + 10 * period)
+            assert replica.latest_freshness == ca.dictionary.latest_freshness
+            assert result.freshness_applied == 1 and not result.errors
+            heads.append(result.heads_checked)
+        assert heads == [0, 0, 1, 1]
+
 
 class TestUplinkAccounting:
     def test_every_get_of_the_cycle_is_one_request_on_the_link(self):
