@@ -72,10 +72,9 @@ class CostModelConfig:
     per_request_overhead_bytes: int = 0
     #: Expiry shards per CA dictionary (§VIII): a sharded RA polls one
     #: freshness object per live shard each Δ, so freshness traffic
-    #: scales with this factor while the reclaimed storage is accounted in
-    #: :func:`repro.analysis.overhead.sharded_storage_overhead`.  1 = the
-    #: paper's single ever-growing dictionary.  Size it with
-    #: :func:`repro.analysis.overhead.live_shard_count`.
+    #: scales with this factor.  1 = the paper's single ever-growing
+    #: dictionary; a CA issuing certificates up to ``L`` ahead with shards
+    #: ``w`` wide has at most ``ceil(L / w) + 1`` live.
     shards_per_dictionary: int = 1
 
     def __post_init__(self) -> None:

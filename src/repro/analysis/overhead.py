@@ -10,10 +10,6 @@ Three quantities are reproduced here:
   period;
 * **storage** — what an RA stores for 1.38 M (or 10 M) revocations and how
   much memory the materialised dictionaries take;
-* **sharded storage** — how the §VIII expiry-split relaxation bounds RA
-  storage: the unsharded dictionary grows forever while the sharded one
-  plateaus once shards start retiring, and the difference is the storage
-  reclaimed;
 * **status size** — the wire size of one revocation status (Eq. 3) for a
   dictionary as large as the largest CRL in the dataset (the paper reports
   500–900 bytes).
@@ -22,13 +18,11 @@ Three quantities are reproduced here:
 from __future__ import annotations
 
 import datetime as _dt
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary
-from repro.dictionary.sharding import MAX_CERTIFICATE_LIFETIME_SECONDS
 from repro.pki.serial import SerialNumber
 from repro.ritm.config import PAPER_DELTA_SWEEP
 from repro.workloads.revocation_trace import (
@@ -140,83 +134,6 @@ def storage_overhead(
     return StorageEstimate(revocations=revocations, storage_bytes=storage, memory_bytes=memory)
 
 
-# -- sharded storage (§VIII "Ever-growing dictionaries") -------------------------------------
-
-
-def live_shard_count(
-    shard_width_seconds: int,
-    max_lifetime_seconds: int = MAX_CERTIFICATE_LIFETIME_SECONDS,
-) -> int:
-    """Upper bound on simultaneously live expiry shards.
-
-    A revocation issued now targets an expiry at most ``max_lifetime``
-    ahead, so at most ``ceil(lifetime / width)`` full windows plus the
-    currently passing one can hold live certificates.  This is also how
-    many freshness objects a sharded RA polls per Δ (see
-    :class:`repro.analysis.cost.CostModelConfig.shards_per_dictionary`).
-    """
-    if shard_width_seconds <= 0:
-        raise ValueError("shard width must be positive")
-    return math.ceil(max_lifetime_seconds / shard_width_seconds) + 1
-
-
-@dataclass
-class ShardedStorageResult:
-    """Storage-over-time comparison: unsharded baseline vs. expiry shards."""
-
-    #: Daily samples of the ever-growing unsharded dictionary, in bytes.
-    unsharded_bytes: List[int]
-    #: Daily samples of the sharded RA footprint (pruned shards excluded).
-    sharded_bytes: List[int]
-    #: Bytes reclaimed by shard retirement over the whole horizon.
-    reclaimed_bytes: int
-    #: Steady-state (peak) sharded footprint, in bytes.
-    plateau_bytes: int
-
-    def final_savings_bytes(self) -> int:
-        """Unsharded minus sharded footprint at the end of the horizon."""
-        return self.unsharded_bytes[-1] - self.sharded_bytes[-1]
-
-
-def sharded_storage_overhead(
-    revocations_per_day: int = 2_500,
-    days: int = 720,
-    certificate_lifetime_days: int = 90,
-    shard_width_days: int = 30,
-    serial_bytes: int = SERIAL_BYTES,
-) -> ShardedStorageResult:
-    """Model §VIII storage reclamation over a multi-quarter horizon.
-
-    Each day's revocations target certificates expiring
-    ``certificate_lifetime_days`` later, landing in the expiry shard whose
-    ``shard_width_days``-wide window covers that date; the shard (and its
-    entries) is dropped the day its window fully passes.  The unsharded
-    baseline keeps every entry forever.
-    """
-    if min(revocations_per_day, days, certificate_lifetime_days, shard_width_days) <= 0:
-        raise ValueError("all sharded-storage model parameters must be positive")
-    day_bytes = revocations_per_day * (serial_bytes + NUMBER_BYTES)
-    #: Day each batch's shard retires: end of the window covering its expiry.
-    retire_day = [
-        ((day + certificate_lifetime_days) // shard_width_days + 1) * shard_width_days
-        for day in range(days)
-    ]
-    unsharded: List[int] = []
-    sharded: List[int] = []
-    for today in range(days):
-        unsharded.append((today + 1) * day_bytes)
-        live = sum(
-            1 for day in range(today + 1) if retire_day[day] > today
-        )
-        sharded.append(live * day_bytes)
-    return ShardedStorageResult(
-        unsharded_bytes=unsharded,
-        sharded_bytes=sharded,
-        reclaimed_bytes=unsharded[-1] - sharded[-1],
-        plateau_bytes=max(sharded),
-    )
-
-
 # -- revocation status size (§VII-D "Communication") -----------------------------------------
 
 
@@ -263,8 +180,3 @@ def status_size_for_dictionary(
         revoked_status_bytes=revoked_bytes,
         proof_depth=depth,
     )
-
-
-def largest_crl_status_size() -> StatusSizeResult:
-    """Status size for the paper's largest-CRL dictionary (339,557 entries)."""
-    return status_size_for_dictionary(LARGEST_CRL_ENTRIES)

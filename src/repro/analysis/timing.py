@@ -208,15 +208,19 @@ def run_table_3(
             "Proof validation",
         )
     )
+    # Like the DPI repeat row, each signature row starts warm: one untimed
+    # check first, so no repetition pays for building the key's comb table
+    # (a cache whatever ran earlier in the process may or may not have filled).
+    def check_fresh() -> object:
+        return (
+            signed_root.verify(keys.public),
+            statement_is_fresh(signed_root, freshness, now=5, delta=10),
+        )
+
+    check_fresh()
     rows.append(
         _with_labels(
-            _time_operation(
-                lambda: (
-                    signed_root.verify(keys.public),
-                    statement_is_fresh(signed_root, freshness, now=5, delta=10),
-                ),
-                signature_repetitions,
-            ),
+            _time_operation(check_fresh, signature_repetitions),
             "Client",
             "Sig. and freshness valid.",
         )
@@ -225,15 +229,17 @@ def run_table_3(
     # period p' costs p' chain hashes (4,320 at the default chain length).
     half = dictionary.chain_length // 2
     mid_chain = dictionary.refresh(now=10 * half)
+
+    def check_mid_chain() -> object:
+        return (
+            signed_root.verify(keys.public),
+            statement_is_fresh(signed_root, mid_chain, now=10 * half + 5, delta=10),
+        )
+
+    check_mid_chain()
     rows.append(
         _with_labels(
-            _time_operation(
-                lambda: (
-                    signed_root.verify(keys.public),
-                    statement_is_fresh(signed_root, mid_chain, now=10 * half + 5, delta=10),
-                ),
-                signature_repetitions,
-            ),
+            _time_operation(check_mid_chain, signature_repetitions),
             "Client",
             MID_CHAIN_ROW,
         )

@@ -17,7 +17,7 @@ from repro.baselines.comparison import (
     default_scheme_factories,
     evaluate_formula,
 )
-from repro.baselines.crl import CRLDistributionPoint, CRLScheme, DeltaCRLScheme
+from repro.baselines.crl import CRLDistributionPoint, CRLScheme
 from repro.baselines.crlset import CRLSetScheme
 from repro.baselines.logbased import (
     ClientDrivenLogScheme,
@@ -27,7 +27,6 @@ from repro.baselines.logbased import (
 from repro.baselines.ocsp import OCSPResponder, OCSPScheme, OCSPStaplingScheme
 from repro.baselines.revcast import BroadcastSchedule, RevCastScheme
 from repro.baselines.ritm_adapter import RITMAdapterScheme
-from repro.baselines.short_lived import ShortLivedCertificateScheme
 
 __all__ = [
     "GroundTruth",
@@ -38,13 +37,11 @@ __all__ = [
     "Property",
     "ComparisonParameters",
     "CRLScheme",
-    "DeltaCRLScheme",
     "CRLDistributionPoint",
     "CRLSetScheme",
     "OCSPScheme",
     "OCSPStaplingScheme",
     "OCSPResponder",
-    "ShortLivedCertificateScheme",
     "ClientDrivenLogScheme",
     "ServerDrivenLogScheme",
     "RevocationLog",

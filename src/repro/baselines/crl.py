@@ -85,20 +85,6 @@ class CRLDistributionPoint:
         self.request_log.append((client_id, now))
         return self.publish_if_due(now)
 
-    def serve_delta(
-        self, client_id: str, base_update: float, now: float
-    ) -> Optional[Tuple[PublishedCRL, List[int]]]:
-        """Serve a delta CRL relative to a base published at ``base_update``."""
-        crl = self.serve(client_id, now)
-        if crl is None:
-            return None
-        delta = [
-            serial
-            for serial, revoked_at in self.ground_truth.revoked_at.items()
-            if base_update < revoked_at <= now
-        ]
-        return crl, sorted(delta)
-
 
 class CRLScheme(RevocationScheme):
     """Full-CRL checking with client-side caching until ``nextUpdate``."""
@@ -170,44 +156,3 @@ class CRLScheme(RevocationScheme):
 
     def global_connections(self, totals: ComparisonParameters) -> int:
         return totals.n_clients * totals.n_cas
-
-
-class DeltaCRLScheme(CRLScheme):
-    """CRL checking where warm clients fetch only newly revoked serials."""
-
-    name = "Delta-CRL"
-
-    def check(self, context: CheckContext) -> CheckResult:
-        cached = self._client_cache.get(context.client_id)
-        if cached is None:
-            # Cold start: behave exactly like a full CRL fetch.
-            return super().check(context)
-        if context.now < cached.next_update:
-            return CheckResult(
-                scheme=self.name,
-                revoked=context.serial.value in cached.serials,
-                staleness_bound_seconds=self.distribution_point.publication_period
-                + (context.now - cached.this_update),
-            )
-        served = self.distribution_point.serve_delta(
-            context.client_id, cached.this_update, context.now
-        )
-        if served is None:
-            return CheckResult(scheme=self.name, revoked=None, notes="distribution point unavailable")
-        full, delta = served
-        merged = tuple(sorted(set(cached.serials) | set(delta)))
-        refreshed = PublishedCRL(
-            this_update=full.this_update, next_update=full.next_update, serials=merged
-        )
-        self._client_cache[context.client_id] = refreshed
-        delta_bytes = CRL_OVERHEAD_BYTES + CRL_ENTRY_BYTES * len(delta)
-        return CheckResult(
-            scheme=self.name,
-            revoked=context.serial.value in merged,
-            connections_made=1,
-            bytes_downloaded=delta_bytes,
-            latency_seconds=DISTRIBUTION_POINT_RTT
-            + delta_bytes / DISTRIBUTION_POINT_BANDWIDTH,
-            privacy_leaked_to=["CA distribution point"],
-            staleness_bound_seconds=self.distribution_point.publication_period,
-        )

@@ -50,10 +50,6 @@ class BroadcastSchedule:
         ahead = sum(1 for time in self.ground_truth.revoked_at.values() if time < revoked_at)
         return revoked_at + self.airtime_for(ahead % 1_000_000)
 
-    def backlog_seconds(self, burst_size: int) -> float:
-        """Airtime needed to flush a burst of ``burst_size`` revocations."""
-        return burst_size * self.bits_per_revocation / self.bits_per_second
-
 
 class RevCastScheme(RevocationScheme):
     """Radio-broadcast revocation with client-side full lists."""

@@ -147,30 +147,9 @@ class EdgeServer:
         )
         self._cache.put(path, CachedObject(stored=stored, fetched_at=now))
 
-    def peek_version(self, path: str, now: float) -> Optional[int]:
-        """Version of the cached copy if fresh, else ``None`` (forces a pull).
-
-        A peek neither touches the LRU order nor the hit/miss counters —
-        it is a freshness probe, not a served request.
-        """
-        cached = self._cache.peek(path)
-        if cached is not None and cached.is_fresh(now):
-            return cached.stored.version
-        return None
-
     def invalidate(self, path: Optional[str] = None) -> None:
         """Drop one path (or the whole cache) — models origin-driven purges."""
         if path is None:
             self._cache.clear()
         else:
             self._cache.discard(path)
-
-    def cached_object_count(self) -> int:
-        """Objects currently held (fresh or TTL-expired-but-unreclaimed)."""
-        return len(self._cache)
-
-    def cache_hit_ratio(self) -> float:
-        """Fresh hits as a fraction of requests served."""
-        if self.requests_served == 0:
-            return 0.0
-        return self.cache_hits / self.requests_served

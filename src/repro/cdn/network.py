@@ -166,10 +166,5 @@ class CDNNetwork:
 
     # -- accounting -------------------------------------------------------------
 
-    def reset_usage(self) -> BillingCycleUsage:
-        """Return the accumulated usage and start a fresh billing cycle."""
-        usage, self.usage = self.usage, BillingCycleUsage()
-        return usage
-
     def total_origin_bytes(self) -> int:
         return sum(edge.bytes_from_origin for edge in self.all_edges())

@@ -12,7 +12,7 @@ monotonically increasing version numbers so edge servers can serve
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import CDNError
 
@@ -41,19 +41,11 @@ class DistributionPoint:
         self._version_counter = 0
         self.bytes_ingress = 0
         self.bytes_egress = 0
-        self._validators: Dict[str, Callable[[bytes], bool]] = {}
-
-    def register_validator(self, path_prefix: str, validator: Callable[[bytes], bool]) -> None:
-        """Attach a verification callback for uploads under ``path_prefix``."""
-        self._validators[path_prefix] = validator
 
     def publish(
         self, path: str, content: bytes, now: float, ttl_seconds: float = 0.0
     ) -> StoredObject:
-        """Store (or replace) an object; runs any registered validator first."""
-        for prefix, validator in self._validators.items():
-            if path.startswith(prefix) and not validator(content):
-                raise CDNError(f"origin rejected upload to {path!r}: validation failed")
+        """Store (or replace) an object."""
         self._version_counter += 1
         stored = StoredObject(
             path=path,

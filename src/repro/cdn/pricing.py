@@ -50,9 +50,6 @@ class BillingCycleUsage:
     def total_bytes(self) -> int:
         return sum(usage.bytes_served for usage in self.per_region.values())
 
-    def total_requests(self) -> int:
-        return sum(usage.requests for usage in self.per_region.values())
-
 
 class PricingModel:
     """Computes the monthly bill from per-region usage."""

@@ -10,7 +10,6 @@ from repro.crypto.hashing import (
     DEFAULT_DIGEST_SIZE,
     FULL_DIGEST_SIZE,
     hash_chain_link,
-    hash_data,
     hash_leaf,
     hash_node,
     sha256,
@@ -34,7 +33,6 @@ from repro.crypto.signing import (
 __all__ = [
     "DEFAULT_DIGEST_SIZE",
     "FULL_DIGEST_SIZE",
-    "hash_data",
     "hash_leaf",
     "hash_node",
     "hash_chain_link",

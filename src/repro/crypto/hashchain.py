@@ -8,8 +8,9 @@ proof that the CA still considers the signed root current ``p`` periods after
 it was signed.
 
 Anyone holding the anchor can verify a freshness statement by re-hashing it
-``p`` times (or ``p + 1`` times — the client tolerates one period of clock
-skew, paper §III step 5c) and comparing against the anchor.  Nobody but the
+``p`` times and comparing against the anchor; the client's check
+(:func:`verify_freshness`, paper §III step 5c) accepts a statement one period
+either side of its clock's.  Nobody but the
 CA can produce the next statement, because doing so would require inverting
 the hash function.
 
@@ -95,29 +96,44 @@ class HashChain:
         return max(0, self.length - period)
 
 
+#: Δ periods a statement may trail the client's clock: one, for the
+#: pull-based CDN, which yields the paper's 2Δ attack window (§V).  It is
+#: also how far a statement may lead the verifier's clock (the CA's clock
+#: may run ahead of it); a statement further ahead is refused.
+TOLERANCE_PERIODS = 1
+
+
 def verify_freshness(
     anchor: bytes,
     statement: bytes,
     periods_elapsed: int,
-    tolerance: int = 1,
+    chain_length: int,
     digest_size: int = DEFAULT_DIGEST_SIZE,
 ) -> bool:
-    """Verify a freshness statement against its anchor.
+    """The client check of paper §III step 5c, on the chain values.
 
-    Implements the client check of paper §III step 5c: the statement is
-    accepted if hashing it ``periods_elapsed`` times — or any count up to
-    ``periods_elapsed + tolerance`` times — yields the anchor.  The paper uses
-    ``tolerance = 1`` (accept ``p'`` or ``p' + 1``), which corresponds to the
-    2Δ acceptance window.
+    ``statement`` is accepted when its period — the chain-hash applications
+    that take it to ``anchor`` — is within :data:`TOLERANCE_PERIODS` of
+    ``periods_elapsed`` (``p'``): the statement of period ``p'``, one period
+    older or one period newer.  It is hashed at most ``p' +``
+    :data:`TOLERANCE_PERIODS` times and never past ``chain_length``, so a
+    forged value costs no more than an honest one of the newest period
+    accepted.  A negative ``p'`` (a root from the future) is refused.
     """
     if periods_elapsed < 0:
         return False
-    current = chain_apply(statement, periods_elapsed, digest_size)
-    for _ in range(tolerance + 1):
-        if current == anchor:
-            return True
+    latest = min(periods_elapsed + TOLERANCE_PERIODS, chain_length)
+    current = statement
+    age = 0
+    while current != anchor:
+        if age == latest:
+            return False
         current = hash_chain_link(current, digest_size)
-    return False
+        age += 1
+    # The statement proves the dictionary was intact at (timestamp + age*Δ);
+    # the client requires that moment to be no older than the tolerance
+    # before now.
+    return age >= periods_elapsed - TOLERANCE_PERIODS
 
 
 def statement_age(

@@ -48,16 +48,6 @@ def sha256(data: bytes) -> bytes:
     return raw_sha256(data).digest()
 
 
-def hash_data(data: bytes, digest_size: int = DEFAULT_DIGEST_SIZE) -> bytes:
-    """Hash arbitrary data, truncating to ``digest_size`` bytes.
-
-    This is the paper's ``H(.)`` function.
-    """
-    if not 1 <= digest_size <= FULL_DIGEST_SIZE:
-        raise _bad_digest_size(digest_size)
-    return raw_sha256(data).digest()[:digest_size]
-
-
 def hash_leaf(data: bytes, digest_size: int = DEFAULT_DIGEST_SIZE) -> bytes:
     """Hash a Merkle-tree leaf with leaf domain separation."""
     if not 1 <= digest_size <= FULL_DIGEST_SIZE:

@@ -47,10 +47,6 @@ class PublicKey:
         if not self.verify(message, signature):
             raise SignatureError("signature verification failed")
 
-    def fingerprint(self) -> str:
-        """Short hex identifier, convenient for logs and dictionaries."""
-        return self.key_bytes.hex()[:16]
-
 
 @dataclass(frozen=True)
 class PrivateKey:
@@ -217,10 +213,6 @@ class CAKeyring:
     def key_bytes(self) -> bytes:
         """Active key bytes — lets the keyring stand in for a PublicKey."""
         return self.active.key_bytes
-
-    def fingerprint(self) -> str:
-        """Short hex identifier of the active key."""
-        return self.active.fingerprint()
 
     def advance(self, now: int) -> None:
         """Move the keyring clock forward (it never moves back)."""

@@ -18,7 +18,7 @@ from repro.dictionary.sharding import (
     ShardKey,
 )
 from repro.dictionary.signed_root import SignedRoot
-from repro.dictionary.sync import SyncRequest, SyncResponse, SyncServer, resynchronize
+from repro.dictionary.sync import SyncRequest, SyncResponse, SyncServer
 
 __all__ = [
     "CADictionary",
@@ -33,7 +33,6 @@ __all__ = [
     "SyncRequest",
     "SyncResponse",
     "SyncServer",
-    "resynchronize",
     "ShardKey",
     "DEFAULT_SHARD_SECONDS",
     "MAX_CERTIFICATE_LIFETIME_SECONDS",

@@ -135,10 +135,6 @@ class _DictionaryCore:
     def contains(self, serial: SerialNumber) -> bool:
         return serial.to_bytes() in self._tree
 
-    def revocation_number(self, serial: SerialNumber) -> Optional[int]:
-        value = self._tree.get(serial.to_bytes())
-        return None if value is None else _value_to_number(value)
-
     def _append(self, serials: Sequence[SerialNumber], first_number: int) -> None:
         """Append serials with consecutive numbers in one store transaction."""
         if first_number != self.size + 1:
@@ -171,12 +167,6 @@ class _DictionaryCore:
         for key in self._tree.keys():
             per_entry += len(key) + 4
         return per_entry
-
-    def memory_size_bytes(self) -> int:
-        """Approximate working-set size with the hash tree materialised."""
-        entries = self.storage_size_bytes()
-        # A binary tree over n leaves has ~2n digests of digest_size bytes.
-        return entries + 2 * self.size * self._digest_size
 
 
 class CADictionary(_DictionaryCore):

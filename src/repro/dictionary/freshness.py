@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.hashchain import statement_age
+from repro.crypto.hashchain import TOLERANCE_PERIODS, verify_freshness
 from repro.dictionary.signed_root import SignedRoot
 
 
@@ -53,12 +53,6 @@ def periods_elapsed(root_timestamp: int, now: int, delta: int) -> int:
     return (now - root_timestamp) // delta
 
 
-#: Δ periods a statement may trail the client's clock: one, for the
-#: pull-based CDN, which yields the paper's 2Δ attack window (§V).  It is
-#: also how far a statement may lead the verifier's clock (the CA's clock
-#: may run ahead of it); a statement further ahead is refused.
-TOLERANCE_PERIODS = 1
-
 #: How many hash-chain periods behind the statement a replica holds a polled
 #: statement may be and still be recognised as that chain's (benign CDN
 #: staleness, skipped).  The replica hashes its statement this many times at
@@ -74,22 +68,20 @@ def statement_is_fresh(
 ) -> bool:
     """The client acceptance check of §III step 5c.
 
-    The statement's period — the applications of the chain hash, truncated
-    to the anchor's width, that take its value to the anchor — must be
-    within :data:`TOLERANCE_PERIODS` of ``p'``: the statement of period
+    :func:`~repro.crypto.hashchain.verify_freshness` with ``p'`` from the
+    client's clock and the root's chain length: the statement of period
     ``p'``, one period older, or one period newer (the CA's clock ahead of
-    the client's).  The value is hashed at most ``p' +``
-    :data:`TOLERANCE_PERIODS` times (and never past the chain's length), so
-    a forged one costs no more than an honest one of the newest period
-    accepted; a value not as wide as the anchor is refused unhashed.
+    the client's) is accepted, after at most ``p' +``
+    :data:`TOLERANCE_PERIODS` hashes truncated to the anchor's width.  A
+    value not as wide as the anchor is refused unhashed.
     """
     anchor = signed_root.anchor
     if len(statement.value) != len(anchor):
         return False
-    elapsed = periods_elapsed(signed_root.timestamp, now, delta)
-    latest = min(elapsed + TOLERANCE_PERIODS, signed_root.chain_length)
-    # The statement proves the dictionary was intact at (timestamp + age*Δ);
-    # the client requires that moment to be no older than the tolerance
-    # before now, i.e. age >= elapsed - tolerance.
-    age = statement_age(anchor, statement.value, latest, len(anchor))
-    return age is not None and age >= elapsed - TOLERANCE_PERIODS
+    return verify_freshness(
+        anchor,
+        statement.value,
+        periods_elapsed(signed_root.timestamp, now, delta),
+        signed_root.chain_length,
+        len(anchor),
+    )

@@ -54,10 +54,6 @@ class SyncServer:
             )
         self._history.extend(issuance.serials)
 
-    def history_length(self) -> int:
-        """Revocations recorded so far: the CA dictionary's size."""
-        return len(self._history)
-
     def serve(self, request: SyncRequest) -> SyncResponse:
         """Return everything the requester is missing."""
         if request.ca_name != self._dictionary.ca_name:
@@ -110,10 +106,3 @@ def apply_sync_response(replica: ReplicaDictionary, response: SyncResponse) -> N
         replica.install_root(response.batch.signed_root)
     if response.freshness is not None:
         replica.apply_freshness(response.freshness)
-
-
-def resynchronize(replica: ReplicaDictionary, server: SyncServer) -> SyncResponse:
-    """Bring ``replica`` up to date against ``server``; returns the response applied."""
-    response = server.serve(SyncRequest(ca_name=replica.ca_name, have_count=replica.size))
-    apply_sync_response(replica, response)
-    return response

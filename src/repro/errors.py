@@ -83,17 +83,5 @@ class CDNError(ReproError):
     """A CDN request could not be served (unknown object, unknown edge...)."""
 
 
-class MisbehaviorDetected(ReproError):
-    """Consistency checking produced cryptographic evidence of CA misbehavior.
-
-    The exception carries the two conflicting signed roots so that the caller
-    can forward the evidence (e.g. to a software vendor, as in the paper).
-    """
-
-    def __init__(self, message: str, evidence: object = None) -> None:
-        super().__init__(message)
-        self.evidence = evidence
-
-
 class ConfigurationError(ReproError):
     """A component was configured with inconsistent or out-of-range parameters."""

@@ -11,7 +11,7 @@ from repro.net.node import (
 )
 from repro.net.packet import Direction, FiveTuple, Packet, make_flow
 from repro.net.path import NetworkPath, PathEngine
-from repro.net.simulator import EventHandle, EventScheduler
+from repro.net.simulator import EventScheduler
 
 __all__ = [
     "SimulatedClock",
@@ -32,5 +32,4 @@ __all__ = [
     "NetworkPath",
     "PathEngine",
     "EventScheduler",
-    "EventHandle",
 ]

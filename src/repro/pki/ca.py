@@ -122,10 +122,6 @@ class CertificationAuthority:
             authority = authority.parent
         return CertificateChain(certificates=tuple(chain))
 
-    def issued_certificates(self) -> List[Certificate]:
-        """Every certificate issued so far, in issuance order."""
-        return list(self._issued.values())
-
     def certificate_for(self, serial: SerialNumber) -> Optional[Certificate]:
         """The issued certificate with ``serial``, or ``None`` if unknown."""
         return self._issued.get(serial.value)
@@ -153,10 +149,6 @@ class CertificationAuthority:
     def revocations(self) -> List[RevocationRecord]:
         """All revocations in issuance order."""
         return sorted(self._revoked.values(), key=lambda record: record.revoked_at)
-
-    def revocation_count(self) -> int:
-        """How many revocations have been recorded."""
-        return len(self._revoked)
 
 
 @dataclass

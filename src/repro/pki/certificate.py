@@ -165,10 +165,6 @@ class Certificate:
         """Check the validity window only (no signature, no revocation)."""
         return self.not_before <= timestamp <= self.not_after
 
-    def identifier(self) -> tuple[str, int]:
-        """(issuer name, serial value) — the pair an RA uses to pick a dictionary."""
-        return (self.issuer, self.serial.value)
-
     def __str__(self) -> str:
         kind = "CA" if self.is_ca else "EE"
         return f"<{kind} cert {self.subject!r} issued by {self.issuer!r} serial {self.serial}>"

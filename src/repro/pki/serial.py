@@ -84,7 +84,3 @@ class SerialNumberAllocator:
             if candidate not in self._issued:
                 self._issued.add(candidate)
                 return SerialNumber(candidate, self._width)
-
-    def allocate_many(self, count: int) -> list[SerialNumber]:
-        """``count`` serials, each from :meth:`allocate`."""
-        return [self.allocate() for _ in range(count)]

@@ -21,7 +21,6 @@ from repro.ritm.consistency import (
     ConsistencyChecker,
     GossipExchange,
     MisbehaviorReport,
-    cross_check_edge,
 )
 from repro.ritm.deployment import (
     Deployment,
@@ -72,7 +71,6 @@ __all__ = [
     "ConsistencyChecker",
     "GossipExchange",
     "MisbehaviorReport",
-    "cross_check_edge",
     "Deployment",
     "build_close_to_client_deployment",
     "build_close_to_server_deployment",

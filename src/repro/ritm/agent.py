@@ -804,13 +804,3 @@ class RevocationAgent(Middlebox):
         state.mark_status_sent(now)
         self.stats.statuses_replaced += 1
         return packet.with_payload(serialize_records(passthrough) + our_record)
-
-    # -- housekeeping ---------------------------------------------------------------------
-
-    def expire_idle_connections(self, now: float) -> int:
-        """Forget connections idle past their timeout; returns how many."""
-        return self.connections.expire_idle(now)
-
-    def dictionary_sizes(self) -> Dict[str, int]:
-        """Revocations each replica holds, by dictionary name."""
-        return {name: replica.size for name, replica in self.replicas.items()}

@@ -212,11 +212,6 @@ class RITMCertificationAuthority:
         return self.authority.public_key
 
     @property
-    def signing_public_key(self):
-        """The currently-active dictionary-signing key (rotates)."""
-        return self._signing_keys.public
-
-    @property
     def keyring(self) -> CAKeyring:
         """The CA's own time-scoped keyring across every rotation so far."""
         return self._keyring

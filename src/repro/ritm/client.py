@@ -123,10 +123,6 @@ class RITMClient(Endpoint):
         record = self.tls.client_hello()
         return Packet(flow=flow, payload=record.to_bytes(), created_at=now)
 
-    def application_packet(self, flow, payload: bytes, now: float) -> Packet:
-        record = self.tls.application_data(payload)
-        return Packet(flow=flow, payload=record.to_bytes(), created_at=now)
-
     # -- endpoint interface -----------------------------------------------------
 
     def handle_packet(self, packet: Packet, now: float) -> List[Packet]:

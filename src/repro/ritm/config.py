@@ -15,7 +15,6 @@ expired shards every Δ.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.dictionary.sharding import DEFAULT_SHARD_SECONDS, shard_name
@@ -123,10 +122,6 @@ class RITMConfig:
         if not self.sharded:
             return ca_name
         return shard_name(ca_name, expiry // self.shard_width_seconds)
-
-    def with_delta(self, delta_seconds: int) -> "RITMConfig":
-        """A copy with a different Δ (used by the parameter sweeps)."""
-        return dataclasses.replace(self, delta_seconds=delta_seconds)
 
     @classmethod
     def for_label(cls, label: str, **overrides) -> "RITMConfig":

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional
 
 from repro.crypto.signing import KeyPair, PublicKey, acceptable_verifiers
 from repro.dictionary.signed_root import SignedRoot
-from repro.errors import MisbehaviorDetected
 
 
 @dataclass(frozen=True)
@@ -146,31 +145,9 @@ class ConsistencyChecker:
             return report
         return None
 
-    def observe_or_raise(self, root: SignedRoot) -> None:
-        """Like :meth:`observe_root` but raises on detected misbehavior."""
-        report = self.observe_root(root)
-        if report is not None:
-            raise MisbehaviorDetected(
-                f"CA {root.ca_name!r} equivocated at dictionary size {root.size}",
-                evidence=report,
-            )
-
-    def latest_root(self, ca_name: str) -> Optional[SignedRoot]:
-        """The largest-size root observed for ``ca_name`` (None if none)."""
-        by_size = self._roots.get(ca_name)
-        if not by_size:
-            return None
-        return by_size[max(by_size)]
-
     def known_roots(self, ca_name: str) -> List[SignedRoot]:
         """Every stored root for ``ca_name``, ordered by dictionary size."""
         return [self._roots[ca_name][size] for size in sorted(self._roots.get(ca_name, {}))]
-
-    def has_detected_misbehavior(self, ca_name: Optional[str] = None) -> bool:
-        """Whether any report exists (optionally filtered to one CA)."""
-        if ca_name is None:
-            return bool(self.reports)
-        return any(report.ca_name == ca_name for report in self.reports)
 
 
 @dataclass
@@ -190,15 +167,3 @@ class GossipExchange:
                         new_reports.append(report)
         self.reports.extend(new_reports)
         return new_reports
-
-
-def cross_check_edge(
-    checker: ConsistencyChecker, edge_roots: List[SignedRoot]
-) -> List[MisbehaviorReport]:
-    """Compare a party's view with roots downloaded from a (random) edge server."""
-    reports: List[MisbehaviorReport] = []
-    for root in edge_roots:
-        report = checker.observe_root(root)
-        if report is not None:
-            reports.append(report)
-    return reports

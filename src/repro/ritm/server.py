@@ -85,9 +85,6 @@ class RITMServer(Endpoint):
             created_at=now,
         )
 
-    def connection_count(self) -> int:
-        return len(self._connections)
-
 
 class TLSTerminator(RITMServer):
     """A data-center TLS terminator that confirms RITM support in ServerHello.

@@ -88,12 +88,11 @@ class ConnectionState:
 class ConnectionTable:
     """The RA's flow table, keyed by :func:`flow_key`."""
 
-    def __init__(self, idle_timeout_seconds: float = 3600.0) -> None:
+    def __init__(self) -> None:
         self._connections: Dict[FlowKey, ConnectionState] = {}
         #: ``get(key)``: the state of the flow whose :func:`flow_key` is
         #: ``key``, or ``None`` — the per-packet lookup, a bound ``dict.get``.
         self.get = self._connections.get
-        self.idle_timeout_seconds = idle_timeout_seconds
 
     def __len__(self) -> int:
         return len(self._connections)
@@ -113,17 +112,3 @@ class ConnectionTable:
 
     def remove(self, flow: FiveTuple) -> None:
         self._connections.pop(flow_key(flow), None)
-
-    def expire_idle(self, now: float) -> int:
-        """Drop connections idle longer than the timeout; returns how many."""
-        stale = [
-            key
-            for key, state in self._connections.items()
-            if now - state.last_activity > self.idle_timeout_seconds
-        ]
-        for key in stale:
-            del self._connections[key]
-        return len(stale)
-
-    def states(self):
-        return list(self._connections.values())

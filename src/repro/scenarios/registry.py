@@ -40,8 +40,3 @@ def names() -> List[str]:
 def all_scenarios() -> List[ScenarioConfig]:
     """All registered scenario configs, sorted by name."""
     return [_REGISTRY[name] for name in names()]
-
-
-def unregister(name: str) -> None:
-    """Remove a scenario (used by tests to keep the registry clean)."""
-    _REGISTRY.pop(name, None)

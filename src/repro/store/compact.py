@@ -247,11 +247,6 @@ class _ByteColumn(Sequence):
             total += self._offs.itemsize * len(self._offs)
         return total
 
-    @property
-    def is_uniform(self) -> bool:
-        """Whether the column is still in fixed-stride (uniform) mode."""
-        return self._lens is None
-
     # -- internals ---------------------------------------------------------
 
     def _fit(self, item: bytes) -> None:

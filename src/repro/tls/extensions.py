@@ -39,10 +39,6 @@ class Extension:
         except struct.error as exc:
             raise no_wire_form(self, exc) from None
 
-    @property
-    def wire_size(self) -> int:
-        return 4 + len(self.data)
-
 
 def encode_extensions(extensions: Iterable[Extension]) -> bytes:
     body = b"".join([extension.to_bytes() for extension in extensions])

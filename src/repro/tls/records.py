@@ -64,16 +64,6 @@ class TLSRecord:
         except struct.error as exc:
             raise no_wire_form(self, exc) from None
 
-    @property
-    def wire_size(self) -> int:
-        return RECORD_HEADER_SIZE + len(self.payload)
-
-    def is_handshake(self) -> bool:
-        return self.content_type == ContentType.HANDSHAKE
-
-    def is_application_data(self) -> bool:
-        return self.content_type == ContentType.APPLICATION_DATA
-
     def is_ritm_status(self) -> bool:
         return self.content_type == ContentType.RITM_STATUS
 

@@ -36,7 +36,6 @@ from repro.workloads.revocation_trace import (
     DailyRevocations,
     RevocationTrace,
     generate_trace,
-    largest_crl_serials,
     serials_for_count,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "DailyRevocations",
     "generate_trace",
     "serials_for_count",
-    "largest_crl_serials",
     "TOTAL_REVOCATIONS",
     "NUMBER_OF_CRLS",
     "AVERAGE_REVOCATIONS_PER_CRL",

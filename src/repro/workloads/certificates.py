@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.crypto.signing import KeyPair
 from repro.pki.ca import CertificationAuthority, TrustStore
@@ -30,20 +30,6 @@ class CertificateCorpus:
     def ca_public_keys(self) -> Dict[str, object]:
         """Issuer name -> Ed25519 public key for every modelled CA."""
         return {authority.name: authority.public_key for authority in self.authorities}
-
-    def chain_for_domain(self, domain: str) -> Optional[CertificateChain]:
-        """The chain whose leaf certifies ``domain``, if one was generated."""
-        for chain in self.chains:
-            if chain.leaf.subject == domain:
-                return chain
-        return None
-
-    def authority_by_name(self, name: str) -> Optional[CertificationAuthority]:
-        """Look up one of the corpus CAs by its issuer name."""
-        for authority in self.authorities:
-            if authority.name == name:
-                return authority
-        return None
 
 
 def generate_corpus(

@@ -47,11 +47,6 @@ class PopulationModel:
 
     cities: List[City]
 
-    @property
-    def total_population(self) -> int:
-        """Sum of the modelled client population across all cities."""
-        return sum(city.population for city in self.cities)
-
     def population_by_region(self) -> Dict[Region, int]:
         """Client population aggregated per network region."""
         totals: Dict[Region, int] = {region: 0 for region in Region}
@@ -71,17 +66,6 @@ class PopulationModel:
     def total_ras(self, clients_per_ra: int = DEFAULT_CLIENTS_PER_RA) -> int:
         """Fleet-wide RA count at the given clients-per-RA provisioning."""
         return sum(self.ras_by_region(clients_per_ra).values())
-
-    def largest_cities(self, count: int) -> List[City]:
-        """The ``count`` most populous cities, descending."""
-        return sorted(self.cities, key=lambda city: city.population, reverse=True)[:count]
-
-    def sample_locations(self, count: int, seed: int = 0) -> List[GeoLocation]:
-        """Sample ``count`` locations weighted by city population."""
-        rng = random.Random(seed)
-        weights = [city.population for city in self.cities]
-        chosen = rng.choices(self.cities, weights=weights, k=count)
-        return [city.location() for city in chosen]
 
 
 def generate_population(

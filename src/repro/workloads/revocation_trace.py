@@ -227,8 +227,3 @@ def serials_for_count(count: int, seed: int = 0) -> List[int]:
     if count > space:
         raise ValueError("more serials requested than the 3-byte space holds")
     return rng.sample(range(1, space + 1), count)
-
-
-def largest_crl_serials(seed: int = 1) -> List[int]:
-    """The serial set of the paper's largest CRL (339,557 entries)."""
-    return serials_for_count(LARGEST_CRL_ENTRIES, seed)

@@ -342,10 +342,6 @@ class StreamingWorkload:
         self._profiles[site] = profile
         return profile
 
-    def site_lifetime(self, site: int) -> int:
-        """Certificate lifetime in seconds for ``site``."""
-        return self.site_profile(site)[0]
-
     def site_serial(self, site: int) -> int:
         """Deterministic 3-byte certificate serial for ``site``."""
         return self.site_profile(site)[1]

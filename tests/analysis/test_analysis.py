@@ -8,8 +8,6 @@ from repro.analysis.overhead import (
     FIGURE7_DELTAS,
     FRESHNESS_BYTES,
     figure_7,
-    live_shard_count,
-    sharded_storage_overhead,
     status_size_for_dictionary,
     storage_overhead,
 )
@@ -164,41 +162,6 @@ class TestCostModel:
             CostModelConfig(shards_per_dictionary=0)
 
 
-class TestShardedStorageModel:
-    def test_live_shard_count_quarter_width(self):
-        assert live_shard_count(90 * 86_400) == 14
-
-    def test_live_shard_count_validates_width(self):
-        with pytest.raises(ValueError):
-            live_shard_count(0)
-
-    def test_unsharded_grows_monotonically_sharded_plateaus(self):
-        result = sharded_storage_overhead(
-            revocations_per_day=100,
-            days=360,
-            certificate_lifetime_days=90,
-            shard_width_days=30,
-        )
-        assert all(
-            earlier < later
-            for earlier, later in zip(result.unsharded_bytes, result.unsharded_bytes[1:])
-        )
-        assert result.plateau_bytes < result.unsharded_bytes[-1]
-        # Steady state: the footprint stops growing once shards retire.
-        assert result.sharded_bytes[-1] == result.plateau_bytes
-        assert result.reclaimed_bytes > 0
-        assert result.final_savings_bytes() == result.reclaimed_bytes
-
-    def test_plateau_scales_with_lifetime_not_horizon(self):
-        short = sharded_storage_overhead(days=240, certificate_lifetime_days=60)
-        long = sharded_storage_overhead(days=720, certificate_lifetime_days=60)
-        assert short.plateau_bytes == long.plateau_bytes
-
-    def test_model_rejects_nonpositive_parameters(self):
-        with pytest.raises(ValueError):
-            sharded_storage_overhead(days=0)
-
-
 class TestOverhead:
     def test_figure7_baseline_is_a_few_kilobytes(self, trace):
         result = figure_7(trace)
@@ -274,6 +237,31 @@ class TestTiming:
         assert throughput.non_tls_packets_per_second > 10_000
         assert throughput.handshakes_per_second > 500
         assert throughput.client_validations_per_second > 0
+
+    def test_no_timed_repetition_builds_a_comb_table(self, monkeypatch):
+        """Every row, the signature rows included, is timed warm: the key's
+        comb table is built before the timed loop, never inside it."""
+        from repro.analysis import timing
+        from repro.crypto import ed25519
+
+        ed25519._key_table.cache_clear()
+        builds, per_row = [], []
+        build = ed25519._comb_table
+        monkeypatch.setattr(
+            ed25519, "_comb_table", lambda *args: builds.append(args) or build(*args)
+        )
+        time_operation = timing._time_operation
+
+        def counted(operation, repetitions):
+            before = len(builds)
+            row = time_operation(operation, repetitions)
+            per_row.append(len(builds) - before)
+            return row
+
+        monkeypatch.setattr(timing, "_time_operation", counted)
+        run_table_3(repetitions=3, entries=200, signature_repetitions=2)
+        assert builds, "the untimed check builds the key's table"
+        assert per_row == [0] * len(per_row)
 
     def test_dictionary_update_timing(self):
         timing = time_dictionary_update(batch_size=200, existing_entries=500)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.base import CheckContext, GroundTruth
-from repro.baselines.crl import CRLScheme, DeltaCRLScheme
+from repro.baselines.crl import CRLScheme
 from repro.baselines.ocsp import OCSPScheme, OCSPStaplingScheme
 from repro.pki.serial import SerialNumber
 
@@ -82,23 +82,6 @@ class TestCRL:
         scheme = CRLScheme(truth)
         scheme.check(ctx(100, now=5_000, client="alice"))
         assert scheme.distribution_point.request_log[0][0] == "alice"
-
-
-class TestDeltaCRL:
-    def test_warm_client_downloads_only_delta(self, truth):
-        scheme = DeltaCRLScheme(truth, publication_period=DAY)
-        cold = scheme.check(ctx(100, now=5_000))
-        truth.revoke(SerialNumber(300), now=6_000)
-        warm = scheme.check(ctx(300, now=5_000 + DAY + 1))
-        assert warm.revoked is True
-        assert 0 < warm.bytes_downloaded < cold.bytes_downloaded
-
-    def test_within_period_no_download(self, truth):
-        scheme = DeltaCRLScheme(truth, publication_period=DAY)
-        scheme.check(ctx(100, now=5_000))
-        result = scheme.check(ctx(200, now=5_500))
-        assert result.connections_made == 0
-        assert result.revoked is True
 
 
 class TestOCSP:

@@ -6,7 +6,6 @@ from repro.baselines.base import CheckContext, GroundTruth
 from repro.baselines.crlset import CRLSetScheme
 from repro.baselines.logbased import ClientDrivenLogScheme, ServerDrivenLogScheme
 from repro.baselines.revcast import BroadcastSchedule, RevCastScheme
-from repro.baselines.short_lived import ShortLivedCertificateScheme
 from repro.pki.serial import SerialNumber
 
 DAY = 86_400.0
@@ -58,28 +57,6 @@ class TestCRLSet:
             CRLSetScheme(truth, coverage=0.0)
 
 
-class TestShortLived:
-    def test_revocation_invisible_within_lifetime(self, truth):
-        scheme = ShortLivedCertificateScheme(truth, lifetime_seconds=4 * DAY)
-        scheme.server_refresh("site.example", serial_value=42, now=1_000.0)
-        result = scheme.check(ctx(42, now=2_000.0))
-        assert result.revoked is False
-        assert "undetectable until expiry" in result.notes
-
-    def test_compromise_ends_at_expiry(self, truth):
-        scheme = ShortLivedCertificateScheme(truth, lifetime_seconds=4 * DAY)
-        scheme.server_refresh("site.example", serial_value=42, now=1_000.0)
-        result = scheme.check(ctx(42, now=1_000.0 + 5 * DAY))
-        assert result.revoked is True
-
-    def test_staleness_bound_is_lifetime(self, truth):
-        scheme = ShortLivedCertificateScheme(truth, lifetime_seconds=4 * DAY)
-        assert scheme.check(ctx(9_999, now=1_000.0)).staleness_bound_seconds == 4 * DAY
-
-    def test_requires_server_changes(self, truth):
-        assert "S" in ShortLivedCertificateScheme(truth).properties().violated_letters()
-
-
 class TestLogBased:
     def test_client_driven_costs_a_connection_and_privacy(self, truth):
         scheme = ClientDrivenLogScheme(truth)
@@ -119,8 +96,9 @@ class TestLogBased:
 class TestRevCast:
     def test_broadcast_backlog_scales_with_burst(self, truth):
         schedule = BroadcastSchedule(truth)
-        one_hour_burst = schedule.backlog_seconds(5_440)
-        heartbleed_burst = schedule.backlog_seconds(80_000)
+        # The last revocation of a burst of n goes on air at queue position n - 1.
+        one_hour_burst = schedule.airtime_for(5_440 - 1)
+        heartbleed_burst = schedule.airtime_for(80_000 - 1)
         assert heartbleed_burst > one_hour_burst
         # 80k revocations at ~280 bits each over 421.8 bit/s takes > 14 hours.
         assert heartbleed_burst > 14 * 3600

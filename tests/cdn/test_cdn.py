@@ -28,15 +28,6 @@ class TestDistributionPoint:
         with pytest.raises(CDNError):
             DistributionPoint().fetch("/nope")
 
-    def test_validator_rejects_bad_uploads(self):
-        origin = DistributionPoint()
-        origin.register_validator("/ritm/", lambda content: content.startswith(b"ok"))
-        origin.publish("/ritm/x", b"ok-payload", now=0.0)
-        with pytest.raises(CDNError):
-            origin.publish("/ritm/x", b"bad-payload", now=1.0)
-        # Paths outside the validated prefix are unaffected.
-        origin.publish("/other", b"bad-payload", now=2.0)
-
     def test_paths_listing(self):
         origin = DistributionPoint()
         origin.publish("/b", b"x", now=0.0)
@@ -56,7 +47,6 @@ class TestEdgeServer:
         edge.serve("/object", now=2.0)
         assert edge.cache_hits == 0
         assert edge.bytes_from_origin == 2000
-        assert edge.cache_hit_ratio() == 0.0
 
     def test_ttl_caching_hits_within_ttl(self):
         origin, edge = self.make_edge(ttl=60.0)
@@ -121,15 +111,13 @@ class TestCDNNetwork:
         with pytest.raises(CDNError):
             cdn.edges_in(Region.JAPAN)
 
-    def test_usage_accounting_and_reset(self):
+    def test_usage_accounting(self):
         cdn = CDNNetwork()
         cdn.publish("/x", b"\x00" * 1_000, now=0.0)
         cdn.download("/x", GeoLocation(Region.EUROPE), now=1.0)
         cdn.download("/x", GeoLocation(Region.INDIA), now=2.0)
-        usage = cdn.reset_usage()
-        assert usage.total_requests() == 2
-        assert usage.total_bytes() > 2_000
-        assert cdn.usage.total_requests() == 0
+        assert sum(region.requests for region in cdn.usage.per_region.values()) == 2
+        assert cdn.usage.total_bytes() > 2_000
 
     def test_larger_objects_take_longer(self):
         cdn = CDNNetwork()
@@ -214,7 +202,6 @@ class TestEdgeObjectCacheBound:
         edge = self._edge(max_objects=2)
         for index in range(4):
             edge.serve(f"/object-{index}", now=1.0)
-        assert edge.cached_object_count() == 2
         assert edge.cache_stats.evictions == 2
         # The most recent two still hit; the evicted ones refetch.
         assert edge.serve("/object-3", now=2.0).cache_hit
@@ -228,15 +215,7 @@ class TestEdgeObjectCacheBound:
         assert not stale.cache_hit
         assert edge.cache_stats.invalidations == 1
         assert edge.cache_stats.hits == edge.cache_hits == 1
-        assert edge.cache_hit_ratio() == pytest.approx(1 / 3)
-
-    def test_peek_version_does_not_touch_counters(self):
-        edge = self._edge()
-        edge.serve("/object-0", now=1.0)
-        lookups_before = edge.cache_stats.lookups
-        assert edge.peek_version("/object-0", now=2.0) is not None
-        assert edge.peek_version("/missing", now=2.0) is None
-        assert edge.cache_stats.lookups == lookups_before
+        assert edge.cache_hits / edge.requests_served == pytest.approx(1 / 3)
 
     def test_invalidate_counts(self):
         edge = self._edge()
@@ -245,5 +224,5 @@ class TestEdgeObjectCacheBound:
         edge.invalidate("/object-0")
         assert edge.cache_stats.invalidations == 1
         edge.invalidate()
-        assert edge.cached_object_count() == 0
+        assert not edge.serve("/object-1", now=2.0).cache_hit
         assert edge.cache_stats.invalidations == 2

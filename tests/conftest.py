@@ -70,6 +70,13 @@ def make_serials(count: int, start: int = 1) -> list[SerialNumber]:
     return [SerialNumber(value) for value in range(start, start + count)]
 
 
+def revocation_number(dictionary, serial: SerialNumber):
+    """The revocation number ``dictionary`` stores for ``serial`` (its leaf
+    value, a big-endian count from 1), or ``None`` when it holds no leaf."""
+    value = dict(dictionary.leaf_items()).get(serial.to_bytes())
+    return None if value is None else int.from_bytes(value, "big")
+
+
 def sized_attributes(obj) -> dict[str, int]:
     """``len`` of every sized attribute of ``obj``, by attribute name — what
     the no-shadow-state tests count to show an object owns one container."""

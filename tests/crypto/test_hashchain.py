@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto import hashchain
 from repro.crypto.hashchain import HashChain, chain_apply, statement_age, verify_freshness
 from repro.crypto.hashing import hash_chain_link
 from repro.errors import HashChainError
@@ -65,30 +66,55 @@ class TestVerifyFreshness:
     def test_current_statement_verifies(self):
         chain = HashChain(length=10)
         for period in range(0, 10):
-            assert verify_freshness(chain.anchor, chain.statement(period), period)
+            assert verify_freshness(chain.anchor, chain.statement(period), period, chain.length)
 
     def test_tolerance_accepts_one_period_newer(self):
         chain = HashChain(length=10)
         # Verifier believes 3 periods elapsed but CA already released period 4.
-        assert verify_freshness(chain.anchor, chain.statement(4), 3, tolerance=1)
+        assert verify_freshness(chain.anchor, chain.statement(4), 3, chain.length)
+
+    def test_tolerance_accepts_one_period_older(self):
+        chain = HashChain(length=10)
+        # Verifier believes 3 periods elapsed; the CDN still serves period 2.
+        assert verify_freshness(chain.anchor, chain.statement(2), 3, chain.length)
 
     def test_statement_older_than_required_is_rejected(self):
         chain = HashChain(length=10)
         # Only 2 periods released, but verifier expects at least 4.
-        assert not verify_freshness(chain.anchor, chain.statement(2), 4, tolerance=1)
+        assert not verify_freshness(chain.anchor, chain.statement(2), 4, chain.length)
+
+    def test_statement_two_periods_ahead_is_rejected(self):
+        chain = HashChain(length=10)
+        assert not verify_freshness(chain.anchor, chain.statement(5), 3, chain.length)
+
+    def test_the_seed_is_fresh_until_one_period_past_the_chain(self):
+        chain = HashChain(length=4)
+        assert verify_freshness(chain.anchor, chain.statement(4), 5, chain.length)
+        assert not verify_freshness(chain.anchor, chain.statement(4), 6, chain.length)
 
     def test_forged_statement_rejected(self):
         chain = HashChain(length=10)
-        assert not verify_freshness(chain.anchor, b"\x00" * 20, 3)
+        assert not verify_freshness(chain.anchor, b"\x00" * 20, 3, chain.length)
 
     def test_wrong_anchor_rejected(self):
         chain_a = HashChain(length=10)
         chain_b = HashChain(length=10)
-        assert not verify_freshness(chain_b.anchor, chain_a.statement(2), 2)
+        assert not verify_freshness(chain_b.anchor, chain_a.statement(2), 2, chain_b.length)
 
     def test_negative_elapsed_rejected(self):
         chain = HashChain(length=4)
-        assert not verify_freshness(chain.anchor, chain.statement(0), -1)
+        assert not verify_freshness(chain.anchor, chain.statement(0), -1, chain.length)
+
+    @pytest.mark.parametrize("elapsed", [0, 3, 9, 40])
+    def test_a_forged_value_costs_at_most_p_prime_plus_one_hashes(self, elapsed, monkeypatch):
+        chain = HashChain(length=10)
+        calls = []
+        real = hashchain.hash_chain_link
+        monkeypatch.setattr(
+            hashchain, "hash_chain_link", lambda value, size: calls.append(1) or real(value, size)
+        )
+        assert not verify_freshness(chain.anchor, b"\x00" * 20, elapsed, chain.length)
+        assert len(calls) == min(elapsed + 1, chain.length)
 
 
 class TestStatementAge:

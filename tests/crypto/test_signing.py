@@ -59,11 +59,6 @@ class TestPublicKey:
             with pytest.raises(SignatureError):
                 keys.public.verify_or_raise(b"m", malformed)
 
-    def test_fingerprint_is_short_hex(self):
-        fingerprint = KeyPair.generate(b"k").public.fingerprint()
-        assert len(fingerprint) == 16
-        int(fingerprint, 16)  # must be hex
-
 
 class TestPrivateKey:
     def test_rejects_wrong_seed_length(self):

@@ -18,7 +18,7 @@ from repro.pki.serial import SerialNumber
 from repro.ritm.messages import encode_status
 from repro.store import ENGINES, create_store
 
-from tests.conftest import make_serials, sized_attributes
+from tests.conftest import make_serials, revocation_number, sized_attributes
 
 
 @pytest.fixture()
@@ -67,8 +67,8 @@ class TestInsert:
         master.insert([SerialNumber(7), SerialNumber(3)], now=100)
         assert master.contains(SerialNumber(7))
         assert not master.contains(SerialNumber(8))
-        assert master.revocation_number(SerialNumber(7)) == 1
-        assert master.revocation_number(SerialNumber(3)) == 2
+        assert revocation_number(master, SerialNumber(7)) == 1
+        assert revocation_number(master, SerialNumber(3)) == 2
 
 
 class TestRefresh:
@@ -277,12 +277,10 @@ class TestReplicaFreshnessAndRoots:
 
 
 class TestStorageEstimates:
-    def test_storage_and_memory_scale_with_entries(self, master):
+    def test_storage_scales_with_entries(self, master):
         master.insert(make_serials(100), now=100)
         storage = master.storage_size_bytes()
-        memory = master.memory_size_bytes()
         assert storage == 100 * (3 + 4)
-        assert memory > storage
 
     def test_config_validation(self, keys):
         with pytest.raises(DictionaryError):
@@ -415,8 +413,8 @@ class TestStoreIsTheOnlyIndex:
             sizes = sized_attributes(dictionary)
             assert sizes.pop("_tree") == self.ENTRIES
             assert all(size < self.ENTRIES for size in sizes.values()), sizes
-        assert replica.revocation_number(serials[0]) == 1
-        assert replica.revocation_number(serials[-1]) == self.ENTRIES
+        assert revocation_number(replica, serials[0]) == 1
+        assert revocation_number(replica, serials[-1]) == self.ENTRIES
 
     def test_a_dictionary_costs_what_its_store_costs(self, pair, serials, engine):
         master, replica = pair
@@ -444,7 +442,7 @@ class TestStoreIsTheOnlyIndex:
         with pytest.raises(DictionaryError, match="already revoked"):
             master.insert([SerialNumber(8), SerialNumber(9), SerialNumber(8)], now=110)
         assert (master.size, master.root()) == (3, root)
-        assert master.revocation_number(SerialNumber(8)) is None
+        assert revocation_number(master, SerialNumber(8)) is None
         assert master.insert([SerialNumber(8), SerialNumber(9)], now=110).first_number == 4
 
     def test_duplicate_against_the_store_changes_nothing(self, pair):
@@ -454,8 +452,8 @@ class TestStoreIsTheOnlyIndex:
         with pytest.raises(DictionaryError, match="already revoked"):
             master.insert([SerialNumber(9), SerialNumber(2)], now=110)
         assert (master.size, master.root()) == (3, root)
-        assert master.revocation_number(SerialNumber(2)) == 2
-        assert master.revocation_number(SerialNumber(9)) is None
+        assert revocation_number(master, SerialNumber(2)) == 2
+        assert revocation_number(master, SerialNumber(9)) is None
 
     def test_rolled_back_batch_leaves_no_numbers_behind(self, pair):
         master, replica = pair
@@ -464,10 +462,10 @@ class TestStoreIsTheOnlyIndex:
         forged = make_serials(3, start=900)
         with pytest.raises(DesynchronizedError):
             replica.update(replace(honest, serials=tuple(forged)))
-        assert [replica.revocation_number(serial) for serial in forged] == [None] * 3
-        assert replica.revocation_number(SerialNumber(3)) == 3
+        assert [revocation_number(replica, serial) for serial in forged] == [None] * 3
+        assert revocation_number(replica, SerialNumber(3)) == 3
         replica.update(honest)
-        assert replica.revocation_number(SerialNumber(10)) == 4
+        assert revocation_number(replica, SerialNumber(10)) == 4
         assert replica.root() == master.root()
 
     def test_held_state_numbers_come_from_the_leaves(self, pair, keys, engine):
@@ -484,10 +482,10 @@ class TestStoreIsTheOnlyIndex:
             with pytest.raises(DesynchronizedError):
                 apply_sync_response(restored, reordered)
             assert restored.size == 0
-            assert restored.revocation_number(SerialNumber(7)) is None
+            assert revocation_number(restored, SerialNumber(7)) is None
             apply_sync_response(restored, state)
             assert restored.root() == master.root()
-            assert [restored.revocation_number(serial) for serial in serials] == [1, 2, 3]
+            assert [revocation_number(restored, serial) for serial in serials] == [1, 2, 3]
         finally:
             restored.close()
 

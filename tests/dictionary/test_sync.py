@@ -12,13 +12,19 @@ from repro.dictionary.sync import (
     SyncServer,
     apply_sync_response,
     held_state,
-    resynchronize,
 )
 from repro.errors import DesynchronizedError, DictionaryError, SignatureError
 from repro.pki.serial import SerialNumber
 from repro.ritm.messages import decode_sync_response, encode_sync_response
 
-from tests.conftest import make_serials
+from tests.conftest import make_serials, revocation_number
+
+
+def resynchronize(replica, server):
+    """One sync exchange: ask for what ``replica`` lacks and apply the answer."""
+    response = server.serve(SyncRequest(ca_name=replica.ca_name, have_count=replica.size))
+    apply_sync_response(replica, response)
+    return response
 
 
 @pytest.fixture()
@@ -39,7 +45,7 @@ class TestSyncServer:
         master, server, _ = world
         issuance = master.insert(make_serials(3), now=100)
         server.record_issuance(issuance)
-        assert server.history_length() == 3
+        assert len(server.serve(SyncRequest(ca_name="CA-S", have_count=0)).batch.serials) == 3
 
     def test_out_of_order_history_rejected(self, world):
         master, server, _ = world
@@ -158,7 +164,7 @@ class TestHeldStateRestoresThroughTheSyncApply:
         with pytest.raises(DesynchronizedError, match="recomputed root"):
             apply_sync_response(restored, forged)
         assert restored.size == 0 and restored.signed_root is None
-        assert restored.revocation_number(SerialNumber(7)) is None
+        assert revocation_number(restored, SerialNumber(7)) is None
         apply_sync_response(restored, state)  # the honest state still applies
         assert restored.root() == replica.root()
 

@@ -9,11 +9,14 @@ signing}``,
 ``repro.cdn.edge``, ``repro.scenarios``, ``repro.scenarios.engine``,
 ``repro.workloads`` and ``tools/check_perf_regression.py`` must carry a
 docstring.  CI additionally runs ``interrogate`` over the same paths (one step,
-job ``scenario engine + docs``); this test is the always-on, stdlib-only
+job ``scenario engine + docs``), which it reads from :data:`COVERED_FILES` by
+running this file as a script; this test is the always-on, stdlib-only
 enforcement so the gate holds wherever the suite runs.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,3 +133,23 @@ def test_overall_coverage_meets_threshold():
         total += tot
     coverage = 100.0 * documented / total if total else 100.0
     assert coverage >= THRESHOLD, f"docstring coverage {coverage:.1f}% < {THRESHOLD}%"
+
+
+def test_the_script_prints_every_covered_file_from_the_repo_root():
+    # CI's interrogate step checks exactly what this prints, run from the root.
+    root = SRC.parents[1]
+    printed = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve())],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout.split()
+    assert [root / path for path in printed] == COVERED_FILES
+    assert all((root / path).is_file() for path in printed)
+
+
+if __name__ == "__main__":
+    # The paths CI's interrogate step checks: one list for both gates.
+    print(" ".join(str(path.relative_to(SRC.parents[1])) for path in COVERED_FILES))

@@ -107,14 +107,6 @@ class TestEventScheduler:
         assert fired == [("a", 1.0), ("b", 5.0)]
         assert scheduler.clock.now() == 10.0
 
-    def test_cancellation(self):
-        scheduler = EventScheduler()
-        fired = []
-        handle = scheduler.schedule(2.0, lambda now: fired.append(now))
-        handle.cancel()
-        scheduler.run_until(5.0)
-        assert fired == []
-
     def test_cannot_schedule_in_the_past(self):
         scheduler = EventScheduler(SimulatedClock(100.0))
         with pytest.raises(NetworkError):
@@ -126,15 +118,6 @@ class TestEventScheduler:
         scheduler.schedule_periodic(10.0, lambda now: fired.append(now))
         scheduler.run_until(35.0)
         assert fired == [10.0, 20.0, 30.0]
-
-    def test_periodic_cancellation_stops_future_firings(self):
-        scheduler = EventScheduler()
-        fired = []
-        handle = scheduler.schedule_periodic(10.0, lambda now: fired.append(now))
-        scheduler.run_until(25.0)
-        handle.cancel()
-        scheduler.run_until(100.0)
-        assert fired == [10.0, 20.0]
 
     def test_run_until_only_processes_due_events(self):
         scheduler = EventScheduler()
@@ -160,3 +143,33 @@ class TestEventScheduler:
         scheduler.schedule(1.0, first)
         scheduler.run_until(5.0)
         assert fired == ["first", "second"]
+
+    def test_run_all_stops_a_runaway_schedule_at_its_budget(self):
+        scheduler = EventScheduler()
+        scheduler.schedule_periodic(1.0, lambda now: None)
+        with pytest.raises(NetworkError, match="budget"):
+            scheduler.run_all(max_events=50)
+        assert scheduler.processed_events == 50
+        assert scheduler.clock.now() == 50.0
+        assert scheduler.pending() == 1
+
+    def test_run_until_advances_the_clock_with_nothing_queued(self):
+        scheduler = EventScheduler(SimulatedClock(3.0))
+        assert scheduler.run_until(42.0) == 0
+        assert scheduler.clock.now() == 42.0
+
+    def test_processed_events_counts_across_runs(self):
+        scheduler = EventScheduler()
+        for at in (1.0, 2.0, 30.0):
+            scheduler.schedule(at, lambda now: None)
+        assert scheduler.run_until(10.0) == 2
+        assert scheduler.run_all() == 1
+        assert scheduler.processed_events == 3
+        assert scheduler.pending() == 0
+
+    def test_periodic_events_honour_an_explicit_start(self):
+        scheduler = EventScheduler()
+        fired = []
+        scheduler.schedule_periodic(10.0, fired.append, start=0.0)
+        scheduler.run_until(25.0)
+        assert fired == [0.0, 10.0, 20.0]

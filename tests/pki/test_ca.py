@@ -26,9 +26,9 @@ class TestIssuance:
 
     def test_issued_certificates_are_recorded(self, root_ca):
         keys = KeyPair.generate(b"server-c")
-        root_ca.issue("c.example", keys.public)
-        assert len(root_ca.issued_certificates()) == 1
-        assert root_ca.issued_certificates()[0].subject == "c.example"
+        certificate = root_ca.issue("c.example", keys.public)
+        assert root_ca.certificate_for(certificate.serial) == certificate
+        assert certificate.subject == "c.example"
 
     def test_issue_chain_for_includes_ca_certificate(self, root_ca):
         keys = KeyPair.generate(b"server-d")
@@ -87,7 +87,7 @@ class TestRevocation:
     def test_revoke_many(self, root_ca):
         records = root_ca.revoke_many([SerialNumber(100), SerialNumber(101)], now=5)
         assert len(records) == 2
-        assert root_ca.revocation_count() == 2
+        assert len(root_ca.revocations()) == 2
 
 
 class TestTrustStore:

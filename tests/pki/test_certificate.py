@@ -65,9 +65,6 @@ class TestCertificate:
         assert not certificate.is_valid_at(999)
         assert not certificate.is_valid_at(2_001)
 
-    def test_identifier(self, certificate):
-        assert certificate.identifier() == ("Test CA", 0xABCDEF)
-
     def test_from_bytes_rejects_truncation(self, certificate):
         data = certificate.to_bytes()
         with pytest.raises(CertificateError):

@@ -56,20 +56,20 @@ class TestSerialNumber:
 class TestAllocator:
     def test_allocations_are_unique(self):
         allocator = SerialNumberAllocator(seed=1)
-        serials = allocator.allocate_many(500)
+        serials = [allocator.allocate() for _ in range(500)]
         assert len({serial.value for serial in serials}) == 500
 
     def test_deterministic_with_same_seed(self):
-        a = SerialNumberAllocator(seed=7).allocate_many(10)
-        b = SerialNumberAllocator(seed=7).allocate_many(10)
-        assert [s.value for s in a] == [s.value for s in b]
+        a, b = SerialNumberAllocator(seed=7), SerialNumberAllocator(seed=7)
+        assert [a.allocate().value for _ in range(10)] == [b.allocate().value for _ in range(10)]
 
     def test_width_is_respected(self):
         allocator = SerialNumberAllocator(width=2, seed=3)
-        assert all(serial.width == 2 for serial in allocator.allocate_many(10))
+        assert all(allocator.allocate().width == 2 for _ in range(10))
 
     def test_exhaustion_raises(self):
         allocator = SerialNumberAllocator(width=1, seed=3)
-        allocator.allocate_many(255)
+        for _ in range(255):
+            allocator.allocate()
         with pytest.raises(ValueError):
             allocator.allocate()

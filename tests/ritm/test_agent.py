@@ -313,15 +313,8 @@ class TestResumptionAndMultipleRAs:
         assert statuses[0].is_revoked
         assert fresh.stats.statuses_replaced == 1
 
-    def test_housekeeping_expires_idle_connections(self, world):
-        world.agent.process_packet(client_hello_packet(), now=EPOCH + 10)
-        assert len(world.agent.connections) == 1
-        expired = world.agent.expire_idle_connections(now=EPOCH + 10 + 7200)
-        assert expired == 1
-        assert len(world.agent.connections) == 0
-
-    def test_dictionary_sizes_reporting(self, world):
-        sizes = world.agent.dictionary_sizes()
+    def test_every_followed_ca_has_a_replica(self, world):
+        sizes = {name: replica.size for name, replica in world.agent.replicas.items()}
         assert set(sizes) == {ca.name for ca in world.cas}
 
 

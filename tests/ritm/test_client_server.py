@@ -211,7 +211,7 @@ class TestLegacyClientAndServer:
             to_server = []
             for packet in to_client:
                 to_server.extend(second.handle_packet(packet, EPOCH + 30))
-        assert server.connection_count() == 2
+        assert len(server._connections) == 2
 
     def test_server_application_data_flow(self, world):
         chain = world.corpus.chains[0]

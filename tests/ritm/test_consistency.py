@@ -4,8 +4,7 @@ import pytest
 
 from repro.crypto.signing import KeyPair
 from repro.dictionary.signed_root import SignedRoot
-from repro.errors import MisbehaviorDetected
-from repro.ritm.consistency import ConsistencyChecker, GossipExchange, cross_check_edge
+from repro.ritm.consistency import ConsistencyChecker, GossipExchange
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +29,7 @@ class TestConsistencyChecker:
         assert checker.observe_root(signed_root(keys, 1, 0x01)) is None
         assert checker.observe_root(signed_root(keys, 2, 0x02)) is None
         assert checker.observe_root(signed_root(keys, 1, 0x01)) is None  # same root again
-        assert not checker.has_detected_misbehavior()
+        assert checker.reports == []
 
     def test_equivocation_at_same_size_detected(self, keys):
         checker = ConsistencyChecker("ra-1")
@@ -39,28 +38,40 @@ class TestConsistencyChecker:
         assert report is not None
         assert report.ca_name == "CA-C"
         assert report.is_valid_evidence(keys.public)
-        assert checker.has_detected_misbehavior("CA-C")
-
-    def test_observe_or_raise(self, keys):
-        checker = ConsistencyChecker("ra-1")
-        checker.observe_root(signed_root(keys, 3, 0x01))
-        with pytest.raises(MisbehaviorDetected) as excinfo:
-            checker.observe_or_raise(signed_root(keys, 3, 0x09))
-        assert excinfo.value.evidence.is_valid_evidence(keys.public)
+        assert checker.reports == [report]
 
     def test_different_cas_do_not_conflict(self, keys):
         checker = ConsistencyChecker("ra-1")
         checker.observe_root(signed_root(keys, 3, 0x01, ca_name="CA-A"))
         assert checker.observe_root(signed_root(keys, 3, 0x09, ca_name="CA-B")) is None
 
-    def test_latest_root_and_known_roots(self, keys):
+    def test_known_roots_are_ordered_by_size(self, keys):
         checker = ConsistencyChecker("ra-1")
         checker.observe_root(signed_root(keys, 1, 0x01))
         checker.observe_root(signed_root(keys, 5, 0x05))
         checker.observe_root(signed_root(keys, 3, 0x03))
-        assert checker.latest_root("CA-C").size == 5
         assert [root.size for root in checker.known_roots("CA-C")] == [1, 3, 5]
-        assert checker.latest_root("Unknown-CA") is None
+        assert checker.known_roots("Unknown-CA") == []
+
+    def test_the_first_root_at_a_size_stays_after_equivocation(self, keys):
+        checker = ConsistencyChecker("ra-1")
+        first = signed_root(keys, 3, 0x01)
+        checker.observe_root(first)
+        one = checker.observe_root(signed_root(keys, 3, 0x09))
+        two = checker.observe_root(signed_root(keys, 3, 0x0A))
+        assert checker.known_roots("CA-C") == [first]
+        assert one.first == two.first == first
+        assert checker.reports == [one, two]
+        assert checker.roots_observed == 3
+
+    def test_without_reporter_keys_a_report_is_attributed_but_unsigned(self, keys):
+        checker = ConsistencyChecker("ra-1")
+        checker.observe_root(signed_root(keys, 3, 0x01))
+        report = checker.observe_root(signed_root(keys, 3, 0x09))
+        assert report.detected_by == "ra-1"
+        assert (report.reporter_key_bytes, report.reporter_signature) == (b"", b"")
+        assert not report.verify_reporter()
+        assert report.is_valid_evidence(keys.public)
 
     def test_evidence_with_bad_signature_is_invalid(self, keys):
         from dataclasses import replace
@@ -81,7 +92,7 @@ class TestGossipAndEdgeChecks:
         right.observe_root(signed_root(keys, 4, 0x0B))
         reports = GossipExchange().exchange(left, right)
         assert reports
-        assert left.has_detected_misbehavior() or right.has_detected_misbehavior()
+        assert left.reports or right.reports
 
     def test_gossip_between_consistent_parties_is_silent(self, keys):
         left = ConsistencyChecker("ra-left")
@@ -90,12 +101,6 @@ class TestGossipAndEdgeChecks:
         left.observe_root(shared)
         right.observe_root(shared)
         assert GossipExchange().exchange(left, right) == []
-
-    def test_cross_check_edge(self, keys):
-        checker = ConsistencyChecker("ra-1")
-        checker.observe_root(signed_root(keys, 2, 0x01))
-        reports = cross_check_edge(checker, [signed_root(keys, 2, 0x02), signed_root(keys, 3, 0x03)])
-        assert len(reports) == 1
 
     def test_agent_detects_equivocating_ca_through_dissemination(self, world, keys):
         """A CA that republishes a different dictionary at the same size is caught."""

@@ -7,6 +7,7 @@ from repro.cdn.network import REQUEST_OVERHEAD_BYTES
 from repro.ritm.agent import RevocationAgent
 from repro.ritm.dissemination import attach_agent_to_cas, total_pulls
 
+from tests.conftest import revocation_number
 from tests.ritm.conftest import (
     EPOCH,
     build_stack,
@@ -213,8 +214,8 @@ class TestRevocationPropagation:
         world.pull(now=EPOCH + 35)
         replica = world.agent.replica_for(issuing.name)
         assert replica.size == 2
-        assert replica.revocation_number(serials[0]) == 1
-        assert replica.revocation_number(serials[1]) == 2
+        assert revocation_number(replica, serials[0]) == 1
+        assert revocation_number(replica, serials[1]) == 2
 
     def test_freshness_applied_every_pull(self, world):
         ca = world.cas[0]

@@ -34,6 +34,7 @@ from repro.ritm.persistence import (
     write_checkpoint,
 )
 
+from tests.conftest import revocation_number
 from tests.ritm.conftest import oversized_key_chain
 
 
@@ -157,7 +158,7 @@ class TestCheckpointRoundTrip:
         # proofs and revocation numbers are byte-identical
         serial = SerialNumber(1000)
         assert restored.prove(serial) == replica.prove(serial)
-        assert restored.revocation_number(serial) == replica.revocation_number(serial)
+        assert revocation_number(restored, serial) == revocation_number(replica, serial)
         for a in (agent, restored_agent):
             a.close()
         ca.close()
@@ -460,7 +461,7 @@ class TestShardedCheckpoint:
         for index, replica in replicas.items():
             assert replica.ca_public_key is keyring
             assert replica.root() == agent.shard_replicas(ca.name)[index].root()
-            assert replica.signed_root.verify(ca.signing_public_key)
+            assert replica.signed_root.verify(ca.keyring.active)
 
     def test_corrupt_shard_replica_is_dropped_not_registered_empty(self, tmp_path):
         """A shard checkpoint that fails verification must vanish entirely:

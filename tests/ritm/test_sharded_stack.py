@@ -436,7 +436,7 @@ class TestShardStreams:
         assert keyring.key_epoch == 1
         for replica in replicas.values():
             assert replica.signed_root == ca.head(replica.ca_name).signed_root
-            assert replica.signed_root.verify(ca.signing_public_key)
+            assert replica.signed_root.verify(ca.keyring.active)
 
         # A window opened after the rotation is signed by the new key, and
         # statuses keep proving across it.
@@ -444,7 +444,7 @@ class TestShardStreams:
         assert not client.pull(now=now + 21).errors
         assert len(agent.shard_replicas(ca.name)) == 3
         status = agent.build_status(ca.name, SerialNumber(3), expiry=now + 11 * WEEK)
-        assert status.is_revoked and status.signed_root.verify(ca.signing_public_key)
+        assert status.is_revoked and status.signed_root.verify(ca.keyring.active)
 
     def test_scheduled_rotation_fires_from_refresh(self):
         config = RITMConfig(
@@ -597,7 +597,7 @@ class TestShardStreams:
         assert replica_a.signed_root == ca.streams[a].dictionary.signed_root
         status = agent.build_status(ca.name, SerialNumber(77), expiry_a)
         assert status.signed_root.ca_name == status.ca_name == a
-        status.verify(ca.signing_public_key, now=now + 4, delta=config.delta_seconds)
+        status.verify(ca.keyring.active, now=now + 4, delta=config.delta_seconds)
 
 
 class TestAgentShardLookup:

@@ -49,15 +49,12 @@ def test_unknown_name_raises_configuration_error():
         get("no-such-scenario")
 
 
-def test_duplicate_registration_rejected():
-    config = _minimal_config("registry-test-duplicate")
-    register(config)
-    try:
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register(_minimal_config("registry-test-duplicate"))
-    finally:
-        registry.unregister("registry-test-duplicate")
-    assert "registry-test-duplicate" not in names()
+def test_duplicate_registration_rejected(monkeypatch):
+    # A copy of the registry, so the scenario registered here leaves with the test.
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    register(_minimal_config("registry-test-duplicate"))
+    with pytest.raises(ConfigurationError, match="already registered"):
+        register(_minimal_config("registry-test-duplicate"))
 
 
 def test_names_are_sorted():

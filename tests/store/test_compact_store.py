@@ -214,9 +214,9 @@ class TestRaggedArenas:
         column = _ByteColumn()
         column.insert_at(0, b"aaa")
         column.insert_at(1, b"bbb")
-        assert column.is_uniform
+        assert column._lens is None  # still fixed-stride (uniform)
         column.insert_at(2, b"cc")  # width mismatch converts the arena
-        assert not column.is_uniform
+        assert column._lens is not None  # converted to ragged
         assert list(column) == [b"aaa", b"bbb", b"cc"]
         assert column[-1] == b"cc"
 
@@ -250,7 +250,7 @@ class TestColumnSearch:
         column.insert_at(len(column), to_key(2**24 - 1))
         self.check(column)
         column.keep_runs([(0, 1), (5, 90), (150, len(column))], 1 + 85 + len(column) - 150)
-        assert column.is_uniform
+        assert column._lens is None  # still fixed-stride (uniform)
         self.check(column)
         column.keep_runs([], 0)  # a stride, and nothing stored under it
         self.check(column)
@@ -258,7 +258,7 @@ class TestColumnSearch:
     def test_zero_width_first_key(self):
         column = _ByteColumn()
         column.insert_at(0, b"")
-        assert column.is_uniform
+        assert column._lens is None  # still fixed-stride (uniform)
         self.check(column)
         column.insert_at(1, b"a")
         self.check(column)
@@ -268,7 +268,7 @@ class TestColumnSearch:
         column.append_bulk([b"aaa", b"bbb", b"ddd"])
         self.check(column)
         column.insert_at(2, b"cc")
-        assert not column.is_uniform
+        assert column._lens is not None  # converted to ragged
         self.check(column)
         column.merge([0, 4], [b"a", b"eeee"])
         self.check(column)

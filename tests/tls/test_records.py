@@ -28,8 +28,7 @@ class TestRecordEncoding:
 
     def test_wire_size_includes_header(self):
         record = TLSRecord(ContentType.ALERT, b"xy")
-        assert record.wire_size == 5 + 2
-        assert len(record.to_bytes()) == record.wire_size
+        assert len(record.to_bytes()) == 5 + 2
 
     def test_oversized_payload_rejected(self):
         with pytest.raises(TLSError):
@@ -50,9 +49,8 @@ class TestRecordEncoding:
             parse_records(data)
 
     def test_content_type_predicates(self):
-        assert TLSRecord(ContentType.HANDSHAKE, b"").is_handshake()
-        assert TLSRecord(ContentType.APPLICATION_DATA, b"").is_application_data()
         assert TLSRecord(ContentType.RITM_STATUS, b"").is_ritm_status()
+        assert not TLSRecord(ContentType.HANDSHAKE, b"").is_ritm_status()
 
 
 class TestTLSDetection:

@@ -229,7 +229,7 @@ def test_certificate_lifetimes_follow_the_configured_mix():
         seed=11,
     )
     workload = StreamingWorkload(config)
-    lifetimes = [workload.site_lifetime(site) for site in range(config.sites)]
+    lifetimes = [workload.site_profile(site)[0] for site in range(config.sites)]
     assert set(lifetimes) <= {90 * DAY_SECONDS, 365 * DAY_SECONDS}
     share_short = lifetimes.count(90 * DAY_SECONDS) / len(lifetimes)
     assert 0.55 < share_short < 0.65
