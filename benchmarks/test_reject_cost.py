@@ -57,7 +57,7 @@ from bench_harness import write_json_result
 from repro.cdn import CDNNetwork, GeoLocation
 from repro.cdn.geography import Region
 from repro.crypto import ed25519, hashchain
-from repro.dictionary.freshness import REPLAY_WINDOW, TOLERANCE_PERIODS, FreshnessStatement
+from repro.dictionary.freshness import REPLAY_WINDOW, FreshnessStatement
 from repro.perf import VerifiedRootCache
 from repro.pki import CertificationAuthority, SerialNumber
 from repro.ritm import RITMCertificationAuthority, RITMConfig, RevocationAgent, attach_agent_to_cas
@@ -471,4 +471,4 @@ def test_a_statement_two_periods_ahead_of_the_client_is_refused(freshness_costs)
         one, two = row["status-one-ahead"], row["status-two-ahead"]
         assert (one["clock_period"], two["clock_period"]) == (row["period"] - 1, row["period"] - 2)
         assert (one["accepted"], two["accepted"]) == (True, False)
-        assert two["chain"] <= two["clock_period"] + TOLERANCE_PERIODS
+        assert two["chain"] <= two["clock_period"] + hashchain.TOLERANCE_PERIODS

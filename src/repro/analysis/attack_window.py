@@ -21,7 +21,7 @@ the 2Δ bound must dominate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cdn.geography import GeoLocation, Region

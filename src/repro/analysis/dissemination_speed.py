@@ -16,8 +16,8 @@ vantage points with per-repetition network jitter.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.cdn.network import CDNNetwork
 from repro.crypto.signing import KeyPair
@@ -25,7 +25,6 @@ from repro.dictionary.authdict import CADictionary
 from repro.pki.serial import SerialNumber
 from repro.ritm.messages import encode_issuance
 from repro.workloads.planetlab import (
-    PLANETLAB_NODE_COUNT,
     REPETITIONS_PER_NODE,
     VantagePoint,
     generate_vantage_points,

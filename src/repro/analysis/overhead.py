@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary
@@ -27,7 +27,6 @@ from repro.pki.serial import SerialNumber
 from repro.ritm.config import PAPER_DELTA_SWEEP
 from repro.workloads.revocation_trace import (
     HEARTBLEED_WEEK,
-    LARGEST_CRL_ENTRIES,
     NUMBER_OF_CRLS,
     SERIAL_BYTES,
     TOTAL_REVOCATIONS,

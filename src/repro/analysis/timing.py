@@ -26,7 +26,7 @@ import gc
 import random
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import count
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 

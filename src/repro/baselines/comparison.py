@@ -8,7 +8,7 @@ cross-checking, and collects the violated-properties column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.baselines.base import (

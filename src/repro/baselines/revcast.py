@@ -10,8 +10,8 @@ separate catch-up infrastructure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.baselines.base import (
     CheckContext,

@@ -10,7 +10,7 @@ are the ones from the paper's last row.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.baselines.base import (
     CheckContext,

@@ -11,8 +11,8 @@ monotonically increasing version numbers so edge servers can serve
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.errors import CDNError
 

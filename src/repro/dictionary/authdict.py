@@ -23,13 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.crypto.hashchain import HashChain, statement_age
+from repro.crypto.hashchain import TOLERANCE_PERIODS, HashChain, statement_age
 from repro.crypto.hashing import DEFAULT_DIGEST_SIZE
 from repro.crypto.signing import KeyPair, PublicKey
 from repro.store import create_store
 from repro.dictionary.freshness import (
     REPLAY_WINDOW,
-    TOLERANCE_PERIODS,
     FreshnessStatement,
     periods_elapsed,
 )
@@ -477,7 +476,7 @@ class ReplicaDictionary(_DictionaryCore):
         ``clock_period`` is the Δ period the caller's clock reads under the
         held root.  With the held statement of period *q*, ``statement`` is
         hashed toward it at most ``clock_period +``
-        :data:`~repro.dictionary.freshness.TOLERANCE_PERIODS` ``- q`` times
+        :data:`~repro.crypto.hashchain.TOLERANCE_PERIODS` ``- q`` times
         (never past the chain's last period), else the held statement toward
         ``statement`` at most
         :data:`~repro.dictionary.freshness.REPLAY_WINDOW` times (never past

@@ -12,23 +12,24 @@ Each verifier hashes only as far as its own clock lets a statement be
 (NOVOMODO's one hash per elapsed period):
 
 * a client (:func:`statement_is_fresh`) hashes a statement at most
-  ``p' +`` :data:`TOLERANCE_PERIODS` times toward the anchor, and refuses a
-  statement from further in its future than that;
+  ``p' +`` :data:`~repro.crypto.hashchain.TOLERANCE_PERIODS` times toward
+  the anchor, and refuses a statement from further in its future than that;
 * an RA's replica (``ReplicaDictionary.offer_freshness``) hashes a new
   statement toward the one it holds, at most the periods its clock allows
-  since then plus :data:`TOLERANCE_PERIODS`, and the held one at most
-  :data:`REPLAY_WINDOW` times toward a stale one.  A statement found by
-  neither walk links to nothing the replica holds, however it was made.
-  That bounds the per-Δ poll only: a head, a sync response or a checkpoint
-  (``ReplicaDictionary.apply_freshness``) links over the root's whole
-  chain, so an honest statement is never refused for the CA's Δ or clock.
+  since then plus :data:`~repro.crypto.hashchain.TOLERANCE_PERIODS`, and
+  the held one at most :data:`REPLAY_WINDOW` times toward a stale one.  A
+  statement found by neither walk links to nothing the replica holds,
+  however it was made.  That bounds the per-Δ poll only: a head, a sync
+  response or a checkpoint (``ReplicaDictionary.apply_freshness``) links
+  over the root's whole chain, so an honest statement is never refused for
+  the CA's Δ or clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.hashchain import TOLERANCE_PERIODS, verify_freshness
+from repro.crypto.hashchain import verify_freshness
 from repro.dictionary.signed_root import SignedRoot
 
 
@@ -72,8 +73,9 @@ def statement_is_fresh(
     client's clock and the root's chain length: the statement of period
     ``p'``, one period older, or one period newer (the CA's clock ahead of
     the client's) is accepted, after at most ``p' +``
-    :data:`TOLERANCE_PERIODS` hashes truncated to the anchor's width.  A
-    value not as wide as the anchor is refused unhashed.
+    :data:`~repro.crypto.hashchain.TOLERANCE_PERIODS` hashes truncated to
+    the anchor's width.  A value not as wide as the anchor is refused
+    unhashed.
     """
     anchor = signed_root.anchor
     if len(statement.value) != len(anchor):

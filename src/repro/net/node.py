@@ -13,7 +13,7 @@ Two roles exist on a simulated path:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional
+from typing import List
 
 from repro.net.packet import Packet
 

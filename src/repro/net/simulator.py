@@ -131,7 +131,3 @@ class EventScheduler:
             processed += 1
             self.processed_events += 1
         return processed
-
-    def pending(self) -> int:
-        """The number of events still queued."""
-        return len(self._queue)

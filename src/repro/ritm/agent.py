@@ -560,24 +560,21 @@ class RevocationAgent(Middlebox):
 
         key = flow_key(packet.flow)
         if packet.direction is Direction.CLIENT_TO_SERVER:
-            self._handle_client_to_server(key, packet, inspection, now)
+            self._handle_client_to_server(key, packet, inspection)
             return [packet]
         return [self._handle_server_to_client(key, packet, inspection, now)]
 
     # -- client → server ------------------------------------------------------------
 
     def _handle_client_to_server(
-        self, key: FlowKey, packet: Packet, inspection: InspectionResult, now: float
+        self, key: FlowKey, packet: Packet, inspection: InspectionResult
     ) -> None:
-        state = self.connections.get(key)
         if inspection.client_requests_ritm:
+            state = self.connections.get(key)
             if state is None:
-                state = self.connections.create(packet.flow, now)
+                state = self.connections.create(packet.flow)
                 self.stats.supported_connections += 1
             state.begin_handshake()
-            state.last_activity = now
-        elif state is not None:
-            state.last_activity = now
 
     # -- server → client ------------------------------------------------------------
 
@@ -589,7 +586,6 @@ class RevocationAgent(Middlebox):
             # Not a supported connection: transparent forwarding.
             self.stats.packets_forwarded_transparently += 1
             return packet
-        state.last_activity = now
 
         session_id = inspection.server_session_id
         if session_id is not None:

@@ -18,7 +18,7 @@ directly into the path engine next to RAs and servers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional
 

@@ -50,8 +50,6 @@ class ConnectionState:
     #: The session id the current handshake's ServerHello named (``b""``
     #: until one did): what names the session for resumption.
     session_id: bytes = b""
-    created_at: float = 0.0
-    last_activity: float = 0.0
     #: Full certificate chain observed on the handshake (used when the RA is
     #: configured to prove every certificate in the chain, §VIII).
     chain: Optional[CertificateChain] = None
@@ -97,13 +95,8 @@ class ConnectionTable:
     def __len__(self) -> int:
         return len(self._connections)
 
-    def create(self, flow: FiveTuple, now: float) -> ConnectionState:
-        state = ConnectionState(
-            flow=flow.canonical(),
-            stage=HandshakeStage.CLIENT_HELLO,
-            created_at=now,
-            last_activity=now,
-        )
+    def create(self, flow: FiveTuple) -> ConnectionState:
+        state = ConnectionState(flow=flow.canonical())
         self._connections[flow_key(flow)] = state
         return state
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import datetime as _dt
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Mapping, Tuple
 
 from repro.cdn.geography import Region
 from repro.errors import ConfigurationError

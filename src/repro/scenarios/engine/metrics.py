@@ -14,7 +14,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.perf import CacheStats
 from repro.scenarios.engine.state import RunState
-from repro.scenarios.report import FLEET_METRIC_KEYS  # noqa: F401  (re-export)
 
 
 def overlap_factor(intervals: Sequence[Tuple[float, float]]) -> float:

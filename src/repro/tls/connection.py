@@ -14,8 +14,7 @@ remember the session's CA and serial from the original handshake.
 from __future__ import annotations
 
 import hashlib
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
 

@@ -21,7 +21,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.errors import CertificateError, TLSError
 from repro.pki.certificate import CertificateChain

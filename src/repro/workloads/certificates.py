@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.crypto.signing import KeyPair
 from repro.pki.ca import CertificationAuthority, TrustStore

@@ -25,8 +25,8 @@ from __future__ import annotations
 import datetime as _dt
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 # -- published calibration constants -------------------------------------------------
 

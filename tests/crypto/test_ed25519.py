@@ -513,6 +513,24 @@ class TestProductionGeometry:
                 walk = ed25519._comb_mult((s, ed25519._BASE_TABLE), (h, table))
                 assert oracle.equal(walk, oracle.add(s_b, oracle.scalar_mult(h, minus_a))), (s, h)
 
+    @pytest.mark.parametrize("teeth", [1, 5, 6, 7, ed25519.KEY_TEETH, ed25519.BASE_TEETH])
+    def test_edge_scalars_give_the_ladder_in_reduced_coordinates(self, teeth):
+        # The walk reduces its inner products only to congruent values, so
+        # the coordinates it returns must still be fully reduced: compression
+        # and `_point_equal` read them as field elements.  The largest scalar
+        # a geometry accepts fills its teeth × span bits.
+        if teeth == ed25519.BASE_TEETH:
+            point, table = oracle.BASE, ed25519._BASE_TABLE
+        else:
+            point = oracle.decompress(mixed_order_key())
+            table = ed25519._comb_table(point, teeth)
+        largest = 2 ** (teeth * ed25519._comb_span(teeth)) - 1
+        for k in [0, 1, oracle.L - 1, largest]:
+            x, y, z, t = walk = ed25519._comb_mult((k, table))
+            assert all(0 <= coordinate < ed25519.P for coordinate in walk), (k, walk)
+            assert (x * y - z * t) % ed25519.P == 0, k
+            assert oracle.equal(walk, oracle.scalar_mult(k, point)), k
+
     def test_the_derived_small_order_set_is_the_torsion_subgroup(self):
         assert ed25519._SMALL_ORDER_ENCODINGS == frozenset(SMALL_ORDER_POINTS)
 

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.crypto.hashchain import TOLERANCE_PERIODS
 from repro.crypto.signing import KeyPair
 from repro.dictionary.authdict import CADictionary
 from repro.dictionary.freshness import (
-    TOLERANCE_PERIODS,
     FreshnessStatement,
     periods_elapsed,
     statement_is_fresh,

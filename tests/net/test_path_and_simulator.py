@@ -126,7 +126,9 @@ class TestEventScheduler:
         scheduler.schedule(50.0, lambda now: fired.append(50))
         processed = scheduler.run_until(10.0)
         assert processed == 1
-        assert scheduler.pending() == 1
+        assert fired == [1]
+        assert scheduler.run_all() == 1
+        assert fired == [1, 50]
 
     def test_periodic_requires_positive_period(self):
         with pytest.raises(NetworkError):
@@ -151,7 +153,8 @@ class TestEventScheduler:
             scheduler.run_all(max_events=50)
         assert scheduler.processed_events == 50
         assert scheduler.clock.now() == 50.0
-        assert scheduler.pending() == 1
+        # The chain is intact: its next firing is still queued.
+        assert scheduler.run_until(51.0) == 1
 
     def test_run_until_advances_the_clock_with_nothing_queued(self):
         scheduler = EventScheduler(SimulatedClock(3.0))
@@ -165,7 +168,7 @@ class TestEventScheduler:
         assert scheduler.run_until(10.0) == 2
         assert scheduler.run_all() == 1
         assert scheduler.processed_events == 3
-        assert scheduler.pending() == 0
+        assert scheduler.run_all() == 0
 
     def test_periodic_events_honour_an_explicit_start(self):
         scheduler = EventScheduler()

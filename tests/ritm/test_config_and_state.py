@@ -105,7 +105,7 @@ class TestConnectionTable:
     def test_create_and_lookup_in_both_directions(self):
         table = ConnectionTable()
         flow = make_flow("1.1.1.1", 1234, "2.2.2.2", 443)
-        table.create(flow, now=0.0)
+        table.create(flow)
         assert table.lookup(flow) is not None
         assert table.lookup(flow.reversed()) is not None
         assert len(table) == 1
@@ -113,14 +113,14 @@ class TestConnectionTable:
     def test_remove(self):
         table = ConnectionTable()
         flow = make_flow("1.1.1.1", 1234, "2.2.2.2", 443)
-        table.create(flow, now=0.0)
+        table.create(flow)
         table.remove(flow.reversed())
         assert table.lookup(flow) is None
 
     def test_removing_an_unknown_flow_is_a_no_op(self):
         table = ConnectionTable()
         kept = make_flow("1.1.1.1", 1234, "2.2.2.2", 443)
-        table.create(kept, now=0.0)
+        table.create(kept)
         table.remove(make_flow("3.3.3.3", 1, "4.4.4.4", 443))
         assert len(table) == 1
         assert table.lookup(kept) is not None
@@ -134,15 +134,14 @@ class TestConnectionTable:
     def test_get_by_flow_key_is_the_lookup(self):
         table = ConnectionTable()
         flow = make_flow("1.1.1.1", 1234, "2.2.2.2", 443)
-        state = table.create(flow, now=0.0)
+        state = table.create(flow)
         assert table.get(flow_key(flow.reversed())) is state
         assert table.get(flow_key(make_flow("1.1.1.1", 1, "2.2.2.2", 443))) is None
 
-    def test_create_stores_the_canonical_flow_and_its_creation_time(self):
+    def test_create_stores_the_canonical_flow(self):
         table = ConnectionTable()
         flow = make_flow("9.9.9.9", 50_000, "2.2.2.2", 443)
-        state = table.create(flow, now=12.5)
+        state = table.create(flow)
         assert state.flow == flow.canonical() == flow.reversed().canonical()
         assert state.stage == HandshakeStage.CLIENT_HELLO
-        assert state.created_at == state.last_activity == 12.5
         assert state.last_status == 0.0
