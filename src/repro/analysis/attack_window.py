@@ -51,7 +51,6 @@ class AttackWindowResult:
     """Propagation lags (seconds) from revocation to enforceability, per RA."""
 
     delta_seconds: int
-    revocation_time: float
     lags: List[float]
 
     def max_lag(self) -> float:
@@ -159,6 +158,5 @@ def run_attack_window_simulation(
         )
     return AttackWindowResult(
         delta_seconds=delta_seconds,
-        revocation_time=actual_revocation_time,
         lags=lags,
     )

@@ -27,7 +27,6 @@ class Figure4Result:
 
     monthly_counts: List[Tuple[str, int]]
     heartbleed_focus: List[Tuple[int, int]]
-    focus_bin_seconds: int
     total_revocations: int
     peak_day: _dt.date
     peak_day_count: int
@@ -66,7 +65,6 @@ def figure_4(
     return Figure4Result(
         monthly_counts=monthly,
         heartbleed_focus=focus,
-        focus_bin_seconds=focus_bin_seconds,
         total_revocations=total_in_window,
         peak_day=peak.day,
         peak_day_count=peak.count,

@@ -115,7 +115,6 @@ class CheckResult:
     privacy_leaked_to: List[str] = field(default_factory=list)
     #: How stale the information the client acted on may be, in seconds.
     staleness_bound_seconds: float = 0.0
-    notes: str = ""
 
 
 class RevocationScheme(ABC):

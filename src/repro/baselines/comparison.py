@@ -106,9 +106,6 @@ class ComparisonRow:
     conn_client: int
     violated_properties: str
     formula_storage_global: str = ""
-    formula_storage_client: str = ""
-    formula_conn_global: str = ""
-    formula_conn_client: str = ""
 
 
 SchemeFactory = Callable[[GroundTruth], RevocationScheme]
@@ -139,7 +136,6 @@ def build_comparison_table(
     rows: List[ComparisonRow] = []
     for name, factory in factories.items():
         scheme = factory(truth)
-        formulas = PAPER_FORMULAS.get(name, {})
         rows.append(
             ComparisonRow(
                 scheme=name,
@@ -148,10 +144,7 @@ def build_comparison_table(
                 conn_global=scheme.global_connections(parameters),
                 conn_client=scheme.client_connections(parameters),
                 violated_properties=scheme.properties().violated_letters(),
-                formula_storage_global=formulas.get("storage_global", ""),
-                formula_storage_client=formulas.get("storage_client", ""),
-                formula_conn_global=formulas.get("conn_global", ""),
-                formula_conn_client=formulas.get("conn_client", ""),
+                formula_storage_global=PAPER_FORMULAS.get(name, {}).get("storage_global", ""),
             )
         )
     return rows

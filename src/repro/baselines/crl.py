@@ -118,12 +118,8 @@ class CRLScheme(RevocationScheme):
         leaked: List[str] = []
         if cached is None or context.now >= cached.next_update:
             crl = self.distribution_point.serve(context.client_id, context.now)
-            if crl is None:
-                return CheckResult(
-                    scheme=self.name,
-                    revoked=None,
-                    notes="CRL distribution point unavailable",
-                )
+            if crl is None:  # the CRL distribution point is unavailable
+                return CheckResult(scheme=self.name, revoked=None)
             self._client_cache[context.client_id] = crl
             cached = crl
             connections = 1

@@ -51,7 +51,6 @@ class RevocationLog:
         self.ground_truth = ground_truth
         self.mmd_seconds = mmd_seconds
         self._head: Optional[SignedTreeHead] = None
-        self.queries_served = 0
         self.query_log: List[Tuple[str, int, float]] = []
 
     def head_at(self, now: float) -> SignedTreeHead:
@@ -65,7 +64,6 @@ class RevocationLog:
         return self._head
 
     def prove_status(self, requester: str, serial_value: int, now: float) -> Tuple[bool, SignedTreeHead]:
-        self.queries_served += 1
         self.query_log.append((requester, serial_value, now))
         head = self.head_at(now)
         return serial_value in head.serials, head

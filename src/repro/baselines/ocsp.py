@@ -67,13 +67,11 @@ class OCSPResponder:
         self.ground_truth = ground_truth
         self.response_lifetime = response_lifetime
         self.available = available
-        self.queries_served = 0
         self.query_log: List[Tuple[str, int, float]] = []
 
     def query(self, requester_id: str, serial_value: int, now: float) -> Optional[OCSPResponse]:
         if not self.available:
             return None
-        self.queries_served += 1
         self.query_log.append((requester_id, serial_value, now))
         revoked = self.ground_truth.revoked_at.get(serial_value)
         return OCSPResponse(
@@ -105,13 +103,8 @@ class OCSPScheme(RevocationScheme):
 
     def check(self, context: CheckContext) -> CheckResult:
         response = self.responder.query(context.client_id, context.serial.value, context.now)
-        if response is None:
-            return CheckResult(
-                scheme=self.name,
-                revoked=False if self.soft_fail else None,
-                notes="responder unavailable"
-                + (" (soft-fail: treated as good)" if self.soft_fail else ""),
-            )
+        if response is None:  # responder unavailable: soft-fail treats it as good
+            return CheckResult(scheme=self.name, revoked=False if self.soft_fail else None)
         return CheckResult(
             scheme=self.name,
             revoked=response.revoked,
@@ -178,12 +171,8 @@ class OCSPStaplingScheme(RevocationScheme):
         return bucket < self.deployment_rate * 1_000
 
     def check(self, context: CheckContext) -> CheckResult:
-        if not self.server_deploys(context.server_name):
-            return CheckResult(
-                scheme=self.name,
-                revoked=None,
-                notes="server does not staple (partial deployment)",
-            )
+        if not self.server_deploys(context.server_name):  # partial deployment
+            return CheckResult(scheme=self.name, revoked=None)
         staple = self._staples.get(context.server_name)
         refresh_due = (
             staple is None
@@ -198,7 +187,7 @@ class OCSPStaplingScheme(RevocationScheme):
                 self._staples[context.server_name] = refreshed
                 staple = refreshed
         if staple is None or not staple.is_valid_at(context.now):
-            return CheckResult(scheme=self.name, revoked=None, notes="no valid staple available")
+            return CheckResult(scheme=self.name, revoked=None)
         return CheckResult(
             scheme=self.name,
             revoked=staple.revoked,

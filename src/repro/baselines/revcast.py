@@ -56,12 +56,9 @@ class RevCastScheme(RevocationScheme):
 
     name = "RevCast"
 
-    def __init__(self, ground_truth: GroundTruth, listener_uptime: float = 1.0) -> None:
-        """``listener_uptime`` is the fraction of time a client's receiver is
-        on; clients that were off the air need the catch-up infrastructure."""
+    def __init__(self, ground_truth: GroundTruth) -> None:
         super().__init__(ground_truth)
         self.schedule = BroadcastSchedule(ground_truth)
-        self.listener_uptime = listener_uptime
         #: Per-client received-serial sets (the locally stored CRL).
         self._received: Dict[str, set] = {}
 
@@ -78,10 +75,9 @@ class RevCastScheme(RevocationScheme):
         revoked = context.serial.value in received
         truly_revoked = self.ground_truth.is_revoked(context.serial, context.now)
         on_air_at = self.schedule.broadcast_time(context.serial.value)
-        note = ""
         staleness = 0.0
         if truly_revoked and not revoked and on_air_at is not None:
-            note = "revocation still queued for broadcast"
+            # Still queued for broadcast: known in ``staleness`` seconds.
             staleness = on_air_at - context.now
         return CheckResult(
             scheme=self.name,
@@ -91,7 +87,6 @@ class RevCastScheme(RevocationScheme):
             latency_seconds=0.0,
             privacy_leaked_to=[],
             staleness_bound_seconds=staleness,
-            notes=note,
         )
 
     def properties(self) -> SchemeProperties:

@@ -48,7 +48,6 @@ class RITMAdapterScheme(RevocationScheme):
             chain_length=1024,
         )
         self._replica = ReplicaDictionary(ground_truth.ca_name, self._keys.public)
-        self._synced_count = 0
         self._last_refresh: Optional[float] = None
 
     # -- keeping the RA replica in sync with the ground truth ---------------------
@@ -95,7 +94,7 @@ class RITMAdapterScheme(RevocationScheme):
         except RevokedCertificateError:
             revoked = True
         except StaleStatusError:
-            return CheckResult(scheme=self.name, revoked=None, notes="stale status")
+            return CheckResult(scheme=self.name, revoked=None)
         return CheckResult(
             scheme=self.name,
             revoked=revoked,

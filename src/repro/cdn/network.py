@@ -36,7 +36,6 @@ class DownloadResult:
     content: bytes
     version: int
     latency_seconds: float
-    edge_name: str
     cache_hit: bool
     bytes_on_wire: int
 
@@ -159,7 +158,6 @@ class CDNNetwork:
             content=result.content,
             version=result.version,
             latency_seconds=latency,
-            edge_name=edge.name,
             cache_hit=result.cache_hit,
             bytes_on_wire=result.served_bytes + request_bytes,
         )

@@ -39,8 +39,6 @@ class DistributionPoint:
         self.name = name
         self._objects: Dict[str, StoredObject] = {}
         self._version_counter = 0
-        self.bytes_ingress = 0
-        self.bytes_egress = 0
 
     def publish(
         self, path: str, content: bytes, now: float, ttl_seconds: float = 0.0
@@ -55,16 +53,13 @@ class DistributionPoint:
             ttl_seconds=ttl_seconds,
         )
         self._objects[path] = stored
-        self.bytes_ingress += len(content)
         return stored
 
     def fetch(self, path: str) -> StoredObject:
         """Origin-side fetch (edge servers call this on cache misses)."""
         if path not in self._objects:
             raise CDNError(f"origin has no object at {path!r}")
-        stored = self._objects[path]
-        self.bytes_egress += stored.size
-        return stored
+        return self._objects[path]
 
     def exists(self, path: str) -> bool:
         return path in self._objects

@@ -91,10 +91,6 @@ class HashChain:
             )
         return self._links[self.length - period]
 
-    def remaining(self, period: int) -> int:
-        """Number of further statements available after ``period``."""
-        return max(0, self.length - period)
-
 
 #: Δ periods a statement may trail the client's clock: one, for the
 #: pull-based CDN, which yields the paper's 2Δ attack window (§V).  It is
@@ -123,17 +119,11 @@ def verify_freshness(
     if periods_elapsed < 0:
         return False
     latest = min(periods_elapsed + TOLERANCE_PERIODS, chain_length)
-    current = statement
-    age = 0
-    while current != anchor:
-        if age == latest:
-            return False
-        current = hash_chain_link(current, digest_size)
-        age += 1
+    age = statement_age(anchor, statement, latest, digest_size)
     # The statement proves the dictionary was intact at (timestamp + age*Δ);
     # the client requires that moment to be no older than the tolerance
     # before now.
-    return age >= periods_elapsed - TOLERANCE_PERIODS
+    return age is not None and age >= periods_elapsed - TOLERANCE_PERIODS
 
 
 def statement_age(

@@ -9,8 +9,8 @@ latency), hands it to the destination endpoint, and recursively carries any
 response packets back until no endpoint has anything left to say.
 
 The engine counts what crossed the last link into an endpoint (packets and
-bytes) and what a middlebox dropped; the tests and the overhead analysis read
-bytes on the wire from those counters.
+bytes); the tests and the overhead analysis read bytes on the wire from those
+counters.
 """
 
 from __future__ import annotations
@@ -51,11 +51,9 @@ class PathEngine:
     def __init__(self, path: NetworkPath, clock: Optional[SimulatedClock] = None) -> None:
         self.path = path
         self.clock = clock if clock is not None else SimulatedClock()
-        #: Bytes and packets that crossed the last link into an endpoint, and
-        #: packets sent whose flight a middlebox emptied.
+        #: Bytes and packets that crossed the last link into an endpoint.
         self.wire_bytes = 0
         self.packets_delivered = 0
-        self.packets_dropped = 0
         # Both traversal orders, fixed when the engine is built: each middlebox
         # paired with the link into it, then the link into the destination.
         links, boxes = path.links, path.middleboxes
@@ -118,7 +116,6 @@ class PathEngine:
             in_flight = next_flight
 
         if not in_flight:
-            self.packets_dropped += 1
             return [], None
 
         # Final link into the destination endpoint.

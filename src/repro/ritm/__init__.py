@@ -1,6 +1,6 @@
 """RITM core: Revocation Agents, clients, CAs, dissemination, deployments."""
 
-from repro.ritm.agent import AgentStatistics, RevocationAgent
+from repro.ritm.agent import RevocationAgent
 from repro.ritm.ca_service import (
     RITMCertificationAuthority,
     freshness_path,
@@ -24,7 +24,6 @@ from repro.ritm.consistency import (
 )
 from repro.ritm.deployment import (
     Deployment,
-    DeploymentModel,
     build_close_to_client_deployment,
     build_close_to_server_deployment,
     build_unprotected_path,
@@ -46,11 +45,10 @@ from repro.ritm.messages import (
     encode_status_bundle,
 )
 from repro.ritm.server import RITMServer, TLSTerminator
-from repro.ritm.state import ConnectionState, ConnectionTable
+from repro.ritm.state import ConnectionState
 
 __all__ = [
     "RevocationAgent",
-    "AgentStatistics",
     "RITMClient",
     "LegacyTLSClient",
     "RejectionReason",
@@ -63,7 +61,6 @@ __all__ = [
     "manifest_path",
     "shard_index_path",
     "RITMConfig",
-    "DeploymentModel",
     "PAPER_DELTA_SWEEP",
     "SECONDS_PER_MINUTE",
     "SECONDS_PER_HOUR",
@@ -81,7 +78,6 @@ __all__ = [
     "DPIEngine",
     "InspectionResult",
     "ConnectionState",
-    "ConnectionTable",
     "DictionaryHead",
     "ShardIndex",
     "encode_shard_index",

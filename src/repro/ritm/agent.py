@@ -53,7 +53,7 @@ from repro.ritm.messages import (
     encode_status,
     frame_status_bundle,
 )
-from repro.ritm.state import ConnectionState, ConnectionTable, FlowKey, flow_key
+from repro.ritm.state import ConnectionState, FlowKey, flow_key
 from repro.tls.connection import HandshakeStage
 from repro.tls.records import (
     ContentType,
@@ -74,30 +74,12 @@ PER_PACKET_PROCESSING_SECONDS = 3e-6
 #: stays resumable through an RA that completes R full handshakes/s for
 #: capacity / R seconds — ~0.2 s at this model's warm rate (~5k/s), ~20 ms
 #: at the paper's 50k/s (§VII-D) — and a resumption after that gets no status
-#: (``resumptions_unknown``; a RITM client rejects it as missing).  Sized for
+#: (a RITM client rejects it as missing).  Sized for
 #: a deployment it is R × the resumption window its servers honour
 #: (OpenSSL's default session timeout is 300 s: 15 M entries, ~4 GB here, at
 #: 50k/s).  Limits are part of the interface: the bound is fixed here, not a
 #: :class:`RITMConfig` field.
 RESUMPTION_CACHE_CAPACITY = 1024
-
-
-@dataclass
-class AgentStatistics:
-    """Operational counters for one RA."""
-
-    packets_seen: int = 0
-    packets_forwarded_transparently: int = 0
-    supported_connections: int = 0
-    statuses_attached: int = 0
-    statuses_replaced: int = 0
-    statuses_deferred_to_peer: int = 0
-    unknown_ca: int = 0
-    resumptions_recovered: int = 0
-    #: Abbreviated handshakes naming a session this RA has no certificate
-    #: for (never seen, or evicted): no status is attached.
-    resumptions_unknown: int = 0
-    shard_replicas_pruned: int = 0
 
 
 @dataclass
@@ -129,7 +111,8 @@ class RevocationAgent(Middlebox):
         super().__init__(name)
         self.config = config if config is not None else RITMConfig()
         self.replicas: Dict[str, ReplicaDictionary] = {}
-        self.connections = ConnectionTable()
+        #: The flow table (Eq. 4), keyed by :func:`flow_key`.
+        self.connections: Dict[FlowKey, ConnectionState] = {}
         self.dpi = DPIEngine()
         #: Deterministic per-RA reporter key: every MisbehaviorReport this
         #: agent emits is countersigned so the evidence is attributable.
@@ -139,7 +122,6 @@ class RevocationAgent(Middlebox):
         self.consistency = ConsistencyChecker(
             owner=name, reporter_keys=self.reporter_keys
         )
-        self.stats = AgentStatistics()
         #: (server ip, server port, session id) → (issuer, serial, not_after,
         #: chain — kept only with ``prove_full_chain``) of the certificate the
         #: session's full handshake presented: what an abbreviated (resumed)
@@ -152,6 +134,8 @@ class RevocationAgent(Middlebox):
         self.reclaimed_storage_bytes = 0
         #: Revocation entries dropped with pruned shard replicas.
         self.pruned_revocations = 0
+        #: Shard replicas dropped because their expiry window passed.
+        self.shard_replicas_pruned = 0
         #: Hot-path verification engine (docs/PERFORMANCE.md): Merkle proofs
         #: for repeat lookups (session resumption, flash crowds) and a memo
         #: of Ed25519-verified roots shared by every replica of this RA.
@@ -374,26 +358,26 @@ class RevocationAgent(Middlebox):
             if name in self.replicas
         }
 
-    def prune_shard_replicas(self, ca_name: str, now: float) -> Tuple[int, int]:
+    def prune_shard_replicas(self, ca_name: str, now: float) -> List[str]:
         """Drop shard replicas whose expiry window has passed.
 
-        Returns ``(entries freed, bytes freed)`` and accumulates both in
-        :attr:`pruned_revocations` / :attr:`reclaimed_storage_bytes` — the
-        §VIII storage reclamation the sharded deployment mode is about.
+        Returns the dropped replicas' names and accumulates the entries and
+        bytes they held in :attr:`pruned_revocations` /
+        :attr:`reclaimed_storage_bytes` — the §VIII storage reclamation the
+        sharded deployment mode is about.
         """
         issuer = self.issuers.get(ca_name)
         if issuer is None or issuer.shard_width is None:
-            return (0, 0)
-        entries = bytes_freed = 0
+            return []
+        pruned: List[str] = []
         for index, replica in list(self.shard_replicas(ca_name).items()):
             if ShardKey(index, issuer.shard_width).is_expired(now):
-                entries += replica.size
-                bytes_freed += replica.storage_size_bytes()
+                self.pruned_revocations += replica.size
+                self.reclaimed_storage_bytes += replica.storage_size_bytes()
+                pruned.append(issuer.members[index])
                 self._drop_shard_replica(issuer, index)
-                self.stats.shard_replicas_pruned += 1
-        self.pruned_revocations += entries
-        self.reclaimed_storage_bytes += bytes_freed
-        return (entries, bytes_freed)
+        self.shard_replicas_pruned += len(pruned)
+        return pruned
 
     # -- crash recovery (docs/STORAGE.md) --------------------------------------
 
@@ -551,11 +535,9 @@ class RevocationAgent(Middlebox):
         status attached — on the handshake, and on an established
         connection once Δ has passed since the last one.
         """
-        self.stats.packets_seen += 1
         inspection = self.dpi.inspect(packet.payload)
         if not inspection.is_tls or inspection.parse_error is not None:
             # Not TLS, or malformed TLS: forward untouched, never break the connection.
-            self.stats.packets_forwarded_transparently += 1
             return [packet]
 
         key = flow_key(packet.flow)
@@ -572,8 +554,7 @@ class RevocationAgent(Middlebox):
         if inspection.client_requests_ritm:
             state = self.connections.get(key)
             if state is None:
-                state = self.connections.create(packet.flow)
-                self.stats.supported_connections += 1
+                state = self.connections[key] = ConnectionState(flow=packet.flow.canonical())
             state.begin_handshake()
 
     # -- server → client ------------------------------------------------------------
@@ -584,7 +565,6 @@ class RevocationAgent(Middlebox):
         state = self.connections.get(key)
         if state is None:
             # Not a supported connection: transparent forwarding.
-            self.stats.packets_forwarded_transparently += 1
             return packet
 
         session_id = inspection.server_session_id
@@ -640,10 +620,8 @@ class RevocationAgent(Middlebox):
                 (server_to_client.src_ip, server_to_client.src_port, state.session_id)
             )
         if entry is None:
-            self.stats.resumptions_unknown += 1
             return False
         state.ca_name, state.serial, state.certificate_expiry, state.chain = entry
-        self.stats.resumptions_recovered += 1
         return True
 
     # -- status attachment -------------------------------------------------------------
@@ -666,7 +644,6 @@ class RevocationAgent(Middlebox):
             return self._reconcile_with_existing_status(packet, state, record, now)
 
         state.mark_status_sent(now)
-        self.stats.statuses_attached += 1
         return packet.with_payload(packet.payload + record)
 
     def build_status(
@@ -744,7 +721,6 @@ class RevocationAgent(Middlebox):
         ``prove_full_chain``, every issuer certificate a replica covers."""
         replica = self.replica_for_certificate(state.ca_name or "", state.certificate_expiry)
         if replica is None or replica.signed_root is None:
-            self.stats.unknown_ca += 1
             return None
         try:
             built = [build(state.ca_name or "", replica, state.serial)]
@@ -792,11 +768,7 @@ class RevocationAgent(Middlebox):
             ours.timestamp,
         ) > (theirs.size, theirs.timestamp)
 
-        if not our_view_is_newer:
-            self.stats.statuses_deferred_to_peer += 1
-            state.mark_status_sent(now)
-            return packet
-
         state.mark_status_sent(now)
-        self.stats.statuses_replaced += 1
+        if not our_view_is_newer:
+            return packet
         return packet.with_payload(serialize_records(passthrough) + our_record)

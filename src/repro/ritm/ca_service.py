@@ -110,13 +110,11 @@ def keys_path(ca_name: str) -> str:
 
 @dataclass
 class PublicationStats:
-    """Bytes and object counts the CA has pushed to the distribution point."""
+    """Batch objects the CA has pushed to the distribution point, across
+    every stream (retired ones included)."""
 
-    heads_published: int = 0
-    #: Batch objects published across every stream (retired ones included).
     batches_published: int = 0
     batch_bytes_published: int = 0
-    bytes_uploaded: int = 0
 
 
 @dataclass
@@ -615,7 +613,6 @@ class RITMCertificationAuthority:
         stats = self.publication_stats
         stats.batches_published += 1
         stats.batch_bytes_published += len(content)
-        stats.bytes_uploaded += len(content)
         self._publish_head(stream, now, per_delta=content)
 
     def _publish_head(
@@ -630,19 +627,15 @@ class RITMCertificationAuthority:
         if per_delta is None:
             per_delta = encode_freshness(head.freshness)
         self._publish(freshness_path(stream.name), per_delta, now)
-        self.publication_stats.heads_published += 1
-        self.publication_stats.bytes_uploaded += len(content) + len(per_delta)
 
     def _publish_key_announcements(self, now: float) -> None:
         """Publish the full signed rotation chain at :func:`keys_path`."""
         content = encode_key_announcements(tuple(self._announcements))
         self._publish(keys_path(self.name), content, now)
-        self.publication_stats.bytes_uploaded += len(content)
 
     def _publish_manifest(self, now: float) -> None:
         content = json.dumps(self.manifest()).encode("utf-8")
         self.cdn.publish(manifest_path(self.name), content, now, ttl_seconds=86_400.0)
-        self.publication_stats.bytes_uploaded += len(content)
 
     def _publish_shard_index(self, now: float) -> None:
         """Publish the shard discovery object (sharded CAs only)."""
@@ -650,4 +643,3 @@ class RITMCertificationAuthority:
             return
         content = encode_shard_index(self.shard_index(now))
         self._publish(shard_index_path(self.name), content, now)
-        self.publication_stats.bytes_uploaded += len(content)

@@ -18,7 +18,6 @@ directly into the path engine next to RAs and servers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional
 
@@ -58,15 +57,6 @@ class RejectionReason(Enum):
     CERTIFICATE_REVOKED = "certificate-revoked"
     STATUS_TIMEOUT = "status-timeout"
     DOWNGRADE_SUSPECTED = "downgrade-suspected"
-
-
-@dataclass
-class ClientStatistics:
-    statuses_received: int = 0
-    statuses_valid: int = 0
-    statuses_invalid: int = 0
-    connections_rejected: int = 0
-    connections_interrupted: int = 0
 
 
 class RITMClient(Endpoint):
@@ -109,11 +99,9 @@ class RITMClient(Endpoint):
             trust_store,
         )
         self.consistency = ConsistencyChecker(owner=f"client:{ip_address}")
-        self.stats = ClientStatistics()
         self.last_status_at: Optional[float] = None
         self.last_status: Optional[RevocationStatus] = None
         self.rejection: Optional[RejectionReason] = None
-        self.rejection_detail: str = ""
         self.connection_accepted = False
 
     # -- outbound ------------------------------------------------------------
@@ -130,8 +118,8 @@ class RITMClient(Endpoint):
         TLS records to the inner connection state machine."""
         try:
             records = parse_records(packet.payload)
-        except TLSError as exc:
-            self._reject(RejectionReason.INVALID_STATUS, f"unparseable packet: {exc}")
+        except TLSError:
+            self._reject(RejectionReason.INVALID_STATUS)
             return []
 
         tls_records: List[TLSRecord] = []
@@ -153,11 +141,11 @@ class RITMClient(Endpoint):
         for record in tls_records:
             try:
                 responses.extend(self.tls.process_record(record, int(now)))
-            except CertificateError as exc:
-                self._reject(RejectionReason.STANDARD_VALIDATION_FAILED, str(exc))
+            except CertificateError:
+                self._reject(RejectionReason.STANDARD_VALIDATION_FAILED)
                 return []
-            except TLSError as exc:
-                self._reject(RejectionReason.INVALID_STATUS, f"TLS failure: {exc}")
+            except TLSError:
+                self._reject(RejectionReason.INVALID_STATUS)
                 return []
 
         # Policy: a status delivered alongside the certificate must actually
@@ -172,25 +160,20 @@ class RITMClient(Endpoint):
                 status.serial == leaf.serial and status.ca_name == covering
                 for status in statuses_in_packet
             ):
-                self._reject(
-                    RejectionReason.INVALID_STATUS,
-                    "revocation status does not cover the server's certificate",
-                )
+                self._reject(RejectionReason.INVALID_STATUS)
                 return []
 
         # Policy: a handshake flight that carries the server's hello must come
-        # with a revocation status when the client expects RITM protection.
+        # with a revocation status when the client expects RITM protection;
+        # without one or a terminator's confirmation, an RA is missing or a
+        # downgrade is under way.
         if (
             self.expect_ritm_protection
             and server_hello_present
             and not status_seen
             and not self.tls.server_confirmed_ritm
         ):
-            self._reject(
-                RejectionReason.MISSING_STATUS,
-                "ServerHello arrived without a revocation status and without a "
-                "terminator confirmation; possible downgrade or missing RA",
-            )
+            self._reject(RejectionReason.MISSING_STATUS)
             return []
 
         if self.tls.is_established and self.rejection is None:
@@ -214,10 +197,7 @@ class RITMClient(Endpoint):
             return self.rejection is None
         window = self.config.attack_window_seconds
         if self.last_status_at is None or now - self.last_status_at > window:
-            self._interrupt(
-                RejectionReason.STATUS_TIMEOUT,
-                f"no fresh revocation status for {window} seconds",
-            )
+            self._interrupt(RejectionReason.STATUS_TIMEOUT)
             return False
         return True
 
@@ -243,12 +223,10 @@ class RITMClient(Endpoint):
         if not checked:
             try:
                 statuses = decode_status_bundle(record.payload)
-            except TLSError as exc:
-                self.stats.statuses_invalid += 1
-                self._reject(RejectionReason.INVALID_STATUS, f"malformed status record: {exc}")
+            except TLSError:
+                self._reject(RejectionReason.INVALID_STATUS)
                 return None
         for status in statuses:
-            self.stats.statuses_received += 1
             if not self._authenticate_status(status, checked):
                 return None
         if not checked:
@@ -266,19 +244,14 @@ class RITMClient(Endpoint):
             # An expiry shard's dictionary is signed with its CA's key.
             ca_key = self.ca_public_keys.get(shard_issuer(status.ca_name))
         if ca_key is None:
-            self.stats.statuses_invalid += 1
-            self._reject(
-                RejectionReason.INVALID_STATUS,
-                f"status signed by unknown CA {status.ca_name!r}",
-            )
+            self._reject(RejectionReason.INVALID_STATUS)
             return False
         try:
             self.root_cache.verify_or_raise(status.signed_root, ca_key)
             if not checked:
                 status.check_proof()
-        except (SignatureError, ProofError) as exc:
-            self.stats.statuses_invalid += 1
-            self._reject(RejectionReason.INVALID_STATUS, str(exc))
+        except (SignatureError, ProofError):
+            self._reject(RejectionReason.INVALID_STATUS)
             return False
         return True
 
@@ -286,32 +259,25 @@ class RITMClient(Endpoint):
         """Freshness against ``now`` and the revoked verdict of an authentic status."""
         try:
             status.check_verdict(int(now), self.config.delta_seconds)
-        except RevokedCertificateError as exc:
-            self.stats.statuses_valid += 1
-            self._reject(RejectionReason.CERTIFICATE_REVOKED, str(exc))
+        except RevokedCertificateError:
+            self._reject(RejectionReason.CERTIFICATE_REVOKED)
             return False
-        except StaleStatusError as exc:
-            self.stats.statuses_invalid += 1
-            self._reject(RejectionReason.STALE_STATUS, str(exc))
+        except StaleStatusError:
+            self._reject(RejectionReason.STALE_STATUS)
             return False
-        self.stats.statuses_valid += 1
         self.last_status_at = now
         self.last_status = status
         self.consistency.observe_root(status.signed_root)
         return True
 
-    def _reject(self, reason: RejectionReason, detail: str) -> None:
+    def _reject(self, reason: RejectionReason) -> None:
         if self.rejection is None:
             self.rejection = reason
-            self.rejection_detail = detail
-        self.stats.connections_rejected += 1
         self.connection_accepted = False
         self.tls.stage = HandshakeStage.CLOSED
 
-    def _interrupt(self, reason: RejectionReason, detail: str) -> None:
+    def _interrupt(self, reason: RejectionReason) -> None:
         self.rejection = reason
-        self.rejection_detail = detail
-        self.stats.connections_interrupted += 1
         self.connection_accepted = False
         self.tls.stage = HandshakeStage.CLOSED
 

@@ -122,11 +122,9 @@ class ConsistencyChecker:
         #: ca_name -> {dictionary size -> first root observed at that size}
         self._roots: Dict[str, Dict[int, SignedRoot]] = {}
         self.reports: List[MisbehaviorReport] = []
-        self.roots_observed = 0
 
     def observe_root(self, root: SignedRoot) -> Optional[MisbehaviorReport]:
         """Record a root; returns a report if it conflicts with a stored one."""
-        self.roots_observed += 1
         by_size = self._roots.setdefault(root.ca_name, {})
         existing = by_size.get(root.size)
         if existing is None:

@@ -19,7 +19,6 @@ benchmarks can set up a full RITM conversation in a couple of lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, List, Optional
 
 from repro.net.link import Link, lan_link, metro_link, wan_link
@@ -34,18 +33,10 @@ from repro.ritm.config import RITMConfig
 from repro.ritm.server import RITMServer, TLSTerminator
 
 
-class DeploymentModel(Enum):
-    """Where RAs are placed (paper §IV)."""
-
-    CLOSE_TO_SERVER = "close-to-server"
-    CLOSE_TO_CLIENT = "close-to-client"
-
-
 @dataclass
 class Deployment:
     """A fully wired client↔RA↔server path."""
 
-    model: DeploymentModel
     client: RITMClient
     server: RITMServer
     agents: List[RevocationAgent]
@@ -87,7 +78,6 @@ def _client_for(
 
 
 def _build(
-    model: DeploymentModel,
     client: RITMClient,
     server: RITMServer,
     agents: List[RevocationAgent],
@@ -97,12 +87,11 @@ def _build(
 ) -> Deployment:
     """The one wiring body: path, engine and flow around the given endpoints.
 
-    The public builders differ only in what they pass here — the model, the
-    kind of server, their RA, and the middlebox and link order of their topology.
+    The public builders differ only in what they pass here — the kind of
+    server, their RA, and the middlebox and link order of their topology.
     """
     path = NetworkPath(client=client, server=server, middleboxes=middleboxes, links=links)
     return Deployment(
-        model=model,
         client=client,
         server=server,
         agents=agents,
@@ -131,7 +120,6 @@ def build_close_to_client_deployment(
     to the same sites — see docs/PERFORMANCE.md); by default every
     deployment's client starts cold.
     """
-    model = DeploymentModel.CLOSE_TO_CLIENT
     config = config if config is not None else RITMConfig()
     agent = agent if agent is not None else RevocationAgent("gateway-ra", config)
     client = _client_for(
@@ -140,7 +128,7 @@ def build_close_to_client_deployment(
     middleboxes = [agent, *(extra_middleboxes or ())]
     links = [lan_link()] + [wan_link() for _ in middleboxes]
     server = RITMServer(server_ip, server_chain)
-    return _build(model, client, server, [agent], middleboxes, links, clock)
+    return _build(client, server, [agent], middleboxes, links, clock)
 
 
 def build_close_to_server_deployment(
@@ -157,7 +145,6 @@ def build_close_to_server_deployment(
     validation_cache=None,
 ) -> Deployment:
     """RA co-located with a TLS terminator at the data-center ingress."""
-    model = DeploymentModel.CLOSE_TO_SERVER
     config = config if config is not None else RITMConfig()
     agent = agent if agent is not None else RevocationAgent("terminator-ra", config)
     client = _client_for(
@@ -167,7 +154,7 @@ def build_close_to_server_deployment(
     middleboxes = [*(extra_middleboxes or ()), agent]
     links = [wan_link() for _ in middleboxes] + [lan_link()]
     server = TLSTerminator(server_ip, server_chain)
-    return _build(model, client, server, [agent], middleboxes, links, clock)
+    return _build(client, server, [agent], middleboxes, links, clock)
 
 
 def build_unprotected_path(
@@ -183,4 +170,4 @@ def build_unprotected_path(
     config = config if config is not None else RITMConfig()
     client = _client_for(client_ip, server_chain, trust_store, ca_public_keys, config)
     server = RITMServer(server_ip, server_chain)
-    return _build(DeploymentModel.CLOSE_TO_CLIENT, client, server, [], [], [metro_link()], clock)
+    return _build(client, server, [], [], [metro_link()], clock)

@@ -98,19 +98,12 @@ class PullResult:
     serials_applied: int = 0
     resyncs: int = 0
     errors: List[str] = field(default_factory=list)
-    #: Sharded-mode accounting (zero for unsharded CAs).
-    shard_indexes_checked: int = 0
-    shards_pruned: int = 0
-    entries_pruned: int = 0
-    bytes_reclaimed: int = 0
     #: Hot-path verification engine accounting (docs/PERFORMANCE.md):
     #: root-signature checks answered from the agent's verified-root cache
-    #: during this cycle, full Ed25519 verifications actually performed
-    #: (through ``crypto.signing.verify_batch``), and proof-cache
-    #: entries evicted by this cycle's refreshes/resyncs/prunes.
+    #: during this cycle, and full Ed25519 verifications actually performed
+    #: (through ``crypto.signing.verify_batch``).
     root_cache_hits: int = 0
     root_signatures_verified: int = 0
-    proofs_invalidated: int = 0
     #: Adversarial control-plane accounting (docs/THREATS.md): freshness
     #: statements skipped as benign CDN staleness (within the replay
     #: window), heads rejected as replays (a head whose signed root is older
@@ -283,14 +276,11 @@ class RADisseminationClient:
         """
         result = PullResult(time=now)
         root_stats = self.agent.root_cache.stats
-        proof_stats = self.agent.proof_cache.stats
         hits_before = root_stats.hits
         misses_before = root_stats.misses
-        invalidations_before = proof_stats.invalidations
         self._cycle(now, result)
         result.root_cache_hits = root_stats.hits - hits_before
         result.root_signatures_verified = root_stats.misses - misses_before
-        result.proofs_invalidated = proof_stats.invalidations - invalidations_before
         if link is not None and result.requests:
             result.latency_seconds += link.round_trip_time(
                 request_bytes=REQUEST_BYTES * result.requests,
@@ -329,7 +319,7 @@ class RADisseminationClient:
         # Pruning depends only on the local clock, so it must not be
         # suppressible by a missing/forged index object: expired shard
         # replicas are reclaimed whether or not the index decoded.
-        self._prune_sharded(ca_name, now, result)
+        self._prune_sharded(ca_name, now)
 
     def _discover_shards(self, ca_name: str, now: float, result: PullResult) -> None:
         """Register a replica for every live shard the index lists.
@@ -340,7 +330,6 @@ class RADisseminationClient:
         """
         sync_server_for = self.sharded[ca_name]
         download = self._get(shard_index_path(ca_name), now, result)
-        result.shard_indexes_checked += 1
         index = decode_shard_index(download.content)
 
         # The width registered at attach time (from deployment config) is
@@ -385,21 +374,15 @@ class RADisseminationClient:
             if feed.sync_server is None and sync_server_for is not None:
                 feed.sync_server = sync_server_for(name)
 
-    def _prune_sharded(self, ca_name: str, now: float, result: PullResult) -> None:
+    def _prune_sharded(self, ca_name: str, now: float) -> None:
         """Reclaim expired shard replicas of one sharded CA.
 
         Runs every pull, whether or not the index fetch succeeded: replicas
         are dropped solely by the local-clock window check, so nothing the
         CDN serves can make the RA delete a live shard or keep a dead one.
         """
-        held = [shard_name(ca_name, idx) for idx in self.agent.shard_replicas(ca_name)]
-        entries, bytes_freed = self.agent.prune_shard_replicas(ca_name, now)
-        for name in held:
-            if name not in self.agent.replicas:
-                result.shards_pruned += 1
-                self.feeds.pop(name, None)
-        result.entries_pruned += entries
-        result.bytes_reclaimed += bytes_freed
+        for name in self.agent.prune_shard_replicas(ca_name, now):
+            self.feeds.pop(name, None)
 
     def _pull_one(
         self, ca_name: str, replica, now: float, result: PullResult, peer=None

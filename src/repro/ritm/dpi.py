@@ -6,8 +6,7 @@ a ClientHello carry the RITM extension, which session does a ServerHello
 name, which chain does a Certificate
 message carry, and does the payload hold a Finished message, application
 data or a status another RA attached.  This module reads exactly those facts
-off a packet payload and keeps counters that feed the Table III timing
-harness.
+off a packet payload.
 
 :meth:`DPIEngine.inspect` walks the record headers and the handshake headers
 inside them by offset, in one pass over the payload, and builds no record,
@@ -21,10 +20,9 @@ once, in :mod:`repro.tls`.  The framing loop mirrors
 :func:`~repro.tls.messages.parse_handshake_messages` check for check: an
 input they reject is a ``parse_error`` here, which the RA forwards
 untouched.  Those parsers (with :data:`~repro.tls.messages.BODY_PARSERS`)
-are the oracle of ``tests/ritm/test_dpi.py``'s differential test.  Counters
-move only for a payload whose walk succeeded.
+are the oracle of ``tests/ritm/test_dpi.py``'s differential test.
 
-The engine holds one piece of state besides its counters: a bounded LRU from
+The engine holds one piece of state: a bounded LRU from
 the exact body of a ``Certificate`` message to its parsed chain, because a
 flash crowd presents the same chain thousands of times.  What it caches is
 *parsed structure*, never a verdict — nothing in DPI validates a chain — and
@@ -78,19 +76,6 @@ class InspectionResult:
     parse_error: Optional[str] = None
 
 
-@dataclass
-class DPIStatistics:
-    """Counters mirroring the operations timed in Table III."""
-
-    packets_inspected: int = 0
-    tls_packets: int = 0
-    non_tls_packets: int = 0
-    handshake_records: int = 0
-    certificates_parsed: int = 0
-    #: Packets whose TLS failed a check (each forwarded untouched).
-    parse_errors: int = 0
-
-
 #: Distinct ``Certificate`` message bodies whose parsed chain one engine keeps
 #: (about 1 KB of key and 2 KB of chain each).  Limits are part of the
 #: interface: the bound is fixed here, not a :class:`RITMConfig` field.
@@ -115,31 +100,24 @@ class DPIEngine:
     """Packet classifier used by the RA's data path."""
 
     def __init__(self) -> None:
-        self.stats = DPIStatistics()
         self.chain_cache = LRUCache(maxsize=CHAIN_CACHE_CAPACITY)
 
     # -- fast path ------------------------------------------------------------
 
     def is_tls(self, payload: bytes) -> bool:
         """The cheap per-packet test (Table III, "TLS detection")."""
-        self.stats.packets_inspected += 1
-        if looks_like_tls(payload):
-            self.stats.tls_packets += 1
-            return True
-        self.stats.non_tls_packets += 1
-        return False
+        return looks_like_tls(payload)
 
     # -- full inspection ----------------------------------------------------------
 
     def inspect(self, payload: bytes) -> InspectionResult:
         """Classify a payload and read the handshake facts RITM needs off it."""
-        if not self.is_tls(payload):
+        if not looks_like_tls(payload):
             return InspectionResult(False)
         result = InspectionResult(True)
         try:
             self._walk(payload, result)
         except TLSError as exc:
-            self.stats.parse_errors += 1
             return InspectionResult(True, parse_error=str(exc))
         return result
 
@@ -147,7 +125,7 @@ class DPIEngine:
         """Every record header, and every handshake header inside a handshake
         record, by offset; raises :class:`TLSError` where a parser would."""
         size = len(data)
-        offset = handshake_records = certificates = 0
+        offset = 0
         while offset < size:
             start = offset + RECORD_HEADER_SIZE
             if start > size:
@@ -166,7 +144,6 @@ class DPIEngine:
                 if content_type not in _OTHER_CONTENT:
                     raise TLSError(f"unknown TLS content type {content_type}")
             else:
-                handshake_records += 1
                 while start < offset:
                     body_at = start + 4
                     if body_at > offset:
@@ -180,7 +157,6 @@ class DPIEngine:
                         result.finished_seen = True
                     elif kind == _CERTIFICATE:
                         result.certificate_chain = self._chain(data[body_at:start])
-                        certificates += 1
                     elif kind == _SERVER_HELLO:
                         session_id, at = read_hello(kind, data, body_at, start)
                         read_extensions(data, at, start)
@@ -194,9 +170,6 @@ class DPIEngine:
                         read_ticket(data, body_at, start)
                     elif kind != _SERVER_HELLO_DONE:
                         raise TLSError(f"unknown handshake type {kind}")
-        stats = self.stats
-        stats.handshake_records += handshake_records
-        stats.certificates_parsed += certificates
 
     def _chain(self, body: bytes) -> CertificateChain:
         """The chain a ``Certificate`` body carries, parsed once per distinct body."""

@@ -14,7 +14,7 @@ once per packet, so a lookup hashes strings and integers, not a dataclass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.net.packet import FiveTuple
 from repro.pki.certificate import CertificateChain
@@ -81,27 +81,3 @@ class ConnectionState:
 
     def knows_certificate(self) -> bool:
         return self.ca_name is not None and self.serial is not None
-
-
-class ConnectionTable:
-    """The RA's flow table, keyed by :func:`flow_key`."""
-
-    def __init__(self) -> None:
-        self._connections: Dict[FlowKey, ConnectionState] = {}
-        #: ``get(key)``: the state of the flow whose :func:`flow_key` is
-        #: ``key``, or ``None`` — the per-packet lookup, a bound ``dict.get``.
-        self.get = self._connections.get
-
-    def __len__(self) -> int:
-        return len(self._connections)
-
-    def create(self, flow: FiveTuple) -> ConnectionState:
-        state = ConnectionState(flow=flow.canonical())
-        self._connections[flow_key(flow)] = state
-        return state
-
-    def lookup(self, flow: FiveTuple) -> Optional[ConnectionState]:
-        return self._connections.get(flow_key(flow))
-
-    def remove(self, flow: FiveTuple) -> None:
-        self._connections.pop(flow_key(flow), None)

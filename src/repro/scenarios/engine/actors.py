@@ -81,7 +81,7 @@ class CADirector:
         if ctx.outage is None:
             for runtime in state.runtimes:
                 runtime.mailbox.post(
-                    Message(kind="head-published", posted_at=now, payload={"period": period})
+                    Message(kind="head-published", payload={"period": period})
                 )
 
         self._period += 1
@@ -486,5 +486,5 @@ class ClientLoadActor:
                 continue
             payload = {"period": period, "count": count, "start": start}
             runtime.mailbox.post(
-                Message(kind="client-batch", posted_at=now, payload=payload)
+                Message(kind="client-batch", payload=payload)
             )

@@ -15,10 +15,9 @@ from typing import Dict, List
 
 @dataclass(frozen=True)
 class Message:
-    """One mailbox entry: a kind, the simulated post time, and a payload."""
+    """One mailbox entry: a kind and a payload."""
 
     kind: str
-    posted_at: float
     payload: Dict[str, object] = field(default_factory=dict)
 
 

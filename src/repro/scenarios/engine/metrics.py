@@ -143,7 +143,7 @@ def collect_metrics(state: RunState) -> Dict[str, object]:
                     "ca_shards_retired": len(ca.retired_windows),
                     "ca_reclaimed_bytes": ca.reclaimed_storage_bytes,
                     "ra_shards_pruned": sum(
-                        r.agent.stats.shard_replicas_pruned for r in state.runtimes
+                        r.agent.shard_replicas_pruned for r in state.runtimes
                     ),
                     "ra_pruned_entries": sum(
                         r.agent.pruned_revocations for r in state.runtimes

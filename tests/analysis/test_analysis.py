@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.cost import CostModelConfig, simulate_costs, table_2
 from repro.analysis.dissemination_speed import build_revocation_message, run_figure_5
 from repro.analysis.overhead import (
-    FIGURE7_DELTAS,
     FRESHNESS_BYTES,
     figure_7,
     status_size_for_dictionary,

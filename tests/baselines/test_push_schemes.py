@@ -107,7 +107,9 @@ class TestRevCast:
         scheme = RevCastScheme(truth)
         early = scheme.check(ctx(1, now=1_001.5))
         assert early.revoked is False
-        assert "queued" in early.notes
+        # Still queued for broadcast: the answer is stale until it airs.
+        on_air_at = scheme.schedule.broadcast_time(1)
+        assert early.staleness_bound_seconds == on_air_at - 1_001.5 > 0
         late = scheme.check(ctx(1, now=1_100.0))
         assert late.revoked is True
 

@@ -14,8 +14,6 @@ class TestDistributionPoint:
         origin = DistributionPoint()
         origin.publish("/a", b"content-a", now=0.0)
         assert origin.fetch("/a").content == b"content-a"
-        assert origin.bytes_ingress == len(b"content-a")
-        assert origin.bytes_egress == len(b"content-a")
 
     def test_versions_increase(self):
         origin = DistributionPoint()

@@ -48,12 +48,6 @@ class TestHashChain:
         with pytest.raises(HashChainError):
             chain.statement(-1)
 
-    def test_remaining(self):
-        chain = HashChain(length=10)
-        assert chain.remaining(0) == 10
-        assert chain.remaining(10) == 0
-        assert chain.remaining(15) == 0
-
     def test_length_must_be_positive(self):
         with pytest.raises(ValueError):
             HashChain(length=0)

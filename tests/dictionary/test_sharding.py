@@ -202,8 +202,9 @@ class TestAgentShardRegistry:
         )
         apply_issuances(agent, ca.name, issuances)
         before = held_bytes(agent, ca.name)
-        freed, _ = agent.prune_shard_replicas(ca.name, now=QUARTER + 1)
-        assert freed == 50
+        pruned = agent.prune_shard_replicas(ca.name, now=QUARTER + 1)
+        assert len(pruned) == 1 and pruned[0] not in agent.replicas
+        assert agent.pruned_revocations == 50
         assert len(agent.shard_replicas(ca.name)) == 1
         assert held_bytes(agent, ca.name) < before
 
@@ -358,11 +359,11 @@ class TestAccounting:
             ),
         )
         before = held_bytes(agent, ca.name)
-        freed, bytes_freed = agent.prune_shard_replicas(ca.name, now=QUARTER + 1)
-        assert freed == 1
+        agent.prune_shard_replicas(ca.name, now=QUARTER + 1)
+        agent.prune_shard_replicas(ca.name, now=QUARTER + 1)  # nothing left to prune
         assert agent.pruned_revocations == 1
-        assert agent.reclaimed_storage_bytes == bytes_freed
-        assert bytes_freed + held_bytes(agent, ca.name) == before
+        assert agent.shard_replicas_pruned == 1
+        assert agent.reclaimed_storage_bytes + held_bytes(agent, ca.name) == before
 
 
 class TestDifferentialOracle:

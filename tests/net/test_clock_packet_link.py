@@ -5,7 +5,7 @@ import pytest
 from repro.errors import NetworkError
 from repro.net.clock import SimulatedClock, SkewedClock
 from repro.net.link import Link, lan_link, metro_link, wan_link
-from repro.net.packet import Direction, FiveTuple, Packet, make_flow
+from repro.net.packet import Direction, Packet, make_flow
 
 
 class TestClock:

@@ -7,13 +7,13 @@ from repro.ritm.agent import RESUMPTION_CACHE_CAPACITY, RevocationAgent
 from repro.ritm.client import RejectionReason, RITMClient
 from repro.ritm.messages import decode_status_bundle
 from repro.ritm.server import RITMServer
+from repro.ritm.state import flow_key
 from repro.tls.connection import HandshakeStage
 from repro.tls.extensions import ritm_support_extension
 from repro.tls.messages import CertificateMessage, ClientHello, Finished, ServerHello, ServerHelloDone
 from repro.tls.records import ContentType, TLSRecord, parse_records
 from repro.tls.session import SessionCache, TicketIssuer
 
-from tests.conftest import sized_attributes
 from tests.ritm.conftest import EPOCH, flip_bit
 from tests.ritm.test_client_server import run_direct_handshake
 
@@ -76,7 +76,7 @@ class TestTransparency:
         packet = Packet(flow=FLOW, payload=b"GET / HTTP/1.1\r\n\r\n")
         out = world.agent.process_packet(packet, now=EPOCH + 10)
         assert out == [packet]
-        assert world.agent.stats.packets_forwarded_transparently == 1
+        assert world.agent.connections == {}
 
     def test_connection_without_ritm_extension_is_ignored(self, world):
         chain = world.corpus.chains[0]
@@ -101,10 +101,10 @@ class TestTransparency:
             packet = Packet(
                 flow=flight.flow, payload=flip_bit(flight.payload, bit), direction=flight.direction
             )
-            before = world.agent.dpi.stats.parse_errors
+            malformed = world.agent.dpi.inspect(packet.payload).parse_error is not None
             out = world.agent.process_packet(packet, now=EPOCH + 11)
             assert len(out) == 1
-            if world.agent.dpi.stats.parse_errors > before:
+            if malformed:
                 unparseable += 1
                 assert out == [packet]
         assert unparseable > 0
@@ -113,10 +113,19 @@ class TestTransparency:
 class TestStatusAttachment:
     def test_state_created_on_ritm_client_hello(self, world):
         world.agent.process_packet(client_hello_packet(), now=EPOCH + 10)
-        state = world.agent.connections.lookup(FLOW)
-        assert state is not None
+        assert list(world.agent.connections) == [flow_key(FLOW)]
+        state = world.agent.connections[flow_key(FLOW)]
         assert state.stage == HandshakeStage.CLIENT_HELLO
-        assert world.agent.stats.supported_connections == 1
+
+    def test_state_keeps_the_canonical_flow(self, world):
+        flow = make_flow("99.9.9.9", 50_000, "2.2.2.2", 443)
+        hello = Packet(
+            flow=flow, payload=client_hello_packet().payload, direction=Direction.CLIENT_TO_SERVER
+        )
+        world.agent.process_packet(hello, now=EPOCH + 10)
+        state = world.agent.connections[flow_key(flow.reversed())]
+        assert state.flow == flow.canonical() == flow.reversed().canonical() != flow
+        assert state.last_status == 0.0
 
     def test_status_attached_to_server_hello(self, world):
         chain = world.corpus.chains[0]
@@ -127,13 +136,12 @@ class TestStatusAttachment:
         assert statuses[0].ca_name == chain.leaf.issuer
         assert statuses[0].serial == chain.leaf.serial
         assert not statuses[0].is_revoked
-        assert world.agent.stats.statuses_attached == 1
 
     def test_state_updated_after_server_hello(self, world):
         chain = world.corpus.chains[0]
         world.agent.process_packet(client_hello_packet(), now=EPOCH + 10)
         world.agent.process_packet(server_flight_packet(chain), now=EPOCH + 11)
-        state = world.agent.connections.lookup(FLOW)
+        state = world.agent.connections[flow_key(FLOW)]
         assert state.ca_name == chain.leaf.issuer
         assert state.serial == chain.leaf.serial
         assert state.last_status == EPOCH + 11
@@ -143,7 +151,7 @@ class TestStatusAttachment:
         world.agent.process_packet(client_hello_packet(), now=EPOCH + 10)
         world.agent.process_packet(server_flight_packet(chain), now=EPOCH + 11)
         world.agent.process_packet(server_finished_packet(), now=EPOCH + 12)
-        assert world.agent.connections.lookup(FLOW).is_established()
+        assert world.agent.connections[flow_key(FLOW)].is_established()
 
     def test_periodic_status_on_established_connection(self, world):
         chain = world.corpus.chains[0]
@@ -179,9 +187,8 @@ class TestStatusAttachment:
             "foreign.example", KeyPair.generate(b"foreign-server").public, now=EPOCH
         )
         world.agent.process_packet(client_hello_packet(), now=EPOCH + 10)
-        out = world.agent.process_packet(server_flight_packet(foreign_chain), now=EPOCH + 11)
-        assert statuses_in(out[0]) == []
-        assert world.agent.stats.unknown_ca >= 1
+        flight = server_flight_packet(foreign_chain)
+        assert world.agent.process_packet(flight, now=EPOCH + 11) == [flight]
 
     def test_full_chain_proving_attaches_status_per_certificate(self, world):
         from repro.ritm.config import RITMConfig
@@ -198,7 +205,7 @@ class TestStatusAttachment:
         assert len(statuses) >= 2
         # A resumption of the session proves the same chain: the resumption
         # cache keeps the chain when the RA proves whole chains.
-        chained_world.agent.connections.remove(FLOW)
+        chained_world.agent.connections.pop(flow_key(FLOW))
         chained_world.agent.process_packet(
             client_hello_packet(session_id=b"\x07" * 8), now=EPOCH + 30
         )
@@ -215,20 +222,22 @@ class TestFlowTableIsBounded:
         chain = world.corpus.chains[0]
 
         def handshake(number):
+            """One full handshake; the statuses its server flight carried."""
             session_id = number.to_bytes(8, "big")
             now = EPOCH + 10 + number
             world.agent.process_packet(client_hello_packet(), now=now)
-            world.agent.process_packet(server_flight_packet(chain, session_id), now=now)
+            out = world.agent.process_packet(server_flight_packet(chain, session_id), now=now)
             world.agent.process_packet(server_finished_packet(), now=now)
+            return len(statuses_in(out[0]))
 
         def entries_held():
-            return sum(sized_attributes(world.agent.connections).values())
+            return len(world.agent.connections)
 
-        handshake(1)
+        attached = handshake(1)
         after_first = entries_held()
         for number in range(2, 301):
-            handshake(number)
-        assert world.agent.stats.statuses_attached == 300
+            attached += handshake(number)
+        assert attached == 300
         assert entries_held() == after_first == 1
 
 
@@ -238,7 +247,7 @@ class TestResumptionAndMultipleRAs:
         # Full handshake first: the agent learns the server's certificate.
         world.agent.process_packet(client_hello_packet(), now=EPOCH + 10)
         world.agent.process_packet(server_flight_packet(chain), now=EPOCH + 11)
-        world.agent.connections.remove(FLOW)
+        world.agent.connections.pop(flow_key(FLOW))
 
         # Resumed handshake: ServerHello only, no Certificate message.
         world.agent.process_packet(client_hello_packet(session_id=b"\x07" * 8), now=EPOCH + 30)
@@ -253,7 +262,6 @@ class TestResumptionAndMultipleRAs:
         statuses = statuses_in(out[0])
         assert len(statuses) == 1
         assert statuses[0].serial == chain.leaf.serial
-        assert world.agent.stats.resumptions_recovered == 1
 
     def test_an_unknown_session_gets_no_status(self, world):
         """A ServerHello echoing a session this RA never saw names no
@@ -268,8 +276,6 @@ class TestResumptionAndMultipleRAs:
             flow=FLOW.reversed(), payload=abbreviated.to_bytes(), direction=Direction.SERVER_TO_CLIENT
         )
         assert world.agent.process_packet(packet, now=EPOCH + 31) == [packet]
-        assert world.agent.stats.resumptions_unknown == 1
-        assert world.agent.stats.resumptions_recovered == 0
 
     def test_second_ra_does_not_duplicate_fresher_status(self, world):
         chain = world.corpus.chains[0]
@@ -284,9 +290,8 @@ class TestResumptionAndMultipleRAs:
             now=EPOCH + 12
         )
         second.process_packet(client_hello_packet(), now=EPOCH + 10)
-        final = second.process_packet(out[0], now=EPOCH + 13)
-        assert len(statuses_in(final[0])) == 1
-        assert second.stats.statuses_deferred_to_peer == 1
+        # The first RA's status is as fresh: the flight passes unchanged.
+        assert second.process_packet(out[0], now=EPOCH + 13) == [out[0]]
 
     def test_second_ra_replaces_stale_status_with_newer_view(self, world):
         chain = world.corpus.chains[0]
@@ -311,7 +316,6 @@ class TestResumptionAndMultipleRAs:
         statuses = statuses_in(final[0])
         assert len(statuses) == 1
         assert statuses[0].is_revoked
-        assert fresh.stats.statuses_replaced == 1
 
     def test_every_followed_ca_has_a_replica(self, world):
         sizes = {name: replica.size for name, replica in world.agent.replicas.items()}
@@ -365,7 +369,7 @@ class TestResumptionNamesTheSession:
     def test_a_resumed_session_gets_its_own_certificates_status(self, world, by, flow):
         chain_a, first, server = self.full_handshakes(world)
         if flow == "new-flow":  # no flow state left from B's handshake
-            world.agent.connections.remove(FLOW)
+            world.agent.connections.pop(flow_key(FLOW))
         if by == "session_id":
             resumption = {"session_id": first.tls.negotiated_session_id}
         else:
@@ -373,12 +377,12 @@ class TestResumptionNamesTheSession:
         resumed = self.client(world, chain_a, **resumption)
         run_direct_handshake(resumed, server, world.agent, now=EPOCH + 24)
         assert not resumed.is_connection_usable
+        # Only A is revoked, and a status about another certificate is
+        # refused as invalid: the RA recovered A's certificate.  A ticket
+        # resumption offers no session id; this model's server echoes the
+        # one the ticket was minted for, which is what the RA looks up (an
+        # RFC 5077 server would echo the client's own id).
         assert resumed.rejection is RejectionReason.CERTIFICATE_REVOKED
-        assert chain_a.leaf.serial.to_bytes().hex().upper() in resumed.rejection_detail
-        # A ticket resumption offers no session id; this model's server
-        # echoes the one the ticket was minted for, which is what the RA
-        # looks up (an RFC 5077 server would echo the client's own id).
-        assert world.agent.stats.resumptions_recovered == 1
 
     def test_an_evicted_session_attaches_nothing(self, world):
         chain_a, first, server = self.full_handshakes(world)
@@ -386,7 +390,6 @@ class TestResumptionNamesTheSession:
         resumed = self.client(world, chain_a, session_id=first.tls.negotiated_session_id)
         run_direct_handshake(resumed, server, world.agent, now=EPOCH + 24)
         assert resumed.rejection is RejectionReason.MISSING_STATUS
-        assert world.agent.stats.resumptions_unknown == 1
 
     @pytest.mark.parametrize(
         "between", [RESUMPTION_CACHE_CAPACITY - 1, RESUMPTION_CACHE_CAPACITY]
@@ -408,10 +411,8 @@ class TestResumptionNamesTheSession:
         assert not resumed.is_connection_usable
         if between < RESUMPTION_CACHE_CAPACITY:
             assert resumed.rejection is RejectionReason.CERTIFICATE_REVOKED
-            assert world.agent.stats.resumptions_recovered == 1
         else:
             assert resumed.rejection is RejectionReason.MISSING_STATUS
-            assert world.agent.stats.resumptions_unknown == 1
 
     def test_a_full_flight_split_across_packets_is_no_resumption(self, world):
         """A ServerHello alone is not yet an abbreviated handshake: only the
@@ -424,8 +425,6 @@ class TestResumptionNamesTheSession:
             server_packet(CertificateMessage(chain), ServerHelloDone()), now=EPOCH + 11
         )
         assert [s.serial for s in statuses_in(rest[0])] == [chain.leaf.serial]
-        assert world.agent.stats.resumptions_unknown == 0
-        assert world.agent.stats.resumptions_recovered == 0
 
     def test_an_abbreviated_flight_split_across_packets_is_resumed(self, world):
         chain = world.corpus.chains[0]
@@ -436,7 +435,6 @@ class TestResumptionNamesTheSession:
         assert world.agent.process_packet(hello, now=EPOCH + 31) == [hello]
         finished = world.agent.process_packet(server_packet(Finished()), now=EPOCH + 31)
         assert [s.serial for s in statuses_in(finished[0])] == [chain.leaf.serial]
-        assert world.agent.stats.resumptions_recovered == 1
 
     def test_the_resumption_cache_is_bounded(self, world):
         chain = world.corpus.chains[0]

@@ -79,10 +79,10 @@ class TestRevocation:
 
     def test_publication_stats_track_uploads(self, world):
         issuing = world.ca_by_name(world.corpus.chains[0].leaf.issuer)
-        before = issuing.publication_stats.bytes_uploaded
-        issuing.revoke([world.corpus.chains[0].leaf.serial], now=EPOCH + 20)
-        assert issuing.publication_stats.bytes_uploaded > before
+        issuance = issuing.revoke([world.corpus.chains[0].leaf.serial], now=EPOCH + 20)
+        batch = world.cdn.origin.fetch(issuance_path(issuing.name, issuance.first_number))
         assert issuing.publication_stats.batches_published == 1
+        assert issuing.publication_stats.batch_bytes_published == len(batch.content)
 
     def test_rejected_batch_records_nothing_and_can_be_retried(self, world):
         """A repeat inside the batch fails before the issuance CA records
@@ -143,11 +143,12 @@ class TestRefresh:
         touched, other = (issuance.ca_name for _, issuance in opened)
         ca.refresh(now=110)
         ca.revoke_with_expiry([(SerialNumber(3), week + 6)], now=120)
-        heads = ca.publication_stats.heads_published
+        origin = ca.cdn.origin
+        versions = {name: origin.fetch(head_path(name)).version for name in (touched, other)}
 
         assert list(ca.refresh(now=120)) == [other]
-        assert ca.publication_stats.heads_published == heads + 1
-        origin = ca.cdn.origin
+        assert origin.fetch(head_path(touched)).version == versions[touched]
+        assert origin.fetch(head_path(other)).version > versions[other]
         batch = origin.fetch(issuance_path(touched, 2)).content  # serial 3's batch
         assert origin.fetch(freshness_path(touched)).content == batch
 

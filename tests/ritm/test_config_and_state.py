@@ -8,7 +8,7 @@ from repro.net.packet import make_flow
 from repro.pki.ca import CertificationAuthority
 from repro.pki.serial import SerialNumber
 from repro.ritm.config import PAPER_DELTA_SWEEP, RITMConfig
-from repro.ritm.state import ConnectionState, ConnectionTable, flow_key
+from repro.ritm.state import ConnectionState, flow_key
 from repro.tls.connection import HandshakeStage
 
 
@@ -101,47 +101,9 @@ class TestConnectionState:
         assert state.last_status == 40.0
 
 
-class TestConnectionTable:
-    def test_create_and_lookup_in_both_directions(self):
-        table = ConnectionTable()
-        flow = make_flow("1.1.1.1", 1234, "2.2.2.2", 443)
-        table.create(flow)
-        assert table.lookup(flow) is not None
-        assert table.lookup(flow.reversed()) is not None
-        assert len(table) == 1
-
-    def test_remove(self):
-        table = ConnectionTable()
-        flow = make_flow("1.1.1.1", 1234, "2.2.2.2", 443)
-        table.create(flow)
-        table.remove(flow.reversed())
-        assert table.lookup(flow) is None
-
-    def test_removing_an_unknown_flow_is_a_no_op(self):
-        table = ConnectionTable()
-        kept = make_flow("1.1.1.1", 1234, "2.2.2.2", 443)
-        table.create(kept)
-        table.remove(make_flow("3.3.3.3", 1, "4.4.4.4", 443))
-        assert len(table) == 1
-        assert table.lookup(kept) is not None
-
+class TestFlowKey:
     def test_flow_key_is_the_same_in_both_directions(self):
         flow = make_flow("9.9.9.9", 50_000, "2.2.2.2", 443)
         assert flow_key(flow) == flow_key(flow.reversed())
         assert flow_key(flow) == ("2.2.2.2", 443, "9.9.9.9", 50_000, flow.protocol)
         assert flow_key(flow) != flow_key(make_flow("9.9.9.9", 50_001, "2.2.2.2", 443))
-
-    def test_get_by_flow_key_is_the_lookup(self):
-        table = ConnectionTable()
-        flow = make_flow("1.1.1.1", 1234, "2.2.2.2", 443)
-        state = table.create(flow)
-        assert table.get(flow_key(flow.reversed())) is state
-        assert table.get(flow_key(make_flow("1.1.1.1", 1, "2.2.2.2", 443))) is None
-
-    def test_create_stores_the_canonical_flow(self):
-        table = ConnectionTable()
-        flow = make_flow("9.9.9.9", 50_000, "2.2.2.2", 443)
-        state = table.create(flow)
-        assert state.flow == flow.canonical() == flow.reversed().canonical()
-        assert state.stage == HandshakeStage.CLIENT_HELLO
-        assert state.last_status == 0.0

@@ -62,7 +62,6 @@ class TestConsistencyChecker:
         assert checker.known_roots("CA-C") == [first]
         assert one.first == two.first == first
         assert checker.reports == [one, two]
-        assert checker.roots_observed == 3
 
     def test_without_reporter_keys_a_report_is_attributed_but_unsigned(self, keys):
         checker = ConsistencyChecker("ra-1")
@@ -104,8 +103,6 @@ class TestGossipAndEdgeChecks:
 
     def test_agent_detects_equivocating_ca_through_dissemination(self, world, keys):
         """A CA that republishes a different dictionary at the same size is caught."""
-        from tests.ritm.conftest import EPOCH
-
         ca = world.cas[0]
         good_root = ca.dictionary.signed_root
         # The "other view": same size (0) but different content hash.

@@ -6,7 +6,6 @@ from repro.net.clock import SimulatedClock
 from repro.net.packet import make_flow
 from repro.ritm.client import RejectionReason
 from repro.ritm.deployment import (
-    DeploymentModel,
     build_close_to_client_deployment,
     build_close_to_server_deployment,
     build_unprotected_path,
@@ -39,8 +38,7 @@ class TestCloseToClientDeployment:
     def test_handshake_accepted_with_fresh_dictionary(self, world):
         deployment = deploy_close_to_client(world)
         assert deployment.run_handshake()
-        assert deployment.client.stats.statuses_valid >= 1
-        assert deployment.model == DeploymentModel.CLOSE_TO_CLIENT
+        assert deployment.client.last_status is not None
 
     def test_revoked_certificate_is_refused_end_to_end(self, world):
         chain = world.corpus.chains[0]
@@ -54,7 +52,7 @@ class TestCloseToClientDeployment:
     def test_established_connection_receives_periodic_statuses(self, world):
         deployment = deploy_close_to_client(world)
         assert deployment.run_handshake()
-        received_before = deployment.client.stats.statuses_received
+        accepted_before = deployment.client.last_status_at
 
         # Advance past Δ, keep the CA fresh, pull, then push application data.
         delta = world.config.delta_seconds
@@ -66,7 +64,7 @@ class TestCloseToClientDeployment:
             world.pull(now=now)
             deployment.deliver_from_server(b"tick")
             assert deployment.client.enforce_freshness(deployment.engine.clock.now())
-        assert deployment.client.stats.statuses_received > received_before
+        assert deployment.client.last_status_at > accepted_before
 
     def test_race_condition_protection_mid_connection_revocation(self, world):
         """A revocation arriving after establishment still kills the connection."""
@@ -102,7 +100,7 @@ class TestCloseToClientDeployment:
         agent = deployment.agents[0]
         status_bytes = len(encode_status(deployment.client.last_status))
         # Processing: every packet of the handshake crosses the RA once.
-        processing = agent.stats.packets_seen * agent.processing_delay(None)
+        processing = deployment.engine.packets_delivered * agent.processing_delay(None)
         # Transmission of the extra bytes at a 100 Mbit/s access link.
         transmission = status_bytes / 12_500_000.0
         added = processing + transmission
@@ -122,7 +120,6 @@ class TestCloseToServerDeployment:
         )
         assert deployment.run_handshake()
         assert deployment.client.tls.server_confirmed_ritm
-        assert deployment.model == DeploymentModel.CLOSE_TO_SERVER
 
     def test_revocation_refused_in_server_side_model(self, world):
         chain = world.corpus.chains[1]
@@ -156,30 +153,28 @@ class TestUnprotectedPath:
 
 class TestBuilderTopology:
     """The three public builders pass one wiring body different parts; what
-    each passes — model, server class, middlebox and link order — is pinned."""
+    each passes — server class, middlebox and link order — is pinned."""
 
     @pytest.mark.parametrize(
-        "build, model, server_class, boxes, links",
+        "build, server_class, boxes, links",
         [
             (
                 build_close_to_client_deployment,
-                DeploymentModel.CLOSE_TO_CLIENT,
                 RITMServer,
                 ["ra", "extra"],
                 ["lan", "wan", "wan"],
             ),
             (
                 build_close_to_server_deployment,
-                DeploymentModel.CLOSE_TO_SERVER,
                 TLSTerminator,
                 ["extra", "ra"],
                 ["wan", "wan", "lan"],
             ),
-            (build_unprotected_path, DeploymentModel.CLOSE_TO_CLIENT, RITMServer, [], ["metro"]),
+            (build_unprotected_path, RITMServer, [], ["metro"]),
         ],
         ids=["close-to-client", "close-to-server", "unprotected"],
     )
-    def test_order_flow_and_protection(self, world, build, model, server_class, boxes, links):
+    def test_order_flow_and_protection(self, world, build, server_class, boxes, links):
         extra = object()
         named = {"ra": world.agent, "extra": extra}
         protected = {"agent": world.agent, "extra_middleboxes": [extra]} if boxes else {}
@@ -193,7 +188,6 @@ class TestBuilderTopology:
             **protected,
         )
         path = deployment.engine.path
-        assert deployment.model == model
         assert type(deployment.server) is server_class
         assert (path.client, path.server) == (deployment.client, deployment.server)
         assert path.middleboxes == [named[box] for box in boxes]

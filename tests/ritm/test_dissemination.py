@@ -11,7 +11,6 @@ from tests.conftest import revocation_number
 from tests.ritm.conftest import (
     EPOCH,
     build_stack,
-    build_world,
     oversized_key_chain,
     tamper_batch,
 )

@@ -46,7 +46,6 @@ from repro.ritm.messages import (
     decode_proof,
     decode_shard_index,
     decode_signed_root,
-    decode_status,
     decode_status_bundle,
     decode_sync_response,
     encode_freshness,

@@ -33,6 +33,7 @@ from repro.ritm.messages import (
     encode_signed_root,
     encode_status_bundle,
 )
+from repro.ritm.state import flow_key
 from repro.store import create_store
 from repro.tls.connection import (
     ChainValidationCache,
@@ -249,7 +250,7 @@ class TestEncodedStatusMemo:
         world.agent.process_packet(client_hello_packet(), now=now)
         (out,) = world.agent.process_packet(server_flight_packet(chain), now=now)
         (record,) = [r for r in parse_records(out.payload) if r.is_ritm_status()]
-        state = world.agent.connections.lookup(FLOW)
+        state = world.agent.connections[flow_key(FLOW)]
         statuses = world.agent._build_statuses(state, now)
         assert record.payload == encode_status_bundle(statuses)
         for status in decode_status_bundle(record.payload):
@@ -371,7 +372,6 @@ class TestDPIChainCache:
         assert (dpi.chain_cache.stats.misses, dpi.chain_cache.stats.hits) == (1, 1)
         assert first.certificate_chain == second.certificate_chain == small_corpus.chains[0]
         assert verdict(first) == verdict(second) == verdict(DPIEngine().inspect(payload))
-        assert dpi.stats.certificates_parsed == 2  # every message seen is counted
 
     def test_a_warm_engine_gives_every_bit_flip_a_fresh_engines_verdict(self, small_corpus):
         """PR 14's sweep of one server flight, through one engine that has
@@ -411,7 +411,7 @@ class TestDPIChainCache:
         for _ in range(3):
             assert dpi.inspect(broken).parse_error is not None
         assert len(dpi.chain_cache) == 0
-        assert dpi.chain_cache.stats.misses == 3 and dpi.stats.parse_errors == 3
+        assert dpi.chain_cache.stats.misses == 3
 
     def test_the_257th_distinct_chain_evicts_the_least_recent(self, small_corpus):
         dpi = DPIEngine()
@@ -557,12 +557,7 @@ def status_handshake(world, root_cache, payload, now, chains, ca_public_keys=Non
 
 
 def client_verdict(client):
-    return (
-        client.rejection,
-        client.rejection_detail,
-        client.connection_accepted,
-        dataclasses.astuple(client.stats),
-    )
+    return (client.rejection, client.connection_accepted, client.last_status_at)
 
 
 class TestClientStatusMemo:
@@ -600,7 +595,7 @@ class TestClientStatusMemo:
         assert len(decodes) == 1
         assert (cache.statuses.stats.misses, cache.statuses.stats.hits) == (1, 2)
         for client in clients:
-            assert client.rejection is None and client.stats.statuses_valid == 1
+            assert client.rejection is None and client.last_status_at == self.NOW
         assert clients[0].last_status == clients[2].last_status
         # The memo is not a verdict and is not counted as one: one root
         # lookup per status, as without it.
@@ -654,7 +649,6 @@ class TestClientStatusMemo:
         client = status_handshake(world, cache, payload, self.NOW, chains, keys)
         assert cache.statuses.stats.hits == 1  # the structure is shared...
         assert client.rejection is RejectionReason.INVALID_STATUS  # ...the verdict is not
-        assert "failed verification" in client.rejection_detail
 
     def test_a_failed_check_is_never_stored(self, world, chains, decodes):
         cache = VerifiedRootCache()
@@ -737,10 +731,9 @@ class TestMalformedSerialInAStatusRecord:
         )
         assert client.handle_packet(packet, now=EPOCH + 11) == []
         assert client.rejection is RejectionReason.INVALID_STATUS
-        assert client.stats.statuses_invalid == 1
 
     @pytest.mark.parametrize("serial_field", [b"", b"\x01" * 21], ids=["empty", "21-bytes"])
-    def test_a_downstream_ra_forwards_the_packet_and_counts_it(self, world, serial_field):
+    def test_a_downstream_ra_replaces_the_undecodable_record(self, world, serial_field):
         from repro.net.packet import Packet
         from tests.ritm.test_agent import client_hello_packet, server_flight_packet, statuses_in
 
@@ -760,4 +753,3 @@ class TestMalformedSerialInAStatusRecord:
         assert len(out) == 1
         # The undecodable record is dropped and the RA's own status rides instead.
         assert [s.serial for s in statuses_in(out[0])] == [chain.leaf.serial]
-        assert world.agent.stats.statuses_replaced == 1

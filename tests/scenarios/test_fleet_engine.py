@@ -147,8 +147,8 @@ def test_peak_concurrency_sweep_line():
 def test_mailbox_drains_in_fifo_order_and_tracks_depth():
     box = Mailbox("ra-a")
     assert box.drain() == []
-    box.post(Message(kind="client-batch", posted_at=1.0, payload={"count": 3}))
-    box.post(Message(kind="head-published", posted_at=2.0))
+    box.post(Message(kind="client-batch", payload={"count": 3}))
+    box.post(Message(kind="head-published"))
     assert box.depth() == 2
     assert box.max_depth == 2
     drained = box.drain()

@@ -1,5 +1,6 @@
 """The ``python -m repro`` CLI surface."""
 
+import importlib
 import json
 
 import pytest
@@ -59,7 +60,7 @@ def test_run_with_durable_engine(capsys):
 
 
 def test_module_entry_point_exists():
-    import repro.__main__  # noqa: F401  (importable without executing main)
+    importlib.import_module("repro.__main__")  # importable without executing main
 
 
 @pytest.mark.parametrize("argv", [[], ["bogus-verb"]])

@@ -6,8 +6,6 @@ the same roots, the same proofs, and the same errors under arbitrary
 interleavings of single inserts, batch inserts, and proof queries.
 """
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -10,7 +10,7 @@ from repro.tls.connection import (
     TLSClientConnection,
     TLSServerConnection,
 )
-from repro.tls.records import ContentType, parse_records
+from repro.tls.records import ContentType
 
 NOW = 1_400_000_100
 

@@ -8,7 +8,6 @@ from repro.cdn.geography import Region
 from repro.workloads.certificates import generate_corpus
 from repro.workloads.planetlab import PLANETLAB_NODE_COUNT, generate_vantage_points
 from repro.workloads.population import (
-    DEFAULT_CLIENTS_PER_RA,
     TOTAL_POPULATION,
     generate_population,
 )
